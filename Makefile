@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-netsim bench-exprun bench-scale bench-obs bench-masterfail bench-ctrlplane profile-scale vet fmt reproduce ablations examples clean
+.PHONY: all build test race bench bench-e2e bench-smoke bench-netsim bench-exprun bench-scale bench-obs bench-masterfail bench-ctrlplane profile-scale vet fmt reproduce ablations examples clean
 
 all: build test
 
@@ -24,6 +24,19 @@ fmt:
 # One testing.B benchmark per paper table/figure series plus ablations.
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# The repo's benchmark (BENCHMARK.json, bench/README.md): the six workloads end
+# to end, untraced; of each run only its last line, the JSON result, is shown.
+bench-e2e:
+	@for w in rt_small_tcp rt_bulk_tcp rt_return_mem sim_paper sim_scale sim_durability; do \
+		out=$$($(GO) run -C bench frieda/bench --workload $$w --seed 1 --seconds 10 --trace 0) || exit 1; \
+		echo "$$w $$(echo "$$out" | tail -n 1)"; \
+	done
+
+# The benchmark's own tests. bench/ is a nested module, so `go test ./...`
+# from the root does not reach it.
+bench-smoke:
+	cd bench && $(GO) vet . && $(GO) test -race .
 
 # The allocator perf trajectory: compare against BENCH_netsim.json before
 # merging allocator or engine changes, and update the file with the new

@@ -5,6 +5,7 @@
 package catalog
 
 import (
+	"bytes"
 	"io"
 	"io/fs"
 	"os"
@@ -197,6 +198,8 @@ func NewMemSource() *MemSource {
 }
 
 // Put stores a file, replacing any previous contents under the same name.
+// The source keeps data itself and hands it to readers and to Bytes: the
+// caller must not modify it afterwards.
 func (s *MemSource) Put(name string, data []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -214,10 +217,11 @@ func (s *MemSource) Open(name string) (io.ReadCloser, error) {
 	if !ok {
 		return nil, newError(ErrNotFound, name)
 	}
-	return io.NopCloser(strings.NewReader(string(data))), nil
+	return io.NopCloser(bytes.NewReader(data)), nil
 }
 
-// Bytes returns the stored contents directly.
+// Bytes returns the stored contents themselves, not a copy; callers must not
+// modify them.
 func (s *MemSource) Bytes(name string) ([]byte, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

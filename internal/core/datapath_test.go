@@ -1,0 +1,736 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"hash/crc32"
+	"io"
+	"math/rand"
+	"runtime"
+	"strings"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"frieda/internal/catalog"
+	"frieda/internal/protocol"
+	"frieda/internal/strategy"
+	"frieda/internal/transfer"
+	"frieda/internal/transport"
+	"frieda/internal/transport/transporttest"
+)
+
+// loopbackTCP lets a test use TCP where the in-memory transport is usual: the
+// master listens on a free loopback port and dialers get the bound address.
+type loopbackTCP struct {
+	inner transport.Transport
+	bound chan struct{}
+	addr  string
+}
+
+func newLoopbackTCP() *loopbackTCP {
+	return &loopbackTCP{inner: transport.NewTCP(), bound: make(chan struct{})}
+}
+
+func (l *loopbackTCP) Listen(string) (transport.Listener, error) {
+	defer close(l.bound)
+	ln, err := l.inner.Listen("127.0.0.1:0")
+	if err != nil {
+		return nil, err
+	}
+	l.addr = ln.Addr()
+	return ln, nil
+}
+
+func (l *loopbackTCP) Dial(string) (transport.Conn, error) {
+	<-l.bound
+	if l.addr == "" {
+		return nil, errors.New("master never bound a port")
+	}
+	return l.inner.Dial(l.addr)
+}
+
+// testTransports makes a fresh transport per job: in-memory, and TCP loopback.
+var testTransports = map[string]func() transport.Transport{
+	"mem": func() transport.Transport { return transport.NewMem(nil) },
+	"tcp": func() transport.Transport { return newLoopbackTCP() },
+}
+
+// --- Registration: a worker is dispatchable only after ACK and staging ---
+
+// delayTransport holds back chosen master-to-worker messages: delay is asked
+// for every message the master sends on an accepted connection, once the
+// worker behind it has registered.
+type delayTransport struct {
+	transport.Transport
+	delay func(worker string, m *protocol.Message) time.Duration
+}
+
+func (d *delayTransport) Listen(addr string) (transport.Listener, error) {
+	l, err := d.Transport.Listen(addr)
+	if err != nil {
+		return nil, err
+	}
+	return &delayListener{Listener: l, d: d}, nil
+}
+
+type delayListener struct {
+	transport.Listener
+	d *delayTransport
+}
+
+func (l *delayListener) Accept() (transport.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &delayConn{Conn: c, d: l.d}, nil
+}
+
+type delayConn struct {
+	transport.Conn
+	d      *delayTransport
+	worker atomic.Value // string, once TRegister was received
+}
+
+func (c *delayConn) Recv() (*protocol.Message, error) {
+	m, err := c.Conn.Recv()
+	if err == nil && m.Type == protocol.TRegister {
+		c.worker.Store(m.Worker)
+	}
+	return m, err
+}
+
+func (c *delayConn) Send(m *protocol.Message) error {
+	if name, ok := c.worker.Load().(string); ok {
+		time.Sleep(c.d.delay(name, m))
+	}
+	return c.Conn.Send(m)
+}
+
+// runDelayed runs a three-worker real-time job over tr and checks that every
+// group is reported exactly once, all OK, and that no worker failed.
+func runDelayed(t *testing.T, tr transport.Transport, src *catalog.MemSource, common []string, prog Program, groups int) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	ctl, err := NewController(ControllerConfig{
+		Strategy:        strategy.Config{Kind: strategy.RealTime, CommonFiles: common},
+		Transport:       tr,
+		MasterAddr:      "master",
+		InProcessMaster: true,
+		Master:          MasterConfig{Source: src},
+		Workers:         3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ctl.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := ctl.SpawnWorker(ctx, WorkerConfig{Name: fmt.Sprintf("w%d", i), Cores: 1, Program: prog}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r, err := ctl.Wait(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ctl.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[int]bool)
+	for _, res := range r.Results {
+		if seen[res.GroupIndex] {
+			t.Errorf("group %d reported twice", res.GroupIndex)
+		}
+		seen[res.GroupIndex] = true
+		if !res.OK {
+			t.Errorf("group %d failed on %s: %s", res.GroupIndex, res.Worker, res.Error)
+		}
+	}
+	if r.Groups != groups || r.Succeeded != groups || len(r.Results) != groups {
+		t.Errorf("%d groups, %d results, %d succeeded, want %d of each (worker errors %v)",
+			r.Groups, len(r.Results), r.Succeeded, groups, r.WorkerErrors)
+	}
+	for _, e := range ctl.Errors() {
+		t.Errorf("worker %s failed: %s", e.Worker, e.Detail)
+	}
+}
+
+// The master's ACK to one of three workers is 20 ms late. Nothing may reach
+// that worker's connection ahead of it: at the parent commit the other
+// handlers' dispatch did, and the worker left with "expected ACK, got
+// FILE_DATA".
+func TestDelayedAckDoesNotLetDispatchOvertake(t *testing.T) {
+	tr := &delayTransport{
+		Transport: transport.NewMem(nil),
+		delay: func(worker string, m *protocol.Message) time.Duration {
+			if worker == "w2" && m.Type == protocol.TAck {
+				return 20 * time.Millisecond
+			}
+			return 0
+		},
+	}
+	runDelayed(t, tr, sourceWithFiles(30, 64), nil, echoProgram(), 30)
+}
+
+// The common file's staging to one worker is 20 ms late. No task may be
+// dispatched to that worker before the file is there.
+func TestDelayedStagingDoesNotLetDispatchOvertake(t *testing.T) {
+	src := sourceWithFiles(30, 64)
+	src.Put("db.bin", []byte(strings.Repeat("D", 500)))
+	tr := &delayTransport{
+		Transport: transport.NewMem(nil),
+		delay: func(worker string, m *protocol.Message) time.Duration {
+			if worker == "w2" && m.Type == protocol.TFileData && m.FileName == "db.bin" {
+				return 20 * time.Millisecond
+			}
+			return 0
+		},
+	}
+	prog := FuncProgram(func(ctx context.Context, task Task) (string, error) {
+		if task.Store.Size("db.bin") != 500 {
+			return "", fmt.Errorf("db.bin not staged: size %d", task.Store.Size("db.bin"))
+		}
+		return "ok", nil
+	})
+	runDelayed(t, tr, src, []string{"db.bin"}, prog, 30)
+}
+
+// A worker that dies before it is ready is still heard from: the run starts
+// with the others instead of waiting for it.
+func TestWorkerLostBeforeReadyDoesNotBlockStart(t *testing.T) {
+	src := sourceWithFiles(6, 32)
+	// The common file is not in the source: staging fails.
+	m, tr, cancel := startMaster(t, MasterConfig{
+		Strategy:        strategy.Config{Kind: strategy.RealTime, CommonFiles: []string{"missing.bin"}},
+		Source:          src,
+		ExpectedWorkers: 1,
+	})
+	defer cancel()
+	w, err := NewWorker(WorkerConfig{
+		Name: "w0", Cores: 1, Store: NewMemStore(), Program: echoProgram(),
+		Transport: tr, MasterAddr: "m",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go w.Run(context.Background())
+	select {
+	case <-m.Done():
+	case <-time.After(10 * time.Second):
+		t.Fatal("master waits for a worker that died during staging")
+	}
+	if r := m.Report(); r.Failed != 6 || len(r.WorkerErrors) == 0 {
+		t.Fatalf("report = %+v", r)
+	}
+}
+
+// --- Ownership: the integration suite through the ownership checker ---
+
+// readerOnly hides a source's Bytes method, so the chunk sender reads it
+// through Open into (pooled) buffers.
+type readerOnly struct{ catalog.Source }
+
+// crcSource builds n files whose sizes straddle the chunk boundaries, each
+// with its own content, and returns their checksums.
+func crcSource(n, chunk int, seed int64) (*catalog.MemSource, map[string]uint32) {
+	rng := rand.New(rand.NewSource(seed))
+	sizes := []int{0, 1, chunk - 1, chunk, chunk + 1, 3*chunk + 17, 8 * chunk}
+	src := catalog.NewMemSource()
+	sums := make(map[string]uint32)
+	for i := 0; i < n; i++ {
+		data := make([]byte, sizes[i%len(sizes)])
+		rng.Read(data)
+		name := fmt.Sprintf("f%03d.dat", i)
+		src.Put(name, data)
+		sums[name] = crc32.ChecksumIEEE(data)
+	}
+	return src, sums
+}
+
+// ownershipScenario is one deployment of the suite.
+type ownershipScenario struct {
+	name    string
+	strat   strategy.Config
+	outputs bool // every task returns its first input, reversed, to a sink
+	kill    bool // w0 is cancelled mid-run; Recover finishes its work
+}
+
+var ownershipScenarios = []ownershipScenario{
+	{name: "real-time", strat: strategy.Config{Kind: strategy.RealTime, Multicore: true, Prefetch: 2}},
+	{name: "pre-partition", strat: strategy.Config{Kind: strategy.PrePartition, Locality: strategy.Remote, Multicore: true}},
+	{name: "no-partition", strat: strategy.Config{Kind: strategy.NoPartition, Multicore: true}},
+	{name: "output-return", strat: strategy.Config{Kind: strategy.PrePartition, Locality: strategy.Remote, Multicore: true, Grouping: "pairwise-adjacent"}, outputs: true},
+	{name: "death-with-recover", strat: strategy.Config{Kind: strategy.RealTime}, kill: true},
+}
+
+// TestDataPathOwnership runs the integration scenarios with every connection
+// wrapped in the ownership checker — received payloads are overwritten at
+// the next Recv, sent ones are CRC-checked on delivery — over both
+// transports, from a source read through (pooled) buffers and from one that
+// hands out its bytes. Every task checks the CRC of every stored input; the
+// sink's outputs are checked at the end. This is the test that the buffer
+// reuse of the data path is safe.
+func TestDataPathOwnership(t *testing.T) {
+	const chunk = 4096
+	for trName, mk := range testTransports {
+		for _, sc := range ownershipScenarios {
+			for _, fromBytes := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/%s/bytes=%v", trName, sc.name, fromBytes), func(t *testing.T) {
+					runOwnership(t, transporttest.NewOwnership(mk()), sc, chunk, fromBytes)
+				})
+			}
+		}
+	}
+}
+
+func runOwnership(t *testing.T, tr *transporttest.Ownership, sc ownershipScenario, chunk int, fromBytes bool) {
+	const files = 28
+	mem, sums := crcSource(files, chunk, 7)
+	var src catalog.Source = mem
+	if !fromBytes {
+		src = readerOnly{mem}
+	}
+	groups := files
+	if sc.strat.Grouping == "pairwise-adjacent" {
+		groups = files / 2
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	w0ctx, kill := context.WithCancel(ctx) // cancelled by the program under sc.kill
+	defer kill()
+	var killed atomic.Bool
+	var corrupt atomic.Value // first CRC failure, a string
+	prog := FuncProgram(func(ctx context.Context, task Task) (string, error) {
+		var first []byte
+		for i, name := range task.Inputs {
+			rc, err := task.Store.Open(name)
+			if err != nil {
+				return "", err
+			}
+			data, err := io.ReadAll(rc)
+			rc.Close()
+			if err != nil {
+				return "", err
+			}
+			if sum := crc32.ChecksumIEEE(data); sum != sums[name] {
+				msg := fmt.Sprintf("%s: %d bytes with CRC %08x, want %08x", name, len(data), sum, sums[name])
+				corrupt.CompareAndSwap(nil, msg)
+				return "", errors.New(msg)
+			}
+			if i == 0 {
+				first = data
+			}
+		}
+		if sc.kill && task.Store.Has("__w0") && task.GroupIndex > 2 && !killed.Swap(true) {
+			kill()
+			time.Sleep(30 * time.Millisecond)
+			return "", ctx.Err()
+		}
+		if sc.outputs {
+			out := make([]byte, len(first))
+			for i, b := range first {
+				out[len(first)-1-i] = b
+			}
+			return "", task.AddOutput(task.Inputs[0]+".out", strings.NewReader(string(out)))
+		}
+		return "ok", nil
+	})
+
+	mc := MasterConfig{Source: src, ChunkSize: chunk, Recover: sc.kill, MaxRetries: 3}
+	var sink *MemStore
+	if sc.outputs {
+		sink = NewMemStore()
+		mc.OutputSink = sink
+	}
+	ctl, err := NewController(ControllerConfig{
+		Strategy: sc.strat, Transport: tr, MasterAddr: "master", InProcessMaster: true,
+		Master: mc, Workers: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ctl.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		store := NewMemStore()
+		wctx := ctx
+		if sc.kill && i == 0 {
+			store.Put("__w0", strings.NewReader("tag"))
+			wctx = w0ctx
+		}
+		if _, err := ctl.SpawnWorker(wctx, WorkerConfig{Name: fmt.Sprintf("w%d", i), Cores: 2, Store: store, Program: prog}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r, err := ctl.Wait(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctl.Shutdown()
+
+	if msg := corrupt.Load(); msg != nil {
+		t.Fatalf("a task read a damaged input: %s", msg)
+	}
+	if r.Groups != groups || r.Succeeded != groups {
+		t.Fatalf("report = %+v (worker errors %v)", r, r.WorkerErrors)
+	}
+	if v := tr.Violations(); len(v) > 0 {
+		t.Fatalf("payloads changed between Send and delivery: %v", v)
+	}
+	if tr.Checked() < files {
+		t.Fatalf("only %d data messages went through the checker", tr.Checked())
+	}
+	if sc.outputs {
+		for i := 0; i < files; i += 2 {
+			name := fmt.Sprintf("f%03d.dat", i)
+			in, _ := mem.Bytes(name)
+			out, ok := sink.Bytes(name + ".out")
+			if !ok || len(out) != len(in) {
+				t.Fatalf("output of %s: %d bytes, want %d", name, len(out), len(in))
+			}
+			for j := range in {
+				if out[len(in)-1-j] != in[j] {
+					t.Fatalf("output of %s damaged at byte %d", name, j)
+				}
+			}
+		}
+	}
+}
+
+// --- Sizes: the catalogue size is announced and enforced ---
+
+// lyingSource reports one file's catalogue size off by delta.
+type lyingSource struct {
+	*catalog.MemSource
+	file  string
+	delta int64
+}
+
+func (s lyingSource) Catalog() (*catalog.Catalog, error) {
+	real, err := s.MemSource.Catalog()
+	if err != nil {
+		return nil, err
+	}
+	c := catalog.New()
+	for _, f := range real.Files() {
+		if f.Name == s.file {
+			f.Size += s.delta
+		}
+		c.MustAdd(f)
+	}
+	return c, nil
+}
+
+// A source that ends short of, or runs past, its catalogue size fails the
+// transfer with a typed error and the replica is un-claimed, whether the
+// source hands out bytes or a reader; the worker never takes the file for
+// complete.
+func TestStreamFileSizeMismatchUnclaimsReplica(t *testing.T) {
+	for _, delta := range []int64{-1, +1, +5000} {
+		for _, fromBytes := range []bool{false, true} {
+			mem := catalog.NewMemSource()
+			mem.Put("f", make([]byte, 3000))
+			var src catalog.Source = lyingSource{MemSource: mem, file: "f", delta: delta}
+			if !fromBytes {
+				src = readerOnly{src}
+			}
+			m, err := NewMaster(MasterConfig{Source: src, Transport: transport.NewMem(nil), Addr: "m", ChunkSize: 1000})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr := transport.NewMem(nil)
+			l, _ := tr.Listen("w")
+			go l.Accept()
+			conn, err := tr.Dial("w")
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := &masterWorker{name: "w0", conn: conn}
+			cat, _ := src.Catalog()
+			f, _ := cat.Get("f")
+			err = m.streamFile(w, f.Name, f.Size)
+			if !errors.Is(err, transfer.ErrSizeMismatch) {
+				t.Fatalf("delta %+d, bytes=%v: streamFile = %v, want ErrSizeMismatch", delta, fromBytes, err)
+			}
+			if m.replicas.Has("f", "w0") {
+				t.Fatalf("delta %+d, bytes=%v: replica still claimed after a failed transfer", delta, fromBytes)
+			}
+		}
+	}
+}
+
+// Receivers keep accepting the old shape: data chunks without Last, then an
+// empty terminator, with no size announced.
+func TestWorkerAcceptsEmptyTerminator(t *testing.T) {
+	status := make(chan *protocol.Message, 1)
+	tr, addr := fakeMaster(t, func(conn transport.Conn) {
+		conn.Send(&protocol.Message{Type: protocol.TAck, Cores: 1})
+		conn.Send(&protocol.Message{Type: protocol.TFileData, FileName: "f", Data: []byte("hello ")})
+		conn.Send(&protocol.Message{Type: protocol.TFileData, FileName: "f", Offset: 6, Data: []byte("world")})
+		conn.Send(&protocol.Message{Type: protocol.TFileData, FileName: "f", Offset: 11, Last: true})
+		conn.Send(&protocol.Message{Type: protocol.TExecute, GroupIndex: 0, Files: []protocol.FileInfo{{Name: "f", Size: 11}}})
+		for {
+			m, err := conn.Recv()
+			if err != nil {
+				return
+			}
+			if m.Type == protocol.TTaskStatus {
+				status <- m
+				conn.Send(&protocol.Message{Type: protocol.TNoMoreData})
+				return
+			}
+		}
+	})
+	w := newTestWorker(t, tr, addr, FuncProgram(func(ctx context.Context, task Task) (string, error) {
+		return readAll(task.Store, "f"), nil
+	}))
+	if err := w.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case m := <-status:
+		if !m.Result.OK || m.Result.Output != "hello world" {
+			t.Fatalf("status = %+v", m.Result)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("no status")
+	}
+}
+
+// --- Stores ---
+
+func TestMemStoreReserveAllocatesOnce(t *testing.T) {
+	s := NewMemStore()
+	const size, chunk = 1 << 20, 64 << 10
+	data := make([]byte, chunk)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := s.Reserve("f", size); err != nil {
+		t.Fatal(err)
+	}
+	for off := 0; off < size; off += chunk {
+		if err := s.Append("f", int64(off), data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > size+size/8 {
+		t.Fatalf("a reserved 1 MiB file allocated %d bytes", grew)
+	}
+	if s.Size("f") != size {
+		t.Fatalf("size = %d", s.Size("f"))
+	}
+
+	// A sender that announces too little, or too much, or nothing, or
+	// nonsense, still gets its bytes stored.
+	for _, announced := range []int64{0, 10, 1 << 40} {
+		if err := s.Reserve("g", announced); err != nil {
+			t.Fatal(err)
+		}
+		s.Append("g", 0, []byte("0123456789"))
+		s.Append("g", 10, []byte("abcdef"))
+		if got := readAll(s, "g"); got != "0123456789abcdef" {
+			t.Fatalf("announced %d: stored %q", announced, got)
+		}
+	}
+	if err := s.Reserve("h", -1); err == nil {
+		t.Fatal("negative reservation accepted")
+	}
+
+	// A rewrite does not touch bytes a reader may still hold.
+	old, _ := s.Bytes("g")
+	s.Append("g", 0, []byte("ZZZZ"))
+	if string(old) != "0123456789abcdef" || readAll(s, "g") != "ZZZZ" {
+		t.Fatalf("rewrite in place: old %q, new %q", old, readAll(s, "g"))
+	}
+}
+
+func TestMemStorePutSizesFromReader(t *testing.T) {
+	s := NewMemStore()
+	payload := make([]byte, 1<<20)
+	s.Put("src", strings.NewReader(string(payload)))
+	for name, mk := range map[string]func() io.Reader{
+		"bytes.Reader":        func() io.Reader { return strings.NewReader(string(payload)) },
+		"stored file":         func() io.Reader { rc, _ := s.Open("src"); return rc },
+		"limited stored file": func() io.Reader { rc, _ := s.Open("src"); return io.LimitReader(rc, 1<<19) },
+	} {
+		r := mk()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		n, err := s.Put("dst", r)
+		runtime.ReadMemStats(&after)
+		if err != nil || (n != 1<<20 && n != 1<<19) {
+			t.Fatalf("%s: Put = %d, %v", name, n, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(n)+uint64(n)/8 {
+			t.Errorf("%s: storing %d bytes allocated %d", name, n, grew)
+		}
+	}
+	// A reader that cannot tell its size still round-trips.
+	n, err := s.Put("blind", io.MultiReader(strings.NewReader("abc"), strings.NewReader(strings.Repeat("x", 5000))))
+	if err != nil || n != 5003 || len(readAll(s, "blind")) != 5003 {
+		t.Fatalf("blind Put = %d, %v", n, err)
+	}
+}
+
+func TestDirStoreReservedAppendKeepsOneHandle(t *testing.T) {
+	s := mustDirStore(t)
+	if err := s.Reserve("sub/f", 10); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Append("sub/f", 0, []byte("01234")); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.open) != 1 {
+		t.Fatalf("%d handles open mid-file", len(s.open))
+	}
+	// The bytes written so far are visible to readers of the path.
+	if got := readAll(s, "sub/f"); got != "01234" {
+		t.Fatalf("mid-file contents %q", got)
+	}
+	if err := s.Append("sub/f", 7, []byte("x")); err == nil {
+		t.Fatal("out-of-order chunk accepted")
+	}
+	if len(s.open) != 0 {
+		t.Fatal("handle kept after a refused chunk")
+	}
+	// Started over with a reservation, finished: handle closed on the last byte.
+	s.Reserve("sub/f", 10)
+	s.Append("sub/f", 0, []byte("abcde"))
+	s.Append("sub/f", 5, []byte("fghij"))
+	if len(s.open) != 0 {
+		t.Fatal("handle still open after the reserved size was written")
+	}
+	if got := readAll(s, "sub/f"); got != "abcdefghij" {
+		t.Fatalf("contents %q", got)
+	}
+	// More than announced still lands.
+	if err := s.Append("sub/f", 10, []byte("k")); err != nil || readAll(s, "sub/f") != "abcdefghijk" {
+		t.Fatalf("append past the reservation: %v, %q", err, readAll(s, "sub/f"))
+	}
+	// Empty files exist.
+	if err := s.Reserve("empty", 0); err != nil || !s.Has("empty") || s.Size("empty") != 0 || len(s.open) != 0 {
+		t.Fatalf("empty reservation: %v", err)
+	}
+	if err := s.Reserve("../escape", 5); err == nil {
+		t.Fatal("reservation outside the root accepted")
+	}
+}
+
+// --- Allocation guard ---
+
+// allocJob runs one job and returns the bytes allocated per task.
+func allocJob(t *testing.T, tr transport.Transport, strat strategy.Config, files, size, outSize int) uint64 {
+	t.Helper()
+	src := catalog.NewMemSource()
+	block := make([]byte, size)
+	rand.New(rand.NewSource(1)).Read(block)
+	for i := 0; i < files; i++ {
+		src.Put(fmt.Sprintf("f%05d.dat", i), block)
+	}
+	want := crc32.ChecksumIEEE(block)
+	tasks := files
+	if strat.Grouping == "pairwise-adjacent" {
+		tasks = files / 2
+	}
+	prog := FuncProgram(func(ctx context.Context, task Task) (string, error) {
+		for _, name := range task.Inputs {
+			rc, err := task.Store.Open(name)
+			if err != nil {
+				return "", err
+			}
+			h := crc32.NewIEEE()
+			_, err = io.Copy(h, rc) // a stored file writes itself to h: no buffer
+			rc.Close()
+			if err != nil || h.Sum32() != want {
+				return "", fmt.Errorf("%s: CRC %08x, want %08x (%v)", name, h.Sum32(), want, err)
+			}
+		}
+		if outSize > 0 {
+			rc, err := task.Store.Open(task.Inputs[0])
+			if err != nil {
+				return "", err
+			}
+			defer rc.Close()
+			return "", task.AddOutput(task.Inputs[0]+".out", io.LimitReader(rc, int64(outSize)))
+		}
+		return "", nil
+	})
+
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+	mc := MasterConfig{Source: src}
+	if outSize > 0 {
+		mc.OutputSink = NewMemStore()
+	}
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ctl, err := NewController(ControllerConfig{
+		Strategy: strat, Transport: tr, MasterAddr: "master", InProcessMaster: true, Master: mc, Workers: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ctl.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := ctl.SpawnWorker(ctx, WorkerConfig{Name: fmt.Sprintf("w%d", i), Cores: 1, Program: prog}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r, err := ctl.Wait(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctl.Shutdown()
+	runtime.ReadMemStats(&after)
+	if r.Succeeded != tasks {
+		t.Fatalf("report = %+v (worker errors %v)", r, r.WorkerErrors)
+	}
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(tasks)
+}
+
+// TestDataPathAllocationGuard holds the data path to its budget inside
+// tier-1 (the benchmark that measures it is a nested module): what a job
+// allocates per task, next to the payload the task moves. The shapes are the
+// benchmark's rt_bulk_tcp, rt_small_tcp and rt_return_mem, smaller. At the
+// commit before the framed data path these read 9.4×, 270 KiB and 9×.
+func TestDataPathAllocationGuard(t *testing.T) {
+	single := strategy.RealTimeRemote
+	single.Grouping = "single"
+	t.Run("bulk-tcp", func(t *testing.T) {
+		const size = 8 << 20
+		per := allocJob(t, newLoopbackTCP(), single, 8, size, 0)
+		t.Logf("%d B allocated per 8 MiB task (%.2f× the payload)", per, float64(per)/size)
+		if per > size*3/2 {
+			t.Fatalf("%d B allocated per 8 MiB task, budget is 1.5× the payload", per)
+		}
+	})
+	t.Run("small-tcp", func(t *testing.T) {
+		per := allocJob(t, newLoopbackTCP(), single, 512, 1<<10, 0)
+		t.Logf("%d B allocated per 1 KiB task", per)
+		if per > 32<<10 {
+			t.Fatalf("%d B allocated per 1 KiB task, budget is 32 KiB", per)
+		}
+	})
+	t.Run("return-mem", func(t *testing.T) {
+		pairs := strategy.PrePartitionedRemote
+		pairs.Grouping = "pairwise-adjacent"
+		const in, out = 64 << 10, 16 << 10
+		per := allocJob(t, transport.NewMem(nil), pairs, 256, in, out)
+		const payload = 2*in + out
+		t.Logf("%d B allocated per %d B task (%.2f× the payload)", per, payload, float64(per)/payload)
+		if per > 3*payload {
+			t.Fatalf("%d B allocated per task, budget is 3× its %d B payload", per, payload)
+		}
+	})
+}

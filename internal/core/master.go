@@ -14,13 +14,12 @@ import (
 	"frieda/internal/partition"
 	"frieda/internal/protocol"
 	"frieda/internal/strategy"
+	"frieda/internal/transfer"
 	"frieda/internal/transport"
 )
 
-// DefaultChunkSize is the file-transfer chunk size. 256 KiB balances framing
-// overhead against scheduling granularity, like scp's internal buffering in
-// the paper's prototype.
-const DefaultChunkSize = 256 << 10
+// DefaultChunkSize is the file-transfer chunk size.
+const DefaultChunkSize = transfer.DefaultChunk
 
 // MasterConfig configures the execution-plane master.
 type MasterConfig struct {
@@ -40,7 +39,7 @@ type MasterConfig struct {
 	// ExpectedWorkers, when > 0, starts execution once that many workers
 	// registered (the controller's FORK_REMOTE_WORKERS can set it too).
 	ExpectedWorkers int
-	// ChunkSize overrides DefaultChunkSize.
+	// ChunkSize overrides DefaultChunkSize; at most protocol.MaxChunk.
 	ChunkSize int
 	// Recover enables the paper's future-work extension: failed tasks and
 	// the in-flight work of dead workers are requeued (up to MaxRetries per
@@ -70,8 +69,13 @@ type masterWorker struct {
 	slots       int
 	backlog     []int        // assigned, not yet dispatched (pre-partition)
 	outstanding map[int]bool // dispatched, not yet reported
-	dead        bool
-	draining    bool
+	// ready is set once the registration ACK is on the wire and the common
+	// files are staged. Until then the worker only holds its name: it is not
+	// counted towards the expected workers, planned for or dispatched to,
+	// so nothing can reach its connection ahead of the ACK or the staging.
+	ready    bool
+	dead     bool
+	draining bool
 }
 
 // Master is the execution-plane coordinator: it partitions input data,
@@ -84,7 +88,6 @@ type Master struct {
 	strat       strategy.Config
 	expected    int
 	workers     map[string]*masterWorker
-	order       []string
 	catalogue   *catalog.Catalog
 	groups      []partition.Group
 	queue       []int // pending groups (real-time) or requeues
@@ -102,6 +105,12 @@ type Master struct {
 	transfers   float64 // pre-partition transfer-phase wall seconds
 	bytesMoved  int64
 	outputBytes int64
+
+	// stagingCat is the source's catalogue as common-file staging first saw
+	// it (under stagingMu): every registering worker needs the common files'
+	// sizes, and one listing of the source serves them all.
+	stagingMu  sync.Mutex
+	stagingCat *catalog.Catalog
 
 	// tmpl caches the compute-to-data "nothing resident for this worker"
 	// scan verdict per worker (ctrlplane.Cache, generation-stamped): while
@@ -136,6 +145,9 @@ func NewMaster(cfg MasterConfig) (*Master, error) {
 	}
 	if cfg.ChunkSize <= 0 {
 		cfg.ChunkSize = DefaultChunkSize
+	}
+	if cfg.ChunkSize > protocol.MaxChunk {
+		return nil, fmt.Errorf("core: chunk size %d exceeds the protocol's %d", cfg.ChunkSize, protocol.MaxChunk)
 	}
 	if cfg.MaxRetries <= 0 {
 		cfg.MaxRetries = 2
@@ -359,9 +371,7 @@ func (m *Master) handleWorker(conn transport.Conn, reg *protocol.Message) {
 		slots:       slots,
 		outstanding: make(map[int]bool),
 	}
-	m.workers[w.name] = w
-	m.order = append(m.order, w.name)
-	m.tmpl.Invalidate() // worker set changed
+	m.workers[w.name] = w // reserves the name; see masterWorker.ready
 	template := m.cfg.Template
 	common := m.strat.CommonFiles
 	m.mu.Unlock()
@@ -378,14 +388,16 @@ func (m *Master) handleWorker(conn transport.Conn, reg *protocol.Message) {
 	// Stage common files (e.g. the BLAST database) before any dispatch to
 	// this worker. Local-data strategies skip network staging.
 	if len(common) > 0 && m.strat.Locality == strategy.Remote {
-		for _, name := range common {
-			if err := m.streamFile(w, name); err != nil {
-				m.workerDied(w, fmt.Errorf("staging common file %s: %w", name, err))
-				return
-			}
+		if err := m.stageCommon(w, common); err != nil {
+			m.workerDied(w, err)
+			return
 		}
 	}
 
+	m.mu.Lock()
+	w.ready = true
+	m.tmpl.Invalidate() // worker set changed
+	m.mu.Unlock()
 	m.maybeStart()
 	m.dispatch(w)
 
@@ -409,7 +421,7 @@ func (m *Master) handleWorker(conn transport.Conn, reg *protocol.Message) {
 				m.logf("worker %s returned output %s but no sink is configured", w.name, msg.FileName)
 				continue
 			}
-			if err := m.cfg.OutputSink.Append(msg.FileName, msg.Offset, msg.Data); err != nil {
+			if err := storeChunk(m.cfg.OutputSink, msg); err != nil {
 				m.logf("storing output %s from %s: %v", msg.FileName, w.name, err)
 				continue
 			}
@@ -423,10 +435,18 @@ func (m *Master) handleWorker(conn transport.Conn, reg *protocol.Message) {
 }
 
 // maybeStart begins execution once the strategy is known and the expected
-// worker count has registered.
+// number of workers is ready.
 func (m *Master) maybeStart() {
 	m.mu.Lock()
-	if m.started || m.expected <= 0 || len(m.workers) < m.expected {
+	// A worker that died, even before it was ready, has been heard from: the
+	// run starts without it instead of waiting for it.
+	arrived := 0
+	for _, w := range m.workers {
+		if w.ready || w.dead {
+			arrived++
+		}
+	}
+	if m.started || m.expected <= 0 || arrived < m.expected {
 		m.mu.Unlock()
 		return
 	}
@@ -490,6 +510,9 @@ func (m *Master) runStrategy() {
 			m.queue = append(m.queue, i)
 		}
 		m.planning = false
+		// A worker that became ready while the groups were generated found
+		// the queue empty; it is in this snapshot.
+		workers = m.liveWorkersLocked()
 		m.mu.Unlock()
 		for _, w := range workers {
 			m.dispatch(w)
@@ -498,12 +521,12 @@ func (m *Master) runStrategy() {
 	m.checkDone()
 }
 
-// liveWorkersLocked snapshots live workers sorted by name (deterministic
-// assignment regardless of registration races).
+// liveWorkersLocked snapshots the workers that can be given work, sorted by
+// name (deterministic assignment regardless of registration races).
 func (m *Master) liveWorkersLocked() []*masterWorker {
 	out := make([]*masterWorker, 0, len(m.workers))
 	for _, w := range m.workers {
-		if !w.dead && !w.draining {
+		if w.ready && !w.dead && !w.draining {
 			out = append(out, w)
 		}
 	}
@@ -548,7 +571,7 @@ func (m *Master) runPrePartition(strat strategy.Config, groups []partition.Group
 					return
 				}
 				for _, info := range infos {
-					if err := m.streamFile(w, info.Name); err != nil {
+					if err := m.streamFile(w, info.Name, info.Size); err != nil {
 						m.workerDied(w, err)
 						return
 					}
@@ -598,7 +621,7 @@ func (m *Master) runNoPartition(groups []partition.Group, workers []*masterWorke
 			go func(w *masterWorker) {
 				defer wg.Done()
 				for _, f := range files {
-					if err := m.streamFile(w, f.Name); err != nil {
+					if err := m.streamFile(w, f.Name, f.Size); err != nil {
 						m.workerDied(w, err)
 						return
 					}
@@ -628,7 +651,7 @@ type dispatchAction struct {
 // dispatch hands the worker as much work as its slots (× prefetch) allow.
 func (m *Master) dispatch(w *masterWorker) {
 	m.mu.Lock()
-	if !m.started || w.dead || w.draining {
+	if !m.started || !w.ready || w.dead || w.draining {
 		m.mu.Unlock()
 		return
 	}
@@ -661,7 +684,7 @@ func (m *Master) dispatch(w *masterWorker) {
 			for _, a := range actions {
 				if a.send {
 					for _, f := range a.group.Files {
-						if err := m.streamFile(w, f.Name); err != nil {
+						if err := m.streamFile(w, f.Name, f.Size); err != nil {
 							m.workerDied(w, err)
 							return
 						}
@@ -681,7 +704,7 @@ func (m *Master) dispatch(w *masterWorker) {
 		for _, a := range actions {
 			if a.send {
 				for _, f := range a.group.Files {
-					if err := m.streamFile(w, f.Name); err != nil {
+					if err := m.streamFile(w, f.Name, f.Size); err != nil {
 						m.workerDied(w, err)
 						return
 					}
@@ -746,9 +769,38 @@ func (m *Master) nextGroupLocked(w *masterWorker) (int, bool) {
 	return gi, true
 }
 
+// stageCommon streams the common files to a worker that is not ready yet.
+// Their sizes come from the source's own catalogue: staging can run before
+// the run's catalogue exists.
+func (m *Master) stageCommon(w *masterWorker, common []string) error {
+	m.stagingMu.Lock()
+	if m.stagingCat == nil {
+		cat, err := m.cfg.Source.Catalog()
+		if err != nil {
+			m.stagingMu.Unlock()
+			return fmt.Errorf("cataloguing source: %w", err)
+		}
+		m.stagingCat = cat
+	}
+	cat := m.stagingCat
+	m.stagingMu.Unlock()
+	for _, name := range common {
+		f, ok := cat.Get(name)
+		if !ok {
+			return fmt.Errorf("staging common file %s: not in the source", name)
+		}
+		if err := m.streamFile(w, f.Name, f.Size); err != nil {
+			return fmt.Errorf("staging common file %s: %w", name, err)
+		}
+	}
+	return nil
+}
+
 // streamFile sends one source file to a worker in chunks, deduplicating
-// against the replica map.
-func (m *Master) streamFile(w *masterWorker, name string) error {
+// against the replica map. size is the file's catalogue size; a source that
+// does not deliver exactly that many bytes fails the transfer and the
+// replica is un-claimed.
+func (m *Master) streamFile(w *masterWorker, name string, size int64) error {
 	m.mu.Lock()
 	if m.replicas.Has(name, w.name) {
 		m.mu.Unlock()
@@ -761,55 +813,39 @@ func (m *Master) streamFile(w *masterWorker, name string) error {
 	chunk := m.cfg.ChunkSize
 	m.mu.Unlock()
 
-	rc, err := m.cfg.Source.Open(name)
+	sent, err := sendFile(w.conn, transfer.File{Name: name, Size: size}, m.cfg.Source, chunk)
+	m.mu.Lock()
+	m.bytesMoved += sent
+	m.mu.Unlock()
 	if err != nil {
 		m.replicas.Remove(name, w.name)
-		return fmt.Errorf("open %s: %w", name, err)
+	}
+	return err
+}
+
+// fileOpener is where sendFile takes a file from: the master's
+// catalog.Source and a worker's Store both open files by name.
+type fileOpener interface {
+	Open(name string) (io.ReadCloser, error)
+}
+
+// sendFile streams one file of src over conn through the runtime's one chunk
+// loop. A source that can hand out its bytes (catalog.MemSource, MemStore)
+// is sent from them without a copy; any other is read.
+func sendFile(conn transport.Conn, f transfer.File, src fileOpener, chunk int) (int64, error) {
+	if mem, ok := src.(interface {
+		Bytes(name string) ([]byte, bool)
+	}); ok {
+		if data, ok := mem.Bytes(f.Name); ok {
+			return transfer.SendBytes(conn, f, data, chunk)
+		}
+	}
+	rc, err := src.Open(f.Name)
+	if err != nil {
+		return 0, fmt.Errorf("open %s: %w", f.Name, err)
 	}
 	defer rc.Close()
-	buf := make([]byte, chunk)
-	var offset int64
-	for {
-		n, rerr := rc.Read(buf)
-		if n > 0 {
-			last := errors.Is(rerr, io.EOF)
-			msg := &protocol.Message{
-				Type:     protocol.TFileData,
-				FileName: name,
-				Offset:   offset,
-				Data:     append([]byte(nil), buf[:n]...),
-				Last:     last,
-			}
-			if err := w.conn.Send(msg); err != nil {
-				m.replicas.Remove(name, w.name)
-				return err
-			}
-			offset += int64(n)
-			m.mu.Lock()
-			m.bytesMoved += int64(n)
-			m.mu.Unlock()
-		}
-		if rerr != nil {
-			if errors.Is(rerr, io.EOF) {
-				if n == 0 && offset == 0 {
-					// Empty file: a single empty last chunk announces it.
-					if err := w.conn.Send(&protocol.Message{Type: protocol.TFileData, FileName: name, Last: true}); err != nil {
-						m.replicas.Remove(name, w.name)
-						return err
-					}
-				} else if n == 0 {
-					// Already sent everything but without Last; finish.
-					if err := w.conn.Send(&protocol.Message{Type: protocol.TFileData, FileName: name, Offset: offset, Last: true}); err != nil {
-						m.replicas.Remove(name, w.name)
-						return err
-					}
-				}
-				return nil
-			}
-			m.replicas.Remove(name, w.name)
-			return rerr
-		}
-	}
+	return transfer.Send(conn, f, rc, chunk)
 }
 
 // completeTask records a task outcome and re-dispatches.
@@ -909,6 +945,7 @@ func (m *Master) workerDied(w *masterWorker, cause error) {
 	w.conn.Close()
 	m.logf("worker %s died: %v (%d groups affected)", w.name, cause, len(lost))
 	m.notifyController(fmt.Sprintf("%v", cause), w.name)
+	m.maybeStart() // it may have been the last expected worker not yet heard from
 	for _, o := range others {
 		m.dispatch(o)
 	}
@@ -943,7 +980,7 @@ func (m *Master) reassignLocked(w *masterWorker, groups []int) {
 func (m *Master) RemoveWorker(name string) error {
 	m.mu.Lock()
 	w, ok := m.workers[name]
-	if !ok || w.dead {
+	if !ok || w.dead || !w.ready {
 		m.mu.Unlock()
 		return fmt.Errorf("core: no live worker %q", name)
 	}

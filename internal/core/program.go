@@ -222,8 +222,15 @@ type Store interface {
 	// Put stores the full contents read from r under name, replacing any
 	// existing entry, and returns the byte count.
 	Put(name string, r io.Reader) (int64, error)
+	// Reserve announces that name is about to be written from offset 0 by
+	// in-order Appends totalling size bytes, and discards any previous
+	// contents. The size is the sender's word: a store may allocate once
+	// from it, and must stay correct when the Appends add up to less or
+	// more. Appending without a reservation is allowed.
+	Reserve(name string, size int64) error
 	// Append adds a chunk at the given offset; chunks arrive in order per
-	// file. A zero offset truncates/creates.
+	// file. A zero offset truncates/creates. The store copies data: the
+	// caller may reuse it as soon as Append returns.
 	Append(name string, offset int64, data []byte) error
 	// Open reads a stored file.
 	Open(name string) (io.ReadCloser, error)
@@ -237,7 +244,19 @@ type Store interface {
 	Size(name string) int64
 }
 
-// MemStore is an in-memory Store for library-mode workers and tests.
+// storeChunk lands one received TFileData chunk in s. A file's first chunk
+// announces its total size, which reaches the store before the first byte.
+func storeChunk(s Store, m *protocol.Message) error {
+	if m.Offset == 0 {
+		if err := s.Reserve(m.FileName, m.FileSize); err != nil {
+			return err
+		}
+	}
+	return s.Append(m.FileName, m.Offset, m.Data)
+}
+
+// MemStore is an in-memory Store for library-mode workers and tests. Stored
+// bytes are never modified in place: readers and Bytes share them.
 type MemStore struct {
 	mu    sync.RWMutex
 	files map[string][]byte
@@ -246,11 +265,29 @@ type MemStore struct {
 // NewMemStore returns an empty memory store.
 func NewMemStore() *MemStore { return &MemStore{files: make(map[string][]byte)} }
 
-// Put implements Store.
+// maxReserve bounds what MemStore allocates on a sender's word alone; a
+// larger file grows as its bytes arrive.
+const maxReserve = 1 << 30
+
+// Put implements Store. The buffer is sized from r when r tells its length
+// (bytes.Reader, strings.Reader, bytes.Buffer, a stored file, or an
+// io.LimitedReader over one of them).
 func (s *MemStore) Put(name string, r io.Reader) (int64, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return 0, err
+	// io.ReadAll with a first size: the hint, the 512 bytes ReadAll starts
+	// with when there is none, and one byte for the Read that reports EOF.
+	data := make([]byte, 0, max(sizeHint(r), 511)+1)
+	for {
+		n, err := r.Read(data[len(data):cap(data)])
+		data = data[:len(data)+n]
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return 0, err
+		}
+		if len(data) == cap(data) {
+			data = append(data, 0)[:len(data)]
+		}
 	}
 	s.mu.Lock()
 	s.files[name] = data
@@ -258,13 +295,43 @@ func (s *MemStore) Put(name string, r io.Reader) (int64, error) {
 	return int64(len(data)), nil
 }
 
-// Append implements Store.
+// sizeHint is how many bytes r will yield when r can tell, and 0 otherwise.
+func sizeHint(r io.Reader) int64 {
+	switch v := r.(type) {
+	case interface{ Len() int }:
+		return int64(v.Len())
+	case *io.LimitedReader:
+		if inner, ok := v.R.(interface{ Len() int }); ok {
+			return min(v.N, int64(inner.Len()))
+		}
+		// The limit alone is only an upper bound; trust a modest one.
+		if v.N >= 0 && v.N <= DefaultChunkSize {
+			return v.N
+		}
+	}
+	return 0
+}
+
+// Reserve implements Store: the file is allocated once, at its announced
+// size, and Append copies into it.
+func (s *MemStore) Reserve(name string, size int64) error {
+	if size < 0 {
+		return fmt.Errorf("core: %q reserved with negative size %d", name, size)
+	}
+	s.mu.Lock()
+	s.files[name] = make([]byte, 0, min(size, maxReserve))
+	s.mu.Unlock()
+	return nil
+}
+
+// Append implements Store. Into a reservation it copies without allocating;
+// past one, or without one, the file grows.
 func (s *MemStore) Append(name string, offset int64, data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	cur := s.files[name]
-	if offset == 0 {
-		cur = nil
+	if offset == 0 && len(cur) > 0 {
+		cur = nil // a rewrite; readers may hold the old bytes
 	}
 	if int64(len(cur)) != offset {
 		return fmt.Errorf("core: out-of-order chunk for %q: have %d, offset %d", name, len(cur), offset)
@@ -272,6 +339,12 @@ func (s *MemStore) Append(name string, offset int64, data []byte) error {
 	s.files[name] = append(cur, data...)
 	return nil
 }
+
+// memFile reads a stored file. It keeps bytes.Reader's Len, so a Put fed from
+// a stored file (or a limited prefix of one) is sized exactly.
+type memFile struct{ *bytes.Reader }
+
+func (memFile) Close() error { return nil }
 
 // Open implements Store.
 func (s *MemStore) Open(name string) (io.ReadCloser, error) {
@@ -281,7 +354,7 @@ func (s *MemStore) Open(name string) (io.ReadCloser, error) {
 	if !ok {
 		return nil, fmt.Errorf("core: %q not in store", name)
 	}
-	return io.NopCloser(bytes.NewReader(data)), nil
+	return memFile{bytes.NewReader(data)}, nil
 }
 
 // Path implements Store; memory stores have no paths.
@@ -305,7 +378,8 @@ func (s *MemStore) Size(name string) int64 {
 	return -1
 }
 
-// Bytes returns stored contents (test helper).
+// Bytes returns the stored contents themselves, not a copy; callers must not
+// modify them. The chunk sender reads a file through it when it can.
 func (s *MemStore) Bytes(name string) ([]byte, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -318,6 +392,16 @@ func (s *MemStore) Bytes(name string) ([]byte, bool) {
 type DirStore struct {
 	root string
 	mu   sync.Mutex
+	// open holds the handle of every reserved file still being appended,
+	// so a chunk costs one write. A file leaves it when its reserved size
+	// has been written, when an append fails, or when it is started over.
+	open map[string]*dirAppend
+}
+
+// dirAppend is one reserved file in flight.
+type dirAppend struct {
+	f             *os.File
+	written, size int64
 }
 
 // NewDirStore creates (if needed) and wraps the root directory.
@@ -325,7 +409,7 @@ func NewDirStore(root string) (*DirStore, error) {
 	if err := os.MkdirAll(root, 0o755); err != nil {
 		return nil, err
 	}
-	return &DirStore{root: root}, nil
+	return &DirStore{root: root, open: make(map[string]*dirAppend)}, nil
 }
 
 // localPath maps a store name to a path under the root, rejecting escapes.
@@ -337,16 +421,21 @@ func (s *DirStore) localPath(name string) (string, error) {
 	return filepath.Join(s.root, clean), nil
 }
 
-// Put implements Store.
-func (s *DirStore) Put(name string, r io.Reader) (int64, error) {
+// create makes (or empties) the file for name, with its directories.
+func (s *DirStore) create(name string) (*os.File, error) {
 	p, err := s.localPath(name)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-		return 0, err
+		return nil, err
 	}
-	f, err := os.Create(p)
+	return os.Create(p)
+}
+
+// Put implements Store.
+func (s *DirStore) Put(name string, r io.Reader) (int64, error) {
+	f, err := s.create(name)
 	if err != nil {
 		return 0, err
 	}
@@ -357,14 +446,58 @@ func (s *DirStore) Put(name string, r io.Reader) (int64, error) {
 	return n, err
 }
 
-// Append implements Store.
+// Reserve implements Store: it creates the file empty and keeps it open for
+// the Appends to come. The size tells when the last of them has landed.
+func (s *DirStore) Reserve(name string, size int64) error {
+	if size < 0 {
+		return fmt.Errorf("core: %q reserved with negative size %d", name, size)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.closeLocked(name) // started over: the old handle's close error is moot
+	f, err := s.create(name)
+	if err != nil {
+		return err
+	}
+	if size == 0 {
+		return f.Close()
+	}
+	s.open[name] = &dirAppend{f: f, size: size}
+	return nil
+}
+
+// closeLocked ends the in-flight append of name, if there is one.
+func (s *DirStore) closeLocked(name string) error {
+	a, ok := s.open[name]
+	if !ok {
+		return nil
+	}
+	delete(s.open, name)
+	return a.f.Close()
+}
+
+// Append implements Store. A reserved file takes the chunk on its open
+// handle; any other is opened, checked, written and closed.
 func (s *DirStore) Append(name string, offset int64, data []byte) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if a, ok := s.open[name]; ok && offset == a.written {
+		_, err := a.f.WriteAt(data, offset)
+		a.written += int64(len(data))
+		if err != nil || a.written >= a.size {
+			if cerr := s.closeLocked(name); err == nil {
+				err = cerr
+			}
+		}
+		return err
+	}
+	// Not the next chunk of a reservation: whatever was in flight is over,
+	// and the check below speaks for the file as it is on disk.
+	s.closeLocked(name)
 	p, err := s.localPath(name)
 	if err != nil {
 		return err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
 		return err
 	}

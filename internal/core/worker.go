@@ -4,11 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 	"time"
 
 	"frieda/internal/protocol"
+	"frieda/internal/transfer"
 	"frieda/internal/transport"
 )
 
@@ -202,7 +202,7 @@ func (w *Worker) messageLoop(ctx context.Context) error {
 			// Informational: sizes of incoming files / the assigned
 			// partition. Payloads and execute orders follow.
 		case protocol.TFileData:
-			if err := w.cfg.Store.Append(m.FileName, m.Offset, m.Data); err != nil {
+			if err := storeChunk(w.cfg.Store, m); err != nil {
 				w.conn.Send(&protocol.Message{
 					Type: protocol.TTaskStatus,
 					Result: protocol.TaskResult{
@@ -322,7 +322,7 @@ func (w *Worker) runOne(ctx context.Context, task Task) protocol.TaskResult {
 		// Outputs travel before the status so the master holds the data
 		// when it records the completion (per-connection FIFO).
 		for _, f := range task.outputs.list() {
-			if serr := w.sendOutput(f.Name); serr != nil {
+			if serr := w.sendOutput(f); serr != nil {
 				res.OK = false
 				res.Error = "returning output " + f.Name + ": " + serr.Error()
 				return res
@@ -332,40 +332,11 @@ func (w *Worker) runOne(ctx context.Context, task Task) protocol.TaskResult {
 	return res
 }
 
-// sendOutput streams one stored file to the master as TFileData chunks.
-func (w *Worker) sendOutput(name string) error {
-	rc, err := w.cfg.Store.Open(name)
-	if err != nil {
-		return err
-	}
-	defer rc.Close()
-	buf := make([]byte, DefaultChunkSize)
-	var offset int64
-	for {
-		n, rerr := rc.Read(buf)
-		if n > 0 {
-			last := errors.Is(rerr, io.EOF)
-			if err := w.conn.Send(&protocol.Message{
-				Type: protocol.TFileData, Worker: w.cfg.Name, FileName: name,
-				Offset: offset, Data: append([]byte(nil), buf[:n]...), Last: last,
-			}); err != nil {
-				return err
-			}
-			offset += int64(n)
-		}
-		if rerr != nil {
-			if errors.Is(rerr, io.EOF) {
-				if n != 0 {
-					return nil
-				}
-				return w.conn.Send(&protocol.Message{
-					Type: protocol.TFileData, Worker: w.cfg.Name, FileName: name,
-					Offset: offset, Last: true,
-				})
-			}
-			return rerr
-		}
-	}
+// sendOutput streams one stored result file to the master, under the size
+// the program registered it with.
+func (w *Worker) sendOutput(f protocol.FileInfo) error {
+	_, err := sendFile(w.conn, transfer.File{Name: f.Name, Worker: w.cfg.Name, Size: f.Size}, w.cfg.Store, DefaultChunkSize)
+	return err
 }
 
 // waitInputs blocks until every input is fully received (or already present

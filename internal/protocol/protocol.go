@@ -5,16 +5,12 @@
 // SET_PARTITION_INFO), forks workers (FORK_REMOTE_WORKERS), workers register
 // with the master and request data (REQUEST_DATA), and the master answers
 // with metadata and payloads (FILE_METADATA, FILE_DATA, DISTRIBUTE_FILES)
-// followed by execution commands. Messages are gob-encoded over any stream;
-// gob provides self-describing framing.
+// followed by execution commands. Control messages are gob-encoded; file
+// payloads (FILE_DATA) travel as binary frames whose bytes are never
+// re-encoded. codec.go has the wire format.
 package protocol
 
-import (
-	"encoding/gob"
-	"fmt"
-	"io"
-	"sync"
-)
+import "fmt"
 
 // Type discriminates messages.
 type Type int
@@ -144,7 +140,9 @@ type StrategyInfo struct {
 }
 
 // Message is the single wire envelope. Only the fields relevant to Type are
-// populated; gob encodes zero fields cheaply.
+// populated; gob encodes zero fields cheaply. A TFileData message carries
+// only FileName, Worker, Offset, FileSize, Data, Last and Seq (the fields of
+// its binary frame).
 type Message struct {
 	Type Type
 
@@ -178,10 +176,17 @@ type Message struct {
 	Groups []int
 
 	// FileName, Offset, Data and Last carry one payload chunk (TFileData).
+	// Last rides the file's final payload chunk; an empty file is one empty
+	// Last chunk.
 	FileName string
 	Offset   int64
 	Data     []byte
 	Last     bool
+	// FileSize is the total size of the file FileName (TFileData). Senders
+	// that know it announce it on every chunk, so the receiver's store can
+	// allocate the file once, before its first byte (the chunk at Offset 0);
+	// 0 means empty or not announced.
+	FileSize int64
 
 	// Result carries task completion (TTaskStatus).
 	Result TaskResult
@@ -218,49 +223,4 @@ func (m *Message) WireSize() int {
 		}
 	}
 	return n
-}
-
-// Codec frames messages over a stream with gob. Send is safe for concurrent
-// use; Recv must be called from a single goroutine.
-type Codec struct {
-	mu  sync.Mutex
-	enc *gob.Encoder
-	dec *gob.Decoder
-	c   io.Closer
-}
-
-// NewCodec wraps a stream. If rw also implements io.Closer, Close closes it.
-func NewCodec(rw io.ReadWriter) *Codec {
-	c, _ := rw.(io.Closer)
-	return &Codec{enc: gob.NewEncoder(rw), dec: gob.NewDecoder(rw), c: c}
-}
-
-// Send encodes one message.
-func (c *Codec) Send(m *Message) error {
-	if m.Type == TInvalid {
-		return fmt.Errorf("protocol: send of TInvalid message")
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.enc.Encode(m)
-}
-
-// Recv decodes one message.
-func (c *Codec) Recv() (*Message, error) {
-	var m Message
-	if err := c.dec.Decode(&m); err != nil {
-		return nil, err
-	}
-	if m.Type == TInvalid {
-		return nil, fmt.Errorf("protocol: received TInvalid message")
-	}
-	return &m, nil
-}
-
-// Close closes the underlying stream when it is closable.
-func (c *Codec) Close() error {
-	if c.c != nil {
-		return c.c.Close()
-	}
-	return nil
 }

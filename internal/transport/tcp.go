@@ -6,9 +6,9 @@ import (
 	"frieda/internal/protocol"
 )
 
-// TCP is the production transport: gob-framed protocol messages over
-// net.Conn. Addresses are standard "host:port" strings; Listen(":0") picks
-// a free port, readable from Listener.Addr.
+// TCP is the production transport: protocol.Codec frames over net.Conn.
+// Addresses are standard "host:port" strings; Listen(":0") picks a free
+// port, readable from Listener.Addr.
 type TCP struct{}
 
 // NewTCP returns a TCP transport.
@@ -63,7 +63,10 @@ func newTCPConn(c net.Conn) *tcpConn {
 // Send implements Conn.
 func (c *tcpConn) Send(m *protocol.Message) error { return c.codec.Send(m) }
 
-// Recv implements Conn.
+// SendCopies implements Conn: the codec has written the frame.
+func (c *tcpConn) SendCopies() bool { return true }
+
+// Recv implements Conn. A TFileData's Data sits in the codec's receive buffer.
 func (c *tcpConn) Recv() (*protocol.Message, error) { return c.codec.Recv() }
 
 // Close implements Conn.

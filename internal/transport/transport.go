@@ -17,10 +17,19 @@ import (
 var ErrClosed = errors.New("transport: closed")
 
 // Conn is a bidirectional, ordered, reliable message stream.
+//
+// Who owns a payload: a received TFileData's Data is valid until the next
+// Recv on that connection, and is read-only; a sent message's Data is not
+// modified by the sender after Send. Only a sender whose connection reports
+// SendCopies may reuse the buffer once Send has returned.
 type Conn interface {
 	// Send enqueues one message. It may block under throttling or
 	// backpressure.
 	Send(m *protocol.Message) error
+	// SendCopies reports whether Send is finished with the message when it
+	// returns, having serialised it (a stream transport). Otherwise the
+	// message itself, and its Data, travel on to the receiver.
+	SendCopies() bool
 	// Recv blocks for the next message. It returns ErrClosed (possibly
 	// wrapped) after the peer closes.
 	Recv() (*protocol.Message, error)
@@ -179,6 +188,9 @@ func (c *memConn) Send(m *protocol.Message) error {
 		return ErrClosed
 	}
 }
+
+// SendCopies implements Conn: the receiver gets the sender's message.
+func (c *memConn) SendCopies() bool { return false }
 
 // Recv implements Conn. Buffered messages drain even after close, matching
 // TCP semantics where in-flight data is still readable.
