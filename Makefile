@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-e2e bench-smoke bench-netsim bench-exprun bench-scale bench-obs bench-masterfail bench-ctrlplane profile-scale vet fmt reproduce ablations examples clean
+.PHONY: all build test race check-goldens bench bench-e2e bench-smoke bench-netsim bench-exprun bench-scale bench-obs bench-masterfail bench-ctrlplane profile-scale vet fmt reproduce ablations examples clean
 
 all: build test
 
@@ -14,6 +14,18 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Validate goldens/ (see goldens/README.md): every committed sweep at both
+# pool widths, byte for byte. The durability and masterfail sweeps run at
+# full scale, so each run sits under `timeout 60`: a repair scan that costs
+# O(known files) again (25 s and 18 s before the under-replication index)
+# fails here as a timeout (cmp sees the cut-off output).
+check-goldens:
+	$(GO) build -o friedabench ./cmd/friedabench
+	@for e in all ablations durability masterfail; do for p in 1 8; do \
+		echo "$$e -parallel $$p"; \
+		timeout 60 ./friedabench -exp $$e -parallel $$p | cmp - goldens/exp_$$e.txt || exit 1; \
+	done; done
 
 vet:
 	$(GO) vet ./...

@@ -10,6 +10,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -245,14 +246,27 @@ func (s *MemSource) Catalog() (*Catalog, error) {
 // Replicas tracks which nodes hold a copy of each file — the master's view
 // of data placement after distribution, and the basis for compute-to-data
 // scheduling.
+//
+// It also maintains the under-replication index the repair scan walks:
+// once a target replication factor is established (by the first
+// UnderReplicated, UnderCount or WalkUnder call), under is exactly
+// {f ∈ known : len(loc[f]) < target} in name order, and every mutator
+// fixes the membership of the files it touches before releasing the write
+// lock. A Replicas that is never asked (the real master's) has target 0
+// and its mutators do no index work.
 type Replicas struct {
 	mu  sync.RWMutex
 	loc map[string]map[string]struct{} // file -> set of node names
 	// known remembers every file ever registered, even after its last
 	// holder vanished (loc entries are deleted when empty). Without it a
 	// zero-replica file would be invisible to UnderReplicated — exactly the
-	// file that most needs repair.
+	// file that most needs repair. A loc entry implies a known entry.
 	known map[string]struct{}
+	// target is the replication factor under is maintained for; 0 means
+	// none established yet. One target at a time: asking for another
+	// rebuilds the index (correct, but O(known) per switch).
+	target int
+	under  []string
 }
 
 // NewReplicas returns an empty replica map.
@@ -263,17 +277,65 @@ func NewReplicas() *Replicas {
 	}
 }
 
+// enter and leave insert file into / delete it from the index. Caller holds
+// the write lock and has checked that membership changed.
+func (r *Replicas) enter(file string) {
+	i, _ := slices.BinarySearch(r.under, file)
+	r.under = slices.Insert(r.under, i, file)
+}
+
+func (r *Replicas) leave(file string) {
+	i, _ := slices.BinarySearch(r.under, file)
+	r.under = slices.Delete(r.under, i, i+1)
+}
+
+// index returns the under-target list for rf, building it by one full scan
+// when rf is not the established target; rf < 1 is no target, so nothing is
+// under it. Caller holds the write lock and must not let the slice outlive
+// it.
+func (r *Replicas) index(rf int) []string {
+	if rf < 1 {
+		return nil
+	}
+	if r.target != rf {
+		r.target = rf
+		r.under = r.under[:0]
+		for file := range r.known {
+			if len(r.loc[file]) < rf {
+				r.under = append(r.under, file)
+			}
+		}
+		sort.Strings(r.under)
+	}
+	return r.under
+}
+
+// The mutators below compare a file's holder count with the target before
+// and after the change; with no target established (0) both comparisons
+// are false and the index is never touched.
+
 // Add records that node holds file.
 func (r *Replicas) Add(file, node string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	set, ok := r.loc[file]
+	was := ok && len(set) < r.target
 	if !ok {
 		set = make(map[string]struct{})
 		r.loc[file] = set
+		if r.target > 0 {
+			_, was = r.known[file] // known with no holder: a member
+		}
+		r.known[file] = struct{}{}
 	}
 	set[node] = struct{}{}
-	r.known[file] = struct{}{}
+	if now := len(set) < r.target; now != was {
+		if now {
+			r.enter(file)
+		} else {
+			r.leave(file)
+		}
+	}
 }
 
 // Remove forgets one replica (e.g. the node failed).
@@ -281,10 +343,19 @@ func (r *Replicas) Remove(file, node string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if set, ok := r.loc[file]; ok {
-		delete(set, node)
-		if len(set) == 0 {
-			delete(r.loc, file)
-		}
+		r.drop(file, set, node)
+	}
+}
+
+// drop deletes node from file's holder set. Caller holds the write lock.
+func (r *Replicas) drop(file string, set map[string]struct{}, node string) {
+	was := len(set) < r.target
+	delete(set, node)
+	if len(set) == 0 {
+		delete(r.loc, file)
+	}
+	if !was && len(set) < r.target {
+		r.enter(file)
 	}
 }
 
@@ -296,11 +367,8 @@ func (r *Replicas) DropNode(node string) []string {
 	var lost []string
 	for file, set := range r.loc {
 		if _, ok := set[node]; ok {
-			delete(set, node)
+			r.drop(file, set, node)
 			lost = append(lost, file)
-			if len(set) == 0 {
-				delete(r.loc, file)
-			}
 		}
 	}
 	sort.Strings(lost)
@@ -341,6 +409,11 @@ func (r *Replicas) Count(file string) int {
 func (r *Replicas) Forget(file string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if r.target > 0 {
+		if _, known := r.known[file]; known && len(r.loc[file]) < r.target {
+			r.leave(file)
+		}
+	}
 	delete(r.loc, file)
 	delete(r.known, file)
 }
@@ -352,25 +425,68 @@ func (r *Replicas) Forget(file string) {
 func (r *Replicas) Note(file string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if _, known := r.known[file]; known {
+		return
+	}
 	r.known[file] = struct{}{}
+	if r.target > 0 {
+		r.enter(file) // newly known, so no holders
+	}
 }
 
 // UnderReplicated returns, sorted, every known file with fewer than rf live
 // replicas — including files whose replica count has dropped to zero (their
 // loc entry is gone, but the known set remembers them). rf < 1 returns nil:
-// no target means nothing is under target.
+// no target means nothing is under target. The result is a copy of the
+// index; the repair scan uses WalkUnder and gauges UnderCount instead.
 func (r *Replicas) UnderReplicated(rf int) []string {
-	if rf < 1 {
-		return nil
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	var out []string
-	for file := range r.known {
-		if len(r.loc[file]) < rf {
-			out = append(out, file)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([]string(nil), r.index(rf)...)
+}
+
+// UnderCount returns len(UnderReplicated(rf)) without building the list.
+func (r *Replicas) UnderCount(rf int) int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.index(rf))
+}
+
+// WalkUnder calls fn for each file UnderReplicated(rf) would return, in
+// name order and in place, until fn returns false. The lock is not held
+// across fn, which may mutate the map — Forget the file it was handed or
+// any other, Add, Remove: each step resumes at the first indexed name
+// greater than the one just visited, so no name is skipped or repeated
+// whatever fn removed or inserted.
+func (r *Replicas) WalkUnder(rf int, fn func(file string) bool) {
+	for file, i, ok := r.nextUnder(rf, -1, ""); ok; file, i, ok = r.nextUnder(rf, i, file) {
+		if !fn(file) {
+			return
 		}
 	}
-	sort.Strings(out)
-	return out
+}
+
+// nextUnder is one WalkUnder step: the first indexed name greater than
+// prev, and its position. i is where prev sat on the previous step (-1 to
+// start the walk); it is only a hint, re-checked against the index as it
+// is now.
+func (r *Replicas) nextUnder(rf, i int, prev string) (string, int, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	under := r.index(rf)
+	switch {
+	case i < 0:
+		i = 0
+	case i < len(under) && under[i] == prev:
+		i++ // nothing before the cursor moved
+	default:
+		var found bool
+		if i, found = slices.BinarySearch(under, prev); found {
+			i++
+		}
+	}
+	if i >= len(under) {
+		return "", i, false
+	}
+	return under[i], i, true
 }

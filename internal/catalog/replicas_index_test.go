@@ -1,0 +1,302 @@
+package catalog
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
+	"sync"
+	"testing"
+)
+
+// underOracle is UnderReplicated as it was before the index: scan the whole
+// known map and sort. Kept as the reference the maintained index is
+// compared against.
+func underOracle(r *Replicas, rf int) []string {
+	if rf < 1 {
+		return nil
+	}
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	var out []string
+	for file := range r.known {
+		if len(r.loc[file]) < rf {
+			out = append(out, file)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+func indexNames(prefix string, n int) []string {
+	out := make([]string, n)
+	for i := range out {
+		out[i] = fmt.Sprintf("%s%04d", prefix, i)
+	}
+	return out
+}
+
+// indexHarness feeds one mutation sequence to four replica maps — one per
+// fixed target rf ∈ {1,2,3}, each asked before any mutation so every step
+// takes the incremental path, and one whose target switches mid-sequence so
+// the rebuild path runs too — and to a journal the sequence can be replayed
+// from.
+type indexHarness struct {
+	t        *testing.T
+	rng      *rand.Rand
+	files    []string
+	nodes    []string
+	fixed    [3]*Replicas
+	floating *Replicas
+	floatRF  int
+	journal  Journal
+}
+
+func newIndexHarness(t *testing.T, seed int64) *indexHarness {
+	h := &indexHarness{
+		t:        t,
+		rng:      rand.New(rand.NewSource(seed)),
+		files:    indexNames("f", 200),
+		nodes:    indexNames("w", 8),
+		floating: NewReplicas(),
+		floatRF:  2,
+	}
+	for i := range h.fixed {
+		h.fixed[i] = NewReplicas()
+		if got := h.fixed[i].UnderReplicated(i + 1); got != nil {
+			t.Fatalf("empty map: UnderReplicated(%d) = %v", i+1, got)
+		}
+	}
+	return h
+}
+
+func (h *indexHarness) each(fn func(*Replicas)) {
+	for _, r := range h.fixed {
+		fn(r)
+	}
+	fn(h.floating)
+}
+
+// mutate applies one random mutator everywhere and journals it.
+func (h *indexHarness) mutate() {
+	f := h.files[h.rng.Intn(len(h.files))]
+	n := h.nodes[h.rng.Intn(len(h.nodes))]
+	switch p := h.rng.Intn(100); {
+	case p < 55:
+		h.each(func(r *Replicas) { r.Add(f, n) })
+		h.journal.Append(Record{Op: OpReplicaAdd, File: f, Node: n})
+	case p < 80:
+		h.each(func(r *Replicas) { r.Remove(f, n) })
+		h.journal.Append(Record{Op: OpReplicaRemove, File: f, Node: n})
+	case p < 84:
+		h.each(func(r *Replicas) { r.DropNode(n) })
+		h.journal.Append(Record{Op: OpDropNode, Node: n})
+	case p < 92:
+		h.each(func(r *Replicas) { r.Forget(f) })
+		h.journal.Append(Record{Op: OpLoss, File: f})
+	default:
+		h.each(func(r *Replicas) { r.Note(f) })
+		// The journal has no Note op; Snapshot's add+remove of a nameless
+		// holder is the same state change.
+		h.journal.Append(Record{Op: OpReplicaAdd, File: f})
+		h.journal.Append(Record{Op: OpReplicaRemove, File: f})
+	}
+}
+
+func (h *indexHarness) check(step int) {
+	h.t.Helper()
+	for i, r := range h.fixed {
+		rf := i + 1
+		got, want := r.UnderReplicated(rf), underOracle(r, rf)
+		if !reflect.DeepEqual(got, want) {
+			h.t.Fatalf("step %d rf %d: index %v, oracle %v", step, rf, got, want)
+		}
+		if n := r.UnderCount(rf); n != len(want) {
+			h.t.Fatalf("step %d rf %d: UnderCount %d, oracle %d", step, rf, n, len(want))
+		}
+	}
+	if h.rng.Intn(16) == 0 {
+		h.floatRF = 1 + h.rng.Intn(3)
+	}
+	got, want := h.floating.UnderReplicated(h.floatRF), underOracle(h.floating, h.floatRF)
+	if !reflect.DeepEqual(got, want) {
+		h.t.Fatalf("step %d floating rf %d: index %v, oracle %v", step, h.floatRF, got, want)
+	}
+}
+
+// walk runs WalkUnder on r while the callback mutates every map: it forgets
+// the file under the cursor, and removes or inserts files elsewhere in the
+// index. Names come out ascending (none repeated), each was a member when
+// visited, and none that stayed a member throughout was skipped.
+func (h *indexHarness) walk(r *Replicas, rf int) {
+	h.t.Helper()
+	member := func() map[string]bool {
+		m := make(map[string]bool)
+		for _, f := range underOracle(r, rf) {
+			m[f] = true
+		}
+		return m
+	}
+	stayed := member()
+	var visited []string
+	cut := false
+	r.WalkUnder(rf, func(f string) bool {
+		now := member()
+		if !now[f] {
+			h.t.Fatalf("walk rf %d visited %s, not under target", rf, f)
+		}
+		if k := len(visited); k > 0 && visited[k-1] >= f {
+			h.t.Fatalf("walk rf %d out of order: %s after %s", rf, f, visited[k-1])
+		}
+		visited = append(visited, f)
+		switch h.rng.Intn(4) {
+		case 0:
+			h.each(func(r *Replicas) { r.Forget(f) })
+			h.journal.Append(Record{Op: OpLoss, File: f})
+		case 1, 2:
+			h.mutate()
+			h.mutate()
+		}
+		now = member()
+		for g := range stayed {
+			if !now[g] {
+				delete(stayed, g)
+			}
+		}
+		cut = h.rng.Intn(64) == 0 // the scan's early exit, sometimes
+		return !cut
+	})
+	seen := make(map[string]bool, len(visited))
+	for _, f := range visited {
+		seen[f] = true
+	}
+	for g := range stayed {
+		if !seen[g] && (!cut || g < visited[len(visited)-1]) {
+			h.t.Fatalf("walk rf %d skipped %s (visited %v)", rf, g, visited)
+		}
+	}
+}
+
+func TestUnderIndexMatchesOracle(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		h := newIndexHarness(t, seed)
+		for step := 0; step < 2500; step++ {
+			h.mutate()
+			h.check(step)
+			if step%100 == 99 {
+				rf := 1 + h.rng.Intn(3)
+				h.walk(h.fixed[rf-1], rf)
+				h.check(step)
+			}
+		}
+		// A state replayed from the journal is built through the same
+		// mutators and must index the same files as the live map.
+		st, err := Replay(nil, h.journal.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for rf := 1; rf <= 3; rf++ {
+			live := h.fixed[rf-1]
+			if got, want := st.Replicas().UnderReplicated(rf), live.UnderReplicated(rf); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d rf %d: replayed %v, live %v", seed, rf, got, want)
+			}
+		}
+		for _, f := range h.files {
+			if got, want := st.Replicas().Holders(f), h.floating.Holders(f); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d: replayed holders of %s %v, live %v", seed, f, got, want)
+			}
+		}
+	}
+}
+
+// TestUnderIndexWalkVisitsAll pins the walk's contract on the exact case
+// the repair scan produces: every visited file is forgotten on the spot.
+func TestUnderIndexWalkVisitsAll(t *testing.T) {
+	r := NewReplicas()
+	names := indexNames("f", 50)
+	for _, f := range names {
+		r.Note(f)
+	}
+	var visited []string
+	r.WalkUnder(2, func(f string) bool {
+		visited = append(visited, f)
+		r.Forget(f)
+		return true
+	})
+	if !reflect.DeepEqual(visited, names) {
+		t.Fatalf("visited %v", visited)
+	}
+	if n := r.UnderCount(2); n != 0 {
+		t.Fatalf("%d files left after forgetting all", n)
+	}
+}
+
+// TestUnderIndexConcurrentAdd is the real master's usage beside the
+// simulator's: one goroutine records replicas while another walks, counts
+// and forgets. Run under -race.
+func TestUnderIndexConcurrentAdd(t *testing.T) {
+	r := NewReplicas()
+	files, nodes := indexNames("f", 200), indexNames("w", 8)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		rng := rand.New(rand.NewSource(1))
+		for i := 0; i < 20000; i++ {
+			r.Add(files[rng.Intn(len(files))], nodes[rng.Intn(len(nodes))])
+		}
+	}()
+	rng := rand.New(rand.NewSource(2))
+	for i := 0; i < 200; i++ {
+		prev := ""
+		r.WalkUnder(2, func(f string) bool {
+			if f <= prev {
+				t.Errorf("walk out of order: %s after %s", f, prev)
+			}
+			prev = f
+			if rng.Intn(4) == 0 {
+				r.Forget(f)
+			}
+			return true
+		})
+		r.UnderCount(2)
+		r.Remove(files[rng.Intn(len(files))], nodes[rng.Intn(len(nodes))])
+	}
+	wg.Wait()
+	if got, want := r.UnderReplicated(2), underOracle(r, 2); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after concurrent use: index %v, oracle %v", got, want)
+	}
+}
+
+// BenchmarkReplicasChurn prices the index on the mutators: the same
+// Add/Remove pairs on the one-copy-short tenth of a durability cell's files,
+// each crossing the RF-2 boundary (so every targeted mutation deletes from
+// or inserts into the index), with and without a target established; under
+// target 3 the same pairs never cross (every file stays a member), which
+// prices a targeted mutation that leaves the index alone. Budget: targeted
+// ≤ 2× untargeted. Reference box: 106 ns untargeted, 104 ns non-crossing,
+// 340 ns crossing (3.2×: over budget; search and memmove, see DESIGN.md).
+func BenchmarkReplicasChurn(b *testing.B) {
+	for _, rf := range []int{0, 2, 3} {
+		b.Run(fmt.Sprintf("target=%d", rf), func(b *testing.B) {
+			r := NewReplicas()
+			var short []string
+			for i, f := range indexNames("q", 4096) {
+				r.Add(f, "vm1")
+				if i%10 != 0 {
+					r.Add(f, "vm2")
+				} else {
+					short = append(short, f)
+				}
+			}
+			r.UnderCount(rf)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				f := short[(i*7)%len(short)]
+				r.Add(f, "vm3")
+				r.Remove(f, "vm3")
+			}
+		})
+	}
+}

@@ -372,7 +372,9 @@ func (m *masterState) recovered() {
 // workers hold copies, which files it declared lost, or which tasks
 // finished. Evacuated files are noted as known-with-no-holder so the repair
 // scan confronts them — with no nameable source they get declared lost,
-// the honest price of losing the replica map.
+// the honest price of losing the replica map. The fresh map has no
+// under-replication index yet; the recovery rescan builds it, once, over
+// the noted files.
 func (m *masterState) amnesiaWipe() {
 	r := m.r
 	r.replicas = catalog.NewReplicas()

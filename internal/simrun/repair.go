@@ -28,6 +28,10 @@ type repairManager struct {
 	// concurrency budget in use.
 	active  map[string]*repairJob
 	stopped bool
+	// visitFn is visit pre-bound, so a scan allocates no closure; scanning
+	// is set while a walk is on the stack.
+	visitFn  func(string) bool
+	scanning bool
 }
 
 // repairJob is one in-flight repair copy.
@@ -46,6 +50,7 @@ type repairJob struct {
 
 func newRepairManager(r *Runner) *repairManager {
 	m := &repairManager{r: r, active: make(map[string]*repairJob)}
+	m.visitFn = m.visit
 	m.armTicker()
 	return m
 }
@@ -143,9 +148,10 @@ func (m *repairManager) onWorkerDied(w *simWorker) {
 	m.scan()
 }
 
-// scan walks the under-replicated file list in sorted order, declares files
-// with no remaining source permanently lost, and starts repair copies up to
-// the concurrency budget.
+// scan walks the replica map's under-replication index in place, in name
+// order, declares files with no remaining source permanently lost, and
+// starts repair copies up to the concurrency budget. It costs the files it
+// skips plus the repairs it starts, not the size of the catalogue.
 func (m *repairManager) scan() {
 	if m.stopped {
 		return
@@ -155,23 +161,38 @@ func (m *repairManager) scan() {
 		// No control plane to command repairs; recovery rescans.
 		return
 	}
-	d := r.cfg.Durability
-	for _, f := range r.replicas.UnderReplicated(d.RF) {
-		if f == commonFile || r.lostFiles[f] {
-			continue
-		}
-		if _, busy := m.active[f]; busy {
-			continue
-		}
-		if !r.sourceExists(f) {
-			r.markFileLost(f)
-			continue
-		}
-		if len(m.active) >= d.MaxConcurrentRepairs {
-			break
-		}
-		m.start(f)
+	if m.scanning {
+		// visit mutates m.active and the index under one cursor; a nested
+		// scan (a Transfer completing synchronously) would start repairs
+		// the outer walk then double-counts against the budget.
+		panic("simrun: repair scan re-entered")
 	}
+	m.scanning = true
+	r.replicas.WalkUnder(r.cfg.Durability.RF, m.visitFn)
+	m.scanning = false
+}
+
+// visit is scan's per-file step; false ends the walk (budget full).
+// markFileLost forgets the file under the walk's cursor, which WalkUnder
+// tolerates: lost declarations and repair starts must interleave in name
+// order, as journal replay and the goldens observe them.
+func (m *repairManager) visit(f string) bool {
+	r := m.r
+	if f == commonFile || r.lostFiles[f] {
+		return true
+	}
+	if _, busy := m.active[f]; busy {
+		return true
+	}
+	if !r.sourceExists(f) {
+		r.markFileLost(f)
+		return true
+	}
+	if len(m.active) >= r.cfg.Durability.MaxConcurrentRepairs {
+		return false
+	}
+	m.start(f)
+	return true
 }
 
 // start launches one repair copy of the file: best source replica (fewest

@@ -732,7 +732,7 @@ func NewRunner(cluster *cloud.Cluster, master *cloud.VM, cfg Config, wl Workload
 				if rf < 1 {
 					rf = 1
 				}
-				return float64(len(r.replicas.UnderReplicated(rf)))
+				return float64(r.replicas.UnderCount(rf))
 			})
 			m.Gauge("active_repairs", func() float64 {
 				if r.repair == nil {
@@ -1716,7 +1716,11 @@ func (r *Runner) nextTask(w *simWorker) (int, bool) {
 		}
 	}
 	gi := r.queue[pick]
-	r.queue = append(r.queue[:pick], r.queue[pick+1:]...)
+	if pick == 0 {
+		r.queue = r.queue[1:] // the usual case: no memmove of the whole queue
+	} else {
+		r.queue = append(r.queue[:pick], r.queue[pick+1:]...)
+	}
 	return gi, true
 }
 
