@@ -676,30 +676,13 @@ func (m *Master) dispatch(w *masterWorker) {
 		return
 	}
 	go func() {
+		// Stage each group's files, then tell the worker to run it: one
+		// EXECUTE per group, or — batched control plane — one EXECUTE_BATCH
+		// carrying the whole refill, one round-trip instead of one message
+		// per group.
+		var specs []protocol.ExecuteSpec
 		if m.cfg.Batch {
-			// Batched control plane: stage every group's files, then one
-			// EXECUTE_BATCH carries the whole refill — one round-trip
-			// instead of one message per group.
-			specs := make([]protocol.ExecuteSpec, 0, len(actions))
-			for _, a := range actions {
-				if a.send {
-					for _, f := range a.group.Files {
-						if err := m.streamFile(w, f.Name, f.Size); err != nil {
-							m.workerDied(w, err)
-							return
-						}
-					}
-				}
-				infos := make([]protocol.FileInfo, len(a.group.Files))
-				for i, f := range a.group.Files {
-					infos[i] = protocol.FileInfo{Name: f.Name, Size: f.Size}
-				}
-				specs = append(specs, protocol.ExecuteSpec{GroupIndex: a.group.Index, Files: infos})
-			}
-			if err := conn.Send(&protocol.Message{Type: protocol.TExecuteBatch, Executes: specs}); err != nil {
-				m.workerDied(w, err)
-			}
-			return
+			specs = make([]protocol.ExecuteSpec, 0, len(actions))
 		}
 		for _, a := range actions {
 			if a.send {
@@ -714,9 +697,18 @@ func (m *Master) dispatch(w *masterWorker) {
 			for i, f := range a.group.Files {
 				infos[i] = protocol.FileInfo{Name: f.Name, Size: f.Size}
 			}
+			if m.cfg.Batch {
+				specs = append(specs, protocol.ExecuteSpec{GroupIndex: a.group.Index, Files: infos})
+				continue
+			}
 			if err := conn.Send(&protocol.Message{Type: protocol.TExecute, GroupIndex: a.group.Index, Files: infos}); err != nil {
 				m.workerDied(w, err)
 				return
+			}
+		}
+		if m.cfg.Batch {
+			if err := conn.Send(&protocol.Message{Type: protocol.TExecuteBatch, Executes: specs}); err != nil {
+				m.workerDied(w, err)
 			}
 		}
 	}()
@@ -728,9 +720,7 @@ func (m *Master) dispatch(w *masterWorker) {
 // the worker before falling back to FIFO.
 func (m *Master) nextGroupLocked(w *masterWorker) (int, bool) {
 	if len(w.backlog) > 0 {
-		gi := w.backlog[0]
-		w.backlog = w.backlog[1:]
-		return gi, true
+		return ctrlplane.PopAt(&w.backlog, 0), true
 	}
 	if len(m.queue) == 0 {
 		return 0, false
@@ -744,29 +734,21 @@ func (m *Master) nextGroupLocked(w *masterWorker) (int, bool) {
 		// changes — each of which bumps the cache generation.
 		key := ctrlplane.Key{Worker: w.name, Class: "c2d-scan"}
 		if _, hit := m.tmpl.Lookup(key); !hit {
-			found := false
-			for qi, gi := range m.queue {
-				all := true
+			var found bool
+			pick, found = ctrlplane.Pick(m.queue, true, func(gi int) bool {
 				for _, f := range m.groups[gi].Files {
 					if !m.replicas.Has(f.Name, w.name) {
-						all = false
-						break
+						return false
 					}
 				}
-				if all {
-					pick = qi
-					found = true
-					break
-				}
-			}
+				return true
+			})
 			if !found {
 				m.tmpl.Install(key, ctrlplane.Decision{PickHead: true})
 			}
 		}
 	}
-	gi := m.queue[pick]
-	m.queue = append(m.queue[:pick], m.queue[pick+1:]...)
-	return gi, true
+	return ctrlplane.PopAt(&m.queue, pick), true
 }
 
 // stageCommon streams the common files to a worker that is not ready yet.

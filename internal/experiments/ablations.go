@@ -25,23 +25,11 @@ func RunStrategyBW(cfg simrun.Config, wl simrun.Workload, workers int, seed int6
 	inst := cloud.C1XLarge
 	inst.UpBps = netsim.Mbps(mbps)
 	inst.DownBps = netsim.Mbps(mbps)
-	eng := sim.NewEngine()
-	cluster := cloud.New(eng, cloud.Options{Seed: seed, InstantBoot: true})
-	vms, err := cluster.Provision(workers+1, inst)
+	tb, err := newTestbed(cloud.Options{Seed: seed}, inst, workers)
 	if err != nil {
 		return simrun.Result{}, err
 	}
-	eng.RunUntil(eng.Now())
-	cfg.ModelDiskIO = true
-	instrument(fmt.Sprintf("%s %s bw=%.0fMbps", wl.Name, cfg.Strategy.String(), mbps), cluster, &cfg)
-	r, err := simrun.NewRunner(cluster, vms[0], cfg, wl)
-	if err != nil {
-		return simrun.Result{}, err
-	}
-	for _, vm := range vms[1:] {
-		r.AddWorker(vm)
-	}
-	return r.Run()
+	return runCell(fmt.Sprintf("%s %s bw=%.0fMbps", wl.Name, cfg.Strategy.String(), mbps), tb, cfg, wl, nil)
 }
 
 // SweepRow is one point of an ablation sweep.
@@ -217,74 +205,20 @@ func donePct(res simrun.Result) float64 {
 // mode "isolate" matches the paper; "recover" requeues lost work;
 // "replace" additionally provisions a replacement VM per failure.
 func runWithFailures(wl simrun.Workload, mtbfSec float64, mode string) (simrun.Result, error) {
-	eng := sim.NewEngine()
-	cluster := cloud.New(eng, cloud.Options{Seed: 7, InstantBoot: true, FailureMTBFSec: mtbfSec})
-	vms, err := cluster.Provision(5, cloud.C1XLarge)
-	if err != nil {
-		return simrun.Result{}, err
-	}
-	eng.RunUntil(eng.Now())
 	cfg := simrun.Config{
-		Strategy:    strategy.RealTimeRemote,
-		Recover:     mode != "isolate",
-		MaxRetries:  5,
-		ModelDiskIO: true,
-	}
-	instrument(fmt.Sprintf("%s failures mtbf=%.0f %s", wl.Name, mtbfSec, mode), cluster, &cfg)
-	r, err := simrun.NewRunner(cluster, vms[0], cfg, wl)
-	if err != nil {
-		return simrun.Result{}, err
-	}
-	finished := false
-	var result simrun.Result
-	var provisionErr error
-	if mode == "replace" {
-		// The controller's remediation: each failure triggers a fresh
-		// provision that joins as soon as it is up. Replacement stops once
-		// the run is over (otherwise the failure/replace chain would churn
-		// forever on an idle cluster).
-		cluster.OnFailure(func(dead *cloud.VM) {
-			if finished || dead.Host() == vms[0].Host() {
-				return
-			}
-			fresh, perr := cluster.Provision(1, cloud.C1XLarge)
-			if perr != nil {
-				// Surface the failure after the run instead of silently
-				// degrading "replace" into "recover".
-				if provisionErr == nil {
-					provisionErr = fmt.Errorf("experiments: replacement provision: %w", perr)
-				}
-				return
-			}
-			replacement := fresh[0]
-			cluster.OnReadyOnce(replacement, func() {
-				if !finished {
-					r.AddWorker(replacement)
-				}
-			})
-		})
+		Strategy:   strategy.RealTimeRemote,
+		Recover:    mode != "isolate",
+		MaxRetries: 5,
 	}
 	// Only workers matter for failure handling; the source VM's failure
 	// clock has no registered worker (the paper's acknowledged single point
 	// of failure is out of scope for this sweep).
-	for _, vm := range vms[1:] {
-		r.AddWorker(vm)
+	var inject injector
+	if mode == "replace" {
+		inject = func(tb *Testbed, r *simrun.Runner) func() error { return replaceDead(tb, r, nil) }
 	}
-	if err := r.Start(func(res simrun.Result) {
-		result = res
-		finished = true
-	}); err != nil {
-		return simrun.Result{}, err
-	}
-	for !finished && eng.Step() {
-	}
-	if !finished {
-		return simrun.Result{}, fmt.Errorf("experiments: failure sweep deadlocked (%s, mtbf %.0f)", mode, mtbfSec)
-	}
-	if provisionErr != nil {
-		return simrun.Result{}, provisionErr
-	}
-	return result, nil
+	return runCell(fmt.Sprintf("%s failures mtbf=%.0f %s", wl.Name, mtbfSec, mode),
+		paperTestbed(cloud.Options{Seed: 7, FailureMTBFSec: mtbfSec}, 4), cfg, wl, inject)
 }
 
 // AblationElastic measures mid-run scale-out on the BLAST workload (the
@@ -320,30 +254,17 @@ func AblationElastic(scale float64) ([]SweepRow, error) {
 
 // runElastic starts with `initial` workers and adds `adds` more at addAt.
 func runElastic(wl simrun.Workload, initial, adds int, addAt float64) (simrun.Result, error) {
-	eng := sim.NewEngine()
-	cluster := cloud.New(eng, cloud.Options{Seed: 1, InstantBoot: true})
-	vms, err := cluster.Provision(initial+adds+1, cloud.C1XLarge)
-	if err != nil {
-		return simrun.Result{}, err
-	}
-	eng.RunUntil(eng.Now())
-	cfg := simrun.Config{
-		Strategy:    strategy.RealTimeRemote,
-		ModelDiskIO: true,
-	}
-	instrument(fmt.Sprintf("%s elastic %d+%d", wl.Name, initial, adds), cluster, &cfg)
-	r, err := simrun.NewRunner(cluster, vms[0], cfg, wl)
-	if err != nil {
-		return simrun.Result{}, err
-	}
-	for _, vm := range vms[1 : 1+initial] {
-		r.AddWorker(vm)
-	}
-	for _, vm := range vms[1+initial:] {
-		vm := vm
-		eng.At(sim.Time(addAt), func() { r.AddWorker(vm) })
-	}
-	return r.Run()
+	tb := NewTestbed(initial+adds, 1)
+	late := tb.Workers[initial:]
+	tb.Workers = tb.Workers[:initial]
+	return runCell(fmt.Sprintf("%s elastic %d+%d", wl.Name, initial, adds), tb, realTime(), wl,
+		func(tb *Testbed, r *simrun.Runner) func() error {
+			for _, vm := range late {
+				vm := vm
+				tb.Engine.At(sim.Time(addAt), func() { r.AddWorker(vm) })
+			}
+			return nil
+		})
 }
 
 // RenderSweep formats sweep rows with a parameter column and one column per

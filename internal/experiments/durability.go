@@ -7,7 +7,6 @@ import (
 	"frieda/internal/cloud"
 	"frieda/internal/exprun"
 	"frieda/internal/netsim"
-	"frieda/internal/sim"
 	"frieda/internal/simrun"
 	"frieda/internal/storage"
 	"frieda/internal/strategy"
@@ -60,19 +59,11 @@ func withChecksums(wl simrun.Workload, seed int64) simrun.Workload {
 // permanent loss. Everything is virtual-time and seeded, so equal arguments
 // produce bit-identical results.
 func runDurability(wl simrun.Workload, rf int, spec chaosSpec) (simrun.Result, error) {
-	eng := sim.NewEngine()
-	cluster := cloud.New(eng, cloud.Options{Seed: 7, InstantBoot: true, FailureMTBFSec: spec.workerMTBFSec})
-	vms, err := cluster.Provision(5, cloud.C1XLarge)
-	if err != nil {
-		return simrun.Result{}, err
-	}
-	eng.RunUntil(eng.Now())
 	cfg := simrun.Config{
-		Strategy:    strategy.RealTimeRemote,
-		Recover:     true,
-		MaxRetries:  5,
-		ModelDiskIO: true,
-		Detection:   &simrun.DetectionConfig{HeartbeatSec: 5, TimeoutSec: 15, K: 3},
+		Strategy:   strategy.RealTimeRemote,
+		Recover:    true,
+		MaxRetries: 5,
+		Detection:  &simrun.DetectionConfig{HeartbeatSec: 5, TimeoutSec: 15, K: 3},
 		NetFaults: &simrun.NetFaultConfig{
 			Resume:        true,
 			MaxAttempts:   6,
@@ -90,93 +81,44 @@ func runDurability(wl simrun.Workload, rf int, spec chaosSpec) (simrun.Result, e
 			Seed:                 17,
 		},
 	}
-	instrument(fmt.Sprintf("%s durability rf=%d mtbf=%.0f", wl.Name, rf, spec.workerMTBFSec), cluster, &cfg)
-	r, err := simrun.NewRunner(cluster, vms[0], cfg, wl)
-	if err != nil {
-		return simrun.Result{}, err
-	}
-
-	var linkInj *netsim.LinkFaultInjector
-	if spec.linkMTBFSec > 0 {
-		// Degrade-mode faults: links stay up at reduced capacity, which is
-		// what makes in-flight payloads corruptible.
-		linkInj = cluster.InjectLinkFaults(vms[1:], netsim.FaultOptions{
-			Seed:          11,
-			MTBFSec:       spec.linkMTBFSec,
-			MTTRSec:       25,
-			DegradeFactor: 0.4,
-		})
-	}
-	var diskInjs []*storage.DiskFaultInjector
-	diskSeed := int64(5)
-	injectDisks := func(targets []*cloud.VM) {
-		if spec.diskMTBFSec <= 0 {
-			return
-		}
-		diskSeed++
-		diskInjs = append(diskInjs, cluster.InjectDiskFaults(targets, storage.DiskFaultOptions{
-			Seed:          diskSeed,
-			DeathMTBFSec:  spec.diskMTBFSec,
-			ReadErrorRate: 0.005,
-		}))
-	}
-	injectDisks(vms[1:])
-
-	finished := false
-	var result simrun.Result
-	var provisionErr error
-	if spec.workerMTBFSec > 0 {
-		// Replace dead workers so the pool keeps repair destinations; stop
-		// once the run is over or the failure/replace chain churns forever.
-		cluster.OnFailure(func(dead *cloud.VM) {
-			if finished || dead.Host() == vms[0].Host() {
-				return
-			}
-			fresh, perr := cluster.Provision(1, cloud.C1XLarge)
-			if perr != nil {
-				if provisionErr == nil {
-					provisionErr = fmt.Errorf("experiments: durability replacement provision: %w", perr)
-				}
-				return
-			}
-			replacement := fresh[0]
-			cluster.OnReadyOnce(replacement, func() {
-				if finished {
-					return
-				}
-				r.AddWorker(replacement)
-				injectDisks([]*cloud.VM{replacement})
-			})
-		})
-	}
 	// The master is the paper's acknowledged single point of failure; its
 	// links and disk stay healthy so the sweep isolates worker-side loss.
-	for _, vm := range vms[1:] {
-		r.AddWorker(vm)
+	inject := func(tb *Testbed, r *simrun.Runner) func() error {
+		var stops []func()
+		if spec.linkMTBFSec > 0 {
+			// Degrade-mode faults: links stay up at reduced capacity, which is
+			// what makes in-flight payloads corruptible.
+			stops = append(stops, tb.Cluster.InjectLinkFaults(tb.Workers, netsim.FaultOptions{
+				Seed:          11,
+				MTBFSec:       spec.linkMTBFSec,
+				MTTRSec:       25,
+				DegradeFactor: 0.4,
+			}).Stop)
+		}
+		diskSeed := int64(5)
+		injectDisks := func(targets ...*cloud.VM) {
+			if spec.diskMTBFSec <= 0 {
+				return
+			}
+			diskSeed++
+			stops = append(stops, tb.Cluster.InjectDiskFaults(targets, storage.DiskFaultOptions{
+				Seed:          diskSeed,
+				DeathMTBFSec:  spec.diskMTBFSec,
+				ReadErrorRate: 0.005,
+			}).Stop)
+		}
+		injectDisks(tb.Workers...)
+		// Replace dead workers so the pool keeps repair destinations.
+		stopReplacing := replaceDead(tb, r, func(vm *cloud.VM) { injectDisks(vm) })
+		return func() error {
+			for _, stop := range stops {
+				stop()
+			}
+			return stopReplacing()
+		}
 	}
-	if err := r.Start(func(res simrun.Result) {
-		result = res
-		finished = true
-	}); err != nil {
-		return simrun.Result{}, err
-	}
-	// Injectors perpetually re-arm, so drive by steps until the run
-	// completes rather than draining the queue.
-	for !finished && eng.Step() {
-	}
-	if linkInj != nil {
-		linkInj.Stop()
-	}
-	for _, inj := range diskInjs {
-		inj.Stop()
-	}
-	if !finished {
-		return simrun.Result{}, fmt.Errorf("experiments: durability deadlocked (rf=%d, mtbf %.0f)", rf, spec.workerMTBFSec)
-	}
-	if provisionErr != nil {
-		return simrun.Result{}, provisionErr
-	}
-	return result, nil
+	return runCell(fmt.Sprintf("%s durability rf=%d mtbf=%.0f", wl.Name, rf, spec.workerMTBFSec),
+		paperTestbed(cloud.Options{Seed: 7, FailureMTBFSec: spec.workerMTBFSec}, 4), cfg, wl, inject)
 }
 
 // durabilityCells builds the (mtbf × RF 1..3) grid of independent seeded

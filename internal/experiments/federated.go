@@ -8,7 +8,6 @@ import (
 	"frieda/internal/netsim"
 	"frieda/internal/sim"
 	"frieda/internal/simrun"
-	"frieda/internal/strategy"
 )
 
 // AblationFederated explores the paper's federated-sites motivation ("the
@@ -47,32 +46,14 @@ func RunFederated(wl simrun.Workload, localN, remoteN int, wanBps, wanLatencySec
 	if localN+remoteN < 1 {
 		return simrun.Result{}, fmt.Errorf("experiments: federated run with no workers")
 	}
-	eng := sim.NewEngine()
-	cluster := cloud.New(eng, cloud.Options{Seed: 1, InstantBoot: true, FabricBps: wanBps})
-	vms, err := cluster.Provision(localN+remoteN+1, cloud.C1XLarge)
-	if err != nil {
-		return simrun.Result{}, err
+	tb := paperTestbed(cloud.Options{Seed: 1, FabricBps: wanBps}, localN+remoteN)
+	tb.Cluster.Fabric().Link().SetLatency(sim.Duration(wanLatencySec))
+	tb.Cluster.SetSite(tb.Source, 1)
+	for _, vm := range tb.Workers[:localN] {
+		tb.Cluster.SetSite(vm, 1)
 	}
-	eng.RunUntil(eng.Now())
-	cluster.Fabric().Link().SetLatency(sim.Duration(wanLatencySec))
-	cluster.SetSite(vms[0], 1) // data source
-	for _, vm := range vms[1 : 1+localN] {
-		cluster.SetSite(vm, 1)
+	for _, vm := range tb.Workers[localN:] {
+		tb.Cluster.SetSite(vm, 2)
 	}
-	for _, vm := range vms[1+localN:] {
-		cluster.SetSite(vm, 2)
-	}
-	cfg := simrun.Config{
-		Strategy:    strategy.RealTimeRemote,
-		ModelDiskIO: true,
-	}
-	instrument(fmt.Sprintf("%s federated %dL+%dR", wl.Name, localN, remoteN), cluster, &cfg)
-	r, err := simrun.NewRunner(cluster, vms[0], cfg, wl)
-	if err != nil {
-		return simrun.Result{}, err
-	}
-	for _, vm := range vms[1:] {
-		r.AddWorker(vm)
-	}
-	return r.Run()
+	return runCell(fmt.Sprintf("%s federated %dL+%dR", wl.Name, localN, remoteN), tb, realTime(), wl, nil)
 }

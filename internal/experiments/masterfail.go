@@ -3,12 +3,9 @@ package experiments
 import (
 	"fmt"
 
-	"frieda/internal/cloud"
-	"frieda/internal/exprun"
 	"frieda/internal/fault"
 	"frieda/internal/netsim"
 	"frieda/internal/obs/attrib"
-	"frieda/internal/sim"
 	"frieda/internal/simrun"
 	"frieda/internal/strategy"
 )
@@ -42,19 +39,11 @@ var masterFailModes = []string{"crashfree", "journal", "amnesia"}
 // virtual-time and seeded, so equal arguments produce bit-identical
 // results.
 func runMasterFail(wl simrun.Workload, spec masterFailSpec, linkMTBFSec float64, mode string) (simrun.Result, error) {
-	eng := sim.NewEngine()
-	cluster := cloud.New(eng, cloud.Options{Seed: 7, InstantBoot: true})
-	vms, err := cluster.Provision(5, cloud.C1XLarge)
-	if err != nil {
-		return simrun.Result{}, err
-	}
-	eng.RunUntil(eng.Now())
 	cfg := simrun.Config{
-		Strategy:    strategy.RealTimeRemote,
-		Recover:     true,
-		MaxRetries:  5,
-		ModelDiskIO: true,
-		Detection:   &simrun.DetectionConfig{HeartbeatSec: 5, TimeoutSec: 15, K: 3},
+		Strategy:   strategy.RealTimeRemote,
+		Recover:    true,
+		MaxRetries: 5,
+		Detection:  &simrun.DetectionConfig{HeartbeatSec: 5, TimeoutSec: 15, K: 3},
 		Durability: &simrun.DurabilityConfig{
 			RF: 2, ScanPeriodSec: 5, MaxConcurrentRepairs: 4,
 			EvacuateSource: true, Verify: true, Seed: 17,
@@ -72,67 +61,36 @@ func runMasterFail(wl simrun.Workload, spec masterFailSpec, linkMTBFSec float64,
 	default:
 		return simrun.Result{}, fmt.Errorf("experiments: unknown masterfail mode %q", mode)
 	}
-	instrument(fmt.Sprintf("%s masterfail mtbf=%.0f %s", wl.Name, spec.mtbfSec, mode), cluster, &cfg)
-	r, err := simrun.NewRunner(cluster, vms[0], cfg, wl)
-	if err != nil {
-		return simrun.Result{}, err
-	}
-	for _, vm := range vms[1:] {
-		r.AddWorker(vm)
-	}
 	// Degrade-mode link chaos on the workers: flows crawl through it rather
 	// than dying, so the comparison isolates what the *control-plane* outage
 	// costs — no injector here destroys bytes, which is exactly why any file
 	// the amnesiac master loses is the replica map's doing.
-	var linkInj *netsim.LinkFaultInjector
+	var inject injector
 	if linkMTBFSec > 0 {
-		linkInj = cluster.InjectLinkFaults(vms[1:], netsim.FaultOptions{
-			Seed: 11, MTBFSec: linkMTBFSec, MTTRSec: 60, DegradeFactor: 0.25,
-		})
-	}
-	finished := false
-	var result simrun.Result
-	if err := r.Start(func(res simrun.Result) {
-		result = res
-		finished = true
-	}); err != nil {
-		return simrun.Result{}, err
-	}
-	// The injectors perpetually re-arm, so drive by steps until the run
-	// completes rather than draining the queue.
-	for !finished && eng.Step() {
-	}
-	if linkInj != nil {
-		linkInj.Stop()
-	}
-	if !finished {
-		return simrun.Result{}, fmt.Errorf("experiments: masterfail deadlocked (%s, mtbf %.0f)", mode, spec.mtbfSec)
-	}
-	return result, nil
-}
-
-// masterFailSweep fans the full (param × mode) grid across the sweep pool
-// and assembles one row per crash rate: completion fraction and makespan
-// per mode, the journal mode's outage/replay accounting, and the amnesia
-// mode's re-execution and loss tallies — the direct cost of running the
-// same crash schedule without a journal.
-func masterFailSweep(sweepName string, mkWL func() simrun.Workload, params []float64, linkMTBFSec float64, specFor func(p float64) masterFailSpec) ([]SweepRow, error) {
-	var cells []exprun.Cell[simrun.Result]
-	for _, p := range params {
-		spec := specFor(p)
-		for _, mode := range masterFailModes {
-			spec, mode := spec, mode
-			cells = append(cells, cell(
-				fmt.Sprintf("%s/param=%g/%s/seed=7", sweepName, p, mode),
-				func() (simrun.Result, error) { return runMasterFail(mkWL(), spec, linkMTBFSec, mode) }))
+		inject = func(tb *Testbed, _ *simrun.Runner) func() error {
+			inj := tb.Cluster.InjectLinkFaults(tb.Workers, netsim.FaultOptions{
+				Seed: 11, MTBFSec: linkMTBFSec, MTTRSec: 60, DegradeFactor: 0.25,
+			})
+			return func() error { inj.Stop(); return nil }
 		}
 	}
-	results, err := runCells(cells)
+	return runCell(fmt.Sprintf("%s masterfail mtbf=%.0f %s", wl.Name, spec.mtbfSec, mode), NewTestbed(4, 7), cfg, wl, inject)
+}
+
+// masterFailSweep runs the (param × mode) grid and assembles one row per
+// crash rate: completion fraction and makespan per mode, the journal mode's
+// outage/replay accounting, and the amnesia mode's re-execution and loss
+// tallies — the direct cost of running the same crash schedule without a
+// journal.
+func masterFailSweep(sweepName string, mkWL func() simrun.Workload, params []float64, linkMTBFSec float64, specFor func(p float64) masterFailSpec) ([]SweepRow, error) {
+	grid, err := sweepGrid(sweepName, params, masterFailModes, func(p float64, mode string) (simrun.Result, error) {
+		return runMasterFail(mkWL(), specFor(p), linkMTBFSec, mode)
+	})
 	rows := make([]SweepRow, 0, len(params))
 	for i, p := range params {
 		row := SweepRow{Param: p, Series: map[string]float64{}}
 		for j, mode := range masterFailModes {
-			res := results[i*len(masterFailModes)+j]
+			res := grid[i][j]
 			row.Series[mode+"_done_pct"] = donePct(res)
 			row.Series[mode+"_makespan_s"] = res.MakespanSec
 			switch mode {

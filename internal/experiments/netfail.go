@@ -3,10 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"frieda/internal/cloud"
-	"frieda/internal/exprun"
 	"frieda/internal/netsim"
-	"frieda/internal/sim"
 	"frieda/internal/simrun"
 	"frieda/internal/strategy"
 )
@@ -33,17 +30,9 @@ var netFailModes = []string{"isolate", "retry", "resume"}
 // paper's 4-worker testbed. Everything is virtual-time and seeded, so equal
 // arguments produce bit-identical results.
 func runNetFail(wl simrun.Workload, spec netFailSpec, mode string) (simrun.Result, error) {
-	eng := sim.NewEngine()
-	cluster := cloud.New(eng, cloud.Options{Seed: 7, InstantBoot: true})
-	vms, err := cluster.Provision(5, cloud.C1XLarge)
-	if err != nil {
-		return simrun.Result{}, err
-	}
-	eng.RunUntil(eng.Now())
 	cfg := simrun.Config{
-		Strategy:    strategy.RealTimeRemote,
-		ModelDiskIO: true,
-		Detection:   &simrun.DetectionConfig{HeartbeatSec: 5, TimeoutSec: 15, K: 1},
+		Strategy:  strategy.RealTimeRemote,
+		Detection: &simrun.DetectionConfig{HeartbeatSec: 5, TimeoutSec: 15, K: 1},
 	}
 	switch mode {
 	case "isolate":
@@ -61,68 +50,36 @@ func runNetFail(wl simrun.Workload, spec netFailSpec, mode string) (simrun.Resul
 	default:
 		return simrun.Result{}, fmt.Errorf("experiments: unknown netfail mode %q", mode)
 	}
-	instrument(fmt.Sprintf("%s netfail mtbf=%.0f %s", wl.Name, spec.mtbfSec, mode), cluster, &cfg)
-	r, err := simrun.NewRunner(cluster, vms[0], cfg, wl)
-	if err != nil {
-		return simrun.Result{}, err
-	}
 	// Only worker links fault; the master stays reachable (its failure is
 	// the paper's acknowledged single point of failure, out of scope here).
-	for _, vm := range vms[1:] {
-		r.AddWorker(vm)
-	}
-	var inj *netsim.LinkFaultInjector
+	var inject injector
 	if spec.mtbfSec > 0 {
-		inj = cluster.InjectLinkFaults(vms[1:], netsim.FaultOptions{
-			Seed:      11,
-			MTBFSec:   spec.mtbfSec,
-			MTTRSec:   spec.mttrSec,
-			FlapCount: spec.flap,
-		})
-	}
-	finished := false
-	var result simrun.Result
-	if err := r.Start(func(res simrun.Result) {
-		result = res
-		finished = true
-	}); err != nil {
-		return simrun.Result{}, err
-	}
-	// The injector perpetually re-arms, so drive by steps until the run
-	// completes rather than draining the queue.
-	for !finished && eng.Step() {
-	}
-	if inj != nil {
-		inj.Stop()
-	}
-	if !finished {
-		return simrun.Result{}, fmt.Errorf("experiments: netfail deadlocked (%s, mtbf %.0f)", mode, spec.mtbfSec)
-	}
-	return result, nil
-}
-
-// netFailSweep fans the full (param × mode) grid across the sweep pool —
-// every combination is an independent seeded simulation — and assembles
-// one row per parameter with completion fraction and makespan per mode
-// (plus the resume mode's retry counter, the direct evidence the
-// resilience machinery engaged).
-func netFailSweep(sweepName string, mkWL func() simrun.Workload, params []float64, specFor func(p float64) netFailSpec) ([]SweepRow, error) {
-	var cells []exprun.Cell[simrun.Result]
-	for _, p := range params {
-		spec := specFor(p)
-		for _, mode := range netFailModes {
-			spec, mode := spec, mode
-			cells = append(cells, cell(
-				fmt.Sprintf("%s/param=%g/%s/seed=7", sweepName, p, mode),
-				func() (simrun.Result, error) { return runNetFail(mkWL(), spec, mode) }))
+		inject = func(tb *Testbed, _ *simrun.Runner) func() error {
+			inj := tb.Cluster.InjectLinkFaults(tb.Workers, netsim.FaultOptions{
+				Seed:      11,
+				MTBFSec:   spec.mtbfSec,
+				MTTRSec:   spec.mttrSec,
+				FlapCount: spec.flap,
+			})
+			return func() error { inj.Stop(); return nil }
 		}
 	}
-	results, err := runCells(cells)
+	return runCell(fmt.Sprintf("%s netfail mtbf=%.0f %s", wl.Name, spec.mtbfSec, mode), NewTestbed(4, 7), cfg, wl, inject)
+}
+
+// netFailSweep runs the (param × mode) grid and assembles one row per
+// parameter with completion fraction and makespan per mode (plus the resume
+// mode's retry counter, the direct evidence the resilience machinery
+// engaged).
+func netFailSweep(sweepName string, mkWL func() simrun.Workload, params []float64, specFor func(p float64) netFailSpec) ([]SweepRow, error) {
+	grid, err := sweepGrid(sweepName, params, netFailModes, func(p float64, mode string) (simrun.Result, error) {
+		return runNetFail(mkWL(), specFor(p), mode)
+	})
 	rows := make([]SweepRow, 0, len(params))
 	for i, p := range params {
 		row := SweepRow{Param: p, Series: map[string]float64{}}
 		for j, mode := range netFailModes {
-			res := results[i*len(netFailModes)+j]
+			res := grid[i][j]
 			row.Series[mode+"_done_pct"] = donePct(res)
 			row.Series[mode+"_makespan_s"] = res.MakespanSec
 			if mode == "resume" {

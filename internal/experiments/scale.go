@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"frieda/internal/exprun"
-	"frieda/internal/simrun"
 )
 
 // DefaultScaleWorkers is the cluster-size sweep the README quotes: the
@@ -35,15 +34,10 @@ func ScaleSweep(workerCounts []int, scale float64) ([]SweepRow, error) {
 				start := time.Now()
 				tb := NewTreeTestbed(workers, 1)
 				cfg := realTime()
-				cfg.ModelDiskIO = true
 				cfg.BatchSched = true
-				instrument(fmt.Sprintf("%s scale w=%d", wl.Name, workers), tb.Cluster, &cfg)
-				r, err := simrun.NewRunner(tb.Cluster, tb.Source, cfg, wl)
+				r, err := prepare(fmt.Sprintf("%s scale w=%d", wl.Name, workers), tb, cfg, wl)
 				if err != nil {
 					return SweepRow{}, err
-				}
-				for _, vm := range tb.Workers {
-					r.AddWorker(vm)
 				}
 				// Setup (provisioning O(workers) hosts, links, volumes and
 				// worker state) is timed apart from the event loop: per-event

@@ -3,11 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"frieda/internal/cloud"
-	"frieda/internal/exprun"
 	"frieda/internal/fault"
 	"frieda/internal/netsim"
-	"frieda/internal/sim"
 	"frieda/internal/simrun"
 	"frieda/internal/storage"
 	"frieda/internal/strategy"
@@ -45,19 +42,11 @@ var stragglerModes = []string{"none", "detect", "spec", "hedge", "both"}
 // episode schedule and differs only in how it responds. Everything is
 // virtual-time and seeded, so equal arguments produce bit-identical results.
 func runStragglers(wl simrun.Workload, spec stragglerSpec, mode string) (simrun.Result, error) {
-	eng := sim.NewEngine()
-	cluster := cloud.New(eng, cloud.Options{Seed: 7, InstantBoot: true})
-	vms, err := cluster.Provision(5, cloud.C1XLarge)
-	if err != nil {
-		return simrun.Result{}, err
-	}
-	eng.RunUntil(eng.Now())
 	cfg := simrun.Config{
-		Strategy:    strategy.RealTimeRemote,
-		Recover:     true,
-		MaxRetries:  5,
-		ModelDiskIO: true,
-		Detection:   &simrun.DetectionConfig{HeartbeatSec: 5, TimeoutSec: 15, K: 3},
+		Strategy:   strategy.RealTimeRemote,
+		Recover:    true,
+		MaxRetries: 5,
+		Detection:  &simrun.DetectionConfig{HeartbeatSec: 5, TimeoutSec: 15, K: 3},
 	}
 	switch mode {
 	case "none":
@@ -75,100 +64,66 @@ func runStragglers(wl simrun.Workload, spec stragglerSpec, mode string) (simrun.
 	default:
 		return simrun.Result{}, fmt.Errorf("experiments: unknown stragglers mode %q", mode)
 	}
-	instrument(fmt.Sprintf("%s stragglers mtbs=%.0f %s", wl.Name, spec.mtbsSec, mode), cluster, &cfg)
-	r, err := simrun.NewRunner(cluster, vms[0], cfg, wl)
-	if err != nil {
-		return simrun.Result{}, err
-	}
-	// Only workers straggle; the master stays healthy (its degradation is
-	// the paper's acknowledged single point of failure, out of scope here).
-	targets := vms[1:]
-	for _, vm := range targets {
-		r.AddWorker(vm)
-	}
-	var workerInj *fault.StragglerInjector
-	if spec.mtbsSec > 0 {
-		workerInj = fault.NewStragglerInjector(eng, len(targets), fault.StragglerOptions{
-			Seed:        23,
-			MTBSSec:     spec.mtbsSec,
-			DurationSec: spec.durSec,
-			Severity:    spec.severity,
-		}, func(i int, factor float64) {
-			r.SetWorkerSpeed(targets[i], factor)
-		}, func(i int) {
-			r.SetWorkerSpeed(targets[i], 1)
-		})
-	}
-	var diskInj *storage.DiskFaultInjector
-	if spec.diskMTBFSec > 0 {
-		diskInj = cluster.InjectDiskFaults(targets, storage.DiskFaultOptions{
-			Seed:           29,
-			DegradeMTBFSec: spec.diskMTBFSec,
-			DegradeMTTRSec: 60,
-			DegradeFactor:  0.25,
-		})
-	}
-	var linkInj *netsim.LinkFaultInjector
-	if spec.linkMTBFSec > 0 {
-		// Degrade-mode faults: links stay up at reduced capacity, so flows
-		// crawl instead of dying — exactly what hedged transfers race. The
-		// master's NIC is included: a degraded source uplink is the case a
-		// second pull from a worker-held replica can actually route around.
-		linkInj = cluster.InjectLinkFaults(vms, netsim.FaultOptions{
-			Seed:          31,
-			MTBFSec:       spec.linkMTBFSec,
-			MTTRSec:       120,
-			DegradeFactor: 0.15,
-		})
-	}
-	finished := false
-	var result simrun.Result
-	if err := r.Start(func(res simrun.Result) {
-		result = res
-		finished = true
-	}); err != nil {
-		return simrun.Result{}, err
-	}
-	// The injectors perpetually re-arm, so drive by steps until the run
-	// completes rather than draining the queue.
-	for !finished && eng.Step() {
-	}
-	if workerInj != nil {
-		workerInj.Stop()
-	}
-	if diskInj != nil {
-		diskInj.Stop()
-	}
-	if linkInj != nil {
-		linkInj.Stop()
-	}
-	if !finished {
-		return simrun.Result{}, fmt.Errorf("experiments: stragglers deadlocked (%s, mtbs %.0f)", mode, spec.mtbsSec)
-	}
-	return result, nil
-}
-
-// stragglerSweep fans the full (param × mode) grid across the sweep pool and
-// assembles one row per parameter: makespan per mitigation mode, completion
-// fraction at the extremes, and the "both" mode's mitigation counters — the
-// direct evidence of what the machinery did and what it wasted.
-func stragglerSweep(sweepName string, mkWL func() simrun.Workload, params []float64, specFor func(p float64) stragglerSpec) ([]SweepRow, error) {
-	var cells []exprun.Cell[simrun.Result]
-	for _, p := range params {
-		spec := specFor(p)
-		for _, mode := range stragglerModes {
-			spec, mode := spec, mode
-			cells = append(cells, cell(
-				fmt.Sprintf("%s/param=%g/%s/seed=7", sweepName, p, mode),
-				func() (simrun.Result, error) { return runStragglers(mkWL(), spec, mode) }))
+	inject := func(tb *Testbed, r *simrun.Runner) func() error {
+		var stops []func()
+		// Only workers straggle; the master stays healthy (its degradation is
+		// the paper's acknowledged single point of failure, out of scope here).
+		targets := tb.Workers
+		if spec.mtbsSec > 0 {
+			stops = append(stops, fault.NewStragglerInjector(tb.Engine, len(targets), fault.StragglerOptions{
+				Seed:        23,
+				MTBSSec:     spec.mtbsSec,
+				DurationSec: spec.durSec,
+				Severity:    spec.severity,
+			}, func(i int, factor float64) {
+				r.SetWorkerSpeed(targets[i], factor)
+			}, func(i int) {
+				r.SetWorkerSpeed(targets[i], 1)
+			}).Stop)
+		}
+		if spec.diskMTBFSec > 0 {
+			stops = append(stops, tb.Cluster.InjectDiskFaults(targets, storage.DiskFaultOptions{
+				Seed:           29,
+				DegradeMTBFSec: spec.diskMTBFSec,
+				DegradeMTTRSec: 60,
+				DegradeFactor:  0.25,
+			}).Stop)
+		}
+		if spec.linkMTBFSec > 0 {
+			// Degrade-mode faults: links stay up at reduced capacity, so flows
+			// crawl instead of dying — exactly what hedged transfers race. The
+			// master's NIC is included: a degraded source uplink is the case a
+			// second pull from a worker-held replica can actually route around.
+			stops = append(stops, tb.Cluster.InjectLinkFaults(tb.Cluster.VMs(), netsim.FaultOptions{
+				Seed:          31,
+				MTBFSec:       spec.linkMTBFSec,
+				MTTRSec:       120,
+				DegradeFactor: 0.15,
+			}).Stop)
+		}
+		return func() error {
+			for _, stop := range stops {
+				stop()
+			}
+			return nil
 		}
 	}
-	results, err := runCells(cells)
+	return runCell(fmt.Sprintf("%s stragglers mtbs=%.0f %s", wl.Name, spec.mtbsSec, mode), NewTestbed(4, 7), cfg, wl, inject)
+}
+
+// stragglerSweep runs the (param × mode) grid and assembles one row per
+// parameter: makespan per mitigation mode, completion fraction at the
+// extremes, and the "both" mode's mitigation counters — the direct evidence
+// of what the machinery did and what it wasted.
+func stragglerSweep(sweepName string, mkWL func() simrun.Workload, params []float64, specFor func(p float64) stragglerSpec) ([]SweepRow, error) {
+	grid, err := sweepGrid(sweepName, params, stragglerModes, func(p float64, mode string) (simrun.Result, error) {
+		return runStragglers(mkWL(), specFor(p), mode)
+	})
 	rows := make([]SweepRow, 0, len(params))
 	for i, p := range params {
 		row := SweepRow{Param: p, Series: map[string]float64{}}
 		for j, mode := range stragglerModes {
-			res := results[i*len(stragglerModes)+j]
+			res := grid[i][j]
 			row.Series[mode+"_makespan_s"] = res.MakespanSec
 			switch mode {
 			case "none":

@@ -131,19 +131,7 @@ type Testbed struct {
 // NewTestbed provisions the paper's deployment: one data-source node plus
 // nWorkers c1.xlarge compute VMs, 100 Mbps links, instant boot.
 func NewTestbed(nWorkers int, seed int64) *Testbed {
-	eng := sim.NewEngine()
-	cluster := cloud.New(eng, cloud.Options{Seed: seed, InstantBoot: true})
-	vms, err := cluster.Provision(nWorkers+1, cloud.C1XLarge)
-	if err != nil {
-		panic(err) // static configuration
-	}
-	eng.RunUntil(eng.Now())
-	return &Testbed{
-		Engine:  eng,
-		Cluster: cluster,
-		Source:  vms[0],
-		Workers: vms[1:],
-	}
+	return paperTestbed(cloud.Options{Seed: seed}, nWorkers)
 }
 
 // DefaultTreeSpec is the datacenter topology the scale sweep provisions:
@@ -155,25 +143,12 @@ func DefaultTreeSpec() netsim.TreeSpec {
 
 // NewTreeTestbed provisions one data-source node plus nWorkers c1.xlarge
 // VMs arranged in a rack/spine fat-tree (the master fills rack 0 first,
-// staying close to the data). Building the tree switches the network to the
-// datacenter-scale allocator modes (cold-link aggregation, batched
-// reallocation); pair it with simrun's BatchSched for full 65k-worker
-// throughput.
+// staying close to the data). Building the tree switches the network to
+// batched reallocation; pair it with simrun's BatchSched for full
+// 65k-worker throughput.
 func NewTreeTestbed(nWorkers int, seed int64) *Testbed {
-	eng := sim.NewEngine()
 	spec := DefaultTreeSpec()
-	cluster := cloud.New(eng, cloud.Options{Seed: seed, InstantBoot: true, Topology: &spec})
-	vms, err := cluster.Provision(nWorkers+1, cloud.C1XLarge)
-	if err != nil {
-		panic(err) // static configuration
-	}
-	eng.RunUntil(eng.Now())
-	return &Testbed{
-		Engine:  eng,
-		Cluster: cluster,
-		Source:  vms[0],
-		Workers: vms[1:],
-	}
+	return paperTestbed(cloud.Options{Seed: seed, Topology: &spec}, nWorkers)
 }
 
 // RunStrategy executes the workload under a strategy on a fresh testbed and
@@ -182,17 +157,8 @@ func RunStrategy(cfg simrun.Config, wl simrun.Workload, workers int, seed int64)
 	if workers <= 0 {
 		workers = 4
 	}
-	tb := NewTestbed(workers, seed)
-	cfg.ModelDiskIO = true
-	instrument(fmt.Sprintf("%s %s w=%d", wl.Name, cfg.Strategy.String(), workers), tb.Cluster, &cfg)
-	r, err := simrun.NewRunner(tb.Cluster, tb.Source, cfg, wl)
-	if err != nil {
-		return simrun.Result{}, err
-	}
-	for _, vm := range tb.Workers {
-		r.AddWorker(vm)
-	}
-	return r.Run()
+	return runCell(fmt.Sprintf("%s %s w=%d", wl.Name, cfg.Strategy.String(), workers),
+		NewTestbed(workers, seed), cfg, wl, nil)
 }
 
 // Sequential runs the workload on a single VM with one program instance and

@@ -28,9 +28,11 @@
 package netsim
 
 import (
+	"cmp"
 	"container/heap"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"frieda/internal/obs"
@@ -161,7 +163,7 @@ type Flow struct {
 
 	// Allocator scratch: component-BFS generation and the solver's staged
 	// rate/freeze state for the in-progress solve. pcap is the folded
-	// composite capacity of the flow's cold links (SetColdAggregation).
+	// composite capacity of the flow's cold links (solveComponent).
 	mark     uint64
 	nextRate float64
 	pcap     float64
@@ -248,17 +250,12 @@ type Network struct {
 
 	// mark is the component-BFS generation counter; compLinks/compFlows and
 	// lheap are reusable scratch for the current reallocation. capScratch
-	// holds the folded solver's composite-capacity flow ordering.
+	// holds the solver's composite-capacity flow ordering.
 	mark       uint64
 	compLinks  []*Link
 	compFlows  []*Flow
 	lheap      linkHeap
 	capScratch []*Flow
-
-	// foldCold enables cold-link aggregation: links carrying no flow other
-	// than the one under consideration are folded into a per-flow composite
-	// capacity, so the solver's heap holds only the hot (shared) cut.
-	foldCold bool
 
 	// Batched reallocation state: flow starts, completions and cancels mark
 	// their links dirty and one rebalance pass per virtual instant settles,
@@ -297,14 +294,12 @@ func New(eng *Engine) *Network {
 	}
 }
 
-// SetColdAggregation toggles cold-link folding in the solver: links carrying
-// fewer than two component flows are folded into a per-flow composite
-// capacity instead of entering the bottleneck heap, so solve cost follows the
-// hot (shared) cut of the topology rather than its size. The committed rates
-// are the same max-min allocation either way (see solveFolded); the toggle
-// exists so flat configurations keep their historical solver byte-for-byte.
-// Flip it at setup time, not mid-solve.
-func (n *Network) SetColdAggregation(on bool) { n.foldCold = on }
+// SetColdAggregation does nothing: cold-link folding is how the solver works
+// (see solveComponent), not a mode. It remains only because
+// bench/probes.go:514 calls it and a PR that edits the solver may not edit
+// bench/; the benchmark PR (ROADMAP item 1) removes that call and this
+// method. Nothing else may call it.
+func (n *Network) SetColdAggregation(bool) {}
 
 // SetBatched toggles deferred reallocation: flow starts, completions and
 // cancels mark their links dirty and schedule (at most) one rebalance event
@@ -710,97 +705,31 @@ func (h *linkHeap) Pop() any {
 }
 
 // solveComponent stages the max-min fair rate of every component flow in
-// nextRate, dispatching to the folded solver when cold-link aggregation is
-// on.
+// nextRate by progressive filling: repeatedly freeze the flows of the
+// current bottleneck at its fair share, charging the share against every
+// shared link on each frozen flow's path. Fair shares only rise as filling
+// proceeds, so eager heap fixes keep the top exact.
+//
+// Only hot links — those carrying two or more component flows — enter the
+// bottleneck heap. A cold link can never arbitrate between flows, so it is
+// folded into its single flow's composite private capacity pcap = min over
+// the flow's cold links. Filling interleaves two sorted bottleneck sources —
+// the hot-link heap keyed (share, name) and the composite-capped flows
+// ordered (pcap, id) — always freezing at the smaller value, with exact ties
+// going to the hot link (charging a link's own share leaves its residual
+// share unchanged). A cold link binds its flow at exactly capacity/1, the
+// share an unfolded heap would pop it at, so the committed rates are the
+// reference solver's max-min allocation bit for bit (oracle.go;
+// TestSolverMatchesOracle). Heap size and per-freeze charge cost follow the
+// hot cut of the component, not the topology: in a fat-tree staging storm
+// that is the handful of shared uplinks, while every leaf NIC folds away.
+// O((F+H)·log H) for H hot links.
 func (n *Network) solveComponent() {
-	if n.foldCold {
-		n.solveFolded()
-		return
-	}
-	n.solveDense()
-}
-
-// solveDense runs progressive filling over the current component,
-// staging each flow's new rate in nextRate: repeatedly freeze the bottleneck
-// link's flows at its fair share (heap top), charging the share against
-// every link on each frozen flow's path. Fair shares only rise as filling
-// proceeds, so eager heap fixes keep the top exact. O((F+L)·log L).
-func (n *Network) solveDense() {
 	flows := n.compFlows
 	if len(flows) == 0 {
 		return
 	}
-	h := n.lheap[:0]
-	for _, l := range n.compLinks {
-		l.residual = l.capacity
-		l.unfrozen = len(l.flows)
-		l.updateShare()
-		l.hidx = len(h)
-		h = append(h, l)
-	}
-	heap.Init(&h)
-	for _, f := range flows {
-		f.frozen = false
-	}
-	remaining := len(flows)
-	for remaining > 0 {
-		top := h[0]
-		if top.unfrozen == 0 {
-			// Every link is fully frozen yet flows remain — cannot occur
-			// with positive capacities; starve the leftovers defensively.
-			for _, f := range flows {
-				if !f.frozen {
-					f.frozen = true
-					f.nextRate = 0
-					remaining--
-				}
-			}
-			break
-		}
-		best := top.share
-		for f := range top.flows {
-			if f.frozen {
-				continue
-			}
-			f.frozen = true
-			f.nextRate = best
-			remaining--
-			for _, l := range f.path {
-				l.residual -= best
-				if l.residual < 0 {
-					l.residual = 0
-				}
-				l.unfrozen--
-				l.updateShare()
-				heap.Fix(&h, l.hidx)
-			}
-		}
-	}
-	n.lheap = h
-}
-
-// solveFolded is the cold-link-aggregation solve. A link carrying fewer than
-// two component flows can never arbitrate between flows, so instead of
-// entering the bottleneck heap each such cold link is folded into its single
-// flow's composite private capacity pcap = min over the flow's cold links.
-// Progressive filling then interleaves two sorted bottleneck sources — the
-// hot-link heap keyed (share, name) and the composite-capped flows ordered
-// (pcap, id) — always freezing at the smaller value, with exact ties going
-// to the hot link (matching the dense cascade, where charging a link's own
-// share leaves its residual share unchanged). A cold link binds its flow at
-// exactly capacity/1, the share the dense solver would pop it at, and frozen
-// flows charge identical values against the same hot links in either
-// variant, so the committed rates are the same max-min allocation — the
-// fold/unfold tests in aggregation_test.go hold this exactly. Heap size (and
-// per-freeze charge cost) follows the hot cut of the component, not the
-// topology: in a fat-tree staging storm that is the handful of shared
-// uplinks, while every leaf NIC folds away.
-func (n *Network) solveFolded() {
-	flows := n.compFlows
-	if len(flows) == 0 {
-		return
-	}
-	h := n.lheap[:0]
+	n.lheap = n.lheap[:0]
 	for _, l := range n.compLinks {
 		if len(l.flows) < 2 {
 			l.hidx = -1 // cold: folded into its flow's pcap below
@@ -809,10 +738,10 @@ func (n *Network) solveFolded() {
 		l.residual = l.capacity
 		l.unfrozen = len(l.flows)
 		l.updateShare()
-		l.hidx = len(h)
-		h = append(h, l)
+		l.hidx = len(n.lheap)
+		n.lheap = append(n.lheap, l)
 	}
-	heap.Init(&h)
+	heap.Init(&n.lheap)
 	byCap := n.capScratch[:0]
 	for _, f := range flows {
 		f.frozen = false
@@ -827,76 +756,72 @@ func (n *Network) solveFolded() {
 			byCap = append(byCap, f)
 		}
 	}
-	sort.Slice(byCap, func(i, j int) bool {
-		if byCap[i].pcap != byCap[j].pcap {
-			return byCap[i].pcap < byCap[j].pcap
+	slices.SortFunc(byCap, func(a, b *Flow) int {
+		if c := cmp.Compare(a.pcap, b.pcap); c != 0 {
+			return c
 		}
-		return byCap[i].id < byCap[j].id
+		return cmp.Compare(a.id, b.id)
 	})
+	n.capScratch = byCap
 	remaining := len(flows)
-	freeze := func(f *Flow, rate float64) {
-		f.frozen = true
-		f.nextRate = rate
-		remaining--
-		for _, l := range f.path {
-			if l.hidx < 0 {
-				continue // cold link; nothing shares it, no charge to track
-			}
-			l.residual -= rate
-			if l.residual < 0 {
-				l.residual = 0
-			}
-			l.unfrozen--
-			l.updateShare()
-			heap.Fix(&h, l.hidx)
-		}
-	}
 	ci := 0
 	for remaining > 0 {
 		for ci < len(byCap) && byCap[ci].frozen {
 			ci++
 		}
 		linkShare := math.Inf(1)
-		if len(h) > 0 {
-			linkShare = h[0].share
+		if len(n.lheap) > 0 {
+			linkShare = n.lheap[0].share
 		}
 		if ci < len(byCap) && byCap[ci].pcap < linkShare {
-			f := byCap[ci]
+			// The tightest private capacity (always finite) binds before
+			// any shared link does.
+			n.freeze(byCap[ci], byCap[ci].pcap)
+			remaining--
 			ci++
-			freeze(f, f.pcap)
 			continue
 		}
 		if math.IsInf(linkShare, 1) {
-			// No hot bottleneck left. Any remaining composite-capped flow
-			// freezes at its private capacity; a flow with neither (cannot
-			// occur with positive capacities) starves defensively, like the
-			// dense solver.
-			if ci < len(byCap) {
-				f := byCap[ci]
-				ci++
-				freeze(f, f.pcap)
-				continue
-			}
+			// Neither a shared bottleneck nor a private capacity is left
+			// yet flows remain — cannot occur with positive capacities;
+			// starve the leftovers defensively.
 			for _, f := range flows {
 				if !f.frozen {
 					f.frozen = true
 					f.nextRate = 0
-					remaining--
 				}
 			}
-			break
+			return
 		}
-		top := h[0]
+		top := n.lheap[0]
 		best := top.share
 		for f := range top.flows {
-			if f.frozen {
-				continue
+			if !f.frozen {
+				n.freeze(f, best)
+				remaining--
 			}
-			freeze(f, best)
 		}
 	}
-	n.capScratch = byCap
-	n.lheap = h
+}
+
+// freeze fixes f's rate for this solve and charges it against the hot links
+// on its path; cold links are shared with nobody, so there is no charge to
+// track on them.
+func (n *Network) freeze(f *Flow, rate float64) {
+	f.frozen = true
+	f.nextRate = rate
+	for _, l := range f.path {
+		if l.hidx < 0 {
+			continue
+		}
+		l.residual -= rate
+		if l.residual < 0 {
+			l.residual = 0
+		}
+		l.unfrozen--
+		l.updateShare()
+		heap.Fix(&n.lheap, l.hidx)
+	}
 }
 
 // applyRates commits the staged rates, rescheduling completions only for

@@ -19,7 +19,6 @@ func runTreeStorm(b *testing.B, nWorkers int, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	eng := sim.NewEngine()
 	net := New(eng)
-	net.SetColdAggregation(true)
 	net.SetBatched(true)
 	tr, err := NewTree(net, TreeSpec{HostsPerRack: 32, Spines: 8, Oversubscription: 4})
 	if err != nil {

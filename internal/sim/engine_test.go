@@ -241,72 +241,6 @@ func TestTimerResetAt(t *testing.T) {
 	}
 }
 
-func TestQueuePushThenTake(t *testing.T) {
-	q := NewQueue[int]()
-	q.Push(1)
-	q.Push(2)
-	var got []int
-	q.Take(func(v int) { got = append(got, v) })
-	q.Take(func(v int) { got = append(got, v) })
-	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("got %v, want [1 2]", got)
-	}
-}
-
-func TestQueueTakeThenPush(t *testing.T) {
-	q := NewQueue[int]()
-	var got []int
-	q.Take(func(v int) { got = append(got, v) })
-	q.Take(func(v int) { got = append(got, v) })
-	if q.Waiting() != 2 {
-		t.Fatalf("Waiting = %d, want 2", q.Waiting())
-	}
-	q.Push(10)
-	q.Push(20)
-	if len(got) != 2 || got[0] != 10 || got[1] != 20 {
-		t.Fatalf("got %v, want [10 20]", got)
-	}
-}
-
-func TestQueueDrainCallback(t *testing.T) {
-	q := NewQueue[int]()
-	drained := 0
-	q.SetDrain(func() { drained++ })
-	q.Push(1)
-	q.Close()
-	taken := 0
-	q.Take(func(int) { taken++ }) // gets the buffered item
-	q.Take(func(int) { taken++ }) // queue closed+empty: drain fires
-	if taken != 1 {
-		t.Fatalf("taken = %d, want 1", taken)
-	}
-	if drained != 1 {
-		t.Fatalf("drained = %d, want 1", drained)
-	}
-}
-
-func TestQueueCloseNotifiesBlockedTakers(t *testing.T) {
-	q := NewQueue[int]()
-	drained := 0
-	q.SetDrain(func() { drained++ })
-	q.Take(func(int) { t.Fatal("taker received item from empty closed queue") })
-	q.Close()
-	if drained != 1 {
-		t.Fatalf("drained = %d, want 1", drained)
-	}
-}
-
-func TestQueuePushAfterClosePanics(t *testing.T) {
-	q := NewQueue[int]()
-	q.Close()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic pushing to closed queue")
-		}
-	}()
-	q.Push(1)
-}
-
 func TestResourceAdmission(t *testing.T) {
 	r := NewResource(2)
 	order := []int{}
@@ -396,18 +330,6 @@ func TestResourceInvariantProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestCalendar(t *testing.T) {
-	eng := NewEngine()
-	cal := NewCalendar(eng)
-	var at []Time
-	cal.Add(10, func() { at = append(at, eng.Now()) })
-	cal.Add(5, func() { at = append(at, eng.Now()) })
-	eng.Run()
-	if len(at) != 2 || at[0] != 5 || at[1] != 10 {
-		t.Fatalf("calendar fired at %v", at)
 	}
 }
 

@@ -37,82 +37,6 @@ func (t *Timer) Armed() bool {
 	return t.ev.Pending()
 }
 
-// Queue is an unbounded FIFO of items coordinated with blocked takers, the
-// virtual-time analogue of a Go channel. FRIEDA's real-time partitioning is a
-// pull queue: workers "block" waiting for the next data group; the master
-// pushes groups as transfers finish.
-type Queue[T any] struct {
-	items  []T
-	takers []func(T)
-	closed bool
-	onDry  func() // invoked when a taker arrives and the queue is closed+empty
-}
-
-// NewQueue returns an empty open queue.
-func NewQueue[T any]() *Queue[T] { return &Queue[T]{} }
-
-// Len reports the number of buffered items.
-func (q *Queue[T]) Len() int { return len(q.items) }
-
-// Waiting reports how many takers are blocked.
-func (q *Queue[T]) Waiting() int { return len(q.takers) }
-
-// Closed reports whether Close was called.
-func (q *Queue[T]) Closed() bool { return q.closed }
-
-// Push appends an item, delivering it immediately to the oldest blocked
-// taker if any. Push on a closed queue panics: strategies must not hand out
-// work after declaring the input exhausted.
-func (q *Queue[T]) Push(item T) {
-	if q.closed {
-		panic("sim: push on closed queue")
-	}
-	if len(q.takers) > 0 {
-		taker := q.takers[0]
-		q.takers = q.takers[1:]
-		taker(item)
-		return
-	}
-	q.items = append(q.items, item)
-}
-
-// Take delivers the next item to fn, either immediately (if buffered) or
-// when one is pushed. If the queue is closed and empty, fn is never called
-// and the drain callback (SetDrain) runs instead. Take reports whether an
-// item was delivered synchronously.
-func (q *Queue[T]) Take(fn func(T)) bool {
-	if len(q.items) > 0 {
-		item := q.items[0]
-		q.items = q.items[1:]
-		fn(item)
-		return true
-	}
-	if q.closed {
-		if q.onDry != nil {
-			q.onDry()
-		}
-		return false
-	}
-	q.takers = append(q.takers, fn)
-	return false
-}
-
-// Close marks the queue as exhausted. Blocked takers are dropped; the drain
-// callback fires once per subsequent Take on the empty closed queue.
-func (q *Queue[T]) Close() {
-	q.closed = true
-	if len(q.items) == 0 && q.onDry != nil && len(q.takers) > 0 {
-		q.takers = nil
-		q.onDry()
-	} else {
-		q.takers = nil
-	}
-}
-
-// SetDrain registers fn to be invoked whenever a taker finds the queue
-// closed and empty.
-func (q *Queue[T]) SetDrain(fn func()) { q.onDry = fn }
-
 // Resource is a counting resource with FIFO admission (e.g. CPU cores of a
 // virtual machine). Acquire either admits immediately or queues the request.
 type Resource struct {
@@ -187,16 +111,3 @@ func (r *Resource) Shrink(n int) int {
 	}
 	return removed
 }
-
-// Calendar is a small helper that fires a callback at each of a sorted set
-// of times; used to inject scripted cluster changes (elastic add/remove,
-// failures) into an experiment.
-type Calendar struct {
-	eng *Engine
-}
-
-// NewCalendar returns a calendar bound to eng.
-func NewCalendar(eng *Engine) *Calendar { return &Calendar{eng: eng} }
-
-// Add schedules fn at absolute time t.
-func (c *Calendar) Add(t Time, fn func()) EventRef { return c.eng.At(t, fn) }

@@ -144,25 +144,10 @@ func (r *Runner) dispatchCtrl(w *simWorker) bool {
 func (r *Runner) fireDispatch(w *simWorker, gi int, pinSrc bool) {
 	if w.dead {
 		w.admitted--
-		r.retries[gi]++
-		if r.cfg.Recover && r.retries[gi] <= r.cfg.MaxRetries {
-			r.mRequeues.Inc()
-			r.queue = append(r.queue, gi)
+		if r.requeueLost(gi) {
 			r.kickAll()
-			r.checkDone()
-			return
-		}
-		r.terminal++
-		if r.mf != nil {
-			r.mf.taskTerminal(gi, false)
-		}
-		r.res.Abandoned++
-		r.mTasksFailed.Inc()
-		r.res.Completions = append(r.res.Completions, Completion{
-			Task: gi, Worker: w.name, End: r.eng.Now(), OK: false, Attempt: r.retries[gi],
-		})
-		if r.cfg.Attrib.Enabled() {
-			r.anLastTerminal = r.anCause
+		} else {
+			r.settle(Completion{Task: gi, Worker: w.name, End: r.eng.Now(), Attempt: r.retries[gi]})
 		}
 		r.checkDone()
 		return
@@ -198,35 +183,19 @@ func (r *Runner) templateClass(w *simWorker) (string, bool) {
 // pick.
 func (r *Runner) popHead(w *simWorker) int {
 	if len(w.backlog) > 0 {
-		gi := w.backlog[0]
-		w.backlog = w.backlog[1:]
-		return gi
+		return ctrlplane.PopAt(&w.backlog, 0)
 	}
-	gi := r.queue[0]
-	r.queue = r.queue[1:]
-	return gi
+	return ctrlplane.PopAt(&r.queue, 0)
 }
 
 // checkTemplate re-derives the decision through the unmodified slow path and
 // panics on divergence — the bit-identical-replay property: a template hit
 // must decide exactly what the full scan would have decided at this instant.
 func (r *Runner) checkTemplate(w *simWorker, dec ctrlplane.Decision) {
-	// Head pick: nextTask's scan, without the pop.
+	// Head pick: nextTask's decision, without the pop.
 	pick := 0
-	if len(w.backlog) == 0 && r.cfg.Strategy.Placement == strategy.ComputeToData {
-		for qi, gi := range r.queue {
-			all := true
-			for _, f := range r.wl.Tasks[gi].Files {
-				if !w.has[f.Name] {
-					all = false
-					break
-				}
-			}
-			if all {
-				pick = qi
-				break
-			}
-		}
+	if len(w.backlog) == 0 {
+		pick = r.pickQueue(w)
 	}
 	if dec.PickHead != (pick == 0) {
 		panic(fmt.Sprintf("simrun: template check failed on %s: cached pick-head=%v, slow path picks queue[%d]",

@@ -1689,39 +1689,29 @@ func (r *Runner) admit(w *simWorker) {
 }
 
 // nextTask pops the worker's backlog first (pre-partition), then the shared
-// queue; compute-to-data placement prefers queue entries already resident.
+// queue at the index the slow path picks.
 func (r *Runner) nextTask(w *simWorker) (int, bool) {
 	if len(w.backlog) > 0 {
-		gi := w.backlog[0]
-		w.backlog = w.backlog[1:]
-		return gi, true
+		return ctrlplane.PopAt(&w.backlog, 0), true
 	}
 	if len(r.queue) == 0 {
 		return 0, false
 	}
-	pick := 0
-	if r.cfg.Strategy.Placement == strategy.ComputeToData {
-		for qi, gi := range r.queue {
-			all := true
-			for _, f := range r.wl.Tasks[gi].Files {
-				if !w.has[f.Name] {
-					all = false
-					break
-				}
-			}
-			if all {
-				pick = qi
-				break
+	return ctrlplane.PopAt(&r.queue, r.pickQueue(w)), true
+}
+
+// pickQueue is the slow-path shared-queue decision for w (ctrlplane.Pick);
+// a group is resident when the worker already holds every file of it.
+func (r *Runner) pickQueue(w *simWorker) int {
+	idx, _ := ctrlplane.Pick(r.queue, r.cfg.Strategy.Placement == strategy.ComputeToData, func(gi int) bool {
+		for _, f := range r.wl.Tasks[gi].Files {
+			if !w.has[f.Name] {
+				return false
 			}
 		}
-	}
-	gi := r.queue[pick]
-	if pick == 0 {
-		r.queue = r.queue[1:] // the usual case: no memmove of the whole queue
-	} else {
-		r.queue = append(r.queue[:pick], r.queue[pick+1:]...)
-	}
-	return gi, true
+		return true
+	})
+	return idx
 }
 
 // fetchAndRun transfers the task's missing bytes (real-time remote), then
@@ -2081,28 +2071,46 @@ func (r *Runner) taskDone(w *simWorker, att *taskAttempt, ok bool) {
 		}
 		// Failed re-execution with retry budget: falls through to requeue.
 	}
-	r.retries[att.task]++
-	if !ok && r.cfg.Recover && r.retries[att.task] <= r.cfg.MaxRetries {
-		r.mRequeues.Inc()
-		r.queue = append(r.queue, att.task)
+	if ok {
+		r.retries[att.task]++
+	} else if r.requeueLost(att.task) {
 		r.kickAll()
 		return
 	}
-	r.terminal++
-	if r.mf != nil {
-		r.mf.taskTerminal(att.task, ok)
-	}
-	r.res.Completions = append(r.res.Completions, Completion{
+	r.settle(Completion{
 		Task: att.task, Worker: w.name, Start: att.started, End: r.eng.Now(),
 		OK: ok, Attempt: r.retries[att.task], Speculative: att.clone,
 	})
-	if ok {
+	r.checkDone()
+}
+
+// requeueLost is the lost-task rule: book one more spent attempt of gi and,
+// under Recover with retry budget left, put it back on the shared queue.
+// False means the caller must settle the task as failed.
+func (r *Runner) requeueLost(gi int) bool {
+	r.retries[gi]++
+	if r.cfg.Recover && r.retries[gi] <= r.cfg.MaxRetries {
+		r.mRequeues.Inc()
+		r.queue = append(r.queue, gi)
+		return true
+	}
+	return false
+}
+
+// settle books c as its task's terminal outcome.
+func (r *Runner) settle(c Completion) {
+	r.terminal++
+	if r.mf != nil {
+		r.mf.taskTerminal(c.Task, c.OK)
+	}
+	r.res.Completions = append(r.res.Completions, c)
+	if c.OK {
 		r.res.Succeeded++
-		r.res.PerWorker[w.name]++
+		r.res.PerWorker[c.Worker]++
 		r.mTasksOK.Inc()
-		r.hTaskSec.Observe(float64(r.eng.Now() - att.started))
-		r.hGrayTaskSec.Observe(float64(r.eng.Now() - att.started))
-		r.cfg.Attrib.ObserveTaskSec(float64(r.eng.Now() - att.started))
+		r.hTaskSec.Observe(float64(c.End - c.Start))
+		r.hGrayTaskSec.Observe(float64(c.End - c.Start))
+		r.cfg.Attrib.ObserveTaskSec(float64(c.End - c.Start))
 	} else {
 		r.res.Abandoned++
 		r.mTasksFailed.Inc()
@@ -2110,75 +2118,20 @@ func (r *Runner) taskDone(w *simWorker, att *taskAttempt, ok bool) {
 	if r.cfg.Attrib.Enabled() {
 		r.anLastTerminal = r.anCause
 	}
-	r.checkDone()
 }
 
-// workerDied isolates the worker: cancels its transfer and compute, and
-// requeues (Recover) or abandons its pipeline, as core.Master does.
+// workerDied isolates the worker as core.Master does, in two halves. The
+// physical half runs now: the machine is gone, so its flows and computes die
+// with it. The master's reaction — dropping replicas, settling the attempts,
+// reassigning — is workerDiedMaster, which waits for the control plane when
+// that is down.
 func (r *Runner) workerDied(w *simWorker) {
 	if w.dead {
 		return
 	}
-	if m := r.mf; m != nil && m.deferring() {
-		// Physical half now: the machine is gone, so its flows and computes
-		// die with it. The master's reaction — dropping replicas, settling
-		// the attempts, reassigning — waits for the control plane.
-		w.dead = true
-		if tr := r.cfg.Tracer; tr.Enabled() {
-			tr.Instant(w.name, "fault", "worker-died", nil)
-		}
-		attempts := sortedInflight(w)
-		for _, att := range attempts {
-			if att.stage != nil {
-				r.abandonStage(att.stage)
-				att.stage = nil
-			}
-			if att.compute.Pending() {
-				att.compute.Cancel()
-				r.computeEnded()
-			}
-			r.endTaskSpan(w, att, "killed")
-		}
-		m.enqueue(func() { r.workerDiedMaster(w, attempts) })
-		return
-	}
 	w.dead = true
-	r.ctrlInvalidate() // worker set changed: templates re-derive
 	if tr := r.cfg.Tracer; tr.Enabled() {
 		tr.Instant(w.name, "fault", "worker-died", nil)
-	}
-	if ab := r.cfg.Attrib; ab.Enabled() {
-		// Chain the death from the detector's suspicion when one exists —
-		// the suspect→declare gap is detection latency, the price of the K
-		// missed-deadline confirmation ladder. A death with no suspicion
-		// (cloud-level VM failure callback) has no in-model cause.
-		cause, cat, detail := r.anStart, attrib.Unattributed, ""
-		if r.detector != nil {
-			trs := r.detector.Transitions()
-			for i := len(trs) - 1; i >= 0; i-- {
-				if trs[i].Node == w.name && trs[i].State == fault.Suspect {
-					sus := ab.NodeAt(trs[i].At, "suspect")
-					ab.Edge(r.anStart, sus, attrib.Unattributed, w.name)
-					cause, cat, detail = sus, attrib.DetectionLatency, w.name
-					break
-				}
-			}
-		}
-		r.anCause = ab.After(cause, cat, "worker-died", detail)
-	}
-	lost := r.repDropNode(w.name)
-	if r.cfg.Durability != nil {
-		for _, f := range lost {
-			if f != commonFile && !r.sourceExists(f) {
-				r.markFileLost(f)
-			}
-		}
-	}
-	if r.detector != nil {
-		r.detector.Stop(w.name)
-	}
-	if r.repair != nil {
-		r.repair.onWorkerDied(w)
 	}
 	attempts := sortedInflight(w)
 	for _, att := range attempts {
@@ -2191,21 +2144,24 @@ func (r *Runner) workerDied(w *simWorker) {
 			r.computeEnded()
 		}
 		r.endTaskSpan(w, att, "killed")
-		delete(w.inflight, att.task)
-		w.admitted--
-		r.taskDone(w, att, false)
 	}
-	r.reassign(w)
-	r.kickAll()
-	r.checkDone()
+	if m := r.mf; m != nil && m.deferring() {
+		m.enqueue(func() { r.workerDiedMaster(w, attempts) })
+		return
+	}
+	r.workerDiedMaster(w, attempts)
 }
 
-// workerDiedMaster is the deferred master half of a worker death that
-// happened during a control-plane outage: the physical teardown already ran,
-// so only the bookkeeping and the rescheduling remain.
+// workerDiedMaster is the master half of a worker death: requeue (Recover)
+// or abandon the worker's pipeline and backlog. attempts are the in-flight
+// attempts workerDied tore down.
 func (r *Runner) workerDiedMaster(w *simWorker, attempts []*taskAttempt) {
-	r.ctrlInvalidate() // the master only now learns the worker set changed
+	r.ctrlInvalidate() // worker set changed: templates re-derive
 	if ab := r.cfg.Attrib; ab.Enabled() {
+		// Chain the death from the detector's suspicion when one exists —
+		// the suspect→declare gap is detection latency, the price of the K
+		// missed-deadline confirmation ladder. A death with no suspicion
+		// (cloud-level VM failure callback) has no in-model cause.
 		cause, cat, detail := r.anStart, attrib.Unattributed, ""
 		if r.detector != nil {
 			trs := r.detector.Transitions()
@@ -2263,23 +2219,8 @@ func (r *Runner) reassign(w *simWorker) {
 	backlog := w.backlog
 	w.backlog = nil
 	for _, gi := range backlog {
-		r.retries[gi]++
-		if r.cfg.Recover && r.retries[gi] <= r.cfg.MaxRetries {
-			r.mRequeues.Inc()
-			r.queue = append(r.queue, gi)
-			continue
-		}
-		r.terminal++
-		if r.mf != nil {
-			r.mf.taskTerminal(gi, false)
-		}
-		r.res.Abandoned++
-		r.mTasksFailed.Inc()
-		r.res.Completions = append(r.res.Completions, Completion{
-			Task: gi, Worker: w.name, End: r.eng.Now(), OK: false, Attempt: r.retries[gi],
-		})
-		if r.cfg.Attrib.Enabled() {
-			r.anLastTerminal = r.anCause
+		if !r.requeueLost(gi) {
+			r.settle(Completion{Task: gi, Worker: w.name, End: r.eng.Now(), Attempt: r.retries[gi]})
 		}
 	}
 	r.checkDone()
@@ -2312,20 +2253,12 @@ func (r *Runner) checkDone() {
 					// restore the belief, keep the historical completion.
 					delete(m.reQueuedDone, gi)
 					r.terminal++
+					if r.cfg.Attrib.Enabled() {
+						r.anLastTerminal = r.anCause
+					}
 					continue
 				}
-				r.terminal++
-				if r.mf != nil {
-					r.mf.taskTerminal(gi, false)
-				}
-				r.res.Abandoned++
-				r.mTasksFailed.Inc()
-				r.res.Completions = append(r.res.Completions, Completion{
-					Task: gi, End: r.eng.Now(), OK: false, Attempt: r.retries[gi],
-				})
-			}
-			if r.cfg.Attrib.Enabled() {
-				r.anLastTerminal = r.anCause
+				r.settle(Completion{Task: gi, End: r.eng.Now(), Attempt: r.retries[gi]})
 			}
 		}
 		if r.terminal < len(r.wl.Tasks) {

@@ -1,11 +1,7 @@
 // Package transfer is the real runtime's file mover: the one chunk loop that
 // turns a file into ordered TFileData messages — the scp-like single stream
 // the paper's prototype used, which the master (inputs to workers) and the
-// workers (outputs to the master) both call — and a GridFTP-like striped
-// protocol (the paper's stated future work) that splits a file across several
-// connections. Striping buys nothing on an uncontended path — k fair-share
-// flows of size/k finish together — but claims k shares of a contended link,
-// which is exactly GridFTP's advantage on shared wide-area networks.
+// workers (outputs to the master) both call.
 package transfer
 
 import (
@@ -128,157 +124,4 @@ func send(conn transport.Conn, f File, data []byte, r io.Reader, chunk int) (int
 			return sent, nil
 		}
 	}
-}
-
-// SendStriped splits data across conns round-robin in chunk-sized blocks,
-// GridFTP-style. Chunks carry explicit offsets so the receiver reassembles
-// out-of-order arrivals; each stripe marks its own final chunk, and the
-// leading metadata message carries the total size so the receiver knows
-// when the file is whole. Chunks are sub-slices of data: under the ownership
-// rule of transport.Conn the caller must not modify data afterwards.
-func SendStriped(conns []transport.Conn, name string, data []byte, chunk int) error {
-	if len(conns) == 0 {
-		return fmt.Errorf("transfer: no stripe connections")
-	}
-	if chunk <= 0 {
-		chunk = DefaultChunk
-	}
-	if err := conns[0].Send(&protocol.Message{
-		Type:  protocol.TFileMetadata,
-		Files: []protocol.FileInfo{{Name: name, Size: int64(len(data))}},
-	}); err != nil {
-		return err
-	}
-	// Empty file: every stripe still terminates explicitly so receivers
-	// reading per-connection streams see a final chunk.
-	if len(data) == 0 {
-		for _, conn := range conns {
-			if err := conn.Send(&protocol.Message{
-				Type: protocol.TFileData, FileName: name, Last: true,
-			}); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	// Partition chunk offsets across stripes.
-	type block struct {
-		off  int64
-		data []byte
-	}
-	stripes := make([][]block, len(conns))
-	for off, si := 0, 0; off < len(data); off, si = off+chunk, si+1 {
-		end := min(off+chunk, len(data))
-		s := si % len(conns)
-		stripes[s] = append(stripes[s], block{off: int64(off), data: data[off:end]})
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, len(conns))
-	for i, conn := range conns {
-		wg.Add(1)
-		go func(i int, conn transport.Conn, blocks []block) {
-			defer wg.Done()
-			if len(blocks) == 0 {
-				// Short payloads can leave a stripe empty; terminate it
-				// explicitly so its receiver does not wait forever.
-				errs[i] = conn.Send(&protocol.Message{
-					Type: protocol.TFileData, FileName: name, Last: true,
-				})
-				return
-			}
-			for bi, b := range blocks {
-				if err := conn.Send(&protocol.Message{
-					Type: protocol.TFileData, FileName: name, Offset: b.off,
-					FileSize: int64(len(data)), Data: b.data, Last: bi == len(blocks)-1,
-				}); err != nil {
-					errs[i] = err
-					return
-				}
-			}
-		}(i, conn, stripes[i])
-	}
-	wg.Wait()
-	return errors.Join(errs...)
-}
-
-// Reassembler collects possibly out-of-order chunks of one file announced
-// by a TFileMetadata message. It is safe for concurrent use (stripes arrive
-// on several connections).
-type Reassembler struct {
-	mu       sync.Mutex
-	name     string
-	size     int64
-	buf      []byte
-	received int64
-	sized    bool
-}
-
-// NewReassembler starts an empty reassembly for the named file.
-func NewReassembler(name string) *Reassembler {
-	return &Reassembler{name: name}
-}
-
-// HandleMetadata records the announced total size.
-func (r *Reassembler) HandleMetadata(m *protocol.Message) error {
-	for _, f := range m.Files {
-		if f.Name != r.name {
-			continue
-		}
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		if f.Size < 0 {
-			return fmt.Errorf("transfer: negative size for %q", r.name)
-		}
-		r.size = f.Size
-		r.sized = true
-		if int64(len(r.buf)) < f.Size {
-			grown := make([]byte, f.Size)
-			copy(grown, r.buf)
-			r.buf = grown
-		}
-		return nil
-	}
-	return fmt.Errorf("transfer: metadata does not mention %q", r.name)
-}
-
-// HandleChunk absorbs one TFileData message. Overlapping offsets are
-// rejected only when they disagree with prior content.
-func (r *Reassembler) HandleChunk(m *protocol.Message) error {
-	if m.FileName != r.name {
-		return fmt.Errorf("transfer: chunk for %q, reassembling %q", m.FileName, r.name)
-	}
-	if m.Offset < 0 {
-		return fmt.Errorf("transfer: negative offset")
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	end := m.Offset + int64(len(m.Data))
-	if int64(len(r.buf)) < end {
-		grown := make([]byte, end)
-		copy(grown, r.buf)
-		r.buf = grown
-	}
-	copy(r.buf[m.Offset:end], m.Data)
-	r.received += int64(len(m.Data))
-	return nil
-}
-
-// Complete reports whether every announced byte arrived.
-func (r *Reassembler) Complete() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.sized && r.received >= r.size
-}
-
-// Bytes returns the assembled contents; valid once Complete.
-func (r *Reassembler) Bytes() ([]byte, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.sized {
-		return nil, fmt.Errorf("transfer: %q has no metadata yet", r.name)
-	}
-	if r.received < r.size {
-		return nil, fmt.Errorf("transfer: %q incomplete: %d of %d bytes", r.name, r.received, r.size)
-	}
-	return r.buf[:r.size], nil
 }

@@ -6,9 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
-	"sync"
 	"testing"
-	"testing/quick"
 
 	"frieda/internal/protocol"
 	"frieda/internal/transport"
@@ -292,237 +290,3 @@ type copyingConn struct{ transport.Conn }
 
 func (copyingConn) Send(*protocol.Message) error { return nil }
 func (copyingConn) SendCopies() bool             { return true }
-
-func TestSendStriped(t *testing.T) {
-	const stripes = 3
-	tr := transport.NewMem(nil)
-	l, err := tr.Listen("m")
-	if err != nil {
-		t.Fatal(err)
-	}
-	serverConns := make(chan transport.Conn, stripes)
-	go func() {
-		for i := 0; i < stripes; i++ {
-			c, err := l.Accept()
-			if err != nil {
-				return
-			}
-			serverConns <- c
-		}
-	}()
-	var clients []transport.Conn
-	for i := 0; i < stripes; i++ {
-		c, err := tr.Dial("m")
-		if err != nil {
-			t.Fatal(err)
-		}
-		clients = append(clients, c)
-	}
-	payload := bytes.Repeat([]byte("stripe-me!"), 50_000) // 500 KB
-	go func() {
-		if err := SendStriped(clients, "big.bin", payload, 8192); err != nil {
-			t.Error(err)
-		}
-	}()
-	r := NewReassembler("big.bin")
-	var wg sync.WaitGroup
-	for i := 0; i < stripes; i++ {
-		conn := <-serverConns
-		wg.Add(1)
-		go func(conn transport.Conn) {
-			defer wg.Done()
-			sawLast := false
-			for !sawLast {
-				m, err := conn.Recv()
-				if err != nil {
-					return
-				}
-				switch m.Type {
-				case protocol.TFileMetadata:
-					if err := r.HandleMetadata(m); err != nil {
-						t.Error(err)
-					}
-				case protocol.TFileData:
-					if err := r.HandleChunk(m); err != nil {
-						t.Error(err)
-					}
-					sawLast = m.Last
-				}
-			}
-		}(conn)
-	}
-	wg.Wait()
-	if !r.Complete() {
-		t.Fatal("striped transfer incomplete")
-	}
-	got, err := r.Bytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Fatal("striped payload corrupted")
-	}
-}
-
-func TestSendStripedNoConns(t *testing.T) {
-	if err := SendStriped(nil, "x", []byte("data"), 0); err == nil {
-		t.Fatal("no connections accepted")
-	}
-}
-
-func TestReassemblerErrors(t *testing.T) {
-	r := NewReassembler("f")
-	if _, err := r.Bytes(); err == nil {
-		t.Fatal("Bytes before metadata succeeded")
-	}
-	if err := r.HandleMetadata(&protocol.Message{Type: protocol.TFileMetadata, Files: []protocol.FileInfo{{Name: "other", Size: 4}}}); err == nil {
-		t.Fatal("metadata for wrong file accepted")
-	}
-	if err := r.HandleChunk(&protocol.Message{Type: protocol.TFileData, FileName: "other"}); err == nil {
-		t.Fatal("chunk for wrong file accepted")
-	}
-	if err := r.HandleChunk(&protocol.Message{Type: protocol.TFileData, FileName: "f", Offset: -1}); err == nil {
-		t.Fatal("negative offset accepted")
-	}
-	if err := r.HandleMetadata(&protocol.Message{Type: protocol.TFileMetadata, Files: []protocol.FileInfo{{Name: "f", Size: 10}}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Bytes(); err == nil {
-		t.Fatal("incomplete Bytes succeeded")
-	}
-}
-
-// Property: any payload survives striping across any stripe count with any
-// chunk size.
-func TestStripedRoundTripProperty(t *testing.T) {
-	prop := func(seed int64, stripesRaw, chunkRaw uint8, size uint16) bool {
-		stripes := int(stripesRaw%4) + 1
-		chunk := int(chunkRaw)%500 + 1
-		payload := make([]byte, int(size)%5000)
-		for i := range payload {
-			payload[i] = byte(seed + int64(i)*31)
-		}
-		tr := transport.NewMem(nil)
-		l, err := tr.Listen("m")
-		if err != nil {
-			return false
-		}
-		serverConns := make(chan transport.Conn, stripes)
-		go func() {
-			for i := 0; i < stripes; i++ {
-				c, err := l.Accept()
-				if err != nil {
-					return
-				}
-				serverConns <- c
-			}
-		}()
-		var clients []transport.Conn
-		for i := 0; i < stripes; i++ {
-			c, err := tr.Dial("m")
-			if err != nil {
-				return false
-			}
-			clients = append(clients, c)
-		}
-		sendErr := make(chan error, 1)
-		go func() { sendErr <- SendStriped(clients, "p", payload, chunk) }()
-		r := NewReassembler("p")
-		var wg sync.WaitGroup
-		ok := true
-		for i := 0; i < stripes; i++ {
-			conn := <-serverConns
-			wg.Add(1)
-			go func(conn transport.Conn) {
-				defer wg.Done()
-				for {
-					m, err := conn.Recv()
-					if err != nil {
-						return
-					}
-					switch m.Type {
-					case protocol.TFileMetadata:
-						r.HandleMetadata(m)
-					case protocol.TFileData:
-						r.HandleChunk(m)
-						if m.Last {
-							return
-						}
-					}
-				}
-			}(conn)
-		}
-		wg.Wait()
-		if err := <-sendErr; err != nil {
-			return false
-		}
-		if len(payload) == 0 {
-			return r.Complete()
-		}
-		got, err := r.Bytes()
-		if err != nil || !bytes.Equal(got, payload) {
-			ok = false
-		}
-		return ok
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestStripedDistributesWork(t *testing.T) {
-	// All stripes must actually carry data for a large payload.
-	const stripes = 4
-	tr := transport.NewMem(nil)
-	l, _ := tr.Listen("m")
-	counts := make([]int, stripes)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		var inner sync.WaitGroup
-		for i := 0; i < stripes; i++ {
-			c, err := l.Accept()
-			if err != nil {
-				return
-			}
-			inner.Add(1)
-			go func(i int, c transport.Conn) {
-				defer inner.Done()
-				for {
-					m, err := c.Recv()
-					if err != nil {
-						return
-					}
-					if m.Type == protocol.TFileData {
-						counts[i] += len(m.Data)
-						if m.Last {
-							return
-						}
-					}
-				}
-			}(i, c)
-		}
-		inner.Wait()
-	}()
-	var clients []transport.Conn
-	for i := 0; i < stripes; i++ {
-		c, _ := tr.Dial("m")
-		clients = append(clients, c)
-	}
-	payload := make([]byte, 100_000)
-	if err := SendStriped(clients, "f", payload, 1000); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-	total := 0
-	for i, n := range counts {
-		if n == 0 {
-			t.Fatalf("stripe %d carried nothing: %v", i, counts)
-		}
-		total += n
-	}
-	if total != len(payload) {
-		t.Fatalf("stripes carried %d bytes, want %d", total, len(payload))
-	}
-}
