@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"frieda/internal/netsim"
 	"frieda/internal/sim"
@@ -269,6 +270,8 @@ func (c *Cluster) Provision(n int, typ InstanceType) ([]*VM, error) {
 		return nil, fmt.Errorf("cloud: provision of %d VMs", n)
 	}
 	out := make([]*VM, 0, n)
+	c.vms = slices.Grow(c.vms, n)
+	c.net.ReserveLinks(2 * n) // a NIC pair per VM; the few rack links ride along
 	for i := 0; i < n; i++ {
 		id := c.nextID
 		c.nextID++

@@ -320,13 +320,15 @@ func (m *Master) handleController(conn transport.Conn, start *protocol.Message) 
 			}
 			conn.Send(&protocol.Message{Type: protocol.TAck, Error: errStr, Seq: msg.Seq})
 		case protocol.TShutdown:
-			conn.Send(&protocol.Message{Type: protocol.TAck, Seq: msg.Seq})
+			// Close first, then ack: whoever sees the ack must find the
+			// listener already gone.
 			m.mu.Lock()
 			l := m.listener
 			m.mu.Unlock()
 			if l != nil {
 				l.Close()
 			}
+			conn.Send(&protocol.Message{Type: protocol.TAck, Seq: msg.Seq})
 			return
 		default:
 			conn.Send(&protocol.Message{Type: protocol.TAck, Error: "unexpected " + msg.Type.String(), Seq: msg.Seq})

@@ -18,7 +18,10 @@ type Host struct {
 	name string
 	up   *Link
 	down *Link
-	net  *Network
+	// tree is the topology the host is attached to (nil on the flat model)
+	// and rack its rack index there.
+	tree *Topology
+	rack int
 }
 
 // Name returns the host name.
@@ -37,7 +40,6 @@ func (n *Network) NewHost(name string, upBps, downBps float64) *Host {
 		name: name,
 		up:   n.NewLink(name+"/up", upBps),
 		down: n.NewLink(name+"/down", downBps),
-		net:  n,
 	}
 }
 

@@ -54,6 +54,7 @@ func TestIncrementalMatchesReferenceProperty(t *testing.T) {
 		steps := 0
 		for eng.Step() {
 			steps++
+			checkMembership(t, net)
 			if f, got, want, ok := net.checkRatesAgainstReference(); !ok {
 				t.Fatalf("seed %d, step %d: flow %d rate %v, reference %v",
 					seed, steps, f.id, got, want)

@@ -1,0 +1,156 @@
+package netsim
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+	"unsafe"
+
+	"frieda/internal/sim"
+)
+
+// checkMembership asserts the intrusive flow lists: every flow in
+// Network.flows is live and sits at the index it records, there and in the
+// list of each link of its path; and the links hold no entry besides those,
+// so no list names a flow twice or keeps a finished, cancelled or interrupted
+// one. (A path never repeats a link, so a live flow's entries are len(path)
+// distinct slots; equal totals leave room for no other.)
+func checkMembership(t testing.TB, n *Network) {
+	t.Helper()
+	entries := 0
+	for i, f := range n.flows {
+		if f.finished || f.cancelled || f.interrupted || f.pending {
+			t.Fatalf("flow %d is listed but not live (finished %v, cancelled %v, interrupted %v, pending %v)",
+				f.id, f.finished, f.cancelled, f.interrupted, f.pending)
+		}
+		if int(f.netPos) != i {
+			t.Fatalf("flow %d is at Network.flows[%d] but records %d", f.id, i, f.netPos)
+		}
+		for k, l := range f.path {
+			if p := int(*f.slot(k)); p >= len(l.flows) || l.flows[p] != f {
+				t.Fatalf("flow %d records index %d on link %s (%d flows) and is not there", f.id, p, l.name, len(l.flows))
+			}
+		}
+		entries += len(f.path)
+	}
+	onLinks := 0
+	for _, l := range n.links {
+		onLinks += len(l.flows)
+	}
+	if onLinks != entries {
+		t.Fatalf("links list %d flow entries, the %d live flows account for %d", onLinks, len(n.flows), entries)
+	}
+}
+
+// Every way a flow can leave its lists, mixed: completion, Cancel (joined and
+// still in its latency delay), FailLink (joined and at join time) and
+// completions whose callback starts the next flow, over paths of one to nine
+// links so that both the inline slots and the spill are swap-removed and
+// fixed up. Membership must hold after every event in both allocator modes,
+// and the eager mode's rates must stay the oracle's.
+func TestMembershipUnderChurn(t *testing.T) {
+	var completed, interrupted, cancelled, chained, long uint64
+	for _, batched := range []bool{false, true} {
+		for seed := int64(0); seed < 150; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			eng := sim.NewEngine()
+			net := New(eng)
+			net.SetBatched(batched)
+			links := make([]*Link, 12)
+			for i := range links {
+				links[i] = net.NewLink(hostName("l", i), Mbps(float64(rng.Intn(900)+100)))
+				if rng.Intn(4) == 0 {
+					links[i].SetLatency(sim.Duration(rng.Float64() * 0.2))
+				}
+			}
+			var flows []*Flow
+			var start func(depth int)
+			start = func(depth int) {
+				path := make([]*Link, 0, 9)
+				for _, li := range rng.Perm(len(links))[:rng.Intn(9)+1] {
+					path = append(path, links[li])
+				}
+				if len(path) > inlineSlots {
+					long++
+				}
+				f := net.StartFlow(float64(rng.Intn(20e6)+1e5), path, func(sim.Time) {
+					if depth < 3 && rng.Intn(2) == 0 {
+						chained++
+						start(depth + 1)
+					}
+				})
+				f.OnInterrupt(func(float64, sim.Time) { interrupted++ })
+				flows = append(flows, f)
+			}
+			for i := 0; i < 24; i++ {
+				eng.Schedule(sim.Duration(rng.Float64()*4), func() { start(0) })
+			}
+			for i := 0; i < 8; i++ {
+				eng.Schedule(sim.Duration(rng.Float64()*5), func() {
+					if len(flows) == 0 {
+						return
+					}
+					if f := flows[rng.Intn(len(flows))]; !f.Finished() && !f.Interrupted() {
+						cancelled++
+						net.Cancel(f)
+					}
+				})
+			}
+			for i := 0; i < 4; i++ {
+				l := links[rng.Intn(len(links))]
+				at := sim.Duration(rng.Float64() * 4)
+				eng.Schedule(at, func() { net.FailLink(l) })
+				eng.Schedule(at+sim.Duration(rng.Float64()), func() { net.RestoreLink(l) })
+			}
+			for step := 1; eng.Step(); step++ {
+				checkMembership(t, net)
+				if batched {
+					continue // rates are due at the instant's rebalance, not per event
+				}
+				if f, got, want, ok := net.checkRatesAgainstReference(); !ok {
+					t.Fatalf("seed %d step %d: flow %d rate %v, reference %v", seed, step, f.id, got, want)
+				}
+			}
+			if net.ActiveFlows() != 0 {
+				t.Fatalf("seed %d batched %v: %d flows never left", seed, batched, net.ActiveFlows())
+			}
+			for _, l := range links {
+				if l.ActiveFlows() != 0 {
+					t.Fatalf("seed %d batched %v: link %s still lists %d flows", seed, batched, l.Name(), l.ActiveFlows())
+				}
+			}
+			completed += net.FlowsCompleted
+		}
+	}
+	for what, n := range map[string]uint64{"completions": completed, "interrupts": interrupted,
+		"cancels": cancelled, "callback starts": chained, "paths over five links": long} {
+		if n == 0 {
+			t.Errorf("the churn produced no %s", what)
+		}
+	}
+}
+
+// Swap-remove finds the moved flow's slot by scanning its path for the link,
+// so a path may not name a link twice; StartFlow refuses one.
+func TestStartFlowRejectsRepeatedLink(t *testing.T) {
+	net := New(sim.NewEngine())
+	a := net.NewLink("a", Mbps(100))
+	b := net.NewLink("b", Mbps(100))
+	for _, path := range [][]*Link{{a, a}, {a, b, a}, {b, a, b, a}} {
+		mustPanic(t, fmt.Sprintf("path of %d links repeating one", len(path)), func() {
+			net.StartFlow(1e6, path, nil)
+		})
+	}
+	if net.ActiveFlows() != 0 || a.ActiveFlows() != 0 || b.ActiveFlows() != 0 {
+		t.Fatal("a rejected path left a flow behind")
+	}
+}
+
+// Flow is allocated once per transfer, so its size class is part of
+// alloc_bytes_per_op on every sim_* workload: 184 bytes sit in the 192-byte
+// class, and one more word would move every flow up to 208.
+func TestFlowStaysInItsSizeClass(t *testing.T) {
+	if size := unsafe.Sizeof(Flow{}); size > 192 {
+		t.Fatalf("Flow is %d bytes, over the 192-byte size class", size)
+	}
+}

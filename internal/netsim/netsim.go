@@ -33,7 +33,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"frieda/internal/obs"
 	"frieda/internal/sim"
@@ -57,7 +56,11 @@ type Link struct {
 	base     float64 // provisioned capacity RestoreLink returns to
 	failed   bool
 	latency  sim.Duration
-	flows    map[*Flow]struct{}
+	net      *Network
+	// flows lists the flows traversing the link, in no particular order: a
+	// flow appends itself on joining and records the index (Flow.slot), so
+	// leaving is a swap-remove. See Network.attachFlow.
+	flows []*Flow
 
 	// Allocator scratch, valid only inside one reallocation. mark is the
 	// component-BFS generation; dirty is the batched-mode dirty-set
@@ -114,20 +117,21 @@ func (l *Link) ActiveFlows() int { return len(l.flows) }
 // UtilisedBps returns the sum of the link's flow rates under the current
 // allocation. The sum is accumulated in flow-id order so the float64 result
 // is deterministic across runs.
-func (l *Link) UtilisedBps() float64 {
-	if len(l.flows) == 0 {
-		return 0
+func (l *Link) UtilisedBps() float64 { return l.net.sumRatesByID(l.flows) }
+
+// unlist drops the flow at index i of the link's flow list by moving the last
+// flow into its place. The moved flow finds which of its slots to correct by
+// scanning its path for the link, which is why a path may not name a link
+// twice (StartFlow checks).
+func (l *Link) unlist(i int32) {
+	last := len(l.flows) - 1
+	if int(i) != last {
+		moved := l.flows[last]
+		l.flows[i] = moved
+		*moved.slot(slices.Index(moved.path, l)) = i
 	}
-	flows := make([]*Flow, 0, len(l.flows))
-	for f := range l.flows {
-		flows = append(flows, f)
-	}
-	sort.Slice(flows, func(i, j int) bool { return flows[i].id < flows[j].id })
-	var sum float64
-	for _, f := range flows {
-		sum += f.rate
-	}
-	return sum
+	l.flows[last] = nil // do not keep a departed flow reachable
+	l.flows = l.flows[:last]
 }
 
 // updateShare refreshes the link's fair-share heap key.
@@ -156,10 +160,6 @@ type Flow struct {
 	onComplete  func(sim.Time)
 	onInterrupt func(delivered float64, at sim.Time)
 	started     sim.Time
-	finished    bool
-	cancelled   bool
-	interrupted bool
-	pending     bool // latency delay not yet elapsed; not joined to links
 
 	// Allocator scratch: component-BFS generation and the solver's staged
 	// rate/freeze state for the in-progress solve. pcap is the folded
@@ -167,7 +167,33 @@ type Flow struct {
 	mark     uint64
 	nextRate float64
 	pcap     float64
-	frozen   bool
+
+	// Membership, valid while the flow is joined: netPos is its index in
+	// Network.flows and pos[i] its index in path[i].flows. Every production
+	// path has at most inlineSlots links (Topology.Path); a longer one keeps
+	// the rest of its indices in *spill. With the flags packed last the
+	// struct is 184 bytes, inside the 192-byte size class — a slice header
+	// here instead of the pointer would push every flow into the next one.
+	netPos int32
+	pos    [inlineSlots]int32
+	spill  *[]int32
+
+	finished    bool
+	cancelled   bool
+	interrupted bool
+	pending     bool // latency delay not yet elapsed; not joined to links
+	frozen      bool // solver scratch, with nextRate
+}
+
+// inlineSlots is how many per-link list indices a Flow holds in place.
+const inlineSlots = 5
+
+// slot returns where the flow keeps its index in path[i].flows.
+func (f *Flow) slot(i int) *int32 {
+	if i < inlineSlots {
+		return &f.pos[i]
+	}
+	return &(*f.spill)[i-inlineSlots]
 }
 
 // Bytes returns the flow's total size in bytes.
@@ -245,17 +271,19 @@ func (f *Flow) settleTo(now sim.Time) {
 type Network struct {
 	eng    *Engine
 	links  map[string]*Link
-	flows  map[*Flow]struct{}
+	flows  []*Flow // active flows, each at index Flow.netPos
 	nextID uint64
 
 	// mark is the component-BFS generation counter; compLinks/compFlows and
 	// lheap are reusable scratch for the current reallocation. capScratch
-	// holds the solver's composite-capacity flow ordering.
+	// holds the solver's composite-capacity flow ordering and sumScratch the
+	// id-ordered copy sumRatesByID adds up.
 	mark       uint64
 	compLinks  []*Link
 	compFlows  []*Flow
 	lheap      linkHeap
 	capScratch []*Flow
+	sumScratch []*Flow
 
 	// Batched reallocation state: flow starts, completions and cancels mark
 	// their links dirty and one rebalance pass per virtual instant settles,
@@ -289,7 +317,6 @@ func New(eng *Engine) *Network {
 	return &Network{
 		eng:      eng,
 		links:    make(map[string]*Link),
-		flows:    make(map[*Flow]struct{}),
 		dirtyGen: 1, // Link.dirty zero value must read as "not in the dirty set"
 	}
 }
@@ -363,9 +390,26 @@ func (n *Network) NewLink(name string, bitsPerSec float64) *Link {
 	if _, dup := n.links[name]; dup {
 		panic(fmt.Sprintf("netsim: duplicate link %q", name))
 	}
-	l := &Link{name: name, capacity: bitsPerSec, base: bitsPerSec, flows: make(map[*Flow]struct{})}
+	l := &Link{name: name, capacity: bitsPerSec, base: bitsPerSec, net: n}
 	n.links[name] = l
 	return l
+}
+
+// ReserveLinks sizes the link-name index for extra more links, so that a
+// builder which knows how many it is about to add (cloud.Provision) inserts
+// them without the index rehashing as it grows. A reservation that would not
+// at least double the index is left to the map's own growth: copying a large
+// index to add a few links (an elastic scale-out of one VM) costs more than
+// the rehash it avoids.
+func (n *Network) ReserveLinks(extra int) {
+	if extra <= len(n.links) {
+		return
+	}
+	links := make(map[string]*Link, len(n.links)+extra)
+	for name, l := range n.links {
+		links[name] = l
+	}
+	n.links = links
 }
 
 // Link returns the named link, or nil.
@@ -380,19 +424,22 @@ func (n *Network) SetTracer(t *obs.Tracer) { n.tracer = t }
 // AggregateRateBps returns the summed rate of every active flow — the
 // network's instantaneous goodput. Accumulated in flow-id order for
 // deterministic float64 results.
-func (n *Network) AggregateRateBps() float64 {
-	if len(n.flows) == 0 {
-		return 0
-	}
-	flows := make([]*Flow, 0, len(n.flows))
-	for f := range n.flows {
-		flows = append(flows, f)
-	}
-	sort.Slice(flows, func(i, j int) bool { return flows[i].id < flows[j].id })
+func (n *Network) AggregateRateBps() float64 { return n.sumRatesByID(n.flows) }
+
+// byFlowID orders flows by id: the order every float64 sum and every
+// same-instant reschedule uses, since the flow lists themselves are unordered.
+func byFlowID(a, b *Flow) int { return cmp.Compare(a.id, b.id) }
+
+// sumRatesByID adds up the flows' rates in flow-id order over a sorted copy
+// in reused scratch; flows itself is left as it is.
+func (n *Network) sumRatesByID(flows []*Flow) float64 {
+	sorted := append(n.sumScratch[:0], flows...)
+	slices.SortFunc(sorted, byFlowID)
 	var sum float64
-	for _, f := range flows {
+	for _, f := range sorted {
 		sum += f.rate
 	}
+	n.sumScratch = sorted
 	return sum
 }
 
@@ -429,11 +476,8 @@ func (n *Network) FailLink(l *Link) {
 	if n.tracer.Enabled() {
 		n.tracer.Instant(l.name, "linkfault", "fail", obs.Args{"flows_killed": len(l.flows)})
 	}
-	victims := make([]*Flow, 0, len(l.flows))
-	for f := range l.flows {
-		victims = append(victims, f)
-	}
-	sort.Slice(victims, func(i, j int) bool { return victims[i].id < victims[j].id })
+	victims := slices.Clone(l.flows)
+	slices.SortFunc(victims, byFlowID)
 	for _, f := range victims {
 		n.removeFlow(f)
 		f.interrupted = true
@@ -489,10 +533,17 @@ func (n *Network) DegradeLink(l *Link, factor float64) {
 // propagation latency (the sum over links) delays the transfer's start —
 // the connection-setup RTT of the paper's scp-per-file protocol. A zero or
 // negative size completes after the latency alone. An empty path panics —
-// model node-local copies with the storage layer instead.
+// model node-local copies with the storage layer instead — and so does a
+// path that names a link twice: no route crosses a link twice, and the flow
+// lists rely on it (Link.unlist).
 func (n *Network) StartFlow(bytes float64, path []*Link, onComplete func(sim.Time)) *Flow {
 	if len(path) == 0 {
 		panic("netsim: empty flow path")
+	}
+	for i, l := range path {
+		if slices.Index(path[:i], l) >= 0 {
+			panic(fmt.Sprintf("netsim: flow path crosses link %q twice", l.name))
+		}
 	}
 	n.nextID++
 	f := &Flow{
@@ -518,55 +569,60 @@ func (n *Network) StartFlow(bytes float64, path []*Link, onComplete func(sim.Tim
 		})
 		return f
 	}
-	f.completeFn = func() { n.complete(f) }
-	join := func() {
-		if f.cancelled {
-			return
-		}
-		for _, l := range path {
-			if l.failed {
-				// The connection attempt hits a dead link: the flow is born
-				// interrupted with nothing delivered. Delivery of the
-				// callback is deferred one event so a caller that registers
-				// OnInterrupt right after a zero-latency StartFlow still
-				// hears about it.
-				f.interrupted = true
-				n.FlowsInterrupted++
-				n.eng.Schedule(0, func() {
-					if f.onInterrupt != nil {
-						f.onInterrupt(0, n.eng.Now())
-					}
-				})
-				return
-			}
-		}
-		f.lastUpdate = n.eng.Now()
-		n.flows[f] = struct{}{}
-		for _, l := range path {
-			l.flows[f] = struct{}{}
-		}
-		if n.batched {
-			// Rate assignment is deferred to this instant's rebalance pass;
-			// until then the flow sits at rate 0 with zero elapsed time.
-			n.markDirty(path)
-			return
-		}
-		n.component(path...)
-		n.settleComponent()
-		n.solveComponent()
-		n.applyRates()
+	if len(path) > inlineSlots {
+		spill := make([]int32, len(path)-inlineSlots)
+		f.spill = &spill
 	}
+	f.completeFn = f.complete
 	if latency > 0 {
 		f.pending = true
-		n.eng.Schedule(latency, func() {
-			f.pending = false
-			join()
-		})
+		n.eng.Schedule(latency, f.join)
 	} else {
 		f.lastUpdate = n.eng.Now()
-		join()
+		f.join()
 	}
 	return f
+}
+
+// join puts a started flow on its links once its latency delay has elapsed
+// (at once, without one) and has the allocator rate it. It is a method, and
+// complete with it, so that scheduling them costs a method value and not a
+// closure over the flow, the network and the path.
+func (f *Flow) join() {
+	f.pending = false
+	if f.cancelled {
+		return
+	}
+	n := f.net
+	for _, l := range f.path {
+		if l.failed {
+			// The connection attempt hits a dead link: the flow is born
+			// interrupted with nothing delivered. Delivery of the
+			// callback is deferred one event so a caller that registers
+			// OnInterrupt right after a zero-latency StartFlow still
+			// hears about it.
+			f.interrupted = true
+			n.FlowsInterrupted++
+			n.eng.Schedule(0, func() {
+				if f.onInterrupt != nil {
+					f.onInterrupt(0, n.eng.Now())
+				}
+			})
+			return
+		}
+	}
+	f.lastUpdate = n.eng.Now()
+	n.attachFlow(f)
+	if n.batched {
+		// Rate assignment is deferred to this instant's rebalance pass;
+		// until then the flow sits at rate 0 with zero elapsed time.
+		n.markDirty(f.path)
+		return
+	}
+	n.component(f.path...)
+	n.settleComponent()
+	n.solveComponent()
+	n.applyRates()
 }
 
 // Cancel aborts an in-flight flow (e.g. the receiving worker failed). The
@@ -601,7 +657,7 @@ func (n *Network) ActiveFlows() int { return len(n.flows) }
 // settles itself, so this is only needed for bulk inspection.
 func (n *Network) Settle() {
 	now := n.eng.Now()
-	for f := range n.flows {
+	for _, f := range n.flows {
 		f.settleTo(now)
 	}
 }
@@ -622,7 +678,7 @@ func (n *Network) component(seeds ...*Link) {
 		}
 	}
 	for i := 0; i < len(links); i++ {
-		for f := range links[i].flows {
+		for _, f := range links[i].flows {
 			if f.mark == m {
 				continue
 			}
@@ -647,13 +703,32 @@ func (n *Network) settleComponent() {
 	}
 }
 
+// attachFlow appends the flow to the active set and to every link of its
+// path, recording each index in the flow. Membership is intrusive — there is
+// no hash set to grow or rehash — so joining and leaving are O(path) and, once
+// the lists have reached their working size, allocation-free. The lists are
+// unordered; whatever depends on an order sorts by flow id (byFlowID).
+func (n *Network) attachFlow(f *Flow) {
+	f.netPos = int32(len(n.flows))
+	n.flows = append(n.flows, f)
+	for i, l := range f.path {
+		*f.slot(i) = int32(len(l.flows))
+		l.flows = append(l.flows, f)
+	}
+}
+
 // detachFlow detaches a flow from its links and the active set and cancels
 // its completion event. It is the batched-mode removal: O(path), no touch of
 // the component scratch.
 func (n *Network) detachFlow(f *Flow) {
-	delete(n.flows, f)
-	for _, l := range f.path {
-		delete(l.flows, f)
+	last := len(n.flows) - 1
+	moved := n.flows[last]
+	n.flows[f.netPos] = moved
+	moved.netPos = f.netPos
+	n.flows[last] = nil
+	n.flows = n.flows[:last]
+	for i, l := range f.path {
+		l.unlist(*f.slot(i))
 	}
 	f.done.Cancel()
 	f.done = sim.EventRef{}
@@ -795,7 +870,7 @@ func (n *Network) solveComponent() {
 		}
 		top := n.lheap[0]
 		best := top.share
-		for f := range top.flows {
+		for _, f := range top.flows {
 			if !f.frozen {
 				n.freeze(f, best)
 				remaining--
@@ -830,7 +905,7 @@ func (n *Network) freeze(f *Flow, rate float64) {
 // flow-id order so same-time completions stay deterministic across runs.
 func (n *Network) applyRates() {
 	flows := n.compFlows
-	sort.Slice(flows, func(i, j int) bool { return flows[i].id < flows[j].id })
+	slices.SortFunc(flows, byFlowID)
 	for _, f := range flows {
 		r := f.nextRate
 		if r == f.rate && (f.done.Pending() || r <= 0) {
@@ -853,11 +928,11 @@ func (n *Network) applyRates() {
 // traceLinkRates emits one counter event per component link whose utilised
 // rate changed in the solve that just committed. Links are visited in name
 // order and rates summed in flow-id order (UtilisedBps), so the emitted
-// stream is deterministic.
+// stream is deterministic. The solve is over, so the component scratch can be
+// sorted where it lies.
 func (n *Network) traceLinkRates() {
-	links := append([]*Link(nil), n.compLinks...)
-	sort.Slice(links, func(i, j int) bool { return links[i].name < links[j].name })
-	for _, l := range links {
+	slices.SortFunc(n.compLinks, func(a, b *Link) int { return cmp.Compare(a.name, b.name) })
+	for _, l := range n.compLinks {
 		bps := l.UtilisedBps()
 		if bps == l.tracedBps {
 			continue
@@ -868,7 +943,8 @@ func (n *Network) traceLinkRates() {
 }
 
 // complete finishes a flow at the current virtual time.
-func (n *Network) complete(f *Flow) {
+func (f *Flow) complete() {
+	n := f.net
 	f.done = sim.EventRef{} // the completion event just fired
 	if n.batched {
 		// The flow's rate has been constant since the last rebalance (any

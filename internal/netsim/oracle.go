@@ -17,7 +17,11 @@ import (
 // bottleneck selection) are exactly what the production solver reproduces
 // with its (share, name)-keyed heap, so tests assert exact rate equality,
 // not approximate.
-func referenceMaxMinFair(flows map[*Flow]struct{}) map[*Flow]float64 {
+func referenceMaxMinFair(active []*Flow) map[*Flow]float64 {
+	flows := make(map[*Flow]struct{}, len(active))
+	for _, f := range active {
+		flows[f] = struct{}{}
+	}
 	rates := make(map[*Flow]float64, len(flows))
 	frozen := make(map[*Flow]bool, len(flows))
 
@@ -46,7 +50,7 @@ func referenceMaxMinFair(flows map[*Flow]struct{}) map[*Flow]float64 {
 		best := math.Inf(1)
 		for _, l := range links {
 			unfrozen := 0
-			for f := range l.flows {
+			for _, f := range l.flows {
 				if _, active := flows[f]; active && !frozen[f] {
 					unfrozen++
 				}
@@ -73,7 +77,7 @@ func referenceMaxMinFair(flows map[*Flow]struct{}) map[*Flow]float64 {
 		}
 		// Freeze every unfrozen flow through the bottleneck at the share and
 		// charge it against the residual of every link on its path.
-		for f := range bottleneck.flows {
+		for _, f := range bottleneck.flows {
 			if _, active := flows[f]; !active || frozen[f] {
 				continue
 			}
@@ -97,10 +101,7 @@ func referenceMaxMinFair(flows map[*Flow]struct{}) map[*Flow]float64 {
 // referenceMaxMinFair).
 func (n *Network) checkRatesAgainstReference() (f *Flow, got, want float64, ok bool) {
 	want_ := referenceMaxMinFair(n.flows)
-	ids := make([]*Flow, 0, len(n.flows))
-	for fl := range n.flows {
-		ids = append(ids, fl)
-	}
+	ids := append([]*Flow(nil), n.flows...)
 	sort.Slice(ids, func(i, j int) bool { return ids[i].id < ids[j].id })
 	for _, fl := range ids {
 		if fl.rate != want_[fl] {

@@ -76,13 +76,14 @@ type rack struct {
 // Topology is a built fat-tree: it owns the ToR and spine links and answers
 // routing queries. Build one with NewTree, attach hosts in provisioning
 // order, and use Path (or cloud.Cluster.TransferPath, which delegates here)
-// instead of the flat Path helper.
+// instead of the flat Path helper. Which rack a host sits in is recorded on
+// the host (Host.tree, Host.rack).
 type Topology struct {
-	net    *Network
-	spec   TreeSpec
-	racks  []*rack
-	spines []*Link
-	hosts  map[*Host]int // host -> rack index
+	net      *Network
+	spec     TreeSpec
+	racks    []*rack
+	spines   []*Link
+	attached int // hosts attached so far; the next one fills slot attached
 }
 
 // NewTree creates an empty fat-tree on the network. Spine links are created
@@ -91,7 +92,7 @@ func NewTree(n *Network, spec TreeSpec) (*Topology, error) {
 	if err := spec.validate(); err != nil {
 		return nil, err
 	}
-	t := &Topology{net: n, spec: spec, hosts: make(map[*Host]int)}
+	t := &Topology{net: n, spec: spec}
 	spineBps := spec.SpineBps
 	if spineBps <= 0 {
 		spineBps = unconstrainedBps
@@ -108,10 +109,10 @@ func NewTree(n *Network, spec TreeSpec) (*Topology, error) {
 // index. The first host of each rack fixes the rack's ToR capacity at
 // HostsPerRack × that host's uplink rate / Oversubscription.
 func (t *Topology) Attach(h *Host) int {
-	if _, dup := t.hosts[h]; dup {
+	if h.tree != nil {
 		panic(fmt.Sprintf("netsim: host %q attached twice", h.Name()))
 	}
-	r := len(t.hosts) / t.spec.HostsPerRack
+	r := t.attached / t.spec.HostsPerRack
 	if r == len(t.racks) {
 		torBps := float64(t.spec.HostsPerRack) * h.Up().Capacity() / t.spec.Oversubscription
 		up := t.net.NewLink(fmt.Sprintf("tor%d/up", r), torBps)
@@ -120,7 +121,8 @@ func (t *Topology) Attach(h *Host) int {
 		down.SetLatency(sim.Duration(t.spec.LatencySec))
 		t.racks = append(t.racks, &rack{up: up, down: down})
 	}
-	t.hosts[h] = r
+	h.tree, h.rack = t, r
+	t.attached++
 	return r
 }
 
@@ -130,11 +132,10 @@ func (t *Topology) Racks() int { return len(t.racks) }
 // RackOf returns the host's rack index, or -1 if the host was never
 // attached.
 func (t *Topology) RackOf(h *Host) int {
-	r, ok := t.hosts[h]
-	if !ok {
+	if h.tree != t {
 		return -1
 	}
-	return r
+	return h.rack
 }
 
 // TorUp returns rack r's uplink into the spine layer.
@@ -163,12 +164,11 @@ func (t *Topology) Path(src, dst *Host) []*Link {
 	if src == dst {
 		panic(fmt.Sprintf("netsim: path from host %q to itself", src.Name()))
 	}
-	sr, ok := t.hosts[src]
-	if !ok {
+	sr, dr := t.RackOf(src), t.RackOf(dst)
+	if sr < 0 {
 		panic(fmt.Sprintf("netsim: host %q not attached to topology", src.Name()))
 	}
-	dr, ok := t.hosts[dst]
-	if !ok {
+	if dr < 0 {
 		panic(fmt.Sprintf("netsim: host %q not attached to topology", dst.Name()))
 	}
 	if sr == dr {

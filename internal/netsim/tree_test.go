@@ -82,6 +82,23 @@ func TestTreeRoutingAndRacks(t *testing.T) {
 	mustPanic(t, "unattached src", func() {
 		tr.Path(net.NewHost("stray", Mbps(100), Mbps(100)), hosts[0])
 	})
+	mustPanic(t, "unattached dst", func() {
+		tr.Path(hosts[0], net.NewHost("stray2", Mbps(100), Mbps(100)))
+	})
+
+	// A host's rack is recorded on the host; a host of another tree is still
+	// a stranger to this one.
+	otherNet := New(eng)
+	other, err := NewTree(otherNet, TreeSpec{HostsPerRack: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign := otherNet.NewHost("foreign", Mbps(100), Mbps(100))
+	other.Attach(foreign)
+	if r := tr.RackOf(foreign); r != -1 {
+		t.Fatalf("RackOf(host of another tree) = %d, want -1", r)
+	}
+	mustPanic(t, "foreign dst", func() { tr.Path(hosts[0], foreign) })
 }
 
 func mustPanic(t *testing.T, what string, fn func()) {
@@ -105,7 +122,7 @@ type treeChurnResult struct {
 	snapshots   [][]float64
 }
 
-func runTreeChurn(net *Network, eng *sim.Engine, path func(i, src, dst int) []*Link, seed int64, nHosts, nFlows int) treeChurnResult {
+func runTreeChurn(t testing.TB, net *Network, eng *sim.Engine, path func(i, src, dst int) []*Link, seed int64, nHosts, nFlows int) treeChurnResult {
 	rng := rand.New(rand.NewSource(seed))
 	res := treeChurnResult{completions: make([]sim.Time, nFlows)}
 	flows := make([]*Flow, nFlows)
@@ -136,7 +153,9 @@ func runTreeChurn(net *Network, eng *sim.Engine, path func(i, src, dst int) []*L
 			res.snapshots = append(res.snapshots, snap)
 		})
 	}
-	eng.Run()
+	for eng.Step() {
+		checkMembership(t, net)
+	}
 	return res
 }
 
@@ -183,7 +202,7 @@ func TestTreeDegenerateMatchesFlat(t *testing.T) {
 			for i := range flatHosts {
 				flatHosts[i] = flatNet.NewHost(hostName("h", i), Mbps(100), Mbps(100))
 			}
-			flat := runTreeChurn(flatNet, flatEng, func(_, s, d int) []*Link {
+			flat := runTreeChurn(t, flatNet, flatEng, func(_, s, d int) []*Link {
 				return Path(flatHosts[s], flatHosts[d], nil)
 			}, 7, nHosts, nFlows)
 
@@ -199,7 +218,7 @@ func TestTreeDegenerateMatchesFlat(t *testing.T) {
 				treeHosts[i] = treeNet.NewHost(hostName("h", i), Mbps(100), Mbps(100))
 				tr.Attach(treeHosts[i])
 			}
-			tree := runTreeChurn(treeNet, treeEng, func(_, s, d int) []*Link {
+			tree := runTreeChurn(t, treeNet, treeEng, func(_, s, d int) []*Link {
 				return tr.Path(treeHosts[s], treeHosts[d])
 			}, 7, nHosts, nFlows)
 

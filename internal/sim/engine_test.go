@@ -230,6 +230,26 @@ func TestTimerResetStop(t *testing.T) {
 	}
 }
 
+// A fired timer holds no ref to its event, whose pooled storage another
+// engine may already have: Stop from the timer's own callback touches nothing.
+func TestTimerDropsRefOnFire(t *testing.T) {
+	eng := NewEngine()
+	var tm *Timer
+	held := EventRef{ev: &Event{}} // anything but the zero ref
+	tm = NewTimer(eng, func() {
+		held = tm.ev
+		tm.Stop()
+	})
+	tm.Reset(1)
+	eng.Run()
+	if held != (EventRef{}) {
+		t.Fatalf("timer still refers to its fired event: %+v", held)
+	}
+	if tm.Armed() {
+		t.Fatal("fired timer reports armed")
+	}
+}
+
 func TestTimerResetAt(t *testing.T) {
 	eng := NewEngine()
 	var at Time

@@ -9,9 +9,18 @@ type Timer struct {
 	fn  func()
 }
 
-// NewTimer returns a stopped timer that will run fn when it fires.
+// NewTimer returns a stopped timer that will run fn when it fires. Firing
+// drops the timer's event ref before fn runs: the event's storage is already
+// back in the pool engines share, so a Stop or Reset from fn (a VM's failure
+// timer stops itself) must not look at it — another engine's goroutine may own
+// it by then.
 func NewTimer(eng *Engine, fn func()) *Timer {
-	return &Timer{eng: eng, fn: fn}
+	t := &Timer{eng: eng}
+	t.fn = func() {
+		t.ev = EventRef{}
+		fn()
+	}
+	return t
 }
 
 // Reset (re)arms the timer to fire after delay, cancelling any pending fire.
