@@ -66,6 +66,7 @@ type Controller struct {
 	spawned    sync.WaitGroup
 	workers    map[string]*Worker
 	masterWG   sync.WaitGroup
+	recvDone   chan struct{} // closed when recvLoop has returned
 	runErr     error
 }
 
@@ -135,7 +136,11 @@ func (c *Controller) Start(ctx context.Context) error {
 		return fmt.Errorf("core: controller dial master: %w", err)
 	}
 	c.conn = conn
-	go c.recvLoop()
+	c.recvDone = make(chan struct{})
+	go func() {
+		defer close(c.recvDone)
+		c.recvLoop()
+	}()
 
 	if _, err := c.roundTrip(&protocol.Message{
 		Type:     protocol.TStartMaster,
@@ -311,12 +316,14 @@ func (c *Controller) Wait(ctx context.Context) (Report, error) {
 }
 
 // Shutdown closes the run: the master's listener stops and in-process
-// workers wind down. Call after Wait.
+// workers wind down. Call after Wait. Every goroutine the controller, its
+// master and its workers started has exited when it returns.
 func (c *Controller) Shutdown() error {
 	var err error
 	if c.conn != nil {
 		_, err = c.roundTrip(&protocol.Message{Type: protocol.TShutdown})
 		c.conn.Close()
+		<-c.recvDone
 	}
 	c.masterWG.Wait()
 	c.spawned.Wait()

@@ -1,0 +1,336 @@
+package core
+
+import (
+	"context"
+	"fmt"
+	"net"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"frieda/internal/catalog"
+	"frieda/internal/protocol"
+	"frieda/internal/strategy"
+	"frieda/internal/transport"
+)
+
+// Two refills to one worker used to be two goroutines writing to one
+// connection: the second skipped a file the first had claimed but not finished
+// sending, its EXECUTE overtook the remaining chunks, and the worker's input
+// gate let the task through because a reserved, partly written file already
+// exists in the store. Every task here checks every input against its
+// catalogue size; with one ordered writer per connection no task can see a
+// short one.
+func TestNoTaskRunsOnPartialInput(t *testing.T) {
+	const files, size, chunk = 10, 1 << 20, 4 << 10
+	src := catalog.NewMemSource()
+	block := make([]byte, size)
+	for i := 0; i < files; i++ {
+		src.Put(fmt.Sprintf("f%02d.dat", i), block)
+	}
+	prog := FuncProgram(func(ctx context.Context, task Task) (string, error) {
+		for _, name := range task.Inputs {
+			if got := task.Store.Size(name); got != size {
+				return "", fmt.Errorf("input %s holds %d of %d bytes", name, got, size)
+			}
+		}
+		return "ok", nil
+	})
+	for name, mk := range testTransports {
+		t.Run(name, func(t *testing.T) {
+			r := (&testHarness{
+				tr: mk(), source: src, chunk: chunk,
+				strategy: strategy.Config{Kind: strategy.RealTime, Grouping: "all-to-all", Multicore: true, Prefetch: 2},
+				workers:  2, cores: 4, program: prog,
+			}).run(t)
+			const groups = files * (files - 1) / 2
+			if r.Groups != groups || len(r.Results) != groups {
+				t.Fatalf("%d groups, %d results, want %d", r.Groups, len(r.Results), groups)
+			}
+			for _, res := range r.Results {
+				if !res.OK {
+					t.Errorf("group %d on %s: %s", res.GroupIndex, res.Worker, res.Error)
+				}
+			}
+		})
+	}
+}
+
+// Shutdown joins everything: a job of each strategy kind, one that drains a
+// worker and one that loses a worker leave no goroutine behind, over both
+// transports (testHarness.run checks the count the moment Shutdown returns).
+func TestShutdownLeavesNoGoroutine(t *testing.T) {
+	slow := FuncProgram(func(ctx context.Context, task Task) (string, error) {
+		time.Sleep(200 * time.Microsecond)
+		return "ok", nil
+	})
+	scenarios := []struct {
+		name    string
+		strat   strategy.Config
+		recover bool
+		onSpawn func(i int, w *Worker, cancel context.CancelFunc)
+		running func(ctl *Controller)
+	}{
+		{name: "real-time", strat: strategy.RealTimeRemote},
+		{name: "pre-partition", strat: strategy.PrePartitionedRemote},
+		{name: "no-partition", strat: strategy.CommonData},
+		{name: "drained-worker", strat: strategy.RealTimeRemote, running: func(ctl *Controller) {
+			time.Sleep(5 * time.Millisecond)
+			ctl.RemoveWorker("w0") // an error means the run was over first
+		}},
+		{name: "killed-worker", strat: strategy.RealTimeRemote, recover: true, onSpawn: func(i int, _ *Worker, cancel context.CancelFunc) {
+			if i == 0 {
+				time.AfterFunc(5*time.Millisecond, cancel)
+			}
+		}},
+	}
+	for trName, mk := range testTransports {
+		for _, sc := range scenarios {
+			t.Run(trName+"/"+sc.name, func(t *testing.T) {
+				const files = 120
+				r := (&testHarness{
+					tr: mk(), strategy: sc.strat, source: sourceWithFiles(files, 2000), chunk: 512, recover: sc.recover,
+					workers: 3, cores: 2, program: slow, onSpawn: sc.onSpawn, running: sc.running,
+				}).run(t)
+				if r.Groups != files || r.Succeeded != files {
+					t.Fatalf("%d groups, %d succeeded, want %d (worker errors %v)", r.Groups, r.Succeeded, files, r.WorkerErrors)
+				}
+			})
+		}
+	}
+}
+
+// wireLog wraps a transport and keeps, per worker connection and direction,
+// the messages handed to Send.
+type wireLog struct {
+	transport.Transport
+	mu    sync.Mutex
+	conns []*loggedConn
+}
+
+type loggedConn struct {
+	transport.Conn
+	log    *wireLog
+	master bool   // the accepted end: what the master sends to a worker
+	worker string // from the TRegister this connection carried
+	sent   []protocol.Message
+}
+
+func (l *wireLog) wrap(c transport.Conn, master bool) transport.Conn {
+	lc := &loggedConn{Conn: c, log: l, master: master}
+	l.mu.Lock()
+	l.conns = append(l.conns, lc)
+	l.mu.Unlock()
+	return lc
+}
+
+func (l *wireLog) Dial(addr string) (transport.Conn, error) {
+	c, err := l.Transport.Dial(addr)
+	if err != nil {
+		return nil, err
+	}
+	return l.wrap(c, false), nil
+}
+
+func (l *wireLog) Listen(addr string) (transport.Listener, error) {
+	ln, err := l.Transport.Listen(addr)
+	if err != nil {
+		return nil, err
+	}
+	return &loggedListener{Listener: ln, log: l}, nil
+}
+
+type loggedListener struct {
+	transport.Listener
+	log *wireLog
+}
+
+func (l *loggedListener) Accept() (transport.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return l.log.wrap(c, true), nil
+}
+
+func (c *loggedConn) Send(m *protocol.Message) error {
+	rec := *m
+	rec.Data = nil
+	c.log.mu.Lock()
+	if m.Type == protocol.TRegister {
+		c.worker = m.Worker
+	}
+	c.sent = append(c.sent, rec)
+	c.log.mu.Unlock()
+	return c.Conn.Send(m)
+}
+
+func (c *loggedConn) Recv() (*protocol.Message, error) {
+	m, err := c.Conn.Recv()
+	if err == nil && m.Type == protocol.TRegister {
+		c.log.mu.Lock()
+		c.worker = m.Worker
+		c.log.mu.Unlock()
+	}
+	return m, err
+}
+
+// What one ordered writer per connection and "a status implies the next
+// request" promise on the wire, checked on every worker connection of a job of
+// 300 tasks whose groups share files (so refills skip files another refill
+// claimed), with several slots and a prefetch window keeping many refills in
+// flight: every EXECUTE follows the Last chunk of each of its files,
+// NO_MORE_DATA is the last frame the master sends, a worker asks for data once
+// per granted slot and never again, and a task costs two control frames — its
+// EXECUTE and its TASK_STATUS — beyond a per-connection constant.
+func TestWireOrderAndControlFramesPerTask(t *testing.T) {
+	const files, size, chunk, workers, cores = 25, 2500, 1024, 2, 4
+	const tasks = files * (files - 1) / 2
+	for name, mk := range testTransports {
+		for _, batch := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/batch=%v", name, batch), func(t *testing.T) {
+				log := &wireLog{Transport: mk()}
+				r := (&testHarness{
+					tr: log, source: sourceWithFiles(files, size), chunk: chunk, batch: batch,
+					strategy: strategy.Config{Kind: strategy.RealTime, Grouping: "all-to-all", Multicore: true, Prefetch: 2},
+					workers:  workers, cores: cores, program: echoProgram(),
+				}).run(t)
+				if r.Succeeded != tasks {
+					t.Fatalf("%d of %d tasks succeeded (worker errors %v)", r.Succeeded, tasks, r.WorkerErrors)
+				}
+				control, executed, seen := 0, 0, 0
+				for _, c := range log.conns {
+					if c.worker == "" {
+						continue // the controller's channel
+					}
+					seen++
+					complete := make(map[string]bool)
+					requests := 0
+					for i, m := range c.sent {
+						if m.Type != protocol.TFileData {
+							control++
+						}
+						switch m.Type {
+						case protocol.TFileData:
+							if m.Last {
+								complete[m.FileName] = true
+							}
+						case protocol.TExecute:
+							m.Executes = []protocol.ExecuteSpec{{GroupIndex: m.GroupIndex, Files: m.Files}}
+							fallthrough
+						case protocol.TExecuteBatch:
+							for _, e := range m.Executes {
+								executed++
+								for _, f := range e.Files {
+									if !complete[f.Name] {
+										t.Errorf("%s: EXECUTE of group %d (frame %d) is ahead of the last chunk of %s", c.worker, e.GroupIndex, i, f.Name)
+									}
+								}
+							}
+						case protocol.TRequestData:
+							requests++
+						case protocol.TNoMoreData:
+							if i != len(c.sent)-1 {
+								t.Errorf("%s: %d frames follow NO_MORE_DATA", c.worker, len(c.sent)-1-i)
+							}
+						}
+					}
+					if c.master {
+						if last := c.sent[len(c.sent)-1].Type; last != protocol.TNoMoreData {
+							t.Errorf("%s: the master's last frame is %s, want NO_MORE_DATA", c.worker, last)
+						}
+					} else if requests != cores {
+						t.Errorf("%s sent %d REQUEST_DATA, want one per granted slot (%d)", c.worker, requests, cores)
+					}
+				}
+				if seen != 2*workers {
+					t.Fatalf("%d worker connection ends logged, want %d", seen, 2*workers)
+				}
+				if executed != tasks {
+					t.Errorf("%d groups ordered executed, want %d", executed, tasks)
+				}
+				// Per connection: REGISTER, the ACK, NO_MORE_DATA and the requests.
+				if budget := 2*tasks + workers*(3+cores); control > budget {
+					t.Errorf("%d control frames for %d tasks, budget is two per task plus %d", control, tasks, budget-2*tasks)
+				}
+			})
+		}
+	}
+}
+
+// writeCounter counts the Write calls of every connection it hands out.
+type writeCounter struct {
+	bound  chan struct{}
+	addr   string
+	writes atomic.Int64
+}
+
+type countedConn struct {
+	net.Conn
+	writes *atomic.Int64
+}
+
+func (c countedConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+type countedListener struct {
+	net.Listener
+	writes *atomic.Int64
+}
+
+func (w *writeCounter) Listen(string) (transport.Listener, error) {
+	defer close(w.bound)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return nil, err
+	}
+	w.addr = ln.Addr().String()
+	return countedListener{ln, &w.writes}, nil
+}
+
+func (w *writeCounter) Dial(string) (transport.Conn, error) {
+	<-w.bound
+	c, err := net.Dial("tcp", w.addr)
+	if err != nil {
+		return nil, err
+	}
+	return transport.NewStreamConn(countedConn{c, &w.writes}), nil
+}
+
+func (l countedListener) Accept() (transport.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return transport.NewStreamConn(countedConn{c, l.writes}), nil
+}
+
+func (l countedListener) Addr() string { return l.Listener.Addr().String() }
+
+// The shape of the benchmark's rt_small_tcp — 1 KiB files one to a task, two
+// single-slot workers, TCP loopback — costs two writes per task at the socket:
+// the refill (its file and its EXECUTE) one way, the status the other. Before
+// the held frames it was four (five here, where writev is two Writes).
+func TestSmallTaskCostsTwoWrites(t *testing.T) {
+	const tasks = 1024
+	single := strategy.RealTimeRemote
+	single.Grouping = "single"
+	wc := &writeCounter{bound: make(chan struct{})}
+	r := (&testHarness{
+		tr: wc, strategy: single, source: sourceWithFiles(tasks, 1<<10),
+		workers: 2, cores: 1, program: echoProgram(),
+	}).run(t)
+	if r.Succeeded != tasks {
+		t.Fatalf("%d of %d tasks succeeded (worker errors %v)", r.Succeeded, tasks, r.WorkerErrors)
+	}
+	writes := wc.writes.Load()
+	t.Logf("%d writes for %d tasks (%.3f per task)", writes, tasks, float64(writes)/tasks)
+	// Outside the steady state: the controller's channel, and each worker's
+	// registration, first request and NO_MORE_DATA.
+	if budget := int64(2*tasks + 32); writes > budget {
+		t.Fatalf("%d writes for %d tasks, budget is two per task plus 32", writes, tasks)
+	}
+}

@@ -718,8 +718,10 @@ func TestDataPathAllocationGuard(t *testing.T) {
 	t.Run("small-tcp", func(t *testing.T) {
 		per := allocJob(t, newLoopbackTCP(), single, 512, 1<<10, 0)
 		t.Logf("%d B allocated per 1 KiB task", per)
-		if per > 32<<10 {
-			t.Fatalf("%d B allocated per 1 KiB task, budget is 32 KiB", per)
+		// About twice what it reads (6.6 KiB: six Message structs, gob, the
+		// stored KiB); 7.7 KiB with a status and a request per task.
+		if per > 13<<10 {
+			t.Fatalf("%d B allocated per 1 KiB task, budget is 13 KiB", per)
 		}
 	})
 	t.Run("return-mem", func(t *testing.T) {

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -15,8 +17,10 @@ import (
 	"frieda/internal/transport"
 )
 
-// testHarness runs a full controller/master/worker deployment over the
-// in-memory transport and returns the report.
+// testHarness runs a full controller/master/worker deployment — over the
+// in-memory transport unless tr is set — and returns the report. It holds
+// every job to the lifecycle rule: no goroutine the controller, the master or
+// a worker started is left when Shutdown returns.
 type testHarness struct {
 	source   *catalog.MemSource
 	strategy strategy.Config
@@ -25,28 +29,37 @@ type testHarness struct {
 	cores    int
 	recover  bool
 	batch    bool
+	chunk    int // MasterConfig.ChunkSize
 	limiter  *transport.Limiter
+	tr       transport.Transport
 	// preload populates each worker's store before the run (local data).
 	preload map[string]string
 	// onSpawn observes spawned workers (for kill tests).
 	onSpawn func(i int, w *Worker, cancel context.CancelFunc)
+	// running, when set, is called once every worker is spawned.
+	running func(ctl *Controller)
 }
 
 func (h *testHarness) run(t *testing.T) Report {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
+	goroutines := runtime.NumGoroutine()
 
-	tr := transport.NewMem(h.limiter)
+	tr := h.tr
+	if tr == nil {
+		tr = transport.NewMem(h.limiter)
+	}
 	ctl, err := NewController(ControllerConfig{
 		Strategy:        h.strategy,
 		Transport:       tr,
 		MasterAddr:      "master",
 		InProcessMaster: true,
 		Master: MasterConfig{
-			Source:  h.source,
-			Recover: h.recover,
-			Batch:   h.batch,
+			Source:    h.source,
+			Recover:   h.recover,
+			Batch:     h.batch,
+			ChunkSize: h.chunk,
 		},
 		Workers: h.workers,
 	})
@@ -66,6 +79,7 @@ func (h *testHarness) run(t *testing.T) Report {
 			store.Put(name, strings.NewReader(data))
 		}
 		wctx, wcancel := context.WithCancel(ctx)
+		defer wcancel()
 		w, err := ctl.SpawnWorker(wctx, WorkerConfig{
 			Name:    fmt.Sprintf("w%d", i),
 			Cores:   cores,
@@ -78,7 +92,9 @@ func (h *testHarness) run(t *testing.T) Report {
 		if h.onSpawn != nil {
 			h.onSpawn(i, w, wcancel)
 		}
-		_ = wcancel
+	}
+	if h.running != nil {
+		h.running(ctl)
 	}
 	report, err := ctl.Wait(ctx)
 	if err != nil {
@@ -86,6 +102,22 @@ func (h *testHarness) run(t *testing.T) Report {
 	}
 	if err := ctl.Shutdown(); err != nil {
 		t.Logf("shutdown: %v", err)
+	}
+	// A goroutine that has released the WaitGroup Shutdown waits on is still
+	// counted until it has finished exiting, a few instructions later: the
+	// count gets a few yields to come down, and no time. A count that is up
+	// with none of the runtime's goroutines in the dump is the Go runtime
+	// running a finalizer.
+	for i := 0; runtime.NumGoroutine() > goroutines; i++ {
+		stacks := make([]byte, 1<<20)
+		stacks = stacks[:runtime.Stack(stacks, true)]
+		if !bytes.Contains(stacks, []byte("created by frieda/internal/core.(*")) {
+			break
+		}
+		if i == 100 {
+			t.Fatalf("%d goroutines before the job, %d when Shutdown returned:\n%s", goroutines, runtime.NumGoroutine(), stacks)
+		}
+		runtime.Gosched()
 	}
 	return report
 }
@@ -773,8 +805,17 @@ func TestDuplicateWorkerNameRejected(t *testing.T) {
 	if _, err := ctl.SpawnWorker(ctx, WorkerConfig{Name: "dup", Cores: 1, Program: echoProgram()}); err != nil {
 		t.Fatal(err)
 	}
-	// The duplicate is rejected and surfaces as a controller-visible error;
-	// spawn a real second worker so the run completes.
+	// The duplicate is rejected and surfaces as a controller-visible error.
+	// The run cannot start before it has: it waits for a second worker.
+	for found := false; !found; time.Sleep(time.Millisecond) {
+		if ctx.Err() != nil {
+			t.Fatalf("duplicate registration not reported: %v", ctl.Errors())
+		}
+		for _, e := range ctl.Errors() {
+			found = found || strings.Contains(e.Detail, "duplicate")
+		}
+	}
+	// Spawn a real second worker so the run completes.
 	if _, err := ctl.SpawnWorker(ctx, WorkerConfig{Name: "w1", Cores: 1, Program: echoProgram()}); err != nil {
 		t.Fatal(err)
 	}
@@ -785,15 +826,6 @@ func TestDuplicateWorkerNameRejected(t *testing.T) {
 	ctl.Shutdown()
 	if r.Succeeded != 4 {
 		t.Fatalf("report = %+v", r)
-	}
-	found := false
-	for _, e := range ctl.Errors() {
-		if strings.Contains(e.Detail, "duplicate") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("duplicate registration not reported: %v", ctl.Errors())
 	}
 }
 

@@ -76,6 +76,26 @@ type masterWorker struct {
 	ready    bool
 	dead     bool
 	draining bool
+
+	// outbox is what the worker's writer has still to send, in order (under
+	// the master's mu). Once the worker is ready the writer is the only
+	// goroutine that sends on conn, so what is queued in one order reaches
+	// the worker in that order. The queue has no bound and nothing blocks to
+	// fill it: the writer itself takes mu while it streams.
+	outbox    []outItem
+	outWake   *sync.Cond // on the master's mu: the outbox filled, or closed
+	outClosed bool       // the connection is finished with; the writer exits
+}
+
+// outItem is one unit of a writer's work. It sends msg when set, streams
+// files, then performs refill, in that order.
+type outItem struct {
+	msg    *protocol.Message
+	files  []protocol.FileInfo
+	refill []dispatchAction
+	// done, when set, is released once the item's bytes are on the
+	// connection, or once it is known that they never will be.
+	done *sync.WaitGroup
 }
 
 // Master is the execution-plane coordinator: it partitions input data,
@@ -212,15 +232,20 @@ func (m *Master) Serve(ctx context.Context) error {
 	m.listener = l
 	m.ctx = ctx
 	m.mu.Unlock()
+	// The listener closes on ctx cancel or TShutdown, not when the run is
+	// done: the controller may still fetch reports.
+	stop, watched := make(chan struct{}), make(chan struct{})
 	go func() {
+		defer close(watched)
 		select {
 		case <-ctx.Done():
 			l.Close()
-		case <-m.done:
-			// Keep serving control connections until shutdown; workers are
-			// gone but the controller may still fetch reports. The listener
-			// closes on ctx cancel or TShutdown.
+		case <-stop:
 		}
+	}()
+	defer func() {
+		close(stop)
+		<-watched
 	}()
 	for {
 		conn, err := l.Accept()
@@ -239,11 +264,12 @@ func (m *Master) Serve(ctx context.Context) error {
 	}
 }
 
-// handleConn classifies a new connection by its first message.
+// handleConn classifies a new connection by its first message, serves it and
+// closes it.
 func (m *Master) handleConn(conn transport.Conn) {
+	defer conn.Close()
 	first, err := conn.Recv()
 	if err != nil {
-		conn.Close()
 		return
 	}
 	switch first.Type {
@@ -253,7 +279,6 @@ func (m *Master) handleConn(conn transport.Conn) {
 		m.handleWorker(conn, first)
 	default:
 		m.logf("rejecting connection opening with %s", first.Type)
-		conn.Close()
 	}
 }
 
@@ -271,7 +296,6 @@ func (m *Master) handleController(conn transport.Conn, start *protocol.Message) 
 		} else {
 			m.mu.Unlock()
 			conn.Send(&protocol.Message{Type: protocol.TAck, Error: err.Error(), Seq: start.Seq})
-			conn.Close()
 			return
 		}
 	}
@@ -349,17 +373,14 @@ func (m *Master) handleWorker(conn transport.Conn, reg *protocol.Message) {
 	select {
 	case <-m.configured:
 	case <-m.done:
-		conn.Close()
 		return
 	case <-ctx.Done():
-		conn.Close()
 		return
 	}
 	m.mu.Lock()
 	if _, dup := m.workers[reg.Worker]; dup || reg.Worker == "" {
 		m.mu.Unlock()
 		conn.Send(&protocol.Message{Type: protocol.TAck, Error: "duplicate or empty worker name"})
-		conn.Close()
 		return
 	}
 	slots := 1
@@ -372,6 +393,7 @@ func (m *Master) handleWorker(conn transport.Conn, reg *protocol.Message) {
 		cores:       reg.Cores,
 		slots:       slots,
 		outstanding: make(map[int]bool),
+		outWake:     sync.NewCond(&m.mu),
 	}
 	m.workers[w.name] = w // reserves the name; see masterWorker.ready
 	template := m.cfg.Template
@@ -400,6 +422,9 @@ func (m *Master) handleWorker(conn transport.Conn, reg *protocol.Message) {
 	w.ready = true
 	m.tmpl.Invalidate() // worker set changed
 	m.mu.Unlock()
+	// From here on only the writer sends to this worker.
+	m.wg.Add(1)
+	go m.writer(w)
 	m.maybeStart()
 	m.dispatch(w)
 
@@ -456,7 +481,12 @@ func (m *Master) maybeStart() {
 	m.planning = true
 	m.startedAt = time.Now()
 	m.mu.Unlock()
-	go m.runStrategy()
+	// Every caller is a connection handler or a writer, which m.wg counts.
+	m.wg.Add(1)
+	go func() {
+		defer m.wg.Done()
+		m.runStrategy()
+	}()
 }
 
 // runStrategy builds the partition plan and drives the strategy's data
@@ -553,34 +583,27 @@ func (m *Master) runPrePartition(strat strategy.Config, groups []partition.Group
 
 	transferStart := time.Now()
 	if strat.Locality == strategy.Remote {
-		var wg sync.WaitGroup
+		var sent sync.WaitGroup
+		m.mu.Lock()
 		for wi, w := range workers {
-			wg.Add(1)
-			go func(w *masterWorker, groupIdx []int) {
-				defer wg.Done()
-				// Announce the partition, then stream its unique files.
-				var infos []protocol.FileInfo
-				seen := map[string]bool{}
-				for _, gi := range groupIdx {
-					for _, f := range groups[gi].Files {
-						if !seen[f.Name] {
-							seen[f.Name] = true
-							infos = append(infos, protocol.FileInfo{Name: f.Name, Size: f.Size})
-						}
+			// Announce the partition, then stream its unique files.
+			var infos []protocol.FileInfo
+			seen := map[string]bool{}
+			for _, gi := range per[wi] {
+				for _, f := range groups[gi].Files {
+					if !seen[f.Name] {
+						seen[f.Name] = true
+						infos = append(infos, protocol.FileInfo{Name: f.Name, Size: f.Size})
 					}
 				}
-				if w.conn.Send(&protocol.Message{Type: protocol.TDistribute, Files: infos, Groups: groupIdx}) != nil {
-					return
-				}
-				for _, info := range infos {
-					if err := m.streamFile(w, info.Name, info.Size); err != nil {
-						m.workerDied(w, err)
-						return
-					}
-				}
-			}(w, per[wi])
+			}
+			m.enqueueLocked(w, outItem{
+				msg:   &protocol.Message{Type: protocol.TDistribute, Files: infos, Groups: per[wi]},
+				files: infos, done: &sent,
+			})
 		}
-		wg.Wait()
+		m.mu.Unlock()
+		sent.Wait()
 	}
 	m.mu.Lock()
 	m.transfers = time.Since(transferStart).Seconds()
@@ -617,20 +640,17 @@ func (m *Master) runNoPartition(groups []partition.Group, workers []*masterWorke
 	locality := m.strat.Locality
 	m.mu.Unlock()
 	if locality == strategy.Remote {
-		var wg sync.WaitGroup
-		for _, w := range workers {
-			wg.Add(1)
-			go func(w *masterWorker) {
-				defer wg.Done()
-				for _, f := range files {
-					if err := m.streamFile(w, f.Name, f.Size); err != nil {
-						m.workerDied(w, err)
-						return
-					}
-				}
-			}(w)
+		infos := make([]protocol.FileInfo, len(files))
+		for i, f := range files {
+			infos[i] = protocol.FileInfo{Name: f.Name, Size: f.Size}
 		}
-		wg.Wait()
+		var sent sync.WaitGroup
+		m.mu.Lock()
+		for _, w := range workers {
+			m.enqueueLocked(w, outItem{files: infos, done: &sent})
+		}
+		m.mu.Unlock()
+		sent.Wait()
 	}
 	m.mu.Lock()
 	m.transfers = time.Since(transferStart).Seconds()
@@ -672,48 +692,146 @@ func (m *Master) dispatch(w *masterWorker) {
 		needsTransfer := m.strat.Locality == strategy.Remote && m.strat.Kind != strategy.PrePartition
 		actions = append(actions, dispatchAction{group: m.groups[gi], send: needsTransfer})
 	}
-	conn := w.conn
+	if len(actions) > 0 {
+		m.enqueueLocked(w, outItem{refill: actions})
+	}
 	m.mu.Unlock()
-	if len(actions) == 0 {
+}
+
+// enqueueLocked hands the worker's writer one more item. A connection that is
+// finished with takes none: the item is dropped and its waiter released.
+// Caller holds m.mu.
+func (m *Master) enqueueLocked(w *masterWorker, it outItem) {
+	if it.done != nil {
+		it.done.Add(1)
+	}
+	if w.outClosed {
+		if it.done != nil {
+			it.done.Done()
+		}
 		return
 	}
-	go func() {
-		// Stage each group's files, then tell the worker to run it: one
-		// EXECUTE per group, or — batched control plane — one EXECUTE_BATCH
-		// carrying the whole refill, one round-trip instead of one message
-		// per group.
-		var specs []protocol.ExecuteSpec
-		if m.cfg.Batch {
-			specs = make([]protocol.ExecuteSpec, 0, len(actions))
+	w.outbox = append(w.outbox, it)
+	w.outWake.Signal()
+}
+
+// closeOutboxLocked ends the worker's writer and drops what it has not yet
+// taken. Caller holds m.mu.
+func (m *Master) closeOutboxLocked(w *masterWorker) {
+	if w.outClosed {
+		return
+	}
+	w.outClosed = true
+	for _, it := range w.outbox {
+		if it.done != nil {
+			it.done.Done()
 		}
-		for _, a := range actions {
-			if a.send {
-				for _, f := range a.group.Files {
-					if err := m.streamFile(w, f.Name, f.Size); err != nil {
-						m.workerDied(w, err)
-						return
-					}
-				}
-			}
-			infos := make([]protocol.FileInfo, len(a.group.Files))
-			for i, f := range a.group.Files {
-				infos[i] = protocol.FileInfo{Name: f.Name, Size: f.Size}
-			}
-			if m.cfg.Batch {
-				specs = append(specs, protocol.ExecuteSpec{GroupIndex: a.group.Index, Files: infos})
+	}
+	w.outbox = nil
+	w.outWake.Signal()
+}
+
+// writer drains one ready worker's outbox: it is the connection's only sender
+// from ready on. It holds the connection, performs everything queued and
+// flushes when the outbox is empty, so a refill — its file chunks and its
+// EXECUTE — and whatever else was queued beside it leave in one write. A
+// failed send or flush is the worker's death. It returns once the outbox is
+// closed.
+func (m *Master) writer(w *masterWorker) {
+	defer m.wg.Done()
+	var items []outItem // the batch in hand; trades places with w.outbox
+	held := false
+	for {
+		m.mu.Lock()
+		for len(w.outbox) == 0 && !w.outClosed {
+			if !held {
+				w.outWake.Wait()
 				continue
 			}
-			if err := conn.Send(&protocol.Message{Type: protocol.TExecute, GroupIndex: a.group.Index, Files: infos}); err != nil {
+			m.mu.Unlock()
+			held = false
+			if err := w.conn.Flush(); err != nil {
 				m.workerDied(w, err)
-				return
 			}
+			m.mu.Lock()
+		}
+		if w.outClosed {
+			m.mu.Unlock()
+			return
+		}
+		items, w.outbox = w.outbox, items[:0]
+		m.mu.Unlock()
+
+		if !held {
+			w.conn.Hold()
+			held = true
+		}
+		var err error
+		for i := range items {
+			it := &items[i]
+			if err == nil {
+				err = m.perform(w, it)
+				if err == nil && it.done != nil {
+					// Whoever waits for these bytes times their reaching
+					// the connection, not the send buffer.
+					err = w.conn.Flush()
+					w.conn.Hold()
+				}
+				if err != nil {
+					m.workerDied(w, err)
+				}
+			}
+			if it.done != nil {
+				it.done.Done() // sent, or lost with its worker
+			}
+		}
+		if err != nil {
+			return
+		}
+		clear(items) // the batch is sent; keep none of it alive
+	}
+}
+
+// perform sends one outbox item on the worker's connection.
+func (m *Master) perform(w *masterWorker, it *outItem) error {
+	if it.msg != nil {
+		if err := w.conn.Send(it.msg); err != nil {
+			return err
+		}
+	}
+	for _, f := range it.files {
+		if err := m.streamFile(w, f.Name, f.Size); err != nil {
+			return err
+		}
+	}
+	// Stage each group's files, then tell the worker to run it: one EXECUTE
+	// per group, or — batched control plane — one EXECUTE_BATCH carrying the
+	// whole refill.
+	var specs []protocol.ExecuteSpec
+	for _, a := range it.refill {
+		if a.send {
+			for _, f := range a.group.Files {
+				if err := m.streamFile(w, f.Name, f.Size); err != nil {
+					return err
+				}
+			}
+		}
+		infos := make([]protocol.FileInfo, len(a.group.Files))
+		for i, f := range a.group.Files {
+			infos[i] = protocol.FileInfo{Name: f.Name, Size: f.Size}
 		}
 		if m.cfg.Batch {
-			if err := conn.Send(&protocol.Message{Type: protocol.TExecuteBatch, Executes: specs}); err != nil {
-				m.workerDied(w, err)
-			}
+			specs = append(specs, protocol.ExecuteSpec{GroupIndex: a.group.Index, Files: infos})
+			continue
 		}
-	}()
+		if err := w.conn.Send(&protocol.Message{Type: protocol.TExecute, GroupIndex: a.group.Index, Files: infos}); err != nil {
+			return err
+		}
+	}
+	if len(specs) > 0 {
+		return w.conn.Send(&protocol.Message{Type: protocol.TExecuteBatch, Executes: specs})
+	}
+	return nil
 }
 
 // nextGroupLocked picks the next group for w: the worker's own backlog
@@ -790,8 +908,9 @@ func (m *Master) streamFile(w *masterWorker, name string, size int64) error {
 		m.mu.Unlock()
 		return nil
 	}
-	// Claim before streaming so a concurrent dispatch does not double-send;
-	// the worker-side readiness gate orders execution after arrival.
+	// One goroutine at a time sends to a worker (its handler until it is
+	// ready, its writer from then on), so whatever is claimed here has been
+	// streamed in full before anything queued later is sent.
 	m.replicas.Add(name, w.name)
 	m.tmpl.Invalidate() // a new replica can change a residency verdict
 	chunk := m.cfg.ChunkSize
@@ -899,6 +1018,7 @@ func (m *Master) recordResult(w *masterWorker, res protocol.TaskResult) bool {
 // the controller is informed.
 func (m *Master) workerDied(w *masterWorker, cause error) {
 	m.mu.Lock()
+	m.closeOutboxLocked(w)
 	if w.dead {
 		m.mu.Unlock()
 		return
@@ -986,12 +1106,6 @@ func (m *Master) RemoveWorker(name string) error {
 	return nil
 }
 
-// finishDrain completes a drain once the worker has no outstanding work.
-func (m *Master) finishDrain(w *masterWorker) {
-	w.conn.Send(&protocol.Message{Type: protocol.TShutdown})
-	m.logf("worker %s drained and released", w.name)
-}
-
 // notifyController forwards a worker error on the control channel.
 func (m *Master) notifyController(errStr, worker string) {
 	m.mu.Lock()
@@ -1010,7 +1124,8 @@ func (m *Master) checkDone() {
 	for _, w := range m.workers {
 		if w.draining && !w.dead && len(w.outstanding) == 0 {
 			w.dead = true
-			go m.finishDrain(w)
+			m.enqueueLocked(w, outItem{msg: &protocol.Message{Type: protocol.TShutdown}})
+			defer m.logf("worker %s drained and released", w.name) // once m.mu is released
 		}
 	}
 	if m.groups == nil || m.planning {
@@ -1038,9 +1153,11 @@ func (m *Master) checkDone() {
 	m.mu.Unlock()
 
 	m.doneOnce.Do(func() {
+		m.mu.Lock()
 		for _, w := range workers {
-			w.conn.Send(&protocol.Message{Type: protocol.TNoMoreData})
+			m.enqueueLocked(w, outItem{msg: &protocol.Message{Type: protocol.TNoMoreData}})
 		}
+		m.mu.Unlock()
 		if controller != nil {
 			controller.Send(&protocol.Message{
 				Type:        protocol.TMasterDone,

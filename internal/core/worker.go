@@ -151,23 +151,31 @@ func (w *Worker) Run(ctx context.Context) error {
 			w.reporter()
 		}()
 	}
-	// Each idle slot asks for work once; further requests follow each
-	// completed task. In pre-partition mode the master ignores these.
+	// Each granted slot asks for work once (Fig. 4's first exchange). After
+	// that a status report is the request for the slot's next task: the
+	// master refills a slot when it books the completion. In pre-partition
+	// mode the master ignores these.
+	conn.Hold()
 	for i := 0; i < w.slots; i++ {
 		if err := conn.Send(&protocol.Message{Type: protocol.TRequestData, Worker: w.cfg.Name}); err != nil {
 			break
 		}
 	}
+	conn.Flush() // a broken connection ends the message loop below
 
 	// Unblock the message loop's Recv when the context is cancelled.
-	watchDone := make(chan struct{})
-	defer close(watchDone)
+	watchDone, watched := make(chan struct{}), make(chan struct{})
 	go func() {
+		defer close(watched)
 		select {
 		case <-ctx.Done():
 			conn.Close()
 		case <-watchDone:
 		}
+	}()
+	defer func() {
+		close(watchDone)
+		<-watched
 	}()
 
 	err = w.messageLoop(ctx)
@@ -246,20 +254,26 @@ func (w *Worker) executor(ctx context.Context) {
 		if ctx.Err() != nil {
 			return
 		}
+		if w.returnOutputs {
+			task.outputs = &outputSet{}
+		}
 		res := w.runOne(ctx, task)
 		w.mu.Lock()
 		w.executed++
 		w.mu.Unlock()
+		// The task's outputs and its status leave in one write. Outputs
+		// travel first, so the master holds the data when it records the
+		// completion (per-connection FIFO).
+		w.conn.Hold()
+		w.sendOutputs(task, &res)
+		var err error
 		if w.results != nil {
-			// Batch mode: the reporter coalesces statuses, and the master
-			// refills slots from the batched status — no per-task pull.
+			// Batch mode: the reporter coalesces statuses.
 			w.results <- res
-			continue
+		} else {
+			err = w.conn.Send(&protocol.Message{Type: protocol.TTaskStatus, Result: res})
 		}
-		if w.conn.Send(&protocol.Message{Type: protocol.TTaskStatus, Result: res}) != nil {
-			return
-		}
-		if w.conn.Send(&protocol.Message{Type: protocol.TRequestData, Worker: w.cfg.Name}) != nil {
+		if ferr := w.conn.Flush(); err != nil || ferr != nil {
 			return
 		}
 	}
@@ -294,16 +308,12 @@ func (w *Worker) reporter() {
 }
 
 // runOne waits for the task's inputs to be fully resident, executes the
-// program, streams any registered output files back (when the deployment
-// collects outputs), and builds the status report.
+// program and builds the status report.
 func (w *Worker) runOne(ctx context.Context, task Task) protocol.TaskResult {
 	if err := w.waitInputs(ctx, task.Inputs); err != nil {
 		return protocol.TaskResult{
 			GroupIndex: task.GroupIndex, Worker: w.cfg.Name, OK: false, Error: err.Error(),
 		}
-	}
-	if w.returnOutputs {
-		task.outputs = &outputSet{}
 	}
 	start := time.Now()
 	out, err := w.program.Run(ctx, task)
@@ -316,27 +326,24 @@ func (w *Worker) runOne(ctx context.Context, task Task) protocol.TaskResult {
 	}
 	if err != nil {
 		res.Error = err.Error()
-		return res
-	}
-	if task.outputs != nil {
-		// Outputs travel before the status so the master holds the data
-		// when it records the completion (per-connection FIFO).
-		for _, f := range task.outputs.list() {
-			if serr := w.sendOutput(f); serr != nil {
-				res.OK = false
-				res.Error = "returning output " + f.Name + ": " + serr.Error()
-				return res
-			}
-		}
 	}
 	return res
 }
 
-// sendOutput streams one stored result file to the master, under the size
-// the program registered it with.
-func (w *Worker) sendOutput(f protocol.FileInfo) error {
-	_, err := sendFile(w.conn, transfer.File{Name: f.Name, Worker: w.cfg.Name, Size: f.Size}, w.cfg.Store, DefaultChunkSize)
-	return err
+// sendOutputs streams the result files a successful task registered to the
+// master, each under the size the program registered it with. A file that
+// cannot be returned fails the task.
+func (w *Worker) sendOutputs(task Task, res *protocol.TaskResult) {
+	if task.outputs == nil || !res.OK {
+		return
+	}
+	for _, f := range task.outputs.list() {
+		if _, err := sendFile(w.conn, transfer.File{Name: f.Name, Worker: w.cfg.Name, Size: f.Size}, w.cfg.Store, DefaultChunkSize); err != nil {
+			res.OK = false
+			res.Error = "returning output " + f.Name + ": " + err.Error()
+			return
+		}
+	}
 }
 
 // waitInputs blocks until every input is fully received (or already present

@@ -204,6 +204,293 @@ func TestConcurrentSendersMixedFrames(t *testing.T) {
 	}
 }
 
+// countingWriter counts the Write calls that reach it.
+type countingWriter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
+}
+
+// recvN decodes n messages from stream and checks them against want.
+func recvN(t *testing.T, stream []byte, want []*Message) {
+	t.Helper()
+	c := NewCodec(struct {
+		io.Reader
+		io.Writer
+	}{bytes.NewReader(stream), io.Discard})
+	for i, w := range want {
+		got, err := c.Recv()
+		if err != nil {
+			t.Fatalf("recv %d (%s): %v", i, w.Type, err)
+		}
+		if !reflect.DeepEqual(got, w) {
+			t.Fatalf("message %d mangled:\n got %+v\nwant %+v", i, got, w)
+		}
+	}
+	if _, err := c.Recv(); err != io.EOF {
+		t.Fatalf("after %d messages: %v, want io.EOF", len(want), err)
+	}
+}
+
+// Frames sent under a hold, of every kind, leave in exactly one Write when the
+// hold is released, and decode to the same messages in the same order. Outside
+// a hold every Send is its own Write.
+func TestHeldFramesLeaveInOneWrite(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	var w countingWriter
+	c := NewCodec(&w)
+	var sent []*Message
+	c.Hold()
+	for _, ty := range append(allTypes(), TFileData, TExecute, TFileData) {
+		m := sample(ty, rng)
+		if err := c.Send(m); err != nil {
+			t.Fatalf("held send %s: %v", ty, err)
+		}
+		sent = append(sent, m)
+	}
+	if w.writes != 0 || w.Len() != 0 {
+		t.Fatalf("%d writes, %d bytes before the hold was released", w.writes, w.Len())
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if w.writes != 1 {
+		t.Fatalf("%d held frames left in %d writes, want 1", len(sent), w.writes)
+	}
+	for i := 0; i < 3; i++ {
+		m := sample(TTaskStatus, rng)
+		if err := c.Send(m); err != nil {
+			t.Fatal(err)
+		}
+		sent = append(sent, m)
+		if w.writes != 2+i {
+			t.Fatalf("send %d outside a hold: %d writes so far, want %d", i, w.writes, 2+i)
+		}
+	}
+	recvN(t, w.Bytes(), sent)
+}
+
+// Holds nest by count: only the release of the last one writes.
+func TestHoldsNest(t *testing.T) {
+	var w countingWriter
+	c := NewCodec(&w)
+	c.Hold()
+	c.Hold()
+	c.Send(&Message{Type: TTaskStatus, GroupIndex: 1})
+	if err := c.Flush(); err != nil || w.writes != 0 {
+		t.Fatalf("inner release: %v, %d writes", err, w.writes)
+	}
+	c.Send(&Message{Type: TTaskStatus, GroupIndex: 2})
+	if err := c.Flush(); err != nil || w.writes != 1 {
+		t.Fatalf("outer release: %v, %d writes", err, w.writes)
+	}
+	// A Flush nobody is owed is harmless, and the codec writes through again.
+	if err := c.Flush(); err != nil || w.writes != 1 {
+		t.Fatalf("spare release: %v, %d writes", err, w.writes)
+	}
+	c.Send(&Message{Type: TTaskStatus, GroupIndex: 3})
+	if w.writes != 2 {
+		t.Fatalf("send after the releases: %d writes, want 2", w.writes)
+	}
+}
+
+// A payload over the copy threshold does not wait for the release: it goes out
+// at once behind everything held before it, from the caller's slice, and the
+// frames after it are held again.
+func TestLongPayloadIsWrittenNotCopied(t *testing.T) {
+	var w countingWriter
+	c := NewCodec(&w)
+	before := &Message{Type: TExecute, GroupIndex: 1, Files: []FileInfo{{Name: "a", Size: 1}}}
+	small := &Message{Type: TFileData, FileName: "small", Data: bytes.Repeat([]byte{1}, copyThreshold), FileSize: copyThreshold, Last: true}
+	long := &Message{Type: TFileData, FileName: "long", Data: bytes.Repeat([]byte{2}, copyThreshold+1), FileSize: copyThreshold + 1, Last: true}
+	after := &Message{Type: TExecute, GroupIndex: 2, Files: []FileInfo{{Name: "long", Size: copyThreshold + 1}}}
+
+	c.Hold()
+	c.Send(before)
+	c.Send(small)
+	if w.writes != 0 {
+		t.Fatalf("a payload of the threshold itself was written early (%d writes)", w.writes)
+	}
+	c.Send(long)
+	// The send buffer and the payload, one after the other: a socket takes the
+	// two in one writev, a plain writer in two Writes.
+	if w.writes != 2 {
+		t.Fatalf("long payload under a hold: %d writes, want 2", w.writes)
+	}
+	c.Send(after)
+	if w.writes != 2 {
+		t.Fatal("the frame after the long payload was not held")
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	recvN(t, w.Bytes(), []*Message{before, small, long, after})
+
+	// Not copied: sending 256 KiB chunks, held or not, allocates nothing and
+	// leaves the send buffer small.
+	chunk := &Message{Type: TFileData, FileName: "bulk", Data: make([]byte, 256<<10), FileSize: 1 << 30}
+	sink := NewCodec(struct {
+		io.Reader
+		io.Writer
+	}{bytes.NewReader(nil), io.Discard})
+	for _, held := range []bool{false, true} {
+		allocs := testing.AllocsPerRun(50, func() {
+			if held {
+				sink.Hold()
+			}
+			if err := sink.Send(chunk); err != nil {
+				t.Fatal(err)
+			}
+			if held {
+				sink.Flush()
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("held=%v: %.1f allocations per 256 KiB chunk sent", held, allocs)
+		}
+	}
+	if sink.pend.Cap() > maxPending {
+		t.Errorf("send buffer grew to %d bytes carrying long payloads", sink.pend.Cap())
+	}
+}
+
+// Many small chunks under one hold do not pile up: once maxPending bytes wait,
+// they are written although nobody released the hold.
+func TestPendingBoundWritesEarly(t *testing.T) {
+	var w countingWriter
+	c := NewCodec(&w)
+	const n, size = 400, 1000
+	c.Hold()
+	var sent []*Message
+	for i := 0; i < n; i++ {
+		m := &Message{Type: TFileData, FileName: "out", Offset: int64(i * size), Data: bytes.Repeat([]byte{byte(i)}, size), FileSize: n * size, Last: i == n-1}
+		if err := c.Send(m); err != nil {
+			t.Fatal(err)
+		}
+		sent = append(sent, m)
+		if c.pend.Len() >= maxPending {
+			t.Fatalf("%d bytes pending after chunk %d, bound is %d", c.pend.Len(), i, maxPending)
+		}
+	}
+	if want := n * size / maxPending; w.writes < want {
+		t.Fatalf("%d early writes for %d held bytes, want at least %d", w.writes, n*size, want)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	recvN(t, w.Bytes(), sent)
+}
+
+// Concurrent holders whose Sends interleave — a multicore worker's executors
+// returning outputs and statuses, with an unheld sender beside them — lose
+// nothing, tear no frame, and keep every sender's own order.
+func TestConcurrentHolders(t *testing.T) {
+	var mu sync.Mutex
+	var buf bytes.Buffer
+	c := NewCodec(&syncRW{buf: &buf, mu: &mu})
+	const senders, rounds = 6, 40
+	var wg sync.WaitGroup
+	for s := 0; s < senders; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			who := fmt.Sprintf("s%d", s)
+			for j := 0; j < rounds; j++ {
+				hold := s > 0 // sender 0 never holds
+				if hold {
+					c.Hold()
+				}
+				size := 500 + 3000*(j%3) + (copyThreshold+1)*(j%5/4) // every fifth is long
+				c.Send(&Message{Type: TFileData, FileName: who, Offset: int64(2 * j), Data: bytes.Repeat([]byte{byte(s)}, size)})
+				c.Send(&Message{Type: TTaskStatus, Worker: who, GroupIndex: 2*j + 1})
+				if hold {
+					if err := c.Flush(); err != nil {
+						t.Error(err)
+					}
+				}
+			}
+		}(s)
+	}
+	wg.Wait()
+	next := make(map[string]int)
+	for i := 0; i < senders*rounds*2; i++ {
+		m, err := c.Recv()
+		if err != nil {
+			t.Fatalf("message %d: %v", i, err)
+		}
+		who, j := m.Worker, m.GroupIndex
+		if m.Type == TFileData {
+			who, j = m.FileName, int(m.Offset)
+			if fmt.Sprintf("s%d", m.Data[0]) != who || bytes.Count(m.Data, m.Data[:1]) != len(m.Data) {
+				t.Fatalf("payload of %s holds another sender's bytes", who)
+			}
+		}
+		if j != next[who] {
+			t.Fatalf("%s: message %d arrived, expected %d", who, j, next[who])
+		}
+		next[who]++
+	}
+	if _, err := c.Recv(); err != io.EOF {
+		t.Fatalf("after the last message: %v, want io.EOF", err)
+	}
+}
+
+// failingWriter fails every Write after the first ok.
+type failingWriter struct {
+	ok  int
+	err error
+}
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	if w.ok > 0 {
+		w.ok--
+		return len(p), nil
+	}
+	return 0, w.err
+}
+
+func (w *failingWriter) Read([]byte) (int, error) { return 0, io.EOF }
+
+// A held Send that writes nothing cannot fail; the failure of the write comes
+// back from the Flush, and from every Send after it.
+func TestWriteErrorSurfacesAtFlush(t *testing.T) {
+	boom := errors.New("boom")
+	c := NewCodec(&failingWriter{ok: 1, err: boom})
+	if err := c.Send(&Message{Type: TAck}); err != nil {
+		t.Fatalf("send through a working writer: %v", err)
+	}
+	c.Hold()
+	for i := 0; i < 3; i++ {
+		if err := c.Send(&Message{Type: TTaskStatus, GroupIndex: i}); err != nil {
+			t.Fatalf("held send %d: %v", i, err)
+		}
+	}
+	if err := c.Flush(); !errors.Is(err, boom) {
+		t.Fatalf("flush over a failing writer: %v, want boom", err)
+	}
+	if err := c.Send(&Message{Type: TAck}); !errors.Is(err, boom) {
+		t.Fatalf("send after a failed flush: %v, want boom", err)
+	}
+	c.Hold()
+	if err := c.Send(&Message{Type: TAck}); !errors.Is(err, boom) {
+		t.Fatalf("held send after a failed flush: %v, want boom", err)
+	}
+	if err := c.Flush(); !errors.Is(err, boom) {
+		t.Fatalf("second flush: %v, want boom", err)
+	}
+
+	// An early write that fails under a hold surfaces on the Send that made it.
+	c = NewCodec(&failingWriter{err: boom})
+	c.Hold()
+	if err := c.Send(&Message{Type: TFileData, FileName: "f", Data: make([]byte, copyThreshold+1)}); !errors.Is(err, boom) {
+		t.Fatalf("long held send over a failing writer: %v, want boom", err)
+	}
+}
+
 // twoMessageStream is a valid stream of one control and one data frame.
 func twoMessageStream(t testing.TB) []byte {
 	var buf bytes.Buffer
@@ -212,6 +499,24 @@ func twoMessageStream(t testing.TB) []byte {
 		t.Fatal(err)
 	}
 	if err := c.Send(&Message{Type: TFileData, FileName: "a.dat", Worker: "w1", Data: []byte("123456789"), FileSize: 9, Last: true}); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// heldStream is what one released hold puts on the wire: several frames of
+// both kinds back to back in one buffer.
+func heldStream(t testing.TB) []byte {
+	var buf bytes.Buffer
+	c := NewCodec(&buf)
+	c.Hold()
+	for i := 0; i < 3; i++ {
+		name := fmt.Sprintf("f%d.dat", i)
+		c.Send(&Message{Type: TFileData, FileName: name, Data: []byte("payload"), FileSize: 7, Last: true})
+		c.Send(&Message{Type: TExecute, GroupIndex: i, Files: []FileInfo{{Name: name, Size: 7}}})
+	}
+	c.Send(&Message{Type: TNoMoreData})
+	if err := c.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -321,6 +626,7 @@ func FuzzCodecRecv(f *testing.F) {
 	f.Add(stream[:len(stream)/2])
 	f.Add(append([]byte{frameControl}, stream[5:]...))
 	f.Add(dataFrame(flagLast, 1, 1, 3, 0, 3, []byte("fwabc")))
+	f.Add(heldStream(f))
 	f.Add(dataFrame(0, 1, 0, 0xffffffff, 0, 0, []byte("f")))
 	f.Add([]byte{frameControl, 0xff, 0xff, 0xff, 0xff, 0xff})
 	f.Add([]byte{})

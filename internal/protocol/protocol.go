@@ -71,32 +71,34 @@ const (
 	TExecuteBatch
 )
 
+// typeNames is indexed by Type.
+var typeNames = [...]string{
+	TInvalid:       "INVALID",
+	TStartMaster:   "START_MASTER",
+	TPartitionType: "PARTITION_TYPE",
+	TForkWorkers:   "FORK_REMOTE_WORKERS",
+	TInitWorker:    "INIT_WORKER",
+	TWorkerError:   "WORKER_ERROR",
+	TAddWorker:     "ADD_WORKER",
+	TRemoveWorker:  "REMOVE_WORKER",
+	TShutdown:      "SHUTDOWN",
+	TAck:           "ACK",
+	TRegister:      "REGISTER",
+	TFileMetadata:  "FILE_METADATA",
+	TFileData:      "FILE_DATA",
+	TDistribute:    "DISTRIBUTE_FILES",
+	TRequestData:   "REQUEST_DATA",
+	TExecute:       "EXECUTE",
+	TTaskStatus:    "TASK_STATUS",
+	TNoMoreData:    "NO_MORE_DATA",
+	TMasterDone:    "MASTER_DONE",
+	TExecuteBatch:  "EXECUTE_BATCH",
+}
+
 // String names the type.
 func (t Type) String() string {
-	names := map[Type]string{
-		TInvalid:       "INVALID",
-		TStartMaster:   "START_MASTER",
-		TPartitionType: "PARTITION_TYPE",
-		TForkWorkers:   "FORK_REMOTE_WORKERS",
-		TInitWorker:    "INIT_WORKER",
-		TWorkerError:   "WORKER_ERROR",
-		TAddWorker:     "ADD_WORKER",
-		TRemoveWorker:  "REMOVE_WORKER",
-		TShutdown:      "SHUTDOWN",
-		TAck:           "ACK",
-		TRegister:      "REGISTER",
-		TFileMetadata:  "FILE_METADATA",
-		TFileData:      "FILE_DATA",
-		TDistribute:    "DISTRIBUTE_FILES",
-		TRequestData:   "REQUEST_DATA",
-		TExecute:       "EXECUTE",
-		TTaskStatus:    "TASK_STATUS",
-		TNoMoreData:    "NO_MORE_DATA",
-		TMasterDone:    "MASTER_DONE",
-		TExecuteBatch:  "EXECUTE_BATCH",
-	}
-	if s, ok := names[t]; ok {
-		return s
+	if t >= 0 && int(t) < len(typeNames) {
+		return typeNames[t]
 	}
 	return fmt.Sprintf("Type(%d)", int(t))
 }

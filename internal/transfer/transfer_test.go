@@ -185,6 +185,50 @@ func TestSendSizes(t *testing.T) {
 	})
 }
 
+// Files sent under a hold keep the ownership rule: the pooled read buffer is
+// reused for the next chunk while the previous one may still wait in the
+// connection's send buffer, so a held Send must have copied its payload — or
+// written it — by the time it returns. Chunks on both sides of the codec's copy
+// threshold, several files per hold.
+func TestSendUnderHold(t *testing.T) {
+	eachConnPair(t, func(t *testing.T, client, server transport.Conn) {
+		for _, chunk := range []int{700, 40 << 10} {
+			var files [][]byte
+			for i := 0; i < 5; i++ {
+				payload := make([]byte, 3*chunk+i*101)
+				for j := range payload {
+					payload[j] = byte(j*13 + i + chunk)
+				}
+				files = append(files, payload)
+			}
+			errc := make(chan error, 1)
+			go func() {
+				client.Hold()
+				var err error
+				for i, payload := range files {
+					f := File{Name: fmt.Sprintf("held-%d-%d", chunk, i), Size: int64(len(payload))}
+					if _, err = Send(client, f, bytes.NewReader(payload), chunk); err != nil {
+						break
+					}
+				}
+				if ferr := client.Flush(); err == nil {
+					err = ferr
+				}
+				errc <- err
+			}()
+			for i, payload := range files {
+				got, _ := recvFile(t, server, fmt.Sprintf("held-%d-%d", chunk, i))
+				if !bytes.Equal(got, payload) {
+					t.Fatalf("chunk %d: file %d corrupted under a hold", chunk, i)
+				}
+			}
+			if err := <-errc; err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+}
+
 // A source that ends short of, or runs past, its announced size fails the
 // transfer with ErrSizeMismatch and the receiver never sees a Last chunk.
 func TestSendSizeMismatch(t *testing.T) {

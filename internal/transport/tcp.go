@@ -29,7 +29,7 @@ func (t *TCP) Dial(addr string) (Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newTCPConn(c), nil
+	return NewStreamConn(c), nil
 }
 
 type tcpListener struct {
@@ -42,7 +42,7 @@ func (l *tcpListener) Accept() (Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newTCPConn(c), nil
+	return NewStreamConn(c), nil
 }
 
 // Close implements Listener.
@@ -56,15 +56,24 @@ type tcpConn struct {
 	codec *protocol.Codec
 }
 
-func newTCPConn(c net.Conn) *tcpConn {
+// NewStreamConn frames messages over c with a protocol.Codec: what the TCP
+// transport makes of every connection it dials or accepts. A test hands it a
+// net.Conn of its own to watch the bytes and the writes.
+func NewStreamConn(c net.Conn) Conn {
 	return &tcpConn{c: c, codec: protocol.NewCodec(c)}
 }
 
 // Send implements Conn.
 func (c *tcpConn) Send(m *protocol.Message) error { return c.codec.Send(m) }
 
-// SendCopies implements Conn: the codec has written the frame.
+// SendCopies implements Conn: the codec has copied the frame or written it.
 func (c *tcpConn) SendCopies() bool { return true }
+
+// Hold implements Conn.
+func (c *tcpConn) Hold() { c.codec.Hold() }
+
+// Flush implements Conn.
+func (c *tcpConn) Flush() error { return c.codec.Flush() }
 
 // Recv implements Conn. A TFileData's Data sits in the codec's receive buffer.
 func (c *tcpConn) Recv() (*protocol.Message, error) { return c.codec.Recv() }

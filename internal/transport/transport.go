@@ -21,11 +21,22 @@ var ErrClosed = errors.New("transport: closed")
 // Who owns a payload: a received TFileData's Data is valid until the next
 // Recv on that connection, and is read-only; a sent message's Data is not
 // modified by the sender after Send. Only a sender whose connection reports
-// SendCopies may reuse the buffer once Send has returned.
+// SendCopies may reuse the buffer once Send has returned — held or not, the
+// connection has by then copied the payload or written it.
 type Conn interface {
 	// Send enqueues one message. It may block under throttling or
-	// backpressure.
+	// backpressure. Outside a hold the message is on its way when Send
+	// returns.
 	Send(m *protocol.Message) error
+	// Hold lets a stream transport collect the Sends that follow and write
+	// them together at the Flush that releases the hold. Holds nest by
+	// count, so concurrent senders may each bracket their own messages; a
+	// bounded amount is held, more is written early. While held, a Send
+	// whose write is put off returns nil and the write's error comes back
+	// from Flush or a later Send.
+	Hold()
+	// Flush releases one Hold; the last release writes what was held.
+	Flush() error
 	// SendCopies reports whether Send is finished with the message when it
 	// returns, having serialised it (a stream transport). Otherwise the
 	// message itself, and its Data, travel on to the receiver.
@@ -98,6 +109,11 @@ func (t *Mem) Dial(addr string) (Conn, error) {
 	client, server := t.pair(addr)
 	select {
 	case l.backlog <- server:
+		select {
+		case <-l.done():
+			l.dropBacklog() // the listener closed meanwhile: nobody will accept it
+		default:
+		}
 		return client, nil
 	case <-l.done():
 		return nil, fmt.Errorf("transport: listener %q closed", addr)
@@ -155,7 +171,23 @@ func (l *memListener) Close() error {
 	default:
 		close(ch)
 	}
+	l.dropBacklog()
 	return nil
+}
+
+// dropBacklog closes the connections dialled and never accepted, so that
+// their dialers see a closed connection instead of waiting on it for ever.
+// Close and a Dial that raced it both call it; whichever comes second finds
+// what the other left.
+func (l *memListener) dropBacklog() {
+	for {
+		select {
+		case c := <-l.backlog:
+			c.Close()
+		default:
+			return
+		}
+	}
 }
 
 // Addr implements Listener.
@@ -191,6 +223,13 @@ func (c *memConn) Send(m *protocol.Message) error {
 
 // SendCopies implements Conn: the receiver gets the sender's message.
 func (c *memConn) SendCopies() bool { return false }
+
+// Hold implements Conn. A message is delivered by Send itself: there is no
+// write to save.
+func (c *memConn) Hold() {}
+
+// Flush implements Conn.
+func (c *memConn) Flush() error { return nil }
 
 // Recv implements Conn. Buffered messages drain even after close, matching
 // TCP semantics where in-flight data is still readable.

@@ -75,6 +75,99 @@ func TestEcho(t *testing.T) {
 	})
 }
 
+// Held sends arrive complete and in order once released, from nested holds and
+// from concurrent holders, and a Send outside any hold is delivered without a
+// Flush — on the stream transport and on the one where holding is a no-op.
+func TestHoldFlush(t *testing.T) {
+	eachTransport(t, func(t *testing.T, tr Transport, addr string) {
+		l, err := tr.Listen(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		accepted := make(chan Conn, 1)
+		go func() {
+			if c, err := l.Accept(); err == nil {
+				accepted <- c
+			}
+		}()
+		c, err := tr.Dial(l.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		server := <-accepted
+		defer server.Close()
+
+		expect := func(worker string, group int) {
+			t.Helper()
+			m, err := server.Recv()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.Worker != worker || m.GroupIndex != group {
+				t.Fatalf("got %s %d, want %s %d", m.Worker, m.GroupIndex, worker, group)
+			}
+		}
+		send := func(worker string, group int) {
+			t.Helper()
+			if err := c.Send(&protocol.Message{Type: protocol.TTaskStatus, Worker: worker, GroupIndex: group}); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		c.Hold()
+		send("a", 0)
+		c.Hold()
+		send("a", 1)
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		send("a", 2)
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			expect("a", i)
+		}
+		send("a", 3) // no hold: on its way when Send returns
+		expect("a", 3)
+
+		const holders, each = 4, 25
+		var wg sync.WaitGroup
+		for h := 0; h < holders; h++ {
+			wg.Add(1)
+			go func(h int) {
+				defer wg.Done()
+				name := string(rune('p' + h))
+				for i := 0; i < each; i += 5 {
+					c.Hold()
+					for j := i; j < i+5; j++ {
+						if err := c.Send(&protocol.Message{Type: protocol.TTaskStatus, Worker: name, GroupIndex: j}); err != nil {
+							t.Error(err)
+						}
+					}
+					if err := c.Flush(); err != nil {
+						t.Error(err)
+					}
+				}
+			}(h)
+		}
+		next := make(map[string]int)
+		for i := 0; i < holders*each; i++ {
+			m, err := server.Recv()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.GroupIndex != next[m.Worker] {
+				t.Fatalf("holder %s: message %d arrived, expected %d", m.Worker, m.GroupIndex, next[m.Worker])
+			}
+			next[m.Worker]++
+		}
+		wg.Wait()
+	})
+}
+
 func TestLargePayload(t *testing.T) {
 	eachTransport(t, func(t *testing.T, tr Transport, addr string) {
 		l, err := tr.Listen(addr)
@@ -222,6 +315,21 @@ func TestMemListenAfterClose(t *testing.T) {
 	l.Close()
 	if _, err := tr.Listen("a"); err != nil {
 		t.Fatalf("address not released after close: %v", err)
+	}
+}
+
+// A connection dialled but not accepted when the listener closes is closed
+// with it: its dialer's Recv returns instead of waiting for ever.
+func TestMemListenerCloseDropsBacklog(t *testing.T) {
+	tr := NewMem(nil)
+	l, _ := tr.Listen("x")
+	c, err := tr.Dial("x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	if _, err := c.Recv(); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Recv on a never-accepted connection = %v, want ErrClosed", err)
 	}
 }
 
