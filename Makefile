@@ -15,17 +15,25 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Validate goldens/ (see goldens/README.md): every committed sweep at both
-# pool widths, byte for byte. The durability and masterfail sweeps run at
-# full scale, so each run sits under `timeout 60`: a repair scan that costs
-# O(known files) again (25 s and 18 s before the under-replication index)
-# fails here as a timeout (cmp sees the cut-off output).
+# Validate goldens/ (see goldens/README.md): every committed sweep, and
+# fig6a's attribution report and metrics CSV, at both pool widths, byte for
+# byte. The durability and masterfail sweeps run at full scale, so each run
+# sits under `timeout 60`: a repair scan that costs O(known files) again
+# (25 s and 18 s before the under-replication index) fails here as a
+# timeout (cmp sees the cut-off output).
 check-goldens:
 	$(GO) build -o friedabench ./cmd/friedabench
-	@for e in all ablations durability masterfail; do for p in 1 8; do \
-		echo "$$e -parallel $$p"; \
-		timeout 60 ./friedabench -exp $$e -parallel $$p | cmp - goldens/exp_$$e.txt || exit 1; \
-	done; done
+	@for p in 1 8; do \
+		for e in all ablations durability masterfail stragglers ctrlplane; do \
+			echo "$$e -parallel $$p"; \
+			timeout 60 ./friedabench -exp $$e -parallel $$p | cmp - goldens/exp_$$e.txt || exit 1; \
+		done; \
+		echo "fig6a -attrib -parallel $$p"; \
+		timeout 60 ./friedabench -exp fig6a -attrib -parallel $$p | cmp - goldens/fig6a_attrib.txt || exit 1; \
+		echo "fig6a -metrics -parallel $$p"; \
+		timeout 60 ./friedabench -exp fig6a -metrics metrics-golden.csv -parallel $$p > /dev/null || exit 1; \
+		cmp metrics-golden.csv goldens/fig6a_metrics.csv || exit 1; \
+	done; rm -f metrics-golden.csv
 
 vet:
 	$(GO) vet ./...

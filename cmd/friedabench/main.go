@@ -42,6 +42,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -286,8 +287,8 @@ func run() int {
 	col.install()
 
 	failed := false
-	run := func(name string) {
-		err := runExperiment(name, *scale, *gantt, col, scaleWorkers, *benchOut)
+	run := func(name string, e experiment) {
+		err := e.run(runOpts{scale: *scale, gantt: *gantt, col: col, scaleWorkers: scaleWorkers, benchOut: *benchOut})
 		if err == nil {
 			return
 		}
@@ -306,22 +307,22 @@ func run() int {
 		}
 		log.Fatalf("friedabench: %s: %v", name, err)
 	}
-	switch *exp {
-	case "list":
+	e, ok := findExperiment(*exp)
+	switch {
+	case !ok:
+		log.Fatalf("friedabench: %s: unknown experiment %q\n%s", *exp, *exp, experimentList())
+	case e.name == "list":
 		fmt.Print(experimentList())
 		return 0
-	case "all":
-		for _, name := range []string{"table1", "fig6a", "fig6b", "fig7a", "fig7b"} {
-			run(name)
-		}
-	case "ablations":
-		for _, name := range []string{"ablation-prefetch", "ablation-bandwidth", "ablation-variance",
-			"ablation-failures", "ablation-elastic", "ablation-federated", "ablation-stripes",
-			"ablation-storage", "ablation-netfail"} {
-			run(name)
+	case e.run == nil:
+		// A sequence: every entry that names it, in table order.
+		for _, m := range experimentTable {
+			if m.seq == e.name {
+				run(m.name, m)
+			}
 		}
 	default:
-		run(*exp)
+		run(*exp, e)
 	}
 	if err := col.export(); err != nil {
 		log.Fatalf("friedabench: export: %v", err)
@@ -332,223 +333,179 @@ func run() int {
 	return 0
 }
 
-// runExperiment executes and prints one experiment.
-func runExperiment(name string, scale float64, gantt bool, col *collector, scaleWorkers []int, benchOut string) error {
-	switch name {
-	case "table1":
-		rows, err := experiments.RunTable1(scale)
-		fmt.Print(experiments.RenderTable1(rows))
-		fmt.Println()
-		if err != nil {
-			return err
-		}
-	case "fig6a", "fig6b":
-		app := "ALS"
-		title := "Figure 6a: Effect of Different Partitioning — ALS (paper: local < real-time < pre-remote)"
-		if name == "fig6b" {
-			app = "BLAST"
-			title = "Figure 6b: Effect of Different Partitioning — BLAST (paper: near-parity, real-time best)"
-		}
-		bars, err := experiments.RunFig6(app, scale)
-		fmt.Print(experiments.RenderBars(title, bars))
-		fmt.Println()
-		if err != nil {
-			return err
-		}
-		if gantt {
-			return printGantt(app, scale, col)
-		}
-	case "fig7a", "fig7b":
-		app := "ALS"
-		title := "Figure 7a: Effect of Data Movement — ALS (paper: compute-to-data wins decisively)"
-		if name == "fig7b" {
-			app = "BLAST"
-			title = "Figure 7b: Effect of Data Movement — BLAST (paper: placement-insensitive)"
-		}
-		bars, err := experiments.RunFig7(app, scale)
-		fmt.Print(experiments.RenderBars(title, bars))
-		fmt.Println()
-		if err != nil {
-			return err
-		}
-	case "ablation-prefetch":
-		rows, err := experiments.AblationPrefetch(scale)
-		fmt.Print(experiments.RenderSweep("Ablation: real-time prefetch window (ALS)", "prefetch", rows))
-		fmt.Println()
-		if err != nil {
-			return err
-		}
-	case "ablation-bandwidth":
-		rows, err := experiments.AblationBandwidth(scale)
-		fmt.Print(experiments.RenderSweep("Ablation: provisioned bandwidth sweep (ALS)", "mbps", rows))
-		fmt.Println()
-		if err != nil {
-			return err
-		}
-	case "ablation-variance":
-		rows, err := experiments.AblationVariance(scale)
-		fmt.Print(experiments.RenderSweep("Ablation: task-cost drift vs pre-partition penalty (BLAST)", "drift", rows))
-		fmt.Println()
-		if err != nil {
-			return err
-		}
-	case "ablation-failures":
-		rows, err := experiments.AblationFailures(scale)
-		fmt.Print(experiments.RenderSweep("Ablation: VM failures — isolation (paper) vs recovery (future work)", "mtbf_sec", rows))
-		fmt.Println()
-		if err != nil {
-			return err
-		}
-	case "ablation-elastic":
-		rows, err := experiments.AblationElastic(scale)
-		fmt.Print(experiments.RenderSweep("Ablation: elastic worker additions mid-run (BLAST)", "added", rows))
-		fmt.Println()
-		if err != nil {
-			return err
-		}
-	case "ablation-federated":
-		rows, err := experiments.AblationFederated(scale)
-		fmt.Print(experiments.RenderSweep("Ablation: federated two-site placement over a 50 Mbps WAN (ALS)", "remote_workers", rows))
-		fmt.Println()
-		if err != nil {
-			return err
-		}
-	case "ablation-stripes":
-		rows, err := experiments.AblationStripes(scale)
-		fmt.Print(experiments.RenderSweep("Ablation: GridFTP-style striping on a contended fabric", "stripes", rows))
-		fmt.Println()
-		if err != nil {
-			return err
-		}
-	case "ablation-netfail", "netfail":
-		for _, app := range []string{"ALS", "BLAST"} {
-			rows, err := experiments.AblationNetFail(app, scale)
-			fmt.Print(experiments.RenderSweep(
-				fmt.Sprintf("Ablation: link faults — %s (mean outage 25s; isolate=prototype, retry=requeue, resume=+offset+replicas)", app),
-				"mtbf_sec", rows))
+// runOpts carries the flags an experiment's run function reads.
+type runOpts struct {
+	scale        float64
+	gantt        bool
+	col          *collector
+	scaleWorkers []int
+	benchOut     string
+}
+
+// experiment is one -exp entry. experimentTable is the only place an
+// experiment is named: -exp list prints it in order, -exp runs an entry by
+// name or alias, and an entry without a run function is a sequence that
+// runs, in table order, every entry whose seq names it.
+type experiment struct {
+	name    string
+	aliases []string
+	seq     string
+	desc    string
+	run     func(runOpts) error
+}
+
+var experimentTable = []experiment{
+	{name: "all", desc: "Table I and Figures 6a/6b/7a/7b (the paper's evaluation)"},
+	{name: "table1", seq: "all", desc: "Table I: effect of data parallelization vs the sequential baseline",
+		run: func(o runOpts) error {
+			rows, err := experiments.RunTable1(o.scale)
+			fmt.Print(experiments.RenderTable1(rows))
 			fmt.Println()
-			if err != nil {
-				return err
-			}
-		}
-		rows, err := experiments.AblationPartition(scale)
-		fmt.Print(experiments.RenderSweep(
-			"Ablation: partition duration — BLAST (per-worker link MTBF 8000s)", "mttr_sec", rows))
-		fmt.Println()
-		if err != nil {
 			return err
-		}
-	case "ablation-stragglers", "stragglers":
-		for _, app := range []string{"ALS", "BLAST"} {
-			rows, err := experiments.AblationStragglers(app, scale)
-			fmt.Print(experiments.RenderSweep(
-				fmt.Sprintf("Ablation: gray failures — %s (slow workers/disks/links; none=invisible, detect=+pause, spec=+clone, hedge=+race, both)", app),
-				"mtbs_sec", rows))
-			fmt.Println()
-			if err != nil {
+		}},
+	{name: "fig6a", seq: "all", desc: "Figure 6a: partitioning strategies on ALS (transfer-bound)",
+		run: figure("ALS", experiments.RunFig6,
+			"Figure 6a: Effect of Different Partitioning — ALS (paper: local < real-time < pre-remote)")},
+	{name: "fig6b", seq: "all", desc: "Figure 6b: partitioning strategies on BLAST (compute-bound)",
+		run: figure("BLAST", experiments.RunFig6,
+			"Figure 6b: Effect of Different Partitioning — BLAST (paper: near-parity, real-time best)")},
+	{name: "fig7a", seq: "all", desc: "Figure 7a: data movement / placement on ALS",
+		run: figure("ALS", experiments.RunFig7,
+			"Figure 7a: Effect of Data Movement — ALS (paper: compute-to-data wins decisively)")},
+	{name: "fig7b", seq: "all", desc: "Figure 7b: data movement / placement on BLAST",
+		run: figure("BLAST", experiments.RunFig7,
+			"Figure 7b: Effect of Data Movement — BLAST (paper: placement-insensitive)")},
+	{name: "ablations", desc: "every quick ablation sweep below, in sequence"},
+	{name: "ablation-prefetch", seq: "ablations", desc: "real-time prefetch window depth on ALS",
+		run: sweep("Ablation: real-time prefetch window (ALS)", "prefetch", experiments.AblationPrefetch)},
+	{name: "ablation-bandwidth", seq: "ablations", desc: "provisioned link bandwidth sweep on ALS",
+		run: sweep("Ablation: provisioned bandwidth sweep (ALS)", "mbps", experiments.AblationBandwidth)},
+	{name: "ablation-variance", seq: "ablations", desc: "task-cost drift vs pre-partition imbalance on BLAST",
+		run: sweep("Ablation: task-cost drift vs pre-partition penalty (BLAST)", "drift", experiments.AblationVariance)},
+	{name: "ablation-failures", seq: "ablations", desc: "VM failures: isolate (paper) vs recover vs replace",
+		run: sweep("Ablation: VM failures — isolation (paper) vs recovery (future work)", "mtbf_sec", experiments.AblationFailures)},
+	{name: "ablation-elastic", seq: "ablations", desc: "elastic worker additions mid-run on BLAST",
+		run: sweep("Ablation: elastic worker additions mid-run (BLAST)", "added", experiments.AblationElastic)},
+	{name: "ablation-federated", seq: "ablations", desc: "two-site placement over a 50 Mbps WAN on ALS",
+		run: sweep("Ablation: federated two-site placement over a 50 Mbps WAN (ALS)", "remote_workers", experiments.AblationFederated)},
+	{name: "ablation-stripes", seq: "ablations", desc: "GridFTP-style transfer striping on a contended fabric",
+		run: sweep("Ablation: GridFTP-style striping on a contended fabric", "stripes", experiments.AblationStripes)},
+	{name: "ablation-storage", seq: "ablations", desc: "worker storage tier (local / block / networked) on ALS",
+		run: sweep("Ablation: worker storage tier at 1 Gbps (ALS; 0=local 1=block 2=networked)", "tier", experiments.AblationStorage)},
+	{name: "netfail", aliases: []string{"ablation-netfail"}, seq: "ablations",
+		desc: "link faults: isolate vs retry vs resume, plus partition duration",
+		run: func(o runOpts) error {
+			if _, err := sweepApps(o, "Ablation: link faults — %s (mean outage 25s; isolate=prototype, retry=requeue, resume=+offset+replicas)",
+				"mtbf_sec", experiments.AblationNetFail); err != nil {
 				return err
 			}
-		}
-	case "ablation-masterfail", "masterfail":
-		for _, app := range []string{"ALS", "BLAST"} {
-			rows, err := experiments.AblationMasterFail(app, scale)
-			fmt.Print(experiments.RenderSweep(
-				fmt.Sprintf("Ablation: master crashes — %s (mean outage 30s; crashfree=immortal, journal=WAL replay, amnesia=no persistent state)", app),
-				"mtbf_sec", rows))
-			fmt.Println()
-			if err != nil {
+			return sweep("Ablation: partition duration — BLAST (per-worker link MTBF 8000s)", "mttr_sec", experiments.AblationPartition)(o)
+		}},
+	{name: "stragglers", aliases: []string{"ablation-stragglers"},
+		desc: "gray failures: detection, speculation and hedged transfers",
+		run: appSweeps("Ablation: gray failures — %s (slow workers/disks/links; none=invisible, detect=+pause, spec=+clone, hedge=+race, both)",
+			"mtbs_sec", experiments.AblationStragglers)},
+	{name: "masterfail", aliases: []string{"ablation-masterfail"},
+		desc: "master crashes: crashfree vs journaled vs amnesiac recovery",
+		run: appSweeps("Ablation: master crashes — %s (mean outage 30s; crashfree=immortal, journal=WAL replay, amnesia=no persistent state)",
+			"mtbf_sec", experiments.AblationMasterFail)},
+	{name: "durability", aliases: []string{"ablation-durability"},
+		desc: "RF sweep under combined link+disk+worker chaos",
+		run: appSweeps("Ablation: durability chaos — %s (RF 1/2/3 under combined link+disk+worker faults, dead VMs replaced)",
+			"mtbf_sec", experiments.AblationDurability)},
+	{name: "ctrlplane", aliases: []string{"ablation-ctrlplane"},
+		desc: "execution-template control plane: decision cost off/on vs task granularity",
+		run: func(o runOpts) error {
+			byApp, err := sweepApps(o, "Ablation: execution-template control plane — %s (chunk = micro-tasks per task; off=priced slow path, on=template replay+check)",
+				"chunk", experiments.AblationCtrlPlane)
+			if err != nil || o.benchOut == "" {
 				return err
 			}
-		}
-	case "ablation-durability", "durability":
-		for _, app := range []string{"ALS", "BLAST"} {
-			rows, err := experiments.AblationDurability(app, scale)
-			fmt.Print(experiments.RenderSweep(
-				fmt.Sprintf("Ablation: durability chaos — %s (RF 1/2/3 under combined link+disk+worker faults, dead VMs replaced)", app),
-				"mtbf_sec", rows))
-			fmt.Println()
-			if err != nil {
+			return writeCtrlPlaneBench(o.benchOut, byApp)
+		}},
+	{name: "scale", desc: "BLAST real-time on fat-tree testbeds beyond the paper's 4 VMs",
+		run: func(o runOpts) error {
+			rows, err := experiments.ScaleSweep(o.scaleWorkers, o.scale)
+			printSweep("Large-scale sweep: BLAST real-time beyond the paper's 4 VMs (wall_ms = real time to simulate)", "workers", rows)
+			if err != nil || o.benchOut == "" {
 				return err
 			}
+			return writeScaleBench(o.benchOut, rows)
+		}},
+	{name: "list", desc: "print this list"},
+}
+
+// findExperiment looks an experiment up by name or alias.
+func findExperiment(name string) (experiment, bool) {
+	for _, e := range experimentTable {
+		if e.name == name || slices.Contains(e.aliases, name) {
+			return e, true
 		}
-	case "scale":
-		rows, err := experiments.ScaleSweep(scaleWorkers, scale)
-		fmt.Print(experiments.RenderSweep(
-			"Large-scale sweep: BLAST real-time beyond the paper's 4 VMs (wall_ms = real time to simulate)",
-			"workers", rows))
-		fmt.Println()
-		if err != nil {
-			return err
-		}
-		if benchOut != "" {
-			if err := writeScaleBench(benchOut, rows); err != nil {
-				return err
-			}
-		}
-	case "ablation-storage":
-		rows, err := experiments.AblationStorage(scale)
-		fmt.Print(experiments.RenderSweep("Ablation: worker storage tier at 1 Gbps (ALS; 0=local 1=block 2=networked)", "tier", rows))
-		fmt.Println()
-		if err != nil {
-			return err
-		}
-	case "ablation-ctrlplane", "ctrlplane":
-		byApp := map[string][]experiments.SweepRow{}
-		for _, app := range []string{"ALS", "BLAST"} {
-			rows, err := experiments.AblationCtrlPlane(app, scale)
-			fmt.Print(experiments.RenderSweep(
-				fmt.Sprintf("Ablation: execution-template control plane — %s (chunk = micro-tasks per task; off=priced slow path, on=template replay+check)", app),
-				"chunk", rows))
-			fmt.Println()
-			if err != nil {
-				return err
-			}
-			byApp[app] = rows
-		}
-		if benchOut != "" {
-			if err := writeCtrlPlaneBench(benchOut, byApp); err != nil {
-				return err
-			}
-		}
-	default:
-		return fmt.Errorf("unknown experiment %q\n%s", name, experimentList())
 	}
-	return nil
+	return experiment{}, false
 }
 
 // experimentList names every experiment with a one-line description, for
 // -exp list and the unknown-experiment error.
 func experimentList() string {
-	entries := []struct{ name, desc string }{
-		{"all", "Table I and Figures 6a/6b/7a/7b (the paper's evaluation)"},
-		{"table1", "Table I: effect of data parallelization vs the sequential baseline"},
-		{"fig6a", "Figure 6a: partitioning strategies on ALS (transfer-bound)"},
-		{"fig6b", "Figure 6b: partitioning strategies on BLAST (compute-bound)"},
-		{"fig7a", "Figure 7a: data movement / placement on ALS"},
-		{"fig7b", "Figure 7b: data movement / placement on BLAST"},
-		{"ablations", "every quick ablation sweep below, in sequence"},
-		{"ablation-prefetch", "real-time prefetch window depth on ALS"},
-		{"ablation-bandwidth", "provisioned link bandwidth sweep on ALS"},
-		{"ablation-variance", "task-cost drift vs pre-partition imbalance on BLAST"},
-		{"ablation-failures", "VM failures: isolate (paper) vs recover vs replace"},
-		{"ablation-elastic", "elastic worker additions mid-run on BLAST"},
-		{"ablation-federated", "two-site placement over a 50 Mbps WAN on ALS"},
-		{"ablation-stripes", "GridFTP-style transfer striping on a contended fabric"},
-		{"ablation-storage", "worker storage tier (local / block / networked) on ALS"},
-		{"netfail", "link faults: isolate vs retry vs resume, plus partition duration"},
-		{"stragglers", "gray failures: detection, speculation and hedged transfers"},
-		{"masterfail", "master crashes: crashfree vs journaled vs amnesiac recovery"},
-		{"durability", "RF sweep under combined link+disk+worker chaos"},
-		{"ctrlplane", "execution-template control plane: decision cost off/on vs task granularity"},
-		{"scale", "BLAST real-time on fat-tree testbeds beyond the paper's 4 VMs"},
-		{"list", "print this list"},
-	}
 	var b strings.Builder
 	b.WriteString("experiments:\n")
-	for _, e := range entries {
+	for _, e := range experimentTable {
 		fmt.Fprintf(&b, "  %-20s %s\n", e.name, e.desc)
 	}
 	return b.String()
+}
+
+// figure runs and prints one of the paper's bar figures; with -gantt it adds
+// the worker timeline.
+func figure(app string, fig func(string, float64) ([]experiments.Bar, error), title string) func(runOpts) error {
+	return func(o runOpts) error {
+		bars, err := fig(app, o.scale)
+		fmt.Print(experiments.RenderBars(title, bars))
+		fmt.Println()
+		if err != nil || !o.gantt {
+			return err
+		}
+		return printGantt(app, o.scale, o.col)
+	}
+}
+
+// sweep runs and prints one parameter sweep.
+func sweep(title, param string, f func(float64) ([]experiments.SweepRow, error)) func(runOpts) error {
+	return func(o runOpts) error {
+		rows, err := f(o.scale)
+		printSweep(title, param, rows)
+		return err
+	}
+}
+
+// appSweeps runs and prints one sweep per application (sweepApps).
+func appSweeps(title, param string, f func(string, float64) ([]experiments.SweepRow, error)) func(runOpts) error {
+	return func(o runOpts) error {
+		_, err := sweepApps(o, title, param, f)
+		return err
+	}
+}
+
+// sweepApps runs and prints f for ALS then BLAST, stopping at the first
+// error; title formats the application name in.
+func sweepApps(o runOpts, title, param string, f func(string, float64) ([]experiments.SweepRow, error)) (map[string][]experiments.SweepRow, error) {
+	byApp := map[string][]experiments.SweepRow{}
+	for _, app := range []string{"ALS", "BLAST"} {
+		rows, err := f(app, o.scale)
+		printSweep(fmt.Sprintf(title, app), param, rows)
+		if err != nil {
+			return nil, err
+		}
+		byApp[app] = rows
+	}
+	return byApp, nil
+}
+
+// printSweep prints a rendered sweep and the blank line that follows it.
+func printSweep(title, param string, rows []experiments.SweepRow) {
+	fmt.Print(experiments.RenderSweep(title, param, rows))
+	fmt.Println()
 }
 
 // writeCtrlPlaneBench records the ctrlplane sweep as a benchmark JSON file

@@ -1,6 +1,7 @@
 package simrun
 
 import (
+	"fmt"
 	"testing"
 
 	"frieda/internal/cloud"
@@ -137,6 +138,49 @@ func TestDrainRefusesLastWorker(t *testing.T) {
 	}
 	if _, err := r.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDrainThenLastWorkerDies drains two of three workers and then kills
+// the third. A draining worker takes no queued work, so the queue has no
+// taker left: the run must settle it (as core.Master's stall check does)
+// rather than wait forever on the drained workers.
+func TestDrainThenLastWorkerDies(t *testing.T) {
+	for _, recoverOn := range []bool{false, true} {
+		t.Run(fmt.Sprintf("recover=%v", recoverOn), func(t *testing.T) {
+			eng := sim.NewEngine()
+			cluster, vms := cloud.Default4VMCluster(eng, 1)
+			r, err := NewRunner(cluster, vms[0], Config{
+				Strategy: strategy.Config{Kind: strategy.RealTime}, Recover: recoverOn,
+			}, Workload{Name: "drain", Tasks: uniformTasks(30, 1.0, 0)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, vm := range vms[1:] {
+				r.AddWorker(vm)
+			}
+			eng.Schedule(3.5, func() {
+				for i := 0; i < 2; i++ {
+					if err := r.DrainWorker(); err != nil {
+						t.Errorf("drain: %v", err)
+					}
+				}
+			})
+			eng.Schedule(4.2, func() {
+				for _, w := range r.workers {
+					if !w.draining {
+						cluster.Fail(w.vm)
+					}
+				}
+			})
+			res, err := r.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Succeeded+res.Abandoned != 30 || res.Abandoned == 0 {
+				t.Fatalf("%d ok + %d abandoned, want 30 with some abandoned", res.Succeeded, res.Abandoned)
+			}
+		})
 	}
 }
 

@@ -31,13 +31,10 @@ type CtrlPlaneConfig struct {
 	// high task counts the control plane becomes the throughput cap the
 	// network never was, exactly the regime templates exist for.
 	DecisionSec float64
-	// TemplateHitSec is the cost of instantiating a cached template
-	// (default DecisionSec/50): a map probe and per-task hole filling
-	// instead of the full derivation.
-	TemplateHitSec float64
-	// Templates enables the execution-template cache. Off, every decision
-	// pays DecisionSec — the per-task control plane the paper-era master
-	// ships with.
+	// Templates enables the execution-template cache: a hit costs
+	// DecisionSec/templateHitSpeedup, a map probe and per-task hole filling
+	// instead of the full derivation. Off, every decision pays DecisionSec
+	// — the per-task control plane the paper-era master ships with.
 	Templates bool
 	// Check re-derives the slow-path decision on every template hit and
 	// panics on divergence — the bit-identical-replay property test rides
@@ -45,6 +42,9 @@ type CtrlPlaneConfig struct {
 	// unchecked runs are event-for-event identical.
 	Check bool
 }
+
+// templateHitSpeedup is how many template hits cost one full decision.
+const templateHitSpeedup = 50
 
 // ctrlState is the runner-side control-plane model: the template cache plus
 // the decision server's busy horizon.
@@ -111,7 +111,7 @@ func (r *Runner) dispatchCtrl(w *simWorker) bool {
 	}
 	cost := c.cfg.DecisionSec
 	if hit {
-		cost = c.cfg.TemplateHitSec
+		cost = c.cfg.DecisionSec / templateHitSpeedup
 	}
 	r.res.CtrlPlaneDecisionSec += cost
 	w.admitted++

@@ -44,7 +44,7 @@ func TestCtrlPlaneTemplatesCollapseDecisionCost(t *testing.T) {
 	cfg := Config{
 		Strategy: strategy.Config{Kind: strategy.RealTime},
 		CtrlPlane: &CtrlPlaneConfig{
-			DecisionSec: 0.5, TemplateHitSec: 0.01, Templates: true, Check: true,
+			DecisionSec: 0.5, Templates: true, Check: true,
 		},
 	}
 	wl := Workload{Name: "cpu", Tasks: uniformTasks(4, 1.0, 0)}
@@ -258,8 +258,6 @@ func TestCtrlPlaneConfigValidation(t *testing.T) {
 	wl := Workload{Name: "cpu", Tasks: uniformTasks(1, 1, 0)}
 	bad := []CtrlPlaneConfig{
 		{DecisionSec: -1},
-		{TemplateHitSec: -1},
-		{DecisionSec: 1e-3, TemplateHitSec: 1e-2},
 	}
 	for _, cc := range bad {
 		cc := cc
@@ -268,14 +266,14 @@ func TestCtrlPlaneConfigValidation(t *testing.T) {
 			t.Fatalf("config %+v accepted", cc)
 		}
 	}
-	// Defaults: 2 ms full, full/50 hit; caller's struct untouched.
+	// Defaults: 2 ms per decision; caller's struct untouched.
 	cc := CtrlPlaneConfig{}
 	cfg := Config{Strategy: strategy.Config{Kind: strategy.RealTime}, CtrlPlane: &cc}
 	r, err := NewRunner(cluster, vms[0], cfg, wl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := r.cfg.CtrlPlane; got.DecisionSec != 2e-3 || got.TemplateHitSec != 2e-3/50 {
+	if got := r.cfg.CtrlPlane; got.DecisionSec != 2e-3 {
 		t.Fatalf("defaults = %+v", got)
 	}
 	if cc.DecisionSec != 0 {

@@ -124,7 +124,6 @@ func (r *Runner) initGray() {
 	r.detector.EnableAdaptive(g.Adaptive)
 	r.detector.OnSlowSuspect(func(node string) {
 		r.res.StragglersSuspected++
-		r.mSlowSuspects.Inc()
 	})
 	r.detector.OnSlowClear(func(node string) {
 		// The worker is healthy again: resume feeding it.
@@ -214,7 +213,6 @@ func (r *Runner) maybeSpeculate(sw *simWorker) {
 		return
 	}
 	r.res.SpeculativeLaunched++
-	r.mSpecLaunched.Inc()
 	if tr := r.cfg.Tracer; tr.Enabled() {
 		tr.Instant(cw.name, "spec", "spec-launched", obs.Args{
 			"task": att.task, "suspect": sw.name,
@@ -278,7 +276,6 @@ func (r *Runner) settleSpec(w *simWorker, att *taskAttempt, ok bool) bool {
 	}
 	if att == p.clone {
 		r.res.SpeculativeWon++
-		r.mSpecWon.Inc()
 	}
 	r.cancelAttempt(ow, other)
 	return false
@@ -367,13 +364,17 @@ func (r *Runner) armHedge(s *stageIn, w *simWorker, files []string, remaining fl
 		if elapsed <= 0 || primary.Delivered()*8/elapsed >= g.HedgeFraction*r.xferEwmaBps {
 			return
 		}
-		src2 := r.hedgeSource(w, files, src)
-		if src2 == nil {
+		// The hedge's source: the best holder other than the primary's
+		// source, else the master if it is not that source and still holds
+		// the files; without one there is no hedge.
+		src2 := r.master
+		if o := r.bestHolder(files, w, src); o != nil {
+			src2 = o.vm
+		} else if src == r.master || !r.masterHolds(files) {
 			return
 		}
 		r.activeHedges++
 		r.res.HedgedTransfers++
-		r.mHedges.Inc()
 		if tr := r.cfg.Tracer; tr.Enabled() {
 			tr.Instant(s.track, "spec", "hedge-launched", obs.Args{"src": src2.Name()})
 		}
@@ -430,39 +431,6 @@ func (r *Runner) dropHedge(s *stageIn) {
 	r.res.BytesMoved -= h.Remaining()
 	r.cluster.Network().Cancel(h)
 	r.flowEnded()
-}
-
-// hedgeSource picks the hedge's source: the live worker holding every
-// requested file on a healthy uplink with the fewest active flows,
-// excluding the primary's source, falling back to the master when it still
-// holds the files. Nil means no alternative replica exists — no hedge.
-func (r *Runner) hedgeSource(w *simWorker, files []string, exclude *cloud.VM) *cloud.VM {
-	var best *simWorker
-	for _, o := range r.workers {
-		if o == w || o.dead || o.draining || o.vm == exclude || o.vm.Host().Up().Failed() {
-			continue
-		}
-		holds := true
-		for _, f := range files {
-			if !r.replicas.Has(f, o.name) {
-				holds = false
-				break
-			}
-		}
-		if !holds {
-			continue
-		}
-		if best == nil || o.vm.Host().Up().ActiveFlows() < best.vm.Host().Up().ActiveFlows() {
-			best = o
-		}
-	}
-	if best != nil {
-		return best.vm
-	}
-	if r.master != exclude && r.masterHolds(files) {
-		return r.master
-	}
-	return nil
 }
 
 // masterHolds reports whether the master still holds every named file

@@ -123,8 +123,8 @@ func (r *Runner) initMaster() {
 }
 
 // deferring reports whether master-side work must queue: the process is
-// down, or up but still replaying.
-func (m *masterState) deferring() bool { return m.down || m.recovering }
+// down, or up but still replaying. Nil-safe: false for an immortal master.
+func (m *masterState) deferring() bool { return m != nil && (m.down || m.recovering) }
 
 // enqueue defers one master-side closure until recovery.
 func (m *masterState) enqueue(fn func()) { m.queued = append(m.queued, fn) }
@@ -203,45 +203,17 @@ func (r *Runner) repDropNode(node string) []string {
 	return lost
 }
 
-// --- deferral-aware landing notes ---------------------------------------
-//
-// A payload landing on a worker is physical (the bytes are on disk and the
-// chain continues), but the master recording the replica is control-plane:
+// --- the landing note ----------------------------------------------------
+
+// noteStaged records that a payload landed: node now holds file, and the
+// master makes its evacuation decision (markStaged, a no-op for the common
+// dataset and without durability). The landing itself is physical — the
+// bytes are on disk and the chain continues — but the note is the master's:
 // during an outage the worker's report queues and the map updates at
 // recovery.
-
-// noteReplica records that node holds file, deferring the master-side
-// bookkeeping during an outage.
-func (r *Runner) noteReplica(file, node string) {
-	if m := r.mf; m != nil && m.deferring() {
-		m.enqueue(func() { r.repAdd(file, node) })
-		return
-	}
-	r.repAdd(file, node)
-}
-
-// noteReplicas is noteReplica over a recycled name slice; the deferred copy
-// is owned by the closure so the caller may return names to the pool.
-func (r *Runner) noteReplicas(names []string, node string) {
-	if m := r.mf; m != nil && m.deferring() {
-		cp := append([]string(nil), names...)
-		m.enqueue(func() {
-			for _, f := range cp {
-				r.repAdd(f, node)
-			}
-		})
-		return
-	}
-	for _, f := range names {
-		r.repAdd(f, node)
-	}
-}
-
-// noteStaged is noteReplica plus the evacuation decision (markStaged), which
-// is likewise the master's to make.
 func (r *Runner) noteStaged(file, node string) {
-	if m := r.mf; m != nil && m.deferring() {
-		m.enqueue(func() {
+	if r.mf.deferring() {
+		r.mf.enqueue(func() {
 			r.repAdd(file, node)
 			r.markStaged(file)
 		})

@@ -55,16 +55,22 @@ func newRepairManager(r *Runner) *repairManager {
 	return m
 }
 
-// goodputBps sums the current fair rates of the active repair flows — the
-// repair-goodput gauge.
-func (m *repairManager) goodputBps() float64 {
+// activeFiles lists the files of the in-flight repairs in name order, the
+// order every walk over them takes.
+func (m *repairManager) activeFiles() []string {
 	files := make([]string, 0, len(m.active))
 	for f := range m.active {
 		files = append(files, f)
 	}
 	sort.Strings(files)
+	return files
+}
+
+// goodputBps sums the current fair rates of the active repair flows — the
+// repair-goodput gauge.
+func (m *repairManager) goodputBps() float64 {
 	var sum float64
-	for _, f := range files {
+	for _, f := range m.activeFiles() {
 		if fl := m.active[f].flow; fl != nil {
 			sum += fl.Rate()
 		}
@@ -94,12 +100,7 @@ func (m *repairManager) stop() {
 	m.stopped = true
 	m.ticker.Cancel()
 	m.ticker = sim.EventRef{}
-	files := make([]string, 0, len(m.active))
-	for f := range m.active {
-		files = append(files, f)
-	}
-	sort.Strings(files)
-	for _, f := range files {
+	for _, f := range m.activeFiles() {
 		m.abort(m.active[f], "stopped")
 	}
 }
@@ -113,7 +114,6 @@ func (m *repairManager) abort(job *repairJob, outcome string) {
 		m.r.cluster.Network().Cancel(job.flow)
 		job.flow = nil
 		m.r.res.RepairBytes += delivered
-		m.r.mRepairBytes.Add(delivered)
 	}
 	m.r.mRepairsFailed.Inc()
 	m.endSpan(job, outcome)
@@ -135,15 +135,10 @@ func (m *repairManager) onWorkerDied(w *simWorker) {
 	if m.stopped {
 		return
 	}
-	files := make([]string, 0, len(m.active))
-	for f, job := range m.active {
-		if job.src == w || job.dst == w {
-			files = append(files, f)
+	for _, f := range m.activeFiles() {
+		if job := m.active[f]; job.src == w || job.dst == w {
+			m.abort(job, "worker-died")
 		}
-	}
-	sort.Strings(files)
-	for _, f := range files {
-		m.abort(m.active[f], "worker-died")
 	}
 	m.scan()
 }
@@ -157,7 +152,7 @@ func (m *repairManager) scan() {
 		return
 	}
 	r := m.r
-	if mf := r.mf; mf != nil && mf.deferring() {
+	if r.mf.deferring() {
 		// No control plane to command repairs; recovery rescans.
 		return
 	}
@@ -195,26 +190,17 @@ func (m *repairManager) visit(f string) bool {
 	return true
 }
 
-// start launches one repair copy of the file: best source replica (fewest
-// active uplink flows; the master when no worker holds it and it is not
-// evacuated) to the live, ready worker without a copy that carries the
-// fewest active downlink flows. No-op when every eligible worker already
-// holds the file.
+// start launches one repair copy of the file: the best holder (bestHolder;
+// the master when no worker holds it and it is not evacuated) to the live,
+// ready worker without a copy that carries the fewest active downlink
+// flows. No-op when every eligible worker already holds the file.
 func (m *repairManager) start(f string) {
 	r := m.r
 	size, ok := r.fileSize[f]
 	if !ok {
 		return // not a workload file (defensive; replicas only hold those)
 	}
-	var src *simWorker
-	for _, o := range r.workers {
-		if o.dead || o.draining || o.vm.Host().Up().Failed() || !r.replicas.Has(f, o.name) {
-			continue
-		}
-		if src == nil || o.vm.Host().Up().ActiveFlows() < src.vm.Host().Up().ActiveFlows() {
-			src = o
-		}
-	}
+	src := r.bestHolder([]string{f}, nil, nil)
 	srcVM := r.master
 	if src != nil {
 		srcVM = src.vm
@@ -256,7 +242,6 @@ func (m *repairManager) start(f string) {
 			return
 		}
 		r.res.RepairBytes += size
-		r.mRepairBytes.Add(size)
 		if dst.dead {
 			delete(m.active, f)
 			m.endSpan(job, "worker-died")
@@ -283,15 +268,14 @@ func (m *repairManager) start(f string) {
 					r.repairNode[f+"\x00"+dst.name] = r.anCause
 				}
 				r.res.RepairsCompleted++
-				r.mRepairsOK.Inc()
 				// Keep draining: the file may still be below target, and the
 				// budget slot just freed.
 				m.scan()
 			}
-			if mf := r.mf; mf != nil && mf.deferring() {
+			if r.mf.deferring() {
 				// The copy physically landed; the master learns of it on
 				// recovery.
-				mf.enqueue(landed)
+				r.mf.enqueue(landed)
 				return
 			}
 			landed()
@@ -304,7 +288,6 @@ func (m *repairManager) start(f string) {
 		}
 		delete(m.active, f)
 		r.res.RepairBytes += delivered
-		r.mRepairBytes.Add(delivered)
 		r.mRepairsFailed.Inc()
 		m.endSpan(job, "interrupted")
 		// The ticker retries; immediate retry would hammer a faulted link.
@@ -338,7 +321,6 @@ func (r *Runner) markFileLost(f string) {
 	}
 	r.lostFiles[f] = true
 	r.res.FilesLost++
-	r.mFilesLost.Inc()
 	r.replicas.Forget(f)
 	r.mfRecord(catalog.Record{Op: catalog.OpLoss, File: f})
 	if tr := r.cfg.Tracer; tr.Enabled() {
@@ -388,9 +370,9 @@ func (r *Runner) diskDied(w *simWorker) {
 	for _, f := range files {
 		delete(w.has, f)
 	}
-	if mf := r.mf; mf != nil && mf.deferring() {
+	if r.mf.deferring() {
 		// The bytes are physically gone now; the master reacts on recovery.
-		mf.enqueue(func() { r.diskDiedMaster(w, files) })
+		r.mf.enqueue(func() { r.diskDiedMaster(w, files) })
 		return
 	}
 	r.diskDiedMaster(w, files)

@@ -106,7 +106,7 @@ type Config struct {
 	// MaxRetries bounds per-task retries under Recover (default 2).
 	MaxRetries int
 	// ModelDiskIO charges local-disk write time on receipt and read time
-	// before compute (default true via NewRunner).
+	// before compute. Off unless set; the experiments turn it on.
 	ModelDiskIO bool
 	// Storage, when non-nil, provisions each worker's scratch space from
 	// this tier spec instead of the instance-local disk — the paper's
@@ -184,7 +184,7 @@ type Config struct {
 	// decisions on the virtual clock: each dispatch queues behind a single
 	// decision server charging DecisionSec per full decision, and the
 	// execution-template cache (Templates) collapses repeated decisions to
-	// TemplateHitSec — see ctrlplane.go. Nil keeps decisions free and
+	// DecisionSec/50 — see ctrlplane.go. Nil keeps decisions free and
 	// instantaneous, byte-identical to the published behaviour.
 	CtrlPlane *CtrlPlaneConfig
 }
@@ -448,20 +448,14 @@ type Runner struct {
 	// simply dropped to the garbage collector.
 	nameScratch [][]string
 
-	// Metric handles; the zero values ignore updates when Metrics is nil.
-	mTasksOK, mTasksFailed obs.Counter
-	mRequeues              obs.Counter
-	mInterrupts, mRetries  obs.Counter
-	hTaskSec, hXferSec     *obs.Histogram
-	// Durability metric handles; registered only with cfg.Durability so
-	// legacy runs keep their exact metric column set.
-	mCorruptions, mFilesLost   obs.Counter
-	mRepairsOK, mRepairsFailed obs.Counter
-	mRepairBytes               obs.Counter
-	// Gray metric handles; registered only with cfg.Gray.
-	mSlowSuspects, mSpecLaunched obs.Counter
-	mSpecWon, mHedges            obs.Counter
-	hGrayTaskSec                 *obs.Histogram
+	// Metric handles for what Result does not count; the zero values ignore
+	// updates when Metrics is nil. Every other metric column is a gauge over
+	// a Result field. mRepairsFailed and hGrayTaskSec are registered only
+	// with cfg.Durability and cfg.Gray, so legacy runs keep their exact
+	// metric column set.
+	mRequeues, mRepairsFailed obs.Counter
+	hTaskSec, hXferSec        *obs.Histogram
+	hGrayTaskSec              *obs.Histogram
 
 	res  Result
 	done func(Result)
@@ -667,19 +661,11 @@ func NewRunner(cluster *cloud.Cluster, master *cloud.VM, cfg Config, wl Workload
 	}
 	if cc := cfg.CtrlPlane; cc != nil {
 		c := *cc // don't mutate the caller's struct
-		if c.DecisionSec < 0 || c.TemplateHitSec < 0 {
-			return nil, fmt.Errorf("simrun: negative control-plane decision cost (%v full, %v hit)",
-				c.DecisionSec, c.TemplateHitSec)
+		if c.DecisionSec < 0 {
+			return nil, fmt.Errorf("simrun: negative control-plane decision cost %v", c.DecisionSec)
 		}
 		if c.DecisionSec == 0 {
 			c.DecisionSec = 2e-3
-		}
-		if c.TemplateHitSec == 0 {
-			c.TemplateHitSec = c.DecisionSec / 50
-		}
-		if c.TemplateHitSec > c.DecisionSec {
-			return nil, fmt.Errorf("simrun: template hit cost %v above full decision cost %v",
-				c.TemplateHitSec, c.DecisionSec)
 		}
 		cfg.CtrlPlane = &c
 	}
@@ -747,12 +733,12 @@ func NewRunner(cluster *cloud.Cluster, master *cloud.VM, cfg Config, wl Workload
 				}
 				return r.repair.goodputBps()
 			})
+			countGauge(m, "corruptions_detected", &r.res.CorruptionsDetected)
+			countGauge(m, "files_lost_total", &r.res.FilesLost)
+			countGauge(m, "repairs_ok", &r.res.RepairsCompleted)
+			r.mRepairsFailed = m.Counter("repairs_failed")
+			m.Gauge("repair_bytes", func() float64 { return r.res.RepairBytes })
 		}
-		r.mCorruptions = cfg.Metrics.Counter("corruptions_detected")
-		r.mFilesLost = cfg.Metrics.Counter("files_lost_total")
-		r.mRepairsOK = cfg.Metrics.Counter("repairs_ok")
-		r.mRepairsFailed = cfg.Metrics.Counter("repairs_failed")
-		r.mRepairBytes = cfg.Metrics.Counter("repair_bytes")
 	}
 	if g := cfg.Gray; g != nil {
 		r.specs = make(map[int]*specPair)
@@ -768,11 +754,11 @@ func NewRunner(cluster *cloud.Cluster, master *cloud.VM, cfg Config, wl Workload
 			})
 			m.Gauge("active_speculations", func() float64 { return float64(len(r.specs)) })
 			m.Gauge("active_hedges", func() float64 { return float64(r.activeHedges) })
+			countGauge(m, "stragglers_suspected", &r.res.StragglersSuspected)
+			countGauge(m, "speculative_launched", &r.res.SpeculativeLaunched)
+			countGauge(m, "speculative_won", &r.res.SpeculativeWon)
+			countGauge(m, "hedged_transfers", &r.res.HedgedTransfers)
 		}
-		r.mSlowSuspects = cfg.Metrics.Counter("stragglers_suspected")
-		r.mSpecLaunched = cfg.Metrics.Counter("speculative_launched")
-		r.mSpecWon = cfg.Metrics.Counter("speculative_won")
-		r.mHedges = cfg.Metrics.Counter("hedged_transfers")
 		r.hGrayTaskSec = cfg.Metrics.Histogram("gray_task_sec",
 			[]float64{1, 3, 10, 30, 100, 300, 1000, 3000, 10000})
 	}
@@ -785,12 +771,12 @@ func NewRunner(cluster *cloud.Cluster, master *cloud.VM, cfg Config, wl Workload
 		m.Gauge("goodput_bps", cluster.Network().AggregateRateBps)
 		m.Gauge("terminal_tasks", func() float64 { return float64(r.terminal) })
 		m.Gauge("bytes_moved", func() float64 { return r.res.BytesMoved })
+		countGauge(m, "tasks_ok", &r.res.Succeeded)
+		countGauge(m, "tasks_failed", &r.res.Abandoned)
+		r.mRequeues = m.Counter("task_requeues")
+		countGauge(m, "transfer_interrupts", &r.res.TransferInterrupts)
+		countGauge(m, "transfer_retries", &r.res.TransferRetries)
 	}
-	r.mTasksOK = cfg.Metrics.Counter("tasks_ok")
-	r.mTasksFailed = cfg.Metrics.Counter("tasks_failed")
-	r.mRequeues = cfg.Metrics.Counter("task_requeues")
-	r.mInterrupts = cfg.Metrics.Counter("transfer_interrupts")
-	r.mRetries = cfg.Metrics.Counter("transfer_retries")
 	r.hTaskSec = cfg.Metrics.Histogram("task_sec", []float64{1, 3, 10, 30, 100, 300, 1000, 3000, 10000})
 	r.hXferSec = cfg.Metrics.Histogram("transfer_sec", []float64{0.1, 0.3, 1, 3, 10, 30, 100, 300, 1000})
 	r.res.PerWorker = make(map[string]int)
@@ -800,6 +786,12 @@ func NewRunner(cluster *cloud.Cluster, master *cloud.VM, cfg Config, wl Workload
 		}
 	})
 	return r, nil
+}
+
+// countGauge registers a metrics column that samples one Result count, so
+// each run statistic is kept once, in Result.
+func countGauge(m *obs.Metrics, name string, n *int) {
+	m.Gauge(name, func() float64 { return float64(*n) })
 }
 
 // QueueLen reports tasks awaiting dispatch: the shared queue plus every
@@ -885,10 +877,10 @@ func (r *Runner) AddWorker(vm *cloud.VM) *simWorker {
 			r.startDetection(w)
 			r.stageCommon(w, func() { r.kick(w) })
 		}
-		if m := r.mf; m != nil && m.deferring() {
+		if r.mf.deferring() {
 			// Registration is a master-side handshake; the VM exists but
 			// joins the pool when the control plane is back.
-			m.enqueue(register)
+			r.mf.enqueue(register)
 		} else {
 			register()
 		}
@@ -1083,7 +1075,6 @@ func (r *Runner) transfer(w *simWorker, files []string, bytes float64, done func
 					s.attempt = nil
 				}
 				r.res.CorruptionsDetected++
-				r.mCorruptions.Inc()
 				refetches++
 				if tr.Enabled() {
 					tr.Instant(s.track, "durability", "checksum-mismatch", obs.Args{
@@ -1127,17 +1118,17 @@ func (r *Runner) transfer(w *simWorker, files []string, bytes float64, done func
 			done(false)
 		}
 		// retryAfter schedules attempt n+1 of `next` bytes, or declares the
-		// transfer lost when the retry budget is exhausted.
-		retryAfter := func(next float64, n int) {
+		// transfer lost — attributed to `lost` — when there is no retry
+		// budget.
+		retryAfter := func(next float64, n int, lost string) {
 			nf := r.cfg.NetFaults
 			if nf == nil || n >= nf.MaxAttempts || w.dead {
 				r.endStage(s, "lost")
-				r.anCause = ab.After(s.anCause, attrib.NetworkTransfer, "xfer-lost", "retries-exhausted")
+				r.anCause = ab.After(s.anCause, attrib.NetworkTransfer, "xfer-lost", lost)
 				done(true)
 				return
 			}
 			r.res.TransferRetries++
-			r.mRetries.Inc()
 			backoff := r.backoff(n)
 			if s.span != nil {
 				tr.Instant(s.track, "transfer", "retry-scheduled", obs.Args{
@@ -1190,7 +1181,6 @@ func (r *Runner) transfer(w *simWorker, files []string, bytes float64, done func
 				return
 			}
 			r.res.TransferInterrupts++
-			r.mInterrupts.Inc()
 			if ab.Enabled() {
 				s.anCause = ab.After(s.anCause, attrib.NetworkTransfer, "xfer-interrupted", bottleneckName(fl))
 			}
@@ -1200,24 +1190,17 @@ func (r *Runner) transfer(w *simWorker, files []string, bytes float64, done func
 				// if it dies too).
 				return
 			}
-			nf := r.cfg.NetFaults
-			if nf == nil || n >= nf.MaxAttempts || w.dead {
-				r.endStage(s, "lost")
-				r.anCause = ab.After(s.anCause, attrib.NetworkTransfer, "xfer-lost", "no-retry")
-				done(true)
-				return
-			}
 			next := remaining
-			if nf.Resume {
+			if nf := r.cfg.NetFaults; nf != nil && nf.Resume {
 				next = remaining - delivered
 			}
-			retryAfter(next, n)
+			retryAfter(next, n, "no-retry")
 		})
 		if g := r.cfg.Gray; g != nil && g.Hedge {
 			r.armHedge(s, w, files, remaining, src, arrive, func() {
 				// Both racing flows died: resume the retry ladder with the
 				// full remaining payload.
-				retryAfter(remaining, n)
+				retryAfter(remaining, n, "retries-exhausted")
 			})
 		}
 	}
@@ -1279,31 +1262,37 @@ func (r *Runner) sourceFor(w *simWorker, files []string, n int) *cloud.VM {
 	return r.sourceForSlow(w, files, n)
 }
 
-// sourceForSlow is the full source-selection scan — the path every decision
-// took before the execution-template cache, and the oracle checkTemplate
-// re-derives against.
+// sourceForSlow is the source rule — the path every decision took before
+// the execution-template cache, and the oracle checkTemplate re-derives
+// against. A first attempt streams from the master, the canonical source
+// provisioned for staging, while it holds the files; otherwise, with
+// durability or Resume, from the best holder (bestHolder); otherwise from
+// the master if it still holds them; otherwise nil.
 func (r *Runner) sourceForSlow(w *simWorker, files []string, n int) *cloud.VM {
-	if r.cfg.Durability == nil {
-		if n > 1 {
-			return r.bestSource(w, files)
-		}
+	masterHolds := r.masterHolds(files)
+	if n == 1 && masterHolds {
 		return r.master
 	}
-	masterHolds := true
-	for _, f := range files {
-		if r.evacuated[f] {
-			masterHolds = false
-			break
+	if nf := r.cfg.NetFaults; r.cfg.Durability != nil || (nf != nil && nf.Resume) {
+		if o := r.bestHolder(files, w, nil); o != nil {
+			return o.vm
 		}
 	}
-	if masterHolds && n == 1 {
-		// First attempt: the master is the canonical source, provisioned
-		// for staging.
+	if masterHolds {
 		return r.master
 	}
+	return nil
+}
+
+// bestHolder is the replica picker: the live, undrained worker on a
+// healthy uplink that holds every named file and carries the fewest active
+// uplink flows, the first in registration order on ties. skip and skipVM
+// (either may be nil) exclude the destination and a source already in use.
+// Nil when no worker qualifies.
+func (r *Runner) bestHolder(files []string, skip *simWorker, skipVM *cloud.VM) *simWorker {
 	var best *simWorker
 	for _, o := range r.workers {
-		if o == w || o.dead || o.draining || o.vm.Host().Up().Failed() {
+		if o == skip || o.vm == skipVM || o.dead || o.draining || o.vm.Host().Up().Failed() {
 			continue
 		}
 		holds := true
@@ -1313,20 +1302,11 @@ func (r *Runner) sourceForSlow(w *simWorker, files []string, n int) *cloud.VM {
 				break
 			}
 		}
-		if !holds {
-			continue
-		}
-		if best == nil || o.vm.Host().Up().ActiveFlows() < best.vm.Host().Up().ActiveFlows() {
+		if holds && (best == nil || o.vm.Host().Up().ActiveFlows() < best.vm.Host().Up().ActiveFlows()) {
 			best = o
 		}
 	}
-	if best != nil {
-		return best.vm
-	}
-	if masterHolds {
-		return r.master
-	}
-	return nil
+	return best
 }
 
 // pathDegraded reports whether any link on the current src→w transfer path
@@ -1339,39 +1319,6 @@ func (r *Runner) pathDegraded(src *cloud.VM, w *simWorker) bool {
 		}
 	}
 	return false
-}
-
-// bestSource picks a retry's source: the live worker holding every needed
-// file whose uplink is healthy and carries the fewest active flows (first
-// such worker in registration order on ties), falling back to the master.
-func (r *Runner) bestSource(dst *simWorker, files []string) *cloud.VM {
-	nf := r.cfg.NetFaults
-	if nf == nil || !nf.Resume {
-		return r.master
-	}
-	var best *simWorker
-	for _, o := range r.workers {
-		if o == dst || o.dead || o.draining || o.vm.Host().Up().Failed() {
-			continue
-		}
-		holds := true
-		for _, f := range files {
-			if !r.replicas.Has(f, o.name) {
-				holds = false
-				break
-			}
-		}
-		if !holds {
-			continue
-		}
-		if best == nil || o.vm.Host().Up().ActiveFlows() < best.vm.Host().Up().ActiveFlows() {
-			best = o
-		}
-	}
-	if best == nil {
-		return r.master
-	}
-	return best.vm
 }
 
 // backoff returns the delay before attempt n+1: BackoffSec doubling per
@@ -1437,7 +1384,7 @@ func (r *Runner) stageCommon(w *simWorker, then func()) {
 				return
 			}
 			w.ready = true
-			r.noteReplica(commonFile, w.name)
+			r.noteStaged(commonFile, w.name)
 			then()
 		})
 	})
@@ -1660,7 +1607,7 @@ func (r *Runner) admit(w *simWorker) {
 	if w.dead || w.draining || !w.ready {
 		return
 	}
-	if m := r.mf; m != nil && m.deferring() {
+	if r.mf.deferring() {
 		// No dispatcher to admit from; recovery ends with a kickAll.
 		return
 	}
@@ -1794,7 +1741,9 @@ func (r *Runner) fetchAndRun(w *simWorker, gi int) *taskAttempt {
 			return
 		}
 		r.chargeDiskWrite(w, missing, func() {
-			r.noteReplicas(names, w.name)
+			for _, f := range names {
+				r.noteStaged(f, w.name)
+			}
 			r.putNames(names)
 			start()
 		})
@@ -1968,73 +1917,46 @@ func (r *Runner) compute(w *simWorker, att *taskAttempt) {
 }
 
 // readFailed handles a media read error at task start (durability runs
-// only): the worker's local copies of the task's inputs are suspect, so
-// they are invalidated — future attempts re-fetch from surviving replicas —
-// and this attempt fails through the normal retry ladder.
+// only), in two halves like workerDied. The physical half runs now: the
+// worker's local copies of the task's inputs are suspect and dropped, so
+// future attempts re-fetch from surviving replicas. readFailedMaster is the
+// master's reaction and runs right after, or queued behind a control-plane
+// outage — in which case the core frees at once, not after the bookkeeping.
 func (r *Runner) readFailed(w *simWorker, att *taskAttempt) {
-	task := r.wl.Tasks[att.task]
-	if m := r.mf; m != nil && m.deferring() {
-		// Physical half now: the media is suspect and the core frees. The
-		// master's reaction (replica invalidation, loss declarations, the
-		// failure verdict) queues until the control plane is back.
-		if tr := r.cfg.Tracer; tr.Enabled() {
-			tr.Instant(w.name, "fault", "read-error", obs.Args{"task": att.task})
-		}
-		var bad []string
-		for _, f := range task.Files {
-			if w.has[f.Name] {
-				delete(w.has, f.Name)
-				bad = append(bad, f.Name)
-			}
-		}
-		w.cores.Release()
-		delete(w.inflight, att.task)
-		w.admitted--
-		m.enqueue(func() { r.readFailedMaster(w, att, bad) })
-		return
-	}
-	r.res.CorruptionsDetected++
-	r.mCorruptions.Inc()
 	if tr := r.cfg.Tracer; tr.Enabled() {
 		tr.Instant(w.name, "fault", "read-error", obs.Args{"task": att.task})
 	}
-	if ab := r.cfg.Attrib; ab.Enabled() {
-		r.anCause = ab.After(r.anCause, attrib.DiskIO, "read-error", w.name)
-	}
-	for _, f := range task.Files {
+	// bad comes off the recycled name slices: read errors recur all run.
+	bad := r.takeNames()
+	for _, f := range r.wl.Tasks[att.task].Files {
 		if w.has[f.Name] {
 			delete(w.has, f.Name)
-			r.repRemove(f.Name, w.name)
+			bad = append(bad, f.Name)
 		}
 	}
-	for _, f := range task.Files {
-		if !r.sourceExists(f.Name) {
-			r.markFileLost(f.Name)
-		}
+	if r.mf.deferring() {
+		r.freeSlot(w, att)
+		r.mf.enqueue(func() { r.readFailedMaster(w, att, bad, false) })
+		return
 	}
-	if r.repair != nil {
-		r.repair.scan()
-	}
-	w.cores.Release()
-	delete(w.inflight, att.task)
-	w.admitted--
-	r.taskDone(w, att, false)
-	r.kick(w)
+	r.readFailedMaster(w, att, bad, true)
 }
 
-// readFailedMaster is the deferred master half of a read error observed
-// during a control-plane outage.
-func (r *Runner) readFailedMaster(w *simWorker, att *taskAttempt, bad []string) {
-	task := r.wl.Tasks[att.task]
+// readFailedMaster is the master half of a read error: drop the bad
+// replicas, declare what has no source left lost, rescan, and fail the
+// attempt through the normal retry ladder. free releases the attempt's core
+// and slot after the bookkeeping and before the verdict, because
+// sim.Resource.Release hands the core to the next waiter synchronously.
+func (r *Runner) readFailedMaster(w *simWorker, att *taskAttempt, bad []string, free bool) {
 	r.res.CorruptionsDetected++
-	r.mCorruptions.Inc()
 	if ab := r.cfg.Attrib; ab.Enabled() {
 		r.anCause = ab.After(r.anCause, attrib.DiskIO, "read-error", w.name)
 	}
 	for _, f := range bad {
 		r.repRemove(f, w.name)
 	}
-	for _, f := range task.Files {
+	r.putNames(bad)
+	for _, f := range r.wl.Tasks[att.task].Files {
 		if !r.sourceExists(f.Name) {
 			r.markFileLost(f.Name)
 		}
@@ -2042,16 +1964,26 @@ func (r *Runner) readFailedMaster(w *simWorker, att *taskAttempt, bad []string) 
 	if r.repair != nil {
 		r.repair.scan()
 	}
+	if free {
+		r.freeSlot(w, att)
+	}
 	r.taskDone(w, att, false)
 	r.kick(w)
 }
 
+// freeSlot releases a failed attempt's core and pipeline slot.
+func (r *Runner) freeSlot(w *simWorker, att *taskAttempt) {
+	w.cores.Release()
+	delete(w.inflight, att.task)
+	w.admitted--
+}
+
 // taskDone records a terminal (or requeued) outcome.
 func (r *Runner) taskDone(w *simWorker, att *taskAttempt, ok bool) {
-	if m := r.mf; m != nil && m.deferring() {
+	if r.mf.deferring() {
 		// A completion report with nobody to receive it: the worker holds it
 		// and re-delivers when the master is back.
-		m.enqueue(func() { r.taskDone(w, att, ok) })
+		r.mf.enqueue(func() { r.taskDone(w, att, ok) })
 		return
 	}
 	if r.specs != nil && r.settleSpec(w, att, ok) {
@@ -2107,13 +2039,11 @@ func (r *Runner) settle(c Completion) {
 	if c.OK {
 		r.res.Succeeded++
 		r.res.PerWorker[c.Worker]++
-		r.mTasksOK.Inc()
 		r.hTaskSec.Observe(float64(c.End - c.Start))
 		r.hGrayTaskSec.Observe(float64(c.End - c.Start))
 		r.cfg.Attrib.ObserveTaskSec(float64(c.End - c.Start))
 	} else {
 		r.res.Abandoned++
-		r.mTasksFailed.Inc()
 	}
 	if r.cfg.Attrib.Enabled() {
 		r.anLastTerminal = r.anCause
@@ -2145,8 +2075,8 @@ func (r *Runner) workerDied(w *simWorker) {
 		}
 		r.endTaskSpan(w, att, "killed")
 	}
-	if m := r.mf; m != nil && m.deferring() {
-		m.enqueue(func() { r.workerDiedMaster(w, attempts) })
+	if r.mf.deferring() {
+		r.mf.enqueue(func() { r.workerDiedMaster(w, attempts) })
 		return
 	}
 	r.workerDiedMaster(w, attempts)
@@ -2212,8 +2142,8 @@ func sortedInflight(w *simWorker) []*taskAttempt {
 
 // reassign handles a dead worker's unstarted backlog.
 func (r *Runner) reassign(w *simWorker) {
-	if m := r.mf; m != nil && m.deferring() {
-		m.enqueue(func() { r.reassign(w) })
+	if r.mf.deferring() {
+		r.mf.enqueue(func() { r.reassign(w) })
 		return
 	}
 	backlog := w.backlog
@@ -2227,19 +2157,20 @@ func (r *Runner) reassign(w *simWorker) {
 }
 
 // checkDone finishes the run once every task is terminal, or abandons
-// unreachable work when no live worker remains.
+// unreachable work when no worker can take it — dead and draining workers
+// cannot, as in core.Master's stall check.
 func (r *Runner) checkDone() {
 	if r.done == nil {
 		return
 	}
-	if m := r.mf; m != nil && m.deferring() {
+	if r.mf.deferring() {
 		// Nobody is watching the ledger; recovery re-checks.
 		return
 	}
 	if r.terminal < len(r.wl.Tasks) {
 		live := false
 		for _, w := range r.workers {
-			if !w.dead {
+			if !w.dead && !w.draining {
 				live = true
 				break
 			}
