@@ -20,7 +20,9 @@ race:
 # byte. The durability and masterfail sweeps run at full scale, so each run
 # sits under `timeout 60`: a repair scan that costs O(known files) again
 # (25 s and 18 s before the under-replication index) fails here as a
-# timeout (cmp sees the cut-off output).
+# timeout (cmp sees the cut-off output). The scale sweep (256 to 65,536
+# workers) is compared on its simulated columns only — workers,
+# bytes_moved_gb, makespan_sec, sim_events — since the rest are wall clock.
 check-goldens:
 	$(GO) build -o friedabench ./cmd/friedabench
 	@for p in 1 8; do \
@@ -28,6 +30,8 @@ check-goldens:
 			echo "$$e -parallel $$p"; \
 			timeout 60 ./friedabench -exp $$e -parallel $$p | cmp - goldens/exp_$$e.txt || exit 1; \
 		done; \
+		echo "scale -parallel $$p"; \
+		timeout 60 ./friedabench -exp scale -parallel $$p | awk '{print $$1, $$2, $$4, $$6}' | cmp - goldens/exp_scale.txt || exit 1; \
 		echo "fig6a -attrib -parallel $$p"; \
 		timeout 60 ./friedabench -exp fig6a -attrib -parallel $$p | cmp - goldens/fig6a_attrib.txt || exit 1; \
 		echo "fig6a -metrics -parallel $$p"; \

@@ -12,7 +12,7 @@
 //	friedabench -exp durability     # chaos: RF sweep under link+disk+worker faults
 //	friedabench -exp masterfail     # master crashes: crashfree vs journal vs amnesia
 //	friedabench -exp ctrlplane      # execution templates vs per-task decision cost
-//	friedabench -exp scale          # BLAST at 256/1024/4096 workers
+//	friedabench -exp scale          # BLAST at 256..65,536 workers on a fat-tree (~1 s)
 //	friedabench -exp list           # every experiment with a one-line description
 //
 // -scale shrinks the workloads for quick runs (1.0 = paper size; the full
@@ -560,9 +560,10 @@ func writeCtrlPlaneBench(path string, byApp map[string][]experiments.SweepRow) e
 }
 
 // writeScaleBench records the scale sweep as a benchmark JSON file
-// (BENCH_scale.json): one entry per cluster size with the wall-clock,
-// event-count and derived per-event / per-flow cost columns, plus enough
-// environment detail to interpret the absolute numbers later.
+// (BENCH_scale.json): one entry per cluster size with the wall-clock (whole
+// cell, and its setup part), event-count and derived per-event / per-flow
+// cost columns, plus enough environment detail to interpret the absolute
+// numbers later.
 func writeScaleBench(path string, rows []experiments.SweepRow) error {
 	type benchRow struct {
 		Workers      int     `json:"workers"`
@@ -570,6 +571,7 @@ func writeScaleBench(path string, rows []experiments.SweepRow) error {
 		BytesMovedGB float64 `json:"bytes_moved_gb"`
 		SimEvents    float64 `json:"sim_events"`
 		WallMs       float64 `json:"wall_ms"`
+		SetupMs      float64 `json:"setup_ms"`
 		EventsPerSec float64 `json:"events_per_sec"`
 		UsPerEvent   float64 `json:"us_per_event"`
 		UsPerFlow    float64 `json:"us_per_flow"`
@@ -595,6 +597,7 @@ func writeScaleBench(path string, rows []experiments.SweepRow) error {
 			BytesMovedGB: r.Series["bytes_moved_gb"],
 			SimEvents:    r.Series["sim_events"],
 			WallMs:       r.Series["wall_ms"],
+			SetupMs:      r.Series["setup_ms"],
 			EventsPerSec: r.Series["events_per_sec"],
 			UsPerEvent:   r.Series["us_per_event"],
 			UsPerFlow:    r.Series["us_per_flow"],

@@ -14,6 +14,8 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strconv"
+	"strings"
 
 	"frieda/internal/netsim"
 	"frieda/internal/sim"
@@ -107,6 +109,9 @@ type VM struct {
 
 	failTimer *sim.Timer
 	cluster   *Cluster
+	// readyOnce holds the OnReadyOnce callbacks waiting for this VM's boot,
+	// in registration order; bootComplete fires and drops them.
+	readyOnce []func()
 }
 
 // ID returns the VM's cluster-unique id.
@@ -241,19 +246,15 @@ func (c *Cluster) OnReady(fn func(*VM)) { c.onReady = append(c.onReady, fn) }
 
 // OnReadyOnce runs fn when the specific VM comes up — immediately if it is
 // already running. Used to attach a replacement worker as soon as its boot
-// completes.
+// completes. The callback waits on the VM, not the cluster: the VM's boot
+// event runs it, or drops it if the VM was terminated while booting, and no
+// other boot ever sees it.
 func (c *Cluster) OnReadyOnce(vm *VM, fn func()) {
 	if vm.Running() {
 		fn()
 		return
 	}
-	fired := false
-	c.OnReady(func(v *VM) {
-		if v == vm && !fired {
-			fired = true
-			fn()
-		}
-	})
+	vm.readyOnce = append(vm.readyOnce, fn)
 }
 
 // OnFailure registers a callback invoked when any VM fails.
@@ -262,6 +263,11 @@ func (c *Cluster) OnFailure(fn func(*VM)) { c.onFail = append(c.onFail, fn) }
 // Provision requests n VMs of the given type. VMs boot asynchronously
 // (unless Options.InstantBoot) and OnReady callbacks fire as each comes up.
 // The returned VMs are in StateProvisioning until then.
+//
+// The batch is built one slab per kind — VMs, hosts, NIC links, local disks
+// and one string holding every name — so its cost is a handful of objects
+// plus one boot event per VM, whatever n is. A VM pointer therefore pins its
+// whole batch: the n VMs, their hosts, links and disks are freed together.
 func (c *Cluster) Provision(n int, typ InstanceType) ([]*VM, error) {
 	if err := typ.Validate(); err != nil {
 		return nil, err
@@ -269,27 +275,55 @@ func (c *Cluster) Provision(n int, typ InstanceType) ([]*VM, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("cloud: provision of %d VMs", n)
 	}
-	out := make([]*VM, 0, n)
+	first := c.nextID
+	// Every "vm-<id>/local" goes into one exactly sized string; the VM (and
+	// host) name "vm-<id>" is its prefix.
+	var digits [20]byte
+	size := 0
+	for id := first; id < first+n; id++ {
+		size += len("vm-/local") + len(strconv.AppendInt(digits[:0], int64(id), 10))
+	}
+	var b strings.Builder
+	b.Grow(size)
+	for id := first; id < first+n; id++ {
+		b.WriteString("vm-")
+		b.Write(strconv.AppendInt(digits[:0], int64(id), 10))
+		b.WriteString("/local")
+	}
+	all := b.String()
+	names := make([]string, n)
+	for i := range names {
+		names[i] = all[:strings.IndexByte(all, '/')+len("/local")]
+		all = all[len(names[i]):]
+	}
+	disks, err := storage.NewVolumes(names, typ.LocalDisk)
+	if err != nil {
+		return nil, err
+	}
+	for i, local := range names {
+		names[i] = strings.TrimSuffix(local, "/local")
+	}
+	hosts := c.net.NewHosts(names, typ.UpBps, typ.DownBps)
+	if c.tree != nil {
+		c.tree.AttachHosts(hosts)
+	}
+	c.nextID += n
+	vms := make([]VM, n)
+	out := make([]*VM, n)
 	c.vms = slices.Grow(c.vms, n)
-	c.net.ReserveLinks(2 * n) // a NIC pair per VM; the few rack links ride along
-	for i := 0; i < n; i++ {
-		id := c.nextID
-		c.nextID++
-		name := fmt.Sprintf("vm-%d", id)
-		vm := &VM{
-			id:        id,
-			name:      name,
+	for i := range vms {
+		vm := &vms[i]
+		*vm = VM{
+			id:        first + i,
+			name:      names[i],
 			typ:       typ,
 			state:     StateProvisioning,
-			host:      c.net.NewHost(name, typ.UpBps, typ.DownBps),
-			localDisk: storage.MustVolume(name+"/local", typ.LocalDisk),
+			host:      &hosts[i],
+			localDisk: &disks[i],
 			cluster:   c,
 		}
-		if c.tree != nil {
-			c.tree.Attach(vm.host)
-		}
 		c.vms = append(c.vms, vm)
-		out = append(out, vm)
+		out[i] = vm
 		boot := sim.Duration(0)
 		if !c.opts.InstantBoot {
 			boot = sim.Duration(typ.BootMinSec + c.rng.Float64()*(typ.BootMaxSec-typ.BootMinSec))
@@ -299,8 +333,11 @@ func (c *Cluster) Provision(n int, typ InstanceType) ([]*VM, error) {
 	return out, nil
 }
 
-// bootComplete transitions a VM to running and arms its failure clock.
+// bootComplete transitions a VM to running, arms its failure clock, and runs
+// the cluster's OnReady callbacks, then the VM's own OnReadyOnce callbacks.
 func (c *Cluster) bootComplete(vm *VM) {
+	once := vm.readyOnce
+	vm.readyOnce = nil
 	if vm.state != StateProvisioning {
 		return // terminated while booting
 	}
@@ -312,6 +349,9 @@ func (c *Cluster) bootComplete(vm *VM) {
 	}
 	for _, fn := range c.onReady {
 		fn(vm)
+	}
+	for _, fn := range once {
+		fn()
 	}
 }
 

@@ -285,6 +285,42 @@ func TestOnReadyOnce(t *testing.T) {
 	}
 }
 
+// One-shot ready callbacks wait on their VM, not on the cluster: 1,000 of
+// them on distinct booting VMs each fire once, at their own VM's boot, and
+// none is kept anywhere afterwards. A cluster-wide list would keep all 1,000
+// and have every later boot walk them.
+func TestOnReadyOnceForgets(t *testing.T) {
+	eng := sim.NewEngine()
+	c := New(eng, Options{Seed: 3})
+	vms, err := c.Provision(1000, C1XLarge)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fired := make([]int, len(vms))
+	for i, vm := range vms {
+		c.OnReadyOnce(vm, func() {
+			if !vm.Running() || eng.Now() != vm.BootedAt() {
+				t.Errorf("%s: one-shot ran at %v, state %v, booted at %v", vm.Name(), eng.Now(), vm.State(), vm.BootedAt())
+			}
+			fired[i]++
+		})
+	}
+	eng.Run()
+	for i, n := range fired {
+		if n != 1 {
+			t.Fatalf("%s: one-shot fired %d times, want 1", vms[i].Name(), n)
+		}
+	}
+	if len(c.onReady) != 0 {
+		t.Fatalf("cluster keeps %d ready callbacks after every boot", len(c.onReady))
+	}
+	for _, vm := range vms {
+		if vm.readyOnce != nil {
+			t.Fatalf("%s keeps %d one-shots after its boot", vm.Name(), len(vm.readyOnce))
+		}
+	}
+}
+
 func TestSiteAwarePaths(t *testing.T) {
 	eng := sim.NewEngine()
 	c := New(eng, Options{Seed: 1, InstantBoot: true, FabricBps: netsim.Mbps(10)})

@@ -1,0 +1,100 @@
+package cloud
+
+import (
+	"fmt"
+	"runtime/debug"
+	"testing"
+
+	"frieda/internal/netsim"
+	"frieda/internal/sim"
+)
+
+// Provision builds a batch one slab per kind. On a tree cluster 1,024 VMs
+// cost one boot closure each plus a constant handful of objects — VMs,
+// hosts, NIC links, ToR links, disks, names, the returned list and the
+// cluster's — rather than seven or more per VM.
+func TestProvisionAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	const n, runs = 1024, 10
+	spec := netsim.TreeSpec{HostsPerRack: 32, Spines: 8, Oversubscription: 4}
+	// Fresh clusters on one engine, built beforehand, so what is counted is
+	// Provision alone; the first (warm-up) run sizes the engine's queue and
+	// fills its event pool, which booting returns the events to. GC is off so
+	// the pool stays filled between runs.
+	eng := sim.NewEngine()
+	clusters := make([]*Cluster, runs+1)
+	for i := range clusters {
+		clusters[i] = New(eng, Options{Seed: 1, InstantBoot: true, Topology: &spec})
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		if _, err := clusters[next].Provision(n, C1XLarge); err != nil {
+			t.Fatal(err)
+		}
+		next++
+		eng.RunUntil(eng.Now())
+	})
+	if allocs > n+16 {
+		t.Fatalf("Provision(%d) on a tree makes %v allocations, want <= %d", n, allocs, n+16)
+	}
+}
+
+// Every name in a provisioned cluster derives from a unique index, which is
+// why netsim keeps no name index to catch duplicates. Across several
+// Provision calls, VM and host names are vm-<id>, NIC links vm-<id>/up and
+// vm-<id>/down, local disks vm-<id>/local, and no two links share a name —
+// ToR and spine links on a tree, the fabric on a flat cluster.
+func TestProvisionedNamesAreDistinct(t *testing.T) {
+	spec := netsim.TreeSpec{HostsPerRack: 4, Spines: 3}
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"tree", Options{Seed: 1, InstantBoot: true, Topology: &spec}},
+		{"flat-fabric", Options{Seed: 1, InstantBoot: true, FabricBps: netsim.Gbps(1)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := New(sim.NewEngine(), tc.opts)
+			var vms []*VM
+			for _, n := range []int{7, 1, 12, 105} {
+				got, err := c.Provision(n, C1XLarge)
+				if err != nil {
+					t.Fatal(err)
+				}
+				vms = append(vms, got...)
+			}
+			var links []*netsim.Link
+			for i, vm := range vms {
+				want := fmt.Sprintf("vm-%d", i)
+				h := vm.Host()
+				if vm.ID() != i || vm.Name() != want || h.Name() != want || h.Up().Name() != want+"/up" ||
+					h.Down().Name() != want+"/down" || vm.LocalDisk().Name() != want+"/local" {
+					t.Fatalf("VM %d: id %d, names %q %q %q %q %q", i, vm.ID(), vm.Name(), h.Name(),
+						h.Up().Name(), h.Down().Name(), vm.LocalDisk().Name())
+				}
+				links = append(links, h.Up(), h.Down())
+			}
+			if tr := c.Tree(); tr != nil {
+				for r := 0; r < tr.Racks(); r++ {
+					links = append(links, tr.TorUp(r), tr.TorDown(r))
+				}
+				for i := 0; i < spec.Spines; i++ {
+					links = append(links, tr.Spine(i))
+				}
+			}
+			if f := c.Fabric(); f != nil {
+				links = append(links, f.Link())
+			}
+			seen := make(map[string]bool, len(links))
+			for _, l := range links {
+				if seen[l.Name()] {
+					t.Fatalf("two links are named %q", l.Name())
+				}
+				seen[l.Name()] = true
+			}
+		})
+	}
+}

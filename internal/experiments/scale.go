@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"frieda/internal/exprun"
@@ -42,13 +41,12 @@ func ScaleSweep(workerCounts []int, scale float64) ([]SweepRow, error) {
 				// Setup (provisioning O(workers) hosts, links, volumes and
 				// worker state) is timed apart from the event loop: per-event
 				// cost is a property of the loop, and burying linear setup in
-				// it would make the flat-cost trajectory unreadable.
+				// it would make the flat-cost trajectory unreadable. No
+				// collection is forced in between: setup builds one slab per
+				// kind, not objects per VM, so it leaves the loop little
+				// garbage to absorb, and a forced full GC cost more than any
+				// cycle the loop inherits.
 				setupSec := time.Since(start).Seconds()
-				// Collect the setup garbage (tens of MB of host/link/volume
-				// construction at 65k workers) before timing the loop, so the
-				// per-event columns don't absorb a GC cycle triggered by
-				// allocations the loop never made.
-				runtime.GC()
 				runStart := time.Now()
 				res, err := r.Run()
 				if err != nil {

@@ -35,12 +35,12 @@ func compareChurn(t *testing.T, variant string, configure func(*Network)) {
 	t.Helper()
 	const nHosts, nFlows = 16, 120
 	baseEng, baseNet, baseTr, baseHosts := buildTreeNet(t, nHosts, nil)
-	base := runTreeChurn(t, baseNet, baseEng, func(_, s, d int) []*Link {
+	base := runTreeChurn(t, baseNet, baseEng, netLinks(baseTr, baseHosts), func(_, s, d int) []*Link {
 		return baseTr.Path(baseHosts[s], baseHosts[d])
 	}, 23, nHosts, nFlows)
 
 	varEng, varNet, varTr, varHosts := buildTreeNet(t, nHosts, configure)
-	got := runTreeChurn(t, varNet, varEng, func(_, s, d int) []*Link {
+	got := runTreeChurn(t, varNet, varEng, netLinks(varTr, varHosts), func(_, s, d int) []*Link {
 		return varTr.Path(varHosts[s], varHosts[d])
 	}, 23, nHosts, nFlows)
 
@@ -78,18 +78,18 @@ func TestSolverMatchesOracle(t *testing.T) {
 	// every event. wantCold is the share of flow-carrying links that must be
 	// cold at the first check with flows in flight: 0 (none), 1 (all) or -1
 	// (don't care).
-	stepAndCheck := func(t *testing.T, eng *sim.Engine, net *Network, wantCold float64) {
+	stepAndCheck := func(t *testing.T, eng *sim.Engine, net *Network, links []*Link, wantCold float64) {
 		t.Helper()
 		checkedMix := wantCold < 0
 		for steps := 1; eng.Step(); steps++ {
-			checkMembership(t, net)
+			checkMembership(t, net, links)
 			if f, got, want, ok := net.checkRatesAgainstReference(); !ok {
 				t.Fatalf("step %d (t=%v) flow %d: rate %v, reference %v", steps, eng.Now(), f.id, got, want)
 			}
 			if !checkedMix && net.ActiveFlows() > 0 {
 				checkedMix = true
 				var cold, used float64
-				for _, l := range net.links {
+				for _, l := range links {
 					if len(l.flows) > 0 {
 						used++
 						if len(l.flows) < 2 {
@@ -121,7 +121,7 @@ func TestSolverMatchesOracle(t *testing.T) {
 			p := tr.Path(hosts[src], hosts[dst])
 			eng.Schedule(sim.Duration(rng.Float64()*10), func() { net.StartFlow(bytes, p, nil) })
 		}
-		stepAndCheck(t, eng, net, -1)
+		stepAndCheck(t, eng, net, netLinks(tr, hosts), -1)
 	})
 
 	t.Run("flat-all-shared", func(t *testing.T) {
@@ -140,20 +140,22 @@ func TestSolverMatchesOracle(t *testing.T) {
 				net.Transfer(hosts[i%2], hosts[2+(i/2)%2], fabric, float64(i+1)*3e6, nil)
 			}
 		})
-		stepAndCheck(t, eng, net, 0)
+		stepAndCheck(t, eng, net, netLinks(nil, hosts, fabric.Link()), 0)
 	})
 
 	t.Run("all-cold", func(t *testing.T) {
 		// Disjoint pairs with unequal NICs: no link ever carries two flows.
 		eng := sim.NewEngine()
 		net := New(eng)
+		var hosts []*Host
 		for i := 0; i < 6; i++ {
 			src := net.NewHost(hostName("s", i), Mbps(50+10*float64(i)), Mbps(100))
 			dst := net.NewHost(hostName("d", i), Mbps(100), Mbps(110-15*float64(i)))
+			hosts = append(hosts, src, dst)
 			bytes := float64(i+1) * 2e6
 			eng.Schedule(sim.Duration(float64(i)*0.1), func() { net.Transfer(src, dst, nil, bytes, nil) })
 		}
-		stepAndCheck(t, eng, net, 1)
+		stepAndCheck(t, eng, net, netLinks(nil, hosts), 1)
 	})
 }
 

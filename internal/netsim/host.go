@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"strings"
 
 	"frieda/internal/sim"
 )
@@ -34,13 +35,41 @@ func (h *Host) Up() *Link { return h.up }
 func (h *Host) Down() *Link { return h.down }
 
 // NewHost creates a host with the given uplink/downlink capacities in bits
-// per second.
+// per second: a batch of one (NewHosts).
 func (n *Network) NewHost(name string, upBps, downBps float64) *Host {
-	return &Host{
-		name: name,
-		up:   n.NewLink(name+"/up", upBps),
-		down: n.NewLink(name+"/down", downBps),
+	return &n.NewHosts([]string{name}, upBps, downBps)[0]
+}
+
+// NewHosts creates one host per name, all with the same capacities, exactly
+// as NewHost would one at a time. The hosts, their 2·len(names) links and
+// those links' names take one allocation each, so a 65,536-host cluster is
+// three objects rather than five per host. The batch lives as long as any
+// pointer into it: a single live host keeps every host and link of its batch.
+func (n *Network) NewHosts(names []string, upBps, downBps float64) []Host {
+	size := 0
+	for _, name := range names {
+		size += 2*len(name) + len("/up") + len("/down")
 	}
+	var b strings.Builder
+	b.Grow(size)
+	for _, name := range names {
+		b.WriteString(name)
+		b.WriteString("/up")
+		b.WriteString(name)
+		b.WriteString("/down")
+	}
+	linkNames := b.String()
+	hosts := make([]Host, len(names))
+	links := make([]Link, 2*len(names))
+	for i, name := range names {
+		up, down := &links[2*i], &links[2*i+1]
+		n.initLink(up, linkNames[:len(name)+len("/up")], upBps)
+		linkNames = linkNames[len(up.name):]
+		n.initLink(down, linkNames[:len(name)+len("/down")], downBps)
+		linkNames = linkNames[len(down.name):]
+		hosts[i] = Host{name: name, up: up, down: down}
+	}
+	return hosts
 }
 
 // Fabric is an optional shared interconnect between hosts, modelling the

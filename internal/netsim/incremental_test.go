@@ -9,10 +9,9 @@ import (
 
 // buildRandomChurn wires a random topology (random link capacities, random
 // multi-link paths, random flow sizes and start times, random cancels) onto
-// a fresh engine. It returns the network plus the list of flows for
-// inspection. Everything is driven by the seeded rng, so a seed fully
-// determines the run.
-func buildRandomChurn(seed int64) (*sim.Engine, *Network) {
+// a fresh engine. It returns the network and its links. Everything is driven
+// by the seeded rng, so a seed fully determines the run.
+func buildRandomChurn(seed int64) (*sim.Engine, *Network, []*Link) {
 	rng := rand.New(rand.NewSource(seed))
 	eng := sim.NewEngine()
 	net := New(eng)
@@ -39,7 +38,7 @@ func buildRandomChurn(seed int64) (*sim.Engine, *Network) {
 			}
 		})
 	}
-	return eng, net
+	return eng, net, links
 }
 
 // Property: across ≥1000 random topologies, after every delivered event the
@@ -50,11 +49,11 @@ func buildRandomChurn(seed int64) (*sim.Engine, *Network) {
 func TestIncrementalMatchesReferenceProperty(t *testing.T) {
 	const topologies = 1000
 	for seed := int64(0); seed < topologies; seed++ {
-		eng, net := buildRandomChurn(seed)
+		eng, net, links := buildRandomChurn(seed)
 		steps := 0
 		for eng.Step() {
 			steps++
-			checkMembership(t, net)
+			checkMembership(t, net, links)
 			if f, got, want, ok := net.checkRatesAgainstReference(); !ok {
 				t.Fatalf("seed %d, step %d: flow %d rate %v, reference %v",
 					seed, steps, f.id, got, want)

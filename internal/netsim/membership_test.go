@@ -14,8 +14,9 @@ import (
 // list of each link of its path; and the links hold no entry besides those,
 // so no list names a flow twice or keeps a finished, cancelled or interrupted
 // one. (A path never repeats a link, so a live flow's entries are len(path)
-// distinct slots; equal totals leave room for no other.)
-func checkMembership(t testing.TB, n *Network) {
+// distinct slots; equal totals leave room for no other.) links must be every
+// link the test built: the network keeps no list of its own (netLinks).
+func checkMembership(t testing.TB, n *Network, links []*Link) {
 	t.Helper()
 	entries := 0
 	for i, f := range n.flows {
@@ -34,12 +35,28 @@ func checkMembership(t testing.TB, n *Network) {
 		entries += len(f.path)
 	}
 	onLinks := 0
-	for _, l := range n.links {
+	for _, l := range links {
 		onLinks += len(l.flows)
 	}
 	if onLinks != entries {
 		t.Fatalf("links list %d flow entries, the %d live flows account for %d", onLinks, len(n.flows), entries)
 	}
+}
+
+// netLinks lists the links a test built: each host's NIC pair and, given a
+// topology, every rack's ToR pair and every spine, then any extra links.
+func netLinks(tr *Topology, hosts []*Host, extra ...*Link) []*Link {
+	var links []*Link
+	for _, h := range hosts {
+		links = append(links, h.up, h.down)
+	}
+	if tr != nil {
+		for _, r := range tr.racks {
+			links = append(links, r.up, r.down)
+		}
+		links = append(links, tr.spines...)
+	}
+	return append(links, extra...)
 }
 
 // Every way a flow can leave its lists, mixed: completion, Cancel (joined and
@@ -103,7 +120,7 @@ func TestMembershipUnderChurn(t *testing.T) {
 				eng.Schedule(at+sim.Duration(rng.Float64()), func() { net.RestoreLink(l) })
 			}
 			for step := 1; eng.Step(); step++ {
-				checkMembership(t, net)
+				checkMembership(t, net, links)
 				if batched {
 					continue // rates are due at the instant's rebalance, not per event
 				}

@@ -267,10 +267,11 @@ func (f *Flow) settleTo(now sim.Time) {
 	f.lastUpdate = now
 }
 
-// Network is a set of links plus the active flows over them.
+// Network is a set of links plus the active flows over them. It keeps no
+// list of its links: a link is reachable from the host, fabric or topology
+// that made it, and from the flows crossing it.
 type Network struct {
 	eng    *Engine
-	links  map[string]*Link
 	flows  []*Flow // active flows, each at index Flow.netPos
 	nextID uint64
 
@@ -316,7 +317,6 @@ type Engine = sim.Engine
 func New(eng *Engine) *Network {
 	return &Network{
 		eng:      eng,
-		links:    make(map[string]*Link),
 		dirtyGen: 1, // Link.dirty zero value must read as "not in the dirty set"
 	}
 }
@@ -380,40 +380,24 @@ func (n *Network) rebalance() {
 	n.applyRates()
 }
 
-// NewLink adds a link with the given capacity in bits per second. Names must
-// be unique; duplicate names panic since topologies are built once at
-// experiment setup.
+// NewLink adds a link with the given capacity in bits per second. The name is
+// diagnostic (traces, panics, the solver's tie-break) and should be unique;
+// the builders derive every name from a unique index — VM id, rack, spine —
+// so nothing checks it.
 func (n *Network) NewLink(name string, bitsPerSec float64) *Link {
-	if bitsPerSec <= 0 {
-		panic(fmt.Sprintf("netsim: non-positive capacity for link %q", name))
-	}
-	if _, dup := n.links[name]; dup {
-		panic(fmt.Sprintf("netsim: duplicate link %q", name))
-	}
-	l := &Link{name: name, capacity: bitsPerSec, base: bitsPerSec, net: n}
-	n.links[name] = l
+	l := new(Link)
+	n.initLink(l, name, bitsPerSec)
 	return l
 }
 
-// ReserveLinks sizes the link-name index for extra more links, so that a
-// builder which knows how many it is about to add (cloud.Provision) inserts
-// them without the index rehashing as it grows. A reservation that would not
-// at least double the index is left to the map's own growth: copying a large
-// index to add a few links (an elastic scale-out of one VM) costs more than
-// the rehash it avoids.
-func (n *Network) ReserveLinks(extra int) {
-	if extra <= len(n.links) {
-		return
+// initLink makes *l a fresh link of the network, for NewLink and the slab
+// builders (NewHosts, Topology's racks).
+func (n *Network) initLink(l *Link, name string, bitsPerSec float64) {
+	if bitsPerSec <= 0 {
+		panic(fmt.Sprintf("netsim: non-positive capacity for link %q", name))
 	}
-	links := make(map[string]*Link, len(n.links)+extra)
-	for name, l := range n.links {
-		links[name] = l
-	}
-	n.links = links
+	*l = Link{name: name, capacity: bitsPerSec, base: bitsPerSec, net: n}
 }
-
-// Link returns the named link, or nil.
-func (n *Network) Link(name string) *Link { return n.links[name] }
 
 // SetTracer attaches an observability tracer (nil detaches): every solver
 // rate change emits a per-link utilised-bps counter event, and link fault

@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -237,37 +236,6 @@ func TestPathSelfPanics(t *testing.T) {
 		}
 	}()
 	Path(h, h, nil)
-}
-
-func TestDuplicateLinkPanics(t *testing.T) {
-	eng := sim.NewEngine()
-	net := New(eng)
-	net.NewLink("x", 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for duplicate link")
-		}
-	}()
-	net.NewLink("x", 1)
-}
-
-// Reserving room in the name index keeps what it indexed: lookups still find
-// the links made before, and a duplicate name still panics, whether the
-// reservation rebuilt the index (it at least doubles it) or left it alone.
-func TestReserveLinksKeepsNames(t *testing.T) {
-	net := New(sim.NewEngine())
-	x := net.NewLink("x", 1)
-	for _, extra := range []int{1000, 1} {
-		net.ReserveLinks(extra)
-		if net.Link("x") != x {
-			t.Fatalf("ReserveLinks(%d) lost link x", extra)
-		}
-		mustPanic(t, "duplicate link after ReserveLinks", func() { net.NewLink("x", 1) })
-		y := net.NewLink(fmt.Sprint("y", extra), 1)
-		if net.Link(y.Name()) != y {
-			t.Fatalf("link %s made after ReserveLinks(%d) is not indexed", y.Name(), extra)
-		}
-	}
 }
 
 // Property: total goodput through a single shared uplink never exceeds its

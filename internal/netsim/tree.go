@@ -2,6 +2,9 @@ package netsim
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
+	"strings"
 
 	"frieda/internal/sim"
 )
@@ -81,13 +84,14 @@ type rack struct {
 type Topology struct {
 	net      *Network
 	spec     TreeSpec
-	racks    []*rack
+	racks    []rack
 	spines   []*Link
 	attached int // hosts attached so far; the next one fills slot attached
 }
 
 // NewTree creates an empty fat-tree on the network. Spine links are created
-// eagerly (there are few); rack links are created as hosts fill racks.
+// eagerly (there are few); rack links are created as hosts fill racks, one
+// slab per Attach or AttachHosts call that opens racks.
 func NewTree(n *Network, spec TreeSpec) (*Topology, error) {
 	if err := spec.validate(); err != nil {
 		return nil, err
@@ -109,21 +113,73 @@ func NewTree(n *Network, spec TreeSpec) (*Topology, error) {
 // index. The first host of each rack fixes the rack's ToR capacity at
 // HostsPerRack × that host's uplink rate / Oversubscription.
 func (t *Topology) Attach(h *Host) int {
+	t.openRacks(t.attached+1, func(int) float64 { return h.up.capacity })
+	return t.place(h)
+}
+
+// AttachHosts attaches a batch of hosts in order, exactly as Attach would one
+// at a time; the racks the batch opens get their ToR links, and those links'
+// names, from one allocation each.
+func (t *Topology) AttachHosts(hosts []Host) {
+	first := t.attached
+	t.openRacks(first+len(hosts), func(slot int) float64 { return hosts[slot-first].up.capacity })
+	for i := range hosts {
+		t.place(&hosts[i])
+	}
+}
+
+// place puts h into the next free slot, whose rack must be open.
+func (t *Topology) place(h *Host) int {
 	if h.tree != nil {
 		panic(fmt.Sprintf("netsim: host %q attached twice", h.Name()))
 	}
 	r := t.attached / t.spec.HostsPerRack
-	if r == len(t.racks) {
-		torBps := float64(t.spec.HostsPerRack) * h.Up().Capacity() / t.spec.Oversubscription
-		up := t.net.NewLink(fmt.Sprintf("tor%d/up", r), torBps)
-		down := t.net.NewLink(fmt.Sprintf("tor%d/down", r), torBps)
-		up.SetLatency(sim.Duration(t.spec.LatencySec))
-		down.SetLatency(sim.Duration(t.spec.LatencySec))
-		t.racks = append(t.racks, &rack{up: up, down: down})
-	}
 	h.tree, h.rack = t, r
 	t.attached++
 	return r
+}
+
+// openRacks opens every rack up to the one holding slot hosts-1. Rack r's ToR
+// capacity is HostsPerRack × upBps(its first slot) / Oversubscription, where
+// upBps gives the uplink rate of the host about to fill a slot.
+func (t *Topology) openRacks(hosts int, upBps func(slot int) float64) {
+	per := t.spec.HostsPerRack
+	first, last := len(t.racks), (hosts+per-1)/per
+	if last <= first {
+		return
+	}
+	// Every "tor<r>/up" and "tor<r>/down" goes into one exactly sized string.
+	var digits [20]byte
+	size := 0
+	for r := first; r < last; r++ {
+		size += 2*len(strconv.AppendInt(digits[:0], int64(r), 10)) + len("tor/up") + len("tor/down")
+	}
+	var b strings.Builder
+	b.Grow(size)
+	for r := first; r < last; r++ {
+		d := strconv.AppendInt(digits[:0], int64(r), 10)
+		b.WriteString("tor")
+		b.Write(d)
+		b.WriteString("/up")
+		b.WriteString("tor")
+		b.Write(d)
+		b.WriteString("/down")
+	}
+	names := b.String()
+	links := make([]Link, 2*(last-first))
+	t.racks = slices.Grow(t.racks, last-first)
+	for r := first; r < last; r++ {
+		torBps := float64(per) * upBps(r*per) / t.spec.Oversubscription
+		d := len(strconv.AppendInt(digits[:0], int64(r), 10))
+		up, down := &links[2*(r-first)], &links[2*(r-first)+1]
+		t.net.initLink(up, names[:len("tor/up")+d], torBps)
+		names = names[len(up.name):]
+		t.net.initLink(down, names[:len("tor/down")+d], torBps)
+		names = names[len(down.name):]
+		up.SetLatency(sim.Duration(t.spec.LatencySec))
+		down.SetLatency(sim.Duration(t.spec.LatencySec))
+		t.racks = append(t.racks, rack{up: up, down: down})
+	}
 }
 
 // Racks returns how many racks have at least one host.

@@ -101,6 +101,68 @@ func TestTreeRoutingAndRacks(t *testing.T) {
 	mustPanic(t, "foreign dst", func() { tr.Path(hosts[0], foreign) })
 }
 
+// Building hosts and racks in batches (NewHosts, AttachHosts) must give what
+// building them one at a time (NewHost, Attach) gives: the same names,
+// capacities, racks and ToR links, with batches that start and end mid-rack,
+// a one-host batch, and a NIC rate that changes mid-rack (a rack's ToR rate
+// follows its first host).
+func TestBatchBuildMatchesOneByOne(t *testing.T) {
+	spec := TreeSpec{HostsPerRack: 4, Spines: 2, Oversubscription: 2, LatencySec: 0.001}
+	batches := []int{1, 6, 13, 3}
+	upMbps := []float64{100, 100, 1000, 100}
+
+	oneNet := New(sim.NewEngine())
+	one, err := NewTree(oneNet, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batchNet := New(sim.NewEngine())
+	batch, err := NewTree(batchNet, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var singles, batched []*Host
+	i := 0
+	for bi, n := range batches {
+		names := make([]string, n)
+		for k := range names {
+			names[k] = hostName("vm-", i+k)
+		}
+		hosts := batchNet.NewHosts(names, Mbps(upMbps[bi]), Mbps(100))
+		batch.AttachHosts(hosts)
+		for k := range hosts {
+			h := oneNet.NewHost(names[k], Mbps(upMbps[bi]), Mbps(100))
+			one.Attach(h)
+			singles, batched = append(singles, h), append(batched, &hosts[k])
+		}
+		i += n
+	}
+	sameLink := func(what string, a, b *Link) {
+		t.Helper()
+		if a.Name() != b.Name() || a.Capacity() != b.Capacity() || a.BaseCapacity() != b.BaseCapacity() ||
+			a.Latency() != b.Latency() {
+			t.Fatalf("%s: one-by-one %q %v/%v latency %v, batched %q %v/%v latency %v", what,
+				a.Name(), a.Capacity(), a.BaseCapacity(), a.Latency(), b.Name(), b.Capacity(), b.BaseCapacity(), b.Latency())
+		}
+	}
+	for k := range singles {
+		a, b := singles[k], batched[k]
+		if a.Name() != b.Name() || one.RackOf(a) != batch.RackOf(b) {
+			t.Fatalf("host %d: one-by-one %q in rack %d, batched %q in rack %d", k, a.Name(), one.RackOf(a), b.Name(), batch.RackOf(b))
+		}
+		sameLink("up", a.Up(), b.Up())
+		sameLink("down", a.Down(), b.Down())
+	}
+	if one.Racks() != batch.Racks() || one.Racks() != 6 {
+		t.Fatalf("racks: one-by-one %d, batched %d, want 6", one.Racks(), batch.Racks())
+	}
+	for r := 0; r < one.Racks(); r++ {
+		sameLink("tor up", one.TorUp(r), batch.TorUp(r))
+		sameLink("tor down", one.TorDown(r), batch.TorDown(r))
+	}
+	mustPanic(t, "double batch attach", func() { batch.AttachHosts([]Host{*batched[0]}) })
+}
+
 func mustPanic(t *testing.T, what string, fn func()) {
 	t.Helper()
 	defer func() {
@@ -122,7 +184,7 @@ type treeChurnResult struct {
 	snapshots   [][]float64
 }
 
-func runTreeChurn(t testing.TB, net *Network, eng *sim.Engine, path func(i, src, dst int) []*Link, seed int64, nHosts, nFlows int) treeChurnResult {
+func runTreeChurn(t testing.TB, net *Network, eng *sim.Engine, links []*Link, path func(i, src, dst int) []*Link, seed int64, nHosts, nFlows int) treeChurnResult {
 	rng := rand.New(rand.NewSource(seed))
 	res := treeChurnResult{completions: make([]sim.Time, nFlows)}
 	flows := make([]*Flow, nFlows)
@@ -154,7 +216,7 @@ func runTreeChurn(t testing.TB, net *Network, eng *sim.Engine, path func(i, src,
 		})
 	}
 	for eng.Step() {
-		checkMembership(t, net)
+		checkMembership(t, net, links)
 	}
 	return res
 }
@@ -202,7 +264,7 @@ func TestTreeDegenerateMatchesFlat(t *testing.T) {
 			for i := range flatHosts {
 				flatHosts[i] = flatNet.NewHost(hostName("h", i), Mbps(100), Mbps(100))
 			}
-			flat := runTreeChurn(t, flatNet, flatEng, func(_, s, d int) []*Link {
+			flat := runTreeChurn(t, flatNet, flatEng, netLinks(nil, flatHosts), func(_, s, d int) []*Link {
 				return Path(flatHosts[s], flatHosts[d], nil)
 			}, 7, nHosts, nFlows)
 
@@ -218,7 +280,7 @@ func TestTreeDegenerateMatchesFlat(t *testing.T) {
 				treeHosts[i] = treeNet.NewHost(hostName("h", i), Mbps(100), Mbps(100))
 				tr.Attach(treeHosts[i])
 			}
-			tree := runTreeChurn(t, treeNet, treeEng, func(_, s, d int) []*Link {
+			tree := runTreeChurn(t, treeNet, treeEng, netLinks(tr, treeHosts), func(_, s, d int) []*Link {
 				return tr.Path(treeHosts[s], treeHosts[d])
 			}, 7, nHosts, nFlows)
 

@@ -113,7 +113,7 @@ func TestDrainWorker(t *testing.T) {
 	lateOnDrained := false
 	for _, c := range res.Completions {
 		counts[c.Worker]++
-		if c.Start > drainedAt+1.0 && r.byVM[vms[1]].draining && c.Worker == vms[1].Name() {
+		if c.Start > drainedAt+1.0 && r.worker(vms[1]).draining && c.Worker == vms[1].Name() {
 			lateOnDrained = true
 		}
 	}

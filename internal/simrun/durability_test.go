@@ -248,7 +248,7 @@ func TestDiskDeathRestagesCommonData(t *testing.T) {
 		t.Fatal("disk death did not wipe the volume")
 	}
 	// The re-stage must have restored the worker's replica of the dataset.
-	if !r.replicas.Has(commonFile, r.byVM[vms[1]].name) {
+	if !r.replicas.Has(commonFile, r.worker(vms[1]).name) {
 		t.Fatal("common dataset not re-staged after disk death")
 	}
 }

@@ -81,8 +81,8 @@ type specPair struct {
 // contention, thermal throttling, a noisy neighbour — not death, so the
 // worker keeps heartbeating and keeps its data.
 func (r *Runner) SetWorkerSpeed(vm *cloud.VM, factor float64) {
-	w, ok := r.byVM[vm]
-	if !ok || w.dead || factor <= 0 || factor == w.speed {
+	w := r.worker(vm)
+	if w == nil || w.dead || factor <= 0 || factor == w.speed {
 		return
 	}
 	old := w.speed
@@ -111,7 +111,7 @@ func (r *Runner) SetWorkerSpeed(vm *cloud.VM, factor float64) {
 
 // WorkerSpeed returns vm's current compute-rate factor (0 for unknown VMs).
 func (r *Runner) WorkerSpeed(vm *cloud.VM) float64 {
-	if w, ok := r.byVM[vm]; ok {
+	if w := r.worker(vm); w != nil {
 		return w.speed
 	}
 	return 0

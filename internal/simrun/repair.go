@@ -261,7 +261,7 @@ func (m *repairManager) start(f string) {
 				m.r.mRepairsFailed.Inc()
 				return
 			}
-			dst.has[f] = true
+			dst.setHas(f)
 			landed := func() {
 				r.repAdd(f, dst.name)
 				if r.repairNode != nil {

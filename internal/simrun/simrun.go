@@ -363,7 +363,9 @@ type Runner struct {
 
 	master  *cloud.VM
 	workers []*simWorker
-	byVM    map[*cloud.VM]*simWorker
+	// byVM is indexed by VM id (dense per cluster); VMs that never joined,
+	// the master's among them, have a nil slot.
+	byVM []*simWorker
 
 	queue    []int
 	retries  map[int]int
@@ -467,12 +469,15 @@ type simWorker struct {
 	name  string
 	slots int
 	disk  *storage.Volume
+	// has marks the files on the worker's disk; nil until the first one
+	// (setHas).
 	has   map[string]bool
 	ready bool // common data staged
 	// admitted counts tasks in the transfer→compute pipeline.
 	admitted int
 	cores    *sim.Resource
-	// inflight tracks admitted task attempts for failure handling.
+	// inflight tracks admitted task attempts for failure handling; nil until
+	// the first dispatch.
 	inflight map[int]*taskAttempt
 	backlog  []int
 	dead     bool
@@ -488,6 +493,16 @@ type simWorker struct {
 	// only when tracing is enabled.
 	cpuLanes  []bool
 	xferLanes []bool
+}
+
+// setHas marks file as on the worker's disk, making the map on first use: a
+// worker that never receives a task file costs no map, and in the
+// 65,536-worker BLAST cell (7,500 tasks) most never do.
+func (w *simWorker) setHas(file string) {
+	if w.has == nil {
+		w.has = make(map[string]bool)
+	}
+	w.has[file] = true
 }
 
 // taskAttempt tracks cancellation state of one admitted task.
@@ -675,7 +690,6 @@ func NewRunner(cluster *cloud.Cluster, master *cloud.VM, cfg Config, wl Workload
 		cfg:      cfg,
 		wl:       wl,
 		master:   master,
-		byVM:     make(map[*cloud.VM]*simWorker),
 		retries:  make(map[int]int),
 		replicas: catalog.NewReplicas(),
 
@@ -708,7 +722,7 @@ func NewRunner(cluster *cloud.Cluster, master *cloud.VM, cfg Config, wl Workload
 			}
 		}
 		cluster.OnDiskFailure(func(vm *cloud.VM, _ *storage.Volume) {
-			if w, ok := r.byVM[vm]; ok {
+			if w := r.worker(vm); w != nil {
 				r.diskDied(w)
 			}
 		})
@@ -781,11 +795,22 @@ func NewRunner(cluster *cloud.Cluster, master *cloud.VM, cfg Config, wl Workload
 	r.hXferSec = cfg.Metrics.Histogram("transfer_sec", []float64{0.1, 0.3, 1, 3, 10, 30, 100, 300, 1000})
 	r.res.PerWorker = make(map[string]int)
 	cluster.OnFailure(func(vm *cloud.VM) {
-		if w, ok := r.byVM[vm]; ok {
+		if w := r.worker(vm); w != nil {
 			r.workerDied(w)
 		}
 	})
 	return r, nil
+}
+
+// worker returns the worker running on vm, or nil if vm never joined. IDs
+// are unique only within a cluster, so the slot's VM must be vm itself.
+func (r *Runner) worker(vm *cloud.VM) *simWorker {
+	if id := vm.ID(); id < len(r.byVM) {
+		if w := r.byVM[id]; w != nil && w.vm == vm {
+			return w
+		}
+	}
+	return nil
 }
 
 // countGauge registers a metrics column that samples one Result count, so
@@ -849,17 +874,18 @@ func (r *Runner) AddWorker(vm *cloud.VM) *simWorker {
 		disk = storage.MustVolume(vm.Name()+"/scratch", *r.cfg.Storage)
 	}
 	w := &simWorker{
-		vm:       vm,
-		name:     vm.Name(),
-		slots:    slots,
-		disk:     disk,
-		has:      make(map[string]bool),
-		cores:    sim.NewResource(slots),
-		inflight: make(map[int]*taskAttempt),
-		speed:    1,
+		vm:    vm,
+		name:  vm.Name(),
+		slots: slots,
+		disk:  disk,
+		cores: sim.NewResource(slots),
+		speed: 1,
 	}
 	r.workers = append(r.workers, w)
-	r.byVM[vm] = w
+	if id := vm.ID(); id >= len(r.byVM) {
+		r.byVM = append(r.byVM, make([]*simWorker, id+1-len(r.byVM))...)
+	}
+	r.byVM[vm.ID()] = w
 	if r.started {
 		register := func() {
 			if w.dead {
@@ -1454,7 +1480,7 @@ func (r *Runner) startPrePartition() error {
 				// Data pre-placed: everything is already on disk.
 				for _, gi := range w.backlog {
 					for _, f := range r.wl.Tasks[gi].Files {
-						w.has[f.Name] = true
+						w.setHas(f.Name)
 					}
 				}
 				barrier()
@@ -1491,7 +1517,7 @@ func (r *Runner) streamChain(w *simWorker, files []catalog.FileMeta, i int, then
 			return
 		}
 		r.chargeDiskWrite(w, float64(f.Size), func() {
-			w.has[f.Name] = true
+			w.setHas(f.Name)
 			r.noteStaged(f.Name, w.name)
 			r.streamChain(w, files, i+1, then)
 		})
@@ -1525,7 +1551,7 @@ func (r *Runner) startNoPartition() error {
 		r.stageCommon(w, func() {
 			if r.cfg.Strategy.Locality == strategy.Local {
 				for _, f := range all {
-					w.has[f.Name] = true
+					w.setHas(f.Name)
 				}
 				barrier()
 				return
@@ -1666,6 +1692,9 @@ func (r *Runner) pickQueue(w *simWorker) int {
 func (r *Runner) fetchAndRun(w *simWorker, gi int) *taskAttempt {
 	task := r.wl.Tasks[gi]
 	att := &taskAttempt{task: gi}
+	if w.inflight == nil {
+		w.inflight = make(map[int]*taskAttempt)
+	}
 	w.inflight[gi] = att
 	if tr := r.cfg.Tracer; tr.Enabled() {
 		tr.Instant(w.name, "sched", "dispatch", obs.Args{
@@ -1693,7 +1722,7 @@ func (r *Runner) fetchAndRun(w *simWorker, gi int) *taskAttempt {
 				// replica before streaming: a concurrent slot fetching a
 				// shared file (one-to-all's pivot, all-to-all pairs) must
 				// not fetch it twice.
-				w.has[f.Name] = true
+				w.setHas(f.Name)
 				if r.cfg.Gray != nil {
 					att.claimed = append(att.claimed, f.Name)
 				}
@@ -1832,7 +1861,7 @@ func (r *Runner) fetchChain(w *simWorker, att *taskAttempt, metas []catalog.File
 				}
 				// Re-assert the claim: a disk wipe mid-transfer cleared it,
 				// and the bytes just landed on the fresh media.
-				w.has[f.Name] = true
+				w.setHas(f.Name)
 				r.noteStaged(f.Name, w.name)
 				step(i + 1)
 			})

@@ -432,3 +432,59 @@ func TestMakespanLowerBoundsProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// A worker joining costs the worker and its core pool, nothing per VM more:
+// its file and attempt maps are made on first use and the VM-to-worker index
+// is a slice by VM id, so 1,024 joins average close to two allocations each
+// (the rest is the two slices growing). At 65,536 workers each extra
+// allocation per join is a visible share of a cell's setup.
+func TestAddWorkerAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	const n, runs = 1024, 3
+	eng := sim.NewEngine()
+	cluster := cloud.New(eng, cloud.Options{Seed: 1, InstantBoot: true})
+	vms, err := cluster.Provision(n+1, cloud.C1XLarge)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.RunUntil(eng.Now())
+	cfg := Config{Strategy: strategy.Config{Kind: strategy.RealTime}}
+	wl := Workload{Name: "cpu", Tasks: uniformTasks(8, 1, 0)}
+	runners := make([]*Runner, runs+1) // AllocsPerRun adds a warm-up run
+	for i := range runners {
+		if runners[i], err = NewRunner(cluster, vms[0], cfg, wl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next := 0
+	perRun := testing.AllocsPerRun(runs, func() {
+		for _, vm := range vms[1:] {
+			runners[next].AddWorker(vm)
+		}
+		next++
+	})
+	if per := perRun / n; per > 2.2 {
+		t.Fatalf("AddWorker makes %.3f allocations per call, want <= 2.2", per)
+	}
+}
+
+// The VM index is by id, and ids repeat across clusters: a VM of another
+// cluster is not a worker even where its id matches one.
+func TestWorkerLookupIgnoresForeignVM(t *testing.T) {
+	_, cluster, vms := newTestCluster(t, 1)
+	_, _, foreign := newTestCluster(t, 1)
+	r, err := NewRunner(cluster, vms[0], Config{Strategy: strategy.Config{Kind: strategy.RealTime}},
+		Workload{Name: "cpu", Tasks: uniformTasks(1, 1, 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.AddWorker(vms[1])
+	if got := r.WorkerSpeed(vms[1]); got != 1 {
+		t.Fatalf("WorkerSpeed(worker) = %v, want 1", got)
+	}
+	if got := r.WorkerSpeed(foreign[1]); got != 0 {
+		t.Fatalf("WorkerSpeed(VM of another cluster with the same id) = %v, want 0", got)
+	}
+}

@@ -179,12 +179,26 @@ var ErrNoSpace = errors.New("storage: volume out of space")
 // ErrReadOnly is returned when writing to a read-only tier.
 var ErrReadOnly = errors.New("storage: volume is read-only")
 
-// NewVolume provisions a volume from a spec.
+// NewVolume provisions a volume from a spec: a batch of one (NewVolumes).
 func NewVolume(name string, spec Spec) (*Volume, error) {
+	vols, err := NewVolumes([]string{name}, spec)
+	if err != nil {
+		return nil, err
+	}
+	return &vols[0], nil
+}
+
+// NewVolumes provisions one volume per name from a spec, all in one
+// allocation; a pointer to any of them keeps the whole batch alive.
+func NewVolumes(names []string, spec Spec) ([]Volume, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	return &Volume{spec: spec, name: name, degrade: 1}, nil
+	vols := make([]Volume, len(names))
+	for i, name := range names {
+		vols[i] = Volume{spec: spec, name: name, degrade: 1}
+	}
+	return vols, nil
 }
 
 // MustVolume is NewVolume for static experiment setup; it panics on error.
