@@ -529,7 +529,7 @@ func writeCtrlPlaneBench(path string, byApp map[string][]experiments.SweepRow) e
 		CPU         string     `json:"cpu"`
 		Rows        []benchRow `json:"rows"`
 	}{
-		Description: "execution-template control plane: scheduling decisions per second of control-plane time, slow path vs template replay (Check mode on), on micro-task-chunked ALS/BLAST; ctrl_speedup >= 10 is the acceptance bar",
+		Description: "execution-template control plane: scheduling decisions per second of control-plane time, slow path vs template replay (templates always re-derive every hit), on micro-task-chunked ALS/BLAST; ctrl_speedup >= 10 is the acceptance bar",
 		Go:          runtime.Version() + " " + runtime.GOOS + "/" + runtime.GOARCH,
 		CPU:         cpuModel(),
 	}

@@ -50,15 +50,12 @@ func ChunkWorkload(wl simrun.Workload, k int) simrun.Workload {
 
 // runCtrlPlane runs the real-time strategy with the priced control plane on
 // the paper's 4-worker testbed. Both modes model the same per-decision cost;
-// "on" additionally enables template replay (and Check mode, so every hit is
-// re-derived against the slow path and divergence panics the run).
+// "on" additionally enables template replay, and templates always re-derive
+// every hit against the slow path, so a divergence panics the run.
 func runCtrlPlane(wl simrun.Workload, templates bool) (simrun.Result, error) {
 	cfg := simrun.Config{
-		Strategy: strategy.RealTimeRemote,
-		CtrlPlane: &simrun.CtrlPlaneConfig{
-			Templates: templates,
-			Check:     templates,
-		},
+		Strategy:  strategy.RealTimeRemote,
+		CtrlPlane: &simrun.CtrlPlaneConfig{Templates: templates},
 	}
 	return RunStrategy(cfg, wl, 0, 7)
 }

@@ -38,8 +38,8 @@ func TestChunkWorkloadPreservesTotals(t *testing.T) {
 // TestAblationCtrlPlaneSpeedup asserts the headline: template replay cuts
 // control-plane seconds by at least 10x at fine granularity (the cached
 // decision rate is ~50x the slow path; misses only happen on invalidation
-// events). Check mode is on in the sweep, so every counted hit was verified
-// bit-identical against the slow path.
+// events). Templates always re-derive every hit, so every counted hit was
+// verified bit-identical against the slow path.
 func TestAblationCtrlPlaneSpeedup(t *testing.T) {
 	rows, err := AblationCtrlPlane("ALS", 0.05)
 	if err != nil {

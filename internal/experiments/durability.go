@@ -63,14 +63,8 @@ func runDurability(wl simrun.Workload, rf int, spec chaosSpec) (simrun.Result, e
 		Strategy:   strategy.RealTimeRemote,
 		Recover:    true,
 		MaxRetries: 5,
-		Detection:  &simrun.DetectionConfig{HeartbeatSec: 5, TimeoutSec: 15, K: 3},
-		NetFaults: &simrun.NetFaultConfig{
-			Resume:        true,
-			MaxAttempts:   6,
-			BackoffSec:    1,
-			BackoffCapSec: 30,
-			JitterSeed:    13,
-		},
+		Detection:  &simrun.DetectionConfig{K: 3},
+		NetFaults:  &simrun.NetFaultConfig{Resume: true},
 		Durability: &simrun.DurabilityConfig{
 			RF:                   rf,
 			ScanPeriodSec:        30,

@@ -43,7 +43,7 @@ func runMasterFail(wl simrun.Workload, spec masterFailSpec, linkMTBFSec float64,
 		Strategy:   strategy.RealTimeRemote,
 		Recover:    true,
 		MaxRetries: 5,
-		Detection:  &simrun.DetectionConfig{HeartbeatSec: 5, TimeoutSec: 15, K: 3},
+		Detection:  &simrun.DetectionConfig{K: 3},
 		Durability: &simrun.DurabilityConfig{
 			RF: 2, ScanPeriodSec: 5, MaxConcurrentRepairs: 4,
 			EvacuateSource: true, Verify: true, Seed: 17,

@@ -32,7 +32,7 @@ var netFailModes = []string{"isolate", "retry", "resume"}
 func runNetFail(wl simrun.Workload, spec netFailSpec, mode string) (simrun.Result, error) {
 	cfg := simrun.Config{
 		Strategy:  strategy.RealTimeRemote,
-		Detection: &simrun.DetectionConfig{HeartbeatSec: 5, TimeoutSec: 15, K: 1},
+		Detection: &simrun.DetectionConfig{K: 1},
 	}
 	switch mode {
 	case "isolate":
@@ -40,13 +40,7 @@ func runNetFail(wl simrun.Workload, spec netFailSpec, mode string) (simrun.Resul
 		cfg.Recover = true
 		cfg.MaxRetries = 5
 		cfg.Detection.K = 3
-		cfg.NetFaults = &simrun.NetFaultConfig{
-			Resume:        mode == "resume",
-			MaxAttempts:   6,
-			BackoffSec:    1,
-			BackoffCapSec: 30,
-			JitterSeed:    13,
-		}
+		cfg.NetFaults = &simrun.NetFaultConfig{Resume: mode == "resume"}
 	default:
 		return simrun.Result{}, fmt.Errorf("experiments: unknown netfail mode %q", mode)
 	}

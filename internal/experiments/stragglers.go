@@ -46,20 +46,14 @@ func runStragglers(wl simrun.Workload, spec stragglerSpec, mode string) (simrun.
 		Strategy:   strategy.RealTimeRemote,
 		Recover:    true,
 		MaxRetries: 5,
-		Detection:  &simrun.DetectionConfig{HeartbeatSec: 5, TimeoutSec: 15, K: 3},
+		Detection:  &simrun.DetectionConfig{K: 3},
 	}
 	switch mode {
 	case "none":
 	case "detect", "spec", "hedge", "both":
 		cfg.Gray = &simrun.GrayConfig{
-			Speculate:                mode == "spec" || mode == "both",
-			SpeculateAfterSec:        15,
-			MaxConcurrentSpeculative: 8,
-			Hedge:                    mode == "hedge" || mode == "both",
-			HedgeCheckSec:            6,
-			HedgeFraction:            0.4,
-			MaxConcurrentHedges:      4,
-			HedgeSeed:                41,
+			Speculate: mode == "spec" || mode == "both",
+			Hedge:     mode == "hedge" || mode == "both",
 		}
 	default:
 		return simrun.Result{}, fmt.Errorf("experiments: unknown stragglers mode %q", mode)

@@ -11,7 +11,6 @@
 package fault
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -24,63 +23,28 @@ import (
 // SlowSuspect never escalates to Declared by itself.
 const SlowSuspect NodeState = 3
 
-// AdaptiveOptions configures the gray-failure detection ladder.
-type AdaptiveOptions struct {
-	// Window is how many recent heartbeat interarrivals are kept per node
-	// for the φ score (default 8).
-	Window int
-	// PhiSuspect is the φ threshold above which heartbeat jitter alone
-	// marks a node slow (default 2.0, i.e. < 1% likely under the observed
-	// interarrival distribution).
-	PhiSuspect float64
-	// SlowFactor marks a progress report slow when the node's observed rate
-	// falls below SlowFactor x the peer median rate (default 0.5).
-	SlowFactor float64
-	// MinReports is how many consecutive slow reports accrue before the
-	// node is slow-suspected (default 3) — one noisy watermark must not
-	// trigger speculation.
-	MinReports int
-}
-
-// withDefaults fills zero fields.
-func (o AdaptiveOptions) withDefaults() AdaptiveOptions {
-	if o.Window == 0 {
-		o.Window = 8
-	}
-	if o.PhiSuspect == 0 {
-		o.PhiSuspect = 2.0
-	}
-	if o.SlowFactor == 0 {
-		o.SlowFactor = 0.5
-	}
-	if o.MinReports == 0 {
-		o.MinReports = 3
-	}
-	return o
-}
-
-// validate checks the (defaulted) options.
-func (o AdaptiveOptions) validate() error {
-	if o.Window < 2 {
-		return fmt.Errorf("fault: adaptive window %d below 2", o.Window)
-	}
-	if o.PhiSuspect <= 0 {
-		return fmt.Errorf("fault: non-positive phi threshold %v", o.PhiSuspect)
-	}
-	if o.SlowFactor <= 0 || o.SlowFactor >= 1 {
-		return fmt.Errorf("fault: slow factor %v outside (0, 1)", o.SlowFactor)
-	}
-	if o.MinReports < 1 {
-		return fmt.Errorf("fault: min reports %d below 1", o.MinReports)
-	}
-	return nil
-}
+// The gray-failure detection ladder.
+const (
+	// phiWindow is how many recent heartbeat interarrivals are kept per node
+	// for the φ score.
+	phiWindow = 8
+	// phiSuspect is the φ threshold above which heartbeat jitter alone marks
+	// a node slow (< 1% likely under the observed interarrival distribution).
+	phiSuspect = 2.0
+	// slowFactor marks a progress report slow when the node's observed rate
+	// falls below slowFactor x the peer median rate.
+	slowFactor = 0.5
+	// minSlowReports is how many consecutive slow reports accrue before the
+	// node is slow-suspected — one noisy watermark must not trigger
+	// speculation.
+	minSlowReports = 3
+)
 
 // adaptiveWatch is the per-node gray-detection state.
 type adaptiveWatch struct {
 	lastBeat sim.Time
 	hasBeat  bool
-	inter    []float64 // interarrival ring buffer
+	inter    [phiWindow]float64 // interarrival ring buffer
 	next     int
 	count    int
 
@@ -90,16 +54,11 @@ type adaptiveWatch struct {
 	slow     bool // currently slow-suspected
 }
 
-// EnableAdaptive turns on gray-failure detection with the given options
-// (zero fields take defaults). Panics on invalid options. Must be called
-// before the first Heartbeat for interarrival windows to be complete, but
-// late enabling is safe — scores just warm up later.
-func (d *Detector) EnableAdaptive(opts AdaptiveOptions) {
-	opts = opts.withDefaults()
-	if err := opts.validate(); err != nil {
-		panic(err)
-	}
-	d.adaptive = &opts
+// EnableAdaptive turns on gray-failure detection. Must be called before the
+// first Heartbeat for interarrival windows to be complete, but late enabling
+// is safe — scores just warm up later.
+func (d *Detector) EnableAdaptive() {
+	d.adaptive = true
 	if d.awatch == nil {
 		d.awatch = make(map[string]*adaptiveWatch)
 	}
@@ -115,7 +74,7 @@ func (d *Detector) OnSlowClear(fn func(node string)) { d.onSlowClear = fn }
 func (d *Detector) aw(node string) *adaptiveWatch {
 	w, ok := d.awatch[node]
 	if !ok {
-		w = &adaptiveWatch{inter: make([]float64, d.adaptive.Window)}
+		w = &adaptiveWatch{}
 		d.awatch[node] = w
 	}
 	return w
@@ -144,7 +103,7 @@ func (d *Detector) observeBeat(node string) {
 // silence is ~10% likely, 2 means ~1%, and so on, so thresholds compose
 // multiplicatively rather than as brittle absolute timeouts.
 func (d *Detector) Phi(node string) float64 {
-	if d.adaptive == nil {
+	if !d.adaptive {
 		return 0
 	}
 	w, ok := d.awatch[node]
@@ -167,12 +126,12 @@ func (d *Detector) Phi(node string) float64 {
 // ReportProgress feeds one task-progress watermark for a node: rate is the
 // node's observed normalized compute rate (work completed per second of
 // wall clock, 1.0 = provisioned speed). The node accrues slow-suspicion
-// when its rate stays below SlowFactor x the peer median for MinReports
-// consecutive reports, or when its φ score crosses PhiSuspect; a healthy
+// when its rate stays below slowFactor x the peer median for minSlowReports
+// consecutive reports, or when its φ score crosses phiSuspect; a healthy
 // report clears the run. Reports for declared or unknown-to-adaptive
 // detectors are ignored.
 func (d *Detector) ReportProgress(node string, rate float64) {
-	if d.adaptive == nil || d.declared[node] || d.paused {
+	if !d.adaptive || d.declared[node] || d.paused {
 		return
 	}
 	w := d.aw(node)
@@ -180,13 +139,13 @@ func (d *Detector) ReportProgress(node string, rate float64) {
 	w.hasRate = true
 
 	med, ok := d.peerMedianRate()
-	slowNow := ok && rate < d.adaptive.SlowFactor*med
-	if d.Phi(node) > d.adaptive.PhiSuspect {
+	slowNow := ok && rate < slowFactor*med
+	if d.Phi(node) > phiSuspect {
 		slowNow = true
 	}
 	if slowNow {
 		w.slowRuns++
-		if !w.slow && w.slowRuns >= d.adaptive.MinReports {
+		if !w.slow && w.slowRuns >= minSlowReports {
 			w.slow = true
 			d.record(node, SlowSuspect, w.slowRuns)
 			if d.onSlowSuspect != nil {
@@ -228,7 +187,7 @@ func (d *Detector) peerMedianRate() (med float64, ok bool) {
 
 // SlowSuspected reports whether node is currently slow-suspected.
 func (d *Detector) SlowSuspected(node string) bool {
-	if d.adaptive == nil {
+	if !d.adaptive {
 		return false
 	}
 	w, ok := d.awatch[node]
@@ -237,7 +196,7 @@ func (d *Detector) SlowSuspected(node string) bool {
 
 // SlowSuspects returns the currently slow-suspected nodes, sorted.
 func (d *Detector) SlowSuspects() []string {
-	if d.adaptive == nil {
+	if !d.adaptive {
 		return nil
 	}
 	var out []string
@@ -253,7 +212,7 @@ func (d *Detector) SlowSuspects() []string {
 // dropAdaptive forgets a node's adaptive state (on Stop or declare) so a
 // dead node's stale rate cannot skew the peer median.
 func (d *Detector) dropAdaptive(node string) {
-	if d.adaptive != nil {
+	if d.adaptive {
 		delete(d.awatch, node)
 	}
 }

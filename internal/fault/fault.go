@@ -1,70 +1,16 @@
 // Package fault implements FRIEDA's robustness machinery (Section V-A
-// "Robust"): heartbeat-based failure detection on virtual time, failure
-// bookkeeping, and recovery policies. The paper's prototype isolates failed
-// workers but cannot restart their tasks; the retry policies here implement
-// the announced future work, and the benches ablate isolation vs recovery.
+// "Robust") on virtual time: heartbeat-based failure detection with a
+// suspect→confirm ladder and gray-failure suspicion, plus the seeded
+// injectors (stragglers, master crashes) the fault sweeps drive.
 package fault
 
 import (
 	"fmt"
 	"sort"
-	"sync"
-	"time"
 
 	"frieda/internal/obs"
 	"frieda/internal/sim"
 )
-
-// Policy decides what happens to work lost to a failure.
-type Policy int
-
-const (
-	// Isolate drops the failed worker and abandons its in-flight work —
-	// the published prototype's behaviour.
-	Isolate Policy = iota
-	// Retry requeues lost work up to a bounded number of attempts — the
-	// paper's future-work recovery extension.
-	Retry
-)
-
-// String names the policy.
-func (p Policy) String() string {
-	switch p {
-	case Isolate:
-		return "isolate"
-	case Retry:
-		return "retry"
-	default:
-		return fmt.Sprintf("Policy(%d)", int(p))
-	}
-}
-
-// RetrySpec bounds recovery.
-type RetrySpec struct {
-	// Policy selects isolation or retry.
-	Policy Policy
-	// MaxAttempts is the per-task attempt bound under Retry (>= 1).
-	MaxAttempts int
-	// BackoffSec delays each requeue (0 = immediate).
-	BackoffSec float64
-}
-
-// Validate checks the spec.
-func (r RetrySpec) Validate() error {
-	if r.Policy == Retry && r.MaxAttempts < 1 {
-		return fmt.Errorf("fault: retry policy with MaxAttempts %d", r.MaxAttempts)
-	}
-	if r.BackoffSec < 0 {
-		return fmt.Errorf("fault: negative backoff")
-	}
-	return nil
-}
-
-// Allow reports whether another attempt is permitted after `attempts`
-// attempts so far.
-func (r RetrySpec) Allow(attempts int) bool {
-	return r.Policy == Retry && attempts < r.MaxAttempts
-}
 
 // NodeState is a monitored node's liveness level: not the binary dead/alive
 // of the published prototype but the suspect→confirm ladder that makes
@@ -101,8 +47,8 @@ func (s NodeState) String() string {
 	}
 }
 
-// Transition is one recorded detector state change, the observability
-// surface internal/trace renders.
+// Transition is one recorded detector state change; simulated runs report
+// them as simrun.Result.Detections.
 type Transition struct {
 	Node string
 	At   sim.Time
@@ -130,11 +76,9 @@ type Detector struct {
 	timeout sim.Duration
 	k       int
 
-	nodes     map[string]*watch
-	declared  map[string]bool
-	onFail    func(node string)
-	onSuspect func(node string)
-	onRecover func(node string)
+	nodes    map[string]*watch
+	declared map[string]bool
+	onFail   func(node string)
 
 	transitions []Transition
 	tracer      *obs.Tracer
@@ -143,8 +87,8 @@ type Detector struct {
 	// heartbeats nor declares failures.
 	paused bool
 
-	// Gray-failure detection (adaptive.go); nil until EnableAdaptive.
-	adaptive      *AdaptiveOptions
+	// Gray-failure detection (adaptive.go); off until EnableAdaptive.
+	adaptive      bool
 	awatch        map[string]*adaptiveWatch
 	onSlowSuspect func(node string)
 	onSlowClear   func(node string)
@@ -180,12 +124,6 @@ func NewDetectorK(eng *sim.Engine, timeout sim.Duration, k int, onFail func(node
 // "detector" track.
 func (d *Detector) SetTracer(t *obs.Tracer) { d.tracer = t }
 
-// OnSuspect registers a callback run when a node enters Suspect.
-func (d *Detector) OnSuspect(fn func(node string)) { d.onSuspect = fn }
-
-// OnRecover registers a callback run when a heartbeat clears a suspicion.
-func (d *Detector) OnRecover(fn func(node string)) { d.onRecover = fn }
-
 // Watch starts monitoring a node; the first deadline is one timeout from
 // now. Watching an already-watched node is a no-op. Watching a node that
 // was declared failed clears the declared state and monitors it afresh — a
@@ -212,15 +150,12 @@ func (d *Detector) Heartbeat(node string) {
 	if !ok || d.declared[node] {
 		return
 	}
-	if d.adaptive != nil {
+	if d.adaptive {
 		d.observeBeat(node)
 	}
 	if w.missed > 0 {
 		w.missed = 0
 		d.record(node, Alive, 0)
-		if d.onRecover != nil {
-			d.onRecover(node)
-		}
 	}
 	w.timer.Reset(d.timeout)
 }
@@ -263,9 +198,6 @@ func (d *Detector) Resume() {
 		}
 	}
 }
-
-// Paused reports whether monitoring is suspended.
-func (d *Detector) Paused() bool { return d.paused }
 
 // Stop stops monitoring (graceful departure; no failure declared).
 func (d *Detector) Stop(node string) {
@@ -316,9 +248,6 @@ func (d *Detector) miss(node string, w *watch) {
 	}
 	if w.missed == 1 {
 		d.record(node, Suspect, 1)
-		if d.onSuspect != nil {
-			d.onSuspect(node)
-		}
 	}
 	w.timer.Reset(d.timeout)
 }
@@ -345,72 +274,4 @@ func (d *Detector) record(node string, s NodeState, missed int) {
 	if d.tracer.Enabled() {
 		d.tracer.Instant("detector", "fault", s.String(), obs.Args{"node": node, "missed": missed})
 	}
-}
-
-// Event is one recorded failure.
-type Event struct {
-	Node   string
-	Detail string
-	// At is wall time for the real runtime; virtual time is carried in
-	// SimAt when recorded from a simulation.
-	At    time.Time
-	SimAt sim.Time
-}
-
-// Log is a concurrency-safe failure record, the controller's "keeps track
-// of all the errors from the workers".
-type Log struct {
-	mu     sync.Mutex
-	events []Event
-}
-
-// NewLog returns an empty log.
-func NewLog() *Log { return &Log{} }
-
-// Record appends an event.
-func (l *Log) Record(e Event) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.events = append(l.events, e)
-}
-
-// Events returns a copy of all events.
-func (l *Log) Events() []Event {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return append([]Event(nil), l.events...)
-}
-
-// ByNode groups event counts per node, sorted by node name.
-func (l *Log) ByNode() []struct {
-	Node  string
-	Count int
-} {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	counts := map[string]int{}
-	for _, e := range l.events {
-		counts[e.Node]++
-	}
-	nodes := make([]string, 0, len(counts))
-	for n := range counts {
-		nodes = append(nodes, n)
-	}
-	sort.Strings(nodes)
-	out := make([]struct {
-		Node  string
-		Count int
-	}, len(nodes))
-	for i, n := range nodes {
-		out[i].Node = n
-		out[i].Count = counts[n]
-	}
-	return out
-}
-
-// Len returns the event count.
-func (l *Log) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.events)
 }

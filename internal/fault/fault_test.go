@@ -2,7 +2,6 @@ package fault
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 
 	"frieda/internal/sim"
@@ -101,23 +100,21 @@ func TestDetectorRewatchAfterDeclareClearsState(t *testing.T) {
 
 func TestDetectorSuspectConfirmLadder(t *testing.T) {
 	eng := sim.NewEngine()
-	var failed, suspected, recovered []string
+	var failed []string
 	d := NewDetectorK(eng, 10, 3, func(n string) { failed = append(failed, n) })
-	d.OnSuspect(func(n string) { suspected = append(suspected, n) })
-	d.OnRecover(func(n string) { recovered = append(recovered, n) })
 	d.Watch("w0")
 	// Silence through one deadline (t=10): suspect, not declared.
 	eng.RunUntil(15)
-	if len(suspected) != 1 || len(failed) != 0 {
-		t.Fatalf("after one miss: suspected %v failed %v", suspected, failed)
+	if trs := d.Transitions(); len(trs) != 1 || trs[0].State != Suspect || len(failed) != 0 {
+		t.Fatalf("after one miss: transitions %v failed %v", trs, failed)
 	}
 	if !d.Suspected("w0") || d.State("w0") != Suspect {
 		t.Fatal("state not Suspect after one miss")
 	}
 	// A heartbeat while suspect clears the suspicion.
 	d.Heartbeat("w0")
-	if d.Suspected("w0") || len(recovered) != 1 {
-		t.Fatalf("heartbeat did not clear suspicion (recovered %v)", recovered)
+	if trs := d.Transitions(); d.Suspected("w0") || len(trs) != 2 || trs[1].State != Alive {
+		t.Fatalf("heartbeat did not clear suspicion (transitions %v)", trs)
 	}
 	if d.State("w0") != Alive {
 		t.Fatal("state not Alive after recovery")
@@ -179,86 +176,4 @@ func TestDetectorPanicsOnBadTimeout(t *testing.T) {
 		}
 	}()
 	NewDetector(sim.NewEngine(), 0, nil)
-}
-
-func TestRetrySpec(t *testing.T) {
-	iso := RetrySpec{Policy: Isolate}
-	if err := iso.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if iso.Allow(0) {
-		t.Fatal("isolate must never allow retries")
-	}
-	r := RetrySpec{Policy: Retry, MaxAttempts: 3}
-	if err := r.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if !r.Allow(2) || r.Allow(3) {
-		t.Fatal("Allow bounds wrong")
-	}
-	bad := RetrySpec{Policy: Retry}
-	if bad.Validate() == nil {
-		t.Fatal("retry without MaxAttempts accepted")
-	}
-	neg := RetrySpec{BackoffSec: -1}
-	if neg.Validate() == nil {
-		t.Fatal("negative backoff accepted")
-	}
-}
-
-func TestPolicyString(t *testing.T) {
-	if Isolate.String() != "isolate" || Retry.String() != "retry" {
-		t.Fatal("policy strings wrong")
-	}
-	if Policy(7).String() == "" {
-		t.Fatal("unknown policy string empty")
-	}
-}
-
-func TestLog(t *testing.T) {
-	l := NewLog()
-	l.Record(Event{Node: "w1", Detail: "conn reset"})
-	l.Record(Event{Node: "w0", Detail: "timeout"})
-	l.Record(Event{Node: "w1", Detail: "crash"})
-	if l.Len() != 3 {
-		t.Fatalf("Len = %d", l.Len())
-	}
-	byNode := l.ByNode()
-	if len(byNode) != 2 || byNode[0].Node != "w0" || byNode[0].Count != 1 || byNode[1].Count != 2 {
-		t.Fatalf("ByNode = %v", byNode)
-	}
-	events := l.Events()
-	events[0].Node = "mutated"
-	if l.Events()[0].Node == "mutated" {
-		t.Fatal("Events returned shared slice")
-	}
-}
-
-// Run with -race: concurrent Record/Events/ByNode/Len must be safe — the
-// log is shared between the controller goroutine and worker RPC handlers.
-func TestLogConcurrentAccess(t *testing.T) {
-	l := NewLog()
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		g := g
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				switch g % 4 {
-				case 0, 1:
-					l.Record(Event{Node: fmt.Sprintf("w%d", g), Detail: "err"})
-				case 2:
-					_ = l.Events()
-					_ = l.Len()
-				case 3:
-					_ = l.ByNode()
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if l.Len() != 400 {
-		t.Fatalf("Len = %d, want 400", l.Len())
-	}
 }

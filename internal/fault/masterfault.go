@@ -23,9 +23,6 @@ type MasterFaultOptions struct {
 	// MTTRSec is the mean outage duration before the master process
 	// restarts (exponential).
 	MTTRSec float64
-	// MaxCrashes bounds the number of episodes (0 = unlimited). Sweeps use
-	// it to hold the crash count comparable across modes.
-	MaxCrashes int
 }
 
 // Validate checks the options.
@@ -35,9 +32,6 @@ func (o MasterFaultOptions) Validate() error {
 	}
 	if o.MTTRSec <= 0 {
 		return fmt.Errorf("fault: master MTTR %v must be positive", o.MTTRSec)
-	}
-	if o.MaxCrashes < 0 {
-		return fmt.Errorf("fault: negative MaxCrashes %d", o.MaxCrashes)
 	}
 	return nil
 }
@@ -55,7 +49,6 @@ type MasterFaultInjector struct {
 	onRestart func()
 
 	pend    sim.EventRef
-	down    bool
 	stopped bool
 
 	crashes  int
@@ -98,26 +91,21 @@ func (inj *MasterFaultInjector) crash() {
 		return
 	}
 	inj.crashes++
-	inj.down = true
 	if inj.onCrash != nil {
 		inj.onCrash()
 	}
 	inj.pend = inj.eng.Schedule(inj.expDraw(inj.opts.MTTRSec), inj.restart)
 }
 
-// restart ends the outage and, unless the crash budget is spent, re-arms:
-// a control plane that crashed once will crash again.
+// restart ends the outage and re-arms: a control plane that crashed once
+// will crash again.
 func (inj *MasterFaultInjector) restart() {
 	if inj.stopped {
 		return
 	}
 	inj.restarts++
-	inj.down = false
 	if inj.onRestart != nil {
 		inj.onRestart()
-	}
-	if inj.opts.MaxCrashes > 0 && inj.crashes >= inj.opts.MaxCrashes {
-		return
 	}
 	inj.arm()
 }
@@ -128,9 +116,6 @@ func (inj *MasterFaultInjector) Stop() {
 	inj.stopped = true
 	inj.pend.Cancel()
 }
-
-// Down reports whether the master is currently mid-outage.
-func (inj *MasterFaultInjector) Down() bool { return inj.down }
 
 // Crashes returns how many crash episodes have started.
 func (inj *MasterFaultInjector) Crashes() int { return inj.crashes }

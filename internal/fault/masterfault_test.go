@@ -55,20 +55,6 @@ func TestMasterFaultDeterminism(t *testing.T) {
 	}
 }
 
-func TestMasterFaultMaxCrashes(t *testing.T) {
-	eng := sim.NewEngine()
-	inj := NewMasterFaultInjector(eng, MasterFaultOptions{
-		Seed: 7, MTBFSec: 10, MTTRSec: 1, MaxCrashes: 2,
-	}, nil, nil)
-	eng.RunUntil(sim.Time(100000))
-	if inj.Crashes() != 2 || inj.Restarts() != 2 {
-		t.Fatalf("crashes=%d restarts=%d, want 2/2", inj.Crashes(), inj.Restarts())
-	}
-	if inj.Down() {
-		t.Fatal("master left down after final restart")
-	}
-}
-
 // TestDetectorPauseResume checks the outage contract: no declaration can
 // happen while paused, heartbeats during the pause are ignored, and resume
 // re-arms full fresh deadlines (so silence *after* resume still declares).
@@ -94,9 +80,6 @@ func TestDetectorPauseResume(t *testing.T) {
 		if len(failed) != 0 {
 			t.Errorf("declared %v during pause", failed)
 		}
-		if !d.Paused() {
-			t.Error("not paused")
-		}
 		// Heartbeats during pause are ignored (no timer re-arm).
 		d.Heartbeat("w1")
 		d.Resume()
@@ -104,9 +87,6 @@ func TestDetectorPauseResume(t *testing.T) {
 	eng.Run()
 	if len(failed) != 2 {
 		t.Fatalf("after resume with silence, declared %v (want both)", failed)
-	}
-	if d.Paused() {
-		t.Fatal("still paused")
 	}
 }
 

@@ -96,7 +96,7 @@ func adaptiveDetector(t *testing.T) (*sim.Engine, *Detector) {
 	for _, n := range []string{"w0", "w1", "w2"} {
 		d.Watch(n)
 	}
-	d.EnableAdaptive(AdaptiveOptions{})
+	d.EnableAdaptive()
 	return eng, d
 }
 
@@ -117,12 +117,12 @@ func TestAdaptiveSlowSuspectViaWatermarks(t *testing.T) {
 	}
 
 	// Third reporter arrives: w0 is far below the peer median, but one slow
-	// report must not trigger — MinReports (3) consecutive ones must.
+	// report must not trigger — minSlowReports (3) consecutive ones must.
 	d.ReportProgress("w2", 1)
 	d.ReportProgress("w0", 0.01)
 	d.ReportProgress("w0", 0.01)
 	if d.SlowSuspected("w0") {
-		t.Fatal("suspected before MinReports consecutive slow reports")
+		t.Fatal("suspected before minSlowReports consecutive slow reports")
 	}
 	d.ReportProgress("w0", 0.01)
 	if !d.SlowSuspected("w0") || len(suspected) != 1 || suspected[0] != "w0" {
@@ -199,11 +199,12 @@ func TestAdaptiveDropOnDeclare(t *testing.T) {
 	for _, n := range []string{"w0", "w1", "w2"} {
 		d.Watch(n)
 	}
-	d.EnableAdaptive(AdaptiveOptions{MinReports: 1})
+	d.EnableAdaptive()
 	d.ReportProgress("w1", 1)
 	d.ReportProgress("w2", 1)
-	d.ReportProgress("w0", 0.01)
-	d.ReportProgress("w0", 0.01)
+	for i := 0; i < minSlowReports; i++ {
+		d.ReportProgress("w0", 0.01)
+	}
 	if !d.SlowSuspected("w0") {
 		t.Fatal("setup: w0 not suspected")
 	}

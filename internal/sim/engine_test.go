@@ -250,25 +250,14 @@ func TestTimerDropsRefOnFire(t *testing.T) {
 	}
 }
 
-func TestTimerResetAt(t *testing.T) {
-	eng := NewEngine()
-	var at Time
-	tm := NewTimer(eng, func() { at = eng.Now() })
-	tm.ResetAt(7)
-	eng.Run()
-	if at != 7 {
-		t.Fatalf("ResetAt fired at %v, want 7", at)
-	}
-}
-
 func TestResourceAdmission(t *testing.T) {
 	r := NewResource(2)
 	order := []int{}
 	r.Acquire(func() { order = append(order, 1) })
 	r.Acquire(func() { order = append(order, 2) })
 	r.Acquire(func() { order = append(order, 3) }) // queued
-	if r.InUse() != 2 || r.QueueLen() != 1 {
-		t.Fatalf("inUse=%d queue=%d", r.InUse(), r.QueueLen())
+	if r.InUse() != 2 || len(order) != 2 {
+		t.Fatalf("inUse=%d admitted=%v", r.InUse(), order)
 	}
 	r.Release() // admits 3
 	if len(order) != 3 || order[2] != 3 {
@@ -281,36 +270,6 @@ func TestResourceAdmission(t *testing.T) {
 	r.Release()
 	if r.InUse() != 0 {
 		t.Fatalf("inUse = %d, want 0", r.InUse())
-	}
-}
-
-func TestResourceGrowAdmitsWaiters(t *testing.T) {
-	r := NewResource(1)
-	admitted := 0
-	r.Acquire(func() { admitted++ })
-	r.Acquire(func() { admitted++ })
-	r.Acquire(func() { admitted++ })
-	if admitted != 1 {
-		t.Fatalf("admitted = %d, want 1", admitted)
-	}
-	r.Grow(2)
-	if admitted != 3 {
-		t.Fatalf("admitted after grow = %d, want 3", admitted)
-	}
-	if r.Capacity() != 3 {
-		t.Fatalf("capacity = %d, want 3", r.Capacity())
-	}
-}
-
-func TestResourceShrink(t *testing.T) {
-	r := NewResource(4)
-	r.Acquire(func() {})
-	removed := r.Shrink(10)
-	if removed != 3 {
-		t.Fatalf("removed = %d, want 3 (one slot held, floor of 1)", removed)
-	}
-	if r.Capacity() != 1 {
-		t.Fatalf("capacity = %d, want 1", r.Capacity())
 	}
 }
 
@@ -330,7 +289,7 @@ func TestResourceInvariantProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		capacity := rng.Intn(4) + 1
 		r := NewResource(capacity)
-		held := 0
+		released := 0
 		var admittedOrder []int
 		next := 0
 		for i := 0; i < 200; i++ {
@@ -338,11 +297,11 @@ func TestResourceInvariantProperty(t *testing.T) {
 				id := next
 				next++
 				r.Acquire(func() { admittedOrder = append(admittedOrder, id) })
-			} else if held < len(admittedOrder) {
+			} else if released < len(admittedOrder) {
 				r.Release()
+				released++
 			}
-			held = len(admittedOrder) - (next - len(admittedOrder) - r.QueueLen())
-			if r.InUse() > r.Capacity() {
+			if r.InUse() > r.Capacity() || r.InUse() != len(admittedOrder)-released {
 				return false
 			}
 		}

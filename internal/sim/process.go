@@ -29,12 +29,6 @@ func (t *Timer) Reset(delay Duration) {
 	t.ev = t.eng.Schedule(delay, t.fn)
 }
 
-// ResetAt (re)arms the timer to fire at absolute time at.
-func (t *Timer) ResetAt(at Time) {
-	t.ev.Cancel()
-	t.ev = t.eng.At(at, t.fn)
-}
-
 // Stop cancels a pending fire. It is safe on a stopped timer.
 func (t *Timer) Stop() {
 	t.ev.Cancel()
@@ -68,9 +62,6 @@ func (r *Resource) Capacity() int { return r.capacity }
 // InUse returns the number of held slots.
 func (r *Resource) InUse() int { return r.inUse }
 
-// QueueLen returns the number of blocked acquirers.
-func (r *Resource) QueueLen() int { return len(r.waiters) }
-
 // Acquire grants a slot to fn now if one is free, otherwise queues fn.
 func (r *Resource) Acquire(fn func()) {
 	if r.inUse < r.capacity {
@@ -93,30 +84,4 @@ func (r *Resource) Release() {
 		return
 	}
 	r.inUse--
-}
-
-// Grow adds slots (elasticity: a VM joining mid-run adds cores), admitting
-// as many waiters as the new capacity allows.
-func (r *Resource) Grow(n int) {
-	if n < 0 {
-		panic("sim: negative grow")
-	}
-	r.capacity += n
-	for r.inUse < r.capacity && len(r.waiters) > 0 {
-		next := r.waiters[0]
-		r.waiters = r.waiters[1:]
-		r.inUse++
-		next()
-	}
-}
-
-// Shrink removes up to n idle slots and returns how many were removed. Held
-// slots are never revoked; capacity never drops below 1.
-func (r *Resource) Shrink(n int) int {
-	removed := 0
-	for removed < n && r.capacity > 1 && r.capacity > r.inUse {
-		r.capacity--
-		removed++
-	}
-	return removed
 }

@@ -48,7 +48,7 @@ func attribScenarios() []attribScenario {
 		{"retry-ladder", func(t *testing.T, record bool) Result {
 			eng, cluster, vms := newTestCluster(t, 1)
 			cfg := rtRemote()
-			cfg.NetFaults = &NetFaultConfig{Resume: true, JitterSeed: 5}
+			cfg.NetFaults = &NetFaultConfig{Resume: true}
 			if record {
 				cfg.Attrib = attrib.NewRecorder(eng)
 			}
@@ -62,7 +62,7 @@ func attribScenarios() []attribScenario {
 			cfg := rtRemote()
 			cfg.Recover = true
 			cfg.MaxRetries = 5
-			cfg.NetFaults = &NetFaultConfig{Resume: true, JitterSeed: 9}
+			cfg.NetFaults = &NetFaultConfig{Resume: true}
 			cfg.Durability = &DurabilityConfig{
 				RF: 2, ScanPeriodSec: 1, MaxConcurrentRepairs: 3,
 				EvacuateSource: true, Verify: true, CorruptionRate: 0.3, Seed: 17,
@@ -97,19 +97,19 @@ func attribScenarios() []attribScenario {
 			cfg := Config{
 				Strategy:  strategy.Config{Kind: strategy.RealTime},
 				Detection: grayDetection(),
-				Gray:      &GrayConfig{Speculate: true, SpeculateAfterSec: 3, MaxConcurrentSpeculative: 2},
+				Gray:      &GrayConfig{Speculate: true},
 			}
 			if record {
 				cfg.Attrib = attrib.NewRecorder(eng)
 			}
 			// One long task per worker plus a short third: the short task's
-			// worker reports progress (the slow-median needs three
-			// reporters) then idles, so when the straggler is flagged the
+			// worker reports progress at the first heartbeat (the slow-median
+			// needs three reporters) then idles, so when the straggler is flagged the
 			// clone lands on a free core — the launch decision, not a core
 			// release, is the binding cause, detection latency sits on the
 			// critical path, and the rescue decides the makespan.
 			tasks := uniformTasks(3, 30, 0)
-			tasks[2].ComputeSec = 2
+			tasks[2].ComputeSec = 7
 			r, err := NewRunner(cluster, vms[0], cfg, Workload{Name: "cpu", Tasks: tasks})
 			if err != nil {
 				t.Fatal(err)
@@ -129,10 +129,7 @@ func attribScenarios() []attribScenario {
 			cfg := Config{
 				Strategy:  strategy.Config{Kind: strategy.RealTime, Locality: strategy.Remote, Placement: strategy.DataToCompute},
 				Detection: grayDetection(),
-				Gray: &GrayConfig{
-					Hedge: true, HedgeCheckSec: 3, HedgeFraction: 0.4,
-					MaxConcurrentHedges: 2, HedgeSeed: 11,
-				},
+				Gray:      &GrayConfig{Hedge: true},
 			}
 			if record {
 				cfg.Attrib = attrib.NewRecorder(eng)
@@ -156,7 +153,7 @@ func attribScenarios() []attribScenario {
 				Strategy:   strategy.Config{Kind: strategy.RealTime, Multicore: true},
 				Recover:    true,
 				MaxRetries: 3,
-				Detection:  &DetectionConfig{HeartbeatSec: 1, TimeoutSec: 3, K: 2},
+				Detection:  &DetectionConfig{K: 2},
 			}
 			if record {
 				cfg.Attrib = attrib.NewRecorder(eng)

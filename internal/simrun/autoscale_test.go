@@ -184,6 +184,54 @@ func TestDrainThenLastWorkerDies(t *testing.T) {
 	}
 }
 
+// TestRequeueWithOnlyDrainingWorkersSettles: once every undrained worker is
+// dead, a Recover requeue has no taker. Draining workers whose fetches die
+// on failed downlinks put their tasks back on the queue, and no completion
+// follows to re-check the run; it must abandon them, not stall with them
+// queued.
+func TestRequeueWithOnlyDrainingWorkersSettles(t *testing.T) {
+	eng := sim.NewEngine()
+	cluster, vms := cloud.Default4VMCluster(eng, 1)
+	r, err := NewRunner(cluster, vms[0], Config{Strategy: strategy.RealTimeRemote, Recover: true},
+		Workload{Name: "drain-requeue", Tasks: uniformTasks(12, 1.0, 1<<30)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, vm := range vms[1:] {
+		r.AddWorker(vm)
+	}
+	// Every worker is fetching its first GiB when two of them start draining
+	// and the third dies; then the draining workers' downlinks fail.
+	eng.Schedule(0.5, func() {
+		for i := 0; i < 2; i++ {
+			if err := r.DrainWorker(); err != nil {
+				t.Errorf("drain: %v", err)
+			}
+		}
+	})
+	eng.Schedule(0.6, func() {
+		for _, w := range r.workers {
+			if !w.draining {
+				cluster.Fail(w.vm)
+			}
+		}
+	})
+	eng.Schedule(0.7, func() {
+		for _, w := range r.workers {
+			if w.draining {
+				cluster.Network().FailLink(w.vm.Host().Down())
+			}
+		}
+	})
+	res, err := r.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Abandoned != 12 {
+		t.Fatalf("%d ok + %d abandoned, want all 12 abandoned", res.Succeeded, res.Abandoned)
+	}
+}
+
 func TestScalerActionsObserve(t *testing.T) {
 	eng := sim.NewEngine()
 	cluster, vms := cloud.Default4VMCluster(eng, 1)

@@ -23,34 +23,33 @@ import (
 // enables the execution-template cache. Nil (the default) keeps decisions
 // free and instantaneous — the published model.
 type CtrlPlaneConfig struct {
-	// DecisionSec is the modeled cost of one full scheduling decision on
-	// the master: the queue scan, source selection, slot bookkeeping and
-	// dispatch-message build of one task (default 2e-3). Decisions
-	// serialise through a single decision server on the virtual clock — a
-	// decision requested at t starts at max(t, server-busy-until) — so at
-	// high task counts the control plane becomes the throughput cap the
-	// network never was, exactly the regime templates exist for.
-	DecisionSec float64
 	// Templates enables the execution-template cache: a hit costs
-	// DecisionSec/templateHitSpeedup, a map probe and per-task hole filling
-	// instead of the full derivation. Off, every decision pays DecisionSec
-	// — the per-task control plane the paper-era master ships with.
+	// decisionSec/templateHitSpeedup, a map probe and per-task hole filling
+	// instead of the full derivation. Off, every decision pays decisionSec
+	// — the per-task control plane the paper-era master ships with. Every
+	// hit is re-derived through the slow path and a divergence panics
+	// (checkTemplate); that costs wall time only, never virtual time.
 	Templates bool
-	// Check re-derives the slow-path decision on every template hit and
-	// panics on divergence — the bit-identical-replay property test rides
-	// this in CI. Costs wall time only, never virtual time, so checked and
-	// unchecked runs are event-for-event identical.
-	Check bool
 }
 
-// templateHitSpeedup is how many template hits cost one full decision.
-const templateHitSpeedup = 50
+const (
+	// decisionSec is the modeled cost of one full scheduling decision on
+	// the master: the queue scan, source selection, slot bookkeeping and
+	// dispatch-message build of one task. Decisions serialise through a
+	// single decision server on the virtual clock — a decision requested at
+	// t starts at max(t, server-busy-until) — so at high task counts the
+	// control plane becomes the throughput cap the network never was,
+	// exactly the regime templates exist for.
+	decisionSec = 2e-3
+	// templateHitSpeedup is how many template hits cost one full decision.
+	templateHitSpeedup = 50
+)
 
 // ctrlState is the runner-side control-plane model: the template cache plus
 // the decision server's busy horizon.
 type ctrlState struct {
-	cfg   CtrlPlaneConfig
-	cache *ctrlplane.Cache
+	templates bool
+	cache     *ctrlplane.Cache
 	// busyUntil is when the single decision server frees up; requests
 	// serialise behind it.
 	busyUntil sim.Time
@@ -78,7 +77,7 @@ func (r *Runner) dispatchCtrl(w *simWorker) bool {
 		dec ctrlplane.Decision
 		hit bool
 	)
-	if c.cfg.Templates {
+	if c.templates {
 		if templatable {
 			key = ctrlplane.Key{Worker: w.name, Class: class}
 			dec, hit = c.cache.Lookup(key)
@@ -88,9 +87,7 @@ func (r *Runner) dispatchCtrl(w *simWorker) bool {
 	}
 	var gi int
 	if hit {
-		if c.cfg.Check {
-			r.checkTemplate(w, dec)
-		}
+		r.checkTemplate(w, dec)
 		gi = r.popHead(w)
 	} else {
 		var ok bool
@@ -98,7 +95,7 @@ func (r *Runner) dispatchCtrl(w *simWorker) bool {
 		if !ok {
 			return false
 		}
-		if c.cfg.Templates && templatable {
+		if c.templates && templatable {
 			// The slow path just proved the class's decision under the
 			// current generation: head pick (templatable classes never
 			// scan past the head) and, without durability, the master as
@@ -109,9 +106,11 @@ func (r *Runner) dispatchCtrl(w *simWorker) bool {
 			})
 		}
 	}
-	cost := c.cfg.DecisionSec
+	cost := float64(decisionSec)
 	if hit {
-		cost = c.cfg.DecisionSec / templateHitSpeedup
+		// Divided at run time, in float64: the constant expression would be
+		// rounded once from the exact quotient instead.
+		cost /= templateHitSpeedup
 	}
 	r.res.CtrlPlaneDecisionSec += cost
 	w.admitted++

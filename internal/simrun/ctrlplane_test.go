@@ -17,19 +17,19 @@ func TestCtrlPlaneDecisionCostSerialises(t *testing.T) {
 	_, cluster, vms := newTestCluster(t, 1)
 	cfg := Config{
 		Strategy:  strategy.Config{Kind: strategy.RealTime},
-		CtrlPlane: &CtrlPlaneConfig{DecisionSec: 0.5},
+		CtrlPlane: &CtrlPlaneConfig{},
 	}
 	wl := Workload{Name: "cpu", Tasks: uniformTasks(4, 1.0, 0)}
 	res := runOn(t, cluster, vms[0], vms[1:2], cfg, wl)
 	if res.Succeeded != 4 {
 		t.Fatalf("result %+v", res)
 	}
-	// 4 × (0.5 s decision + 1 s compute).
-	if math.Abs(res.MakespanSec-6.0) > 1e-9 {
-		t.Fatalf("makespan = %v, want 6.0", res.MakespanSec)
+	// 4 × (2 ms decision + 1 s compute).
+	if math.Abs(res.MakespanSec-4.008) > 1e-9 {
+		t.Fatalf("makespan = %v, want 4.008", res.MakespanSec)
 	}
-	if math.Abs(res.CtrlPlaneDecisionSec-2.0) > 1e-9 {
-		t.Fatalf("CtrlPlaneDecisionSec = %v, want 2.0", res.CtrlPlaneDecisionSec)
+	if math.Abs(res.CtrlPlaneDecisionSec-8e-3) > 1e-9 {
+		t.Fatalf("CtrlPlaneDecisionSec = %v, want 8e-3", res.CtrlPlaneDecisionSec)
 	}
 	if res.TemplateHits != 0 || res.TemplateMisses != 0 {
 		t.Fatalf("templates off, yet hits/misses = %d/%d", res.TemplateHits, res.TemplateMisses)
@@ -38,14 +38,12 @@ func TestCtrlPlaneDecisionCostSerialises(t *testing.T) {
 
 // TestCtrlPlaneTemplatesCollapseDecisionCost turns templates on: the first
 // decision per (worker, class) pays the full derivation, every replay pays
-// the hit cost. Check mode re-derives each hit through the slow path.
+// the hit cost. Each hit is re-derived through the slow path.
 func TestCtrlPlaneTemplatesCollapseDecisionCost(t *testing.T) {
 	_, cluster, vms := newTestCluster(t, 1)
 	cfg := Config{
-		Strategy: strategy.Config{Kind: strategy.RealTime},
-		CtrlPlane: &CtrlPlaneConfig{
-			DecisionSec: 0.5, Templates: true, Check: true,
-		},
+		Strategy:  strategy.Config{Kind: strategy.RealTime},
+		CtrlPlane: &CtrlPlaneConfig{Templates: true},
 	}
 	wl := Workload{Name: "cpu", Tasks: uniformTasks(4, 1.0, 0)}
 	res := runOn(t, cluster, vms[0], vms[1:2], cfg, wl)
@@ -55,17 +53,17 @@ func TestCtrlPlaneTemplatesCollapseDecisionCost(t *testing.T) {
 	if res.TemplateMisses != 1 || res.TemplateHits != 3 {
 		t.Fatalf("hits/misses = %d/%d, want 3/1", res.TemplateHits, res.TemplateMisses)
 	}
-	// 1 × (0.5 + 1) cold + 3 × (0.01 + 1) replayed.
-	if math.Abs(res.MakespanSec-4.53) > 1e-9 {
-		t.Fatalf("makespan = %v, want 4.53", res.MakespanSec)
+	// 1 × (2 ms + 1 s) cold + 3 × (2 ms / 50 + 1 s) replayed.
+	if math.Abs(res.MakespanSec-4.00212) > 1e-9 {
+		t.Fatalf("makespan = %v, want 4.00212", res.MakespanSec)
 	}
-	if math.Abs(res.CtrlPlaneDecisionSec-0.53) > 1e-9 {
-		t.Fatalf("CtrlPlaneDecisionSec = %v, want 0.53", res.CtrlPlaneDecisionSec)
+	if math.Abs(res.CtrlPlaneDecisionSec-2.12e-3) > 1e-9 {
+		t.Fatalf("CtrlPlaneDecisionSec = %v, want 2.12e-3", res.CtrlPlaneDecisionSec)
 	}
 }
 
 // TestCtrlPlaneCheckedReplayAcrossConfigs is the bit-identical-replay
-// property test: Check mode re-derives every template hit through the
+// property test: every template hit is re-derived through the
 // unmodified slow path (head scan + source selection) and panics on any
 // divergence, so completing these runs proves templates replay exactly what
 // the full decision would have computed — across strategy kinds, batched
@@ -102,7 +100,7 @@ func TestCtrlPlaneCheckedReplayAcrossConfigs(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			_, cluster, vms := newTestCluster(t, 1)
 			cfg := tc.cfg
-			cfg.CtrlPlane = &CtrlPlaneConfig{Templates: true, Check: true}
+			cfg.CtrlPlane = &CtrlPlaneConfig{Templates: true}
 			res := runOn(t, cluster, vms[0], vms[1:], cfg, tc.wl())
 			if res.Succeeded != len(tc.wl().Tasks) {
 				t.Fatalf("%s: %d/%d succeeded", tc.name, res.Succeeded, len(tc.wl().Tasks))
@@ -123,7 +121,7 @@ func TestCtrlPlaneWorkerDeathInvalidates(t *testing.T) {
 		cfg := Config{
 			Strategy:  strategy.Config{Kind: strategy.RealTime},
 			Recover:   true,
-			CtrlPlane: &CtrlPlaneConfig{DecisionSec: 1e-3, Templates: true, Check: true},
+			CtrlPlane: &CtrlPlaneConfig{Templates: true},
 		}
 		wl := Workload{Name: "cpu", Tasks: uniformTasks(16, 1.0, 0)}
 		r, err := NewRunner(cluster, vms[0], cfg, wl)
@@ -162,7 +160,7 @@ func TestCtrlPlaneElasticJoinInvalidates(t *testing.T) {
 	eng, cluster, vms := newTestCluster(t, 1)
 	cfg := Config{
 		Strategy:  strategy.Config{Kind: strategy.RealTime},
-		CtrlPlane: &CtrlPlaneConfig{DecisionSec: 1e-3, Templates: true, Check: true},
+		CtrlPlane: &CtrlPlaneConfig{Templates: true},
 	}
 	wl := Workload{Name: "cpu", Tasks: uniformTasks(16, 1.0, 0)}
 	r, err := NewRunner(cluster, vms[0], cfg, wl)
@@ -193,7 +191,7 @@ func TestCtrlPlaneDurabilityStaysSlowPath(t *testing.T) {
 	cfg := Config{
 		Strategy:   strategy.Config{Kind: strategy.RealTime, Locality: strategy.Remote},
 		Durability: &DurabilityConfig{RF: 2},
-		CtrlPlane:  &CtrlPlaneConfig{Templates: true, Check: true},
+		CtrlPlane:  &CtrlPlaneConfig{Templates: true},
 	}
 	wl := Workload{Name: "dur", Tasks: uniformTasks(8, 0.5, 1_000_000)}
 	res := runOn(t, cluster, vms[0], vms[1:3], cfg, wl)
@@ -208,25 +206,6 @@ func TestCtrlPlaneDurabilityStaysSlowPath(t *testing.T) {
 	}
 }
 
-// TestCtrlPlaneCheckModeIsFree: Check re-derives on the wall clock only;
-// checked and unchecked runs must be identical on the virtual clock.
-func TestCtrlPlaneCheckModeIsFree(t *testing.T) {
-	run := func(check bool) Result {
-		_, cluster, vms := newTestCluster(t, 1)
-		cfg := Config{
-			Strategy:  strategy.Config{Kind: strategy.RealTime, Locality: strategy.Remote},
-			CtrlPlane: &CtrlPlaneConfig{Templates: true, Check: check},
-		}
-		wl := Workload{Name: "net", Tasks: uniformTasks(16, 0.5, 2_500_000)}
-		return runOn(t, cluster, vms[0], vms[1:3], cfg, wl)
-	}
-	a, b := run(false), run(true)
-	if a.MakespanSec != b.MakespanSec || a.TemplateHits != b.TemplateHits ||
-		a.CtrlPlaneDecisionSec != b.CtrlPlaneDecisionSec {
-		t.Fatalf("check mode changed the run: %+v vs %+v", a, b)
-	}
-}
-
 // TestCtrlPlaneAttribution: the decision queue becomes first-class blame,
 // and the solved report still sums to the makespan.
 func TestCtrlPlaneAttribution(t *testing.T) {
@@ -234,7 +213,7 @@ func TestCtrlPlaneAttribution(t *testing.T) {
 	cfg := Config{
 		Strategy:  strategy.Config{Kind: strategy.RealTime},
 		Attrib:    attrib.NewRecorder(eng),
-		CtrlPlane: &CtrlPlaneConfig{DecisionSec: 0.5},
+		CtrlPlane: &CtrlPlaneConfig{},
 	}
 	wl := Workload{Name: "cpu", Tasks: uniformTasks(4, 1.0, 0)}
 	res := runOn(t, cluster, vms[0], vms[1:2], cfg, wl)
@@ -245,39 +224,9 @@ func TestCtrlPlaneAttribution(t *testing.T) {
 	if diff := math.Abs(rep.BlameTotalSec() - res.MakespanSec); diff > 1e-6 {
 		t.Fatalf("blame sums to %v, makespan %v", rep.BlameTotalSec(), res.MakespanSec)
 	}
-	// 4 serialized decisions × 0.5 s on the single-slot critical path.
-	if cp := rep.Blame[attrib.CtrlPlane]; math.Abs(cp-2.0) > 1e-6 {
-		t.Fatalf("ctrl-plane blame = %v, want 2.0", cp)
-	}
-}
-
-// TestCtrlPlaneConfigValidation rejects nonsense costs and defaults the
-// rest.
-func TestCtrlPlaneConfigValidation(t *testing.T) {
-	_, cluster, vms := newTestCluster(t, 1)
-	wl := Workload{Name: "cpu", Tasks: uniformTasks(1, 1, 0)}
-	bad := []CtrlPlaneConfig{
-		{DecisionSec: -1},
-	}
-	for _, cc := range bad {
-		cc := cc
-		cfg := Config{Strategy: strategy.Config{Kind: strategy.RealTime}, CtrlPlane: &cc}
-		if _, err := NewRunner(cluster, vms[0], cfg, wl); err == nil {
-			t.Fatalf("config %+v accepted", cc)
-		}
-	}
-	// Defaults: 2 ms per decision; caller's struct untouched.
-	cc := CtrlPlaneConfig{}
-	cfg := Config{Strategy: strategy.Config{Kind: strategy.RealTime}, CtrlPlane: &cc}
-	r, err := NewRunner(cluster, vms[0], cfg, wl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := r.cfg.CtrlPlane; got.DecisionSec != 2e-3 {
-		t.Fatalf("defaults = %+v", got)
-	}
-	if cc.DecisionSec != 0 {
-		t.Fatal("NewRunner mutated the caller's config")
+	// 4 serialized decisions × 2 ms on the single-slot critical path.
+	if cp := rep.Blame[attrib.CtrlPlane]; math.Abs(cp-8e-3) > 1e-9 {
+		t.Fatalf("ctrl-plane blame = %v, want 8e-3", cp)
 	}
 }
 

@@ -51,7 +51,7 @@ func TestDurabilityConfigValidation(t *testing.T) {
 	if _, err := NewRunner(cluster, vms[0], cfg, wl); err != nil {
 		t.Fatal(err)
 	}
-	if dc.ScanPeriodSec != 0 || dc.MaxConcurrentRepairs != 0 || dc.MaxRefetch != 0 {
+	if dc.ScanPeriodSec != 0 || dc.MaxConcurrentRepairs != 0 {
 		t.Fatalf("caller's config mutated: %+v", dc)
 	}
 }
@@ -161,7 +161,7 @@ func TestCorruptionRefetchesFromCleanPath(t *testing.T) {
 	// arrival and the refetch — after the link heals — succeeds.
 	eng, cluster, vms := newTestCluster(t, 1)
 	cfg := rtRemote()
-	cfg.Durability = &DurabilityConfig{RF: 1, Verify: true, CorruptionRate: 1, MaxRefetch: 3, Seed: 7}
+	cfg.Durability = &DurabilityConfig{RF: 1, Verify: true, CorruptionRate: 1, Seed: 7}
 	wl := Workload{Name: "one", Tasks: uniformTasks(1, 1.0, 12_500_000)}
 	net := cluster.Network()
 	// 1 s transfer at full rate, 2 s at half: degrade over the arrival, heal
@@ -182,20 +182,20 @@ func TestCorruptionRefetchesFromCleanPath(t *testing.T) {
 }
 
 func TestCorruptionExhaustsRefetchBudget(t *testing.T) {
-	// A permanently degraded path corrupts every attempt; after MaxRefetch
+	// A permanently degraded path corrupts every attempt; after maxRefetch
 	// retries the task fails rather than looping forever.
 	_, cluster, vms := newTestCluster(t, 1)
 	cfg := rtRemote()
-	cfg.Durability = &DurabilityConfig{RF: 1, Verify: true, CorruptionRate: 1, MaxRefetch: 2, Seed: 7}
+	cfg.Durability = &DurabilityConfig{RF: 1, Verify: true, CorruptionRate: 1, Seed: 7}
 	wl := Workload{Name: "one", Tasks: uniformTasks(1, 1.0, 1_000_000)}
 	cluster.Network().DegradeLink(vms[1].Host().Down(), 0.5)
 	res := runOn(t, cluster, vms[0], vms[1:2], cfg, wl)
 	if res.Succeeded != 0 || res.Abandoned != 1 {
 		t.Fatalf("result %+v", res)
 	}
-	// Initial fetch plus two refetches, all corrupt.
-	if res.CorruptionsDetected != 3 {
-		t.Fatalf("CorruptionsDetected = %d, want 3", res.CorruptionsDetected)
+	// Initial fetch plus maxRefetch (3) refetches, all corrupt.
+	if res.CorruptionsDetected != 1+maxRefetch {
+		t.Fatalf("CorruptionsDetected = %d, want %d", res.CorruptionsDetected, 1+maxRefetch)
 	}
 }
 
@@ -261,7 +261,7 @@ func TestDurabilityChaosRunsAreDeterministic(t *testing.T) {
 		cfg := rtRemote()
 		cfg.Recover = true
 		cfg.MaxRetries = 5
-		cfg.NetFaults = &NetFaultConfig{Resume: true, JitterSeed: 9}
+		cfg.NetFaults = &NetFaultConfig{Resume: true}
 		cfg.Durability = &DurabilityConfig{
 			RF: 2, ScanPeriodSec: 1, MaxConcurrentRepairs: 3,
 			EvacuateSource: true, Verify: true, CorruptionRate: 0.3, Seed: 17,

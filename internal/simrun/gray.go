@@ -22,49 +22,48 @@ import (
 	"sort"
 
 	"frieda/internal/cloud"
-	"frieda/internal/fault"
 	"frieda/internal/netsim"
 	"frieda/internal/obs"
 	"frieda/internal/obs/attrib"
 	"frieda/internal/sim"
 )
 
-// GrayConfig tunes gray-failure detection and mitigation. Requires
-// Config.Detection: progress watermarks ride the heartbeat channel.
+// GrayConfig selects gray-failure mitigation. Requires Config.Detection:
+// progress watermarks ride the heartbeat channel, and the adaptive detector
+// (fault/adaptive.go) always runs with it.
 type GrayConfig struct {
-	// Adaptive tunes the slow-suspicion ladder (zero fields take the
-	// fault-package defaults: window 8, φ threshold 2, slow factor 0.5,
-	// 3 consecutive reports).
-	Adaptive fault.AdaptiveOptions
 	// Speculate clones a slow-suspected worker's longest-running task to
 	// the least-loaded healthy worker; first finisher wins and the loser is
 	// cancelled.
 	Speculate bool
-	// SpeculateAfterSec is the minimum compute wall time before a task is
-	// eligible for cloning (default 30) — short tasks finish faster than a
-	// clone could help.
-	SpeculateAfterSec float64
-	// MaxConcurrentSpeculative caps in-flight clones (default 2), the
-	// budget that keeps speculation below foreground work.
-	MaxConcurrentSpeculative int
 	// Hedge launches a second pull from the next-best replica when a
-	// transfer's observed goodput falls below HedgeFraction x the running
+	// transfer's observed goodput falls below hedgeFraction x the running
 	// average of completed-transfer goodputs; the slower flow is cancelled.
 	Hedge bool
-	// HedgeCheckSec is the mean delay before a transfer's goodput check
-	// (default 20); jittered by HedgeSeed so checks de-synchronise.
-	HedgeCheckSec float64
-	// HedgeFraction is the goodput threshold relative to the fleet's
-	// exponentially-weighted average (default 0.35). Peer-relative rather
-	// than absolute: during a fair-share staging storm every flow is slow
-	// together, and none should hedge.
-	HedgeFraction float64
-	// MaxConcurrentHedges caps in-flight hedge flows (default 2).
-	MaxConcurrentHedges int
-	// HedgeSeed drives the check-delay jitter; consumed only when Hedge is
-	// on, so hedge-free runs are bit-identical regardless of seed.
-	HedgeSeed int64
 }
+
+// Gray mitigation settings, as the stragglers sweep runs them.
+const (
+	// speculateAfterSec is the minimum compute wall time before a task is
+	// eligible for cloning — short tasks finish faster than a clone could
+	// help.
+	speculateAfterSec = 15
+	// maxConcurrentSpeculative caps in-flight clones, the budget that keeps
+	// speculation below foreground work.
+	maxConcurrentSpeculative = 8
+	// hedgeCheckSec is the mean delay before a transfer's goodput check,
+	// jittered from hedgeSeed so checks de-synchronise. The jitter RNG is
+	// consumed only when Hedge is on.
+	hedgeCheckSec = 6
+	hedgeSeed     = 41
+	// hedgeFraction is the goodput threshold relative to the fleet's
+	// exponentially-weighted average. Peer-relative rather than absolute:
+	// during a fair-share staging storm every flow is slow together, and
+	// none should hedge.
+	hedgeFraction = 0.4
+	// maxConcurrentHedges caps in-flight hedge flows.
+	maxConcurrentHedges = 4
+)
 
 // specPair tracks one speculative race: the suspected primary attempt and
 // its clone on a healthy worker. The pair exists only while both sides run;
@@ -120,8 +119,7 @@ func (r *Runner) WorkerSpeed(vm *cloud.VM) float64 {
 // initGray wires the adaptive detector callbacks. Called from Start after
 // initDetector, gray runs only.
 func (r *Runner) initGray() {
-	g := r.cfg.Gray
-	r.detector.EnableAdaptive(g.Adaptive)
+	r.detector.EnableAdaptive()
 	r.detector.OnSlowSuspect(func(node string) {
 		r.res.StragglersSuspected++
 	})
@@ -182,8 +180,7 @@ func (r *Runner) reportProgress(w *simWorker) {
 // is a full attempt — it fetches whatever inputs its host is missing — and
 // races the primary; settleSpec resolves whichever side finishes first.
 func (r *Runner) maybeSpeculate(sw *simWorker) {
-	g := r.cfg.Gray
-	if !g.Speculate || r.finished || len(r.specs) >= g.MaxConcurrentSpeculative {
+	if !r.cfg.Gray.Speculate || r.finished || len(r.specs) >= maxConcurrentSpeculative {
 		return
 	}
 	now := r.eng.Now()
@@ -195,7 +192,7 @@ func (r *Runner) maybeSpeculate(sw *simWorker) {
 		if _, dup := r.specs[a.task]; dup {
 			continue
 		}
-		if float64(now-a.started) < g.SpeculateAfterSec {
+		if float64(now-a.started) < speculateAfterSec {
 			continue
 		}
 		// Prefer the longest-running attempt — the most stranded work —
@@ -348,20 +345,19 @@ func (r *Runner) observeGoodput(bytes, elapsed float64) {
 // transfer's retry ladder in the rare case both racing flows are killed by
 // link faults (the primary's interrupt handler defers to a live hedge).
 func (r *Runner) armHedge(s *stageIn, w *simWorker, files []string, remaining float64, src *cloud.VM, arrive func(*cloud.VM), orphan func()) {
-	g := r.cfg.Gray
 	primary := s.flow
 	started := r.eng.Now()
-	delay := g.HedgeCheckSec * (0.75 + 0.5*r.hedgeRng.Float64())
+	delay := hedgeCheckSec * (0.75 + 0.5*r.hedgeRng.Float64())
 	s.hedgeCheck = r.eng.Schedule(sim.Duration(delay), func() {
 		s.hedgeCheck = sim.EventRef{}
 		if s.abandoned || r.finished || w.dead || s.flow != primary || s.hedge != nil {
 			return
 		}
-		if r.activeHedges >= g.MaxConcurrentHedges || r.xferEwmaBps <= 0 {
+		if r.activeHedges >= maxConcurrentHedges || r.xferEwmaBps <= 0 {
 			return
 		}
 		elapsed := float64(r.eng.Now() - started)
-		if elapsed <= 0 || primary.Delivered()*8/elapsed >= g.HedgeFraction*r.xferEwmaBps {
+		if elapsed <= 0 || primary.Delivered()*8/elapsed >= hedgeFraction*r.xferEwmaBps {
 			return
 		}
 		// The hedge's source: the best holder other than the primary's

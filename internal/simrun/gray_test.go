@@ -10,7 +10,7 @@ import (
 
 // grayDetection is the heartbeat config the gray tests ride watermarks on.
 func grayDetection() *DetectionConfig {
-	return &DetectionConfig{HeartbeatSec: 1, TimeoutSec: 10, K: 3}
+	return &DetectionConfig{K: 3}
 }
 
 func TestGrayRequiresDetection(t *testing.T) {
@@ -18,18 +18,6 @@ func TestGrayRequiresDetection(t *testing.T) {
 	cfg := Config{Strategy: strategy.Config{Kind: strategy.RealTime}, Gray: &GrayConfig{}}
 	if _, err := NewRunner(cluster, vms[0], cfg, Workload{Tasks: uniformTasks(1, 1, 0)}); err == nil {
 		t.Fatal("Gray without Detection accepted")
-	}
-}
-
-func TestGrayRejectsHedgeFractionAboveOne(t *testing.T) {
-	_, cluster, vms := newTestCluster(t, 1)
-	cfg := Config{
-		Strategy:  strategy.Config{Kind: strategy.RealTime},
-		Detection: grayDetection(),
-		Gray:      &GrayConfig{HedgeFraction: 1.5},
-	}
-	if _, err := NewRunner(cluster, vms[0], cfg, Workload{Tasks: uniformTasks(1, 1, 0)}); err == nil {
-		t.Fatal("hedge fraction 1.5 accepted")
 	}
 }
 
@@ -70,7 +58,7 @@ func TestSpeculationRescuesStraggler(t *testing.T) {
 	cfg := Config{
 		Strategy:  strategy.Config{Kind: strategy.RealTime},
 		Detection: grayDetection(),
-		Gray:      &GrayConfig{Speculate: true, SpeculateAfterSec: 3, MaxConcurrentSpeculative: 2},
+		Gray:      &GrayConfig{Speculate: true},
 	}
 	wl := Workload{Name: "cpu", Tasks: uniformTasks(6, 30, 0)}
 	r, err := NewRunner(cluster, vms[0], cfg, wl)
@@ -135,10 +123,7 @@ func runHedge(t *testing.T, hedge bool) Result {
 	cfg := Config{
 		Strategy:  strategy.Config{Kind: strategy.RealTime, Locality: strategy.Remote, Placement: strategy.DataToCompute},
 		Detection: grayDetection(),
-		Gray: &GrayConfig{
-			Hedge: hedge, HedgeCheckSec: 3, HedgeFraction: 0.4,
-			MaxConcurrentHedges: 2, HedgeSeed: 11,
-		},
+		Gray:      &GrayConfig{Hedge: hedge},
 	}
 	r, err := NewRunner(cluster, vms[0], cfg, hedgeWorkload())
 	if err != nil {
@@ -190,7 +175,7 @@ func TestGrayDetectOnlyIsInertWithoutInjection(t *testing.T) {
 		cfg := rtRemote()
 		cfg.Detection = grayDetection()
 		if gray {
-			cfg.Gray = &GrayConfig{Speculate: true, Hedge: true, HedgeSeed: 5}
+			cfg.Gray = &GrayConfig{Speculate: true, Hedge: true}
 		}
 		wl := Workload{Name: "mix", Tasks: uniformTasks(12, 5, 10_000_000)}
 		return runOn(t, cluster, vms[0], vms[1:4], cfg, wl)

@@ -6,7 +6,7 @@
 //   - Journaled: every control-plane mutation (file registration, replica
 //     add/remove, node drop, evacuation, loss declaration, task completion)
 //     appends a typed record to a catalog.Journal, periodically compacted
-//     into a catalog.Snapshot. On restart the master pays a configurable
+//     into a catalog.Snapshot. On restart the master pays a per-record
 //     replay cost, reconstructs its state via catalog.Replay, and asserts
 //     the replayed state is byte-identical to the view the journal was
 //     mirroring — deterministic recovery, checked on every restart.
@@ -52,16 +52,20 @@ type MasterConfig struct {
 	// Journal selects journaled recovery; false is amnesia (see file
 	// comment).
 	Journal bool
-	// RecoveryBaseSec is the fixed restart cost — process start, worker
-	// re-registration (default 5).
-	RecoveryBaseSec float64
-	// RecoverySecPerRecord prices journal replay: each snapshot entry and
-	// journal record adds this much to the recovery window (default 1e-4).
-	RecoverySecPerRecord float64
-	// CompactEvery folds the journal into a snapshot once it holds this many
-	// records (default 4096), bounding replay work.
-	CompactEvery int
 }
+
+// The recovery cost model and journal compaction.
+const (
+	// recoveryBaseSec is the fixed restart cost — process start, worker
+	// re-registration.
+	recoveryBaseSec = 5
+	// recoverySecPerRecord prices journal replay: each snapshot entry and
+	// journal record adds this much to the recovery window.
+	recoverySecPerRecord = 1e-4
+	// compactEvery folds the journal into a snapshot once it holds this many
+	// records, bounding replay work.
+	compactEvery = 4096
+)
 
 // masterState is the runner's control-plane fault machinery; nil unless
 // cfg.Master is set.
@@ -139,7 +143,7 @@ func (m *masterState) record(rec catalog.Record) {
 		panic(fmt.Sprintf("simrun: journal apply %s: %v", rec.Op, err))
 	}
 	m.journal.Append(rec)
-	if m.journal.Len() >= m.r.cfg.Master.CompactEvery {
+	if m.journal.Len() >= compactEvery {
 		snap, err := catalog.Compact(m.snap, &m.journal)
 		if err != nil {
 			panic(fmt.Sprintf("simrun: journal compaction: %v", err))
@@ -256,9 +260,9 @@ func (m *masterState) onRestart() {
 	m.recovering = true
 	m.restartAt = r.eng.Now()
 	r.res.MasterDownSec += float64(r.eng.Now() - m.crashAt)
-	cost := r.cfg.Master.RecoveryBaseSec
+	cost := float64(recoveryBaseSec)
 	if m.journaling() {
-		cost += r.cfg.Master.RecoverySecPerRecord * float64(m.replayLen())
+		cost += recoverySecPerRecord * float64(m.replayLen())
 	}
 	if tr := r.cfg.Tracer; tr.Enabled() {
 		tr.Instant("master", "fault", "master-restarted", obs.Args{

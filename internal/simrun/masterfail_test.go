@@ -14,27 +14,15 @@ func TestMasterConfigValidation(t *testing.T) {
 	bad := []Config{
 		// Master faults and gray-failure handling are mutually exclusive.
 		{Strategy: rtRemote().Strategy,
-			Detection: &DetectionConfig{HeartbeatSec: 1, TimeoutSec: 5},
+			Detection: &DetectionConfig{},
 			Gray:      &GrayConfig{Speculate: true},
 			Master:    &MasterConfig{Journal: true}},
-		{Strategy: rtRemote().Strategy, Master: &MasterConfig{RecoveryBaseSec: -1}},
-		{Strategy: rtRemote().Strategy, Master: &MasterConfig{RecoverySecPerRecord: -0.1}},
 		{Strategy: rtRemote().Strategy, Master: &MasterConfig{Faults: &fault.MasterFaultOptions{MTBFSec: -3}}},
 	}
 	for i, cfg := range bad {
 		if _, err := NewRunner(cluster, vms[0], cfg, wl); err == nil {
 			t.Errorf("case %d: invalid config accepted: %+v", i, cfg)
 		}
-	}
-	// Defaults land on a private copy, not the caller's struct.
-	mc := &MasterConfig{Journal: true}
-	cfg := rtRemote()
-	cfg.Master = mc
-	if _, err := NewRunner(cluster, vms[0], cfg, wl); err != nil {
-		t.Fatal(err)
-	}
-	if mc.RecoveryBaseSec != 0 || mc.RecoverySecPerRecord != 0 || mc.CompactEvery != 0 {
-		t.Fatalf("caller's config mutated: %+v", mc)
 	}
 }
 
@@ -80,7 +68,7 @@ func TestOutageDefersCompletionNotCompute(t *testing.T) {
 	// nobody to receive it: the task settles only after restart + replay.
 	eng, cluster, vms := newTestCluster(t, 1)
 	cfg := rtRemote()
-	cfg.Master = &MasterConfig{Journal: true, RecoveryBaseSec: 0.5}
+	cfg.Master = &MasterConfig{Journal: true}
 	wl := Workload{Name: "one", Tasks: uniformTasks(1, 2.0, 1_000_000)}
 	r, err := NewRunner(cluster, vms[0], cfg, wl)
 	if err != nil {
@@ -98,14 +86,15 @@ func TestOutageDefersCompletionNotCompute(t *testing.T) {
 	if res.MasterDownSec != 3 {
 		t.Fatalf("MasterDownSec = %v, want 3", res.MasterDownSec)
 	}
-	// Replay prices 2 records (register + replica add) at the 1e-4 default:
-	// the run ends at restart + 0.5 + 2e-4, not at compute end (2.08 s).
-	want := 4 + 0.5 + 2e-4
+	// Replay prices 2 records (register + replica add) at 1e-4 s each on top
+	// of the 5 s restart: the run ends at restart + 5.0002, not at compute
+	// end (2.08 s).
+	want := 4 + 5.0002
 	if math.Abs(res.MakespanSec-want) > 1e-9 {
 		t.Fatalf("MakespanSec = %v, want %v", res.MakespanSec, want)
 	}
-	if math.Abs(res.RecoveryReplaySec-0.5002) > 1e-9 {
-		t.Fatalf("RecoveryReplaySec = %v, want 0.5002", res.RecoveryReplaySec)
+	if math.Abs(res.RecoveryReplaySec-5.0002) > 1e-9 {
+		t.Fatalf("RecoveryReplaySec = %v, want 5.0002", res.RecoveryReplaySec)
 	}
 	if end := res.Completions[0].End; float64(end) != res.MakespanSec {
 		t.Fatalf("completion settled at %v, want at recovery (%v)", end, res.MakespanSec)
@@ -120,7 +109,7 @@ func TestAmnesiaReExecutesWhereJournalDoesNot(t *testing.T) {
 	run := func(journal bool) Result {
 		eng, cluster, vms := newTestCluster(t, 1)
 		cfg := rtRemote()
-		cfg.Master = &MasterConfig{Journal: journal, RecoveryBaseSec: 0.5}
+		cfg.Master = &MasterConfig{Journal: journal}
 		// Two waves on 2 workers x 4 cores: wave 1 settles ~1.64 s, wave 2
 		// is in flight when the crash lands at 2 s.
 		wl := Workload{Name: "w", Tasks: uniformTasks(16, 1.0, 1_000_000)}
@@ -186,7 +175,7 @@ func TestAmnesiaLosesEvacuatedFilesJournalKeepsThem(t *testing.T) {
 			RF: 2, ScanPeriodSec: 0.5, MaxConcurrentRepairs: 4,
 			EvacuateSource: true, Verify: true, Seed: 7,
 		}
-		cfg.Master = &MasterConfig{Journal: journal, RecoveryBaseSec: 0.5}
+		cfg.Master = &MasterConfig{Journal: journal}
 		// Two waves on 3 workers x 4 cores: wave 1's files are evacuated and
 		// repaired by 3.5 s, when the crash lands mid-wave-2.
 		wl := Workload{Name: "w", Tasks: uniformTasks(24, 2.0, 1_000_000)}
@@ -231,8 +220,6 @@ func TestJournaledMasterChaosHoldsInvariants(t *testing.T) {
 		cfg.Master = &MasterConfig{
 			Journal: true,
 			Faults:  &fault.MasterFaultOptions{Seed: 11, MTBFSec: 5, MTTRSec: 2},
-			// Low threshold so chaos runs exercise compaction, not just append.
-			RecoveryBaseSec: 1, CompactEvery: 64,
 		}
 		wl := Workload{Name: "w", Tasks: uniformTasks(32, 4.0, 1_000_000)}
 		linkInj := cluster.InjectLinkFaults(vms[1:], netsim.FaultOptions{
@@ -287,12 +274,57 @@ func TestJournaledMasterChaosHoldsInvariants(t *testing.T) {
 	}
 }
 
+func TestJournalCompactsPastThreshold(t *testing.T) {
+	// A journaled run that writes more than compactEvery records folds its
+	// journal into a snapshot, and a crash after the fold recovers by
+	// replaying snapshot plus journal tail back to the live state.
+	eng, cluster, vms := newTestCluster(t, 1)
+	cfg := rtRemote()
+	cfg.Master = &MasterConfig{Journal: true}
+	// 1,500 file registrations up front, then a replica landing and a
+	// completion per task: ~4,500 records. 3 workers x 4 cores run 12 of the
+	// 1 s tasks per second, so the threshold falls near task 1,300 (~108 s)
+	// and the run ends near 125 s.
+	wl := Workload{Name: "w", Tasks: uniformTasks(1500, 1.0, 1_000)}
+	r, err := NewRunner(cluster, vms[0], cfg, wl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, vm := range vms[1:] {
+		r.AddWorker(vm)
+	}
+	snapAtCrash := 0
+	eng.At(115, func() {
+		_, snapAtCrash, _ = r.JournalStats()
+		r.mf.onCrash()
+	})
+	eng.At(116, func() { r.mf.onRestart() })
+	res := startAndDrain(t, eng, r)
+	if res.Succeeded != 1500 || res.MasterOutages != 1 {
+		t.Fatalf("succeeded %d, outages %d; want 1500, 1", res.Succeeded, res.MasterOutages)
+	}
+	if snapAtCrash == 0 {
+		t.Fatal("journal not compacted before the crash")
+	}
+	if res.ReplayedRecords < compactEvery {
+		t.Fatalf("recovery replayed %d records, want >= %d (snapshot + tail)", res.ReplayedRecords, compactEvery)
+	}
+	records, snapEntries, _ := r.JournalStats()
+	if snapEntries == 0 || records >= compactEvery {
+		t.Fatalf("journal stats records=%d snapshot entries=%d, want a snapshot and a tail below %d",
+			records, snapEntries, compactEvery)
+	}
+	if err := r.JournalCheck(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestMasterCrashDuringRecoveryReplays(t *testing.T) {
 	// A crash that lands mid-replay wastes the partial replay and starts a
 	// fresh outage; recovery must still converge and settle the workload.
 	eng, cluster, vms := newTestCluster(t, 1)
 	cfg := rtRemote()
-	cfg.Master = &MasterConfig{Journal: true, RecoveryBaseSec: 2}
+	cfg.Master = &MasterConfig{Journal: true}
 	wl := Workload{Name: "w", Tasks: uniformTasks(4, 1.0, 1_000_000)}
 	r, err := NewRunner(cluster, vms[0], cfg, wl)
 	if err != nil {
@@ -302,7 +334,7 @@ func TestMasterCrashDuringRecoveryReplays(t *testing.T) {
 		r.AddWorker(vm)
 	}
 	eng.At(1, func() { r.mf.onCrash() })
-	eng.At(2, func() { r.mf.onRestart() }) // replay needs 2 s...
+	eng.At(2, func() { r.mf.onRestart() }) // replay needs 5 s...
 	eng.At(3, func() { r.mf.onCrash() })   // ...crash again at 1 s in
 	eng.At(5, func() { r.mf.onRestart() })
 	res := startAndDrain(t, eng, r)
@@ -310,7 +342,7 @@ func TestMasterCrashDuringRecoveryReplays(t *testing.T) {
 		t.Fatalf("result %+v", res)
 	}
 	// Both the wasted partial replay (1 s) and the full one count.
-	if res.RecoveryReplaySec <= 2 {
-		t.Fatalf("RecoveryReplaySec = %v, want > 2 (partial + full replay)", res.RecoveryReplaySec)
+	if res.RecoveryReplaySec <= recoveryBaseSec {
+		t.Fatalf("RecoveryReplaySec = %v, want > %v (partial + full replay)", res.RecoveryReplaySec, recoveryBaseSec)
 	}
 }

@@ -34,7 +34,7 @@ func TestTransferResumesFromOffsetAfterLinkFault(t *testing.T) {
 	eng, cluster, vms := newTestCluster(t, 1)
 	// One task, one 125 MB file: 10 s over the 100 Mbps path unfaulted.
 	cfg := rtRemote()
-	cfg.NetFaults = &NetFaultConfig{Resume: true, JitterSeed: 5}
+	cfg.NetFaults = &NetFaultConfig{Resume: true}
 	wl := Workload{Name: "one", Tasks: uniformTasks(1, 1.0, 125e6)}
 	// The worker partitions at 2 s (25 MB delivered) and heals at 5 s.
 	failWindow(eng, cluster, vms[1], 2, 5)
@@ -58,7 +58,7 @@ func TestTransferResumesFromOffsetAfterLinkFault(t *testing.T) {
 func TestRetryWithoutResumeResendsFromZero(t *testing.T) {
 	eng, cluster, vms := newTestCluster(t, 1)
 	cfg := rtRemote()
-	cfg.NetFaults = &NetFaultConfig{Resume: false, JitterSeed: 5}
+	cfg.NetFaults = &NetFaultConfig{Resume: false}
 	wl := Workload{Name: "one", Tasks: uniformTasks(1, 1.0, 125e6)}
 	failWindow(eng, cluster, vms[1], 2, 5)
 	res := runOn(t, cluster, vms[0], vms[1:2], cfg, wl)
@@ -88,28 +88,32 @@ func TestLinkFaultWithoutRetryAbandonsTask(t *testing.T) {
 func TestTransferRetriesExhaustBudget(t *testing.T) {
 	eng, cluster, vms := newTestCluster(t, 1)
 	cfg := rtRemote()
-	cfg.NetFaults = &NetFaultConfig{Resume: true, MaxAttempts: 3, BackoffSec: 0.5, JitterSeed: 5}
+	cfg.NetFaults = &NetFaultConfig{Resume: true}
 	wl := Workload{Name: "one", Tasks: uniformTasks(1, 1.0, 125e6)}
-	// Permanent partition: attempts 2..3 are rejected at join time, then
-	// the transfer gives up and the task is abandoned (no Recover).
+	// Permanent partition: attempts 2..maxTransferAttempts are rejected at
+	// join time, then the transfer gives up and the task is abandoned (no
+	// Recover).
 	eng.At(2, func() { cluster.Network().FailLink(vms[1].Host().Down()) })
 	res := runOn(t, cluster, vms[0], vms[1:2], cfg, wl)
 	if res.Succeeded != 0 || res.Abandoned != 1 {
 		t.Fatalf("result %+v", res)
 	}
-	if res.TransferInterrupts != 3 || res.TransferRetries != 2 {
-		t.Fatalf("interrupts=%d retries=%d, want 3/2", res.TransferInterrupts, res.TransferRetries)
+	if res.TransferInterrupts != maxTransferAttempts || res.TransferRetries != maxTransferAttempts-1 {
+		t.Fatalf("interrupts=%d retries=%d, want %d/%d", res.TransferInterrupts, res.TransferRetries,
+			maxTransferAttempts, maxTransferAttempts-1)
 	}
 }
 
 func TestDetectionShortPartitionSuspectsAndRecovers(t *testing.T) {
 	eng, cluster, vms := newTestCluster(t, 1)
-	// Zero-byte input: the single 20 s task fetches instantly at t=0, so
-	// only heartbeats cross the network during the partition.
+	// Zero-byte input: the single 60 s task fetches instantly at t=0, so
+	// only heartbeats cross the network during the partition. Beats every
+	// 5 s against a 15 s deadline: the last beat before the partition lands
+	// at 5, the 20 s deadline passes in silence, the beat at 30 gets through.
 	cfg := rtRemote()
-	cfg.Detection = &DetectionConfig{HeartbeatSec: 2, TimeoutSec: 5, K: 3}
-	wl := Workload{Name: "cpu", Tasks: uniformTasks(1, 20, 0)}
-	failWindow(eng, cluster, vms[1], 6, 12)
+	cfg.Detection = &DetectionConfig{K: 3}
+	wl := Workload{Name: "cpu", Tasks: uniformTasks(1, 60, 0)}
+	failWindow(eng, cluster, vms[1], 6, 28)
 	res := runOn(t, cluster, vms[0], vms[1:2], cfg, wl)
 	if res.Succeeded != 1 {
 		t.Fatalf("short partition killed the task: %+v", res)
@@ -129,16 +133,16 @@ func TestDetectionShortPartitionSuspectsAndRecovers(t *testing.T) {
 		t.Fatalf("transitions %v: want suspect and recover", res.Detections)
 	}
 	if declares != 0 {
-		t.Fatalf("K=3 declared during a %vs partition: %v", 6, res.Detections)
+		t.Fatalf("K=3 declared during a %vs partition: %v", 22, res.Detections)
 	}
 }
 
 func TestDetectionBinaryDetectorDeclaresOnSamePartition(t *testing.T) {
 	eng, cluster, vms := newTestCluster(t, 1)
 	cfg := rtRemote()
-	cfg.Detection = &DetectionConfig{HeartbeatSec: 2, TimeoutSec: 5, K: 1}
-	wl := Workload{Name: "cpu", Tasks: uniformTasks(1, 20, 0)}
-	failWindow(eng, cluster, vms[1], 6, 12)
+	cfg.Detection = &DetectionConfig{K: 1}
+	wl := Workload{Name: "cpu", Tasks: uniformTasks(1, 60, 0)}
+	failWindow(eng, cluster, vms[1], 6, 28)
 	res := runOn(t, cluster, vms[0], vms[1:2], cfg, wl)
 	if res.Succeeded != 0 || res.Abandoned != 1 {
 		t.Fatalf("K=1 survived the partition: %+v", res)
@@ -204,8 +208,8 @@ func TestNetFaultRunsAreDeterministic(t *testing.T) {
 		eng, cluster, vms := newTestCluster(t, 1)
 		cfg := rtRemote()
 		cfg.Recover = true
-		cfg.NetFaults = &NetFaultConfig{Resume: true, JitterSeed: 9}
-		cfg.Detection = &DetectionConfig{HeartbeatSec: 2, TimeoutSec: 6, K: 3}
+		cfg.NetFaults = &NetFaultConfig{Resume: true}
+		cfg.Detection = &DetectionConfig{K: 3}
 		wl := Workload{Name: "w", Tasks: uniformTasks(12, 2.0, 25e6)}
 		inj := cluster.InjectLinkFaults(vms[1:], netsim.FaultOptions{Seed: 3, MTBFSec: 20, MTTRSec: 5})
 		r, err := NewRunner(cluster, vms[0], cfg, wl)

@@ -182,29 +182,21 @@ type Config struct {
 	Master *MasterConfig
 	// CtrlPlane, when non-nil, prices the master's per-task scheduling
 	// decisions on the virtual clock: each dispatch queues behind a single
-	// decision server charging DecisionSec per full decision, and the
+	// decision server charging decisionSec per full decision, and the
 	// execution-template cache (Templates) collapses repeated decisions to
-	// DecisionSec/50 — see ctrlplane.go. Nil keeps decisions free and
+	// decisionSec/50 — see ctrlplane.go. Nil keeps decisions free and
 	// instantaneous, byte-identical to the published behaviour.
 	CtrlPlane *CtrlPlaneConfig
 }
 
-// NetFaultConfig tunes transfer retry and resume behaviour.
+// NetFaultConfig makes transfers survivable: a transfer whose flow a link
+// fault kills gets up to maxTransferAttempts flows, with capped, jittered
+// exponential backoff between them.
 type NetFaultConfig struct {
 	// Resume continues an interrupted transfer from the delivered-byte
 	// offset and re-stages from the best surviving replica instead of
 	// restarting from byte zero at the master.
 	Resume bool
-	// MaxAttempts bounds attempts per transfer (default 8).
-	MaxAttempts int
-	// BackoffSec is the first retry delay, doubling per attempt
-	// (default 1).
-	BackoffSec float64
-	// BackoffCapSec caps the exponential backoff (default 60).
-	BackoffCapSec float64
-	// JitterSeed seeds the backoff jitter RNG; the RNG is consumed only on
-	// retries, so fault-free runs are bit-identical regardless of seed.
-	JitterSeed int64
 }
 
 // DurabilityConfig tunes the replication manager and the end-to-end
@@ -232,20 +224,15 @@ type DurabilityConfig struct {
 	// CorruptionRate is the probability a transfer arriving over a
 	// currently-degraded link delivers a corrupt payload.
 	CorruptionRate float64
-	// MaxRefetch bounds corrupt-payload refetches per transfer (default 3).
-	MaxRefetch int
 	// Seed drives the corruption and disk-read-error draws. Draws happen
 	// only when a fault condition is present, so fault-free runs consume no
 	// randomness from it.
 	Seed int64
 }
 
-// DetectionConfig tunes the heartbeat failure detector.
+// DetectionConfig tunes the heartbeat failure detector: workers beat every
+// heartbeatSec and owe one beat per detectTimeoutSec deadline.
 type DetectionConfig struct {
-	// HeartbeatSec is the worker heartbeat period (> 0).
-	HeartbeatSec float64
-	// TimeoutSec is the detector deadline per heartbeat (> HeartbeatSec).
-	TimeoutSec float64
 	// K is the consecutive missed deadlines before a worker is declared
 	// failed (default 1, the prototype's binary detector).
 	K int
@@ -328,7 +315,7 @@ type Result struct {
 	// MasterDownSec sums crash→restart outage time across episodes.
 	MasterDownSec float64
 	// RecoveryReplaySec sums restart→recovered replay/startup time — the
-	// configured recovery cost model, plus any replay wasted by a re-crash.
+	// modelled recovery cost (master.go), plus any replay wasted by a re-crash.
 	RecoveryReplaySec float64
 	// OrphansReconciled counts tasks recovery reconciliation re-enqueued:
 	// work whose dispatch state did not survive the crash (journaled mode:
@@ -575,25 +562,8 @@ func NewRunner(cluster *cloud.Cluster, master *cloud.VM, cfg Config, wl Workload
 	if len(wl.Tasks) == 0 {
 		return nil, fmt.Errorf("simrun: empty workload")
 	}
-	if cfg.NetFaults != nil {
-		nf := *cfg.NetFaults // don't mutate the caller's struct
-		if nf.MaxAttempts <= 0 {
-			nf.MaxAttempts = 8
-		}
-		if nf.BackoffSec <= 0 {
-			nf.BackoffSec = 1
-		}
-		if nf.BackoffCapSec <= 0 {
-			nf.BackoffCapSec = 60
-		}
-		cfg.NetFaults = &nf
-	}
 	if dc := cfg.Detection; dc != nil {
-		if dc.HeartbeatSec <= 0 || dc.TimeoutSec <= dc.HeartbeatSec {
-			return nil, fmt.Errorf("simrun: detection needs 0 < heartbeat < timeout, got %v/%v",
-				dc.HeartbeatSec, dc.TimeoutSec)
-		}
-		d := *dc
+		d := *dc // don't mutate the caller's struct
 		if d.K < 1 {
 			d.K = 1
 		}
@@ -617,72 +587,20 @@ func NewRunner(cluster *cloud.Cluster, master *cloud.VM, cfg Config, wl Workload
 		if d.MaxConcurrentRepairs <= 0 {
 			d.MaxConcurrentRepairs = 2
 		}
-		if d.MaxRefetch <= 0 {
-			d.MaxRefetch = 3
-		}
 		cfg.Durability = &d
 	}
-	if g := cfg.Gray; g != nil {
-		if cfg.Detection == nil {
-			return nil, fmt.Errorf("simrun: gray-failure handling requires Detection (progress watermarks ride heartbeats)")
-		}
-		gg := *g // don't mutate the caller's struct
-		if gg.SpeculateAfterSec <= 0 {
-			gg.SpeculateAfterSec = 30
-		}
-		if gg.MaxConcurrentSpeculative <= 0 {
-			gg.MaxConcurrentSpeculative = 2
-		}
-		if gg.HedgeCheckSec <= 0 {
-			gg.HedgeCheckSec = 20
-		}
-		if gg.HedgeFraction <= 0 {
-			gg.HedgeFraction = 0.35
-		}
-		if gg.HedgeFraction >= 1 {
-			return nil, fmt.Errorf("simrun: hedge fraction %v must be below 1", gg.HedgeFraction)
-		}
-		if gg.MaxConcurrentHedges <= 0 {
-			gg.MaxConcurrentHedges = 2
-		}
-		cfg.Gray = &gg
+	if cfg.Gray != nil && cfg.Detection == nil {
+		return nil, fmt.Errorf("simrun: gray-failure handling requires Detection (progress watermarks ride heartbeats)")
 	}
 	if mc := cfg.Master; mc != nil {
 		if cfg.Gray != nil {
 			return nil, fmt.Errorf("simrun: master faults and gray-failure handling are not modelled together")
 		}
-		m := *mc // don't mutate the caller's struct
-		if m.Faults != nil {
-			f := *m.Faults
-			if err := f.Validate(); err != nil {
+		if mc.Faults != nil {
+			if err := mc.Faults.Validate(); err != nil {
 				return nil, err
 			}
-			m.Faults = &f
 		}
-		if m.RecoveryBaseSec < 0 || m.RecoverySecPerRecord < 0 {
-			return nil, fmt.Errorf("simrun: negative master recovery cost (%v base, %v/record)",
-				m.RecoveryBaseSec, m.RecoverySecPerRecord)
-		}
-		if m.RecoveryBaseSec == 0 {
-			m.RecoveryBaseSec = 5
-		}
-		if m.RecoverySecPerRecord == 0 {
-			m.RecoverySecPerRecord = 1e-4
-		}
-		if m.CompactEvery <= 0 {
-			m.CompactEvery = 4096
-		}
-		cfg.Master = &m
-	}
-	if cc := cfg.CtrlPlane; cc != nil {
-		c := *cc // don't mutate the caller's struct
-		if c.DecisionSec < 0 {
-			return nil, fmt.Errorf("simrun: negative control-plane decision cost %v", c.DecisionSec)
-		}
-		if c.DecisionSec == 0 {
-			c.DecisionSec = 2e-3
-		}
-		cfg.CtrlPlane = &c
 	}
 	r := &Runner{
 		eng:      cluster.Engine(),
@@ -706,10 +624,10 @@ func NewRunner(cluster *cloud.Cluster, master *cloud.VM, cfg Config, wl Workload
 	}
 	r.drainFn = r.drainAdmits // bound once; kicks never allocate
 	if cc := cfg.CtrlPlane; cc != nil {
-		r.ctrl = &ctrlState{cfg: *cc, cache: ctrlplane.NewCache()}
+		r.ctrl = &ctrlState{templates: cc.Templates, cache: ctrlplane.NewCache()}
 	}
 	if cfg.NetFaults != nil {
-		r.rng = rand.New(rand.NewSource(cfg.NetFaults.JitterSeed))
+		r.rng = rand.New(rand.NewSource(backoffJitterSeed))
 	}
 	if d := cfg.Durability; d != nil {
 		r.durRng = rand.New(rand.NewSource(d.Seed))
@@ -757,7 +675,7 @@ func NewRunner(cluster *cloud.Cluster, master *cloud.VM, cfg Config, wl Workload
 	if g := cfg.Gray; g != nil {
 		r.specs = make(map[int]*specPair)
 		if g.Hedge {
-			r.hedgeRng = rand.New(rand.NewSource(g.HedgeSeed))
+			r.hedgeRng = rand.New(rand.NewSource(hedgeSeed))
 		}
 		if m := cfg.Metrics; m.Enabled() {
 			m.Gauge("slow_suspected", func() float64 {
@@ -914,11 +832,19 @@ func (r *Runner) AddWorker(vm *cloud.VM) *simWorker {
 	return w
 }
 
+// Heartbeat detection timing, as every detecting experiment (netfail,
+// durability, stragglers, masterfail) runs it: a worker beats every
+// heartbeatSec and is suspected after detectTimeoutSec of silence — three
+// beats, so one lost beat is never a miss.
+const (
+	heartbeatSec     = 5
+	detectTimeoutSec = 15
+)
+
 // initDetector builds the suspect→confirm heartbeat detector; declaration
 // isolates the worker exactly as a cloud-level VM failure does.
 func (r *Runner) initDetector() {
-	dc := r.cfg.Detection
-	r.detector = fault.NewDetectorK(r.eng, sim.Duration(dc.TimeoutSec), dc.K, func(node string) {
+	r.detector = fault.NewDetectorK(r.eng, detectTimeoutSec, r.cfg.Detection.K, func(node string) {
 		for _, w := range r.workers {
 			if w.name == node {
 				r.workerDied(w)
@@ -938,7 +864,6 @@ func (r *Runner) startDetection(w *simWorker) {
 		return
 	}
 	r.detector.Watch(w.name)
-	period := sim.Duration(r.cfg.Detection.HeartbeatSec)
 	var beat func()
 	beat = func() {
 		if w.dead || r.finished {
@@ -950,9 +875,9 @@ func (r *Runner) startDetection(w *simWorker) {
 				r.reportProgress(w)
 			}
 		}
-		r.eng.Schedule(period, beat)
+		r.eng.Schedule(heartbeatSec, beat)
 	}
-	r.eng.Schedule(period, beat)
+	r.eng.Schedule(heartbeatSec, beat)
 }
 
 // pathUp reports whether the worker's control channel to the master is
@@ -1095,7 +1020,7 @@ func (r *Runner) transfer(w *simWorker, files []string, bytes float64, done func
 				// Checksum mismatch on arrival: the payload crossed a
 				// degraded link and came out wrong. Refetch the whole
 				// payload (from the next-best replica, if any) up to
-				// MaxRefetch times.
+				// maxRefetch times.
 				if s.attempt != nil {
 					s.attempt.End(obs.Args{"outcome": "corrupt"})
 					s.attempt = nil
@@ -1108,7 +1033,7 @@ func (r *Runner) transfer(w *simWorker, files []string, bytes float64, done func
 					})
 				}
 				s.anCause = ab.After(s.anCause, attrib.NetworkTransfer, "xfer-corrupt", s.bnDetail)
-				if refetches <= d.MaxRefetch && !w.dead {
+				if refetches <= maxRefetch && !w.dead {
 					attempt(bytes, n+1)
 					return
 				}
@@ -1147,8 +1072,7 @@ func (r *Runner) transfer(w *simWorker, files []string, bytes float64, done func
 		// transfer lost — attributed to `lost` — when there is no retry
 		// budget.
 		retryAfter := func(next float64, n int, lost string) {
-			nf := r.cfg.NetFaults
-			if nf == nil || n >= nf.MaxAttempts || w.dead {
+			if r.cfg.NetFaults == nil || n >= maxTransferAttempts || w.dead {
 				r.endStage(s, "lost")
 				r.anCause = ab.After(s.anCause, attrib.NetworkTransfer, "xfer-lost", lost)
 				done(true)
@@ -1347,14 +1271,26 @@ func (r *Runner) pathDegraded(src *cloud.VM, w *simWorker) bool {
 	return false
 }
 
-// backoff returns the delay before attempt n+1: BackoffSec doubling per
-// attempt, capped, with seeded jitter in [0.5, 1.5) to de-synchronise
-// retry storms across workers sharing a restored link.
+// Transfer retry budgets, as the netfail and durability sweeps run them:
+// under NetFaults a transfer gets maxTransferAttempts flows with jittered
+// exponential backoff between them, and under Durability a corrupt payload
+// is refetched at most maxRefetch times. The jitter RNG is consumed only on
+// retries, so fault-free runs never draw from it.
+const (
+	maxTransferAttempts = 6
+	maxRefetch          = 3
+	backoffSec          = 1
+	backoffCapSec       = 30
+	backoffJitterSeed   = 13
+)
+
+// backoff returns the delay before attempt n+1: backoffSec doubling per
+// attempt, capped at backoffCapSec, with seeded jitter in [0.5, 1.5) to
+// de-synchronise retry storms across workers sharing a restored link.
 func (r *Runner) backoff(n int) sim.Duration {
-	nf := r.cfg.NetFaults
-	d := nf.BackoffSec * math.Pow(2, float64(n-1))
-	if d > nf.BackoffCapSec {
-		d = nf.BackoffCapSec
+	d := backoffSec * math.Pow(2, float64(n-1))
+	if d > backoffCapSec {
+		d = backoffCapSec
 	}
 	return sim.Duration(d * (0.5 + r.rng.Float64()))
 }
@@ -2035,7 +1971,10 @@ func (r *Runner) taskDone(w *simWorker, att *taskAttempt, ok bool) {
 	if ok {
 		r.retries[att.task]++
 	} else if r.requeueLost(att.task) {
+		// With only draining workers left nobody takes the requeued task;
+		// checkDone abandons it instead of leaving the run stalled.
 		r.kickAll()
+		r.checkDone()
 		return
 	}
 	r.settle(Completion{

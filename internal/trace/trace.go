@@ -1,16 +1,14 @@
 // Package trace renders execution timelines from simulation results: a
-// per-worker Gantt chart in text, phase aggregates, and CSV export — the
-// observability surface a FRIEDA operator uses to understand where a
-// strategy spends its time.
+// per-worker Gantt chart in text and phase aggregates — the observability
+// surface a FRIEDA operator uses to understand where a strategy spends its
+// time.
 package trace
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 
-	"frieda/internal/fault"
 	"frieda/internal/obs"
 	"frieda/internal/simrun"
 )
@@ -358,48 +356,4 @@ func unionSec(ivs [][2]float64) float64 {
 		}
 	}
 	return total + (hi - lo)
-}
-
-// DetectionTimeline renders the failure detector's suspect/declare/recover
-// transitions as one line per event in virtual-time order, with a per-node
-// tally footer — the operator's view of how partitions were interpreted.
-func DetectionTimeline(transitions []fault.Transition) string {
-	if len(transitions) == 0 {
-		return "(no detector transitions)\n"
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%10s  %-10s %-9s %s\n", "t(s)", "node", "state", "missed")
-	counts := map[string]map[fault.NodeState]int{}
-	for _, tr := range transitions {
-		fmt.Fprintf(&b, "%10.1f  %-10s %-9s %d\n", float64(tr.At), tr.Node, tr.State, tr.Missed)
-		if counts[tr.Node] == nil {
-			counts[tr.Node] = map[fault.NodeState]int{}
-		}
-		counts[tr.Node][tr.State]++
-	}
-	nodes := make([]string, 0, len(counts))
-	for n := range counts {
-		nodes = append(nodes, n)
-	}
-	sort.Strings(nodes)
-	for _, n := range nodes {
-		c := counts[n]
-		fmt.Fprintf(&b, "%-10s suspected %d, recovered %d, declared %d\n",
-			n, c[fault.Suspect], c[fault.Alive], c[fault.Declared])
-	}
-	return b.String()
-}
-
-// WriteCSV exports completions for external plotting.
-func WriteCSV(w io.Writer, completions []simrun.Completion) error {
-	if _, err := fmt.Fprintln(w, "task,worker,start_sec,end_sec,ok,attempt"); err != nil {
-		return err
-	}
-	for _, c := range completions {
-		if _, err := fmt.Fprintf(w, "%d,%s,%.6f,%.6f,%t,%d\n",
-			c.Task, c.Worker, float64(c.Start), float64(c.End), c.OK, c.Attempt); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -1,12 +1,10 @@
 package trace
 
 import (
-	"bytes"
 	"math"
 	"strings"
 	"testing"
 
-	"frieda/internal/fault"
 	"frieda/internal/obs"
 	"frieda/internal/sim"
 	"frieda/internal/simrun"
@@ -144,24 +142,6 @@ func TestSummaryDurabilityLine(t *testing.T) {
 	}
 }
 
-func TestWriteCSVGolden(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, sampleResult().Completions); err != nil {
-		t.Fatal(err)
-	}
-	want := strings.Join([]string{
-		"task,worker,start_sec,end_sec,ok,attempt",
-		"0,vm-1,0.000000,3.000000,true,1",
-		"1,vm-1,3.000000,6.000000,true,1",
-		"2,vm-2,1.000000,9.000000,true,1",
-		"3,vm-2,9.000000,10.000000,false,2",
-		"",
-	}, "\n")
-	if got := buf.String(); got != want {
-		t.Fatalf("csv golden mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)
-	}
-}
-
 func TestSpanSummary(t *testing.T) {
 	if got := SpanSummary(nil); got != "(no trace recorded)\n" {
 		t.Fatalf("nil tracer = %q", got)
@@ -232,38 +212,6 @@ func TestSpanSummaryRepairColumn(t *testing.T) {
 	eng2.Run()
 	if strings.Contains(SpanSummary(tr2), "repairs") {
 		t.Fatal("repair column printed for a repair-free trace")
-	}
-}
-
-func TestDetectionTimeline(t *testing.T) {
-	if got := DetectionTimeline(nil); got != "(no detector transitions)\n" {
-		t.Fatalf("empty timeline = %q", got)
-	}
-	out := DetectionTimeline([]fault.Transition{
-		{Node: "vm-2", At: 10, State: fault.Suspect, Missed: 1},
-		{Node: "vm-2", At: 12, State: fault.Alive},
-		{Node: "vm-1", At: 30, State: fault.Suspect, Missed: 1},
-		{Node: "vm-1", At: 50, State: fault.Declared, Missed: 3},
-	})
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	// Header + 4 transitions + 2 per-node footers.
-	if len(lines) != 7 {
-		t.Fatalf("line count = %d:\n%s", len(lines), out)
-	}
-	for _, want := range []string{"t(s)", "suspect", "alive", "declared"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("timeline missing %q:\n%s", want, out)
-		}
-	}
-	// Footers are sorted by node and count each state.
-	if !strings.Contains(lines[5], "vm-1") || !strings.Contains(lines[6], "vm-2") {
-		t.Fatalf("footers unsorted:\n%s", out)
-	}
-	if !strings.Contains(lines[5], "suspected 1, recovered 0, declared 1") {
-		t.Fatalf("vm-1 footer wrong:\n%s", out)
-	}
-	if !strings.Contains(lines[6], "suspected 1, recovered 1, declared 0") {
-		t.Fatalf("vm-2 footer wrong:\n%s", out)
 	}
 }
 
