@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race check-goldens bench bench-e2e bench-smoke bench-netsim bench-exprun bench-scale bench-obs bench-masterfail bench-ctrlplane profile-scale vet fmt reproduce ablations examples clean
+.PHONY: all build test race check-goldens check-parent bench bench-e2e bench-smoke bench-netsim bench-exprun bench-scale bench-obs bench-masterfail bench-ctrlplane profile-scale vet fmt reproduce ablations examples clean
 
 all: build test
 
@@ -38,6 +38,29 @@ check-goldens:
 		timeout 60 ./friedabench -exp fig6a -metrics metrics-golden.csv -parallel $$p > /dev/null || exit 1; \
 		cmp metrics-golden.csv goldens/fig6a_metrics.csv || exit 1; \
 	done; rm -f metrics-golden.csv
+
+# Compare, byte for byte, the outputs goldens/ does not pin against a
+# friedabench built at BASE (a git ref; default HEAD, so a clean tree compares
+# with itself): fig6a's trace JSON, the stragglers attribution report, the
+# durability, masterfail and stragglers metrics CSVs, and fig6a's Gantt
+# summary, each with its stdout. BASE is checked out in a temporary git
+# worktree, removed again on exit; e.g. `make check-parent BASE=HEAD~`.
+BASE ?= HEAD
+check-parent:
+	@set -e; tmp=$$(mktemp -d); \
+	trap 'git worktree remove --force "$$tmp/base" >/dev/null 2>&1; rm -rf "$$tmp"' EXIT; \
+	git worktree add --detach "$$tmp/base" "$(BASE)" >/dev/null 2>&1; \
+	(cd "$$tmp/base" && $(GO) build -o "$$tmp/base.bin" ./cmd/friedabench); \
+	$(GO) build -o "$$tmp/head.bin" ./cmd/friedabench; \
+	for side in base head; do \
+		mkdir "$$tmp/$$side.out"; cd "$$tmp/$$side.out"; bin="$$tmp/$$side.bin"; \
+		$$bin -exp fig6a -trace trace.json > fig6a_trace.txt; \
+		$$bin -exp stragglers -attrib > stragglers_attrib.txt; \
+		for e in durability masterfail stragglers; do $$bin -exp $$e -metrics $$e.csv > $$e.txt; done; \
+		$$bin -exp fig6a -gantt > fig6a_gantt.txt; \
+		cd - >/dev/null; \
+	done; \
+	for f in $$(ls "$$tmp/base.out"); do echo "$$f"; cmp "$$tmp/base.out/$$f" "$$tmp/head.out/$$f"; done
 
 vet:
 	$(GO) vet ./...

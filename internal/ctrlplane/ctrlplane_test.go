@@ -114,7 +114,7 @@ func TestLenCountsStaleEntries(t *testing.T) {
 // Pick and PopAt are the one task pick both executors call: simrun.nextTask,
 // core.nextGroupLocked and — because templates always re-derive every hit in
 // `friedabench -exp ctrlplane`, which CI diffs across runs and pool widths —
-// simrun's checkTemplate on every template hit. That CI guard is the integration
+// simrun's control plane on every template hit. That CI guard is the integration
 // harness; this table pins the function itself.
 func TestPick(t *testing.T) {
 	residentSet := func(gis ...int) func(int) bool {

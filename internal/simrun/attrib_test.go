@@ -2,20 +2,54 @@ package simrun
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
+	"frieda/internal/cloud"
 	"frieda/internal/netsim"
+	"frieda/internal/obs"
 	"frieda/internal/obs/attrib"
+	"frieda/internal/sim"
 	"frieda/internal/storage"
 	"frieda/internal/strategy"
 )
 
 // attribScenario is one run shape the attribution invariant must hold over.
-// build constructs and executes the run; when record is true it attaches a
-// fresh recorder so Result.Attribution comes back solved.
+// build constructs and executes the run with the given observers attached
+// and returns its result and the number of events the engine fired.
 type attribScenario struct {
 	name  string
-	build func(t *testing.T, record bool) Result
+	build func(t *testing.T, o observers) (Result, uint64)
+}
+
+// observers selects the recording plug-ins a scenario run attaches.
+type observers uint8
+
+const (
+	withTracer observers = 1 << iota
+	withMetrics
+	withAttrib
+	withAll = withTracer | withMetrics | withAttrib
+)
+
+// attach wires the selected observers into cfg.
+func (o observers) attach(eng *sim.Engine, cluster *cloud.Cluster, cfg *Config) {
+	if o&withTracer != 0 {
+		cfg.Tracer = obs.NewTracer(eng, "obs")
+		cluster.Network().SetTracer(cfg.Tracer)
+	}
+	if o&withMetrics != 0 {
+		cfg.Metrics = obs.NewMetrics(eng, "obs", 5)
+	}
+	if o&withAttrib != 0 {
+		cfg.Attrib = attrib.NewRecorder(eng)
+	}
+}
+
+// recorded runs sc with the attribution recorder alone attached.
+func (sc attribScenario) recorded(t *testing.T) Result {
+	res, _ := sc.build(t, withAttrib)
+	return res
 }
 
 // attribScenarios spans the emission sites: plain compute, transfer+disk
@@ -24,40 +58,37 @@ type attribScenario struct {
 // with requeue.
 func attribScenarios() []attribScenario {
 	return []attribScenario{
-		{"compute-bound", func(t *testing.T, record bool) Result {
+		{"compute-bound", func(t *testing.T, o observers) (Result, uint64) {
 			eng, cluster, vms := newTestCluster(t, 1)
 			cfg := Config{Strategy: strategy.Config{Kind: strategy.RealTime, Multicore: true}}
-			if record {
-				cfg.Attrib = attrib.NewRecorder(eng)
-			}
-			return runOn(t, cluster, vms[0], vms[1:3], cfg, Workload{
+			o.attach(eng, cluster, &cfg)
+			res := runOn(t, cluster, vms[0], vms[1:3], cfg, Workload{
 				Name: "cpu", Tasks: uniformTasks(12, 1.0, 0),
 			})
+			return res, eng.Fired()
 		}},
-		{"transfer-disk", func(t *testing.T, record bool) Result {
+		{"transfer-disk", func(t *testing.T, o observers) (Result, uint64) {
 			eng, cluster, vms := newTestCluster(t, 1)
 			cfg := rtRemote()
 			cfg.ModelDiskIO = true
-			if record {
-				cfg.Attrib = attrib.NewRecorder(eng)
-			}
-			return runOn(t, cluster, vms[0], vms[1:], cfg, Workload{
+			o.attach(eng, cluster, &cfg)
+			res := runOn(t, cluster, vms[0], vms[1:], cfg, Workload{
 				Name: "net", Tasks: uniformTasks(16, 0.5, 12_500_000),
 			})
+			return res, eng.Fired()
 		}},
-		{"retry-ladder", func(t *testing.T, record bool) Result {
+		{"retry-ladder", func(t *testing.T, o observers) (Result, uint64) {
 			eng, cluster, vms := newTestCluster(t, 1)
 			cfg := rtRemote()
 			cfg.NetFaults = &NetFaultConfig{Resume: true}
-			if record {
-				cfg.Attrib = attrib.NewRecorder(eng)
-			}
+			o.attach(eng, cluster, &cfg)
 			failWindow(eng, cluster, vms[1], 2, 5)
-			return runOn(t, cluster, vms[0], vms[1:2], cfg, Workload{
+			res := runOn(t, cluster, vms[0], vms[1:2], cfg, Workload{
 				Name: "one", Tasks: uniformTasks(1, 1.0, 125e6),
 			})
+			return res, eng.Fired()
 		}},
-		{"durability-chaos", func(t *testing.T, record bool) Result {
+		{"durability-chaos", func(t *testing.T, o observers) (Result, uint64) {
 			eng, cluster, vms := newTestCluster(t, 1)
 			cfg := rtRemote()
 			cfg.Recover = true
@@ -67,9 +98,7 @@ func attribScenarios() []attribScenario {
 				RF: 2, ScanPeriodSec: 1, MaxConcurrentRepairs: 3,
 				EvacuateSource: true, Verify: true, CorruptionRate: 0.3, Seed: 17,
 			}
-			if record {
-				cfg.Attrib = attrib.NewRecorder(eng)
-			}
+			o.attach(eng, cluster, &cfg)
 			wl := Workload{Name: "w", Tasks: uniformTasks(16, 2.0, 5_000_000)}
 			linkInj := cluster.InjectLinkFaults(vms[1:], netsim.FaultOptions{
 				Seed: 3, MTBFSec: 15, MTTRSec: 5, DegradeFactor: 0.4,
@@ -90,18 +119,16 @@ func attribScenarios() []attribScenario {
 			diskInj.Stop()
 			for eng.Step() {
 			}
-			return res
+			return res, eng.Fired()
 		}},
-		{"speculation", func(t *testing.T, record bool) Result {
+		{"speculation", func(t *testing.T, o observers) (Result, uint64) {
 			eng, cluster, vms := newTestCluster(t, 1)
 			cfg := Config{
 				Strategy:  strategy.Config{Kind: strategy.RealTime},
 				Detection: grayDetection(),
 				Gray:      &GrayConfig{Speculate: true},
 			}
-			if record {
-				cfg.Attrib = attrib.NewRecorder(eng)
-			}
+			o.attach(eng, cluster, &cfg)
 			// One long task per worker plus a short third: the short task's
 			// worker reports progress at the first heartbeat (the slow-median
 			// needs three reporters) then idles, so when the straggler is flagged the
@@ -122,18 +149,16 @@ func attribScenarios() []attribScenario {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return res
+			return res, eng.Fired()
 		}},
-		{"hedged-transfer", func(t *testing.T, record bool) Result {
+		{"hedged-transfer", func(t *testing.T, o observers) (Result, uint64) {
 			eng, cluster, vms := newTestCluster(t, 1)
 			cfg := Config{
 				Strategy:  strategy.Config{Kind: strategy.RealTime, Locality: strategy.Remote, Placement: strategy.DataToCompute},
 				Detection: grayDetection(),
 				Gray:      &GrayConfig{Hedge: true},
 			}
-			if record {
-				cfg.Attrib = attrib.NewRecorder(eng)
-			}
+			o.attach(eng, cluster, &cfg)
 			r, err := NewRunner(cluster, vms[0], cfg, hedgeWorkload())
 			if err != nil {
 				t.Fatal(err)
@@ -145,9 +170,9 @@ func attribScenarios() []attribScenario {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return res
+			return res, eng.Fired()
 		}},
-		{"worker-death-recover", func(t *testing.T, record bool) Result {
+		{"worker-death-recover", func(t *testing.T, o observers) (Result, uint64) {
 			eng, cluster, vms := newTestCluster(t, 11)
 			cfg := Config{
 				Strategy:   strategy.Config{Kind: strategy.RealTime, Multicore: true},
@@ -155,9 +180,7 @@ func attribScenarios() []attribScenario {
 				MaxRetries: 3,
 				Detection:  &DetectionConfig{K: 2},
 			}
-			if record {
-				cfg.Attrib = attrib.NewRecorder(eng)
-			}
+			o.attach(eng, cluster, &cfg)
 			r, err := NewRunner(cluster, vms[0], cfg, Workload{
 				Name: "obs", Tasks: uniformTasks(30, 0.8, 400_000),
 			})
@@ -172,7 +195,7 @@ func attribScenarios() []attribScenario {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return res
+			return res, eng.Fired()
 		}},
 	}
 }
@@ -185,7 +208,7 @@ func TestAttributionSumsToMakespan(t *testing.T) {
 	for _, sc := range attribScenarios() {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
-			res := sc.build(t, true)
+			res := sc.recorded(t)
 			rep := res.Attribution
 			if rep == nil {
 				t.Fatal("recorded run returned nil Attribution")
@@ -217,35 +240,38 @@ func TestAttributionSumsToMakespan(t *testing.T) {
 	}
 }
 
-// TestAttributionChangesNoBehaviour: attaching a recorder must leave the
-// simulation bit-identical — same makespan, byte counts, and completion
-// sequence as the unrecorded run.
+// TestAttributionChangesNoBehaviour is every observer's no-behaviour
+// guarantee, over the attribution scenarios: attaching the tracer, the
+// metrics registry, the attribution recorder, or all three at once leaves
+// the Result identical to an unobserved run's (its Attribution aside) and,
+// without metrics — whose sampler fires ticker events of its own — fires the
+// same events. All three at once is the case the shared hook dispatch could
+// break.
 func TestAttributionChangesNoBehaviour(t *testing.T) {
+	rows := []struct {
+		name string
+		o    observers
+	}{{"tracer", withTracer}, {"metrics", withMetrics}, {"attrib", withAttrib}, {"all", withAll}}
 	for _, sc := range attribScenarios() {
-		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
-			plain := sc.build(t, false)
-			rec := sc.build(t, true)
-			if plain.MakespanSec != rec.MakespanSec ||
-				plain.BytesMoved != rec.BytesMoved ||
-				plain.Succeeded != rec.Succeeded ||
-				plain.Abandoned != rec.Abandoned ||
-				plain.RepairBytes != rec.RepairBytes ||
-				plain.SpeculativeWon != rec.SpeculativeWon ||
-				plain.HedgedTransfers != rec.HedgedTransfers {
-				t.Fatalf("recording changed results:\nplain:    %+v\nrecorded: %+v", plain, rec)
-			}
-			if len(plain.Completions) != len(rec.Completions) {
-				t.Fatalf("completion counts differ: %d vs %d", len(plain.Completions), len(rec.Completions))
-			}
-			for i := range plain.Completions {
-				if plain.Completions[i] != rec.Completions[i] {
-					t.Fatalf("completion %d differs:\nplain:    %+v\nrecorded: %+v",
-						i, plain.Completions[i], rec.Completions[i])
-				}
-			}
+			plain, plainFired := sc.build(t, 0)
 			if plain.Attribution != nil {
 				t.Fatal("unrecorded run carries an Attribution report")
+			}
+			for _, row := range rows {
+				t.Run(row.name, func(t *testing.T) {
+					got, fired := sc.build(t, row.o)
+					if (got.Attribution != nil) != (row.o&withAttrib != 0) {
+						t.Fatalf("Attribution report present = %v with observers %b", got.Attribution != nil, row.o)
+					}
+					got.Attribution = nil
+					if !reflect.DeepEqual(plain, got) {
+						t.Fatalf("observing changed the result:\nplain:    %+v\nobserved: %+v", plain, got)
+					}
+					if row.o&withMetrics == 0 && fired != plainFired {
+						t.Fatalf("observing fired %d events, the plain run %d", fired, plainFired)
+					}
+				})
 			}
 		})
 	}
@@ -265,13 +291,13 @@ func TestAttributionBlamesTheRightCategory(t *testing.T) {
 		return attribScenario{}
 	}
 
-	cpu := byName("compute-bound").build(t, true).Attribution
+	cpu := byName("compute-bound").recorded(t).Attribution
 	if c := cpu.Blame[attrib.Compute]; c < 0.9*cpu.MakespanSec {
 		t.Fatalf("compute-bound run blames only %v of %v to compute\nblame: %v",
 			c, cpu.MakespanSec, cpu.Blame)
 	}
 
-	net := byName("transfer-disk").build(t, true).Attribution
+	net := byName("transfer-disk").recorded(t).Attribution
 	if n := net.Blame[attrib.NetworkTransfer]; n < 0.5*net.MakespanSec {
 		t.Fatalf("transfer-bound run blames only %v of %v to the network\nblame: %v",
 			n, net.MakespanSec, net.Blame)
@@ -280,12 +306,12 @@ func TestAttributionBlamesTheRightCategory(t *testing.T) {
 		t.Fatalf("ModelDiskIO run charged no disk time: %v", net.Blame)
 	}
 
-	retry := byName("retry-ladder").build(t, true).Attribution
+	retry := byName("retry-ladder").recorded(t).Attribution
 	if retry.Blame[attrib.RetryBackoff] <= 0 {
 		t.Fatalf("interrupted transfer charged no retry/backoff: %v", retry.Blame)
 	}
 
-	spec := byName("speculation").build(t, true)
+	spec := byName("speculation").recorded(t)
 	if spec.SpeculativeWon == 0 {
 		t.Fatal("speculation scenario rescued nothing")
 	}
@@ -297,7 +323,7 @@ func TestAttributionBlamesTheRightCategory(t *testing.T) {
 // TestAttributionLatencyStats checks the exact percentile streams ride along:
 // one task-latency sample per success, transfer samples on fetching runs.
 func TestAttributionLatencyStats(t *testing.T) {
-	res := attribScenarios()[1].build(t, true) // transfer-disk
+	res := attribScenarios()[1].recorded(t) // transfer-disk
 	rep := res.Attribution
 	if rep.TaskLatency.Count != res.Succeeded {
 		t.Fatalf("task latency count %d, want %d successes", rep.TaskLatency.Count, res.Succeeded)
@@ -316,7 +342,7 @@ func TestAttributionLatencyStats(t *testing.T) {
 // replica must depend on the repair; with the master evacuated and the
 // original holder dead, any successful refetch went through one.
 func TestAttributionRepairEdge(t *testing.T) {
-	res := attribScenarios()[3].build(t, true) // durability-chaos
+	res := attribScenarios()[3].recorded(t) // durability-chaos
 	rep := res.Attribution
 	if res.RepairsCompleted == 0 {
 		t.Skip("chaos schedule produced no completed repairs")
@@ -341,8 +367,8 @@ func TestAttributionRepairEdge(t *testing.T) {
 // to identical reports.
 func TestAttributionDeterministic(t *testing.T) {
 	sc := attribScenarios()[3] // durability-chaos exercises the most sites
-	a := sc.build(t, true).Attribution
-	b := sc.build(t, true).Attribution
+	a := sc.recorded(t).Attribution
+	b := sc.recorded(t).Attribution
 	if a.MakespanSec != b.MakespanSec || a.Blame != b.Blame ||
 		len(a.Segments) != len(b.Segments) ||
 		a.TaskLatency != b.TaskLatency || a.TransferLatency != b.TransferLatency {

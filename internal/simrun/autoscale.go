@@ -23,17 +23,11 @@ func (r *Runner) DrainWorker() error {
 	if victim == nil {
 		return fmt.Errorf("simrun: no live worker to drain")
 	}
-	live := 0
-	for _, w := range r.workers {
-		if !w.dead && !w.draining {
-			live++
-		}
-	}
-	if live <= 1 {
+	if r.LiveWorkers() <= 1 {
 		return fmt.Errorf("simrun: refusing to drain the last worker")
 	}
 	victim.draining = true
-	r.ctrlInvalidate() // worker set changed: templates re-derive
+	r.gen++ // worker set changed: templates re-derive
 	// Undispatched backlog returns to the shared pool.
 	backlog := victim.backlog
 	victim.backlog = nil

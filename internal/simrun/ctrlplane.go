@@ -1,20 +1,16 @@
 package simrun
 
-// Execution-template control plane (ROADMAP item 2, after Mashayekhi et
-// al.'s Execution Templates): the master's per-task scheduling decision is
-// modeled as time on a single decision server, and a generation-stamped
-// template cache (internal/ctrlplane) lets repeated decisions replay in O(1)
-// instead of re-running the full scan. Admission (eager or via the batched
-// drainAdmits pass) routes every dispatch through dispatchCtrl when
-// Config.CtrlPlane is set; nil keeps the published zero-cost control plane,
-// byte-identical to all committed goldens.
+// Execution-template control plane (after Mashayekhi et al.'s Execution
+// Templates): the master's per-task scheduling decision is modeled as time on
+// a single decision server, and a generation-stamped template cache
+// (internal/ctrlplane) lets repeated decisions replay in O(1) instead of
+// re-running the full scan. The plug-in takes over Runner.decide, so every
+// admission — eager or batched — is priced.
 
 import (
 	"fmt"
 
-	"frieda/internal/cloud"
 	"frieda/internal/ctrlplane"
-	"frieda/internal/obs/attrib"
 	"frieda/internal/sim"
 	"frieda/internal/strategy"
 )
@@ -27,8 +23,8 @@ type CtrlPlaneConfig struct {
 	// decisionSec/templateHitSpeedup, a map probe and per-task hole filling
 	// instead of the full derivation. Off, every decision pays decisionSec
 	// — the per-task control plane the paper-era master ships with. Every
-	// hit is re-derived through the slow path and a divergence panics
-	// (checkTemplate); that costs wall time only, never virtual time.
+	// hit is re-derived through the slow path and a divergence panics;
+	// that costs wall time only, never virtual time.
 	Templates bool
 }
 
@@ -45,20 +41,29 @@ const (
 	templateHitSpeedup = 50
 )
 
-// ctrlState is the runner-side control-plane model: the template cache plus
-// the decision server's busy horizon.
-type ctrlState struct {
+// ctrlHook is the control-plane plug-in: the template cache plus the
+// decision server's busy horizon.
+type ctrlHook struct {
+	nopHook
+	r         *Runner
 	templates bool
 	cache     *ctrlplane.Cache
+	// gen is the runner generation the cache was last valid for: a worker
+	// join, death or drain, an evacuation or a master recovery bumps
+	// Runner.gen, and the next decision invalidates every template.
+	gen int
 	// busyUntil is when the single decision server frees up; requests
 	// serialise behind it.
 	busyUntil sim.Time
-	// tmplSrc pins the next sourceFor call to a template-cached source for
-	// the duration of one dispatch; nil outside a template-hit dispatch.
-	tmplSrc *cloud.VM
 }
 
-// dispatchCtrl makes one control-plane decision for w: pick the next task —
+// finish reports the template hit and miss counts.
+func (c *ctrlHook) finish() {
+	s := c.cache.Stats()
+	c.r.res.TemplateHits, c.r.res.TemplateMisses = s.Hits, s.Misses
+}
+
+// decide makes one control-plane decision for w: pick the next task —
 // template fast path on a cache hit, the full nextTask scan on a miss —
 // charge the decision's modeled cost on the decision server, and schedule
 // the dispatch for when the server gets to it. Returns false when the worker
@@ -66,28 +71,38 @@ type ctrlState struct {
 // so same-instant kicks cannot over-admit; speculation clones and repair
 // flows are master-initiated mitigation, not task dispatches, and bypass the
 // decision server.
-func (r *Runner) dispatchCtrl(w *simWorker) bool {
-	c := r.ctrl
+func (c *ctrlHook) decide(w *simWorker) bool {
+	r := c.r
 	if len(w.backlog) == 0 && len(r.queue) == 0 {
 		return false
 	}
-	class, templatable := r.templateClass(w)
+	if c.gen != r.gen {
+		c.cache.Invalidate()
+		c.gen = r.gen
+	}
+	class, templatable := c.templateClass(w)
 	var (
 		key ctrlplane.Key
-		dec ctrlplane.Decision
 		hit bool
 	)
 	if c.templates {
 		if templatable {
 			key = ctrlplane.Key{Worker: w.name, Class: class}
-			dec, hit = c.cache.Lookup(key)
+			_, hit = c.cache.Lookup(key)
 		} else {
 			c.cache.NoteMiss()
 		}
 	}
 	var gi int
 	if hit {
-		r.checkTemplate(w, dec)
+		// Every hit is re-derived through the unmodified slow path — the
+		// replay property: a template must decide exactly what the full
+		// scan would at this instant — at a wall-time cost only.
+		if len(w.backlog) == 0 {
+			if pick := r.pickQueue(w); pick != 0 {
+				panic(fmt.Sprintf("simrun: template check failed on %s: cached head pick, slow path picks queue[%d]", w.name, pick))
+			}
+		}
 		gi = r.popHead(w)
 	} else {
 		var ok bool
@@ -98,12 +113,8 @@ func (r *Runner) dispatchCtrl(w *simWorker) bool {
 		if c.templates && templatable {
 			// The slow path just proved the class's decision under the
 			// current generation: head pick (templatable classes never
-			// scan past the head) and, without durability, the master as
-			// the canonical first-attempt source.
-			c.cache.Install(key, ctrlplane.Decision{
-				PickHead:     true,
-				SourceMaster: r.cfg.Durability == nil,
-			})
+			// scan past the head).
+			c.cache.Install(key, ctrlplane.Decision{PickHead: true})
 		}
 	}
 	cost := float64(decisionSec)
@@ -114,33 +125,17 @@ func (r *Runner) dispatchCtrl(w *simWorker) bool {
 	}
 	r.res.CtrlPlaneDecisionSec += cost
 	w.admitted++
-	now := r.eng.Now()
-	start := c.busyUntil
-	if start < now {
-		start = now
-	}
-	fire := start + sim.Time(cost)
-	c.busyUntil = fire
-	pinSrc := hit && dec.SourceMaster
-	var cause attrib.NodeID
-	ab := r.cfg.Attrib
-	if ab.Enabled() {
-		cause = r.anCause
-	}
-	r.eng.At(fire, func() {
-		if ab.Enabled() {
-			r.anCause = ab.After(cause, attrib.CtrlPlane, "ctrl-decision", w.name)
-		}
-		r.fireDispatch(w, gi, pinSrc)
-	})
+	c.busyUntil = max(c.busyUntil, r.eng.Now()) + sim.Time(cost)
+	r.after(c.busyUntil, w, delayDecision, func() { c.fire(w, gi) })
 	return true
 }
 
-// fireDispatch delivers a decided dispatch once the decision server has
-// processed it. The worker can die between decision and delivery; the task
-// then settles exactly as a dead worker's unstarted backlog entry does in
+// fire delivers a decided dispatch once the decision server has processed
+// it. The worker can die between decision and delivery; the task then
+// settles exactly as a dead worker's unstarted backlog entry does in
 // reassign — requeued under Recover, abandoned otherwise.
-func (r *Runner) fireDispatch(w *simWorker, gi int, pinSrc bool) {
+func (c *ctrlHook) fire(w *simWorker, gi int) {
+	r := c.r
 	if w.dead {
 		w.admitted--
 		if r.requeueLost(gi) {
@@ -151,11 +146,7 @@ func (r *Runner) fireDispatch(w *simWorker, gi int, pinSrc bool) {
 		r.checkDone()
 		return
 	}
-	if pinSrc {
-		r.ctrl.tmplSrc = r.master
-	}
 	r.fetchAndRun(w, gi)
-	r.ctrl.tmplSrc = nil
 }
 
 // templateClass classifies the worker's next decision. A class is
@@ -167,11 +158,11 @@ func (r *Runner) fireDispatch(w *simWorker, gi int, pinSrc bool) {
 // source selection depend on per-task state (what landed where, what was
 // evacuated), so those classes run the slow path every time — honestly
 // counted as misses.
-func (r *Runner) templateClass(w *simWorker) (string, bool) {
+func (c *ctrlHook) templateClass(w *simWorker) (string, bool) {
 	if len(w.backlog) > 0 {
 		return "backlog", true
 	}
-	if r.cfg.Strategy.Placement == strategy.ComputeToData || r.cfg.Durability != nil {
+	if cfg := c.r.cfg; cfg.Strategy.Placement == strategy.ComputeToData || cfg.Durability != nil {
 		return "", false
 	}
 	return "queue", true
@@ -185,52 +176,4 @@ func (r *Runner) popHead(w *simWorker) int {
 		return ctrlplane.PopAt(&w.backlog, 0)
 	}
 	return ctrlplane.PopAt(&r.queue, 0)
-}
-
-// checkTemplate re-derives the decision through the unmodified slow path and
-// panics on divergence — the bit-identical-replay property: a template hit
-// must decide exactly what the full scan would have decided at this instant.
-func (r *Runner) checkTemplate(w *simWorker, dec ctrlplane.Decision) {
-	// Head pick: nextTask's decision, without the pop.
-	pick := 0
-	if len(w.backlog) == 0 {
-		pick = r.pickQueue(w)
-	}
-	if dec.PickHead != (pick == 0) {
-		panic(fmt.Sprintf("simrun: template check failed on %s: cached pick-head=%v, slow path picks queue[%d]",
-			w.name, dec.PickHead, pick))
-	}
-	// Source: the first-attempt source the slow path would choose for the
-	// head task's missing files. Only real-time remote dispatches fetch.
-	if r.cfg.Strategy.Kind != strategy.RealTime || r.cfg.Strategy.Locality != strategy.Remote {
-		return
-	}
-	var gi int
-	if len(w.backlog) > 0 {
-		gi = w.backlog[0]
-	} else {
-		gi = r.queue[pick]
-	}
-	var names []string
-	for _, f := range r.wl.Tasks[gi].Files {
-		if !w.has[f.Name] {
-			names = append(names, f.Name)
-		}
-	}
-	if len(names) == 0 {
-		return
-	}
-	if src := r.sourceForSlow(w, names, 1); dec.SourceMaster != (src == r.master) {
-		panic(fmt.Sprintf("simrun: template check failed on %s: cached source-master=%v, slow path picked %v",
-			w.name, dec.SourceMaster, src))
-	}
-}
-
-// ctrlInvalidate bumps the template generation on a worker-set or data
-// placement change — worker join, death, drain, evacuation, master recovery.
-// Nil-safe: one branch when the control-plane model is off.
-func (r *Runner) ctrlInvalidate() {
-	if r.ctrl != nil {
-		r.ctrl.cache.Invalidate()
-	}
 }

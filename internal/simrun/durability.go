@@ -1,0 +1,586 @@
+package simrun
+
+import (
+	"fmt"
+	"maps"
+	"math/rand"
+	"slices"
+
+	"frieda/internal/catalog"
+	"frieda/internal/cloud"
+	"frieda/internal/netsim"
+	"frieda/internal/obs"
+	"frieda/internal/obs/attrib"
+	"frieda/internal/sim"
+	"frieda/internal/storage"
+)
+
+// durabilityHook turns the replica map into a managed store
+// (Config.Durability; DESIGN.md, "Durability"): verified transfers, failing
+// disk reads, evacuation, loss declaration and, with RF > 1, a replication
+// manager that scans for files below target — on a ticker and after every
+// worker or disk death — and repairs them with real netsim flows, at most
+// MaxConcurrentRepairs at a time. It takes over the source rule and the
+// input fetch, and owns the integrity draws.
+type durabilityHook struct {
+	nopHook
+	r   *Runner
+	cfg DurabilityConfig
+	an  *attribHook
+	mf  *masterHook // journals control-plane mutations; nil for an immortal master
+	tr  *obs.Tracer
+	// rng draws corruption and read-error outcomes; consumed only when a
+	// fault condition is present.
+	rng *rand.Rand
+	// evacuated marks files the master no longer holds (EvacuateSource),
+	// lost files declared permanently lost.
+	evacuated, lost map[string]bool
+	// fileSize maps file names to sizes for repair scheduling.
+	fileSize      map[string]float64
+	repairsFailed int
+
+	// The replication manager. active maps file name to its in-flight
+	// repair job, its size the concurrency budget in use; nil when RF <= 1,
+	// which leaves the manager off. tickFn and visitFn are the ticker and
+	// the scan step pre-bound, so neither a tick nor a scan allocates a
+	// closure; scanning is set while a walk is on the stack.
+	active   map[string]*repairJob
+	ticker   sim.EventRef
+	tickFn   func()
+	visitFn  func(string) bool
+	stopped  bool
+	scanning bool
+}
+
+func newDurability(r *Runner, an *attribHook) *durabilityHook {
+	d := &durabilityHook{
+		r: r, cfg: *r.cfg.Durability, an: an, tr: r.cfg.Tracer,
+		rng:       rand.New(rand.NewSource(r.cfg.Durability.Seed)),
+		evacuated: make(map[string]bool),
+		lost:      make(map[string]bool),
+		fileSize:  make(map[string]float64),
+	}
+	if d.cfg.ScanPeriodSec <= 0 {
+		d.cfg.ScanPeriodSec = 60
+	}
+	if d.cfg.MaxConcurrentRepairs <= 0 {
+		d.cfg.MaxConcurrentRepairs = 2
+	}
+	for _, t := range r.wl.Tasks {
+		for _, f := range t.Files {
+			d.fileSize[f.Name] = float64(f.Size)
+		}
+	}
+	r.source, r.fetch, r.corrupt, r.readFails = d.source, d.fetch, d.corrupt, d.readFails
+	r.cluster.OnDiskFailure(func(vm *cloud.VM, _ *storage.Volume) {
+		if w := r.worker(vm); w != nil {
+			d.diskDied(w)
+		}
+	})
+	if m := r.cfg.Metrics; m.Enabled() {
+		m.Gauge("under_replicated", func() float64 { return float64(r.replicas.UnderCount(max(d.cfg.RF, 1))) })
+		m.Gauge("active_repairs", func() float64 { return float64(len(d.active)) })
+		m.Gauge("files_lost", func() float64 { return float64(r.res.FilesLost) })
+		m.Gauge("repair_goodput_bps", d.goodputBps)
+		countGauge(m, "corruptions_detected", &r.res.CorruptionsDetected)
+		countGauge(m, "files_lost_total", &r.res.FilesLost)
+		countGauge(m, "repairs_ok", &r.res.RepairsCompleted)
+		countGauge(m, "repairs_failed", &d.repairsFailed)
+		m.Gauge("repair_bytes", func() float64 { return r.res.RepairBytes })
+	}
+	return d
+}
+
+// start turns the replication manager on when RF > 1.
+func (d *durabilityHook) start() {
+	if d.cfg.RF <= 1 {
+		return
+	}
+	period := sim.Duration(d.cfg.ScanPeriodSec)
+	d.active = make(map[string]*repairJob)
+	d.visitFn = d.visit
+	d.tickFn = func() {
+		d.scan()
+		if !d.stopped {
+			d.ticker = d.r.eng.Schedule(period, d.tickFn)
+		}
+	}
+	d.ticker = d.r.eng.Schedule(period, d.tickFn)
+}
+
+// source is the source rule with durability: the master is eligible only
+// while it still holds every requested file (EvacuateSource drops files once
+// staged) and is the canonical first-attempt source then; otherwise the
+// best holder (bestHolder), else the master if it still holds the files,
+// else nil — every copy is gone, and the transfer is lost without touching
+// the network.
+func (d *durabilityHook) source(w *simWorker, files []string, n int) *cloud.VM {
+	r := d.r
+	holds := d.masterHolds(files)
+	if n == 1 && holds {
+		return r.master
+	}
+	if o := r.bestHolder(files, w, nil); o != nil {
+		return o.vm
+	}
+	if holds {
+		return r.master
+	}
+	return nil
+}
+
+// masterHolds reports whether the master still holds every named file.
+func (d *durabilityHook) masterHolds(files []string) bool {
+	for _, f := range files {
+		if d.evacuated[f] {
+			return false
+		}
+	}
+	return true
+}
+
+// fetch stages the attempt's claimed inputs one flow at a time: with
+// replicas spread by the repair manager, a task's files may live on
+// different nodes, so each transfer uses its own best source. Files already
+// landed keep their on-disk copies when a later file in the chain fails;
+// only the not-yet-fetched claims are released.
+func (d *durabilityHook) fetch(w *simWorker, att *taskAttempt, names []string, _ float64) {
+	r := d.r
+	fail := func(i int) {
+		for _, f := range names[i:] {
+			delete(w.has, f)
+		}
+		r.putNames(names)
+		r.fetchFailed(w, att)
+	}
+	var step func(i int)
+	step = func(i int) {
+		if w.dead {
+			return
+		}
+		if i >= len(names) {
+			r.putNames(names)
+			r.compute(w, att)
+			return
+		}
+		f, size := names[i], d.fileSize[names[i]]
+		if d.lost[f] {
+			fail(i)
+			return
+		}
+		att.stage = r.transfer(w, []string{f}, size, func(lost bool) {
+			att.stage = nil
+			if w.dead {
+				return
+			}
+			if lost {
+				fail(i)
+				return
+			}
+			r.chargeDiskWrite(w, size, func() {
+				if w.dead {
+					return
+				}
+				// Re-assert the claim: a disk wipe mid-transfer cleared it,
+				// and the bytes just landed on the fresh media.
+				w.setHas(f)
+				r.noteStaged(f, w.name)
+				step(i + 1)
+			})
+		})
+	}
+	step(0)
+}
+
+// corrupt draws whether a payload arriving at w from `from` is corrupt: only
+// with verification on and only across a path with a link running below
+// its provisioned rate at arrival time.
+func (d *durabilityHook) corrupt(from *cloud.VM, w *simWorker) bool {
+	return d.cfg.Verify && d.cfg.CorruptionRate > 0 &&
+		slices.ContainsFunc(d.r.cluster.TransferPath(from, w.vm), (*netsim.Link).Degraded) &&
+		d.rng.Float64() < d.cfg.CorruptionRate
+}
+
+// readFails draws a media read error as att's compute starts (ModelDiskIO
+// only) and, on one, handles it in two halves, like a worker death. The
+// physical half runs now: the worker's local copies of the task's inputs
+// are suspect and dropped, so future attempts re-fetch from surviving
+// replicas. readFailedMaster is the master's reaction and runs right after,
+// or held behind a control-plane outage — in which case the core frees at
+// once, not after the bookkeeping.
+func (d *durabilityHook) readFails(w *simWorker, att *taskAttempt) bool {
+	r, rate := d.r, w.disk.ReadErrorRate()
+	if !r.cfg.ModelDiskIO || rate <= 0 || d.rng.Float64() >= rate {
+		return false
+	}
+	if d.tr.Enabled() {
+		d.tr.Instant(w.name, "fault", "read-error", obs.Args{"task": att.task})
+	}
+	// bad comes off the recycled name slices: read errors recur all run.
+	bad := r.takeNames()
+	for _, f := range r.wl.Tasks[att.task].Files {
+		if w.has[f.Name] {
+			delete(w.has, f.Name)
+			bad = append(bad, f.Name)
+		}
+	}
+	if r.offline {
+		r.freeSlot(w, att)
+		r.hold(func() { d.readFailedMaster(w, att, bad, false) })
+	} else {
+		d.readFailedMaster(w, att, bad, true)
+	}
+	return true
+}
+
+// readFailedMaster is the master half of a read error: drop the bad
+// replicas, declare what has no source left lost, rescan, and fail the
+// attempt through the normal retry ladder. free releases the attempt's core
+// and slot after the bookkeeping and before the verdict, because
+// sim.Resource.Release hands the core to the next waiter synchronously.
+func (d *durabilityHook) readFailedMaster(w *simWorker, att *taskAttempt, bad []string, free bool) {
+	r := d.r
+	r.res.CorruptionsDetected++
+	if ab := d.an.ab; ab.Enabled() {
+		d.an.cause = ab.After(d.an.cause, attrib.DiskIO, "read-error", w.name)
+	}
+	for _, f := range bad {
+		d.repRemove(f, w.name)
+	}
+	r.putNames(bad)
+	for _, f := range r.wl.Tasks[att.task].Files {
+		if !d.sourceExists(f.Name) {
+			d.markFileLost(f.Name)
+		}
+	}
+	d.scan()
+	if free {
+		r.freeSlot(w, att)
+	}
+	r.taskDone(w, att, false)
+	r.kick(w)
+}
+
+// workerGone declares lost the files whose last copy died with w, then
+// cancels the repairs w was sourcing or receiving and rescans: the death
+// may have pushed more files below target.
+func (d *durabilityHook) workerGone(w *simWorker, dropped []string) {
+	for _, f := range dropped {
+		if f != commonFile && !d.sourceExists(f) {
+			d.markFileLost(f)
+		}
+	}
+	if d.stopped {
+		return
+	}
+	for _, f := range slices.Sorted(maps.Keys(d.active)) {
+		if job := d.active[f]; job.src == w || job.dst == w {
+			d.abort(job, "worker-died")
+		}
+	}
+	d.scan()
+}
+
+// repRemove drops node's replica of file, journaled.
+func (d *durabilityHook) repRemove(file, node string) {
+	d.r.replicas.Remove(file, node)
+	d.mf.journal(catalog.Record{Op: catalog.OpReplicaRemove, File: file, Node: node})
+}
+
+// repairJob is one in-flight repair copy.
+type repairJob struct {
+	file string
+	src  *simWorker // nil when the master is the source
+	dst  *simWorker
+	flow *netsim.Flow
+	span *obs.Span
+	lane int
+	// anStart is the job's attribution node (attrib.go); the landed
+	// copy chains from it so foreground transfers sourced off the new
+	// replica can blame the repair that created it.
+	anStart attrib.NodeID
+}
+
+// goodputBps sums the current fair rates of the active repair flows — the
+// repair-goodput gauge. Every walk over the active repairs takes name order.
+func (d *durabilityHook) goodputBps() float64 {
+	var sum float64
+	for _, f := range slices.Sorted(maps.Keys(d.active)) {
+		if fl := d.active[f].flow; fl != nil {
+			sum += fl.Rate()
+		}
+	}
+	return sum
+}
+
+// finish disarms the ticker and cancels in-flight repairs so an idle
+// engine can drain once the run is over. Partial deliveries of cancelled
+// repairs still count toward RepairBytes.
+func (d *durabilityHook) finish() {
+	d.stopped = true
+	d.ticker.Cancel()
+	d.ticker = sim.EventRef{}
+	for _, f := range slices.Sorted(maps.Keys(d.active)) {
+		d.abort(d.active[f], "stopped")
+	}
+}
+
+// abort cancels a job's flow (Network.Cancel is silent, so cleanup is
+// explicit here) and accounts the bytes it had delivered.
+func (d *durabilityHook) abort(job *repairJob, outcome string) {
+	delete(d.active, job.file)
+	if job.flow != nil {
+		delivered := job.flow.Delivered()
+		d.r.cluster.Network().Cancel(job.flow)
+		job.flow = nil
+		d.r.res.RepairBytes += delivered
+	}
+	d.repairsFailed++
+	d.endSpan(job, outcome)
+}
+
+func (d *durabilityHook) endSpan(job *repairJob, outcome string) {
+	if job.span == nil {
+		return
+	}
+	job.span.End(obs.Args{"outcome": outcome})
+	job.span = nil
+	releaseLane(job.dst.xferLanes, job.lane)
+}
+
+// scan walks the replica map's under-replication index in place, in name
+// order, declares files with no remaining source permanently lost, and
+// starts repair copies up to the concurrency budget. It costs the files it
+// skips plus the repairs it starts, not the size of the catalogue. A no-op
+// with the manager off, stopped, or no control plane to command repairs
+// (recovery rescans).
+func (d *durabilityHook) scan() {
+	if d.active == nil || d.stopped || d.r.offline {
+		return
+	}
+	if d.scanning {
+		// visit mutates d.active and the index under one cursor; a nested
+		// scan (a Transfer completing synchronously) would start repairs
+		// the outer walk then double-counts against the budget.
+		panic("simrun: repair scan re-entered")
+	}
+	d.scanning = true
+	d.r.replicas.WalkUnder(d.cfg.RF, d.visitFn)
+	d.scanning = false
+}
+
+// visit is scan's per-file step; false ends the walk (budget full).
+// markFileLost forgets the file under the walk's cursor, which WalkUnder
+// tolerates: lost declarations and repair starts must interleave in name
+// order, as journal replay and the goldens observe them.
+func (d *durabilityHook) visit(f string) bool {
+	if f == commonFile || d.lost[f] || d.active[f] != nil {
+		return true // not a workload file, already lost, or already in repair
+	}
+	if !d.sourceExists(f) {
+		d.markFileLost(f)
+		return true
+	}
+	if len(d.active) >= d.cfg.MaxConcurrentRepairs {
+		return false
+	}
+	d.startRepair(f)
+	return true
+}
+
+// startRepair launches one repair copy of the file: the best holder (bestHolder;
+// the master when no worker holds it and it is not evacuated) to the live,
+// ready worker without a copy that carries the fewest active downlink
+// flows. No-op when every eligible worker already holds the file.
+func (d *durabilityHook) startRepair(f string) {
+	r := d.r
+	size, ok := d.fileSize[f]
+	if !ok {
+		return // not a workload file (defensive; replicas only hold those)
+	}
+	src := r.bestHolder([]string{f}, nil, nil)
+	srcVM := r.master
+	if src != nil {
+		srcVM = src.vm
+	} else if d.evacuated[f] {
+		return // no live holder and the master dropped it; scan will declare loss
+	}
+	var dst *simWorker
+	for _, o := range r.workers {
+		if o.dead || o.draining || !o.ready || o.has[f] || o.vm.Host().Down().Failed() {
+			continue
+		}
+		if dst == nil || o.vm.Host().Down().ActiveFlows() < dst.vm.Host().Down().ActiveFlows() {
+			dst = o
+		}
+	}
+	if dst == nil {
+		return // every live worker already holds (or is fetching) the file
+	}
+	job := &repairJob{file: f, src: src, dst: dst}
+	if ab := d.an.ab; ab.Enabled() {
+		// Repairs are triggered by scans, not the scheduling chain; anchor
+		// the job at the run start so the walk terminates cleanly and the
+		// pre-trigger lead stays unattributed.
+		job.anStart = ab.After(d.an.begin, attrib.Unattributed, "repair-start", f)
+	}
+	d.active[f] = job
+	if tr := d.tr; tr.Enabled() {
+		job.lane = claimLane(&dst.xferLanes)
+		job.span = tr.Begin(fmt.Sprintf("%s/net%d", dst.name, job.lane), "repair",
+			"repair "+f, obs.Args{"src": srcVM.Name(), "bytes": size})
+	}
+	// The job stays in d.active until the copy has fully landed (flow
+	// delivered AND disk write charged): an active job counts as a
+	// surviving source in sourceExists, because the bytes in flight land
+	// even if the original replica vanishes after they left.
+	job.flow = r.cluster.Transfer(srcVM, dst.vm, size, func(sim.Time) {
+		job.flow = nil
+		if d.stopped || d.active[f] != job {
+			return
+		}
+		r.res.RepairBytes += size
+		if dst.dead {
+			delete(d.active, f)
+			d.endSpan(job, "worker-died")
+			d.repairsFailed++
+			return
+		}
+		d.endSpan(job, "ok")
+		if ab := d.an.ab; ab.Enabled() {
+			d.an.cause = ab.After(job.anStart, attrib.Repair, "repair-copy", f)
+		}
+		r.chargeDiskWrite(dst, size, func() {
+			if d.stopped || d.active[f] != job {
+				return
+			}
+			delete(d.active, f)
+			if dst.dead {
+				d.repairsFailed++
+				return
+			}
+			dst.setHas(f)
+			landed := func() {
+				r.replicas.Add(f, dst.name)
+				d.mf.journal(catalog.Record{Op: catalog.OpReplicaAdd, File: f, Node: dst.name})
+				if d.an.repairNode != nil {
+					d.an.repairNode[f+"\x00"+dst.name] = d.an.cause
+				}
+				r.res.RepairsCompleted++
+				// Keep draining: the file may still be below target, and the
+				// budget slot just freed.
+				d.scan()
+			}
+			if r.offline {
+				// The copy physically landed; the master learns of it on
+				// recovery.
+				r.hold(landed)
+				return
+			}
+			landed()
+		})
+	})
+	job.flow.OnInterrupt(func(delivered float64, _ sim.Time) {
+		job.flow = nil
+		if d.active[f] != job {
+			return
+		}
+		delete(d.active, f)
+		r.res.RepairBytes += delivered
+		d.repairsFailed++
+		d.endSpan(job, "interrupted")
+		// The ticker retries; immediate retry would hammer a faulted link.
+	})
+}
+
+// sourceExists reports whether any copy of the file survives: a live worker
+// replica, the master when the file was never evacuated, or an in-flight
+// repair copy — bytes already travelling land on their destination even if
+// the replica they were read from vanishes meanwhile, so declaring the file
+// lost while a repair is active would be premature.
+func (d *durabilityHook) sourceExists(f string) bool {
+	return !d.evacuated[f] || d.r.replicas.Count(f) > 0 || d.active[f] != nil
+}
+
+// markFileLost declares a file permanently lost: every replica is gone and
+// the master no longer holds it. The file leaves the repair scan; tasks
+// needing it fail their attempts until retries exhaust.
+func (d *durabilityHook) markFileLost(f string) {
+	if d.lost[f] {
+		return
+	}
+	d.lost[f] = true
+	d.r.res.FilesLost++
+	d.r.replicas.Forget(f)
+	d.mf.journal(catalog.Record{Op: catalog.OpLoss, File: f})
+	if d.tr.Enabled() {
+		d.tr.Instant("master", "fault", "file-lost", obs.Args{"file": f})
+	}
+}
+
+// staged records evacuation: with EvacuateSource, the master drops a file
+// once its first copy lands on a worker.
+func (d *durabilityHook) staged(f, _ string) {
+	if !d.cfg.EvacuateSource || f == commonFile || d.evacuated[f] {
+		return
+	}
+	d.evacuated[f] = true
+	d.r.gen++ // source set changed: templates re-derive
+	d.mf.journal(catalog.Record{Op: catalog.OpEvacuate, File: f})
+	if d.tr.Enabled() {
+		d.tr.Instant("master", "durability", "evacuated", obs.Args{"file": f})
+	}
+	// The file just became under-replicated (one worker copy, no master
+	// copy): repair immediately instead of waiting out the ticker, keeping
+	// the loss window to one repair-transfer time.
+	d.scan()
+}
+
+// diskDied handles a local-disk death on a live worker: every byte the
+// worker held is gone, but the machine keeps running. Resident file
+// knowledge and replica entries are dropped (files left without any copy
+// are declared lost), the common dataset is re-staged, and the repair
+// manager rescans. In-flight computes keep running — their inputs are
+// already in memory — and in-flight fetches land on the fresh media.
+func (d *durabilityHook) diskDied(w *simWorker) {
+	r := d.r
+	if w.dead || r.finished {
+		return
+	}
+	d.tr.Instant(w.name, "fault", "disk-died", nil)
+	files := slices.Sorted(maps.Keys(w.has))
+	clear(w.has)
+	if r.offline {
+		// The bytes are physically gone now; the master reacts on recovery.
+		r.hold(func() { d.diskDiedMaster(w, files) })
+		return
+	}
+	d.diskDiedMaster(w, files)
+}
+
+// diskDiedMaster is the control-plane half of a disk death: drop the
+// worker's replica entries, declare unreachable files lost, re-stage the
+// common dataset and rescan. Split from diskDied so a master outage can
+// defer it while the byte loss itself stays immediate.
+func (d *durabilityHook) diskDiedMaster(w *simWorker, files []string) {
+	r := d.r
+	for _, f := range files {
+		d.repRemove(f, w.name)
+	}
+	// The common dataset lives in the replica map only (stageCommon marks
+	// readiness, not residence), so check it there.
+	lostCommon := r.replicas.Has(commonFile, w.name)
+	if lostCommon {
+		d.repRemove(commonFile, w.name)
+	}
+	for _, f := range files {
+		if f != commonFile && !d.sourceExists(f) && r.replicas.Count(f) == 0 {
+			d.markFileLost(f)
+		}
+	}
+	if lostCommon && !w.dead {
+		w.ready = false
+		r.stageCommon(w, func() { r.admit(w) })
+	}
+	d.scan()
+}

@@ -105,7 +105,7 @@ func TestRepairRestoresReplicationFactor(t *testing.T) {
 	}
 	// Every workload file must have reached the target factor: the run was
 	// long enough (80 s of compute vs 1 s scans) for repair to drain.
-	for f := range r.fileSize {
+	for f := range durabilityOf(r).fileSize {
 		if n := r.replicas.Count(f); n < 2 {
 			t.Errorf("file %s at %d replicas, want >= 2", f, n)
 		}
@@ -320,8 +320,8 @@ func TestRepairThrottledByBudget(t *testing.T) {
 	maxActive := 0
 	probe := func() {}
 	probe = func() {
-		if r.repair != nil && len(r.repair.active) > maxActive {
-			maxActive = len(r.repair.active)
+		if n := len(durabilityOf(r).active); n > maxActive {
+			maxActive = n
 		}
 		if !r.finished {
 			eng.Schedule(0.25, probe)
@@ -337,11 +337,21 @@ func TestRepairThrottledByBudget(t *testing.T) {
 	}
 }
 
-// fullBudgetRepair builds a repair manager over n known files, each one
+// durabilityOf returns the run's durability plug-in.
+func durabilityOf(r *Runner) *durabilityHook {
+	for _, h := range r.hooks {
+		if d, ok := h.(*durabilityHook); ok {
+			return d
+		}
+	}
+	return nil
+}
+
+// fullBudgetRepair builds a replication manager over n known files, each one
 // copy short of RF 2, with the concurrency budget already spent on the
 // first files in name order — the state every scan but the first few of a
 // durability cell runs in.
-func fullBudgetRepair(tb testing.TB, n int) *repairManager {
+func fullBudgetRepair(tb testing.TB, n int) *durabilityHook {
 	tb.Helper()
 	eng := sim.NewEngine()
 	cluster, vms := cloud.Default4VMCluster(eng, 1)
@@ -353,7 +363,8 @@ func fullBudgetRepair(tb testing.TB, n int) *repairManager {
 		tb.Fatal(err)
 	}
 	w := r.AddWorker(vms[1])
-	m := newRepairManager(r)
+	m := durabilityOf(r)
+	m.start()
 	for i, t := range wl.Tasks {
 		f := t.Files[0].Name
 		r.replicas.Add(f, w.name)

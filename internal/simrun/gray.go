@@ -1,25 +1,17 @@
-// Gray-failure mitigation: speculative re-execution and hedged transfers.
-//
-// A fail-stop fault is loud — the detector declares the worker, its tasks
-// requeue. A gray failure is quiet: the worker heartbeats on time while its
-// compute rate has silently collapsed, or a link delivers a tenth of its
-// provisioned bandwidth without ever failing. Nothing in the published
-// prototype notices either; one straggler stalls the whole BLAST makespan.
-//
-// The machinery here reacts to the adaptive detector's slow-suspicions
+// Gray-failure mitigation: speculative re-execution and hedged transfers
+// (DESIGN.md, "Gray failures and speculation"). A gray failure is quiet: the
+// worker heartbeats on time while its compute rate has silently collapsed,
+// or a link delivers a tenth of its provisioned bandwidth without failing.
+// The plug-in reacts to the adaptive detector's slow-suspicions
 // (fault/adaptive.go): a suspected worker stops being fed new tasks, its
-// longest-running task is cloned to the least-loaded healthy worker
-// (first finisher wins, the loser is cancelled and its work accounted as
-// SpeculativeWastedSec), and a transfer whose observed goodput falls below
-// a fraction of the fleet's running average races a second pull from the
-// next-best replica. Both mitigations are budget-capped like
-// MaxConcurrentRepairs. Everything stays off with a nil Config.Gray, one
-// branch per site, so disabled runs are byte-identical to the published
-// model.
+// longest-running task is cloned to the least-loaded healthy worker (first
+// finisher wins; the loser's work is SpeculativeWastedSec), and a transfer
+// whose goodput falls below a fraction of the fleet's running average races
+// a second pull from the next-best replica. Both are budget-capped.
 package simrun
 
 import (
-	"sort"
+	"math/rand"
 
 	"frieda/internal/cloud"
 	"frieda/internal/netsim"
@@ -65,12 +57,114 @@ const (
 	maxConcurrentHedges = 4
 )
 
-// specPair tracks one speculative race: the suspected primary attempt and
-// its clone on a healthy worker. The pair exists only while both sides run;
-// whichever side settles first (completion or failure) dissolves it.
-type specPair struct {
-	primary, clone *taskAttempt
-	pw, cw         *simWorker
+// grayHook is the gray-failure plug-in.
+type grayHook struct {
+	nopHook
+	r   *Runner
+	cfg GrayConfig
+	det *detectHook
+	dur *durabilityHook // nil without durability: the master holds every file
+	an  *attribHook
+	tr  *obs.Tracer
+	// races counts in-flight speculative races against the budget.
+	races int
+	// hedgeRng jitters hedge goodput-check delays; consumed only when
+	// Hedge is on.
+	hedgeRng *rand.Rand
+	// activeHedges counts in-flight hedge flows against the hedge budget.
+	activeHedges int
+	// xferEwmaBps is the running average goodput of completed transfers,
+	// the baseline a hedging decision compares against.
+	xferEwmaBps float64
+	taskSec     *obs.Histogram
+}
+
+func newGray(r *Runner, det *detectHook, dur *durabilityHook, an *attribHook) *grayHook {
+	g := &grayHook{r: r, cfg: *r.cfg.Gray, det: det, dur: dur, an: an, tr: r.cfg.Tracer}
+	if g.cfg.Hedge {
+		g.hedgeRng = rand.New(rand.NewSource(hedgeSeed))
+	}
+	if m := r.cfg.Metrics; m.Enabled() {
+		m.Gauge("slow_suspected", func() float64 {
+			if det.d == nil {
+				return 0 // sampled at Start, before the detector exists
+			}
+			return float64(len(det.d.SlowSuspects()))
+		})
+		m.Gauge("active_speculations", func() float64 { return float64(g.races) })
+		m.Gauge("active_hedges", func() float64 { return float64(g.activeHedges) })
+		countGauge(m, "stragglers_suspected", &r.res.StragglersSuspected)
+		countGauge(m, "speculative_launched", &r.res.SpeculativeLaunched)
+		countGauge(m, "speculative_won", &r.res.SpeculativeWon)
+		countGauge(m, "hedged_transfers", &r.res.HedgedTransfers)
+	}
+	g.taskSec = r.cfg.Metrics.Histogram("gray_task_sec",
+		[]float64{1, 3, 10, 30, 100, 300, 1000, 3000, 10000})
+	return g
+}
+
+// start wires the adaptive detector's callbacks.
+func (g *grayHook) start() {
+	d := g.det.d
+	d.EnableAdaptive()
+	d.OnSlowSuspect(func(string) { g.r.res.StragglersSuspected++ })
+	d.OnSlowClear(func(node string) {
+		// The worker is healthy again: resume feeding it.
+		for _, w := range g.r.workers {
+			if w.name == node && !w.dead {
+				g.r.kick(w)
+				return
+			}
+		}
+	})
+}
+
+// admits holds back a slow-suspected worker: detect-only mitigation keeps
+// its current pipeline but feeds it no more work until the suspicion clears.
+func (g *grayHook) admits(w *simWorker) bool { return !g.det.d.SlowSuspected(w.name) }
+
+// dispatch records the files att claims, so a cancelled race loser can
+// release the claims that never landed.
+func (g *grayHook) dispatch(w *simWorker, att *taskAttempt) {
+	if !g.r.fetching {
+		return
+	}
+	for _, f := range g.r.wl.Tasks[att.task].Files {
+		if !w.has[f.Name] {
+			att.claimed = append(att.claimed, f.Name)
+		}
+	}
+}
+
+func (g *grayHook) transfer(s *stageIn, o outcome, _ string) {
+	if o == xferStart {
+		if g.cfg.Hedge && s.flow != nil {
+			g.armHedge(s)
+		}
+		return
+	}
+	// Any end of the attempt retires its pending goodput check.
+	s.hedgeCheck.Cancel()
+	s.hedgeCheck = sim.EventRef{}
+	switch {
+	case s.hedge == nil:
+	case o == xferOK || o == xferCorrupt:
+		g.dropHedge(s) // the primary delivered first
+	case o == xferAbandoned:
+		g.r.cluster.Network().Cancel(s.hedge)
+		s.hedge = nil
+		g.activeHedges--
+		g.r.flowEnded()
+	}
+	if o == xferOK {
+		g.observeGoodput(s.bytes, float64(g.r.eng.Now()-s.startAt))
+	}
+}
+
+func (g *grayHook) settle(c *Completion) {
+	if c.OK {
+		g.taskSec.Observe(float64(c.End - c.Start))
+	}
 }
 
 // SetWorkerSpeed sets vm's compute-rate factor (1 = provisioned speed).
@@ -89,15 +183,11 @@ func (r *Runner) SetWorkerSpeed(vm *cloud.VM, factor float64) {
 	if tr := r.cfg.Tracer; tr.Enabled() {
 		tr.Instant(w.name, "fault", "speed-change", obs.Args{"factor": factor})
 	}
-	atts := make([]*taskAttempt, 0, len(w.inflight))
-	for _, att := range w.inflight {
-		if att.compute.Pending() {
-			atts = append(atts, att)
-		}
-	}
-	sort.Slice(atts, func(i, j int) bool { return atts[i].task < atts[j].task })
 	now := r.eng.Now()
-	for _, att := range atts {
+	for _, att := range sortedInflight(w) {
+		if !att.compute.Pending() {
+			continue
+		}
 		att.workLeft -= float64(now-att.rateSince) * old
 		if att.workLeft < 0 {
 			att.workLeft = 0
@@ -116,34 +206,17 @@ func (r *Runner) WorkerSpeed(vm *cloud.VM) float64 {
 	return 0
 }
 
-// initGray wires the adaptive detector callbacks. Called from Start after
-// initDetector, gray runs only.
-func (r *Runner) initGray() {
-	r.detector.EnableAdaptive()
-	r.detector.OnSlowSuspect(func(node string) {
-		r.res.StragglersSuspected++
-	})
-	r.detector.OnSlowClear(func(node string) {
-		// The worker is healthy again: resume feeding it.
-		for _, w := range r.workers {
-			if w.name == node && !w.dead {
-				r.kick(w)
-				return
-			}
-		}
-	})
-}
-
-// reportProgress piggybacks a task-progress watermark on the worker's
-// heartbeat: the minimum observed normalized compute rate across its
-// running tasks (work completed per wall second; 1.0 = provisioned speed).
-// The minimum, not the oldest task's rate: a task that was nearly done when
-// the slowdown hit keeps a high lifetime-average rate for a long while, but
-// any task started after the slowdown shows the collapsed rate immediately.
-// A suspicion verdict may follow synchronously, and while the worker stays
-// suspected each report is a fresh chance to speculate under the budget.
-func (r *Runner) reportProgress(w *simWorker) {
-	now := r.eng.Now()
+// tick piggybacks a task-progress watermark on the worker's heartbeat: the
+// minimum observed normalized compute rate across its running tasks (work
+// completed per wall second; 1.0 = provisioned speed). The minimum, not the
+// oldest task's rate: a task that was nearly done when the slowdown hit
+// keeps a high lifetime-average rate for a long while, but any task started
+// after the slowdown shows the collapsed rate immediately. A suspicion
+// verdict may follow synchronously, and while the worker stays suspected
+// each report is a fresh chance to speculate under the budget.
+func (g *grayHook) tick(w *simWorker) {
+	d := g.det.d
+	now := g.r.eng.Now()
 	rate, seen := 0.0, false
 	for _, a := range w.inflight {
 		if !a.compute.Pending() || a.cancelled {
@@ -162,34 +235,41 @@ func (r *Runner) reportProgress(w *simWorker) {
 		}
 	}
 	if !seen {
-		if w.admitted == 0 && r.detector.SlowSuspected(w.name) {
+		if w.admitted == 0 && d.SlowSuspected(w.name) {
 			// An idle worker yields no progress evidence; report neutral so
 			// the stale suspicion clears and admission resumes.
-			r.detector.ReportProgress(w.name, 1)
+			d.ReportProgress(w.name, 1)
 		}
 		return
 	}
-	r.detector.ReportProgress(w.name, rate)
-	if r.detector.SlowSuspected(w.name) {
-		r.maybeSpeculate(w)
+	d.ReportProgress(w.name, rate)
+	if d.SlowSuspected(w.name) {
+		g.maybeSpeculate(w)
 	}
+}
+
+// race is one speculative race: the suspected primary attempt and its clone
+// on a healthy worker. Both attempts point at it while both run; whichever
+// side settles first (completion or failure) dissolves it.
+type race struct {
+	g              *grayHook
+	primary, clone *taskAttempt
+	pw, cw         *simWorker
 }
 
 // maybeSpeculate clones the suspected worker's oldest long-running task to
 // the least-loaded healthy worker, within the speculation budget. The clone
 // is a full attempt — it fetches whatever inputs its host is missing — and
-// races the primary; settleSpec resolves whichever side finishes first.
-func (r *Runner) maybeSpeculate(sw *simWorker) {
-	if !r.cfg.Gray.Speculate || r.finished || len(r.specs) >= maxConcurrentSpeculative {
+// races the primary; race.settle resolves whichever side finishes first.
+func (g *grayHook) maybeSpeculate(sw *simWorker) {
+	r := g.r
+	if !g.cfg.Speculate || r.finished || g.races >= maxConcurrentSpeculative {
 		return
 	}
 	now := r.eng.Now()
 	var att *taskAttempt
 	for _, a := range sw.inflight {
-		if !a.compute.Pending() || a.cancelled || a.clone {
-			continue
-		}
-		if _, dup := r.specs[a.task]; dup {
+		if !a.compute.Pending() || a.cancelled || a.clone || a.race != nil {
 			continue
 		}
 		if float64(now-a.started) < speculateAfterSec {
@@ -205,38 +285,40 @@ func (r *Runner) maybeSpeculate(sw *simWorker) {
 	if att == nil {
 		return
 	}
-	cw := r.speculationTarget(sw)
+	cw := g.speculationTarget(sw)
 	if cw == nil {
 		return
 	}
 	r.res.SpeculativeLaunched++
-	if tr := r.cfg.Tracer; tr.Enabled() {
-		tr.Instant(cw.name, "spec", "spec-launched", obs.Args{
+	if g.tr.Enabled() {
+		g.tr.Instant(cw.name, "spec", "spec-launched", obs.Args{
 			"task": att.task, "suspect": sw.name,
 		})
 	}
-	if ab := r.cfg.Attrib; ab.Enabled() {
+	if ab := g.an.ab; ab.Enabled() {
 		// The wait from the primary's compute start to this launch is the
 		// detection latency of the slow-suspicion; the clone's own work then
 		// chains from the launch as speculation overhead.
 		launch := ab.After(att.anStart, attrib.DetectionLatency, "spec-launch", sw.name)
-		r.anCause = ab.After(launch, attrib.SpeculationOverhead, "spec-dispatch", cw.name)
+		g.an.cause = ab.After(launch, attrib.SpeculationOverhead, "spec-dispatch", cw.name)
 	}
 	cw.admitted++ // speculation may oversubscribe the pipeline, by budget
 	catt := r.fetchAndRun(cw, att.task)
 	catt.clone = true
-	r.specs[att.task] = &specPair{primary: att, pw: sw, clone: catt, cw: cw}
+	rc := &race{g: g, primary: att, pw: sw, clone: catt, cw: cw}
+	att.race, catt.race = rc, rc
+	g.races++
 }
 
 // speculationTarget picks the clone's host: the least-loaded live, ready,
 // unsuspected worker (registration order on ties).
-func (r *Runner) speculationTarget(sw *simWorker) *simWorker {
+func (g *grayHook) speculationTarget(sw *simWorker) *simWorker {
 	var best *simWorker
-	for _, o := range r.workers {
+	for _, o := range g.r.workers {
 		if o == sw || o.dead || o.draining || !o.ready {
 			continue
 		}
-		if r.detector.SlowSuspected(o.name) || r.detector.Suspected(o.name) {
+		if g.det.d.SlowSuspected(o.name) || g.det.d.Suspected(o.name) {
 			continue
 		}
 		if best == nil || o.admitted < best.admitted {
@@ -246,44 +328,36 @@ func (r *Runner) speculationTarget(sw *simWorker) *simWorker {
 	return best
 }
 
-// settleSpec resolves one side of a speculative race reaching taskDone.
-// Returns true when the event was absorbed: this side failed (worker death,
-// lost fetch, read error) while its twin still runs, so the twin owns the
-// task's fate and no terminal or retry bookkeeping happens here. On a win
-// it cancels the losing twin and returns false — the winner proceeds
-// through normal terminal accounting, first finisher wins.
-func (r *Runner) settleSpec(w *simWorker, att *taskAttempt, ok bool) bool {
-	p, found := r.specs[att.task]
-	if !found {
-		return false
+// settle resolves one side of the race reaching taskDone. It returns true
+// when the event was absorbed: this side failed (worker death, lost fetch,
+// read error) while its twin still runs, so the twin owns the task's fate
+// and no terminal or retry bookkeeping happens here. On a win it cancels
+// the losing twin and returns false — the winner proceeds through normal
+// terminal accounting, first finisher wins.
+func (rc *race) settle(att *taskAttempt, ok bool) bool {
+	rc.primary.race, rc.clone.race = nil, nil
+	rc.g.races--
+	other, ow := rc.clone, rc.cw
+	if att == rc.clone {
+		other, ow = rc.primary, rc.pw
 	}
-	var other *taskAttempt
-	var ow *simWorker
-	switch att {
-	case p.clone:
-		other, ow = p.primary, p.pw
-	case p.primary:
-		other, ow = p.clone, p.cw
-	default:
-		return false
-	}
-	delete(r.specs, att.task)
 	if !ok {
 		return true
 	}
-	if att == p.clone {
-		r.res.SpeculativeWon++
+	if att == rc.clone {
+		rc.g.r.res.SpeculativeWon++
 	}
-	r.cancelAttempt(ow, other)
+	rc.g.cancel(ow, other)
 	return false
 }
 
-// cancelAttempt kills a speculative race's losing attempt: its transfer is
-// abandoned (un-claiming files that never landed), its compute cancelled
-// and the elapsed effort accounted as SpeculativeWastedSec, its core and
-// pipeline slot freed, and a Cancelled completion recorded so the Gantt can
-// render the discarded lane.
-func (r *Runner) cancelAttempt(w *simWorker, att *taskAttempt) {
+// cancel kills a race's losing attempt: its transfer is abandoned
+// (un-claiming files that never landed), its compute cancelled and the
+// elapsed effort accounted as SpeculativeWastedSec, its core and pipeline
+// slot freed, and a Cancelled completion recorded so the Gantt can render
+// the discarded lane.
+func (g *grayHook) cancel(w *simWorker, att *taskAttempt) {
+	r := g.r
 	att.cancelled = true
 	now := r.eng.Now()
 	wasted := 0.0
@@ -305,7 +379,6 @@ func (r *Runner) cancelAttempt(w *simWorker, att *taskAttempt) {
 		w.cores.Release()
 	}
 	r.res.SpeculativeWastedSec += wasted
-	r.endTaskSpan(w, att, "spec-lost")
 	if !w.dead {
 		delete(w.inflight, att.task)
 		w.admitted--
@@ -314,9 +387,7 @@ func (r *Runner) cancelAttempt(w *simWorker, att *taskAttempt) {
 		Task: att.task, Worker: w.name, Start: att.started, End: now,
 		Attempt: r.retries[att.task] + 1, Speculative: true, Cancelled: true,
 	})
-	if tr := r.cfg.Tracer; tr.Enabled() {
-		tr.Instant(w.name, "spec", "spec-cancelled", obs.Args{"task": att.task})
-	}
+	r.onCompute(w, att, runCancelled)
 	if !w.dead {
 		r.kick(w)
 	}
@@ -324,16 +395,16 @@ func (r *Runner) cancelAttempt(w *simWorker, att *taskAttempt) {
 
 // observeGoodput folds a completed transfer's goodput into the fleet
 // average the hedging threshold compares against.
-func (r *Runner) observeGoodput(bytes, elapsed float64) {
+func (g *grayHook) observeGoodput(bytes, elapsed float64) {
 	if elapsed <= 0 {
 		return
 	}
 	bps := bytes * 8 / elapsed
-	if r.xferEwmaBps == 0 {
-		r.xferEwmaBps = bps
+	if g.xferEwmaBps == 0 {
+		g.xferEwmaBps = bps
 		return
 	}
-	r.xferEwmaBps = 0.8*r.xferEwmaBps + 0.2*bps
+	g.xferEwmaBps = 0.8*g.xferEwmaBps + 0.2*bps
 }
 
 // armHedge schedules the goodput check for a transfer attempt. If, at check
@@ -341,42 +412,43 @@ func (r *Runner) observeGoodput(bytes, elapsed float64) {
 // has fallen below the threshold, a hedge flow races it from the next-best
 // replica: whichever delivers first wins and the other is cancelled with
 // its undelivered bytes refunded. The check delay is jittered so a burst of
-// simultaneous transfers doesn't hedge in lockstep. orphan resumes the
-// transfer's retry ladder in the rare case both racing flows are killed by
-// link faults (the primary's interrupt handler defers to a live hedge).
-func (r *Runner) armHedge(s *stageIn, w *simWorker, files []string, remaining float64, src *cloud.VM, arrive func(*cloud.VM), orphan func()) {
-	primary := s.flow
-	started := r.eng.Now()
-	delay := hedgeCheckSec * (0.75 + 0.5*r.hedgeRng.Float64())
+// simultaneous transfers doesn't hedge in lockstep. If both racing flows
+// are killed by link faults (the primary's interrupt handler defers to a
+// live hedge), the hedge's handler resumes the transfer's retry ladder.
+func (g *grayHook) armHedge(s *stageIn) {
+	r, w := g.r, s.w
+	primary, src, started := s.flow, s.src, r.eng.Now()
+	delay := hedgeCheckSec * (0.75 + 0.5*g.hedgeRng.Float64())
 	s.hedgeCheck = r.eng.Schedule(sim.Duration(delay), func() {
 		s.hedgeCheck = sim.EventRef{}
 		if s.abandoned || r.finished || w.dead || s.flow != primary || s.hedge != nil {
 			return
 		}
-		if r.activeHedges >= maxConcurrentHedges || r.xferEwmaBps <= 0 {
+		if g.activeHedges >= maxConcurrentHedges || g.xferEwmaBps <= 0 {
 			return
 		}
 		elapsed := float64(r.eng.Now() - started)
-		if elapsed <= 0 || primary.Delivered()*8/elapsed >= hedgeFraction*r.xferEwmaBps {
+		if elapsed <= 0 || primary.Delivered()*8/elapsed >= hedgeFraction*g.xferEwmaBps {
 			return
 		}
 		// The hedge's source: the best holder other than the primary's
 		// source, else the master if it is not that source and still holds
 		// the files; without one there is no hedge.
 		src2 := r.master
-		if o := r.bestHolder(files, w, src); o != nil {
+		if o := r.bestHolder(s.files, w, src); o != nil {
 			src2 = o.vm
-		} else if src == r.master || !r.masterHolds(files) {
+		} else if src == r.master || !(g.dur == nil || g.dur.masterHolds(s.files)) {
 			return
 		}
-		r.activeHedges++
+		g.activeHedges++
 		r.res.HedgedTransfers++
-		if tr := r.cfg.Tracer; tr.Enabled() {
-			tr.Instant(s.track, "spec", "hedge-launched", obs.Args{"src": src2.Name()})
+		if g.tr.Enabled() {
+			g.tr.Instant(s.track, "spec", "hedge-launched", obs.Args{"src": src2.Name()})
 		}
+		remaining := s.remaining
 		r.flowStarted()
 		r.res.BytesMoved += remaining
-		if ab := r.cfg.Attrib; ab.Enabled() {
+		if ab := g.an.ab; ab.Enabled() {
 			s.anHedge = ab.After(s.anCause, attrib.DetectionLatency, "hedge-launch", src2.Name())
 		}
 		var hf *netsim.Flow
@@ -384,35 +456,32 @@ func (r *Runner) armHedge(s *stageIn, w *simWorker, files []string, remaining fl
 			// Hedge won the race: drop the primary and deliver.
 			r.flowEnded()
 			s.hedge = nil
-			r.activeHedges--
+			g.activeHedges--
 			if s.flow != nil {
 				r.res.BytesMoved -= s.flow.Remaining()
 				r.cluster.Network().Cancel(s.flow)
 				s.flow = nil
 				r.flowEnded()
 			}
-			if ab := r.cfg.Attrib; ab.Enabled() {
-				// The delivery descends from the hedge-launch decision, not
-				// the primary attempt it raced past.
-				s.anCause = s.anHedge
-				s.bnDetail = bottleneckName(hf)
-			}
-			arrive(src2)
+			// The delivery descends from the hedge-launch decision, not the
+			// primary attempt it raced past.
+			s.anCause, s.last = s.anHedge, hf
+			r.arrive(s, src2)
 		})
 		s.hedge = hf
-		s.hedge.OnInterrupt(func(delivered float64, _ sim.Time) {
+		hf.OnInterrupt(func(delivered float64, _ sim.Time) {
 			// Hedge killed by a link fault: the primary carries on alone —
 			// unless it already died deferring to this hedge, in which case
-			// the retry ladder resumes.
+			// the retry ladder resumes with the full remaining payload.
 			r.flowEnded()
 			s.hedge = nil
-			r.activeHedges--
+			g.activeHedges--
 			r.res.BytesMoved -= remaining - delivered
 			if s.abandoned {
 				return
 			}
 			if s.flow == nil {
-				orphan()
+				r.retryAfter(s, remaining, "retries-exhausted")
 			}
 		})
 	})
@@ -420,28 +489,11 @@ func (r *Runner) armHedge(s *stageIn, w *simWorker, files []string, remaining fl
 
 // dropHedge cancels the losing hedge flow after the primary delivered
 // first, refunding its undelivered bytes.
-func (r *Runner) dropHedge(s *stageIn) {
+func (g *grayHook) dropHedge(s *stageIn) {
 	h := s.hedge
 	s.hedge = nil
-	r.activeHedges--
-	r.res.BytesMoved -= h.Remaining()
-	r.cluster.Network().Cancel(h)
-	r.flowEnded()
+	g.activeHedges--
+	g.r.res.BytesMoved -= h.Remaining()
+	g.r.cluster.Network().Cancel(h)
+	g.r.flowEnded()
 }
-
-// masterHolds reports whether the master still holds every named file
-// (always true without durability; EvacuateSource drops staged files).
-func (r *Runner) masterHolds(files []string) bool {
-	if r.cfg.Durability == nil {
-		return true
-	}
-	for _, f := range files {
-		if r.evacuated[f] {
-			return false
-		}
-	}
-	return true
-}
-
-// hedgeFlow exposes the in-flight hedge twin of a stage (tests only).
-func (s *stageIn) hedgeFlow() *netsim.Flow { return s.hedge }

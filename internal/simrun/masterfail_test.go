@@ -77,8 +77,8 @@ func TestOutageDefersCompletionNotCompute(t *testing.T) {
 	r.AddWorker(vms[1])
 	// Fetch lands at 0.08 s, compute ends at 2.08 s: crash at 1 s brackets
 	// the compute, restart at 4 s.
-	eng.At(1, func() { r.mf.onCrash() })
-	eng.At(4, func() { r.mf.onRestart() })
+	eng.At(1, func() { r.mf().onCrash() })
+	eng.At(4, func() { r.mf().onRestart() })
 	res := startAndDrain(t, eng, r)
 	if res.Succeeded != 1 || res.MasterOutages != 1 {
 		t.Fatalf("result %+v", res)
@@ -120,8 +120,8 @@ func TestAmnesiaReExecutesWhereJournalDoesNot(t *testing.T) {
 		for _, vm := range vms[1:3] {
 			r.AddWorker(vm)
 		}
-		eng.At(2, func() { r.mf.onCrash() })
-		eng.At(3, func() { r.mf.onRestart() })
+		eng.At(2, func() { r.mf().onCrash() })
+		eng.At(3, func() { r.mf().onRestart() })
 		return startAndDrain(t, eng, r)
 	}
 	jr, am := run(true), run(false)
@@ -186,8 +186,8 @@ func TestAmnesiaLosesEvacuatedFilesJournalKeepsThem(t *testing.T) {
 		for _, vm := range vms[1:] {
 			r.AddWorker(vm)
 		}
-		eng.At(3.5, func() { r.mf.onCrash() })
-		eng.At(4.5, func() { r.mf.onRestart() })
+		eng.At(3.5, func() { r.mf().onCrash() })
+		eng.At(4.5, func() { r.mf().onRestart() })
 		return startAndDrain(t, eng, r)
 	}
 	jr, am := run(true), run(false)
@@ -296,9 +296,9 @@ func TestJournalCompactsPastThreshold(t *testing.T) {
 	snapAtCrash := 0
 	eng.At(115, func() {
 		_, snapAtCrash, _ = r.JournalStats()
-		r.mf.onCrash()
+		r.mf().onCrash()
 	})
-	eng.At(116, func() { r.mf.onRestart() })
+	eng.At(116, func() { r.mf().onRestart() })
 	res := startAndDrain(t, eng, r)
 	if res.Succeeded != 1500 || res.MasterOutages != 1 {
 		t.Fatalf("succeeded %d, outages %d; want 1500, 1", res.Succeeded, res.MasterOutages)
@@ -333,10 +333,10 @@ func TestMasterCrashDuringRecoveryReplays(t *testing.T) {
 	for _, vm := range vms[1:3] {
 		r.AddWorker(vm)
 	}
-	eng.At(1, func() { r.mf.onCrash() })
-	eng.At(2, func() { r.mf.onRestart() }) // replay needs 5 s...
-	eng.At(3, func() { r.mf.onCrash() })   // ...crash again at 1 s in
-	eng.At(5, func() { r.mf.onRestart() })
+	eng.At(1, func() { r.mf().onCrash() })
+	eng.At(2, func() { r.mf().onRestart() }) // replay needs 5 s...
+	eng.At(3, func() { r.mf().onCrash() })   // ...crash again at 1 s in
+	eng.At(5, func() { r.mf().onRestart() })
 	res := startAndDrain(t, eng, r)
 	if res.Succeeded != 4 || res.MasterOutages != 2 {
 		t.Fatalf("result %+v", res)

@@ -171,34 +171,34 @@ func TestBestSourcePrefersHealthyReplica(t *testing.T) {
 	w2 := r.AddWorker(vms[3])
 
 	// No replica anywhere: fall back to the master.
-	if src := r.sourceForSlow(w0, []string{"f"}, 2); src != vms[0] {
+	if src := r.source(w0, []string{"f"}, 2); src != vms[0] {
 		t.Fatalf("no replicas: source = %s", src.Name())
 	}
 	// w1 holds the file: prefer it.
 	r.replicas.Add("f", w1.name)
-	if src := r.sourceForSlow(w0, []string{"f"}, 2); src != vms[2] {
+	if src := r.source(w0, []string{"f"}, 2); src != vms[2] {
 		t.Fatalf("replica ignored: source = %s", src.Name())
 	}
 	// Requesting worker's own copy never wins (it is the destination).
 	r.replicas.Add("f", w0.name)
-	if src := r.sourceForSlow(w0, []string{"f"}, 2); src != vms[2] {
+	if src := r.source(w0, []string{"f"}, 2); src != vms[2] {
 		t.Fatalf("destination chosen as source: %s", src.Name())
 	}
 	// A failed uplink disqualifies the replica holder.
 	cluster.Network().FailLink(vms[2].Host().Up())
-	if src := r.sourceForSlow(w0, []string{"f"}, 2); src != vms[0] {
+	if src := r.source(w0, []string{"f"}, 2); src != vms[0] {
 		t.Fatalf("failed-uplink replica chosen: %s", src.Name())
 	}
 	// A dead holder is skipped too.
 	cluster.Network().RestoreLink(vms[2].Host().Up())
 	w1.dead = true
-	if src := r.sourceForSlow(w0, []string{"f"}, 2); src != vms[0] {
+	if src := r.source(w0, []string{"f"}, 2); src != vms[0] {
 		t.Fatalf("dead replica chosen: %s", src.Name())
 	}
 	// Multi-file requests need a holder with every file.
 	r.replicas.Add("f", w2.name)
 	r.replicas.Add("g", w2.name)
-	if src := r.sourceForSlow(w0, []string{"f", "g"}, 2); src != vms[3] {
+	if src := r.source(w0, []string{"f", "g"}, 2); src != vms[3] {
 		t.Fatalf("multi-file holder not chosen: %s", src.Name())
 	}
 }

@@ -470,6 +470,70 @@ func TestAddWorkerAllocations(t *testing.T) {
 	}
 }
 
+// alsTasks is the ALS shape at n tasks: two 7 MB images per task and about
+// 2 s of compute with 8% seeded noise.
+func alsTasks(n int) []TaskSpec {
+	rng := rand.New(rand.NewSource(2012))
+	out := make([]TaskSpec, n)
+	for i := range out {
+		out[i] = TaskSpec{
+			Index: i,
+			Files: []catalog.FileMeta{
+				{Name: fmt.Sprintf("img%05d.pgm", 2*i), Size: 7_000_000},
+				{Name: fmt.Sprintf("img%05d.pgm", 2*i+1), Size: 7_000_000},
+			},
+			ComputeSec: 2 * (1 + 0.08*rng.NormFloat64()),
+		}
+	}
+	return out
+}
+
+// A run with no plug-ins allocates per fired event what its flows, computes
+// and bookkeeping need, and nothing for the hooks: a hook call that
+// allocates (a closure or an interface boxing per call) shows up here. The
+// fault-free real-time ALS cell measures 5.7474 allocations per event (2,207
+// per run over 384 events); the bound is that plus 2%, so one extra
+// allocation per task (+0.33 per event) fails it.
+func TestRunAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	const runs, limit = 3, 5.7474 * 1.02
+	type cell struct {
+		eng *sim.Engine
+		r   *Runner
+	}
+	cells := make([]cell, runs+1) // AllocsPerRun adds a warm-up run
+	for i := range cells {
+		eng := sim.NewEngine()
+		cluster, vms := cloud.Default4VMCluster(eng, 1)
+		r, err := NewRunner(cluster, vms[0], Config{Strategy: strategy.RealTimeRemote, ModelDiskIO: true},
+			Workload{Name: "ALS", Tasks: alsTasks(128)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, vm := range vms[1:] {
+			r.AddWorker(vm)
+		}
+		cells[i] = cell{eng, r}
+	}
+	var fired uint64
+	next := 0
+	perRun := testing.AllocsPerRun(runs, func() {
+		c := cells[next]
+		next++
+		before := c.eng.Fired()
+		if _, err := c.r.Run(); err != nil {
+			t.Fatal(err)
+		}
+		fired = c.eng.Fired() - before
+	})
+	if per := perRun / float64(fired); per > limit {
+		t.Fatalf("Run makes %.4f allocations per fired event (%.0f over %d events), want <= %.4f",
+			per, perRun, fired, limit)
+	}
+}
+
 // The VM index is by id, and ids repeat across clusters: a VM of another
 // cluster is not a worker even where its id matches one.
 func TestWorkerLookupIgnoresForeignVM(t *testing.T) {

@@ -1,0 +1,442 @@
+package simrun
+
+// Data movement: the staging strategies and the transfer ladder every
+// stage-in runs — flows, NetFaults retries with backoff, resume, and the
+// source rule.
+
+import (
+	"fmt"
+	"math"
+
+	"frieda/internal/catalog"
+	"frieda/internal/cloud"
+	"frieda/internal/netsim"
+	"frieda/internal/obs"
+	"frieda/internal/obs/attrib"
+	"frieda/internal/partition"
+	"frieda/internal/sim"
+	"frieda/internal/strategy"
+)
+
+// Transfer retry budgets, as the netfail and durability sweeps run them:
+// under NetFaults a transfer gets maxTransferAttempts flows with jittered
+// exponential backoff between them, and under Durability a corrupt payload
+// is refetched at most maxRefetch times. The jitter RNG is consumed only on
+// retries, so fault-free runs never draw from it.
+const (
+	maxTransferAttempts = 6
+	maxRefetch          = 3
+	backoffSec          = 1
+	backoffCapSec       = 30
+	backoffJitterSeed   = 13
+)
+
+// stageIn is one logical transfer: its payload, the current attempt and its
+// flow, any pending backoff retry (so worker death can abandon the whole
+// chain), and the plug-ins' per-transfer state.
+type stageIn struct {
+	w     *simWorker
+	files []string
+	bytes float64
+	done  func(lost bool)
+	// startAt timestamps the logical transfer for the duration histogram.
+	startAt sim.Time
+	// The current attempt: its number, source, payload and flow. last is
+	// the flow behind the latest arrival or interrupt, delivered what an
+	// interrupted flow had delivered, and backoff the delay before a
+	// scheduled retry (0 when the attempt did not follow one).
+	n         int
+	src       *cloud.VM
+	remaining float64
+	flow      *netsim.Flow
+	last      *netsim.Flow
+	delivered float64
+	backoff   sim.Duration
+	retry     sim.EventRef
+	refetches int
+	abandoned bool
+	// Tracing (tracer.go): the open transfer span and current attempt span
+	// on the worker's transfer lane `lane` of track `track`.
+	span    *obs.Span
+	attempt *obs.Span
+	track   string
+	lane    int
+	// Hedging (gray.go): the racing second flow and the pending goodput
+	// check that may launch it.
+	hedge      *netsim.Flow
+	hedgeCheck sim.EventRef
+	// Attribution (attrib.go): anCause is the chain's current cause node —
+	// the ambient cause at transfer start, then each attempt outcome in
+	// turn; anHedge is the hedge-launch node while a hedge races.
+	anCause, anHedge attrib.NodeID
+}
+
+// transfer moves bytes of the named files to w. With NetFaults set, a flow
+// killed by a link fault retries after a capped, jittered exponential
+// backoff — resuming from the delivered-byte offset and from the best
+// surviving replica when Resume is on, restarting from zero at the master
+// otherwise. done runs exactly once with lost=true when the transfer cannot
+// complete (no retry budget, or the worker died between attempts); it never
+// runs at all if the stage is abandoned by workerDied. The fault-free path
+// is event-for-event identical to a plain cluster.Transfer.
+func (r *Runner) transfer(w *simWorker, files []string, bytes float64, done func(lost bool)) *stageIn {
+	s := &stageIn{w: w, files: files, bytes: bytes, done: done, startAt: r.eng.Now()}
+	r.attempt(s, bytes, 1)
+	return s
+}
+
+// attempt starts attempt n of s: remaining bytes from the source rule's
+// pick.
+func (r *Runner) attempt(s *stageIn, remaining float64, n int) {
+	s.n, s.remaining, s.src = n, remaining, r.source(s.w, s.files, n)
+	if s.src == nil {
+		// Durability only: every copy is gone — nothing to stream.
+		r.eng.Schedule(0, func() {
+			if !s.abandoned {
+				r.lose(s, "no-source")
+			}
+		})
+	} else {
+		r.startFlow(s, remaining)
+	}
+	r.onTransfer(s, xferStart, "")
+	s.backoff = 0
+}
+
+// startFlow streams the attempt's remaining bytes from s.src.
+func (r *Runner) startFlow(s *stageIn, remaining float64) {
+	r.flowStarted()
+	r.res.BytesMoved += remaining
+	var fl *netsim.Flow
+	fl = r.cluster.Transfer(s.src, s.w.vm, remaining, func(sim.Time) {
+		r.flowEnded()
+		s.flow, s.last = nil, fl
+		r.arrive(s, s.src)
+	})
+	s.flow = fl
+	fl.OnInterrupt(func(delivered float64, _ sim.Time) {
+		r.flowEnded()
+		s.flow, s.last, s.delivered = nil, fl, delivered
+		r.res.BytesMoved -= remaining - delivered
+		if s.abandoned {
+			return
+		}
+		r.res.TransferInterrupts++
+		r.onTransfer(s, xferInterrupted, "")
+		if s.hedge != nil {
+			// The hedge twin (gray.go) is still streaming; let it finish the
+			// transfer (its interrupt handler resumes the retry ladder if it
+			// dies too).
+			return
+		}
+		next := remaining
+		if r.resume {
+			next = remaining - delivered
+		}
+		r.retryAfter(s, next, "no-retry")
+	})
+}
+
+// arrive settles a delivered payload — from the attempt's flow or, under
+// gray-failure hedging, from whichever of the two racing flows finished
+// first; from, the winner's source, becomes the attempt's.
+func (r *Runner) arrive(s *stageIn, from *cloud.VM) {
+	if s.abandoned {
+		return
+	}
+	s.src = from
+	if !r.corrupt(from, s.w) {
+		r.onTransfer(s, xferOK, "")
+		s.done(false)
+		return
+	}
+	// Checksum mismatch on arrival (durability.go): refetch the whole
+	// payload, from the next-best replica if any, up to maxRefetch times.
+	r.res.CorruptionsDetected++
+	s.refetches++
+	r.onTransfer(s, xferCorrupt, "")
+	if s.refetches <= maxRefetch && !s.w.dead {
+		r.attempt(s, s.bytes, s.n+1)
+		return
+	}
+	r.onTransfer(s, xferRejected, "")
+	s.done(true)
+}
+
+// retryAfter schedules attempt s.n+1 of next bytes, or declares the
+// transfer lost — for the reason why — when there is no retry budget.
+func (r *Runner) retryAfter(s *stageIn, next float64, why string) {
+	if r.rng == nil || s.n >= maxTransferAttempts || s.w.dead {
+		r.lose(s, why) // without NetFaults there is no retry ladder
+		return
+	}
+	r.res.TransferRetries++
+	s.backoff = r.backoff(s.n)
+	r.onTransfer(s, xferRetry, "")
+	s.retry = r.eng.Schedule(s.backoff, func() {
+		s.retry = sim.EventRef{}
+		if s.abandoned {
+			return
+		}
+		if s.w.dead {
+			r.lose(s, "worker-dead")
+			return
+		}
+		r.attempt(s, next, s.n+1)
+	})
+}
+
+// lose fails the transfer for the reason why.
+func (r *Runner) lose(s *stageIn, why string) {
+	r.onTransfer(s, xferLost, why)
+	s.done(true)
+}
+
+// backoff returns the delay before attempt n+1: backoffSec doubling per
+// attempt, capped at backoffCapSec, with seeded jitter in [0.5, 1.5) to
+// de-synchronise retry storms across workers sharing a restored link.
+func (r *Runner) backoff(n int) sim.Duration {
+	d := backoffSec * math.Pow(2, float64(n-1))
+	if d > backoffCapSec {
+		d = backoffCapSec
+	}
+	return sim.Duration(d * (0.5 + r.rng.Float64()))
+}
+
+// abandonStage kills a transfer's current flow and pending retry; its done
+// callback will never run. A nil or abandoned stage is left alone.
+func (r *Runner) abandonStage(s *stageIn) {
+	if s == nil || s.abandoned {
+		return
+	}
+	s.abandoned = true
+	if s.flow != nil {
+		r.cluster.Network().Cancel(s.flow)
+		s.flow = nil
+		r.flowEnded()
+	}
+	s.retry.Cancel()
+	s.retry = sim.EventRef{}
+	r.onTransfer(s, xferAbandoned, "")
+}
+
+// sourceFor is the published source rule: the master on a first attempt,
+// and on a Resume retry the best surviving replica, else the master again.
+// Durability swaps in its own rule (durability.go).
+func (r *Runner) sourceFor(w *simWorker, files []string, n int) *cloud.VM {
+	if n > 1 && r.resume {
+		if o := r.bestHolder(files, w, nil); o != nil {
+			return o.vm
+		}
+	}
+	return r.master
+}
+
+// bestHolder is the replica picker: the live, undrained worker on a
+// healthy uplink that holds every named file and carries the fewest active
+// uplink flows, the first in registration order on ties. skip and skipVM
+// (either may be nil) exclude the destination and a source already in use.
+// Nil when no worker qualifies.
+func (r *Runner) bestHolder(files []string, skip *simWorker, skipVM *cloud.VM) *simWorker {
+	var best *simWorker
+	for _, o := range r.workers {
+		if o == skip || o.vm == skipVM || o.dead || o.draining || o.vm.Host().Up().Failed() {
+			continue
+		}
+		holds := true
+		for _, f := range files {
+			if !r.replicas.Has(f, o.name) {
+				holds = false
+				break
+			}
+		}
+		if holds && (best == nil || o.vm.Host().Up().ActiveFlows() < best.vm.Host().Up().ActiveFlows()) {
+			best = o
+		}
+	}
+	return best
+}
+
+// stageCommon transfers the common dataset (if any) and marks the worker
+// ready. A transfer lost to link faults isolates the worker: without its
+// database it can never run a task, matching the prototype's behaviour of
+// dropping a worker whose staging failed.
+func (r *Runner) stageCommon(w *simWorker, then func()) {
+	if r.wl.CommonBytes <= 0 || r.cfg.Strategy.Locality == strategy.Local {
+		w.ready = true
+		then()
+		return
+	}
+	r.transfer(w, []string{commonFile}, r.wl.CommonBytes, func(lost bool) {
+		if w.dead {
+			then() // keep barrier counts balanced; dead path is a no-op
+			return
+		}
+		if lost {
+			r.workerDied(w)
+			then()
+			return
+		}
+		r.chargeDiskWrite(w, r.wl.CommonBytes, func() {
+			if w.dead {
+				then()
+				return
+			}
+			w.ready = true
+			r.noteStaged(commonFile, w.name)
+			then()
+		})
+	})
+}
+
+// chargeDiskWrite models writing received bytes to local disk. NewRunner
+// rejects read-only worker storage, so a write error here is a programming
+// error, not a run condition.
+func (r *Runner) chargeDiskWrite(w *simWorker, bytes float64, then func()) {
+	if !r.cfg.ModelDiskIO || bytes <= 0 {
+		then()
+		return
+	}
+	dur, err := w.disk.Write(bytes)
+	if err != nil {
+		panic(fmt.Sprintf("simrun: disk write on %s: %v", w.name, err))
+	}
+	r.after(r.eng.Now()+dur, w, delayDiskWrite, then)
+}
+
+// noteStaged records that a payload landed: node now holds file. The
+// landing itself is physical — the bytes are on disk and the chain
+// continues — but the note is the master's: during an outage the worker's
+// report is held and the map updates at recovery.
+func (r *Runner) noteStaged(file, node string) {
+	if r.offline {
+		r.hold(func() { r.noteStaged(file, node) })
+		return
+	}
+	r.replicas.Add(file, node)
+	for _, h := range r.hooks {
+		h.staged(file, node)
+	}
+}
+
+// startPrePartition deals the tasks to the workers' backlogs with the
+// strategy's assigner, then stages each worker's share.
+func (r *Runner) startPrePartition() error {
+	assigner, err := strategy.AssignerByName(r.cfg.Strategy.Assigner)
+	if err != nil {
+		return err
+	}
+	assignment, err := assigner.Assign(tasksAsGroups(r.wl.Tasks), len(r.workers))
+	if err != nil {
+		return err
+	}
+	per := assignment.PerWorker()
+	for wi, w := range r.workers {
+		w.backlog = per[wi]
+	}
+	r.startStaged(func(w *simWorker) []catalog.FileMeta { return uniqueFiles(r.wl.Tasks, w.backlog) })
+	return nil
+}
+
+// startStaged runs the strict two-phase strategies: every worker stages the
+// common dataset and then its files — pre-partitioning its assignment's,
+// no-partitioning the whole dataset — as a chain of flows, one at a time
+// (like a per-worker scp loop), or finds them on disk when data is local.
+// Execution begins only after every worker's staging completes.
+func (r *Runner) startStaged(files func(w *simWorker) []catalog.FileMeta) {
+	stagingStart := r.eng.Now()
+	remaining := len(r.workers)
+	barrier := func() {
+		remaining--
+		if remaining > 0 {
+			return
+		}
+		r.res.StagingPhaseSec = float64(r.eng.Now() - stagingStart)
+		for _, w := range r.workers {
+			if !w.dead {
+				r.kick(w)
+			} else {
+				r.reassign(w)
+			}
+		}
+		r.checkDone()
+	}
+	for _, w := range r.workers {
+		r.stageCommon(w, func() {
+			fs := files(w)
+			if r.cfg.Strategy.Locality == strategy.Local {
+				for _, f := range fs {
+					w.setHas(f.Name)
+				}
+				barrier()
+				return
+			}
+			r.streamChain(w, fs, 0, barrier)
+		})
+	}
+}
+
+// streamChain sends files[i:] to w one flow at a time. A file lost to link
+// faults isolates the worker (its staging is incomplete), and the chain's
+// barrier callback still runs.
+func (r *Runner) streamChain(w *simWorker, files []catalog.FileMeta, i int, then func()) {
+	if i >= len(files) || w.dead {
+		then()
+		return
+	}
+	f := files[i]
+	if w.has[f.Name] {
+		r.streamChain(w, files, i+1, then)
+		return
+	}
+	r.transfer(w, []string{f.Name}, float64(f.Size), func(lost bool) {
+		if w.dead {
+			then()
+			return
+		}
+		if lost {
+			r.workerDied(w)
+			then()
+			return
+		}
+		r.chargeDiskWrite(w, float64(f.Size), func() {
+			w.setHas(f.Name)
+			r.noteStaged(f.Name, w.name)
+			r.streamChain(w, files, i+1, then)
+		})
+	})
+}
+
+// tasksAsGroups adapts TaskSpecs to partition.Groups for the assigners.
+func tasksAsGroups(tasks []TaskSpec) []partition.Group {
+	out := make([]partition.Group, len(tasks))
+	for i, t := range tasks {
+		out[i] = partition.Group{Index: i, Files: t.Files}
+	}
+	return out
+}
+
+// uniqueFiles collects the distinct files of the given task indices in
+// first-use order.
+func uniqueFiles(tasks []TaskSpec, idx []int) []catalog.FileMeta {
+	seen := make(map[string]bool)
+	var out []catalog.FileMeta
+	for _, gi := range idx {
+		for _, f := range tasks[gi].Files {
+			if !seen[f.Name] {
+				seen[f.Name] = true
+				out = append(out, f)
+			}
+		}
+	}
+	return out
+}
+
+// allIndices returns 0..n-1.
+func allIndices(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i
+	}
+	return out
+}
