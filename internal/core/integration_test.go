@@ -637,6 +637,94 @@ func TestElasticRemoveWorkerDrains(t *testing.T) {
 	}
 }
 
+// drainThenKill runs 30 groups on three two-slot workers whose tasks block
+// until released. Once every slot is busy, w1 and w2 drain and w0 — the last
+// undrained worker — dies; then the blocked tasks are released, failing when
+// failDrained is set. It checks that every group ends terminal exactly once
+// and returns the report.
+func drainThenKill(t *testing.T, recoverOn, failDrained bool) Report {
+	t.Helper()
+	release := make(chan struct{})
+	var started atomic.Int32
+	var kill context.CancelFunc
+	h := &testHarness{
+		source:   sourceWithFiles(30, 10),
+		strategy: strategy.Config{Kind: strategy.RealTime, Multicore: true},
+		program: FuncProgram(func(ctx context.Context, task Task) (string, error) {
+			started.Add(1)
+			select {
+			case <-release:
+			case <-ctx.Done():
+			}
+			if err := ctx.Err(); err != nil {
+				return "", err // w0, killed
+			}
+			if failDrained {
+				return "", fmt.Errorf("injected failure")
+			}
+			return "ok", nil
+		}),
+		workers: 3,
+		recover: recoverOn,
+		onSpawn: func(i int, _ *Worker, cancel context.CancelFunc) {
+			if i == 0 {
+				kill = cancel
+			}
+		},
+		running: func(ctl *Controller) {
+			for started.Load() < 6 {
+				time.Sleep(time.Millisecond)
+			}
+			for _, name := range []string{"w1", "w2"} {
+				if err := ctl.RemoveWorker(name); err != nil {
+					t.Errorf("drain %s: %v", name, err)
+				}
+			}
+			kill()
+			close(release)
+		},
+	}
+	r := h.run(t)
+	seen := map[int]bool{}
+	for _, res := range r.Results {
+		if seen[res.GroupIndex] {
+			t.Fatalf("group %d reported twice: %+v", res.GroupIndex, r.Results)
+		}
+		seen[res.GroupIndex] = true
+	}
+	if r.Groups != 30 || len(seen) != 30 || r.Succeeded+r.Failed != 30 {
+		t.Fatalf("%d groups, %d terminal (%d ok, %d failed); want all 30 exactly once", r.Groups, len(seen), r.Succeeded, r.Failed)
+	}
+	return r
+}
+
+// TestDrainThenLastWorkerDies is simrun's test of the same name on the real
+// master: with the last undrained worker dead, the queued groups have no
+// taker and are abandoned, while the draining workers finish what they hold.
+func TestDrainThenLastWorkerDies(t *testing.T) {
+	for _, recoverOn := range []bool{false, true} {
+		t.Run(fmt.Sprintf("recover=%v", recoverOn), func(t *testing.T) {
+			if r := drainThenKill(t, recoverOn, false); r.Succeeded != 4 {
+				t.Fatalf("%d groups ok, want the draining workers' 4", r.Succeeded)
+			}
+		})
+	}
+}
+
+// TestRequeueWithOnlyDrainingWorkersSettles is simrun's test of the same
+// name on the real master: the draining workers' attempts fail after the
+// last undrained worker died, and under Recover their requeues have no
+// taker. The run must abandon them, not wait.
+func TestRequeueWithOnlyDrainingWorkersSettles(t *testing.T) {
+	for _, recoverOn := range []bool{false, true} {
+		t.Run(fmt.Sprintf("recover=%v", recoverOn), func(t *testing.T) {
+			if r := drainThenKill(t, recoverOn, true); r.Failed != 30 {
+				t.Fatalf("%d groups failed, want all 30", r.Failed)
+			}
+		})
+	}
+}
+
 func TestUpdateStrategyBeforeStartOnly(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()

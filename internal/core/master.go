@@ -10,9 +10,9 @@ import (
 	"time"
 
 	"frieda/internal/catalog"
-	"frieda/internal/ctrlplane"
 	"frieda/internal/partition"
 	"frieda/internal/protocol"
+	"frieda/internal/sched"
 	"frieda/internal/strategy"
 	"frieda/internal/transfer"
 	"frieda/internal/transport"
@@ -63,19 +63,17 @@ type MasterConfig struct {
 
 // masterWorker is the master's bookkeeping for one registered worker.
 type masterWorker struct {
+	// Worker is the ledger's view. Ready is set once the registration ACK
+	// is on the wire and the common files are staged. Until then the worker
+	// only holds its name: it is not counted towards the expected workers,
+	// planned for or dispatched to, so nothing can reach its connection
+	// ahead of the ACK or the staging.
+	sched.Worker
 	name        string
 	conn        transport.Conn
 	cores       int
 	slots       int
-	backlog     []int        // assigned, not yet dispatched (pre-partition)
 	outstanding map[int]bool // dispatched, not yet reported
-	// ready is set once the registration ACK is on the wire and the common
-	// files are staged. Until then the worker only holds its name: it is not
-	// counted towards the expected workers, planned for or dispatched to,
-	// so nothing can reach its connection ahead of the ACK or the staging.
-	ready    bool
-	dead     bool
-	draining bool
 
 	// outbox is what the worker's writer has still to send, in order (under
 	// the master's mu). Once the worker is ready the writer is the only
@@ -104,22 +102,19 @@ type outItem struct {
 type Master struct {
 	cfg MasterConfig
 
-	mu          sync.Mutex
-	strat       strategy.Config
-	expected    int
-	workers     map[string]*masterWorker
-	catalogue   *catalog.Catalog
-	groups      []partition.Group
-	queue       []int // pending groups (real-time) or requeues
-	inflight    map[int]string
-	retries     map[int]int
-	terminal    int
+	mu        sync.Mutex
+	strat     strategy.Config
+	expected  int
+	workers   map[string]*masterWorker
+	catalogue *catalog.Catalog
+	groups    []partition.Group
+	// led is the scheduling ledger; it starts once the groups are placed.
+	led         *sched.Ledger
 	results     []protocol.TaskResult
 	workerErrs  []string
 	replicas    *catalog.Replicas
 	controller  transport.Conn
 	started     bool
-	planning    bool // true between start and initial work distribution
 	startedAt   time.Time
 	finishedAt  time.Time
 	transfers   float64 // pre-partition transfer-phase wall seconds
@@ -131,14 +126,6 @@ type Master struct {
 	// sizes, and one listing of the source serves them all.
 	stagingMu  sync.Mutex
 	stagingCat *catalog.Catalog
-
-	// tmpl caches the compute-to-data "nothing resident for this worker"
-	// scan verdict per worker (ctrlplane.Cache, generation-stamped): while
-	// no replica lands and no group joins the queue, nextGroupLocked skips
-	// the full queue scan and replays FIFO-head. Any event that could
-	// change a verdict — a streamed replica, a death, a requeue, a join, a
-	// strategy change — bumps the generation.
-	tmpl *ctrlplane.Cache
 
 	listener transport.Listener
 	ctx      context.Context
@@ -169,9 +156,6 @@ func NewMaster(cfg MasterConfig) (*Master, error) {
 	if cfg.ChunkSize > protocol.MaxChunk {
 		return nil, fmt.Errorf("core: chunk size %d exceeds the protocol's %d", cfg.ChunkSize, protocol.MaxChunk)
 	}
-	if cfg.MaxRetries <= 0 {
-		cfg.MaxRetries = 2
-	}
 	strat := cfg.Strategy
 	if err := strat.Validate(); err != nil {
 		return nil, err
@@ -181,10 +165,8 @@ func NewMaster(cfg MasterConfig) (*Master, error) {
 		strat:      strat,
 		expected:   cfg.ExpectedWorkers,
 		workers:    make(map[string]*masterWorker),
-		inflight:   make(map[int]string),
-		retries:    make(map[int]int),
+		led:        sched.NewLedger(cfg.Recover, cfg.MaxRetries),
 		replicas:   catalog.NewReplicas(),
-		tmpl:       ctrlplane.NewCache(),
 		done:       make(chan struct{}),
 		configured: make(chan struct{}),
 	}
@@ -332,7 +314,6 @@ func (m *Master) handleController(conn transport.Conn, start *protocol.Message) 
 				errStr = err.Error()
 			} else {
 				m.strat = s
-				m.tmpl.Invalidate() // strategy change voids cached decisions
 			}
 			m.mu.Unlock()
 			conn.Send(&protocol.Message{Type: protocol.TAck, Error: errStr, Seq: msg.Seq})
@@ -395,7 +376,8 @@ func (m *Master) handleWorker(conn transport.Conn, reg *protocol.Message) {
 		outstanding: make(map[int]bool),
 		outWake:     sync.NewCond(&m.mu),
 	}
-	m.workers[w.name] = w // reserves the name; see masterWorker.ready
+	m.workers[w.name] = w // reserves the name; see masterWorker.Worker
+	m.led.Join(&w.Worker)
 	template := m.cfg.Template
 	common := m.strat.CommonFiles
 	m.mu.Unlock()
@@ -419,8 +401,7 @@ func (m *Master) handleWorker(conn transport.Conn, reg *protocol.Message) {
 	}
 
 	m.mu.Lock()
-	w.ready = true
-	m.tmpl.Invalidate() // worker set changed
+	w.Ready = true
 	m.mu.Unlock()
 	// From here on only the writer sends to this worker.
 	m.wg.Add(1)
@@ -469,7 +450,7 @@ func (m *Master) maybeStart() {
 	// run starts without it instead of waiting for it.
 	arrived := 0
 	for _, w := range m.workers {
-		if w.ready || w.dead {
+		if w.Ready || w.Dead {
 			arrived++
 		}
 	}
@@ -478,7 +459,6 @@ func (m *Master) maybeStart() {
 		return
 	}
 	m.started = true
-	m.planning = true
 	m.startedAt = time.Now()
 	m.mu.Unlock()
 	// Every caller is a connection handler or a writer, which m.wg counts.
@@ -538,10 +518,8 @@ func (m *Master) runStrategy() {
 		m.runNoPartition(groups, workers)
 	case strategy.RealTime:
 		m.mu.Lock()
-		for i := range groups {
-			m.queue = append(m.queue, i)
-		}
-		m.planning = false
+		m.led.Start(len(groups))
+		m.led.QueueAll()
 		// A worker that became ready while the groups were generated found
 		// the queue empty; it is in this snapshot.
 		workers = m.liveWorkersLocked()
@@ -558,7 +536,7 @@ func (m *Master) runStrategy() {
 func (m *Master) liveWorkersLocked() []*masterWorker {
 	out := make([]*masterWorker, 0, len(m.workers))
 	for _, w := range m.workers {
-		if w.ready && !w.dead && !w.draining {
+		if w.Ready && w.Live() {
 			out = append(out, w)
 		}
 	}
@@ -607,23 +585,12 @@ func (m *Master) runPrePartition(strat strategy.Config, groups []partition.Group
 	}
 	m.mu.Lock()
 	m.transfers = time.Since(transferStart).Seconds()
-	// Queue each worker's backlog; dispatch paces executions per slot.
+	// Each share becomes its worker's backlog, or goes through the deal rule
+	// if the worker died or began to drain during the transfer.
+	m.led.Start(len(groups))
 	for wi, w := range workers {
-		if w.dead {
-			// Its partition is lost; treat like a death with backlog.
-			continue
-		}
-		w.backlog = append(w.backlog, per[wi]...)
+		m.abandonLocked(w.name, errWorkerLost, m.led.Deal(&w.Worker, per[wi])...)
 	}
-	// Groups assigned to workers that died during transfer must be
-	// accounted: requeue under Recover, abandon otherwise.
-	for wi, w := range workers {
-		if !w.dead {
-			continue
-		}
-		m.reassignLocked(w, per[wi])
-	}
-	m.planning = false
 	m.mu.Unlock()
 	m.logf("pre-partition transfer phase done in %.3fs", m.transfers)
 	for _, w := range workers {
@@ -654,10 +621,8 @@ func (m *Master) runNoPartition(groups []partition.Group, workers []*masterWorke
 	}
 	m.mu.Lock()
 	m.transfers = time.Since(transferStart).Seconds()
-	for i := range groups {
-		m.queue = append(m.queue, i)
-	}
-	m.planning = false
+	m.led.Start(len(groups))
+	m.led.QueueAll()
 	m.mu.Unlock()
 	for _, w := range workers {
 		m.dispatch(w)
@@ -673,22 +638,30 @@ type dispatchAction struct {
 // dispatch hands the worker as much work as its slots (× prefetch) allow.
 func (m *Master) dispatch(w *masterWorker) {
 	m.mu.Lock()
-	if !m.started || !w.ready || w.dead || w.draining {
-		m.mu.Unlock()
-		return
-	}
 	limit := w.slots
 	if m.strat.Kind == strategy.RealTime && m.strat.Prefetch > 1 {
 		limit = w.slots * m.strat.Prefetch
 	}
+	// Under compute-to-data placement a group is resident when every file of
+	// it is already on the worker.
+	var resident func(gi int) bool
+	if m.strat.Placement == strategy.ComputeToData {
+		resident = func(gi int) bool {
+			for _, f := range m.groups[gi].Files {
+				if !m.replicas.Has(f.Name, w.name) {
+					return false
+				}
+			}
+			return true
+		}
+	}
 	var actions []dispatchAction
 	for len(w.outstanding) < limit {
-		gi, ok := m.nextGroupLocked(w)
+		gi, ok := m.led.Next(&w.Worker, resident)
 		if !ok {
 			break
 		}
 		w.outstanding[gi] = true
-		m.inflight[gi] = w.name
 		needsTransfer := m.strat.Locality == strategy.Remote && m.strat.Kind != strategy.PrePartition
 		actions = append(actions, dispatchAction{group: m.groups[gi], send: needsTransfer})
 	}
@@ -834,43 +807,6 @@ func (m *Master) perform(w *masterWorker, it *outItem) error {
 	return nil
 }
 
-// nextGroupLocked picks the next group for w: the worker's own backlog
-// first (pre-partition), then the shared queue. Under compute-to-data
-// placement the queue is scanned for a group whose files already reside on
-// the worker before falling back to FIFO.
-func (m *Master) nextGroupLocked(w *masterWorker) (int, bool) {
-	if len(w.backlog) > 0 {
-		return ctrlplane.PopAt(&w.backlog, 0), true
-	}
-	if len(m.queue) == 0 {
-		return 0, false
-	}
-	pick := 0
-	if m.strat.Placement == strategy.ComputeToData {
-		// The residency scan is O(queue × files) per dispatch — the
-		// control-plane cost templates exist to kill. A cached verdict
-		// ("nothing resident for this worker") replays as FIFO-head until
-		// a replica lands, a group rejoins the queue, or the worker set
-		// changes — each of which bumps the cache generation.
-		key := ctrlplane.Key{Worker: w.name, Class: "c2d-scan"}
-		if _, hit := m.tmpl.Lookup(key); !hit {
-			var found bool
-			pick, found = ctrlplane.Pick(m.queue, true, func(gi int) bool {
-				for _, f := range m.groups[gi].Files {
-					if !m.replicas.Has(f.Name, w.name) {
-						return false
-					}
-				}
-				return true
-			})
-			if !found {
-				m.tmpl.Install(key, ctrlplane.Decision{PickHead: true})
-			}
-		}
-	}
-	return ctrlplane.PopAt(&m.queue, pick), true
-}
-
 // stageCommon streams the common files to a worker that is not ready yet.
 // Their sizes come from the source's own catalogue: staging can run before
 // the run's catalogue exists.
@@ -912,7 +848,6 @@ func (m *Master) streamFile(w *masterWorker, name string, size int64) error {
 	// ready, its writer from then on), so whatever is claimed here has been
 	// streamed in full before anything queued later is sent.
 	m.replicas.Add(name, w.name)
-	m.tmpl.Invalidate() // a new replica can change a residency verdict
 	chunk := m.cfg.ChunkSize
 	m.mu.Unlock()
 
@@ -986,27 +921,20 @@ func (m *Master) recordResult(w *masterWorker, res protocol.TaskResult) bool {
 		return false
 	}
 	m.mu.Lock()
-	if owner, ok := m.inflight[res.GroupIndex]; !ok || owner != w.name {
-		// Stale or duplicate status (e.g. after a drain or reassignment).
+	if !w.outstanding[res.GroupIndex] {
+		// Stale or duplicate status (e.g. after a death or reassignment).
 		m.mu.Unlock()
 		return false
 	}
 	delete(w.outstanding, res.GroupIndex)
-	delete(m.inflight, res.GroupIndex)
 	if res.OK {
-		m.terminal++
+		m.led.Succeed(res.GroupIndex)
 		m.results = append(m.results, res)
+	} else if m.led.Fail(res.GroupIndex) {
+		m.logf("group %d failed on %s (attempt %d), requeued: %s",
+			res.GroupIndex, w.name, m.led.Attempts(res.GroupIndex), res.Error)
 	} else {
-		m.retries[res.GroupIndex]++
-		if m.cfg.Recover && m.retries[res.GroupIndex] <= m.cfg.MaxRetries {
-			m.queue = append(m.queue, res.GroupIndex)
-			m.tmpl.Invalidate() // a requeued group can change a residency verdict
-			m.logf("group %d failed on %s (attempt %d), requeued: %s",
-				res.GroupIndex, w.name, m.retries[res.GroupIndex], res.Error)
-		} else {
-			m.terminal++
-			m.results = append(m.results, res)
-		}
+		m.results = append(m.results, res)
 	}
 	m.mu.Unlock()
 	return true
@@ -1019,35 +947,33 @@ func (m *Master) recordResult(w *masterWorker, res protocol.TaskResult) bool {
 func (m *Master) workerDied(w *masterWorker, cause error) {
 	m.mu.Lock()
 	m.closeOutboxLocked(w)
-	if w.dead {
+	if w.Dead {
 		m.mu.Unlock()
 		return
 	}
 	// A disconnect after the run finished is a graceful departure (the
 	// worker read NO_MORE_DATA and exited), not a failure.
-	if m.groups != nil && m.terminal >= len(m.groups) {
-		w.dead = true
+	if m.led.Finished() {
+		w.Dead = true
 		m.mu.Unlock()
 		w.conn.Close()
 		return
 	}
-	w.dead = true
-	lost := make([]int, 0, len(w.outstanding)+len(w.backlog))
+	// Its in-flight groups are lost in group order, then its backlog.
+	lost := make([]int, 0, len(w.outstanding))
 	for gi := range w.outstanding {
 		lost = append(lost, gi)
 	}
 	sort.Ints(lost)
-	lost = append(lost, w.backlog...)
+	affected := len(lost) + len(w.Backlog)
 	w.outstanding = make(map[int]bool)
-	w.backlog = nil
-	m.reassignLocked(w, lost)
+	m.abandonLocked(w.name, errWorkerLost, m.led.Die(&w.Worker, lost)...)
 	m.replicas.DropNode(w.name)
-	m.tmpl.Invalidate() // worker set and replica map changed
 	m.workerErrs = append(m.workerErrs, fmt.Sprintf("%s: %v", w.name, cause))
 	others := m.liveWorkersLocked()
 	m.mu.Unlock()
 	w.conn.Close()
-	m.logf("worker %s died: %v (%d groups affected)", w.name, cause, len(lost))
+	m.logf("worker %s died: %v (%d groups affected)", w.name, cause, affected)
 	m.notifyController(fmt.Sprintf("%v", cause), w.name)
 	m.maybeStart() // it may have been the last expected worker not yet heard from
 	for _, o := range others {
@@ -1056,26 +982,14 @@ func (m *Master) workerDied(w *masterWorker, cause error) {
 	m.checkDone()
 }
 
-// reassignLocked requeues or abandons the given groups of a dead/draining
-// worker. Caller holds m.mu.
-func (m *Master) reassignLocked(w *masterWorker, groups []int) {
-	if len(groups) > 0 {
-		m.tmpl.Invalidate() // requeued groups can change residency verdicts
-	}
+// errWorkerLost is the failure recorded for a group whose worker died.
+const errWorkerLost = "worker lost; task not restarted"
+
+// abandonLocked records groups the ledger made terminal as failed, on worker
+// (empty when none), for the reason why. Caller holds m.mu.
+func (m *Master) abandonLocked(worker, why string, groups ...int) {
 	for _, gi := range groups {
-		delete(m.inflight, gi)
-		if m.cfg.Recover {
-			m.retries[gi]++
-			if m.retries[gi] <= m.cfg.MaxRetries {
-				m.queue = append(m.queue, gi)
-				continue
-			}
-		}
-		m.terminal++
-		m.results = append(m.results, protocol.TaskResult{
-			GroupIndex: gi, Worker: w.name, OK: false,
-			Error: "worker lost; task not restarted",
-		})
+		m.results = append(m.results, protocol.TaskResult{GroupIndex: gi, Worker: worker, Error: why})
 	}
 }
 
@@ -1084,18 +998,11 @@ func (m *Master) reassignLocked(w *masterWorker, groups []int) {
 func (m *Master) RemoveWorker(name string) error {
 	m.mu.Lock()
 	w, ok := m.workers[name]
-	if !ok || w.dead || !w.ready {
+	if !ok || w.Dead || !w.Ready {
 		m.mu.Unlock()
 		return fmt.Errorf("core: no live worker %q", name)
 	}
-	w.draining = true
-	// Backlogged (undispatched) groups return to the pool immediately.
-	backlog := w.backlog
-	w.backlog = nil
-	for _, gi := range backlog {
-		m.queue = append(m.queue, gi)
-	}
-	m.tmpl.Invalidate() // worker set shrank; queue may have grown
+	m.led.Drain(&w.Worker)
 	others := m.liveWorkersLocked()
 	m.mu.Unlock()
 	for _, o := range others {
@@ -1116,33 +1023,23 @@ func (m *Master) notifyController(errStr, worker string) {
 	}
 }
 
-// checkDone finishes the run when every group is terminal.
+// checkDone records what the ledger's stall rule abandons and finishes the
+// run when every group is terminal.
 func (m *Master) checkDone() {
 	m.mu.Lock()
 	// Drain completion: a draining worker with no outstanding work is
 	// released even before the run completes.
 	for _, w := range m.workers {
-		if w.draining && !w.dead && len(w.outstanding) == 0 {
-			w.dead = true
+		if w.Draining && !w.Dead && len(w.outstanding) == 0 {
+			w.Dead = true
 			m.enqueueLocked(w, outItem{msg: &protocol.Message{Type: protocol.TShutdown}})
 			defer m.logf("worker %s drained and released", w.name) // once m.mu is released
 		}
 	}
-	if m.groups == nil || m.planning {
+	m.abandonLocked("", "no live workers; abandoned", m.led.Abandon()...)
+	if !m.led.Finished() {
 		m.mu.Unlock()
 		return
-	}
-	if m.terminal < len(m.groups) {
-		// Stall detection: when no live worker can ever pick up the
-		// remaining work, abandon it so the run terminates with failures
-		// instead of hanging.
-		if m.stalledLocked() {
-			m.abandonRemainingLocked()
-		}
-		if m.terminal < len(m.groups) {
-			m.mu.Unlock()
-			return
-		}
 	}
 	m.finishedAt = time.Now()
 	workers := m.liveWorkersLocked()
@@ -1171,65 +1068,15 @@ func (m *Master) checkDone() {
 	})
 }
 
-// stalledLocked reports whether undone groups can no longer make progress:
-// either some groups are unaccounted (not terminal, queued, in flight, or
-// backlogged — only possible after unrecovered worker loss), or queued work
-// remains with no live worker to take it and nothing in flight.
-func (m *Master) stalledLocked() bool {
-	pending := len(m.queue) + len(m.inflight)
-	for _, w := range m.workers {
-		if !w.dead {
-			pending += len(w.backlog)
-		}
-	}
-	if m.terminal+pending < len(m.groups) {
-		return true
-	}
-	if len(m.inflight) > 0 || len(m.queue) == 0 {
-		return false
-	}
-	for _, w := range m.workers {
-		if !w.dead && !w.draining {
-			return false
-		}
-	}
-	return true
-}
-
-// abandonRemainingLocked marks every unreachable group failed.
-func (m *Master) abandonRemainingLocked() {
-	done := make(map[int]bool, m.terminal)
-	for _, r := range m.results {
-		done[r.GroupIndex] = true
-	}
-	for gi := range m.inflight {
-		done[gi] = true // still in flight; let it finish
-	}
-	for _, w := range m.workers {
-		for _, gi := range w.backlog {
-			done[gi] = true
-		}
-	}
-	for gi := range m.groups {
-		if !done[gi] {
-			m.terminal++
-			m.results = append(m.results, protocol.TaskResult{
-				GroupIndex: gi, OK: false, Error: "no live workers; abandoned",
-			})
-		}
-	}
-	m.queue = nil
-}
-
 // fatal aborts the run: every group is marked failed and the run finishes.
 func (m *Master) fatal(err error) {
 	m.logf("fatal: %v", err)
 	m.mu.Lock()
 	m.workerErrs = append(m.workerErrs, "master: "+err.Error())
-	if m.groups == nil {
-		m.groups = []partition.Group{}
-	}
-	m.planning = false
+	// Groups that never reached a worker (the deal found nobody live) are
+	// queued; the stall rule abandons them while nobody is live.
+	m.led.Start(len(m.groups))
+	m.led.QueueAll()
 	m.mu.Unlock()
 	m.notifyController(err.Error(), "")
 	m.checkDone()

@@ -17,12 +17,10 @@
 // stamp comparison) rather than eagerly swept, so Invalidate is O(1) no
 // matter how many templates are cached.
 //
-// The package is deliberately tiny and dependency-free: both control planes
-// (the virtual-time simulator in internal/simrun and the real master in
-// internal/core) embed a Cache and keep their own notion of what a Decision
-// means. The slow path's shared-queue decision itself (Pick, PopAt) lives
-// here too, so the thing a template stands for — and is checked against —
-// exists once for both.
+// The package is deliberately tiny and dependency-free: the simulator's
+// control plane (internal/simrun) embeds a Cache and keeps its own notion of
+// what a Decision means. The slow path a template stands for, and is checked
+// against, is internal/sched's pick.
 package ctrlplane
 
 // Key identifies one template: a task class as seen by one worker. The
@@ -123,36 +121,3 @@ func (c *Cache) Stats() Stats { return c.stats }
 // Len reports installed entries, including stale ones awaiting lazy
 // replacement.
 func (c *Cache) Len() int { return len(c.entries) }
-
-// Pick is the full (slow-path) shared-queue decision both control planes
-// take and every template stands for: FIFO head, except that compute-to-data
-// placement (c2d) prefers the first queued group resident(gi) reports as
-// already wholly on the asking worker. found is false when the head was
-// taken by default — the "nothing resident" verdict a template may cache.
-// An empty queue is the caller's case; the worker's own backlog is taken
-// before the shared queue by each caller. resident is only called, never
-// kept, so a closure passed here stays on the caller's stack.
-func Pick(queue []int, c2d bool, resident func(gi int) bool) (idx int, found bool) {
-	if c2d {
-		for qi, gi := range queue {
-			if resident(gi) {
-				return qi, true
-			}
-		}
-	}
-	return 0, false
-}
-
-// PopAt removes and returns (*queue)[idx], keeping the order of the rest.
-// The head — every FIFO dispatch — is a re-slice, not a memmove of the whole
-// queue; the slice stays valid for append either way.
-func PopAt(queue *[]int, idx int) int {
-	q := *queue
-	gi := q[idx]
-	if idx == 0 {
-		*queue = q[1:]
-	} else {
-		*queue = append(q[:idx], q[idx+1:]...)
-	}
-	return gi
-}

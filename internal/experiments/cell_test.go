@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"frieda/internal/sim"
 	"frieda/internal/simrun"
 )
 
@@ -39,16 +40,16 @@ func TestRunCellDeadlockAndStop(t *testing.T) {
 	})
 
 	t.Run("deadlocked", func(t *testing.T) {
-		// One of two workers is drained before Start, and pre-partitioning
-		// still deals it a backlog it never runs: the other worker finishes
-		// its own share and no event is left to move the rest. (The stall
-		// check settles the shared queue, not a backlog — ROADMAP item 4.)
+		// No schedule the simulator can be given deadlocks it: the ledger's
+		// stall rule abandons what no live worker can take, and
+		// pre-partitioning deals to live workers only. So the injector
+		// reaches the deadlock branch from outside: it hands runCell an
+		// empty engine to step, while the runner keeps scheduling on its
+		// own, and the run never finishes.
 		stops := 0
 		_, err := runCell("cell-stuck", NewTestbed(2, 1), preRemote(AssignerFor("BLAST")), wl,
-			func(tb *Testbed, r *simrun.Runner) func() error {
-				if err := r.DrainWorker(); err != nil {
-					t.Errorf("drain: %v", err)
-				}
+			func(tb *Testbed, _ *simrun.Runner) func() error {
+				tb.Engine = sim.NewEngine()
 				return func() error { stops++; return errInjected }
 			})
 		if err == nil || !strings.Contains(err.Error(), "cell-stuck deadlocked") {

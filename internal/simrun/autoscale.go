@@ -13,7 +13,7 @@ import (
 func (r *Runner) DrainWorker() error {
 	var victim *simWorker
 	for _, w := range r.workers {
-		if w.dead || w.draining {
+		if !w.Live() {
 			continue
 		}
 		if victim == nil || len(w.inflight) < len(victim.inflight) {
@@ -26,14 +26,10 @@ func (r *Runner) DrainWorker() error {
 	if r.LiveWorkers() <= 1 {
 		return fmt.Errorf("simrun: refusing to drain the last worker")
 	}
-	victim.draining = true
+	r.led.Drain(&victim.Worker)
 	r.gen++ // worker set changed: templates re-derive
-	// Undispatched backlog returns to the shared pool.
-	backlog := victim.backlog
-	victim.backlog = nil
-	r.queue = append(r.queue, backlog...)
 	for _, w := range r.workers {
-		if !w.dead && !w.draining {
+		if w.Live() {
 			r.admit(w)
 		}
 	}

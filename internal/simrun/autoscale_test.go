@@ -113,7 +113,7 @@ func TestDrainWorker(t *testing.T) {
 	lateOnDrained := false
 	for _, c := range res.Completions {
 		counts[c.Worker]++
-		if c.Start > drainedAt+1.0 && r.worker(vms[1]).draining && c.Worker == vms[1].Name() {
+		if c.Start > drainedAt+1.0 && r.worker(vms[1]).Draining && c.Worker == vms[1].Name() {
 			lateOnDrained = true
 		}
 	}
@@ -168,7 +168,7 @@ func TestDrainThenLastWorkerDies(t *testing.T) {
 			})
 			eng.Schedule(4.2, func() {
 				for _, w := range r.workers {
-					if !w.draining {
+					if !w.Draining {
 						cluster.Fail(w.vm)
 					}
 				}
@@ -211,14 +211,14 @@ func TestRequeueWithOnlyDrainingWorkersSettles(t *testing.T) {
 	})
 	eng.Schedule(0.6, func() {
 		for _, w := range r.workers {
-			if !w.draining {
+			if !w.Draining {
 				cluster.Fail(w.vm)
 			}
 		}
 	})
 	eng.Schedule(0.7, func() {
 		for _, w := range r.workers {
-			if w.draining {
+			if w.Draining {
 				cluster.Network().FailLink(w.vm.Host().Down())
 			}
 		}
@@ -229,6 +229,31 @@ func TestRequeueWithOnlyDrainingWorkersSettles(t *testing.T) {
 	}
 	if res.Abandoned != 12 {
 		t.Fatalf("%d ok + %d abandoned, want all 12 abandoned", res.Succeeded, res.Abandoned)
+	}
+}
+
+// TestPrePartitionSkipsWorkerDrainedBeforeStart: the pre-partition deal goes
+// to live workers only. A worker drained before Start would hold a backlog
+// it never runs; instead the other worker completes every task.
+func TestPrePartitionSkipsWorkerDrainedBeforeStart(t *testing.T) {
+	eng := sim.NewEngine()
+	cluster, vms := cloud.Default4VMCluster(eng, 1)
+	r, err := NewRunner(cluster, vms[0], Config{Strategy: strategy.PrePartitionedRemote},
+		Workload{Name: "predrain", Tasks: uniformTasks(12, 1.0, 1<<20)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.AddWorker(vms[1])
+	r.AddWorker(vms[2])
+	if err := r.DrainWorker(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := r.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Succeeded != 12 || len(res.PerWorker) != 1 {
+		t.Fatalf("%d of 12 tasks ok, by worker %v; want all on the undrained one", res.Succeeded, res.PerWorker)
 	}
 }
 

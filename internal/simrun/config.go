@@ -283,9 +283,6 @@ func (cfg *Config) normalize(n int) error {
 	if err := cfg.Strategy.Validate(); err != nil {
 		return err
 	}
-	if cfg.MaxRetries <= 0 {
-		cfg.MaxRetries = 2
-	}
 	if n == 0 {
 		return fmt.Errorf("simrun: empty workload")
 	}

@@ -63,17 +63,17 @@ func (c *ctrlHook) finish() {
 	c.r.res.TemplateHits, c.r.res.TemplateMisses = s.Hits, s.Misses
 }
 
-// decide makes one control-plane decision for w: pick the next task —
-// template fast path on a cache hit, the full nextTask scan on a miss —
-// charge the decision's modeled cost on the decision server, and schedule
-// the dispatch for when the server gets to it. Returns false when the worker
-// has no work available. The slot is reserved (w.admitted) at decision time
-// so same-instant kicks cannot over-admit; speculation clones and repair
-// flows are master-initiated mitigation, not task dispatches, and bypass the
-// decision server.
+// decide makes one control-plane decision for w: pick the next task, charge
+// the decision's modeled cost — a template hit's or a full derivation's — on
+// the decision server, and schedule the dispatch for when the server gets to
+// it. Returns false when the worker has no work available. The slot is
+// reserved (w.admitted) at decision time so same-instant kicks cannot
+// over-admit; speculation clones and repair flows are master-initiated
+// mitigation, not task dispatches, and bypass the decision server.
 func (c *ctrlHook) decide(w *simWorker) bool {
 	r := c.r
-	if len(w.backlog) == 0 && len(r.queue) == 0 {
+	head, ok := r.led.Head(&w.Worker)
+	if !ok {
 		return false
 	}
 	if c.gen != r.gen {
@@ -93,29 +93,16 @@ func (c *ctrlHook) decide(w *simWorker) bool {
 			c.cache.NoteMiss()
 		}
 	}
-	var gi int
-	if hit {
-		// Every hit is re-derived through the unmodified slow path — the
-		// replay property: a template must decide exactly what the full
-		// scan would at this instant — at a wall-time cost only.
-		if len(w.backlog) == 0 {
-			if pick := r.pickQueue(w); pick != 0 {
-				panic(fmt.Sprintf("simrun: template check failed on %s: cached head pick, slow path picks queue[%d]", w.name, pick))
-			}
-		}
-		gi = r.popHead(w)
-	} else {
-		var ok bool
-		gi, ok = r.nextTask(w)
-		if !ok {
-			return false
-		}
-		if c.templates && templatable {
-			// The slow path just proved the class's decision under the
-			// current generation: head pick (templatable classes never
-			// scan past the head).
-			c.cache.Install(key, ctrlplane.Decision{PickHead: true})
-		}
+	// A hit too takes the slow path's pick, and must have cached the same
+	// one (the replay property). admit checked that w can take work.
+	gi, _ := r.next(w)
+	if hit && gi != head {
+		panic(fmt.Sprintf("simrun: template check failed on %s: cached head pick %d, slow path picks %d", w.name, head, gi))
+	}
+	if !hit && c.templates && templatable {
+		// The slow path just proved the class's decision under the current
+		// generation: the head (templatable classes never scan past it).
+		c.cache.Install(key, ctrlplane.Decision{PickHead: true})
 	}
 	cost := float64(decisionSec)
 	if hit {
@@ -136,12 +123,12 @@ func (c *ctrlHook) decide(w *simWorker) bool {
 // reassign — requeued under Recover, abandoned otherwise.
 func (c *ctrlHook) fire(w *simWorker, gi int) {
 	r := c.r
-	if w.dead {
+	if w.Dead {
 		w.admitted--
-		if r.requeueLost(gi) {
+		if r.led.Fail(gi) {
 			r.kickAll()
 		} else {
-			r.settle(Completion{Task: gi, Worker: w.name, End: r.eng.Now(), Attempt: r.retries[gi]})
+			r.settle(Completion{Task: gi, Worker: w.name, End: r.eng.Now(), Attempt: r.led.Attempts(gi)})
 		}
 		r.checkDone()
 		return
@@ -159,21 +146,11 @@ func (c *ctrlHook) fire(w *simWorker, gi int) {
 // evacuated), so those classes run the slow path every time — honestly
 // counted as misses.
 func (c *ctrlHook) templateClass(w *simWorker) (string, bool) {
-	if len(w.backlog) > 0 {
+	if len(w.Backlog) > 0 {
 		return "backlog", true
 	}
 	if cfg := c.r.cfg; cfg.Strategy.Placement == strategy.ComputeToData || cfg.Durability != nil {
 		return "", false
 	}
 	return "queue", true
-}
-
-// popHead is the O(1) template instantiation of nextTask: the backlog head,
-// else the queue head. Only called after a template hit proved the head
-// pick.
-func (r *Runner) popHead(w *simWorker) int {
-	if len(w.backlog) > 0 {
-		return ctrlplane.PopAt(&w.backlog, 0)
-	}
-	return ctrlplane.PopAt(&r.queue, 0)
 }

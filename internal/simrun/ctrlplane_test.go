@@ -237,26 +237,28 @@ func TestCtrlPlaneAttribution(t *testing.T) {
 func BenchmarkCtrlPlaneDecide(b *testing.B) {
 	eng := sim.NewEngine()
 	cluster, vms := cloud.Default4VMCluster(eng, 1)
+	// Every pick is requeued at once (Fail under an unbounded budget), so
+	// the queue stays 8192 deep.
 	cfg := Config{Strategy: strategy.Config{
 		Kind: strategy.RealTime, Locality: strategy.Remote, Placement: strategy.ComputeToData,
-	}}
+	}, Recover: true, MaxRetries: math.MaxInt32}
 	wl := Workload{Name: "bench", Tasks: uniformTasks(8192, 1, 1<<20)}
 	r, err := NewRunner(cluster, vms[0], cfg, wl)
 	if err != nil {
 		b.Fatal(err)
 	}
 	w := r.AddWorker(vms[1])
-	for i := range wl.Tasks {
-		r.queue = append(r.queue, i)
-	}
+	w.Ready = true
+	r.led.Start(len(wl.Tasks))
+	r.led.QueueAll()
 
 	b.Run("slow-scan", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			gi, ok := r.nextTask(w)
+			gi, ok := r.next(w)
 			if !ok {
 				b.Fatal("empty queue")
 			}
-			r.queue = append(r.queue, gi)
+			r.led.Fail(gi)
 		}
 	})
 
@@ -268,8 +270,8 @@ func BenchmarkCtrlPlaneDecide(b *testing.B) {
 			if _, ok := cache.Lookup(key); !ok {
 				b.Fatal("unexpected miss")
 			}
-			gi := r.popHead(w)
-			r.queue = append(r.queue, gi)
+			gi, _ := r.led.Next(&w.Worker, nil)
+			r.led.Fail(gi)
 		}
 	})
 }

@@ -51,7 +51,7 @@ func (h *detectHook) join(w *simWorker) {
 	h.d.Watch(w.name)
 	var beat func()
 	beat = func() {
-		if w.dead || r.finished {
+		if w.Dead || r.finished {
 			return
 		}
 		if h.pathUp(w) {

@@ -155,7 +155,7 @@ func (d *durabilityHook) fetch(w *simWorker, att *taskAttempt, names []string, _
 	}
 	var step func(i int)
 	step = func(i int) {
-		if w.dead {
+		if w.Dead {
 			return
 		}
 		if i >= len(names) {
@@ -170,7 +170,7 @@ func (d *durabilityHook) fetch(w *simWorker, att *taskAttempt, names []string, _
 		}
 		att.stage = r.transfer(w, []string{f}, size, func(lost bool) {
 			att.stage = nil
-			if w.dead {
+			if w.Dead {
 				return
 			}
 			if lost {
@@ -178,7 +178,7 @@ func (d *durabilityHook) fetch(w *simWorker, att *taskAttempt, names []string, _
 				return
 			}
 			r.chargeDiskWrite(w, size, func() {
-				if w.dead {
+				if w.Dead {
 					return
 				}
 				// Re-assert the claim: a disk wipe mid-transfer cleared it,
@@ -407,7 +407,7 @@ func (d *durabilityHook) startRepair(f string) {
 	}
 	var dst *simWorker
 	for _, o := range r.workers {
-		if o.dead || o.draining || !o.ready || o.has[f] || o.vm.Host().Down().Failed() {
+		if !o.Ready || !o.Live() || o.has[f] || o.vm.Host().Down().Failed() {
 			continue
 		}
 		if dst == nil || o.vm.Host().Down().ActiveFlows() < dst.vm.Host().Down().ActiveFlows() {
@@ -440,7 +440,7 @@ func (d *durabilityHook) startRepair(f string) {
 			return
 		}
 		r.res.RepairBytes += size
-		if dst.dead {
+		if dst.Dead {
 			delete(d.active, f)
 			d.endSpan(job, "worker-died")
 			d.repairsFailed++
@@ -455,7 +455,7 @@ func (d *durabilityHook) startRepair(f string) {
 				return
 			}
 			delete(d.active, f)
-			if dst.dead {
+			if dst.Dead {
 				d.repairsFailed++
 				return
 			}
@@ -544,7 +544,7 @@ func (d *durabilityHook) staged(f, _ string) {
 // already in memory — and in-flight fetches land on the fresh media.
 func (d *durabilityHook) diskDied(w *simWorker) {
 	r := d.r
-	if w.dead || r.finished {
+	if w.Dead || r.finished {
 		return
 	}
 	d.tr.Instant(w.name, "fault", "disk-died", nil)
@@ -578,8 +578,8 @@ func (d *durabilityHook) diskDiedMaster(w *simWorker, files []string) {
 			d.markFileLost(f)
 		}
 	}
-	if lostCommon && !w.dead {
-		w.ready = false
+	if lostCommon && !w.Dead {
+		w.Ready = false
 		r.stageCommon(w, func() { r.admit(w) })
 	}
 	d.scan()

@@ -111,7 +111,7 @@ func (g *grayHook) start() {
 	d.OnSlowClear(func(node string) {
 		// The worker is healthy again: resume feeding it.
 		for _, w := range g.r.workers {
-			if w.name == node && !w.dead {
+			if w.name == node && !w.Dead {
 				g.r.kick(w)
 				return
 			}
@@ -175,7 +175,7 @@ func (g *grayHook) settle(c *Completion) {
 // worker keeps heartbeating and keeps its data.
 func (r *Runner) SetWorkerSpeed(vm *cloud.VM, factor float64) {
 	w := r.worker(vm)
-	if w == nil || w.dead || factor <= 0 || factor == w.speed {
+	if w == nil || w.Dead || factor <= 0 || factor == w.speed {
 		return
 	}
 	old := w.speed
@@ -315,7 +315,7 @@ func (g *grayHook) maybeSpeculate(sw *simWorker) {
 func (g *grayHook) speculationTarget(sw *simWorker) *simWorker {
 	var best *simWorker
 	for _, o := range g.r.workers {
-		if o == sw || o.dead || o.draining || !o.ready {
+		if o == sw || !o.Ready || !o.Live() {
 			continue
 		}
 		if g.det.d.SlowSuspected(o.name) || g.det.d.Suspected(o.name) {
@@ -379,16 +379,16 @@ func (g *grayHook) cancel(w *simWorker, att *taskAttempt) {
 		w.cores.Release()
 	}
 	r.res.SpeculativeWastedSec += wasted
-	if !w.dead {
+	if !w.Dead {
 		delete(w.inflight, att.task)
 		w.admitted--
 	}
 	r.res.Completions = append(r.res.Completions, Completion{
 		Task: att.task, Worker: w.name, Start: att.started, End: now,
-		Attempt: r.retries[att.task] + 1, Speculative: true, Cancelled: true,
+		Attempt: r.led.Attempts(att.task) + 1, Speculative: true, Cancelled: true,
 	})
 	r.onCompute(w, att, runCancelled)
-	if !w.dead {
+	if !w.Dead {
 		r.kick(w)
 	}
 }
@@ -421,7 +421,7 @@ func (g *grayHook) armHedge(s *stageIn) {
 	delay := hedgeCheckSec * (0.75 + 0.5*g.hedgeRng.Float64())
 	s.hedgeCheck = r.eng.Schedule(sim.Duration(delay), func() {
 		s.hedgeCheck = sim.EventRef{}
-		if s.abandoned || r.finished || w.dead || s.flow != primary || s.hedge != nil {
+		if s.abandoned || r.finished || w.Dead || s.flow != primary || s.hedge != nil {
 			return
 		}
 		if g.activeHedges >= maxConcurrentHedges || g.xferEwmaBps <= 0 {

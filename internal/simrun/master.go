@@ -322,7 +322,7 @@ func (m *masterHook) amnesiaForgetLedger() {
 			r.forgot = make(map[int]bool)
 		}
 		r.forgot[gi] = true
-		r.terminal--
+		r.led.Forget()
 		r.res.OrphansReconciled++
 	}
 }
@@ -337,18 +337,18 @@ func (m *masterHook) reconcile() {
 	r := m.r
 	inflight := make(map[int]bool)
 	for _, w := range r.workers {
-		w.backlog = nil // master memory: its tasks fold into the queue
-		if !w.dead {
+		if !w.Dead {
 			for gi := range w.inflight {
 				inflight[gi] = true
 			}
 		}
 	}
-	oldQueue := make(map[int]bool, len(r.queue))
-	for _, gi := range r.queue {
+	queue := r.led.Queue()
+	oldQueue := make(map[int]bool, len(queue))
+	for _, gi := range queue {
 		oldQueue[gi] = true
 	}
-	pending := make([]int, 0, len(r.queue))
+	pending := make([]int, 0, len(queue))
 	for gi := range r.wl.Tasks {
 		if inflight[gi] {
 			continue
@@ -366,7 +366,7 @@ func (m *masterHook) reconcile() {
 			r.res.OrphansReconciled++
 		}
 	}
-	r.queue = pending
+	r.led.Rebuild(pending)
 }
 
 // JournalCheck replays the snapshot+journal and byte-compares the

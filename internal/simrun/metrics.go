@@ -21,11 +21,11 @@ func newMetrics(r *Runner) *metricsHook {
 	m.Gauge("total_slots", func() float64 { _, t := r.SlotStats(); return float64(t) })
 	m.Gauge("active_flows", func() float64 { return float64(r.activeFlows) })
 	m.Gauge("goodput_bps", r.cluster.Network().AggregateRateBps)
-	m.Gauge("terminal_tasks", func() float64 { return float64(r.terminal) })
+	m.Gauge("terminal_tasks", func() float64 { return float64(r.led.Terminal()) })
 	m.Gauge("bytes_moved", func() float64 { return r.res.BytesMoved })
 	countGauge(m, "tasks_ok", &r.res.Succeeded)
 	countGauge(m, "tasks_failed", &r.res.Abandoned)
-	countGauge(m, "task_requeues", &r.requeues)
+	m.Gauge("task_requeues", func() float64 { return float64(r.led.Requeues()) })
 	countGauge(m, "transfer_interrupts", &r.res.TransferInterrupts)
 	countGauge(m, "transfer_retries", &r.res.TransferRetries)
 	return &metricsHook{

@@ -191,7 +191,7 @@ func TestBestSourcePrefersHealthyReplica(t *testing.T) {
 	}
 	// A dead holder is skipped too.
 	cluster.Network().RestoreLink(vms[2].Host().Up())
-	w1.dead = true
+	w1.Dead = true
 	if src := r.source(w0, []string{"f"}, 2); src != vms[0] {
 		t.Fatalf("dead replica chosen: %s", src.Name())
 	}

@@ -11,7 +11,8 @@
 // phases are sequential"); real-time is a per-slot pull loop whose transfer
 // overlaps other slots' computation; no-partitioning stages the full
 // dataset everywhere first. Worker deaths isolate the worker and abandon
-// (or, with Recover, requeue) its work exactly as core.Master does.
+// (or, with Recover, requeue) its work through the scheduling ledger
+// (internal/sched) that core.Master uses too.
 //
 // This file and transfer.go are the core loop; every optional feature is a
 // plug-in in its own file, wired in through the hooks of hooks.go.
@@ -25,9 +26,9 @@ import (
 
 	"frieda/internal/catalog"
 	"frieda/internal/cloud"
-	"frieda/internal/ctrlplane"
 	"frieda/internal/obs"
 	"frieda/internal/obs/attrib"
+	"frieda/internal/sched"
 	"frieda/internal/sim"
 	"frieda/internal/storage"
 	"frieda/internal/strategy"
@@ -57,9 +58,9 @@ type Runner struct {
 	// the master's among them, have a nil slot.
 	byVM []*simWorker
 
-	queue    []int
-	retries  map[int]int
-	terminal int
+	// led is the scheduling ledger: the shared queue, each task's spent
+	// attempts, the terminal count and the rules over them.
+	led      *sched.Ledger
 	started  bool
 	finished bool
 	startAt  sim.Time
@@ -99,8 +100,6 @@ type Runner struct {
 	// deaths, drains, evacuations, master recoveries — so the control
 	// plane's template cache knows when to re-derive (ctrlplane.go).
 	gen int
-	// requeues counts Recover requeues, the task_requeues metric.
-	requeues int
 
 	// Phase accounting.
 	activeFlows    int
@@ -129,19 +128,17 @@ type Runner struct {
 
 // simWorker is the simulated execution-plane worker.
 type simWorker struct {
+	// Worker is the ledger's view; Ready means the common data is staged.
+	sched.Worker
 	vm    *cloud.VM
 	name  string
 	slots int
 	disk  *storage.Volume
 	has   map[string]bool // the files on its disk; nil until the first (setHas)
-	ready bool            // common data staged
 	// admitted counts tasks in the transfer→compute pipeline.
 	admitted int
 	cores    *sim.Resource
 	inflight map[int]*taskAttempt // admitted attempts; nil until the first dispatch
-	backlog  []int
-	dead     bool
-	draining bool
 	// speed is the compute-rate factor (1 = provisioned); straggler
 	// injection lowers it via SetWorkerSpeed without touching liveness.
 	speed  float64
@@ -151,9 +148,6 @@ type simWorker struct {
 	cpuLanes  []bool
 	xferLanes []bool
 }
-
-// live reports whether the worker can take work: neither dead nor drained.
-func (w *simWorker) live() bool { return !w.dead && !w.draining }
 
 // setHas marks file as on the worker's disk, making the map on first use: a
 // worker that never receives a task file costs no map, and in the
@@ -206,7 +200,7 @@ func NewRunner(cluster *cloud.Cluster, master *cloud.VM, cfg Config, wl Workload
 		cfg:          cfg,
 		wl:           wl,
 		master:       master,
-		retries:      make(map[int]int),
+		led:          sched.NewLedger(cfg.Recover, cfg.MaxRetries),
 		replicas:     catalog.NewReplicas(),
 		fetching:     cfg.Strategy.Kind == strategy.RealTime && cfg.Strategy.Locality == strategy.Remote,
 		prefetchMult: 1,
@@ -250,21 +244,13 @@ func (r *Runner) hold(fn func()) { r.held = append(r.held, fn) }
 // QueueLen reports tasks awaiting dispatch: the shared queue plus every
 // live worker's assigned-but-undispatched backlog, which is queued load too
 // (the queue_depth gauge and the autoscaler's QueuedTasks signal).
-func (r *Runner) QueueLen() int {
-	n := len(r.queue)
-	for _, w := range r.workers {
-		if !w.dead {
-			n += len(w.backlog)
-		}
-	}
-	return n
-}
+func (r *Runner) QueueLen() int { return r.led.Pending() }
 
 // SlotStats reports currently busy and total compute slots over live
 // workers — the autoscaler's load signal.
 func (r *Runner) SlotStats() (busy, total int) {
 	for _, w := range r.workers {
-		if w.dead || w.draining {
+		if !w.Live() {
 			continue
 		}
 		busy += w.cores.InUse()
@@ -277,7 +263,7 @@ func (r *Runner) SlotStats() (busy, total int) {
 func (r *Runner) LiveWorkers() int {
 	n := 0
 	for _, w := range r.workers {
-		if w.live() {
+		if w.Live() {
 			n++
 		}
 	}
@@ -285,7 +271,7 @@ func (r *Runner) LiveWorkers() int {
 }
 
 // Terminal reports how many tasks reached a terminal state so far.
-func (r *Runner) Terminal() int { return r.terminal }
+func (r *Runner) Terminal() int { return r.led.Terminal() }
 
 // AddWorker registers a compute VM. Before Start it joins the initial set;
 // after Start it joins elastically (real-time strategies give it work
@@ -308,13 +294,14 @@ func (r *Runner) AddWorker(vm *cloud.VM) *simWorker {
 		speed: 1,
 	}
 	r.workers = append(r.workers, w)
+	r.led.Join(&w.Worker)
 	if id := vm.ID(); id >= len(r.byVM) {
 		r.byVM = append(r.byVM, make([]*simWorker, id+1-len(r.byVM))...)
 	}
 	r.byVM[vm.ID()] = w
 	if r.started {
 		register := func() {
-			if w.dead {
+			if w.Dead {
 				return
 			}
 			r.gen++
@@ -347,7 +334,7 @@ func (r *Runner) Run() (Result, error) {
 	r.eng.Run()
 	if !finished {
 		return Result{}, fmt.Errorf("simrun: %s deadlocked with %d/%d tasks terminal",
-			r.wl.Name, r.terminal, len(r.wl.Tasks))
+			r.wl.Name, r.led.Terminal(), len(r.wl.Tasks))
 	}
 	return out, nil
 }
@@ -361,6 +348,7 @@ func (r *Runner) Start(done func(Result)) error {
 	r.done = done
 	r.started = true
 	r.startAt = r.eng.Now()
+	r.led.Start(len(r.wl.Tasks))
 	for _, h := range r.hooks {
 		h.start()
 	}
@@ -369,11 +357,11 @@ func (r *Runner) Start(done func(Result)) error {
 	case strategy.PrePartition:
 		return r.startPrePartition()
 	case strategy.NoPartition:
-		r.queue = allIndices(len(r.wl.Tasks))
-		all := uniqueFiles(r.wl.Tasks, r.queue)
+		r.led.QueueAll()
+		all := uniqueFiles(r.wl.Tasks, r.led.Queue())
 		r.startStaged(func(*simWorker) []catalog.FileMeta { return all })
 	case strategy.RealTime:
-		r.queue = allIndices(len(r.wl.Tasks))
+		r.led.QueueAll()
 		for _, w := range r.workers {
 			r.stageCommon(w, func() { r.kick(w) })
 		}
@@ -407,7 +395,7 @@ func (r *Runner) kick(w *simWorker) {
 func (r *Runner) kickAll() {
 	if !r.cfg.BatchSched {
 		for _, o := range r.workers {
-			if !o.dead {
+			if !o.Dead {
 				r.admit(o)
 			}
 		}
@@ -433,7 +421,7 @@ func (r *Runner) drainAdmits() {
 		}
 		r.pendAdmit = r.pendAdmit[:0]
 		for _, o := range r.workers {
-			if !o.dead {
+			if !o.Dead {
 				r.admit(o)
 			}
 		}
@@ -451,7 +439,7 @@ func (r *Runner) drainAdmits() {
 // decision at a time. With the master down there is no dispatcher to admit
 // from; recovery ends with a kickAll.
 func (r *Runner) admit(w *simWorker) {
-	if w.dead || w.draining || !w.ready || r.offline {
+	if !w.Ready || !w.Live() || r.offline {
 		return
 	}
 	for _, h := range r.hooks {
@@ -466,7 +454,7 @@ func (r *Runner) admit(w *simWorker) {
 // dispatchNext is the published dispatch decision: pop the worker's next
 // task and send it at once. False when there is no work for w.
 func (r *Runner) dispatchNext(w *simWorker) bool {
-	gi, ok := r.nextTask(w)
+	gi, ok := r.next(w)
 	if !ok {
 		return false
 	}
@@ -475,22 +463,13 @@ func (r *Runner) dispatchNext(w *simWorker) bool {
 	return true
 }
 
-// nextTask pops the worker's backlog first (pre-partition), then the shared
-// queue at the index the slow path picks.
-func (r *Runner) nextTask(w *simWorker) (int, bool) {
-	if len(w.backlog) > 0 {
-		return ctrlplane.PopAt(&w.backlog, 0), true
+// next takes w's next task off the ledger. Under compute-to-data placement
+// a task is resident when the worker already holds every file of it.
+func (r *Runner) next(w *simWorker) (int, bool) {
+	if r.cfg.Strategy.Placement != strategy.ComputeToData {
+		return r.led.Next(&w.Worker, nil)
 	}
-	if len(r.queue) == 0 {
-		return 0, false
-	}
-	return ctrlplane.PopAt(&r.queue, r.pickQueue(w)), true
-}
-
-// pickQueue is the slow-path shared-queue decision for w (ctrlplane.Pick);
-// a group is resident when the worker already holds every file of it.
-func (r *Runner) pickQueue(w *simWorker) int {
-	idx, _ := ctrlplane.Pick(r.queue, r.cfg.Strategy.Placement == strategy.ComputeToData, func(gi int) bool {
+	return r.led.Next(&w.Worker, func(gi int) bool {
 		for _, f := range r.wl.Tasks[gi].Files {
 			if !w.has[f.Name] {
 				return false
@@ -498,7 +477,6 @@ func (r *Runner) pickQueue(w *simWorker) int {
 		}
 		return true
 	})
-	return idx
 }
 
 // fetchAndRun fetches the task's missing inputs (real-time remote), then
@@ -542,7 +520,7 @@ func (r *Runner) fetchAndRun(w *simWorker, gi int) *taskAttempt {
 func (r *Runner) fetchBundled(w *simWorker, att *taskAttempt, names []string, missing float64) {
 	att.stage = r.transfer(w, names, missing, func(lost bool) {
 		att.stage = nil
-		if w.dead {
+		if w.Dead {
 			return
 		}
 		if lost {
@@ -598,12 +576,12 @@ func (r *Runner) putNames(s []string) {
 
 // compute acquires a core, charges local read time, then runs the task.
 func (r *Runner) compute(w *simWorker, att *taskAttempt) {
-	if w.dead {
+	if w.Dead {
 		return
 	}
 	task := r.wl.Tasks[att.task]
 	w.cores.Acquire(func() {
-		if w.dead {
+		if w.Dead {
 			return
 		}
 		if att.cancelled {
@@ -667,8 +645,8 @@ func (r *Runner) taskDone(w *simWorker, att *taskAttempt, ok bool) {
 		return // the race's other side owns the task's fate (gray.go)
 	}
 	if ok {
-		r.retries[att.task]++
-	} else if r.requeueLost(att.task) {
+		r.led.Succeed(att.task)
+	} else if r.led.Fail(att.task) {
 		// With only draining workers left nobody takes the requeued task;
 		// checkDone abandons it instead of leaving the run stalled.
 		r.kickAll()
@@ -680,34 +658,20 @@ func (r *Runner) taskDone(w *simWorker, att *taskAttempt, ok bool) {
 		// the task terminal again, its historical completion stands — no
 		// second Completion — and the rerun is wasted work.
 		delete(r.forgot, att.task)
-		r.terminal++
 		r.res.TasksReExecuted++
 		r.checkDone()
 		return
 	}
 	r.settle(Completion{
 		Task: att.task, Worker: w.name, Start: att.started, End: r.eng.Now(),
-		OK: ok, Attempt: r.retries[att.task], Speculative: att.clone,
+		OK: ok, Attempt: r.led.Attempts(att.task), Speculative: att.clone,
 	})
 	r.checkDone()
 }
 
-// requeueLost is the lost-task rule: book one more spent attempt of gi and,
-// under Recover with retry budget left, put it back on the shared queue.
-// False means the caller must settle the task as failed.
-func (r *Runner) requeueLost(gi int) bool {
-	r.retries[gi]++
-	if r.cfg.Recover && r.retries[gi] <= r.cfg.MaxRetries {
-		r.requeues++
-		r.queue = append(r.queue, gi)
-		return true
-	}
-	return false
-}
-
-// settle books c as its task's terminal outcome.
+// settle records c as its task's terminal outcome, which the ledger has
+// already counted.
 func (r *Runner) settle(c Completion) {
-	r.terminal++
 	r.res.Completions = append(r.res.Completions, c)
 	if c.OK {
 		r.res.Succeeded++
@@ -726,10 +690,10 @@ func (r *Runner) settle(c Completion) {
 // reassigning — is workerGone, which waits for the control plane when that
 // is down.
 func (r *Runner) workerDied(w *simWorker) {
-	if w.dead {
+	if w.Dead {
 		return
 	}
-	w.dead = true
+	w.Dead = true
 	for _, h := range r.hooks {
 		h.workerDeath(w)
 	}
@@ -774,46 +738,35 @@ func sortedInflight(w *simWorker) []*taskAttempt {
 	return slices.SortedFunc(maps.Values(w.inflight), func(a, b *taskAttempt) int { return a.task - b.task })
 }
 
-// reassign handles a dead worker's unstarted backlog.
+// reassign hands a dead worker's unstarted backlog to the ledger's death
+// rule and settles what it abandons.
 func (r *Runner) reassign(w *simWorker) {
 	if r.offline {
 		r.hold(func() { r.reassign(w) })
 		return
 	}
-	backlog := w.backlog
-	w.backlog = nil
-	for _, gi := range backlog {
-		if !r.requeueLost(gi) {
-			r.settle(Completion{Task: gi, Worker: w.name, End: r.eng.Now(), Attempt: r.retries[gi]})
-		}
+	for _, gi := range r.led.Die(&w.Worker, nil) {
+		r.settle(Completion{Task: gi, Worker: w.name, End: r.eng.Now(), Attempt: r.led.Attempts(gi)})
 	}
 	r.checkDone()
 }
 
-// checkDone finishes the run once every task is terminal, or abandons
-// unreachable work when no worker can take it — dead and draining workers
-// cannot, as in core.Master's stall check. With the master down nobody is
-// watching the ledger; recovery re-checks.
+// checkDone settles what the ledger's stall rule abandons, then finishes the
+// run once every task is terminal. With the master down nobody is watching
+// the ledger; recovery re-checks.
 func (r *Runner) checkDone() {
 	if r.done == nil || r.offline {
 		return
 	}
-	if r.terminal < len(r.wl.Tasks) {
-		if len(r.queue) > 0 && !slices.ContainsFunc(r.workers, (*simWorker).live) {
-			queue := r.queue
-			r.queue = nil
-			for _, gi := range queue {
-				if r.forgot[gi] {
-					delete(r.forgot, gi) // no worker left to re-run it
-					r.terminal++
-					continue
-				}
-				r.settle(Completion{Task: gi, End: r.eng.Now(), Attempt: r.retries[gi]})
-			}
+	for _, gi := range r.led.Abandon() {
+		if r.forgot[gi] {
+			delete(r.forgot, gi) // no worker left to re-run it
+			continue
 		}
-		if r.terminal < len(r.wl.Tasks) {
-			return
-		}
+		r.settle(Completion{Task: gi, End: r.eng.Now(), Attempt: r.led.Attempts(gi)})
+	}
+	if !r.led.Finished() {
+		return
 	}
 	done := r.done
 	r.done = nil

@@ -498,7 +498,7 @@ func TestRunAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
-	const runs, limit = 3, 5.7474 * 1.02
+	const runs, limit = 3, 5.7188 * 1.02
 	type cell struct {
 		eng *sim.Engine
 		r   *Runner

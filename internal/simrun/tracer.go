@@ -70,7 +70,7 @@ func (t *traceHook) compute(w *simWorker, att *taskAttempt, o outcome) {
 		att.lane = claimLane(&w.cpuLanes)
 		att.span = t.tr.Begin(fmt.Sprintf("%s/cpu%d", w.name, att.lane), cat,
 			fmt.Sprintf("task %d", att.task), obs.Args{
-				"worker": w.name, "attempt": t.r.retries[att.task] + 1,
+				"worker": w.name, "attempt": t.r.led.Attempts(att.task) + 1,
 			})
 	case runOK:
 		endTaskSpan(w, att, "ok")

@@ -155,7 +155,7 @@ func (r *Runner) arrive(s *stageIn, from *cloud.VM) {
 	r.res.CorruptionsDetected++
 	s.refetches++
 	r.onTransfer(s, xferCorrupt, "")
-	if s.refetches <= maxRefetch && !s.w.dead {
+	if s.refetches <= maxRefetch && !s.w.Dead {
 		r.attempt(s, s.bytes, s.n+1)
 		return
 	}
@@ -166,7 +166,7 @@ func (r *Runner) arrive(s *stageIn, from *cloud.VM) {
 // retryAfter schedules attempt s.n+1 of next bytes, or declares the
 // transfer lost — for the reason why — when there is no retry budget.
 func (r *Runner) retryAfter(s *stageIn, next float64, why string) {
-	if r.rng == nil || s.n >= maxTransferAttempts || s.w.dead {
+	if r.rng == nil || s.n >= maxTransferAttempts || s.w.Dead {
 		r.lose(s, why) // without NetFaults there is no retry ladder
 		return
 	}
@@ -178,7 +178,7 @@ func (r *Runner) retryAfter(s *stageIn, next float64, why string) {
 		if s.abandoned {
 			return
 		}
-		if s.w.dead {
+		if s.w.Dead {
 			r.lose(s, "worker-dead")
 			return
 		}
@@ -240,7 +240,7 @@ func (r *Runner) sourceFor(w *simWorker, files []string, n int) *cloud.VM {
 func (r *Runner) bestHolder(files []string, skip *simWorker, skipVM *cloud.VM) *simWorker {
 	var best *simWorker
 	for _, o := range r.workers {
-		if o == skip || o.vm == skipVM || o.dead || o.draining || o.vm.Host().Up().Failed() {
+		if o == skip || o.vm == skipVM || !o.Live() || o.vm.Host().Up().Failed() {
 			continue
 		}
 		holds := true
@@ -263,12 +263,12 @@ func (r *Runner) bestHolder(files []string, skip *simWorker, skipVM *cloud.VM) *
 // dropping a worker whose staging failed.
 func (r *Runner) stageCommon(w *simWorker, then func()) {
 	if r.wl.CommonBytes <= 0 || r.cfg.Strategy.Locality == strategy.Local {
-		w.ready = true
+		w.Ready = true
 		then()
 		return
 	}
 	r.transfer(w, []string{commonFile}, r.wl.CommonBytes, func(lost bool) {
-		if w.dead {
+		if w.Dead {
 			then() // keep barrier counts balanced; dead path is a no-op
 			return
 		}
@@ -278,11 +278,11 @@ func (r *Runner) stageCommon(w *simWorker, then func()) {
 			return
 		}
 		r.chargeDiskWrite(w, r.wl.CommonBytes, func() {
-			if w.dead {
+			if w.Dead {
 				then()
 				return
 			}
-			w.ready = true
+			w.Ready = true
 			r.noteStaged(commonFile, w.name)
 			then()
 		})
@@ -319,22 +319,29 @@ func (r *Runner) noteStaged(file, node string) {
 	}
 }
 
-// startPrePartition deals the tasks to the workers' backlogs with the
-// strategy's assigner, then stages each worker's share.
+// startPrePartition deals the tasks to the live workers' backlogs with the
+// strategy's assigner, then stages each worker's share. A worker drained
+// before Start gets none: it would never run it.
 func (r *Runner) startPrePartition() error {
 	assigner, err := strategy.AssignerByName(r.cfg.Strategy.Assigner)
 	if err != nil {
 		return err
 	}
-	assignment, err := assigner.Assign(tasksAsGroups(r.wl.Tasks), len(r.workers))
+	var live []*simWorker
+	for _, w := range r.workers {
+		if w.Live() {
+			live = append(live, w)
+		}
+	}
+	assignment, err := assigner.Assign(tasksAsGroups(r.wl.Tasks), len(live))
 	if err != nil {
 		return err
 	}
 	per := assignment.PerWorker()
-	for wi, w := range r.workers {
-		w.backlog = per[wi]
+	for wi, w := range live {
+		r.led.Deal(&w.Worker, per[wi]) // live: nothing to fail
 	}
-	r.startStaged(func(w *simWorker) []catalog.FileMeta { return uniqueFiles(r.wl.Tasks, w.backlog) })
+	r.startStaged(func(w *simWorker) []catalog.FileMeta { return uniqueFiles(r.wl.Tasks, w.Backlog) })
 	return nil
 }
 
@@ -353,7 +360,7 @@ func (r *Runner) startStaged(files func(w *simWorker) []catalog.FileMeta) {
 		}
 		r.res.StagingPhaseSec = float64(r.eng.Now() - stagingStart)
 		for _, w := range r.workers {
-			if !w.dead {
+			if !w.Dead {
 				r.kick(w)
 			} else {
 				r.reassign(w)
@@ -380,7 +387,7 @@ func (r *Runner) startStaged(files func(w *simWorker) []catalog.FileMeta) {
 // faults isolates the worker (its staging is incomplete), and the chain's
 // barrier callback still runs.
 func (r *Runner) streamChain(w *simWorker, files []catalog.FileMeta, i int, then func()) {
-	if i >= len(files) || w.dead {
+	if i >= len(files) || w.Dead {
 		then()
 		return
 	}
@@ -390,7 +397,7 @@ func (r *Runner) streamChain(w *simWorker, files []catalog.FileMeta, i int, then
 		return
 	}
 	r.transfer(w, []string{f.Name}, float64(f.Size), func(lost bool) {
-		if w.dead {
+		if w.Dead {
 			then()
 			return
 		}
