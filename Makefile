@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race check-goldens check-parent bench bench-e2e bench-smoke bench-netsim bench-exprun bench-scale bench-obs bench-masterfail bench-ctrlplane profile-scale vet fmt reproduce ablations examples clean
+.PHONY: all build test race smoke-daemons check-goldens check-parent bench bench-e2e bench-smoke bench-netsim bench-exprun bench-scale bench-obs bench-masterfail bench-ctrlplane profile-scale vet fmt reproduce ablations examples clean
 
 all: build test
 
@@ -14,6 +14,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# README's distributed recipe as separate processes over TCP loopback
+# (datagen, master, two workers, controller), then the frieda launcher from a
+# -config job file; every process must exit 0 with `0 failed` reported
+# (scripts/smoke-daemons.sh).
+smoke-daemons:
+	GO=$(GO) sh scripts/smoke-daemons.sh
 
 # Validate goldens/ (see goldens/README.md): every committed sweep, and
 # fig6a's attribution report and metrics CSV, at both pool widths, byte for

@@ -21,6 +21,7 @@ import (
 
 	"frieda/internal/catalog"
 	"frieda/internal/core"
+	"frieda/internal/sched"
 	"frieda/internal/transport"
 )
 
@@ -30,7 +31,7 @@ func main() {
 	input := fs.String("input", "", "input data directory (required)")
 	chunk := fs.Int("chunk", core.DefaultChunkSize, "file transfer chunk size in bytes")
 	recover := fs.Bool("recover", false, "requeue work lost to failures (future-work extension)")
-	retries := fs.Int("retries", 2, "max attempts per group under -recover")
+	retries := fs.Int("retries", sched.DefaultMaxRetries, "max retries per group under -recover (attempts ≤ retries+1)")
 	verbose := fs.Bool("v", false, "verbose logging")
 	fs.Parse(os.Args[1:])
 

@@ -24,7 +24,6 @@ import (
 
 	"frieda/internal/catalog"
 	"frieda/internal/cli"
-	"frieda/internal/config"
 	"frieda/internal/core"
 	"frieda/internal/history"
 	"frieda/internal/strategy"
@@ -50,7 +49,7 @@ func main() {
 	fs.Parse(os.Args[1:])
 
 	if *configExample {
-		if err := config.Example().Write(os.Stdout); err != nil {
+		if err := Example().Write(os.Stdout); err != nil {
 			log.Fatalf("frieda: %v", err)
 		}
 		return
@@ -61,14 +60,11 @@ func main() {
 	var err error
 	maxRetries := 0
 	if *configPath != "" {
-		job, err := config.Load(*configPath)
+		job, err := Load(*configPath)
 		if err != nil {
 			log.Fatalf("frieda: %v", err)
 		}
-		strat, err = job.Strategy.Resolve()
-		if err != nil {
-			log.Fatalf("frieda: %v", err)
-		}
+		strat = job.Strategy
 		*input = job.Input
 		argv = job.Template
 		*workers = job.Workers

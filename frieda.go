@@ -124,8 +124,9 @@ func MemDataset(files map[string][]byte) Dataset {
 
 // RunConfig describes one deployment.
 type RunConfig struct {
-	// Strategy selects the data-management behaviour. Zero value is
-	// real-time remote with no grouping.
+	// Strategy selects the data-management behaviour. The zero value is
+	// no-partition (the full dataset on every worker), remote,
+	// data-to-compute, one file per task.
 	Strategy Strategy
 	// Dataset is the input collection. Required.
 	Dataset Dataset

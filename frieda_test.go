@@ -122,6 +122,10 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(ctx, RunConfig{Dataset: ds, Workers: 0, Program: countingProgram()}); err == nil {
 		t.Fatal("zero workers accepted")
 	}
+	// The zero Strategy is no-partition, as RunConfig documents.
+	if r, err := Run(ctx, RunConfig{Dataset: ds, Workers: 1, Program: countingProgram()}); err != nil || r.Strategy != "no-partition/remote/data-to-compute grouping=single" {
+		t.Fatalf("zero strategy ran as %q (%v)", r.Strategy, err)
+	}
 }
 
 func TestSimulateUniform(t *testing.T) {

@@ -13,61 +13,29 @@ import (
 	"frieda/internal/strategy"
 )
 
-// StrategyFlags registers the strategy-selection flags on fs and returns a
-// function that resolves them into a validated configuration.
+// StrategyFlags registers the strategy-selection flags on fs, bound straight
+// into one strategy.Config: -mode, -locality and -placement parse with the
+// strategy's own UnmarshalText, so a bad spelling fails fs.Parse. The
+// returned function adds -common and validates the whole.
 func StrategyFlags(fs *flag.FlagSet) func() (strategy.Config, error) {
-	mode := fs.String("mode", "real-time", "partitioning mode: no-partition | pre-partition | real-time")
-	locality := fs.String("locality", "remote", "data locality at start: remote | local")
-	placement := fs.String("placement", "data-to-compute", "movement direction: data-to-compute | compute-to-data")
-	grouping := fs.String("grouping", "single", "input grouping: single | one-to-all | pairwise-adjacent | all-to-all | sliding-window")
-	assigner := fs.String("assigner", "round-robin", "pre-partition assignment: round-robin | blocked | size-balanced")
-	multicore := fs.Bool("multicore", true, "clone the program once per worker core")
-	prefetch := fs.Int("prefetch", 1, "real-time groups in flight per slot")
+	cfg := strategy.Config{Kind: strategy.RealTime, Grouping: "single", Assigner: "round-robin", Multicore: true, Prefetch: 1}
+	fs.TextVar(&cfg.Kind, "mode", cfg.Kind, "partitioning mode: no-partition | pre-partition | real-time")
+	fs.TextVar(&cfg.Locality, "locality", cfg.Locality, "data locality at start: remote | local")
+	fs.TextVar(&cfg.Placement, "placement", cfg.Placement, "movement direction: data-to-compute | compute-to-data")
+	fs.StringVar(&cfg.Grouping, "grouping", cfg.Grouping, "input grouping: single | one-to-all | pairwise-adjacent | all-to-all | sliding-window")
+	fs.StringVar(&cfg.Assigner, "assigner", cfg.Assigner, "pre-partition assignment: round-robin | blocked | size-balanced")
+	fs.BoolVar(&cfg.Multicore, "multicore", cfg.Multicore, "clone the program once per worker core")
+	fs.IntVar(&cfg.Prefetch, "prefetch", cfg.Prefetch, "real-time groups in flight per slot")
 	common := fs.String("common", "", "comma-separated files staged to every node (e.g. a database)")
 	return func() (strategy.Config, error) {
-		cfg := strategy.Config{
-			Grouping:  *grouping,
-			Assigner:  *assigner,
-			Multicore: *multicore,
-			Prefetch:  *prefetch,
-		}
-		switch *mode {
-		case "no-partition":
-			cfg.Kind = strategy.NoPartition
-		case "pre-partition":
-			cfg.Kind = strategy.PrePartition
-		case "real-time":
-			cfg.Kind = strategy.RealTime
-		default:
-			return cfg, fmt.Errorf("unknown -mode %q", *mode)
-		}
-		switch *locality {
-		case "remote":
-			cfg.Locality = strategy.Remote
-		case "local":
-			cfg.Locality = strategy.Local
-		default:
-			return cfg, fmt.Errorf("unknown -locality %q", *locality)
-		}
-		switch *placement {
-		case "data-to-compute":
-			cfg.Placement = strategy.DataToCompute
-		case "compute-to-data":
-			cfg.Placement = strategy.ComputeToData
-		default:
-			return cfg, fmt.Errorf("unknown -placement %q", *placement)
-		}
-		if *common != "" {
-			for _, f := range strings.Split(*common, ",") {
-				if f = strings.TrimSpace(f); f != "" {
-					cfg.CommonFiles = append(cfg.CommonFiles, f)
-				}
+		c := cfg
+		for _, f := range strings.Split(*common, ",") {
+			if f = strings.TrimSpace(f); f != "" {
+				c.CommonFiles = append(c.CommonFiles, f)
 			}
 		}
-		if err := cfg.Validate(); err != nil {
-			return cfg, err
-		}
-		return cfg, nil
+		err := c.Validate()
+		return c, err
 	}
 }
 

@@ -2,6 +2,7 @@ package cli
 
 import (
 	"flag"
+	"io"
 	"strings"
 	"testing"
 
@@ -54,18 +55,28 @@ func TestStrategyFlagsFull(t *testing.T) {
 }
 
 func TestStrategyFlagsRejections(t *testing.T) {
-	cases := [][]string{
+	// A spelling the strategy does not know fails at fs.Parse.
+	for _, args := range [][]string{
 		{"-mode", "bogus"},
+		{"-mode", ""},
 		{"-locality", "bogus"},
 		{"-placement", "bogus"},
+	} {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		StrategyFlags(fs)
+		if err := fs.Parse(args); err == nil {
+			t.Errorf("%v parsed", args)
+		}
+	}
+	// The rest is strategy validation.
+	for _, args := range [][]string{
 		{"-grouping", "bogus"},
 		{"-assigner", "bogus"},
-		// Contradiction caught by strategy validation:
 		{"-mode", "real-time", "-locality", "local"},
-	}
-	for i, args := range cases {
+	} {
 		if _, err := parseStrategy(t, args...); err == nil {
-			t.Errorf("case %d (%v) accepted", i, args)
+			t.Errorf("%v accepted", args)
 		}
 	}
 }

@@ -144,7 +144,7 @@ func (c *Controller) Start(ctx context.Context) error {
 
 	if _, err := c.roundTrip(&protocol.Message{
 		Type:     protocol.TStartMaster,
-		Strategy: strategyToInfo(c.cfg.Strategy),
+		Strategy: c.cfg.Strategy,
 		Template: c.cfg.Template,
 	}); err != nil {
 		return err
@@ -260,7 +260,7 @@ func (c *Controller) UpdateStrategy(s strategy.Config) error {
 	if err := s.Validate(); err != nil {
 		return err
 	}
-	_, err := c.roundTrip(&protocol.Message{Type: protocol.TPartitionType, Strategy: strategyToInfo(s)})
+	_, err := c.roundTrip(&protocol.Message{Type: protocol.TPartitionType, Strategy: s})
 	return err
 }
 

@@ -270,17 +270,14 @@ func (m *Master) handleConn(conn transport.Conn) {
 // controller re-configure the master at run time without restart
 // (Section II-D).
 func (m *Master) handleController(conn transport.Conn, start *protocol.Message) {
+	strat := start.Strategy
+	if err := strat.Validate(); err != nil {
+		conn.Send(&protocol.Message{Type: protocol.TAck, Error: err.Error(), Seq: start.Seq})
+		return
+	}
 	m.mu.Lock()
 	m.controller = conn
-	if start.Strategy.Kind != "" {
-		if s, err := strategyFromInfo(start.Strategy); err == nil {
-			m.strat = s
-		} else {
-			m.mu.Unlock()
-			conn.Send(&protocol.Message{Type: protocol.TAck, Error: err.Error(), Seq: start.Seq})
-			return
-		}
-	}
+	m.strat = strat
 	if len(start.Template) > 0 {
 		m.cfg.Template = start.Template
 	}
@@ -307,13 +304,14 @@ func (m *Master) handleController(conn transport.Conn, start *protocol.Message) 
 			m.maybeStart()
 		case protocol.TPartitionType:
 			var errStr string
+			strat := msg.Strategy
 			m.mu.Lock()
 			if m.started {
 				errStr = "execution already started; strategy is immutable mid-run"
-			} else if s, err := strategyFromInfo(msg.Strategy); err != nil {
+			} else if err := strat.Validate(); err != nil {
 				errStr = err.Error()
 			} else {
-				m.strat = s
+				m.strat = strat
 			}
 			m.mu.Unlock()
 			conn.Send(&protocol.Message{Type: protocol.TAck, Error: errStr, Seq: msg.Seq})
@@ -1129,59 +1127,4 @@ func (m *Master) Report() Report {
 		r.MakespanSec = m.finishedAt.Sub(m.startedAt).Seconds()
 	}
 	return r
-}
-
-// strategyToInfo converts a strategy config for the wire.
-func strategyToInfo(c strategy.Config) protocol.StrategyInfo {
-	return protocol.StrategyInfo{
-		Kind:      c.Kind.String(),
-		Locality:  c.Locality.String(),
-		Placement: c.Placement.String(),
-		Grouping:  c.Grouping,
-		Assigner:  c.Assigner,
-		Multicore: c.Multicore,
-		Prefetch:  c.Prefetch,
-		Common:    c.CommonFiles,
-	}
-}
-
-// strategyFromInfo parses a wire strategy.
-func strategyFromInfo(i protocol.StrategyInfo) (strategy.Config, error) {
-	c := strategy.Config{
-		Grouping:    i.Grouping,
-		Assigner:    i.Assigner,
-		Multicore:   i.Multicore,
-		Prefetch:    i.Prefetch,
-		CommonFiles: i.Common,
-	}
-	switch i.Kind {
-	case "no-partition":
-		c.Kind = strategy.NoPartition
-	case "pre-partition":
-		c.Kind = strategy.PrePartition
-	case "real-time", "":
-		c.Kind = strategy.RealTime
-	default:
-		return c, fmt.Errorf("core: unknown strategy kind %q", i.Kind)
-	}
-	switch i.Locality {
-	case "remote", "":
-		c.Locality = strategy.Remote
-	case "local":
-		c.Locality = strategy.Local
-	default:
-		return c, fmt.Errorf("core: unknown locality %q", i.Locality)
-	}
-	switch i.Placement {
-	case "data-to-compute", "":
-		c.Placement = strategy.DataToCompute
-	case "compute-to-data":
-		c.Placement = strategy.ComputeToData
-	default:
-		return c, fmt.Errorf("core: unknown placement %q", i.Placement)
-	}
-	if err := c.Validate(); err != nil {
-		return c, err
-	}
-	return c, nil
 }

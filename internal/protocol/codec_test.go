@@ -12,6 +12,8 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+
+	"frieda/internal/strategy"
 )
 
 // allTypes lists every valid message type.
@@ -46,7 +48,7 @@ func sample(t Type, rng *rand.Rand) *Message {
 		Groups:   []int{rng.Intn(100), rng.Intn(100)},
 		Result:   TaskResult{GroupIndex: rng.Intn(100), Worker: "w", OK: true, DurationSec: rng.Float64()},
 		Executes: []ExecuteSpec{{GroupIndex: rng.Intn(100), Files: []FileInfo{{Name: name, Size: 1}}}},
-		Strategy: StrategyInfo{Kind: "real-time", Common: []string{name}},
+		Strategy: strategy.Config{Kind: strategy.RealTime, CommonFiles: []string{name}},
 	}
 }
 

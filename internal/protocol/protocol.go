@@ -10,7 +10,11 @@
 // re-encoded. codec.go has the wire format.
 package protocol
 
-import "fmt"
+import (
+	"fmt"
+
+	"frieda/internal/strategy"
+)
 
 // Type discriminates messages.
 type Type int
@@ -128,19 +132,6 @@ type TaskResult struct {
 	Output string
 }
 
-// StrategyInfo is the strategy subset that crosses the wire; it avoids a
-// protocol dependency on higher layers.
-type StrategyInfo struct {
-	Kind      string // "no-partition", "pre-partition", "real-time"
-	Locality  string
-	Placement string
-	Grouping  string
-	Assigner  string
-	Multicore bool
-	Prefetch  int
-	Common    []string
-}
-
 // Message is the single wire envelope. Only the fields relevant to Type are
 // populated; gob encodes zero fields cheaply. A TFileData message carries
 // only FileName, Worker, Offset, FileSize, Data, Last and Seq (the fields of
@@ -160,8 +151,10 @@ type Message struct {
 	// completion reports into one TTaskStatus carrying Results.
 	Batch bool
 
-	// Strategy configures the master (TStartMaster, TPartitionType).
-	Strategy StrategyInfo
+	// Strategy configures the master (TStartMaster, TPartitionType): the
+	// strategy.Config itself, no wire copy. Gob carries its enums as
+	// integers, so the master validates what arrives.
+	Strategy strategy.Config
 	// Template is the program execution syntax, e.g.
 	// ["app", "arg1", "$inp1", "$inp2"] (TInitWorker).
 	Template []string

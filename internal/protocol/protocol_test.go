@@ -2,10 +2,13 @@ package protocol
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"frieda/internal/strategy"
 )
 
 func TestRoundTrip(t *testing.T) {
@@ -38,10 +41,10 @@ func TestRoundTripComplexFields(t *testing.T) {
 	c := NewCodec(&buf)
 	in := &Message{
 		Type: TStartMaster,
-		Strategy: StrategyInfo{
-			Kind: "real-time", Locality: "remote", Placement: "data-to-compute",
+		Strategy: strategy.Config{
+			Kind: strategy.RealTime, Locality: strategy.Remote, Placement: strategy.DataToCompute,
 			Grouping: "pairwise-adjacent", Multicore: true, Prefetch: 2,
-			Common: []string{"nr.db"},
+			CommonFiles: []string{"nr.db"},
 		},
 		Template: []string{"blastp", "-db", "nr.db", "-query", "$inp1"},
 		Files:    []FileInfo{{Name: "a", Size: 1}, {Name: "b", Size: 2}},
@@ -55,7 +58,7 @@ func TestRoundTripComplexFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Strategy.Grouping != "pairwise-adjacent" || len(out.Strategy.Common) != 1 {
+	if out.Strategy.Grouping != "pairwise-adjacent" || len(out.Strategy.CommonFiles) != 1 {
 		t.Fatalf("strategy mangled: %+v", out.Strategy)
 	}
 	if len(out.Template) != 5 || out.Template[4] != "$inp1" {
@@ -69,6 +72,63 @@ func TestRoundTripComplexFields(t *testing.T) {
 	}
 	if !out.Result.OK || out.Result.DurationSec != 1.5 {
 		t.Fatalf("result mangled: %+v", out.Result)
+	}
+}
+
+// TestStrategyRoundTripGrid sweeps Kind × Locality × Placement × Multicore ×
+// Prefetch through the codec: every configuration arrives unchanged, and
+// Validate rejects exactly those it rejected before sending (e.g.
+// no-partition + compute-to-data), so the wire smuggles nothing through.
+func TestStrategyRoundTripGrid(t *testing.T) {
+	var buf bytes.Buffer
+	c := NewCodec(&buf)
+	valid, invalid := 0, 0
+	for _, k := range []strategy.Kind{strategy.NoPartition, strategy.PrePartition, strategy.RealTime} {
+		for _, l := range []strategy.Locality{strategy.Remote, strategy.Local} {
+			for _, p := range []strategy.Placement{strategy.DataToCompute, strategy.ComputeToData} {
+				for _, mc := range []bool{false, true} {
+					for _, pf := range []int{0, 1, 8} {
+						in := strategy.Config{Kind: k, Locality: l, Placement: p, Multicore: mc, Prefetch: pf,
+							Grouping: "all-to-all", Assigner: "blocked", CommonFiles: []string{"db"}}
+						if err := c.Send(&Message{Type: TPartitionType, Strategy: in}); err != nil {
+							t.Fatalf("%s: %v", in, err)
+						}
+						m, err := c.Recv()
+						if err != nil {
+							t.Fatalf("%s: %v", in, err)
+						}
+						if !reflect.DeepEqual(m.Strategy, in) {
+							t.Fatalf("round trip mangled %+v -> %+v", in, m.Strategy)
+						}
+						sent, got := in, m.Strategy
+						wantErr, gotErr := sent.Validate(), got.Validate()
+						if (wantErr == nil) != (gotErr == nil) {
+							t.Fatalf("%s: Validate before sending = %v, after = %v", in, wantErr, gotErr)
+						}
+						if gotErr != nil {
+							invalid++
+						} else if valid++; !reflect.DeepEqual(got, sent) {
+							t.Fatalf("validated %+v, want %+v", got, sent)
+						}
+					}
+				}
+			}
+		}
+	}
+	if valid == 0 || invalid == 0 {
+		t.Fatalf("grid degenerate: %d valid, %d invalid", valid, invalid)
+	}
+	// Gob carries the enums as integers, so a value outside the constants
+	// arrives as it left; Validate is what refuses it.
+	if err := c.Send(&Message{Type: TStartMaster, Strategy: strategy.Config{Kind: 7}}); err != nil {
+		t.Fatal(err)
+	}
+	m, err := c.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Strategy.Kind != 7 || m.Strategy.Validate() == nil {
+		t.Fatalf("out-of-range kind arrived as %s and validated", m.Strategy.Kind)
 	}
 }
 

@@ -8,6 +8,7 @@ package strategy
 
 import (
 	"fmt"
+	"strings"
 
 	"frieda/internal/partition"
 )
@@ -29,19 +30,16 @@ const (
 	RealTime
 )
 
+var kindNames = []string{NoPartition: "no-partition", PrePartition: "pre-partition", RealTime: "real-time"}
+
 // String names the kind.
-func (k Kind) String() string {
-	switch k {
-	case NoPartition:
-		return "no-partition"
-	case PrePartition:
-		return "pre-partition"
-	case RealTime:
-		return "real-time"
-	default:
-		return fmt.Sprintf("Kind(%d)", int(k))
-	}
-}
+func (k Kind) String() string { return enumString(kindNames, k, "Kind") }
+
+// MarshalText spells the kind; an out-of-range kind is an error.
+func (k Kind) MarshalText() ([]byte, error) { return enumText(kindNames, k, "kind") }
+
+// UnmarshalText parses a kind's spelling; any other text is an error.
+func (k *Kind) UnmarshalText(b []byte) error { return enumParse(kindNames, k, b, "kind") }
 
 // Locality says where input data resides when execution starts.
 type Locality int
@@ -55,17 +53,16 @@ const (
 	Local
 )
 
+var localityNames = []string{Remote: "remote", Local: "local"}
+
 // String names the locality.
-func (l Locality) String() string {
-	switch l {
-	case Remote:
-		return "remote"
-	case Local:
-		return "local"
-	default:
-		return fmt.Sprintf("Locality(%d)", int(l))
-	}
-}
+func (l Locality) String() string { return enumString(localityNames, l, "Locality") }
+
+// MarshalText spells the locality; an out-of-range locality is an error.
+func (l Locality) MarshalText() ([]byte, error) { return enumText(localityNames, l, "locality") }
+
+// UnmarshalText parses a locality's spelling; any other text is an error.
+func (l *Locality) UnmarshalText(b []byte) error { return enumParse(localityNames, l, b, "locality") }
 
 // Placement is the data-vs-computation movement direction of Fig. 7.
 type Placement int
@@ -78,47 +75,85 @@ const (
 	ComputeToData
 )
 
+var placementNames = []string{DataToCompute: "data-to-compute", ComputeToData: "compute-to-data"}
+
 // String names the placement.
-func (p Placement) String() string {
-	switch p {
-	case DataToCompute:
-		return "data-to-compute"
-	case ComputeToData:
-		return "compute-to-data"
-	default:
-		return fmt.Sprintf("Placement(%d)", int(p))
-	}
+func (p Placement) String() string { return enumString(placementNames, p, "Placement") }
+
+// MarshalText spells the placement; an out-of-range placement is an error.
+func (p Placement) MarshalText() ([]byte, error) { return enumText(placementNames, p, "placement") }
+
+// UnmarshalText parses a placement's spelling; any other text is an error.
+func (p *Placement) UnmarshalText(b []byte) error {
+	return enumParse(placementNames, p, b, "placement")
 }
 
-// Config is a complete data-management strategy.
+// The three enums share one codec: names[v] spells v. These methods are
+// the only place a spelling is parsed; the flags (flag.TextVar) and the job
+// file (encoding/json) both go through them. Gob, which ignores
+// TextMarshaler, carries the integers, and Validate checks their range.
+
+func inRange[E ~int](names []string, v E) bool { return v >= 0 && int(v) < len(names) }
+
+func enumString[E ~int](names []string, v E, typ string) string {
+	if inRange(names, v) {
+		return names[v]
+	}
+	return fmt.Sprintf("%s(%d)", typ, int(v))
+}
+
+func enumText[E ~int](names []string, v E, what string) ([]byte, error) {
+	if !inRange(names, v) {
+		return nil, fmt.Errorf("strategy: unknown %s %d", what, int(v))
+	}
+	return []byte(names[v]), nil
+}
+
+func enumParse[E ~int](names []string, v *E, text []byte, what string) error {
+	for i, name := range names {
+		if string(text) == name {
+			*v = E(i)
+			return nil
+		}
+	}
+	return fmt.Errorf("strategy: unknown %s %q (want %s)", what, text, strings.Join(names, " | "))
+}
+
+// Config is a complete data-management strategy. It is also the strategy's
+// only spelling: the command-line flags, the JSON job file (whose keys are
+// the tags below) and the wire all carry this value.
 type Config struct {
 	// Kind is the partitioning mode.
-	Kind Kind
+	Kind Kind `json:"mode"`
 	// Locality is where data resides at start.
-	Locality Locality
+	Locality Locality `json:"locality,omitempty"`
 	// Placement is the movement direction.
-	Placement Placement
+	Placement Placement `json:"placement,omitempty"`
 	// Grouping names the partition.Generator scheme ("single",
 	// "pairwise-adjacent", ...). Empty means "single".
-	Grouping string
+	Grouping string `json:"grouping,omitempty"`
 	// Assigner selects the pre-partition assignment algorithm
 	// ("round-robin", "blocked", "size-balanced"). Empty means round-robin.
-	Assigner string
+	Assigner string `json:"assigner,omitempty"`
 	// Multicore clones the program once per worker core, as the paper's
 	// multicore setting does. Off means one instance per node.
-	Multicore bool
+	Multicore bool `json:"multicore,omitempty"`
 	// Prefetch is the number of groups the master keeps in flight per
 	// worker slot under RealTime (1 = the paper's strict
 	// request-one-get-one; larger values pipeline transfer behind compute —
 	// an extension this repo benchmarks as an ablation).
-	Prefetch int
+	Prefetch int `json:"prefetch,omitempty"`
 	// CommonFiles names files that must reside on every node regardless of
 	// partitioning (the BLAST database). They are staged before execution.
-	CommonFiles []string
+	CommonFiles []string `json:"common,omitempty"`
 }
 
-// Validate checks internal consistency and resolves defaulted fields.
+// Validate checks that each enum is one of its constants and that the
+// strategy is consistent, and resolves defaulted fields.
 func (c *Config) Validate() error {
+	if !inRange(kindNames, c.Kind) || !inRange(localityNames, c.Locality) || !inRange(placementNames, c.Placement) {
+		return fmt.Errorf("strategy: %s has a value outside its constants", *c)
+	}
 	if c.Grouping == "" {
 		c.Grouping = "single"
 	}

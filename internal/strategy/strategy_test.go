@@ -1,6 +1,7 @@
 package strategy
 
 import (
+	"encoding"
 	"strings"
 	"testing"
 )
@@ -116,5 +117,57 @@ func TestAssignerByName(t *testing.T) {
 	}
 	if _, err := AssignerByName("nope"); err == nil {
 		t.Fatal("bad assigner accepted")
+	}
+}
+
+// Every spelling round-trips through MarshalText/UnmarshalText; unknown and
+// empty spellings, and values outside the constants, are rejected.
+func TestTextRoundTrip(t *testing.T) {
+	type codec interface {
+		MarshalText() ([]byte, error)
+		UnmarshalText([]byte) error
+	}
+	cases := []struct {
+		in   encoding.TextMarshaler
+		out  codec
+		text string
+	}{
+		{NoPartition, new(Kind), "no-partition"},
+		{PrePartition, new(Kind), "pre-partition"},
+		{RealTime, new(Kind), "real-time"},
+		{Remote, new(Locality), "remote"},
+		{Local, new(Locality), "local"},
+		{DataToCompute, new(Placement), "data-to-compute"},
+		{ComputeToData, new(Placement), "compute-to-data"},
+	}
+	for _, c := range cases {
+		b, err := c.in.MarshalText()
+		if err != nil || string(b) != c.text {
+			t.Fatalf("%v.MarshalText() = %q, %v; want %q", c.in, b, err, c.text)
+		}
+		if err := c.out.UnmarshalText(b); err != nil {
+			t.Fatal(err)
+		}
+		if back, _ := c.out.MarshalText(); string(back) != c.text {
+			t.Fatalf("%q came back as %q", c.text, back)
+		}
+		for _, bad := range []string{"", "bogus", strings.ToUpper(c.text), c.text + " "} {
+			if err := c.out.UnmarshalText([]byte(bad)); err == nil {
+				t.Errorf("%T accepted %q", c.out, bad)
+			}
+		}
+	}
+	for _, bad := range []encoding.TextMarshaler{Kind(3), Kind(-1), Locality(2), Placement(2)} {
+		if _, err := bad.MarshalText(); err == nil {
+			t.Errorf("%v marshalled", bad)
+		}
+	}
+}
+
+func TestValidateRejectsOutOfRange(t *testing.T) {
+	for _, c := range []Config{{Kind: 7}, {Kind: -1}, {Locality: 2}, {Placement: 7}} {
+		if c.Validate() == nil {
+			t.Errorf("%s accepted", c)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"errors"
 	"net"
 
 	"frieda/internal/protocol"
@@ -36,9 +37,13 @@ type tcpListener struct {
 	l net.Listener
 }
 
-// Accept implements Listener.
+// Accept implements Listener. Once the listener is closed it returns
+// ErrClosed, as the in-memory listener does.
 func (l *tcpListener) Accept() (Conn, error) {
 	c, err := l.l.Accept()
+	if errors.Is(err, net.ErrClosed) {
+		return nil, ErrClosed
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -290,11 +290,15 @@ func TestListenerCloseUnblocksAccept(t *testing.T) {
 		l.Close()
 		select {
 		case err := <-errCh:
-			if err == nil {
-				t.Fatal("Accept returned nil error after close")
+			if !errors.Is(err, ErrClosed) {
+				t.Fatalf("blocked Accept after close = %v, want ErrClosed", err)
 			}
 		case <-time.After(5 * time.Second):
 			t.Fatal("Accept did not unblock")
+		}
+		// Master.Serve tells a clean shutdown from a failure by this error.
+		if _, err := l.Accept(); !errors.Is(err, ErrClosed) {
+			t.Fatalf("Accept on a closed listener = %v, want ErrClosed", err)
 		}
 	})
 }
