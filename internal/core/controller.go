@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -202,7 +203,9 @@ func (c *Controller) recvLoop() {
 		case protocol.TAck:
 			c.mu.Lock()
 			if ch, ok := c.acks[m.Seq]; ok {
-				ch <- m
+				// The waiter reads the ack after the next Recv has reused m.
+				ack := *m
+				ch <- &ack
 			}
 			c.mu.Unlock()
 		case protocol.TWorkerError:
@@ -211,7 +214,7 @@ func (c *Controller) recvLoop() {
 			c.mu.Unlock()
 		case protocol.TMasterDone:
 			c.mu.Lock()
-			c.results = m.Results
+			c.results = slices.Clone(m.Results)
 			c.bytesMoved = m.BytesMoved
 			c.makespan = m.MakespanSec
 			c.mu.Unlock()

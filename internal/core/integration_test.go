@@ -15,6 +15,7 @@ import (
 	"frieda/internal/catalog"
 	"frieda/internal/strategy"
 	"frieda/internal/transport"
+	"frieda/internal/transport/transporttest"
 )
 
 // testHarness runs a full controller/master/worker deployment — over the
@@ -766,10 +767,14 @@ func TestUpdateStrategyBeforeStartOnly(t *testing.T) {
 
 func TestExecProgramOverTCPTransport(t *testing.T) {
 	// Full stack on real TCP with a real external binary (cat) driven by
-	// the execution-syntax template, files on disk.
+	// the execution-syntax template, files on disk. Every connection goes
+	// through the ownership checker, so a received message is poisoned at
+	// the next Recv: the strategy and template the master adopts, the
+	// template a worker runs and the results the controller reports must
+	// each be copies, and the report is read after Shutdown's own Recvs.
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	tr := transport.NewTCP()
+	tr := transporttest.NewOwnership(transport.NewTCP())
 	src := catalog.NewMemSource()
 	for i := 0; i < 6; i++ {
 		src.Put(fmt.Sprintf("part%d.txt", i), []byte(fmt.Sprintf("content-%d", i)))
@@ -827,6 +832,9 @@ func TestExecProgramOverTCPTransport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := ctl2.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
 	if r.Succeeded != 6 {
 		t.Fatalf("report = %+v (errors %v)", r, r.WorkerErrors)
 	}
@@ -839,7 +847,6 @@ func TestExecProgramOverTCPTransport(t *testing.T) {
 			t.Fatalf("missing output content-%d in %v", i, outputs)
 		}
 	}
-	ctl2.Shutdown()
 	cancel()
 	<-serveErr
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -270,7 +271,7 @@ func (m *Master) handleConn(conn transport.Conn) {
 // controller re-configure the master at run time without restart
 // (Section II-D).
 func (m *Master) handleController(conn transport.Conn, start *protocol.Message) {
-	strat := start.Strategy
+	strat := start.Strategy.Clone()
 	if err := strat.Validate(); err != nil {
 		conn.Send(&protocol.Message{Type: protocol.TAck, Error: err.Error(), Seq: start.Seq})
 		return
@@ -279,7 +280,7 @@ func (m *Master) handleController(conn transport.Conn, start *protocol.Message) 
 	m.controller = conn
 	m.strat = strat
 	if len(start.Template) > 0 {
-		m.cfg.Template = start.Template
+		m.cfg.Template = slices.Clone(start.Template)
 	}
 	m.mu.Unlock()
 	m.markConfigured()
@@ -304,7 +305,7 @@ func (m *Master) handleController(conn transport.Conn, start *protocol.Message) 
 			m.maybeStart()
 		case protocol.TPartitionType:
 			var errStr string
-			strat := msg.Strategy
+			strat := msg.Strategy.Clone()
 			m.mu.Lock()
 			if m.started {
 				errStr = "execution already started; strategy is immutable mid-run"
@@ -1054,12 +1055,21 @@ func (m *Master) checkDone() {
 		}
 		m.mu.Unlock()
 		if controller != nil {
-			controller.Send(&protocol.Message{
+			err := controller.Send(&protocol.Message{
 				Type:        protocol.TMasterDone,
 				Results:     results,
 				BytesMoved:  bytesMoved,
 				MakespanSec: makespan,
 			})
+			if err != nil {
+				// The controller would wait for the report until its context
+				// ends; closing the channel tells it the run is lost.
+				m.logf("MASTER_DONE to controller: %v", err)
+				m.mu.Lock()
+				m.workerErrs = append(m.workerErrs, "master: MASTER_DONE to controller: "+err.Error())
+				m.mu.Unlock()
+				controller.Close()
+			}
 		}
 		m.logf("all %d groups terminal", len(m.groups))
 		close(m.done)

@@ -121,14 +121,16 @@ func (p ExecProgram) Run(ctx context.Context, task Task) (string, error) {
 	var out bytes.Buffer
 	cmd.Stdout = &out
 	cmd.Stderr = &out
-	if err := cmd.Run(); err != nil {
-		return out.String(), fmt.Errorf("core: %s: %w", argv[0], err)
-	}
-	// Keep the summary bounded; FRIEDA reports status, not bulk output.
+	err = cmd.Run()
+	// Keep the summary bounded, on failure too: FRIEDA reports status, not
+	// bulk output, and every summary rides the run's MASTER_DONE.
 	const maxSummary = 4096
 	s := out.String()
 	if len(s) > maxSummary {
 		s = s[:maxSummary]
+	}
+	if err != nil {
+		return s, fmt.Errorf("core: %s: %w", argv[0], err)
 	}
 	return s, nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"io"
+	"path/filepath"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -131,6 +132,21 @@ func TestExecProgramFailure(t *testing.T) {
 	empty := ExecProgram{}
 	if _, err := empty.Run(context.Background(), task); err == nil {
 		t.Fatal("empty template accepted")
+	}
+}
+
+// A failed run's summary is bounded like a successful one's: it rides the
+// run's MASTER_DONE.
+func TestExecProgramFailureOutputBounded(t *testing.T) {
+	task := dirTask(t, map[string]string{"big.txt": strings.Repeat("x", 10000)})
+	task.Inputs = []string{"big.txt"}
+	p := ExecProgram{Template: []string{"cat", "$inp1", filepath.Join(t.TempDir(), "missing")}}
+	out, err := p.Run(context.Background(), task)
+	if err == nil {
+		t.Fatal("cat of a missing file succeeded")
+	}
+	if len(out) != 4096 || strings.Trim(out, "x") != "" {
+		t.Fatalf("failed run's summary is %d bytes, want the first 4096", len(out))
 	}
 }
 

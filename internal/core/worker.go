@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -124,7 +125,7 @@ func (w *Worker) Run(ctx context.Context) error {
 		if len(ack.Template) == 0 {
 			return fmt.Errorf("core: worker %s has neither Program nor template", w.cfg.Name)
 		}
-		w.program = ExecProgram{Template: ack.Template}
+		w.program = ExecProgram{Template: slices.Clone(ack.Template)}
 	}
 
 	// Executor pool: one instance per granted slot, the paper's program

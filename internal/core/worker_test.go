@@ -80,7 +80,8 @@ func TestWorkerOutOfOrderChunkReportsError(t *testing.T) {
 			if err != nil {
 				return
 			}
-			got <- m
+			kept := *m // a received message is valid until the next Recv
+			got <- &kept
 			if m.Type == protocol.TTaskStatus {
 				conn.Send(&protocol.Message{Type: protocol.TNoMoreData})
 				return

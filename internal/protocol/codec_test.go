@@ -3,10 +3,10 @@ package protocol
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -26,13 +26,38 @@ func allTypes() []Type {
 }
 
 // sample builds a message of type t from rng: the data-frame fields for
-// TFileData, a spread of the gob-carried fields otherwise.
+// TFileData; otherwise every other Message field, each left zero one time in
+// four so that both sides of every presence bit are exercised. Strings are
+// sometimes arbitrary bytes or multi-byte text and integers sometimes span
+// their whole range (math.MinInt, math.MaxInt, any 64-bit value), so the
+// varints and length prefixes meet their extremes.
 func sample(t Type, rng *rand.Rand) *Message {
-	name := fmt.Sprintf("file-%d.dat", rng.Intn(1000))
+	word := func() string {
+		switch rng.Intn(4) {
+		case 0:
+			b := make([]byte, rng.Intn(64))
+			rng.Read(b)
+			return string(b)
+		case 1:
+			return fmt.Sprintf("запрос-%d-データ", rng.Intn(1000))
+		default:
+			return fmt.Sprintf("file-%d.dat", rng.Intn(1000))
+		}
+	}
+	wide := func() int64 {
+		switch rng.Intn(4) {
+		case 0:
+			return []int64{math.MinInt64, math.MaxInt64, -1, 1}[rng.Intn(4)]
+		case 1:
+			return int64(rng.Uint64())
+		default:
+			return rng.Int63n(1<<20) - 1<<10 // negative ones too
+		}
+	}
 	if t == TFileData {
 		m := &Message{
-			Type: t, FileName: name, Worker: fmt.Sprintf("w%d", rng.Intn(8)),
-			Offset: rng.Int63n(1 << 40), FileSize: rng.Int63n(1 << 40),
+			Type: t, FileName: word(), Worker: word(),
+			Offset: rng.Int63(), FileSize: rng.Int63(),
 			Last: rng.Intn(2) == 0, Seq: rng.Uint64(),
 		}
 		if n := rng.Intn(3000); n > 0 {
@@ -41,24 +66,127 @@ func sample(t Type, rng *rand.Rand) *Message {
 		}
 		return m
 	}
-	return &Message{
-		Type: t, Worker: fmt.Sprintf("w%d", rng.Intn(8)), Cores: rng.Intn(16),
-		GroupIndex: rng.Intn(1 << 20), Seq: rng.Uint64(), Error: name,
-		Files:    []FileInfo{{Name: name, Size: rng.Int63()}},
-		Groups:   []int{rng.Intn(100), rng.Intn(100)},
-		Result:   TaskResult{GroupIndex: rng.Intn(100), Worker: "w", OK: true, DurationSec: rng.Float64()},
-		Executes: []ExecuteSpec{{GroupIndex: rng.Intn(100), Files: []FileInfo{{Name: name, Size: 1}}}},
-		Strategy: strategy.Config{Kind: strategy.RealTime, CommonFiles: []string{name}},
+	some := func() bool { return rng.Intn(4) > 0 }
+	str := func() string {
+		if !some() {
+			return ""
+		}
+		return word()
+	}
+	num := func() int {
+		if !some() {
+			return 0
+		}
+		return int(wide())
+	}
+	float := func() float64 {
+		if !some() {
+			return 0
+		}
+		if rng.Intn(4) == 0 {
+			return []float64{math.Inf(1), math.Inf(-1), math.MaxFloat64, math.SmallestNonzeroFloat64}[rng.Intn(4)]
+		}
+		return rng.NormFloat64()
+	}
+	strs := func() []string {
+		var ss []string
+		for i := rng.Intn(4); i > 0; i-- {
+			ss = append(ss, word())
+		}
+		return ss
+	}
+	files := func() []FileInfo {
+		var fs []FileInfo
+		for i := rng.Intn(4); i > 0; i-- {
+			fs = append(fs, FileInfo{Name: str(), Size: wide()})
+		}
+		return fs
+	}
+	result := func() TaskResult {
+		return TaskResult{GroupIndex: num(), Worker: str(), OK: some(), Error: str(), DurationSec: float(), Output: str()}
+	}
+	m := &Message{
+		Type: t, Worker: str(), Cores: num(), ReturnOutputs: some(), Batch: some(),
+		Template: strs(), MasterAddr: str(), Workers: num(),
+		Files: files(), GroupIndex: num(), Result: result(), Error: str(),
+	}
+	if some() {
+		m.Strategy = strategy.Config{
+			Kind: strategy.Kind(num()), Locality: strategy.Locality(num()),
+			Placement: strategy.Placement(num()), Grouping: str(), Assigner: str(),
+			Multicore: some(), Prefetch: num(), CommonFiles: strs(),
+		}
+	}
+	for i := rng.Intn(4); i > 0; i-- {
+		m.Groups = append(m.Groups, num())
+	}
+	for i := rng.Intn(4); i > 0; i-- {
+		m.Results = append(m.Results, result())
+	}
+	for i := rng.Intn(3); i > 0; i-- {
+		m.Executes = append(m.Executes, ExecuteSpec{GroupIndex: num(), Files: files()})
+	}
+	if some() {
+		m.BytesMoved, m.MakespanSec = wide(), float()
+	}
+	if some() {
+		m.Seq = rng.Uint64()
+	}
+	return m
+}
+
+// typical holds, per type, a message with every field that type uses in the
+// runtime populated; TTaskStatus appears twice, with one Result and with a
+// coalesced Results batch.
+func typical() []*Message {
+	strat := strategy.Config{
+		Kind: strategy.PrePartition, Locality: strategy.Local, Placement: strategy.ComputeToData,
+		Grouping: "pairwise-adjacent", Assigner: "size-balanced", Multicore: true, Prefetch: 4,
+		CommonFiles: []string{"nr.db", "nr.idx"},
+	}
+	template := []string{"blastp", "-db", "${nr.db}", "-query", "$inp1"}
+	files := []FileInfo{{Name: "q-0001.fa", Size: 1 << 10}, {Name: "q-0002.fa", Size: 3 << 20}}
+	results := []TaskResult{
+		{GroupIndex: 0, Worker: "w0", OK: true, DurationSec: 0.25, Output: "12 hits"},
+		{GroupIndex: 1, Worker: "w1", Error: "exit status 2", DurationSec: 1.5},
+	}
+	return []*Message{
+		{Type: TStartMaster, Strategy: strat, Template: template, Seq: 1},
+		{Type: TPartitionType, Strategy: strat, Seq: 2},
+		{Type: TForkWorkers, Workers: 16, Seq: 3},
+		{Type: TInitWorker, Worker: "w3", Template: template, MasterAddr: "10.0.0.1:7312"},
+		{Type: TWorkerError, Worker: "w3", Error: "disk full"},
+		{Type: TAddWorker, Worker: "w4", Cores: 8, Seq: 4},
+		{Type: TRemoveWorker, Worker: "w4", Seq: 5},
+		{Type: TShutdown, Seq: 6},
+		{Type: TAck, Cores: 4, Template: template, ReturnOutputs: true, Batch: true, Error: "rejected", Seq: 7},
+		{Type: TRegister, Worker: "w0", Cores: 4},
+		{Type: TFileMetadata, Files: files},
+		{Type: TFileData, FileName: "q-0001.fa", Worker: "w0", Offset: 512, FileSize: 1 << 10, Data: []byte("MKVLAAGIV"), Last: true, Seq: 9},
+		{Type: TDistribute, Worker: "w0", Files: files, Groups: []int{0, 4, 8}},
+		{Type: TRequestData, Worker: "w0"},
+		{Type: TExecute, GroupIndex: 7, Files: files},
+		{Type: TTaskStatus, Result: TaskResult{GroupIndex: 7, Worker: "w0", Error: "core: blastp: exit status 1", DurationSec: 0.5, Output: "no hits"}},
+		{Type: TTaskStatus, Worker: "w0", Results: results},
+		{Type: TNoMoreData},
+		{Type: TMasterDone, Results: results, BytesMoved: 3<<20 + 1<<10, MakespanSec: 12.5},
+		{Type: TExecuteBatch, Executes: []ExecuteSpec{{GroupIndex: 7, Files: files}, {GroupIndex: 8, Files: files[:1]}}},
 	}
 }
 
-// Property: every message type survives the codec, control messages through
-// gob and data messages through the binary frame, interleaved on one stream.
+// Property: every message type survives the codec, every field of it,
+// control messages through the control body and data messages through the
+// binary frame, interleaved on one stream.
 func TestRoundTripEveryTypeInterleaved(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var buf bytes.Buffer
 	c := NewCodec(&buf)
-	var sent []*Message
+	sent := typical()
+	for _, m := range sent {
+		if err := c.Send(m); err != nil {
+			t.Fatalf("send %s: %v", m.Type, err)
+		}
+	}
 	for round := 0; round < 20; round++ {
 		types := allTypes()
 		rng.Shuffle(len(types), func(i, j int) { types[i], types[j] = types[j], types[i] })
@@ -85,7 +213,8 @@ func TestRoundTripEveryTypeInterleaved(t *testing.T) {
 }
 
 // The wire carries a TFileData as a data frame whose payload is the sender's
-// bytes, never as gob; a gob-coded TFileData is refused.
+// bytes, never in a control frame; a control frame claiming TFileData is
+// refused.
 func TestFileDataTravelsAsFrame(t *testing.T) {
 	var buf bytes.Buffer
 	c := NewCodec(&buf)
@@ -111,19 +240,31 @@ func TestFileDataTravelsAsFrame(t *testing.T) {
 		t.Fatalf("control message left with tag 0x%02x", buf.Bytes()[0])
 	}
 
-	// A peer that gob-encodes a data message is not speaking the protocol.
-	var hostile bytes.Buffer
-	hostile.WriteByte(frameControl)
-	if err := gob.NewEncoder(&hostile).Encode(&Message{Type: TFileData, Data: payload}); err != nil {
-		t.Fatal(err)
+	// A peer that puts a data message in a control frame is not speaking the
+	// protocol.
+	hostile := controlFrame(byte(TFileData), fieldWorker, 1, 'w')
+	if _, err := recvAll(hostile); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("TFileData in a control frame: %v, want ErrBadFrame", err)
 	}
-	if _, err := NewCodec(&hostile).Recv(); !errors.Is(err, ErrBadFrame) {
-		t.Fatalf("gob-coded TFileData: %v, want ErrBadFrame", err)
+
+	// The data-frame fields have no place in a control frame, so a control
+	// message that sets one is refused rather than sent without it.
+	for _, m := range []*Message{
+		{Type: TExecute, FileName: "f"},
+		{Type: TAck, Offset: 1},
+		{Type: TTaskStatus, Data: []byte{}},
+		{Type: TNoMoreData, Last: true},
+		{Type: TFileMetadata, FileSize: 5},
+	} {
+		buf.Reset()
+		if err := c.Send(m); err == nil || buf.Len() != 0 {
+			t.Errorf("%s with a data-frame field: err %v, %d bytes written", m.Type, err, buf.Len())
+		}
 	}
 }
 
 // Recv reuses one payload buffer per codec: Data is valid until the next
-// Recv, and receiving allocates the message only.
+// Recv, and receiving allocates nothing.
 func TestRecvReusesPayloadBuffer(t *testing.T) {
 	var buf bytes.Buffer
 	c := NewCodec(&buf)
@@ -137,6 +278,7 @@ func TestRecvReusesPayloadBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	buf0 := &first.Data[0] // taken now: first is reused by the next Recv
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 1; i < n; i++ {
@@ -147,13 +289,129 @@ func TestRecvReusesPayloadBuffer(t *testing.T) {
 		if len(m.Data) != size || m.Data[0] != byte(i) || m.Data[size-1] != byte(i) {
 			t.Fatalf("chunk %d corrupted", i)
 		}
-		if &m.Data[0] != &first.Data[0] {
+		if &m.Data[0] != buf0 {
 			t.Fatalf("chunk %d arrived in a new buffer", i)
 		}
 	}
 	runtime.ReadMemStats(&after)
 	if per := (after.TotalAlloc - before.TotalAlloc) / (n - 1); per > 2048 {
 		t.Fatalf("%d bytes allocated per received 64 KiB chunk", per)
+	}
+}
+
+// Recv returns the codec's one message every time, and a control frame's
+// slices land in backing arrays reused from the frames before it.
+func TestRecvReusesMessage(t *testing.T) {
+	var buf bytes.Buffer
+	c := NewCodec(&buf)
+	files := []FileInfo{{Name: "a", Size: 1}, {Name: "b", Size: 2}}
+	for g := 0; g < 3; g++ {
+		if err := c.Send(&Message{Type: TExecute, GroupIndex: g, Files: files}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first, err := c.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	files0 := &first.Files[0] // taken now: first is reused by the next Recv
+	for g := 1; g < 3; g++ {
+		m, err := c.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m != first || &m.Files[0] != files0 {
+			t.Fatalf("EXECUTE %d arrived in a new message or a new Files array", g)
+		}
+		if m.GroupIndex != g || !reflect.DeepEqual(m.Files, files) {
+			t.Fatalf("EXECUTE %d arrived as %+v", g, m)
+		}
+	}
+}
+
+// TestRecvDoesNotAllocate: on a codec that has seen the names, the per-task
+// steady state of a real-time worker and its master — FILE_DATA(f), then
+// EXECUTE(f), then TASK_STATUS — is received without a single allocation.
+// The file and worker names come from the codec's string ring, the payload
+// and the Files list from buffers it reuses.
+func TestRecvDoesNotAllocate(t *testing.T) {
+	var buf bytes.Buffer
+	tx := NewCodec(&buf)
+	const name = "s1-f000007.dat"
+	payload := bytes.Repeat([]byte{7}, 1<<10)
+	for _, m := range []*Message{
+		{Type: TFileData, FileName: name, Worker: "w0", Data: payload, FileSize: 1 << 10, Last: true},
+		{Type: TExecute, GroupIndex: 7, Files: []FileInfo{{Name: name, Size: 1 << 10}}},
+		{Type: TTaskStatus, Result: TaskResult{GroupIndex: 7, Worker: "w0", OK: true, DurationSec: 0.001}},
+	} {
+		if err := tx.Send(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stream := bytes.NewReader(buf.Bytes())
+	rx := NewCodec(struct {
+		io.Reader
+		io.Writer
+	}{stream, io.Discard})
+	allocs := testing.AllocsPerRun(100, func() {
+		stream.Reset(buf.Bytes())
+		for i := 0; i < 3; i++ {
+			if _, err := rx.Recv(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%.1f allocations per FILE_DATA, EXECUTE, TASK_STATUS received, want 0", allocs)
+	}
+}
+
+// Sending any control message on a warm codec allocates nothing: the frame
+// is built in the send buffer's spare room.
+func TestSendDoesNotAllocate(t *testing.T) {
+	c := NewCodec(struct {
+		io.Reader
+		io.Writer
+	}{nil, io.Discard})
+	for _, m := range typical() {
+		if err := c.Send(m); err != nil { // grows the send buffer
+			t.Fatal(err)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { c.Send(m) }); allocs != 0 {
+			t.Errorf("%s: %.1f allocations per Send, want 0", m.Type, allocs)
+		}
+	}
+}
+
+// One codec as its own peer over a bytes.Buffer, control and data frames
+// interleaved, each received before the next is sent and the buffer emptied
+// between rounds: the shape of the benchmark's protocol probe.
+func TestCodecIsItsOwnPeer(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var buf bytes.Buffer
+	c := NewCodec(&buf)
+	msgs := typical()
+	for round := 0; round < 50; round++ {
+		buf.Reset()
+		for _, ty := range []Type{TExecute, TFileData, TTaskStatus, TFileData, TMasterDone} {
+			want := sample(ty, rng)
+			if round%5 == 0 {
+				want = msgs[rng.Intn(len(msgs))]
+			}
+			if err := c.Send(want); err != nil {
+				t.Fatal(err)
+			}
+			got, err := c.Recv()
+			if err != nil {
+				t.Fatalf("round %d, %s: %v", round, want.Type, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("round %d: mangled:\n got %+v\nwant %+v", round, got, want)
+			}
+		}
+		if buf.Len() != 0 {
+			t.Fatalf("round %d left %d bytes unread", round, buf.Len())
+		}
 	}
 }
 
@@ -564,6 +822,14 @@ func TestTruncatedStreams(t *testing.T) {
 	}
 }
 
+// controlFrame builds a control frame whose body is the type byte, the mask
+// and then body, verbatim.
+func controlFrame(typ byte, mask uint32, body ...byte) []byte {
+	b := binary.LittleEndian.AppendUint32([]byte{typ}, mask)
+	b = append(b, body...)
+	return append(binary.BigEndian.AppendUint32([]byte{frameControl}, uint32(len(b))), b...)
+}
+
 // dataFrame builds a data frame header with arbitrary claimed lengths.
 func dataFrame(flags byte, nameLen, workLen uint16, dataLen uint32, offset, size int64, tail []byte) []byte {
 	h := []byte{frameData, flags}
@@ -586,7 +852,20 @@ func TestHostileFrames(t *testing.T) {
 	}{
 		{"unknown tag", []byte{0x7f, 1, 2, 3}, ErrBadFrame},
 		{"zero tag", make([]byte, 64), ErrBadFrame},
-		{"garbage gob", append([]byte{frameControl}, bytes.Repeat([]byte{0x05, 0xff, 0x81}, 40)...), ErrBadFrame},
+		{"garbage control", append(binary.BigEndian.AppendUint32([]byte{frameControl}, 120), bytes.Repeat([]byte{0x05, 0xff, 0x81}, 40)...), ErrBadFrame},
+		{"control over MaxControl", binary.BigEndian.AppendUint32([]byte{frameControl}, MaxControl+1), ErrBadFrame},
+		{"control body never arrives", append(binary.BigEndian.AppendUint32([]byte{frameControl}, MaxControl), 1, 2, 3), ErrTruncated},
+		{"empty control body", binary.BigEndian.AppendUint32([]byte{frameControl}, 0), ErrBadFrame},
+		{"TInvalid", controlFrame(byte(TInvalid), 0), ErrBadFrame},
+		{"type out of range", controlFrame(byte(TExecuteBatch+1), 0), ErrBadFrame},
+		{"unknown mask bit", controlFrame(byte(TAck), fieldsAll+1), ErrBadFrame},
+		{"trailing bytes", controlFrame(byte(TAck), fieldSeq, 7, 0), ErrBadFrame},
+		{"count over-claims the body", controlFrame(byte(TExecute), fieldFiles, 0xff, 0xff, 0x03, 1, 'a', 0), ErrBadFrame},
+		{"huge count", controlFrame(byte(TMasterDone), fieldResults, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01), ErrBadFrame},
+		{"string over-claims the body", controlFrame(byte(TRequestData), fieldWorker, 10, 'w'), ErrBadFrame},
+		{"unterminated varint", controlFrame(byte(TExecute), fieldGroupIndex, 0xff, 0xff), ErrBadFrame},
+		{"float cut short", controlFrame(byte(TMasterDone), fieldMakespanSec, 1, 2, 3), ErrBadFrame},
+		{"unknown result bit", controlFrame(byte(TTaskStatus), fieldResult, 0x80), ErrBadFrame},
 		{"oversize chunk", dataFrame(0, 1, 0, MaxChunk+1, 0, 0, []byte("f")), ErrChunkTooLarge},
 		{"huge chunk", dataFrame(0, 1, 0, 0xffffffff, 0, 0, []byte("f")), ErrChunkTooLarge},
 		{"oversize name", dataFrame(0, MaxName+1, 0, 0, 0, 0, nil), ErrNameTooLong},
@@ -620,7 +899,9 @@ func TestHostileFrames(t *testing.T) {
 }
 
 // FuzzCodecRecv feeds arbitrary bytes to Recv: whatever they are, decoding
-// ends in an error, without a panic and without a large allocation. The seed
+// ends in an error, without a panic and without a large allocation, and every
+// message decoded on the way sends, decodes and sends again to the same frame
+// (bytes, not values: a float may be NaN). The seed
 // corpus runs under plain `go test`.
 func FuzzCodecRecv(f *testing.F) {
 	stream := twoMessageStream(f)
@@ -635,13 +916,46 @@ func FuzzCodecRecv(f *testing.F) {
 	flipped := append([]byte(nil), stream...)
 	flipped[len(flipped)/3] ^= 0x40
 	f.Add(flipped)
-	f.Fuzz(func(t *testing.T, in []byte) {
-		n, err := recvAll(in)
-		if err == nil {
-			t.Fatal("decoding ended without an error")
+	// One valid frame of every type, every field the type uses set.
+	for _, m := range typical() {
+		var buf bytes.Buffer
+		if err := NewCodec(&buf).Send(m); err != nil {
+			f.Fatal(err)
 		}
-		if n > len(in) {
-			t.Fatalf("%d messages out of %d bytes", n, len(in))
+		f.Add(buf.Bytes())
+	}
+	// Control frames that lie.
+	f.Add(binary.BigEndian.AppendUint32([]byte{frameControl}, MaxControl+1))
+	f.Add(controlFrame(byte(TExecute), fieldFiles, 0xff, 0xff, 0x03, 1, 'a', 0))
+	f.Add(controlFrame(byte(TAck), fieldsAll+1))
+	f.Add(controlFrame(byte(TAck), fieldSeq, 7, 0))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		c := NewCodec(struct {
+			io.Reader
+			io.Writer
+		}{bytes.NewReader(in), io.Discard})
+		var echo bytes.Buffer
+		again := NewCodec(&echo)
+		for n := 0; ; n++ {
+			m, err := c.Recv()
+			if err != nil {
+				if n > len(in) {
+					t.Fatalf("%d messages out of %d bytes", n, len(in))
+				}
+				return
+			}
+			if err := again.Send(m); err != nil {
+				t.Fatalf("message %d does not send again: %v", n, err)
+			}
+			frame := bytes.Clone(echo.Bytes())
+			m2, err := again.Recv()
+			if err != nil {
+				t.Fatalf("message %d sent again does not decode: %v", n, err)
+			}
+			if err := again.Send(m2); err != nil || !bytes.Equal(echo.Bytes(), frame) {
+				t.Fatalf("message %d: frame % x became % x (%v)", n, frame, echo.Bytes(), err)
+			}
+			echo.Reset()
 		}
 	})
 }

@@ -5,7 +5,8 @@
 // SET_PARTITION_INFO), forks workers (FORK_REMOTE_WORKERS), workers register
 // with the master and request data (REQUEST_DATA), and the master answers
 // with metadata and payloads (FILE_METADATA, FILE_DATA, DISTRIBUTE_FILES)
-// followed by execution commands. Control messages are gob-encoded; file
+// followed by execution commands. Every control message travels in one
+// hand-written binary layout, a presence mask and the fields it names; file
 // payloads (FILE_DATA) travel as binary frames whose bytes are never
 // re-encoded. codec.go has the wire format.
 package protocol
@@ -99,6 +100,9 @@ var typeNames = [...]string{
 	TExecuteBatch:  "EXECUTE_BATCH",
 }
 
+// valid reports whether t is one of the message types.
+func (t Type) valid() bool { return t > TInvalid && int(t) < len(typeNames) }
+
 // String names the type.
 func (t Type) String() string {
 	if t >= 0 && int(t) < len(typeNames) {
@@ -133,9 +137,12 @@ type TaskResult struct {
 }
 
 // Message is the single wire envelope. Only the fields relevant to Type are
-// populated; gob encodes zero fields cheaply. A TFileData message carries
-// only FileName, Worker, Offset, FileSize, Data, Last and Seq (the fields of
-// its binary frame).
+// populated; a control frame carries only the non-zero fields, named by its
+// presence mask, so an unused field costs nothing on the wire. A TFileData
+// message carries only FileName, Worker, Offset, FileSize, Data, Last and
+// Seq (the fields of its binary frame), and only a TFileData carries
+// FileName, Offset, FileSize, Data or Last: the codec refuses to send them
+// in any other type.
 type Message struct {
 	Type Type
 
@@ -152,7 +159,7 @@ type Message struct {
 	Batch bool
 
 	// Strategy configures the master (TStartMaster, TPartitionType): the
-	// strategy.Config itself, no wire copy. Gob carries its enums as
+	// strategy.Config itself, no wire copy. The wire carries its enums as
 	// integers, so the master validates what arrives.
 	Strategy strategy.Config
 	// Template is the program execution syntax, e.g.

@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"bytes"
+	"math/rand"
 	"reflect"
 	"strings"
 	"sync"
@@ -118,8 +119,8 @@ func TestStrategyRoundTripGrid(t *testing.T) {
 	if valid == 0 || invalid == 0 {
 		t.Fatalf("grid degenerate: %d valid, %d invalid", valid, invalid)
 	}
-	// Gob carries the enums as integers, so a value outside the constants
-	// arrives as it left; Validate is what refuses it.
+	// The wire carries the enums as integers, so a value outside the
+	// constants arrives as it left; Validate is what refuses it.
 	if err := c.Send(&Message{Type: TStartMaster, Strategy: strategy.Config{Kind: 7}}); err != nil {
 		t.Fatal(err)
 	}
@@ -244,28 +245,29 @@ func TestWireSize(t *testing.T) {
 	}
 }
 
-// Property: any message with a valid type survives encode/decode with its
-// scalar fields intact.
+// Property: any message of any valid type, with any of its fields set,
+// survives encode/decode unchanged, field for field.
 func TestRoundTripProperty(t *testing.T) {
-	prop := func(worker string, group int, data []byte, ok bool, dur float64, seq uint64) bool {
-		var buf bytes.Buffer
-		c := NewCodec(&buf)
-		in := &Message{
-			Type: TTaskStatus, Worker: worker, GroupIndex: group, Data: data, Seq: seq,
-			Result: TaskResult{Worker: worker, OK: ok, DurationSec: dur},
-		}
+	var buf bytes.Buffer
+	c := NewCodec(&buf)
+	prop := func(seed int64, typ uint8) bool {
+		in := sample(Type(1+int(typ)%int(TExecuteBatch)), rand.New(rand.NewSource(seed)))
 		if err := c.Send(in); err != nil {
+			t.Logf("send %s: %v", in.Type, err)
 			return false
 		}
 		out, err := c.Recv()
 		if err != nil {
+			t.Logf("recv %s: %v", in.Type, err)
 			return false
 		}
-		return out.Worker == worker && out.GroupIndex == group &&
-			string(out.Data) == string(data) && out.Result.OK == ok &&
-			out.Result.DurationSec == dur && out.Seq == seq
+		if !reflect.DeepEqual(out, in) {
+			t.Logf("mangled:\n got %+v\nwant %+v", out, in)
+			return false
+		}
+		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
 }

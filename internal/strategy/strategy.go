@@ -8,6 +8,7 @@ package strategy
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"frieda/internal/partition"
@@ -90,8 +91,8 @@ func (p *Placement) UnmarshalText(b []byte) error {
 
 // The three enums share one codec: names[v] spells v. These methods are
 // the only place a spelling is parsed; the flags (flag.TextVar) and the job
-// file (encoding/json) both go through them. Gob, which ignores
-// TextMarshaler, carries the integers, and Validate checks their range.
+// file (encoding/json) both go through them. The wire carries the
+// integers, and Validate checks their range.
 
 func inRange[E ~int](names []string, v E) bool { return v >= 0 && int(v) < len(names) }
 
@@ -179,6 +180,12 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("strategy: real-time partitioning requires a remote source (local data is already placed)")
 	}
 	return nil
+}
+
+// Clone returns a copy of c that shares no memory with it.
+func (c Config) Clone() Config {
+	c.CommonFiles = slices.Clone(c.CommonFiles)
+	return c
 }
 
 // String renders the strategy compactly for logs and reports.

@@ -36,7 +36,8 @@ func pipePair(t *testing.T) (client, server transport.Conn) {
 }
 
 // recvFile collects one file's chunks from conn until Last, checking that
-// they arrive in order and all announce the same total size.
+// they arrive in order; it returns the payload and a copy of every chunk's
+// header.
 func recvFile(t *testing.T, conn transport.Conn, name string) (data []byte, chunks []*protocol.Message) {
 	t.Helper()
 	for {
@@ -51,7 +52,11 @@ func recvFile(t *testing.T, conn transport.Conn, name string) (data []byte, chun
 			t.Fatalf("chunk %d at offset %d, have %d bytes", len(chunks), m.Offset, len(data))
 		}
 		data = append(data, m.Data...)
-		chunks = append(chunks, m)
+		// A received message is the connection's until the next Recv: keep
+		// a copy of its header, its payload is in data.
+		header := *m
+		header.Data = nil
+		chunks = append(chunks, &header)
 		if m.Last {
 			return data, chunks
 		}

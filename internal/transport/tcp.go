@@ -2,6 +2,8 @@ package transport
 
 import (
 	"errors"
+	"fmt"
+	"io"
 	"net"
 
 	"frieda/internal/protocol"
@@ -80,8 +82,17 @@ func (c *tcpConn) Hold() { c.codec.Hold() }
 // Flush implements Conn.
 func (c *tcpConn) Flush() error { return c.codec.Flush() }
 
-// Recv implements Conn. A TFileData's Data sits in the codec's receive buffer.
-func (c *tcpConn) Recv() (*protocol.Message, error) { return c.codec.Recv() }
+// Recv implements Conn. The message is the codec's own, reused by the next
+// Recv. The end of the stream between frames (the peer closed) and a
+// connection closed under a blocked Recv are ErrClosed, wrapping the cause; a
+// stream that ends inside a frame is protocol.ErrTruncated.
+func (c *tcpConn) Recv() (*protocol.Message, error) {
+	m, err := c.codec.Recv()
+	if err == io.EOF || errors.Is(err, net.ErrClosed) {
+		return nil, fmt.Errorf("%w: %w", ErrClosed, err)
+	}
+	return m, err
+}
 
 // Close implements Conn.
 func (c *tcpConn) Close() error { return c.c.Close() }

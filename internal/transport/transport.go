@@ -18,8 +18,10 @@ var ErrClosed = errors.New("transport: closed")
 
 // Conn is a bidirectional, ordered, reliable message stream.
 //
-// Who owns a payload: a received TFileData's Data is valid until the next
-// Recv on that connection, and is read-only; a sent message's Data is not
+// Who owns a message: a received message and everything it references,
+// except its strings, is valid until the next Recv on that connection, and is
+// read-only — a stream transport decodes every frame into one message it
+// reuses, so a receiver copies what it keeps. A sent message's Data is not
 // modified by the sender after Send. Only a sender whose connection reports
 // SendCopies may reuse the buffer once Send has returned — held or not, the
 // connection has by then copied the payload or written it.
@@ -41,8 +43,9 @@ type Conn interface {
 	// returns, having serialised it (a stream transport). Otherwise the
 	// message itself, and its Data, travel on to the receiver.
 	SendCopies() bool
-	// Recv blocks for the next message. It returns ErrClosed (possibly
-	// wrapped) after the peer closes.
+	// Recv blocks for the next message, valid until the next Recv. It
+	// returns ErrClosed (possibly wrapped) once either side has closed the
+	// connection.
 	Recv() (*protocol.Message, error)
 	// Close tears the connection down; pending Recvs unblock with error.
 	Close() error

@@ -2,6 +2,9 @@ package transport
 
 import (
 	"errors"
+	"net"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -207,6 +210,56 @@ func TestLargePayload(t *testing.T) {
 	})
 }
 
+// A MASTER_DONE of a large run crosses TCP whole: 20,000 results whose
+// summaries fill ExecProgram's 4 KiB cap make an 82 MB control frame.
+func TestLargeMasterDoneOverTCP(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the frame and its buffers take about 1 GB under the race detector")
+	}
+	const groups, summary = 20000, 4096
+	tr := NewTCP()
+	l, err := tr.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	output := strings.Repeat("h", summary)
+	sent := make(chan error, 1)
+	go func() {
+		c, err := l.Accept()
+		if err != nil {
+			sent <- err
+			return
+		}
+		defer c.Close()
+		results := make([]protocol.TaskResult, groups)
+		for i := range results {
+			results[i] = protocol.TaskResult{GroupIndex: i, Worker: "w" + strconv.Itoa(i%64), OK: true, DurationSec: 1.5, Output: output}
+		}
+		sent <- c.Send(&protocol.Message{Type: protocol.TMasterDone, Results: results, BytesMoved: 1 << 40, MakespanSec: 3600})
+	}()
+	c, err := tr.Dial(l.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	m, err := c.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-sent; err != nil {
+		t.Fatalf("send: %v", err)
+	}
+	if m.Type != protocol.TMasterDone || len(m.Results) != groups || m.BytesMoved != 1<<40 || m.MakespanSec != 3600 {
+		t.Fatalf("got %s with %d results, %d bytes moved, makespan %v", m.Type, len(m.Results), m.BytesMoved, m.MakespanSec)
+	}
+	for i, r := range m.Results {
+		if r.GroupIndex != i || r.Worker != "w"+strconv.Itoa(i%64) || !r.OK || r.DurationSec != 1.5 || r.Output != output {
+			t.Fatalf("result %d mangled: group %d, worker %q, ok %v, duration %v, %d output bytes", i, r.GroupIndex, r.Worker, r.OK, r.DurationSec, len(r.Output))
+		}
+	}
+}
+
 func TestManyConcurrentConns(t *testing.T) {
 	eachTransport(t, func(t *testing.T, tr Transport, addr string) {
 		l, err := tr.Listen(addr)
@@ -351,6 +404,86 @@ func TestMemConnCloseUnblocksRecv(t *testing.T) {
 	}
 	if _, err := c.Recv(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Recv after close = %v, want ErrClosed", err)
+	}
+}
+
+// A Recv blocked when the connection closes returns ErrClosed, as Conn
+// documents, whichever side closed it: its own (Close under a blocked Recv)
+// or the peer, between frames. A worker's message loop tells a clean end from
+// a failure by this error.
+func TestConnCloseUnblocksRecv(t *testing.T) {
+	eachTransport(t, func(t *testing.T, tr Transport, addr string) {
+		for _, local := range []bool{true, false} {
+			l, err := tr.Listen(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			accepted := make(chan Conn, 1)
+			go func() {
+				c, _ := l.Accept()
+				accepted <- c
+			}()
+			c, err := tr.Dial(l.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			peer := <-accepted
+			// One whole frame first: the close lands between frames.
+			if err := peer.Send(&protocol.Message{Type: protocol.TAck, Seq: 1}); err != nil {
+				t.Fatal(err)
+			}
+			if m, err := c.Recv(); err != nil || m.Seq != 1 {
+				t.Fatalf("local=%v: first Recv = %+v, %v", local, m, err)
+			}
+			errCh := make(chan error, 1)
+			go func() {
+				_, err := c.Recv()
+				errCh <- err
+			}()
+			time.Sleep(20 * time.Millisecond)
+			if local {
+				c.Close()
+			} else {
+				peer.Close()
+			}
+			select {
+			case err := <-errCh:
+				if !errors.Is(err, ErrClosed) {
+					t.Fatalf("local=%v: blocked Recv after close = %v, want ErrClosed", local, err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("local=%v: Recv did not unblock", local)
+			}
+			c.Close()
+			peer.Close()
+			l.Close()
+		}
+	})
+}
+
+// A stream that ends inside a frame is a truncated frame, not a clean close.
+func TestTCPRecvTruncatedIsNotClosed(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		raw, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		raw.Write([]byte{0x01, 0, 0, 0, 9, byte(protocol.TAck)}) // a control frame cut short
+		raw.Close()
+	}()
+	c, err := NewTCP().Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	_, err = c.Recv()
+	if !errors.Is(err, protocol.ErrTruncated) || errors.Is(err, ErrClosed) {
+		t.Fatalf("Recv of a cut frame = %v, want ErrTruncated and not ErrClosed", err)
 	}
 }
 

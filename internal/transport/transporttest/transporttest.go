@@ -5,19 +5,24 @@ package transporttest
 import (
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sync"
 
 	"frieda/internal/protocol"
 	"frieda/internal/transport"
 )
 
-// Ownership wraps a transport so that every connection enforces the payload
+// Ownership wraps a transport so that every connection enforces the message
 // ownership rule of transport.Conn as harshly as a conforming transport may,
 // and catches the code that breaks it:
 //
-//   - A received TFileData's Data is a private copy that is overwritten with
-//     0xA5 as soon as the next Recv on the connection starts — a receiver that
-//     still reads it then sees garbage (and the race detector sees a race).
+//   - A received message is a private deep copy that is poisoned as soon as
+//     the next Recv on the connection starts: its Type becomes TInvalid, its
+//     scalars and strings are zeroed, and every element of every slice it
+//     references (Data, Files, Groups, Template, Results, Executes and their
+//     Files, Strategy.CommonFiles) is overwritten. A receiver that still
+//     reads the message then sees garbage, and the race detector sees a
+//     race when another goroutine reads it.
 //   - Every sent TFileData travels with the CRC of its Data (in Seq, which the
 //     runtime leaves unused on data messages) and is checked on delivery — a
 //     sender that reuses a buffer the connection has not copied is reported.
@@ -87,7 +92,7 @@ type ownershipConn struct {
 	o *Ownership
 	// prev is the copy the previous Recv handed out; only the connection's
 	// single receiver touches it.
-	prev []byte
+	prev *protocol.Message
 }
 
 func (c *ownershipConn) Send(m *protocol.Message) error {
@@ -100,15 +105,15 @@ func (c *ownershipConn) Send(m *protocol.Message) error {
 }
 
 func (c *ownershipConn) Recv() (*protocol.Message, error) {
-	for i := range c.prev {
-		c.prev[i] = 0xA5
+	if c.prev != nil {
+		poison(c.prev)
+		c.prev = nil
 	}
-	c.prev = nil
 	m, err := c.Conn.Recv()
-	if err != nil || m.Type != protocol.TFileData {
+	if err != nil {
 		return m, err
 	}
-	if m.Seq&crcMark != 0 {
+	if m.Type == protocol.TFileData && m.Seq&crcMark != 0 {
 		sum := crc32.ChecksumIEEE(m.Data)
 		c.o.mu.Lock()
 		c.o.checked++
@@ -118,10 +123,60 @@ func (c *ownershipConn) Recv() (*protocol.Message, error) {
 		}
 		c.o.mu.Unlock()
 	}
-	// The in-memory transport delivers the sender's own message: hand out a
-	// copy of it rather than redirect its Data.
+	// The in-memory transport delivers the sender's own message, and the
+	// TCP one its codec's: hand out a copy of it, never poison theirs.
+	c.prev = clone(m)
+	return c.prev, nil
+}
+
+// clone returns a deep copy of m: it shares no slice with m.
+func clone(m *protocol.Message) *protocol.Message {
 	out := *m
-	out.Data = append([]byte(nil), m.Data...)
-	c.prev = out.Data
-	return &out, nil
+	out.Data = slices.Clone(m.Data)
+	out.Template = slices.Clone(m.Template)
+	out.Strategy = m.Strategy.Clone()
+	out.Files = slices.Clone(m.Files)
+	out.Groups = slices.Clone(m.Groups)
+	out.Results = slices.Clone(m.Results)
+	out.Executes = slices.Clone(m.Executes)
+	for i := range out.Executes {
+		out.Executes[i].Files = slices.Clone(out.Executes[i].Files)
+	}
+	return &out
+}
+
+// poisoned is what a poisoned message's strings in slices read.
+const poisoned = "\xa5poisoned"
+
+// poison does to m what a conforming transport may do to a received message
+// at the next Recv: every slice element is overwritten, then the message is
+// zeroed with its Type set to TInvalid.
+func poison(m *protocol.Message) {
+	for i := range m.Data {
+		m.Data[i] = 0xA5
+	}
+	for i := range m.Template {
+		m.Template[i] = poisoned
+	}
+	for i := range m.Strategy.CommonFiles {
+		m.Strategy.CommonFiles[i] = poisoned
+	}
+	poisonFiles(m.Files)
+	for i := range m.Groups {
+		m.Groups[i] = -1
+	}
+	for i := range m.Results {
+		m.Results[i] = protocol.TaskResult{GroupIndex: -1, Worker: poisoned, Error: poisoned}
+	}
+	for i := range m.Executes {
+		poisonFiles(m.Executes[i].Files)
+		m.Executes[i] = protocol.ExecuteSpec{GroupIndex: -1}
+	}
+	*m = protocol.Message{Type: protocol.TInvalid}
+}
+
+func poisonFiles(fs []protocol.FileInfo) {
+	for i := range fs {
+		fs[i] = protocol.FileInfo{Name: poisoned, Size: -1}
+	}
 }
