@@ -256,7 +256,7 @@ func (s *MemSource) Catalog() (*Catalog, error) {
 // and its mutators do no index work.
 type Replicas struct {
 	mu  sync.RWMutex
-	loc map[string]map[string]struct{} // file -> set of node names
+	loc map[string]holders // file -> the nodes holding it
 	// known remembers every file ever registered, even after its last
 	// holder vanished (loc entries are deleted when empty). Without it a
 	// zero-replica file would be invisible to UnderReplicated — exactly the
@@ -269,12 +269,69 @@ type Replicas struct {
 	under  []string
 }
 
+// holders is the set of nodes holding one file; a loc entry has at least
+// one. The first holder is kept inline, so a file with one replica costs no
+// allocation of its own. A second holder moves the set into many, which
+// keeps it from then on, however few holders are left, and keeps membership
+// O(1) however many nodes hold the file.
+type holders struct {
+	one  string              // the only holder, while many is nil
+	many map[string]struct{} // every holder, once there were two
+}
+
+func (h holders) has(node string) bool {
+	if h.many == nil {
+		return h.one == node
+	}
+	_, ok := h.many[node]
+	return ok
+}
+
+func (h holders) len() int {
+	if h.many == nil {
+		return 1
+	}
+	return len(h.many)
+}
+
+// sorted returns the holders in name order.
+func (h holders) sorted() []string {
+	if h.many == nil {
+		return []string{h.one}
+	}
+	out := make([]string, 0, len(h.many))
+	for n := range h.many {
+		out = append(out, n)
+	}
+	sort.Strings(out)
+	return out
+}
+
 // NewReplicas returns an empty replica map.
 func NewReplicas() *Replicas {
 	return &Replicas{
-		loc:   make(map[string]map[string]struct{}),
+		loc:   make(map[string]holders),
 		known: make(map[string]struct{}),
 	}
+}
+
+// countLocked returns the number of holders of file. Caller holds the lock.
+func (r *Replicas) countLocked(file string) int {
+	h, ok := r.loc[file]
+	if !ok {
+		return 0
+	}
+	return h.len()
+}
+
+// holdersLocked returns the holders of file in name order. Caller holds the
+// lock.
+func (r *Replicas) holdersLocked(file string) []string {
+	h, ok := r.loc[file]
+	if !ok {
+		return []string{}
+	}
+	return h.sorted()
 }
 
 // enter and leave insert file into / delete it from the index. Caller holds
@@ -301,7 +358,7 @@ func (r *Replicas) index(rf int) []string {
 		r.target = rf
 		r.under = r.under[:0]
 		for file := range r.known {
-			if len(r.loc[file]) < rf {
+			if r.countLocked(file) < rf {
 				r.under = append(r.under, file)
 			}
 		}
@@ -318,18 +375,26 @@ func (r *Replicas) index(rf int) []string {
 func (r *Replicas) Add(file, node string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	set, ok := r.loc[file]
-	was := ok && len(set) < r.target
-	if !ok {
-		set = make(map[string]struct{})
-		r.loc[file] = set
+	h, ok := r.loc[file]
+	if ok && h.has(node) {
+		return
+	}
+	was := ok && h.len() < r.target
+	switch {
+	case !ok:
+		h = holders{one: node}
+		r.loc[file] = h
 		if r.target > 0 {
 			_, was = r.known[file] // known with no holder: a member
 		}
 		r.known[file] = struct{}{}
+	case h.many == nil:
+		h = holders{many: map[string]struct{}{h.one: {}, node: {}}}
+		r.loc[file] = h
+	default:
+		h.many[node] = struct{}{}
 	}
-	set[node] = struct{}{}
-	if now := len(set) < r.target; now != was {
+	if now := h.len() < r.target; now != was {
 		if now {
 			r.enter(file)
 		} else {
@@ -342,19 +407,24 @@ func (r *Replicas) Add(file, node string) {
 func (r *Replicas) Remove(file, node string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if set, ok := r.loc[file]; ok {
-		r.drop(file, set, node)
+	if h, ok := r.loc[file]; ok && h.has(node) {
+		r.drop(file, h, node)
 	}
 }
 
-// drop deletes node from file's holder set. Caller holds the write lock.
-func (r *Replicas) drop(file string, set map[string]struct{}, node string) {
-	was := len(set) < r.target
-	delete(set, node)
-	if len(set) == 0 {
+// drop deletes node, one of h's, from file's holders. Caller holds the write
+// lock.
+func (r *Replicas) drop(file string, h holders, node string) {
+	was := h.len() < r.target
+	left := 0
+	if h.many != nil {
+		delete(h.many, node)
+		left = len(h.many)
+	}
+	if left == 0 {
 		delete(r.loc, file)
 	}
-	if !was && len(set) < r.target {
+	if !was && left < r.target {
 		r.enter(file)
 	}
 }
@@ -365,9 +435,9 @@ func (r *Replicas) DropNode(node string) []string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var lost []string
-	for file, set := range r.loc {
-		if _, ok := set[node]; ok {
-			r.drop(file, set, node)
+	for file, h := range r.loc {
+		if h.has(node) {
+			r.drop(file, h, node)
 			lost = append(lost, file)
 		}
 	}
@@ -379,28 +449,22 @@ func (r *Replicas) DropNode(node string) []string {
 func (r *Replicas) Holders(file string) []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	set := r.loc[file]
-	out := make([]string, 0, len(set))
-	for n := range set {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
+	return r.holdersLocked(file)
 }
 
 // Has reports whether node holds file.
 func (r *Replicas) Has(file, node string) bool {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	_, ok := r.loc[file][node]
-	return ok
+	h, ok := r.loc[file]
+	return ok && h.has(node)
 }
 
 // Count returns the number of live replicas of file.
 func (r *Replicas) Count(file string) int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return len(r.loc[file])
+	return r.countLocked(file)
 }
 
 // Forget removes file from the replica map entirely, including the known
@@ -410,7 +474,7 @@ func (r *Replicas) Forget(file string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.target > 0 {
-		if _, known := r.known[file]; known && len(r.loc[file]) < r.target {
+		if _, known := r.known[file]; known && r.countLocked(file) < r.target {
 			r.leave(file)
 		}
 	}

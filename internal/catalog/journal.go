@@ -300,14 +300,14 @@ func (s *State) Snapshot() *Snapshot {
 	}
 	sort.Strings(files)
 	for _, f := range files {
-		if len(s.reps.loc[f]) == 0 {
+		if s.reps.countLocked(f) == 0 {
 			// Zero-replica but still known: a bare add+remove round-trips
 			// the "known, no holders" condition UnderReplicated depends on.
 			j.Append(Record{Op: OpReplicaAdd, File: f, Node: ""})
 			j.Append(Record{Op: OpReplicaRemove, File: f, Node: ""})
 			continue
 		}
-		for _, n := range holdersLocked(s.reps, f) {
+		for _, n := range s.reps.holdersLocked(f) {
 			j.Append(Record{Op: OpReplicaAdd, File: f, Node: n})
 		}
 	}
@@ -331,16 +331,6 @@ func (s *State) Snapshot() *Snapshot {
 		j.Append(Record{Op: OpTaskDone, A: id, B: b})
 	}
 	return &Snapshot{buf: j.buf, entries: j.n}
-}
-
-func holdersLocked(r *Replicas, file string) []string {
-	set := r.loc[file]
-	out := make([]string, 0, len(set))
-	for n := range set {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 func sortedKeys(m map[string]struct{}) []string {
@@ -416,7 +406,7 @@ func (s *State) CanonicalDump() string {
 	}
 	sort.Strings(known)
 	for _, f := range known {
-		fmt.Fprintf(&b, "  %s -> [%s]\n", f, strings.Join(holdersLocked(s.reps, f), " "))
+		fmt.Fprintf(&b, "  %s -> [%s]\n", f, strings.Join(s.reps.holdersLocked(f), " "))
 	}
 	s.reps.mu.RUnlock()
 	b.WriteString("evacuated:\n")
@@ -452,7 +442,7 @@ func DumpReplicas(r *Replicas) string {
 	}
 	sort.Strings(known)
 	for _, f := range known {
-		fmt.Fprintf(&b, "  %s -> [%s]\n", f, strings.Join(holdersLocked(r, f), " "))
+		fmt.Fprintf(&b, "  %s -> [%s]\n", f, strings.Join(r.holdersLocked(f), " "))
 	}
 	r.mu.RUnlock()
 	return b.String()

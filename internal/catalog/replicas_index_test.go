@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -20,7 +21,7 @@ func underOracle(r *Replicas, rf int) []string {
 	defer r.mu.RUnlock()
 	var out []string
 	for file := range r.known {
-		if len(r.loc[file]) < rf {
+		if r.countLocked(file) < rf {
 			out = append(out, file)
 		}
 	}
@@ -206,6 +207,214 @@ func TestUnderIndexMatchesOracle(t *testing.T) {
 				t.Fatalf("seed %d: replayed holders of %s %v, live %v", seed, f, got, want)
 			}
 		}
+	}
+}
+
+// replicaModel is Replicas as it was before holder sets: a map of maps, no
+// index. Every Replicas method is checked against it.
+type replicaModel struct {
+	loc   map[string]map[string]struct{}
+	known map[string]struct{}
+}
+
+func newReplicaModel() *replicaModel {
+	return &replicaModel{loc: map[string]map[string]struct{}{}, known: map[string]struct{}{}}
+}
+
+func (m *replicaModel) add(file, node string) {
+	if m.loc[file] == nil {
+		m.loc[file] = map[string]struct{}{}
+	}
+	m.loc[file][node] = struct{}{}
+	m.known[file] = struct{}{}
+}
+
+func (m *replicaModel) remove(file, node string) {
+	delete(m.loc[file], node)
+	if len(m.loc[file]) == 0 {
+		delete(m.loc, file)
+	}
+}
+
+func (m *replicaModel) dropNode(node string) []string {
+	var lost []string
+	for file, set := range m.loc {
+		if _, ok := set[node]; ok {
+			m.remove(file, node)
+			lost = append(lost, file)
+		}
+	}
+	sort.Strings(lost)
+	return lost
+}
+
+func (m *replicaModel) holders(file string) []string {
+	out := []string{}
+	for n := range m.loc[file] {
+		out = append(out, n)
+	}
+	sort.Strings(out)
+	return out
+}
+
+func (m *replicaModel) under(rf int) []string {
+	if rf < 1 {
+		return nil
+	}
+	out := []string{}
+	for f := range m.known {
+		if len(m.loc[f]) < rf {
+			out = append(out, f)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+func (m *replicaModel) dump() string {
+	known := make([]string, 0, len(m.known))
+	for f := range m.known {
+		known = append(known, f)
+	}
+	sort.Strings(known)
+	var b strings.Builder
+	b.WriteString("replicas:\n")
+	for _, f := range known {
+		fmt.Fprintf(&b, "  %s -> [%s]\n", f, strings.Join(m.holders(f), " "))
+	}
+	return b.String()
+}
+
+// checkModel compares every query of r with the model: Has for every node,
+// Count, Holders, UnderReplicated at target rf and DumpReplicas.
+func checkModel(t *testing.T, step int, r *Replicas, m *replicaModel, rf int, files, nodes []string) {
+	t.Helper()
+	for _, f := range files {
+		want := m.holders(f)
+		if got := r.Holders(f); !reflect.DeepEqual(got, want) {
+			t.Fatalf("step %d rf %d: Holders(%q) = %q, model %q", step, rf, f, got, want)
+		}
+		if got := r.Count(f); got != len(want) {
+			t.Fatalf("step %d rf %d: Count(%q) = %d, model %d", step, rf, f, got, len(want))
+		}
+		for _, n := range nodes {
+			_, want := m.loc[f][n]
+			if got := r.Has(f, n); got != want {
+				t.Fatalf("step %d rf %d: Has(%q, %q) = %v, model %v", step, rf, f, n, got, want)
+			}
+		}
+	}
+	if got, want := r.UnderReplicated(rf), m.under(rf); !reflect.DeepEqual(append([]string{}, got...), want) {
+		t.Fatalf("step %d rf %d: UnderReplicated %q, model %q", step, rf, got, want)
+	}
+	if got, want := DumpReplicas(r), m.dump(); got != want {
+		t.Fatalf("step %d rf %d: DumpReplicas\n%s\nmodel\n%s", step, rf, got, want)
+	}
+}
+
+// TestReplicasMatchModel drives Replicas and the map-of-maps model through
+// the same random mutations at each target, including the nameless holder
+// the journal's snapshot uses for "known, no holders" and holders that leave
+// and come back, and compares every query after every step.
+func TestReplicasMatchModel(t *testing.T) {
+	files := indexNames("f", 12)
+	nodes := append([]string{""}, indexNames("w", 4)...)
+	for rf := 1; rf <= 3; rf++ {
+		for seed := int64(1); seed <= 4; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			r, m := NewReplicas(), newReplicaModel()
+			r.UnderCount(rf) // the index is maintained from the first step
+			for step := 0; step < 1500; step++ {
+				f, n := files[rng.Intn(len(files))], nodes[rng.Intn(len(nodes))]
+				switch p := rng.Intn(100); {
+				case p < 45:
+					r.Add(f, n)
+					m.add(f, n)
+				case p < 75:
+					r.Remove(f, n)
+					m.remove(f, n)
+				case p < 80:
+					if got, want := r.DropNode(n), m.dropNode(n); !reflect.DeepEqual(got, want) {
+						t.Fatalf("step %d rf %d: DropNode(%q) = %q, model %q", step, rf, n, got, want)
+					}
+				case p < 87:
+					r.Forget(f)
+					delete(m.loc, f)
+					delete(m.known, f)
+				case p < 92:
+					r.Note(f)
+					m.known[f] = struct{}{}
+				default:
+					// A holder leaves and comes back.
+					r.Remove(f, n)
+					m.remove(f, n)
+					checkModel(t, step, r, m, rf, files, nodes)
+					r.Add(f, n)
+					m.add(f, n)
+				}
+				checkModel(t, step, r, m, rf, files, nodes)
+			}
+		}
+	}
+
+	// The journal's "known, no holders" round trip: a nameless holder added
+	// and removed leaves the file known and under every target.
+	r := NewReplicas()
+	r.Add("z", "")
+	if !r.Has("z", "") || r.Count("z") != 1 || r.Has("z", "w0") {
+		t.Fatalf(`after Add("z", ""): Has %v, Count %d`, r.Has("z", ""), r.Count("z"))
+	}
+	r.Remove("z", "")
+	if r.Has("z", "") || r.Count("z") != 0 || !reflect.DeepEqual(r.UnderReplicated(1), []string{"z"}) {
+		t.Fatalf(`after Remove("z", ""): Has %v, Count %d, under %v`, r.Has("z", ""), r.Count("z"), r.UnderReplicated(1))
+	}
+	if r.Has("missing", "") {
+		t.Fatal(`Has("missing", "") = true for a file nobody holds`)
+	}
+}
+
+// TestReplicasManyHolders holds one file on every one of 65,536 nodes — the
+// common file of the largest scale cell — and checks membership and removal
+// stay O(1) per holder: at O(holders) each, this would take minutes.
+func TestReplicasManyHolders(t *testing.T) {
+	const n = 65536
+	nodes := indexNames("vm", n)
+	sort.Strings(nodes) // vm10000 sorts before vm1001
+	r := NewReplicas()
+	r.UnderCount(3)
+	for _, node := range nodes {
+		r.Add("db", node)
+		r.Add("db", node) // a second Add of a holder changes nothing
+	}
+	if c := r.Count("db"); c != n {
+		t.Fatalf("Count = %d, want %d", c, n)
+	}
+	for _, node := range nodes {
+		if !r.Has("db", node) {
+			t.Fatalf("Has(db, %s) = false", node)
+		}
+	}
+	if h := r.Holders("db"); !reflect.DeepEqual(h, nodes) {
+		t.Fatalf("Holders: %d names, first %q", len(h), h[:3])
+	}
+	for i, node := range nodes[:n-2] {
+		if i%2 == 0 {
+			r.Remove("db", node)
+		} else if lost := r.DropNode(node); !reflect.DeepEqual(lost, []string{"db"}) {
+			t.Fatalf("DropNode(%s) = %v", node, lost)
+		}
+	}
+	if h := r.Holders("db"); !reflect.DeepEqual(h, nodes[n-2:]) || r.Has("db", nodes[0]) {
+		t.Fatalf("after removing all but two: Holders %v", h)
+	}
+	if got := r.UnderReplicated(3); !reflect.DeepEqual(got, []string{"db"}) {
+		t.Fatalf("UnderReplicated(3) = %v", got)
+	}
+	r.Remove("db", nodes[n-2])
+	r.Remove("db", nodes[n-1])
+	r.Add("db", nodes[0]) // back from none: one holder again
+	if h := r.Holders("db"); !reflect.DeepEqual(h, nodes[:1]) {
+		t.Fatalf("after emptying and one Add: Holders %v", h)
 	}
 }
 

@@ -214,7 +214,10 @@ func (c *Controller) recvLoop() {
 			c.mu.Unlock()
 		case protocol.TMasterDone:
 			c.mu.Lock()
-			c.results = slices.Clone(m.Results)
+			if c.master == nil {
+				// An in-process master reports for itself (Wait).
+				c.results = slices.Clone(m.Results)
+			}
 			c.bytesMoved = m.BytesMoved
 			c.makespan = m.MakespanSec
 			c.mu.Unlock()

@@ -13,6 +13,7 @@ import (
 	"frieda/internal/protocol"
 	"frieda/internal/strategy"
 	"frieda/internal/transport"
+	"frieda/internal/transport/transporttest"
 )
 
 // Two refills to one worker used to be two goroutines writing to one
@@ -155,8 +156,9 @@ func (l *loggedListener) Accept() (transport.Conn, error) {
 }
 
 func (c *loggedConn) Send(m *protocol.Message) error {
-	rec := *m
-	rec.Data = nil
+	// A sender on a connection that copies reuses the message and its
+	// slices once Send returns: the record is a deep copy.
+	rec := *transporttest.Snapshot(m)
 	c.log.mu.Lock()
 	if m.Type == protocol.TRegister {
 		c.worker = m.Worker

@@ -84,14 +84,23 @@ type masterWorker struct {
 	outbox    []outItem
 	outWake   *sync.Cond // on the master's mu: the outbox filled, or closed
 	outClosed bool       // the connection is finished with; the writer exits
+	// exec is the message the writer sends every EXECUTE or EXECUTE_BATCH
+	// from, with its slices (transport.SendReused). Only the writer touches
+	// it.
+	exec protocol.Message
 }
 
 // outItem is one unit of a writer's work. It sends msg when set, streams
-// files, then performs refill, in that order.
+// files, then dispatches group when set, in that order.
 type outItem struct {
-	msg    *protocol.Message
-	files  []protocol.FileInfo
-	refill []dispatchAction
+	msg   *protocol.Message
+	files []protocol.FileInfo
+	// group is one dispatched group. Its files are streamed first when send
+	// is set (remote real-time dispatch); then the worker is told to run it,
+	// by an EXECUTE of its own or, under Batch, in the one EXECUTE_BATCH that
+	// the last group of its dispatch pass (last) sends.
+	group      *partition.Group
+	send, last bool
 	// done, when set, is released once the item's bytes are on the
 	// connection, or once it is known that they never will be.
 	done *sync.WaitGroup
@@ -517,7 +526,7 @@ func (m *Master) runStrategy() {
 		m.runNoPartition(groups, workers)
 	case strategy.RealTime:
 		m.mu.Lock()
-		m.led.Start(len(groups))
+		m.startLocked(len(groups))
 		m.led.QueueAll()
 		// A worker that became ready while the groups were generated found
 		// the queue empty; it is in this snapshot.
@@ -528,6 +537,13 @@ func (m *Master) runStrategy() {
 		}
 	}
 	m.checkDone()
+}
+
+// startLocked starts the ledger on n groups and sizes the results for their
+// outcomes. Caller holds m.mu.
+func (m *Master) startLocked(n int) {
+	m.led.Start(n)
+	m.results = slices.Grow(m.results, n)
 }
 
 // liveWorkersLocked snapshots the workers that can be given work, sorted by
@@ -586,7 +602,7 @@ func (m *Master) runPrePartition(strat strategy.Config, groups []partition.Group
 	m.transfers = time.Since(transferStart).Seconds()
 	// Each share becomes its worker's backlog, or goes through the deal rule
 	// if the worker died or began to drain during the transfer.
-	m.led.Start(len(groups))
+	m.startLocked(len(groups))
 	for wi, w := range workers {
 		m.abandonLocked(w.name, errWorkerLost, m.led.Deal(&w.Worker, per[wi])...)
 	}
@@ -606,10 +622,7 @@ func (m *Master) runNoPartition(groups []partition.Group, workers []*masterWorke
 	locality := m.strat.Locality
 	m.mu.Unlock()
 	if locality == strategy.Remote {
-		infos := make([]protocol.FileInfo, len(files))
-		for i, f := range files {
-			infos[i] = protocol.FileInfo{Name: f.Name, Size: f.Size}
-		}
+		infos := appendInfos(make([]protocol.FileInfo, 0, len(files)), files)
 		var sent sync.WaitGroup
 		m.mu.Lock()
 		for _, w := range workers {
@@ -620,7 +633,7 @@ func (m *Master) runNoPartition(groups []partition.Group, workers []*masterWorke
 	}
 	m.mu.Lock()
 	m.transfers = time.Since(transferStart).Seconds()
-	m.led.Start(len(groups))
+	m.startLocked(len(groups))
 	m.led.QueueAll()
 	m.mu.Unlock()
 	for _, w := range workers {
@@ -628,13 +641,8 @@ func (m *Master) runNoPartition(groups []partition.Group, workers []*masterWorke
 	}
 }
 
-// dispatchAction is one reserved group dispatch, performed outside the lock.
-type dispatchAction struct {
-	group partition.Group
-	send  bool // stream files (remote real-time dispatch)
-}
-
-// dispatch hands the worker as much work as its slots (× prefetch) allow.
+// dispatch hands the worker as much work as its slots (× prefetch) allow:
+// each group it reserves is one item of the worker's outbox.
 func (m *Master) dispatch(w *masterWorker) {
 	m.mu.Lock()
 	limit := w.slots
@@ -654,18 +662,18 @@ func (m *Master) dispatch(w *masterWorker) {
 			return true
 		}
 	}
-	var actions []dispatchAction
+	needsTransfer := m.strat.Locality == strategy.Remote && m.strat.Kind != strategy.PrePartition
+	first := len(w.outbox)
 	for len(w.outstanding) < limit {
 		gi, ok := m.led.Next(&w.Worker, resident)
 		if !ok {
 			break
 		}
 		w.outstanding[gi] = true
-		needsTransfer := m.strat.Locality == strategy.Remote && m.strat.Kind != strategy.PrePartition
-		actions = append(actions, dispatchAction{group: m.groups[gi], send: needsTransfer})
+		m.enqueueLocked(w, outItem{group: &m.groups[gi], send: needsTransfer})
 	}
-	if len(actions) > 0 {
-		m.enqueueLocked(w, outItem{refill: actions})
+	if len(w.outbox) > first {
+		w.outbox[len(w.outbox)-1].last = true
 	}
 	m.mu.Unlock()
 }
@@ -776,34 +784,47 @@ func (m *Master) perform(w *masterWorker, it *outItem) error {
 			return err
 		}
 	}
-	// Stage each group's files, then tell the worker to run it: one EXECUTE
-	// per group, or — batched control plane — one EXECUTE_BATCH carrying the
-	// whole refill.
-	var specs []protocol.ExecuteSpec
-	for _, a := range it.refill {
-		if a.send {
-			for _, f := range a.group.Files {
-				if err := m.streamFile(w, f.Name, f.Size); err != nil {
-					return err
-				}
+	g := it.group
+	if g == nil {
+		return nil
+	}
+	if it.send {
+		for _, f := range g.Files {
+			if err := m.streamFile(w, f.Name, f.Size); err != nil {
+				return err
 			}
 		}
-		infos := make([]protocol.FileInfo, len(a.group.Files))
-		for i, f := range a.group.Files {
-			infos[i] = protocol.FileInfo{Name: f.Name, Size: f.Size}
-		}
-		if m.cfg.Batch {
-			specs = append(specs, protocol.ExecuteSpec{GroupIndex: a.group.Index, Files: infos})
-			continue
-		}
-		if err := w.conn.Send(&protocol.Message{Type: protocol.TExecute, GroupIndex: a.group.Index, Files: infos}); err != nil {
-			return err
-		}
 	}
-	if len(specs) > 0 {
-		return w.conn.Send(&protocol.Message{Type: protocol.TExecuteBatch, Executes: specs})
+	// Tell the worker to run the group: one EXECUTE per group, or — batched
+	// control plane — one EXECUTE_BATCH carrying the whole dispatch pass.
+	x := &w.exec
+	if !m.cfg.Batch {
+		x.Type, x.GroupIndex, x.Files = protocol.TExecute, g.Index, appendInfos(x.Files[:0], g.Files)
+		return transport.SendReused(w.conn, x)
 	}
-	return nil
+	// A spec taken back from the previous batch keeps its Files array.
+	if n := len(x.Executes); n < cap(x.Executes) {
+		x.Executes = x.Executes[:n+1]
+	} else {
+		x.Executes = append(x.Executes, protocol.ExecuteSpec{})
+	}
+	spec := &x.Executes[len(x.Executes)-1]
+	spec.GroupIndex, spec.Files = g.Index, appendInfos(spec.Files[:0], g.Files)
+	if !it.last {
+		return nil
+	}
+	x.Type = protocol.TExecuteBatch
+	err := transport.SendReused(w.conn, x)
+	x.Executes = x.Executes[:0]
+	return err
+}
+
+// appendInfos appends the wire description of files to dst.
+func appendInfos(dst []protocol.FileInfo, files []catalog.FileMeta) []protocol.FileInfo {
+	for _, f := range files {
+		dst = append(dst, protocol.FileInfo{Name: f.Name, Size: f.Size})
+	}
+	return dst
 }
 
 // stageCommon streams the common files to a worker that is not ready yet.
@@ -1083,7 +1104,7 @@ func (m *Master) fatal(err error) {
 	m.workerErrs = append(m.workerErrs, "master: "+err.Error())
 	// Groups that never reached a worker (the deal found nobody live) are
 	// queued; the stall rule abandons them while nobody is live.
-	m.led.Start(len(m.groups))
+	m.startLocked(len(m.groups))
 	m.led.QueueAll()
 	m.mu.Unlock()
 	m.notifyController(err.Error(), "")

@@ -251,6 +251,7 @@ func (w *Worker) messageLoop(ctx context.Context) error {
 
 // executor runs queued tasks on one slot.
 func (w *Worker) executor(ctx context.Context) {
+	var status protocol.Message // this slot's TASK_STATUS, sent again and again
 	for task := range w.tasks {
 		if ctx.Err() != nil {
 			return
@@ -272,7 +273,8 @@ func (w *Worker) executor(ctx context.Context) {
 			// Batch mode: the reporter coalesces statuses.
 			w.results <- res
 		} else {
-			err = w.conn.Send(&protocol.Message{Type: protocol.TTaskStatus, Result: res})
+			status = protocol.Message{Type: protocol.TTaskStatus, Result: res}
+			err = transport.SendReused(w.conn, &status)
 		}
 		if ferr := w.conn.Flush(); err != nil || ferr != nil {
 			return
@@ -284,8 +286,9 @@ func (w *Worker) executor(ctx context.Context) {
 // accumulated while the previous send was in flight, so a busy worker costs
 // one status round-trip per burst instead of one per task.
 func (w *Worker) reporter() {
+	var status protocol.Message // every report, with its Results array
 	for res := range w.results {
-		batch := []protocol.TaskResult{res}
+		batch := append(status.Results[:0], res)
 	drain:
 		for {
 			select {
@@ -298,7 +301,8 @@ func (w *Worker) reporter() {
 				break drain
 			}
 		}
-		if w.conn.Send(&protocol.Message{Type: protocol.TTaskStatus, Worker: w.cfg.Name, Results: batch}) != nil {
+		status = protocol.Message{Type: protocol.TTaskStatus, Worker: w.cfg.Name, Results: batch}
+		if transport.SendReused(w.conn, &status) != nil {
 			// The connection is gone; keep draining so executors never
 			// block on a full channel during shutdown.
 			for range w.results {

@@ -12,6 +12,7 @@ package partition
 
 import (
 	"fmt"
+	"slices"
 
 	"frieda/internal/catalog"
 )
@@ -61,12 +62,14 @@ type Single struct{}
 // Name implements Generator.
 func (Single) Name() string { return "single" }
 
-// Generate implements Generator.
+// Generate implements Generator. The groups' Files are one-element windows
+// of one copy of the catalogue's files, each capped at its element, so that
+// an append to one group's Files never writes into its neighbour's.
 func (Single) Generate(c *catalog.Catalog) ([]Group, error) {
-	files := c.Files()
+	files := slices.Clone(c.Files())
 	out := make([]Group, len(files))
-	for i, f := range files {
-		out[i] = Group{Index: i, Files: []catalog.FileMeta{f}}
+	for i := range files {
+		out[i] = Group{Index: i, Files: files[i : i+1 : i+1]}
 	}
 	return out, nil
 }

@@ -31,6 +31,27 @@ func TestSingle(t *testing.T) {
 	}
 }
 
+// The single groups share one array: an append to one group's Files, or a
+// write to it, must leave its neighbours and the catalogue unchanged.
+func TestSingleGroupsDoNotAlias(t *testing.T) {
+	c := makeCatalog(3)
+	groups, err := Single{}.Generate(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups[0].Files = append(groups[0].Files, catalog.FileMeta{Name: "extra", Size: 1})
+	groups[1].Files[0].Size = -1
+	if g := groups[1].Files; len(g) != 1 || g[0].Name != "f0001" {
+		t.Fatalf("group 1 = %+v after an append to group 0", g)
+	}
+	if g := groups[2].Files; len(g) != 1 || g[0].Name != "f0002" || g[0].Size != 102 {
+		t.Fatalf("group 2 = %+v", g)
+	}
+	if f := c.Files(); f[1].Size != 101 || f[1].Name != "f0001" {
+		t.Fatalf("catalogue file 1 = %+v after a write to group 1", f[1])
+	}
+}
+
 func TestOneToAll(t *testing.T) {
 	groups, err := OneToAll{}.Generate(makeCatalog(4))
 	if err != nil {

@@ -36,9 +36,17 @@ type File struct {
 	Size int64
 }
 
-// chunkBufs recycles read buffers between the files sent over connections
-// that have copied a chunk out by the time Send returns.
-var chunkBufs sync.Pool
+// scratch is what the chunk loop reuses from file to file: the message every
+// chunk is sent from (through transport.SendReused), and the read buffer that
+// serves every chunk over a connection that has copied a chunk out by the
+// time Send returns.
+type scratch struct {
+	msg protocol.Message
+	buf []byte
+}
+
+// scratches recycles the chunk loop's scratch between files.
+var scratches sync.Pool
 
 // Send streams the f.Size bytes of r over conn as ordered TFileData chunks of
 // at most chunk bytes. Every chunk announces f.Size; Last rides the final
@@ -47,9 +55,9 @@ var chunkBufs sync.Pool
 // ErrSizeMismatch before Last is sent.
 //
 // No buffer is larger than the file. Over a connection that copies
-// (transport.Conn.SendCopies) one pooled buffer serves every chunk; over one
-// that does not, each chunk is read into a buffer of its own that travels
-// with the message.
+// (transport.Conn.SendCopies) one pooled message and one pooled buffer serve
+// every chunk; over one that does not, each chunk is read into a buffer of
+// its own that travels with a message of its own.
 func Send(conn transport.Conn, f File, r io.Reader, chunk int) (int64, error) {
 	return send(conn, f, nil, r, chunk)
 }
@@ -72,19 +80,23 @@ func send(conn transport.Conn, f File, data []byte, r io.Reader, chunk int) (int
 	if f.Size < 0 {
 		return 0, fmt.Errorf("%w: %s announced with %d bytes", ErrSizeMismatch, f.Name, f.Size)
 	}
+	s, _ := scratches.Get().(*scratch)
+	if s == nil {
+		s = new(scratch)
+	}
+	defer func() {
+		s.msg = protocol.Message{} // keep no payload or name alive in the pool
+		scratches.Put(s)
+	}()
 	var pooled []byte
 	if r != nil && conn.SendCopies() {
 		// Read buffers have one byte more than the chunk: the read of the
 		// last chunk asks for it, and a source that has it to give runs
 		// past f.Size.
-		room := int(min(f.Size, int64(chunk))) + 1
-		buf, _ := chunkBufs.Get().(*[]byte)
-		if buf == nil || cap(*buf) < room {
-			b := make([]byte, room)
-			buf = &b
+		if room := int(min(f.Size, int64(chunk))) + 1; cap(s.buf) < room {
+			s.buf = make([]byte, room)
 		}
-		defer chunkBufs.Put(buf)
-		pooled = (*buf)[:cap(*buf)]
+		pooled = s.buf[:cap(s.buf)]
 	}
 	var sent int64
 	for {
@@ -113,10 +125,11 @@ func send(conn transport.Conn, f File, data []byte, r io.Reader, chunk int) (int
 			}
 			payload = buf[:n]
 		}
-		if err := conn.Send(&protocol.Message{
+		s.msg = protocol.Message{
 			Type: protocol.TFileData, FileName: f.Name, Worker: f.Worker,
 			Offset: sent, FileSize: f.Size, Data: payload, Last: last,
-		}); err != nil {
+		}
+		if err := transport.SendReused(conn, &s.msg); err != nil {
 			return sent, err
 		}
 		sent += int64(n)

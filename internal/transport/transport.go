@@ -8,6 +8,7 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"frieda/internal/protocol"
@@ -21,10 +22,13 @@ var ErrClosed = errors.New("transport: closed")
 // Who owns a message: a received message and everything it references,
 // except its strings, is valid until the next Recv on that connection, and is
 // read-only — a stream transport decodes every frame into one message it
-// reuses, so a receiver copies what it keeps. A sent message's Data is not
-// modified by the sender after Send. Only a sender whose connection reports
-// SendCopies may reuse the buffer once Send has returned — held or not, the
-// connection has by then copied the payload or written it.
+// reuses, so a receiver copies what it keeps. A sender whose connection
+// reports SendCopies may reuse the whole message — its slices and Data
+// included — once Send has returned: held or not, the connection has by then
+// encoded the message, and copied the payload or written it. On any other
+// connection the message and its slices travel to the receiver, and the
+// sender modifies none of them after Send. SendReused sends a message its
+// sender reuses on either kind.
 type Conn interface {
 	// Send enqueues one message. It may block under throttling or
 	// backpressure. Outside a hold the message is on its way when Send
@@ -41,7 +45,7 @@ type Conn interface {
 	Flush() error
 	// SendCopies reports whether Send is finished with the message when it
 	// returns, having serialised it (a stream transport). Otherwise the
-	// message itself, and its Data, travel on to the receiver.
+	// message itself, its slices and its Data, travel on to the receiver.
 	SendCopies() bool
 	// Recv blocks for the next message, valid until the next Recv. It
 	// returns ErrClosed (possibly wrapped) once either side has closed the
@@ -51,6 +55,28 @@ type Conn interface {
 	Close() error
 	// RemoteAddr names the peer for logs.
 	RemoteAddr() string
+}
+
+// SendReused sends m, a message its sender fills again for every send. On a
+// connection that copies (SendCopies) it sends m itself, so sending allocates
+// nothing. On one that does not, it sends a copy of m with slices of its own,
+// except Data, which travels as it is: the sender may reuse m and its slices
+// once SendReused returns, but must not modify the bytes of its Data.
+func SendReused(c Conn, m *protocol.Message) error {
+	if c.SendCopies() {
+		return c.Send(m)
+	}
+	out := *m
+	out.Strategy = m.Strategy.Clone()
+	out.Template = slices.Clone(m.Template)
+	out.Files = slices.Clone(m.Files)
+	out.Groups = slices.Clone(m.Groups)
+	out.Results = slices.Clone(m.Results)
+	out.Executes = slices.Clone(m.Executes)
+	for i := range out.Executes {
+		out.Executes[i].Files = slices.Clone(out.Executes[i].Files)
+	}
+	return c.Send(&out)
 }
 
 // Listener accepts inbound connections.

@@ -5,6 +5,7 @@ package transporttest
 import (
 	"fmt"
 	"hash/crc32"
+	"reflect"
 	"slices"
 	"sync"
 
@@ -23,23 +24,38 @@ import (
 //     Files, Strategy.CommonFiles) is overwritten. A receiver that still
 //     reads the message then sees garbage, and the race detector sees a
 //     race when another goroutine reads it.
-//   - Every sent TFileData travels with the CRC of its Data (in Seq, which the
-//     runtime leaves unused on data messages) and is checked on delivery — a
-//     sender that reuses a buffer the connection has not copied is reported.
+//   - On a connection that does not copy (SendCopies false) the message
+//     itself travels, so every sent message is snapshotted at Send — a deep
+//     copy without Data, and the CRC of Data — and compared with what the
+//     peer receives: a sender that reuses a message, one of its slices or a
+//     payload buffer the connection has not copied is reported.
+//   - On one that copies, every sent TFileData travels with the CRC of its
+//     Data (in Seq, which the runtime leaves unused on data messages) and is
+//     checked on delivery.
 type Ownership struct {
 	transport.Transport
 
 	mu         sync.Mutex
 	violations []string
 	checked    int
+	// inFlight holds, per message sent on a connection that does not copy,
+	// the snapshots of its Sends not yet received, oldest first.
+	inFlight map[*protocol.Message][]sentCopy
+}
+
+// sentCopy is a message as it was at Send.
+type sentCopy struct {
+	msg *protocol.Message // Snapshot: no Data
+	crc uint32            // of Data
 }
 
 // NewOwnership wraps inner.
 func NewOwnership(inner transport.Transport) *Ownership {
-	return &Ownership{Transport: inner}
+	return &Ownership{Transport: inner, inFlight: make(map[*protocol.Message][]sentCopy)}
 }
 
-// Violations lists the payloads that changed between Send and delivery.
+// Violations lists the messages and payloads that changed between Send and
+// delivery.
 func (o *Ownership) Violations() []string {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -51,6 +67,53 @@ func (o *Ownership) Checked() int {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	return o.checked
+}
+
+// sent queues the snapshot of m taken at its Send.
+func (o *Ownership) sent(m *protocol.Message) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.inFlight[m] = append(o.inFlight[m], sentCopy{Snapshot(m), crc32.ChecksumIEEE(m.Data)})
+}
+
+// unsent drops the snapshot of a Send of m that failed.
+func (o *Ownership) unsent(m *protocol.Message) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	q := o.inFlight[m]
+	if len(q) <= 1 {
+		delete(o.inFlight, m)
+		return
+	}
+	o.inFlight[m] = q[:len(q)-1]
+}
+
+// delivered compares m as received with its oldest snapshot, if it was sent
+// through this checker.
+func (o *Ownership) delivered(m *protocol.Message) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	q, ok := o.inFlight[m]
+	if !ok {
+		return
+	}
+	at := q[0]
+	if len(q) == 1 {
+		delete(o.inFlight, m)
+	} else {
+		o.inFlight[m] = q[1:]
+	}
+	if m.Type == protocol.TFileData {
+		o.checked++
+	}
+	if sum := crc32.ChecksumIEEE(m.Data); sum != at.crc {
+		o.violations = append(o.violations, fmt.Sprintf(
+			"%s of %s at offset %d: payload CRC %08x at Send, %08x at delivery", m.Type, m.FileName, m.Offset, at.crc, sum))
+	}
+	if now := Snapshot(m); !reflect.DeepEqual(now, at.msg) {
+		o.violations = append(o.violations, fmt.Sprintf(
+			"%s message changed between Send and delivery: sent %+v, delivered %+v", at.msg.Type, *at.msg, *now))
+	}
 }
 
 // Listen implements transport.Transport.
@@ -96,6 +159,14 @@ type ownershipConn struct {
 }
 
 func (c *ownershipConn) Send(m *protocol.Message) error {
+	if !c.SendCopies() {
+		c.o.sent(m)
+		err := c.Conn.Send(m)
+		if err != nil {
+			c.o.unsent(m)
+		}
+		return err
+	}
 	if m.Type != protocol.TFileData {
 		return c.Conn.Send(m)
 	}
@@ -113,7 +184,9 @@ func (c *ownershipConn) Recv() (*protocol.Message, error) {
 	if err != nil {
 		return m, err
 	}
-	if m.Type == protocol.TFileData && m.Seq&crcMark != 0 {
+	if !c.SendCopies() {
+		c.o.delivered(m)
+	} else if m.Type == protocol.TFileData && m.Seq&crcMark != 0 {
 		sum := crc32.ChecksumIEEE(m.Data)
 		c.o.mu.Lock()
 		c.o.checked++
@@ -131,8 +204,18 @@ func (c *ownershipConn) Recv() (*protocol.Message, error) {
 
 // clone returns a deep copy of m: it shares no slice with m.
 func clone(m *protocol.Message) *protocol.Message {
-	out := *m
+	out := Snapshot(m)
 	out.Data = slices.Clone(m.Data)
+	return out
+}
+
+// Snapshot returns a deep copy of m without its Data: it shares no slice with
+// m. A test that keeps what a sender handed to Send records this, since a
+// sender on a connection that copies may reuse the message and every slice
+// of it once Send returns.
+func Snapshot(m *protocol.Message) *protocol.Message {
+	out := *m
+	out.Data = nil
 	out.Template = slices.Clone(m.Template)
 	out.Strategy = m.Strategy.Clone()
 	out.Files = slices.Clone(m.Files)
