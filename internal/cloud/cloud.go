@@ -467,25 +467,29 @@ func (c *Cluster) AttachBlock(vm *VM, spec storage.Spec) (*storage.Volume, error
 	return v, nil
 }
 
-// TransferPath returns the network path for a transfer between two VMs.
-// Under a tree topology the path routes through the rack/spine switches.
-// With a fabric configured, same-site pairs bypass it: the fabric models
-// the inter-site WAN (or the oversubscribed core when all VMs share site
-// 0, the default).
-func (c *Cluster) TransferPath(src, dst *VM) []*netsim.Link {
+// AppendTransferPath appends the network path for a transfer between two
+// VMs to links and returns the extended slice. Under a tree topology the
+// path routes through the rack/spine switches. With a fabric configured,
+// same-site pairs bypass it: the fabric models the inter-site WAN (or the
+// oversubscribed core when all VMs share site 0, the default). With a
+// [netsim.MaxRoute] buffer on the caller's stack it allocates nothing, which
+// is how flows start and how probes scan a route's links.
+func (c *Cluster) AppendTransferPath(links []*netsim.Link, src, dst *VM) []*netsim.Link {
 	if c.tree != nil {
-		return c.tree.Path(src.host, dst.host)
+		return c.tree.AppendPath(links, src.host, dst.host)
 	}
 	fabric := c.fabric
 	if fabric != nil && src.site == dst.site && src.site != 0 {
 		fabric = nil
 	}
-	return netsim.Path(src.host, dst.host, fabric)
+	return netsim.AppendPath(links, src.host, dst.host, fabric)
 }
 
-// Transfer starts a flow between two VMs.
-func (c *Cluster) Transfer(src, dst *VM, bytes float64, onComplete func(sim.Time)) *netsim.Flow {
-	return c.net.StartFlow(bytes, c.TransferPath(src, dst), onComplete)
+// Transfer starts a flow between two VMs, owned by owner (see
+// netsim.StartFlow).
+func (c *Cluster) Transfer(src, dst *VM, bytes float64, owner netsim.FlowOwner) *netsim.Flow {
+	var buf [netsim.MaxRoute]*netsim.Link
+	return c.net.StartFlow(bytes, c.AppendTransferPath(buf[:0], src, dst), owner)
 }
 
 // Default4VMCluster reconstructs the paper's testbed slice: 4 × c1.xlarge

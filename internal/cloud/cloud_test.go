@@ -197,14 +197,23 @@ func TestAttachBlock(t *testing.T) {
 	}
 }
 
+// finishTime owns a test transfer's flow and records when it finished.
+type finishTime struct {
+	eng *sim.Engine
+	at  sim.Time
+}
+
+func (f *finishTime) FlowDone(*netsim.Flow)                 { f.at = f.eng.Now() }
+func (f *finishTime) FlowInterrupted(*netsim.Flow, float64) {}
+
 func TestVMTransfer(t *testing.T) {
 	eng := sim.NewEngine()
 	c, vms := Default4VMCluster(eng, 1)
-	var done sim.Time
+	done := &finishTime{eng: eng}
 	// 12.5 MB at 100 Mbps = 1 s on the dedicated pair.
-	c.Transfer(vms[0], vms[1], 12.5e6, func(at sim.Time) { done = at })
+	c.Transfer(vms[0], vms[1], 12.5e6, done)
 	eng.Run()
-	if d := float64(done); d < 0.999 || d > 1.001 {
+	if d := float64(done.at); d < 0.999 || d > 1.001 {
 		t.Fatalf("transfer took %v, want ~1 s", d)
 	}
 }
@@ -334,18 +343,18 @@ func TestSiteAwarePaths(t *testing.T) {
 		t.Fatal("Site not recorded")
 	}
 	// Same non-zero site: two links (no fabric).
-	if got := len(c.TransferPath(a, b)); got != 2 {
+	if got := len(c.AppendTransferPath(nil, a, b)); got != 2 {
 		t.Fatalf("intra-site path length = %d, want 2", got)
 	}
 	// Cross-site: three links including the fabric.
-	if got := len(c.TransferPath(a, far)); got != 3 {
+	if got := len(c.AppendTransferPath(nil, a, far)); got != 3 {
 		t.Fatalf("cross-site path length = %d, want 3", got)
 	}
 	// Default site 0 keeps the fabric (oversubscribed-core semantics).
 	d := New(eng, Options{Seed: 2, InstantBoot: true, FabricBps: netsim.Mbps(10)})
 	dv, _ := d.Provision(2, C1XLarge)
 	eng.RunUntil(eng.Now())
-	if got := len(d.TransferPath(dv[0], dv[1])); got != 3 {
+	if got := len(d.AppendTransferPath(nil, dv[0], dv[1])); got != 3 {
 		t.Fatalf("site-0 path length = %d, want 3 (fabric included)", got)
 	}
 }
@@ -357,12 +366,12 @@ func TestIntraSiteBypassSpeeds(t *testing.T) {
 	eng.RunUntil(eng.Now())
 	c.SetSite(vms[0], 1)
 	c.SetSite(vms[1], 1)
-	var done sim.Time
+	done := &finishTime{eng: eng}
 	// 12.5 MB at the NIC's 100 Mbps (fabric bypassed) = 1 s; through the
 	// 10 Mbps fabric it would take 10 s.
-	c.Transfer(vms[0], vms[1], 12.5e6, func(at sim.Time) { done = at })
+	c.Transfer(vms[0], vms[1], 12.5e6, done)
 	eng.Run()
-	if d := float64(done); d < 0.99 || d > 1.01 {
+	if d := float64(done.at); d < 0.99 || d > 1.01 {
 		t.Fatalf("intra-site transfer took %v, want ~1 s", d)
 	}
 }

@@ -71,32 +71,44 @@ func stripedTransferTime(bytes float64, stripes, background int) (float64, error
 
 	// Background traffic: long-lived flows between other host pairs that
 	// share only the fabric.
+	var route [netsim.MaxRoute]*netsim.Link
 	for i := 0; i < background; i++ {
 		s := net.NewHost(fmt.Sprintf("bg-s%d", i), netsim.Mbps(1000), netsim.Mbps(1000))
 		d := net.NewHost(fmt.Sprintf("bg-d%d", i), netsim.Mbps(1000), netsim.Mbps(1000))
-		net.Transfer(s, d, fabric, 10e9, nil) // effectively endless
+		net.StartFlow(10e9, netsim.AppendPath(route[:0], s, d, fabric), nil) // effectively endless
 	}
 
-	var last sim.Time
-	remaining := stripes
+	st := &stripeSet{eng: eng, remaining: stripes}
 	per := bytes / float64(stripes)
 	for i := 0; i < stripes; i++ {
-		net.Transfer(src, dst, fabric, per, func(at sim.Time) {
-			remaining--
-			if at > last {
-				last = at
-			}
-		})
+		net.StartFlow(per, netsim.AppendPath(route[:0], src, dst, fabric), st)
 	}
 	// Run until the striped transfer completes; the background flows would
 	// keep the engine busy long after.
-	for remaining > 0 && eng.Step() {
+	for st.remaining > 0 && eng.Step() {
 	}
-	if remaining > 0 {
+	if st.remaining > 0 {
 		return 0, fmt.Errorf("experiments: striped transfer stalled")
 	}
-	return float64(last), nil
+	return float64(st.last), nil
 }
+
+// stripeSet owns the stripes of one transfer: it counts them down and keeps
+// the time the last one finished.
+type stripeSet struct {
+	eng       *sim.Engine
+	remaining int
+	last      sim.Time
+}
+
+func (st *stripeSet) FlowDone(*netsim.Flow) {
+	st.remaining--
+	if at := st.eng.Now(); at > st.last {
+		st.last = at
+	}
+}
+
+func (*stripeSet) FlowInterrupted(*netsim.Flow, float64) {}
 
 // AblationStorage sweeps the worker scratch tier on the ALS workload over a
 // fast (1 Gbps) network, where the media bandwidth — not the provisioned

@@ -15,6 +15,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
+	"strings"
 
 	"frieda/internal/catalog"
 	"frieda/internal/cloud"
@@ -65,6 +67,7 @@ func ALSWorkload(scale float64) simrun.Workload {
 	if n%2 == 1 {
 		n++
 	}
+	files := numberedFiles("img", 5, ".pgm", n, ALSImageBytes)
 	rng := rand.New(rand.NewSource(2012))
 	tasks := make([]simrun.TaskSpec, 0, n/2)
 	for i := 0; i+1 < n; i += 2 {
@@ -73,11 +76,8 @@ func ALSWorkload(scale float64) simrun.Workload {
 			noise = 0.5
 		}
 		tasks = append(tasks, simrun.TaskSpec{
-			Index: i / 2,
-			Files: []catalog.FileMeta{
-				{Name: fmt.Sprintf("img%05d.pgm", i), Size: ALSImageBytes},
-				{Name: fmt.Sprintf("img%05d.pgm", i+1), Size: ALSImageBytes},
-			},
+			Index:      i / 2,
+			Files:      files[i : i+2 : i+2],
 			ComputeSec: ALSCompareSec * noise,
 		})
 	}
@@ -89,6 +89,7 @@ func ALSWorkload(scale float64) simrun.Workload {
 // drift plus noise.
 func BLASTWorkload(scale float64, seed int64) simrun.Workload {
 	n := scaled(BLASTQueries, scale)
+	files := numberedFiles("q", 6, ".fa", n, BLASTQueryBytes)
 	rng := rand.New(rand.NewSource(seed))
 	tasks := make([]simrun.TaskSpec, n)
 	for i := range tasks {
@@ -99,11 +100,41 @@ func BLASTWorkload(scale float64, seed int64) simrun.Workload {
 		}
 		tasks[i] = simrun.TaskSpec{
 			Index:      i,
-			Files:      []catalog.FileMeta{{Name: fmt.Sprintf("q%06d.fa", i), Size: BLASTQueryBytes}},
+			Files:      files[i : i+1 : i+1],
 			ComputeSec: BLASTMeanSec * drift * noise,
 		}
 	}
 	return simrun.Workload{Name: "BLAST", Tasks: tasks, CommonBytes: BLASTDBBytes}
+}
+
+// numberedFiles returns n files of the given size named prefix, i
+// zero-padded to width digits, suffix — fmt's "%0*d" — for i in [0, n).
+// The names are windows of one string built to its exact length, and the
+// files one array, so a workload costs a few allocations however many
+// tasks it has; each task takes a capacity-capped window of the array.
+func numberedFiles(prefix string, width int, suffix string, n int, size int64) []catalog.FileMeta {
+	if limit := math.Pow10(width); float64(n) > limit {
+		panic(fmt.Sprintf("experiments: %d files overflow %d-digit names", n, width))
+	}
+	nameLen := len(prefix) + width + len(suffix)
+	var b strings.Builder
+	b.Grow(n * nameLen)
+	var digits [20]byte
+	for i := 0; i < n; i++ {
+		d := strconv.AppendInt(digits[:0], int64(i), 10)
+		b.WriteString(prefix)
+		for pad := len(d); pad < width; pad++ {
+			b.WriteByte('0')
+		}
+		b.Write(d)
+		b.WriteString(suffix)
+	}
+	names := b.String()
+	files := make([]catalog.FileMeta, n)
+	for i := range files {
+		files[i] = catalog.FileMeta{Name: names[i*nameLen : (i+1)*nameLen], Size: size}
+	}
+	return files
 }
 
 // scaled shrinks a paper-scale count, keeping at least 8.

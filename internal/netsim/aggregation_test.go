@@ -191,8 +191,8 @@ func TestSolveSteadyStateAllocs(t *testing.T) {
 	t.Run("tree", func(t *testing.T) {
 		eng, net, tr, hosts := buildTreeNet(t, 8, func(n *Network) { n.SetBatched(true) })
 		path := tr.Path(hosts[0], hosts[7])
-		if len(path) != inlineSlots {
-			t.Fatalf("inter-rack path has %d links, want %d", len(path), inlineSlots)
+		if len(path) != MaxRoute {
+			t.Fatalf("inter-rack path has %d links, want %d", len(path), MaxRoute)
 		}
 		if got := measure(eng, net, path); got > 2 {
 			t.Fatalf("one start+complete allocates %v times, want <= 2", got)
@@ -263,8 +263,7 @@ func TestBatchedFaultsStayEager(t *testing.T) {
 	b := net.NewHost("b", Mbps(100), Mbps(100))
 	var interrupted bool
 	eng.Schedule(0, func() {
-		fa := net.StartFlow(100e6, Path(src, a, nil), nil)
-		fa.OnInterrupt(func(delivered float64, at sim.Time) { interrupted = true })
+		net.StartFlow(100e6, Path(src, a, nil), &ends{intr: func(float64, sim.Time) { interrupted = true }})
 		net.StartFlow(100e6, Path(src, b, nil), nil)
 	})
 	eng.Schedule(1, func() {
@@ -303,7 +302,7 @@ func TestBatchedDegradeStaysEager(t *testing.T) {
 		eng.Schedule(0, func() {
 			// 800 Mb: 2 s at 100 Mbps, degraded to 25 Mbps at t=2, restored
 			// at t=10: 200 + 200 + 400 Mb legs, finishing at t=14.
-			f = net.StartFlow(100e6, Path(src, dst, nil), func(at sim.Time) { done = at })
+			f = net.StartFlow(100e6, Path(src, dst, nil), onDone(func(at sim.Time) { done = at }))
 		})
 		eng.Schedule(2, func() {
 			net.DegradeLink(dst.Down(), 0.25)

@@ -13,10 +13,12 @@ func TestFailLinkInterruptsFlowWithDeliveredBytes(t *testing.T) {
 	dst := net.NewHost("dst", Mbps(100), Mbps(100))
 	completed := false
 	// 12.5 MB over 100 Mbps = 1 s unfaulted.
-	f := net.Transfer(src, dst, nil, 12.5e6, func(sim.Time) { completed = true })
 	var delivered float64
 	var at sim.Time
-	f.OnInterrupt(func(d float64, ts sim.Time) { delivered, at = d, ts })
+	f := net.StartFlow(12.5e6, Path(src, dst, nil), &ends{
+		done: func(sim.Time) { completed = true },
+		intr: func(d float64, ts sim.Time) { delivered, at = d, ts },
+	})
 	eng.Schedule(0.4, func() { net.FailLink(dst.Down()) })
 	eng.Run()
 	if completed {
@@ -48,8 +50,7 @@ func TestFailLinkReratesSurvivors(t *testing.T) {
 	b := net.NewHost("b", Mbps(100), Mbps(100))
 	var aDone, bDone sim.Time
 	// Two 12.5 MB flows share src's uplink at 50 Mbps each.
-	fa := net.Transfer(src, a, nil, 12.5e6, func(at sim.Time) { aDone = at })
-	fa.OnInterrupt(func(float64, sim.Time) {})
+	net.Transfer(src, a, nil, 12.5e6, func(at sim.Time) { aDone = at })
 	net.Transfer(src, b, nil, 12.5e6, func(at sim.Time) { bDone = at })
 	// At 1 s, a's downlink dies: a's flow is killed, b's flow re-rates to
 	// the full 100 Mbps. b delivered 6.25 MB so far, so the remaining
@@ -71,9 +72,11 @@ func TestFailedLinkRejectsNewFlows(t *testing.T) {
 	dst := net.NewHost("dst", Mbps(100), Mbps(100))
 	net.FailLink(dst.Down())
 	completed := false
-	f := net.Transfer(src, dst, nil, 1e6, func(sim.Time) { completed = true })
 	var delivered = -1.0
-	f.OnInterrupt(func(d float64, _ sim.Time) { delivered = d })
+	f := net.StartFlow(1e6, Path(src, dst, nil), &ends{
+		done: func(sim.Time) { completed = true },
+		intr: func(d float64, _ sim.Time) { delivered = d },
+	})
 	eng.Run()
 	if completed {
 		t.Fatal("flow across failed link completed")
@@ -126,9 +129,8 @@ func TestCancelInterruptedFlowIsNoop(t *testing.T) {
 	net := New(eng)
 	src := net.NewHost("src", Mbps(100), Mbps(100))
 	dst := net.NewHost("dst", Mbps(100), Mbps(100))
-	f := net.Transfer(src, dst, nil, 12.5e6, nil)
 	interrupts := 0
-	f.OnInterrupt(func(float64, sim.Time) { interrupts++ })
+	f := net.StartFlow(12.5e6, Path(src, dst, nil), &ends{intr: func(float64, sim.Time) { interrupts++ }})
 	eng.Schedule(0.1, func() {
 		net.FailLink(dst.Down())
 		net.Cancel(f) // must not double-remove or re-solve with the dead flow

@@ -87,22 +87,41 @@ func (n *Network) NewFabric(name string, bitsPerSec float64) *Fabric {
 // Link exposes the underlying fabric link.
 func (f *Fabric) Link() *Link { return f.link }
 
-// Path returns the link path from src to dst, optionally through a fabric.
-// Transfers between a host and itself have no network path; callers should
-// model those with the storage layer. Path panics on src == dst to surface
-// such modelling mistakes early.
-func Path(src, dst *Host, fabric *Fabric) []*Link {
+// Path returns the link path from src to dst, optionally through a fabric,
+// in a fresh slice (AppendPath). Transfers between a host and itself have
+// no network path; callers should model those with the storage layer. Path
+// panics on src == dst to surface such modelling mistakes early.
+func Path(src, dst *Host, fabric *Fabric) []*Link { return AppendPath(nil, src, dst, fabric) }
+
+// AppendPath appends Path's links to links and returns the extended slice:
+// with a buffer of MaxRoute links on the caller's stack, routing a flow or
+// scanning a route for a failed link allocates nothing.
+func AppendPath(links []*Link, src, dst *Host, fabric *Fabric) []*Link {
 	if src == dst {
 		panic(fmt.Sprintf("netsim: path from host %q to itself", src.name))
 	}
 	if fabric != nil {
-		return []*Link{src.up, fabric.link, dst.down}
+		return append(links, src.up, fabric.link, dst.down)
 	}
-	return []*Link{src.up, dst.down}
+	return append(links, src.up, dst.down)
 }
 
 // Transfer starts a flow of bytes from src to dst (optionally through
-// fabric) and invokes onComplete when it finishes.
+// fabric) and calls onComplete, unless nil, when it finishes; an
+// interrupted flow ends silently. It is a convenience over StartFlow for
+// callers that hold no transfer record of their own — tests and
+// bench/probes.go; the simulator's transfers are flows with an owner.
 func (n *Network) Transfer(src, dst *Host, fabric *Fabric, bytes float64, onComplete func(sim.Time)) *Flow {
-	return n.StartFlow(bytes, Path(src, dst, fabric), onComplete)
+	var buf [MaxRoute]*Link
+	var owner FlowOwner
+	if onComplete != nil {
+		owner = doneFunc(onComplete)
+	}
+	return n.StartFlow(bytes, AppendPath(buf[:0], src, dst, fabric), owner)
 }
+
+// doneFunc is Transfer's owner: a completion callback, deaf to interrupts.
+type doneFunc func(sim.Time)
+
+func (fn doneFunc) FlowDone(f *Flow)            { fn(f.net().eng.Now()) }
+func (doneFunc) FlowInterrupted(*Flow, float64) {}

@@ -27,12 +27,12 @@ func checkMembership(t testing.TB, n *Network, links []*Link) {
 		if int(f.netPos) != i {
 			t.Fatalf("flow %d is at Network.flows[%d] but records %d", f.id, i, f.netPos)
 		}
-		for k, l := range f.path {
+		for k, l := range f.path() {
 			if p := int(*f.slot(k)); p >= len(l.flows) || l.flows[p] != f {
 				t.Fatalf("flow %d records index %d on link %s (%d flows) and is not there", f.id, p, l.name, len(l.flows))
 			}
 		}
-		entries += len(f.path)
+		entries += len(f.path())
 	}
 	onLinks := 0
 	for _, l := range links {
@@ -87,16 +87,18 @@ func TestMembershipUnderChurn(t *testing.T) {
 				for _, li := range rng.Perm(len(links))[:rng.Intn(9)+1] {
 					path = append(path, links[li])
 				}
-				if len(path) > inlineSlots {
+				if len(path) > MaxRoute {
 					long++
 				}
-				f := net.StartFlow(float64(rng.Intn(20e6)+1e5), path, func(sim.Time) {
-					if depth < 3 && rng.Intn(2) == 0 {
-						chained++
-						start(depth + 1)
-					}
+				f := net.StartFlow(float64(rng.Intn(20e6)+1e5), path, &ends{
+					done: func(sim.Time) {
+						if depth < 3 && rng.Intn(2) == 0 {
+							chained++
+							start(depth + 1)
+						}
+					},
+					intr: func(float64, sim.Time) { interrupted++ },
 				})
-				f.OnInterrupt(func(float64, sim.Time) { interrupted++ })
 				flows = append(flows, f)
 			}
 			for i := 0; i < 24; i++ {
@@ -165,9 +167,74 @@ func TestStartFlowRejectsRepeatedLink(t *testing.T) {
 
 // Flow is allocated once per transfer, so its size class is part of
 // alloc_bytes_per_op on every sim_* workload: 184 bytes sit in the 192-byte
-// class, and one more word would move every flow up to 208.
+// class, and two more words would move every flow up to 208. The flow holds
+// its path (five links) and its owner in place of a path slice header and
+// three callbacks, and finds its network through its first link.
 func TestFlowStaysInItsSizeClass(t *testing.T) {
 	if size := unsafe.Sizeof(Flow{}); size > 192 {
 		t.Fatalf("Flow is %d bytes, over the 192-byte size class", size)
+	}
+}
+
+// completions is a FlowOwner that counts finishes and allocates nothing.
+type completions int
+
+func (c *completions) FlowDone(*Flow)                 { *c++ }
+func (c *completions) FlowInterrupted(*Flow, float64) {}
+
+// A flow started on a route built in a stack buffer and run to completion
+// allocates the Flow and nothing else: StartFlow copies the route into the
+// flow, the owner is the caller's own record, and the flow is its events'
+// handler — no path slice, no completion closure, no method value. The
+// flat flow runs on an eager network, the 5-link tree flow (two racks, a
+// spine, link latency) on a batched one, as the scale sweep runs it.
+func TestStartFlowAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	var done completions
+
+	flatEng := sim.NewEngine()
+	flatNet := New(flatEng)
+	src := flatNet.NewHost("src", Mbps(100), Mbps(100))
+	dst := flatNet.NewHost("dst", Mbps(100), Mbps(100))
+	flat := func() {
+		var buf [MaxRoute]*Link
+		flatNet.StartFlow(1e6, AppendPath(buf[:0], src, dst, nil), &done)
+		flatEng.Run()
+	}
+
+	treeEng := sim.NewEngine()
+	treeNet := New(treeEng)
+	treeNet.SetBatched(true)
+	tr, err := NewTree(treeNet, TreeSpec{HostsPerRack: 1, Spines: 2, LatencySec: 1e-4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := treeNet.NewHost("a", Mbps(100), Mbps(100))
+	b := treeNet.NewHost("b", Mbps(100), Mbps(100))
+	tr.Attach(a)
+	tr.Attach(b)
+	if n := len(tr.Path(a, b)); n != MaxRoute {
+		t.Fatalf("inter-rack route has %d links, want %d", n, MaxRoute)
+	}
+	tree := func() {
+		var buf [MaxRoute]*Link
+		treeNet.StartFlow(1e6, tr.AppendPath(buf[:0], a, b), &done)
+		treeEng.Run()
+	}
+
+	for _, c := range []struct {
+		name string
+		run  func()
+	}{{"flat", flat}, {"tree", tree}} {
+		before := done
+		c.run() // warm-up: link lists and solver scratch reach their size
+		if allocs := testing.AllocsPerRun(10, c.run); allocs > 1 {
+			t.Errorf("%s flow allocates %v times from start to finish, want <= 1 (the Flow)", c.name, allocs)
+		}
+		if got := done - before; got != 12 {
+			t.Errorf("%s: %d completions, want 12", c.name, got)
+		}
 	}
 }

@@ -22,8 +22,8 @@
 //
 // Links have a fault lifecycle (FailLink / DegradeLink / RestoreLink): a
 // failed link kills the flows crossing it — each reports its delivered
-// byte count through Flow.OnInterrupt so the sender can resume from that
-// offset — and a seeded LinkFaultInjector (faults.go) drives MTBF/MTTR
+// byte count to its FlowOwner so the sender can resume from that offset —
+// and a seeded LinkFaultInjector (faults.go) drives MTBF/MTTR
 // outage schedules, optionally as flapping bursts or partial degradations.
 package netsim
 
@@ -128,7 +128,7 @@ func (l *Link) unlist(i int32) {
 	if int(i) != last {
 		moved := l.flows[last]
 		l.flows[i] = moved
-		*moved.slot(slices.Index(moved.path, l)) = i
+		*moved.slot(slices.Index(moved.path(), l)) = i
 	}
 	l.flows[last] = nil // do not keep a departed flow reachable
 	l.flows = l.flows[:last]
@@ -143,23 +143,28 @@ func (l *Link) updateShare() {
 	}
 }
 
+// FlowOwner is told how a flow it started ends. StartFlow takes it once and
+// the flow keeps it, so neither end costs a callback closure: the sender's
+// own transfer record is the owner. At most one of the two methods runs,
+// and neither runs for a cancelled flow.
+type FlowOwner interface {
+	// FlowDone runs at the virtual time the flow's last byte arrives.
+	FlowDone(f *Flow)
+	// FlowInterrupted runs when a link failure kills the flow, with the
+	// bytes delivered up to then (the resume offset).
+	FlowInterrupted(f *Flow, delivered float64)
+}
+
 // Flow is an in-flight transfer across a path of links.
 type Flow struct {
 	id         uint64
 	bytes      float64
 	remaining  float64
-	path       []*Link
 	rate       float64 // bits per second under the current allocation
 	lastUpdate sim.Time
 	done       sim.EventRef
-	net        *Network
-	// completeFn is the pre-bound completion callback, created once per flow
-	// so the allocator's reschedule-on-rate-change path (applyRates) does not
-	// allocate a fresh closure per reschedule.
-	completeFn  func()
-	onComplete  func(sim.Time)
-	onInterrupt func(delivered float64, at sim.Time)
-	started     sim.Time
+	owner      FlowOwner // nil: the flow ends silently
+	started    sim.Time
 
 	// Allocator scratch: component-BFS generation and the solver's staged
 	// rate/freeze state for the in-progress solve. pcap is the folded
@@ -168,16 +173,23 @@ type Flow struct {
 	nextRate float64
 	pcap     float64
 
-	// Membership, valid while the flow is joined: netPos is its index in
-	// Network.flows and pos[i] its index in path[i].flows. Every production
-	// path has at most inlineSlots links (Topology.Path); a longer one keeps
-	// the rest of its indices in *spill. With the flags packed last the
-	// struct is 184 bytes, inside the 192-byte size class — a slice header
-	// here instead of the pointer would push every flow into the next one.
-	netPos int32
-	pos    [inlineSlots]int32
-	spill  *[]int32
+	// The path, copied in by StartFlow: links[:npath] when it fits, which
+	// every production route does (MaxRoute), else spill.path. The flow's
+	// network is its first link's.
+	links [MaxRoute]*Link
 
+	// Membership, valid while the flow is joined: netPos is its index in
+	// Network.flows and pos[i] its index in path()[i].flows; a path longer
+	// than MaxRoute keeps the rest of its indices in spill.pos. With the
+	// flags packed last the struct is 184 bytes, inside the 192-byte size
+	// class; a slice header for the path, or a *Network beside the links
+	// plus one more word, would push every flow into the next one
+	// (DESIGN.md, "Flow's size class").
+	netPos int32
+	pos    [MaxRoute]int32
+	spill  *flowSpill
+
+	npath       uint8
 	finished    bool
 	cancelled   bool
 	interrupted bool
@@ -185,15 +197,35 @@ type Flow struct {
 	frozen      bool // solver scratch, with nextRate
 }
 
-// inlineSlots is how many per-link list indices a Flow holds in place.
-const inlineSlots = 5
+// MaxRoute is the most links a route from Path or Topology.Path has: a
+// buffer this long holds any of them, and a flow keeps that many path links
+// and list indices in place.
+const MaxRoute = 5
 
-// slot returns where the flow keeps its index in path[i].flows.
+// flowSpill holds the path and the list indices of a flow whose path is
+// longer than MaxRoute (only tests build such paths).
+type flowSpill struct {
+	path []*Link
+	pos  []int32
+}
+
+// path returns the links the flow crosses, sender side first.
+func (f *Flow) path() []*Link {
+	if f.spill != nil {
+		return f.spill.path
+	}
+	return f.links[:f.npath]
+}
+
+// net returns the network the flow runs on.
+func (f *Flow) net() *Network { return f.links[0].net }
+
+// slot returns where the flow keeps its index in path()[i].flows.
 func (f *Flow) slot(i int) *int32 {
-	if i < inlineSlots {
+	if i < MaxRoute {
 		return &f.pos[i]
 	}
-	return &(*f.spill)[i-inlineSlots]
+	return &f.spill.pos[i-MaxRoute]
 }
 
 // Bytes returns the flow's total size in bytes.
@@ -202,8 +234,8 @@ func (f *Flow) Bytes() float64 { return f.bytes }
 // Remaining returns the unsent byte count, settled to the current virtual
 // instant — no prior Network.Settle call is needed.
 func (f *Flow) Remaining() float64 {
-	if f.net != nil && !f.finished && !f.pending {
-		f.settleTo(f.net.eng.Now())
+	if !f.finished && !f.pending {
+		f.settleTo(f.net().eng.Now())
 	}
 	return f.remaining
 }
@@ -228,14 +260,14 @@ func (f *Flow) Delivered() float64 { return f.bytes - f.Remaining() }
 // Bottleneck returns the path link that most tightly capped the flow: the
 // one with the smallest hypothetical fair share capacity/(flows+1). The +1
 // stands in for this flow itself, which has already detached by the time
-// completion and interrupt callbacks run — the usual call sites. A failed
+// its owner hears of the completion or interruption — the usual call sites. A failed
 // link has zero capacity and therefore always wins. Ties break to the link
 // nearest the sender, so the answer is deterministic. Returns nil only for
 // a pathless flow.
 func (f *Flow) Bottleneck() *Link {
 	var best *Link
 	var bestShare float64
-	for _, l := range f.path {
+	for _, l := range f.path() {
 		cap := l.capacity
 		if l.failed {
 			cap = 0
@@ -247,13 +279,6 @@ func (f *Flow) Bottleneck() *Link {
 	}
 	return best
 }
-
-// OnInterrupt registers a callback invoked when a link failure kills the
-// flow, with the bytes delivered up to the interruption. A flow with no
-// interrupt callback dies silently, like a cancelled flow. Set it right
-// after StartFlow; the completion callback never runs for an interrupted
-// flow.
-func (f *Flow) OnInterrupt(fn func(delivered float64, at sim.Time)) { f.onInterrupt = fn }
 
 // settleTo advances the flow's remaining-byte accounting to now.
 func (f *Flow) settleTo(now sim.Time) {
@@ -362,11 +387,11 @@ func (n *Network) markDirty(path []*Link) {
 }
 
 // rebalance is the batched-mode solve: one settle/solve/apply over the
-// connected components of every link dirtied since the last pass. Callbacks
-// run from completions, not from here, so no new dirt appears mid-pass; a
-// callback that starts or finishes another flow this tick schedules a fresh
-// rebalance, and a busy instant converges in a small constant number of
-// passes.
+// connected components of every link dirtied since the last pass. Owners
+// hear of completions from the flows' own events, not from here, so no new
+// dirt appears mid-pass; an owner that starts or finishes another flow this
+// tick schedules a fresh rebalance, and a busy instant converges in a small
+// constant number of passes.
 func (n *Network) rebalance() {
 	n.rebalanceOn = false
 	if len(n.dirtySeeds) == 0 {
@@ -445,8 +470,8 @@ func (n *Network) SetCapacity(l *Link, bitsPerSec float64) {
 
 // FailLink takes a link down at the current virtual time. Every flow
 // traversing it is killed: the flow's byte accounting settles to now, its
-// interrupt callback (if any) receives the delivered byte count, and its
-// completion callback never runs. Flows sharing other links of the
+// owner (if any) hears FlowInterrupted with the delivered byte count, and
+// never FlowDone. Flows sharing other links of the
 // component re-rate over the freed capacity. New flows whose path crosses
 // a failed link are interrupted at join time with zero bytes delivered.
 // FailLink of a failed link is a no-op.
@@ -470,10 +495,9 @@ func (n *Network) FailLink(l *Link) {
 	}
 	n.solveComponent()
 	n.applyRates()
-	now := n.eng.Now()
 	for _, f := range victims {
-		if f.onInterrupt != nil {
-			f.onInterrupt(f.bytes-f.remaining, now)
+		if f.owner != nil {
+			f.owner.FlowInterrupted(f, f.bytes-f.remaining)
 		}
 	}
 }
@@ -512,15 +536,18 @@ func (n *Network) DegradeLink(l *Link, factor float64) {
 	n.applyRates()
 }
 
-// StartFlow begins a transfer of the given byte count across path. The
-// onComplete callback runs at the virtual time the last byte arrives. Path
-// propagation latency (the sum over links) delays the transfer's start —
-// the connection-setup RTT of the paper's scp-per-file protocol. A zero or
-// negative size completes after the latency alone. An empty path panics —
-// model node-local copies with the storage layer instead — and so does a
-// path that names a link twice: no route crosses a link twice, and the flow
+// StartFlow begins a transfer of the given byte count across path, and
+// tells owner (nil: nobody) how it ends: FlowDone at the virtual time the
+// last byte arrives, or FlowInterrupted if a link failure kills it first.
+// The path is copied into the flow, so a caller may build it in a reused or
+// stack buffer (AppendPath, Topology.AppendPath). Path propagation latency
+// (the sum over links) delays the transfer's start — the connection-setup
+// RTT of the paper's scp-per-file protocol. A zero or negative size
+// completes after the latency alone. An empty path panics — model
+// node-local copies with the storage layer instead — and so does a path
+// that names a link twice: no route crosses a link twice, and the flow
 // lists rely on it (Link.unlist).
-func (n *Network) StartFlow(bytes float64, path []*Link, onComplete func(sim.Time)) *Flow {
+func (n *Network) StartFlow(bytes float64, path []*Link, owner FlowOwner) *Flow {
 	if len(path) == 0 {
 		panic("netsim: empty flow path")
 	}
@@ -531,13 +558,15 @@ func (n *Network) StartFlow(bytes float64, path []*Link, onComplete func(sim.Tim
 	}
 	n.nextID++
 	f := &Flow{
-		id:         n.nextID,
-		bytes:      bytes,
-		remaining:  bytes,
-		path:       path,
-		net:        n,
-		onComplete: onComplete,
-		started:    n.eng.Now(),
+		id:        n.nextID,
+		bytes:     bytes,
+		remaining: bytes,
+		owner:     owner,
+		started:   n.eng.Now(),
+	}
+	f.npath = uint8(copy(f.links[:], path))
+	if len(path) > MaxRoute {
+		f.spill = &flowSpill{path: slices.Clone(path), pos: make([]int32, len(path)-MaxRoute)}
 	}
 	var latency sim.Duration
 	for _, l := range path {
@@ -546,21 +575,12 @@ func (n *Network) StartFlow(bytes float64, path []*Link, onComplete func(sim.Tim
 	if bytes <= completionEpsilon {
 		f.finished = true
 		n.FlowsCompleted++
-		n.eng.Schedule(latency, func() {
-			if onComplete != nil {
-				onComplete(n.eng.Now())
-			}
-		})
+		n.eng.ScheduleHandler(latency, f) // Fire reports the finish
 		return f
 	}
-	if len(path) > inlineSlots {
-		spill := make([]int32, len(path)-inlineSlots)
-		f.spill = &spill
-	}
-	f.completeFn = f.complete
 	if latency > 0 {
 		f.pending = true
-		n.eng.Schedule(latency, f.join)
+		n.eng.ScheduleHandler(latency, f) // Fire joins
 	} else {
 		f.lastUpdate = n.eng.Now()
 		f.join()
@@ -568,30 +588,45 @@ func (n *Network) StartFlow(bytes float64, path []*Link, onComplete func(sim.Tim
 	return f
 }
 
+// Fire is the flow's own engine event, whichever is due: the end of its
+// latency delay (join), its completion, or the report one event after
+// StartFlow of a zero-byte finish or of a birth on a failed link. The
+// state flags tell them apart: a flow has at most one event pending.
+func (f *Flow) Fire() {
+	switch {
+	case f.pending:
+		f.join()
+	case f.interrupted:
+		if f.owner != nil {
+			f.owner.FlowInterrupted(f, 0)
+		}
+	case f.finished:
+		if f.owner != nil {
+			f.owner.FlowDone(f)
+		}
+	default:
+		f.complete()
+	}
+}
+
 // join puts a started flow on its links once its latency delay has elapsed
-// (at once, without one) and has the allocator rate it. It is a method, and
-// complete with it, so that scheduling them costs a method value and not a
-// closure over the flow, the network and the path.
+// (at once, without one) and has the allocator rate it.
 func (f *Flow) join() {
 	f.pending = false
 	if f.cancelled {
 		return
 	}
-	n := f.net
-	for _, l := range f.path {
+	n := f.net()
+	path := f.path()
+	for _, l := range path {
 		if l.failed {
 			// The connection attempt hits a dead link: the flow is born
-			// interrupted with nothing delivered. Delivery of the
-			// callback is deferred one event so a caller that registers
-			// OnInterrupt right after a zero-latency StartFlow still
-			// hears about it.
+			// interrupted with nothing delivered. The owner hears of it one
+			// event later (Fire), so it never learns of the end of a flow
+			// whose StartFlow has not yet returned to it.
 			f.interrupted = true
 			n.FlowsInterrupted++
-			n.eng.Schedule(0, func() {
-				if f.onInterrupt != nil {
-					f.onInterrupt(0, n.eng.Now())
-				}
-			})
+			n.eng.ScheduleHandler(0, f)
 			return
 		}
 	}
@@ -600,10 +635,10 @@ func (f *Flow) join() {
 	if n.batched {
 		// Rate assignment is deferred to this instant's rebalance pass;
 		// until then the flow sits at rate 0 with zero elapsed time.
-		n.markDirty(f.path)
+		n.markDirty(path)
 		return
 	}
-	n.component(f.path...)
+	n.component(path...)
 	n.settleComponent()
 	n.solveComponent()
 	n.applyRates()
@@ -623,10 +658,10 @@ func (n *Network) Cancel(f *Flow) {
 	if n.batched {
 		f.settleTo(n.eng.Now()) // Delivered() stays exact for the caller
 		n.detachFlow(f)
-		n.markDirty(f.path)
+		n.markDirty(f.path())
 		return
 	}
-	n.component(f.path...)
+	n.component(f.path()...)
 	n.settleComponent()
 	n.removeFlow(f)
 	n.solveComponent()
@@ -668,7 +703,7 @@ func (n *Network) component(seeds ...*Link) {
 			}
 			f.mark = m
 			flows = append(flows, f)
-			for _, l := range f.path {
+			for _, l := range f.path() {
 				if l.mark != m {
 					l.mark = m
 					links = append(links, l)
@@ -695,7 +730,7 @@ func (n *Network) settleComponent() {
 func (n *Network) attachFlow(f *Flow) {
 	f.netPos = int32(len(n.flows))
 	n.flows = append(n.flows, f)
-	for i, l := range f.path {
+	for i, l := range f.path() {
 		*f.slot(i) = int32(len(l.flows))
 		l.flows = append(l.flows, f)
 	}
@@ -711,7 +746,7 @@ func (n *Network) detachFlow(f *Flow) {
 	moved.netPos = f.netPos
 	n.flows[last] = nil
 	n.flows = n.flows[:last]
-	for i, l := range f.path {
+	for i, l := range f.path() {
 		l.unlist(*f.slot(i))
 	}
 	f.done.Cancel()
@@ -805,7 +840,7 @@ func (n *Network) solveComponent() {
 	for _, f := range flows {
 		f.frozen = false
 		pc := math.Inf(1)
-		for _, l := range f.path {
+		for _, l := range f.path() {
 			if len(l.flows) < 2 && l.capacity < pc {
 				pc = l.capacity
 			}
@@ -869,7 +904,7 @@ func (n *Network) solveComponent() {
 func (n *Network) freeze(f *Flow, rate float64) {
 	f.frozen = true
 	f.nextRate = rate
-	for _, l := range f.path {
+	for _, l := range f.path() {
 		if l.hidx < 0 {
 			continue
 		}
@@ -902,7 +937,7 @@ func (n *Network) applyRates() {
 			continue // starved (should not happen with positive capacities)
 		}
 		eta := sim.Duration(f.remaining * 8 / r)
-		f.done = n.eng.Schedule(eta, f.completeFn)
+		f.done = n.eng.ScheduleHandler(eta, f)
 	}
 	if n.tracer != nil {
 		n.traceLinkRates()
@@ -928,7 +963,7 @@ func (n *Network) traceLinkRates() {
 
 // complete finishes a flow at the current virtual time.
 func (f *Flow) complete() {
-	n := f.net
+	n := f.net()
 	f.done = sim.EventRef{} // the completion event just fired
 	if n.batched {
 		// The flow's rate has been constant since the last rebalance (any
@@ -937,7 +972,7 @@ func (f *Flow) complete() {
 		f.settleTo(n.eng.Now())
 		if f.remaining > completionEpsilon && f.rate > 0 &&
 			f.remaining*8/f.rate > minRescheduleEta {
-			f.done = n.eng.Schedule(sim.Duration(f.remaining*8/f.rate), f.completeFn)
+			f.done = n.eng.ScheduleHandler(sim.Duration(f.remaining*8/f.rate), f)
 			return
 		}
 		f.finished = true
@@ -945,19 +980,19 @@ func (f *Flow) complete() {
 		n.BytesMoved += f.bytes
 		n.FlowsCompleted++
 		n.detachFlow(f)
-		n.markDirty(f.path)
-		if f.onComplete != nil {
-			f.onComplete(n.eng.Now())
+		n.markDirty(f.path())
+		if f.owner != nil {
+			f.owner.FlowDone(f)
 		}
 		return
 	}
-	n.component(f.path...)
+	n.component(f.path()...)
 	n.settleComponent()
 	if f.remaining > completionEpsilon && f.rate > 0 &&
 		f.remaining*8/f.rate > minRescheduleEta {
 		// A genuine early fire (rates changed underneath the event);
 		// reschedule the real completion from the settled residual.
-		f.done = n.eng.Schedule(sim.Duration(f.remaining*8/f.rate), f.completeFn)
+		f.done = n.eng.ScheduleHandler(sim.Duration(f.remaining*8/f.rate), f)
 		return
 	}
 	f.finished = true
@@ -967,7 +1002,7 @@ func (f *Flow) complete() {
 	n.removeFlow(f)
 	n.solveComponent()
 	n.applyRates()
-	if f.onComplete != nil {
-		f.onComplete(n.eng.Now())
+	if f.owner != nil {
+		f.owner.FlowDone(f)
 	}
 }

@@ -20,6 +20,29 @@ func almost(a, b float64) bool {
 	return diff <= 1e-6*scale+1e-9
 }
 
+// ends is the tests' FlowOwner: a completion and an interrupt callback,
+// either nil. The simulator's transfers own their flows through records of
+// their own; a test is free to close over what it checks.
+type ends struct {
+	done func(at sim.Time)
+	intr func(delivered float64, at sim.Time)
+}
+
+func (e *ends) FlowDone(f *Flow) {
+	if e.done != nil {
+		e.done(f.net().eng.Now())
+	}
+}
+
+func (e *ends) FlowInterrupted(f *Flow, delivered float64) {
+	if e.intr != nil {
+		e.intr(delivered, f.net().eng.Now())
+	}
+}
+
+// onDone owns a flow through its completion callback alone.
+func onDone(fn func(at sim.Time)) FlowOwner { return &ends{done: fn} }
+
 func TestSingleFlowDuration(t *testing.T) {
 	eng := sim.NewEngine()
 	net := New(eng)
@@ -135,11 +158,11 @@ func TestMaxMinUnevenPaths(t *testing.T) {
 	dstX := net.NewHost("dstX", Mbps(1000), Mbps(1000))
 	var tX, tY, tZ sim.Time
 	// X: srcX.up -> L1 -> L2 -> dstX.down
-	net.StartFlow(12.5e6, []*Link{srcX.Up(), mid.Link(), l2, dstX.Down()}, func(at sim.Time) { tX = at })
+	net.StartFlow(12.5e6, []*Link{srcX.Up(), mid.Link(), l2, dstX.Down()}, onDone(func(at sim.Time) { tX = at }))
 	// Y: only L1
-	net.StartFlow(12.5e6, []*Link{mid.Link()}, func(at sim.Time) { tY = at })
+	net.StartFlow(12.5e6, []*Link{mid.Link()}, onDone(func(at sim.Time) { tY = at }))
 	// Z: only L2
-	net.StartFlow(12.5e6, []*Link{l2}, func(at sim.Time) { tZ = at })
+	net.StartFlow(12.5e6, []*Link{l2}, onDone(func(at sim.Time) { tZ = at }))
 	eng.Run()
 	if !almost(float64(tX), 2.0) || !almost(float64(tY), 2.0) || !almost(float64(tZ), 2.0) {
 		t.Fatalf("tX=%v tY=%v tZ=%v, want all 2.0", tX, tY, tZ)
@@ -406,15 +429,14 @@ func TestFlowBottleneckFailedLink(t *testing.T) {
 	net := New(eng)
 	src := net.NewHost("src", Mbps(100), Mbps(100))
 	dst := net.NewHost("dst", Mbps(10), Mbps(10))
-	var fl *Flow
-	fl = net.Transfer(src, dst, nil, 1e9, nil)
 	interrupted := false
-	fl.OnInterrupt(func(delivered float64, at sim.Time) {
+	var fl *Flow
+	fl = net.StartFlow(1e9, Path(src, dst, nil), &ends{intr: func(float64, sim.Time) {
 		if bn := fl.Bottleneck(); bn != src.Up() {
 			t.Errorf("bottleneck after failure = %v, want failed src up", bn.Name())
 		}
 		interrupted = true
-	})
+	}})
 	eng.Schedule(sim.Duration(1), func() { net.FailLink(src.Up()) })
 	eng.Run()
 	if !interrupted {

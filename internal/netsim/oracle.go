@@ -28,7 +28,7 @@ func referenceMaxMinFair(active []*Flow) map[*Flow]float64 {
 	// Collect the links in play, deterministically ordered for tie-breaks.
 	linkSet := make(map[*Link]struct{})
 	for f := range flows {
-		for _, l := range f.path {
+		for _, l := range f.path() {
 			linkSet[l] = struct{}{}
 		}
 	}
@@ -84,7 +84,7 @@ func referenceMaxMinFair(active []*Flow) map[*Flow]float64 {
 			frozen[f] = true
 			rates[f] = best
 			remaining--
-			for _, l := range f.path {
+			for _, l := range f.path() {
 				residual[l] -= best
 				if residual[l] < 0 {
 					residual[l] = 0

@@ -78,9 +78,9 @@ type rack struct {
 
 // Topology is a built fat-tree: it owns the ToR and spine links and answers
 // routing queries. Build one with NewTree, attach hosts in provisioning
-// order, and use Path (or cloud.Cluster.TransferPath, which delegates here)
-// instead of the flat Path helper. Which rack a host sits in is recorded on
-// the host (Host.tree, Host.rack).
+// order, and use Path or AppendPath (or cloud.Cluster.AppendTransferPath,
+// which delegates here) instead of the flat helpers. Which rack a host sits
+// in is recorded on the host (Host.tree, Host.rack).
 type Topology struct {
 	net      *Network
 	spec     TreeSpec
@@ -215,8 +215,12 @@ func (t *Topology) spineFor(sr, dr int) *Link {
 // the two host NICs (the ToR switching fabric is non-blocking for local
 // ports), inter-rack traffic climbs the source ToR uplink, crosses one
 // spine, and descends the destination ToR downlink. Both hosts must have
-// been attached. Path panics on src == dst, as the flat helper does.
-func (t *Topology) Path(src, dst *Host) []*Link {
+// been attached. Path panics on src == dst, as the flat helper does. The
+// route comes in a fresh slice; AppendPath writes it into the caller's.
+func (t *Topology) Path(src, dst *Host) []*Link { return t.AppendPath(nil, src, dst) }
+
+// AppendPath appends Path's route to links and returns the extended slice.
+func (t *Topology) AppendPath(links []*Link, src, dst *Host) []*Link {
 	if src == dst {
 		panic(fmt.Sprintf("netsim: path from host %q to itself", src.Name()))
 	}
@@ -228,7 +232,7 @@ func (t *Topology) Path(src, dst *Host) []*Link {
 		panic(fmt.Sprintf("netsim: host %q not attached to topology", dst.Name()))
 	}
 	if sr == dr {
-		return []*Link{src.up, dst.down}
+		return append(links, src.up, dst.down)
 	}
-	return []*Link{src.up, t.racks[sr].up, t.spineFor(sr, dr), t.racks[dr].down, dst.down}
+	return append(links, src.up, t.racks[sr].up, t.spineFor(sr, dr), t.racks[dr].down, dst.down)
 }

@@ -199,7 +199,7 @@ func runTreeChurn(t testing.TB, net *Network, eng *sim.Engine, links []*Link, pa
 		i := i
 		p := path(i, src, dst)
 		eng.Schedule(start, func() {
-			flows[i] = net.StartFlow(bytes, p, func(at sim.Time) { res.completions[i] = at })
+			flows[i] = net.StartFlow(bytes, p, onDone(func(at sim.Time) { res.completions[i] = at }))
 		})
 	}
 	// Checkpoints between waves of activity; each snapshots every flow's

@@ -10,9 +10,17 @@
 // number). Events may be cancelled or rescheduled, which the flow-level
 // network model relies on when fair-share rates change.
 //
+// An event fires a Handler: a record whose Fire method continues the work
+// that scheduled it. A flow, a stage-in or a task attempt schedules itself,
+// so firing it costs no closure; Schedule and At take a plain func, which
+// boxes into a Handler without allocating (Func).
+//
 // Event objects are recycled through a free-list pool: a fired or cancelled
-// event's storage is reused by later Schedule calls, so steady-state
-// simulation allocates no per-event memory. Handles are generation-guarded
+// event's storage is reused by later Schedule calls, so the engine itself
+// allocates no per-event memory in steady state. That covers the Event
+// record only: whatever a handler allocates when it is built or when it
+// fires is its owner's, and DESIGN.md ("Hot-path rules") counts what the
+// simulator's own handlers do. Handles are generation-guarded
 // EventRef values — a Cancel through a stale handle (the event already fired
 // or was cancelled, and its storage possibly reused) is a no-op, never a
 // cancellation of an unrelated newer event.
@@ -36,7 +44,21 @@ type Duration = Time
 // Infinity is a virtual time later than any event the engine will fire.
 const Infinity Time = Time(math.MaxFloat64)
 
-// Event is the engine's internal record of a scheduled callback. Its storage
+// Handler is what an event fires. A record that schedules itself implements
+// it with one method, so the engine calls it directly.
+type Handler interface {
+	Fire()
+}
+
+// Func adapts a plain function to Handler. A func value is pointer-shaped,
+// so converting one to a Handler does not allocate: Schedule and At cost
+// what they did before handlers existed.
+type Func func()
+
+// Fire calls f.
+func (f Func) Fire() { f() }
+
+// Event is the engine's internal record of a scheduled handler. Its storage
 // is pooled and reused across events (and across engines — the pool is
 // shared so a sweep of thousands of short-lived engines recycles one arena),
 // which is why user code holds EventRef handles rather than *Event.
@@ -44,7 +66,7 @@ type Event struct {
 	when  Time
 	seq   uint64
 	gen   uint64 // incremented on release; stale EventRefs stop matching
-	fn    func()
+	h     Handler
 	owner *Engine
 	index int // heap index; -1 once removed
 }
@@ -219,24 +241,41 @@ func (e *Engine) Pending() int { return len(e.queue) }
 // time never runs backwards. It returns the event handle so the caller may
 // cancel it.
 func (e *Engine) Schedule(delay Duration, fn func()) EventRef {
-	if delay < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", delay))
+	if fn == nil {
+		panic("sim: nil event function")
 	}
-	return e.At(e.now+delay, fn)
+	return e.ScheduleHandler(delay, Func(fn))
 }
 
 // At queues fn to run at absolute virtual time t, which must not be in the
 // past.
 func (e *Engine) At(t Time, fn func()) EventRef {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: schedule at %v before now %v", t, e.now))
-	}
 	if fn == nil {
 		panic("sim: nil event function")
 	}
+	return e.AtHandler(t, Func(fn))
+}
+
+// ScheduleHandler queues h to fire after delay, as Schedule does a func.
+func (e *Engine) ScheduleHandler(delay Duration, h Handler) EventRef {
+	if delay < 0 {
+		panic(fmt.Sprintf("sim: negative delay %v", delay))
+	}
+	return e.AtHandler(e.now+delay, h)
+}
+
+// AtHandler queues h to fire at absolute virtual time t, which must not be
+// in the past. Events fire in (time, scheduling order), whatever fires them.
+func (e *Engine) AtHandler(t Time, h Handler) EventRef {
+	if t < e.now {
+		panic(fmt.Sprintf("sim: schedule at %v before now %v", t, e.now))
+	}
+	if h == nil {
+		panic("sim: nil event handler")
+	}
 	e.seq++
 	ev := eventPool.Get().(*Event)
-	ev.when, ev.seq, ev.fn, ev.owner = t, e.seq, fn, e
+	ev.when, ev.seq, ev.h, ev.owner = t, e.seq, h, e
 	e.queue.push(ev)
 	return EventRef{ev: ev, gen: ev.gen}
 }
@@ -245,26 +284,26 @@ func (e *Engine) At(t Time, fn func()) EventRef {
 // the pool for reuse by a later Schedule (possibly on another engine).
 func (e *Engine) release(ev *Event) {
 	ev.gen++ // stale refs stop matching from here on
-	ev.fn = nil
+	ev.h = nil
 	ev.owner = nil
 	ev.index = -1
 	eventPool.Put(ev)
 }
 
 // popNext removes the next event with time <= deadline and returns its
-// callback and fire time, releasing the event's storage before the callback
-// runs (so a callback that schedules new work can reuse it immediately, and
-// a self-Cancel from inside the callback is a guarded no-op). It is the
+// handler and fire time, releasing the event's storage before the handler
+// runs (so a handler that schedules new work can reuse it immediately, and
+// a self-Cancel from inside the handler is a guarded no-op). It is the
 // single dequeue path shared by RunUntil and Step, so both count fired
 // events identically.
-func (e *Engine) popNext(deadline Time) (fn func(), at Time, ok bool) {
+func (e *Engine) popNext(deadline Time) (h Handler, at Time, ok bool) {
 	if len(e.queue) == 0 || e.queue[0].when > deadline {
 		return nil, 0, false
 	}
 	next := e.queue.pop()
-	fn, at = next.fn, next.when
+	h, at = next.h, next.when
 	e.release(next)
-	return fn, at, true
+	return h, at, true
 }
 
 // Run delivers events until the queue is empty. It returns the final virtual
@@ -283,13 +322,13 @@ func (e *Engine) RunUntil(deadline Time) Time {
 	e.running = true
 	defer func() { e.running = false }()
 	for {
-		fn, at, ok := e.popNext(deadline)
+		h, at, ok := e.popNext(deadline)
 		if !ok {
 			break
 		}
 		e.now = at
 		e.fired++
-		fn()
+		h.Fire()
 	}
 	if deadline != Infinity && e.now < deadline && len(e.queue) == 0 {
 		e.now = deadline
@@ -299,12 +338,12 @@ func (e *Engine) RunUntil(deadline Time) Time {
 
 // Step delivers exactly one event and reports whether one was delivered.
 func (e *Engine) Step() bool {
-	fn, at, ok := e.popNext(Infinity)
+	h, at, ok := e.popNext(Infinity)
 	if !ok {
 		return false
 	}
 	e.now = at
 	e.fired++
-	fn()
+	h.Fire()
 	return true
 }

@@ -253,9 +253,9 @@ func TestTimerDropsRefOnFire(t *testing.T) {
 func TestResourceAdmission(t *testing.T) {
 	r := NewResource(2)
 	order := []int{}
-	r.Acquire(func() { order = append(order, 1) })
-	r.Acquire(func() { order = append(order, 2) })
-	r.Acquire(func() { order = append(order, 3) }) // queued
+	r.Acquire(Func(func() { order = append(order, 1) }))
+	r.Acquire(Func(func() { order = append(order, 2) }))
+	r.Acquire(Func(func() { order = append(order, 3) })) // queued
 	if r.InUse() != 2 || len(order) != 2 {
 		t.Fatalf("inUse=%d admitted=%v", r.InUse(), order)
 	}
@@ -296,7 +296,7 @@ func TestResourceInvariantProperty(t *testing.T) {
 			if rng.Intn(2) == 0 {
 				id := next
 				next++
-				r.Acquire(func() { admittedOrder = append(admittedOrder, id) })
+				r.Acquire(Func(func() { admittedOrder = append(admittedOrder, id) }))
 			} else if released < len(admittedOrder) {
 				r.Release()
 				released++
@@ -309,6 +309,46 @@ func TestResourceInvariantProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// admissions counts the times a queued acquire was admitted.
+type admissions int
+
+func (a *admissions) Fire() { *a++ }
+
+// A capacity-1 resource cycling 10,000 queued acquires allocates nothing
+// once its queue has reached that size: the FIFO pops by a head index
+// instead of reslicing, so append never has to regrow the array as the head
+// walks forward, and every vacated slot is cleared, so an admitted waiter
+// is not kept reachable by the queue.
+func TestResourceQueueAllocatesNothingWarm(t *testing.T) {
+	const queued = 10_000
+	r := NewResource(1)
+	var admitted admissions
+	r.Acquire(&admitted) // holds the slot; every later acquire queues
+	cycle := func() {
+		for i := 0; i < queued; i++ {
+			r.Acquire(&admitted)
+		}
+		for i := 0; i < queued; i++ {
+			r.Release()
+		}
+	}
+	cycle() // warm-up: the queue grows to its working size
+	if allocs := testing.AllocsPerRun(5, cycle); allocs != 0 {
+		t.Fatalf("a warm queue of %d waiters allocates %v per cycle, want 0", queued, allocs)
+	}
+	if want := admissions(1 + 7*queued); admitted != want { // AllocsPerRun adds a warm-up run
+		t.Fatalf("admitted %d times, want %d", admitted, want)
+	}
+	for i, h := range r.waiters {
+		if h != nil {
+			t.Fatalf("queue slot %d still holds an admitted waiter", i)
+		}
+	}
+	if r.InUse() != 1 {
+		t.Fatalf("inUse = %d, want 1", r.InUse())
 	}
 }
 

@@ -15,18 +15,20 @@ type Timer struct {
 // timer stops itself) must not look at it — another engine's goroutine may own
 // it by then.
 func NewTimer(eng *Engine, fn func()) *Timer {
-	t := &Timer{eng: eng}
-	t.fn = func() {
-		t.ev = EventRef{}
-		fn()
-	}
-	return t
+	return &Timer{eng: eng, fn: fn}
+}
+
+// Fire is the timer's event: it drops the spent ref, then runs fn. The
+// engine calls it; Reset is how a caller arms it.
+func (t *Timer) Fire() {
+	t.ev = EventRef{}
+	t.fn()
 }
 
 // Reset (re)arms the timer to fire after delay, cancelling any pending fire.
 func (t *Timer) Reset(delay Duration) {
 	t.ev.Cancel()
-	t.ev = t.eng.Schedule(delay, t.fn)
+	t.ev = t.eng.ScheduleHandler(delay, t)
 }
 
 // Stop cancels a pending fire. It is safe on a stopped timer.
@@ -45,7 +47,12 @@ func (t *Timer) Armed() bool {
 type Resource struct {
 	capacity int
 	inUse    int
-	waiters  []func()
+	// waiters is a ring of queued handlers: the oldest at head, n of them in
+	// all. A popped slot is cleared, so an admitted waiter is not kept
+	// reachable, and the ring grows only when full, so a steady queue
+	// allocates nothing.
+	waiters []Handler
+	head, n int
 }
 
 // NewResource returns a resource with the given capacity (> 0).
@@ -62,14 +69,22 @@ func (r *Resource) Capacity() int { return r.capacity }
 // InUse returns the number of held slots.
 func (r *Resource) InUse() int { return r.inUse }
 
-// Acquire grants a slot to fn now if one is free, otherwise queues fn.
-func (r *Resource) Acquire(fn func()) {
+// Acquire grants a slot to h now, firing it, if one is free; otherwise it
+// queues h to fire when a Release admits it.
+func (r *Resource) Acquire(h Handler) {
 	if r.inUse < r.capacity {
 		r.inUse++
-		fn()
+		h.Fire()
 		return
 	}
-	r.waiters = append(r.waiters, fn)
+	if r.n == len(r.waiters) {
+		grown := make([]Handler, max(4, 2*len(r.waiters)))
+		k := copy(grown, r.waiters[r.head:])
+		copy(grown[k:], r.waiters[:r.head])
+		r.waiters, r.head = grown, 0
+	}
+	r.waiters[(r.head+r.n)%len(r.waiters)] = h
+	r.n++
 }
 
 // Release returns a slot, admitting the oldest waiter if any.
@@ -77,10 +92,12 @@ func (r *Resource) Release() {
 	if r.inUse <= 0 {
 		panic("sim: release of unheld resource")
 	}
-	if len(r.waiters) > 0 {
-		next := r.waiters[0]
-		r.waiters = r.waiters[1:]
-		next()
+	if r.n > 0 {
+		next := r.waiters[r.head]
+		r.waiters[r.head] = nil
+		r.head = (r.head + 1) % len(r.waiters)
+		r.n--
+		next.Fire()
 		return
 	}
 	r.inUse--

@@ -4,6 +4,7 @@ import (
 	"frieda/internal/fault"
 	"frieda/internal/netsim"
 	"frieda/internal/obs/attrib"
+	"frieda/internal/sim"
 )
 
 // attribHook records the run's causal DAG for critical-path attribution
@@ -82,13 +83,13 @@ func (a *attribHook) transfer(s *stageIn, o outcome, why string) {
 
 // delayed chains the wait from the cause that started it, so the work the
 // continuation dispatches blames the wait, not whatever event happened to
-// precede it.
-func (a *attribHook) delayed(w *simWorker, d delay, then func()) func() {
+// precede it. The wrapper allocates, in attributed runs only.
+func (a *attribHook) delayed(w *simWorker, d delay, then sim.Handler) sim.Handler {
 	cause := a.cause
-	return func() {
+	return sim.Func(func() {
 		a.cause = a.ab.After(cause, d.cat, d.label, w.name)
-		then()
-	}
+		then.Fire()
+	})
 }
 
 func (a *attribHook) compute(w *simWorker, att *taskAttempt, o outcome) {

@@ -113,16 +113,24 @@ func (c *ctrlHook) decide(w *simWorker) bool {
 	r.res.CtrlPlaneDecisionSec += cost
 	w.admitted++
 	c.busyUntil = max(c.busyUntil, r.eng.Now()) + sim.Time(cost)
-	r.after(c.busyUntil, w, delayDecision, func() { c.fire(w, gi) })
+	r.after(c.busyUntil, w, delayDecision, &decision{c: c, w: w, gi: gi})
 	return true
 }
 
-// fire delivers a decided dispatch once the decision server has processed
+// decision is a dispatch of task gi to w that the decision server is
+// processing.
+type decision struct {
+	c  *ctrlHook
+	w  *simWorker
+	gi int
+}
+
+// Fire delivers the decided dispatch once the decision server has processed
 // it. The worker can die between decision and delivery; the task then
 // settles exactly as a dead worker's unstarted backlog entry does in
 // reassign — requeued under Recover, abandoned otherwise.
-func (c *ctrlHook) fire(w *simWorker, gi int) {
-	r := c.r
+func (d *decision) Fire() {
+	r, w, gi := d.c.r, d.w, d.gi
 	if w.Dead {
 		w.admitted--
 		if r.led.Fail(gi) {

@@ -69,8 +69,11 @@ func (h *detectHook) join(w *simWorker) {
 // usable in both directions (no failed link on either transfer path).
 func (h *detectHook) pathUp(w *simWorker) bool {
 	c, m := h.r.cluster, h.r.master
-	return !slices.ContainsFunc(c.TransferPath(w.vm, m), (*netsim.Link).Failed) &&
-		!slices.ContainsFunc(c.TransferPath(m, w.vm), (*netsim.Link).Failed)
+	var route [netsim.MaxRoute]*netsim.Link
+	if slices.ContainsFunc(c.AppendTransferPath(route[:0], w.vm, m), (*netsim.Link).Failed) {
+		return false
+	}
+	return !slices.ContainsFunc(c.AppendTransferPath(route[:0], m, w.vm), (*netsim.Link).Failed)
 }
 
 func (h *detectHook) workerGone(w *simWorker, _ []string) { h.d.Stop(w.name) }

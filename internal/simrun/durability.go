@@ -71,7 +71,7 @@ func newDurability(r *Runner, an *attribHook) *durabilityHook {
 			d.fileSize[f.Name] = float64(f.Size)
 		}
 	}
-	r.source, r.fetch, r.corrupt, r.readFails = d.source, d.fetch, d.corrupt, d.readFails
+	r.source, r.fetch, r.fetched, r.corrupt, r.readFails = d.source, d.fetch, d.fetched, d.corrupt, d.readFails
 	r.cluster.OnDiskFailure(func(vm *cloud.VM, _ *storage.Volume) {
 		if w := r.worker(vm); w != nil {
 			d.diskDied(w)
@@ -144,60 +144,47 @@ func (d *durabilityHook) masterHolds(files []string) bool {
 // different nodes, so each transfer uses its own best source. Files already
 // landed keep their on-disk copies when a later file in the chain fails;
 // only the not-yet-fetched claims are released.
-func (d *durabilityHook) fetch(w *simWorker, att *taskAttempt, names []string, _ float64) {
-	r := d.r
-	fail := func(i int) {
-		for _, f := range names[i:] {
-			delete(w.has, f)
-		}
+func (d *durabilityHook) fetch(att *taskAttempt, _ float64) { d.fetchFrom(att, 0) }
+
+// fetchFrom stages att.names[i:], the next file first, then computes.
+func (d *durabilityHook) fetchFrom(att *taskAttempt, i int) {
+	r, w, names := d.r, att.w, att.names
+	if w.Dead {
+		return
+	}
+	if i >= len(names) {
 		r.putNames(names)
-		r.fetchFailed(w, att)
+		r.compute(w, att)
+		return
 	}
-	var step func(i int)
-	step = func(i int) {
-		if w.Dead {
-			return
-		}
-		if i >= len(names) {
-			r.putNames(names)
-			r.compute(w, att)
-			return
-		}
-		f, size := names[i], d.fileSize[names[i]]
-		if d.lost[f] {
-			fail(i)
-			return
-		}
-		att.stage = r.transfer(w, []string{f}, size, func(lost bool) {
-			att.stage = nil
-			if w.Dead {
-				return
-			}
-			if lost {
-				fail(i)
-				return
-			}
-			r.chargeDiskWrite(w, size, func() {
-				if w.Dead {
-					return
-				}
-				// Re-assert the claim: a disk wipe mid-transfer cleared it,
-				// and the bytes just landed on the fresh media.
-				w.setHas(f)
-				r.noteStaged(f, w.name)
-				step(i + 1)
-			})
-		})
+	f, size := names[i], d.fileSize[names[i]]
+	if d.lost[f] {
+		r.fetchLost(att, i)
+		return
 	}
-	step(0)
+	att.stage = r.transfer((&stageIn{w: w, bytes: size, step: stepFetch, att: att, at: i}).oneFile(f))
+}
+
+// fetched goes on to the attempt's next file once one is on disk.
+func (d *durabilityHook) fetched(s *stageIn) {
+	w, f := s.w, s.files[0]
+	if w.Dead {
+		return
+	}
+	// Re-assert the claim: a disk wipe mid-transfer cleared it, and the
+	// bytes just landed on the fresh media.
+	w.setHas(f)
+	d.r.noteStaged(f, w.name)
+	d.fetchFrom(s.att, s.at+1)
 }
 
 // corrupt draws whether a payload arriving at w from `from` is corrupt: only
 // with verification on and only across a path with a link running below
 // its provisioned rate at arrival time.
 func (d *durabilityHook) corrupt(from *cloud.VM, w *simWorker) bool {
+	var route [netsim.MaxRoute]*netsim.Link
 	return d.cfg.Verify && d.cfg.CorruptionRate > 0 &&
-		slices.ContainsFunc(d.r.cluster.TransferPath(from, w.vm), (*netsim.Link).Degraded) &&
+		slices.ContainsFunc(d.r.cluster.AppendTransferPath(route[:0], from, w.vm), (*netsim.Link).Degraded) &&
 		d.rng.Float64() < d.cfg.CorruptionRate
 }
 
@@ -287,9 +274,12 @@ func (d *durabilityHook) repRemove(file, node string) {
 	d.mf.journal(catalog.Record{Op: catalog.OpReplicaRemove, File: file, Node: node})
 }
 
-// repairJob is one in-flight repair copy.
+// repairJob is one in-flight repair copy: the owner of its flow and the
+// handler of its landing.
 type repairJob struct {
+	d    *durabilityHook
 	file string
+	size float64
 	src  *simWorker // nil when the master is the source
 	dst  *simWorker
 	flow *netsim.Flow
@@ -417,7 +407,7 @@ func (d *durabilityHook) startRepair(f string) {
 	if dst == nil {
 		return // every live worker already holds (or is fetching) the file
 	}
-	job := &repairJob{file: f, src: src, dst: dst}
+	job := &repairJob{d: d, file: f, size: size, src: src, dst: dst}
 	if ab := d.an.ab; ab.Enabled() {
 		// Repairs are triggered by scans, not the scheduling chain; anchor
 		// the job at the run start so the walk terminates cleanly and the
@@ -434,63 +424,77 @@ func (d *durabilityHook) startRepair(f string) {
 	// delivered AND disk write charged): an active job counts as a
 	// surviving source in sourceExists, because the bytes in flight land
 	// even if the original replica vanishes after they left.
-	job.flow = r.cluster.Transfer(srcVM, dst.vm, size, func(sim.Time) {
-		job.flow = nil
-		if d.stopped || d.active[f] != job {
-			return
-		}
-		r.res.RepairBytes += size
-		if dst.Dead {
-			delete(d.active, f)
-			d.endSpan(job, "worker-died")
-			d.repairsFailed++
-			return
-		}
-		d.endSpan(job, "ok")
-		if ab := d.an.ab; ab.Enabled() {
-			d.an.cause = ab.After(job.anStart, attrib.Repair, "repair-copy", f)
-		}
-		r.chargeDiskWrite(dst, size, func() {
-			if d.stopped || d.active[f] != job {
-				return
-			}
-			delete(d.active, f)
-			if dst.Dead {
-				d.repairsFailed++
-				return
-			}
-			dst.setHas(f)
-			landed := func() {
-				r.replicas.Add(f, dst.name)
-				d.mf.journal(catalog.Record{Op: catalog.OpReplicaAdd, File: f, Node: dst.name})
-				if d.an.repairNode != nil {
-					d.an.repairNode[f+"\x00"+dst.name] = d.an.cause
-				}
-				r.res.RepairsCompleted++
-				// Keep draining: the file may still be below target, and the
-				// budget slot just freed.
-				d.scan()
-			}
-			if r.offline {
-				// The copy physically landed; the master learns of it on
-				// recovery.
-				r.hold(landed)
-				return
-			}
-			landed()
-		})
-	})
-	job.flow.OnInterrupt(func(delivered float64, _ sim.Time) {
-		job.flow = nil
-		if d.active[f] != job {
-			return
-		}
-		delete(d.active, f)
-		r.res.RepairBytes += delivered
+	job.flow = r.cluster.Transfer(srcVM, dst.vm, size, job)
+}
+
+// FlowDone settles the repair copy's flow delivering; the copy lands once
+// its disk write is charged (Fire).
+func (job *repairJob) FlowDone(*netsim.Flow) {
+	d, r := job.d, job.d.r
+	job.flow = nil
+	if d.stopped || d.active[job.file] != job {
+		return
+	}
+	r.res.RepairBytes += job.size
+	if job.dst.Dead {
+		delete(d.active, job.file)
+		d.endSpan(job, "worker-died")
 		d.repairsFailed++
-		d.endSpan(job, "interrupted")
-		// The ticker retries; immediate retry would hammer a faulted link.
-	})
+		return
+	}
+	d.endSpan(job, "ok")
+	if ab := d.an.ab; ab.Enabled() {
+		d.an.cause = ab.After(job.anStart, attrib.Repair, "repair-copy", job.file)
+	}
+	r.chargeDiskWrite(job.dst, job.size, job)
+}
+
+// FlowInterrupted fails the repair copy; the ticker retries, as an
+// immediate retry would hammer a faulted link.
+func (job *repairJob) FlowInterrupted(_ *netsim.Flow, delivered float64) {
+	d := job.d
+	job.flow = nil
+	if d.active[job.file] != job {
+		return
+	}
+	delete(d.active, job.file)
+	d.r.res.RepairBytes += delivered
+	d.repairsFailed++
+	d.endSpan(job, "interrupted")
+}
+
+// Fire lands the repair copy once its disk write is charged.
+func (job *repairJob) Fire() {
+	d, r := job.d, job.d.r
+	if d.stopped || d.active[job.file] != job {
+		return
+	}
+	delete(d.active, job.file)
+	if job.dst.Dead {
+		d.repairsFailed++
+		return
+	}
+	job.dst.setHas(job.file)
+	if r.offline {
+		// The copy physically landed; the master learns of it on recovery.
+		r.hold(job.noted)
+		return
+	}
+	job.noted()
+}
+
+// noted is the master's note of a landed repair copy.
+func (job *repairJob) noted() {
+	d, r, f, dst := job.d, job.d.r, job.file, job.dst
+	r.replicas.Add(f, dst.name)
+	d.mf.journal(catalog.Record{Op: catalog.OpReplicaAdd, File: f, Node: dst.name})
+	if d.an.repairNode != nil {
+		d.an.repairNode[f+"\x00"+dst.name] = d.an.cause
+	}
+	r.res.RepairsCompleted++
+	// Keep draining: the file may still be below target, and the budget
+	// slot just freed.
+	d.scan()
 }
 
 // sourceExists reports whether any copy of the file survives: a live worker
@@ -580,7 +584,7 @@ func (d *durabilityHook) diskDiedMaster(w *simWorker, files []string) {
 	}
 	if lostCommon && !w.Dead {
 		w.Ready = false
-		r.stageCommon(w, func() { r.admit(w) })
+		r.stageCommon(w, commonAdmit)
 	}
 	d.scan()
 }

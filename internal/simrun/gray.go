@@ -194,7 +194,7 @@ func (r *Runner) SetWorkerSpeed(vm *cloud.VM, factor float64) {
 		}
 		att.rateSince = now
 		att.compute.Cancel()
-		att.compute = r.eng.Schedule(sim.Duration(att.workLeft/factor), att.finish)
+		att.compute = r.eng.ScheduleHandler(sim.Duration(att.workLeft/factor), att)
 	}
 }
 
@@ -445,46 +445,57 @@ func (g *grayHook) armHedge(s *stageIn) {
 		if g.tr.Enabled() {
 			g.tr.Instant(s.track, "spec", "hedge-launched", obs.Args{"src": src2.Name()})
 		}
-		remaining := s.remaining
 		r.flowStarted()
-		r.res.BytesMoved += remaining
+		r.res.BytesMoved += s.remaining
 		if ab := g.an.ab; ab.Enabled() {
 			s.anHedge = ab.After(s.anCause, attrib.DetectionLatency, "hedge-launch", src2.Name())
 		}
-		var hf *netsim.Flow
-		hf = r.cluster.Transfer(src2, w.vm, remaining, func(sim.Time) {
-			// Hedge won the race: drop the primary and deliver.
-			r.flowEnded()
-			s.hedge = nil
-			g.activeHedges--
-			if s.flow != nil {
-				r.res.BytesMoved -= s.flow.Remaining()
-				r.cluster.Network().Cancel(s.flow)
-				s.flow = nil
-				r.flowEnded()
-			}
-			// The delivery descends from the hedge-launch decision, not the
-			// primary attempt it raced past.
-			s.anCause, s.last = s.anHedge, hf
-			r.arrive(s, src2)
-		})
-		s.hedge = hf
-		hf.OnInterrupt(func(delivered float64, _ sim.Time) {
-			// Hedge killed by a link fault: the primary carries on alone —
-			// unless it already died deferring to this hedge, in which case
-			// the retry ladder resumes with the full remaining payload.
-			r.flowEnded()
-			s.hedge = nil
-			g.activeHedges--
-			r.res.BytesMoved -= remaining - delivered
-			if s.abandoned {
-				return
-			}
-			if s.flow == nil {
-				r.retryAfter(s, remaining, "retries-exhausted")
-			}
-		})
+		s.hedge = r.cluster.Transfer(src2, w.vm, s.remaining, &hedge{g: g, s: s, src: src2})
 	})
+}
+
+// hedge owns a hedge flow racing a stage's primary flow from src.
+type hedge struct {
+	g   *grayHook
+	s   *stageIn
+	src *cloud.VM
+}
+
+// FlowDone delivers the stage: the hedge won the race, so the primary is
+// dropped.
+func (h *hedge) FlowDone(f *netsim.Flow) {
+	g, s, r := h.g, h.s, h.g.r
+	r.flowEnded()
+	s.hedge = nil
+	g.activeHedges--
+	if s.flow != nil {
+		r.res.BytesMoved -= s.flow.Remaining()
+		r.cluster.Network().Cancel(s.flow)
+		s.flow = nil
+		r.flowEnded()
+	}
+	// The delivery descends from the hedge-launch decision, not the
+	// primary attempt it raced past.
+	s.anCause, s.last = s.anHedge, f
+	r.arrive(s, h.src)
+}
+
+// FlowInterrupted settles a link fault killing the hedge: the primary
+// carries on alone — unless it already died deferring to this hedge, in
+// which case the retry ladder resumes with the full remaining payload.
+func (h *hedge) FlowInterrupted(f *netsim.Flow, delivered float64) {
+	g, s, r := h.g, h.s, h.g.r
+	remaining := f.Bytes()
+	r.flowEnded()
+	s.hedge = nil
+	g.activeHedges--
+	r.res.BytesMoved -= remaining - delivered
+	if s.abandoned {
+		return
+	}
+	if s.flow == nil {
+		r.retryAfter(s, remaining, "retries-exhausted")
+	}
 }
 
 // dropHedge cancels the losing hedge flow after the primary delivered

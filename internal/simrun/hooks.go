@@ -20,8 +20,10 @@ type hook interface {
 	// end, or the whole transfer's; why says why one was lost.
 	transfer(s *stageIn, o outcome, why string)
 	compute(w *simWorker, att *taskAttempt, o outcome)
-	// delayed may wrap the continuation of a modelled wait on w.
-	delayed(w *simWorker, d delay, then func()) func()
+	// delayed may wrap the continuation of a modelled wait on w: a record
+	// that fires itself (a stage, an attempt, a repair), or a wrapper that
+	// fires it.
+	delayed(w *simWorker, d delay, then sim.Handler) sim.Handler
 	// settle sees a task's terminal outcome once Result has counted it; c
 	// points into Result.Completions: read it, do not keep it.
 	settle(c *Completion)
@@ -70,19 +72,19 @@ var (
 // they follow.
 type nopHook struct{}
 
-func (nopHook) start()                                            {}
-func (nopHook) join(*simWorker)                                   {}
-func (nopHook) dispatch(*simWorker, *taskAttempt)                 {}
-func (nopHook) transfer(*stageIn, outcome, string)                {}
-func (nopHook) compute(*simWorker, *taskAttempt, outcome)         {}
-func (nopHook) delayed(_ *simWorker, _ delay, then func()) func() { return then }
-func (nopHook) settle(*Completion)                                {}
-func (nopHook) workerDeath(*simWorker)                            {}
-func (nopHook) workerGone(*simWorker, []string)                   {}
-func (nopHook) staged(string, string)                             {}
-func (nopHook) tick(*simWorker)                                   {}
-func (nopHook) finish()                                           {}
-func (nopHook) admits(*simWorker) bool                            { return true }
+func (nopHook) start()                                                      {}
+func (nopHook) join(*simWorker)                                             {}
+func (nopHook) dispatch(*simWorker, *taskAttempt)                           {}
+func (nopHook) transfer(*stageIn, outcome, string)                          {}
+func (nopHook) compute(*simWorker, *taskAttempt, outcome)                   {}
+func (nopHook) delayed(_ *simWorker, _ delay, then sim.Handler) sim.Handler { return then }
+func (nopHook) settle(*Completion)                                          {}
+func (nopHook) workerDeath(*simWorker)                                      {}
+func (nopHook) workerGone(*simWorker, []string)                             {}
+func (nopHook) staged(string, string)                                       {}
+func (nopHook) tick(*simWorker)                                             {}
+func (nopHook) finish()                                                     {}
+func (nopHook) admits(*simWorker) bool                                      { return true }
 
 // onTransfer runs every hook's transfer event.
 func (r *Runner) onTransfer(s *stageIn, o outcome, why string) {
@@ -98,13 +100,13 @@ func (r *Runner) onCompute(w *simWorker, att *taskAttempt, o outcome) {
 	}
 }
 
-// after schedules then at t, the end of a modelled wait on w, wrapped by
-// any plug-in that follows causality across the wait.
-func (r *Runner) after(t sim.Time, w *simWorker, kind delay, then func()) {
+// after fires then at t, the end of a modelled wait on w, wrapped by any
+// plug-in that follows causality across the wait.
+func (r *Runner) after(t sim.Time, w *simWorker, kind delay, then sim.Handler) {
 	for _, h := range r.hooks {
 		then = h.delayed(w, kind, then)
 	}
-	r.eng.At(t, then)
+	r.eng.AtHandler(t, then)
 }
 
 // plugIns builds the run's hooks and binds the decisions the plug-ins take

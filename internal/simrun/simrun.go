@@ -80,10 +80,13 @@ type Runner struct {
 	// The single-owner decisions a plug-in may take over: one dispatch
 	// decision (ctrlplane.go), a transfer attempt's source, a task's input
 	// fetch, and the two integrity checks (durability.go). The defaults are
-	// the published model.
+	// the published model. A fetch is two halves: fetch starts streaming
+	// att.names, missing bytes in all, and fetched continues once a stage
+	// of them is on disk.
 	decide    func(w *simWorker) bool
 	source    func(w *simWorker, files []string, n int) *cloud.VM
-	fetch     func(w *simWorker, att *taskAttempt, names []string, missing float64)
+	fetch     func(att *taskAttempt, missing float64)
+	fetched   func(s *stageIn)
 	corrupt   func(from *cloud.VM, w *simWorker) bool
 	readFails func(w *simWorker, att *taskAttempt) bool
 
@@ -100,6 +103,12 @@ type Runner struct {
 	// deaths, drains, evacuations, master recoveries — so the control
 	// plane's template cache knows when to re-derive (ctrlplane.go).
 	gen int
+
+	// The staged strategies' barrier (startStaged): stageFiles picks an
+	// initial worker's files, unstaged counts the workers still staging.
+	stageFiles   func(w *simWorker) []catalog.FileMeta
+	unstaged     int
+	stagingStart sim.Time
 
 	// Phase accounting.
 	activeFlows    int
@@ -143,6 +152,10 @@ type simWorker struct {
 	// injection lowers it via SetWorkerSpeed without touching liveness.
 	speed  float64
 	queued bool // already in this instant's batched admit pass
+	// afterCommon is what follows its common dataset (stageCommon); chain
+	// lists the files a staged strategy streams to it next (startStaged).
+	afterCommon afterCommon
+	chain       []catalog.FileMeta
 	// cpuLanes and xferLanes allocate trace tracks so concurrent spans on
 	// one worker render as properly nested per-lane timelines (tracer.go).
 	cpuLanes  []bool
@@ -159,18 +172,23 @@ func (w *simWorker) setHas(file string) {
 	w.has[file] = true
 }
 
-// taskAttempt tracks cancellation state of one admitted task.
+// taskAttempt is one admitted task on a worker, from its input fetch to its
+// finish, and the handler of its own events (Fire): admission to a core,
+// the compute's end, and the connection timeout after a failed fetch.
 type taskAttempt struct {
+	r       *Runner
+	w       *simWorker
 	task    int
+	step    attemptStep // what Fire does next
 	stage   *stageIn
+	names   []string // the inputs the fetch claimed (takeNames), until put back
 	compute sim.EventRef
 	started sim.Time
 	// Rate-varying compute state: workTotal/workLeft are reference-seconds
-	// of work, rateSince timestamps the last speed change, and finish is
-	// the completion callback so SetWorkerSpeed can reschedule it.
+	// of work and rateSince timestamps the last speed change, so
+	// SetWorkerSpeed can reschedule the finish.
 	workTotal, workLeft float64
 	rateSince           sim.Time
-	finish              func()
 	// Speculation (gray.go): clone marks a speculation clone, cancelled a
 	// race loser; race is the race both sides point at while both run, and
 	// claimed lists the files this attempt marked resident at dispatch, so
@@ -207,7 +225,7 @@ func NewRunner(cluster *cloud.Cluster, master *cloud.VM, cfg Config, wl Workload
 		corrupt:      func(*cloud.VM, *simWorker) bool { return false },
 		readFails:    func(*simWorker, *taskAttempt) bool { return false },
 	}
-	r.decide, r.source, r.fetch = r.dispatchNext, r.sourceFor, r.fetchBundled
+	r.decide, r.source, r.fetch, r.fetched = r.dispatchNext, r.sourceFor, r.fetchBundled, r.fetchedBundled
 	if cfg.Strategy.Kind == strategy.RealTime && cfg.Strategy.Prefetch > 1 {
 		r.prefetchMult = cfg.Strategy.Prefetch
 	}
@@ -308,7 +326,7 @@ func (r *Runner) AddWorker(vm *cloud.VM) *simWorker {
 			for _, h := range r.hooks {
 				h.join(w)
 			}
-			r.stageCommon(w, func() { r.kick(w) })
+			r.stageCommon(w, commonKick)
 		}
 		if r.offline {
 			// Registration is a master-side handshake; the VM exists but
@@ -363,7 +381,7 @@ func (r *Runner) Start(done func(Result)) error {
 	case strategy.RealTime:
 		r.led.QueueAll()
 		for _, w := range r.workers {
-			r.stageCommon(w, func() { r.kick(w) })
+			r.stageCommon(w, commonKick)
 		}
 	default:
 		return fmt.Errorf("simrun: unknown strategy kind %v", r.cfg.Strategy.Kind)
@@ -482,7 +500,7 @@ func (r *Runner) next(w *simWorker) (int, bool) {
 // fetchAndRun fetches the task's missing inputs (real-time remote), then
 // computes. Returns the attempt so speculation can track its clone.
 func (r *Runner) fetchAndRun(w *simWorker, gi int) *taskAttempt {
-	att := &taskAttempt{task: gi}
+	att := &taskAttempt{r: r, w: w, task: gi}
 	if w.inflight == nil {
 		w.inflight = make(map[int]*taskAttempt)
 	}
@@ -510,37 +528,38 @@ func (r *Runner) fetchAndRun(w *simWorker, gi int) *taskAttempt {
 		r.putNames(names)
 		r.compute(w, att)
 	} else {
-		r.fetch(w, att, names, missing)
+		att.names = names
+		r.fetch(att, missing)
 	}
 	return att
 }
 
-// fetchBundled streams the attempt's claimed inputs, names, in one flow of
-// missing bytes, then computes.
-func (r *Runner) fetchBundled(w *simWorker, att *taskAttempt, names []string, missing float64) {
-	att.stage = r.transfer(w, names, missing, func(lost bool) {
-		att.stage = nil
-		if w.Dead {
-			return
-		}
-		if lost {
-			// The fetch is unrecoverable: un-claim the files so a future
-			// attempt re-fetches them.
-			for _, name := range names {
-				delete(w.has, name)
-			}
-			r.putNames(names)
-			r.fetchFailed(w, att)
-			return
-		}
-		r.chargeDiskWrite(w, missing, func() {
-			for _, f := range names {
-				r.noteStaged(f, w.name)
-			}
-			r.putNames(names)
-			r.compute(w, att)
-		})
-	})
+// fetchBundled streams the attempt's claimed inputs in one flow of missing
+// bytes.
+func (r *Runner) fetchBundled(att *taskAttempt, missing float64) {
+	att.stage = r.transfer(&stageIn{w: att.w, files: att.names, bytes: missing, step: stepFetch, att: att})
+}
+
+// fetchedBundled notes the bundle's files as staged once they are on disk,
+// then computes.
+func (r *Runner) fetchedBundled(s *stageIn) {
+	att := s.att
+	for _, f := range att.names {
+		r.noteStaged(f, att.w.name)
+	}
+	r.putNames(att.names)
+	r.compute(att.w, att)
+}
+
+// fetchLost fails an attempt whose fetch is unrecoverable from input i on:
+// un-claim those files so a future attempt re-fetches them. Files before i
+// have landed and keep their copies.
+func (r *Runner) fetchLost(att *taskAttempt, i int) {
+	for _, name := range att.names[i:] {
+		delete(att.w.has, name)
+	}
+	r.putNames(att.names)
+	r.fetchFailed(att.w, att)
 }
 
 // fetchFailed fails an attempt whose inputs could not be fetched. The worker
@@ -550,7 +569,8 @@ func (r *Runner) fetchFailed(w *simWorker, att *taskAttempt) {
 	delete(w.inflight, att.task)
 	w.admitted--
 	r.taskDone(w, att, false)
-	r.after(r.eng.Now()+connectTimeoutSec, w, delayConnectTimeout, func() { r.kick(w) })
+	att.step = attemptKick
+	r.after(r.eng.Now()+connectTimeoutSec, w, delayConnectTimeout, att)
 }
 
 // takeNames pops a recycled name slice (len 0) from the scratch free list,
@@ -565,7 +585,7 @@ func (r *Runner) takeNames() []string {
 	return nil
 }
 
-// putNames returns a dispatch's name slice to the free list once no closure
+// putNames returns a dispatch's name slice to the free list once nothing
 // will touch it again. putNames(nil) is a no-op.
 func (r *Runner) putNames(s []string) {
 	if s == nil {
@@ -574,57 +594,85 @@ func (r *Runner) putNames(s []string) {
 	r.nameScratch = append(r.nameScratch, s[:0])
 }
 
-// compute acquires a core, charges local read time, then runs the task.
+// attemptStep is what an attempt's next Fire does.
+type attemptStep uint8
+
+const (
+	attemptRun    attemptStep = iota // a core admitted it: start the compute (run)
+	attemptFinish                    // the compute's work is done (finish)
+	attemptKick                      // the connection timeout after a failed fetch: ask for work
+)
+
+// Fire is the attempt's event, or its admission to a core (sim.Resource).
+func (att *taskAttempt) Fire() {
+	switch att.step {
+	case attemptRun:
+		att.r.run(att.w, att)
+	case attemptFinish:
+		att.r.finish(att.w, att)
+	case attemptKick:
+		att.r.kick(att.w)
+	}
+}
+
+// compute queues the attempt for a core; run starts it once admitted.
 func (r *Runner) compute(w *simWorker, att *taskAttempt) {
 	if w.Dead {
 		return
 	}
-	task := r.wl.Tasks[att.task]
-	w.cores.Acquire(func() {
-		if w.Dead {
-			return
+	att.step = attemptRun
+	w.cores.Acquire(att)
+}
+
+// run charges local read time, then runs the task on the core it holds.
+func (r *Runner) run(w *simWorker, att *taskAttempt) {
+	if w.Dead {
+		return
+	}
+	if att.cancelled {
+		// The attempt lost its speculative race while waiting for the
+		// core; its slot bookkeeping is already settled.
+		w.cores.Release()
+		return
+	}
+	if r.readFails(w, att) {
+		return // the read-error path has settled the attempt
+	}
+	task := &r.wl.Tasks[att.task]
+	att.started = r.eng.Now()
+	r.onCompute(w, att, runStart)
+	dur := sim.Duration(task.ComputeSec)
+	if r.cfg.ModelDiskIO {
+		dur += w.disk.Read(task.InputBytes())
+		if r.wl.CommonBytes > 0 {
+			// Database pages stream from disk during the search; charge
+			// a single read of the working set once per task.
+			dur += w.disk.Read(r.wl.CommonBytes / 100)
 		}
-		if att.cancelled {
-			// The attempt lost its speculative race while waiting for the
-			// core; its slot bookkeeping is already settled.
-			w.cores.Release()
-			return
-		}
-		if r.readFails(w, att) {
-			return // the read-error path has settled the attempt
-		}
-		att.started = r.eng.Now()
-		r.onCompute(w, att, runStart)
-		dur := sim.Duration(task.ComputeSec)
-		if r.cfg.ModelDiskIO {
-			dur += w.disk.Read(task.InputBytes())
-			if r.wl.CommonBytes > 0 {
-				// Database pages stream from disk during the search; charge
-				// a single read of the working set once per task.
-				dur += w.disk.Read(r.wl.CommonBytes / 100)
-			}
-		}
-		r.computeStarted()
-		// The compute runs as workTotal reference-seconds draining at the
-		// worker's speed factor; SetWorkerSpeed settles workLeft at the old
-		// rate and reschedules finish at the new one. At speed 1 the /1
-		// division is bitwise exact, so unstraggled runs fire the same event
-		// at the same instant as the fixed-duration model did.
-		att.workTotal = float64(dur)
-		att.workLeft = float64(dur)
-		att.rateSince = att.started
-		att.finish = func() {
-			r.computeEnded()
-			att.compute = sim.EventRef{}
-			r.onCompute(w, att, runOK)
-			delete(w.inflight, att.task)
-			w.admitted--
-			w.cores.Release()
-			r.taskDone(w, att, true)
-			r.kick(w)
-		}
-		att.compute = r.eng.Schedule(sim.Duration(att.workLeft/w.speed), att.finish)
-	})
+	}
+	r.computeStarted()
+	// The compute runs as workTotal reference-seconds draining at the
+	// worker's speed factor; SetWorkerSpeed settles workLeft at the old
+	// rate and reschedules the finish at the new one. At speed 1 the /1
+	// division is bitwise exact, so unstraggled runs fire the same event
+	// at the same instant as the fixed-duration model did.
+	att.workTotal = float64(dur)
+	att.workLeft = float64(dur)
+	att.rateSince = att.started
+	att.step = attemptFinish
+	att.compute = r.eng.ScheduleHandler(sim.Duration(att.workLeft/w.speed), att)
+}
+
+// finish completes the attempt's compute and frees its core.
+func (r *Runner) finish(w *simWorker, att *taskAttempt) {
+	r.computeEnded()
+	att.compute = sim.EventRef{}
+	r.onCompute(w, att, runOK)
+	delete(w.inflight, att.task)
+	w.admitted--
+	w.cores.Release()
+	r.taskDone(w, att, true)
+	r.kick(w)
 }
 
 // freeSlot releases a failed attempt's core and pipeline slot.

@@ -31,14 +31,26 @@ const (
 	backoffJitterSeed   = 13
 )
 
-// stageIn is one logical transfer: its payload, the current attempt and its
-// flow, any pending backoff retry (so worker death can abandon the whole
-// chain), and the plug-ins' per-transfer state.
+// stageIn is one logical transfer: its payload, what it continues once the
+// payload is on disk, the current attempt and its flow, any pending backoff
+// retry (so worker death can abandon the whole chain), and the plug-ins'
+// per-transfer state. It is the whole record of the transfer: it owns its
+// flows (netsim.FlowOwner) and is the handler of its own events (sim.Handler),
+// so a transfer allocates the stage and its flows and no closure.
 type stageIn struct {
+	r     *Runner
 	w     *simWorker
 	files []string
 	bytes float64
-	done  func(lost bool)
+	// step says which chain the stage belongs to (staged); att and at
+	// locate it there: the attempt whose inputs it fetches, and the index
+	// of files[0] in w.chain or att.names.
+	step stageStep
+	wake stageWake // which wait Fire ends
+	att  *taskAttempt
+	at   int
+	// one backs files for a single-file stage (oneFile).
+	one [1]string
 	// startAt timestamps the logical transfer for the duration histogram.
 	startAt sim.Time
 	// The current attempt: its number, source, payload and flow. last is
@@ -71,17 +83,44 @@ type stageIn struct {
 	anCause, anHedge attrib.NodeID
 }
 
-// transfer moves bytes of the named files to w. With NetFaults set, a flow
+// stageStep is the chain a stage continues once its payload has landed
+// (or is lost): staged dispatches on it.
+type stageStep uint8
+
+const (
+	stepCommon stageStep = iota // the common dataset; the worker's staging goes on (commonStaged)
+	stepChain                   // file at of w.chain; the chain streams the next
+	stepFetch                   // att's inputs from att.names[at]; the fetch decision goes on
+)
+
+// stageWake is the wait a stage's pending event ends.
+type stageWake uint8
+
+const (
+	wakeNoSource stageWake = iota // no copy left to stream: the transfer is lost
+	wakeRetry                     // the backoff before the next attempt
+	wakeLanded                    // the payload's disk write
+)
+
+// oneFile makes name the stage's only file, backed by the stage itself.
+func (s *stageIn) oneFile(name string) *stageIn {
+	s.one[0] = name
+	s.files = s.one[:]
+	return s
+}
+
+// transfer moves s.bytes of s.files to s.w. With NetFaults set, a flow
 // killed by a link fault retries after a capped, jittered exponential
 // backoff — resuming from the delivered-byte offset and from the best
 // surviving replica when Resume is on, restarting from zero at the master
-// otherwise. done runs exactly once with lost=true when the transfer cannot
-// complete (no retry budget, or the worker died between attempts); it never
-// runs at all if the stage is abandoned by workerDied. The fault-free path
-// is event-for-event identical to a plain cluster.Transfer.
-func (r *Runner) transfer(w *simWorker, files []string, bytes float64, done func(lost bool)) *stageIn {
-	s := &stageIn{w: w, files: files, bytes: bytes, done: done, startAt: r.eng.Now()}
-	r.attempt(s, bytes, 1)
+// otherwise. The stage's chain continues (staged) exactly once, with
+// lost=true when the transfer cannot complete (no retry budget, or the
+// worker died between attempts); it never does if the stage is abandoned
+// by workerDied. The fault-free path is event-for-event identical to a
+// plain cluster.Transfer.
+func (r *Runner) transfer(s *stageIn) *stageIn {
+	s.r, s.startAt = r, r.eng.Now()
+	r.attempt(s, s.bytes, 1)
 	return s
 }
 
@@ -91,11 +130,8 @@ func (r *Runner) attempt(s *stageIn, remaining float64, n int) {
 	s.n, s.remaining, s.src = n, remaining, r.source(s.w, s.files, n)
 	if s.src == nil {
 		// Durability only: every copy is gone — nothing to stream.
-		r.eng.Schedule(0, func() {
-			if !s.abandoned {
-				r.lose(s, "no-source")
-			}
-		})
+		s.wake = wakeNoSource
+		r.eng.ScheduleHandler(0, s)
 	} else {
 		r.startFlow(s, remaining)
 	}
@@ -103,38 +139,68 @@ func (r *Runner) attempt(s *stageIn, remaining float64, n int) {
 	s.backoff = 0
 }
 
-// startFlow streams the attempt's remaining bytes from s.src.
+// startFlow streams the attempt's remaining bytes from s.src; the stage
+// owns the flow.
 func (r *Runner) startFlow(s *stageIn, remaining float64) {
 	r.flowStarted()
 	r.res.BytesMoved += remaining
-	var fl *netsim.Flow
-	fl = r.cluster.Transfer(s.src, s.w.vm, remaining, func(sim.Time) {
-		r.flowEnded()
-		s.flow, s.last = nil, fl
-		r.arrive(s, s.src)
-	})
-	s.flow = fl
-	fl.OnInterrupt(func(delivered float64, _ sim.Time) {
-		r.flowEnded()
-		s.flow, s.last, s.delivered = nil, fl, delivered
-		r.res.BytesMoved -= remaining - delivered
+	s.flow = r.cluster.Transfer(s.src, s.w.vm, remaining, s)
+}
+
+// FlowDone settles the attempt's flow delivering its payload.
+func (s *stageIn) FlowDone(f *netsim.Flow) {
+	r := s.r
+	r.flowEnded()
+	s.flow, s.last = nil, f
+	r.arrive(s, s.src)
+}
+
+// FlowInterrupted settles a link fault killing the attempt's flow, which
+// carried the attempt's whole remaining payload (f.Bytes()).
+func (s *stageIn) FlowInterrupted(f *netsim.Flow, delivered float64) {
+	r, remaining := s.r, f.Bytes()
+	r.flowEnded()
+	s.flow, s.last, s.delivered = nil, f, delivered
+	r.res.BytesMoved -= remaining - delivered
+	if s.abandoned {
+		return
+	}
+	r.res.TransferInterrupts++
+	r.onTransfer(s, xferInterrupted, "")
+	if s.hedge != nil {
+		// The hedge twin (gray.go) is still streaming; let it finish the
+		// transfer (its interrupt handler resumes the retry ladder if it
+		// dies too).
+		return
+	}
+	next := remaining
+	if r.resume {
+		next = remaining - delivered
+	}
+	r.retryAfter(s, next, "no-retry")
+}
+
+// Fire ends the wait the stage scheduled (s.wake).
+func (s *stageIn) Fire() {
+	r := s.r
+	switch s.wake {
+	case wakeNoSource:
+		if !s.abandoned {
+			r.lose(s, "no-source")
+		}
+	case wakeRetry:
+		s.retry = sim.EventRef{}
 		if s.abandoned {
 			return
 		}
-		r.res.TransferInterrupts++
-		r.onTransfer(s, xferInterrupted, "")
-		if s.hedge != nil {
-			// The hedge twin (gray.go) is still streaming; let it finish the
-			// transfer (its interrupt handler resumes the retry ladder if it
-			// dies too).
+		if s.w.Dead {
+			r.lose(s, "worker-dead")
 			return
 		}
-		next := remaining
-		if r.resume {
-			next = remaining - delivered
-		}
-		r.retryAfter(s, next, "no-retry")
-	})
+		r.attempt(s, s.remaining, s.n+1)
+	case wakeLanded:
+		r.landed(s)
+	}
 }
 
 // arrive settles a delivered payload — from the attempt's flow or, under
@@ -147,7 +213,7 @@ func (r *Runner) arrive(s *stageIn, from *cloud.VM) {
 	s.src = from
 	if !r.corrupt(from, s.w) {
 		r.onTransfer(s, xferOK, "")
-		s.done(false)
+		r.staged(s, false)
 		return
 	}
 	// Checksum mismatch on arrival (durability.go): refetch the whole
@@ -160,11 +226,13 @@ func (r *Runner) arrive(s *stageIn, from *cloud.VM) {
 		return
 	}
 	r.onTransfer(s, xferRejected, "")
-	s.done(true)
+	r.staged(s, true)
 }
 
 // retryAfter schedules attempt s.n+1 of next bytes, or declares the
-// transfer lost — for the reason why — when there is no retry budget.
+// transfer lost — for the reason why — when there is no retry budget. The
+// next attempt's payload waits in s.remaining, which nothing reads between
+// the attempts.
 func (r *Runner) retryAfter(s *stageIn, next float64, why string) {
 	if r.rng == nil || s.n >= maxTransferAttempts || s.w.Dead {
 		r.lose(s, why) // without NetFaults there is no retry ladder
@@ -173,23 +241,76 @@ func (r *Runner) retryAfter(s *stageIn, next float64, why string) {
 	r.res.TransferRetries++
 	s.backoff = r.backoff(s.n)
 	r.onTransfer(s, xferRetry, "")
-	s.retry = r.eng.Schedule(s.backoff, func() {
-		s.retry = sim.EventRef{}
-		if s.abandoned {
-			return
-		}
-		if s.w.Dead {
-			r.lose(s, "worker-dead")
-			return
-		}
-		r.attempt(s, next, s.n+1)
-	})
+	s.remaining, s.wake = next, wakeRetry
+	s.retry = r.eng.ScheduleHandler(s.backoff, s)
 }
 
 // lose fails the transfer for the reason why.
 func (r *Runner) lose(s *stageIn, why string) {
 	r.onTransfer(s, xferLost, why)
-	s.done(true)
+	r.staged(s, true)
+}
+
+// staged continues the stage's chain once its transfer has ended: a lost
+// payload, a dead worker, or one to write to disk (landed follows).
+func (r *Runner) staged(s *stageIn, lost bool) {
+	w := s.w
+	switch s.step {
+	case stepCommon, stepChain:
+		if w.Dead {
+			r.stagingGoesOn(s)
+			return
+		}
+		if lost {
+			// A lost staging transfer isolates the worker: without its data
+			// it can never run a task, matching the prototype's behaviour
+			// of dropping a worker whose staging failed.
+			r.workerDied(w)
+			r.stagingGoesOn(s)
+			return
+		}
+	case stepFetch:
+		s.att.stage = nil
+		if w.Dead {
+			return
+		}
+		if lost {
+			r.fetchLost(s.att, s.at)
+			return
+		}
+	}
+	s.wake = wakeLanded
+	r.chargeDiskWrite(w, s.bytes, s)
+}
+
+// stagingGoesOn moves a worker's staging past a stage that brought nothing:
+// the common dataset's chain continues (keeping the barrier count
+// balanced; for a dead worker that is a no-op), a file chain ends.
+func (r *Runner) stagingGoesOn(s *stageIn) {
+	if s.step == stepCommon {
+		r.commonStaged(s.w)
+		return
+	}
+	r.barrier()
+}
+
+// landed continues the stage's chain once its payload is on disk.
+func (r *Runner) landed(s *stageIn) {
+	w := s.w
+	switch s.step {
+	case stepCommon:
+		if !w.Dead {
+			w.Ready = true
+			r.noteStaged(commonFile, w.name)
+		}
+		r.commonStaged(w)
+	case stepChain:
+		w.setHas(s.files[0])
+		r.noteStaged(s.files[0], w.name)
+		r.streamChain(w, s.at+1)
+	case stepFetch:
+		r.fetched(s)
+	}
 }
 
 // backoff returns the delay before attempt n+1: backoffSec doubling per
@@ -257,44 +378,56 @@ func (r *Runner) bestHolder(files []string, skip *simWorker, skipVM *cloud.VM) *
 	return best
 }
 
+// afterCommon is what a worker does once its common dataset is staged.
+type afterCommon uint8
+
+const (
+	commonKick  afterCommon = iota // ask for work: real-time starts, elastic joins
+	commonChain                    // stream its files, then the barrier (startStaged)
+	commonAdmit                    // admit at once: a re-stage after a disk death
+)
+
 // stageCommon transfers the common dataset (if any) and marks the worker
-// ready. A transfer lost to link faults isolates the worker: without its
-// database it can never run a task, matching the prototype's behaviour of
-// dropping a worker whose staging failed.
-func (r *Runner) stageCommon(w *simWorker, then func()) {
+// ready; commonStaged continues either way (staged, landed), as next says.
+func (r *Runner) stageCommon(w *simWorker, next afterCommon) {
+	w.afterCommon = next
 	if r.wl.CommonBytes <= 0 || r.cfg.Strategy.Locality == strategy.Local {
 		w.Ready = true
-		then()
+		r.commonStaged(w)
 		return
 	}
-	r.transfer(w, []string{commonFile}, r.wl.CommonBytes, func(lost bool) {
-		if w.Dead {
-			then() // keep barrier counts balanced; dead path is a no-op
-			return
-		}
-		if lost {
-			r.workerDied(w)
-			then()
-			return
-		}
-		r.chargeDiskWrite(w, r.wl.CommonBytes, func() {
-			if w.Dead {
-				then()
-				return
-			}
-			w.Ready = true
-			r.noteStaged(commonFile, w.name)
-			then()
-		})
-	})
+	r.transfer((&stageIn{w: w, bytes: r.wl.CommonBytes, step: stepCommon}).oneFile(commonFile))
 }
 
-// chargeDiskWrite models writing received bytes to local disk. NewRunner
-// rejects read-only worker storage, so a write error here is a programming
-// error, not a run condition.
-func (r *Runner) chargeDiskWrite(w *simWorker, bytes float64, then func()) {
+// commonStaged continues a worker once its common dataset is in place, lost,
+// or moot because the worker died, as stageCommon was told.
+func (r *Runner) commonStaged(w *simWorker) {
+	switch w.afterCommon {
+	case commonKick:
+		r.kick(w)
+		return
+	case commonAdmit:
+		r.admit(w)
+		return
+	}
+	fs := r.stageFiles(w)
+	if r.cfg.Strategy.Locality == strategy.Local {
+		for _, f := range fs {
+			w.setHas(f.Name)
+		}
+		r.barrier()
+		return
+	}
+	w.chain = fs
+	r.streamChain(w, 0)
+}
+
+// chargeDiskWrite models writing received bytes to local disk, then fires
+// then. NewRunner rejects read-only worker storage, so a write error here
+// is a programming error, not a run condition.
+func (r *Runner) chargeDiskWrite(w *simWorker, bytes float64, then sim.Handler) {
 	if !r.cfg.ModelDiskIO || bytes <= 0 {
-		then()
+		then.Fire()
 		return
 	}
 	dur, err := w.disk.Write(bytes)
@@ -349,69 +482,49 @@ func (r *Runner) startPrePartition() error {
 // common dataset and then its files — pre-partitioning its assignment's,
 // no-partitioning the whole dataset — as a chain of flows, one at a time
 // (like a per-worker scp loop), or finds them on disk when data is local.
-// Execution begins only after every worker's staging completes.
+// Execution begins only after every worker's staging completes (barrier).
 func (r *Runner) startStaged(files func(w *simWorker) []catalog.FileMeta) {
-	stagingStart := r.eng.Now()
-	remaining := len(r.workers)
-	barrier := func() {
-		remaining--
-		if remaining > 0 {
-			return
-		}
-		r.res.StagingPhaseSec = float64(r.eng.Now() - stagingStart)
-		for _, w := range r.workers {
-			if !w.Dead {
-				r.kick(w)
-			} else {
-				r.reassign(w)
-			}
-		}
-		r.checkDone()
-	}
+	r.stagingStart = r.eng.Now()
+	r.stageFiles = files
+	r.unstaged = len(r.workers)
 	for _, w := range r.workers {
-		r.stageCommon(w, func() {
-			fs := files(w)
-			if r.cfg.Strategy.Locality == strategy.Local {
-				for _, f := range fs {
-					w.setHas(f.Name)
-				}
-				barrier()
-				return
-			}
-			r.streamChain(w, fs, 0, barrier)
-		})
+		r.stageCommon(w, commonChain)
 	}
 }
 
-// streamChain sends files[i:] to w one flow at a time. A file lost to link
-// faults isolates the worker (its staging is incomplete), and the chain's
-// barrier callback still runs.
-func (r *Runner) streamChain(w *simWorker, files []catalog.FileMeta, i int, then func()) {
-	if i >= len(files) || w.Dead {
-		then()
+// barrier counts one worker's staging as over; the last one starts the
+// compute phase.
+func (r *Runner) barrier() {
+	r.unstaged--
+	if r.unstaged > 0 {
 		return
 	}
-	f := files[i]
-	if w.has[f.Name] {
-		r.streamChain(w, files, i+1, then)
+	r.res.StagingPhaseSec = float64(r.eng.Now() - r.stagingStart)
+	for _, w := range r.workers {
+		if !w.Dead {
+			r.kick(w)
+		} else {
+			r.reassign(w)
+		}
+	}
+	r.checkDone()
+}
+
+// streamChain sends w.chain[i:] to w one flow at a time, skipping files it
+// already holds; the barrier follows the last. A file lost to link faults
+// isolates the worker (its staging is incomplete), and the barrier still
+// counts it (staged).
+func (r *Runner) streamChain(w *simWorker, i int) {
+	for ; i < len(w.chain) && !w.Dead; i++ {
+		f := w.chain[i]
+		if w.has[f.Name] {
+			continue
+		}
+		r.transfer((&stageIn{w: w, bytes: float64(f.Size), step: stepChain, at: i}).oneFile(f.Name))
 		return
 	}
-	r.transfer(w, []string{f.Name}, float64(f.Size), func(lost bool) {
-		if w.Dead {
-			then()
-			return
-		}
-		if lost {
-			r.workerDied(w)
-			then()
-			return
-		}
-		r.chargeDiskWrite(w, float64(f.Size), func() {
-			w.setHas(f.Name)
-			r.noteStaged(f.Name, w.name)
-			r.streamChain(w, files, i+1, then)
-		})
-	})
+	w.chain = nil
+	r.barrier()
 }
 
 // tasksAsGroups adapts TaskSpecs to partition.Groups for the assigners.
