@@ -1,9 +1,11 @@
 package frieda
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -293,5 +295,67 @@ func TestRunWithoutSinkLeavesOutputsLocal(t *testing.T) {
 	// Only the 2-byte input moved.
 	if report.BytesMoved != 2 {
 		t.Fatalf("BytesMoved = %d", report.BytesMoved)
+	}
+}
+
+// Local means the data is already on the workers. In-memory stores start
+// empty, so every task fails at once, naming its input, and Run returns well
+// before its context would end it.
+func TestRunLocalWithoutResidentDataFailsFast(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	start := time.Now()
+	report, err := Run(ctx, RunConfig{
+		Strategy: PrePartitionedLocal,
+		Dataset:  MemDataset(memFiles(32, 64)),
+		Program:  countingProgram(),
+		Workers:  2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("Run took %v", took)
+	}
+	if report.Groups != 32 || report.Failed != 32 || report.Succeeded != 0 {
+		t.Fatalf("report = %+v", report)
+	}
+	for _, res := range report.Results {
+		if !strings.Contains(res.Error, "f0") || !strings.Contains(res.Error, "not on worker") {
+			t.Fatalf("group %d failed with %q, want the missing input named", res.GroupIndex, res.Error)
+		}
+	}
+}
+
+// The same strategy over per-worker WorkDirs that already hold the dataset
+// runs every task where its data lives and moves no byte.
+func TestRunLocalWithPrefilledWorkDirs(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	files := memFiles(12, 64)
+	dir := t.TempDir()
+	for _, worker := range []string{"w0", "w1"} {
+		store, err := NewDirStore(filepath.Join(dir, worker))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, data := range files {
+			if _, err := store.Put(name, bytes.NewReader(data)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	report, err := Run(ctx, RunConfig{
+		Strategy: PrePartitionedLocal,
+		Dataset:  MemDataset(files),
+		Program:  countingProgram(),
+		Workers:  2,
+		WorkDir:  dir,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.Succeeded != 12 || report.Failed != 0 || report.BytesMoved != 0 {
+		t.Fatalf("report = %+v", report)
 	}
 }

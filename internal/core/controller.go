@@ -267,6 +267,11 @@ func (c *Controller) UpdateStrategy(s strategy.Config) error {
 		return err
 	}
 	_, err := c.roundTrip(&protocol.Message{Type: protocol.TPartitionType, Strategy: s})
+	if err == nil {
+		c.mu.Lock()
+		c.cfg.Strategy = s // the master runs s: a report from MASTER_DONE names it
+		c.mu.Unlock()
+	}
 	return err
 }
 

@@ -434,9 +434,10 @@ func (s lyingSource) Catalog() (*catalog.Catalog, error) {
 }
 
 // A source that ends short of, or runs past, its catalogue size fails the
-// transfer with a typed error and the replica is un-claimed, whether the
-// source hands out bytes or a reader; the worker never takes the file for
-// complete.
+// transfer with a typed error, whether the source hands out bytes or a
+// reader. The failed send is the worker's death, which drops its replicas:
+// the worker never takes the file for complete (no Last chunk of it reaches
+// the connection), and the report records the mismatch and the lost group.
 func TestStreamFileSizeMismatchUnclaimsReplica(t *testing.T) {
 	for _, delta := range []int64{-1, +1, +5000} {
 		for _, fromBytes := range []bool{false, true} {
@@ -446,27 +447,38 @@ func TestStreamFileSizeMismatchUnclaimsReplica(t *testing.T) {
 			if !fromBytes {
 				src = readerOnly{src}
 			}
-			m, err := NewMaster(MasterConfig{Source: src, Transport: transport.NewMem(nil), Addr: "m", ChunkSize: 1000})
+			m, tr, cancel := startMaster(t, MasterConfig{
+				Strategy: strategy.RealTimeRemote, Source: src, ExpectedWorkers: 1, ChunkSize: 1000,
+			})
+			conn, err := tr.Dial("m")
 			if err != nil {
 				t.Fatal(err)
 			}
-			tr := transport.NewMem(nil)
-			l, _ := tr.Listen("w")
-			go l.Accept()
-			conn, err := tr.Dial("w")
-			if err != nil {
-				t.Fatal(err)
+			conn.Send(&protocol.Message{Type: protocol.TRegister, Worker: "w0", Cores: 1})
+			if ack, err := conn.Recv(); err != nil || ack.Type != protocol.TAck || ack.Error != "" {
+				t.Fatalf("registration ack: %+v, %v", ack, err)
 			}
-			w := &masterWorker{name: "w0", conn: conn}
-			cat, _ := src.Catalog()
-			f, _ := cat.Get("f")
-			err = m.streamFile(w, f.Name, f.Size)
-			if !errors.Is(err, transfer.ErrSizeMismatch) {
-				t.Fatalf("delta %+d, bytes=%v: streamFile = %v, want ErrSizeMismatch", delta, fromBytes, err)
+			conn.Send(&protocol.Message{Type: protocol.TRequestData})
+			for {
+				msg, err := conn.Recv()
+				if err != nil {
+					break // the master closed the connection
+				}
+				if msg.Type == protocol.TFileData && msg.Last {
+					t.Fatalf("delta %+d, bytes=%v: the worker was sent a complete %s", delta, fromBytes, msg.FileName)
+				}
 			}
-			if m.replicas.Has("f", "w0") {
-				t.Fatalf("delta %+d, bytes=%v: replica still claimed after a failed transfer", delta, fromBytes)
+			conn.Close()
+			select {
+			case <-m.Done():
+			case <-time.After(10 * time.Second):
+				t.Fatalf("delta %+d, bytes=%v: the run did not end", delta, fromBytes)
 			}
+			r := m.Report()
+			if r.Failed != 1 || len(r.WorkerErrors) != 1 || !strings.Contains(r.WorkerErrors[0], transfer.ErrSizeMismatch.Error()) {
+				t.Fatalf("delta %+d, bytes=%v: report = %+v, want the group lost to %v", delta, fromBytes, r, transfer.ErrSizeMismatch)
+			}
+			cancel()
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"frieda/internal/catalog"
@@ -62,94 +63,93 @@ type MasterConfig struct {
 	Logf func(format string, args ...any)
 }
 
-// masterWorker is the master's bookkeeping for one registered worker.
+// link is one connection's sending side: the outbox the loop fills and the
+// writer that drains it, the connection's only sender.
+type link struct {
+	conn   transport.Conn
+	out    queue[outItem]
+	taken  chan struct{}    // the loop has taken the reader's last event
+	worker *masterWorker    // nil on the controller's connection
+	exec   protocol.Message // the writer's EXECUTE(_BATCH), sent reused
+}
+
+// masterWorker is the master's bookkeeping for one worker connection. The
+// loop owns it; the reader reads only name.
 type masterWorker struct {
-	// Worker is the ledger's view. Ready is set once the registration ACK
-	// is on the wire and the common files are staged. Until then the worker
-	// only holds its name: it is not counted towards the expected workers,
-	// planned for or dispatched to, so nothing can reach its connection
-	// ahead of the ACK or the staging.
+	// Worker is the ledger's view. Ready is set once the writer has put the
+	// ACK and the common files on the connection; until then the worker is
+	// not counted towards the expected workers, planned for or dispatched to.
 	sched.Worker
+	link
 	name        string
-	conn        transport.Conn
 	cores       int
 	slots       int
 	outstanding map[int]bool // dispatched, not yet reported
-
-	// outbox is what the worker's writer has still to send, in order (under
-	// the master's mu). Once the worker is ready the writer is the only
-	// goroutine that sends on conn, so what is queued in one order reaches
-	// the worker in that order. The queue has no bound and nothing blocks to
-	// fill it: the writer itself takes mu while it streams.
-	outbox    []outItem
-	outWake   *sync.Cond // on the master's mu: the outbox filled, or closed
-	outClosed bool       // the connection is finished with; the writer exits
-	// exec is the message the writer sends every EXECUTE or EXECUTE_BATCH
-	// from, with its slices (transport.SendReused). Only the writer touches
-	// it.
-	exec protocol.Message
+	transfers   int          // transfer-phase items queued, not yet performed
+	settled     bool         // the status report being booked freed a slot
 }
 
-// outItem is one unit of a writer's work. It sends msg when set, streams
-// files, then dispatches group when set, in that order.
+// outItem is one unit of a writer's work: it sends msg, streams files, then
+// dispatches group, each when set. The loop claims the files it streams.
 type outItem struct {
 	msg   *protocol.Message
 	files []protocol.FileInfo
-	// group is one dispatched group. Its files are streamed first when send
-	// is set (remote real-time dispatch); then the worker is told to run it,
-	// by an EXECUTE of its own or, under Batch, in the one EXECUTE_BATCH that
-	// the last group of its dispatch pass (last) sends.
-	group      *partition.Group
-	send, last bool
-	// done, when set, is released once the item's bytes are on the
-	// connection, or once it is known that they never will be.
-	done *sync.WaitGroup
+	// group runs by an EXECUTE of its own or, under Batch, in the one
+	// EXECUTE_BATCH the last group of its dispatch pass sends. send marks its
+	// files to stream first, bit i for Files[i] (over 64 files, they are in
+	// files).
+	group *partition.Group
+	send  uint64
+	last  bool
+	// Once performed, ready makes the worker ready, and transfer, flushed,
+	// books a transfer-phase item.
+	ready, transfer bool
 }
 
 // Master is the execution-plane coordinator: it partitions input data,
 // transfers payloads and farms out executions according to the strategy the
-// controller selected.
+// controller selected. One goroutine, the loop, owns its state. Each
+// connection's reader only decodes and posts events to the loop's inbox;
+// each connection's writer only sends what the loop put in its outbox.
 type Master struct {
-	cfg MasterConfig
+	cfg     MasterConfig
+	inbox   queue[event]
+	serving chan struct{} // closed once Serve has started the loop
+	stopped chan struct{} // closed once the loop has returned
+	done    chan struct{} // closed by the loop when every group is terminal
+	wg      sync.WaitGroup
+	// bytesMoved is the payload the writers streamed: each adds what it sent.
+	bytesMoved atomic.Int64
 
-	mu        sync.Mutex
-	strat     strategy.Config
-	expected  int
-	workers   map[string]*masterWorker
-	catalogue *catalog.Catalog
-	groups    []partition.Group
+	// Owned by the loop, as is cfg.Template.
+	strat      strategy.Config
+	configured bool            // strategy and template known: workers are admitted
+	parked     []*masterWorker // registrations that came before START_MASTER
+	expected   int
+	workers    map[string]*masterWorker
+	catalogue  *catalog.Catalog
+	groups     []partition.Group
 	// led is the scheduling ledger; it starts once the groups are placed.
-	led         *sched.Ledger
-	results     []protocol.TaskResult
-	workerErrs  []string
-	replicas    *catalog.Replicas
-	controller  transport.Conn
-	started     bool
-	startedAt   time.Time
-	finishedAt  time.Time
-	transfers   float64 // pre-partition transfer-phase wall seconds
-	bytesMoved  int64
+	led        *sched.Ledger
+	results    []protocol.TaskResult
+	workerErrs []string
+	replicas   *catalog.Replicas
+	controller *link
+	listener   transport.Listener
+	startedAt  time.Time
+	finishedAt time.Time
+	// phase is the pre-partition or no-partition transfer phase under way.
+	phase       *transferPhase
+	transfers   float64 // that phase's wall seconds
 	outputBytes int64
+}
 
-	// stagingCat is the source's catalogue as common-file staging first saw
-	// it (under stagingMu): every registering worker needs the common files'
-	// sizes, and one listing of the source serves them all.
-	stagingMu  sync.Mutex
-	stagingCat *catalog.Catalog
-
-	listener transport.Listener
-	ctx      context.Context
-	done     chan struct{}
-	doneOnce sync.Once
-	wg       sync.WaitGroup
-
-	// configured is closed once the master knows its strategy/template —
-	// either at construction (library mode presets) or when the controller
-	// sends START_MASTER. Worker admission waits on it so that a worker
-	// racing ahead of the controller is not initialised with an empty
-	// execution syntax.
-	configured     chan struct{}
-	configuredOnce sync.Once
+// transferPhase moves data before anything runs; it ends when none of its
+// workers has a transfer item pending.
+type transferPhase struct {
+	start   time.Time
+	workers []*masterWorker
+	per     [][]int // pre-partition: each worker's share of the groups
 }
 
 // NewMaster validates the configuration.
@@ -166,30 +166,24 @@ func NewMaster(cfg MasterConfig) (*Master, error) {
 	if cfg.ChunkSize > protocol.MaxChunk {
 		return nil, fmt.Errorf("core: chunk size %d exceeds the protocol's %d", cfg.ChunkSize, protocol.MaxChunk)
 	}
-	strat := cfg.Strategy
-	if err := strat.Validate(); err != nil {
+	if err := cfg.Strategy.Validate(); err != nil {
 		return nil, err
 	}
 	m := &Master{
-		cfg:        cfg,
-		strat:      strat,
+		cfg:     cfg,
+		serving: make(chan struct{}),
+		stopped: make(chan struct{}),
+		done:    make(chan struct{}),
+		strat:   cfg.Strategy,
+		// Library mode: everything a worker needs is preset.
+		configured: len(cfg.Template) > 0 || cfg.ExpectedWorkers > 0,
 		expected:   cfg.ExpectedWorkers,
 		workers:    make(map[string]*masterWorker),
 		led:        sched.NewLedger(cfg.Recover, cfg.MaxRetries),
 		replicas:   catalog.NewReplicas(),
-		done:       make(chan struct{}),
-		configured: make(chan struct{}),
 	}
-	if len(cfg.Template) > 0 || cfg.ExpectedWorkers > 0 {
-		// Library mode: everything a worker needs is preset.
-		m.markConfigured()
-	}
+	m.inbox.init()
 	return m, nil
-}
-
-// markConfigured releases worker admission.
-func (m *Master) markConfigured() {
-	m.configuredOnce.Do(func() { close(m.configured) })
 }
 
 // logf writes a diagnostic line when logging is configured.
@@ -201,12 +195,12 @@ func (m *Master) logf(format string, args ...any) {
 
 // Addr returns the bound listen address once Serve has started.
 func (m *Master) Addr() string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.listener == nil {
+	select {
+	case <-m.serving:
+		return m.listener.Addr() // set before serving closed, never after
+	default:
 		return m.cfg.Addr
 	}
-	return m.listener.Addr()
 }
 
 // Done is closed when every group reached a terminal state.
@@ -220,29 +214,26 @@ func (m *Master) Serve(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	m.mu.Lock()
 	m.listener = l
-	m.ctx = ctx
-	m.mu.Unlock()
-	// The listener closes on ctx cancel or TShutdown, not when the run is
+	go m.loop()
+	close(m.serving)
+	// The listener closes on ctx cancel or SHUTDOWN, not when the run is
 	// done: the controller may still fetch reports.
-	stop, watched := make(chan struct{}), make(chan struct{})
-	go func() {
-		defer close(watched)
-		select {
-		case <-ctx.Done():
-			l.Close()
-		case <-stop:
-		}
-	}()
-	defer func() {
-		close(stop)
-		<-watched
-	}()
+	m.wg.Add(1)
+	stop := context.AfterFunc(ctx, func() {
+		defer m.wg.Done()
+		l.Close()
+		m.inbox.put(event{kind: evCancel})
+	})
 	for {
 		conn, err := l.Accept()
 		if err != nil {
+			if stop() {
+				m.wg.Done()
+			}
 			m.wg.Wait()
+			m.inbox.close() // the loop handles what is queued, then returns
+			<-m.stopped
 			if ctx.Err() != nil || errors.Is(err, transport.ErrClosed) {
 				return nil
 			}
@@ -251,209 +242,372 @@ func (m *Master) Serve(ctx context.Context) error {
 		m.wg.Add(1)
 		go func() {
 			defer m.wg.Done()
-			m.handleConn(conn)
+			m.read(conn)
 		}()
 	}
 }
 
-// handleConn classifies a new connection by its first message, serves it and
-// closes it.
-func (m *Master) handleConn(conn transport.Conn) {
-	defer conn.Close()
-	first, err := conn.Recv()
+// read is a connection's reader: its first message says whose connection it
+// is. It starts the writer, then posts each message as an event, reading the
+// next once the loop has taken it (DESIGN.md, "Real-runtime control path").
+func (m *Master) read(conn transport.Conn) {
+	msg, err := conn.Recv()
 	if err != nil {
+		conn.Close()
 		return
 	}
-	switch first.Type {
+	var l *link
+	switch msg.Type {
 	case protocol.TStartMaster:
-		m.handleController(conn, first)
+		l = &link{}
 	case protocol.TRegister:
-		m.handleWorker(conn, first)
+		w := &masterWorker{name: msg.Worker, cores: msg.Cores}
+		l, w.worker = &w.link, w
 	default:
-		m.logf("rejecting connection opening with %s", first.Type)
+		m.logf("rejecting connection opening with %s", msg.Type)
+		conn.Close()
+		return
+	}
+	l.conn, l.taken = conn, make(chan struct{}, 1)
+	l.out.init()
+	m.wg.Add(1)
+	go m.writer(l)
+	if l.worker != nil {
+		m.hand(event{kind: evRegister, l: l})
+	} else {
+		m.post(l, msg)
+	}
+	// SHUTDOWN is the controller's last request: its writer closes the
+	// connection once the ack is sent.
+	for l.worker != nil || msg.Type != protocol.TShutdown {
+		if msg, err = conn.Recv(); err != nil {
+			m.inbox.put(event{kind: evGone, l: l, err: err})
+			return
+		}
+		m.post(l, msg)
 	}
 }
 
-// --- Controller side ---
-
-// handleController runs the control-channel loop. The open channel lets the
-// controller re-configure the master at run time without restart
-// (Section II-D).
-func (m *Master) handleController(conn transport.Conn, start *protocol.Message) {
-	strat := start.Strategy.Clone()
-	if err := strat.Validate(); err != nil {
-		conn.Send(&protocol.Message{Type: protocol.TAck, Error: err.Error(), Seq: start.Seq})
+// post turns one received message into an event, a copy of what the loop
+// needs of it. A returned output chunk is stored in the sink here, as the
+// sink has its own lock: only its byte count reaches the loop.
+func (m *Master) post(l *link, msg *protocol.Message) {
+	ev := event{l: l}
+	switch {
+	case l.worker == nil:
+		// The controller's open channel lets it re-configure the master at
+		// run time without restart (Section II-D).
+		ev.kind, ev.msg = evControl, &protocol.Message{
+			Type: msg.Type, Seq: msg.Seq, Workers: msg.Workers, Worker: msg.Worker,
+			Strategy: msg.Strategy.Clone(), Template: slices.Clone(msg.Template),
+		}
+	case msg.Type == protocol.TRequestData:
+		ev.kind = evRequest
+	case msg.Type == protocol.TTaskStatus:
+		ev.kind, ev.res, ev.last = evStatus, msg.Result, true
+		for i, res := range msg.Results {
+			ev.res, ev.last = res, i == len(msg.Results)-1
+			if !ev.last {
+				m.inbox.put(ev)
+			}
+		}
+	case msg.Type == protocol.TFileData && m.cfg.OutputSink != nil:
+		if err := storeChunk(m.cfg.OutputSink, msg); err != nil {
+			m.logf("storing output %s from %s: %v", msg.FileName, l.worker.name, err)
+			return
+		}
+		// The loop need not run at once for a byte count: read on.
+		m.inbox.put(event{kind: evOutput, l: l, n: int64(len(msg.Data))})
+		return
+	default:
+		m.logf("worker %s sent unexpected %s", l.worker.name, msg.Type)
 		return
 	}
-	m.mu.Lock()
-	m.controller = conn
-	m.strat = strat
-	if len(start.Template) > 0 {
-		m.cfg.Template = slices.Clone(start.Template)
-	}
-	m.mu.Unlock()
-	m.markConfigured()
-	conn.Send(&protocol.Message{Type: protocol.TAck, Seq: start.Seq})
+	m.hand(ev)
+}
 
-	for {
-		msg, err := conn.Recv()
-		if err != nil {
-			m.mu.Lock()
-			if m.controller == conn {
-				m.controller = nil
+// hand posts a message's last event and waits until the loop has taken it.
+func (m *Master) hand(ev event) {
+	ev.wait = true
+	m.inbox.put(ev)
+	<-ev.l.taken
+}
+
+// --- The loop ---
+
+type evKind uint8
+
+const (
+	evRegister    evKind = iota // a worker's first frame: l.worker has its name and cores
+	evControl                   // a controller request: msg
+	evRequest                   // REQUEST_DATA
+	evStatus                    // one task result, res; last ends its report
+	evOutput                    // n bytes of returned output are in the sink
+	evGone                      // the connection's Recv failed with err
+	evFailed                    // the writer failed with err, sending an item with msg
+	evReady                     // the writer put the ACK and the common files on the wire
+	evTransferred               // the writer put a transfer-phase item on the wire
+	evReport                    // send report a Report
+	evCancel                    // Serve's context ended
+)
+
+// event is one message to the loop, passed by value.
+type event struct {
+	kind   evKind
+	l      *link
+	msg    *protocol.Message
+	res    protocol.TaskResult
+	last   bool
+	wait   bool // the reader waits for it to be taken
+	n      int64
+	err    error
+	report chan Report
+}
+
+// loop is the one goroutine that owns the master's state.
+func (m *Master) loop() {
+	defer close(m.stopped)
+	var evs []event
+	for open := true; open; {
+		evs, open = m.inbox.take(evs, true)
+		for i := range evs {
+			if evs[i].wait {
+				evs[i].l.taken <- struct{}{}
 			}
-			m.mu.Unlock()
-			return
+			m.handle(&evs[i])
 		}
-		switch msg.Type {
-		case protocol.TForkWorkers:
-			m.mu.Lock()
-			m.expected = msg.Workers
-			m.mu.Unlock()
-			conn.Send(&protocol.Message{Type: protocol.TAck, Seq: msg.Seq})
-			m.maybeStart()
-		case protocol.TPartitionType:
-			var errStr string
-			strat := msg.Strategy.Clone()
-			m.mu.Lock()
-			if m.started {
-				errStr = "execution already started; strategy is immutable mid-run"
-			} else if err := strat.Validate(); err != nil {
-				errStr = err.Error()
-			} else {
-				m.strat = strat
-			}
-			m.mu.Unlock()
-			conn.Send(&protocol.Message{Type: protocol.TAck, Error: errStr, Seq: msg.Seq})
-		case protocol.TRemoveWorker:
-			err := m.RemoveWorker(msg.Worker)
-			errStr := ""
-			if err != nil {
-				errStr = err.Error()
-			}
-			conn.Send(&protocol.Message{Type: protocol.TAck, Error: errStr, Seq: msg.Seq})
-		case protocol.TShutdown:
-			// Close first, then ack: whoever sees the ack must find the
-			// listener already gone.
-			m.mu.Lock()
-			l := m.listener
-			m.mu.Unlock()
-			if l != nil {
-				l.Close()
-			}
-			conn.Send(&protocol.Message{Type: protocol.TAck, Seq: msg.Seq})
-			return
-		default:
-			conn.Send(&protocol.Message{Type: protocol.TAck, Error: "unexpected " + msg.Type.String(), Seq: msg.Seq})
-		}
+		clear(evs)
 	}
 }
 
-// --- Worker side ---
+func (m *Master) handle(ev *event) {
+	var w *masterWorker
+	if ev.l != nil {
+		w = ev.l.worker
+	}
+	switch ev.kind {
+	case evRegister:
+		if m.configured {
+			m.admit(w)
+		} else {
+			// The ACK must carry the controller's strategy and template.
+			m.parked = append(m.parked, w)
+		}
+	case evControl:
+		m.control(ev.l, ev.msg)
+	case evRequest:
+		m.dispatch(w)
+	case evStatus:
+		// A coalesced report is booked result by result, then its freed
+		// slots are refilled by one dispatch pass and one completion check.
+		if m.recordResult(w, ev.res) {
+			w.settled = true
+		}
+		if ev.last && w.settled {
+			w.settled = false
+			m.dispatch(w)
+			m.checkDone()
+		}
+	case evOutput:
+		m.outputBytes += ev.n
+	case evReady:
+		w.Ready = true
+		m.maybeStart()
+		m.dispatch(w)
+	case evTransferred:
+		if w.transfers > 0 { // not released by the worker's death already
+			w.transfers--
+			m.endTransfer()
+		}
+	case evGone, evFailed:
+		switch {
+		case w != nil && m.workers[w.name] == w:
+			m.workerDied(w, ev.err)
+			return
+		case w != nil: // parked or refused
+			m.parked = slices.DeleteFunc(m.parked, func(p *masterWorker) bool { return p == w })
+		case ev.l == m.controller:
+			if ev.kind == evFailed && ev.msg != nil && ev.msg.Type == protocol.TMasterDone {
+				// The controller would wait for the report until its context
+				// ends; the closed channel tells it the run is lost.
+				m.logf("MASTER_DONE to controller: %v", ev.err)
+				m.workerErrs = append(m.workerErrs, "master: MASTER_DONE to controller: "+ev.err.Error())
+			}
+			m.controller = nil
+		}
+		closeLink(ev.l)
+	case evReport:
+		ev.report <- m.report()
+	case evCancel:
+		for _, w := range m.parked {
+			closeLink(&w.link)
+		}
+		m.parked = nil
+	}
+}
 
-// handleWorker admits a worker and runs its message loop.
-func (m *Master) handleWorker(conn transport.Conn, reg *protocol.Message) {
-	// Wait for the controller's START_MASTER so the registration ack
-	// carries the real strategy and template (workers may race ahead of
-	// the controller at deployment time).
-	m.mu.Lock()
-	ctx := m.ctx
-	m.mu.Unlock()
-	select {
-	case <-m.configured:
-	case <-m.done:
+// closeLink ends a connection: its writer stops and its reader's Recv fails.
+func closeLink(l *link) {
+	l.out.close()
+	l.conn.Close()
+}
+
+// control answers one controller request.
+func (m *Master) control(l *link, req *protocol.Message) {
+	var errStr string
+	switch req.Type {
+	case protocol.TStartMaster:
+		if err := req.Strategy.Validate(); err != nil {
+			m.ack(l, req.Seq, err.Error())
+			l.out.close()
+			return
+		}
+		m.controller, m.strat, m.configured = l, req.Strategy, true
+		if len(req.Template) > 0 {
+			m.cfg.Template = req.Template
+		}
+		m.ack(l, req.Seq, "")
+		for _, w := range m.parked {
+			m.admit(w)
+		}
+		m.parked = nil
 		return
-	case <-ctx.Done():
+	case protocol.TForkWorkers:
+		m.expected = req.Workers
+		m.ack(l, req.Seq, "")
+		m.maybeStart()
+		return
+	case protocol.TPartitionType:
+		if !m.startedAt.IsZero() {
+			errStr = "execution already started; strategy is immutable mid-run"
+		} else if err := req.Strategy.Validate(); err != nil {
+			errStr = err.Error()
+		} else {
+			m.strat = req.Strategy
+		}
+	case protocol.TRemoveWorker:
+		if err := m.removeWorker(req.Worker); err != nil {
+			errStr = err.Error()
+		}
+	case protocol.TShutdown:
+		// Close first, then ack: whoever sees the ack must find the
+		// listener already gone.
+		m.listener.Close()
+		m.ack(l, req.Seq, "")
+		l.out.close()
+		return
+	default:
+		errStr = "unexpected " + req.Type.String()
+	}
+	m.ack(l, req.Seq, errStr)
+}
+
+func (m *Master) ack(l *link, seq uint64, errStr string) {
+	l.out.put(outItem{msg: &protocol.Message{Type: protocol.TAck, Error: errStr, Seq: seq}})
+}
+
+// notifyController forwards a worker error on the control channel.
+func (m *Master) notifyController(errStr, worker string) {
+	if m.controller != nil {
+		m.controller.out.put(outItem{msg: &protocol.Message{Type: protocol.TWorkerError, Worker: worker, Error: errStr}})
+	}
+}
+
+// removeWorker drains a worker (elastic scale-in): no new groups are
+// dispatched, outstanding work finishes, then the worker is shut down.
+func (m *Master) removeWorker(name string) error {
+	w, ok := m.workers[name]
+	if !ok || w.Dead || !w.Ready {
+		return fmt.Errorf("core: no live worker %q", name)
+	}
+	m.led.Drain(&w.Worker)
+	for _, o := range m.liveWorkers() {
+		m.dispatch(o)
+	}
+	// checkDone releases the worker once its outstanding set drains.
+	m.checkDone()
+	return nil
+}
+
+// admit joins a registered worker and queues its ACK and then the common
+// files (e.g. the BLAST database), ahead of anything queued later.
+func (m *Master) admit(w *masterWorker) {
+	if _, dup := m.workers[w.name]; dup || w.name == "" {
+		w.out.put(outItem{msg: &protocol.Message{Type: protocol.TAck, Error: "duplicate or empty worker name"}})
+		w.out.close()
 		return
 	}
-	m.mu.Lock()
-	if _, dup := m.workers[reg.Worker]; dup || reg.Worker == "" {
-		m.mu.Unlock()
-		conn.Send(&protocol.Message{Type: protocol.TAck, Error: "duplicate or empty worker name"})
-		return
+	w.slots, w.outstanding = 1, make(map[int]bool)
+	if m.strat.Multicore && w.cores > 1 {
+		w.slots = w.cores
 	}
-	slots := 1
-	if m.strat.Multicore && reg.Cores > 1 {
-		slots = reg.Cores
-	}
-	w := &masterWorker{
-		name:        reg.Worker,
-		conn:        conn,
-		cores:       reg.Cores,
-		slots:       slots,
-		outstanding: make(map[int]bool),
-		outWake:     sync.NewCond(&m.mu),
-	}
-	m.workers[w.name] = w // reserves the name; see masterWorker.Worker
+	m.workers[w.name] = w
 	m.led.Join(&w.Worker)
-	template := m.cfg.Template
-	common := m.strat.CommonFiles
-	m.mu.Unlock()
-
-	if err := conn.Send(&protocol.Message{
-		Type: protocol.TAck, Cores: slots, Template: template,
-		ReturnOutputs: m.cfg.OutputSink != nil, Batch: m.cfg.Batch,
-	}); err != nil {
+	staged, err := m.commonFiles(w)
+	if err != nil {
 		m.workerDied(w, err)
 		return
 	}
-	m.logf("worker %s registered (%d cores, %d slots)", w.name, reg.Cores, slots)
+	w.out.put(outItem{msg: &protocol.Message{
+		Type: protocol.TAck, Cores: w.slots, Template: m.cfg.Template,
+		ReturnOutputs: m.cfg.OutputSink != nil, Batch: m.cfg.Batch,
+	}, files: staged, ready: true})
+	m.logf("worker %s registered (%d cores, %d slots)", w.name, w.cores, w.slots)
+}
 
-	// Stage common files (e.g. the BLAST database) before any dispatch to
-	// this worker. Local-data strategies skip network staging.
-	if len(common) > 0 && m.strat.Locality == strategy.Remote {
-		if err := m.stageCommon(w, common); err != nil {
-			m.workerDied(w, err)
-			return
-		}
-	}
-
-	m.mu.Lock()
-	w.Ready = true
-	m.mu.Unlock()
-	// From here on only the writer sends to this worker.
-	m.wg.Add(1)
-	go m.writer(w)
-	m.maybeStart()
-	m.dispatch(w)
-
-	for {
-		msg, err := conn.Recv()
+// sourceCatalog lists the source once, when first needed: by common-file
+// staging, which can come before the run starts, or by the start.
+func (m *Master) sourceCatalog() (*catalog.Catalog, error) {
+	if m.catalogue == nil {
+		cat, err := m.cfg.Source.Catalog()
 		if err != nil {
-			m.workerDied(w, err)
-			return
+			return nil, fmt.Errorf("cataloguing source: %w", err)
 		}
-		switch msg.Type {
-		case protocol.TRequestData:
-			m.dispatch(w)
-		case protocol.TTaskStatus:
-			if len(msg.Results) > 0 {
-				m.completeBatch(w, msg.Results)
-			} else {
-				m.completeTask(w, msg.Result)
-			}
-		case protocol.TFileData:
-			if m.cfg.OutputSink == nil {
-				m.logf("worker %s returned output %s but no sink is configured", w.name, msg.FileName)
-				continue
-			}
-			if err := storeChunk(m.cfg.OutputSink, msg); err != nil {
-				m.logf("storing output %s from %s: %v", msg.FileName, w.name, err)
-				continue
-			}
-			m.mu.Lock()
-			m.outputBytes += int64(len(msg.Data))
-			m.mu.Unlock()
-		default:
-			m.logf("worker %s sent unexpected %s", w.name, msg.Type)
+		m.catalogue = cat
+	}
+	return m.catalogue, nil
+}
+
+// commonFiles claims for w the strategy's common files, as the source lists
+// them, that its writer is to stage. Local-data strategies stage nothing.
+func (m *Master) commonFiles(w *masterWorker) ([]protocol.FileInfo, error) {
+	if len(m.strat.CommonFiles) == 0 || m.strat.Locality != strategy.Remote {
+		return nil, nil
+	}
+	cat, err := m.sourceCatalog()
+	if err != nil {
+		return nil, err
+	}
+	infos := make([]protocol.FileInfo, 0, len(m.strat.CommonFiles))
+	for _, name := range m.strat.CommonFiles {
+		f, ok := cat.Get(name)
+		if !ok {
+			return nil, fmt.Errorf("staging common file %s: not in the source", name)
+		}
+		infos = append(infos, protocol.FileInfo{Name: f.Name, Size: f.Size})
+	}
+	return m.claim(w, infos), nil
+}
+
+// claim records files as on their way to the worker and returns those that
+// were not already: the ones its writer is to stream.
+func (m *Master) claim(w *masterWorker, files []protocol.FileInfo) []protocol.FileInfo {
+	var send []protocol.FileInfo
+	for _, f := range files {
+		if !m.replicas.Has(f.Name, w.name) {
+			m.replicas.Add(f.Name, w.name)
+			send = append(send, f)
 		}
 	}
+	return send
 }
 
 // maybeStart begins execution once the strategy is known and the expected
 // number of workers is ready.
 func (m *Master) maybeStart() {
-	m.mu.Lock()
+	if !m.startedAt.IsZero() || m.expected <= 0 {
+		return
+	}
 	// A worker that died, even before it was ready, has been heard from: the
 	// run starts without it instead of waiting for it.
 	arrived := 0
@@ -462,93 +616,65 @@ func (m *Master) maybeStart() {
 			arrived++
 		}
 	}
-	if m.started || m.expected <= 0 || arrived < m.expected {
-		m.mu.Unlock()
+	if arrived < m.expected {
 		return
 	}
-	m.started = true
 	m.startedAt = time.Now()
-	m.mu.Unlock()
-	// Every caller is a connection handler or a writer, which m.wg counts.
-	m.wg.Add(1)
-	go func() {
-		defer m.wg.Done()
-		m.runStrategy()
-	}()
+	m.runStrategy()
 }
 
-// runStrategy builds the partition plan and drives the strategy's data
+// runStrategy builds the partition plan and starts the strategy's data
 // movement.
 func (m *Master) runStrategy() {
-	cat, err := m.cfg.Source.Catalog()
+	cat, err := m.sourceCatalog()
 	if err != nil {
-		m.fatal(fmt.Errorf("cataloguing source: %w", err))
+		m.fatal(err)
 		return
 	}
-	m.mu.Lock()
-	strat := m.strat
-	m.mu.Unlock()
-
 	// Common files are staged separately; exclude them from partitioning.
-	commonSet := make(map[string]bool, len(strat.CommonFiles))
-	for _, c := range strat.CommonFiles {
-		commonSet[c] = true
-	}
 	inputs := catalog.New()
 	for _, f := range cat.Files() {
-		if !commonSet[f.Name] {
+		if !slices.Contains(m.strat.CommonFiles, f.Name) {
 			inputs.MustAdd(f)
 		}
 	}
-
-	gen, err := strat.Generator()
+	gen, err := m.strat.Generator()
 	if err != nil {
 		m.fatal(err)
 		return
 	}
-	groups, err := gen.Generate(inputs)
-	if err != nil {
+	if m.groups, err = gen.Generate(inputs); err != nil {
 		m.fatal(err)
 		return
 	}
+	workers := m.liveWorkers()
+	m.logf("execution starts: %d groups, %d workers, strategy %s", len(m.groups), len(workers), m.strat)
 
-	m.mu.Lock()
-	m.catalogue = cat
-	m.groups = groups
-	workers := m.liveWorkersLocked()
-	m.mu.Unlock()
-	m.logf("execution starts: %d groups, %d workers, strategy %s", len(groups), len(workers), strat)
-
-	switch strat.Kind {
+	switch m.strat.Kind {
 	case strategy.PrePartition:
-		m.runPrePartition(strat, groups, workers)
+		m.runPrePartition(workers)
 	case strategy.NoPartition:
-		m.runNoPartition(groups, workers)
+		m.runNoPartition(workers)
 	case strategy.RealTime:
-		m.mu.Lock()
-		m.startLocked(len(groups))
+		m.startLedger()
 		m.led.QueueAll()
-		// A worker that became ready while the groups were generated found
-		// the queue empty; it is in this snapshot.
-		workers = m.liveWorkersLocked()
-		m.mu.Unlock()
 		for _, w := range workers {
 			m.dispatch(w)
 		}
+		m.checkDone()
 	}
-	m.checkDone()
 }
 
-// startLocked starts the ledger on n groups and sizes the results for their
-// outcomes. Caller holds m.mu.
-func (m *Master) startLocked(n int) {
-	m.led.Start(n)
-	m.results = slices.Grow(m.results, n)
+// startLedger starts the ledger on the groups and sizes the results for
+// their outcomes.
+func (m *Master) startLedger() {
+	m.led.Start(len(m.groups))
+	m.results = slices.Grow(m.results, len(m.groups))
 }
 
-// liveWorkersLocked snapshots the workers that can be given work, sorted by
-// name (deterministic assignment regardless of registration races).
-func (m *Master) liveWorkersLocked() []*masterWorker {
+// liveWorkers lists the workers that can be given work, sorted by name
+// (deterministic assignment regardless of registration order).
+func (m *Master) liveWorkers() []*masterWorker {
 	out := make([]*masterWorker, 0, len(m.workers))
 	for _, w := range m.workers {
 		if w.Ready && w.Live() {
@@ -561,90 +687,91 @@ func (m *Master) liveWorkersLocked() []*masterWorker {
 
 // runPrePartition implements the two sequential phases of Section II-C:
 // transfer everything first, then execute.
-func (m *Master) runPrePartition(strat strategy.Config, groups []partition.Group, workers []*masterWorker) {
-	assigner, err := strategy.AssignerByName(strat.Assigner)
+func (m *Master) runPrePartition(workers []*masterWorker) {
+	assigner, err := strategy.AssignerByName(m.strat.Assigner)
 	if err != nil {
 		m.fatal(err)
 		return
 	}
-	assignment, err := assigner.Assign(groups, len(workers))
+	assignment, err := assigner.Assign(m.groups, len(workers))
 	if err != nil {
 		m.fatal(err)
 		return
 	}
 	per := assignment.PerWorker()
-
-	transferStart := time.Now()
-	if strat.Locality == strategy.Remote {
-		var sent sync.WaitGroup
-		m.mu.Lock()
+	m.phase = &transferPhase{start: time.Now(), workers: workers, per: per}
+	if m.strat.Locality == strategy.Remote {
 		for wi, w := range workers {
 			// Announce the partition, then stream its unique files.
 			var infos []protocol.FileInfo
 			seen := map[string]bool{}
 			for _, gi := range per[wi] {
-				for _, f := range groups[gi].Files {
+				for _, f := range m.groups[gi].Files {
 					if !seen[f.Name] {
 						seen[f.Name] = true
 						infos = append(infos, protocol.FileInfo{Name: f.Name, Size: f.Size})
 					}
 				}
 			}
-			m.enqueueLocked(w, outItem{
+			m.queueTransfer(w, outItem{
 				msg:   &protocol.Message{Type: protocol.TDistribute, Files: infos, Groups: per[wi]},
-				files: infos, done: &sent,
+				files: m.claim(w, infos),
 			})
 		}
-		m.mu.Unlock()
-		sent.Wait()
 	}
-	m.mu.Lock()
-	m.transfers = time.Since(transferStart).Seconds()
-	// Each share becomes its worker's backlog, or goes through the deal rule
-	// if the worker died or began to drain during the transfer.
-	m.startLocked(len(groups))
-	for wi, w := range workers {
-		m.abandonLocked(w.name, errWorkerLost, m.led.Deal(&w.Worker, per[wi])...)
-	}
-	m.mu.Unlock()
-	m.logf("pre-partition transfer phase done in %.3fs", m.transfers)
-	for _, w := range workers {
-		m.dispatch(w)
-	}
+	m.endTransfer()
 }
 
 // runNoPartition replicates the complete dataset to every node, then farms
 // tasks real-time (no further data movement is needed).
-func (m *Master) runNoPartition(groups []partition.Group, workers []*masterWorker) {
-	transferStart := time.Now()
-	m.mu.Lock()
-	files := m.catalogue.Files()
-	locality := m.strat.Locality
-	m.mu.Unlock()
-	if locality == strategy.Remote {
-		infos := appendInfos(make([]protocol.FileInfo, 0, len(files)), files)
-		var sent sync.WaitGroup
-		m.mu.Lock()
+func (m *Master) runNoPartition(workers []*masterWorker) {
+	m.phase = &transferPhase{start: time.Now(), workers: workers}
+	if m.strat.Locality == strategy.Remote {
+		infos := appendInfos(nil, m.catalogue.Files())
 		for _, w := range workers {
-			m.enqueueLocked(w, outItem{files: infos, done: &sent})
+			m.queueTransfer(w, outItem{files: m.claim(w, infos)})
 		}
-		m.mu.Unlock()
-		sent.Wait()
 	}
-	m.mu.Lock()
-	m.transfers = time.Since(transferStart).Seconds()
-	m.startLocked(len(groups))
-	m.led.QueueAll()
-	m.mu.Unlock()
-	for _, w := range workers {
+	m.endTransfer()
+}
+
+// queueTransfer hands the worker's writer one transfer-phase item.
+func (m *Master) queueTransfer(w *masterWorker, it outItem) {
+	it.transfer = true
+	if w.out.put(it) {
+		w.transfers++
+	}
+}
+
+// endTransfer ends the transfer phase once no item it queued is pending: the
+// groups are placed and the workers dispatched to.
+func (m *Master) endTransfer() {
+	p := m.phase
+	if p == nil || slices.ContainsFunc(p.workers, func(w *masterWorker) bool { return w.transfers > 0 }) {
+		return
+	}
+	m.phase = nil
+	m.transfers = time.Since(p.start).Seconds()
+	m.startLedger()
+	if m.strat.Kind == strategy.PrePartition {
+		// Each share becomes its worker's backlog, or goes through the deal
+		// rule if the worker died or began to drain during the transfer.
+		for wi, w := range p.workers {
+			m.abandon(w.name, errWorkerLost, m.led.Deal(&w.Worker, p.per[wi])...)
+		}
+	} else {
+		m.led.QueueAll()
+	}
+	m.logf("%s transfer phase done in %.3fs", m.strat.Kind, m.transfers)
+	for _, w := range p.workers {
 		m.dispatch(w)
 	}
+	m.checkDone()
 }
 
 // dispatch hands the worker as much work as its slots (× prefetch) allow:
 // each group it reserves is one item of the worker's outbox.
 func (m *Master) dispatch(w *masterWorker) {
-	m.mu.Lock()
 	limit := w.slots
 	if m.strat.Kind == strategy.RealTime && m.strat.Prefetch > 1 {
 		limit = w.slots * m.strat.Prefetch
@@ -662,145 +789,251 @@ func (m *Master) dispatch(w *masterWorker) {
 			return true
 		}
 	}
-	needsTransfer := m.strat.Locality == strategy.Remote && m.strat.Kind != strategy.PrePartition
-	first := len(w.outbox)
+	remote := m.strat.Locality == strategy.Remote && m.strat.Kind != strategy.PrePartition
+	var it outItem
 	for len(w.outstanding) < limit {
 		gi, ok := m.led.Next(&w.Worker, resident)
 		if !ok {
 			break
 		}
+		if it.group != nil {
+			w.out.put(it)
+		}
 		w.outstanding[gi] = true
-		m.enqueueLocked(w, outItem{group: &m.groups[gi], send: needsTransfer})
-	}
-	if len(w.outbox) > first {
-		w.outbox[len(w.outbox)-1].last = true
-	}
-	m.mu.Unlock()
-}
-
-// enqueueLocked hands the worker's writer one more item. A connection that is
-// finished with takes none: the item is dropped and its waiter released.
-// Caller holds m.mu.
-func (m *Master) enqueueLocked(w *masterWorker, it outItem) {
-	if it.done != nil {
-		it.done.Add(1)
-	}
-	if w.outClosed {
-		if it.done != nil {
-			it.done.Done()
-		}
-		return
-	}
-	w.outbox = append(w.outbox, it)
-	w.outWake.Signal()
-}
-
-// closeOutboxLocked ends the worker's writer and drops what it has not yet
-// taken. Caller holds m.mu.
-func (m *Master) closeOutboxLocked(w *masterWorker) {
-	if w.outClosed {
-		return
-	}
-	w.outClosed = true
-	for _, it := range w.outbox {
-		if it.done != nil {
-			it.done.Done()
+		it = outItem{group: &m.groups[gi]}
+		if remote {
+			m.claimGroup(w, &it)
 		}
 	}
-	w.outbox = nil
-	w.outWake.Signal()
+	if it.group != nil {
+		it.last = true
+		w.out.put(it)
+	}
 }
 
-// writer drains one ready worker's outbox: it is the connection's only sender
-// from ready on. It holds the connection, performs everything queued and
-// flushes when the outbox is empty, so a refill — its file chunks and its
-// EXECUTE — and whatever else was queued beside it leave in one write. A
-// failed send or flush is the worker's death. It returns once the outbox is
-// closed.
-func (m *Master) writer(w *masterWorker) {
+// claimGroup claims the files of it's group that the worker has not been
+// sent, for the writer to stream ahead of the group's EXECUTE.
+func (m *Master) claimGroup(w *masterWorker, it *outItem) {
+	files := it.group.Files
+	if len(files) > 64 {
+		it.files = m.claim(w, appendInfos(nil, files))
+		return
+	}
+	for i, f := range files {
+		if !m.replicas.Has(f.Name, w.name) {
+			m.replicas.Add(f.Name, w.name)
+			it.send |= 1 << i
+		}
+	}
+}
+
+// recordResult books one task outcome and reports whether it settled a
+// dispatched group (and thus may have freed a slot worth refilling).
+func (m *Master) recordResult(w *masterWorker, res protocol.TaskResult) bool {
+	if res.GroupIndex < 0 {
+		m.workerErrs = append(m.workerErrs, fmt.Sprintf("%s: %s", w.name, res.Error))
+		m.notifyController(res.Error, w.name)
+		return false
+	}
+	if !w.outstanding[res.GroupIndex] {
+		// Stale or duplicate status (e.g. after a death or reassignment).
+		return false
+	}
+	delete(w.outstanding, res.GroupIndex)
+	if res.OK {
+		m.led.Succeed(res.GroupIndex)
+		m.results = append(m.results, res)
+	} else if m.led.Fail(res.GroupIndex) {
+		m.logf("group %d failed on %s (attempt %d), requeued: %s",
+			res.GroupIndex, w.name, m.led.Attempts(res.GroupIndex), res.Error)
+	} else {
+		m.results = append(m.results, res)
+	}
+	return true
+}
+
+// workerDied isolates a dead worker: it receives no further data or tasks
+// (the paper's automatic isolation), its replicas are forgotten, its
+// unfinished groups are requeued under Recover or abandoned otherwise, and
+// the controller is informed.
+func (m *Master) workerDied(w *masterWorker, cause error) {
+	closeLink(&w.link)
+	if w.Dead {
+		return
+	}
+	// A disconnect after the run finished is a graceful departure (the
+	// worker read NO_MORE_DATA and exited), not a failure.
+	if m.led.Finished() {
+		w.Dead = true
+		return
+	}
+	// Its in-flight groups are lost in group order, then its backlog.
+	lost := make([]int, 0, len(w.outstanding))
+	for gi := range w.outstanding {
+		lost = append(lost, gi)
+	}
+	sort.Ints(lost)
+	affected := len(lost) + len(w.Backlog)
+	clear(w.outstanding)
+	m.abandon(w.name, errWorkerLost, m.led.Die(&w.Worker, lost)...)
+	m.replicas.DropNode(w.name)
+	m.workerErrs = append(m.workerErrs, fmt.Sprintf("%s: %v", w.name, cause))
+	m.logf("worker %s died: %v (%d groups affected)", w.name, cause, affected)
+	m.notifyController(fmt.Sprintf("%v", cause), w.name)
+	w.transfers = 0
+	m.endTransfer()
+	m.maybeStart() // it may have been the last expected worker not yet heard from
+	for _, o := range m.liveWorkers() {
+		m.dispatch(o)
+	}
+	m.checkDone()
+}
+
+// errWorkerLost is the failure recorded for a group whose worker died.
+const errWorkerLost = "worker lost; task not restarted"
+
+// abandon records groups the ledger made terminal as failed, on worker
+// (empty when none), for the reason why.
+func (m *Master) abandon(worker, why string, groups ...int) {
+	for _, gi := range groups {
+		m.results = append(m.results, protocol.TaskResult{GroupIndex: gi, Worker: worker, Error: why})
+	}
+}
+
+// checkDone records what the ledger's stall rule abandons and finishes the
+// run when every group is terminal.
+func (m *Master) checkDone() {
+	// Drain completion: a draining worker with no outstanding work is
+	// released even before the run completes.
+	for _, w := range m.workers {
+		if w.Draining && !w.Dead && len(w.outstanding) == 0 {
+			w.Dead = true
+			w.out.put(outItem{msg: &protocol.Message{Type: protocol.TShutdown}})
+			m.logf("worker %s drained and released", w.name)
+		}
+	}
+	m.abandon("", "no live workers; abandoned", m.led.Abandon()...)
+	if !m.led.Finished() || !m.finishedAt.IsZero() {
+		return
+	}
+	m.finishedAt = time.Now()
+	for _, w := range m.liveWorkers() {
+		w.out.put(outItem{msg: &protocol.Message{Type: protocol.TNoMoreData}})
+	}
+	if m.controller != nil {
+		m.controller.out.put(outItem{msg: &protocol.Message{
+			Type:        protocol.TMasterDone,
+			Results:     append([]protocol.TaskResult(nil), m.results...),
+			BytesMoved:  m.bytesMoved.Load(),
+			MakespanSec: m.finishedAt.Sub(m.startedAt).Seconds(),
+		}})
+	}
+	m.logf("all %d groups terminal", len(m.groups))
+	close(m.done)
+}
+
+// fatal aborts the run: every group is marked failed and the run finishes.
+func (m *Master) fatal(err error) {
+	m.logf("fatal: %v", err)
+	m.workerErrs = append(m.workerErrs, "master: "+err.Error())
+	// Groups that never reached a worker (the deal found nobody live) are
+	// queued; the stall rule abandons them while nobody is live.
+	m.startLedger()
+	m.led.QueueAll()
+	m.notifyController(err.Error(), "")
+	m.checkDone()
+}
+
+// --- Writers ---
+
+// writer drains one connection's outbox. It holds the connection, performs
+// everything queued and flushes when the outbox is empty, so a refill — its
+// file chunks and its EXECUTE — and whatever was queued beside it leave in
+// one write. It returns once the loop closed the outbox and what was queued
+// before is sent, or on a failed send, which it posts to the loop. Either
+// way it closes the connection.
+func (m *Master) writer(l *link) {
 	defer m.wg.Done()
-	var items []outItem // the batch in hand; trades places with w.outbox
+	defer l.conn.Close()
+	var items []outItem // the batch in hand; trades places with the outbox
 	held := false
-	for {
-		m.mu.Lock()
-		for len(w.outbox) == 0 && !w.outClosed {
-			if !held {
-				w.outWake.Wait()
-				continue
+	for open := true; open; {
+		items, open = l.out.take(items, !held)
+		if len(items) == 0 {
+			if held {
+				held = false
+				if err := l.conn.Flush(); err != nil {
+					m.inbox.put(event{kind: evFailed, l: l, err: err})
+					return
+				}
 			}
-			m.mu.Unlock()
-			held = false
-			if err := w.conn.Flush(); err != nil {
-				m.workerDied(w, err)
-			}
-			m.mu.Lock()
+			continue
 		}
-		if w.outClosed {
-			m.mu.Unlock()
-			return
-		}
-		items, w.outbox = w.outbox, items[:0]
-		m.mu.Unlock()
-
 		if !held {
-			w.conn.Hold()
+			l.conn.Hold()
 			held = true
 		}
-		var err error
 		for i := range items {
-			it := &items[i]
-			if err == nil {
-				err = m.perform(w, it)
-				if err == nil && it.done != nil {
-					// Whoever waits for these bytes times their reaching
-					// the connection, not the send buffer.
-					err = w.conn.Flush()
-					w.conn.Hold()
-				}
-				if err != nil {
-					m.workerDied(w, err)
-				}
+			if err := m.perform(l, &items[i]); err != nil {
+				m.inbox.put(event{kind: evFailed, l: l, err: err, msg: items[i].msg})
+				return
 			}
-			if it.done != nil {
-				it.done.Done() // sent, or lost with its worker
-			}
-		}
-		if err != nil {
-			return
 		}
 		clear(items) // the batch is sent; keep none of it alive
 	}
+	if held {
+		l.conn.Flush()
+	}
 }
 
-// perform sends one outbox item on the worker's connection.
-func (m *Master) perform(w *masterWorker, it *outItem) error {
+// perform sends one outbox item on the connection.
+func (m *Master) perform(l *link, it *outItem) error {
 	if it.msg != nil {
-		if err := w.conn.Send(it.msg); err != nil {
+		if err := l.conn.Send(it.msg); err != nil {
 			return err
 		}
 	}
 	for _, f := range it.files {
-		if err := m.streamFile(w, f.Name, f.Size); err != nil {
+		if err := m.stream(l, f.Name, f.Size); err != nil {
 			return err
 		}
 	}
-	g := it.group
-	if g == nil {
-		return nil
-	}
-	if it.send {
-		for _, f := range g.Files {
-			if err := m.streamFile(w, f.Name, f.Size); err != nil {
-				return err
+	if g := it.group; g != nil {
+		for i, f := range g.Files {
+			if it.send&(1<<i) != 0 {
+				if err := m.stream(l, f.Name, f.Size); err != nil {
+					return err
+				}
 			}
 		}
+		if err := m.execute(l, g, it.last); err != nil {
+			return err
+		}
 	}
-	// Tell the worker to run the group: one EXECUTE per group, or — batched
-	// control plane — one EXECUTE_BATCH carrying the whole dispatch pass.
-	x := &w.exec
+	switch {
+	case it.ready:
+		m.inbox.put(event{kind: evReady, l: l})
+	case it.transfer:
+		// The phase times these bytes reaching the connection, not the
+		// send buffer.
+		err := l.conn.Flush()
+		l.conn.Hold()
+		if err != nil {
+			return err
+		}
+		m.inbox.put(event{kind: evTransferred, l: l})
+	}
+	return nil
+}
+
+// execute tells the worker to run g: one EXECUTE per group, or — batched
+// control plane — one EXECUTE_BATCH carrying the whole dispatch pass, sent
+// with its last group.
+func (m *Master) execute(l *link, g *partition.Group, last bool) error {
+	x := &l.exec
 	if !m.cfg.Batch {
 		x.Type, x.GroupIndex, x.Files = protocol.TExecute, g.Index, appendInfos(x.Files[:0], g.Files)
-		return transport.SendReused(w.conn, x)
+		return transport.SendReused(l.conn, x)
 	}
 	// A spec taken back from the previous batch keeps its Files array.
 	if n := len(x.Executes); n < cap(x.Executes) {
@@ -810,12 +1043,21 @@ func (m *Master) perform(w *masterWorker, it *outItem) error {
 	}
 	spec := &x.Executes[len(x.Executes)-1]
 	spec.GroupIndex, spec.Files = g.Index, appendInfos(spec.Files[:0], g.Files)
-	if !it.last {
+	if !last {
 		return nil
 	}
 	x.Type = protocol.TExecuteBatch
-	err := transport.SendReused(w.conn, x)
+	err := transport.SendReused(l.conn, x)
 	x.Executes = x.Executes[:0]
+	return err
+}
+
+// stream sends one source file on the connection. size is its catalogue
+// size; a source that does not deliver exactly that many bytes fails the
+// transfer, and with it the connection.
+func (m *Master) stream(l *link, name string, size int64) error {
+	sent, err := sendFile(l.conn, transfer.File{Name: name, Size: size}, m.cfg.Source, m.cfg.ChunkSize)
+	m.bytesMoved.Add(sent)
 	return err
 }
 
@@ -825,60 +1067,6 @@ func appendInfos(dst []protocol.FileInfo, files []catalog.FileMeta) []protocol.F
 		dst = append(dst, protocol.FileInfo{Name: f.Name, Size: f.Size})
 	}
 	return dst
-}
-
-// stageCommon streams the common files to a worker that is not ready yet.
-// Their sizes come from the source's own catalogue: staging can run before
-// the run's catalogue exists.
-func (m *Master) stageCommon(w *masterWorker, common []string) error {
-	m.stagingMu.Lock()
-	if m.stagingCat == nil {
-		cat, err := m.cfg.Source.Catalog()
-		if err != nil {
-			m.stagingMu.Unlock()
-			return fmt.Errorf("cataloguing source: %w", err)
-		}
-		m.stagingCat = cat
-	}
-	cat := m.stagingCat
-	m.stagingMu.Unlock()
-	for _, name := range common {
-		f, ok := cat.Get(name)
-		if !ok {
-			return fmt.Errorf("staging common file %s: not in the source", name)
-		}
-		if err := m.streamFile(w, f.Name, f.Size); err != nil {
-			return fmt.Errorf("staging common file %s: %w", name, err)
-		}
-	}
-	return nil
-}
-
-// streamFile sends one source file to a worker in chunks, deduplicating
-// against the replica map. size is the file's catalogue size; a source that
-// does not deliver exactly that many bytes fails the transfer and the
-// replica is un-claimed.
-func (m *Master) streamFile(w *masterWorker, name string, size int64) error {
-	m.mu.Lock()
-	if m.replicas.Has(name, w.name) {
-		m.mu.Unlock()
-		return nil
-	}
-	// One goroutine at a time sends to a worker (its handler until it is
-	// ready, its writer from then on), so whatever is claimed here has been
-	// streamed in full before anything queued later is sent.
-	m.replicas.Add(name, w.name)
-	chunk := m.cfg.ChunkSize
-	m.mu.Unlock()
-
-	sent, err := sendFile(w.conn, transfer.File{Name: name, Size: size}, m.cfg.Source, chunk)
-	m.mu.Lock()
-	m.bytesMoved += sent
-	m.mu.Unlock()
-	if err != nil {
-		m.replicas.Remove(name, w.name)
-	}
-	return err
 }
 
 // fileOpener is where sendFile takes a file from: the master's
@@ -906,210 +1094,7 @@ func sendFile(conn transport.Conn, f transfer.File, src fileOpener, chunk int) (
 	return transfer.Send(conn, f, rc, chunk)
 }
 
-// completeTask records a task outcome and re-dispatches.
-func (m *Master) completeTask(w *masterWorker, res protocol.TaskResult) {
-	if m.recordResult(w, res) {
-		m.dispatch(w)
-		m.checkDone()
-	}
-}
-
-// completeBatch books a coalesced status report: every result is recorded
-// first, then the freed slots are refilled with a single dispatch pass and a
-// single completion check instead of one round per task.
-func (m *Master) completeBatch(w *masterWorker, results []protocol.TaskResult) {
-	settled := false
-	for _, res := range results {
-		if m.recordResult(w, res) {
-			settled = true
-		}
-	}
-	if settled {
-		m.dispatch(w)
-		m.checkDone()
-	}
-}
-
-// recordResult books one task outcome and reports whether it settled a
-// dispatched group (and thus may have freed a slot worth refilling).
-func (m *Master) recordResult(w *masterWorker, res protocol.TaskResult) bool {
-	if res.GroupIndex < 0 {
-		m.mu.Lock()
-		m.workerErrs = append(m.workerErrs, fmt.Sprintf("%s: %s", w.name, res.Error))
-		m.mu.Unlock()
-		m.notifyController(res.Error, w.name)
-		return false
-	}
-	m.mu.Lock()
-	if !w.outstanding[res.GroupIndex] {
-		// Stale or duplicate status (e.g. after a death or reassignment).
-		m.mu.Unlock()
-		return false
-	}
-	delete(w.outstanding, res.GroupIndex)
-	if res.OK {
-		m.led.Succeed(res.GroupIndex)
-		m.results = append(m.results, res)
-	} else if m.led.Fail(res.GroupIndex) {
-		m.logf("group %d failed on %s (attempt %d), requeued: %s",
-			res.GroupIndex, w.name, m.led.Attempts(res.GroupIndex), res.Error)
-	} else {
-		m.results = append(m.results, res)
-	}
-	m.mu.Unlock()
-	return true
-}
-
-// workerDied isolates a dead worker: it receives no further data or tasks
-// (the paper's automatic isolation), its replicas are forgotten, its
-// unfinished groups are requeued under Recover or abandoned otherwise, and
-// the controller is informed.
-func (m *Master) workerDied(w *masterWorker, cause error) {
-	m.mu.Lock()
-	m.closeOutboxLocked(w)
-	if w.Dead {
-		m.mu.Unlock()
-		return
-	}
-	// A disconnect after the run finished is a graceful departure (the
-	// worker read NO_MORE_DATA and exited), not a failure.
-	if m.led.Finished() {
-		w.Dead = true
-		m.mu.Unlock()
-		w.conn.Close()
-		return
-	}
-	// Its in-flight groups are lost in group order, then its backlog.
-	lost := make([]int, 0, len(w.outstanding))
-	for gi := range w.outstanding {
-		lost = append(lost, gi)
-	}
-	sort.Ints(lost)
-	affected := len(lost) + len(w.Backlog)
-	w.outstanding = make(map[int]bool)
-	m.abandonLocked(w.name, errWorkerLost, m.led.Die(&w.Worker, lost)...)
-	m.replicas.DropNode(w.name)
-	m.workerErrs = append(m.workerErrs, fmt.Sprintf("%s: %v", w.name, cause))
-	others := m.liveWorkersLocked()
-	m.mu.Unlock()
-	w.conn.Close()
-	m.logf("worker %s died: %v (%d groups affected)", w.name, cause, affected)
-	m.notifyController(fmt.Sprintf("%v", cause), w.name)
-	m.maybeStart() // it may have been the last expected worker not yet heard from
-	for _, o := range others {
-		m.dispatch(o)
-	}
-	m.checkDone()
-}
-
-// errWorkerLost is the failure recorded for a group whose worker died.
-const errWorkerLost = "worker lost; task not restarted"
-
-// abandonLocked records groups the ledger made terminal as failed, on worker
-// (empty when none), for the reason why. Caller holds m.mu.
-func (m *Master) abandonLocked(worker, why string, groups ...int) {
-	for _, gi := range groups {
-		m.results = append(m.results, protocol.TaskResult{GroupIndex: gi, Worker: worker, Error: why})
-	}
-}
-
-// RemoveWorker drains a worker (elastic scale-in): no new groups are
-// dispatched, outstanding work finishes, then the worker is shut down.
-func (m *Master) RemoveWorker(name string) error {
-	m.mu.Lock()
-	w, ok := m.workers[name]
-	if !ok || w.Dead || !w.Ready {
-		m.mu.Unlock()
-		return fmt.Errorf("core: no live worker %q", name)
-	}
-	m.led.Drain(&w.Worker)
-	others := m.liveWorkersLocked()
-	m.mu.Unlock()
-	for _, o := range others {
-		m.dispatch(o)
-	}
-	// checkDone releases the worker once its outstanding set drains.
-	m.checkDone()
-	return nil
-}
-
-// notifyController forwards a worker error on the control channel.
-func (m *Master) notifyController(errStr, worker string) {
-	m.mu.Lock()
-	c := m.controller
-	m.mu.Unlock()
-	if c != nil {
-		c.Send(&protocol.Message{Type: protocol.TWorkerError, Worker: worker, Error: errStr})
-	}
-}
-
-// checkDone records what the ledger's stall rule abandons and finishes the
-// run when every group is terminal.
-func (m *Master) checkDone() {
-	m.mu.Lock()
-	// Drain completion: a draining worker with no outstanding work is
-	// released even before the run completes.
-	for _, w := range m.workers {
-		if w.Draining && !w.Dead && len(w.outstanding) == 0 {
-			w.Dead = true
-			m.enqueueLocked(w, outItem{msg: &protocol.Message{Type: protocol.TShutdown}})
-			defer m.logf("worker %s drained and released", w.name) // once m.mu is released
-		}
-	}
-	m.abandonLocked("", "no live workers; abandoned", m.led.Abandon()...)
-	if !m.led.Finished() {
-		m.mu.Unlock()
-		return
-	}
-	m.finishedAt = time.Now()
-	workers := m.liveWorkersLocked()
-	controller := m.controller
-	results := append([]protocol.TaskResult(nil), m.results...)
-	bytesMoved := m.bytesMoved
-	makespan := m.finishedAt.Sub(m.startedAt).Seconds()
-	m.mu.Unlock()
-
-	m.doneOnce.Do(func() {
-		m.mu.Lock()
-		for _, w := range workers {
-			m.enqueueLocked(w, outItem{msg: &protocol.Message{Type: protocol.TNoMoreData}})
-		}
-		m.mu.Unlock()
-		if controller != nil {
-			err := controller.Send(&protocol.Message{
-				Type:        protocol.TMasterDone,
-				Results:     results,
-				BytesMoved:  bytesMoved,
-				MakespanSec: makespan,
-			})
-			if err != nil {
-				// The controller would wait for the report until its context
-				// ends; closing the channel tells it the run is lost.
-				m.logf("MASTER_DONE to controller: %v", err)
-				m.mu.Lock()
-				m.workerErrs = append(m.workerErrs, "master: MASTER_DONE to controller: "+err.Error())
-				m.mu.Unlock()
-				controller.Close()
-			}
-		}
-		m.logf("all %d groups terminal", len(m.groups))
-		close(m.done)
-	})
-}
-
-// fatal aborts the run: every group is marked failed and the run finishes.
-func (m *Master) fatal(err error) {
-	m.logf("fatal: %v", err)
-	m.mu.Lock()
-	m.workerErrs = append(m.workerErrs, "master: "+err.Error())
-	// Groups that never reached a worker (the deal found nobody live) are
-	// queued; the stall rule abandons them while nobody is live.
-	m.startLocked(len(m.groups))
-	m.led.QueueAll()
-	m.mu.Unlock()
-	m.notifyController(err.Error(), "")
-	m.checkDone()
-}
+// --- Report ---
 
 // Report summarises a finished run.
 type Report struct {
@@ -1134,17 +1119,30 @@ type Report struct {
 	OutputBytes int64
 }
 
-// Report returns the run summary; valid once Done is closed.
+// Report returns the run summary; valid once Done is closed, and safe to
+// call at any time.
 func (m *Master) Report() Report {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	select {
+	case <-m.serving:
+	default:
+		return Report{Strategy: m.cfg.Strategy.String()} // nothing has run
+	}
+	reply := make(chan Report, 1)
+	if m.inbox.put(event{kind: evReport, report: reply}) {
+		return <-reply
+	}
+	<-m.stopped // the loop has returned: nothing writes the state any more
+	return m.report()
+}
+
+func (m *Master) report() Report {
 	r := Report{
 		Strategy:         m.strat.String(),
 		Groups:           len(m.groups),
 		Results:          append([]protocol.TaskResult(nil), m.results...),
 		WorkerErrors:     append([]string(nil), m.workerErrs...),
 		TransferPhaseSec: m.transfers,
-		BytesMoved:       m.bytesMoved,
+		BytesMoved:       m.bytesMoved.Load(),
 		OutputBytes:      m.outputBytes,
 	}
 	for _, res := range m.results {

@@ -3,8 +3,9 @@ package core
 import (
 	"context"
 	"fmt"
-	"reflect"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -50,12 +51,15 @@ func startMaster(t *testing.T, cfg MasterConfig) (*Master, *transport.Mem, conte
 }
 
 // dialTCPMaster starts a master over TCP loopback, so that every message
-// between it and the test crosses the real codec, and returns the master and
-// an open controller connection.
-func dialTCPMaster(t *testing.T) (*Master, transport.Conn) {
+// between it and the test crosses the real codec, and returns the master, an
+// open controller connection and the transport. Its source holds one file,
+// "db".
+func dialTCPMaster(t *testing.T) (*Master, transport.Conn, transport.Transport) {
 	t.Helper()
 	tr := newLoopbackTCP()
-	m, err := NewMaster(MasterConfig{Source: catalog.NewMemSource(), Transport: tr, Addr: "m"})
+	src := catalog.NewMemSource()
+	src.Put("db", []byte("d"))
+	m, err := NewMaster(MasterConfig{Source: src, Transport: tr, Addr: "m"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +71,7 @@ func dialTCPMaster(t *testing.T) (*Master, transport.Conn) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	return m, conn
+	return m, conn, tr
 }
 
 // request sends msg and returns the ack's error text.
@@ -86,16 +90,14 @@ func request(t *testing.T, conn transport.Conn, msg *protocol.Message) string {
 	return ack.Error
 }
 
-// masterStrategy is the strategy the master will run.
-func masterStrategy(m *Master) strategy.Config {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.strat
-}
+// masterStrategy describes the strategy the master will run, as its report
+// does.
+func masterStrategy(m *Master) string { return m.Report().Strategy }
 
 // TestStrategyInfoRoundTrip sends each named strategy, and one with every
 // optional field set, from a controller to a master over TCP: the master
-// adopts it unchanged.
+// adopts it unchanged, as its report names it and, for the common files, as a
+// registering worker is staged them.
 func TestStrategyInfoRoundTrip(t *testing.T) {
 	cases := []strategy.Config{
 		strategy.PrePartitionedLocal,
@@ -108,13 +110,27 @@ func TestStrategyInfoRoundTrip(t *testing.T) {
 		if err := cfg.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		m, conn := dialTCPMaster(t)
+		m, conn, tr := dialTCPMaster(t)
 		if e := request(t, conn, &protocol.Message{Type: protocol.TStartMaster, Strategy: cfg, Seq: 1}); e != "" {
 			t.Fatalf("%s: %s", cfg, e)
 		}
-		if got := masterStrategy(m); !reflect.DeepEqual(got, cfg) {
-			t.Fatalf("round trip mangled %+v -> %+v", cfg, got)
+		if got := masterStrategy(m); got != cfg.String() {
+			t.Fatalf("round trip mangled %s -> %s", cfg, got)
 		}
+		if len(cfg.CommonFiles) == 0 {
+			continue
+		}
+		w, err := tr.Dial("m")
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Send(&protocol.Message{Type: protocol.TRegister, Worker: "w0", Cores: 1})
+		for _, want := range []protocol.Type{protocol.TAck, protocol.TFileData} {
+			if msg, err := w.Recv(); err != nil || msg.Type != want || want == protocol.TFileData && msg.FileName != "db" {
+				t.Fatalf("%s: worker got %+v, %v; want %s (of db)", cfg, msg, err, want)
+			}
+		}
+		w.Close()
 	}
 }
 
@@ -124,7 +140,7 @@ func TestStrategyInfoRoundTrip(t *testing.T) {
 // unchanged, and every one it rejects is refused on arrival and leaves the
 // master's strategy as it was.
 func TestStrategyInfoRoundTripGrid(t *testing.T) {
-	m, conn := dialTCPMaster(t)
+	m, conn, _ := dialTCPMaster(t)
 	if e := request(t, conn, &protocol.Message{Type: protocol.TStartMaster, Strategy: strategy.RealTimeRemote, Seq: 1}); e != "" {
 		t.Fatal(e)
 	}
@@ -148,8 +164,8 @@ func TestStrategyInfoRoundTripGrid(t *testing.T) {
 							if e == "" {
 								t.Errorf("%s: Validate rejects (%v) but the master accepts", cfg, err)
 							}
-							if got := masterStrategy(m); !reflect.DeepEqual(got, before) {
-								t.Errorf("%s: refused strategy changed the master's to %+v", cfg, got)
+							if got := masterStrategy(m); got != before {
+								t.Errorf("%s: refused strategy changed the master's to %s", cfg, got)
 							}
 							invalid++
 							continue
@@ -158,8 +174,8 @@ func TestStrategyInfoRoundTripGrid(t *testing.T) {
 						if e != "" {
 							t.Fatalf("%s: %s", cfg, e)
 						}
-						if got := masterStrategy(m); !reflect.DeepEqual(got, cfg) {
-							t.Fatalf("round trip mangled %+v -> %+v", cfg, got)
+						if got := masterStrategy(m); got != cfg.String() {
+							t.Fatalf("round trip mangled %s -> %s", cfg, got)
 						}
 					}
 				}
@@ -396,5 +412,166 @@ func TestOneToAllPivotTransferredOnce(t *testing.T) {
 	// Upper bound: pivot once per worker (2×1000) + six smalls (60).
 	if r.BytesMoved > 2*1000+6*10 {
 		t.Fatalf("BytesMoved = %d; pivot re-sent", r.BytesMoved)
+	}
+}
+
+// serveMaster serves a master with no preset template or worker count — a
+// daemon, configured only by the controller that connects to it — over tr
+// at "m", until the test ends.
+func serveMaster(t *testing.T, tr transport.Transport, src catalog.Source) *Master {
+	t.Helper()
+	m, err := NewMaster(MasterConfig{Source: src, Transport: tr, Addr: "m"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		m.Serve(ctx)
+	}()
+	t.Cleanup(func() {
+		cancel()
+		<-served
+	})
+	return m
+}
+
+// A worker that registers with a daemon master before the controller's
+// START_MASTER waits for it: its ACK carries the controller's template, and
+// the worker runs the job with it.
+func TestWorkerRegisteredBeforeStartGetsControllerTemplate(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	log := &wireLog{Transport: transport.NewMem(nil)}
+	serveMaster(t, log, sourceWithFiles(4, 10))
+	store, err := NewDirStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := NewWorker(WorkerConfig{Name: "w0", Cores: 1, Store: store, Transport: log, MasterAddr: "m", DialRetry: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ran := make(chan error, 1)
+	go func() { ran <- w.Run(ctx) }()
+	// Wait until the master has read the registration.
+	for registered := false; !registered; time.Sleep(time.Millisecond) {
+		log.mu.Lock()
+		for _, c := range log.conns {
+			registered = registered || c.master && c.worker == "w0"
+		}
+		log.mu.Unlock()
+		if ctx.Err() != nil {
+			t.Fatal("the master never read the registration")
+		}
+	}
+	template := []string{"cat", "$inp1"}
+	ctl, err := NewController(ControllerConfig{
+		Strategy: strategy.RealTimeRemote, Template: template, Transport: log, MasterAddr: "m", Workers: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ctl.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	r, err := ctl.Wait(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Succeeded != 4 || r.Failed != 0 {
+		t.Fatalf("report = %+v", r)
+	}
+	if err := ctl.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-ran; err != nil {
+		t.Fatal(err)
+	}
+	log.mu.Lock()
+	defer log.mu.Unlock()
+	for _, c := range log.conns {
+		if c.master && c.worker == "w0" {
+			if ack := c.sent[0]; ack.Type != protocol.TAck || !slices.Equal(ack.Template, template) {
+				t.Fatalf("the master's first frame to w0 = %s with template %q, want an ACK with %q", ack.Type, ack.Template, template)
+			}
+		}
+	}
+}
+
+// A controller of a separately served master reports the strategy it
+// switched the master to before the run, not the one it started with.
+func TestRemoteMasterReportNamesUpdatedStrategy(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	tr := transport.NewMem(nil)
+	serveMaster(t, tr, sourceWithFiles(6, 10))
+	ctl, err := NewController(ControllerConfig{
+		Strategy: strategy.RealTimeRemote, Transport: tr, MasterAddr: "m", Workers: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ctl.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := ctl.UpdateStrategy(strategy.PrePartitionedRemote); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := ctl.SpawnWorker(ctx, WorkerConfig{Name: fmt.Sprintf("w%d", i), Cores: 1, Program: echoProgram()}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r, err := ctl.Wait(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctl.Shutdown()
+	if r.Succeeded != 6 {
+		t.Fatalf("report = %+v", r)
+	}
+	if want := strategy.PrePartitionedRemote.String(); r.Strategy != want {
+		t.Fatalf("report names %q, want %q", r.Strategy, want)
+	}
+}
+
+// Report is safe to call while a job runs over TCP: polled in a loop for the
+// whole run (run it under -race), every read is consistent.
+func TestReportPolledDuringRun(t *testing.T) {
+	const files = 200
+	var wg sync.WaitGroup
+	reads := 0
+	r := (&testHarness{
+		tr: newLoopbackTCP(), strategy: strategy.RealTimeRemote, source: sourceWithFiles(files, 100),
+		workers: 2, cores: 2, program: echoProgram(),
+		running: func(ctl *Controller) {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					select {
+					case <-ctl.master.Done():
+						return
+					default:
+					}
+					rep := ctl.master.Report()
+					if rep.Succeeded+rep.Failed > rep.Groups || len(rep.Results) != rep.Succeeded+rep.Failed {
+						t.Errorf("inconsistent report: %d succeeded, %d failed, %d results, %d groups",
+							rep.Succeeded, rep.Failed, len(rep.Results), rep.Groups)
+						return
+					}
+					reads++
+				}
+			}()
+		},
+	}).run(t)
+	wg.Wait()
+	if r.Succeeded != files {
+		t.Fatalf("report = %+v", r)
+	}
+	if reads == 0 {
+		t.Fatal("no report was read during the run")
 	}
 }

@@ -38,6 +38,9 @@ type Task struct {
 	// outputs collects result files the program registers for return to
 	// the master (nil unless the deployment enables output return).
 	outputs *outputSet
+	// missing names an input that is not on the worker: the task fails
+	// without running.
+	missing string
 }
 
 // AddOutput registers a result file for transfer back to the master after

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"frieda/internal/protocol"
@@ -43,15 +44,15 @@ type Worker struct {
 	cfg  WorkerConfig
 	conn transport.Conn
 
-	mu            sync.Mutex
-	ready         map[string]bool // file -> fully received
-	readyC        *sync.Cond
+	executed atomic.Int64
+	// received is what arrived of each file sent on this connection: true
+	// once its last chunk is stored, false while it is partial or after a
+	// chunk failed to store. Only the message loop touches it.
+	received      map[string]bool
 	program       Program
 	tasks         chan Task
 	results       chan protocol.TaskResult // batch mode: executor -> reporter
 	slots         int
-	executed      int
-	closed        bool
 	returnOutputs bool
 }
 
@@ -69,17 +70,11 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.Transport == nil || cfg.MasterAddr == "" {
 		return nil, fmt.Errorf("core: worker %q has no master endpoint", cfg.Name)
 	}
-	w := &Worker{cfg: cfg, ready: make(map[string]bool)}
-	w.readyC = sync.NewCond(&w.mu)
-	return w, nil
+	return &Worker{cfg: cfg, received: make(map[string]bool)}, nil
 }
 
 // Executed reports how many tasks this worker completed (either outcome).
-func (w *Worker) Executed() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.executed
-}
+func (w *Worker) Executed() int { return int(w.executed.Load()) }
 
 // Run connects, registers and serves until the master says NO_MORE_DATA /
 // SHUTDOWN, the connection drops, or ctx is cancelled. It returns nil on a
@@ -180,10 +175,6 @@ func (w *Worker) Run(ctx context.Context) error {
 	}()
 
 	err = w.messageLoop(ctx)
-	w.mu.Lock()
-	w.closed = true
-	w.readyC.Broadcast()
-	w.mu.Unlock()
 	close(w.tasks)
 	wg.Wait()
 	if w.results != nil {
@@ -212,6 +203,7 @@ func (w *Worker) messageLoop(ctx context.Context) error {
 			// partition. Payloads and execute orders follow.
 		case protocol.TFileData:
 			if err := storeChunk(w.cfg.Store, m); err != nil {
+				w.received[m.FileName] = false
 				w.conn.Send(&protocol.Message{
 					Type: protocol.TTaskStatus,
 					Result: protocol.TaskResult{
@@ -221,25 +213,14 @@ func (w *Worker) messageLoop(ctx context.Context) error {
 				})
 				continue
 			}
-			if m.Last {
-				w.mu.Lock()
-				w.ready[m.FileName] = true
-				w.readyC.Broadcast()
-				w.mu.Unlock()
+			if m.Offset == 0 || m.Last {
+				w.received[m.FileName] = m.Last
 			}
 		case protocol.TExecute:
-			inputs := make([]string, len(m.Files))
-			for i, f := range m.Files {
-				inputs[i] = f.Name
-			}
-			w.tasks <- Task{GroupIndex: m.GroupIndex, Inputs: inputs, Store: w.cfg.Store}
+			w.tasks <- w.task(m.GroupIndex, m.Files)
 		case protocol.TExecuteBatch:
 			for _, spec := range m.Executes {
-				inputs := make([]string, len(spec.Files))
-				for i, f := range spec.Files {
-					inputs[i] = f.Name
-				}
-				w.tasks <- Task{GroupIndex: spec.GroupIndex, Inputs: inputs, Store: w.cfg.Store}
+				w.tasks <- w.task(spec.GroupIndex, spec.Files)
 			}
 		case protocol.TNoMoreData, protocol.TShutdown:
 			return nil
@@ -247,6 +228,23 @@ func (w *Worker) messageLoop(ctx context.Context) error {
 			return fmt.Errorf("core: worker %s unexpected %s", w.cfg.Name, m.Type)
 		}
 	}
+}
+
+// task is the task an EXECUTE orders. The master sends every byte of an
+// input ahead of the order that needs it (one ordered writer per
+// connection), so an input is checked, not waited for: it is present if its
+// last chunk was stored since the worker connected, or if the store held it
+// before any chunk of it arrived (data placed on the worker beforehand).
+func (w *Worker) task(gi int, files []protocol.FileInfo) Task {
+	t := Task{GroupIndex: gi, Inputs: make([]string, len(files)), Store: w.cfg.Store}
+	for i, f := range files {
+		t.Inputs[i] = f.Name
+		complete, arrived := w.received[f.Name]
+		if t.missing == "" && !complete && (arrived || !w.cfg.Store.Has(f.Name)) {
+			t.missing = f.Name
+		}
+	}
+	return t
 }
 
 // executor runs queued tasks on one slot.
@@ -260,9 +258,7 @@ func (w *Worker) executor(ctx context.Context) {
 			task.outputs = &outputSet{}
 		}
 		res := w.runOne(ctx, task)
-		w.mu.Lock()
-		w.executed++
-		w.mu.Unlock()
+		w.executed.Add(1)
 		// The task's outputs and its status leave in one write. Outputs
 		// travel first, so the master holds the data when it records the
 		// completion (per-connection FIFO).
@@ -312,12 +308,13 @@ func (w *Worker) reporter() {
 	}
 }
 
-// runOne waits for the task's inputs to be fully resident, executes the
-// program and builds the status report.
+// runOne executes the program, unless an input is missing, and builds the
+// status report.
 func (w *Worker) runOne(ctx context.Context, task Task) protocol.TaskResult {
-	if err := w.waitInputs(ctx, task.Inputs); err != nil {
+	if task.missing != "" {
 		return protocol.TaskResult{
-			GroupIndex: task.GroupIndex, Worker: w.cfg.Name, OK: false, Error: err.Error(),
+			GroupIndex: task.GroupIndex, Worker: w.cfg.Name, OK: false,
+			Error: fmt.Sprintf("core: input %q is not on worker %s", task.missing, w.cfg.Name),
 		}
 	}
 	start := time.Now()
@@ -349,23 +346,4 @@ func (w *Worker) sendOutputs(task Task, res *protocol.TaskResult) {
 			return
 		}
 	}
-}
-
-// waitInputs blocks until every input is fully received (or already present
-// in the store, as with pre-placed local data).
-func (w *Worker) waitInputs(ctx context.Context, inputs []string) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for _, name := range inputs {
-		for !w.ready[name] && !w.cfg.Store.Has(name) {
-			if w.closed {
-				return fmt.Errorf("core: connection closed awaiting input %q", name)
-			}
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			w.readyC.Wait()
-		}
-	}
-	return nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -181,5 +182,48 @@ func TestWorkerNoProgramNoTemplate(t *testing.T) {
 	err = w.Run(context.Background())
 	if err == nil || !strings.Contains(err.Error(), "neither Program nor template") {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// A chunk that fails to store leaves its file partial, and a task that needs
+// the file fails at once, naming it, instead of running on the short input.
+func TestWorkerFailsTaskOnPartialInput(t *testing.T) {
+	status := make(chan protocol.TaskResult, 1)
+	tr, addr := fakeMaster(t, func(conn transport.Conn) {
+		conn.Send(&protocol.Message{Type: protocol.TAck, Cores: 1})
+		conn.Send(&protocol.Message{Type: protocol.TFileData, FileName: "f", FileSize: 10, Data: []byte("hello")})
+		// A chunk with a gap: the store refuses it.
+		conn.Send(&protocol.Message{Type: protocol.TFileData, FileName: "f", Offset: 100, Data: []byte("x")})
+		conn.Send(&protocol.Message{Type: protocol.TExecute, GroupIndex: 0, Files: []protocol.FileInfo{{Name: "f", Size: 10}}})
+		for {
+			m, err := conn.Recv()
+			if err != nil {
+				return
+			}
+			if m.Type == protocol.TTaskStatus && m.Result.GroupIndex == 0 {
+				status <- m.Result
+				conn.Send(&protocol.Message{Type: protocol.TNoMoreData})
+				return
+			}
+		}
+	})
+	var ran atomic.Bool
+	w := newTestWorker(t, tr, addr, FuncProgram(func(context.Context, Task) (string, error) {
+		ran.Store(true)
+		return "ok", nil
+	}))
+	if err := w.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case res := <-status:
+		if res.OK || !strings.Contains(res.Error, `"f"`) {
+			t.Fatalf("status = %+v, want a failure naming f", res)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("no task status arrived")
+	}
+	if ran.Load() {
+		t.Fatal("the program ran on a partial input")
 	}
 }

@@ -2,7 +2,7 @@
 // each group's spent attempts, the terminal count, and the rules over them —
 // the pick, the pre-partition deal, a lost attempt, a drain, a death and the
 // stall. A Ledger has no clock, no I/O and no lock: the real master
-// (internal/core) calls it under its mutex, the simulator (internal/simrun)
+// (internal/core) calls it on its event loop, the simulator (internal/simrun)
 // on the engine goroutine. Each executor keeps its attempt records, results
 // and I/O.
 package sched
