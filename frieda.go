@@ -114,6 +114,8 @@ func DirDataset(root string) Dataset {
 }
 
 // MemDataset serves in-memory files; convenient for tests and generators.
+// The bytes are not copied: the dataset keeps them, and the workers'
+// in-memory stores share them, so they must not be modified while Run runs.
 func MemDataset(files map[string][]byte) Dataset {
 	src := catalog.NewMemSource()
 	for name, data := range files {

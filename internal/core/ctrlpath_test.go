@@ -156,8 +156,8 @@ func (l *loggedListener) Accept() (transport.Conn, error) {
 }
 
 func (c *loggedConn) Send(m *protocol.Message) error {
-	// A sender on a connection that copies reuses the message and its
-	// slices once Send returns: the record is a deep copy.
+	// A sender reuses the message and its slices once Send returns: the
+	// record is a deep copy.
 	rec := *transporttest.Snapshot(m)
 	c.log.mu.Lock()
 	if m.Type == protocol.TRegister {

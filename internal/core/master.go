@@ -312,7 +312,7 @@ func (m *Master) post(l *link, msg *protocol.Message) {
 			}
 		}
 	case msg.Type == protocol.TFileData && m.cfg.OutputSink != nil:
-		if err := storeChunk(m.cfg.OutputSink, msg); err != nil {
+		if err := storeChunk(m.cfg.OutputSink, l.conn, msg); err != nil {
 			m.logf("storing output %s from %s: %v", msg.FileName, l.worker.name, err)
 			return
 		}
@@ -1033,7 +1033,7 @@ func (m *Master) execute(l *link, g *partition.Group, last bool) error {
 	x := &l.exec
 	if !m.cfg.Batch {
 		x.Type, x.GroupIndex, x.Files = protocol.TExecute, g.Index, appendInfos(x.Files[:0], g.Files)
-		return transport.SendReused(l.conn, x)
+		return l.conn.Send(x)
 	}
 	// A spec taken back from the previous batch keeps its Files array.
 	if n := len(x.Executes); n < cap(x.Executes) {
@@ -1047,7 +1047,7 @@ func (m *Master) execute(l *link, g *partition.Group, last bool) error {
 		return nil
 	}
 	x.Type = protocol.TExecuteBatch
-	err := transport.SendReused(l.conn, x)
+	err := l.conn.Send(x)
 	x.Executes = x.Executes[:0]
 	return err
 }

@@ -25,6 +25,7 @@ import (
 	"sync"
 
 	"frieda/internal/protocol"
+	"frieda/internal/transport"
 )
 
 // Task is one unit of work: a group of input files resident on the worker.
@@ -58,7 +59,8 @@ func (t Task) AddOutput(name string, r io.Reader) error {
 	return nil
 }
 
-// outputSet accumulates one task's registered outputs.
+// outputSet accumulates one task's registered outputs. Each executor slot
+// has one, emptied for every task.
 type outputSet struct {
 	mu    sync.Mutex
 	files []protocol.FileInfo
@@ -68,12 +70,6 @@ func (o *outputSet) add(name string, size int64) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	o.files = append(o.files, protocol.FileInfo{Name: name, Size: size})
-}
-
-func (o *outputSet) list() []protocol.FileInfo {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return append([]protocol.FileInfo(nil), o.files...)
 }
 
 // Program executes one task. Implementations must be safe for concurrent
@@ -249,9 +245,16 @@ type Store interface {
 	Size(name string) int64
 }
 
-// storeChunk lands one received TFileData chunk in s. A file's first chunk
-// announces its total size, which reaches the store before the first byte.
-func storeChunk(s Store, m *protocol.Message) error {
+// storeChunk lands one received TFileData chunk, read from c, in s. A file's
+// first chunk announces its total size, which reaches the store before the
+// first byte. A chunk that is the whole file, received where Data is handed
+// over (c does not copy), goes into a MemStore as it is; everything else is
+// copied.
+func storeChunk(s Store, c transport.Conn, m *protocol.Message) error {
+	if mem, ok := s.(*MemStore); ok && m.Offset == 0 && m.Last && int64(len(m.Data)) == m.FileSize && !c.SendCopies() {
+		mem.keep(m.FileName, m.Data)
+		return nil
+	}
 	if m.Offset == 0 {
 		if err := s.Reserve(m.FileName, m.FileSize); err != nil {
 			return err
@@ -261,7 +264,8 @@ func storeChunk(s Store, m *protocol.Message) error {
 }
 
 // MemStore is an in-memory Store for library-mode workers and tests. Stored
-// bytes are never modified in place: readers and Bytes share them.
+// bytes are never modified in place: readers and Bytes share them, and so
+// does the sender of a whole file handed over by the in-memory transport.
 type MemStore struct {
 	mu    sync.RWMutex
 	files map[string][]byte
@@ -276,11 +280,16 @@ const maxReserve = 1 << 30
 
 // Put implements Store. The buffer is sized from r when r tells its length
 // (bytes.Reader, strings.Reader, bytes.Buffer, a stored file, or an
-// io.LimitedReader over one of them).
+// io.LimitedReader over one of them): then it is allocated at exactly that
+// size, and grows only if r yields more.
 func (s *MemStore) Put(name string, r io.Reader) (int64, error) {
-	// io.ReadAll with a first size: the hint, the 512 bytes ReadAll starts
-	// with when there is none, and one byte for the Read that reports EOF.
-	data := make([]byte, 0, max(sizeHint(r), 511)+1)
+	// io.ReadAll with a first size: the hint, or the 512 bytes ReadAll
+	// starts with when there is none.
+	size := sizeHint(r)
+	if size == 0 {
+		size = 512
+	}
+	data := make([]byte, 0, size)
 	for {
 		n, err := r.Read(data[len(data):cap(data)])
 		data = data[:len(data)+n]
@@ -290,9 +299,24 @@ func (s *MemStore) Put(name string, r io.Reader) (int64, error) {
 		if err != nil {
 			return 0, err
 		}
-		if len(data) == cap(data) {
-			data = append(data, 0)[:len(data)]
+		if len(data) < cap(data) {
+			continue
 		}
+		// Full: a one-byte read tells whether r is done before the buffer
+		// grows. It borrows the buffer's last byte, as a probe of its own
+		// would escape to the heap through r.Read.
+		end := len(data) - 1
+		kept := data[end]
+		_, err = io.ReadAtLeast(r, data[end:], 1)
+		extra := data[end]
+		data[end] = kept
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return 0, err
+		}
+		data = append(data, extra)
 	}
 	s.mu.Lock()
 	s.files[name] = data
@@ -327,6 +351,15 @@ func (s *MemStore) Reserve(name string, size int64) error {
 	s.files[name] = make([]byte, 0, min(size, maxReserve))
 	s.mu.Unlock()
 	return nil
+}
+
+// keep stores data under name as it is, a whole file whose sender has handed
+// it over. Its capacity is clipped, so no later Append writes into the
+// sender's array.
+func (s *MemStore) keep(name string, data []byte) {
+	s.mu.Lock()
+	s.files[name] = data[:len(data):len(data)]
+	s.mu.Unlock()
 }
 
 // Append implements Store. Into a reservation it copies without allocating;

@@ -202,7 +202,7 @@ func (w *Worker) messageLoop(ctx context.Context) error {
 			// Informational: sizes of incoming files / the assigned
 			// partition. Payloads and execute orders follow.
 		case protocol.TFileData:
-			if err := storeChunk(w.cfg.Store, m); err != nil {
+			if err := storeChunk(w.cfg.Store, w.conn, m); err != nil {
 				w.received[m.FileName] = false
 				w.conn.Send(&protocol.Message{
 					Type: protocol.TTaskStatus,
@@ -250,12 +250,14 @@ func (w *Worker) task(gi int, files []protocol.FileInfo) Task {
 // executor runs queued tasks on one slot.
 func (w *Worker) executor(ctx context.Context) {
 	var status protocol.Message // this slot's TASK_STATUS, sent again and again
+	var outputs outputSet       // this slot's registered outputs, task by task
 	for task := range w.tasks {
 		if ctx.Err() != nil {
 			return
 		}
 		if w.returnOutputs {
-			task.outputs = &outputSet{}
+			outputs.files = outputs.files[:0]
+			task.outputs = &outputs
 		}
 		res := w.runOne(ctx, task)
 		w.executed.Add(1)
@@ -270,7 +272,7 @@ func (w *Worker) executor(ctx context.Context) {
 			w.results <- res
 		} else {
 			status = protocol.Message{Type: protocol.TTaskStatus, Result: res}
-			err = transport.SendReused(w.conn, &status)
+			err = w.conn.Send(&status)
 		}
 		if ferr := w.conn.Flush(); err != nil || ferr != nil {
 			return
@@ -298,7 +300,7 @@ func (w *Worker) reporter() {
 			}
 		}
 		status = protocol.Message{Type: protocol.TTaskStatus, Worker: w.cfg.Name, Results: batch}
-		if transport.SendReused(w.conn, &status) != nil {
+		if w.conn.Send(&status) != nil {
 			// The connection is gone; keep draining so executors never
 			// block on a full channel during shutdown.
 			for range w.results {
@@ -339,7 +341,7 @@ func (w *Worker) sendOutputs(task Task, res *protocol.TaskResult) {
 	if task.outputs == nil || !res.OK {
 		return
 	}
-	for _, f := range task.outputs.list() {
+	for _, f := range task.outputs.files {
 		if _, err := sendFile(w.conn, transfer.File{Name: f.Name, Worker: w.cfg.Name, Size: f.Size}, w.cfg.Store, DefaultChunkSize); err != nil {
 			res.OK = false
 			res.Error = "returning output " + f.Name + ": " + err.Error()

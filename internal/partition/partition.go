@@ -105,15 +105,18 @@ type PairwiseAdjacent struct{}
 // Name implements Generator.
 func (PairwiseAdjacent) Name() string { return "pairwise-adjacent" }
 
-// Generate implements Generator.
+// Generate implements Generator. The groups' Files are two-element windows
+// of one copy of the catalogue's files, each capped at its pair, as Single's
+// are.
 func (PairwiseAdjacent) Generate(c *catalog.Catalog) ([]Group, error) {
 	files := c.Files()
 	if len(files) == 0 || len(files)%2 != 0 {
 		return nil, fmt.Errorf("partition: pairwise-adjacent needs an even file count, have %d", len(files))
 	}
-	out := make([]Group, 0, len(files)/2)
-	for i := 0; i+1 < len(files); i += 2 {
-		out = append(out, Group{Index: i / 2, Files: []catalog.FileMeta{files[i], files[i+1]}})
+	files = slices.Clone(files)
+	out := make([]Group, len(files)/2)
+	for i := range out {
+		out[i] = Group{Index: i, Files: files[2*i : 2*i+2 : 2*i+2]}
 	}
 	return out, nil
 }

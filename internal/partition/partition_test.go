@@ -95,6 +95,32 @@ func TestPairwiseAdjacent(t *testing.T) {
 	}
 }
 
+// The pairs share one array, as the single groups do: an append to one
+// pair, or a write to it, must leave its neighbours and the catalogue
+// unchanged, and the groups cost two allocations however many there are.
+func TestPairwiseAdjacentGroupsDoNotAlias(t *testing.T) {
+	c := makeCatalog(6)
+	groups, err := PairwiseAdjacent{}.Generate(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups[0].Files = append(groups[0].Files, catalog.FileMeta{Name: "extra", Size: 1})
+	groups[1].Files[1].Size = -1
+	if g := groups[1].Files; len(g) != 2 || g[0].Name != "f0002" || g[1].Name != "f0003" {
+		t.Fatalf("group 1 = %+v after an append to group 0", g)
+	}
+	if g := groups[2].Files; len(g) != 2 || g[0].Name != "f0004" || g[0].Size != 104 {
+		t.Fatalf("group 2 = %+v", g)
+	}
+	if f := c.Files(); f[3].Size != 103 || f[3].Name != "f0003" {
+		t.Fatalf("catalogue file 3 = %+v after a write to group 1", f[3])
+	}
+	big := makeCatalog(1250)
+	if n := testing.AllocsPerRun(10, func() { PairwiseAdjacent{}.Generate(big) }); n > 2 {
+		t.Fatalf("%v allocations for 625 pairs, want 2", n)
+	}
+}
+
 func TestPairwiseAdjacentPaperScale(t *testing.T) {
 	// The ALS evaluation: 1250 images -> 625 two-file tasks.
 	groups, err := PairwiseAdjacent{}.Generate(makeCatalog(1250))

@@ -37,9 +37,8 @@ type File struct {
 }
 
 // scratch is what the chunk loop reuses from file to file: the message every
-// chunk is sent from (through transport.SendReused), and the read buffer that
-// serves every chunk over a connection that has copied a chunk out by the
-// time Send returns.
+// chunk is sent from, and the read buffer that serves every chunk over a
+// connection that has copied a chunk out by the time Send returns.
 type scratch struct {
 	msg protocol.Message
 	buf []byte
@@ -54,10 +53,10 @@ var scratches sync.Pool
 // payload bytes sent. A source shorter or longer than f.Size fails with
 // ErrSizeMismatch before Last is sent.
 //
-// No buffer is larger than the file. Over a connection that copies
-// (transport.Conn.SendCopies) one pooled message and one pooled buffer serve
-// every chunk; over one that does not, each chunk is read into a buffer of
-// its own that travels with a message of its own.
+// No buffer is larger than the file. One pooled message serves every chunk.
+// Over a connection that copies (transport.Conn.SendCopies) one pooled
+// buffer does too; over one that does not, each chunk is read into a buffer
+// of its own, which travels to the receiver.
 func Send(conn transport.Conn, f File, r io.Reader, chunk int) (int64, error) {
 	return send(conn, f, nil, r, chunk)
 }
@@ -129,7 +128,7 @@ func send(conn transport.Conn, f File, data []byte, r io.Reader, chunk int) (int
 			Type: protocol.TFileData, FileName: f.Name, Worker: f.Worker,
 			Offset: sent, FileSize: f.Size, Data: payload, Last: last,
 		}
-		if err := transport.SendReused(conn, &s.msg); err != nil {
+		if err := conn.Send(&s.msg); err != nil {
 			return sent, err
 		}
 		sent += int64(n)

@@ -8,7 +8,6 @@ package transport
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 
 	"frieda/internal/protocol"
@@ -26,9 +25,10 @@ var ErrClosed = errors.New("transport: closed")
 // reports SendCopies may reuse the whole message — its slices and Data
 // included — once Send has returned: held or not, the connection has by then
 // encoded the message, and copied the payload or written it. On any other
-// connection the message and its slices travel to the receiver, and the
-// sender modifies none of them after Send. SendReused sends a message its
-// sender reuses on either kind.
+// connection Send copies the envelope — the message and its slices — and
+// hands Data over: the sender may reuse the envelope once Send has returned,
+// but modifies the bytes of Data never again, and the receiver may keep them,
+// read-only, past the next Recv.
 type Conn interface {
 	// Send enqueues one message. It may block under throttling or
 	// backpressure. Outside a hold the message is on its way when Send
@@ -43,9 +43,9 @@ type Conn interface {
 	Hold()
 	// Flush releases one Hold; the last release writes what was held.
 	Flush() error
-	// SendCopies reports whether Send is finished with the message when it
-	// returns, having serialised it (a stream transport). Otherwise the
-	// message itself, its slices and its Data, travel on to the receiver.
+	// SendCopies reports whether Send has copied or written Data by the
+	// time it returns (a stream transport). Otherwise Data travels on to
+	// the receiver, which may keep it.
 	SendCopies() bool
 	// Recv blocks for the next message, valid until the next Recv. It
 	// returns ErrClosed (possibly wrapped) once either side has closed the
@@ -55,28 +55,6 @@ type Conn interface {
 	Close() error
 	// RemoteAddr names the peer for logs.
 	RemoteAddr() string
-}
-
-// SendReused sends m, a message its sender fills again for every send. On a
-// connection that copies (SendCopies) it sends m itself, so sending allocates
-// nothing. On one that does not, it sends a copy of m with slices of its own,
-// except Data, which travels as it is: the sender may reuse m and its slices
-// once SendReused returns, but must not modify the bytes of its Data.
-func SendReused(c Conn, m *protocol.Message) error {
-	if c.SendCopies() {
-		return c.Send(m)
-	}
-	out := *m
-	out.Strategy = m.Strategy.Clone()
-	out.Template = slices.Clone(m.Template)
-	out.Files = slices.Clone(m.Files)
-	out.Groups = slices.Clone(m.Groups)
-	out.Results = slices.Clone(m.Results)
-	out.Executes = slices.Clone(m.Executes)
-	for i := range out.Executes {
-		out.Executes[i].Files = slices.Clone(out.Executes[i].Files)
-	}
-	return c.Send(&out)
 }
 
 // Listener accepts inbound connections.
@@ -151,14 +129,68 @@ func (t *Mem) Dial(addr string) (Conn, error) {
 
 // pair builds the two connected endpoints.
 func (t *Mem) pair(addr string) (client, server *memConn) {
-	ab := make(chan *protocol.Message, t.buffer)
-	ba := make(chan *protocol.Message, t.buffer)
+	ab, ba := t.pipe(), t.pipe()
 	closed := make(chan struct{})
 	var once sync.Once
 	closeBoth := func() { once.Do(func() { close(closed) }) }
 	client = &memConn{out: ab, in: ba, closed: closed, closeFn: closeBoth, peer: addr, limiter: t.limiter}
 	server = &memConn{out: ba, in: ab, closed: closed, closeFn: closeBoth, peer: "dialer->" + addr, limiter: t.limiter}
 	return client, server
+}
+
+// memPipe is one direction of a connection: the slots in flight, and the
+// slots its receiver is done with, for its senders to fill again. free holds
+// as many as a sender and a receiver keep busy between them — the buffer,
+// the one being received and the one being filled — and drops any more.
+type memPipe struct {
+	ch, free chan *memSlot
+}
+
+func (t *Mem) pipe() memPipe {
+	return memPipe{ch: make(chan *memSlot, t.buffer), free: make(chan *memSlot, t.buffer+2)}
+}
+
+// memSlot is one sent message: the sender's envelope copied into msg, whose
+// slices are windows of the slot's own backing arrays, and the sender's Data.
+type memSlot struct {
+	msg              protocol.Message
+	template, common []string
+	files, execFiles []protocol.FileInfo
+	groups           []int
+	results          []protocol.TaskResult
+	executes         []protocol.ExecuteSpec
+}
+
+// fill copies m into the slot, reusing its backing arrays. Empty slices
+// arrive nil, as they do over TCP.
+func (s *memSlot) fill(m *protocol.Message) {
+	s.msg = *m
+	s.template = append(s.template[:0], m.Template...)
+	s.msg.Template = nonEmpty(s.template)
+	s.common = append(s.common[:0], m.Strategy.CommonFiles...)
+	s.msg.Strategy.CommonFiles = nonEmpty(s.common)
+	s.files = append(s.files[:0], m.Files...)
+	s.msg.Files = nonEmpty(s.files)
+	s.groups = append(s.groups[:0], m.Groups...)
+	s.msg.Groups = nonEmpty(s.groups)
+	s.results = append(s.results[:0], m.Results...)
+	s.msg.Results = nonEmpty(s.results)
+	s.executes, s.execFiles = s.executes[:0], s.execFiles[:0]
+	for _, e := range m.Executes {
+		start := len(s.execFiles)
+		s.execFiles = append(s.execFiles, e.Files...)
+		e.Files = nonEmpty(s.execFiles[start:len(s.execFiles):len(s.execFiles)])
+		s.executes = append(s.executes, e)
+	}
+	s.msg.Executes = nonEmpty(s.executes)
+}
+
+// nonEmpty is s, or nil when s is empty.
+func nonEmpty[S ~[]E, E any](s S) S {
+	if len(s) == 0 {
+		return nil
+	}
+	return s
 }
 
 type memListener struct {
@@ -223,8 +255,10 @@ func (l *memListener) dropBacklog() {
 func (l *memListener) Addr() string { return l.addr }
 
 type memConn struct {
-	out     chan *protocol.Message
-	in      chan *protocol.Message
+	out, in memPipe
+	// prev is the slot the last Recv returned; only the connection's single
+	// receiver touches it.
+	prev    *memSlot
 	closed  chan struct{}
 	closeFn func()
 	peer    string
@@ -232,7 +266,8 @@ type memConn struct {
 }
 
 // Send implements Conn. The message is charged against the shared limiter
-// (emulating the provisioned link) before delivery.
+// (emulating the provisioned link) before delivery. The envelope is copied
+// into a slot; Data travels as it is.
 func (c *memConn) Send(m *protocol.Message) error {
 	if c.limiter != nil {
 		c.limiter.Wait(m.WireSize())
@@ -242,15 +277,22 @@ func (c *memConn) Send(m *protocol.Message) error {
 		return ErrClosed
 	default:
 	}
+	var s *memSlot
 	select {
-	case c.out <- m:
+	case s = <-c.out.free:
+	default:
+		s = new(memSlot)
+	}
+	s.fill(m)
+	select {
+	case c.out.ch <- s:
 		return nil
 	case <-c.closed:
 		return ErrClosed
 	}
 }
 
-// SendCopies implements Conn: the receiver gets the sender's message.
+// SendCopies implements Conn: Data travels to the receiver.
 func (c *memConn) SendCopies() bool { return false }
 
 // Hold implements Conn. A message is delivered by Send itself: there is no
@@ -261,21 +303,40 @@ func (c *memConn) Hold() {}
 func (c *memConn) Flush() error { return nil }
 
 // Recv implements Conn. Buffered messages drain even after close, matching
-// TCP semantics where in-flight data is still readable.
+// TCP semantics where in-flight data is still readable. The previous
+// message's slot goes back to the senders.
 func (c *memConn) Recv() (*protocol.Message, error) {
+	if s := c.prev; s != nil {
+		c.prev = nil
+		s.msg = protocol.Message{} // keep no payload alive in the free list
+		select {
+		case c.in.free <- s:
+		default:
+		}
+	}
+	s, err := c.next()
+	if err != nil {
+		return nil, err
+	}
+	c.prev = s
+	return &s.msg, nil
+}
+
+// next takes the next slot off the connection.
+func (c *memConn) next() (*memSlot, error) {
 	select {
-	case m := <-c.in:
-		return m, nil
+	case s := <-c.in.ch:
+		return s, nil
 	default:
 	}
 	select {
-	case m := <-c.in:
-		return m, nil
+	case s := <-c.in.ch:
+		return s, nil
 	case <-c.closed:
 		// Final drain: close raced with a buffered send.
 		select {
-		case m := <-c.in:
-			return m, nil
+		case s := <-c.in.ch:
+			return s, nil
 		default:
 			return nil, ErrClosed
 		}

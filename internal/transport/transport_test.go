@@ -581,3 +581,50 @@ func TestThrottledMemTransferTiming(t *testing.T) {
 		t.Fatalf("throttled transfer took %.3f s, want ~0.2", elapsed)
 	}
 }
+
+// The in-memory transport copies the envelope — a sender may overwrite its
+// message and every slice of it once Send returns — and hands Data over: the
+// receiver gets the sender's bytes themselves. Slots come back at the next
+// Recv, so a steady send and receive allocates nothing.
+func TestMemCopiesEnvelopesAndHandsOverData(t *testing.T) {
+	tr := NewMem(nil)
+	l, _ := tr.Listen("x")
+	accepted := make(chan Conn, 1)
+	go func() {
+		c, _ := l.Accept()
+		accepted <- c
+	}()
+	client, _ := tr.Dial("x")
+	defer client.Close()
+	server := <-accepted
+	payload := []byte("payload")
+	m := &protocol.Message{
+		Type: protocol.TExecuteBatch, Executes: []protocol.ExecuteSpec{{GroupIndex: 2, Files: []protocol.FileInfo{{Name: "b", Size: 2}}}},
+		Results: []protocol.TaskResult{{GroupIndex: 1, OK: true}}, Data: payload,
+	}
+	if err := client.Send(m); err != nil {
+		t.Fatal(err)
+	}
+	m.Executes[0].Files[0].Name, m.Executes[0].GroupIndex, m.Results[0].GroupIndex, m.Type = "X", -1, -1, protocol.TInvalid
+	got, err := server.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got == m || got.Type != protocol.TExecuteBatch || got.Executes[0].GroupIndex != 2 || got.Executes[0].Files[0].Name != "b" || got.Results[0].GroupIndex != 1 {
+		t.Fatalf("received %+v after the sender overwrote its message", got)
+	}
+	if &got.Data[0] != &payload[0] {
+		t.Fatal("Data was copied, not handed over")
+	}
+	if client.SendCopies() {
+		t.Fatal("SendCopies on a connection that hands Data over")
+	}
+
+	status := &protocol.Message{Type: protocol.TTaskStatus, Results: []protocol.TaskResult{{GroupIndex: 1, OK: true}}}
+	if n := testing.AllocsPerRun(100, func() {
+		client.Send(status)
+		server.Recv()
+	}); n != 0 {
+		t.Fatalf("%v allocations per send and receive", n)
+	}
+}

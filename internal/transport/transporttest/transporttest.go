@@ -5,7 +5,6 @@ package transporttest
 import (
 	"fmt"
 	"hash/crc32"
-	"reflect"
 	"slices"
 	"sync"
 
@@ -17,49 +16,58 @@ import (
 // ownership rule of transport.Conn as harshly as a conforming transport may,
 // and catches the code that breaks it:
 //
-//   - A received message is a private deep copy that is poisoned as soon as
-//     the next Recv on the connection starts: its Type becomes TInvalid, its
-//     scalars and strings are zeroed, and every element of every slice it
-//     references (Data, Files, Groups, Template, Results, Executes and their
-//     Files, Strategy.CommonFiles) is overwritten. A receiver that still
-//     reads the message then sees garbage, and the race detector sees a
-//     race when another goroutine reads it.
-//   - On a connection that does not copy (SendCopies false) the message
-//     itself travels, so every sent message is snapshotted at Send — a deep
-//     copy without Data, and the CRC of Data — and compared with what the
-//     peer receives: a sender that reuses a message, one of its slices or a
-//     payload buffer the connection has not copied is reported.
-//   - On one that copies, every sent TFileData travels with the CRC of its
-//     Data (in Seq, which the runtime leaves unused on data messages) and is
-//     checked on delivery.
+//   - A received message is a private deep copy of the envelope that is
+//     poisoned as soon as the next Recv on the connection starts: its Type
+//     becomes TInvalid, its scalars and strings are zeroed, and every element
+//     of every slice it references (Files, Groups, Template, Results, Executes
+//     and their Files, Strategy.CommonFiles) is overwritten. So is its Data
+//     on a connection that copies (SendCopies); on one that does not, Data is
+//     the sender's, handed over, and the receiver may keep it. A receiver
+//     that still reads the message then sees garbage, and the race detector
+//     sees a race when another goroutine reads it.
+//   - Every sent TFileData travels with the CRC of its Data at Send (in Seq,
+//     which the runtime leaves unused on data messages) and is checked on
+//     delivery.
+//   - On a connection that does not copy, every delivered Data is checked
+//     against that CRC again whenever Violations is read: a sender that
+//     modifies a payload it has handed over is reported, whenever it does.
 type Ownership struct {
 	transport.Transport
 
 	mu         sync.Mutex
 	violations []string
 	checked    int
-	// inFlight holds, per message sent on a connection that does not copy,
-	// the snapshots of its Sends not yet received, oldest first.
-	inFlight map[*protocol.Message][]sentCopy
+	// handed holds every payload delivered on a connection that does not
+	// copy, with its CRC at Send.
+	handed []handedData
 }
 
-// sentCopy is a message as it was at Send.
-type sentCopy struct {
-	msg *protocol.Message // Snapshot: no Data
-	crc uint32            // of Data
+// handedData is one payload a receiver got from its sender's hands.
+type handedData struct {
+	file   string
+	offset int64
+	data   []byte
+	crc    uint32
 }
 
 // NewOwnership wraps inner.
 func NewOwnership(inner transport.Transport) *Ownership {
-	return &Ownership{Transport: inner, inFlight: make(map[*protocol.Message][]sentCopy)}
+	return &Ownership{Transport: inner}
 }
 
-// Violations lists the messages and payloads that changed between Send and
-// delivery.
+// Violations lists the payloads that changed between Send and delivery, and
+// the handed-over payloads that have changed since.
 func (o *Ownership) Violations() []string {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	return append([]string(nil), o.violations...)
+	out := slices.Clone(o.violations)
+	for _, h := range o.handed {
+		if sum := crc32.ChecksumIEEE(h.data); sum != h.crc {
+			out = append(out, fmt.Sprintf(
+				"%s at offset %d: CRC %08x at Send, %08x after delivery", h.file, h.offset, h.crc, sum))
+		}
+	}
+	return out
 }
 
 // Checked reports how many data messages were verified on delivery.
@@ -69,50 +77,18 @@ func (o *Ownership) Checked() int {
 	return o.checked
 }
 
-// sent queues the snapshot of m taken at its Send.
-func (o *Ownership) sent(m *protocol.Message) {
+// delivered checks a TFileData as received against the CRC its sender
+// stamped, and keeps a handed-over payload for the later checks.
+func (o *Ownership) delivered(m *protocol.Message, crc uint32, handed bool) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	o.inFlight[m] = append(o.inFlight[m], sentCopy{Snapshot(m), crc32.ChecksumIEEE(m.Data)})
-}
-
-// unsent drops the snapshot of a Send of m that failed.
-func (o *Ownership) unsent(m *protocol.Message) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	q := o.inFlight[m]
-	if len(q) <= 1 {
-		delete(o.inFlight, m)
-		return
-	}
-	o.inFlight[m] = q[:len(q)-1]
-}
-
-// delivered compares m as received with its oldest snapshot, if it was sent
-// through this checker.
-func (o *Ownership) delivered(m *protocol.Message) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	q, ok := o.inFlight[m]
-	if !ok {
-		return
-	}
-	at := q[0]
-	if len(q) == 1 {
-		delete(o.inFlight, m)
-	} else {
-		o.inFlight[m] = q[1:]
-	}
-	if m.Type == protocol.TFileData {
-		o.checked++
-	}
-	if sum := crc32.ChecksumIEEE(m.Data); sum != at.crc {
+	o.checked++
+	if sum := crc32.ChecksumIEEE(m.Data); sum != crc {
 		o.violations = append(o.violations, fmt.Sprintf(
-			"%s of %s at offset %d: payload CRC %08x at Send, %08x at delivery", m.Type, m.FileName, m.Offset, at.crc, sum))
+			"%s at offset %d: CRC %08x at Send, %08x at delivery", m.FileName, m.Offset, crc, sum))
 	}
-	if now := Snapshot(m); !reflect.DeepEqual(now, at.msg) {
-		o.violations = append(o.violations, fmt.Sprintf(
-			"%s message changed between Send and delivery: sent %+v, delivered %+v", at.msg.Type, *at.msg, *now))
+	if handed {
+		o.handed = append(o.handed, handedData{m.FileName, m.Offset, m.Data, crc})
 	}
 }
 
@@ -159,14 +135,6 @@ type ownershipConn struct {
 }
 
 func (c *ownershipConn) Send(m *protocol.Message) error {
-	if !c.SendCopies() {
-		c.o.sent(m)
-		err := c.Conn.Send(m)
-		if err != nil {
-			c.o.unsent(m)
-		}
-		return err
-	}
 	if m.Type != protocol.TFileData {
 		return c.Conn.Send(m)
 	}
@@ -176,43 +144,32 @@ func (c *ownershipConn) Send(m *protocol.Message) error {
 }
 
 func (c *ownershipConn) Recv() (*protocol.Message, error) {
+	copies := c.SendCopies()
 	if c.prev != nil {
-		poison(c.prev)
+		poison(c.prev, copies)
 		c.prev = nil
 	}
 	m, err := c.Conn.Recv()
 	if err != nil {
 		return m, err
 	}
-	if !c.SendCopies() {
-		c.o.delivered(m)
-	} else if m.Type == protocol.TFileData && m.Seq&crcMark != 0 {
-		sum := crc32.ChecksumIEEE(m.Data)
-		c.o.mu.Lock()
-		c.o.checked++
-		if uint32(m.Seq) != sum {
-			c.o.violations = append(c.o.violations, fmt.Sprintf(
-				"%s at offset %d: CRC %08x at Send, %08x at delivery", m.FileName, m.Offset, uint32(m.Seq), sum))
-		}
-		c.o.mu.Unlock()
+	// Hand out a copy of the transport's envelope, never poison its own;
+	// Data is copied only where the transport's is reused.
+	c.prev = Snapshot(m)
+	c.prev.Data = m.Data
+	if copies {
+		c.prev.Data = slices.Clone(m.Data)
 	}
-	// The in-memory transport delivers the sender's own message, and the
-	// TCP one its codec's: hand out a copy of it, never poison theirs.
-	c.prev = clone(m)
+	if m.Type == protocol.TFileData && m.Seq&crcMark != 0 {
+		c.prev.Seq = 0
+		c.o.delivered(c.prev, uint32(m.Seq), !copies)
+	}
 	return c.prev, nil
-}
-
-// clone returns a deep copy of m: it shares no slice with m.
-func clone(m *protocol.Message) *protocol.Message {
-	out := Snapshot(m)
-	out.Data = slices.Clone(m.Data)
-	return out
 }
 
 // Snapshot returns a deep copy of m without its Data: it shares no slice with
 // m. A test that keeps what a sender handed to Send records this, since a
-// sender on a connection that copies may reuse the message and every slice
-// of it once Send returns.
+// sender may reuse the message and every slice of it once Send returns.
 func Snapshot(m *protocol.Message) *protocol.Message {
 	out := *m
 	out.Data = nil
@@ -232,11 +189,14 @@ func Snapshot(m *protocol.Message) *protocol.Message {
 const poisoned = "\xa5poisoned"
 
 // poison does to m what a conforming transport may do to a received message
-// at the next Recv: every slice element is overwritten, then the message is
-// zeroed with its Type set to TInvalid.
-func poison(m *protocol.Message) {
-	for i := range m.Data {
-		m.Data[i] = 0xA5
+// at the next Recv: every slice element is overwritten — Data's only where
+// the transport copies it — then the message is zeroed with its Type set to
+// TInvalid.
+func poison(m *protocol.Message, data bool) {
+	if data {
+		for i := range m.Data {
+			m.Data[i] = 0xA5
+		}
 	}
 	for i := range m.Template {
 		m.Template[i] = poisoned

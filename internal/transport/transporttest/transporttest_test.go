@@ -1,6 +1,8 @@
 package transporttest
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"frieda/internal/protocol"
@@ -8,38 +10,51 @@ import (
 	"frieda/internal/transport"
 )
 
-// A receiver that keeps a control message, or a slice of it, past the next
-// Recv finds it poisoned — on the transport that hands out the sender's
-// message and on the one that decodes into its codec's — while what it copied
-// at the Recv is intact and the sender's message is untouched.
-func TestOwnershipCatchesAKeptMessage(t *testing.T) {
-	for name, tc := range map[string]struct {
-		tr   transport.Transport
-		addr string
-	}{
-		"mem": {transport.NewMem(nil), "x"},
-		"tcp": {transport.NewTCP(), "127.0.0.1:0"},
-	} {
-		t.Run(name, func(t *testing.T) {
-			tr := NewOwnership(tc.tr)
-			l, err := tr.Listen(tc.addr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer l.Close()
-			accepted := make(chan transport.Conn, 1)
-			go func() {
-				c, _ := l.Accept()
-				accepted <- c
-			}()
-			client, err := tr.Dial(l.Addr())
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer client.Close()
-			server := <-accepted
-			defer server.Close()
+// connPair wraps tr in the ownership checker and returns it with a connected
+// pair of its connections.
+func connPair(t *testing.T, tr transport.Transport, addr string) (o *Ownership, client, server transport.Conn) {
+	t.Helper()
+	o = NewOwnership(tr)
+	l, err := o.Listen(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	accepted := make(chan transport.Conn, 1)
+	go func() {
+		c, _ := l.Accept()
+		accepted <- c
+	}()
+	client, err = o.Dial(l.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	server = <-accepted
+	t.Cleanup(func() {
+		client.Close()
+		server.Close()
+	})
+	return o, client, server
+}
 
+var transports = map[string]struct {
+	tr   func() transport.Transport
+	addr string
+}{
+	"mem": {func() transport.Transport { return transport.NewMem(nil) }, "x"},
+	"tcp": {func() transport.Transport { return transport.NewTCP() }, "127.0.0.1:0"},
+}
+
+// A receiver that keeps a control message, or a slice of it, past the next
+// Recv finds it poisoned — on the transport that copies envelopes into slots
+// of its own and on the one that decodes into its codec's — while what it
+// copied at the Recv is intact and the sender's message is untouched. A
+// payload kept past the next Recv is poisoned where the transport copies it,
+// and intact where it was handed over.
+func TestOwnershipCatchesAKeptMessage(t *testing.T) {
+	for name, tc := range transports {
+		t.Run(name, func(t *testing.T) {
+			_, client, server := connPair(t, tc.tr(), tc.addr)
 			sent := &protocol.Message{
 				Type: protocol.TStartMaster, Template: []string{"app", "$inp1"},
 				Strategy: strategy.Config{Kind: strategy.RealTime, CommonFiles: []string{"db"}},
@@ -47,7 +62,9 @@ func TestOwnershipCatchesAKeptMessage(t *testing.T) {
 				Results:  []protocol.TaskResult{{GroupIndex: 3, Worker: "w0", OK: true}},
 				Executes: []protocol.ExecuteSpec{{GroupIndex: 4, Files: []protocol.FileInfo{{Name: "b", Size: 2}}}},
 			}
-			for _, m := range []*protocol.Message{sent, {Type: protocol.TShutdown}} {
+			payload := []byte("payload")
+			data := &protocol.Message{Type: protocol.TFileData, FileName: "a", FileSize: 7, Data: payload, Last: true}
+			for _, m := range []*protocol.Message{sent, data, {Type: protocol.TShutdown}} {
 				if err := client.Send(m); err != nil {
 					t.Fatal(err)
 				}
@@ -58,6 +75,11 @@ func TestOwnershipCatchesAKeptMessage(t *testing.T) {
 			}
 			template, files, results, spec := kept.Template, kept.Files, kept.Results, kept.Executes[0]
 			copied := kept.Files[0].Name // a string outlives the message
+			keptData, err := server.Recv()
+			if err != nil {
+				t.Fatal(err)
+			}
+			chunk := keptData.Data
 			if _, err := server.Recv(); err != nil {
 				t.Fatal(err)
 			}
@@ -70,80 +92,128 @@ func TestOwnershipCatchesAKeptMessage(t *testing.T) {
 			if copied != "a" {
 				t.Errorf("a string copied at the Recv reads %q", copied)
 			}
-			if sent.Template[0] != "app" || sent.Files[0].Name != "a" || sent.Strategy.CommonFiles[0] != "db" {
-				t.Errorf("the sender's message was poisoned: %+v", sent)
+			if keptData.Type != protocol.TInvalid || keptData.FileName != "" {
+				t.Errorf("kept data message still reads %s of %q", keptData.Type, keptData.FileName)
+			}
+			if poisoned := string(chunk) != "payload"; poisoned != client.SendCopies() {
+				t.Errorf("kept payload reads %q where the transport copies is %v", chunk, client.SendCopies())
+			}
+			if sent.Template[0] != "app" || sent.Files[0].Name != "a" || sent.Strategy.CommonFiles[0] != "db" || string(payload) != "payload" {
+				t.Errorf("the sender's message was poisoned: %+v, %q", sent, payload)
 			}
 		})
 	}
 }
 
-// On a transport that hands the sender's message to the receiver, a sender
-// that refills its message, or one of its slices or payloads, before the
-// receiver has it is reported — while one that reuses its message through
-// transport.SendReused, or over a transport that copies, is not.
+// On a transport that hands payloads over, a sender that modifies a payload
+// it has sent is reported: before the receiver has it, by the CRC check at
+// delivery, even if it puts the byte back later; after, by the check made
+// when the violations are read. Over a transport that copies the same sender
+// is within its rights.
 func TestOwnershipCatchesAReusedSend(t *testing.T) {
 	for name, tc := range map[string]struct {
-		tr     transport.Transport
-		addr   string
-		reused bool // SendReused instead of Send
-		want   int  // violations
+		tr   transport.Transport
+		addr string
+		want []string // violations, by the check that reports them
 	}{
-		"mem/send":        {transport.NewMem(nil), "x", false, 4},
-		"mem/send-reused": {transport.NewMem(nil), "x", true, 0},
-		"tcp/send":        {transport.NewTCP(), "127.0.0.1:0", false, 0},
+		"mem/send": {transport.NewMem(nil), "x", []string{"at delivery", "after delivery"}},
+		"tcp/send": {transport.NewTCP(), "127.0.0.1:0", nil},
 	} {
 		t.Run(name, func(t *testing.T) {
-			tr := NewOwnership(tc.tr)
-			l, err := tr.Listen(tc.addr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer l.Close()
-			accepted := make(chan transport.Conn, 1)
-			go func() {
-				c, _ := l.Accept()
-				accepted <- c
-			}()
-			client, err := tr.Dial(l.Addr())
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer client.Close()
-			server := <-accepted
-			defer server.Close()
-
-			send := client.Send
-			if tc.reused {
-				send = func(m *protocol.Message) error { return transport.SendReused(client, m) }
-			}
-			// Each message is refilled after its Send, before the receiver
-			// reads it: a slice element, a scalar and a payload byte. The
-			// payload is left alone where the sender only may reuse the
-			// message, not its Data: SendReused over the in-memory transport.
-			exec := &protocol.Message{Type: protocol.TExecute, GroupIndex: 1, Files: []protocol.FileInfo{{Name: "a", Size: 1}}}
-			status := &protocol.Message{Type: protocol.TTaskStatus, Results: []protocol.TaskResult{{GroupIndex: 1, OK: true}}}
-			payload := []byte("payload")
-			data := &protocol.Message{Type: protocol.TFileData, FileName: "a", FileSize: 7, Data: payload, Last: true}
-			for _, m := range []*protocol.Message{exec, status, data} {
-				if err := send(m); err != nil {
+			tr, client, server := connPair(t, tc.tr, tc.addr)
+			early, late := []byte("early"), []byte("late")
+			for _, m := range []*protocol.Message{
+				{Type: protocol.TFileData, FileName: "a", FileSize: 5, Data: early, Last: true},
+				{Type: protocol.TFileData, FileName: "b", FileSize: 4, Data: late, Last: true},
+			} {
+				if err := client.Send(m); err != nil {
 					t.Fatal(err)
 				}
 			}
-			exec.Files[0].Name = "b"
-			status.Results[0].GroupIndex = 2
-			if !tc.reused {
-				data.Offset = 3 // the struct is the scratch; its payload is not
-			}
-			if client.SendCopies() || !tc.reused {
-				payload[0] = 'P'
-			}
-			for range 3 {
+			early[0] = 'E' // before delivery, put back after it
+			for range 2 {
 				if _, err := server.Recv(); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if v := tr.Violations(); len(v) != tc.want {
-				t.Errorf("%d violations, want %d: %q", len(v), tc.want, v)
+			early[0] = 'e'
+			late[0] = 'L' // after delivery
+			v := tr.Violations()
+			if len(v) != len(tc.want) {
+				t.Fatalf("%d violations, want %d: %q", len(v), len(tc.want), v)
+			}
+			for i, want := range tc.want {
+				if !strings.Contains(v[i], want) {
+					t.Errorf("violation %d = %q, want one %s", i, v[i], want)
+				}
+			}
+			if tr.Checked() != 2 {
+				t.Errorf("%d data messages checked, want 2", tr.Checked())
+			}
+		})
+	}
+}
+
+// A sender may overwrite its envelope — scalars, strings and every slice —
+// as soon as Send returns, on either transport: the receiver gets what was
+// sent, and the checker reports nothing.
+func TestOwnershipAllowsAReusedEnvelope(t *testing.T) {
+	for name, tc := range transports {
+		t.Run(name, func(t *testing.T) {
+			tr, client, server := connPair(t, tc.tr(), tc.addr)
+			msgs := []*protocol.Message{
+				{Type: protocol.TExecute, GroupIndex: 1, Files: []protocol.FileInfo{{Name: "a", Size: 1}}},
+				{Type: protocol.TTaskStatus, Results: []protocol.TaskResult{{GroupIndex: 1, OK: true, Worker: "w0"}}},
+				{Type: protocol.TExecuteBatch, Executes: []protocol.ExecuteSpec{
+					{GroupIndex: 2, Files: []protocol.FileInfo{{Name: "b", Size: 2}}},
+					{GroupIndex: 3, Files: []protocol.FileInfo{{Name: "c", Size: 3}, {Name: "d", Size: 4}}},
+				}},
+				{Type: protocol.TStartMaster, Template: []string{"app", "$inp1"}, Groups: []int{5, 6},
+					Strategy: strategy.Config{Kind: strategy.RealTime, CommonFiles: []string{"db"}}},
+				{Type: protocol.TFileData, FileName: "a", FileSize: 7, Data: []byte("payload"), Last: true},
+			}
+			var want []*protocol.Message
+			for _, m := range msgs {
+				want = append(want, Snapshot(m))
+				if err := client.Send(m); err != nil {
+					t.Fatal(err)
+				}
+				// Overwrite everything but the payload's bytes.
+				for i := range m.Files {
+					m.Files[i] = protocol.FileInfo{Name: "X", Size: -1}
+				}
+				for i := range m.Results {
+					m.Results[i] = protocol.TaskResult{GroupIndex: -1}
+				}
+				for i := range m.Executes {
+					m.Executes[i].Files[0].Name = "X"
+					m.Executes[i].GroupIndex = -1
+				}
+				for i := range m.Template {
+					m.Template[i] = "X"
+				}
+				for i := range m.Groups {
+					m.Groups[i] = -1
+				}
+				for i := range m.Strategy.CommonFiles {
+					m.Strategy.CommonFiles[i] = "X"
+				}
+				m.GroupIndex, m.FileName, m.Offset, m.Last = -1, "X", 99, false
+			}
+			for i := range msgs {
+				got, err := server.Recv()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if string(got.Data) != string(msgs[i].Data) {
+					t.Errorf("message %d: payload %q, want %q", i, got.Data, msgs[i].Data)
+				}
+				if g := Snapshot(got); !reflect.DeepEqual(g, want[i]) {
+					t.Errorf("message %d arrived as %+v, sent %+v", i, *g, *want[i])
+				}
+			}
+			if v := tr.Violations(); len(v) > 0 {
+				t.Errorf("violations: %q", v)
 			}
 			if tr.Checked() != 1 {
 				t.Errorf("%d data messages checked, want 1", tr.Checked())
