@@ -265,9 +265,10 @@ func (c *Cluster) OnFailure(fn func(*VM)) { c.onFail = append(c.onFail, fn) }
 // The returned VMs are in StateProvisioning until then.
 //
 // The batch is built one slab per kind — VMs, hosts, NIC links, local disks
-// and one string holding every name — so its cost is a handful of objects
-// plus one boot event per VM, whatever n is. A VM pointer therefore pins its
-// whole batch: the n VMs, their hosts, links and disks are freed together.
+// and one string holding every name — and each VM is the handler of its own
+// boot event, so its cost is a handful of objects whatever n is. A VM
+// pointer therefore pins its whole batch: the n VMs, their hosts, links and
+// disks are freed together.
 func (c *Cluster) Provision(n int, typ InstanceType) ([]*VM, error) {
 	if err := typ.Validate(); err != nil {
 		return nil, err
@@ -308,6 +309,7 @@ func (c *Cluster) Provision(n int, typ InstanceType) ([]*VM, error) {
 		c.tree.AttachHosts(hosts)
 	}
 	c.nextID += n
+	c.eng.Reserve(n) // the boot events
 	vms := make([]VM, n)
 	out := make([]*VM, n)
 	c.vms = slices.Grow(c.vms, n)
@@ -328,9 +330,19 @@ func (c *Cluster) Provision(n int, typ InstanceType) ([]*VM, error) {
 		if !c.opts.InstantBoot {
 			boot = sim.Duration(typ.BootMinSec + c.rng.Float64()*(typ.BootMaxSec-typ.BootMinSec))
 		}
-		c.eng.Schedule(boot, func() { c.bootComplete(vm) })
+		c.eng.ScheduleHandler(boot, (*bootEvent)(vm))
 	}
 	return out, nil
+}
+
+// bootEvent is a VM as the handler of its boot event: the event fires the
+// VM itself, in its slab, so booting a batch costs no closure per VM.
+type bootEvent VM
+
+// Fire completes the VM's boot.
+func (b *bootEvent) Fire() {
+	vm := (*VM)(b)
+	vm.cluster.bootComplete(vm)
 }
 
 // bootComplete transitions a VM to running, arms its failure clock, and runs

@@ -2,33 +2,31 @@ package cloud
 
 import (
 	"fmt"
-	"runtime/debug"
 	"testing"
 
 	"frieda/internal/netsim"
 	"frieda/internal/sim"
 )
 
-// Provision builds a batch one slab per kind. On a tree cluster 1,024 VMs
-// cost one boot closure each plus a constant handful of objects — VMs,
-// hosts, NIC links, ToR links, disks, names, the returned list and the
-// cluster's — rather than seven or more per VM.
+// Provision builds a batch one slab per kind, and each VM is the handler of
+// its own boot event. On a tree cluster 1,024 VMs cost 14 objects — VMs,
+// hosts, NIC links and their flow-list entries, ToR links and theirs, disks,
+// names, the returned list and the cluster's — rather than one or more per
+// VM; the bound is that plus 2%.
 func TestProvisionAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
-	const n, runs = 1024, 10
+	const n, runs, limit = 1024, 10, 14 * 1.02
 	spec := netsim.TreeSpec{HostsPerRack: 32, Spines: 8, Oversubscription: 4}
 	// Fresh clusters on one engine, built beforehand, so what is counted is
 	// Provision alone; the first (warm-up) run sizes the engine's queue and
-	// fills its event pool, which booting returns the events to. GC is off so
-	// the pool stays filled between runs.
+	// its event chunks, to whose free list booting returns the events.
 	eng := sim.NewEngine()
 	clusters := make([]*Cluster, runs+1)
 	for i := range clusters {
 		clusters[i] = New(eng, Options{Seed: 1, InstantBoot: true, Topology: &spec})
 	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	next := 0
 	allocs := testing.AllocsPerRun(runs, func() {
 		if _, err := clusters[next].Provision(n, C1XLarge); err != nil {
@@ -37,8 +35,9 @@ func TestProvisionAllocations(t *testing.T) {
 		next++
 		eng.RunUntil(eng.Now())
 	})
-	if allocs > n+16 {
-		t.Fatalf("Provision(%d) on a tree makes %v allocations, want <= %d", n, allocs, n+16)
+	t.Logf("Provision(%d) makes %v allocations", n, allocs)
+	if allocs > limit {
+		t.Fatalf("Provision(%d) on a tree makes %v allocations, want <= %v", n, allocs, limit)
 	}
 }
 

@@ -2,7 +2,6 @@
 
 package cloud
 
-// raceEnabled is set in -race builds, whose instrumentation allocates and
-// whose sync.Pool drops a share of its Puts by design: allocation counts
-// there say nothing about the production build.
+// raceEnabled is set in -race builds, whose instrumentation allocates:
+// allocation counts there say nothing about the production build.
 const raceEnabled = true

@@ -8,14 +8,15 @@ import (
 	"frieda/internal/simrun"
 )
 
-// The paper's sweep allocates about one record per fired event: a Flow and
-// a stage-in per flow, a task attempt per attempt, and no closure, with the
-// workload built from one file array and one name string. One Fig. 6
-// real-time cell of each application, workload build included as every
-// sweep cell builds its own, measures 1.1415 mallocs per fired event for
-// ALS (2,146 per run over 1,880 events) and 1.0204 for BLAST (at most
-// 22,972 over 22,513). Each bound is that plus 2%, so a closure or a slice
-// per task (+0.33 per event in either cell) fails it.
+// The paper's sweep allocates far less than one object per fired event: its
+// flows, stage-ins, task attempts and events come from arena chunks, there
+// is no closure, and the workload is built from one file array and one name
+// string. One Fig. 6 real-time cell of each application, workload build
+// included as every sweep cell builds its own, measures 0.1527 mallocs per
+// fired event for ALS (287 per run over 1,880 events) and 0.0322 for BLAST
+// (721 to 725 over 22,513; map growth varies). Each bound is that plus 2%,
+// so a closure or a slice per task (+0.33 per event in either cell) fails
+// it.
 func TestPaperSweepAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
@@ -27,8 +28,8 @@ func TestPaperSweepAllocations(t *testing.T) {
 		app   string
 		limit float64
 	}{
-		{"ALS", 1.1415 * 1.02},
-		{"BLAST", 1.0204 * 1.02},
+		{"ALS", 0.1527 * 1.02},
+		{"BLAST", 0.0322 * 1.02},
 	} {
 		mk, err := workloadBuilder(c.app, 1)
 		if err != nil {
@@ -40,9 +41,44 @@ func TestPaperSweepAllocations(t *testing.T) {
 			}
 		})
 		fired := eng.Fired()
-		if per := perRun / float64(fired); per > c.limit {
+		per := perRun / float64(fired)
+		t.Logf("%s: %.4f allocations per fired event (%.0f over %d events)", c.app, per, perRun, fired)
+		if per > c.limit {
 			t.Errorf("%s real-time cell makes %.4f allocations per fired event (%.0f over %d events), want <= %.4f",
 				c.app, per, perRun, fired, c.limit)
 		}
+	}
+}
+
+// Setting up a cell costs a constant number of objects, whatever its size:
+// a ScaleSweep cell's testbed, its runner with every worker joined, and its
+// start, which stages the BLAST database to every worker, build slabs,
+// reserved chunks and slices that double, not objects per worker. Eight
+// times the workers may add only the doublings and the chunks of events
+// that boot the VMs.
+func TestScaleCellSetupIsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	wl := BLASTWorkload(1, 1)
+	setup := func(workers int) float64 {
+		return testing.AllocsPerRun(1, func() {
+			tb := NewTreeTestbed(workers, 1)
+			cfg := realTime()
+			cfg.BatchSched = true
+			r, err := prepare("setup", tb, cfg, wl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := r.Start(func(simrun.Result) {}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := setup(1024), setup(8192)
+	t.Logf("setup allocates %.0f objects at 1,024 workers and %.0f at 8,192", small, large)
+	if large-small >= 64 {
+		t.Fatalf("setup allocates %.0f objects at 1,024 workers but %.0f at 8,192: %.0f more, want < 64",
+			small, large, large-small)
 	}
 }

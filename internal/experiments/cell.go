@@ -51,9 +51,7 @@ func prepare(label string, tb *Testbed, cfg simrun.Config, wl simrun.Workload) (
 	if err != nil {
 		return nil, err
 	}
-	for _, vm := range tb.Workers {
-		r.AddWorker(vm)
-	}
+	r.AddWorkers(tb.Workers)
 	return r, nil
 }
 

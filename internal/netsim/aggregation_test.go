@@ -159,9 +159,10 @@ func TestSolverMatchesOracle(t *testing.T) {
 	})
 }
 
-// A flow start and its completion, at steady state, cost two allocations:
-// the flow and its bound completion method (the engine pools its events) —
-// none of them the solver's and none of them membership. The solver keeps
+// A flow start and its completion, at steady state, cost at most two
+// allocations — in fact only the flow's share of an arena chunk, since the
+// engine reuses its events — none of them the solver's and none of them
+// membership. The solver keeps
 // its heap and orderings in Network scratch and sorts with typed comparisons; joining and leaving the flow lists is an append and a
 // swap-remove on slices that have reached their working size; and join is a
 // method, not a closure over the flow, the network and the path. A regression

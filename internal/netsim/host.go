@@ -41,10 +41,12 @@ func (n *Network) NewHost(name string, upBps, downBps float64) *Host {
 }
 
 // NewHosts creates one host per name, all with the same capacities, exactly
-// as NewHost would one at a time. The hosts, their 2·len(names) links and
-// those links' names take one allocation each, so a 65,536-host cluster is
-// three objects rather than five per host. The batch lives as long as any
-// pointer into it: a single live host keeps every host and link of its batch.
+// as NewHost would one at a time. The hosts, their 2·len(names) links, those
+// links' names and the links' first flow-list entries take one allocation
+// each, so a 65,536-host cluster is four objects rather than five or more
+// per host. A link whose list outgrows its entry (the master's uplink) moves
+// it to an array of its own. The batch lives as long as any pointer into it:
+// a single live host keeps every host and link of its batch.
 func (n *Network) NewHosts(names []string, upBps, downBps float64) []Host {
 	size := 0
 	for _, name := range names {
@@ -61,6 +63,7 @@ func (n *Network) NewHosts(names []string, upBps, downBps float64) []Host {
 	linkNames := b.String()
 	hosts := make([]Host, len(names))
 	links := make([]Link, 2*len(names))
+	n.initLinks(links, 1)
 	for i, name := range names {
 		up, down := &links[2*i], &links[2*i+1]
 		n.initLink(up, linkNames[:len(name)+len("/up")], upBps)

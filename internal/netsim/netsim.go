@@ -326,6 +326,9 @@ type Network struct {
 	// rate the solver changed, plus link fault lifecycle instants.
 	tracer *obs.Tracer
 
+	// flowArena is where StartFlow takes its flows from.
+	flowArena sim.Arena[Flow]
+
 	// BytesMoved accumulates total completed-flow volume, for reports.
 	BytesMoved float64
 	// FlowsCompleted counts completed flows.
@@ -333,6 +336,11 @@ type Network struct {
 	// FlowsInterrupted counts flows killed by link failures.
 	FlowsInterrupted uint64
 }
+
+// ReserveFlows makes the next k StartFlow calls take their flows from one
+// chunk: a storm of flows known in advance, such as a run's opening staging
+// of every worker, costs one allocation.
+func (n *Network) ReserveFlows(k int) { n.flowArena.Reserve(k) }
 
 // Engine aliases the simulation engine type for callers that only import
 // netsim.
@@ -377,7 +385,7 @@ func (n *Network) markDirty(path []*Link) {
 	for _, l := range path {
 		if l.dirty != g {
 			l.dirty = g
-			n.dirtySeeds = append(n.dirtySeeds, l)
+			n.dirtySeeds = appendDoubling(n.dirtySeeds, l)
 		}
 	}
 	if !n.rebalanceOn {
@@ -416,12 +424,24 @@ func (n *Network) NewLink(name string, bitsPerSec float64) *Link {
 }
 
 // initLink makes *l a fresh link of the network, for NewLink and the slab
-// builders (NewHosts, Topology's racks).
+// builders (NewHosts, Topology's racks). It keeps the flow list's backing
+// (initLinks).
 func (n *Network) initLink(l *Link, name string, bitsPerSec float64) {
 	if bitsPerSec <= 0 {
 		panic(fmt.Sprintf("netsim: non-positive capacity for link %q", name))
 	}
-	*l = Link{name: name, capacity: bitsPerSec, base: bitsPerSec, net: n}
+	*l = Link{name: name, capacity: bitsPerSec, base: bitsPerSec, net: n, flows: l.flows}
+}
+
+// initLinks gives a slab of links one shared backing array for the first
+// per flows of each list. Each list's capacity ends at its own share (a full
+// slice expression), so a list that outgrows it moves alone to a fresh array
+// and no list ever writes into another's.
+func (n *Network) initLinks(links []Link, per int) {
+	first := make([]*Flow, per*len(links))
+	for i := range links {
+		links[i].flows = first[per*i : per*i : per*(i+1)]
+	}
 }
 
 // SetTracer attaches an observability tracer (nil detaches): every solver
@@ -557,13 +577,8 @@ func (n *Network) StartFlow(bytes float64, path []*Link, owner FlowOwner) *Flow 
 		}
 	}
 	n.nextID++
-	f := &Flow{
-		id:        n.nextID,
-		bytes:     bytes,
-		remaining: bytes,
-		owner:     owner,
-		started:   n.eng.Now(),
-	}
+	f := n.flowArena.New()
+	f.id, f.bytes, f.remaining, f.owner, f.started = n.nextID, bytes, bytes, owner, n.eng.Now()
 	f.npath = uint8(copy(f.links[:], path))
 	if len(path) > MaxRoute {
 		f.spill = &flowSpill{path: slices.Clone(path), pos: make([]int32, len(path)-MaxRoute)}
@@ -729,11 +744,23 @@ func (n *Network) settleComponent() {
 // unordered; whatever depends on an order sorts by flow id (byFlowID).
 func (n *Network) attachFlow(f *Flow) {
 	f.netPos = int32(len(n.flows))
-	n.flows = append(n.flows, f)
+	n.flows = appendDoubling(n.flows, f)
 	for i, l := range f.path() {
 		*f.slot(i) = int32(len(l.flows))
-		l.flows = append(l.flows, f)
+		l.flows = appendDoubling(l.flows, f)
 	}
+}
+
+// appendDoubling appends v to s, doubling s's capacity when it is full.
+// append grows a long slice by a quarter at a time, so the lists that reach
+// tens of thousands of entries (the source's uplink, the spines, the active
+// set) would move ten times per eightfold growth; doubling moves them three
+// times and allocates fewer bytes in all.
+func appendDoubling[T any](s []T, v T) []T {
+	if len(s) == cap(s) {
+		s = slices.Grow(s, max(len(s), 1))
+	}
+	return append(s, v)
 }
 
 // detachFlow detaches a flow from its links and the active set and cancels

@@ -167,6 +167,10 @@ func (t *Topology) openRacks(hosts int, upBps func(slot int) float64) {
 	}
 	names := b.String()
 	links := make([]Link, 2*(last-first))
+	// A ToR link carries up to one flow per host of its rack at once when
+	// every host stages (a run's opening storm): their list entries share
+	// one array too.
+	t.net.initLinks(links, per)
 	t.racks = slices.Grow(t.racks, last-first)
 	for r := first; r < last; r++ {
 		torBps := float64(per) * upBps(r*per) / t.spec.Oversubscription

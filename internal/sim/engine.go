@@ -15,21 +15,22 @@
 // so firing it costs no closure; Schedule and At take a plain func, which
 // boxes into a Handler without allocating (Func).
 //
-// Event objects are recycled through a free-list pool: a fired or cancelled
-// event's storage is reused by later Schedule calls, so the engine itself
-// allocates no per-event memory in steady state. That covers the Event
-// record only: whatever a handler allocates when it is built or when it
-// fires is its owner's, and DESIGN.md ("Hot-path rules") counts what the
-// simulator's own handlers do. Handles are generation-guarded
-// EventRef values — a Cancel through a stale handle (the event already fired
-// or was cancelled, and its storage possibly reused) is a no-op, never a
-// cancellation of an unrelated newer event.
+// Each engine owns its events: they come from chunks of its own (Arena)
+// and go back to its own free list once fired or cancelled, so the engine
+// allocates no per-event memory in steady state and no event is ever shared
+// with another engine. That covers the Event record only: whatever a handler
+// allocates when it is built or when it fires is its owner's, and DESIGN.md
+// ("Hot-path rules") counts what the simulator's own handlers do. Handles
+// are generation-guarded EventRef values — a Cancel through a stale handle
+// (the event already fired or was cancelled, and its storage possibly reused
+// by a later event of the same engine) is a no-op, never a cancellation of
+// an unrelated newer event.
 package sim
 
 import (
 	"fmt"
 	"math"
-	"sync"
+	"slices"
 )
 
 // Time is a point in virtual time, in seconds since the start of the
@@ -59,29 +60,22 @@ type Func func()
 func (f Func) Fire() { f() }
 
 // Event is the engine's internal record of a scheduled handler. Its storage
-// is pooled and reused across events (and across engines — the pool is
-// shared so a sweep of thousands of short-lived engines recycles one arena),
-// which is why user code holds EventRef handles rather than *Event.
+// belongs to one engine, which reuses it for that engine's later events, so
+// user code holds EventRef handles rather than *Event. Its fire time and
+// scheduling order live in the engine's heap beside it.
 type Event struct {
-	when  Time
-	seq   uint64
-	gen   uint64 // incremented on release; stale EventRefs stop matching
 	h     Handler
 	owner *Engine
-	index int // heap index; -1 once removed
+	next  *Event // the owner's free list, while the event is free
+	gen   uint64 // incremented on release; stale EventRefs stop matching
+	index int32  // heap index; -1 once removed
 }
-
-// eventPool recycles Event storage across fires, cancels and engines. It is
-// the engine's only concurrency-aware structure: engines themselves are
-// strictly single-threaded, but independent engines on different goroutines
-// (the parallel experiment orchestrator) share this pool safely.
-var eventPool = sync.Pool{New: func() any { return &Event{index: -1} }}
 
 // EventRef is a handle to a scheduled event, returned by Schedule and At.
 // It is a small value, cheap to copy and store. The zero value refers to no
 // event; Cancel and Pending on it are no-ops. A ref goes stale the moment
 // its event fires or is cancelled — any later Cancel through it is a no-op
-// even if the event's pooled storage has been reused by a newer event.
+// even if the engine has reused the event's storage for a newer event.
 type EventRef struct {
 	ev  *Event
 	gen uint64
@@ -90,125 +84,115 @@ type EventRef struct {
 // Pending reports whether the referenced event is still queued to fire.
 func (r EventRef) Pending() bool { return r.ev != nil && r.ev.gen == r.gen }
 
-// When reports the virtual time the event is scheduled to fire, or 0 if the
-// ref is stale (the event already fired or was cancelled).
-func (r EventRef) When() Time {
-	if !r.Pending() {
-		return 0
-	}
-	return r.ev.when
-}
-
 // Cancel prevents the event from firing and removes it from the engine's
 // queue immediately, so cancel-heavy workloads (the flow-level network
 // model reschedules completions whenever rates change) keep the heap
 // bounded by the number of live events. Cancelling an event that already
 // fired or was already cancelled is a no-op, guarded by the generation
 // counter: a stale ref can never cancel the event now occupying the same
-// pooled storage.
+// storage.
 func (r EventRef) Cancel() {
 	ev := r.ev
 	if ev == nil || ev.gen != r.gen {
 		return
 	}
 	eng := ev.owner
-	if eng == nil {
-		return
-	}
-	if ev.index >= 0 {
-		eng.queue.remove(ev.index)
-	}
+	eng.queue.remove(int(ev.index))
 	eng.release(ev)
 }
 
-// eventHeap orders events by (when, seq) so same-time events fire FIFO. It
-// is a hand-rolled binary heap rather than container/heap so the hot
-// push/pop paths avoid the interface boxing of heap.Push/heap.Pop.
-type eventHeap []*Event
+// slot is a queued event with its heap key: the key sits in the heap array,
+// so sifting compares neighbours without visiting their events.
+type slot struct {
+	when Time
+	seq  uint64
+	ev   *Event
+}
 
-func (h eventHeap) less(i, j int) bool {
-	if h[i].when != h[j].when {
-		return h[i].when < h[j].when
+// before orders slots by (when, seq), a total order: seq is unique per
+// engine, so same-time events fire FIFO and the pop order does not depend on
+// the heap's shape.
+func (s *slot) before(o *slot) bool {
+	return s.when < o.when || s.when == o.when && s.seq < o.seq
+}
+
+// eventHeap is a hand-rolled 4-ary min-heap of slots: half the depth of a
+// binary heap, and a node's four children share a cache line or two. Every
+// move writes the event's index, which Cancel removes it by.
+type eventHeap []slot
+
+// set stores s at index i.
+func (h eventHeap) set(i int, s slot) {
+	h[i] = s
+	s.ev.index = int32(i)
+}
+
+// push adds s, doubling the heap's capacity when it is full, where append
+// would grow a long heap by a quarter at a time.
+func (h *eventHeap) push(s slot) {
+	if len(*h) == cap(*h) {
+		*h = slices.Grow(*h, max(len(*h), 1))
 	}
-	return h[i].seq < h[j].seq
+	*h = append(*h, s)
+	h.up(len(*h)-1, s)
 }
 
-func (h eventHeap) swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+// pop removes and returns the minimum slot.
+func (h *eventHeap) pop() slot {
+	top := (*h)[0]
+	h.remove(0)
+	return top
 }
 
-func (h *eventHeap) push(e *Event) {
-	e.index = len(*h)
-	*h = append(*h, e)
-	h.up(e.index)
-}
-
-// pop removes and returns the minimum event.
-func (h *eventHeap) pop() *Event {
-	old := *h
-	n := len(old) - 1
-	old.swap(0, n)
-	e := old[n]
-	old[n] = nil
-	*h = old[:n]
-	if n > 0 {
-		h.down(0)
-	}
-	e.index = -1
-	return e
-}
-
-// remove deletes the event at index i.
+// remove deletes the slot at index i; its event's index becomes -1.
 func (h *eventHeap) remove(i int) {
 	old := *h
 	n := len(old) - 1
-	if i != n {
-		old.swap(i, n)
-	}
-	e := old[n]
-	old[n] = nil
+	old[i].ev.index = -1
+	last := old[n]
+	old[n] = slot{}
 	*h = old[:n]
-	if i != n {
-		if !h.down(i) {
-			h.up(i)
-		}
+	if i != n && h.down(i, last) == i {
+		h.up(i, last)
 	}
-	e.index = -1
 }
 
-func (h eventHeap) up(i int) {
+// up stores s at the hole i or above it, moving the parents it passes down.
+func (h eventHeap) up(i int, s slot) {
 	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
+		parent := (i - 1) / 4
+		if !s.before(&h[parent]) {
 			break
 		}
-		h.swap(i, parent)
+		h.set(i, h[parent])
 		i = parent
 	}
+	h.set(i, s)
 }
 
-// down sifts index i toward the leaves; reports whether it moved.
-func (h eventHeap) down(i int) bool {
-	start := i
+// down stores s at the hole i or below it, moving the children it passes
+// up, and returns where s landed.
+func (h eventHeap) down(i int, s slot) int {
 	n := len(h)
 	for {
-		left := 2*i + 1
-		if left >= n {
+		first := 4*i + 1
+		if first >= n {
 			break
 		}
-		least := left
-		if right := left + 1; right < n && h.less(right, left) {
-			least = right
+		least := first
+		for c := first + 1; c < min(first+4, n); c++ {
+			if h[c].before(&h[least]) {
+				least = c
+			}
 		}
-		if !h.less(least, i) {
+		if !h[least].before(&s) {
 			break
 		}
-		h.swap(i, least)
+		h.set(i, h[least])
 		i = least
 	}
-	return i > start
+	h.set(i, s)
+	return i
 }
 
 // Engine is a discrete-event simulator. The zero value is not usable; call
@@ -219,6 +203,12 @@ type Engine struct {
 	queue   eventHeap
 	fired   uint64
 	running bool
+
+	// events is where the engine's events come from, and free lists the
+	// nfree fired and cancelled ones a later Schedule reuses first.
+	events Arena[Event]
+	free   *Event
+	nfree  int
 }
 
 // NewEngine returns an engine with the clock at 0.
@@ -274,20 +264,34 @@ func (e *Engine) AtHandler(t Time, h Handler) EventRef {
 		panic("sim: nil event handler")
 	}
 	e.seq++
-	ev := eventPool.Get().(*Event)
-	ev.when, ev.seq, ev.h, ev.owner = t, e.seq, h, e
-	e.queue.push(ev)
+	ev := e.free
+	if ev != nil {
+		e.free, ev.next = ev.next, nil
+		e.nfree--
+	} else {
+		ev = e.events.New()
+		ev.owner = e
+	}
+	ev.h = h
+	e.queue.push(slot{when: t, seq: e.seq, ev: ev})
 	return EventRef{ev: ev, gen: ev.gen}
 }
 
-// release invalidates every outstanding ref to ev and returns its storage to
-// the pool for reuse by a later Schedule (possibly on another engine).
+// release invalidates every outstanding ref to ev and puts its storage on
+// the engine's free list for a later Schedule of this engine.
 func (e *Engine) release(ev *Event) {
 	ev.gen++ // stale refs stop matching from here on
 	ev.h = nil
-	ev.owner = nil
-	ev.index = -1
-	eventPool.Put(ev)
+	ev.next, e.free = e.free, ev
+	e.nfree++
+}
+
+// Reserve makes room for n more pending events: those the free list cannot
+// serve come from one chunk, and the queue grows at most once. A batch that
+// schedules many events at once (a cluster's boots) calls it first.
+func (e *Engine) Reserve(n int) {
+	e.events.Reserve(n - e.nfree)
+	e.queue = slices.Grow(e.queue, n)
 }
 
 // popNext removes the next event with time <= deadline and returns its
@@ -301,8 +305,8 @@ func (e *Engine) popNext(deadline Time) (h Handler, at Time, ok bool) {
 		return nil, 0, false
 	}
 	next := e.queue.pop()
-	h, at = next.h, next.when
-	e.release(next)
+	h, at = next.ev.h, next.when
+	e.release(next.ev)
 	return h, at, true
 }
 

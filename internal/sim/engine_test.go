@@ -230,8 +230,8 @@ func TestTimerResetStop(t *testing.T) {
 	}
 }
 
-// A fired timer holds no ref to its event, whose pooled storage another
-// engine may already have: Stop from the timer's own callback touches nothing.
+// A fired timer holds no ref to its event, whose storage the engine may
+// already have reused: Stop from the timer's own callback touches nothing.
 func TestTimerDropsRefOnFire(t *testing.T) {
 	eng := NewEngine()
 	var tm *Timer
@@ -279,7 +279,8 @@ func TestResourceReleasePanicsWhenUnheld(t *testing.T) {
 			t.Fatal("no panic on spurious release")
 		}
 	}()
-	NewResource(1).Release()
+	r := NewResource(1)
+	r.Release()
 }
 
 // Property: for any interleaving of acquires and releases, inUse never
@@ -456,21 +457,22 @@ func TestStepRunUntilFiredParity(t *testing.T) {
 }
 
 // A ref held across its event's fire must stay a guarded no-op even when the
-// pooled Event storage has been reused by a newer schedule: cancelling the
-// stale ref must not cancel the new occupant.
+// Event storage has been reused by a newer schedule: cancelling the stale
+// ref must not cancel the new occupant.
 func TestStaleRefCannotCancelReusedEvent(t *testing.T) {
 	eng := NewEngine()
 	stale := eng.Schedule(1, func() {})
-	eng.Run() // fires and releases the event's storage to the pool
+	eng.Run() // fires and puts the event's storage on the engine's free list
 	if stale.Pending() {
 		t.Fatal("ref still pending after its event fired")
 	}
-	// Schedule many fresh events; with a shared pool one of them likely
-	// reuses stale's storage. Whether or not it does, the stale Cancel must
-	// leave every pending event untouched.
+	// The next schedule reuses stale's storage; the stale Cancel must leave
+	// every pending event untouched.
 	fired := 0
 	for i := 0; i < 64; i++ {
-		eng.Schedule(1, func() { fired++ })
+		if ref := eng.Schedule(1, func() { fired++ }); i == 0 && ref.ev != stale.ev {
+			t.Fatal("the free list did not hand out the released event first")
+		}
 	}
 	stale.Cancel()
 	if eng.Pending() != 64 {
@@ -484,8 +486,8 @@ func TestStaleRefCannotCancelReusedEvent(t *testing.T) {
 
 // BenchmarkEngineEventPool exercises the recycle path: events scheduled from
 // inside firing events plus cancel/reschedule churn, the steady-state shape
-// of the flow network model. With pooled Event storage this loop should be
-// nearly allocation-free once warm.
+// of the flow network model. The engine's free list keeps this loop to its
+// first event chunk.
 func BenchmarkEngineEventPool(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

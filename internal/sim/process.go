@@ -10,10 +10,8 @@ type Timer struct {
 }
 
 // NewTimer returns a stopped timer that will run fn when it fires. Firing
-// drops the timer's event ref before fn runs: the event's storage is already
-// back in the pool engines share, so a Stop or Reset from fn (a VM's failure
-// timer stops itself) must not look at it — another engine's goroutine may own
-// it by then.
+// drops the timer's event ref before fn runs, so a Stop or Reset from fn (a
+// VM's failure timer stops itself) finds a stopped timer, not a spent ref.
 func NewTimer(eng *Engine, fn func()) *Timer {
 	return &Timer{eng: eng, fn: fn}
 }
@@ -55,12 +53,14 @@ type Resource struct {
 	head, n int
 }
 
-// NewResource returns a resource with the given capacity (> 0).
-func NewResource(capacity int) *Resource {
+// NewResource returns a resource with the given capacity (> 0). It returns
+// a value, so a record that needs one embeds it instead of pointing at one
+// of its own.
+func NewResource(capacity int) Resource {
 	if capacity <= 0 {
 		panic("sim: resource capacity must be positive")
 	}
-	return &Resource{capacity: capacity}
+	return Resource{capacity: capacity}
 }
 
 // Capacity returns the total number of slots.

@@ -45,6 +45,7 @@ type durabilityHook struct {
 	// the scan step pre-bound, so neither a tick nor a scan allocates a
 	// closure; scanning is set while a walk is on the stack.
 	active   map[string]*repairJob
+	jobs     sim.Arena[repairJob] // where the repair jobs come from
 	ticker   sim.EventRef
 	tickFn   func()
 	visitFn  func(string) bool
@@ -162,7 +163,9 @@ func (d *durabilityHook) fetchFrom(att *taskAttempt, i int) {
 		r.fetchLost(att, i)
 		return
 	}
-	att.stage = r.transfer((&stageIn{w: w, bytes: size, step: stepFetch, att: att, at: i}).oneFile(f))
+	s := r.newStage(w, size, stepFetch)
+	s.att, s.at = att, i
+	att.stage = r.transfer(s.oneFile(f))
 }
 
 // fetched goes on to the attempt's next file once one is on disk.
@@ -407,7 +410,8 @@ func (d *durabilityHook) startRepair(f string) {
 	if dst == nil {
 		return // every live worker already holds (or is fetching) the file
 	}
-	job := &repairJob{d: d, file: f, size: size, src: src, dst: dst}
+	job := d.jobs.New()
+	job.d, job.file, job.size, job.src, job.dst = d, f, size, src, dst
 	if ab := d.an.ab; ab.Enabled() {
 		// Repairs are triggered by scans, not the scheduling chain; anchor
 		// the job at the run start so the walk terminates cleanly and the

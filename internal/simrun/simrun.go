@@ -131,6 +131,11 @@ type Runner struct {
 	// (worker death) is left to the garbage collector.
 	nameScratch [][]string
 
+	// The run's records come from its own arenas and live as long as it.
+	workerArena  sim.Arena[simWorker]
+	stageArena   sim.Arena[stageIn]
+	attemptArena sim.Arena[taskAttempt]
+
 	res  Result
 	done func(Result)
 }
@@ -146,7 +151,7 @@ type simWorker struct {
 	has   map[string]bool // the files on its disk; nil until the first (setHas)
 	// admitted counts tasks in the transfer→compute pipeline.
 	admitted int
-	cores    *sim.Resource
+	cores    sim.Resource
 	inflight map[int]*taskAttempt // admitted attempts; nil until the first dispatch
 	// speed is the compute-rate factor (1 = provisioned); straggler
 	// injection lowers it via SetWorkerSpeed without touching liveness.
@@ -303,7 +308,8 @@ func (r *Runner) AddWorker(vm *cloud.VM) *simWorker {
 	if r.cfg.Storage != nil {
 		disk = storage.MustVolume(vm.Name()+"/scratch", *r.cfg.Storage)
 	}
-	w := &simWorker{
+	w := r.workerArena.New()
+	*w = simWorker{
 		vm:    vm,
 		name:  vm.Name(),
 		slots: slots,
@@ -337,6 +343,23 @@ func (r *Runner) AddWorker(vm *cloud.VM) *simWorker {
 		}
 	}
 	return w
+}
+
+// AddWorkers adds each VM as AddWorker does, with the batch's worker
+// records in one chunk.
+func (r *Runner) AddWorkers(vms []*cloud.VM) {
+	r.workerArena.Reserve(len(vms))
+	r.workers = slices.Grow(r.workers, len(vms))
+	top := -1
+	for _, vm := range vms {
+		top = max(top, vm.ID())
+	}
+	if top >= len(r.byVM) {
+		r.byVM = slices.Grow(r.byVM, top+1-len(r.byVM))
+	}
+	for _, vm := range vms {
+		r.AddWorker(vm)
+	}
 }
 
 // Run executes the whole simulation synchronously and returns the result.
@@ -380,9 +403,7 @@ func (r *Runner) Start(done func(Result)) error {
 		r.startStaged(func(*simWorker) []catalog.FileMeta { return all })
 	case strategy.RealTime:
 		r.led.QueueAll()
-		for _, w := range r.workers {
-			r.stageCommon(w, commonKick)
-		}
+		r.stageEveryCommon(commonKick)
 	default:
 		return fmt.Errorf("simrun: unknown strategy kind %v", r.cfg.Strategy.Kind)
 	}
@@ -500,7 +521,8 @@ func (r *Runner) next(w *simWorker) (int, bool) {
 // fetchAndRun fetches the task's missing inputs (real-time remote), then
 // computes. Returns the attempt so speculation can track its clone.
 func (r *Runner) fetchAndRun(w *simWorker, gi int) *taskAttempt {
-	att := &taskAttempt{r: r, w: w, task: gi}
+	att := r.attemptArena.New()
+	att.r, att.w, att.task = r, w, gi
 	if w.inflight == nil {
 		w.inflight = make(map[int]*taskAttempt)
 	}
@@ -537,7 +559,9 @@ func (r *Runner) fetchAndRun(w *simWorker, gi int) *taskAttempt {
 // fetchBundled streams the attempt's claimed inputs in one flow of missing
 // bytes.
 func (r *Runner) fetchBundled(att *taskAttempt, missing float64) {
-	att.stage = r.transfer(&stageIn{w: att.w, files: att.names, bytes: missing, step: stepFetch, att: att})
+	s := r.newStage(att.w, missing, stepFetch)
+	s.files, s.att = att.names, att
+	att.stage = r.transfer(s)
 }
 
 // fetchedBundled notes the bundle's files as staged once they are on disk,

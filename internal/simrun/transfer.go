@@ -102,6 +102,13 @@ const (
 	wakeLanded                    // the payload's disk write
 )
 
+// newStage takes a stage of bytes to w from the runner's arena.
+func (r *Runner) newStage(w *simWorker, bytes float64, step stageStep) *stageIn {
+	s := r.stageArena.New()
+	s.w, s.bytes, s.step = w, bytes, step
+	return s
+}
+
 // oneFile makes name the stage's only file, backed by the stage itself.
 func (s *stageIn) oneFile(name string) *stageIn {
 	s.one[0] = name
@@ -391,12 +398,30 @@ const (
 // ready; commonStaged continues either way (staged, landed), as next says.
 func (r *Runner) stageCommon(w *simWorker, next afterCommon) {
 	w.afterCommon = next
-	if r.wl.CommonBytes <= 0 || r.cfg.Strategy.Locality == strategy.Local {
+	if !r.streamsCommon() {
 		w.Ready = true
 		r.commonStaged(w)
 		return
 	}
-	r.transfer((&stageIn{w: w, bytes: r.wl.CommonBytes, step: stepCommon}).oneFile(commonFile))
+	r.transfer(r.newStage(w, r.wl.CommonBytes, stepCommon).oneFile(commonFile))
+}
+
+// streamsCommon reports whether staging a worker streams the common
+// dataset to it: there is one, and the data is not local already.
+func (r *Runner) streamsCommon() bool {
+	return r.wl.CommonBytes > 0 && r.cfg.Strategy.Locality != strategy.Local
+}
+
+// stageEveryCommon stages every worker's common dataset, the storm that
+// opens a run: its stages and their flows take one chunk each.
+func (r *Runner) stageEveryCommon(next afterCommon) {
+	if r.streamsCommon() {
+		r.stageArena.Reserve(len(r.workers))
+		r.cluster.Network().ReserveFlows(len(r.workers))
+	}
+	for _, w := range r.workers {
+		r.stageCommon(w, next)
+	}
 }
 
 // commonStaged continues a worker once its common dataset is in place, lost,
@@ -487,9 +512,7 @@ func (r *Runner) startStaged(files func(w *simWorker) []catalog.FileMeta) {
 	r.stagingStart = r.eng.Now()
 	r.stageFiles = files
 	r.unstaged = len(r.workers)
-	for _, w := range r.workers {
-		r.stageCommon(w, commonChain)
-	}
+	r.stageEveryCommon(commonChain)
 }
 
 // barrier counts one worker's staging as over; the last one starts the
@@ -520,7 +543,9 @@ func (r *Runner) streamChain(w *simWorker, i int) {
 		if w.has[f.Name] {
 			continue
 		}
-		r.transfer((&stageIn{w: w, bytes: float64(f.Size), step: stepChain, at: i}).oneFile(f.Name))
+		s := r.newStage(w, float64(f.Size), stepChain)
+		s.at = i
+		r.transfer(s.oneFile(f.Name))
 		return
 	}
 	w.chain = nil
