@@ -484,6 +484,20 @@ func TestWorkerDeathIsolation(t *testing.T) {
 }
 
 func TestWorkerDeathWithRecoverCompletesAll(t *testing.T) {
+	killWithRecover(t, strategy.Config{Kind: strategy.RealTime})
+}
+
+// A pre-partitioned worker's share requeues to the survivor, which is
+// streamed the inputs it was never dealt before it runs them.
+func TestPrePartitionDeathWithRecoverCompletesAll(t *testing.T) {
+	killWithRecover(t, strategy.PrePartitionedRemote)
+}
+
+// killWithRecover runs 30 single-file groups on two one-core workers under
+// Recover and kills w0 while it runs its first group past index 3: every
+// group must succeed.
+func killWithRecover(t *testing.T, strat strategy.Config) {
+	t.Helper()
 	var kill context.CancelFunc
 	var killed atomic.Bool
 	prog := FuncProgram(func(ctx context.Context, task Task) (string, error) {
@@ -499,7 +513,7 @@ func TestWorkerDeathWithRecoverCompletesAll(t *testing.T) {
 	defer cancel()
 	tr := transport.NewMem(nil)
 	ctl, err := NewController(ControllerConfig{
-		Strategy:        strategy.Config{Kind: strategy.RealTime},
+		Strategy:        strat,
 		Transport:       tr,
 		MasterAddr:      "master",
 		InProcessMaster: true,
@@ -536,6 +550,66 @@ func TestWorkerDeathWithRecoverCompletesAll(t *testing.T) {
 	ctl.Shutdown()
 	if r.Succeeded != 30 {
 		t.Fatalf("recovery incomplete: %+v errors=%v", r, r.WorkerErrors)
+	}
+}
+
+// A worker that registers while a no-partition staging phase is under way
+// takes nothing until the phase ends, then runs queued groups, streamed the
+// inputs it lacks. A limited master uplink holds the phase open for about
+// 0.3 s.
+func TestJoinerDuringStagingWaitsThenFetches(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	tr := transport.NewMem(transport.NewLimiter(1e6, 32e3))
+	prog := FuncProgram(func(ctx context.Context, task Task) (string, error) {
+		time.Sleep(5 * time.Millisecond)
+		return "ok", nil
+	})
+	ctl, err := NewController(ControllerConfig{
+		Strategy:        strategy.CommonData,
+		Transport:       tr,
+		MasterAddr:      "master",
+		InProcessMaster: true,
+		Master:          MasterConfig{Source: sourceWithFiles(40, 8000)},
+		Workers:         1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ctl.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	begin := time.Now()
+	if _, err := ctl.SpawnWorker(ctx, WorkerConfig{Name: "w0", Cores: 1, Program: prog}); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(50 * time.Millisecond)
+	joined := time.Since(begin).Seconds()
+	if _, err := ctl.SpawnWorker(ctx, WorkerConfig{Name: "late", Cores: 1, Program: prog}); err != nil {
+		t.Fatal(err)
+	}
+	r, err := ctl.Wait(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctl.Shutdown()
+	if r.Succeeded != 40 {
+		t.Fatalf("report = %+v (errors %v)", r, r.WorkerErrors)
+	}
+	if r.TransferPhaseSec <= joined {
+		t.Fatalf("the phase took %.3fs and the joiner registered at %.3fs: not during it", r.TransferPhaseSec, joined)
+	}
+	late := 0
+	for _, res := range r.Results {
+		if res.Worker == "late" {
+			late++
+		}
+	}
+	if late == 0 {
+		t.Fatal("the worker that joined during staging ran nothing")
+	}
+	if want := int64(40*8000 + late*8000); r.BytesMoved != want {
+		t.Fatalf("moved %d bytes, want the dataset to w0 and the joiner's %d inputs: %d", r.BytesMoved, late, want)
 	}
 }
 

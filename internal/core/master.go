@@ -78,14 +78,12 @@ type link struct {
 type masterWorker struct {
 	// Worker is the ledger's view. Ready is set once the writer has put the
 	// ACK and the common files on the connection; until then the worker is
-	// not counted towards the expected workers, planned for or dispatched to.
+	// not counted towards the expected workers, dealt to or dispatched to.
 	sched.Worker
 	link
 	name        string
 	cores       int
-	slots       int
 	outstanding map[int]bool // dispatched, not yet reported
-	transfers   int          // transfer-phase items queued, not yet performed
 	settled     bool         // the status report being booked freed a slot
 }
 
@@ -102,7 +100,7 @@ type outItem struct {
 	send  uint64
 	last  bool
 	// Once performed, ready makes the worker ready, and transfer, flushed,
-	// books a transfer-phase item.
+	// closes a staging item.
 	ready, transfer bool
 }
 
@@ -129,7 +127,7 @@ type Master struct {
 	workers    map[string]*masterWorker
 	catalogue  *catalog.Catalog
 	groups     []partition.Group
-	// led is the scheduling ledger; it starts once the groups are placed.
+	// led is the run's lifecycle; it starts once the groups are known.
 	led        *sched.Ledger
 	results    []protocol.TaskResult
 	workerErrs []string
@@ -138,18 +136,9 @@ type Master struct {
 	listener   transport.Listener
 	startedAt  time.Time
 	finishedAt time.Time
-	// phase is the pre-partition or no-partition transfer phase under way.
-	phase       *transferPhase
-	transfers   float64 // that phase's wall seconds
+	// stagingSec is the wall time of the pre- or no-partition staging phase.
+	stagingSec  float64
 	outputBytes int64
-}
-
-// transferPhase moves data before anything runs; it ends when none of its
-// workers has a transfer item pending.
-type transferPhase struct {
-	start   time.Time
-	workers []*masterWorker
-	per     [][]int // pre-partition: each worker's share of the groups
 }
 
 // NewMaster validates the configuration.
@@ -411,13 +400,13 @@ func (m *Master) handle(ev *event) {
 	case evOutput:
 		m.outputBytes += ev.n
 	case evReady:
-		w.Ready = true
+		m.led.Arrive(&w.Worker)
 		m.maybeStart()
 		m.dispatch(w)
 	case evTransferred:
-		if w.transfers > 0 { // not released by the worker's death already
-			w.transfers--
-			m.endTransfer()
+		if m.led.Staged(&w.Worker) { // not closed by the worker's death already
+			m.stagingOver()
+			m.dispatchAll()
 		}
 	case evGone, evFailed:
 		switch {
@@ -520,13 +509,17 @@ func (m *Master) removeWorker(name string) error {
 	if !ok || w.Dead || !w.Ready {
 		return fmt.Errorf("core: no live worker %q", name)
 	}
-	m.led.Drain(&w.Worker)
-	for _, o := range m.liveWorkers() {
-		m.dispatch(o)
+	if m.led.Drain(&w.Worker) {
+		m.release(w)
 	}
-	// checkDone releases the worker once its outstanding set drains.
-	m.checkDone()
+	m.dispatchAll()
 	return nil
+}
+
+// release shuts down a drained worker the ledger has let go.
+func (m *Master) release(w *masterWorker) {
+	w.out.put(outItem{msg: &protocol.Message{Type: protocol.TShutdown}})
+	m.logf("worker %s drained and released", w.name)
 }
 
 // admit joins a registered worker and queues its ACK and then the common
@@ -537,22 +530,20 @@ func (m *Master) admit(w *masterWorker) {
 		w.out.close()
 		return
 	}
-	w.slots, w.outstanding = 1, make(map[int]bool)
-	if m.strat.Multicore && w.cores > 1 {
-		w.slots = w.cores
-	}
+	slots := m.strat.Slots(w.cores)
+	w.outstanding = make(map[int]bool)
 	m.workers[w.name] = w
-	m.led.Join(&w.Worker)
+	m.led.Join(&w.Worker, slots)
 	staged, err := m.commonFiles(w)
 	if err != nil {
 		m.workerDied(w, err)
 		return
 	}
 	w.out.put(outItem{msg: &protocol.Message{
-		Type: protocol.TAck, Cores: w.slots, Template: m.cfg.Template,
+		Type: protocol.TAck, Cores: slots, Template: m.cfg.Template,
 		ReturnOutputs: m.cfg.OutputSink != nil, Batch: m.cfg.Batch,
 	}, files: staged, ready: true})
-	m.logf("worker %s registered (%d cores, %d slots)", w.name, w.cores, w.slots)
+	m.logf("worker %s registered (%d cores, %d slots)", w.name, w.cores, slots)
 }
 
 // sourceCatalog lists the source once, when first needed: by common-file
@@ -603,28 +594,20 @@ func (m *Master) claim(w *masterWorker, files []protocol.FileInfo) []protocol.Fi
 }
 
 // maybeStart begins execution once the strategy is known and the expected
-// number of workers is ready.
+// number of workers arrived. A worker that died, even before it was ready,
+// has been heard from: the run starts without it instead of waiting for it.
 func (m *Master) maybeStart() {
-	if !m.startedAt.IsZero() || m.expected <= 0 {
-		return
-	}
-	// A worker that died, even before it was ready, has been heard from: the
-	// run starts without it instead of waiting for it.
-	arrived := 0
-	for _, w := range m.workers {
-		if w.Ready || w.Dead {
-			arrived++
-		}
-	}
-	if arrived < m.expected {
+	if !m.startedAt.IsZero() || m.expected <= 0 || m.led.Arrived() < m.expected {
 		return
 	}
 	m.startedAt = time.Now()
 	m.runStrategy()
 }
 
-// runStrategy builds the partition plan and starts the strategy's data
-// movement.
+// runStrategy partitions the inputs, starts the ledger on the groups — the
+// pre-partition deal goes over the ready workers by name, so the assignment
+// does not depend on registration order — and queues each worker's staging
+// item. Nothing is dispatched until the last one is on the wire.
 func (m *Master) runStrategy() {
 	cat, err := m.sourceCatalog()
 	if err != nil {
@@ -649,27 +632,54 @@ func (m *Master) runStrategy() {
 	}
 	workers := m.liveWorkers()
 	m.logf("execution starts: %d groups, %d workers, strategy %s", len(m.groups), len(workers), m.strat)
-
-	switch m.strat.Kind {
-	case strategy.PrePartition:
-		m.runPrePartition(workers)
-	case strategy.NoPartition:
-		m.runNoPartition(workers)
-	case strategy.RealTime:
-		m.startLedger()
-		m.led.QueueAll()
-		for _, w := range workers {
-			m.dispatch(w)
+	m.results = slices.Grow(m.results, len(m.groups))
+	deal := make([]*sched.Worker, len(workers))
+	for i, w := range workers {
+		deal[i] = &w.Worker
+	}
+	m.led.Start(m.strat, len(m.groups), func() []partition.Group { return m.groups }, deal)
+	staging := false
+	if m.strat.Kind != strategy.RealTime && m.strat.Locality == strategy.Remote {
+		var all []protocol.FileInfo
+		if m.strat.Kind == strategy.NoPartition {
+			all = appendInfos(nil, m.catalogue.Files())
 		}
-		m.checkDone()
+		for _, w := range workers {
+			if w.out.put(m.stagingItem(w, all)) {
+				m.led.Stage(&w.Worker)
+				staging = true
+			}
+		}
+	}
+	if !staging && m.strat.Kind != strategy.RealTime {
+		m.stagingOver()
+	}
+	m.dispatchAll()
+}
+
+// stagingItem is what w's writer streams before anything runs:
+// no-partitioning streams the whole dataset, all; pre-partitioning announces
+// the worker's share, then streams its unique files. DISTRIBUTE carries a
+// copy of the share, as the ledger may fail the backlog in place while the
+// writer sends it.
+func (m *Master) stagingItem(w *masterWorker, all []protocol.FileInfo) outItem {
+	if m.strat.Kind == strategy.NoPartition {
+		return outItem{files: m.claim(w, all), transfer: true}
+	}
+	var infos []protocol.FileInfo
+	for f := range partition.Files(m.groups, w.Backlog) {
+		infos = append(infos, protocol.FileInfo{Name: f.Name, Size: f.Size})
+	}
+	return outItem{
+		msg:   &protocol.Message{Type: protocol.TDistribute, Files: infos, Groups: slices.Clone(w.Backlog)},
+		files: m.claim(w, infos), transfer: true,
 	}
 }
 
-// startLedger starts the ledger on the groups and sizes the results for
-// their outcomes.
-func (m *Master) startLedger() {
-	m.led.Start(len(m.groups))
-	m.results = slices.Grow(m.results, len(m.groups))
+// stagingOver records the staging phase's wall time, from the start.
+func (m *Master) stagingOver() {
+	m.stagingSec = time.Since(m.startedAt).Seconds()
+	m.logf("%s transfer phase done in %.3fs", m.strat.Kind, m.stagingSec)
 }
 
 // liveWorkers lists the workers that can be given work, sorted by name
@@ -685,97 +695,17 @@ func (m *Master) liveWorkers() []*masterWorker {
 	return out
 }
 
-// runPrePartition implements the two sequential phases of Section II-C:
-// transfer everything first, then execute.
-func (m *Master) runPrePartition(workers []*masterWorker) {
-	assigner, err := strategy.AssignerByName(m.strat.Assigner)
-	if err != nil {
-		m.fatal(err)
-		return
-	}
-	assignment, err := assigner.Assign(m.groups, len(workers))
-	if err != nil {
-		m.fatal(err)
-		return
-	}
-	per := assignment.PerWorker()
-	m.phase = &transferPhase{start: time.Now(), workers: workers, per: per}
-	if m.strat.Locality == strategy.Remote {
-		for wi, w := range workers {
-			// Announce the partition, then stream its unique files.
-			var infos []protocol.FileInfo
-			seen := map[string]bool{}
-			for _, gi := range per[wi] {
-				for _, f := range m.groups[gi].Files {
-					if !seen[f.Name] {
-						seen[f.Name] = true
-						infos = append(infos, protocol.FileInfo{Name: f.Name, Size: f.Size})
-					}
-				}
-			}
-			m.queueTransfer(w, outItem{
-				msg:   &protocol.Message{Type: protocol.TDistribute, Files: infos, Groups: per[wi]},
-				files: m.claim(w, infos),
-			})
-		}
-	}
-	m.endTransfer()
-}
-
-// runNoPartition replicates the complete dataset to every node, then farms
-// tasks real-time (no further data movement is needed).
-func (m *Master) runNoPartition(workers []*masterWorker) {
-	m.phase = &transferPhase{start: time.Now(), workers: workers}
-	if m.strat.Locality == strategy.Remote {
-		infos := appendInfos(nil, m.catalogue.Files())
-		for _, w := range workers {
-			m.queueTransfer(w, outItem{files: m.claim(w, infos)})
-		}
-	}
-	m.endTransfer()
-}
-
-// queueTransfer hands the worker's writer one transfer-phase item.
-func (m *Master) queueTransfer(w *masterWorker, it outItem) {
-	it.transfer = true
-	if w.out.put(it) {
-		w.transfers++
-	}
-}
-
-// endTransfer ends the transfer phase once no item it queued is pending: the
-// groups are placed and the workers dispatched to.
-func (m *Master) endTransfer() {
-	p := m.phase
-	if p == nil || slices.ContainsFunc(p.workers, func(w *masterWorker) bool { return w.transfers > 0 }) {
-		return
-	}
-	m.phase = nil
-	m.transfers = time.Since(p.start).Seconds()
-	m.startLedger()
-	if m.strat.Kind == strategy.PrePartition {
-		// Each share becomes its worker's backlog, or goes through the deal
-		// rule if the worker died or began to drain during the transfer.
-		for wi, w := range p.workers {
-			m.abandon(w.name, errWorkerLost, m.led.Deal(&w.Worker, p.per[wi])...)
-		}
-	} else {
-		m.led.QueueAll()
-	}
-	m.logf("%s transfer phase done in %.3fs", m.strat.Kind, m.transfers)
-	for _, w := range p.workers {
+// dispatchAll dispatches to every live worker, then checks for completion.
+func (m *Master) dispatchAll() {
+	for _, w := range m.liveWorkers() {
 		m.dispatch(w)
 	}
 	m.checkDone()
 }
 
-// dispatch hands the worker as much work as its slots (× prefetch) allow:
-// each group it reserves is one item of the worker's outbox.
+// dispatch hands the worker as much work as its window allows: each group
+// it reserves is one item of the worker's outbox.
 func (m *Master) dispatch(w *masterWorker) {
-	limit := w.slots
-	if m.strat.Kind == strategy.RealTime && m.strat.Prefetch > 1 {
-		limit = w.slots * m.strat.Prefetch
-	}
 	// Under compute-to-data placement a group is resident when every file of
 	// it is already on the worker.
 	var resident func(gi int) bool
@@ -789,9 +719,9 @@ func (m *Master) dispatch(w *masterWorker) {
 			return true
 		}
 	}
-	remote := m.strat.Locality == strategy.Remote && m.strat.Kind != strategy.PrePartition
+	fetches := m.strat.Fetches()
 	var it outItem
-	for len(w.outstanding) < limit {
+	for {
 		gi, ok := m.led.Next(&w.Worker, resident)
 		if !ok {
 			break
@@ -801,7 +731,7 @@ func (m *Master) dispatch(w *masterWorker) {
 		}
 		w.outstanding[gi] = true
 		it = outItem{group: &m.groups[gi]}
-		if remote {
+		if fetches {
 			m.claimGroup(w, &it)
 		}
 	}
@@ -840,6 +770,9 @@ func (m *Master) recordResult(w *masterWorker, res protocol.TaskResult) bool {
 		return false
 	}
 	delete(w.outstanding, res.GroupIndex)
+	if m.led.Settle(&w.Worker) {
+		m.release(w)
+	}
 	if res.OK {
 		m.led.Succeed(res.GroupIndex)
 		m.results = append(m.results, res)
@@ -864,7 +797,7 @@ func (m *Master) workerDied(w *masterWorker, cause error) {
 	// A disconnect after the run finished is a graceful departure (the
 	// worker read NO_MORE_DATA and exited), not a failure.
 	if m.led.Finished() {
-		w.Dead = true
+		m.led.Die(&w.Worker, nil)
 		return
 	}
 	// Its in-flight groups are lost in group order, then its backlog.
@@ -880,13 +813,11 @@ func (m *Master) workerDied(w *masterWorker, cause error) {
 	m.workerErrs = append(m.workerErrs, fmt.Sprintf("%s: %v", w.name, cause))
 	m.logf("worker %s died: %v (%d groups affected)", w.name, cause, affected)
 	m.notifyController(fmt.Sprintf("%v", cause), w.name)
-	w.transfers = 0
-	m.endTransfer()
-	m.maybeStart() // it may have been the last expected worker not yet heard from
-	for _, o := range m.liveWorkers() {
-		m.dispatch(o)
+	if m.led.Staged(&w.Worker) { // its staging item is lost with it
+		m.stagingOver()
 	}
-	m.checkDone()
+	m.maybeStart() // it may have been the last expected worker not yet heard from
+	m.dispatchAll()
 }
 
 // errWorkerLost is the failure recorded for a group whose worker died.
@@ -903,15 +834,6 @@ func (m *Master) abandon(worker, why string, groups ...int) {
 // checkDone records what the ledger's stall rule abandons and finishes the
 // run when every group is terminal.
 func (m *Master) checkDone() {
-	// Drain completion: a draining worker with no outstanding work is
-	// released even before the run completes.
-	for _, w := range m.workers {
-		if w.Draining && !w.Dead && len(w.outstanding) == 0 {
-			w.Dead = true
-			w.out.put(outItem{msg: &protocol.Message{Type: protocol.TShutdown}})
-			m.logf("worker %s drained and released", w.name)
-		}
-	}
 	m.abandon("", "no live workers; abandoned", m.led.Abandon()...)
 	if !m.led.Finished() || !m.finishedAt.IsZero() {
 		return
@@ -932,14 +854,13 @@ func (m *Master) checkDone() {
 	close(m.done)
 }
 
-// fatal aborts the run: every group is marked failed and the run finishes.
+// fatal aborts the run before it has groups: the ledger starts on none and
+// the run finishes.
 func (m *Master) fatal(err error) {
 	m.logf("fatal: %v", err)
 	m.workerErrs = append(m.workerErrs, "master: "+err.Error())
-	// Groups that never reached a worker (the deal found nobody live) are
-	// queued; the stall rule abandons them while nobody is live.
-	m.startLedger()
-	m.led.QueueAll()
+	m.groups = nil
+	m.led.Start(m.strat, 0, nil, nil)
 	m.notifyController(err.Error(), "")
 	m.checkDone()
 }
@@ -1141,7 +1062,7 @@ func (m *Master) report() Report {
 		Groups:           len(m.groups),
 		Results:          append([]protocol.TaskResult(nil), m.results...),
 		WorkerErrors:     append([]string(nil), m.workerErrs...),
-		TransferPhaseSec: m.transfers,
+		TransferPhaseSec: m.stagingSec,
 		BytesMoved:       m.bytesMoved.Load(),
 		OutputBytes:      m.outputBytes,
 	}

@@ -121,7 +121,8 @@ type Actions interface {
 	Observe() Signal
 	// AddWorker provisions and attaches one worker.
 	AddWorker() error
-	// RemoveWorker drains and releases one worker.
+	// RemoveWorker drains one worker: it takes nothing new, and is released
+	// — shut down — once its in-flight work settles.
 	RemoveWorker() error
 }
 

@@ -12,6 +12,7 @@ package partition
 
 import (
 	"fmt"
+	"iter"
 	"slices"
 
 	"frieda/internal/catalog"
@@ -43,6 +44,24 @@ func (g Group) Names() []string {
 		out[i] = f.Name
 	}
 	return out
+}
+
+// Files yields the distinct files of groups[gi] for each gi of idx, in
+// first-use order: what a pre-partitioned share stages.
+func Files(groups []Group, idx []int) iter.Seq[catalog.FileMeta] {
+	return func(yield func(catalog.FileMeta) bool) {
+		seen := make(map[string]bool)
+		for _, gi := range idx {
+			for _, f := range groups[gi].Files {
+				if !seen[f.Name] {
+					seen[f.Name] = true
+					if !yield(f) {
+						return
+					}
+				}
+			}
+		}
+	}
 }
 
 // Generator produces task groups from a catalog. Implementations must be

@@ -1,41 +1,61 @@
-// Package sched is the scheduling ledger both executors share: the queue,
-// each group's spent attempts, the terminal count, and the rules over them —
-// the pick, the pre-partition deal, a lost attempt, a drain, a death and the
-// stall. A Ledger has no clock, no I/O and no lock: the real master
-// (internal/core) calls it on its event loop, the simulator (internal/simrun)
-// on the engine goroutine. Each executor keeps its attempt records, results
-// and I/O.
+// Package sched is the run lifecycle both executors share: the queue, each
+// group's spent attempts, the terminal count, and the rules over them — the
+// start and its pre-partition deal, the staging barrier, the pick within a
+// worker's window, a settle, a lost attempt, a drain and its release, a
+// death and the stall. A Ledger has no clock, no I/O, no lock and no
+// allocation per worker or task: the real master (internal/core) calls it
+// on its event loop, the simulator (internal/simrun) on the engine
+// goroutine. Each executor keeps its attempt records, results and I/O.
 package sched
 
-import "slices"
+import (
+	"slices"
+
+	"frieda/internal/partition"
+	"frieda/internal/strategy"
+)
 
 // DefaultMaxRetries is the retry budget when the caller sets none.
 const DefaultMaxRetries = 2
 
 // Worker is the ledger's view of a worker, embedded in each executor's own.
+// The ledger writes its flags, and counts them; an executor may only clear
+// Ready, while the worker re-stages (Arrive sets it again).
 type Worker struct {
 	// Backlog holds groups dealt to the worker and not yet dispatched.
 	Backlog []int
-	// Ready: may be dispatched to. Draining: finishes what it holds and
-	// takes nothing new. Dead: gone.
+	// Ready: may be dispatched to (Arrive). Draining: finishes what it holds
+	// and takes nothing new (Drain). Dead: gone (Kill, Die) or released.
 	Ready, Draining, Dead bool
+	// arrived: counted in Arrived; out: counted out of Live. window is the
+	// most groups it may have in flight (strategy's Window of its slots,
+	// fixed at Start); inFlight counts those handed out and not settled,
+	// stages its open staging items.
+	arrived, out                    bool
+	slots, window, inFlight, stages int32
 }
 
 // Live reports whether the worker may still take work: neither dead nor
 // draining. A worker that is not ready yet is live; it is still staging.
 func (w *Worker) Live() bool { return !w.Dead && !w.Draining }
 
-// Ledger is one run's scheduling state: Join every worker as it registers,
-// and Start the ledger once the groups are known.
+// InFlight counts the worker's groups handed out and not yet settled.
+func (w *Worker) InFlight() int { return int(w.inFlight) }
+
+// Ledger is one run's lifecycle: Join every worker as it registers, and
+// Start the ledger once the groups are known.
 type Ledger struct {
 	recover    bool
 	maxRetries int
+	strat      strategy.Config // in force since Start
 
 	queue    []int   // pending groups (real-time) and requeues
 	attempts []int32 // spent attempts per group; nil until Start
 	terminal int
 	requeues int
 	workers  []*Worker
+	// The counts Live and Arrived report, and the open staging items.
+	live, arrived, stages int
 }
 
 // NewLedger returns an unstarted ledger. Under recover a lost attempt is
@@ -47,19 +67,96 @@ func NewLedger(recover bool, maxRetries int) *Ledger {
 	return &Ledger{recover: recover, maxRetries: maxRetries}
 }
 
-// Start sizes the ledger for groups 0..n-1; QueueAll or Deal places them.
-func (l *Ledger) Start(n int) { l.attempts = make([]int32, n) }
+// Join adds a registering worker that runs slots groups at once.
+func (l *Ledger) Join(w *Worker, slots int) {
+	w.slots, w.window = int32(slots), int32(l.strat.Window(slots))
+	l.workers = append(l.workers, w)
+	l.live++
+}
 
-// QueueAll puts every group on the queue in index order.
-func (l *Ledger) QueueAll() {
-	l.queue = slices.Grow(l.queue, len(l.attempts))
-	for gi := range l.attempts {
-		l.queue = append(l.queue, gi)
+// Start begins the run under s on groups 0..n-1 and fixes every window
+// from s. Pre-partitioning deals the groups with s's assigner, which reads
+// groups() (called for the deal only), over the live workers of workers, in
+// that order (nil: join order), as their backlogs; any other kind, or a
+// deal with nobody live, queues them in index order. s must have passed
+// its Validate.
+func (l *Ledger) Start(s strategy.Config, n int, groups func() []partition.Group, workers []*Worker) {
+	l.strat = s
+	l.attempts = make([]int32, n)
+	for _, w := range l.workers {
+		w.window = int32(s.Window(int(w.slots)))
+	}
+	if workers == nil {
+		workers = l.workers
+	}
+	live := 0
+	for _, w := range workers {
+		if w.Live() {
+			live++
+		}
+	}
+	if s.Kind != strategy.PrePartition || live == 0 {
+		l.queue = slices.Grow(l.queue, n)
+		for gi := range n {
+			l.queue = append(l.queue, gi)
+		}
+		return
+	}
+	assigner, err := strategy.AssignerByName(s.Assigner)
+	if err != nil {
+		panic("sched: " + err.Error())
+	}
+	assignment, err := assigner.Assign(groups(), live)
+	if err != nil {
+		panic("sched: " + err.Error())
+	}
+	per := assignment.PerWorker()
+	for _, w := range workers {
+		if w.Live() {
+			w.Backlog, per = per[0], per[1:]
+		}
 	}
 }
 
-// Join adds a registering worker to the set the stall rule watches.
-func (l *Ledger) Join(w *Worker) { l.workers = append(l.workers, w) }
+// Stage opens one staging item to w: data that must land before anything
+// runs. While any is open nothing is handed out.
+func (l *Ledger) Stage(w *Worker) {
+	w.stages++
+	l.stages++
+}
+
+// Staged closes one of w's staging items — done, or lost with w — and
+// reports whether that ended the staging phase. A worker holding no open
+// item changes nothing.
+func (l *Ledger) Staged(w *Worker) bool {
+	if w.stages == 0 {
+		return false
+	}
+	w.stages--
+	l.stages--
+	return l.stages == 0
+}
+
+// Arrive marks w ready: it may be dispatched to.
+func (l *Ledger) Arrive(w *Worker) {
+	w.Ready = true
+	l.arrive(w)
+}
+
+func (l *Ledger) arrive(w *Worker) {
+	if !w.arrived {
+		w.arrived = true
+		l.arrived++
+	}
+}
+
+// leave counts w out of the live workers, once.
+func (l *Ledger) leave(w *Worker) {
+	if !w.out {
+		w.out = true
+		l.live--
+	}
+}
 
 // Finished reports whether the ledger started and every group is terminal.
 func (l *Ledger) Finished() bool { return l.attempts != nil && l.terminal >= len(l.attempts) }
@@ -69,6 +166,13 @@ func (l *Ledger) Terminal() int { return l.terminal }
 
 // Requeues counts lost attempts that went back on the queue.
 func (l *Ledger) Requeues() int { return l.requeues }
+
+// Live counts joined workers that are neither dead nor draining.
+func (l *Ledger) Live() int { return l.live }
+
+// Arrived counts joined workers that became ready or died: the ones heard
+// from.
+func (l *Ledger) Arrived() int { return l.arrived }
 
 // Attempts counts gi's spent attempts.
 func (l *Ledger) Attempts(gi int) int { return int(l.attempts[gi]) }
@@ -88,34 +192,71 @@ func (l *Ledger) Pending() int {
 	return n
 }
 
-// Next is the pick: w's backlog head, else the queue head — or, with a
-// non-nil resident (compute-to-data placement), the first queued group it
-// reports as wholly on w. False when w is not ready, not live, or has
-// nothing to take. resident is only called, so a closure stays on the
-// caller's stack.
-func (l *Ledger) Next(w *Worker, resident func(gi int) bool) (int, bool) {
-	if !w.Ready || !w.Live() {
-		return 0, false
-	}
-	if len(w.Backlog) > 0 {
-		return popAt(&w.Backlog, 0), true
-	}
-	if len(l.queue) == 0 {
-		return 0, false
-	}
-	return popAt(&l.queue, pick(l.queue, resident)), true
+// open reports whether w may be handed a group now: no staging item is
+// open, and w is ready, live and below its window.
+func (l *Ledger) open(w *Worker) bool {
+	return l.stages == 0 && w.Ready && w.Live() && w.inFlight < w.window
 }
 
-// Head is w's backlog head, else the queue head — the FIFO pick — without
-// taking it. False when both are empty.
+// Next is the pick: w's backlog head, else the queue head — or, with a
+// non-nil resident (compute-to-data placement), the first queued group it
+// reports as wholly on w. The group counts as in flight on w until Settle.
+// False when w may not take one now (open) or there is none. resident is
+// only called, so a closure stays on the caller's stack.
+func (l *Ledger) Next(w *Worker, resident func(gi int) bool) (int, bool) {
+	if !l.open(w) {
+		return 0, false
+	}
+	var gi int
+	switch {
+	case len(w.Backlog) > 0:
+		gi = popAt(&w.Backlog, 0)
+	case len(l.queue) > 0:
+		gi = popAt(&l.queue, pick(l.queue, resident))
+	default:
+		return 0, false
+	}
+	w.inFlight++
+	return gi, true
+}
+
+// Head is what a FIFO Next would take for w, without taking it: false
+// exactly when Next without a resident predicate would be.
 func (l *Ledger) Head(w *Worker) (int, bool) {
 	switch {
+	case !l.open(w):
 	case len(w.Backlog) > 0:
 		return w.Backlog[0], true
 	case len(l.queue) > 0:
 		return l.queue[0], true
 	}
 	return 0, false
+}
+
+// Clone books on w a speculative copy of a group already in flight
+// elsewhere: it counts against w's window, which it may pass.
+func (l *Ledger) Clone(w *Worker) { w.inFlight++ }
+
+// Settle books the end of one of w's attempts, whatever its outcome, and
+// reports whether it released w: a draining worker is released — marked
+// dead, for the executor to shut down — once it holds nothing. A dead
+// worker's attempts were settled by Die.
+func (l *Ledger) Settle(w *Worker) bool {
+	if w.Dead {
+		return false
+	}
+	w.inFlight--
+	return l.release(w)
+}
+
+// release marks a draining worker that holds nothing dead.
+func (l *Ledger) release(w *Worker) bool {
+	if !w.Draining || w.inFlight > 0 {
+		return false
+	}
+	w.Dead = true
+	l.arrive(w)
+	return true
 }
 
 // Succeed books gi's attempt as done: the group is terminal.
@@ -138,32 +279,30 @@ func (l *Ledger) Fail(gi int) bool {
 	return false
 }
 
-// Deal hands w its pre-partition share as its backlog. A worker that died
-// since the deal was planned fails the share, returning what became
-// terminal; one that began to drain puts it on the queue. Deal keeps share.
-func (l *Ledger) Deal(w *Worker, share []int) []int {
-	switch {
-	case w.Dead:
-		return l.failAll(share)
-	case w.Draining:
-		l.queue = append(l.queue, share...)
-	default:
-		w.Backlog = share
-	}
-	return nil
-}
-
-// Drain starts w's scale-in: its backlog returns to the queue.
-func (l *Ledger) Drain(w *Worker) {
+// Drain starts w's scale-in: its backlog returns to the queue. It reports
+// whether w, holding nothing, is released at once (Settle).
+func (l *Ledger) Drain(w *Worker) bool {
 	w.Draining = true
+	l.leave(w)
 	l.queue = append(l.queue, w.Backlog...)
 	w.Backlog = nil
+	return l.release(w)
+}
+
+// Kill marks w dead without settling its work: the machine is gone, and
+// Die, the master's reaction, follows when the master learns of it.
+func (l *Ledger) Kill(w *Worker) {
+	w.Dead = true
+	w.inFlight = 0
+	l.leave(w)
+	l.arrive(w)
 }
 
 // Die marks w dead and fails its in-flight groups, then its backlog,
-// returning what became terminal, in that order, in inflight's array.
+// returning what became terminal, in that order, in inflight's array. Its
+// open staging items stay open: the executor closes them (Staged).
 func (l *Ledger) Die(w *Worker, inflight []int) []int {
-	w.Dead = true
+	l.Kill(w)
 	lost := append(l.failAll(inflight), l.failAll(w.Backlog)...)
 	w.Backlog = nil
 	return lost
@@ -186,7 +325,7 @@ func (l *Ledger) failAll(gs []int) []int {
 // returned for the caller to record as failed. It does not wait for
 // in-flight attempts; one that fails later is abandoned by a later call.
 func (l *Ledger) Abandon() []int {
-	if len(l.queue) == 0 || slices.ContainsFunc(l.workers, (*Worker).Live) {
+	if len(l.queue) == 0 || l.live > 0 {
 		return nil
 	}
 	q := l.queue

@@ -3,6 +3,9 @@ package sched
 import (
 	"slices"
 	"testing"
+
+	"frieda/internal/partition"
+	"frieda/internal/strategy"
 )
 
 // pick and popAt are the task pick both executors make through Next — and,
@@ -86,13 +89,13 @@ func TestPickDoesNotAllocate(t *testing.T) {
 // Next with a compute-to-data predicate is what both executors call per
 // dispatch; the closure and the ledger's own bookkeeping must not allocate.
 func TestNextDoesNotAllocate(t *testing.T) {
-	// Every pick is requeued at once, under an unbounded budget, so the
-	// queue keeps its length and its array.
+	// Every pick is settled and requeued at once, under an unbounded budget,
+	// so the queue keeps its length and its array.
 	l := NewLedger(true, 1<<30)
-	w := &Worker{Ready: true}
-	l.Join(w)
-	l.Start(8)
-	l.QueueAll()
+	w := &Worker{}
+	l.Join(w, 1)
+	l.Start(strategy.Config{Kind: strategy.RealTime}, 8, nil, nil)
+	l.Arrive(w)
 	has := map[int]bool{5: true}
 	var sink int
 	allocs := testing.AllocsPerRun(1000, func() {
@@ -101,6 +104,7 @@ func TestNextDoesNotAllocate(t *testing.T) {
 			t.Fatalf("Next = %d, %v; want the resident 5", gi, ok)
 		}
 		sink += gi
+		l.Settle(w)
 		l.Fail(gi)
 	})
 	if allocs != 0 {
@@ -111,50 +115,118 @@ func TestNextDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// The run's lifecycle: a pre-partition deal in the caller's order, the
+// staging barrier holding every pick back, the window, a clone past it,
+// and a drained worker released by the settle that empties it.
+func TestLifecycle(t *testing.T) {
+	l := NewLedger(false, 0)
+	a, b := &Worker{}, &Worker{}
+	l.Join(a, 2)
+	l.Join(b, 1)
+	l.Start(strategy.Config{Kind: strategy.PrePartition}, 6, func() []partition.Group { return make([]partition.Group, 6) }, []*Worker{b, a})
+	if !slices.Equal(b.Backlog, []int{0, 2, 4}) || !slices.Equal(a.Backlog, []int{1, 3, 5}) {
+		t.Fatalf("deal in the given order: a %v, b %v", a.Backlog, b.Backlog)
+	}
+	l.Arrive(a)
+	l.Arrive(b)
+	l.Stage(a)
+	l.Stage(b)
+	if _, ok := l.Next(a, nil); ok {
+		t.Fatal("a pick while staging items are open")
+	}
+	if l.Staged(a) || l.Staged(a) {
+		t.Fatal("the phase ended with b's item open")
+	}
+	if !l.Staged(b) {
+		t.Fatal("the last item did not end the phase")
+	}
+	for range 2 {
+		if _, ok := l.Next(a, nil); !ok {
+			t.Fatal("a refused below its window")
+		}
+	}
+	if _, ok := l.Head(a); ok {
+		t.Fatal("Head offers a pick past the window")
+	}
+	if _, ok := l.Next(a, nil); ok {
+		t.Fatal("a pick past the window")
+	}
+	l.Clone(a)
+	if a.InFlight() != 3 {
+		t.Fatalf("in flight %d after a clone, want 3", a.InFlight())
+	}
+	if l.Drain(a) || a.Dead {
+		t.Fatal("released with work in flight")
+	}
+	if l.Live() != 1 || !slices.Equal(l.Queue(), []int{5}) {
+		t.Fatalf("live %d, queue %v after the drain", l.Live(), l.Queue())
+	}
+	if l.Settle(a) || l.Settle(a) {
+		t.Fatal("released before its last settle")
+	}
+	if !l.Settle(a) || !a.Dead {
+		t.Fatal("not released by the settle that emptied it")
+	}
+	if l.Drain(b) != true || l.Live() != 0 || l.Arrived() != 2 {
+		t.Fatalf("an idle worker's drain: live %d, arrived %d", l.Live(), l.Arrived())
+	}
+}
+
 // Ledger operations as FuzzLedger encodes them: one byte per operation, the
-// low three bits the kind and the rest the worker it applies to.
+// low four bits the kind (modulo opKinds) and the rest the worker it
+// applies to.
 const (
-	opDeal = iota
+	opStart = iota
 	opJoin
-	opReady
+	opArrive
 	opNext
 	opOK
 	opFail
 	opDrain
 	opDie
+	opStage
+	opStaged
+	opClone
+	opKill
+	opKinds
 )
 
 // ledgerOp encodes one operation on worker w.
-func ledgerOp(kind, w int) byte { return byte(w<<3 | kind) }
+func ledgerOp(kind, w int) byte { return byte(w<<4 | kind) }
 
 // ledgerSeed builds an input: nw initial workers, n groups, a retry budget
-// (0 for the default), the recover, compute-to-data and pre-partition
-// flags, then the operations.
-func ledgerSeed(nw, n, retries int, recoverOn, c2d, prePartition bool, ops ...byte) []byte {
+// (0 for the default) and each worker's slots, the recover, compute-to-data
+// and pre-partition flags, real-time (else no-partition) when not
+// pre-partitioned, then the operations. Real-time prefetches two per slot.
+func ledgerSeed(nw, n, retries, slots int, recoverOn, c2d, prePartition, realTime bool, ops ...byte) []byte {
 	h := byte(nw - 1)
-	for i, on := range []bool{recoverOn, c2d, prePartition} {
+	for i, on := range []bool{recoverOn, c2d, prePartition, realTime} {
 		if on {
 			h |= 1 << (3 + i)
 		}
 	}
-	return append([]byte{h, byte(n - 1), byte(retries)}, ops...)
+	return append([]byte{h, byte(n - 1), byte(retries | (slots-1)<<2)}, ops...)
 }
 
 // FuzzLedger drives one ledger the way an executor does — seeded
-// interleavings of deal, join, ready, next, ok, fail, drain and die over
-// 1–8 workers, with Recover on and off — running the stall rule after every
-// event as both executors' completion checks do. It holds the ledger to:
-// every group ends terminal exactly once; nothing is picked for a worker
-// that is not ready, is draining or is dead, and no such worker holds a
-// backlog; no group spends more than MaxRetries+1 attempts; nothing stays
-// queued with no live worker; and once every worker is dead, terminal
-// equals the total.
+// interleavings of start (and its deal), join, arrive, next, ok, fail,
+// drain, die, stage, staged, clone and kill over 1–8 workers, with Recover
+// on and off — running the stall rule after every event as both executors'
+// completion checks do. After every operation it holds the ledger to: every
+// started group is in exactly one of the queue, one backlog, in flight or
+// terminal, and terminal once; no worker passes its window except by a
+// clone; nothing is handed out while a staging item is open, or to a worker
+// that is not ready, draining, dead or released; a released worker was
+// draining and holds nothing; the live and arrived counts equal a recount;
+// no group spends more than MaxRetries+1 attempts; nothing stays queued
+// with no live worker; and once every worker is dead, terminal equals the
+// total.
 func FuzzLedger(f *testing.F) {
 	// The simulator's drain-then-last-worker-dies: two of three workers
 	// drain, then the last undrained one dies holding work.
 	for _, recoverOn := range []bool{false, true} {
-		f.Add(ledgerSeed(3, 30, 0, recoverOn, false, false,
-			ledgerOp(opReady, 0), ledgerOp(opReady, 1), ledgerOp(opReady, 2),
+		f.Add(ledgerSeed(3, 30, 0, 1, recoverOn, false, false, true,
+			ledgerOp(opStart, 0), ledgerOp(opArrive, 0), ledgerOp(opArrive, 1), ledgerOp(opArrive, 2),
 			ledgerOp(opNext, 0), ledgerOp(opNext, 1), ledgerOp(opNext, 2),
 			ledgerOp(opOK, 0), ledgerOp(opNext, 0),
 			ledgerOp(opDrain, 1), ledgerOp(opDrain, 2), ledgerOp(opDie, 0),
@@ -162,60 +234,94 @@ func FuzzLedger(f *testing.F) {
 	}
 	// A Recover requeue with only draining workers left: the undrained
 	// worker dies, then the draining workers' attempts fail and requeue.
-	f.Add(ledgerSeed(3, 12, 0, true, false, false,
-		ledgerOp(opReady, 0), ledgerOp(opReady, 1), ledgerOp(opReady, 2),
+	f.Add(ledgerSeed(3, 12, 0, 2, true, false, false, true,
+		ledgerOp(opStart, 0), ledgerOp(opArrive, 0), ledgerOp(opArrive, 1), ledgerOp(opArrive, 2),
 		ledgerOp(opNext, 0), ledgerOp(opNext, 1), ledgerOp(opNext, 2),
 		ledgerOp(opDrain, 1), ledgerOp(opDrain, 2), ledgerOp(opDie, 0),
 		ledgerOp(opFail, 1), ledgerOp(opFail, 2)))
-	// A worker drained before the pre-partition deal gets no backlog.
-	f.Add(ledgerSeed(2, 8, 0, false, false, true,
-		ledgerOp(opReady, 0), ledgerOp(opReady, 1), ledgerOp(opDrain, 1),
-		ledgerOp(opDeal, 0), ledgerOp(opNext, 0), ledgerOp(opOK, 0)))
-	// A pre-partition share dealt to a worker that died during the transfer.
-	f.Add(ledgerSeed(2, 8, 3, true, true, true,
-		ledgerOp(opReady, 0), ledgerOp(opReady, 1), ledgerOp(opDie, 1),
-		ledgerOp(opDeal, 0), ledgerOp(opNext, 0), ledgerOp(opFail, 0),
-		ledgerOp(opNext, 0), ledgerOp(opOK, 0)))
+	// A worker drained before the pre-partition deal is released and dealt
+	// nothing.
+	f.Add(ledgerSeed(2, 8, 0, 1, false, false, true, false,
+		ledgerOp(opArrive, 0), ledgerOp(opArrive, 1), ledgerOp(opDrain, 1),
+		ledgerOp(opStart, 0), ledgerOp(opNext, 0), ledgerOp(opOK, 0)))
+	// A staging phase: a worker dies holding its staging item and its
+	// share, which requeues to the survivor once the phase ends.
+	f.Add(ledgerSeed(2, 8, 3, 2, true, true, true, false,
+		ledgerOp(opArrive, 0), ledgerOp(opArrive, 1), ledgerOp(opStart, 0),
+		ledgerOp(opStage, 0), ledgerOp(opStage, 1), ledgerOp(opNext, 0),
+		ledgerOp(opStaged, 0), ledgerOp(opNext, 0), ledgerOp(opDie, 1), ledgerOp(opStaged, 1),
+		ledgerOp(opNext, 0), ledgerOp(opNext, 0), ledgerOp(opFail, 0), ledgerOp(opNext, 0),
+		ledgerOp(opOK, 0), ledgerOp(opNext, 0)))
+	// A joiner during a no-partition staging phase waits for it.
+	f.Add(ledgerSeed(1, 6, 0, 1, false, false, false, false,
+		ledgerOp(opArrive, 0), ledgerOp(opStart, 0), ledgerOp(opStage, 0), ledgerOp(opJoin, 0),
+		ledgerOp(opArrive, 1), ledgerOp(opNext, 1), ledgerOp(opStaged, 0), ledgerOp(opNext, 1),
+		ledgerOp(opNext, 0), ledgerOp(opOK, 1)))
 	// An elastic join mid-run, retries exhausted on one group.
-	f.Add(ledgerSeed(1, 4, 1, true, false, false,
-		ledgerOp(opReady, 0), ledgerOp(opNext, 0), ledgerOp(opFail, 0),
+	f.Add(ledgerSeed(1, 4, 1, 1, true, false, false, true,
+		ledgerOp(opStart, 0), ledgerOp(opArrive, 0), ledgerOp(opNext, 0), ledgerOp(opFail, 0),
 		ledgerOp(opNext, 0), ledgerOp(opFail, 0), ledgerOp(opJoin, 0),
-		ledgerOp(opReady, 1), ledgerOp(opNext, 1), ledgerOp(opDie, 0),
+		ledgerOp(opArrive, 1), ledgerOp(opNext, 1), ledgerOp(opDie, 0),
 		ledgerOp(opNext, 1), ledgerOp(opOK, 1)))
+	// A clone past the window, then the clone's host drains: released once
+	// the clone and its own attempt settle.
+	f.Add(ledgerSeed(2, 8, 0, 1, false, false, false, true,
+		ledgerOp(opStart, 0), ledgerOp(opArrive, 0), ledgerOp(opArrive, 1),
+		ledgerOp(opNext, 0), ledgerOp(opNext, 0), ledgerOp(opNext, 1), ledgerOp(opNext, 1),
+		ledgerOp(opClone, 1), ledgerOp(opNext, 1), ledgerOp(opDrain, 1),
+		ledgerOp(opOK, 1), ledgerOp(opOK, 1), ledgerOp(opOK, 1), ledgerOp(opNext, 1)))
+	// The simulator's two-halved death: killed at once, died later.
+	f.Add(ledgerSeed(2, 6, 0, 1, true, false, false, true,
+		ledgerOp(opStart, 0), ledgerOp(opArrive, 0), ledgerOp(opArrive, 1),
+		ledgerOp(opNext, 0), ledgerOp(opNext, 1), ledgerOp(opKill, 0), ledgerOp(opNext, 0),
+		ledgerOp(opNext, 1), ledgerOp(opDie, 0), ledgerOp(opOK, 1), ledgerOp(opNext, 1)))
 	// One group failing on every attempt: the budget ends the retries.
 	for _, retries := range []int{0, 1, 3} {
-		f.Add(ledgerSeed(1, 1, retries, true, false, false, ledgerOp(opReady, 0),
+		f.Add(ledgerSeed(1, 1, retries, 1, true, false, false, true, ledgerOp(opStart, 0), ledgerOp(opArrive, 0),
 			ledgerOp(opNext, 0), ledgerOp(opFail, 0), ledgerOp(opNext, 0), ledgerOp(opFail, 0),
 			ledgerOp(opNext, 0), ledgerOp(opFail, 0), ledgerOp(opNext, 0), ledgerOp(opFail, 0),
 			ledgerOp(opNext, 0), ledgerOp(opFail, 0)))
 	}
 	// Picks asked of a worker before it is ready, and of one that drains.
-	f.Add(ledgerSeed(2, 6, 0, false, true, true,
-		ledgerOp(opDeal, 0), ledgerOp(opNext, 0), ledgerOp(opNext, 1), ledgerOp(opReady, 1),
-		ledgerOp(opDrain, 1), ledgerOp(opNext, 1), ledgerOp(opReady, 0), ledgerOp(opNext, 0)))
-	f.Add([]byte{0xff, 0xff, 0xff, 0x13, 0x2b, 0x3c, 0x45, 0x5e, 0x67, 0x70, 0x89})
+	f.Add(ledgerSeed(2, 6, 0, 1, false, true, true, false,
+		ledgerOp(opStart, 0), ledgerOp(opNext, 0), ledgerOp(opNext, 1), ledgerOp(opArrive, 1),
+		ledgerOp(opDrain, 1), ledgerOp(opNext, 1), ledgerOp(opArrive, 0), ledgerOp(opNext, 0)))
+	f.Add([]byte{0xff, 0xff, 0xff, 0x13, 0x2b, 0x3c, 0x45, 0x5e, 0x67, 0x70, 0x89, 0x9a, 0xab})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
 			return
 		}
 		h := data[0]
-		recoverOn, c2d, prePartition := h&8 != 0, h&16 != 0, h&32 != 0
+		recoverOn, c2d := h&8 != 0, h&16 != 0
+		strat := strategy.Config{Kind: strategy.NoPartition}
+		switch {
+		case h&32 != 0:
+			strat.Kind = strategy.PrePartition
+		case h&64 != 0:
+			strat = strategy.Config{Kind: strategy.RealTime, Prefetch: 2}
+		}
 		n := 1 + int(data[1])%32
-		retries := int(data[2]) % 4
+		retries, slots := int(data[2])%4, 1+int(data[2]>>2)%4
 		budget := retries
 		if budget == 0 {
 			budget = DefaultMaxRetries
 		}
 		l := NewLedger(recoverOn, retries)
-		l.Start(n)
 		var workers []*Worker
+		// Per worker, the executor's record: its attempts in flight (clones
+		// apart), its open staging items, whether it was ever heard from, and
+		// whether it died or was released.
 		var inflight [][]int
+		var clones, stages []int
+		var heard, gone []bool
 		join := func() {
 			if len(workers) < 8 {
 				w := &Worker{}
 				workers, inflight = append(workers, w), append(inflight, nil)
-				l.Join(w)
+				clones, stages = append(clones, 0), append(stages, 0)
+				heard, gone = append(heard, false), append(gone, false)
+				l.Join(w, slots)
 			}
 		}
 		for range 1 + int(h&7) {
@@ -229,30 +335,33 @@ func FuzzLedger(f *testing.F) {
 				}
 			}
 		}
-		dealt := !prePartition
-		if dealt {
-			l.QueueAll()
+		started := false
+		start := func() {
+			started = true
+			// The deal goes over the workers in reverse join order.
+			order := slices.Clone(workers)
+			slices.Reverse(order)
+			l.Start(strat, n, func() []partition.Group { return make([]partition.Group, n) }, order)
 		}
-		// deal is the pre-partition deal: round-robin over every joined
-		// worker, some of which may have died or begun draining since the
-		// plan (the real master's transfer phase).
-		deal := func() {
-			dealt = true
-			share := make([][]int, len(workers))
-			for gi := range n {
-				share[gi%len(workers)] = append(share[gi%len(workers)], gi)
+		open := 0 // staging items open
+		released := func(wi int, rel bool) {
+			w := workers[wi]
+			if !rel {
+				return
 			}
-			for wi, w := range workers {
-				settle(l.Deal(w, share[wi])...)
+			if !w.Draining || !w.Dead || len(inflight[wi])+clones[wi] > 0 {
+				t.Fatalf("worker %d released: draining %v, dead %v, %d in flight, %d clones", wi, w.Draining, w.Dead, len(inflight[wi]), clones[wi])
 			}
+			heard[wi], gone[wi] = true, true
 		}
-		// take pops w's oldest in-flight attempt, if any.
+		// take pops w's oldest in-flight attempt, if any, and settles it.
 		take := func(wi int) (int, bool) {
 			if len(inflight[wi]) == 0 {
 				return 0, false
 			}
 			gi := inflight[wi][0]
 			inflight[wi] = inflight[wi][1:]
+			released(wi, l.Settle(workers[wi]))
 			return gi, true
 		}
 		fail := func(gi int) {
@@ -261,18 +370,17 @@ func FuzzLedger(f *testing.F) {
 			}
 		}
 		die := func(wi int) {
-			w := workers[wi]
-			if w.Dead {
-				return
-			}
-			settle(l.Die(w, inflight[wi])...)
-			inflight[wi] = nil
+			settle(l.Die(workers[wi], inflight[wi])...)
+			inflight[wi], clones[wi], heard[wi], gone[wi] = nil, 0, true, true
 		}
 		check := func() {
 			settle(l.Abandon()...)
 			sum := 0
 			for gi, c := range terminal {
 				sum += c
+				if !started {
+					continue
+				}
 				if a := l.Attempts(gi); a > budget+1 || (!recoverOn && a > 1) {
 					t.Fatalf("group %d spent %d attempts, budget %d (recover %v)", gi, a, budget, recoverOn)
 				}
@@ -280,64 +388,135 @@ func FuzzLedger(f *testing.F) {
 			if sum != l.Terminal() {
 				t.Fatalf("ledger counts %d terminal, the executor saw %d", l.Terminal(), sum)
 			}
-			live := false
-			for wi, w := range workers {
-				live = live || !w.Dead && !w.Draining
-				if (w.Dead || w.Draining) && len(w.Backlog) > 0 {
-					t.Fatalf("worker %d (dead %v, draining %v) holds backlog %v", wi, w.Dead, w.Draining, w.Backlog)
+			if started {
+				where := slices.Clone(terminal)
+				for _, gi := range l.Queue() {
+					where[gi]++
+				}
+				for wi, w := range workers {
+					for _, gi := range w.Backlog {
+						where[gi]++
+					}
+					for _, gi := range inflight[wi] {
+						where[gi]++
+					}
+				}
+				for gi, c := range where {
+					if c != 1 {
+						t.Fatalf("group %d is in %d places (queue %v)", gi, c, l.Queue())
+					}
 				}
 			}
-			if !live && len(l.Queue()) > 0 {
+			live, arrived := 0, 0
+			for wi, w := range workers {
+				if w.Live() {
+					live++
+				}
+				if heard[wi] {
+					arrived++
+				}
+				// A killed worker keeps its backlog until it dies.
+				if (gone[wi] || w.Draining) && len(w.Backlog) > 0 {
+					t.Fatalf("worker %d (dead %v, draining %v) holds backlog %v", wi, w.Dead, w.Draining, w.Backlog)
+				}
+				if !w.Dead && (len(inflight[wi]) > int(w.window) || w.InFlight() != len(inflight[wi])+clones[wi]) {
+					t.Fatalf("worker %d: %d in flight and %d clones, the ledger counts %d, window %d", wi, len(inflight[wi]), clones[wi], w.InFlight(), w.window)
+				}
+			}
+			if live != l.Live() || arrived != l.Arrived() {
+				t.Fatalf("ledger counts %d live and %d arrived, a recount %d and %d", l.Live(), l.Arrived(), live, arrived)
+			}
+			if live == 0 && len(l.Queue()) > 0 {
 				t.Fatalf("no worker is live and %v stays queued", l.Queue())
 			}
 		}
 		for _, b := range data[3:] {
-			wi := int(b>>3) % len(workers)
+			wi := int(b>>4) % len(workers)
 			w := workers[wi]
-			switch b & 7 {
-			case opDeal:
-				if !dealt {
-					deal()
+			switch int(b&15) % opKinds {
+			case opStart:
+				if !started {
+					start()
 				}
 			case opJoin:
 				join()
-			case opReady:
+			case opArrive:
 				if !w.Dead {
-					w.Ready = true
+					l.Arrive(w)
+					heard[wi] = true
 				}
 			case opNext:
 				resident := func(gi int) bool { return gi%len(workers) == wi }
 				if !c2d {
 					resident = nil
 				}
-				if gi, ok := l.Next(w, resident); ok {
-					if !w.Ready || w.Draining || w.Dead {
-						t.Fatalf("picked group %d for worker %d: ready %v, draining %v, dead %v", gi, wi, w.Ready, w.Draining, w.Dead)
+				head, headOK := l.Head(w)
+				gi, ok := l.Next(w, resident)
+				if ok != headOK || (ok && resident == nil && gi != head) {
+					t.Fatalf("Head = %d, %v but Next = %d, %v", head, headOK, gi, ok)
+				}
+				if ok {
+					if !w.Ready || w.Draining || w.Dead || open > 0 {
+						t.Fatalf("picked group %d for worker %d: ready %v, draining %v, dead %v, %d staging items open", gi, wi, w.Ready, w.Draining, w.Dead, open)
 					}
 					inflight[wi] = append(inflight[wi], gi)
 				}
 			case opOK:
-				if gi, ok := take(wi); ok {
+				if w.Dead {
+					break // a dead worker's attempts end through Die
+				}
+				if clones[wi] > 0 {
+					// A clone that lost its race: settled, with no outcome.
+					clones[wi]--
+					released(wi, l.Settle(w))
+				} else if gi, ok := take(wi); ok {
 					l.Succeed(gi)
 					settle(gi)
 				}
 			case opFail:
+				if w.Dead {
+					break
+				}
 				if gi, ok := take(wi); ok {
 					fail(gi)
 				}
 			case opDrain:
 				if w.Live() {
-					l.Drain(w)
+					released(wi, l.Drain(w))
 				}
 			case opDie:
 				die(wi)
+			case opStage:
+				l.Stage(w)
+				stages[wi]++
+				open++
+			case opStaged:
+				ended, want := l.Staged(w), false
+				if stages[wi] > 0 {
+					stages[wi]--
+					open--
+					want = open == 0
+				}
+				if ended != want {
+					t.Fatalf("Staged(%d) = %v with %d items open", wi, ended, open)
+				}
+			case opClone:
+				if !w.Dead {
+					l.Clone(w)
+					clones[wi]++
+				}
+			case opKill:
+				if !w.Dead {
+					l.Kill(w)
+					heard[wi] = true
+				}
 			}
 			check()
 		}
-		// The end: whatever was never dealt is dealt, every worker dies, and
-		// the stall rule must leave nothing unsettled.
-		if !dealt {
-			deal()
+		// The end: an unstarted run starts, every worker dies, and the stall
+		// rule must leave nothing unsettled.
+		if !started {
+			start()
 		}
 		for wi := range workers {
 			die(wi)

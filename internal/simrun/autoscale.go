@@ -8,9 +8,12 @@ import (
 )
 
 // DrainWorker gracefully removes the least-loaded live worker: it receives
-// no new tasks, finishes what it has, and stops counting toward capacity.
+// no new tasks, finishes what it has, and is released once that settles.
 // The last live worker cannot be drained.
 func (r *Runner) DrainWorker() error {
+	if r.LiveWorkers() <= 1 {
+		return fmt.Errorf("simrun: refusing to drain the last live worker")
+	}
 	var victim *simWorker
 	for _, w := range r.workers {
 		if !w.Live() {
@@ -20,19 +23,9 @@ func (r *Runner) DrainWorker() error {
 			victim = w
 		}
 	}
-	if victim == nil {
-		return fmt.Errorf("simrun: no live worker to drain")
-	}
-	if r.LiveWorkers() <= 1 {
-		return fmt.Errorf("simrun: refusing to drain the last worker")
-	}
 	r.led.Drain(&victim.Worker)
 	r.gen++ // worker set changed: templates re-derive
-	for _, w := range r.workers {
-		if w.Live() {
-			r.admit(w)
-		}
-	}
+	r.kickAll()
 	return nil
 }
 

@@ -66,10 +66,11 @@ func (c *ctrlHook) finish() {
 // decide makes one control-plane decision for w: pick the next task, charge
 // the decision's modeled cost — a template hit's or a full derivation's — on
 // the decision server, and schedule the dispatch for when the server gets to
-// it. Returns false when the worker has no work available. The slot is
-// reserved (w.admitted) at decision time so same-instant kicks cannot
-// over-admit; speculation clones and repair flows are master-initiated
-// mitigation, not task dispatches, and bypass the decision server.
+// it. Returns false when the ledger hands w nothing now. The slot is
+// reserved (the ledger's in-flight count) at decision time so same-instant
+// kicks cannot over-admit; speculation clones and repair flows are
+// master-initiated mitigation, not task dispatches, and bypass the decision
+// server.
 func (c *ctrlHook) decide(w *simWorker) bool {
 	r := c.r
 	head, ok := r.led.Head(&w.Worker)
@@ -94,7 +95,7 @@ func (c *ctrlHook) decide(w *simWorker) bool {
 		}
 	}
 	// A hit too takes the slow path's pick, and must have cached the same
-	// one (the replay property). admit checked that w can take work.
+	// one (the replay property). Head checked that w can take work.
 	gi, _ := r.next(w)
 	if hit && gi != head {
 		panic(fmt.Sprintf("simrun: template check failed on %s: cached head pick %d, slow path picks %d", w.name, head, gi))
@@ -111,7 +112,6 @@ func (c *ctrlHook) decide(w *simWorker) bool {
 		cost /= templateHitSpeedup
 	}
 	r.res.CtrlPlaneDecisionSec += cost
-	w.admitted++
 	c.busyUntil = max(c.busyUntil, r.eng.Now()) + sim.Time(cost)
 	r.after(c.busyUntil, w, delayDecision, &decision{c: c, w: w, gi: gi})
 	return true
@@ -128,11 +128,10 @@ type decision struct {
 // Fire delivers the decided dispatch once the decision server has processed
 // it. The worker can die between decision and delivery; the task then
 // settles exactly as a dead worker's unstarted backlog entry does in
-// reassign — requeued under Recover, abandoned otherwise.
+// workerGone — requeued under Recover, abandoned otherwise.
 func (d *decision) Fire() {
 	r, w, gi := d.c.r, d.w, d.gi
 	if w.Dead {
-		w.admitted--
 		if r.led.Fail(gi) {
 			r.kickAll()
 		} else {

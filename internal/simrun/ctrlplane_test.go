@@ -248,9 +248,8 @@ func BenchmarkCtrlPlaneDecide(b *testing.B) {
 		b.Fatal(err)
 	}
 	w := r.AddWorker(vms[1])
-	w.Ready = true
-	r.led.Start(len(wl.Tasks))
-	r.led.QueueAll()
+	r.led.Start(cfg.Strategy, len(wl.Tasks), nil, nil)
+	r.led.Arrive(&w.Worker)
 
 	b.Run("slow-scan", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -258,6 +257,7 @@ func BenchmarkCtrlPlaneDecide(b *testing.B) {
 			if !ok {
 				b.Fatal("empty queue")
 			}
+			r.led.Settle(&w.Worker)
 			r.led.Fail(gi)
 		}
 	})
@@ -271,6 +271,7 @@ func BenchmarkCtrlPlaneDecide(b *testing.B) {
 				b.Fatal("unexpected miss")
 			}
 			gi, _ := r.led.Next(&w.Worker, nil)
+			r.led.Settle(&w.Worker)
 			r.led.Fail(gi)
 		}
 	})

@@ -126,7 +126,7 @@ func (g *grayHook) admits(w *simWorker) bool { return !g.det.d.SlowSuspected(w.n
 // dispatch records the files att claims, so a cancelled race loser can
 // release the claims that never landed.
 func (g *grayHook) dispatch(w *simWorker, att *taskAttempt) {
-	if !g.r.fetching {
+	if !g.r.cfg.Strategy.Fetches() {
 		return
 	}
 	for _, f := range g.r.wl.Tasks[att.task].Files {
@@ -235,7 +235,7 @@ func (g *grayHook) tick(w *simWorker) {
 		}
 	}
 	if !seen {
-		if w.admitted == 0 && d.SlowSuspected(w.name) {
+		if w.InFlight() == 0 && d.SlowSuspected(w.name) {
 			// An idle worker yields no progress evidence; report neutral so
 			// the stale suspicion clears and admission resumes.
 			d.ReportProgress(w.name, 1)
@@ -302,7 +302,7 @@ func (g *grayHook) maybeSpeculate(sw *simWorker) {
 		launch := ab.After(att.anStart, attrib.DetectionLatency, "spec-launch", sw.name)
 		g.an.cause = ab.After(launch, attrib.SpeculationOverhead, "spec-dispatch", cw.name)
 	}
-	cw.admitted++ // speculation may oversubscribe the pipeline, by budget
+	r.led.Clone(&cw.Worker) // speculation may oversubscribe the pipeline, by budget
 	catt := r.fetchAndRun(cw, att.task)
 	catt.clone = true
 	rc := &race{g: g, primary: att, pw: sw, clone: catt, cw: cw}
@@ -321,7 +321,7 @@ func (g *grayHook) speculationTarget(sw *simWorker) *simWorker {
 		if g.det.d.SlowSuspected(o.name) || g.det.d.Suspected(o.name) {
 			continue
 		}
-		if best == nil || o.admitted < best.admitted {
+		if best == nil || o.InFlight() < best.InFlight() {
 			best = o
 		}
 	}
@@ -381,7 +381,7 @@ func (g *grayHook) cancel(w *simWorker, att *taskAttempt) {
 	r.res.SpeculativeWastedSec += wasted
 	if !w.Dead {
 		delete(w.inflight, att.task)
-		w.admitted--
+		r.led.Settle(&w.Worker)
 	}
 	r.res.Completions = append(r.res.Completions, Completion{
 		Task: att.task, Worker: w.name, Start: att.started, End: now,

@@ -22,6 +22,7 @@ import (
 	"frieda/internal/fault"
 	"frieda/internal/obs"
 	"frieda/internal/obs/attrib"
+	"frieda/internal/partition"
 	"frieda/internal/sim"
 )
 
@@ -108,7 +109,7 @@ func (m *masterHook) start() {
 	r := m.r
 	if m.cfg.Journal {
 		m.view = catalog.NewState()
-		for _, f := range uniqueFiles(r.wl.Tasks, allIndices(len(r.wl.Tasks))) {
+		for f := range partition.Files(tasksAsGroups(r.wl.Tasks), allIndices(len(r.wl.Tasks))) {
 			m.journal(catalog.Record{Op: catalog.OpRegister, File: f.Name, A: uint64(f.Size)})
 			if f.Checksum != 0 {
 				m.journal(catalog.Record{Op: catalog.OpSeedChecksum, File: f.Name, B: f.Checksum})

@@ -28,6 +28,7 @@ import (
 	"frieda/internal/cloud"
 	"frieda/internal/obs"
 	"frieda/internal/obs/attrib"
+	"frieda/internal/partition"
 	"frieda/internal/sched"
 	"frieda/internal/sim"
 	"frieda/internal/storage"
@@ -71,9 +72,8 @@ type Runner struct {
 	// rng jitters retry backoff; non-nil only with NetFaults (the retry
 	// ladder), and consumed only on retries.
 	rng *rand.Rand
-	// resume is NetFaults.Resume; fetching is a real-time remote strategy,
-	// whose tasks fetch their inputs at dispatch.
-	resume, fetching bool
+	// resume is NetFaults.Resume.
+	resume bool
 
 	// hooks are the enabled features' plug-ins, in the order of hooks.go.
 	hooks []hook
@@ -104,11 +104,9 @@ type Runner struct {
 	// plane's template cache knows when to re-derive (ctrlplane.go).
 	gen int
 
-	// The staged strategies' barrier (startStaged): stageFiles picks an
-	// initial worker's files, unstaged counts the workers still staging.
-	stageFiles   func(w *simWorker) []catalog.FileMeta
-	unstaged     int
-	stagingStart sim.Time
+	// stageFiles picks a worker's files under a staged strategy
+	// (startStaged); the ledger holds the barrier.
+	stageFiles func(w *simWorker) []catalog.FileMeta
 
 	// Phase accounting.
 	activeFlows    int
@@ -118,13 +116,11 @@ type Runner struct {
 
 	// Batched-scheduling state (cfg.BatchSched): workers awaiting this
 	// instant's admit pass, whether it must cover every live worker, and the
-	// pre-bound drain callback. prefetchMult is the admission-limit
-	// multiplier, resolved once from the strategy.
-	pendAdmit    []*simWorker
-	admitAll     bool
-	drainOn      bool
-	drainFn      func()
-	prefetchMult int
+	// pre-bound drain callback.
+	pendAdmit []*simWorker
+	admitAll  bool
+	drainOn   bool
+	drainFn   func()
 
 	// nameScratch recycles the per-dispatch missing-file name slices, so the
 	// steady-state pull loop allocates none; a slice abandoned mid-transfer
@@ -142,15 +138,13 @@ type Runner struct {
 
 // simWorker is the simulated execution-plane worker.
 type simWorker struct {
-	// Worker is the ledger's view; Ready means the common data is staged.
+	// Worker is the ledger's view; Ready means the common data is staged,
+	// and its in-flight count covers the transfer→compute pipeline.
 	sched.Worker
-	vm    *cloud.VM
-	name  string
-	slots int
-	disk  *storage.Volume
-	has   map[string]bool // the files on its disk; nil until the first (setHas)
-	// admitted counts tasks in the transfer→compute pipeline.
-	admitted int
+	vm       *cloud.VM
+	name     string
+	disk     *storage.Volume
+	has      map[string]bool // the files on its disk; nil until the first (setHas)
 	cores    sim.Resource
 	inflight map[int]*taskAttempt // admitted attempts; nil until the first dispatch
 	// speed is the compute-rate factor (1 = provisioned); straggler
@@ -218,22 +212,17 @@ func NewRunner(cluster *cloud.Cluster, master *cloud.VM, cfg Config, wl Workload
 		return nil, err
 	}
 	r := &Runner{
-		eng:          cluster.Engine(),
-		cluster:      cluster,
-		cfg:          cfg,
-		wl:           wl,
-		master:       master,
-		led:          sched.NewLedger(cfg.Recover, cfg.MaxRetries),
-		replicas:     catalog.NewReplicas(),
-		fetching:     cfg.Strategy.Kind == strategy.RealTime && cfg.Strategy.Locality == strategy.Remote,
-		prefetchMult: 1,
-		corrupt:      func(*cloud.VM, *simWorker) bool { return false },
-		readFails:    func(*simWorker, *taskAttempt) bool { return false },
+		eng:       cluster.Engine(),
+		cluster:   cluster,
+		cfg:       cfg,
+		wl:        wl,
+		master:    master,
+		led:       sched.NewLedger(cfg.Recover, cfg.MaxRetries),
+		replicas:  catalog.NewReplicas(),
+		corrupt:   func(*cloud.VM, *simWorker) bool { return false },
+		readFails: func(*simWorker, *taskAttempt) bool { return false },
 	}
 	r.decide, r.source, r.fetch, r.fetched = r.dispatchNext, r.sourceFor, r.fetchBundled, r.fetchedBundled
-	if cfg.Strategy.Kind == strategy.RealTime && cfg.Strategy.Prefetch > 1 {
-		r.prefetchMult = cfg.Strategy.Prefetch
-	}
 	r.drainFn = r.drainAdmits // bound once; kicks never allocate
 	if nf := cfg.NetFaults; nf != nil {
 		r.rng, r.resume = rand.New(rand.NewSource(backoffJitterSeed)), nf.Resume
@@ -283,15 +272,7 @@ func (r *Runner) SlotStats() (busy, total int) {
 }
 
 // LiveWorkers counts workers that have not died or drained.
-func (r *Runner) LiveWorkers() int {
-	n := 0
-	for _, w := range r.workers {
-		if w.Live() {
-			n++
-		}
-	}
-	return n
-}
+func (r *Runner) LiveWorkers() int { return r.led.Live() }
 
 // Terminal reports how many tasks reached a terminal state so far.
 func (r *Runner) Terminal() int { return r.led.Terminal() }
@@ -300,10 +281,7 @@ func (r *Runner) Terminal() int { return r.led.Terminal() }
 // after Start it joins elastically (real-time strategies give it work
 // immediately).
 func (r *Runner) AddWorker(vm *cloud.VM) *simWorker {
-	slots := 1
-	if r.cfg.Strategy.Multicore {
-		slots = vm.Type().Cores
-	}
+	slots := r.cfg.Strategy.Slots(vm.Type().Cores)
 	disk := vm.LocalDisk()
 	if r.cfg.Storage != nil {
 		disk = storage.MustVolume(vm.Name()+"/scratch", *r.cfg.Storage)
@@ -312,13 +290,12 @@ func (r *Runner) AddWorker(vm *cloud.VM) *simWorker {
 	*w = simWorker{
 		vm:    vm,
 		name:  vm.Name(),
-		slots: slots,
 		disk:  disk,
 		cores: sim.NewResource(slots),
 		speed: 1,
 	}
 	r.workers = append(r.workers, w)
-	r.led.Join(&w.Worker)
+	r.led.Join(&w.Worker, slots)
 	if id := vm.ID(); id >= len(r.byVM) {
 		r.byVM = append(r.byVM, make([]*simWorker, id+1-len(r.byVM))...)
 	}
@@ -389,23 +366,25 @@ func (r *Runner) Start(done func(Result)) error {
 	r.done = done
 	r.started = true
 	r.startAt = r.eng.Now()
-	r.led.Start(len(r.wl.Tasks))
 	for _, h := range r.hooks {
 		h.start()
 	}
+	// The staged kinds read the tasks as groups: the deal, which goes over
+	// the live workers in registration order, and the files to stage.
+	var groups []partition.Group
+	if r.cfg.Strategy.Kind != strategy.RealTime {
+		groups = tasksAsGroups(r.wl.Tasks)
+	}
+	r.led.Start(r.cfg.Strategy, len(r.wl.Tasks), func() []partition.Group { return groups }, nil)
 
 	switch r.cfg.Strategy.Kind {
 	case strategy.PrePartition:
-		return r.startPrePartition()
+		r.startStaged(func(w *simWorker) []catalog.FileMeta { return slices.Collect(partition.Files(groups, w.Backlog)) })
 	case strategy.NoPartition:
-		r.led.QueueAll()
-		all := uniqueFiles(r.wl.Tasks, r.led.Queue())
+		all := slices.Collect(partition.Files(groups, r.led.Queue()))
 		r.startStaged(func(*simWorker) []catalog.FileMeta { return all })
 	case strategy.RealTime:
-		r.led.QueueAll()
 		r.stageEveryCommon(commonKick)
-	default:
-		return fmt.Errorf("simrun: unknown strategy kind %v", r.cfg.Strategy.Kind)
 	}
 	return nil
 }
@@ -432,15 +411,11 @@ func (r *Runner) kick(w *simWorker) {
 // and worker deaths put work or capacity back for everyone. Batched mode
 // collapses any number of same-instant broadcasts into one full pass.
 func (r *Runner) kickAll() {
+	r.admitAll = true
 	if !r.cfg.BatchSched {
-		for _, o := range r.workers {
-			if !o.Dead {
-				r.admit(o)
-			}
-		}
+		r.drainAdmits()
 		return
 	}
-	r.admitAll = true
 	if !r.drainOn {
 		r.drainOn = true
 		r.eng.Schedule(0, r.drainFn)
@@ -474,11 +449,11 @@ func (r *Runner) drainAdmits() {
 	r.pendAdmit = r.pendAdmit[:0]
 }
 
-// admit pulls tasks into the worker's pipeline up to slots × prefetch, one
-// decision at a time. With the master down there is no dispatcher to admit
-// from; recovery ends with a kickAll.
+// admit pulls tasks into the worker's pipeline up to its window, one
+// decision at a time, while the ledger hands them out. With the master down
+// there is no dispatcher to admit from; recovery ends with a kickAll.
 func (r *Runner) admit(w *simWorker) {
-	if !w.Ready || !w.Live() || r.offline {
+	if r.offline {
 		return
 	}
 	for _, h := range r.hooks {
@@ -486,7 +461,7 @@ func (r *Runner) admit(w *simWorker) {
 			return
 		}
 	}
-	for limit := w.slots * r.prefetchMult; w.admitted < limit && r.decide(w); {
+	for r.decide(w) {
 	}
 }
 
@@ -494,12 +469,10 @@ func (r *Runner) admit(w *simWorker) {
 // task and send it at once. False when there is no work for w.
 func (r *Runner) dispatchNext(w *simWorker) bool {
 	gi, ok := r.next(w)
-	if !ok {
-		return false
+	if ok {
+		r.fetchAndRun(w, gi)
 	}
-	w.admitted++
-	r.fetchAndRun(w, gi)
-	return true
+	return ok
 }
 
 // next takes w's next task off the ledger. Under compute-to-data placement
@@ -518,8 +491,8 @@ func (r *Runner) next(w *simWorker) (int, bool) {
 	})
 }
 
-// fetchAndRun fetches the task's missing inputs (real-time remote), then
-// computes. Returns the attempt so speculation can track its clone.
+// fetchAndRun fetches the task's missing inputs (strategy.Config.Fetches),
+// then computes. Returns the attempt so speculation can track its clone.
 func (r *Runner) fetchAndRun(w *simWorker, gi int) *taskAttempt {
 	att := r.attemptArena.New()
 	att.r, att.w, att.task = r, w, gi
@@ -532,7 +505,7 @@ func (r *Runner) fetchAndRun(w *simWorker, gi int) *taskAttempt {
 	}
 	var missing float64
 	var names []string
-	if r.fetching {
+	if r.cfg.Strategy.Fetches() {
 		names = r.takeNames()
 		for _, f := range r.wl.Tasks[gi].Files {
 			if !w.has[f.Name] {
@@ -591,7 +564,7 @@ func (r *Runner) fetchLost(att *taskAttempt, i int) {
 // more work only after the master's connection timeout.
 func (r *Runner) fetchFailed(w *simWorker, att *taskAttempt) {
 	delete(w.inflight, att.task)
-	w.admitted--
+	r.led.Settle(&w.Worker)
 	r.taskDone(w, att, false)
 	att.step = attemptKick
 	r.after(r.eng.Now()+connectTimeoutSec, w, delayConnectTimeout, att)
@@ -693,7 +666,7 @@ func (r *Runner) finish(w *simWorker, att *taskAttempt) {
 	att.compute = sim.EventRef{}
 	r.onCompute(w, att, runOK)
 	delete(w.inflight, att.task)
-	w.admitted--
+	r.led.Settle(&w.Worker)
 	w.cores.Release()
 	r.taskDone(w, att, true)
 	r.kick(w)
@@ -703,7 +676,7 @@ func (r *Runner) finish(w *simWorker, att *taskAttempt) {
 func (r *Runner) freeSlot(w *simWorker, att *taskAttempt) {
 	w.cores.Release()
 	delete(w.inflight, att.task)
-	w.admitted--
+	r.led.Settle(&w.Worker)
 }
 
 // taskDone records a terminal (or requeued) outcome. A completion report
@@ -765,7 +738,7 @@ func (r *Runner) workerDied(w *simWorker) {
 	if w.Dead {
 		return
 	}
-	w.Dead = true
+	r.led.Kill(&w.Worker)
 	for _, h := range r.hooks {
 		h.workerDeath(w)
 	}
@@ -788,7 +761,7 @@ func (r *Runner) workerDied(w *simWorker) {
 
 // workerGone is the master half of a worker death: forget its replicas,
 // requeue (Recover) or abandon its pipeline and backlog. attempts are the
-// in-flight attempts workerDied tore down.
+// in-flight attempts workerDied tore down. It runs with the master up.
 func (r *Runner) workerGone(w *simWorker, attempts []*taskAttempt) {
 	r.gen++
 	dropped := r.replicas.DropNode(w.name)
@@ -797,10 +770,12 @@ func (r *Runner) workerGone(w *simWorker, attempts []*taskAttempt) {
 	}
 	for _, att := range attempts {
 		delete(w.inflight, att.task)
-		w.admitted--
 		r.taskDone(w, att, false)
 	}
-	r.reassign(w)
+	// Then its unstarted backlog goes through the ledger's death rule.
+	for _, gi := range r.led.Die(&w.Worker, nil) {
+		r.settle(Completion{Task: gi, Worker: w.name, End: r.eng.Now(), Attempt: r.led.Attempts(gi)})
+	}
 	r.kickAll()
 	r.checkDone()
 }
@@ -808,19 +783,6 @@ func (r *Runner) workerGone(w *simWorker, attempts []*taskAttempt) {
 // sortedInflight snapshots a worker's in-flight attempts in task order.
 func sortedInflight(w *simWorker) []*taskAttempt {
 	return slices.SortedFunc(maps.Values(w.inflight), func(a, b *taskAttempt) int { return a.task - b.task })
-}
-
-// reassign hands a dead worker's unstarted backlog to the ledger's death
-// rule and settles what it abandons.
-func (r *Runner) reassign(w *simWorker) {
-	if r.offline {
-		r.hold(func() { r.reassign(w) })
-		return
-	}
-	for _, gi := range r.led.Die(&w.Worker, nil) {
-		r.settle(Completion{Task: gi, Worker: w.name, End: r.eng.Now(), Attempt: r.led.Attempts(gi)})
-	}
-	r.checkDone()
 }
 
 // checkDone settles what the ledger's stall rule abandons, then finishes the

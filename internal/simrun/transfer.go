@@ -298,7 +298,7 @@ func (r *Runner) stagingGoesOn(s *stageIn) {
 		r.commonStaged(s.w)
 		return
 	}
-	r.barrier()
+	r.barrier(s.w)
 }
 
 // landed continues the stage's chain once its payload is on disk.
@@ -307,7 +307,7 @@ func (r *Runner) landed(s *stageIn) {
 	switch s.step {
 	case stepCommon:
 		if !w.Dead {
-			w.Ready = true
+			r.led.Arrive(&w.Worker)
 			r.noteStaged(commonFile, w.name)
 		}
 		r.commonStaged(w)
@@ -399,7 +399,7 @@ const (
 func (r *Runner) stageCommon(w *simWorker, next afterCommon) {
 	w.afterCommon = next
 	if !r.streamsCommon() {
-		w.Ready = true
+		r.led.Arrive(&w.Worker)
 		r.commonStaged(w)
 		return
 	}
@@ -440,7 +440,7 @@ func (r *Runner) commonStaged(w *simWorker) {
 		for _, f := range fs {
 			w.setHas(f.Name)
 		}
-		r.barrier()
+		r.barrier(w)
 		return
 	}
 	w.chain = fs
@@ -477,59 +477,28 @@ func (r *Runner) noteStaged(file, node string) {
 	}
 }
 
-// startPrePartition deals the tasks to the live workers' backlogs with the
-// strategy's assigner, then stages each worker's share. A worker drained
-// before Start gets none: it would never run it.
-func (r *Runner) startPrePartition() error {
-	assigner, err := strategy.AssignerByName(r.cfg.Strategy.Assigner)
-	if err != nil {
-		return err
-	}
-	var live []*simWorker
-	for _, w := range r.workers {
-		if w.Live() {
-			live = append(live, w)
-		}
-	}
-	assignment, err := assigner.Assign(tasksAsGroups(r.wl.Tasks), len(live))
-	if err != nil {
-		return err
-	}
-	per := assignment.PerWorker()
-	for wi, w := range live {
-		r.led.Deal(&w.Worker, per[wi]) // live: nothing to fail
-	}
-	r.startStaged(func(w *simWorker) []catalog.FileMeta { return uniqueFiles(r.wl.Tasks, w.Backlog) })
-	return nil
-}
-
 // startStaged runs the strict two-phase strategies: every worker stages the
-// common dataset and then its files — pre-partitioning its assignment's,
+// common dataset and then its files — pre-partitioning its share's,
 // no-partitioning the whole dataset — as a chain of flows, one at a time
 // (like a per-worker scp loop), or finds them on disk when data is local.
-// Execution begins only after every worker's staging completes (barrier).
+// Each worker's staging is one staging item of the ledger, and execution
+// begins only once every one has closed (barrier).
 func (r *Runner) startStaged(files func(w *simWorker) []catalog.FileMeta) {
-	r.stagingStart = r.eng.Now()
 	r.stageFiles = files
-	r.unstaged = len(r.workers)
+	for _, w := range r.workers {
+		r.led.Stage(&w.Worker)
+	}
 	r.stageEveryCommon(commonChain)
 }
 
-// barrier counts one worker's staging as over; the last one starts the
-// compute phase.
-func (r *Runner) barrier() {
-	r.unstaged--
-	if r.unstaged > 0 {
+// barrier closes w's staging item; the last one starts the compute phase,
+// for every ready, live worker, late joiners included.
+func (r *Runner) barrier(w *simWorker) {
+	if !r.led.Staged(&w.Worker) {
 		return
 	}
-	r.res.StagingPhaseSec = float64(r.eng.Now() - r.stagingStart)
-	for _, w := range r.workers {
-		if !w.Dead {
-			r.kick(w)
-		} else {
-			r.reassign(w)
-		}
-	}
+	r.res.StagingPhaseSec = float64(r.eng.Now() - r.startAt) // it began at Start
+	r.kickAll()
 	r.checkDone()
 }
 
@@ -549,7 +518,7 @@ func (r *Runner) streamChain(w *simWorker, i int) {
 		return
 	}
 	w.chain = nil
-	r.barrier()
+	r.barrier(w)
 }
 
 // tasksAsGroups adapts TaskSpecs to partition.Groups for the assigners.
@@ -557,22 +526,6 @@ func tasksAsGroups(tasks []TaskSpec) []partition.Group {
 	out := make([]partition.Group, len(tasks))
 	for i, t := range tasks {
 		out[i] = partition.Group{Index: i, Files: t.Files}
-	}
-	return out
-}
-
-// uniqueFiles collects the distinct files of the given task indices in
-// first-use order.
-func uniqueFiles(tasks []TaskSpec, idx []int) []catalog.FileMeta {
-	seen := make(map[string]bool)
-	var out []catalog.FileMeta
-	for _, gi := range idx {
-		for _, f := range tasks[gi].Files {
-			if !seen[f.Name] {
-				seen[f.Name] = true
-				out = append(out, f)
-			}
-		}
 	}
 	return out
 }

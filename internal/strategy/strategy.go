@@ -211,6 +211,29 @@ func (c Config) String() string {
 	return s
 }
 
+// Slots is how many groups a worker with cores cores runs at once: one per
+// core under Multicore, else one.
+func (c Config) Slots(cores int) int {
+	if c.Multicore && cores > 1 {
+		return cores
+	}
+	return 1
+}
+
+// Window is the most groups the master keeps in flight on a worker of
+// slots slots: Prefetch per slot under RealTime, else one per slot.
+func (c Config) Window(slots int) int {
+	if c.Kind == RealTime && c.Prefetch > 1 {
+		return slots * c.Prefetch
+	}
+	return slots
+}
+
+// Fetches reports whether a dispatched group streams the inputs its worker
+// lacks: whenever the data is remote, for every kind. A staged backlog
+// finds nothing missing; a requeued group or a late joiner's does.
+func (c Config) Fetches() bool { return c.Locality == Remote }
+
 // Generator resolves the grouping scheme.
 func (c Config) Generator() (partition.Generator, error) {
 	return partition.ByName(c.Grouping)
