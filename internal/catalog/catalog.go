@@ -10,7 +10,6 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -241,316 +240,4 @@ func (s *MemSource) Catalog() (*Catalog, error) {
 		c.MustAdd(FileMeta{Name: n, Size: int64(len(s.files[n]))})
 	}
 	return c, nil
-}
-
-// Replicas tracks which nodes hold a copy of each file — the master's view
-// of data placement after distribution, and the basis for compute-to-data
-// scheduling.
-//
-// It also maintains the under-replication index the repair scan walks:
-// once a target replication factor is established (by the first
-// UnderReplicated, UnderCount or WalkUnder call), under is exactly
-// {f ∈ known : len(loc[f]) < target} in name order, and every mutator
-// fixes the membership of the files it touches before releasing the write
-// lock. A Replicas that is never asked (the real master's) has target 0
-// and its mutators do no index work.
-type Replicas struct {
-	mu  sync.RWMutex
-	loc map[string]holders // file -> the nodes holding it
-	// known remembers every file ever registered, even after its last
-	// holder vanished (loc entries are deleted when empty). Without it a
-	// zero-replica file would be invisible to UnderReplicated — exactly the
-	// file that most needs repair. A loc entry implies a known entry.
-	known map[string]struct{}
-	// target is the replication factor under is maintained for; 0 means
-	// none established yet. One target at a time: asking for another
-	// rebuilds the index (correct, but O(known) per switch).
-	target int
-	under  []string
-}
-
-// holders is the set of nodes holding one file; a loc entry has at least
-// one. The first holder is kept inline, so a file with one replica costs no
-// allocation of its own. A second holder moves the set into many, which
-// keeps it from then on, however few holders are left, and keeps membership
-// O(1) however many nodes hold the file.
-type holders struct {
-	one  string              // the only holder, while many is nil
-	many map[string]struct{} // every holder, once there were two
-}
-
-func (h holders) has(node string) bool {
-	if h.many == nil {
-		return h.one == node
-	}
-	_, ok := h.many[node]
-	return ok
-}
-
-func (h holders) len() int {
-	if h.many == nil {
-		return 1
-	}
-	return len(h.many)
-}
-
-// sorted returns the holders in name order.
-func (h holders) sorted() []string {
-	if h.many == nil {
-		return []string{h.one}
-	}
-	out := make([]string, 0, len(h.many))
-	for n := range h.many {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// NewReplicas returns an empty replica map.
-func NewReplicas() *Replicas {
-	return &Replicas{
-		loc:   make(map[string]holders),
-		known: make(map[string]struct{}),
-	}
-}
-
-// countLocked returns the number of holders of file. Caller holds the lock.
-func (r *Replicas) countLocked(file string) int {
-	h, ok := r.loc[file]
-	if !ok {
-		return 0
-	}
-	return h.len()
-}
-
-// holdersLocked returns the holders of file in name order. Caller holds the
-// lock.
-func (r *Replicas) holdersLocked(file string) []string {
-	h, ok := r.loc[file]
-	if !ok {
-		return []string{}
-	}
-	return h.sorted()
-}
-
-// enter and leave insert file into / delete it from the index. Caller holds
-// the write lock and has checked that membership changed.
-func (r *Replicas) enter(file string) {
-	i, _ := slices.BinarySearch(r.under, file)
-	r.under = slices.Insert(r.under, i, file)
-}
-
-func (r *Replicas) leave(file string) {
-	i, _ := slices.BinarySearch(r.under, file)
-	r.under = slices.Delete(r.under, i, i+1)
-}
-
-// index returns the under-target list for rf, building it by one full scan
-// when rf is not the established target; rf < 1 is no target, so nothing is
-// under it. Caller holds the write lock and must not let the slice outlive
-// it.
-func (r *Replicas) index(rf int) []string {
-	if rf < 1 {
-		return nil
-	}
-	if r.target != rf {
-		r.target = rf
-		r.under = r.under[:0]
-		for file := range r.known {
-			if r.countLocked(file) < rf {
-				r.under = append(r.under, file)
-			}
-		}
-		sort.Strings(r.under)
-	}
-	return r.under
-}
-
-// The mutators below compare a file's holder count with the target before
-// and after the change; with no target established (0) both comparisons
-// are false and the index is never touched.
-
-// Add records that node holds file.
-func (r *Replicas) Add(file, node string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.loc[file]
-	if ok && h.has(node) {
-		return
-	}
-	was := ok && h.len() < r.target
-	switch {
-	case !ok:
-		h = holders{one: node}
-		r.loc[file] = h
-		if r.target > 0 {
-			_, was = r.known[file] // known with no holder: a member
-		}
-		r.known[file] = struct{}{}
-	case h.many == nil:
-		h = holders{many: map[string]struct{}{h.one: {}, node: {}}}
-		r.loc[file] = h
-	default:
-		h.many[node] = struct{}{}
-	}
-	if now := h.len() < r.target; now != was {
-		if now {
-			r.enter(file)
-		} else {
-			r.leave(file)
-		}
-	}
-}
-
-// Remove forgets one replica (e.g. the node failed).
-func (r *Replicas) Remove(file, node string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h, ok := r.loc[file]; ok && h.has(node) {
-		r.drop(file, h, node)
-	}
-}
-
-// drop deletes node, one of h's, from file's holders. Caller holds the write
-// lock.
-func (r *Replicas) drop(file string, h holders, node string) {
-	was := h.len() < r.target
-	left := 0
-	if h.many != nil {
-		delete(h.many, node)
-		left = len(h.many)
-	}
-	if left == 0 {
-		delete(r.loc, file)
-	}
-	if !was && left < r.target {
-		r.enter(file)
-	}
-}
-
-// DropNode forgets every replica on the node and returns the files that
-// lost a copy.
-func (r *Replicas) DropNode(node string) []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var lost []string
-	for file, h := range r.loc {
-		if h.has(node) {
-			r.drop(file, h, node)
-			lost = append(lost, file)
-		}
-	}
-	sort.Strings(lost)
-	return lost
-}
-
-// Holders returns the nodes holding file, sorted.
-func (r *Replicas) Holders(file string) []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.holdersLocked(file)
-}
-
-// Has reports whether node holds file.
-func (r *Replicas) Has(file, node string) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	h, ok := r.loc[file]
-	return ok && h.has(node)
-}
-
-// Count returns the number of live replicas of file.
-func (r *Replicas) Count(file string) int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.countLocked(file)
-}
-
-// Forget removes file from the replica map entirely, including the known
-// set — used when a file is declared permanently lost and should stop
-// showing up in repair scans.
-func (r *Replicas) Forget(file string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.target > 0 {
-		if _, known := r.known[file]; known && r.countLocked(file) < r.target {
-			r.leave(file)
-		}
-	}
-	delete(r.loc, file)
-	delete(r.known, file)
-}
-
-// Note marks file as known without recording a holder, so it shows up in
-// UnderReplicated scans. An amnesiac master uses it to re-derive "someone
-// must hold this" facts (evacuated files) it can no longer attribute to a
-// node.
-func (r *Replicas) Note(file string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, known := r.known[file]; known {
-		return
-	}
-	r.known[file] = struct{}{}
-	if r.target > 0 {
-		r.enter(file) // newly known, so no holders
-	}
-}
-
-// UnderReplicated returns, sorted, every known file with fewer than rf live
-// replicas — including files whose replica count has dropped to zero (their
-// loc entry is gone, but the known set remembers them). rf < 1 returns nil:
-// no target means nothing is under target. The result is a copy of the
-// index; the repair scan uses WalkUnder and gauges UnderCount instead.
-func (r *Replicas) UnderReplicated(rf int) []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]string(nil), r.index(rf)...)
-}
-
-// UnderCount returns len(UnderReplicated(rf)) without building the list.
-func (r *Replicas) UnderCount(rf int) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.index(rf))
-}
-
-// WalkUnder calls fn for each file UnderReplicated(rf) would return, in
-// name order and in place, until fn returns false. The lock is not held
-// across fn, which may mutate the map — Forget the file it was handed or
-// any other, Add, Remove: each step resumes at the first indexed name
-// greater than the one just visited, so no name is skipped or repeated
-// whatever fn removed or inserted.
-func (r *Replicas) WalkUnder(rf int, fn func(file string) bool) {
-	for file, i, ok := r.nextUnder(rf, -1, ""); ok; file, i, ok = r.nextUnder(rf, i, file) {
-		if !fn(file) {
-			return
-		}
-	}
-}
-
-// nextUnder is one WalkUnder step: the first indexed name greater than
-// prev, and its position. i is where prev sat on the previous step (-1 to
-// start the walk); it is only a hint, re-checked against the index as it
-// is now.
-func (r *Replicas) nextUnder(rf, i int, prev string) (string, int, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	under := r.index(rf)
-	switch {
-	case i < 0:
-		i = 0
-	case i < len(under) && under[i] == prev:
-		i++ // nothing before the cursor moved
-	default:
-		var found bool
-		if i, found = slices.BinarySearch(under, prev); found {
-			i++
-		}
-	}
-	if i >= len(under) {
-		return "", i, false
-	}
-	return under[i], i, true
 }

@@ -294,21 +294,17 @@ func (s *State) Snapshot() *Snapshot {
 		j.Append(Record{Op: OpRegister, File: f.Name, A: uint64(f.Size), B: f.Checksum})
 	}
 	s.reps.mu.RLock()
-	files := make([]string, 0, len(s.reps.known))
-	for f := range s.reps.known {
-		files = append(files, f)
-	}
-	sort.Strings(files)
-	for _, f := range files {
-		if s.reps.countLocked(f) == 0 {
+	for _, f := range s.reps.knownLocked() {
+		name := s.reps.files[f].name
+		if s.reps.files[f].holders.Len() == 0 {
 			// Zero-replica but still known: a bare add+remove round-trips
 			// the "known, no holders" condition UnderReplicated depends on.
-			j.Append(Record{Op: OpReplicaAdd, File: f, Node: ""})
-			j.Append(Record{Op: OpReplicaRemove, File: f, Node: ""})
+			j.Append(Record{Op: OpReplicaAdd, File: name, Node: ""})
+			j.Append(Record{Op: OpReplicaRemove, File: name, Node: ""})
 			continue
 		}
 		for _, n := range s.reps.holdersLocked(f) {
-			j.Append(Record{Op: OpReplicaAdd, File: f, Node: n})
+			j.Append(Record{Op: OpReplicaAdd, File: name, Node: n})
 		}
 	}
 	s.reps.mu.RUnlock()
@@ -398,17 +394,7 @@ func (s *State) CanonicalDump() string {
 		f, _ := s.cat.Get(n)
 		fmt.Fprintf(&b, "  %s size=%d sum=%016x\n", f.Name, f.Size, f.Checksum)
 	}
-	b.WriteString("replicas:\n")
-	s.reps.mu.RLock()
-	known := make([]string, 0, len(s.reps.known))
-	for f := range s.reps.known {
-		known = append(known, f)
-	}
-	sort.Strings(known)
-	for _, f := range known {
-		fmt.Fprintf(&b, "  %s -> [%s]\n", f, strings.Join(s.reps.holdersLocked(f), " "))
-	}
-	s.reps.mu.RUnlock()
+	s.reps.dump(&b)
 	b.WriteString("evacuated:\n")
 	for _, f := range sortedKeys(s.evac) {
 		fmt.Fprintf(&b, "  %s\n", f)
@@ -434,16 +420,6 @@ func (s *State) CanonicalDump() string {
 // byte-compared against a replayed State without copying it into one.
 func DumpReplicas(r *Replicas) string {
 	var b strings.Builder
-	b.WriteString("replicas:\n")
-	r.mu.RLock()
-	known := make([]string, 0, len(r.known))
-	for f := range r.known {
-		known = append(known, f)
-	}
-	sort.Strings(known)
-	for _, f := range known {
-		fmt.Fprintf(&b, "  %s -> [%s]\n", f, strings.Join(r.holdersLocked(f), " "))
-	}
-	r.mu.RUnlock()
+	r.dump(&b)
 	return b.String()
 }

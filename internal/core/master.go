@@ -555,6 +555,9 @@ func (m *Master) sourceCatalog() (*catalog.Catalog, error) {
 			return nil, fmt.Errorf("cataloguing source: %w", err)
 		}
 		m.catalogue = cat
+		// Every name the replica map will see, registered at once: its file
+		// table and name index are sized once instead of growing per file.
+		m.replicas.RegisterFiles(cat.Names())
 	}
 	return m.catalogue, nil
 }
@@ -585,8 +588,7 @@ func (m *Master) commonFiles(w *masterWorker) ([]protocol.FileInfo, error) {
 func (m *Master) claim(w *masterWorker, files []protocol.FileInfo) []protocol.FileInfo {
 	var send []protocol.FileInfo
 	for _, f := range files {
-		if !m.replicas.Has(f.Name, w.name) {
-			m.replicas.Add(f.Name, w.name)
+		if m.replicas.Add(f.Name, w.name) {
 			send = append(send, f)
 		}
 	}
@@ -750,8 +752,7 @@ func (m *Master) claimGroup(w *masterWorker, it *outItem) {
 		return
 	}
 	for i, f := range files {
-		if !m.replicas.Has(f.Name, w.name) {
-			m.replicas.Add(f.Name, w.name)
+		if m.replicas.Add(f.Name, w.name) {
 			it.send |= 1 << i
 		}
 	}

@@ -50,7 +50,7 @@ func (g Group) Names() []string {
 // first-use order: what a pre-partitioned share stages.
 func Files(groups []Group, idx []int) iter.Seq[catalog.FileMeta] {
 	return func(yield func(catalog.FileMeta) bool) {
-		seen := make(map[string]bool)
+		seen := make(map[string]bool, len(idx)) // a group has a file or more
 		for _, gi := range idx {
 			for _, f := range groups[gi].Files {
 				if !seen[f.Name] {

@@ -21,18 +21,42 @@ type attribHook struct {
 	// begin is the run-start node and last the latest terminal completion,
 	// the run-end node's parent.
 	begin, cause, last attrib.NodeID
-	// repairNode maps file\x00worker to the node where that repair copy
-	// landed, so a transfer sourced from a repaired replica records its
-	// dependency on the repair that made the source exist.
-	repairNode map[string]attrib.NodeID
+	// repairNode lists, by file id, the node where each repair copy of the
+	// file landed and on which worker, so a transfer sourced from a
+	// repaired replica records its dependency on the repair that made the
+	// source exist.
+	repairNode [][]repairMark
+}
+
+// repairMark is where one repair copy landed: the worker's replica-map id
+// and the attribution node.
+type repairMark struct {
+	node int32
+	at   attrib.NodeID
 }
 
 func newAttribution(r *Runner) *attribHook {
 	a := &attribHook{r: r, ab: r.cfg.Attrib, begin: attrib.None, cause: attrib.None, last: attrib.None}
 	if a.ab.Enabled() && r.cfg.Durability != nil {
-		a.repairNode = make(map[string]attrib.NodeID)
+		a.repairNode = make([][]repairMark, len(r.sizes))
 	}
 	return a
+}
+
+// repairLanded records the ambient cause as where the repair copy of file
+// on w landed, replacing an earlier copy's there.
+func (a *attribHook) repairLanded(file int32, w *simWorker) {
+	if a.repairNode == nil {
+		return
+	}
+	marks := a.repairNode[file]
+	for i := range marks {
+		if marks[i].node == w.node {
+			marks[i].at = a.cause
+			return
+		}
+	}
+	a.repairNode[file] = append(marks, repairMark{w.node, a.cause})
 }
 
 func (a *attribHook) start() {
@@ -60,14 +84,7 @@ func (a *attribHook) transfer(s *stageIn, o outcome, why string) {
 		ab.ObserveTransferSec(float64(a.r.eng.Now() - s.startAt))
 		dn := ab.After(s.anCause, attrib.NetworkTransfer, "xfer-done", bottleneckName(s.last))
 		if a.repairNode != nil {
-			// The payload came off a replica; if a background repair put
-			// that replica there, the delivery causally depends on the
-			// repair having landed first.
-			for _, f := range s.files {
-				if rn, ok := a.repairNode[f+"\x00"+s.src.Name()]; ok {
-					ab.Edge(rn, dn, attrib.Repair, f)
-				}
-			}
+			a.repairEdges(s, dn)
 		}
 		a.cause = dn
 	case xferCorrupt:
@@ -78,6 +95,23 @@ func (a *attribHook) transfer(s *stageIn, o outcome, why string) {
 		s.anCause = ab.After(s.anCause, attrib.NetworkTransfer, "xfer-interrupted", bottleneckName(s.last))
 	case xferLost:
 		a.cause = ab.After(s.anCause, attrib.NetworkTransfer, "xfer-lost", why)
+	}
+}
+
+// repairEdges links a delivery at dn to the repairs it depends on: the
+// payload came off a replica, and if a background repair put that replica
+// there, the delivery causally depends on the repair having landed first.
+func (a *attribHook) repairEdges(s *stageIn, dn attrib.NodeID) {
+	src := a.r.worker(s.src)
+	if src == nil {
+		return // the master's copy
+	}
+	for _, f := range s.files {
+		for _, m := range a.repairNode[f] {
+			if m.node == src.node {
+				a.ab.Edge(m.at, dn, attrib.Repair, a.r.replicas.FileName(f))
+			}
+		}
 	}
 }
 
@@ -117,7 +151,7 @@ func (a *attribHook) settle(c *Completion) {
 	a.last = a.cause
 }
 
-func (a *attribHook) workerGone(w *simWorker, _ []string) {
+func (a *attribHook) workerGone(w *simWorker, _ []int32) {
 	// Chain the death from the detector's suspicion when one exists — the
 	// suspect→declare gap is detection latency, the price of the K
 	// missed-deadline confirmation ladder. A death with no suspicion

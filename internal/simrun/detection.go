@@ -76,7 +76,7 @@ func (h *detectHook) pathUp(w *simWorker) bool {
 	return !slices.ContainsFunc(c.AppendTransferPath(route[:0], m, w.vm), (*netsim.Link).Failed)
 }
 
-func (h *detectHook) workerGone(w *simWorker, _ []string) { h.d.Stop(w.name) }
+func (h *detectHook) workerGone(w *simWorker, _ []int32) { h.d.Stop(w.name) }
 
 // finish disarms the watchdog timers so an idle engine can drain (heartbeat
 // loops stop themselves on r.finished) and reports the transitions.

@@ -2,7 +2,6 @@ package simrun
 
 import (
 	"fmt"
-	"maps"
 	"math/rand"
 	"slices"
 
@@ -33,22 +32,22 @@ type durabilityHook struct {
 	// fault condition is present.
 	rng *rand.Rand
 	// evacuated marks files the master no longer holds (EvacuateSource),
-	// lost files declared permanently lost.
-	evacuated, lost map[string]bool
-	// fileSize maps file names to sizes for repair scheduling.
-	fileSize      map[string]float64
-	repairsFailed int
+	// lost files declared permanently lost; both are indexed by file id.
+	evacuated, lost []bool
+	repairsFailed   int
 
-	// The replication manager. active maps file name to its in-flight
-	// repair job, its size the concurrency budget in use; nil when RF <= 1,
-	// which leaves the manager off. tickFn and visitFn are the ticker and
-	// the scan step pre-bound, so neither a tick nor a scan allocates a
-	// closure; scanning is set while a walk is on the stack.
-	active   map[string]*repairJob
+	// The replication manager. active holds each file's in-flight repair
+	// job by file id, and repairs counts them against the concurrency
+	// budget; active is nil when RF <= 1, which leaves the manager off.
+	// tickFn and visitFn are the ticker and the scan step pre-bound, so
+	// neither a tick nor a scan allocates a closure; scanning is set while a
+	// walk is on the stack.
+	active   []*repairJob
+	repairs  int
 	jobs     sim.Arena[repairJob] // where the repair jobs come from
 	ticker   sim.EventRef
 	tickFn   func()
-	visitFn  func(string) bool
+	visitFn  func(int32) bool
 	stopped  bool
 	scanning bool
 }
@@ -57,20 +56,14 @@ func newDurability(r *Runner, an *attribHook) *durabilityHook {
 	d := &durabilityHook{
 		r: r, cfg: *r.cfg.Durability, an: an, tr: r.cfg.Tracer,
 		rng:       rand.New(rand.NewSource(r.cfg.Durability.Seed)),
-		evacuated: make(map[string]bool),
-		lost:      make(map[string]bool),
-		fileSize:  make(map[string]float64),
+		evacuated: make([]bool, len(r.sizes)),
+		lost:      make([]bool, len(r.sizes)),
 	}
 	if d.cfg.ScanPeriodSec <= 0 {
 		d.cfg.ScanPeriodSec = 60
 	}
 	if d.cfg.MaxConcurrentRepairs <= 0 {
 		d.cfg.MaxConcurrentRepairs = 2
-	}
-	for _, t := range r.wl.Tasks {
-		for _, f := range t.Files {
-			d.fileSize[f.Name] = float64(f.Size)
-		}
 	}
 	r.source, r.fetch, r.fetched, r.corrupt, r.readFails = d.source, d.fetch, d.fetched, d.corrupt, d.readFails
 	r.cluster.OnDiskFailure(func(vm *cloud.VM, _ *storage.Volume) {
@@ -80,7 +73,7 @@ func newDurability(r *Runner, an *attribHook) *durabilityHook {
 	})
 	if m := r.cfg.Metrics; m.Enabled() {
 		m.Gauge("under_replicated", func() float64 { return float64(r.replicas.UnderCount(max(d.cfg.RF, 1))) })
-		m.Gauge("active_repairs", func() float64 { return float64(len(d.active)) })
+		m.Gauge("active_repairs", func() float64 { return float64(d.repairs) })
 		m.Gauge("files_lost", func() float64 { return float64(r.res.FilesLost) })
 		m.Gauge("repair_goodput_bps", d.goodputBps)
 		countGauge(m, "corruptions_detected", &r.res.CorruptionsDetected)
@@ -98,7 +91,7 @@ func (d *durabilityHook) start() {
 		return
 	}
 	period := sim.Duration(d.cfg.ScanPeriodSec)
-	d.active = make(map[string]*repairJob)
+	d.active = make([]*repairJob, len(d.r.sizes))
 	d.visitFn = d.visit
 	d.tickFn = func() {
 		d.scan()
@@ -115,7 +108,7 @@ func (d *durabilityHook) start() {
 // best holder (bestHolder), else the master if it still holds the files,
 // else nil — every copy is gone, and the transfer is lost without touching
 // the network.
-func (d *durabilityHook) source(w *simWorker, files []string, n int) *cloud.VM {
+func (d *durabilityHook) source(w *simWorker, files []int32, n int) *cloud.VM {
 	r := d.r
 	holds := d.masterHolds(files)
 	if n == 1 && holds {
@@ -131,7 +124,7 @@ func (d *durabilityHook) source(w *simWorker, files []string, n int) *cloud.VM {
 }
 
 // masterHolds reports whether the master still holds every named file.
-func (d *durabilityHook) masterHolds(files []string) bool {
+func (d *durabilityHook) masterHolds(files []int32) bool {
 	for _, f := range files {
 		if d.evacuated[f] {
 			return false
@@ -147,23 +140,23 @@ func (d *durabilityHook) masterHolds(files []string) bool {
 // only the not-yet-fetched claims are released.
 func (d *durabilityHook) fetch(att *taskAttempt, _ float64) { d.fetchFrom(att, 0) }
 
-// fetchFrom stages att.names[i:], the next file first, then computes.
+// fetchFrom stages att.files[i:], the next file first, then computes.
 func (d *durabilityHook) fetchFrom(att *taskAttempt, i int) {
-	r, w, names := d.r, att.w, att.names
+	r, w, files := d.r, att.w, att.files
 	if w.Dead {
 		return
 	}
-	if i >= len(names) {
-		r.putNames(names)
+	if i >= len(files) {
+		r.putFiles(files)
 		r.compute(w, att)
 		return
 	}
-	f, size := names[i], d.fileSize[names[i]]
+	f := files[i]
 	if d.lost[f] {
 		r.fetchLost(att, i)
 		return
 	}
-	s := r.newStage(w, size, stepFetch)
+	s := r.newStage(w, r.sizes[f], stepFetch)
 	s.att, s.at = att, i
 	att.stage = r.transfer(s.oneFile(f))
 }
@@ -176,8 +169,8 @@ func (d *durabilityHook) fetched(s *stageIn) {
 	}
 	// Re-assert the claim: a disk wipe mid-transfer cleared it, and the
 	// bytes just landed on the fresh media.
-	w.setHas(f)
-	d.r.noteStaged(f, w.name)
+	w.has.Add(f)
+	d.r.noteStaged(f, w)
 	d.fetchFrom(s.att, s.at+1)
 }
 
@@ -206,12 +199,11 @@ func (d *durabilityHook) readFails(w *simWorker, att *taskAttempt) bool {
 	if d.tr.Enabled() {
 		d.tr.Instant(w.name, "fault", "read-error", obs.Args{"task": att.task})
 	}
-	// bad comes off the recycled name slices: read errors recur all run.
-	bad := r.takeNames()
-	for _, f := range r.wl.Tasks[att.task].Files {
-		if w.has[f.Name] {
-			delete(w.has, f.Name)
-			bad = append(bad, f.Name)
+	// bad comes off the recycled file slices: read errors recur all run.
+	bad := r.takeFiles()
+	for _, f := range r.inputsOf(att.task) {
+		if w.has.Remove(f) {
+			bad = append(bad, f)
 		}
 	}
 	if r.offline {
@@ -228,19 +220,19 @@ func (d *durabilityHook) readFails(w *simWorker, att *taskAttempt) bool {
 // attempt through the normal retry ladder. free releases the attempt's core
 // and slot after the bookkeeping and before the verdict, because
 // sim.Resource.Release hands the core to the next waiter synchronously.
-func (d *durabilityHook) readFailedMaster(w *simWorker, att *taskAttempt, bad []string, free bool) {
+func (d *durabilityHook) readFailedMaster(w *simWorker, att *taskAttempt, bad []int32, free bool) {
 	r := d.r
 	r.res.CorruptionsDetected++
 	if ab := d.an.ab; ab.Enabled() {
 		d.an.cause = ab.After(d.an.cause, attrib.DiskIO, "read-error", w.name)
 	}
 	for _, f := range bad {
-		d.repRemove(f, w.name)
+		d.repRemove(f, w)
 	}
-	r.putNames(bad)
-	for _, f := range r.wl.Tasks[att.task].Files {
-		if !d.sourceExists(f.Name) {
-			d.markFileLost(f.Name)
+	r.putFiles(bad)
+	for _, f := range r.inputsOf(att.task) {
+		if !d.sourceExists(f) {
+			d.markFileLost(f)
 		}
 	}
 	d.scan()
@@ -254,34 +246,50 @@ func (d *durabilityHook) readFailedMaster(w *simWorker, att *taskAttempt, bad []
 // workerGone declares lost the files whose last copy died with w, then
 // cancels the repairs w was sourcing or receiving and rescans: the death
 // may have pushed more files below target.
-func (d *durabilityHook) workerGone(w *simWorker, dropped []string) {
+func (d *durabilityHook) workerGone(w *simWorker, dropped []int32) {
 	for _, f := range dropped {
-		if f != commonFile && !d.sourceExists(f) {
+		if f != d.r.common && !d.sourceExists(f) {
 			d.markFileLost(f)
 		}
 	}
 	if d.stopped {
 		return
 	}
-	for _, f := range slices.Sorted(maps.Keys(d.active)) {
-		if job := d.active[f]; job.src == w || job.dst == w {
+	d.eachRepair(func(job *repairJob) {
+		if job.src == w || job.dst == w {
 			d.abort(job, "worker-died")
 		}
-	}
+	})
 	d.scan()
 }
 
-// repRemove drops node's replica of file, journaled.
-func (d *durabilityHook) repRemove(file, node string) {
-	d.r.replicas.Remove(file, node)
-	d.mf.journal(catalog.Record{Op: catalog.OpReplicaRemove, File: file, Node: node})
+// repRemove drops w's replica of file, journaled.
+func (d *durabilityHook) repRemove(file int32, w *simWorker) {
+	d.r.replicas.RemoveID(file, w.node)
+	d.mf.journalFile(catalog.OpReplicaRemove, file, w.name)
+}
+
+// eachRepair calls fn for every in-flight repair in file id order, which is
+// name order; fn may end the job it is handed.
+func (d *durabilityHook) eachRepair(fn func(job *repairJob)) {
+	for f := 0; f < len(d.active) && d.repairs > 0; f++ {
+		if job := d.active[f]; job != nil {
+			fn(job)
+		}
+	}
+}
+
+// retire takes job out of the active set.
+func (d *durabilityHook) retire(job *repairJob) {
+	d.active[job.file] = nil
+	d.repairs--
 }
 
 // repairJob is one in-flight repair copy: the owner of its flow and the
 // handler of its landing.
 type repairJob struct {
 	d    *durabilityHook
-	file string
+	file int32
 	size float64
 	src  *simWorker // nil when the master is the source
 	dst  *simWorker
@@ -298,11 +306,11 @@ type repairJob struct {
 // repair-goodput gauge. Every walk over the active repairs takes name order.
 func (d *durabilityHook) goodputBps() float64 {
 	var sum float64
-	for _, f := range slices.Sorted(maps.Keys(d.active)) {
-		if fl := d.active[f].flow; fl != nil {
-			sum += fl.Rate()
+	d.eachRepair(func(job *repairJob) {
+		if job.flow != nil {
+			sum += job.flow.Rate()
 		}
-	}
+	})
 	return sum
 }
 
@@ -313,15 +321,13 @@ func (d *durabilityHook) finish() {
 	d.stopped = true
 	d.ticker.Cancel()
 	d.ticker = sim.EventRef{}
-	for _, f := range slices.Sorted(maps.Keys(d.active)) {
-		d.abort(d.active[f], "stopped")
-	}
+	d.eachRepair(func(job *repairJob) { d.abort(job, "stopped") })
 }
 
 // abort cancels a job's flow (Network.Cancel is silent, so cleanup is
 // explicit here) and accounts the bytes it had delivered.
 func (d *durabilityHook) abort(job *repairJob, outcome string) {
-	delete(d.active, job.file)
+	d.retire(job)
 	if job.flow != nil {
 		delivered := job.flow.Delivered()
 		d.r.cluster.Network().Cancel(job.flow)
@@ -358,7 +364,7 @@ func (d *durabilityHook) scan() {
 		panic("simrun: repair scan re-entered")
 	}
 	d.scanning = true
-	d.r.replicas.WalkUnder(d.cfg.RF, d.visitFn)
+	d.r.replicas.WalkUnderID(d.cfg.RF, d.visitFn)
 	d.scanning = false
 }
 
@@ -366,15 +372,15 @@ func (d *durabilityHook) scan() {
 // markFileLost forgets the file under the walk's cursor, which WalkUnder
 // tolerates: lost declarations and repair starts must interleave in name
 // order, as journal replay and the goldens observe them.
-func (d *durabilityHook) visit(f string) bool {
-	if f == commonFile || d.lost[f] || d.active[f] != nil {
+func (d *durabilityHook) visit(f int32) bool {
+	if f == d.r.common || d.lost[f] || d.active[f] != nil {
 		return true // not a workload file, already lost, or already in repair
 	}
 	if !d.sourceExists(f) {
 		d.markFileLost(f)
 		return true
 	}
-	if len(d.active) >= d.cfg.MaxConcurrentRepairs {
+	if d.repairs >= d.cfg.MaxConcurrentRepairs {
 		return false
 	}
 	d.startRepair(f)
@@ -385,13 +391,10 @@ func (d *durabilityHook) visit(f string) bool {
 // the master when no worker holds it and it is not evacuated) to the live,
 // ready worker without a copy that carries the fewest active downlink
 // flows. No-op when every eligible worker already holds the file.
-func (d *durabilityHook) startRepair(f string) {
+func (d *durabilityHook) startRepair(f int32) {
 	r := d.r
-	size, ok := d.fileSize[f]
-	if !ok {
-		return // not a workload file (defensive; replicas only hold those)
-	}
-	src := r.bestHolder([]string{f}, nil, nil)
+	size, one := r.sizes[f], [1]int32{f}
+	src := r.bestHolder(one[:], nil, nil)
 	srcVM := r.master
 	if src != nil {
 		srcVM = src.vm
@@ -400,7 +403,7 @@ func (d *durabilityHook) startRepair(f string) {
 	}
 	var dst *simWorker
 	for _, o := range r.workers {
-		if !o.Ready || !o.Live() || o.has[f] || o.vm.Host().Down().Failed() {
+		if !o.Ready || !o.Live() || o.has.Has(f) || o.vm.Host().Down().Failed() {
 			continue
 		}
 		if dst == nil || o.vm.Host().Down().ActiveFlows() < dst.vm.Host().Down().ActiveFlows() {
@@ -416,13 +419,14 @@ func (d *durabilityHook) startRepair(f string) {
 		// Repairs are triggered by scans, not the scheduling chain; anchor
 		// the job at the run start so the walk terminates cleanly and the
 		// pre-trigger lead stays unattributed.
-		job.anStart = ab.After(d.an.begin, attrib.Unattributed, "repair-start", f)
+		job.anStart = ab.After(d.an.begin, attrib.Unattributed, "repair-start", r.replicas.FileName(f))
 	}
 	d.active[f] = job
+	d.repairs++
 	if tr := d.tr; tr.Enabled() {
 		job.lane = claimLane(&dst.xferLanes)
 		job.span = tr.Begin(fmt.Sprintf("%s/net%d", dst.name, job.lane), "repair",
-			"repair "+f, obs.Args{"src": srcVM.Name(), "bytes": size})
+			"repair "+r.replicas.FileName(f), obs.Args{"src": srcVM.Name(), "bytes": size})
 	}
 	// The job stays in d.active until the copy has fully landed (flow
 	// delivered AND disk write charged): an active job counts as a
@@ -441,14 +445,14 @@ func (job *repairJob) FlowDone(*netsim.Flow) {
 	}
 	r.res.RepairBytes += job.size
 	if job.dst.Dead {
-		delete(d.active, job.file)
+		d.retire(job)
 		d.endSpan(job, "worker-died")
 		d.repairsFailed++
 		return
 	}
 	d.endSpan(job, "ok")
 	if ab := d.an.ab; ab.Enabled() {
-		d.an.cause = ab.After(job.anStart, attrib.Repair, "repair-copy", job.file)
+		d.an.cause = ab.After(job.anStart, attrib.Repair, "repair-copy", r.replicas.FileName(job.file))
 	}
 	r.chargeDiskWrite(job.dst, job.size, job)
 }
@@ -461,7 +465,7 @@ func (job *repairJob) FlowInterrupted(_ *netsim.Flow, delivered float64) {
 	if d.active[job.file] != job {
 		return
 	}
-	delete(d.active, job.file)
+	d.retire(job)
 	d.r.res.RepairBytes += delivered
 	d.repairsFailed++
 	d.endSpan(job, "interrupted")
@@ -473,12 +477,12 @@ func (job *repairJob) Fire() {
 	if d.stopped || d.active[job.file] != job {
 		return
 	}
-	delete(d.active, job.file)
+	d.retire(job)
 	if job.dst.Dead {
 		d.repairsFailed++
 		return
 	}
-	job.dst.setHas(job.file)
+	job.dst.has.Add(job.file)
 	if r.offline {
 		// The copy physically landed; the master learns of it on recovery.
 		r.hold(job.noted)
@@ -490,11 +494,9 @@ func (job *repairJob) Fire() {
 // noted is the master's note of a landed repair copy.
 func (job *repairJob) noted() {
 	d, r, f, dst := job.d, job.d.r, job.file, job.dst
-	r.replicas.Add(f, dst.name)
-	d.mf.journal(catalog.Record{Op: catalog.OpReplicaAdd, File: f, Node: dst.name})
-	if d.an.repairNode != nil {
-		d.an.repairNode[f+"\x00"+dst.name] = d.an.cause
-	}
+	r.replicas.AddID(f, dst.node)
+	d.mf.journalFile(catalog.OpReplicaAdd, f, dst.name)
+	d.an.repairLanded(f, dst)
 	r.res.RepairsCompleted++
 	// Keep draining: the file may still be below target, and the budget
 	// slot just freed.
@@ -506,37 +508,37 @@ func (job *repairJob) noted() {
 // repair copy — bytes already travelling land on their destination even if
 // the replica they were read from vanishes meanwhile, so declaring the file
 // lost while a repair is active would be premature.
-func (d *durabilityHook) sourceExists(f string) bool {
-	return !d.evacuated[f] || d.r.replicas.Count(f) > 0 || d.active[f] != nil
+func (d *durabilityHook) sourceExists(f int32) bool {
+	return !d.evacuated[f] || d.r.replicas.CountID(f) > 0 || (d.active != nil && d.active[f] != nil)
 }
 
 // markFileLost declares a file permanently lost: every replica is gone and
 // the master no longer holds it. The file leaves the repair scan; tasks
 // needing it fail their attempts until retries exhaust.
-func (d *durabilityHook) markFileLost(f string) {
+func (d *durabilityHook) markFileLost(f int32) {
 	if d.lost[f] {
 		return
 	}
 	d.lost[f] = true
 	d.r.res.FilesLost++
-	d.r.replicas.Forget(f)
-	d.mf.journal(catalog.Record{Op: catalog.OpLoss, File: f})
+	d.r.replicas.ForgetID(f)
+	d.mf.journalFile(catalog.OpLoss, f, "")
 	if d.tr.Enabled() {
-		d.tr.Instant("master", "fault", "file-lost", obs.Args{"file": f})
+		d.tr.Instant("master", "fault", "file-lost", obs.Args{"file": d.r.replicas.FileName(f)})
 	}
 }
 
 // staged records evacuation: with EvacuateSource, the master drops a file
 // once its first copy lands on a worker.
-func (d *durabilityHook) staged(f, _ string) {
-	if !d.cfg.EvacuateSource || f == commonFile || d.evacuated[f] {
+func (d *durabilityHook) staged(f int32, _ *simWorker) {
+	if !d.cfg.EvacuateSource || f == d.r.common || d.evacuated[f] {
 		return
 	}
 	d.evacuated[f] = true
 	d.r.gen++ // source set changed: templates re-derive
-	d.mf.journal(catalog.Record{Op: catalog.OpEvacuate, File: f})
+	d.mf.journalFile(catalog.OpEvacuate, f, "")
 	if d.tr.Enabled() {
-		d.tr.Instant("master", "durability", "evacuated", obs.Args{"file": f})
+		d.tr.Instant("master", "durability", "evacuated", obs.Args{"file": d.r.replicas.FileName(f)})
 	}
 	// The file just became under-replicated (one worker copy, no master
 	// copy): repair immediately instead of waiting out the ticker, keeping
@@ -556,8 +558,8 @@ func (d *durabilityHook) diskDied(w *simWorker) {
 		return
 	}
 	d.tr.Instant(w.name, "fault", "disk-died", nil)
-	files := slices.Sorted(maps.Keys(w.has))
-	clear(w.has)
+	files := w.has.Append(nil) // in id order, which is name order
+	w.has.Clear()
 	if r.offline {
 		// The bytes are physically gone now; the master reacts on recovery.
 		r.hold(func() { d.diskDiedMaster(w, files) })
@@ -570,19 +572,19 @@ func (d *durabilityHook) diskDied(w *simWorker) {
 // worker's replica entries, declare unreachable files lost, re-stage the
 // common dataset and rescan. Split from diskDied so a master outage can
 // defer it while the byte loss itself stays immediate.
-func (d *durabilityHook) diskDiedMaster(w *simWorker, files []string) {
+func (d *durabilityHook) diskDiedMaster(w *simWorker, files []int32) {
 	r := d.r
 	for _, f := range files {
-		d.repRemove(f, w.name)
+		d.repRemove(f, w)
 	}
 	// The common dataset lives in the replica map only (stageCommon marks
 	// readiness, not residence), so check it there.
-	lostCommon := r.replicas.Has(commonFile, w.name)
+	lostCommon := r.replicas.HasID(r.common, w.node)
 	if lostCommon {
-		d.repRemove(commonFile, w.name)
+		d.repRemove(r.common, w)
 	}
 	for _, f := range files {
-		if f != commonFile && !d.sourceExists(f) && r.replicas.Count(f) == 0 {
+		if f != r.common && !d.sourceExists(f) && r.replicas.CountID(f) == 0 {
 			d.markFileLost(f)
 		}
 	}

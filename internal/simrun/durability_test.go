@@ -105,8 +105,8 @@ func TestRepairRestoresReplicationFactor(t *testing.T) {
 	}
 	// Every workload file must have reached the target factor: the run was
 	// long enough (80 s of compute vs 1 s scans) for repair to drain.
-	for f := range durabilityOf(r).fileSize {
-		if n := r.replicas.Count(f); n < 2 {
+	for _, task := range wl.Tasks {
+		if f, n := task.Files[0].Name, r.replicas.Count(task.Files[0].Name); n < 2 {
 			t.Errorf("file %s at %d replicas, want >= 2", f, n)
 		}
 	}
@@ -320,7 +320,7 @@ func TestRepairThrottledByBudget(t *testing.T) {
 	maxActive := 0
 	probe := func() {}
 	probe = func() {
-		if n := len(durabilityOf(r).active); n > maxActive {
+		if n := durabilityOf(r).repairs; n > maxActive {
 			maxActive = n
 		}
 		if !r.finished {
@@ -365,11 +365,12 @@ func fullBudgetRepair(tb testing.TB, n int) *durabilityHook {
 	w := r.AddWorker(vms[1])
 	m := durabilityOf(r)
 	m.start()
-	for i, t := range wl.Tasks {
-		f := t.Files[0].Name
-		r.replicas.Add(f, w.name)
+	for i := range wl.Tasks {
+		f := r.inputsOf(i)[0]
+		r.replicas.AddID(f, w.node)
 		if i < r.cfg.Durability.MaxConcurrentRepairs {
 			m.active[f] = &repairJob{file: f, dst: w}
+			m.repairs++
 		}
 	}
 	return m
@@ -381,8 +382,8 @@ func TestRepairScanAllocatesNothing(t *testing.T) {
 	// building no list and no closure.
 	m := fullBudgetRepair(t, 1024)
 	m.scan() // establishes the index target
-	if len(m.active) != 4 {
-		t.Fatalf("scan started repairs over a full budget: %d active", len(m.active))
+	if m.repairs != 4 {
+		t.Fatalf("scan started repairs over a full budget: %d active", m.repairs)
 	}
 	if a := testing.AllocsPerRun(100, m.scan); a != 0 {
 		t.Fatalf("repair scan allocates %.0f times with the budget full, want 0", a)
@@ -391,7 +392,7 @@ func TestRepairScanAllocatesNothing(t *testing.T) {
 
 func TestRepairScanReentryPanics(t *testing.T) {
 	m := fullBudgetRepair(t, 8)
-	m.visitFn = func(string) bool { m.scan(); return false }
+	m.visitFn = func(int32) bool { m.scan(); return false }
 	defer func() {
 		if recover() == nil {
 			t.Fatal("nested scan did not panic")

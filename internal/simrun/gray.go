@@ -76,6 +76,7 @@ type grayHook struct {
 	// xferEwmaBps is the running average goodput of completed transfers,
 	// the baseline a hedging decision compares against.
 	xferEwmaBps float64
+	checks      sim.Arena[hedgeCheck] // where the goodput checks come from
 	taskSec     *obs.Histogram
 }
 
@@ -129,9 +130,9 @@ func (g *grayHook) dispatch(w *simWorker, att *taskAttempt) {
 	if !g.r.cfg.Strategy.Fetches() {
 		return
 	}
-	for _, f := range g.r.wl.Tasks[att.task].Files {
-		if !w.has[f.Name] {
-			att.claimed = append(att.claimed, f.Name)
+	for _, f := range g.r.inputsOf(att.task) {
+		if !w.has.Has(f) {
+			att.claimed = append(att.claimed, f)
 		}
 	}
 }
@@ -365,9 +366,9 @@ func (g *grayHook) cancel(w *simWorker, att *taskAttempt) {
 		wasted = float64(now - att.stage.startAt)
 		r.abandonStage(att.stage)
 		att.stage = nil
-		for _, name := range att.claimed {
-			if !r.replicas.Has(name, w.name) {
-				delete(w.has, name)
+		for _, f := range att.claimed {
+			if !r.replicas.HasID(f, w.node) {
+				w.has.Remove(f)
 			}
 		}
 	}
@@ -416,42 +417,59 @@ func (g *grayHook) observeGoodput(bytes, elapsed float64) {
 // are killed by link faults (the primary's interrupt handler defers to a
 // live hedge), the hedge's handler resumes the transfer's retry ladder.
 func (g *grayHook) armHedge(s *stageIn) {
-	r, w := g.r, s.w
-	primary, src, started := s.flow, s.src, r.eng.Now()
+	r, c := g.r, g.checks.New()
+	*c = hedgeCheck{g: g, s: s, primary: s.flow, src: s.src, started: r.eng.Now()}
 	delay := hedgeCheckSec * (0.75 + 0.5*g.hedgeRng.Float64())
-	s.hedgeCheck = r.eng.Schedule(sim.Duration(delay), func() {
-		s.hedgeCheck = sim.EventRef{}
-		if s.abandoned || r.finished || w.Dead || s.flow != primary || s.hedge != nil {
-			return
-		}
-		if g.activeHedges >= maxConcurrentHedges || g.xferEwmaBps <= 0 {
-			return
-		}
-		elapsed := float64(r.eng.Now() - started)
-		if elapsed <= 0 || primary.Delivered()*8/elapsed >= hedgeFraction*g.xferEwmaBps {
-			return
-		}
-		// The hedge's source: the best holder other than the primary's
-		// source, else the master if it is not that source and still holds
-		// the files; without one there is no hedge.
-		src2 := r.master
-		if o := r.bestHolder(s.files, w, src); o != nil {
-			src2 = o.vm
-		} else if src == r.master || !(g.dur == nil || g.dur.masterHolds(s.files)) {
-			return
-		}
-		g.activeHedges++
-		r.res.HedgedTransfers++
-		if g.tr.Enabled() {
-			g.tr.Instant(s.track, "spec", "hedge-launched", obs.Args{"src": src2.Name()})
-		}
-		r.flowStarted()
-		r.res.BytesMoved += s.remaining
-		if ab := g.an.ab; ab.Enabled() {
-			s.anHedge = ab.After(s.anCause, attrib.DetectionLatency, "hedge-launch", src2.Name())
-		}
-		s.hedge = r.cluster.Transfer(src2, w.vm, s.remaining, &hedge{g: g, s: s, src: src2})
-	})
+	s.hedgeCheck = r.eng.ScheduleHandler(sim.Duration(delay), c)
+}
+
+// hedgeCheck is one transfer attempt's pending goodput check (armHedge):
+// the handler of its event and what it measures — the attempt's flow, that
+// flow's source and its start.
+type hedgeCheck struct {
+	g       *grayHook
+	s       *stageIn
+	primary *netsim.Flow
+	src     *cloud.VM
+	started sim.Time
+}
+
+// Fire runs the check, launching the hedge flow if the primary is still
+// running below the goodput threshold.
+func (c *hedgeCheck) Fire() {
+	g, s, r := c.g, c.s, c.g.r
+	w := s.w
+	s.hedgeCheck = sim.EventRef{}
+	if s.abandoned || r.finished || w.Dead || s.flow != c.primary || s.hedge != nil {
+		return
+	}
+	if g.activeHedges >= maxConcurrentHedges || g.xferEwmaBps <= 0 {
+		return
+	}
+	elapsed := float64(r.eng.Now() - c.started)
+	if elapsed <= 0 || c.primary.Delivered()*8/elapsed >= hedgeFraction*g.xferEwmaBps {
+		return
+	}
+	// The hedge's source: the best holder other than the primary's source,
+	// else the master if it is not that source and still holds the files;
+	// without one there is no hedge.
+	src2 := r.master
+	if o := r.bestHolder(s.files, w, c.src); o != nil {
+		src2 = o.vm
+	} else if c.src == r.master || !(g.dur == nil || g.dur.masterHolds(s.files)) {
+		return
+	}
+	g.activeHedges++
+	r.res.HedgedTransfers++
+	if g.tr.Enabled() {
+		g.tr.Instant(s.track, "spec", "hedge-launched", obs.Args{"src": src2.Name()})
+	}
+	r.flowStarted()
+	r.res.BytesMoved += s.remaining
+	if ab := g.an.ab; ab.Enabled() {
+		s.anHedge = ab.After(s.anCause, attrib.DetectionLatency, "hedge-launch", src2.Name())
+	}
+	s.hedge = r.cluster.Transfer(src2, w.vm, s.remaining, &hedge{g: g, s: s, src: src2})
 }
 
 // hedge owns a hedge flow racing a stage's primary flow from src.

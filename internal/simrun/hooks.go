@@ -29,12 +29,12 @@ type hook interface {
 	settle(c *Completion)
 	workerDeath(w *simWorker) // the machine died; its work is torn down next
 	// workerGone is the master's reaction; dropped lists the files whose
-	// copy on w the replica map just forgot.
-	workerGone(w *simWorker, dropped []string)
-	staged(file, node string) // the master noted that file landed on node
-	tick(w *simWorker)        // a heartbeat of w reached the master
-	finish()                  // every task is terminal
-	admits(w *simWorker) bool // may w take on new work now?
+	// copy on w the replica map just forgot, in id (so name) order.
+	workerGone(w *simWorker, dropped []int32)
+	staged(file int32, w *simWorker) // the master noted that file landed on w
+	tick(w *simWorker)               // a heartbeat of w reached the master
+	finish()                         // every task is terminal
+	admits(w *simWorker) bool        // may w take on new work now?
 }
 
 // outcome is the phase a transfer or compute event reports.
@@ -80,8 +80,8 @@ func (nopHook) compute(*simWorker, *taskAttempt, outcome)                   {}
 func (nopHook) delayed(_ *simWorker, _ delay, then sim.Handler) sim.Handler { return then }
 func (nopHook) settle(*Completion)                                          {}
 func (nopHook) workerDeath(*simWorker)                                      {}
-func (nopHook) workerGone(*simWorker, []string)                             {}
-func (nopHook) staged(string, string)                                       {}
+func (nopHook) workerGone(*simWorker, []int32)                              {}
+func (nopHook) staged(int32, *simWorker)                                    {}
 func (nopHook) tick(*simWorker)                                             {}
 func (nopHook) finish()                                                     {}
 func (nopHook) admits(*simWorker) bool                                      { return true }

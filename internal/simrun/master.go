@@ -15,8 +15,6 @@ package simrun
 
 import (
 	"fmt"
-	"maps"
-	"slices"
 
 	"frieda/internal/catalog"
 	"frieda/internal/fault"
@@ -144,11 +142,21 @@ func (m *masterHook) journal(rec catalog.Record) {
 	}
 }
 
-func (m *masterHook) staged(file, node string) {
-	m.journal(catalog.Record{Op: catalog.OpReplicaAdd, File: file, Node: node})
+// journalFile journals a mutation of one file by name, as journal does: the
+// journal is an edge where file ids turn back into names, so the name is
+// looked up only when the master journals.
+func (m *masterHook) journalFile(op catalog.Op, file int32, node string) {
+	if m == nil || !m.cfg.Journal {
+		return
+	}
+	m.journal(catalog.Record{Op: op, File: m.r.replicas.FileName(file), Node: node})
 }
 
-func (m *masterHook) workerGone(w *simWorker, _ []string) {
+func (m *masterHook) staged(file int32, w *simWorker) {
+	m.journalFile(catalog.OpReplicaAdd, file, w.name)
+}
+
+func (m *masterHook) workerGone(w *simWorker, _ []int32) {
 	m.journal(catalog.Record{Op: catalog.OpDropNode, Node: w.name})
 }
 
@@ -298,11 +306,11 @@ func (m *masterHook) recovered() {
 // honest price of losing the replica map.
 func (m *masterHook) amnesiaWipe() {
 	r, d := m.r, m.dur
-	r.replicas = catalog.NewReplicas()
+	r.replicas.Reset()
 	if d != nil {
-		for _, f := range slices.Sorted(maps.Keys(d.evacuated)) {
-			if !d.lost[f] {
-				r.replicas.Note(f)
+		for f, evacuated := range d.evacuated {
+			if evacuated && !d.lost[f] {
+				r.replicas.NoteID(int32(f))
 			}
 		}
 	}

@@ -162,43 +162,44 @@ func TestBestSourcePrefersHealthyReplica(t *testing.T) {
 	_, cluster, vms := newTestCluster(t, 1)
 	cfg := rtRemote()
 	cfg.NetFaults = &NetFaultConfig{Resume: true}
-	r, err := NewRunner(cluster, vms[0], cfg, Workload{Name: "x", Tasks: uniformTasks(1, 1, 1)})
+	r, err := NewRunner(cluster, vms[0], cfg, Workload{Name: "x", Tasks: uniformTasks(2, 1, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	w0 := r.AddWorker(vms[1])
 	w1 := r.AddWorker(vms[2])
 	w2 := r.AddWorker(vms[3])
+	f, g := r.inputsOf(0)[0], r.inputsOf(1)[0]
 
 	// No replica anywhere: fall back to the master.
-	if src := r.source(w0, []string{"f"}, 2); src != vms[0] {
+	if src := r.source(w0, []int32{f}, 2); src != vms[0] {
 		t.Fatalf("no replicas: source = %s", src.Name())
 	}
 	// w1 holds the file: prefer it.
-	r.replicas.Add("f", w1.name)
-	if src := r.source(w0, []string{"f"}, 2); src != vms[2] {
+	r.replicas.AddID(f, w1.node)
+	if src := r.source(w0, []int32{f}, 2); src != vms[2] {
 		t.Fatalf("replica ignored: source = %s", src.Name())
 	}
 	// Requesting worker's own copy never wins (it is the destination).
-	r.replicas.Add("f", w0.name)
-	if src := r.source(w0, []string{"f"}, 2); src != vms[2] {
+	r.replicas.AddID(f, w0.node)
+	if src := r.source(w0, []int32{f}, 2); src != vms[2] {
 		t.Fatalf("destination chosen as source: %s", src.Name())
 	}
 	// A failed uplink disqualifies the replica holder.
 	cluster.Network().FailLink(vms[2].Host().Up())
-	if src := r.source(w0, []string{"f"}, 2); src != vms[0] {
+	if src := r.source(w0, []int32{f}, 2); src != vms[0] {
 		t.Fatalf("failed-uplink replica chosen: %s", src.Name())
 	}
 	// A dead holder is skipped too.
 	cluster.Network().RestoreLink(vms[2].Host().Up())
 	w1.Dead = true
-	if src := r.source(w0, []string{"f"}, 2); src != vms[0] {
+	if src := r.source(w0, []int32{f}, 2); src != vms[0] {
 		t.Fatalf("dead replica chosen: %s", src.Name())
 	}
 	// Multi-file requests need a holder with every file.
-	r.replicas.Add("f", w2.name)
-	r.replicas.Add("g", w2.name)
-	if src := r.source(w0, []string{"f", "g"}, 2); src != vms[3] {
+	r.replicas.AddID(f, w2.node)
+	r.replicas.AddID(g, w2.node)
+	if src := r.source(w0, []int32{f, g}, 2); src != vms[3] {
 		t.Fatalf("multi-file holder not chosen: %s", src.Name())
 	}
 }

@@ -35,8 +35,8 @@ import (
 	"frieda/internal/strategy"
 )
 
-// commonFile is the replica-map pseudo-file standing for the workload's
-// common dataset (the BLAST database).
+// commonFile is the name of the replica-map pseudo-file standing for the
+// workload's common dataset (the BLAST database).
 const commonFile = "__common__"
 
 // connectTimeoutSec is the master's dispatch-failure observation delay: a
@@ -69,6 +69,16 @@ type Runner struct {
 	// replicas tracks which worker holds which file after staging, the
 	// source pool for replica-aware transfer resume.
 	replicas *catalog.Replicas
+	// The run's files are dense ids, interned once by NewRunner in name
+	// order (internFiles), so id order is name order: common is the common
+	// dataset's, and task gi's inputs are inputs[inputAt[gi]:inputAt[gi+1]],
+	// parallel to its Files. Ids index the replica map, the workers' disks,
+	// sizes and the plug-ins' per-file state; names return only at the
+	// edge: the journal, traces and DumpReplicas.
+	common  int32
+	inputs  []int32
+	inputAt []int32
+	sizes   []float64
 	// rng jitters retry backoff; non-nil only with NetFaults (the retry
 	// ladder), and consumed only on retries.
 	rng *rand.Rand
@@ -81,10 +91,10 @@ type Runner struct {
 	// decision (ctrlplane.go), a transfer attempt's source, a task's input
 	// fetch, and the two integrity checks (durability.go). The defaults are
 	// the published model. A fetch is two halves: fetch starts streaming
-	// att.names, missing bytes in all, and fetched continues once a stage
+	// att.files, missing bytes in all, and fetched continues once a stage
 	// of them is on disk.
 	decide    func(w *simWorker) bool
-	source    func(w *simWorker, files []string, n int) *cloud.VM
+	source    func(w *simWorker, files []int32, n int) *cloud.VM
 	fetch     func(att *taskAttempt, missing float64)
 	fetched   func(s *stageIn)
 	corrupt   func(from *cloud.VM, w *simWorker) bool
@@ -106,7 +116,7 @@ type Runner struct {
 
 	// stageFiles picks a worker's files under a staged strategy
 	// (startStaged); the ledger holds the barrier.
-	stageFiles func(w *simWorker) []catalog.FileMeta
+	stageFiles func(w *simWorker) []int32
 
 	// Phase accounting.
 	activeFlows    int
@@ -122,10 +132,10 @@ type Runner struct {
 	drainOn   bool
 	drainFn   func()
 
-	// nameScratch recycles the per-dispatch missing-file name slices, so the
+	// fileScratch recycles the per-dispatch missing-file slices, so the
 	// steady-state pull loop allocates none; a slice abandoned mid-transfer
 	// (worker death) is left to the garbage collector.
-	nameScratch [][]string
+	fileScratch [][]int32
 
 	// The run's records come from its own arenas and live as long as it.
 	workerArena  sim.Arena[simWorker]
@@ -144,31 +154,22 @@ type simWorker struct {
 	vm       *cloud.VM
 	name     string
 	disk     *storage.Volume
-	has      map[string]bool // the files on its disk; nil until the first (setHas)
+	has      catalog.IDSet // the file ids on its disk
 	cores    sim.Resource
 	inflight map[int]*taskAttempt // admitted attempts; nil until the first dispatch
 	// speed is the compute-rate factor (1 = provisioned); straggler
 	// injection lowers it via SetWorkerSpeed without touching liveness.
 	speed  float64
-	queued bool // already in this instant's batched admit pass
+	node   int32 // its id in the replica map
+	queued bool  // already in this instant's batched admit pass
 	// afterCommon is what follows its common dataset (stageCommon); chain
 	// lists the files a staged strategy streams to it next (startStaged).
 	afterCommon afterCommon
-	chain       []catalog.FileMeta
+	chain       []int32
 	// cpuLanes and xferLanes allocate trace tracks so concurrent spans on
 	// one worker render as properly nested per-lane timelines (tracer.go).
 	cpuLanes  []bool
 	xferLanes []bool
-}
-
-// setHas marks file as on the worker's disk, making the map on first use: a
-// worker that never receives a task file costs no map, and in the
-// 65,536-worker BLAST cell (7,500 tasks) most never do.
-func (w *simWorker) setHas(file string) {
-	if w.has == nil {
-		w.has = make(map[string]bool)
-	}
-	w.has[file] = true
 }
 
 // taskAttempt is one admitted task on a worker, from its input fetch to its
@@ -180,7 +181,7 @@ type taskAttempt struct {
 	task    int
 	step    attemptStep // what Fire does next
 	stage   *stageIn
-	names   []string // the inputs the fetch claimed (takeNames), until put back
+	files   []int32 // the inputs the fetch claimed (takeFiles), until put back
 	compute sim.EventRef
 	started sim.Time
 	// Rate-varying compute state: workTotal/workLeft are reference-seconds
@@ -194,7 +195,7 @@ type taskAttempt struct {
 	// a cancelled attempt can release claims that never landed.
 	clone, cancelled bool
 	race             *race
-	claimed          []string
+	claimed          []int32
 	// span is the open compute span on cpu lane `lane` (tracer.go).
 	span *obs.Span
 	lane int
@@ -222,6 +223,8 @@ func NewRunner(cluster *cloud.Cluster, master *cloud.VM, cfg Config, wl Workload
 		corrupt:   func(*cloud.VM, *simWorker) bool { return false },
 		readFails: func(*simWorker, *taskAttempt) bool { return false },
 	}
+	r.internFiles()
+	r.replicas.ReserveNodes(len(cluster.VMs())) // the workers usually exist already
 	r.decide, r.source, r.fetch, r.fetched = r.dispatchNext, r.sourceFor, r.fetchBundled, r.fetchedBundled
 	r.drainFn = r.drainAdmits // bound once; kicks never allocate
 	if nf := cfg.NetFaults; nf != nil {
@@ -230,6 +233,7 @@ func NewRunner(cluster *cloud.Cluster, master *cloud.VM, cfg Config, wl Workload
 
 	r.hooks = r.plugIns()
 	r.res.PerWorker = make(map[string]int)
+	r.res.Completions = make([]Completion, 0, len(wl.Tasks))
 	cluster.OnFailure(func(vm *cloud.VM) {
 		if w := r.worker(vm); w != nil {
 			r.workerDied(w)
@@ -237,6 +241,66 @@ func NewRunner(cluster *cloud.Cluster, master *cloud.VM, cfg Config, wl Workload
 	})
 	return r, nil
 }
+
+// internFiles gives the common dataset and every distinct task input one
+// file id, in name order, registers them with the replica map, and lays out
+// each task's input ids and every file's size. Workloads that list their
+// inputs in ascending name order, each once (numbered files, one or two a
+// task), take the ids in listing order; any other is sorted, deduplicated
+// and searched.
+func (r *Runner) internFiles() {
+	tasks := r.wl.Tasks
+	r.inputAt = make([]int32, len(tasks)+1)
+	total := 0
+	for gi, t := range tasks {
+		r.inputAt[gi] = int32(total)
+		total += len(t.Files)
+	}
+	r.inputAt[len(tasks)] = int32(total)
+	names := make([]string, 0, total+1)
+	ascending := true
+	for _, t := range tasks {
+		for _, f := range t.Files {
+			ascending = ascending && (len(names) == 0 || f.Name > names[len(names)-1])
+			names = append(names, f.Name)
+		}
+	}
+	r.inputs = make([]int32, total)
+	if ascending {
+		for k := range r.inputs {
+			r.inputs[k] = int32(k)
+		}
+	} else {
+		distinct := slices.Compact(slices.Sorted(slices.Values(names)))
+		for k, n := range names {
+			i, _ := slices.BinarySearch(distinct, n)
+			r.inputs[k] = int32(i)
+		}
+		names = distinct
+	}
+	// The common dataset takes its place in name order; a task input of
+	// the same name is the same file, as it always was in the replica map.
+	i, found := slices.BinarySearch(names, commonFile)
+	if !found {
+		names = slices.Insert(names, i, commonFile)
+		for k, f := range r.inputs {
+			if f >= int32(i) {
+				r.inputs[k] = f + 1
+			}
+		}
+	}
+	r.common = int32(i)
+	r.sizes = make([]float64, len(names))
+	for gi, t := range tasks {
+		for k, f := range t.Files {
+			r.sizes[r.inputsOf(gi)[k]] = float64(f.Size)
+		}
+	}
+	r.replicas.RegisterFiles(names)
+}
+
+// inputsOf returns task gi's input ids, parallel to its Files.
+func (r *Runner) inputsOf(gi int) []int32 { return r.inputs[r.inputAt[gi]:r.inputAt[gi+1]] }
 
 // worker returns the worker running on vm, or nil if vm never joined. IDs
 // are unique only within a cluster, so the slot's VM must be vm itself.
@@ -290,6 +354,7 @@ func (r *Runner) AddWorker(vm *cloud.VM) *simWorker {
 	*w = simWorker{
 		vm:    vm,
 		name:  vm.Name(),
+		node:  r.replicas.RegisterNode(vm.Name()),
 		disk:  disk,
 		cores: sim.NewResource(slots),
 		speed: 1,
@@ -379,10 +444,10 @@ func (r *Runner) Start(done func(Result)) error {
 
 	switch r.cfg.Strategy.Kind {
 	case strategy.PrePartition:
-		r.startStaged(func(w *simWorker) []catalog.FileMeta { return slices.Collect(partition.Files(groups, w.Backlog)) })
+		r.startStaged(func(w *simWorker) []int32 { return r.filesOf(w.Backlog) })
 	case strategy.NoPartition:
-		all := slices.Collect(partition.Files(groups, r.led.Queue()))
-		r.startStaged(func(*simWorker) []catalog.FileMeta { return all })
+		all := r.filesOf(r.led.Queue())
+		r.startStaged(func(*simWorker) []int32 { return all })
 	case strategy.RealTime:
 		r.stageEveryCommon(commonKick)
 	}
@@ -482,8 +547,8 @@ func (r *Runner) next(w *simWorker) (int, bool) {
 		return r.led.Next(&w.Worker, nil)
 	}
 	return r.led.Next(&w.Worker, func(gi int) bool {
-		for _, f := range r.wl.Tasks[gi].Files {
-			if !w.has[f.Name] {
+		for _, f := range r.inputsOf(gi) {
+			if !w.has.Has(f) {
 				return false
 			}
 		}
@@ -504,26 +569,26 @@ func (r *Runner) fetchAndRun(w *simWorker, gi int) *taskAttempt {
 		h.dispatch(w, att)
 	}
 	var missing float64
-	var names []string
+	var files []int32
 	if r.cfg.Strategy.Fetches() {
-		names = r.takeNames()
-		for _, f := range r.wl.Tasks[gi].Files {
-			if !w.has[f.Name] {
+		files = r.takeFiles()
+		ids := r.inputsOf(gi)
+		for k, f := range r.wl.Tasks[gi].Files {
+			// Claim at dispatch, exactly as the real master marks the
+			// replica before streaming: a concurrent slot fetching a
+			// shared file (one-to-all's pivot, all-to-all pairs) must not
+			// fetch it twice.
+			if w.has.Add(ids[k]) {
 				missing += float64(f.Size)
-				names = append(names, f.Name)
-				// Claim at dispatch, exactly as the real master marks the
-				// replica before streaming: a concurrent slot fetching a
-				// shared file (one-to-all's pivot, all-to-all pairs) must
-				// not fetch it twice.
-				w.setHas(f.Name)
+				files = append(files, ids[k])
 			}
 		}
 	}
 	if missing <= 0 {
-		r.putNames(names)
+		r.putFiles(files)
 		r.compute(w, att)
 	} else {
-		att.names = names
+		att.files = files
 		r.fetch(att, missing)
 	}
 	return att
@@ -533,7 +598,7 @@ func (r *Runner) fetchAndRun(w *simWorker, gi int) *taskAttempt {
 // bytes.
 func (r *Runner) fetchBundled(att *taskAttempt, missing float64) {
 	s := r.newStage(att.w, missing, stepFetch)
-	s.files, s.att = att.names, att
+	s.files, s.att = att.files, att
 	att.stage = r.transfer(s)
 }
 
@@ -541,10 +606,10 @@ func (r *Runner) fetchBundled(att *taskAttempt, missing float64) {
 // then computes.
 func (r *Runner) fetchedBundled(s *stageIn) {
 	att := s.att
-	for _, f := range att.names {
-		r.noteStaged(f, att.w.name)
+	for _, f := range att.files {
+		r.noteStaged(f, att.w)
 	}
-	r.putNames(att.names)
+	r.putFiles(att.files)
 	r.compute(att.w, att)
 }
 
@@ -552,10 +617,10 @@ func (r *Runner) fetchedBundled(s *stageIn) {
 // un-claim those files so a future attempt re-fetches them. Files before i
 // have landed and keep their copies.
 func (r *Runner) fetchLost(att *taskAttempt, i int) {
-	for _, name := range att.names[i:] {
-		delete(att.w.has, name)
+	for _, f := range att.files[i:] {
+		att.w.has.Remove(f)
 	}
-	r.putNames(att.names)
+	r.putFiles(att.files)
 	r.fetchFailed(att.w, att)
 }
 
@@ -570,25 +635,25 @@ func (r *Runner) fetchFailed(w *simWorker, att *taskAttempt) {
 	r.after(r.eng.Now()+connectTimeoutSec, w, delayConnectTimeout, att)
 }
 
-// takeNames pops a recycled name slice (len 0) from the scratch free list,
+// takeFiles pops a recycled file slice (len 0) from the scratch free list,
 // or returns nil for append to grow on first use.
-func (r *Runner) takeNames() []string {
-	if n := len(r.nameScratch); n > 0 {
-		s := r.nameScratch[n-1]
-		r.nameScratch[n-1] = nil
-		r.nameScratch = r.nameScratch[:n-1]
+func (r *Runner) takeFiles() []int32 {
+	if n := len(r.fileScratch); n > 0 {
+		s := r.fileScratch[n-1]
+		r.fileScratch[n-1] = nil
+		r.fileScratch = r.fileScratch[:n-1]
 		return s
 	}
 	return nil
 }
 
-// putNames returns a dispatch's name slice to the free list once nothing
-// will touch it again. putNames(nil) is a no-op.
-func (r *Runner) putNames(s []string) {
+// putFiles returns a dispatch's file slice to the free list once nothing
+// will touch it again. putFiles(nil) is a no-op.
+func (r *Runner) putFiles(s []int32) {
 	if s == nil {
 		return
 	}
-	r.nameScratch = append(r.nameScratch, s[:0])
+	r.fileScratch = append(r.fileScratch, s[:0])
 }
 
 // attemptStep is what an attempt's next Fire does.
@@ -764,7 +829,7 @@ func (r *Runner) workerDied(w *simWorker) {
 // in-flight attempts workerDied tore down. It runs with the master up.
 func (r *Runner) workerGone(w *simWorker, attempts []*taskAttempt) {
 	r.gen++
-	dropped := r.replicas.DropNode(w.name)
+	dropped := r.replicas.DropNodeID(w.node)
 	for _, h := range r.hooks {
 		h.workerGone(w, dropped)
 	}

@@ -32,7 +32,7 @@ func (t *traceHook) transfer(s *stageIn, o outcome, _ string) {
 		if s.n == 1 {
 			s.lane = claimLane(&s.w.xferLanes)
 			s.track = fmt.Sprintf("%s/net%d", s.w.name, s.lane)
-			s.span = t.tr.Begin(s.track, "transfer", transferName(s.files), obs.Args{
+			s.span = t.tr.Begin(s.track, "transfer", t.transferName(s.files), obs.Args{
 				"worker": s.w.name, "bytes": s.bytes, "files": len(s.files),
 			})
 		}
@@ -83,12 +83,12 @@ func (t *traceHook) compute(w *simWorker, att *taskAttempt, o outcome) {
 }
 
 // transferName labels a logical transfer span.
-func transferName(files []string) string {
+func (t *traceHook) transferName(files []int32) string {
 	switch {
-	case len(files) == 1 && files[0] == commonFile:
+	case len(files) == 1 && files[0] == t.r.common:
 		return "stage common"
 	case len(files) == 1:
-		return "xfer " + files[0]
+		return "xfer " + t.r.replicas.FileName(files[0])
 	default:
 		return fmt.Sprintf("xfer %d files", len(files))
 	}

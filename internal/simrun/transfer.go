@@ -40,17 +40,17 @@ const (
 type stageIn struct {
 	r     *Runner
 	w     *simWorker
-	files []string
+	files []int32
 	bytes float64
 	// step says which chain the stage belongs to (staged); att and at
 	// locate it there: the attempt whose inputs it fetches, and the index
-	// of files[0] in w.chain or att.names.
+	// of files[0] in w.chain or att.files.
 	step stageStep
 	wake stageWake // which wait Fire ends
 	att  *taskAttempt
 	at   int
 	// one backs files for a single-file stage (oneFile).
-	one [1]string
+	one [1]int32
 	// startAt timestamps the logical transfer for the duration histogram.
 	startAt sim.Time
 	// The current attempt: its number, source, payload and flow. last is
@@ -90,7 +90,7 @@ type stageStep uint8
 const (
 	stepCommon stageStep = iota // the common dataset; the worker's staging goes on (commonStaged)
 	stepChain                   // file at of w.chain; the chain streams the next
-	stepFetch                   // att's inputs from att.names[at]; the fetch decision goes on
+	stepFetch                   // att's inputs from att.files[at]; the fetch decision goes on
 )
 
 // stageWake is the wait a stage's pending event ends.
@@ -109,9 +109,9 @@ func (r *Runner) newStage(w *simWorker, bytes float64, step stageStep) *stageIn 
 	return s
 }
 
-// oneFile makes name the stage's only file, backed by the stage itself.
-func (s *stageIn) oneFile(name string) *stageIn {
-	s.one[0] = name
+// oneFile makes file the stage's only file, backed by the stage itself.
+func (s *stageIn) oneFile(file int32) *stageIn {
+	s.one[0] = file
 	s.files = s.one[:]
 	return s
 }
@@ -308,12 +308,12 @@ func (r *Runner) landed(s *stageIn) {
 	case stepCommon:
 		if !w.Dead {
 			r.led.Arrive(&w.Worker)
-			r.noteStaged(commonFile, w.name)
+			r.noteStaged(r.common, w)
 		}
 		r.commonStaged(w)
 	case stepChain:
-		w.setHas(s.files[0])
-		r.noteStaged(s.files[0], w.name)
+		w.has.Add(s.files[0])
+		r.noteStaged(s.files[0], w)
 		r.streamChain(w, s.at+1)
 	case stepFetch:
 		r.fetched(s)
@@ -351,7 +351,7 @@ func (r *Runner) abandonStage(s *stageIn) {
 // sourceFor is the published source rule: the master on a first attempt,
 // and on a Resume retry the best surviving replica, else the master again.
 // Durability swaps in its own rule (durability.go).
-func (r *Runner) sourceFor(w *simWorker, files []string, n int) *cloud.VM {
+func (r *Runner) sourceFor(w *simWorker, files []int32, n int) *cloud.VM {
 	if n > 1 && r.resume {
 		if o := r.bestHolder(files, w, nil); o != nil {
 			return o.vm
@@ -365,7 +365,7 @@ func (r *Runner) sourceFor(w *simWorker, files []string, n int) *cloud.VM {
 // uplink flows, the first in registration order on ties. skip and skipVM
 // (either may be nil) exclude the destination and a source already in use.
 // Nil when no worker qualifies.
-func (r *Runner) bestHolder(files []string, skip *simWorker, skipVM *cloud.VM) *simWorker {
+func (r *Runner) bestHolder(files []int32, skip *simWorker, skipVM *cloud.VM) *simWorker {
 	var best *simWorker
 	for _, o := range r.workers {
 		if o == skip || o.vm == skipVM || !o.Live() || o.vm.Host().Up().Failed() {
@@ -373,7 +373,7 @@ func (r *Runner) bestHolder(files []string, skip *simWorker, skipVM *cloud.VM) *
 		}
 		holds := true
 		for _, f := range files {
-			if !r.replicas.Has(f, o.name) {
+			if !r.replicas.HasID(f, o.node) {
 				holds = false
 				break
 			}
@@ -403,7 +403,7 @@ func (r *Runner) stageCommon(w *simWorker, next afterCommon) {
 		r.commonStaged(w)
 		return
 	}
-	r.transfer(r.newStage(w, r.wl.CommonBytes, stepCommon).oneFile(commonFile))
+	r.transfer(r.newStage(w, r.wl.CommonBytes, stepCommon).oneFile(r.common))
 }
 
 // streamsCommon reports whether staging a worker streams the common
@@ -438,7 +438,7 @@ func (r *Runner) commonStaged(w *simWorker) {
 	fs := r.stageFiles(w)
 	if r.cfg.Strategy.Locality == strategy.Local {
 		for _, f := range fs {
-			w.setHas(f.Name)
+			w.has.Add(f)
 		}
 		r.barrier(w)
 		return
@@ -462,18 +462,18 @@ func (r *Runner) chargeDiskWrite(w *simWorker, bytes float64, then sim.Handler) 
 	r.after(r.eng.Now()+dur, w, delayDiskWrite, then)
 }
 
-// noteStaged records that a payload landed: node now holds file. The
-// landing itself is physical — the bytes are on disk and the chain
-// continues — but the note is the master's: during an outage the worker's
-// report is held and the map updates at recovery.
-func (r *Runner) noteStaged(file, node string) {
+// noteStaged records that a payload landed: w now holds file. The landing
+// itself is physical — the bytes are on disk and the chain continues — but
+// the note is the master's: during an outage the worker's report is held
+// and the map updates at recovery.
+func (r *Runner) noteStaged(file int32, w *simWorker) {
 	if r.offline {
-		r.hold(func() { r.noteStaged(file, node) })
+		r.hold(func() { r.noteStaged(file, w) })
 		return
 	}
-	r.replicas.Add(file, node)
+	r.replicas.AddID(file, w.node)
 	for _, h := range r.hooks {
-		h.staged(file, node)
+		h.staged(file, w)
 	}
 }
 
@@ -483,7 +483,7 @@ func (r *Runner) noteStaged(file, node string) {
 // (like a per-worker scp loop), or finds them on disk when data is local.
 // Each worker's staging is one staging item of the ledger, and execution
 // begins only once every one has closed (barrier).
-func (r *Runner) startStaged(files func(w *simWorker) []catalog.FileMeta) {
+func (r *Runner) startStaged(files func(w *simWorker) []int32) {
 	r.stageFiles = files
 	for _, w := range r.workers {
 		r.led.Stage(&w.Worker)
@@ -509,16 +509,31 @@ func (r *Runner) barrier(w *simWorker) {
 func (r *Runner) streamChain(w *simWorker, i int) {
 	for ; i < len(w.chain) && !w.Dead; i++ {
 		f := w.chain[i]
-		if w.has[f.Name] {
+		if w.has.Has(f) {
 			continue
 		}
-		s := r.newStage(w, float64(f.Size), stepChain)
+		s := r.newStage(w, r.sizes[f], stepChain)
 		s.at = i
-		r.transfer(s.oneFile(f.Name))
+		r.transfer(s.oneFile(f))
 		return
 	}
 	w.chain = nil
 	r.barrier(w)
+}
+
+// filesOf lists the distinct inputs of tasks idx in order of first
+// appearance: the chain a staged worker streams.
+func (r *Runner) filesOf(idx []int) []int32 {
+	var seen catalog.IDSet
+	out := make([]int32, 0, len(idx))
+	for _, gi := range idx {
+		for _, f := range r.inputsOf(gi) {
+			if seen.Add(f) {
+				out = append(out, f)
+			}
+		}
+	}
+	return out
 }
 
 // tasksAsGroups adapts TaskSpecs to partition.Groups for the assigners.
