@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"runtime"
 	"testing"
 
 	"frieda/internal/cloud"
@@ -9,14 +10,14 @@ import (
 )
 
 // The paper's sweep allocates far less than one object per fired event: its
-// flows, stage-ins, task attempts and events come from arena chunks, there
-// is no closure, and the workload is built from one file array and one name
-// string. One Fig. 6 real-time cell of each application, workload build
-// included as every sweep cell builds its own, measures 0.1027 mallocs per
-// fired event for ALS (193 per run over 1,880 events) and 0.0207 for BLAST
-// (463 to 467 over 22,513; map growth varies). Each bound is that plus 2%,
-// so a closure or a slice per task (+0.33 per event in either cell) fails
-// it.
+// flows, stage-ins, task attempts and events come from arena chunks, which
+// the cell reuses as each record's use ends, there is no closure, and the
+// workload is built from one file array and one name string. One Fig. 6
+// real-time cell of each application, workload build included as every
+// sweep cell builds its own, measures 0.0888 mallocs per fired event for
+// ALS (167 per run over 1,880 events) and 0.0080 for BLAST (181 over
+// 22,513). Each bound is that plus 2%, so a closure or a slice per task
+// (+0.33 per event in either cell) fails it.
 func TestPaperSweepAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
@@ -28,8 +29,8 @@ func TestPaperSweepAllocations(t *testing.T) {
 		app   string
 		limit float64
 	}{
-		{"ALS", 0.1027 * 1.02},
-		{"BLAST", 0.0207 * 1.02},
+		{"ALS", 0.0888 * 1.02},
+		{"BLAST", 0.0080 * 1.02},
 	} {
 		mk, err := workloadBuilder(c.app, 1)
 		if err != nil {
@@ -45,6 +46,56 @@ func TestPaperSweepAllocations(t *testing.T) {
 		t.Logf("%s: %.4f allocations per fired event (%.0f over %d events)", c.app, per, perRun, fired)
 		if per > c.limit {
 			t.Errorf("%s real-time cell makes %.4f allocations per fired event (%.0f over %d events), want <= %.4f",
+				c.app, per, perRun, fired, c.limit)
+		}
+	}
+}
+
+// The paper's sweep allocates few bytes per fired event: beside the mallocs
+// TestPaperSweepAllocations counts, the arena chunks its records come from
+// are few, because a cell takes back its flows, stage-ins and task attempts
+// as their use ends. One Fig. 6 real-time cell of each application, workload
+// build included, measures 154.1 bytes per fired event for ALS (289,699 per
+// run over 1,880 events; 361.4 when nothing was taken back) and 86.2 for
+// BLAST (1.94 MB over 22,513; 289.3). Each bound is that plus 2%, so chunks
+// that grow with the task count again fail it.
+func TestPaperSweepBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	var eng *sim.Engine
+	Instrument = func(_ string, cluster *cloud.Cluster, _ *simrun.Config) { eng = cluster.Engine() }
+	defer func() { Instrument = nil }()
+	for _, c := range []struct {
+		app   string
+		limit float64
+	}{
+		{"ALS", 154.1 * 1.02},
+		{"BLAST", 86.2 * 1.02},
+	} {
+		mk, err := workloadBuilder(c.app, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func() {
+			if _, err := RunStrategy(realTime(), mk(), 4, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		const runs = 3
+		run() // warm-up
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		perRun := float64(after.TotalAlloc-before.TotalAlloc) / runs
+		fired := eng.Fired()
+		per := perRun / float64(fired)
+		t.Logf("%s: %.1f bytes per fired event (%.0f over %d events)", c.app, per, perRun, fired)
+		if per > c.limit {
+			t.Errorf("%s real-time cell allocates %.1f bytes per fired event (%.0f over %d events), want <= %.1f",
 				c.app, per, perRun, fired, c.limit)
 		}
 	}

@@ -124,20 +124,27 @@ func TestDegradeAndRestoreRerateInFlight(t *testing.T) {
 	}
 }
 
+// Cancel of an interrupted flow from inside its interrupt callback is a
+// no-op: the owner hears of the interrupt once, and the network is left
+// clean.
 func TestCancelInterruptedFlowIsNoop(t *testing.T) {
 	eng := sim.NewEngine()
 	net := New(eng)
 	src := net.NewHost("src", Mbps(100), Mbps(100))
 	dst := net.NewHost("dst", Mbps(100), Mbps(100))
 	interrupts := 0
-	f := net.StartFlow(12.5e6, Path(src, dst, nil), &ends{intr: func(float64, sim.Time) { interrupts++ }})
-	eng.Schedule(0.1, func() {
-		net.FailLink(dst.Down())
+	var f *Flow
+	f = net.StartFlow(12.5e6, Path(src, dst, nil), &ends{intr: func(float64, sim.Time) {
+		interrupts++
 		net.Cancel(f) // must not double-remove or re-solve with the dead flow
-	})
+	}})
+	eng.Schedule(0.1, func() { net.FailLink(dst.Down()) })
 	eng.Run()
 	if interrupts != 1 {
 		t.Fatalf("interrupt callback ran %d times, want 1", interrupts)
+	}
+	if net.ActiveFlows() != 0 {
+		t.Fatalf("%d flows left on the network", net.ActiveFlows())
 	}
 }
 

@@ -146,7 +146,15 @@ func (l *Link) updateShare() {
 // FlowOwner is told how a flow it started ends. StartFlow takes it once and
 // the flow keeps it, so neither end costs a callback closure: the sender's
 // own transfer record is the owner. At most one of the two methods runs,
-// and neither runs for a cancelled flow.
+// and neither runs for a flow cancelled before the owner heard of its end.
+//
+// A *Flow is its owner's until the owner hears how the flow ended: once
+// FlowDone or FlowInterrupted returns, or once the owner has cancelled it,
+// the network takes the flow back for a later StartFlow to reuse, so the
+// owner must drop its pointer by then. Inside either method the flow is
+// still whole (Bottleneck, Delivered, ID). A flow started without an owner
+// is never taken back: nobody hears how it ends, so whoever holds it may
+// keep it.
 type FlowOwner interface {
 	// FlowDone runs at the virtual time the flow's last byte arrives.
 	FlowDone(f *Flow)
@@ -195,6 +203,7 @@ type Flow struct {
 	interrupted bool
 	pending     bool // latency delay not yet elapsed; not joined to links
 	frozen      bool // solver scratch, with nextRate
+	free        bool // taken back (recycle); the arena's until StartFlow reuses it
 }
 
 // MaxRoute is the most links a route from Path or Topology.Path has: a
@@ -227,6 +236,12 @@ func (f *Flow) slot(i int) *int32 {
 	}
 	return &f.spill.pos[i-MaxRoute]
 }
+
+// ID returns the flow's number, unique within its network for the
+// network's whole life. A record taken back and reused by a later flow
+// gets that flow's ID, so an ID, not a pointer, tells whether a flow seen
+// earlier is still the one running.
+func (f *Flow) ID() uint64 { return f.id }
 
 // Bytes returns the flow's total size in bytes.
 func (f *Flow) Bytes() float64 { return f.bytes }
@@ -516,9 +531,10 @@ func (n *Network) FailLink(l *Link) {
 	n.solveComponent()
 	n.applyRates()
 	for _, f := range victims {
-		if f.owner != nil {
+		if f.owner != nil && !f.cancelled { // an earlier victim's owner may have cancelled it
 			f.owner.FlowInterrupted(f, f.bytes-f.remaining)
 		}
+		n.recycle(f)
 	}
 }
 
@@ -566,7 +582,8 @@ func (n *Network) DegradeLink(l *Link, factor float64) {
 // completes after the latency alone. An empty path panics — model
 // node-local copies with the storage layer instead — and so does a path
 // that names a link twice: no route crosses a link twice, and the flow
-// lists rely on it (Link.unlist).
+// lists rely on it (Link.unlist). The returned flow is the owner's until
+// the owner hears how it ended (FlowOwner).
 func (n *Network) StartFlow(bytes float64, path []*Link, owner FlowOwner) *Flow {
 	if len(path) == 0 {
 		panic("netsim: empty flow path")
@@ -608,17 +625,24 @@ func (n *Network) StartFlow(bytes float64, path []*Link, owner FlowOwner) *Flow 
 // StartFlow of a zero-byte finish or of a birth on a failed link. The
 // state flags tell them apart: a flow has at most one event pending.
 func (f *Flow) Fire() {
+	if f.free {
+		panic(fmt.Sprintf("netsim: event of flow %d after it was taken back", f.id))
+	}
 	switch {
 	case f.pending:
 		f.join()
+	case f.cancelled: // cancelled before its report: the owner never hears
+		f.net().recycle(f)
 	case f.interrupted:
 		if f.owner != nil {
 			f.owner.FlowInterrupted(f, 0)
 		}
+		f.net().recycle(f)
 	case f.finished:
 		if f.owner != nil {
 			f.owner.FlowDone(f)
 		}
+		f.net().recycle(f)
 	default:
 		f.complete()
 	}
@@ -628,10 +652,11 @@ func (f *Flow) Fire() {
 // (at once, without one) and has the allocator rate it.
 func (f *Flow) join() {
 	f.pending = false
+	n := f.net()
 	if f.cancelled {
+		n.recycle(f) // its last event has fired
 		return
 	}
-	n := f.net()
 	path := f.path()
 	for _, l := range path {
 		if l.failed {
@@ -659,28 +684,63 @@ func (f *Flow) join() {
 	n.applyRates()
 }
 
-// Cancel aborts an in-flight flow (e.g. the receiving worker failed). The
-// completion callback never runs. Cancel of a finished or interrupted flow
-// is a no-op.
+// Cancel aborts an in-flight flow (e.g. the receiving worker failed), and
+// it is final: the owner hears of no end of the flow after it, even of one
+// that has already happened but not yet been reported (a birth on a failed
+// link, a zero-byte finish, or a later victim of the same FailLink). A flow
+// may be cancelled only while it is its owner's: before the owner has heard
+// how it ended, or from inside that callback, where Cancel changes nothing.
+// Cancelling a flow the network has taken back (FlowOwner) panics. A
+// cancelled flow's owner must drop it: the network takes it back at once,
+// or once the event it still has pending fires. Read Delivered or Remaining
+// before Cancel, not after.
 func (n *Network) Cancel(f *Flow) {
-	if f.finished || f.cancelled || f.interrupted {
+	if f.free {
+		panic(fmt.Sprintf("netsim: Cancel of flow %d after it was taken back", f.id))
+	}
+	if f.cancelled {
 		return
 	}
 	f.cancelled = true
+	if f.finished || f.interrupted {
+		return // its report, if still to come, takes it back silently (Fire)
+	}
 	if f.pending {
 		return // still in its latency delay; it will never join the links
 	}
 	if n.batched {
-		f.settleTo(n.eng.Now()) // Delivered() stays exact for the caller
+		f.settleTo(n.eng.Now()) // Delivered() stays exact for an ownerless flow's holder
 		n.detachFlow(f)
 		n.markDirty(f.path())
+	} else {
+		n.component(f.path()...)
+		n.settleComponent()
+		n.removeFlow(f)
+		n.solveComponent()
+		n.applyRates()
+	}
+	n.recycle(f)
+}
+
+// recycle takes f back once its use is over — its owner has heard how it
+// ended, or cancelled it and its last event is gone — for a later StartFlow
+// to reuse. An ownerless flow is left to whoever holds it (FlowOwner).
+// Taking back a flow that still has an event pending or is still on its
+// links is a bug in the network, and panics.
+func (n *Network) recycle(f *Flow) {
+	if f.owner == nil {
 		return
 	}
-	n.component(f.path()...)
-	n.settleComponent()
-	n.removeFlow(f)
-	n.solveComponent()
-	n.applyRates()
+	if f.done.Pending() || f.pending || n.joined(f) {
+		panic(fmt.Sprintf("netsim: flow %d taken back while it still runs", f.id))
+	}
+	f.free = true
+	n.flowArena.Free(f)
+}
+
+// joined reports whether f is on the network's active list.
+func (n *Network) joined(f *Flow) bool {
+	return int(f.netPos) < len(n.flows) && n.flows[f.netPos] == f
 }
 
 // ActiveFlows returns the number of in-flight flows.
@@ -1011,6 +1071,7 @@ func (f *Flow) complete() {
 		if f.owner != nil {
 			f.owner.FlowDone(f)
 		}
+		n.recycle(f)
 		return
 	}
 	n.component(f.path()...)
@@ -1032,4 +1093,5 @@ func (f *Flow) complete() {
 	if f.owner != nil {
 		f.owner.FlowDone(f)
 	}
+	n.recycle(f)
 }

@@ -199,7 +199,10 @@ func runTreeChurn(t testing.TB, net *Network, eng *sim.Engine, links []*Link, pa
 		i := i
 		p := path(i, src, dst)
 		eng.Schedule(start, func() {
-			flows[i] = net.StartFlow(bytes, p, onDone(func(at sim.Time) { res.completions[i] = at }))
+			flows[i] = net.StartFlow(bytes, p, onDone(func(at sim.Time) {
+				res.completions[i] = at
+				flows[i] = nil // the network takes a finished flow back
+			}))
 		})
 	}
 	// Checkpoints between waves of activity; each snapshots every flow's
@@ -208,7 +211,7 @@ func runTreeChurn(t testing.TB, net *Network, eng *sim.Engine, links []*Link, pa
 		eng.Schedule(sim.Duration(at), func() {
 			snap := make([]float64, nFlows)
 			for i, f := range flows {
-				if f != nil && !f.Finished() {
+				if f != nil {
 					snap[i] = f.Rate()
 				}
 			}

@@ -42,6 +42,20 @@ func TestArenaChunks(t *testing.T) {
 	}); allocs != 1 {
 		t.Fatalf("3,000 reserved records take %v chunks, want 1", allocs)
 	}
+	// Freeing a batch that was all in use at once grows the free stack once.
+	recs := make([]*rec, 3000)
+	if allocs := testing.AllocsPerRun(5, func() {
+		var a Arena[rec]
+		a.Reserve(len(recs))
+		for i := range recs {
+			recs[i] = a.New()
+		}
+		for _, r := range recs {
+			a.Free(r)
+		}
+	}); allocs != 2 {
+		t.Fatalf("3,000 reserved records made and freed take %v allocations, want 2 (a chunk and the stack)", allocs)
+	}
 }
 
 // Two engines on two goroutines churn schedules, cancels and fires at once.
@@ -85,5 +99,45 @@ func TestEnginesShareNoEvents(t *testing.T) {
 				t.Fatalf("engine %d handed out an event of engine %d", k, 1-k)
 			}
 		}
+	}
+}
+
+// A freed record is the next one New hands out, zeroed, last freed first,
+// and Reserve counts the freed records it will serve before a chunk.
+func TestArenaReusesFreed(t *testing.T) {
+	type rec struct {
+		n int
+		p *rec
+	}
+	var a Arena[rec]
+	x, y := a.New(), a.New()
+	x.n, x.p = 1, y
+	y.n = 2
+	a.Free(x)
+	a.Free(y)
+	if got := a.New(); got != y || *got != (rec{}) {
+		t.Fatalf("New after Free(x), Free(y) = %p %+v, want y (%p) zeroed", got, *got, y)
+	}
+	if got := a.New(); got != x || *got != (rec{}) {
+		t.Fatalf("second New = %p %+v, want x (%p) zeroed", got, *got, x)
+	}
+	fresh := len(a.free)
+	a.Free(x)
+	for i := 0; i < 1000; i++ { // one in use at a time: always the same record
+		if got := a.New(); got != x {
+			t.Fatalf("New after Free(x) = %p, want x (%p)", got, x)
+		}
+		a.Free(x)
+	}
+	if len(a.free) != fresh {
+		t.Fatalf("a record freed and taken back 1,000 times used %d fresh records", fresh-len(a.free))
+	}
+	var b Arena[rec]
+	for i := 0; i < 3; i++ {
+		b.Free(b.New())
+	}
+	b.Reserve(100) // the freed record and a new chunk for the other 99
+	if len(b.free) != 99 {
+		t.Fatalf("Reserve(100) over one freed record left %d fresh records, want 99", len(b.free))
 	}
 }

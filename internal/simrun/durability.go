@@ -44,7 +44,7 @@ type durabilityHook struct {
 	// walk is on the stack.
 	active   []*repairJob
 	repairs  int
-	jobs     sim.Arena[repairJob] // where the repair jobs come from
+	jobs     sim.Arena[repairJob] // where the repair jobs come from, and go back (freeJob)
 	ticker   sim.EventRef
 	tickFn   func()
 	visitFn  func(int32) bool
@@ -161,9 +161,9 @@ func (d *durabilityHook) fetchFrom(att *taskAttempt, i int) {
 	att.stage = r.transfer(s.oneFile(f))
 }
 
-// fetched goes on to the attempt's next file once one is on disk.
-func (d *durabilityHook) fetched(s *stageIn) {
-	w, f := s.w, s.files[0]
+// fetched goes on to the attempt's next file once file i is on disk.
+func (d *durabilityHook) fetched(att *taskAttempt, i int) {
+	w, f := att.w, att.files[i]
 	if w.Dead {
 		return
 	}
@@ -171,7 +171,7 @@ func (d *durabilityHook) fetched(s *stageIn) {
 	// bytes just landed on the fresh media.
 	w.has.Add(f)
 	d.r.noteStaged(f, w)
-	d.fetchFrom(s.att, s.at+1)
+	d.fetchFrom(att, i+1)
 }
 
 // corrupt draws whether a payload arriving at w from `from` is corrupt: only
@@ -286,7 +286,12 @@ func (d *durabilityHook) retire(job *repairJob) {
 }
 
 // repairJob is one in-flight repair copy: the owner of its flow and the
-// handler of its landing.
+// handler of its landing. Its use ends once it is retired with neither its
+// flow nor its disk write pending; it then goes back to the arena
+// (freeJob). A job is never released while an event or a flow of it is
+// pending, so a handler that finds d.active[job.file] != job knows its own
+// job was retired: the record cannot have been reused by a newer job of the
+// same file.
 type repairJob struct {
 	d    *durabilityHook
 	file int32
@@ -294,8 +299,11 @@ type repairJob struct {
 	src  *simWorker // nil when the master is the source
 	dst  *simWorker
 	flow *netsim.Flow
-	span *obs.Span
-	lane int
+	// landing is set while the copy's disk write is pending (Fire), free
+	// once the job is back in the arena.
+	landing, free bool
+	span          *obs.Span
+	lane          int
 	// anStart is the job's attribution node (attrib.go); the landed
 	// copy chains from it so foreground transfers sourced off the new
 	// replica can blame the repair that created it.
@@ -324,8 +332,10 @@ func (d *durabilityHook) finish() {
 	d.eachRepair(func(job *repairJob) { d.abort(job, "stopped") })
 }
 
-// abort cancels a job's flow (Network.Cancel is silent, so cleanup is
-// explicit here) and accounts the bytes it had delivered.
+// abort cancels a job's flow (Network.Cancel is silent and final: cleanup is
+// explicit here, and no report of the flow follows) and accounts the bytes
+// it had delivered. A job whose copy is landing is released when the
+// landing fires.
 func (d *durabilityHook) abort(job *repairJob, outcome string) {
 	d.retire(job)
 	if job.flow != nil {
@@ -336,6 +346,26 @@ func (d *durabilityHook) abort(job *repairJob, outcome string) {
 	}
 	d.repairsFailed++
 	d.endSpan(job, outcome)
+	if !job.landing {
+		d.freeJob(job)
+	}
+}
+
+// freeJob gives a retired job back to the arena. Releasing a job that is
+// still active or still has its flow or disk write pending panics.
+func (d *durabilityHook) freeJob(job *repairJob) {
+	if job.flow != nil || job.landing || d.active[job.file] == job {
+		panic(fmt.Sprintf("simrun: repair of %s released while it still runs", d.r.replicas.FileName(job.file)))
+	}
+	job.free = true
+	d.jobs.Free(job)
+}
+
+// mustRun panics when an event or a flow of job reaches it after freeJob.
+func (job *repairJob) mustRun() {
+	if job.free {
+		panic("simrun: event of a released repair job")
+	}
 }
 
 func (d *durabilityHook) endSpan(job *repairJob, outcome string) {
@@ -438,6 +468,7 @@ func (d *durabilityHook) startRepair(f int32) {
 // FlowDone settles the repair copy's flow delivering; the copy lands once
 // its disk write is charged (Fire).
 func (job *repairJob) FlowDone(*netsim.Flow) {
+	job.mustRun()
 	d, r := job.d, job.d.r
 	job.flow = nil
 	if d.stopped || d.active[job.file] != job {
@@ -448,18 +479,21 @@ func (job *repairJob) FlowDone(*netsim.Flow) {
 		d.retire(job)
 		d.endSpan(job, "worker-died")
 		d.repairsFailed++
+		d.freeJob(job)
 		return
 	}
 	d.endSpan(job, "ok")
 	if ab := d.an.ab; ab.Enabled() {
 		d.an.cause = ab.After(job.anStart, attrib.Repair, "repair-copy", r.replicas.FileName(job.file))
 	}
+	job.landing = true
 	r.chargeDiskWrite(job.dst, job.size, job)
 }
 
 // FlowInterrupted fails the repair copy; the ticker retries, as an
 // immediate retry would hammer a faulted link.
 func (job *repairJob) FlowInterrupted(_ *netsim.Flow, delivered float64) {
+	job.mustRun()
 	d := job.d
 	job.flow = nil
 	if d.active[job.file] != job {
@@ -469,17 +503,22 @@ func (job *repairJob) FlowInterrupted(_ *netsim.Flow, delivered float64) {
 	d.r.res.RepairBytes += delivered
 	d.repairsFailed++
 	d.endSpan(job, "interrupted")
+	d.freeJob(job)
 }
 
 // Fire lands the repair copy once its disk write is charged.
 func (job *repairJob) Fire() {
+	job.mustRun()
 	d, r := job.d, job.d.r
+	job.landing = false
 	if d.stopped || d.active[job.file] != job {
+		d.freeJob(job) // aborted while landing
 		return
 	}
 	d.retire(job)
 	if job.dst.Dead {
 		d.repairsFailed++
+		d.freeJob(job)
 		return
 	}
 	job.dst.has.Add(job.file)
@@ -491,9 +530,11 @@ func (job *repairJob) Fire() {
 	job.noted()
 }
 
-// noted is the master's note of a landed repair copy.
+// noted is the master's note of a landed repair copy, where the job's use
+// ends.
 func (job *repairJob) noted() {
 	d, r, f, dst := job.d, job.d.r, job.file, job.dst
+	d.freeJob(job)
 	r.replicas.AddID(f, dst.node)
 	d.mf.journalFile(catalog.OpReplicaAdd, f, dst.name)
 	d.an.repairLanded(f, dst)

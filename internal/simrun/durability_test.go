@@ -419,3 +419,43 @@ func BenchmarkRepairScan(b *testing.B) {
 		})
 	}
 }
+
+// A repair from the master over its failed uplink is born interrupted, and
+// its report comes one event later. A job aborted before that report is
+// released at once; the next repair takes its record, and the stale report
+// must not reach that next job.
+func TestRepairAbortedBeforeItsReport(t *testing.T) {
+	eng := sim.NewEngine()
+	cluster, vms := cloud.Default4VMCluster(eng, 1)
+	cfg := rtRemote()
+	cfg.Durability = &DurabilityConfig{RF: 2, MaxConcurrentRepairs: 4, Seed: 7}
+	r, err := NewRunner(cluster, vms[0], cfg, Workload{Name: "w", Tasks: uniformTasks(2, 1, 1<<20)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.AddWorker(vms[1]).Ready = true
+	d := durabilityOf(r)
+	d.start()
+	d.ticker.Cancel() // the test starts the repairs itself
+	f0, f1 := r.inputsOf(0)[0], r.inputsOf(1)[0]
+	cluster.Network().FailLink(vms[0].Host().Up())
+
+	d.startRepair(f0)
+	job := d.active[f0]
+	if job == nil || job.flow == nil {
+		t.Fatal("repair of f0 did not start")
+	}
+	d.abort(job, "test")
+	d.startRepair(f1)
+	if next := d.active[f1]; next != job {
+		t.Fatalf("repair of f1 is %p, want the record the aborted job gave back (%p)", next, job)
+	}
+	eng.Step() // f0's report
+	if d.active[f1] != job || job.flow == nil || job.free {
+		t.Fatal("the aborted job's report reached the next job of its record")
+	}
+	eng.Run() // f1's report
+	if d.active[f1] != nil || d.repairsFailed != 2 {
+		t.Fatalf("f1 still active (%v) or %d repairs failed, want 2", d.active[f1] != nil, d.repairsFailed)
+	}
+}

@@ -306,6 +306,11 @@ func (g *grayHook) maybeSpeculate(sw *simWorker) {
 	r.led.Clone(&cw.Worker) // speculation may oversubscribe the pipeline, by budget
 	catt := r.fetchAndRun(cw, att.task)
 	catt.clone = true
+	if cw.inflight[att.task] != catt {
+		// The clone's fetch failed at once (its input is lost) and the
+		// clone has settled: there is nothing left to race.
+		return
+	}
 	rc := &race{g: g, primary: att, pw: sw, clone: catt, cw: cw}
 	att.race, catt.race = rc, rc
 	g.races++
@@ -418,18 +423,19 @@ func (g *grayHook) observeGoodput(bytes, elapsed float64) {
 // live hedge), the hedge's handler resumes the transfer's retry ladder.
 func (g *grayHook) armHedge(s *stageIn) {
 	r, c := g.r, g.checks.New()
-	*c = hedgeCheck{g: g, s: s, primary: s.flow, src: s.src, started: r.eng.Now()}
+	*c = hedgeCheck{g: g, s: s, primary: s.flow.ID(), src: s.src, started: r.eng.Now()}
 	delay := hedgeCheckSec * (0.75 + 0.5*g.hedgeRng.Float64())
 	s.hedgeCheck = r.eng.ScheduleHandler(sim.Duration(delay), c)
 }
 
 // hedgeCheck is one transfer attempt's pending goodput check (armHedge):
-// the handler of its event and what it measures — the attempt's flow, that
+// the handler of its event and what it measures — the attempt's flow (by
+// ID: the network reuses a flow's record once the flow has ended), that
 // flow's source and its start.
 type hedgeCheck struct {
 	g       *grayHook
 	s       *stageIn
-	primary *netsim.Flow
+	primary uint64
 	src     *cloud.VM
 	started sim.Time
 }
@@ -440,14 +446,14 @@ func (c *hedgeCheck) Fire() {
 	g, s, r := c.g, c.s, c.g.r
 	w := s.w
 	s.hedgeCheck = sim.EventRef{}
-	if s.abandoned || r.finished || w.Dead || s.flow != c.primary || s.hedge != nil {
+	if s.abandoned || r.finished || w.Dead || s.flow == nil || s.flow.ID() != c.primary || s.hedge != nil {
 		return
 	}
 	if g.activeHedges >= maxConcurrentHedges || g.xferEwmaBps <= 0 {
 		return
 	}
 	elapsed := float64(r.eng.Now() - c.started)
-	if elapsed <= 0 || c.primary.Delivered()*8/elapsed >= hedgeFraction*g.xferEwmaBps {
+	if elapsed <= 0 || s.flow.Delivered()*8/elapsed >= hedgeFraction*g.xferEwmaBps {
 		return
 	}
 	// The hedge's source: the best holder other than the primary's source,
@@ -494,8 +500,8 @@ func (h *hedge) FlowDone(f *netsim.Flow) {
 	}
 	// The delivery descends from the hedge-launch decision, not the
 	// primary attempt it raced past.
-	s.anCause, s.last = s.anHedge, f
-	r.arrive(s, h.src)
+	s.anCause = s.anHedge
+	r.arrive(s, h.src, f)
 }
 
 // FlowInterrupted settles a link fault killing the hedge: the primary

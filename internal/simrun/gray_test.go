@@ -188,3 +188,63 @@ func TestGrayDetectOnlyIsInertWithoutInjection(t *testing.T) {
 		t.Fatalf("healthy run triggered mitigation: %+v", gray)
 	}
 }
+
+// A clone whose input was lost to a disk death fails at once, inside
+// maybeSpeculate, and settles as an ordinary failed attempt before a race
+// could form. No race may form with it afterwards: its connection timeout
+// releases it, and an attempt still in a race must not be released.
+func TestSpeculationOnLostInput(t *testing.T) {
+	eng, cluster, vms := newTestCluster(t, 1)
+	cfg := Config{
+		Strategy:    strategy.RealTimeRemote,
+		Detection:   grayDetection(),
+		Gray:        &GrayConfig{Speculate: true},
+		Durability:  &DurabilityConfig{RF: 1, EvacuateSource: true, Seed: 7},
+		ModelDiskIO: true,
+	}
+	r, err := NewRunner(cluster, vms[0], cfg, Workload{Name: "w", Tasks: uniformTasks(1, 100, 1_000_000)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.AddWorker(vms[1])
+	r.AddWorker(vms[2])
+	var g *grayHook
+	for _, h := range r.hooks {
+		if gh, ok := h.(*grayHook); ok {
+			g = gh
+		}
+	}
+	finished := false
+	if err := r.Start(func(Result) { finished = true }); err != nil {
+		t.Fatal(err)
+	}
+	// Run until the task has computed past the speculation threshold.
+	var sw *simWorker
+	for sw == nil && eng.Step() {
+		for _, w := range r.workers {
+			if att := w.inflight[0]; att != nil && att.compute.Pending() && float64(eng.Now()-att.started) >= speculateAfterSec {
+				sw = w
+			}
+		}
+	}
+	if sw == nil {
+		t.Fatal("the task never computed past the speculation threshold")
+	}
+	primary := sw.inflight[0]
+	cluster.FailDisk(sw.vm) // the only copy of the task's input
+	if !durabilityOf(r).lost[r.inputsOf(0)[0]] {
+		t.Fatal("disk death did not lose the task's input")
+	}
+	g.maybeSpeculate(sw)
+	if r.res.SpeculativeLaunched != 1 {
+		t.Fatalf("%d clones launched, want 1", r.res.SpeculativeLaunched)
+	}
+	if g.races != 0 || primary.race != nil {
+		t.Fatal("a race formed with a clone that had already failed")
+	}
+	for eng.Step() { // past the clone's connection timeout
+	}
+	if !finished {
+		t.Fatal("run did not finish")
+	}
+}

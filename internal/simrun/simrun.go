@@ -91,12 +91,12 @@ type Runner struct {
 	// decision (ctrlplane.go), a transfer attempt's source, a task's input
 	// fetch, and the two integrity checks (durability.go). The defaults are
 	// the published model. A fetch is two halves: fetch starts streaming
-	// att.files, missing bytes in all, and fetched continues once a stage
-	// of them is on disk.
+	// att.files, missing bytes in all, and fetched continues once the stage
+	// that began with att.files[i] is on disk.
 	decide    func(w *simWorker) bool
 	source    func(w *simWorker, files []int32, n int) *cloud.VM
 	fetch     func(att *taskAttempt, missing float64)
-	fetched   func(s *stageIn)
+	fetched   func(att *taskAttempt, i int)
 	corrupt   func(from *cloud.VM, w *simWorker) bool
 	readFails func(w *simWorker, att *taskAttempt) bool
 
@@ -137,7 +137,10 @@ type Runner struct {
 	// (worker death) is left to the garbage collector.
 	fileScratch [][]int32
 
-	// The run's records come from its own arenas and live as long as it.
+	// The run's records come from its own arenas: workers live as long as
+	// the run, and stage-ins and attempts go back to theirs when their use
+	// ends (freeStage, endAttempt), so the run holds as many of them as
+	// were ever in use at once.
 	workerArena  sim.Arena[simWorker]
 	stageArena   sim.Arena[stageIn]
 	attemptArena sim.Arena[taskAttempt]
@@ -175,6 +178,13 @@ type simWorker struct {
 // taskAttempt is one admitted task on a worker, from its input fetch to its
 // finish, and the handler of its own events (Fire): admission to a core,
 // the compute's end, and the connection timeout after a failed fetch.
+//
+// Its use ends once finish has settled it, or once the connection timeout
+// after a failed fetch has fired; it then goes back to the runner's arena
+// (endAttempt). A race (gray.go) keeps it until the race has settled both
+// sides. An attempt whose report was held during a master outage, or one
+// torn down by a worker death, a read error or a lost race, is left to the
+// garbage collector.
 type taskAttempt struct {
 	r       *Runner
 	w       *simWorker
@@ -194,8 +204,11 @@ type taskAttempt struct {
 	// claimed lists the files this attempt marked resident at dispatch, so
 	// a cancelled attempt can release claims that never landed.
 	clone, cancelled bool
-	race             *race
-	claimed          []int32
+	// held is set once a held report (taskDone) names the attempt, and
+	// free once the attempt is back in the arena.
+	held, free bool
+	race       *race
+	claimed    []int32
 	// span is the open compute span on cpu lane `lane` (tracer.go).
 	span *obs.Span
 	lane int
@@ -604,8 +617,7 @@ func (r *Runner) fetchBundled(att *taskAttempt, missing float64) {
 
 // fetchedBundled notes the bundle's files as staged once they are on disk,
 // then computes.
-func (r *Runner) fetchedBundled(s *stageIn) {
-	att := s.att
+func (r *Runner) fetchedBundled(att *taskAttempt, _ int) {
 	for _, f := range att.files {
 		r.noteStaged(f, att.w)
 	}
@@ -667,14 +679,37 @@ const (
 
 // Fire is the attempt's event, or its admission to a core (sim.Resource).
 func (att *taskAttempt) Fire() {
+	if att.free {
+		panic(fmt.Sprintf("simrun: event of released attempt of task %d", att.task))
+	}
+	r, w := att.r, att.w
 	switch att.step {
 	case attemptRun:
-		att.r.run(att.w, att)
+		r.run(w, att)
 	case attemptFinish:
-		att.r.finish(att.w, att)
+		r.finish(w, att)
 	case attemptKick:
-		att.r.kick(att.w)
+		r.endAttempt(att)
+		r.kick(w)
 	}
+}
+
+// endAttempt ends att's use (taskAttempt): it goes back to the arena
+// unless a held report names it.
+func (r *Runner) endAttempt(att *taskAttempt) {
+	if !att.held {
+		r.freeAttempt(att)
+	}
+}
+
+// freeAttempt gives att back to the runner's arena. Releasing an attempt
+// with a pending compute, a stage or a race panics.
+func (r *Runner) freeAttempt(att *taskAttempt) {
+	if att.compute.Pending() || att.stage != nil || att.race != nil {
+		panic(fmt.Sprintf("simrun: attempt of task %d released while it still runs", att.task))
+	}
+	att.free = true
+	r.attemptArena.Free(att)
 }
 
 // compute queues the attempt for a core; run starts it once admitted.
@@ -734,6 +769,7 @@ func (r *Runner) finish(w *simWorker, att *taskAttempt) {
 	r.led.Settle(&w.Worker)
 	w.cores.Release()
 	r.taskDone(w, att, true)
+	r.endAttempt(att)
 	r.kick(w)
 }
 
@@ -748,6 +784,7 @@ func (r *Runner) freeSlot(w *simWorker, att *taskAttempt) {
 // with nobody to receive it is held by the worker until the master is back.
 func (r *Runner) taskDone(w *simWorker, att *taskAttempt, ok bool) {
 	if r.offline {
+		att.held = true
 		r.hold(func() { r.taskDone(w, att, ok) })
 		return
 	}

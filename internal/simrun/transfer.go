@@ -37,6 +37,13 @@ const (
 // per-transfer state. It is the whole record of the transfer: it owns its
 // flows (netsim.FlowOwner) and is the handler of its own events (sim.Handler),
 // so a transfer allocates the stage and its flows and no closure.
+//
+// A stage's use ends where its chain goes on without it: in staged, when
+// the transfer is lost or its worker is dead, and in landed. There it goes
+// back to the runner's arena (freeStage) with no flow, hedge, retry or
+// goodput check left, after its chain's next step has been copied out of it
+// (files may point into the stage itself). An abandoned stage is left to
+// the garbage collector.
 type stageIn struct {
 	r     *Runner
 	w     *simWorker
@@ -54,9 +61,11 @@ type stageIn struct {
 	// startAt timestamps the logical transfer for the duration histogram.
 	startAt sim.Time
 	// The current attempt: its number, source, payload and flow. last is
-	// the flow behind the latest arrival or interrupt, delivered what an
-	// interrupted flow had delivered, and backoff the delay before a
-	// scheduled retry (0 when the attempt did not follow one).
+	// the flow behind an arrival or interrupt while the hooks hear of it,
+	// and nil otherwise (the network takes the flow back once its callback
+	// returns); delivered is what an interrupted flow had delivered, and
+	// backoff the delay before a scheduled retry (0 when the attempt did not
+	// follow one).
 	n         int
 	src       *cloud.VM
 	remaining float64
@@ -67,6 +76,7 @@ type stageIn struct {
 	retry     sim.EventRef
 	refetches int
 	abandoned bool
+	free      bool // back in the arena (freeStage)
 	// Tracing (tracer.go): the open transfer span and current attempt span
 	// on the worker's transfer lane `lane` of track `track`.
 	span    *obs.Span
@@ -107,6 +117,24 @@ func (r *Runner) newStage(w *simWorker, bytes float64, step stageStep) *stageIn 
 	s := r.stageArena.New()
 	s.w, s.bytes, s.step = w, bytes, step
 	return s
+}
+
+// freeStage gives s back to the runner's arena once its use has ended (see
+// stageIn). Releasing a stage that still has a flow, a hedge, a pending
+// retry or a pending goodput check panics.
+func (r *Runner) freeStage(s *stageIn) {
+	if s.flow != nil || s.hedge != nil || s.retry.Pending() || s.hedgeCheck.Pending() {
+		panic(fmt.Sprintf("simrun: stage to %s released while it still runs", s.w.name))
+	}
+	s.free = true
+	r.stageArena.Free(s)
+}
+
+// mustRun panics when an event or a flow of s reaches it after freeStage.
+func (s *stageIn) mustRun() {
+	if s.free {
+		panic("simrun: event of a released stage")
+	}
 }
 
 // oneFile makes file the stage's only file, backed by the stage itself.
@@ -156,24 +184,28 @@ func (r *Runner) startFlow(s *stageIn, remaining float64) {
 
 // FlowDone settles the attempt's flow delivering its payload.
 func (s *stageIn) FlowDone(f *netsim.Flow) {
+	s.mustRun()
 	r := s.r
 	r.flowEnded()
-	s.flow, s.last = nil, f
-	r.arrive(s, s.src)
+	s.flow = nil
+	r.arrive(s, s.src, f)
 }
 
 // FlowInterrupted settles a link fault killing the attempt's flow, which
 // carried the attempt's whole remaining payload (f.Bytes()).
 func (s *stageIn) FlowInterrupted(f *netsim.Flow, delivered float64) {
+	s.mustRun()
 	r, remaining := s.r, f.Bytes()
 	r.flowEnded()
-	s.flow, s.last, s.delivered = nil, f, delivered
+	s.flow, s.delivered = nil, delivered
 	r.res.BytesMoved -= remaining - delivered
 	if s.abandoned {
 		return
 	}
 	r.res.TransferInterrupts++
+	s.last = f
 	r.onTransfer(s, xferInterrupted, "")
+	s.last = nil
 	if s.hedge != nil {
 		// The hedge twin (gray.go) is still streaming; let it finish the
 		// transfer (its interrupt handler resumes the retry ladder if it
@@ -189,6 +221,7 @@ func (s *stageIn) FlowInterrupted(f *netsim.Flow, delivered float64) {
 
 // Fire ends the wait the stage scheduled (s.wake).
 func (s *stageIn) Fire() {
+	s.mustRun()
 	r := s.r
 	switch s.wake {
 	case wakeNoSource:
@@ -210,16 +243,17 @@ func (s *stageIn) Fire() {
 	}
 }
 
-// arrive settles a delivered payload — from the attempt's flow or, under
-// gray-failure hedging, from whichever of the two racing flows finished
-// first; from, the winner's source, becomes the attempt's.
-func (r *Runner) arrive(s *stageIn, from *cloud.VM) {
+// arrive settles a payload f delivered — the attempt's flow or, under
+// gray-failure hedging, whichever of the two racing flows finished first;
+// from, the winner's source, becomes the attempt's.
+func (r *Runner) arrive(s *stageIn, from *cloud.VM, f *netsim.Flow) {
 	if s.abandoned {
 		return
 	}
-	s.src = from
+	s.src, s.last = from, f
 	if !r.corrupt(from, s.w) {
 		r.onTransfer(s, xferOK, "")
+		s.last = nil
 		r.staged(s, false)
 		return
 	}
@@ -228,6 +262,7 @@ func (r *Runner) arrive(s *stageIn, from *cloud.VM) {
 	r.res.CorruptionsDetected++
 	s.refetches++
 	r.onTransfer(s, xferCorrupt, "")
+	s.last = nil
 	if s.refetches <= maxRefetch && !s.w.Dead {
 		r.attempt(s, s.bytes, s.n+1)
 		return
@@ -259,52 +294,52 @@ func (r *Runner) lose(s *stageIn, why string) {
 }
 
 // staged continues the stage's chain once its transfer has ended: a lost
-// payload, a dead worker, or one to write to disk (landed follows).
+// payload or a dead worker ends the stage's use, and a payload to write to
+// disk is landed next.
 func (r *Runner) staged(s *stageIn, lost bool) {
-	w := s.w
-	switch s.step {
-	case stepCommon, stepChain:
-		if w.Dead {
-			r.stagingGoesOn(s)
-			return
-		}
-		if lost {
-			// A lost staging transfer isolates the worker: without its data
-			// it can never run a task, matching the prototype's behaviour
-			// of dropping a worker whose staging failed.
-			r.workerDied(w)
-			r.stagingGoesOn(s)
-			return
-		}
-	case stepFetch:
-		s.att.stage = nil
-		if w.Dead {
-			return
-		}
-		if lost {
-			r.fetchLost(s.att, s.at)
-			return
-		}
+	w, step, att, at := s.w, s.step, s.att, s.at
+	if step == stepFetch {
+		att.stage = nil
 	}
-	s.wake = wakeLanded
-	r.chargeDiskWrite(w, s.bytes, s)
-}
-
-// stagingGoesOn moves a worker's staging past a stage that brought nothing:
-// the common dataset's chain continues (keeping the barrier count
-// balanced; for a dead worker that is a no-op), a file chain ends.
-func (r *Runner) stagingGoesOn(s *stageIn) {
-	if s.step == stepCommon {
-		r.commonStaged(s.w)
+	if !w.Dead && !lost {
+		s.wake = wakeLanded
+		r.chargeDiskWrite(w, s.bytes, s)
 		return
 	}
-	r.barrier(s.w)
+	r.freeStage(s)
+	switch {
+	case step == stepFetch:
+		if !w.Dead {
+			r.fetchLost(att, at)
+		}
+	case w.Dead:
+		r.stagingGoesOn(w, step)
+	default:
+		// A lost staging transfer isolates the worker: without its data it
+		// can never run a task, matching the prototype's behaviour of
+		// dropping a worker whose staging failed.
+		r.workerDied(w)
+		r.stagingGoesOn(w, step)
+	}
 }
 
-// landed continues the stage's chain once its payload is on disk.
+// stagingGoesOn moves w's staging past a stage that brought nothing: the
+// common dataset's chain continues (keeping the barrier count balanced; for
+// a dead worker that is a no-op), a file chain ends.
+func (r *Runner) stagingGoesOn(w *simWorker, step stageStep) {
+	if step == stepCommon {
+		r.commonStaged(w)
+		return
+	}
+	r.barrier(w)
+}
+
+// landed ends the stage's use once its payload is on disk, and continues
+// its chain.
 func (r *Runner) landed(s *stageIn) {
-	w := s.w
-	switch s.step {
+	w, step, att, at, file := s.w, s.step, s.att, s.at, s.files[0]
+	r.freeStage(s)
+	switch step {
 	case stepCommon:
 		if !w.Dead {
 			r.led.Arrive(&w.Worker)
@@ -312,11 +347,11 @@ func (r *Runner) landed(s *stageIn) {
 		}
 		r.commonStaged(w)
 	case stepChain:
-		w.has.Add(s.files[0])
-		r.noteStaged(s.files[0], w)
-		r.streamChain(w, s.at+1)
+		w.has.Add(file)
+		r.noteStaged(file, w)
+		r.streamChain(w, at+1)
 	case stepFetch:
-		r.fetched(s)
+		r.fetched(att, at)
 	}
 }
 
