@@ -5,7 +5,9 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -192,11 +194,50 @@ func TestSimulateElasticAdd(t *testing.T) {
 }
 
 func TestSimulateValidation(t *testing.T) {
-	if _, err := Simulate(SimConfig{Workers: -1}, UniformSimWorkload("x", 4, 1, 0)); err == nil {
-		t.Fatal("negative workers accepted")
+	nan := math.NaN()
+	for _, tc := range []struct {
+		name string
+		cfg  SimConfig
+	}{
+		{"negative workers", SimConfig{Workers: -1}},
+		{"failure index out of range", SimConfig{FailAtSec: map[int]float64{99: 1}}},
+		{"negative failure index", SimConfig{FailAtSec: map[int]float64{-1: 1}}},
+		{"negative failure time", SimConfig{FailAtSec: map[int]float64{0: -1}}},
+		{"NaN failure time", SimConfig{FailAtSec: map[int]float64{0: nan}}},
+		{"negative add time", SimConfig{AddWorkerAtSec: []float64{1, -0.5}}},
+		{"NaN add time", SimConfig{AddWorkerAtSec: []float64{nan}}},
+		{"negative MTBF", SimConfig{FailureMTBFSec: -10}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.cfg.Strategy = RealTimeRemote
+			if _, err := Simulate(tc.cfg, UniformSimWorkload("x", 4, 1, 0)); err == nil {
+				t.Fatal("accepted")
+			}
+		})
 	}
-	if _, err := Simulate(SimConfig{FailAtSec: map[int]float64{99: 1}}, UniformSimWorkload("x", 4, 1, 0)); err == nil {
-		t.Fatal("out-of-range failure index accepted")
+}
+
+// TestSimulateSimultaneousFailuresDeterministic: failures scripted for the
+// same instant, while every worker is mid-task, fire in worker-index order,
+// so equal configs give equal results.
+func TestSimulateSimultaneousFailuresDeterministic(t *testing.T) {
+	cfg := SimConfig{
+		Strategy:  RealTimeRemote,
+		Workers:   3,
+		FailAtSec: map[int]float64{0: 5, 1: 5, 2: 5},
+	}
+	first, err := Simulate(cfg, UniformSimWorkload("s", 48, 10, 1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < 20; i++ {
+		res, err := Simulate(cfg, UniformSimWorkload("s", 48, 10, 1000))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res, first) {
+			t.Fatalf("run %d differs:\n%+v\nvs\n%+v", i, res.Completions, first.Completions)
+		}
 	}
 }
 

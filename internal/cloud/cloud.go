@@ -11,7 +11,6 @@ package cloud
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"slices"
 	"strconv"
@@ -357,7 +356,7 @@ func (c *Cluster) bootComplete(vm *VM) {
 	vm.bootedAt = c.eng.Now()
 	if c.opts.FailureMTBFSec > 0 {
 		vm.failTimer = sim.NewTimer(c.eng, func() { c.Fail(vm) })
-		vm.failTimer.Reset(c.expDraw(c.opts.FailureMTBFSec))
+		vm.failTimer.Reset(sim.Exp(c.rng, c.opts.FailureMTBFSec))
 	}
 	for _, fn := range c.onReady {
 		fn(vm)
@@ -365,15 +364,6 @@ func (c *Cluster) bootComplete(vm *VM) {
 	for _, fn := range once {
 		fn()
 	}
-}
-
-// expDraw samples an exponential with the given mean from the cluster RNG.
-func (c *Cluster) expDraw(mean float64) sim.Duration {
-	u := c.rng.Float64()
-	for u == 0 {
-		u = c.rng.Float64()
-	}
-	return sim.Duration(-mean * math.Log(u))
 }
 
 // Fail crashes a running VM at the current virtual time: its state flips,

@@ -412,7 +412,7 @@ func TestInjectDiskFaults(t *testing.T) {
 	inj := c.InjectDiskFaults(vms[1:], storage.DiskFaultOptions{Seed: 9, DeathMTBFSec: 100})
 	eng.RunUntil(2000)
 	inj.Stop()
-	if inj.Deaths() == 0 {
+	if vms[1].LocalDisk().Wipes+vms[2].LocalDisk().Wipes+vms[3].LocalDisk().Wipes == 0 {
 		t.Fatal("no disk deaths over 20×MTBF")
 	}
 	if deaths["vm-3"] != 0 {

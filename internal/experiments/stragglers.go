@@ -64,12 +64,12 @@ func runStragglers(wl simrun.Workload, spec stragglerSpec, mode string) (simrun.
 		// the paper's acknowledged single point of failure, out of scope here).
 		targets := tb.Workers
 		if spec.mtbsSec > 0 {
-			stops = append(stops, fault.NewStragglerInjector(tb.Engine, len(targets), fault.StragglerOptions{
+			stops = append(stops, fault.StragglerOptions{
 				Seed:        23,
 				MTBSSec:     spec.mtbsSec,
 				DurationSec: spec.durSec,
 				Severity:    spec.severity,
-			}, func(i int, factor float64) {
+			}.Schedule(tb.Engine, len(targets), func(i int, factor float64) {
 				r.SetWorkerSpeed(targets[i], factor)
 			}, func(i int) {
 				r.SetWorkerSpeed(targets[i], 1)

@@ -2,15 +2,14 @@
 // down without killing them. A fail-stop fault is loud — flows die,
 // heartbeats stop — but the dominant tail-latency source in real clouds is
 // the quiet kind: a worker whose compute rate silently drops to a fraction
-// of its provisioned speed. StragglerInjector generates per-target episodes
-// of such slowness on virtual time; what "slow" means is the caller's
-// business (simrun scales compute rates, experiments pair it with the
-// degrade modes of the disk and link injectors).
+// of its provisioned speed. StragglerOptions.Schedule arms per-target
+// episodes of such slowness on virtual time; what "slow" means is the
+// caller's business (simrun scales compute rates, experiments pair it with
+// the degrade modes of the disk and link injectors).
 package fault
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"frieda/internal/sim"
@@ -43,104 +42,24 @@ func (o StragglerOptions) Validate() error {
 	return nil
 }
 
-// StragglerInjector drives slow episodes against n integer-indexed targets.
-// Targets are indices so the injector stays decoupled from what is being
-// slowed: the caller's onSlow/onRecover callbacks apply the effect.
-type StragglerInjector struct {
-	eng  *sim.Engine
-	opts StragglerOptions
-	rng  *rand.Rand
-
-	onSlow    func(i int, factor float64)
-	onRecover func(i int)
-
-	pend    []sim.EventRef
-	slowed  []bool
-	stopped bool
-
-	episodes   int
-	recoveries int
-}
-
-// NewStragglerInjector arms a slow-episode schedule for each of n targets.
-// onSlow(i, factor) runs when target i enters an episode (factor =
-// opts.Severity); onRecover(i) when it ends. Panics on invalid options.
-func NewStragglerInjector(eng *sim.Engine, n int, opts StragglerOptions, onSlow func(i int, factor float64), onRecover func(i int)) *StragglerInjector {
-	if err := opts.Validate(); err != nil {
+// Schedule arms a slow-episode schedule for each of n targets: onSlow(i,
+// factor) runs when target i enters an episode (factor = o.Severity),
+// onRecover(i) when it ends, and a target that straggled once will
+// straggle again. Panics on invalid options.
+func (o StragglerOptions) Schedule(eng *sim.Engine, n int, onSlow func(i int, factor float64), onRecover func(i int)) *sim.Episodes {
+	if err := o.Validate(); err != nil {
 		panic(err)
 	}
-	if n < 1 {
-		panic("fault: straggler injector needs at least one target")
-	}
-	inj := &StragglerInjector{
-		eng:       eng,
-		opts:      opts,
-		rng:       rand.New(rand.NewSource(opts.Seed)),
-		onSlow:    onSlow,
-		onRecover: onRecover,
-		pend:      make([]sim.EventRef, n),
-		slowed:    make([]bool, n),
-	}
+	s := sim.NewEpisodes(eng, rand.New(rand.NewSource(o.Seed)), n, func(i int, down bool) float64 {
+		if down {
+			onSlow(i, o.Severity)
+			return o.DurationSec
+		}
+		onRecover(i)
+		return o.MTBSSec
+	})
 	for i := 0; i < n; i++ {
-		inj.arm(i)
+		s.Arm(i, o.MTBSSec)
 	}
-	return inj
+	return s
 }
-
-// expDraw samples an exponential with the given mean.
-func (inj *StragglerInjector) expDraw(mean float64) sim.Duration {
-	u := inj.rng.Float64()
-	for u == 0 {
-		u = inj.rng.Float64()
-	}
-	return sim.Duration(-mean * math.Log(u))
-}
-
-func (inj *StragglerInjector) arm(i int) {
-	inj.pend[i] = inj.eng.Schedule(inj.expDraw(inj.opts.MTBSSec), func() { inj.slow(i) })
-}
-
-// slow starts an episode and schedules its end.
-func (inj *StragglerInjector) slow(i int) {
-	if inj.stopped {
-		return
-	}
-	inj.episodes++
-	inj.slowed[i] = true
-	if inj.onSlow != nil {
-		inj.onSlow(i, inj.opts.Severity)
-	}
-	inj.pend[i] = inj.eng.Schedule(inj.expDraw(inj.opts.DurationSec), func() { inj.recover(i) })
-}
-
-// recover ends an episode and re-arms: a target that straggled once will
-// straggle again.
-func (inj *StragglerInjector) recover(i int) {
-	if inj.stopped {
-		return
-	}
-	inj.recoveries++
-	inj.slowed[i] = false
-	if inj.onRecover != nil {
-		inj.onRecover(i)
-	}
-	inj.arm(i)
-}
-
-// Stop cancels all pending episode events so the engine can drain. Targets
-// currently mid-episode stay slowed; callers own the cleanup.
-func (inj *StragglerInjector) Stop() {
-	inj.stopped = true
-	for i := range inj.pend {
-		inj.pend[i].Cancel()
-	}
-}
-
-// Episodes returns how many slow episodes have started.
-func (inj *StragglerInjector) Episodes() int { return inj.episodes }
-
-// Recoveries returns how many episodes have ended.
-func (inj *StragglerInjector) Recoveries() int { return inj.recoveries }
-
-// Slowed reports whether target i is currently mid-episode.
-func (inj *StragglerInjector) Slowed(i int) bool { return inj.slowed[i] }

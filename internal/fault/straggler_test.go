@@ -9,9 +9,9 @@ import (
 func TestStragglerInjectorCycles(t *testing.T) {
 	eng := sim.NewEngine()
 	var slows, recovers []int
-	inj := NewStragglerInjector(eng, 2, StragglerOptions{
+	inj := StragglerOptions{
 		Seed: 1, MTBSSec: 100, DurationSec: 20, Severity: 0.1,
-	}, func(i int, factor float64) {
+	}.Schedule(eng, 2, func(i int, factor float64) {
 		if factor != 0.1 {
 			t.Fatalf("factor = %v, want severity 0.1", factor)
 		}
@@ -20,16 +20,13 @@ func TestStragglerInjectorCycles(t *testing.T) {
 		recovers = append(recovers, i)
 	})
 	eng.RunUntil(2000)
-	if inj.Episodes() == 0 {
+	if len(slows) == 0 {
 		t.Fatal("no episodes over 20x MTBS")
-	}
-	if len(slows) != inj.Episodes() || len(recovers) != inj.Recoveries() {
-		t.Fatalf("callbacks %d/%d, counters %d/%d", len(slows), len(recovers), inj.Episodes(), inj.Recoveries())
 	}
 	// Episodes re-arm: each target keeps cycling, so recoveries trail
 	// episodes by at most the number of targets.
-	if inj.Episodes()-inj.Recoveries() > 2 || inj.Episodes() < inj.Recoveries() {
-		t.Fatalf("episodes %d vs recoveries %d", inj.Episodes(), inj.Recoveries())
+	if len(slows)-len(recovers) > 2 || len(slows) < len(recovers) {
+		t.Fatalf("episodes %d vs recoveries %d", len(slows), len(recovers))
 	}
 	inj.Stop()
 }
@@ -38,9 +35,9 @@ func TestStragglerInjectorDeterministic(t *testing.T) {
 	run := func() []sim.Time {
 		eng := sim.NewEngine()
 		var at []sim.Time
-		inj := NewStragglerInjector(eng, 3, StragglerOptions{
+		inj := StragglerOptions{
 			Seed: 7, MTBSSec: 50, DurationSec: 10, Severity: 0.05,
-		}, func(int, float64) { at = append(at, eng.Now()) }, nil)
+		}.Schedule(eng, 3, func(int, float64) { at = append(at, eng.Now()) }, func(int) {})
 		eng.RunUntil(500)
 		inj.Stop()
 		return at
@@ -58,14 +55,15 @@ func TestStragglerInjectorDeterministic(t *testing.T) {
 
 func TestStragglerInjectorStopFreezes(t *testing.T) {
 	eng := sim.NewEngine()
-	inj := NewStragglerInjector(eng, 1, StragglerOptions{
+	edges := 0
+	inj := StragglerOptions{
 		Seed: 3, MTBSSec: 10, DurationSec: 5, Severity: 0.2,
-	}, nil, nil)
+	}.Schedule(eng, 1, func(int, float64) { edges++ }, func(int) { edges++ })
 	eng.RunUntil(100)
 	inj.Stop()
-	episodes, recoveries := inj.Episodes(), inj.Recoveries()
+	before := edges
 	eng.RunUntil(10_000)
-	if inj.Episodes() != episodes || inj.Recoveries() != recoveries {
+	if edges != before || eng.Pending() != 0 {
 		t.Fatal("injector kept firing after Stop")
 	}
 }

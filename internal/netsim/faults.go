@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"frieda/internal/sim"
@@ -52,15 +51,10 @@ func (o FaultOptions) Validate() error {
 // VM rather than a half-open link.
 type LinkFaultInjector struct {
 	net    *Network
-	eng    *sim.Engine
-	rng    *rand.Rand
 	opts   FaultOptions
 	groups [][]*Link
-	next   []sim.EventRef // pending fault/restore event per group
-
-	faults   int
-	restores int
-	stopped  bool
+	left   []int // flap cycles left in each group's current burst
+	sched  *sim.Episodes
 }
 
 // NewLinkFaultInjector arms one fault schedule per link group on the
@@ -73,83 +67,41 @@ func NewLinkFaultInjector(net *Network, groups [][]*Link, opts FaultOptions) *Li
 	if opts.FlapCount < 1 {
 		opts.FlapCount = 1
 	}
-	inj := &LinkFaultInjector{
-		net:    net,
-		eng:    net.eng,
-		rng:    rand.New(rand.NewSource(opts.Seed)),
-		opts:   opts,
-		groups: groups,
-		next:   make([]sim.EventRef, len(groups)),
-	}
+	inj := &LinkFaultInjector{net: net, opts: opts, groups: groups, left: make([]int, len(groups))}
+	inj.sched = sim.NewEpisodes(net.eng, rand.New(rand.NewSource(opts.Seed)), len(groups), inj.edge)
 	for gi := range groups {
-		inj.armFault(gi, opts.FlapCount, opts.MTBFSec)
+		inj.left[gi] = opts.FlapCount
+		inj.sched.Arm(gi, opts.MTBFSec)
 	}
 	return inj
 }
 
-// Faults reports how many group outages have been injected so far.
-func (inj *LinkFaultInjector) Faults() int { return inj.faults }
-
-// Restores reports how many outages have been repaired so far.
-func (inj *LinkFaultInjector) Restores() int { return inj.restores }
-
 // Stop disarms the injector: no further faults or restores fire, and its
 // pending events leave the queue so an idle engine can drain. Links
 // currently down stay down; restore them explicitly if needed.
-func (inj *LinkFaultInjector) Stop() {
-	inj.stopped = true
-	for _, ev := range inj.next {
-		ev.Cancel()
-	}
-}
+func (inj *LinkFaultInjector) Stop() { inj.sched.Stop() }
 
-// expDraw samples an exponential with the given mean.
-func (inj *LinkFaultInjector) expDraw(mean float64) sim.Duration {
-	u := inj.rng.Float64()
-	for u == 0 {
-		u = inj.rng.Float64()
-	}
-	return sim.Duration(-mean * math.Log(u))
-}
-
-// armFault schedules the group's next outage after an up-time drawn with
-// the given mean. cyclesLeft counts the remaining flap cycles of the
-// current burst.
-func (inj *LinkFaultInjector) armFault(gi, cyclesLeft int, upMean float64) {
-	inj.next[gi] = inj.eng.Schedule(inj.expDraw(upMean), func() { inj.down(gi, cyclesLeft) })
-}
-
-// down takes the group offline (or degrades it) and schedules the repair.
-func (inj *LinkFaultInjector) down(gi, cyclesLeft int) {
-	if inj.stopped {
-		return
-	}
-	inj.faults++
+// edge takes group gi offline (or degrades it) or repairs it. A repair
+// starts either the next flap cycle of the burst (a short intra-burst
+// up-time) or, once the burst is spent, a full MTBF of up-time.
+func (inj *LinkFaultInjector) edge(gi int, down bool) float64 {
+	burst := inj.opts.MTTRSec / float64(inj.opts.FlapCount)
 	for _, l := range inj.groups[gi] {
-		if inj.opts.DegradeFactor > 0 {
+		switch {
+		case !down:
+			inj.net.RestoreLink(l)
+		case inj.opts.DegradeFactor > 0:
 			inj.net.DegradeLink(l, inj.opts.DegradeFactor)
-		} else {
+		default:
 			inj.net.FailLink(l)
 		}
 	}
-	outage := inj.expDraw(inj.opts.MTTRSec / float64(inj.opts.FlapCount))
-	inj.next[gi] = inj.eng.Schedule(outage, func() { inj.up(gi, cyclesLeft-1) })
-}
-
-// up repairs the group, then arms either the next flap cycle of the burst
-// (short intra-burst up-time) or, once the burst is spent, the next fault a
-// full MTBF away.
-func (inj *LinkFaultInjector) up(gi, cyclesLeft int) {
-	if inj.stopped {
-		return
+	if down {
+		return burst
 	}
-	inj.restores++
-	for _, l := range inj.groups[gi] {
-		inj.net.RestoreLink(l)
+	if inj.left[gi]--; inj.left[gi] > 0 {
+		return burst
 	}
-	if cyclesLeft > 0 {
-		inj.armFault(gi, cyclesLeft, inj.opts.MTTRSec/float64(inj.opts.FlapCount))
-		return
-	}
-	inj.armFault(gi, inj.opts.FlapCount, inj.opts.MTBFSec)
+	inj.left[gi] = inj.opts.FlapCount
+	return inj.opts.MTBFSec
 }

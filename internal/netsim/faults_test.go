@@ -149,16 +149,23 @@ func TestCancelInterruptedFlowIsNoop(t *testing.T) {
 }
 
 // injectorSchedule runs an injector on an otherwise idle network for `horizon`
-// seconds and returns (faults, restores).
-func injectorSchedule(t *testing.T, opts FaultOptions, horizon float64) (int, int) {
+// seconds and returns (faults, restores). Every event is one of the
+// injector's edges, so the link's state after each says which.
+func injectorSchedule(t *testing.T, opts FaultOptions, horizon float64) (faults, restores int) {
 	t.Helper()
 	eng := sim.NewEngine()
 	net := New(eng)
 	h := net.NewHost("w", Mbps(100), Mbps(100))
 	inj := NewLinkFaultInjector(net, [][]*Link{{h.Up(), h.Down()}}, opts)
-	eng.RunUntil(sim.Time(horizon))
+	for eng.Step() && eng.Now() <= sim.Time(horizon) {
+		if h.Up().Failed() {
+			faults++
+		} else {
+			restores++
+		}
+	}
 	inj.Stop()
-	return inj.Faults(), inj.Restores()
+	return faults, restores
 }
 
 func TestInjectorDeterministicAcrossRuns(t *testing.T) {
@@ -193,12 +200,8 @@ func TestInjectorDegradeMode(t *testing.T) {
 	h := net.NewHost("w", Mbps(100), Mbps(100))
 	inj := NewLinkFaultInjector(net, [][]*Link{{h.Up(), h.Down()}},
 		FaultOptions{Seed: 1, MTBFSec: 30, MTTRSec: 1000, DegradeFactor: 0.1})
-	// Run until inside the first outage.
-	for eng.Step() {
-		if inj.Faults() > 0 {
-			break
-		}
-	}
+	// The first event is the first outage.
+	eng.Step()
 	if h.Down().Failed() {
 		t.Fatal("degrade mode marked the link failed")
 	}

@@ -1,6 +1,6 @@
 // Control-plane fault tolerance (DESIGN.md, "Control-plane fault
 // tolerance"). A MasterConfig gives the runner a crash schedule
-// (fault.MasterFaultInjector) and a recovery mode. Journaled: every
+// (fault.MasterFaultOptions.Schedule) and a recovery mode. Journaled: every
 // control-plane mutation appends a typed record to a catalog.Journal,
 // compacted into snapshots, and a restart pays a per-record replay cost and
 // asserts the replayed state byte-identical to the journal's shadow view.
@@ -59,7 +59,7 @@ type masterHook struct {
 	dur *durabilityHook // nil without Durability
 	an  *attribHook
 	tr  *obs.Tracer
-	inj *fault.MasterFaultInjector
+	inj *sim.Episodes
 
 	// down: crash→restart (process gone). recovering: restart→recovered
 	// (process up, replaying the journal, not yet serving).
@@ -115,7 +115,7 @@ func (m *masterHook) start() {
 		}
 	}
 	if m.cfg.Faults != nil {
-		m.inj = fault.NewMasterFaultInjector(r.eng, *m.cfg.Faults, m.onCrash, m.onRestart)
+		m.inj = m.cfg.Faults.Schedule(r.eng, m.onCrash, m.onRestart)
 	}
 }
 

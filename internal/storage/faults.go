@@ -2,7 +2,6 @@ package storage
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"frieda/internal/sim"
@@ -57,22 +56,14 @@ func (o DiskFaultOptions) Validate() error {
 // deaths (instant wipe — the replacement volume is fresh media under the
 // same name), slow-disk degrade episodes, and a constant read-error rate.
 // It mirrors netsim.LinkFaultInjector so disk chaos composes with link and
-// VM chaos under one determinism discipline.
+// VM chaos under one determinism discipline. Deaths and degrades are two
+// schedules drawing from one seeded RNG.
 type DiskFaultInjector struct {
-	eng  *sim.Engine
-	rng  *rand.Rand
-	opts DiskFaultOptions
-	vols []*Volume
-	// nextDeath and nextDegrade hold the pending event per volume so Stop
-	// can drain the queue.
-	nextDeath   []sim.EventRef
-	nextDegrade []sim.EventRef
-	onDeath     func(*Volume)
-
-	deaths   int
-	degrades int
-	restores int
-	stopped  bool
+	opts     DiskFaultOptions
+	vols     []*Volume
+	onDeath  func(*Volume)
+	deaths   *sim.Episodes
+	degrades *sim.Episodes
 }
 
 // NewDiskFaultInjector arms death and degrade schedules for each volume on
@@ -84,100 +75,53 @@ func NewDiskFaultInjector(eng *sim.Engine, vols []*Volume, opts DiskFaultOptions
 	if err := opts.Validate(); err != nil {
 		panic(err)
 	}
-	inj := &DiskFaultInjector{
-		eng:         eng,
-		rng:         rand.New(rand.NewSource(opts.Seed)),
-		opts:        opts,
-		vols:        vols,
-		nextDeath:   make([]sim.EventRef, len(vols)),
-		nextDegrade: make([]sim.EventRef, len(vols)),
-		onDeath:     onDeath,
-	}
+	rng := rand.New(rand.NewSource(opts.Seed))
+	inj := &DiskFaultInjector{opts: opts, vols: vols, onDeath: onDeath}
+	inj.deaths = sim.NewEpisodes(eng, rng, len(vols), inj.die)
+	inj.degrades = sim.NewEpisodes(eng, rng, len(vols), inj.slow)
 	for i, v := range vols {
 		v.SetReadErrors(opts.ReadErrorRate)
 		if opts.DeathMTBFSec > 0 {
-			inj.armDeath(i)
+			inj.deaths.Arm(i, opts.DeathMTBFSec)
 		}
 		if opts.DegradeMTBFSec > 0 {
-			inj.armDegrade(i)
+			inj.degrades.Arm(i, opts.DegradeMTBFSec)
 		}
 	}
 	return inj
 }
 
-// Deaths reports how many volume deaths have been injected so far.
-func (inj *DiskFaultInjector) Deaths() int { return inj.deaths }
-
-// Degrades reports how many slow-disk episodes have started so far.
-func (inj *DiskFaultInjector) Degrades() int { return inj.degrades }
-
-// Restores reports how many slow-disk episodes have ended so far.
-func (inj *DiskFaultInjector) Restores() int { return inj.restores }
-
 // Stop disarms the injector: pending events leave the queue so an idle
 // engine can drain, and read-error rates are cleared. Volumes currently
 // degraded stay degraded; restore them explicitly if needed.
 func (inj *DiskFaultInjector) Stop() {
-	inj.stopped = true
-	for _, ev := range inj.nextDeath {
-		ev.Cancel()
-	}
-	for _, ev := range inj.nextDegrade {
-		ev.Cancel()
-	}
+	inj.deaths.Stop()
+	inj.degrades.Stop()
 	for _, v := range inj.vols {
 		v.SetReadErrors(0)
 	}
 }
 
-// expDraw samples an exponential with the given mean.
-func (inj *DiskFaultInjector) expDraw(mean float64) sim.Duration {
-	u := inj.rng.Float64()
-	for u == 0 {
-		u = inj.rng.Float64()
+// die wipes volume i. A death is instant, so its outage mean is 0: the
+// fresh media under the same name is as mortal as the old.
+func (inj *DiskFaultInjector) die(i int, down bool) float64 {
+	if !down {
+		return inj.opts.DeathMTBFSec
 	}
-	return sim.Duration(-mean * math.Log(u))
-}
-
-func (inj *DiskFaultInjector) armDeath(i int) {
-	inj.nextDeath[i] = inj.eng.Schedule(inj.expDraw(inj.opts.DeathMTBFSec), func() { inj.die(i) })
-}
-
-// die wipes the volume and immediately re-arms: the fresh media under the
-// same name is as mortal as the old.
-func (inj *DiskFaultInjector) die(i int) {
-	if inj.stopped {
-		return
-	}
-	inj.deaths++
 	v := inj.vols[i]
 	v.Wipe()
 	if inj.onDeath != nil {
 		inj.onDeath(v)
 	}
-	inj.armDeath(i)
+	return 0
 }
 
-func (inj *DiskFaultInjector) armDegrade(i int) {
-	inj.nextDegrade[i] = inj.eng.Schedule(inj.expDraw(inj.opts.DegradeMTBFSec), func() { inj.slow(i) })
-}
-
-// slow starts a degrade episode and schedules its end.
-func (inj *DiskFaultInjector) slow(i int) {
-	if inj.stopped {
-		return
+// slow starts or ends a degrade episode of volume i.
+func (inj *DiskFaultInjector) slow(i int, down bool) float64 {
+	if !down {
+		inj.vols[i].Restore()
+		return inj.opts.DegradeMTBFSec
 	}
-	inj.degrades++
 	inj.vols[i].Degrade(inj.opts.DegradeFactor)
-	inj.nextDegrade[i] = inj.eng.Schedule(inj.expDraw(inj.opts.DegradeMTTRSec), func() { inj.recover(i) })
-}
-
-// recover ends the episode and arms the next one.
-func (inj *DiskFaultInjector) recover(i int) {
-	if inj.stopped {
-		return
-	}
-	inj.restores++
-	inj.vols[i].Restore()
-	inj.armDegrade(i)
+	return inj.opts.DegradeMTTRSec
 }

@@ -43,11 +43,12 @@ func TestDiskFaultInjectorDeaths(t *testing.T) {
 		died = append(died, v)
 	})
 	eng.RunUntil(1000)
-	if inj.Deaths() == 0 {
+	if len(died) == 0 {
 		t.Fatal("no deaths over 10×MTBF")
 	}
-	if len(died) != inj.Deaths() {
-		t.Fatalf("callback count %d != deaths %d", len(died), inj.Deaths())
+	// A death is one event: the fresh media re-arms without an outage event.
+	if fired := int(eng.Fired()); len(died) != fired {
+		t.Fatalf("callback count %d != events %d", len(died), fired)
 	}
 	if vols[0].Used() != 0 || vols[0].Wipes == 0 {
 		t.Fatalf("wipe did not reset volume: used=%v wipes=%d", vols[0].Used(), vols[0].Wipes)
@@ -64,12 +65,19 @@ func TestDiskFaultInjectorDegradeAndErrors(t *testing.T) {
 	if vols[0].ReadErrorRate() != 0.1 {
 		t.Fatal("read-error rate not applied at arm time")
 	}
-	eng.RunUntil(1000)
-	if inj.Degrades() == 0 {
+	degrades, restores := 0, 0
+	for eng.Step() && eng.Now() <= 1000 {
+		if vols[0].Degraded() {
+			degrades++
+		} else {
+			restores++
+		}
+	}
+	if degrades == 0 {
 		t.Fatal("no degrade episodes over 20×MTBF")
 	}
-	if inj.Restores() == 0 || inj.Restores() > inj.Degrades() {
-		t.Fatalf("restores=%d degrades=%d", inj.Restores(), inj.Degrades())
+	if restores == 0 || restores > degrades {
+		t.Fatalf("restores=%d degrades=%d", restores, degrades)
 	}
 	inj.Stop()
 	if vols[0].ReadErrorRate() != 0 {
@@ -81,13 +89,23 @@ func TestDiskFaultInjectorDegradeAndErrors(t *testing.T) {
 }
 
 func TestDiskFaultInjectorDeterminism(t *testing.T) {
-	run := func() (int, int) {
+	// Deaths count through the callback; a degrade episode starts where a
+	// volume turns slow.
+	run := func() (d, g int) {
 		eng := sim.NewEngine()
-		inj := NewDiskFaultInjector(eng, testVolumes(3), DiskFaultOptions{
+		vols := testVolumes(3)
+		inj := NewDiskFaultInjector(eng, vols, DiskFaultOptions{
 			Seed: 11, DeathMTBFSec: 200, DegradeMTBFSec: 100, DegradeMTTRSec: 30, DegradeFactor: 0.5,
-		}, nil)
-		eng.RunUntil(5000)
-		d, g := inj.Deaths(), inj.Degrades()
+		}, func(*Volume) { d++ })
+		slow := make([]bool, len(vols))
+		for eng.Step() && eng.Now() <= 5000 {
+			for i, v := range vols {
+				if v.Degraded() && !slow[i] {
+					g++
+				}
+				slow[i] = v.Degraded()
+			}
+		}
 		inj.Stop()
 		return d, g
 	}

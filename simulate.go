@@ -2,6 +2,9 @@ package frieda
 
 import (
 	"fmt"
+	"maps"
+	"math"
+	"slices"
 
 	"frieda/internal/catalog"
 	"frieda/internal/cloud"
@@ -64,6 +67,9 @@ func Simulate(cfg SimConfig, wl SimWorkload) (SimResult, error) {
 	if cfg.Instance.Cores == 0 {
 		cfg.Instance = cloud.C1XLarge
 	}
+	if err := cfg.validateTimes(); err != nil {
+		return SimResult{}, err
+	}
 	eng := sim.NewEngine()
 	cluster := cloud.New(eng, cloud.Options{
 		Seed:           cfg.Seed,
@@ -89,18 +95,39 @@ func Simulate(cfg SimConfig, wl SimWorkload) (SimResult, error) {
 	for _, vm := range vms[1 : 1+cfg.Workers] {
 		runner.AddWorker(vm)
 	}
-	for wi, at := range cfg.FailAtSec {
-		if wi < 0 || wi >= cfg.Workers {
-			return SimResult{}, fmt.Errorf("frieda: FailAtSec index %d out of range", wi)
-		}
+	// Failures at the same instant fire in scheduling order, so schedule
+	// them in worker-index order, not the map's.
+	for _, wi := range slices.Sorted(maps.Keys(cfg.FailAtSec)) {
 		vm := vms[1+wi]
-		eng.At(sim.Time(at), func() { cluster.Fail(vm) })
+		eng.At(sim.Time(cfg.FailAtSec[wi]), func() { cluster.Fail(vm) })
 	}
 	for i, at := range cfg.AddWorkerAtSec {
 		vm := vms[1+cfg.Workers+i]
 		eng.At(sim.Time(at), func() { runner.AddWorker(vm) })
 	}
 	return runner.Run()
+}
+
+// validateTimes rejects scripted times the simulator cannot schedule and a
+// negative failure rate, before anything is scheduled.
+func (cfg SimConfig) validateTimes() error {
+	if cfg.FailureMTBFSec < 0 || math.IsNaN(cfg.FailureMTBFSec) {
+		return fmt.Errorf("frieda: FailureMTBFSec %v is not a rate (0 disables failures)", cfg.FailureMTBFSec)
+	}
+	for wi, at := range cfg.FailAtSec {
+		if wi < 0 || wi >= cfg.Workers {
+			return fmt.Errorf("frieda: FailAtSec index %d out of range", wi)
+		}
+		if at < 0 || math.IsNaN(at) {
+			return fmt.Errorf("frieda: FailAtSec[%d] = %v is not a time", wi, at)
+		}
+	}
+	for i, at := range cfg.AddWorkerAtSec {
+		if at < 0 || math.IsNaN(at) {
+			return fmt.Errorf("frieda: AddWorkerAtSec[%d] = %v is not a time", i, at)
+		}
+	}
+	return nil
 }
 
 // GroupedSimWorkload builds tasks by running the named partition grouping
