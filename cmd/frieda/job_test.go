@@ -30,7 +30,7 @@ func TestReadGoodJob(t *testing.T) {
 	if j.Name != "als" || j.Workers != 4 || len(j.Template) != 3 {
 		t.Fatalf("job = %+v", j)
 	}
-	want := strategy.Config{Kind: strategy.RealTime, Grouping: "pairwise-adjacent", Assigner: "round-robin", Multicore: true, Prefetch: 1}
+	want := strategy.Config{Kind: strategy.RealTime, Grouping: "pairwise-adjacent", Assigner: "round-robin", Multicore: true}
 	if !reflect.DeepEqual(j.Strategy, want) {
 		t.Fatalf("strategy = %+v, want %+v", j.Strategy, want)
 	}

@@ -52,7 +52,6 @@ import (
 	"frieda/internal/obs"
 	"frieda/internal/obs/attrib"
 	"frieda/internal/simrun"
-	"frieda/internal/strategy"
 	"frieda/internal/trace"
 )
 
@@ -637,7 +636,7 @@ func printGantt(app string, scale float64, col *collector) error {
 	} else {
 		wl = experiments.BLASTWorkload(scale, 1)
 	}
-	res, err := experiments.RunStrategy(simrun.Config{Strategy: strategy.RealTimeRemote}, wl, 4, 1)
+	res, err := experiments.RunStrategy(simrun.Config{Strategy: experiments.StrictRealTime()}, wl, 4, 1)
 	if err != nil {
 		return err
 	}

@@ -11,6 +11,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"frieda/internal/cloud"
 )
 
 func countingProgram() Program {
@@ -195,6 +197,8 @@ func TestSimulateElasticAdd(t *testing.T) {
 
 func TestSimulateValidation(t *testing.T) {
 	nan := math.NaN()
+	huge := cloud.C1XLarge
+	huge.Cores = 1 << 30
 	for _, tc := range []struct {
 		name string
 		cfg  SimConfig
@@ -207,6 +211,7 @@ func TestSimulateValidation(t *testing.T) {
 		{"negative add time", SimConfig{AddWorkerAtSec: []float64{1, -0.5}}},
 		{"NaN add time", SimConfig{AddWorkerAtSec: []float64{nan}}},
 		{"negative MTBF", SimConfig{FailureMTBFSec: -10}},
+		{"a VM of 2^30 cores", SimConfig{Instance: huge}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.cfg.Strategy = RealTimeRemote
@@ -214,6 +219,42 @@ func TestSimulateValidation(t *testing.T) {
 				t.Fatal("accepted")
 			}
 		})
+	}
+}
+
+// A Prefetch past strategy.MaxPrefetch is refused up front by both entry
+// points: its window would wrap to zero, and the run would wait for ever.
+func TestUnboundedPrefetchRefused(t *testing.T) {
+	strat := RealTimeRemote
+	strat.Prefetch = 1 << 32
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if _, err := Run(ctx, RunConfig{Strategy: strat, Dataset: MemDataset(memFiles(4, 8)), Program: countingProgram(), Workers: 2}); err == nil || ctx.Err() != nil {
+		t.Fatalf("Run with prefetch %d: %v (context %v)", strat.Prefetch, err, ctx.Err())
+	}
+	if _, err := Simulate(SimConfig{Strategy: strat}, UniformSimWorkload("p", 8, 1, 0)); err == nil {
+		t.Fatalf("Simulate accepted prefetch %d", strat.Prefetch)
+	}
+}
+
+// The simulator's half of core's TestTailRunsAsAtWindowOne: four tasks on
+// four one-slot workers run one each at the default window (DefaultPrefetch
+// for 1,000-byte inputs), as at a window of one.
+func TestSimulateTailRunsAsAtWindowOne(t *testing.T) {
+	one := cloud.C1XLarge
+	one.Cores = 1
+	run := func(prefetch int) SimResult {
+		strat := RealTimeRemote
+		strat.Prefetch = prefetch
+		res, err := Simulate(SimConfig{Strategy: strat, Workers: 4, Instance: one}, UniformSimWorkload("t", 4, 1, 1000))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	def, strict := run(0), run(1)
+	if len(def.PerWorker) != 4 || !reflect.DeepEqual(def.PerWorker, strict.PerWorker) || def.MakespanSec != strict.MakespanSec {
+		t.Fatalf("default window: %v in %.3f s; window of one: %v in %.3f s", def.PerWorker, def.MakespanSec, strict.PerWorker, strict.MakespanSec)
 	}
 }
 

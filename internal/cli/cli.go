@@ -18,14 +18,15 @@ import (
 // strategy's own UnmarshalText, so a bad spelling fails fs.Parse. The
 // returned function adds -common and validates the whole.
 func StrategyFlags(fs *flag.FlagSet) func() (strategy.Config, error) {
-	cfg := strategy.Config{Kind: strategy.RealTime, Grouping: "single", Assigner: "round-robin", Multicore: true, Prefetch: 1}
+	cfg := strategy.Config{Kind: strategy.RealTime, Grouping: "single", Assigner: "round-robin", Multicore: true}
 	fs.TextVar(&cfg.Kind, "mode", cfg.Kind, "partitioning mode: no-partition | pre-partition | real-time")
 	fs.TextVar(&cfg.Locality, "locality", cfg.Locality, "data locality at start: remote | local")
 	fs.TextVar(&cfg.Placement, "placement", cfg.Placement, "movement direction: data-to-compute | compute-to-data")
 	fs.StringVar(&cfg.Grouping, "grouping", cfg.Grouping, "input grouping: single | one-to-all | pairwise-adjacent | all-to-all | sliding-window")
 	fs.StringVar(&cfg.Assigner, "assigner", cfg.Assigner, "pre-partition assignment: round-robin | blocked | size-balanced")
 	fs.BoolVar(&cfg.Multicore, "multicore", cfg.Multicore, "clone the program once per worker core")
-	fs.IntVar(&cfg.Prefetch, "prefetch", cfg.Prefetch, "real-time groups in flight per slot")
+	fs.IntVar(&cfg.Prefetch, "prefetch", cfg.Prefetch,
+		fmt.Sprintf("real-time groups in flight per slot: 1 is the paper's request-one-get-one, 0 picks %d for groups under %d KiB and 1 for larger", strategy.DefaultPrefetch, strategy.PipelineBytes>>10))
 	common := fs.String("common", "", "comma-separated files staged to every node (e.g. a database)")
 	return func() (strategy.Config, error) {
 		c := cfg

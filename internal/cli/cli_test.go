@@ -29,6 +29,9 @@ func TestStrategyFlagsDefaults(t *testing.T) {
 	if cfg.Kind != strategy.RealTime || cfg.Locality != strategy.Remote || !cfg.Multicore {
 		t.Fatalf("defaults = %+v", cfg)
 	}
+	if cfg.Prefetch != 0 {
+		t.Fatalf("prefetch = %d, want 0, the window left to the job", cfg.Prefetch)
+	}
 }
 
 func TestStrategyFlagsFull(t *testing.T) {

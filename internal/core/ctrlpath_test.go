@@ -312,14 +312,15 @@ func (l countedListener) Accept() (transport.Conn, error) {
 
 func (l countedListener) Addr() string { return l.Listener.Addr().String() }
 
-// The shape of the benchmark's rt_small_tcp — 1 KiB files one to a task, two
-// single-slot workers, TCP loopback — costs two writes per task at the socket:
-// the refill (its file and its EXECUTE) one way, the status the other. Before
-// the held frames it was four (five here, where writev is two Writes).
-func TestSmallTaskCostsTwoWrites(t *testing.T) {
-	const tasks = 1024
+// smallTaskWrites runs the shape of the benchmark's rt_small_tcp — 1 KiB
+// files one to a task, two single-slot workers, TCP loopback — at prefetch
+// (0: left to the job, DefaultPrefetch for groups this small) and returns the writes at the socket per task
+// beyond a constant: the controller's channel, and each worker's
+// registration, first request and NO_MORE_DATA.
+func smallTaskWrites(t *testing.T, prefetch int) float64 {
+	const tasks, outside = 1024, 32
 	single := strategy.RealTimeRemote
-	single.Grouping = "single"
+	single.Grouping, single.Prefetch = "single", prefetch
 	wc := &writeCounter{bound: make(chan struct{})}
 	r := (&testHarness{
 		tr: wc, strategy: single, source: sourceWithFiles(tasks, 1<<10),
@@ -330,9 +331,50 @@ func TestSmallTaskCostsTwoWrites(t *testing.T) {
 	}
 	writes := wc.writes.Load()
 	t.Logf("%d writes for %d tasks (%.3f per task)", writes, tasks, float64(writes)/tasks)
-	// Outside the steady state: the controller's channel, and each worker's
-	// registration, first request and NO_MORE_DATA.
-	if budget := int64(2*tasks + 32); writes > budget {
-		t.Fatalf("%d writes for %d tasks, budget is two per task plus 32", writes, tasks)
+	return float64(writes-outside) / tasks
+}
+
+// At the paper's window of one, a small task costs two writes at the
+// socket: the refill (its file and its EXECUTE) one way, the status the
+// other. Before the held frames it was four (five here, where writev is two
+// Writes).
+func TestSmallTaskCostsTwoWrites(t *testing.T) {
+	if per := smallTaskWrites(t, 1); per > 2 {
+		t.Fatalf("%.3f writes per task, budget is two", per)
+	}
+}
+
+// At the default window, DefaultPrefetch for 1 KiB groups, the worker
+// still writes each status, but the master's reader hands every buffered
+// status to one wake of the loop, and the wake refills each worker in one
+// write.
+func TestSmallTaskWritesAtDefaultWindow(t *testing.T) {
+	if per := smallTaskWrites(t, 0); per > 1.55 {
+		t.Fatalf("%.3f writes per task, budget is 1.55", per)
+	}
+}
+
+// A job that the other workers' windows could take whole runs as at a
+// window of one: four groups on four one-slot workers are one group each,
+// on either transport (sched.Ledger's tail rule).
+func TestTailRunsAsAtWindowOne(t *testing.T) {
+	for name, mk := range testTransports {
+		t.Run(name, func(t *testing.T) {
+			single := strategy.RealTimeRemote
+			single.Grouping = "single"
+			r := (&testHarness{
+				tr: mk(), strategy: single, source: sourceWithFiles(4, 10),
+				workers: 4, cores: 1, program: echoProgram(),
+			}).run(t)
+			ran := map[string]int{}
+			for _, res := range r.Results {
+				if res.OK {
+					ran[res.Worker]++
+				}
+			}
+			if r.Succeeded != 4 || len(ran) != 4 {
+				t.Fatalf("%d of 4 groups ok, by worker %v; want one each", r.Succeeded, ran)
+			}
+		})
 	}
 }

@@ -713,7 +713,8 @@ func TestElasticRemoveWorkerDrains(t *testing.T) {
 }
 
 // drainThenKill runs 30 groups on three two-slot workers whose tasks block
-// until released. Once every slot is busy, w1 and w2 drain and w0 — the last
+// until released, at the paper's window of one group per slot, so that
+// the draining workers hold two groups each. Once every slot is busy, w1 and w2 drain and w0 — the last
 // undrained worker — dies; then the blocked tasks are released, failing when
 // failDrained is set. It checks that every group ends terminal exactly once
 // and returns the report.
@@ -724,7 +725,7 @@ func drainThenKill(t *testing.T, recoverOn, failDrained bool) Report {
 	var kill context.CancelFunc
 	h := &testHarness{
 		source:   sourceWithFiles(30, 10),
-		strategy: strategy.Config{Kind: strategy.RealTime, Multicore: true},
+		strategy: strategy.Config{Kind: strategy.RealTime, Multicore: true, Prefetch: 1},
 		program: FuncProgram(func(ctx context.Context, task Task) (string, error) {
 			started.Add(1)
 			select {

@@ -84,7 +84,7 @@ type masterWorker struct {
 	name        string
 	cores       int
 	outstanding map[int]bool // dispatched, not yet reported
-	settled     bool         // the status report being booked freed a slot
+	settled     bool         // a status of this wake freed a slot: in Master.refills
 }
 
 // outItem is one unit of a writer's work: it sends msg, streams files, then
@@ -128,7 +128,11 @@ type Master struct {
 	catalogue  *catalog.Catalog
 	groups     []partition.Group
 	// led is the run's lifecycle; it starts once the groups are known.
-	led        *sched.Ledger
+	led *sched.Ledger
+	// refills lists the workers this wake's statuses freed slots on; pass is
+	// the outbox batch a dispatch pass builds.
+	refills    []*masterWorker
+	pass       []outItem
 	results    []protocol.TaskResult
 	workerErrs []string
 	replicas   *catalog.Replicas
@@ -237,8 +241,9 @@ func (m *Master) Serve(ctx context.Context) error {
 }
 
 // read is a connection's reader: its first message says whose connection it
-// is. It starts the writer, then posts each message as an event, reading the
-// next once the loop has taken it (DESIGN.md, "Real-runtime control path").
+// is. It starts the writer, then posts each message as an event. It reads on
+// while the connection holds a whole frame, and otherwise first waits for
+// the loop to take the event (DESIGN.md, "Real-runtime control path").
 func (m *Master) read(conn transport.Conn) {
 	msg, err := conn.Recv()
 	if err != nil {
@@ -293,10 +298,10 @@ func (m *Master) post(l *link, msg *protocol.Message) {
 	case msg.Type == protocol.TRequestData:
 		ev.kind = evRequest
 	case msg.Type == protocol.TTaskStatus:
-		ev.kind, ev.res, ev.last = evStatus, msg.Result, true
+		ev.kind, ev.res = evStatus, msg.Result
 		for i, res := range msg.Results {
-			ev.res, ev.last = res, i == len(msg.Results)-1
-			if !ev.last {
+			ev.res = res
+			if i < len(msg.Results)-1 {
 				m.inbox.put(ev)
 			}
 		}
@@ -315,11 +320,15 @@ func (m *Master) post(l *link, msg *protocol.Message) {
 	m.hand(ev)
 }
 
-// hand posts a message's last event and waits until the loop has taken it.
+// hand posts a message's last event. Unless the connection holds another
+// whole frame, it then waits until the loop has taken the event: the next
+// Recv would block in the kernel, and the loop should run first.
 func (m *Master) hand(ev event) {
-	ev.wait = true
+	ev.wait = !ev.l.conn.Buffered()
 	m.inbox.put(ev)
-	<-ev.l.taken
+	if ev.wait {
+		<-ev.l.taken
+	}
 }
 
 // --- The loop ---
@@ -330,7 +339,7 @@ const (
 	evRegister    evKind = iota // a worker's first frame: l.worker has its name and cores
 	evControl                   // a controller request: msg
 	evRequest                   // REQUEST_DATA
-	evStatus                    // one task result, res; last ends its report
+	evStatus                    // one task result, res
 	evOutput                    // n bytes of returned output are in the sink
 	evGone                      // the connection's Recv failed with err
 	evFailed                    // the writer failed with err, sending an item with msg
@@ -346,19 +355,20 @@ type event struct {
 	l      *link
 	msg    *protocol.Message
 	res    protocol.TaskResult
-	last   bool
 	wait   bool // the reader waits for it to be taken
 	n      int64
 	err    error
 	report chan Report
 }
 
-// loop is the one goroutine that owns the master's state.
+// loop is the one goroutine that owns the master's state. A wake takes
+// every queued event and handles them in order, then refills the slots its
+// statuses freed (group commit).
 func (m *Master) loop() {
 	defer close(m.stopped)
 	var evs []event
 	for open := true; open; {
-		evs, open = m.inbox.take(evs, true)
+		evs, open = m.inbox.take(true)
 		for i := range evs {
 			if evs[i].wait {
 				evs[i].l.taken <- struct{}{}
@@ -366,7 +376,24 @@ func (m *Master) loop() {
 			m.handle(&evs[i])
 		}
 		clear(evs)
+		m.refill()
 	}
+}
+
+// refill ends a wake whose statuses freed slots: one dispatch pass per
+// worker they freed slots on, each one outbox batch and so one write, then
+// one completion check.
+func (m *Master) refill() {
+	if len(m.refills) == 0 {
+		return
+	}
+	for _, w := range m.refills {
+		w.settled = false
+		m.dispatch(w)
+	}
+	clear(m.refills)
+	m.refills = m.refills[:0]
+	m.checkDone()
 }
 
 func (m *Master) handle(ev *event) {
@@ -387,15 +414,10 @@ func (m *Master) handle(ev *event) {
 	case evRequest:
 		m.dispatch(w)
 	case evStatus:
-		// A coalesced report is booked result by result, then its freed
-		// slots are refilled by one dispatch pass and one completion check.
-		if m.recordResult(w, ev.res) {
+		// Every status of the wake is booked before refill refills.
+		if m.recordResult(w, ev.res) && !w.settled {
 			w.settled = true
-		}
-		if ev.last && w.settled {
-			w.settled = false
-			m.dispatch(w)
-			m.checkDone()
+			m.refills = append(m.refills, w)
 		}
 	case evOutput:
 		m.outputBytes += ev.n
@@ -531,9 +553,15 @@ func (m *Master) admit(w *masterWorker) {
 		return
 	}
 	slots := m.strat.Slots(w.cores)
+	if err := m.led.Join(&w.Worker, slots); err != nil {
+		// The cores came off the wire.
+		w.out.put(outItem{msg: &protocol.Message{Type: protocol.TAck, Error: err.Error()}})
+		w.out.close()
+		return
+	}
+	m.reserveOutbox(w)
 	w.outstanding = make(map[int]bool)
 	m.workers[w.name] = w
-	m.led.Join(&w.Worker, slots)
 	staged, err := m.commonFiles(w)
 	if err != nil {
 		m.workerDied(w, err)
@@ -544,6 +572,15 @@ func (m *Master) admit(w *masterWorker) {
 		ReturnOutputs: m.cfg.OutputSink != nil, Batch: m.cfg.Batch,
 	}, files: staged, ready: true})
 	m.logf("worker %s registered (%d cores, %d slots)", w.name, w.cores, slots)
+}
+
+// reserveOutbox sizes w's outbox for a dispatch pass and an item besides.
+// A pass is at most w's window and at most the job's groups; before the
+// start there are none, and runStrategy sizes it.
+func (m *Master) reserveOutbox(w *masterWorker) {
+	if len(m.groups) > 0 {
+		w.out.reserve(min(w.Window(), len(m.groups)) + 1)
+	}
 }
 
 // sourceCatalog lists the source once, when first needed: by common-file
@@ -640,6 +677,18 @@ func (m *Master) runStrategy() {
 		deal[i] = &w.Worker
 	}
 	m.led.Start(m.strat, len(m.groups), func() []partition.Group { return m.groups }, deal)
+	// The loop's handoffs take, without growing, a wake in which every
+	// group in flight reports and every worker posts one event more, a
+	// dispatch pass and a wake's refills. Sizes follow the groups, never a
+	// bare window: a window is cores off the wire times the prefetch.
+	window, windows := 0, 0
+	for _, w := range workers {
+		m.reserveOutbox(w)
+		window, windows = max(window, w.Window()), windows+w.Window()
+	}
+	m.inbox.reserve(min(windows, len(m.groups)) + len(workers))
+	m.pass = slices.Grow(m.pass, min(window, len(m.groups)))
+	m.refills = slices.Grow(m.refills, len(workers))
 	staging := false
 	if m.strat.Kind != strategy.RealTime && m.strat.Locality == strategy.Remote {
 		var all []protocol.FileInfo
@@ -706,7 +755,7 @@ func (m *Master) dispatchAll() {
 }
 
 // dispatch hands the worker as much work as its window allows: each group
-// it reserves is one item of the worker's outbox.
+// it reserves is one item of one batch put to the worker's outbox.
 func (m *Master) dispatch(w *masterWorker) {
 	// Under compute-to-data placement a group is resident when every file of
 	// it is already on the worker.
@@ -722,25 +771,24 @@ func (m *Master) dispatch(w *masterWorker) {
 		}
 	}
 	fetches := m.strat.Fetches()
-	var it outItem
+	pass := m.pass
 	for {
 		gi, ok := m.led.Next(&w.Worker, resident)
 		if !ok {
 			break
 		}
-		if it.group != nil {
-			w.out.put(it)
-		}
 		w.outstanding[gi] = true
-		it = outItem{group: &m.groups[gi]}
+		pass = append(pass, outItem{group: &m.groups[gi]})
 		if fetches {
-			m.claimGroup(w, &it)
+			m.claimGroup(w, &pass[len(pass)-1])
 		}
 	}
-	if it.group != nil {
-		it.last = true
-		w.out.put(it)
+	if len(pass) > 0 {
+		pass[len(pass)-1].last = true
+		w.out.put(pass...)
 	}
+	clear(pass)
+	m.pass = pass[:0]
 }
 
 // claimGroup claims the files of it's group that the worker has not been
@@ -877,10 +925,10 @@ func (m *Master) fatal(err error) {
 func (m *Master) writer(l *link) {
 	defer m.wg.Done()
 	defer l.conn.Close()
-	var items []outItem // the batch in hand; trades places with the outbox
+	var items []outItem // the batch in hand
 	held := false
 	for open := true; open; {
-		items, open = l.out.take(items, !held)
+		items, open = l.out.take(!held)
 		if len(items) == 0 {
 			if held {
 				held = false

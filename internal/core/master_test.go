@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -11,6 +12,7 @@ import (
 
 	"frieda/internal/catalog"
 	"frieda/internal/protocol"
+	"frieda/internal/sched"
 	"frieda/internal/strategy"
 	"frieda/internal/transport"
 )
@@ -220,6 +222,69 @@ func TestMasterRejectsBadStrategyFromController(t *testing.T) {
 	}
 	if ack.Error == "" {
 		t.Fatal("real-time + local strategy accepted")
+	}
+}
+
+// A registration's cores come off the wire: a multicore worker whose window
+// would not fit is refused with an error ACK. One of exactly sched.MaxSlots
+// cores is admitted and runs the job, and the master's queues are sized by
+// the groups there are, not by its window of millions.
+func TestMasterRefusesWindowThatDoesNotFit(t *testing.T) {
+	m, tr, cancel := startMaster(t, MasterConfig{Strategy: strategy.RealTimeRemote, ExpectedWorkers: 1})
+	defer cancel()
+	register := func(name string, cores int) (transport.Conn, string) {
+		conn, err := tr.Dial("m")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := conn.Send(&protocol.Message{Type: protocol.TRegister, Worker: name, Cores: cores}); err != nil {
+			t.Fatal(err)
+		}
+		ack, err := conn.Recv()
+		if err != nil || ack.Type != protocol.TAck {
+			t.Fatalf("reply to %s's registration: %+v, %v", name, ack, err)
+		}
+		return conn, ack.Error
+	}
+	conn, e := register("huge", sched.MaxSlots+1)
+	conn.Close()
+	if !strings.Contains(e, "slots") {
+		t.Fatalf("a worker of %d cores admitted (ack error %q)", sched.MaxSlots+1, e)
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	conn, e = register("widest", sched.MaxSlots)
+	defer conn.Close()
+	if e != "" {
+		t.Fatalf("a worker of %d cores refused: %s", sched.MaxSlots, e)
+	}
+	if err := conn.Send(&protocol.Message{Type: protocol.TRequestData, Worker: "widest"}); err != nil {
+		t.Fatal(err)
+	}
+	ran := 0
+	for ran < 4 {
+		msg, err := conn.Recv()
+		if err != nil {
+			t.Fatalf("after %d tasks: %v", ran, err)
+		}
+		if msg.Type != protocol.TExecute {
+			continue
+		}
+		ran++
+		res := protocol.TaskResult{GroupIndex: msg.GroupIndex, Worker: "widest", OK: true}
+		if err := conn.Send(&protocol.Message{Type: protocol.TTaskStatus, Result: res}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	select {
+	case <-m.Done():
+	case <-time.After(10 * time.Second):
+		t.Fatal("the run never finished")
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
+		t.Fatalf("running 4 groups on one worker allocated %d MiB", grew>>20)
 	}
 }
 

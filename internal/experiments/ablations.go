@@ -13,7 +13,6 @@ import (
 	"frieda/internal/netsim"
 	"frieda/internal/sim"
 	"frieda/internal/simrun"
-	"frieda/internal/strategy"
 )
 
 // RunStrategyBW is RunStrategy with a custom provisioned bandwidth (Mbps),
@@ -48,7 +47,7 @@ func AblationPrefetch(scale float64) ([]SweepRow, error) {
 		prefetch := prefetch
 		cells = append(cells, cell(fmt.Sprintf("prefetch/ALS/window=%d/seed=1", prefetch),
 			func() (simrun.Result, error) {
-				strat := strategy.RealTimeRemote
+				strat := StrictRealTime()
 				strat.Prefetch = prefetch
 				return RunStrategy(simrun.Config{Strategy: strat}, ALSWorkload(scale), 4, 1)
 			}))
@@ -206,7 +205,7 @@ func donePct(res simrun.Result) float64 {
 // "replace" additionally provisions a replacement VM per failure.
 func runWithFailures(wl simrun.Workload, mtbfSec float64, mode string) (simrun.Result, error) {
 	cfg := simrun.Config{
-		Strategy:   strategy.RealTimeRemote,
+		Strategy:   StrictRealTime(),
 		Recover:    mode != "isolate",
 		MaxRetries: 5,
 	}

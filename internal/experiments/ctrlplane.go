@@ -6,7 +6,6 @@ import (
 	"frieda/internal/catalog"
 	"frieda/internal/exprun"
 	"frieda/internal/simrun"
-	"frieda/internal/strategy"
 )
 
 // ctrlPlaneModes are the two control planes the ctrlplane ablation compares:
@@ -54,7 +53,7 @@ func ChunkWorkload(wl simrun.Workload, k int) simrun.Workload {
 // every hit against the slow path, so a divergence panics the run.
 func runCtrlPlane(wl simrun.Workload, templates bool) (simrun.Result, error) {
 	cfg := simrun.Config{
-		Strategy:  strategy.RealTimeRemote,
+		Strategy:  StrictRealTime(),
 		CtrlPlane: &simrun.CtrlPlaneConfig{Templates: templates},
 	}
 	return RunStrategy(cfg, wl, 0, 7)

@@ -9,7 +9,6 @@ import (
 	"frieda/internal/netsim"
 	"frieda/internal/simrun"
 	"frieda/internal/storage"
-	"frieda/internal/strategy"
 )
 
 // chaosSpec is one combined-fault regime for the durability ablation. A
@@ -60,7 +59,7 @@ func withChecksums(wl simrun.Workload, seed int64) simrun.Workload {
 // produce bit-identical results.
 func runDurability(wl simrun.Workload, rf int, spec chaosSpec) (simrun.Result, error) {
 	cfg := simrun.Config{
-		Strategy:   strategy.RealTimeRemote,
+		Strategy:   StrictRealTime(),
 		Recover:    true,
 		MaxRetries: 5,
 		Detection:  &simrun.DetectionConfig{K: 3},

@@ -7,7 +7,6 @@ import (
 	"frieda/internal/netsim"
 	"frieda/internal/obs/attrib"
 	"frieda/internal/simrun"
-	"frieda/internal/strategy"
 )
 
 // masterFailSpec is one control-plane fault regime: mean master up-time and
@@ -40,7 +39,7 @@ var masterFailModes = []string{"crashfree", "journal", "amnesia"}
 // results.
 func runMasterFail(wl simrun.Workload, spec masterFailSpec, linkMTBFSec float64, mode string) (simrun.Result, error) {
 	cfg := simrun.Config{
-		Strategy:   strategy.RealTimeRemote,
+		Strategy:   StrictRealTime(),
 		Recover:    true,
 		MaxRetries: 5,
 		Detection:  &simrun.DetectionConfig{K: 3},

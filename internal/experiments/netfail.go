@@ -5,7 +5,6 @@ import (
 
 	"frieda/internal/netsim"
 	"frieda/internal/simrun"
-	"frieda/internal/strategy"
 )
 
 // netFailSpec is one link-fault regime: mean up-time and outage duration
@@ -31,7 +30,7 @@ var netFailModes = []string{"isolate", "retry", "resume"}
 // arguments produce bit-identical results.
 func runNetFail(wl simrun.Workload, spec netFailSpec, mode string) (simrun.Result, error) {
 	cfg := simrun.Config{
-		Strategy:  strategy.RealTimeRemote,
+		Strategy:  StrictRealTime(),
 		Detection: &simrun.DetectionConfig{K: 1},
 	}
 	switch mode {

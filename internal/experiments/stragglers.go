@@ -7,7 +7,6 @@ import (
 	"frieda/internal/netsim"
 	"frieda/internal/simrun"
 	"frieda/internal/storage"
-	"frieda/internal/strategy"
 )
 
 // stragglerSpec is one gray-failure regime: slow-worker episodes (compute
@@ -43,7 +42,7 @@ var stragglerModes = []string{"none", "detect", "spec", "hedge", "both"}
 // virtual-time and seeded, so equal arguments produce bit-identical results.
 func runStragglers(wl simrun.Workload, spec stragglerSpec, mode string) (simrun.Result, error) {
 	cfg := simrun.Config{
-		Strategy:   strategy.RealTimeRemote,
+		Strategy:   StrictRealTime(),
 		Recover:    true,
 		MaxRetries: 5,
 		Detection:  &simrun.DetectionConfig{K: 3},

@@ -222,7 +222,17 @@ func preRemote(assigner string) simrun.Config {
 }
 
 func realTime() simrun.Config {
-	return simrun.Config{Strategy: strategy.RealTimeRemote}
+	return simrun.Config{Strategy: StrictRealTime()}
+}
+
+// StrictRealTime is the paper's real-time strategy (Fig. 5c) as its
+// prototype ran it: request-one-get-one, one group in flight per slot
+// (Fig. 4). Every sweep runs it, whatever strategy's default window is; the
+// prefetch ablation varies its Prefetch.
+func StrictRealTime() strategy.Config {
+	c := strategy.RealTimeRemote
+	c.Prefetch = 1
+	return c
 }
 
 // AssignerFor returns the pre-partition assigner each application's input

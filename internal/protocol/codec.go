@@ -360,6 +360,35 @@ func (c *Codec) Recv() (*Message, error) {
 	}
 }
 
+// Buffered reports whether the read-ahead holds a whole frame, so that the
+// next Recv returns without reading the stream. A frame of an unknown tag
+// counts as whole: Recv fails on it without a read. Like Recv it belongs to
+// the receiving goroutine.
+func (c *Codec) Buffered() bool {
+	n := c.br.Buffered()
+	if n == 0 {
+		return false
+	}
+	b, _ := c.br.Peek(min(n, 1+dataHeaderLen)) // buffered bytes: no read
+	need := 1 + dataHeaderLen
+	switch b[0] {
+	case frameControl:
+		if len(b) < 1+controlHeaderLen {
+			return false
+		}
+		need = 1 + controlHeaderLen + int(binary.BigEndian.Uint32(b[1:]))
+	case frameData:
+		if len(b) < need {
+			return false
+		}
+		h := b[1:]
+		need += int(binary.BigEndian.Uint16(h[1:])) + int(binary.BigEndian.Uint16(h[3:])) + int(binary.BigEndian.Uint32(h[5:]))
+	default:
+		return true
+	}
+	return n >= need
+}
+
 // readFull fills p from the stream; running out of stream is ErrTruncated.
 func (c *Codec) readFull(p []byte) error {
 	if _, err := io.ReadFull(c.br, p); err != nil {

@@ -299,6 +299,70 @@ func TestRecvReusesPayloadBuffer(t *testing.T) {
 	}
 }
 
+// chunks is a stream whose every Read returns at most the rest of its first
+// part: the test decides where the reads of a stream end.
+type chunks [][]byte
+
+func (c *chunks) Read(p []byte) (int, error) {
+	for len(*c) > 0 && len((*c)[0]) == 0 {
+		*c = (*c)[1:]
+	}
+	if len(*c) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, (*c)[0])
+	(*c)[0] = (*c)[0][n:]
+	return n, nil
+}
+
+// Buffered reports a frame of either kind once the read-ahead holds all of
+// it, and not while any of it is still to be read: the stream of three
+// frames arrives in two reads, cut at every byte.
+func TestBufferedSeesWholeFrames(t *testing.T) {
+	var wire bytes.Buffer
+	tx := NewCodec(&wire)
+	var ends []int // where each frame ends in the stream
+	for _, m := range []*Message{
+		{Type: TTaskStatus, Result: TaskResult{GroupIndex: 1, OK: true}},
+		{Type: TFileData, FileName: "f", Worker: "w", Data: []byte("payload"), Last: true},
+		{Type: TExecute, GroupIndex: 2, Files: []FileInfo{{Name: "f", Size: 7}}},
+	} {
+		if err := tx.Send(m); err != nil {
+			t.Fatal(err)
+		}
+		ends = append(ends, wire.Len())
+	}
+	stream := wire.Bytes()
+	for cut := 1; cut < len(stream); cut++ {
+		rx := NewCodec(struct {
+			io.Reader
+			io.Writer
+		}{&chunks{stream[:cut:cut], stream[cut:]}, io.Discard})
+		if rx.Buffered() {
+			t.Fatalf("cut %d: a frame buffered before any read", cut)
+		}
+		// The first Recv reads the first part, and the second too if the
+		// first frame does not end in it.
+		if _, err := rx.Recv(); err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i < len(ends); i++ {
+			// Frame i is whole in the read-ahead when the first part holds
+			// it, or when the first Recv read the second part too.
+			want := cut >= ends[i] || cut < ends[0]
+			if got := rx.Buffered(); got != want {
+				t.Fatalf("cut %d, frame %d (ends at %d): Buffered() = %v, want %v", cut, i, ends[i], got, want)
+			}
+			if !want {
+				break // the next Recv reads the stream
+			}
+			if _, err := rx.Recv(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
 // Recv returns the codec's one message every time, and a control frame's
 // slices land in backing arrays reused from the frames before it.
 func TestRecvReusesMessage(t *testing.T) {

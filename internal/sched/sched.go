@@ -9,6 +9,8 @@
 package sched
 
 import (
+	"fmt"
+	"math"
 	"slices"
 
 	"frieda/internal/partition"
@@ -17,6 +19,11 @@ import (
 
 // DefaultMaxRetries is the retry budget when the caller sets none.
 const DefaultMaxRetries = 2
+
+// MaxSlots is the most slots a worker may join with: its window, slots ×
+// Prefetch, then fits the 32 bits it is kept in under any strategy that
+// passed Validate.
+const MaxSlots = math.MaxInt32 / strategy.MaxPrefetch
 
 // Worker is the ledger's view of a worker, embedded in each executor's own.
 // The ledger writes its flags, and counts them; an executor may only clear
@@ -42,6 +49,9 @@ func (w *Worker) Live() bool { return !w.Dead && !w.Draining }
 // InFlight counts the worker's groups handed out and not yet settled.
 func (w *Worker) InFlight() int { return int(w.inFlight) }
 
+// Window is the most groups the worker may have in flight, clones apart.
+func (w *Worker) Window() int { return int(w.window) }
+
 // Ledger is one run's lifecycle: Join every worker as it registers, and
 // Start the ledger once the groups are known.
 type Ledger struct {
@@ -56,6 +66,8 @@ type Ledger struct {
 	workers  []*Worker
 	// The counts Live and Arrived report, and the open staging items.
 	live, arrived, stages int
+	// windows sums the live workers' windows, for the tail rule (open).
+	windows int
 }
 
 // NewLedger returns an unstarted ledger. Under recover a lost attempt is
@@ -67,24 +79,51 @@ func NewLedger(recover bool, maxRetries int) *Ledger {
 	return &Ledger{recover: recover, maxRetries: maxRetries}
 }
 
-// Join adds a registering worker that runs slots groups at once.
-func (l *Ledger) Join(w *Worker, slots int) {
+// CheckSlots refuses slots outside [1, MaxSlots]: a worker's window would
+// not fit.
+func CheckSlots(slots int) error {
+	if slots < 1 || slots > MaxSlots {
+		return fmt.Errorf("sched: %d slots outside [1, %d]", slots, MaxSlots)
+	}
+	return nil
+}
+
+// Join adds a registering worker that runs slots groups at once, unless
+// CheckSlots refuses them.
+func (l *Ledger) Join(w *Worker, slots int) error {
+	if err := CheckSlots(slots); err != nil {
+		return err
+	}
 	w.slots, w.window = int32(slots), int32(l.strat.Window(slots))
 	l.workers = append(l.workers, w)
 	l.live++
+	l.windows += int(w.window)
+	return nil
 }
 
 // Start begins the run under s on groups 0..n-1 and fixes every window
-// from s. Pre-partitioning deals the groups with s's assigner, which reads
-// groups() (called for the deal only), over the live workers of workers, in
-// that order (nil: join order), as their backlogs; any other kind, or a
-// deal with nobody live, queues them in index order. s must have passed
-// its Validate.
+// from s, a real-time Prefetch of 0 resolved by s.ForJob from the groups'
+// input. Pre-partitioning deals the groups with s's assigner over the live
+// workers of workers, in that order (nil: join order), as their backlogs;
+// any other kind, or a deal with nobody live, queues them in index order.
+// groups() is called only for the deal or to resolve the window. s must
+// have passed its Validate.
 func (l *Ledger) Start(s strategy.Config, n int, groups func() []partition.Group, workers []*Worker) {
+	s = s.ForJob(n, func() int64 {
+		var bytes int64
+		for _, g := range groups() {
+			bytes += g.Size()
+		}
+		return bytes
+	})
 	l.strat = s
 	l.attempts = make([]int32, n)
+	l.windows = 0
 	for _, w := range l.workers {
 		w.window = int32(s.Window(int(w.slots)))
+		if !w.out {
+			l.windows += int(w.window)
+		}
 	}
 	if workers == nil {
 		workers = l.workers
@@ -155,6 +194,7 @@ func (l *Ledger) leave(w *Worker) {
 	if !w.out {
 		w.out = true
 		l.live--
+		l.windows -= int(w.window)
 	}
 }
 
@@ -193,16 +233,23 @@ func (l *Ledger) Pending() int {
 }
 
 // open reports whether w may be handed a group now: no staging item is
-// open, and w is ready, live and below its window.
+// open, and w is ready, live and below its window. Past its slots the tail
+// rule holds too. Such a group waits behind w's running ones, so it goes
+// out only while the queue holds more groups than the other live workers'
+// windows take: taking it leaves each of them a full window. A job's last
+// groups then go out one per free slot, as at a window of one, rather than
+// wait on one worker while another idles. A lone worker, with nobody to
+// take them sooner, pipelines to the end.
 func (l *Ledger) open(w *Worker) bool {
-	return l.stages == 0 && w.Ready && w.Live() && w.inFlight < w.window
+	return l.stages == 0 && w.Ready && w.Live() && w.inFlight < w.window &&
+		(w.inFlight < w.slots || len(l.queue) > l.windows-int(w.window))
 }
 
 // Next is the pick: w's backlog head, else the queue head — or, with a
 // non-nil resident (compute-to-data placement), the first queued group it
 // reports as wholly on w. The group counts as in flight on w until Settle.
-// False when w may not take one now (open) or there is none. resident is
-// only called, so a closure stays on the caller's stack.
+// False when w may not take one now (open, with its tail rule) or there is
+// none. resident is only called, so a closure stays on the caller's stack.
 func (l *Ledger) Next(w *Worker, resident func(gi int) bool) (int, bool) {
 	if !l.open(w) {
 		return 0, false

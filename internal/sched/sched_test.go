@@ -1,9 +1,11 @@
 package sched
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
+	"frieda/internal/catalog"
 	"frieda/internal/partition"
 	"frieda/internal/strategy"
 )
@@ -94,7 +96,7 @@ func TestNextDoesNotAllocate(t *testing.T) {
 	l := NewLedger(true, 1<<30)
 	w := &Worker{}
 	l.Join(w, 1)
-	l.Start(strategy.Config{Kind: strategy.RealTime}, 8, nil, nil)
+	l.Start(strategy.Config{Kind: strategy.RealTime, Prefetch: 1}, 8, nil, nil)
 	l.Arrive(w)
 	has := map[int]bool{5: true}
 	var sink int
@@ -172,6 +174,109 @@ func TestLifecycle(t *testing.T) {
 	}
 }
 
+// The tail rule: past its slots a worker takes a group only while the queue
+// holds more groups than the other live workers' windows take.
+func TestTailRule(t *testing.T) {
+	strat := strategy.Config{Kind: strategy.RealTime, Prefetch: 3}
+	run := func(workers, n int) (*Ledger, []*Worker) {
+		l := NewLedger(false, 0)
+		ws := make([]*Worker, workers)
+		for i := range ws {
+			ws[i] = &Worker{}
+			if err := l.Join(ws[i], 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		l.Start(strat, n, nil, nil)
+		for _, w := range ws {
+			l.Arrive(w)
+			for {
+				if _, ok := l.Next(w, nil); !ok {
+					break
+				}
+			}
+		}
+		return l, ws
+	}
+	// Four groups on four one-slot workers: one each, as at a window of one.
+	_, ws := run(4, 4)
+	for i, w := range ws {
+		if w.InFlight() != 1 {
+			t.Fatalf("worker %d holds %d of 4 groups, want 1", i, w.InFlight())
+		}
+	}
+	// Eight on two: the first fills its window of three, as five would be
+	// left for the other's three; the second stops at two, leaving three.
+	l, ws := run(2, 8)
+	if ws[0].InFlight() != 3 || ws[1].InFlight() != 2 || len(l.Queue()) != 3 {
+		t.Fatalf("in flight %d and %d, queue %v", ws[0].InFlight(), ws[1].InFlight(), l.Queue())
+	}
+	// A settle past the slots is not refilled while the queue holds no more
+	// than the other's window; the one that frees a slot is.
+	l.Settle(ws[0])
+	if _, ok := l.Next(ws[0], nil); ok {
+		t.Fatal("a pick past the slots with the queue down to the other's window")
+	}
+	l.Settle(ws[0])
+	l.Settle(ws[0])
+	if gi, ok := l.Next(ws[0], nil); !ok || gi != 5 {
+		t.Fatalf("Next = %d, %v on a free slot; want the queue head 5", gi, ok)
+	}
+	// A lone worker has nobody to leave groups to: it fills its window to
+	// the last group.
+	l, ws = run(1, 2)
+	if ws[0].InFlight() != 2 || len(l.Queue()) != 0 {
+		t.Fatalf("a lone worker holds %d of 2 groups", ws[0].InFlight())
+	}
+}
+
+// A real-time Prefetch of 0 is left to the job: Start reads the groups and
+// fixes every window, a joiner's too, at DefaultPrefetch per slot for small
+// groups and at one for bulk ones.
+func TestStartSizesWindowFromGroups(t *testing.T) {
+	for _, tc := range []struct {
+		size int64
+		want int
+	}{
+		{1 << 10, 2 * strategy.DefaultPrefetch},
+		{strategy.PipelineBytes, 2},
+	} {
+		l := NewLedger(false, 0)
+		w, joiner := &Worker{}, &Worker{}
+		l.Join(w, 2)
+		groups := make([]partition.Group, 4)
+		for i := range groups {
+			groups[i].Files = []catalog.FileMeta{{Name: fmt.Sprint(i), Size: tc.size}}
+		}
+		l.Start(strategy.RealTimeRemote, len(groups), func() []partition.Group { return groups }, nil)
+		l.Join(joiner, 2)
+		if w.Window() != tc.want || joiner.Window() != tc.want {
+			t.Errorf("groups of %d bytes: windows %d and %d, want %d", tc.size, w.Window(), joiner.Window(), tc.want)
+		}
+	}
+}
+
+// Join refuses a worker whose window would not fit, whatever the strategy.
+func TestJoinBoundsSlots(t *testing.T) {
+	l := NewLedger(false, 0)
+	for _, slots := range []int{0, -1, MaxSlots + 1, 1 << 40} {
+		if err := l.Join(&Worker{}, slots); err == nil {
+			t.Errorf("joined with %d slots", slots)
+		}
+	}
+	if l.Live() != 0 {
+		t.Fatalf("%d live after refusals", l.Live())
+	}
+	w := &Worker{}
+	if err := l.Join(w, MaxSlots); err != nil {
+		t.Fatal(err)
+	}
+	l.Start(strategy.Config{Kind: strategy.RealTime, Prefetch: strategy.MaxPrefetch}, 1, nil, nil)
+	if w.window != MaxSlots*strategy.MaxPrefetch {
+		t.Fatalf("window %d, want %d", w.window, MaxSlots*strategy.MaxPrefetch)
+	}
+}
+
 // Ledger operations as FuzzLedger encodes them: one byte per operation, the
 // low four bits the kind (modulo opKinds) and the rest the worker it
 // applies to.
@@ -215,9 +320,12 @@ func ledgerSeed(nw, n, retries, slots int, recoverOn, c2d, prePartition, realTim
 // completion checks do. After every operation it holds the ledger to: every
 // started group is in exactly one of the queue, one backlog, in flight or
 // terminal, and terminal once; no worker passes its window except by a
-// clone; nothing is handed out while a staging item is open, or to a worker
-// that is not ready, draining, dead or released; a released worker was
-// draining and holds nothing; the live and arrived counts equal a recount;
+// clone; past its slots a worker is handed a group only while the queue
+// holds more than the other live workers' windows (the tail rule); nothing
+// is handed out while a staging item is open, or to a worker that is not
+// ready, draining, dead or released; a released worker was
+// draining and holds nothing; the live and arrived counts and the live
+// workers' windows equal a recount;
 // no group spends more than MaxRetries+1 attempts; nothing stays queued
 // with no live worker; and once every worker is dead, terminal equals the
 // total.
@@ -270,6 +378,12 @@ func FuzzLedger(f *testing.F) {
 		ledgerOp(opNext, 0), ledgerOp(opNext, 0), ledgerOp(opNext, 1), ledgerOp(opNext, 1),
 		ledgerOp(opClone, 1), ledgerOp(opNext, 1), ledgerOp(opDrain, 1),
 		ledgerOp(opOK, 1), ledgerOp(opOK, 1), ledgerOp(opOK, 1), ledgerOp(opNext, 1)))
+	// The tail rule: three groups on two one-slot workers, one each; the
+	// third waits for a free slot rather than behind the first.
+	f.Add(ledgerSeed(2, 3, 0, 1, false, false, false, true,
+		ledgerOp(opStart, 0), ledgerOp(opArrive, 0), ledgerOp(opArrive, 1),
+		ledgerOp(opNext, 0), ledgerOp(opNext, 0), ledgerOp(opNext, 1), ledgerOp(opNext, 1),
+		ledgerOp(opOK, 0), ledgerOp(opNext, 0), ledgerOp(opOK, 1), ledgerOp(opOK, 0)))
 	// The simulator's two-halved death: killed at once, died later.
 	f.Add(ledgerSeed(2, 6, 0, 1, true, false, false, true,
 		ledgerOp(opStart, 0), ledgerOp(opArrive, 0), ledgerOp(opArrive, 1),
@@ -321,8 +435,20 @@ func FuzzLedger(f *testing.F) {
 				workers, inflight = append(workers, w), append(inflight, nil)
 				clones, stages = append(clones, 0), append(stages, 0)
 				heard, gone = append(heard, false), append(gone, false)
-				l.Join(w, slots)
+				if err := l.Join(w, slots); err != nil {
+					t.Fatal(err)
+				}
 			}
+		}
+		// windows sums the live workers' windows, but skip's.
+		windows := func(skip *Worker) int {
+			sum := 0
+			for _, w := range workers {
+				if w.Live() && w != skip {
+					sum += int(w.window)
+				}
+			}
+			return sum
 		}
 		for range 1 + int(h&7) {
 			join()
@@ -423,8 +549,9 @@ func FuzzLedger(f *testing.F) {
 					t.Fatalf("worker %d: %d in flight and %d clones, the ledger counts %d, window %d", wi, len(inflight[wi]), clones[wi], w.InFlight(), w.window)
 				}
 			}
-			if live != l.Live() || arrived != l.Arrived() {
-				t.Fatalf("ledger counts %d live and %d arrived, a recount %d and %d", l.Live(), l.Arrived(), live, arrived)
+			if live != l.Live() || arrived != l.Arrived() || l.windows != windows(nil) {
+				t.Fatalf("ledger counts %d live, %d arrived and windows of %d, a recount %d, %d and %d",
+					l.Live(), l.Arrived(), l.windows, live, arrived, windows(nil))
 			}
 			if live == 0 && len(l.Queue()) > 0 {
 				t.Fatalf("no worker is live and %v stays queued", l.Queue())
@@ -451,6 +578,7 @@ func FuzzLedger(f *testing.F) {
 					resident = nil
 				}
 				head, headOK := l.Head(w)
+				past, queued := w.InFlight() >= int(w.slots), len(l.Queue())
 				gi, ok := l.Next(w, resident)
 				if ok != headOK || (ok && resident == nil && gi != head) {
 					t.Fatalf("Head = %d, %v but Next = %d, %v", head, headOK, gi, ok)
@@ -458,6 +586,9 @@ func FuzzLedger(f *testing.F) {
 				if ok {
 					if !w.Ready || w.Draining || w.Dead || open > 0 {
 						t.Fatalf("picked group %d for worker %d: ready %v, draining %v, dead %v, %d staging items open", gi, wi, w.Ready, w.Draining, w.Dead, open)
+					}
+					if others := windows(w); past && queued <= others {
+						t.Fatalf("picked group %d for worker %d past its %d slots with %d queued, the others' windows %d", gi, wi, w.slots, queued, others)
 					}
 					inflight[wi] = append(inflight[wi], gi)
 				}

@@ -12,11 +12,12 @@ import (
 )
 
 // TestCtrlPlaneDecisionCostSerialises prices the control plane exactly: one
-// worker, one slot, so every task pays decision + compute back to back.
+// worker, one slot and a window of one, so every task pays decision +
+// compute back to back.
 func TestCtrlPlaneDecisionCostSerialises(t *testing.T) {
 	_, cluster, vms := newTestCluster(t, 1)
 	cfg := Config{
-		Strategy:  strategy.Config{Kind: strategy.RealTime},
+		Strategy:  strategy.Config{Kind: strategy.RealTime, Prefetch: 1},
 		CtrlPlane: &CtrlPlaneConfig{},
 	}
 	wl := Workload{Name: "cpu", Tasks: uniformTasks(4, 1.0, 0)}
@@ -42,7 +43,7 @@ func TestCtrlPlaneDecisionCostSerialises(t *testing.T) {
 func TestCtrlPlaneTemplatesCollapseDecisionCost(t *testing.T) {
 	_, cluster, vms := newTestCluster(t, 1)
 	cfg := Config{
-		Strategy:  strategy.Config{Kind: strategy.RealTime},
+		Strategy:  strategy.Config{Kind: strategy.RealTime, Prefetch: 1},
 		CtrlPlane: &CtrlPlaneConfig{Templates: true},
 	}
 	wl := Workload{Name: "cpu", Tasks: uniformTasks(4, 1.0, 0)}
@@ -211,7 +212,7 @@ func TestCtrlPlaneDurabilityStaysSlowPath(t *testing.T) {
 func TestCtrlPlaneAttribution(t *testing.T) {
 	eng, cluster, vms := newTestCluster(t, 1)
 	cfg := Config{
-		Strategy:  strategy.Config{Kind: strategy.RealTime},
+		Strategy:  strategy.Config{Kind: strategy.RealTime, Prefetch: 1},
 		Attrib:    attrib.NewRecorder(eng),
 		CtrlPlane: &CtrlPlaneConfig{},
 	}

@@ -84,11 +84,12 @@ func TestStagingJoinerWaitsThenFetches(t *testing.T) {
 }
 
 // A drained worker is released — dead to the ledger, out of the live count —
-// by the settle that empties it, not before.
+// by the settle that empties it, not before. At a window of one group per
+// slot it holds one group when it drains.
 func TestDrainReleasesWorker(t *testing.T) {
 	eng, cluster, vms := newTestCluster(t, 1)
 	r, err := NewRunner(cluster, vms[0], Config{
-		Strategy: strategy.Config{Kind: strategy.RealTime},
+		Strategy: strategy.Config{Kind: strategy.RealTime, Prefetch: 1},
 	}, Workload{Name: "drain", Tasks: uniformTasks(30, 1.0, 0)})
 	if err != nil {
 		t.Fatal(err)

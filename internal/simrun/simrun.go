@@ -373,7 +373,9 @@ func (r *Runner) AddWorker(vm *cloud.VM) *simWorker {
 		speed: 1,
 	}
 	r.workers = append(r.workers, w)
-	r.led.Join(&w.Worker, slots)
+	if err := r.led.Join(&w.Worker, slots); err != nil {
+		panic(fmt.Sprintf("simrun: worker %s: %v", w.name, err))
+	}
 	if id := vm.ID(); id >= len(r.byVM) {
 		r.byVM = append(r.byVM, make([]*simWorker, id+1-len(r.byVM))...)
 	}
@@ -447,13 +449,16 @@ func (r *Runner) Start(done func(Result)) error {
 	for _, h := range r.hooks {
 		h.start()
 	}
-	// The staged kinds read the tasks as groups: the deal, which goes over
-	// the live workers in registration order, and the files to stage.
+	// The ledger reads the tasks as groups, when it needs them: for the
+	// deal, which goes over the live workers in registration order, or to
+	// size a real-time window left to the job.
 	var groups []partition.Group
-	if r.cfg.Strategy.Kind != strategy.RealTime {
-		groups = tasksAsGroups(r.wl.Tasks)
-	}
-	r.led.Start(r.cfg.Strategy, len(r.wl.Tasks), func() []partition.Group { return groups }, nil)
+	r.led.Start(r.cfg.Strategy, len(r.wl.Tasks), func() []partition.Group {
+		if groups == nil {
+			groups = tasksAsGroups(r.wl.Tasks)
+		}
+		return groups
+	}, nil)
 
 	switch r.cfg.Strategy.Kind {
 	case strategy.PrePartition:

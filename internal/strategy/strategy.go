@@ -9,6 +9,7 @@ package strategy
 import (
 	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 
 	"frieda/internal/partition"
@@ -140,17 +141,39 @@ type Config struct {
 	// multicore setting does. Off means one instance per node.
 	Multicore bool `json:"multicore,omitempty"`
 	// Prefetch is the number of groups the master keeps in flight per
-	// worker slot under RealTime (1 = the paper's strict
-	// request-one-get-one; larger values pipeline transfer behind compute —
-	// an extension this repo benchmarks as an ablation).
+	// worker slot under RealTime: 1 is the paper's strict
+	// request-one-get-one, larger values pipeline transfer behind compute,
+	// and 0 leaves it to the job (ForJob): DefaultPrefetch for small
+	// groups, 1 for bulk ones. At most MaxPrefetch.
 	Prefetch int `json:"prefetch,omitempty"`
 	// CommonFiles names files that must reside on every node regardless of
 	// partitioning (the BLAST database). They are staged before execution.
 	CommonFiles []string `json:"common,omitempty"`
 }
 
+// DefaultPrefetch is the real-time window per slot that a Prefetch of 0
+// takes on a job of small groups. With three groups per slot a worker runs
+// its next group while the master hears of the last, and one refill answers
+// the statuses that reached the master together; the tail rule
+// (sched.Ledger.Next) still dispatches a job's last groups as at one.
+// EXPERIMENTS.md's real-runtime window sweep chose it.
+const DefaultPrefetch = 3
+
+// PipelineBytes is the mean input per group from which a Prefetch of 0
+// keeps one group per slot. Moving a group that large costs far more than
+// the round trip a deeper window hides: on TCP loopback a window of three
+// broke even at 256 KiB groups and lost 10% at 1 MiB, where it won 22% at
+// 64 KiB (EXPERIMENTS.md's real-runtime group-size sweep).
+const PipelineBytes = 256 << 10
+
+// MaxPrefetch bounds Prefetch. A window is slots × Prefetch groups, kept in
+// 32 bits; a thousand groups queued behind each slot is already far past
+// any gain.
+const MaxPrefetch = 1 << 10
+
 // Validate checks that each enum is one of its constants and that the
-// strategy is consistent, and resolves defaulted fields.
+// strategy is consistent, and resolves defaulted fields; a Prefetch of 0
+// stays 0 until ForJob.
 func (c *Config) Validate() error {
 	if !inRange(kindNames, c.Kind) || !inRange(localityNames, c.Locality) || !inRange(placementNames, c.Placement) {
 		return fmt.Errorf("strategy: %s has a value outside its constants", *c)
@@ -167,11 +190,8 @@ func (c *Config) Validate() error {
 	if _, err := AssignerByName(c.Assigner); err != nil {
 		return err
 	}
-	if c.Prefetch == 0 {
-		c.Prefetch = 1
-	}
-	if c.Prefetch < 1 {
-		return fmt.Errorf("strategy: prefetch %d < 1", c.Prefetch)
+	if c.Prefetch < 0 || c.Prefetch > MaxPrefetch {
+		return fmt.Errorf("strategy: prefetch %d outside [0, %d]", c.Prefetch, MaxPrefetch)
 	}
 	if c.Kind == NoPartition && c.Placement == ComputeToData {
 		return fmt.Errorf("strategy: no-partition replicates everywhere; compute-to-data is meaningless")
@@ -202,8 +222,10 @@ func (c Config) String() string {
 	if c.Kind == PrePartition {
 		s += " assign=" + assigner
 	}
-	if c.Kind == RealTime && c.Prefetch > 1 {
-		s += fmt.Sprintf(" prefetch=%d", c.Prefetch)
+	if c.Kind == RealTime && c.Prefetch == 0 {
+		s += " prefetch=auto"
+	} else if c.Kind == RealTime && c.Prefetch > 1 {
+		s += " prefetch=" + strconv.Itoa(c.Prefetch)
 	}
 	if c.Multicore {
 		s += " multicore"
@@ -221,12 +243,28 @@ func (c Config) Slots(cores int) int {
 }
 
 // Window is the most groups the master keeps in flight on a worker of
-// slots slots: Prefetch per slot under RealTime, else one per slot.
+// slots slots: Prefetch per slot under RealTime, else one per slot. A
+// Prefetch of 0 counts as one until ForJob resolves it.
 func (c Config) Window(slots int) int {
 	if c.Kind == RealTime && c.Prefetch > 1 {
 		return slots * c.Prefetch
 	}
 	return slots
+}
+
+// ForJob resolves a real-time Prefetch of 0 for a job of n groups whose
+// inputs total bytes(): DefaultPrefetch while the mean group holds less
+// than PipelineBytes, else 1. Any other c comes back as it is, and bytes is
+// called only to resolve.
+func (c Config) ForJob(n int, bytes func() int64) Config {
+	if c.Kind != RealTime || c.Prefetch != 0 {
+		return c
+	}
+	c.Prefetch = 1
+	if n > 0 && bytes() < int64(n)*PipelineBytes {
+		c.Prefetch = DefaultPrefetch
+	}
+	return c
 }
 
 // Fetches reports whether a dispatched group streams the inputs its worker
@@ -260,7 +298,10 @@ var (
 	// PrePartitionedRemote is Fig. 5(a): pre-defined partitions read from
 	// the remote source, transfer then execute.
 	PrePartitionedRemote = Config{Kind: PrePartition, Locality: Remote, Placement: DataToCompute, Multicore: true}
-	// RealTimeRemote is Fig. 5(c): lazy per-request distribution.
+	// RealTimeRemote is Fig. 5(c): lazy per-request distribution, with the
+	// window left to the job: DefaultPrefetch groups per slot for small
+	// groups, one for bulk ones (ForJob). Set Prefetch to 1 for the paper's
+	// strict request-one-get-one.
 	RealTimeRemote = Config{Kind: RealTime, Locality: Remote, Placement: DataToCompute, Multicore: true}
 	// CommonData is the no-partitioning mode: full dataset everywhere.
 	CommonData = Config{Kind: NoPartition, Locality: Remote, Placement: DataToCompute, Multicore: true}

@@ -2,6 +2,7 @@ package strategy
 
 import (
 	"encoding"
+	"math"
 	"strings"
 	"testing"
 )
@@ -17,8 +18,39 @@ func TestValidateDefaults(t *testing.T) {
 	if c.Assigner != "round-robin" {
 		t.Fatalf("assigner default = %q", c.Assigner)
 	}
-	if c.Prefetch != 1 {
-		t.Fatalf("prefetch default = %d", c.Prefetch)
+	if c.Prefetch != 0 {
+		t.Fatalf("prefetch = %d after Validate, want 0 left to the job", c.Prefetch)
+	}
+}
+
+// A Prefetch of 0 takes its window from the job's mean group: pipelined
+// below PipelineBytes, one group per slot from it on. A pinned Prefetch,
+// and any kind but real-time, is left alone without sizing the job.
+func TestForJob(t *testing.T) {
+	bytes := func(n int64) func() int64 { return func() int64 { return n } }
+	for _, tc := range []struct {
+		n     int
+		total int64
+		want  int
+	}{
+		{8192, 8192 << 10, DefaultPrefetch},
+		{4, 4*PipelineBytes - 1, DefaultPrefetch},
+		{4, 4 * PipelineBytes, 1},
+		{32, 32 << 23, 1},
+		{0, 0, 1},
+	} {
+		if got := RealTimeRemote.ForJob(tc.n, bytes(tc.total)); got.Prefetch != tc.want {
+			t.Errorf("%d groups of %d bytes: prefetch %d, want %d", tc.n, tc.total, got.Prefetch, tc.want)
+		}
+	}
+	unsized := func() int64 { t.Fatal("sized a job it had nothing to resolve for"); return 0 }
+	pinned := RealTimeRemote
+	pinned.Prefetch = 2
+	if got := pinned.ForJob(8, unsized); got.Prefetch != 2 {
+		t.Errorf("a pinned prefetch of 2 became %d", got.Prefetch)
+	}
+	if got := PrePartitionedRemote.ForJob(8, unsized); got.Prefetch != 0 {
+		t.Errorf("pre-partition's prefetch became %d", got.Prefetch)
 	}
 }
 
@@ -40,6 +72,20 @@ func TestValidateRejectsNegativePrefetch(t *testing.T) {
 	c := Config{Prefetch: -1}
 	if c.Validate() == nil {
 		t.Fatal("negative prefetch accepted")
+	}
+}
+
+// Prefetch is bounded above, so a window of slots × Prefetch never wraps.
+func TestValidateBoundsPrefetch(t *testing.T) {
+	for _, p := range []int{-1, MaxPrefetch + 1, 1 << 32, math.MaxInt} {
+		c := Config{Kind: RealTime, Prefetch: p}
+		if c.Validate() == nil {
+			t.Errorf("prefetch %d accepted", p)
+		}
+	}
+	c := Config{Kind: RealTime, Prefetch: MaxPrefetch}
+	if err := c.Validate(); err != nil {
+		t.Fatalf("prefetch %d: %v", MaxPrefetch, err)
 	}
 }
 
@@ -92,6 +138,21 @@ func TestConfigString(t *testing.T) {
 	r.Prefetch = 4
 	if !strings.Contains(r.String(), "prefetch=4") {
 		t.Fatalf("String() = %q missing prefetch", r.String())
+	}
+	// A Prefetch of 0 prints as left to the job, before Validate and after;
+	// the paper's window of one prints nothing.
+	r = RealTimeRemote
+	validated := r
+	if err := validated.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	want := "prefetch=auto"
+	if r.String() != validated.String() || !strings.Contains(r.String(), want) {
+		t.Fatalf("String() = %q before Validate, %q after; want both with %q", r.String(), validated.String(), want)
+	}
+	r.Prefetch = 1
+	if strings.Contains(r.String(), "prefetch") {
+		t.Fatalf("String() = %q names the paper's window", r.String())
 	}
 }
 

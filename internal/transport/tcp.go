@@ -94,6 +94,9 @@ func (c *tcpConn) Recv() (*protocol.Message, error) {
 	return m, err
 }
 
+// Buffered implements Conn: the codec's read-ahead holds a whole frame.
+func (c *tcpConn) Buffered() bool { return c.codec.Buffered() }
+
 // Close implements Conn.
 func (c *tcpConn) Close() error { return c.c.Close() }
 

@@ -51,6 +51,10 @@ type Conn interface {
 	// returns ErrClosed (possibly wrapped) once either side has closed the
 	// connection.
 	Recv() (*protocol.Message, error)
+	// Buffered reports whether a whole message has arrived and waits to be
+	// received: the next Recv returns it without reading the stream or
+	// waiting on the sender. Only the receiving goroutine may call it.
+	Buffered() bool
 	// Close tears the connection down; pending Recvs unblock with error.
 	Close() error
 	// RemoteAddr names the peer for logs.
@@ -321,6 +325,9 @@ func (c *memConn) Recv() (*protocol.Message, error) {
 	c.prev = s
 	return &s.msg, nil
 }
+
+// Buffered implements Conn: a sent message waits in the pipe.
+func (c *memConn) Buffered() bool { return len(c.in.ch) > 0 }
 
 // next takes the next slot off the connection.
 func (c *memConn) next() (*memSlot, error) {

@@ -78,6 +78,28 @@ func TestEcho(t *testing.T) {
 	})
 }
 
+// An in-memory connection reports a message sent and not yet received.
+func TestMemBuffered(t *testing.T) {
+	client, server := NewMem(nil).pair("m")
+	defer client.Close()
+	if server.Buffered() {
+		t.Fatal("buffered before any send")
+	}
+	for i := range 2 {
+		if err := client.Send(&protocol.Message{Type: protocol.TRequestData, GroupIndex: i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, want := range []bool{true, false} {
+		if _, err := server.Recv(); err != nil {
+			t.Fatal(err)
+		}
+		if server.Buffered() != want {
+			t.Fatalf("after %d receives of 2: Buffered() = %v", i+1, !want)
+		}
+	}
+}
+
 // Held sends arrive complete and in order once released, from nested holds and
 // from concurrent holders, and a Send outside any hold is delivered without a
 // Flush — on the stream transport and on the one where holding is a no-op.

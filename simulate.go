@@ -9,6 +9,7 @@ import (
 	"frieda/internal/catalog"
 	"frieda/internal/cloud"
 	"frieda/internal/partition"
+	"frieda/internal/sched"
 	"frieda/internal/sim"
 	"frieda/internal/simrun"
 )
@@ -69,6 +70,9 @@ func Simulate(cfg SimConfig, wl SimWorkload) (SimResult, error) {
 	}
 	if err := cfg.validateTimes(); err != nil {
 		return SimResult{}, err
+	}
+	if err := sched.CheckSlots(cfg.Strategy.Slots(cfg.Instance.Cores)); err != nil {
+		return SimResult{}, fmt.Errorf("frieda: instance %s: %w", cfg.Instance.Name, err)
 	}
 	eng := sim.NewEngine()
 	cluster := cloud.New(eng, cloud.Options{
