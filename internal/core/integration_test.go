@@ -35,6 +35,10 @@ type testHarness struct {
 	tr       transport.Transport
 	// preload populates each worker's store before the run (local data).
 	preload map[string]string
+	// store, when set, makes each worker's store in place of a MemStore.
+	store func() Store
+	// sink is MasterConfig.OutputSink.
+	sink Store
 	// onSpawn observes spawned workers (for kill tests).
 	onSpawn func(i int, w *Worker, cancel context.CancelFunc)
 	// running, when set, is called once every worker is spawned.
@@ -57,10 +61,11 @@ func (h *testHarness) run(t *testing.T) Report {
 		MasterAddr:      "master",
 		InProcessMaster: true,
 		Master: MasterConfig{
-			Source:    h.source,
-			Recover:   h.recover,
-			Batch:     h.batch,
-			ChunkSize: h.chunk,
+			Source:     h.source,
+			Recover:    h.recover,
+			Batch:      h.batch,
+			ChunkSize:  h.chunk,
+			OutputSink: h.sink,
 		},
 		Workers: h.workers,
 	})
@@ -75,7 +80,10 @@ func (h *testHarness) run(t *testing.T) Report {
 		cores = 2
 	}
 	for i := 0; i < h.workers; i++ {
-		store := NewMemStore()
+		var store Store = NewMemStore()
+		if h.store != nil {
+			store = h.store()
+		}
 		for name, data := range h.preload {
 			store.Put(name, strings.NewReader(data))
 		}

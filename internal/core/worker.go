@@ -48,12 +48,26 @@ type Worker struct {
 	// received is what arrived of each file sent on this connection: true
 	// once its last chunk is stored, false while it is partial or after a
 	// chunk failed to store. Only the message loop touches it.
-	received      map[string]bool
-	program       Program
-	tasks         chan Task
-	results       chan protocol.TaskResult // batch mode: executor -> reporter
+	received map[string]bool
+	program  Program
+	tasks    chan Task
+	// out is the writer's outbox: after the registration handshake the
+	// writer sends what the executors and the message loop post, and nothing
+	// else sends on the connection.
+	out           queue[report]
 	slots         int
 	returnOutputs bool
+}
+
+// report is one item of the writer's outbox: the slots' first requests, or
+// a status and the outputs its task registered, which travel first. The
+// writer signals streamed once it has sent the item: a slot that posts
+// outputs waits for it before it reuses their list.
+type report struct {
+	requests int
+	res      protocol.TaskResult
+	outputs  []protocol.FileInfo
+	streamed chan<- struct{}
 }
 
 // NewWorker validates the configuration.
@@ -123,8 +137,14 @@ func (w *Worker) Run(ctx context.Context) error {
 		w.program = ExecProgram{Template: slices.Clone(ack.Template)}
 	}
 
-	// Executor pool: one instance per granted slot, the paper's program
-	// cloning. The channel buffer absorbs master-side prefetch.
+	// The writer, its outbox sized once for a take of a status from every
+	// slot and the requests, then the executor pool: one instance per
+	// granted slot, the paper's program cloning. The channel buffer absorbs
+	// master-side prefetch.
+	w.out.init()
+	w.out.reserve(w.slots + 1)
+	sent := make(chan struct{}, 1) // the first requests left; closed by the writer's return
+	go w.writer(ack.Batch, sent)
 	w.tasks = make(chan Task, 256)
 	execCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -136,51 +156,24 @@ func (w *Worker) Run(ctx context.Context) error {
 			w.executor(execCtx)
 		}()
 	}
-	// Batched control plane: executors hand results to a reporter that
-	// coalesces everything pending into one TTaskStatus per send.
-	var repWg sync.WaitGroup
-	if ack.Batch {
-		w.results = make(chan protocol.TaskResult, 4*w.slots)
-		repWg.Add(1)
-		go func() {
-			defer repWg.Done()
-			w.reporter()
-		}()
-	}
-	// Each granted slot asks for work once (Fig. 4's first exchange). After
-	// that a status report is the request for the slot's next task: the
-	// master refills a slot when it books the completion. In pre-partition
-	// mode the master ignores these.
-	conn.Hold()
-	for i := 0; i < w.slots; i++ {
-		if err := conn.Send(&protocol.Message{Type: protocol.TRequestData, Worker: w.cfg.Name}); err != nil {
-			break
-		}
-	}
-	conn.Flush() // a broken connection ends the message loop below
-
-	// Unblock the message loop's Recv when the context is cancelled.
-	watchDone, watched := make(chan struct{}), make(chan struct{})
-	go func() {
-		defer close(watched)
-		select {
-		case <-ctx.Done():
-			conn.Close()
-		case <-watchDone:
-		}
-	}()
-	defer func() {
-		close(watchDone)
-		<-watched
-	}()
+	// Each granted slot asks for work once (Fig. 4's first exchange), before
+	// the worker reads on. After that a status report is the request for the
+	// slot's next task: the master refills a slot when it books the
+	// completion. In pre-partition mode the master ignores these.
+	w.out.put(report{requests: w.slots, streamed: sent})
+	<-sent
+	// A cancelled context unblocks the message loop's Recv.
+	stop := context.AfterFunc(ctx, func() { conn.Close() })
+	defer stop()
 
 	err = w.messageLoop(ctx)
+	// Past the loop no new status can reach the master: executors stop at
+	// their next task.
+	cancel()
 	close(w.tasks)
 	wg.Wait()
-	if w.results != nil {
-		close(w.results)
-		repWg.Wait()
-	}
+	w.out.close()
+	<-sent
 	return err
 }
 
@@ -204,13 +197,10 @@ func (w *Worker) messageLoop(ctx context.Context) error {
 		case protocol.TFileData:
 			if err := storeChunk(w.cfg.Store, w.conn, m); err != nil {
 				w.received[m.FileName] = false
-				w.conn.Send(&protocol.Message{
-					Type: protocol.TTaskStatus,
-					Result: protocol.TaskResult{
-						GroupIndex: -1, Worker: w.cfg.Name, OK: false,
-						Error: fmt.Sprintf("store %s: %v", m.FileName, err),
-					},
-				})
+				w.out.put(report{res: protocol.TaskResult{
+					GroupIndex: -1, Worker: w.cfg.Name, OK: false,
+					Error: fmt.Sprintf("store %s: %v", m.FileName, err),
+				}})
 				continue
 			}
 			if m.Offset == 0 || m.Last {
@@ -247,67 +237,104 @@ func (w *Worker) task(gi int, files []protocol.FileInfo) Task {
 	return t
 }
 
-// executor runs queued tasks on one slot.
+// executor runs queued tasks on one slot and posts each status to the
+// writer, with the outputs the task registered, which it waits to see
+// streamed before it reuses their list. A task without outputs never waits.
 func (w *Worker) executor(ctx context.Context) {
-	var status protocol.Message // this slot's TASK_STATUS, sent again and again
-	var outputs outputSet       // this slot's registered outputs, task by task
+	var outputs *outputSet     // this slot's registered outputs, task by task
+	var streamed chan struct{} // the writer streamed them
+	if w.returnOutputs {
+		outputs, streamed = new(outputSet), make(chan struct{}, 1)
+	}
 	for task := range w.tasks {
 		if ctx.Err() != nil {
 			return
 		}
-		if w.returnOutputs {
+		if outputs != nil {
 			outputs.files = outputs.files[:0]
-			task.outputs = &outputs
+			task.outputs = outputs
 		}
-		res := w.runOne(ctx, task)
+		rep := report{res: w.runOne(ctx, task)}
 		w.executed.Add(1)
-		// The task's outputs and its status leave in one write. Outputs
-		// travel first, so the master holds the data when it records the
-		// completion (per-connection FIFO).
-		w.conn.Hold()
-		w.sendOutputs(task, &res)
-		var err error
-		if w.results != nil {
-			// Batch mode: the reporter coalesces statuses.
-			w.results <- res
-		} else {
-			status = protocol.Message{Type: protocol.TTaskStatus, Result: res}
-			err = w.conn.Send(&status)
+		if rep.res.OK && outputs != nil && len(outputs.files) > 0 {
+			rep.outputs, rep.streamed = outputs.files, streamed
 		}
-		if ferr := w.conn.Flush(); err != nil || ferr != nil {
-			return
+		w.out.put(rep)
+		if rep.streamed != nil {
+			<-streamed
 		}
 	}
 }
 
-// reporter coalesces completion reports: each send carries every result that
-// accumulated while the previous send was in flight, so a busy worker costs
-// one status round-trip per burst instead of one per task.
-func (w *Worker) reporter() {
-	var status protocol.Message // every report, with its Results array
-	for res := range w.results {
-		batch := append(status.Results[:0], res)
-	drain:
-		for {
-			select {
-			case more, ok := <-w.results:
-				if !ok {
-					break drain
-				}
-				batch = append(batch, more)
-			default:
-				break drain
+// writer is the connection's one sender after the registration handshake.
+// It takes everything posted, sends it under one hold and flushes: one write
+// per take, so the statuses that pile up while a write is in its system call
+// share the next one. A failed send closes the connection, which ends the
+// message loop; the writer still releases every slot waiting on it, until
+// the outbox closes. It closes sent when it returns.
+func (w *Worker) writer(batch bool, sent chan<- struct{}) {
+	defer close(sent)
+	var status protocol.Message // every frame it sends but the outputs', reused
+	var err error               // the first failed send: nothing is sent after it
+	for open := true; open; {
+		var items []report
+		items, open = w.out.take(true)
+		if len(items) > 0 && err == nil {
+			w.conn.Hold()
+			err = w.send(items, batch, &status)
+			if ferr := w.conn.Flush(); err == nil {
+				err = ferr
+			}
+			if err != nil {
+				w.conn.Close()
 			}
 		}
-		status = protocol.Message{Type: protocol.TTaskStatus, Worker: w.cfg.Name, Results: batch}
-		if w.conn.Send(&status) != nil {
-			// The connection is gone; keep draining so executors never
-			// block on a full channel during shutdown.
-			for range w.results {
+		for i := range items {
+			if s := items[i].streamed; s != nil {
+				s <- struct{}{}
 			}
-			return
+		}
+		clear(items) // the take is sent; keep none of it alive
+	}
+}
+
+// send puts one take on the held connection in order: the first requests,
+// and each status behind its task's outputs. Under Batch the take's statuses
+// leave last, as one TASK_STATUS carrying Results. A file that cannot be
+// returned fails its task.
+func (w *Worker) send(items []report, batch bool, status *protocol.Message) error {
+	results := status.Results[:0]
+	for i := range items {
+		it := &items[i]
+		if it.requests > 0 {
+			*status = protocol.Message{Type: protocol.TRequestData, Worker: w.cfg.Name}
+			for range it.requests {
+				if err := w.conn.Send(status); err != nil {
+					return err
+				}
+			}
+			continue
+		}
+		for _, f := range it.outputs {
+			if _, err := sendFile(w.conn, transfer.File{Name: f.Name, Worker: w.cfg.Name, Size: f.Size}, w.cfg.Store, DefaultChunkSize); err != nil {
+				it.res.OK, it.res.Error = false, "returning output "+f.Name+": "+err.Error()
+				break
+			}
+		}
+		if batch {
+			results = append(results, it.res)
+			continue
+		}
+		*status = protocol.Message{Type: protocol.TTaskStatus, Result: it.res}
+		if err := w.conn.Send(status); err != nil {
+			return err
 		}
 	}
+	if len(results) == 0 {
+		return nil
+	}
+	*status = protocol.Message{Type: protocol.TTaskStatus, Worker: w.cfg.Name, Results: results}
+	return w.conn.Send(status)
 }
 
 // runOne executes the program, unless an input is missing, and builds the
@@ -332,20 +359,4 @@ func (w *Worker) runOne(ctx context.Context, task Task) protocol.TaskResult {
 		res.Error = err.Error()
 	}
 	return res
-}
-
-// sendOutputs streams the result files a successful task registered to the
-// master, each under the size the program registered it with. A file that
-// cannot be returned fails the task.
-func (w *Worker) sendOutputs(task Task, res *protocol.TaskResult) {
-	if task.outputs == nil || !res.OK {
-		return
-	}
-	for _, f := range task.outputs.files {
-		if _, err := sendFile(w.conn, transfer.File{Name: f.Name, Worker: w.cfg.Name, Size: f.Size}, w.cfg.Store, DefaultChunkSize); err != nil {
-			res.OK = false
-			res.Error = "returning output " + f.Name + ": " + err.Error()
-			return
-		}
-	}
 }
