@@ -441,3 +441,46 @@ func TestRunLocalWithPrefilledWorkDirs(t *testing.T) {
 		t.Fatalf("report = %+v", report)
 	}
 }
+
+// TestRunWide runs 1,024 one-core workers in memory. Every file goes to one
+// worker under real-time and pre-partitioning, and to every worker under
+// no-partitioning.
+func TestRunWide(t *testing.T) {
+	const workers, kib = 1024, 1 << 10
+	for _, tc := range []struct {
+		name     string
+		strategy Strategy
+		files    int
+		bytes    int64
+	}{
+		{"real-time", RealTimeRemote, 8192, 8192 * kib},
+		{"pre-partition", PrePartitionedRemote, 8192, 8192 * kib},
+		{"no-partition", CommonData, 64, 64 * kib * workers},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+			data := bytes.Repeat([]byte{'w'}, kib)
+			files := make(map[string][]byte, tc.files)
+			for i := 0; i < tc.files; i++ {
+				files[fmt.Sprintf("f%05d.dat", i)] = data
+			}
+			report, err := Run(ctx, RunConfig{
+				Strategy:       tc.strategy,
+				Dataset:        MemDataset(files),
+				Program:        FuncProgram(func(context.Context, Task) (string, error) { return "", nil }),
+				Workers:        workers,
+				CoresPerWorker: 1,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if report.Succeeded != tc.files || report.Failed != 0 {
+				t.Fatalf("%d succeeded, %d failed; want %d succeeded", report.Succeeded, report.Failed, tc.files)
+			}
+			if report.BytesMoved != tc.bytes {
+				t.Fatalf("BytesMoved = %d, want %d", report.BytesMoved, tc.bytes)
+			}
+		})
+	}
+}

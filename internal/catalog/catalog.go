@@ -103,6 +103,12 @@ func (c *Catalog) Get(name string) (FileMeta, bool) {
 	return c.files[i], true
 }
 
+// Index returns name's position in Files.
+func (c *Catalog) Index(name string) (int, bool) {
+	i, ok := c.byName[name]
+	return i, ok
+}
+
 // Names returns the file names in insertion order.
 func (c *Catalog) Names() []string {
 	out := make([]string, len(c.files))

@@ -27,6 +27,12 @@ func TestCatalogAddGet(t *testing.T) {
 	if _, ok := c.Get("zzz"); ok {
 		t.Fatal("Get of missing file succeeded")
 	}
+	if i, ok := c.Index("b.img"); !ok || i != 1 {
+		t.Fatalf("Index(b.img) = %d, %v", i, ok)
+	}
+	if _, ok := c.Index("zzz"); ok {
+		t.Fatal("Index of missing file succeeded")
+	}
 	if c.TotalSize() != 30 {
 		t.Fatalf("TotalSize = %d", c.TotalSize())
 	}
@@ -66,6 +72,9 @@ func TestCatalogSort(t *testing.T) {
 	m, ok := c.Get("a")
 	if !ok || m.Size != 2 {
 		t.Fatalf("Get(a) after sort = %+v, %v", m, ok)
+	}
+	if i, ok := c.Index("c"); !ok || i != 2 || c.Files()[i].Size != 1 {
+		t.Fatalf("Index(c) after sort = %d, %v", i, ok)
 	}
 }
 
@@ -152,9 +161,8 @@ func TestReplicas(t *testing.T) {
 	if !r.Has("f1", "w0") || r.Has("f2", "w0") {
 		t.Fatal("Has wrong")
 	}
-	h := r.Holders("f1")
-	if len(h) != 2 || h[0] != "w0" || h[1] != "w1" {
-		t.Fatalf("Holders = %v", h)
+	if got, want := DumpReplicas(r), "replicas:\n  f1 -> [w0 w1]\n  f2 -> [w1]\n"; got != want {
+		t.Fatalf("DumpReplicas = %q, want %q", got, want)
 	}
 	r.Remove("f1", "w0")
 	if r.Has("f1", "w0") {
@@ -164,8 +172,8 @@ func TestReplicas(t *testing.T) {
 	if len(lost) != 2 || lost[0] != "f1" || lost[1] != "f2" {
 		t.Fatalf("DropNode lost = %v", lost)
 	}
-	if len(r.Holders("f1")) != 0 {
-		t.Fatal("f1 still has holders")
+	if got, want := DumpReplicas(r), "replicas:\n  f1 -> []\n  f2 -> []\n"; got != want {
+		t.Fatalf("after DropNode: DumpReplicas = %q, want %q", got, want)
 	}
 	// Removing from empty map is a no-op.
 	r.Remove("nope", "w9")
@@ -185,13 +193,13 @@ func TestReplicasRemoveEdgeCases(t *testing.T) {
 	// Removing the last replica must fully forget the file, not leave an
 	// empty holder set behind.
 	r.Remove("f1", "w0")
-	if r.Has("f1", "w0") || len(r.Holders("f1")) != 0 {
-		t.Fatal("last replica not removed")
+	if got, want := DumpReplicas(r), "replicas:\n  f1 -> []\n"; r.Has("f1", "w0") || got != want {
+		t.Fatalf("last replica not removed: DumpReplicas = %q", got)
 	}
 	// The file can be re-added afterwards.
 	r.Add("f1", "w2")
-	if h := r.Holders("f1"); len(h) != 1 || h[0] != "w2" {
-		t.Fatalf("re-add after last-replica removal: Holders = %v", h)
+	if got, want := DumpReplicas(r), "replicas:\n  f1 -> [w2]\n"; got != want {
+		t.Fatalf("re-add after last-replica removal: DumpReplicas = %q, want %q", got, want)
 	}
 }
 
@@ -212,11 +220,8 @@ func TestReplicasDropNodeEdgeCases(t *testing.T) {
 	if len(lost) != 2 || lost[0] != "only" || lost[1] != "shared" {
 		t.Fatalf("DropNode lost = %v", lost)
 	}
-	if len(r.Holders("only")) != 0 {
-		t.Fatal("sole-copy file still has holders")
-	}
-	if h := r.Holders("shared"); len(h) != 1 || h[0] != "w1" {
-		t.Fatalf("shared file holders = %v", h)
+	if got, want := DumpReplicas(r), "replicas:\n  only -> []\n  shared -> [w1]\n"; got != want {
+		t.Fatalf("after DropNode: DumpReplicas = %q, want %q", got, want)
 	}
 
 	// Dropping the same node twice is a no-op the second time.
@@ -227,6 +232,8 @@ func TestReplicasDropNodeEdgeCases(t *testing.T) {
 
 func TestReplicasUnderReplicated(t *testing.T) {
 	r := NewReplicas()
+	f1 := r.RegisterFiles([]string{"f1", "f2"})
+	f2 := f1 + 1
 	r.Add("f1", "w0")
 	r.Add("f1", "w1")
 	r.Add("f2", "w0")
@@ -259,8 +266,8 @@ func TestReplicasUnderReplicated(t *testing.T) {
 	if len(ur) != 3 || ur[0] != "f1" || ur[1] != "f2" || ur[2] != "f3" {
 		t.Fatalf("after drop, UnderReplicated(2) = %v, want [f1 f2 f3]", ur)
 	}
-	if r.Count("f2") != 0 || r.Count("f1") != 1 {
-		t.Fatalf("Count(f2)=%d Count(f1)=%d", r.Count("f2"), r.Count("f1"))
+	if r.CountID(f2) != 0 || r.CountID(f1) != 1 {
+		t.Fatalf("CountID(f2)=%d CountID(f1)=%d", r.CountID(f2), r.CountID(f1))
 	}
 
 	// Repairing the zero-replica file takes it back off the list.

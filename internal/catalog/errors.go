@@ -29,8 +29,8 @@ var (
 	ErrCorrupt = errors.New("journal corrupt")
 )
 
-// Code is the machine-readable name of an error kind, for logs and for the
-// future service API (ROADMAP item 3).
+// Code is the machine-readable name of an error kind, for logs and for a
+// future service API.
 type Code string
 
 // Codes, one per sentinel.

@@ -10,9 +10,8 @@ import (
 // This file is the control-plane recovery substrate: a write-ahead journal
 // of every catalog mutation, a snapshot/compaction layer, and Replay, which
 // reconstructs byte-identical state from (snapshot, journal). The simulated
-// master journals through it today (simrun master faults); the real
-// internal/core master adopts the same record format for ROADMAP item 3's
-// persistent job store.
+// master journals through it (simrun master faults); a journaled restart of
+// the real internal/core master would adopt the same record format.
 //
 // Format: each record is [op:1 byte][file len:uvarint][file bytes]
 // [node len:uvarint][node bytes][A:uvarint][B:uvarint]. No framing beyond
@@ -286,12 +285,17 @@ func (s *Snapshot) Entries() int { return s.entries }
 func (s *Snapshot) Size() int { return len(s.buf) }
 
 // Snapshot encodes the state as a canonical record stream: registers in
-// catalog order, then replica adds / evacuations / ledger entries sorted.
-// Replaying a snapshot into an empty State reproduces the state exactly.
+// catalog order, then losses, replica adds, evacuations and ledger entries,
+// each sorted. Losses come before the adds, as a loss forgets the file's
+// holders: a file staged again after its loss keeps them. Replaying a
+// snapshot into an empty State reproduces the state exactly.
 func (s *State) Snapshot() *Snapshot {
 	var j Journal
 	for _, f := range s.cat.Files() {
 		j.Append(Record{Op: OpRegister, File: f.Name, A: uint64(f.Size), B: f.Checksum})
+	}
+	for _, f := range sortedKeys(s.lost) {
+		j.Append(Record{Op: OpLoss, File: f})
 	}
 	s.reps.mu.RLock()
 	for _, f := range s.reps.knownLocked() {
@@ -310,9 +314,6 @@ func (s *State) Snapshot() *Snapshot {
 	s.reps.mu.RUnlock()
 	for _, f := range sortedKeys(s.evac) {
 		j.Append(Record{Op: OpEvacuate, File: f})
-	}
-	for _, f := range sortedKeys(s.lost) {
-		j.Append(Record{Op: OpLoss, File: f})
 	}
 	ids := make([]uint64, 0, len(s.tasks))
 	for id := range s.tasks {

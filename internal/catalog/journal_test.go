@@ -173,6 +173,71 @@ func TestSnapshotKeepsZeroReplicaFiles(t *testing.T) {
 	}
 }
 
+// lossThenAdd is a file declared lost and then staged again.
+func lossThenAdd() []Record {
+	return []Record{
+		{Op: OpRegister, File: "f", A: 1},
+		{Op: OpLoss, File: "f"},
+		{Op: OpReplicaAdd, File: "f", Node: "n1"},
+	}
+}
+
+// TestSnapshotKeepsHoldersAfterLoss checks that a file staged again after
+// its loss keeps its new holder through a snapshot round-trip: the snapshot
+// must replay the loss before the adds, not forget the holder after them.
+func TestSnapshotKeepsHoldersAfterLoss(t *testing.T) {
+	st := NewState()
+	for _, r := range lossThenAdd() {
+		if err := st.Apply(r); err != nil {
+			t.Fatalf("apply %+v: %v", r, err)
+		}
+	}
+	rt, err := Replay(st.Snapshot(), nil)
+	if err != nil {
+		t.Fatalf("Replay: %v", err)
+	}
+	if got, want := rt.CanonicalDump(), st.CanonicalDump(); got != want {
+		t.Fatalf("dump diverges:\n%s\nvs\n%s", got, want)
+	}
+}
+
+// FuzzReplay feeds Replay arbitrary bytes. It must return a typed error,
+// or a state whose snapshot replays to the same canonical dump.
+func FuzzReplay(f *testing.F) {
+	var all Journal
+	for _, r := range sampleRecords() { // one record of every op
+		var one Journal
+		one.Append(r)
+		f.Add(one.Bytes())
+		all.Append(r)
+	}
+	f.Add(all.Bytes())
+	f.Add(all.Bytes()[:all.Size()-1]) // a truncated tail
+	var lost Journal
+	for _, r := range lossThenAdd() {
+		lost.Append(r)
+	}
+	f.Add(lost.Bytes())
+	f.Add([]byte{byte(opMax), 0, 0, 0, 0}) // an unknown op
+	f.Fuzz(func(t *testing.T, b []byte) {
+		st, err := Replay(nil, b)
+		if err != nil {
+			var ce *Error
+			if !errors.As(err, &ce) {
+				t.Fatalf("untyped error: %v", err)
+			}
+			return
+		}
+		rt, err := Replay(st.Snapshot(), nil)
+		if err != nil {
+			t.Fatalf("snapshot does not replay: %v", err)
+		}
+		if got, want := rt.CanonicalDump(), st.CanonicalDump(); got != want {
+			t.Fatalf("snapshot replays to\n%s\nnot\n%s", got, want)
+		}
+	})
+}
+
 func TestStateLedger(t *testing.T) {
 	st := NewState()
 	st.Apply(Record{Op: OpTaskDone, A: 3, B: 1})

@@ -6,26 +6,28 @@ import (
 	"sync"
 )
 
-// Replicas tracks which nodes hold a copy of each file — the master's view
-// of data placement after distribution, and the basis for compute-to-data
-// scheduling.
+// Replicas tracks which nodes hold a copy of each file — the simulated
+// master's view of data placement after distribution, and what its
+// journal records and replays. (The real master keeps only what it sent
+// each worker, in a per-worker IDSet.)
 //
 // Files and nodes are dense int32 ids. A caller that keeps its own ids
 // registers each name once (RegisterFiles, RegisterNode) and from then on
-// uses the id methods (AddID, HasID, ...). The string methods (Add, Has,
-// ...) are the edge for everyone else — the real master, journal replay:
-// they intern the names and forward to the same implementation. Names come
-// back out in name order wherever order is observable: Holders,
-// UnderReplicated, WalkUnder, DropNode and DumpReplicas, and the id
-// methods that walk (WalkUnderID, DropNodeID) keep name order too.
+// uses the id methods (AddID, HasID, ...): the simulator does. The string
+// methods (Add, Has, Remove, DropNode, Forget, UnderReplicated) are the
+// edge for journal replay (State.Apply) and the benchmark's probe: they
+// intern or look up the names and forward to the same implementation.
+// Names come back out in name order wherever order is observable:
+// UnderReplicated, DropNode and DumpReplicas, and the id methods that walk
+// (WalkUnderID, DropNodeID) keep name order too.
 //
 // It also maintains the under-replication index the repair scan walks:
 // once a target replication factor is established (by the first
-// UnderReplicated, UnderCount or WalkUnder call), under is exactly
+// UnderReplicated, UnderCount or WalkUnderID call), under is exactly
 // {f known : holders(f) < target} in name order, and every mutator fixes
 // the membership of the file it touches before releasing the write lock. A
-// Replicas that is never asked (the real master's) has target 0 and its
-// mutators do no index work.
+// Replicas that is never asked has target 0 and its mutators do no index
+// work.
 type Replicas struct {
 	mu sync.RWMutex
 	// files is indexed by file id, nodes holds each node id's name. Each
@@ -445,17 +447,6 @@ func (r *Replicas) fileNames(ids []int32) []string {
 	return out
 }
 
-// Holders returns the nodes holding file, sorted.
-func (r *Replicas) Holders(file string) []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f, ok := r.fileID(file)
-	if !ok {
-		return []string{}
-	}
-	return r.holdersLocked(f)
-}
-
 // holdersLocked returns the holders of f in name order. Caller holds the
 // lock.
 func (r *Replicas) holdersLocked(f int32) []string {
@@ -476,16 +467,6 @@ func (r *Replicas) Has(file, node string) bool {
 	return ok && r.files[f].holders.Has(n)
 }
 
-// Count returns the number of live replicas of file.
-func (r *Replicas) Count(file string) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if f, ok := r.fileID(file); ok {
-		return r.files[f].holders.Len()
-	}
-	return 0
-}
-
 // Forget removes file from the replica map entirely, as ForgetID does.
 func (r *Replicas) Forget(file string) {
 	r.mu.Lock()
@@ -493,13 +474,6 @@ func (r *Replicas) Forget(file string) {
 	if f, ok := r.fileID(file); ok {
 		r.forget(f)
 	}
-}
-
-// Note marks file as known without recording a holder, as NoteID does.
-func (r *Replicas) Note(file string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.note(r.file(file))
 }
 
 // UnderReplicated returns, sorted, every known file with fewer than rf live
@@ -511,11 +485,6 @@ func (r *Replicas) UnderReplicated(rf int) []string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.fileNames(r.index(rf))
-}
-
-// WalkUnder is WalkUnderID by name.
-func (r *Replicas) WalkUnder(rf int, fn func(file string) bool) {
-	r.WalkUnderID(rf, func(f int32) bool { return fn(r.FileName(f)) })
 }
 
 // knownLocked returns the known files in name order. Caller holds the

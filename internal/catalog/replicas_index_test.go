@@ -42,7 +42,8 @@ func indexNames(prefix string, n int) []string {
 // fixed target rf ∈ {1,2,3}, each asked before any mutation so every step
 // takes the incremental path, and one whose target switches mid-sequence so
 // the rebuild path runs too — and to a journal the sequence can be replayed
-// from.
+// from. Every map registers files in the same shuffled order, so files[i]
+// is id i everywhere and the index compares names, not ids.
 type indexHarness struct {
 	t        *testing.T
 	rng      *rand.Rand
@@ -63,8 +64,11 @@ func newIndexHarness(t *testing.T, seed int64) *indexHarness {
 		floating: NewReplicas(),
 		floatRF:  2,
 	}
+	h.rng.Shuffle(len(h.files), func(i, j int) { h.files[i], h.files[j] = h.files[j], h.files[i] })
+	h.floating.RegisterFiles(h.files)
 	for i := range h.fixed {
 		h.fixed[i] = NewReplicas()
+		h.fixed[i].RegisterFiles(h.files)
 		if got := h.fixed[i].UnderReplicated(i + 1); got != nil {
 			t.Fatalf("empty map: UnderReplicated(%d) = %v", i+1, got)
 		}
@@ -81,7 +85,8 @@ func (h *indexHarness) each(fn func(*Replicas)) {
 
 // mutate applies one random mutator everywhere and journals it.
 func (h *indexHarness) mutate() {
-	f := h.files[h.rng.Intn(len(h.files))]
+	fi := h.rng.Intn(len(h.files))
+	f := h.files[fi]
 	n := h.nodes[h.rng.Intn(len(h.nodes))]
 	switch p := h.rng.Intn(100); {
 	case p < 55:
@@ -97,7 +102,7 @@ func (h *indexHarness) mutate() {
 		h.each(func(r *Replicas) { r.Forget(f) })
 		h.journal.Append(Record{Op: OpLoss, File: f})
 	default:
-		h.each(func(r *Replicas) { r.Note(f) })
+		h.each(func(r *Replicas) { r.NoteID(int32(fi)) })
 		// The journal has no Note op; Snapshot's add+remove of a nameless
 		// holder is the same state change.
 		h.journal.Append(Record{Op: OpReplicaAdd, File: f})
@@ -126,7 +131,7 @@ func (h *indexHarness) check(step int) {
 	}
 }
 
-// walk runs WalkUnder on r while the callback mutates every map: it forgets
+// walk runs WalkUnderID on r while the callback mutates every map: it forgets
 // the file under the cursor, and removes or inserts files elsewhere in the
 // index. Names come out ascending (none repeated), each was a member when
 // visited, and none that stayed a member throughout was skipped.
@@ -142,7 +147,8 @@ func (h *indexHarness) walk(r *Replicas, rf int) {
 	stayed := member()
 	var visited []string
 	cut := false
-	r.WalkUnder(rf, func(f string) bool {
+	r.WalkUnderID(rf, func(id int32) bool {
+		f := r.FileName(id)
 		now := member()
 		if !now[f] {
 			h.t.Fatalf("walk rf %d visited %s, not under target", rf, f)
@@ -203,10 +209,8 @@ func TestUnderIndexMatchesOracle(t *testing.T) {
 				t.Fatalf("seed %d rf %d: replayed %v, live %v", seed, rf, got, want)
 			}
 		}
-		for _, f := range h.files {
-			if got, want := st.Replicas().Holders(f), h.floating.Holders(f); !reflect.DeepEqual(got, want) {
-				t.Fatalf("seed %d: replayed holders of %s %v, live %v", seed, f, got, want)
-			}
+		if got, want := DumpReplicas(st.Replicas()), DumpReplicas(h.floating); got != want {
+			t.Fatalf("seed %d: replayed replicas\n%s\nlive\n%s", seed, got, want)
 		}
 	}
 }
@@ -286,17 +290,14 @@ func (m *replicaModel) dump() string {
 	return b.String()
 }
 
-// checkModel compares every query of r with the model: Has for every node,
-// Count, Holders, UnderReplicated at target rf and DumpReplicas.
+// checkModel compares every query of r, which registered files in order,
+// with the model: Has for every node, CountID, UnderReplicated at target rf
+// and DumpReplicas (every known file's holders).
 func checkModel(t *testing.T, step int, r *Replicas, m *replicaModel, rf int, files, nodes []string) {
 	t.Helper()
-	for _, f := range files {
-		want := m.holders(f)
-		if got := r.Holders(f); !reflect.DeepEqual(got, want) {
-			t.Fatalf("step %d rf %d: Holders(%q) = %q, model %q", step, rf, f, got, want)
-		}
-		if got := r.Count(f); got != len(want) {
-			t.Fatalf("step %d rf %d: Count(%q) = %d, model %d", step, rf, f, got, len(want))
+	for i, f := range files {
+		if got, want := r.CountID(int32(i)), len(m.loc[f]); got != want {
+			t.Fatalf("step %d rf %d: CountID(%q) = %d, model %d", step, rf, f, got, want)
 		}
 		for _, n := range nodes {
 			_, want := m.loc[f][n]
@@ -324,9 +325,11 @@ func TestReplicasMatchModel(t *testing.T) {
 		for seed := int64(1); seed <= 4; seed++ {
 			rng := rand.New(rand.NewSource(seed))
 			r, m := NewReplicas(), newReplicaModel()
+			r.RegisterFiles(files)
 			r.UnderCount(rf) // the index is maintained from the first step
 			for step := 0; step < 1500; step++ {
-				f, n := files[rng.Intn(len(files))], nodes[rng.Intn(len(nodes))]
+				fi, n := rng.Intn(len(files)), nodes[rng.Intn(len(nodes))]
+				f := files[fi]
 				switch p := rng.Intn(100); {
 				case p < 45:
 					r.Add(f, n)
@@ -343,7 +346,7 @@ func TestReplicasMatchModel(t *testing.T) {
 					delete(m.loc, f)
 					delete(m.known, f)
 				case p < 92:
-					r.Note(f)
+					r.NoteID(int32(fi))
 					m.known[f] = struct{}{}
 				default:
 					// A holder leaves and comes back.
@@ -361,13 +364,14 @@ func TestReplicasMatchModel(t *testing.T) {
 	// The journal's "known, no holders" round trip: a nameless holder added
 	// and removed leaves the file known and under every target.
 	r := NewReplicas()
+	z := r.RegisterFiles([]string{"z"})
 	r.Add("z", "")
-	if !r.Has("z", "") || r.Count("z") != 1 || r.Has("z", "w0") {
-		t.Fatalf(`after Add("z", ""): Has %v, Count %d`, r.Has("z", ""), r.Count("z"))
+	if !r.Has("z", "") || r.CountID(z) != 1 || r.Has("z", "w0") {
+		t.Fatalf(`after Add("z", ""): Has %v, CountID %d`, r.Has("z", ""), r.CountID(z))
 	}
 	r.Remove("z", "")
-	if r.Has("z", "") || r.Count("z") != 0 || !reflect.DeepEqual(r.UnderReplicated(1), []string{"z"}) {
-		t.Fatalf(`after Remove("z", ""): Has %v, Count %d, under %v`, r.Has("z", ""), r.Count("z"), r.UnderReplicated(1))
+	if r.Has("z", "") || r.CountID(z) != 0 || !reflect.DeepEqual(r.UnderReplicated(1), []string{"z"}) {
+		t.Fatalf(`after Remove("z", ""): Has %v, CountID %d, under %v`, r.Has("z", ""), r.CountID(z), r.UnderReplicated(1))
 	}
 	if r.Has("missing", "") {
 		t.Fatal(`Has("missing", "") = true for a file nobody holds`)
@@ -382,21 +386,23 @@ func TestReplicasManyHolders(t *testing.T) {
 	nodes := indexNames("vm", n)
 	sort.Strings(nodes) // vm10000 sorts before vm1001
 	r := NewReplicas()
+	db := r.RegisterFiles([]string{"db"})
+	held := func(holders []string) string { return "replicas:\n  db -> [" + strings.Join(holders, " ") + "]\n" }
 	r.UnderCount(3)
 	for _, node := range nodes {
 		r.Add("db", node)
 		r.Add("db", node) // a second Add of a holder changes nothing
 	}
-	if c := r.Count("db"); c != n {
-		t.Fatalf("Count = %d, want %d", c, n)
+	if c := r.CountID(db); c != n {
+		t.Fatalf("CountID = %d, want %d", c, n)
 	}
 	for _, node := range nodes {
 		if !r.Has("db", node) {
 			t.Fatalf("Has(db, %s) = false", node)
 		}
 	}
-	if h := r.Holders("db"); !reflect.DeepEqual(h, nodes) {
-		t.Fatalf("Holders: %d names, first %q", len(h), h[:3])
+	if DumpReplicas(r) != held(nodes) {
+		t.Fatal("DumpReplicas does not list every node as a holder, in name order")
 	}
 	for i, node := range nodes[:n-2] {
 		if i%2 == 0 {
@@ -405,8 +411,8 @@ func TestReplicasManyHolders(t *testing.T) {
 			t.Fatalf("DropNode(%s) = %v", node, lost)
 		}
 	}
-	if h := r.Holders("db"); !reflect.DeepEqual(h, nodes[n-2:]) || r.Has("db", nodes[0]) {
-		t.Fatalf("after removing all but two: Holders %v", h)
+	if got := DumpReplicas(r); got != held(nodes[n-2:]) || r.Has("db", nodes[0]) {
+		t.Fatalf("after removing all but two: DumpReplicas %q", got)
 	}
 	if got := r.UnderReplicated(3); !reflect.DeepEqual(got, []string{"db"}) {
 		t.Fatalf("UnderReplicated(3) = %v", got)
@@ -414,8 +420,8 @@ func TestReplicasManyHolders(t *testing.T) {
 	r.Remove("db", nodes[n-2])
 	r.Remove("db", nodes[n-1])
 	r.Add("db", nodes[0]) // back from none: one holder again
-	if h := r.Holders("db"); !reflect.DeepEqual(h, nodes[:1]) {
-		t.Fatalf("after emptying and one Add: Holders %v", h)
+	if got := DumpReplicas(r); got != held(nodes[:1]) {
+		t.Fatalf("after emptying and one Add: DumpReplicas %q", got)
 	}
 }
 
@@ -424,13 +430,14 @@ func TestReplicasManyHolders(t *testing.T) {
 func TestUnderIndexWalkVisitsAll(t *testing.T) {
 	r := NewReplicas()
 	names := indexNames("f", 50)
-	for _, f := range names {
-		r.Note(f)
+	first := r.RegisterFiles(names)
+	for i := range names {
+		r.NoteID(first + int32(i))
 	}
 	var visited []string
-	r.WalkUnder(2, func(f string) bool {
-		visited = append(visited, f)
-		r.Forget(f)
+	r.WalkUnderID(2, func(f int32) bool {
+		visited = append(visited, r.FileName(f))
+		r.ForgetID(f)
 		return true
 	})
 	if !reflect.DeepEqual(visited, names) {
@@ -441,9 +448,9 @@ func TestUnderIndexWalkVisitsAll(t *testing.T) {
 	}
 }
 
-// TestUnderIndexConcurrentAdd is the real master's usage beside the
-// simulator's: one goroutine records replicas while another walks, counts
-// and forgets. Run under -race.
+// TestUnderIndexConcurrentAdd shares one map under its lock: one goroutine
+// records replicas by name while another walks, counts and forgets by id.
+// Run under -race.
 func TestUnderIndexConcurrentAdd(t *testing.T) {
 	r := NewReplicas()
 	files, nodes := indexNames("f", 200), indexNames("w", 8)
@@ -459,13 +466,14 @@ func TestUnderIndexConcurrentAdd(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 200; i++ {
 		prev := ""
-		r.WalkUnder(2, func(f string) bool {
+		r.WalkUnderID(2, func(id int32) bool {
+			f := r.FileName(id)
 			if f <= prev {
 				t.Errorf("walk out of order: %s after %s", f, prev)
 			}
 			prev = f
 			if rng.Intn(4) == 0 {
-				r.Forget(f)
+				r.ForgetID(id)
 			}
 			return true
 		})
@@ -531,10 +539,11 @@ func BenchmarkReplicasChurn(b *testing.B) {
 
 // TestReplicasIDsMatchNames drives two replica maps through the same random
 // mutations, one through the id methods over registered names and its twin
-// through the string edge, and compares every query after every step: the
-// two must agree with each other and with underOracle, the walk included.
-// Odd seeds register the files out of name order, so the index compares
-// names rather than ids.
+// through the string edge (and NoteID, which has no string form), and
+// compares every query after every step: the two must agree with each other
+// and with underOracle, the walk included. Odd seeds register the id map's
+// files out of name order, so its index compares names rather than ids; the
+// twin registers them in name order, so files[i] is its id i.
 func TestReplicasIDsMatchNames(t *testing.T) {
 	files := indexNames("f", 24)
 	nodes := append([]string{""}, indexNames("w", 6)...)
@@ -545,6 +554,7 @@ func TestReplicasIDsMatchNames(t *testing.T) {
 			rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		}
 		byIDs, byNames := NewReplicas(), NewReplicas()
+		byNames.RegisterFiles(files)
 		first := byIDs.RegisterFiles(order)
 		fid := make(map[string]int32, len(order))
 		for i, f := range order {
@@ -587,14 +597,11 @@ func TestReplicasIDsMatchNames(t *testing.T) {
 				byNames.Forget(f)
 			default:
 				byIDs.NoteID(fid[f])
-				byNames.Note(f)
+				byNames.NoteID(int32(fi))
 			}
-			for _, f := range files {
-				if got, want := byIDs.Holders(f), byNames.Holders(f); !reflect.DeepEqual(got, want) {
-					t.Fatalf("seed %d step %d: Holders(%q) ids %q, names %q", seed, step, f, got, want)
-				}
-				if got, want := byIDs.CountID(fid[f]), byNames.Count(f); got != want || byIDs.Count(f) != want {
-					t.Fatalf("seed %d step %d: CountID(%q) = %d, Count %d", seed, step, f, got, want)
+			for i, f := range files {
+				if got, want := byIDs.CountID(fid[f]), byNames.CountID(int32(i)); got != want {
+					t.Fatalf("seed %d step %d: CountID(%q) = %d, twin %d", seed, step, f, got, want)
 				}
 				if got, want := byIDs.HasID(fid[f], nid[ni]), byNames.Has(f, n); got != want {
 					t.Fatalf("seed %d step %d: HasID(%q, %q) = %v, Has %v", seed, step, f, n, got, want)
@@ -609,7 +616,7 @@ func TestReplicasIDsMatchNames(t *testing.T) {
 			}
 			var walkIDs, walkNames []string
 			byIDs.WalkUnderID(rf, func(f int32) bool { walkIDs = append(walkIDs, byIDs.FileName(f)); return true })
-			byNames.WalkUnder(rf, func(f string) bool { walkNames = append(walkNames, f); return true })
+			byNames.WalkUnderID(rf, func(f int32) bool { walkNames = append(walkNames, byNames.FileName(f)); return true })
 			if !reflect.DeepEqual(walkIDs, want) || !reflect.DeepEqual(walkNames, want) {
 				t.Fatalf("seed %d step %d rf %d: walks %q and %q, oracle %q", seed, step, rf, walkIDs, walkNames, want)
 			}

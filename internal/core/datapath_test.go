@@ -435,7 +435,7 @@ func (s lyingSource) Catalog() (*catalog.Catalog, error) {
 
 // A source that ends short of, or runs past, its catalogue size fails the
 // transfer with a typed error, whether the source hands out bytes or a
-// reader. The failed send is the worker's death, which drops its replicas:
+// reader. The failed send is the worker's death, whose claims go with it:
 // the worker never takes the file for complete (no Last chunk of it reaches
 // the connection), and the report records the mismatch and the lost group.
 func TestStreamFileSizeMismatchUnclaimsReplica(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -252,39 +253,93 @@ func TestNoPartitionReplicatesEverything(t *testing.T) {
 	}
 }
 
+// TestCommonFilesStagedEverywhere stages db.bin on every worker at
+// admission under each kind, and pins the bytes moved: 10 queries of 20 B,
+// each to one worker or, without partitioning, to all three, plus db.bin
+// (500 B) once per worker. No-partitioning's whole-dataset copy skips
+// db.bin, which admission already sent.
 func TestCommonFilesStagedEverywhere(t *testing.T) {
-	src := catalog.NewMemSource()
-	src.Put("db.bin", []byte(strings.Repeat("D", 500)))
-	for i := 0; i < 10; i++ {
-		src.Put(fmt.Sprintf("q%02d.fa", i), []byte(strings.Repeat("q", 20)))
+	for _, tc := range []struct {
+		kind  strategy.Kind
+		bytes int64
+	}{
+		{strategy.RealTime, 10*20 + 3*500},
+		{strategy.PrePartition, 10*20 + 3*500},
+		{strategy.NoPartition, 3 * (10*20 + 500)},
+	} {
+		t.Run(tc.kind.String(), func(t *testing.T) {
+			src := catalog.NewMemSource()
+			src.Put("db.bin", []byte(strings.Repeat("D", 500)))
+			for i := 0; i < 10; i++ {
+				src.Put(fmt.Sprintf("q%02d.fa", i), []byte(strings.Repeat("q", 20)))
+			}
+			verify := FuncProgram(func(ctx context.Context, task Task) (string, error) {
+				// The database must be present next to every task's input.
+				if !task.Store.Has("db.bin") {
+					return "", fmt.Errorf("db.bin missing")
+				}
+				if task.Store.Size("db.bin") != 500 {
+					return "", fmt.Errorf("db.bin truncated: %d", task.Store.Size("db.bin"))
+				}
+				return "ok", nil
+			})
+			h := &testHarness{
+				source: src,
+				strategy: strategy.Config{
+					Kind: tc.kind, Multicore: true,
+					CommonFiles: []string{"db.bin"},
+				},
+				program: verify,
+				workers: 3,
+			}
+			r := h.run(t)
+			// db.bin is excluded from partitioning: 10 query groups only.
+			if r.Groups != 10 || r.Succeeded != 10 {
+				t.Fatalf("report = %+v", r)
+			}
+			if r.BytesMoved != tc.bytes {
+				t.Fatalf("BytesMoved = %d, want %d", r.BytesMoved, tc.bytes)
+			}
+		})
 	}
-	verify := FuncProgram(func(ctx context.Context, task Task) (string, error) {
-		// The database must be present next to every task's input.
-		if !task.Store.Has("db.bin") {
-			return "", fmt.Errorf("db.bin missing")
-		}
-		if task.Store.Size("db.bin") != 500 {
-			return "", fmt.Errorf("db.bin truncated: %d", task.Store.Size("db.bin"))
-		}
-		return "ok", nil
-	})
-	h := &testHarness{
-		source: src,
-		strategy: strategy.Config{
-			Kind: strategy.RealTime, Multicore: true,
-			CommonFiles: []string{"db.bin"},
-		},
-		program: verify,
-		workers: 3,
-	}
-	r := h.run(t)
-	// db.bin is excluded from partitioning: 10 query groups only.
-	if r.Groups != 10 || r.Succeeded != 10 {
-		t.Fatalf("report = %+v", r)
-	}
-	// 10 queries (20 B each) + db to 3 workers.
-	if r.BytesMoved != 10*20+3*500 {
-		t.Fatalf("BytesMoved = %d", r.BytesMoved)
+}
+
+// TestComputeToDataPrefersResidentGroups runs all-to-all pairs of four
+// files on one worker with one slot and a window of one, so groups run in
+// dispatch order. Once the worker holds f0, f1 and f2, compute-to-data
+// takes the resident pair (f1, f2) ahead of the queue's head (f0, f3);
+// data-to-compute keeps queue order. Every file is sent once either way.
+func TestComputeToDataPrefersResidentGroups(t *testing.T) {
+	for _, tc := range []struct {
+		placement strategy.Placement
+		order     []int
+	}{
+		{strategy.DataToCompute, []int{0, 1, 2, 3, 4, 5}},
+		{strategy.ComputeToData, []int{0, 1, 3, 2, 4, 5}},
+	} {
+		t.Run(tc.placement.String(), func(t *testing.T) {
+			h := &testHarness{
+				source: sourceWithFiles(4, 10),
+				strategy: strategy.Config{
+					Kind: strategy.RealTime, Placement: tc.placement,
+					Grouping: "all-to-all", Prefetch: 1,
+				},
+				program: echoProgram(),
+				workers: 1,
+				cores:   1,
+			}
+			r := h.run(t)
+			var order []int
+			for _, res := range r.Results {
+				order = append(order, res.GroupIndex)
+			}
+			if r.Succeeded != 6 || !slices.Equal(order, tc.order) {
+				t.Fatalf("groups ran in order %v, want %v (report %+v)", order, tc.order, r)
+			}
+			if r.BytesMoved != 4*10 {
+				t.Fatalf("BytesMoved = %d, want %d", r.BytesMoved, 4*10)
+			}
+		})
 	}
 }
 

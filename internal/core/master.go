@@ -83,8 +83,9 @@ type masterWorker struct {
 	link
 	name        string
 	cores       int
-	outstanding map[int]bool // dispatched, not yet reported
-	settled     bool         // a status of this wake freed a slot: in Master.refills
+	outstanding map[int]bool  // dispatched, not yet reported
+	sent        catalog.IDSet // the files claimed for it, by source-catalogue index
+	settled     bool          // a status of this wake freed a slot: in Master.refills
 }
 
 // outItem is one unit of a writer's work: it sends msg, streams files, then
@@ -127,6 +128,9 @@ type Master struct {
 	workers    map[string]*masterWorker
 	catalogue  *catalog.Catalog
 	groups     []partition.Group
+	// inputs holds every group's files by source-catalogue index, group gi's
+	// at inputs[inputAt[gi]:inputAt[gi+1]].
+	inputs, inputAt []int32
 	// led is the run's lifecycle; it starts once the groups are known.
 	led *sched.Ledger
 	// refills lists the workers this wake's statuses freed slots on; pass is
@@ -135,7 +139,6 @@ type Master struct {
 	pass       []outItem
 	results    []protocol.TaskResult
 	workerErrs []string
-	replicas   *catalog.Replicas
 	controller *link
 	listener   transport.Listener
 	startedAt  time.Time
@@ -173,7 +176,6 @@ func NewMaster(cfg MasterConfig) (*Master, error) {
 		expected:   cfg.ExpectedWorkers,
 		workers:    make(map[string]*masterWorker),
 		led:        sched.NewLedger(cfg.Recover, cfg.MaxRetries),
-		replicas:   catalog.NewReplicas(),
 	}
 	m.inbox.init()
 	return m, nil
@@ -592,9 +594,6 @@ func (m *Master) sourceCatalog() (*catalog.Catalog, error) {
 			return nil, fmt.Errorf("cataloguing source: %w", err)
 		}
 		m.catalogue = cat
-		// Every name the replica map will see, registered at once: its file
-		// table and name index are sized once instead of growing per file.
-		m.replicas.RegisterFiles(cat.Names())
 	}
 	return m.catalogue, nil
 }
@@ -609,28 +608,32 @@ func (m *Master) commonFiles(w *masterWorker) ([]protocol.FileInfo, error) {
 	if err != nil {
 		return nil, err
 	}
-	infos := make([]protocol.FileInfo, 0, len(m.strat.CommonFiles))
+	ids := make([]int32, 0, len(m.strat.CommonFiles))
 	for _, name := range m.strat.CommonFiles {
-		f, ok := cat.Get(name)
+		i, ok := cat.Index(name)
 		if !ok {
 			return nil, fmt.Errorf("staging common file %s: not in the source", name)
 		}
-		infos = append(infos, protocol.FileInfo{Name: f.Name, Size: f.Size})
+		ids = append(ids, int32(i))
 	}
-	return m.claim(w, infos), nil
+	return m.claim(nil, w, ids), nil
 }
 
-// claim records files as on their way to the worker and returns those that
-// were not already: the ones its writer is to stream.
-func (m *Master) claim(w *masterWorker, files []protocol.FileInfo) []protocol.FileInfo {
-	var send []protocol.FileInfo
-	for _, f := range files {
-		if m.replicas.Add(f.Name, w.name) {
-			send = append(send, f)
+// claim records the files ids as on their way to the worker and appends to
+// dst those that were not already: the ones its writer is to stream.
+func (m *Master) claim(dst []protocol.FileInfo, w *masterWorker, ids []int32) []protocol.FileInfo {
+	for _, id := range ids {
+		if w.sent.Add(id) {
+			f := &m.catalogue.Files()[id]
+			dst = append(dst, protocol.FileInfo{Name: f.Name, Size: f.Size})
 		}
 	}
-	return send
+	return dst
 }
+
+// inputsOf returns group gi's files by source-catalogue index, parallel to
+// its Files.
+func (m *Master) inputsOf(gi int) []int32 { return m.inputs[m.inputAt[gi]:m.inputAt[gi+1]] }
 
 // maybeStart begins execution once the strategy is known and the expected
 // number of workers arrived. A worker that died, even before it was ready,
@@ -669,6 +672,15 @@ func (m *Master) runStrategy() {
 		m.fatal(err)
 		return
 	}
+	// Every generator groups the catalogue's own files, so each has an index.
+	m.inputs, m.inputAt = make([]int32, 0, len(m.groups)), make([]int32, len(m.groups)+1)
+	for gi, g := range m.groups {
+		for _, f := range g.Files {
+			i, _ := cat.Index(f.Name)
+			m.inputs = append(m.inputs, int32(i))
+		}
+		m.inputAt[gi+1] = int32(len(m.inputs))
+	}
 	workers := m.liveWorkers()
 	m.logf("execution starts: %d groups, %d workers, strategy %s", len(m.groups), len(workers), m.strat)
 	m.results = slices.Grow(m.results, len(m.groups))
@@ -691,9 +703,12 @@ func (m *Master) runStrategy() {
 	m.refills = slices.Grow(m.refills, len(workers))
 	staging := false
 	if m.strat.Kind != strategy.RealTime && m.strat.Locality == strategy.Remote {
-		var all []protocol.FileInfo
+		var all []int32
 		if m.strat.Kind == strategy.NoPartition {
-			all = appendInfos(nil, m.catalogue.Files())
+			all = make([]int32, cat.Len())
+			for i := range all {
+				all[i] = int32(i)
+			}
 		}
 		for _, w := range workers {
 			if w.out.put(m.stagingItem(w, all)) {
@@ -710,20 +725,21 @@ func (m *Master) runStrategy() {
 
 // stagingItem is what w's writer streams before anything runs:
 // no-partitioning streams the whole dataset, all; pre-partitioning announces
-// the worker's share, then streams its unique files. DISTRIBUTE carries a
-// copy of the share, as the ledger may fail the backlog in place while the
-// writer sends it.
-func (m *Master) stagingItem(w *masterWorker, all []protocol.FileInfo) outItem {
+// the worker's share, then streams its unique files. Common files are not
+// grouped, so none of the share was claimed before: one list is both.
+// DISTRIBUTE carries a copy of the share, as the ledger may fail the backlog
+// in place while the writer sends it.
+func (m *Master) stagingItem(w *masterWorker, all []int32) outItem {
 	if m.strat.Kind == strategy.NoPartition {
-		return outItem{files: m.claim(w, all), transfer: true}
+		return outItem{files: m.claim(nil, w, all), transfer: true}
 	}
-	var infos []protocol.FileInfo
-	for f := range partition.Files(m.groups, w.Backlog) {
-		infos = append(infos, protocol.FileInfo{Name: f.Name, Size: f.Size})
+	var files []protocol.FileInfo
+	for _, gi := range w.Backlog {
+		files = m.claim(files, w, m.inputsOf(gi))
 	}
 	return outItem{
-		msg:   &protocol.Message{Type: protocol.TDistribute, Files: infos, Groups: slices.Clone(w.Backlog)},
-		files: m.claim(w, infos), transfer: true,
+		msg:   &protocol.Message{Type: protocol.TDistribute, Files: files, Groups: slices.Clone(w.Backlog)},
+		files: files, transfer: true,
 	}
 }
 
@@ -762,8 +778,8 @@ func (m *Master) dispatch(w *masterWorker) {
 	var resident func(gi int) bool
 	if m.strat.Placement == strategy.ComputeToData {
 		resident = func(gi int) bool {
-			for _, f := range m.groups[gi].Files {
-				if !m.replicas.Has(f.Name, w.name) {
+			for _, id := range m.inputsOf(gi) {
+				if !w.sent.Has(id) {
 					return false
 				}
 			}
@@ -780,7 +796,7 @@ func (m *Master) dispatch(w *masterWorker) {
 		w.outstanding[gi] = true
 		pass = append(pass, outItem{group: &m.groups[gi]})
 		if fetches {
-			m.claimGroup(w, &pass[len(pass)-1])
+			m.claimGroup(w, &pass[len(pass)-1], gi)
 		}
 	}
 	if len(pass) > 0 {
@@ -791,16 +807,16 @@ func (m *Master) dispatch(w *masterWorker) {
 	m.pass = pass[:0]
 }
 
-// claimGroup claims the files of it's group that the worker has not been
-// sent, for the writer to stream ahead of the group's EXECUTE.
-func (m *Master) claimGroup(w *masterWorker, it *outItem) {
-	files := it.group.Files
-	if len(files) > 64 {
-		it.files = m.claim(w, appendInfos(nil, files))
+// claimGroup claims the files of it's group, gi, that the worker has not
+// been sent, for the writer to stream ahead of the group's EXECUTE.
+func (m *Master) claimGroup(w *masterWorker, it *outItem, gi int) {
+	ids := m.inputsOf(gi)
+	if len(ids) > 64 {
+		it.files = m.claim(nil, w, ids)
 		return
 	}
-	for i, f := range files {
-		if m.replicas.Add(f.Name, w.name) {
+	for i, id := range ids {
+		if w.sent.Add(id) {
 			it.send |= 1 << i
 		}
 	}
@@ -835,9 +851,9 @@ func (m *Master) recordResult(w *masterWorker, res protocol.TaskResult) bool {
 }
 
 // workerDied isolates a dead worker: it receives no further data or tasks
-// (the paper's automatic isolation), its replicas are forgotten, its
-// unfinished groups are requeued under Recover or abandoned otherwise, and
-// the controller is informed.
+// (the paper's automatic isolation), what it was sent goes with it (its
+// name stays taken), its unfinished groups are requeued under Recover or
+// abandoned otherwise, and the controller is informed.
 func (m *Master) workerDied(w *masterWorker, cause error) {
 	closeLink(&w.link)
 	if w.Dead {
@@ -858,7 +874,6 @@ func (m *Master) workerDied(w *masterWorker, cause error) {
 	affected := len(lost) + len(w.Backlog)
 	clear(w.outstanding)
 	m.abandon(w.name, errWorkerLost, m.led.Die(&w.Worker, lost)...)
-	m.replicas.DropNode(w.name)
 	m.workerErrs = append(m.workerErrs, fmt.Sprintf("%s: %v", w.name, cause))
 	m.logf("worker %s died: %v (%d groups affected)", w.name, cause, affected)
 	m.notifyController(fmt.Sprintf("%v", cause), w.name)

@@ -640,3 +640,37 @@ func TestReportPolledDuringRun(t *testing.T) {
 		t.Fatal("no report was read during the run")
 	}
 }
+
+// TestClaimGroupPastSixtyFourFiles claims a group too wide for an item's
+// send mask: the files the worker was not sent are listed in the item, in
+// group order, and claiming the group again lists none.
+func TestClaimGroupPastSixtyFourFiles(t *testing.T) {
+	cat := catalog.New()
+	for i := 0; i < 70; i++ {
+		cat.MustAdd(catalog.FileMeta{Name: fmt.Sprintf("f%02d", i), Size: int64(i)})
+	}
+	m := &Master{catalogue: cat, inputAt: []int32{0, 70}}
+	for i := 69; i >= 0; i-- {
+		m.inputs = append(m.inputs, int32(i))
+	}
+	w := &masterWorker{}
+	w.sent.Add(3)
+	var it outItem
+	m.claimGroup(w, &it, 0)
+	var want []protocol.FileInfo
+	for i := 69; i >= 0; i-- {
+		if i != 3 {
+			want = append(want, protocol.FileInfo{Name: fmt.Sprintf("f%02d", i), Size: int64(i)})
+		}
+	}
+	if it.send != 0 || !slices.Equal(it.files, want) {
+		t.Fatalf("send mask %x, files %v; want files %v", it.send, it.files, want)
+	}
+	if w.sent.Len() != 70 {
+		t.Fatalf("%d files claimed, want 70", w.sent.Len())
+	}
+	var again outItem
+	if m.claimGroup(w, &again, 0); again.send != 0 || len(again.files) != 0 {
+		t.Fatalf("second claim: send mask %x, files %v", again.send, again.files)
+	}
+}

@@ -105,8 +105,8 @@ func TestRepairRestoresReplicationFactor(t *testing.T) {
 	}
 	// Every workload file must have reached the target factor: the run was
 	// long enough (80 s of compute vs 1 s scans) for repair to drain.
-	for _, task := range wl.Tasks {
-		if f, n := task.Files[0].Name, r.replicas.Count(task.Files[0].Name); n < 2 {
+	for gi, task := range wl.Tasks {
+		if f, n := task.Files[0].Name, r.replicas.CountID(r.inputsOf(gi)[0]); n < 2 {
 			t.Errorf("file %s at %d replicas, want >= 2", f, n)
 		}
 	}
