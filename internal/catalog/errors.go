@@ -7,8 +7,7 @@ import (
 
 // Sentinel error kinds for the catalog package. Callers match with
 // errors.Is; every error constructed here unwraps to exactly one of these,
-// so a service boundary can map failures to machine-readable codes without
-// parsing message strings.
+// so no caller parses message strings.
 var (
 	// ErrEmptyName rejects a file with no name.
 	ErrEmptyName = errors.New("empty file name")
@@ -27,22 +26,6 @@ var (
 	// ErrCorrupt reports a journal record that decodes to an impossible
 	// value (unknown op, length overflowing the buffer bound).
 	ErrCorrupt = errors.New("journal corrupt")
-)
-
-// Code is the machine-readable name of an error kind, for logs and for a
-// future service API.
-type Code string
-
-// Codes, one per sentinel.
-const (
-	CodeEmptyName    Code = "empty_name"
-	CodeNegativeSize Code = "negative_size"
-	CodeDuplicate    Code = "duplicate_file"
-	CodeNotFound     Code = "not_found"
-	CodePathEscape   Code = "path_escape"
-	CodeTruncated    Code = "journal_truncated"
-	CodeCorrupt      Code = "journal_corrupt"
-	codeUnknown      Code = "unknown"
 )
 
 // Error is a typed catalog error: a sentinel kind plus the file (or node,
@@ -84,24 +67,3 @@ func (e *Error) Error() string {
 
 // Unwrap exposes the sentinel kind to errors.Is/errors.As.
 func (e *Error) Unwrap() error { return e.Kind }
-
-// ErrCode maps the error's kind to its machine-readable code.
-func (e *Error) ErrCode() Code {
-	switch e.Kind {
-	case ErrEmptyName:
-		return CodeEmptyName
-	case ErrNegativeSize:
-		return CodeNegativeSize
-	case ErrDuplicate:
-		return CodeDuplicate
-	case ErrNotFound:
-		return CodeNotFound
-	case ErrPathEscape:
-		return CodePathEscape
-	case ErrTruncated:
-		return CodeTruncated
-	case ErrCorrupt:
-		return CodeCorrupt
-	}
-	return codeUnknown
-}

@@ -220,19 +220,6 @@ func (s *State) Catalog() *Catalog { return s.cat }
 // Replicas exposes the state's replica map.
 func (s *State) Replicas() *Replicas { return s.reps }
 
-// Evacuated reports whether file has no master-source copy left. The fact
-// survives a loss declaration: the master still does not hold the bytes.
-func (s *State) Evacuated(file string) bool {
-	_, ok := s.evac[file]
-	return ok
-}
-
-// Lost reports whether file was declared permanently lost.
-func (s *State) Lost(file string) bool {
-	_, ok := s.lost[file]
-	return ok
-}
-
 // TaskDone reports whether task id is in the ledger, and its outcome.
 func (s *State) TaskDone(id uint64) (done, ok bool) {
 	v, present := s.tasks[id]

@@ -271,8 +271,8 @@ func TestTypedCatalogErrors(t *testing.T) {
 		t.Fatalf("message = %q", got)
 	}
 	var ce *Error
-	if !errors.As(err, &ce) || ce.ErrCode() != CodeDuplicate || ce.File != "x" {
-		t.Fatalf("As(*Error) = %v, code=%v file=%q", errors.As(err, &ce), ce.ErrCode(), ce.File)
+	if !errors.As(err, &ce) || !errors.Is(ce, ErrDuplicate) || ce.File != "x" {
+		t.Fatalf("As(*Error) = %v, kind %v, file %q", errors.As(err, &ce), ce.Kind, ce.File)
 	}
 
 	s := NewMemSource()
@@ -283,11 +283,11 @@ func TestTypedCatalogErrors(t *testing.T) {
 	if _, err := d.Open("../escape"); !errors.Is(err, ErrPathEscape) {
 		t.Fatalf("dir escape: %v", err)
 	}
-	// Journal errors carry codes too.
+	// Journal errors are typed too.
 	if _, err := Decode([]byte{byte(OpRegister)}); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("trunc: %v", err)
-	} else if !errors.As(err, &ce) || ce.ErrCode() != CodeTruncated {
-		t.Fatalf("trunc code: %v", ce.ErrCode())
+	} else if !errors.As(err, &ce) || !errors.Is(ce, ErrTruncated) {
+		t.Fatalf("trunc: %v is not a typed *Error of its kind", err)
 	}
 }
 

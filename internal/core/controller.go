@@ -55,20 +55,20 @@ type Controller struct {
 	master *Master // in-process master, when owned
 	conn   transport.Conn
 
-	mu         sync.Mutex
-	seq        uint64
-	errs       []WorkerError
-	results    []protocol.TaskResult
-	bytesMoved int64
-	makespan   float64
-	doneCh     chan struct{}
-	doneOnce   sync.Once
-	acks       map[uint64]chan *protocol.Message
-	spawned    sync.WaitGroup
-	workers    map[string]*Worker
-	masterWG   sync.WaitGroup
-	recvDone   chan struct{} // closed when recvLoop has returned
-	runErr     error
+	mu   sync.Mutex
+	seq  uint64
+	errs []WorkerError
+	// done is the run's summary from MASTER_DONE, its Results only without
+	// an in-process master (which reports for itself, Wait).
+	done     Report
+	doneCh   chan struct{}
+	doneOnce sync.Once
+	acks     map[uint64]chan *protocol.Message
+	spawned  sync.WaitGroup
+	workers  map[string]*Worker
+	masterWG sync.WaitGroup
+	recvDone chan struct{} // closed when recvLoop has returned
+	runErr   error
 }
 
 // NewController validates the configuration.
@@ -214,12 +214,13 @@ func (c *Controller) recvLoop() {
 			c.mu.Unlock()
 		case protocol.TMasterDone:
 			c.mu.Lock()
-			if c.master == nil {
-				// An in-process master reports for itself (Wait).
-				c.results = slices.Clone(m.Results)
+			c.done = Report{
+				BytesMoved: m.BytesMoved, MakespanSec: m.MakespanSec,
+				TransferPhaseSec: m.TransferPhaseSec, OutputBytes: m.OutputBytes,
 			}
-			c.bytesMoved = m.BytesMoved
-			c.makespan = m.MakespanSec
+			if c.master == nil {
+				c.done.Results = slices.Clone(m.Results)
+			}
 			c.mu.Unlock()
 			c.doneOnce.Do(func() { close(c.doneCh) })
 		}
@@ -306,14 +307,9 @@ func (c *Controller) Wait(ctx context.Context) (Report, error) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	r := Report{
-		Strategy:    c.cfg.Strategy.String(),
-		Results:     c.results,
-		Groups:      len(c.results),
-		BytesMoved:  c.bytesMoved,
-		MakespanSec: c.makespan,
-	}
-	for _, res := range c.results {
+	r := c.done
+	r.Strategy, r.Groups = c.cfg.Strategy.String(), len(r.Results)
+	for _, res := range r.Results {
 		if res.OK {
 			r.Succeeded++
 		} else {

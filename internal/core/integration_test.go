@@ -989,6 +989,59 @@ func TestExecProgramOverTCPTransport(t *testing.T) {
 	<-serveErr
 }
 
+// A controller of a master it does not run (frieda-controller's setup)
+// reports the staging phase's time and the returned output bytes that
+// MASTER_DONE carries: the master's own figures.
+func TestStandaloneMasterReportsStagingAndOutputs(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	tr := transport.NewMem(nil)
+	m, err := NewMaster(MasterConfig{
+		Strategy: strategy.PrePartitionedRemote, Source: sourceWithFiles(4, 100),
+		Transport: tr, Addr: "master", OutputSink: NewMemStore(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- m.Serve(ctx) }()
+	ctl, err := NewController(ControllerConfig{
+		Strategy: strategy.PrePartitionedRemote, Transport: tr, MasterAddr: "master", Workers: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ctl.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	// Each task returns one 12-byte output: 48 bytes in all.
+	prog := FuncProgram(func(ctx context.Context, task Task) (string, error) {
+		return "", task.AddOutput(task.Inputs[0]+".out", strings.NewReader(task.Inputs[0][:8]+".out"))
+	})
+	for i := 0; i < 2; i++ {
+		if _, err := ctl.SpawnWorker(ctx, WorkerConfig{Name: fmt.Sprintf("w%d", i), Cores: 1, Store: NewMemStore(), Program: prog}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r, err := ctl.Wait(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := m.Report()
+	if err := ctl.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	<-serveErr
+	if r.Succeeded != 4 || want.OutputBytes != 48 || want.TransferPhaseSec <= 0 {
+		t.Fatalf("controller report %+v, master report %+v", r, want)
+	}
+	if r.TransferPhaseSec != want.TransferPhaseSec || r.OutputBytes != want.OutputBytes {
+		t.Fatalf("controller reads staging %vs and %d output bytes, the master %vs and %d",
+			r.TransferPhaseSec, r.OutputBytes, want.TransferPhaseSec, want.OutputBytes)
+	}
+}
+
 func TestThrottledTransferContention(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")

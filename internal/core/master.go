@@ -79,13 +79,13 @@ type masterWorker struct {
 	// Worker is the ledger's view. Ready is set once the writer has put the
 	// ACK and the common files on the connection; until then the worker is
 	// not counted towards the expected workers, dealt to or dispatched to.
+	// Held is the files claimed for it, by source-catalogue index.
 	sched.Worker
 	link
 	name        string
 	cores       int
-	outstanding map[int]bool  // dispatched, not yet reported
-	sent        catalog.IDSet // the files claimed for it, by source-catalogue index
-	settled     bool          // a status of this wake freed a slot: in Master.refills
+	outstanding map[int]bool // dispatched, not yet reported
+	settled     bool         // a status of this wake freed a slot: in Master.refills
 }
 
 // outItem is one unit of a writer's work: it sends msg, streams files, then
@@ -128,10 +128,8 @@ type Master struct {
 	workers    map[string]*masterWorker
 	catalogue  *catalog.Catalog
 	groups     []partition.Group
-	// inputs holds every group's files by source-catalogue index, group gi's
-	// at inputs[inputAt[gi]:inputAt[gi+1]].
-	inputs, inputAt []int32
-	// led is the run's lifecycle; it starts once the groups are known.
+	// led is the run's lifecycle and file plan, by source-catalogue index; it
+	// starts once the groups are known.
 	led *sched.Ledger
 	// refills lists the workers this wake's statuses freed slots on; pass is
 	// the outbox batch a dispatch pass builds.
@@ -623,17 +621,13 @@ func (m *Master) commonFiles(w *masterWorker) ([]protocol.FileInfo, error) {
 // dst those that were not already: the ones its writer is to stream.
 func (m *Master) claim(dst []protocol.FileInfo, w *masterWorker, ids []int32) []protocol.FileInfo {
 	for _, id := range ids {
-		if w.sent.Add(id) {
+		if w.Held.Add(id) {
 			f := &m.catalogue.Files()[id]
 			dst = append(dst, protocol.FileInfo{Name: f.Name, Size: f.Size})
 		}
 	}
 	return dst
 }
-
-// inputsOf returns group gi's files by source-catalogue index, parallel to
-// its Files.
-func (m *Master) inputsOf(gi int) []int32 { return m.inputs[m.inputAt[gi]:m.inputAt[gi+1]] }
 
 // maybeStart begins execution once the strategy is known and the expected
 // number of workers arrived. A worker that died, even before it was ready,
@@ -673,14 +667,15 @@ func (m *Master) runStrategy() {
 		return
 	}
 	// Every generator groups the catalogue's own files, so each has an index.
-	m.inputs, m.inputAt = make([]int32, 0, len(m.groups)), make([]int32, len(m.groups)+1)
+	ids, at := make([]int32, 0, len(m.groups)), make([]int32, len(m.groups)+1)
 	for gi, g := range m.groups {
 		for _, f := range g.Files {
 			i, _ := cat.Index(f.Name)
-			m.inputs = append(m.inputs, int32(i))
+			ids = append(ids, int32(i))
 		}
-		m.inputAt[gi+1] = int32(len(m.inputs))
+		at[gi+1] = int32(len(ids))
 	}
+	m.led.Plan(ids, at)
 	workers := m.liveWorkers()
 	m.logf("execution starts: %d groups, %d workers, strategy %s", len(m.groups), len(workers), m.strat)
 	m.results = slices.Grow(m.results, len(m.groups))
@@ -735,7 +730,7 @@ func (m *Master) stagingItem(w *masterWorker, all []int32) outItem {
 	}
 	var files []protocol.FileInfo
 	for _, gi := range w.Backlog {
-		files = m.claim(files, w, m.inputsOf(gi))
+		files = m.claim(files, w, m.led.Inputs(gi))
 	}
 	return outItem{
 		msg:   &protocol.Message{Type: protocol.TDistribute, Files: files, Groups: slices.Clone(w.Backlog)},
@@ -773,23 +768,10 @@ func (m *Master) dispatchAll() {
 // dispatch hands the worker as much work as its window allows: each group
 // it reserves is one item of one batch put to the worker's outbox.
 func (m *Master) dispatch(w *masterWorker) {
-	// Under compute-to-data placement a group is resident when every file of
-	// it is already on the worker.
-	var resident func(gi int) bool
-	if m.strat.Placement == strategy.ComputeToData {
-		resident = func(gi int) bool {
-			for _, id := range m.inputsOf(gi) {
-				if !w.sent.Has(id) {
-					return false
-				}
-			}
-			return true
-		}
-	}
 	fetches := m.strat.Fetches()
 	pass := m.pass
 	for {
-		gi, ok := m.led.Next(&w.Worker, resident)
+		gi, ok := m.led.Next(&w.Worker)
 		if !ok {
 			break
 		}
@@ -810,13 +792,13 @@ func (m *Master) dispatch(w *masterWorker) {
 // claimGroup claims the files of it's group, gi, that the worker has not
 // been sent, for the writer to stream ahead of the group's EXECUTE.
 func (m *Master) claimGroup(w *masterWorker, it *outItem, gi int) {
-	ids := m.inputsOf(gi)
+	ids := m.led.Inputs(gi)
 	if len(ids) > 64 {
 		it.files = m.claim(nil, w, ids)
 		return
 	}
 	for i, id := range ids {
-		if w.sent.Add(id) {
+		if w.Held.Add(id) {
 			it.send |= 1 << i
 		}
 	}
@@ -908,10 +890,12 @@ func (m *Master) checkDone() {
 	}
 	if m.controller != nil {
 		m.controller.out.put(outItem{msg: &protocol.Message{
-			Type:        protocol.TMasterDone,
-			Results:     append([]protocol.TaskResult(nil), m.results...),
-			BytesMoved:  m.bytesMoved.Load(),
-			MakespanSec: m.finishedAt.Sub(m.startedAt).Seconds(),
+			Type:             protocol.TMasterDone,
+			Results:          append([]protocol.TaskResult(nil), m.results...),
+			BytesMoved:       m.bytesMoved.Load(),
+			MakespanSec:      m.finishedAt.Sub(m.startedAt).Seconds(),
+			TransferPhaseSec: m.stagingSec,
+			OutputBytes:      m.outputBytes,
 		}})
 	}
 	m.logf("all %d groups terminal", len(m.groups))

@@ -649,12 +649,14 @@ func TestClaimGroupPastSixtyFourFiles(t *testing.T) {
 	for i := 0; i < 70; i++ {
 		cat.MustAdd(catalog.FileMeta{Name: fmt.Sprintf("f%02d", i), Size: int64(i)})
 	}
-	m := &Master{catalogue: cat, inputAt: []int32{0, 70}}
+	var ids []int32
 	for i := 69; i >= 0; i-- {
-		m.inputs = append(m.inputs, int32(i))
+		ids = append(ids, int32(i))
 	}
+	m := &Master{catalogue: cat, led: sched.NewLedger(false, 0)}
+	m.led.Plan(ids, []int32{0, 70})
 	w := &masterWorker{}
-	w.sent.Add(3)
+	w.Held.Add(3)
 	var it outItem
 	m.claimGroup(w, &it, 0)
 	var want []protocol.FileInfo
@@ -666,8 +668,8 @@ func TestClaimGroupPastSixtyFourFiles(t *testing.T) {
 	if it.send != 0 || !slices.Equal(it.files, want) {
 		t.Fatalf("send mask %x, files %v; want files %v", it.send, it.files, want)
 	}
-	if w.sent.Len() != 70 {
-		t.Fatalf("%d files claimed, want 70", w.sent.Len())
+	if w.Held.Len() != 70 {
+		t.Fatalf("%d files claimed, want 70", w.Held.Len())
 	}
 	var again outItem
 	if m.claimGroup(w, &again, 0); again.send != 0 || len(again.files) != 0 {

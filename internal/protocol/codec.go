@@ -89,6 +89,8 @@ const (
 	fieldExecutes
 	fieldBytesMoved
 	fieldMakespanSec
+	fieldTransferPhaseSec
+	fieldOutputBytes
 	fieldError
 	fieldSeq
 	fieldsAll = 1<<iota - 1
@@ -583,6 +585,12 @@ func appendBody(b []byte, m *Message) []byte {
 	if has(fieldMakespanSec, m.MakespanSec != 0) {
 		b = appendFloat(b, m.MakespanSec)
 	}
+	if has(fieldTransferPhaseSec, m.TransferPhaseSec != 0) {
+		b = appendFloat(b, m.TransferPhaseSec)
+	}
+	if has(fieldOutputBytes, m.OutputBytes != 0) {
+		b = binary.AppendVarint(b, m.OutputBytes)
+	}
 	if has(fieldError, m.Error != "") {
 		b = appendString(b, m.Error)
 	}
@@ -884,6 +892,12 @@ func (d *decoder) message(m *Message) {
 	}
 	if mask&fieldMakespanSec != 0 {
 		m.MakespanSec = d.float()
+	}
+	if mask&fieldTransferPhaseSec != 0 {
+		m.TransferPhaseSec = d.float()
+	}
+	if mask&fieldOutputBytes != 0 {
+		m.OutputBytes = d.varint()
 	}
 	if mask&fieldError != 0 {
 		m.Error = d.str()

@@ -130,6 +130,9 @@ func sample(t Type, rng *rand.Rand) *Message {
 		m.BytesMoved, m.MakespanSec = wide(), float()
 	}
 	if some() {
+		m.TransferPhaseSec, m.OutputBytes = float(), wide()
+	}
+	if some() {
 		m.Seq = rng.Uint64()
 	}
 	return m
@@ -169,7 +172,7 @@ func typical() []*Message {
 		{Type: TTaskStatus, Result: TaskResult{GroupIndex: 7, Worker: "w0", Error: "core: blastp: exit status 1", DurationSec: 0.5, Output: "no hits"}},
 		{Type: TTaskStatus, Worker: "w0", Results: results},
 		{Type: TNoMoreData},
-		{Type: TMasterDone, Results: results, BytesMoved: 3<<20 + 1<<10, MakespanSec: 12.5},
+		{Type: TMasterDone, Results: results, BytesMoved: 3<<20 + 1<<10, MakespanSec: 12.5, TransferPhaseSec: 0.25, OutputBytes: 48},
 		{Type: TExecuteBatch, Executes: []ExecuteSpec{{GroupIndex: 7, Files: files}, {GroupIndex: 8, Files: files[:1]}}},
 	}
 }
@@ -993,6 +996,9 @@ func FuzzCodecRecv(f *testing.F) {
 	f.Add(controlFrame(byte(TExecute), fieldFiles, 0xff, 0xff, 0x03, 1, 'a', 0))
 	f.Add(controlFrame(byte(TAck), fieldsAll+1))
 	f.Add(controlFrame(byte(TAck), fieldSeq, 7, 0))
+	// A MASTER_DONE with only the staging time, 0.25 s, and 48 returned
+	// bytes.
+	f.Add(controlFrame(byte(TMasterDone), fieldTransferPhaseSec|fieldOutputBytes, 0, 0, 0, 0, 0, 0, 0xd0, 0x3f, 0x60))
 	f.Fuzz(func(t *testing.T, in []byte) {
 		c := NewCodec(struct {
 			io.Reader

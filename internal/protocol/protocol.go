@@ -198,9 +198,13 @@ type Message struct {
 	Results []TaskResult
 	// Executes carries a dispatch batch (TExecuteBatch).
 	Executes []ExecuteSpec
-	// BytesMoved and MakespanSec summarise the run (TMasterDone).
-	BytesMoved  int64
-	MakespanSec float64
+	// BytesMoved, MakespanSec, TransferPhaseSec (the staging phase's wall
+	// time) and OutputBytes (the result bytes workers returned) summarise
+	// the run (TMasterDone).
+	BytesMoved       int64
+	MakespanSec      float64
+	TransferPhaseSec float64
+	OutputBytes      int64
 
 	// Error carries failure detail (TWorkerError, negative TAck).
 	Error string

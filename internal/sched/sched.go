@@ -1,11 +1,14 @@
 // Package sched is the run lifecycle both executors share: the queue, each
-// group's spent attempts, the terminal count, and the rules over them — the
-// start and its pre-partition deal, the staging barrier, the pick within a
-// worker's window, a settle, a lost attempt, a drain and its release, a
-// death and the stall. A Ledger has no clock, no I/O, no lock and no
-// allocation per worker or task: the real master (internal/core) calls it
-// on its event loop, the simulator (internal/simrun) on the engine
-// goroutine. Each executor keeps its attempt records, results and I/O.
+// group's spent attempts, the terminal count, the run's file plan (each
+// group's input file ids), and the rules over them — the start and its
+// pre-partition deal, the staging barrier, the pick within a worker's window
+// (compute-to-data placement's from the plan and what the worker holds), a
+// settle, a lost attempt, a drain and its release, a death and the stall. A
+// Ledger has no clock, no I/O, no lock and no allocation per worker or task:
+// the real master (internal/core) calls it on its event loop, the simulator
+// (internal/simrun) on the engine goroutine. Each executor keeps its attempt
+// records, results and I/O, and writes each worker's Held as files are
+// claimed, land, are lost or are repaired.
 package sched
 
 import (
@@ -13,6 +16,7 @@ import (
 	"math"
 	"slices"
 
+	"frieda/internal/catalog"
 	"frieda/internal/partition"
 	"frieda/internal/strategy"
 )
@@ -27,10 +31,14 @@ const MaxSlots = math.MaxInt32 / strategy.MaxPrefetch
 
 // Worker is the ledger's view of a worker, embedded in each executor's own.
 // The ledger writes its flags, and counts them; an executor may only clear
-// Ready, while the worker re-stages (Arrive sets it again).
+// Ready, while the worker re-stages (Arrive sets it again), and write Held.
 type Worker struct {
 	// Backlog holds groups dealt to the worker and not yet dispatched.
 	Backlog []int
+	// Held is the files the worker holds or was sent, by the plan's ids. The
+	// executor writes it (claims, landings, losses, repairs), and the
+	// compute-to-data pick reads it.
+	Held catalog.IDSet
 	// Ready: may be dispatched to (Arrive). Draining: finishes what it holds
 	// and takes nothing new (Drain). Dead: gone (Kill, Die) or released.
 	Ready, Draining, Dead bool
@@ -52,8 +60,8 @@ func (w *Worker) InFlight() int { return int(w.inFlight) }
 // Window is the most groups the worker may have in flight, clones apart.
 func (w *Worker) Window() int { return int(w.window) }
 
-// Ledger is one run's lifecycle: Join every worker as it registers, and
-// Start the ledger once the groups are known.
+// Ledger is one run's lifecycle: Join every worker as it registers, give it
+// the file plan (Plan), and Start the ledger once the groups are known.
 type Ledger struct {
 	recover    bool
 	maxRetries int
@@ -68,6 +76,9 @@ type Ledger struct {
 	live, arrived, stages int
 	// windows sums the live workers' windows, for the tail rule (open).
 	windows int
+	// inputs holds every group's file ids, group gi's at
+	// inputs[inputAt[gi]:inputAt[gi+1]] (Plan).
+	inputs, inputAt []int32
 }
 
 // NewLedger returns an unstarted ledger. Under recover a lost attempt is
@@ -100,6 +111,14 @@ func (l *Ledger) Join(w *Worker, slots int) error {
 	l.windows += int(w.window)
 	return nil
 }
+
+// Plan gives the ledger the run's file plan: group gi's input file ids are
+// inputs[at[gi]:at[gi+1]], in the order of its files. The ledger keeps both
+// slices and only reads them.
+func (l *Ledger) Plan(inputs, at []int32) { l.inputs, l.inputAt = inputs, at }
+
+// Inputs returns group gi's input file ids, from the plan, for reading only.
+func (l *Ledger) Inputs(gi int) []int32 { return l.inputs[l.inputAt[gi]:l.inputAt[gi+1]] }
 
 // Start begins the run under s on groups 0..n-1 and fixes every window
 // from s, a real-time Prefetch of 0 resolved by s.ForJob from the groups'
@@ -245,12 +264,12 @@ func (l *Ledger) open(w *Worker) bool {
 		(w.inFlight < w.slots || len(l.queue) > l.windows-int(w.window))
 }
 
-// Next is the pick: w's backlog head, else the queue head — or, with a
-// non-nil resident (compute-to-data placement), the first queued group it
-// reports as wholly on w. The group counts as in flight on w until Settle.
-// False when w may not take one now (open, with its tail rule) or there is
-// none. resident is only called, so a closure stays on the caller's stack.
-func (l *Ledger) Next(w *Worker, resident func(gi int) bool) (int, bool) {
+// Next is the pick: w's backlog head, else the queue head — or, under
+// compute-to-data placement, the first queued group whose inputs (Plan) are
+// all in w.Held, else the head. The group counts as in flight on w until
+// Settle. False when w may not take one now (open, with its tail rule) or
+// there is none.
+func (l *Ledger) Next(w *Worker) (int, bool) {
 	if !l.open(w) {
 		return 0, false
 	}
@@ -259,7 +278,7 @@ func (l *Ledger) Next(w *Worker, resident func(gi int) bool) (int, bool) {
 	case len(w.Backlog) > 0:
 		gi = popAt(&w.Backlog, 0)
 	case len(l.queue) > 0:
-		gi = popAt(&l.queue, pick(l.queue, resident))
+		gi = popAt(&l.queue, l.pick(w))
 	default:
 		return 0, false
 	}
@@ -268,7 +287,8 @@ func (l *Ledger) Next(w *Worker, resident func(gi int) bool) (int, bool) {
 }
 
 // Head is what a FIFO Next would take for w, without taking it: false
-// exactly when Next without a resident predicate would be.
+// exactly when Next would be. Under compute-to-data placement Next may take
+// a later group of the queue instead.
 func (l *Ledger) Head(w *Worker) (int, bool) {
 	switch {
 	case !l.open(w):
@@ -394,15 +414,21 @@ func (l *Ledger) Rebuild(pending []int) {
 	l.queue = pending
 }
 
-// pick returns the index in the non-empty queue of the group to take: the
-// first resident one, else the head.
-func pick(queue []int, resident func(gi int) bool) int {
-	if resident != nil {
-		for qi, gi := range queue {
-			if resident(gi) {
-				return qi
+// pick returns the index in the non-empty queue of the group w takes: under
+// compute-to-data placement the first whose inputs are all in w.Held, else
+// the head.
+func (l *Ledger) pick(w *Worker) int {
+	if l.strat.Placement != strategy.ComputeToData {
+		return 0
+	}
+queued:
+	for qi, gi := range l.queue {
+		for _, id := range l.Inputs(gi) {
+			if !w.Held.Has(id) {
+				continue queued
 			}
 		}
+		return qi
 	}
 	return 0
 }

@@ -14,25 +14,31 @@ import (
 // because templates always re-derive every hit in `friedabench -exp
 // ctrlplane`, which CI diffs across runs and pool widths, the simulator's
 // control plane on every template hit. That CI guard is the integration
-// harness; this table pins the function itself.
+// harness; this table pins the pick over the plan and what the worker holds.
 func TestPick(t *testing.T) {
-	residentSet := func(gis ...int) func(int) bool {
-		return func(gi int) bool { return slices.Contains(gis, gi) }
-	}
+	// Groups 0–3 read files {0}, {1, 2}, {2, 3} and {3}; 1, 2, 3 are queued.
+	plan, at := []int32{0, 1, 2, 2, 3, 3}, []int32{0, 1, 3, 5, 6}
 	cases := []struct {
-		name     string
-		queue    []int
-		resident func(int) bool
-		want     int
+		name      string
+		placement strategy.Placement
+		held      []int32
+		want      int
 	}{
-		{"FIFO takes the head and never asks", []int{7, 8, 9}, nil, 0},
-		{"c2d hit at the head", []int{7, 8, 9}, residentSet(7, 9), 0},
-		{"c2d hit in the middle", []int{7, 8, 9}, residentSet(8, 9), 1},
-		{"c2d hit at the tail", []int{7, 8, 9}, residentSet(9), 2},
-		{"c2d nothing resident falls back to the head", []int{7, 8, 9}, residentSet(), 0},
+		{"data-to-compute takes the head", strategy.DataToCompute, []int32{3}, 0},
+		{"c2d hit at the head", strategy.ComputeToData, []int32{1, 2, 3}, 0},
+		{"c2d hit in the middle", strategy.ComputeToData, []int32{2, 3}, 1},
+		{"c2d hit at the tail, past a group held in part", strategy.ComputeToData, []int32{3}, 2},
+		{"c2d groups held only in part fall back to the head", strategy.ComputeToData, []int32{2}, 0},
+		{"c2d nothing held falls back to the head", strategy.ComputeToData, nil, 0},
 	}
 	for _, tc := range cases {
-		if got := pick(tc.queue, tc.resident); got != tc.want {
+		l := &Ledger{queue: []int{1, 2, 3}, strat: strategy.Config{Kind: strategy.RealTime, Placement: tc.placement}}
+		l.Plan(plan, at)
+		w := &Worker{}
+		for _, id := range tc.held {
+			w.Held.Add(id)
+		}
+		if got := l.pick(w); got != tc.want {
 			t.Errorf("%s: pick = %d, want %d", tc.name, got, tc.want)
 		}
 	}
@@ -69,15 +75,22 @@ func TestPopAt(t *testing.T) {
 }
 
 // The pick runs once per dispatched task in both executors, under the real
-// master's mutex: a predicate that captures its caller's state must stay on
-// the stack.
+// master's mutex: its scan over the plan and the worker's held set, and the
+// pop that follows, must not allocate.
 func TestPickDoesNotAllocate(t *testing.T) {
+	// Group gi reads file gi; only the group near the tail is held.
+	l := &Ledger{strat: strategy.Config{Kind: strategy.RealTime, Placement: strategy.ComputeToData}}
+	l.Plan([]int32{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, []int32{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
 	queue := []int{3, 1, 4, 1, 5, 9, 2, 6}
-	has := map[int]bool{2: true}
+	w := &Worker{}
+	w.Held.Add(2)
 	var sink int
 	allocs := testing.AllocsPerRun(1000, func() {
-		q := queue
-		sink += popAt(&q, pick(q, func(gi int) bool { return has[gi] }))
+		l.queue = queue
+		if gi := popAt(&l.queue, l.pick(w)); gi != 2 {
+			t.Fatalf("pick took %d, want the held 2", gi)
+		}
+		sink++
 		copy(queue, []int{3, 1, 4, 1, 5, 9, 2, 6}) // undo the in-place shift
 	})
 	if allocs != 0 {
@@ -88,20 +101,22 @@ func TestPickDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// Next with a compute-to-data predicate is what both executors call per
-// dispatch; the closure and the ledger's own bookkeeping must not allocate.
+// Next under compute-to-data placement is what both executors call per
+// dispatch: the pick's scan and the ledger's own bookkeeping must not
+// allocate.
 func TestNextDoesNotAllocate(t *testing.T) {
 	// Every pick is settled and requeued at once, under an unbounded budget,
-	// so the queue keeps its length and its array.
+	// so the queue keeps its length and its array. Group gi reads file gi.
 	l := NewLedger(true, 1<<30)
 	w := &Worker{}
 	l.Join(w, 1)
-	l.Start(strategy.Config{Kind: strategy.RealTime, Prefetch: 1}, 8, nil, nil)
+	l.Plan([]int32{0, 1, 2, 3, 4, 5, 6, 7}, []int32{0, 1, 2, 3, 4, 5, 6, 7, 8})
+	l.Start(strategy.Config{Kind: strategy.RealTime, Placement: strategy.ComputeToData, Prefetch: 1}, 8, nil, nil)
 	l.Arrive(w)
-	has := map[int]bool{5: true}
+	w.Held.Add(5)
 	var sink int
 	allocs := testing.AllocsPerRun(1000, func() {
-		gi, ok := l.Next(w, func(gi int) bool { return has[gi] })
+		gi, ok := l.Next(w)
 		if !ok || gi != 5 {
 			t.Fatalf("Next = %d, %v; want the resident 5", gi, ok)
 		}
@@ -133,7 +148,7 @@ func TestLifecycle(t *testing.T) {
 	l.Arrive(b)
 	l.Stage(a)
 	l.Stage(b)
-	if _, ok := l.Next(a, nil); ok {
+	if _, ok := l.Next(a); ok {
 		t.Fatal("a pick while staging items are open")
 	}
 	if l.Staged(a) || l.Staged(a) {
@@ -143,14 +158,14 @@ func TestLifecycle(t *testing.T) {
 		t.Fatal("the last item did not end the phase")
 	}
 	for range 2 {
-		if _, ok := l.Next(a, nil); !ok {
+		if _, ok := l.Next(a); !ok {
 			t.Fatal("a refused below its window")
 		}
 	}
 	if _, ok := l.Head(a); ok {
 		t.Fatal("Head offers a pick past the window")
 	}
-	if _, ok := l.Next(a, nil); ok {
+	if _, ok := l.Next(a); ok {
 		t.Fatal("a pick past the window")
 	}
 	l.Clone(a)
@@ -191,7 +206,7 @@ func TestTailRule(t *testing.T) {
 		for _, w := range ws {
 			l.Arrive(w)
 			for {
-				if _, ok := l.Next(w, nil); !ok {
+				if _, ok := l.Next(w); !ok {
 					break
 				}
 			}
@@ -214,12 +229,12 @@ func TestTailRule(t *testing.T) {
 	// A settle past the slots is not refilled while the queue holds no more
 	// than the other's window; the one that frees a slot is.
 	l.Settle(ws[0])
-	if _, ok := l.Next(ws[0], nil); ok {
+	if _, ok := l.Next(ws[0]); ok {
 		t.Fatal("a pick past the slots with the queue down to the other's window")
 	}
 	l.Settle(ws[0])
 	l.Settle(ws[0])
-	if gi, ok := l.Next(ws[0], nil); !ok || gi != 5 {
+	if gi, ok := l.Next(ws[0]); !ok || gi != 5 {
 		t.Fatalf("Next = %d, %v on a free slot; want the queue head 5", gi, ok)
 	}
 	// A lone worker has nobody to leave groups to: it fills its window to
@@ -317,9 +332,12 @@ func ledgerSeed(nw, n, retries, slots int, recoverOn, c2d, prePartition, realTim
 // interleavings of start (and its deal), join, arrive, next, ok, fail,
 // drain, die, stage, staged, clone and kill over 1–8 workers, with Recover
 // on and off — running the stall rule after every event as both executors'
-// completion checks do. After every operation it holds the ledger to: every
-// started group is in exactly one of the queue, one backlog, in flight or
-// terminal, and terminal once; no worker passes its window except by a
+// completion checks do. A pick claims its group's inputs for the worker
+// (Held), as a fetching executor does. Every pick is the backlog head, else
+// — under compute-to-data placement — the first queued group whose inputs
+// are all in Held, else the queue head. After every operation it holds the
+// ledger to: every started group is in exactly one of the queue, one
+// backlog, in flight or terminal, and terminal once; no worker passes its window except by a
 // clone; past its slots a worker is handed a group only while the queue
 // holds more than the other live workers' windows (the tail rule); nothing
 // is handed out while a staging item is open, or to a worker that is not
@@ -401,6 +419,11 @@ func FuzzLedger(f *testing.F) {
 		ledgerOp(opStart, 0), ledgerOp(opNext, 0), ledgerOp(opNext, 1), ledgerOp(opArrive, 1),
 		ledgerOp(opDrain, 1), ledgerOp(opNext, 1), ledgerOp(opArrive, 0), ledgerOp(opNext, 0)))
 	f.Add([]byte{0xff, 0xff, 0xff, 0x13, 0x2b, 0x3c, 0x45, 0x5e, 0x67, 0x70, 0x89, 0x9a, 0xab})
+	// Compute-to-data past a group held only in part: after group 0 (file 0)
+	// the pick skips group 5 (files 0 and 1) for group 10 (file 0).
+	f.Add(ledgerSeed(1, 12, 0, 1, false, true, false, true,
+		ledgerOp(opStart, 0), ledgerOp(opArrive, 0), ledgerOp(opNext, 0), ledgerOp(opNext, 0),
+		ledgerOp(opOK, 0), ledgerOp(opNext, 0)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
@@ -415,13 +438,35 @@ func FuzzLedger(f *testing.F) {
 		case h&64 != 0:
 			strat = strategy.Config{Kind: strategy.RealTime, Prefetch: 2}
 		}
+		if c2d {
+			strat.Placement = strategy.ComputeToData
+		}
 		n := 1 + int(data[1])%32
+		// The plan: group gi reads file gi%5, and an odd one file (gi+1)%5 too,
+		// so groups share files and a worker may hold one in part.
+		plan, at := make([]int32, 0, 2*n), make([]int32, n+1)
+		for gi := range n {
+			plan = append(plan, int32(gi%5))
+			if gi%2 == 1 {
+				plan = append(plan, int32((gi+1)%5))
+			}
+			at[gi+1] = int32(len(plan))
+		}
+		held := func(w *Worker, gi int) bool {
+			for _, id := range plan[at[gi]:at[gi+1]] {
+				if !w.Held.Has(id) {
+					return false
+				}
+			}
+			return true
+		}
 		retries, slots := int(data[2])%4, 1+int(data[2]>>2)%4
 		budget := retries
 		if budget == 0 {
 			budget = DefaultMaxRetries
 		}
 		l := NewLedger(recoverOn, retries)
+		l.Plan(plan, at)
 		var workers []*Worker
 		// Per worker, the executor's record: its attempts in flight (clones
 		// apart), its open staging items, whether it was ever heard from, and
@@ -573,17 +618,24 @@ func FuzzLedger(f *testing.F) {
 					heard[wi] = true
 				}
 			case opNext:
-				resident := func(gi int) bool { return gi%len(workers) == wi }
-				if !c2d {
-					resident = nil
+				want, headOK := l.Head(w)
+				if c2d && len(w.Backlog) == 0 {
+					for _, gi := range l.Queue() {
+						if held(w, gi) {
+							want = gi
+							break
+						}
+					}
 				}
-				head, headOK := l.Head(w)
 				past, queued := w.InFlight() >= int(w.slots), len(l.Queue())
-				gi, ok := l.Next(w, resident)
-				if ok != headOK || (ok && resident == nil && gi != head) {
-					t.Fatalf("Head = %d, %v but Next = %d, %v", head, headOK, gi, ok)
+				gi, ok := l.Next(w)
+				if ok != headOK || (ok && gi != want) {
+					t.Fatalf("Next = %d, %v; want %d, %v (compute-to-data %v)", gi, ok, want, headOK, c2d)
 				}
 				if ok {
+					for _, id := range l.Inputs(gi) {
+						w.Held.Add(id)
+					}
 					if !w.Ready || w.Draining || w.Dead || open > 0 {
 						t.Fatalf("picked group %d for worker %d: ready %v, draining %v, dead %v, %d staging items open", gi, wi, w.Ready, w.Draining, w.Dead, open)
 					}

@@ -96,7 +96,7 @@ func (c *ctrlHook) decide(w *simWorker) bool {
 	}
 	// A hit too takes the slow path's pick, and must have cached the same
 	// one (the replay property). Head checked that w can take work.
-	gi, _ := r.next(w)
+	gi, _ := r.led.Next(&w.Worker)
 	if hit && gi != head {
 		panic(fmt.Sprintf("simrun: template check failed on %s: cached head pick %d, slow path picks %d", w.name, head, gi))
 	}

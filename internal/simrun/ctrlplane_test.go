@@ -254,7 +254,7 @@ func BenchmarkCtrlPlaneDecide(b *testing.B) {
 
 	b.Run("slow-scan", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			gi, ok := r.next(w)
+			gi, ok := r.led.Next(&w.Worker)
 			if !ok {
 				b.Fatal("empty queue")
 			}
@@ -263,6 +263,11 @@ func BenchmarkCtrlPlaneDecide(b *testing.B) {
 		}
 	})
 
+	// The template's head pop: with every file on the worker, the pick stops
+	// at the head.
+	for f := range int32(len(r.sizes)) {
+		w.Held.Add(f)
+	}
 	cache := ctrlplane.NewCache()
 	key := ctrlplane.Key{Worker: w.name, Class: "queue"}
 	cache.Install(key, ctrlplane.Decision{PickHead: true, SourceMaster: true})
@@ -271,7 +276,7 @@ func BenchmarkCtrlPlaneDecide(b *testing.B) {
 			if _, ok := cache.Lookup(key); !ok {
 				b.Fatal("unexpected miss")
 			}
-			gi, _ := r.led.Next(&w.Worker, nil)
+			gi, _ := r.led.Next(&w.Worker)
 			r.led.Settle(&w.Worker)
 			r.led.Fail(gi)
 		}

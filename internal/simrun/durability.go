@@ -169,7 +169,7 @@ func (d *durabilityHook) fetched(att *taskAttempt, i int) {
 	}
 	// Re-assert the claim: a disk wipe mid-transfer cleared it, and the
 	// bytes just landed on the fresh media.
-	w.has.Add(f)
+	w.Held.Add(f)
 	d.r.noteStaged(f, w)
 	d.fetchFrom(att, i+1)
 }
@@ -201,8 +201,8 @@ func (d *durabilityHook) readFails(w *simWorker, att *taskAttempt) bool {
 	}
 	// bad comes off the recycled file slices: read errors recur all run.
 	bad := r.takeFiles()
-	for _, f := range r.inputsOf(att.task) {
-		if w.has.Remove(f) {
+	for _, f := range r.led.Inputs(att.task) {
+		if w.Held.Remove(f) {
 			bad = append(bad, f)
 		}
 	}
@@ -230,7 +230,7 @@ func (d *durabilityHook) readFailedMaster(w *simWorker, att *taskAttempt, bad []
 		d.repRemove(f, w)
 	}
 	r.putFiles(bad)
-	for _, f := range r.inputsOf(att.task) {
+	for _, f := range r.led.Inputs(att.task) {
 		if !d.sourceExists(f) {
 			d.markFileLost(f)
 		}
@@ -433,7 +433,7 @@ func (d *durabilityHook) startRepair(f int32) {
 	}
 	var dst *simWorker
 	for _, o := range r.workers {
-		if !o.Ready || !o.Live() || o.has.Has(f) || o.vm.Host().Down().Failed() {
+		if !o.Ready || !o.Live() || o.Held.Has(f) || o.vm.Host().Down().Failed() {
 			continue
 		}
 		if dst == nil || o.vm.Host().Down().ActiveFlows() < dst.vm.Host().Down().ActiveFlows() {
@@ -521,7 +521,7 @@ func (job *repairJob) Fire() {
 		d.freeJob(job)
 		return
 	}
-	job.dst.has.Add(job.file)
+	job.dst.Held.Add(job.file)
 	if r.offline {
 		// The copy physically landed; the master learns of it on recovery.
 		r.hold(job.noted)
@@ -599,8 +599,8 @@ func (d *durabilityHook) diskDied(w *simWorker) {
 		return
 	}
 	d.tr.Instant(w.name, "fault", "disk-died", nil)
-	files := w.has.Append(nil) // in id order, which is name order
-	w.has.Clear()
+	files := w.Held.Append(nil) // in id order, which is name order
+	w.Held.Clear()
 	if r.offline {
 		// The bytes are physically gone now; the master reacts on recovery.
 		r.hold(func() { d.diskDiedMaster(w, files) })

@@ -106,7 +106,7 @@ func TestRepairRestoresReplicationFactor(t *testing.T) {
 	// Every workload file must have reached the target factor: the run was
 	// long enough (80 s of compute vs 1 s scans) for repair to drain.
 	for gi, task := range wl.Tasks {
-		if f, n := task.Files[0].Name, r.replicas.CountID(r.inputsOf(gi)[0]); n < 2 {
+		if f, n := task.Files[0].Name, r.replicas.CountID(r.led.Inputs(gi)[0]); n < 2 {
 			t.Errorf("file %s at %d replicas, want >= 2", f, n)
 		}
 	}
@@ -366,7 +366,7 @@ func fullBudgetRepair(tb testing.TB, n int) *durabilityHook {
 	m := durabilityOf(r)
 	m.start()
 	for i := range wl.Tasks {
-		f := r.inputsOf(i)[0]
+		f := r.led.Inputs(i)[0]
 		r.replicas.AddID(f, w.node)
 		if i < r.cfg.Durability.MaxConcurrentRepairs {
 			m.active[f] = &repairJob{file: f, dst: w}
@@ -437,7 +437,7 @@ func TestRepairAbortedBeforeItsReport(t *testing.T) {
 	d := durabilityOf(r)
 	d.start()
 	d.ticker.Cancel() // the test starts the repairs itself
-	f0, f1 := r.inputsOf(0)[0], r.inputsOf(1)[0]
+	f0, f1 := r.led.Inputs(0)[0], r.led.Inputs(1)[0]
 	cluster.Network().FailLink(vms[0].Host().Up())
 
 	d.startRepair(f0)

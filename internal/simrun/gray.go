@@ -130,8 +130,8 @@ func (g *grayHook) dispatch(w *simWorker, att *taskAttempt) {
 	if !g.r.cfg.Strategy.Fetches() {
 		return
 	}
-	for _, f := range g.r.inputsOf(att.task) {
-		if !w.has.Has(f) {
+	for _, f := range g.r.led.Inputs(att.task) {
+		if !w.Held.Has(f) {
 			att.claimed = append(att.claimed, f)
 		}
 	}
@@ -373,7 +373,7 @@ func (g *grayHook) cancel(w *simWorker, att *taskAttempt) {
 		att.stage = nil
 		for _, f := range att.claimed {
 			if !r.replicas.HasID(f, w.node) {
-				w.has.Remove(f)
+				w.Held.Remove(f)
 			}
 		}
 	}

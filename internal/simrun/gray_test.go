@@ -232,7 +232,7 @@ func TestSpeculationOnLostInput(t *testing.T) {
 	}
 	primary := sw.inflight[0]
 	cluster.FailDisk(sw.vm) // the only copy of the task's input
-	if !durabilityOf(r).lost[r.inputsOf(0)[0]] {
+	if !durabilityOf(r).lost[r.led.Inputs(0)[0]] {
 		t.Fatal("disk death did not lose the task's input")
 	}
 	g.maybeSpeculate(sw)

@@ -169,7 +169,7 @@ func TestBestSourcePrefersHealthyReplica(t *testing.T) {
 	w0 := r.AddWorker(vms[1])
 	w1 := r.AddWorker(vms[2])
 	w2 := r.AddWorker(vms[3])
-	f, g := r.inputsOf(0)[0], r.inputsOf(1)[0]
+	f, g := r.led.Inputs(0)[0], r.led.Inputs(1)[0]
 
 	// No replica anywhere: fall back to the master.
 	if src := r.source(w0, []int32{f}, 2); src != vms[0] {

@@ -71,14 +71,12 @@ type Runner struct {
 	replicas *catalog.Replicas
 	// The run's files are dense ids, interned once by NewRunner in name
 	// order (internFiles), so id order is name order: common is the common
-	// dataset's, and task gi's inputs are inputs[inputAt[gi]:inputAt[gi+1]],
-	// parallel to its Files. Ids index the replica map, the workers' disks,
-	// sizes and the plug-ins' per-file state; names return only at the
-	// edge: the journal, traces and DumpReplicas.
-	common  int32
-	inputs  []int32
-	inputAt []int32
-	sizes   []float64
+	// dataset's, and task gi's inputs are led.Inputs(gi), parallel to its
+	// Files. Ids index the replica map, the workers' disks (Held), sizes and
+	// the plug-ins' per-file state; names return only at the edge: the
+	// journal, traces and DumpReplicas.
+	common int32
+	sizes  []float64
 	// rng jitters retry backoff; non-nil only with NetFaults (the retry
 	// ladder), and consumed only on retries.
 	rng *rand.Rand
@@ -152,12 +150,12 @@ type Runner struct {
 // simWorker is the simulated execution-plane worker.
 type simWorker struct {
 	// Worker is the ledger's view; Ready means the common data is staged,
-	// and its in-flight count covers the transfer→compute pipeline.
+	// its in-flight count covers the transfer→compute pipeline, and Held is
+	// the file ids on its disk or claimed for it.
 	sched.Worker
 	vm       *cloud.VM
 	name     string
 	disk     *storage.Volume
-	has      catalog.IDSet // the file ids on its disk
 	cores    sim.Resource
 	inflight map[int]*taskAttempt // admitted attempts; nil until the first dispatch
 	// speed is the compute-rate factor (1 = provisioned); straggler
@@ -257,19 +255,19 @@ func NewRunner(cluster *cloud.Cluster, master *cloud.VM, cfg Config, wl Workload
 
 // internFiles gives the common dataset and every distinct task input one
 // file id, in name order, registers them with the replica map, and lays out
-// each task's input ids and every file's size. Workloads that list their
-// inputs in ascending name order, each once (numbered files, one or two a
-// task), take the ids in listing order; any other is sorted, deduplicated
-// and searched.
+// each task's input ids, as the ledger's file plan, and every file's size.
+// Workloads that list their inputs in ascending name order, each once
+// (numbered files, one or two a task), take the ids in listing order; any
+// other is sorted, deduplicated and searched.
 func (r *Runner) internFiles() {
 	tasks := r.wl.Tasks
-	r.inputAt = make([]int32, len(tasks)+1)
+	at := make([]int32, len(tasks)+1)
 	total := 0
 	for gi, t := range tasks {
-		r.inputAt[gi] = int32(total)
+		at[gi] = int32(total)
 		total += len(t.Files)
 	}
-	r.inputAt[len(tasks)] = int32(total)
+	at[len(tasks)] = int32(total)
 	names := make([]string, 0, total+1)
 	ascending := true
 	for _, t := range tasks {
@@ -278,16 +276,16 @@ func (r *Runner) internFiles() {
 			names = append(names, f.Name)
 		}
 	}
-	r.inputs = make([]int32, total)
+	ids := make([]int32, total)
 	if ascending {
-		for k := range r.inputs {
-			r.inputs[k] = int32(k)
+		for k := range ids {
+			ids[k] = int32(k)
 		}
 	} else {
 		distinct := slices.Compact(slices.Sorted(slices.Values(names)))
 		for k, n := range names {
 			i, _ := slices.BinarySearch(distinct, n)
-			r.inputs[k] = int32(i)
+			ids[k] = int32(i)
 		}
 		names = distinct
 	}
@@ -296,24 +294,22 @@ func (r *Runner) internFiles() {
 	i, found := slices.BinarySearch(names, commonFile)
 	if !found {
 		names = slices.Insert(names, i, commonFile)
-		for k, f := range r.inputs {
+		for k, f := range ids {
 			if f >= int32(i) {
-				r.inputs[k] = f + 1
+				ids[k] = f + 1
 			}
 		}
 	}
 	r.common = int32(i)
+	r.led.Plan(ids, at)
 	r.sizes = make([]float64, len(names))
 	for gi, t := range tasks {
 		for k, f := range t.Files {
-			r.sizes[r.inputsOf(gi)[k]] = float64(f.Size)
+			r.sizes[r.led.Inputs(gi)[k]] = float64(f.Size)
 		}
 	}
 	r.replicas.RegisterFiles(names)
 }
-
-// inputsOf returns task gi's input ids, parallel to its Files.
-func (r *Runner) inputsOf(gi int) []int32 { return r.inputs[r.inputAt[gi]:r.inputAt[gi+1]] }
 
 // worker returns the worker running on vm, or nil if vm never joined. IDs
 // are unique only within a cluster, so the slot's VM must be vm itself.
@@ -551,27 +547,11 @@ func (r *Runner) admit(w *simWorker) {
 // dispatchNext is the published dispatch decision: pop the worker's next
 // task and send it at once. False when there is no work for w.
 func (r *Runner) dispatchNext(w *simWorker) bool {
-	gi, ok := r.next(w)
+	gi, ok := r.led.Next(&w.Worker)
 	if ok {
 		r.fetchAndRun(w, gi)
 	}
 	return ok
-}
-
-// next takes w's next task off the ledger. Under compute-to-data placement
-// a task is resident when the worker already holds every file of it.
-func (r *Runner) next(w *simWorker) (int, bool) {
-	if r.cfg.Strategy.Placement != strategy.ComputeToData {
-		return r.led.Next(&w.Worker, nil)
-	}
-	return r.led.Next(&w.Worker, func(gi int) bool {
-		for _, f := range r.inputsOf(gi) {
-			if !w.has.Has(f) {
-				return false
-			}
-		}
-		return true
-	})
 }
 
 // fetchAndRun fetches the task's missing inputs (strategy.Config.Fetches),
@@ -590,13 +570,13 @@ func (r *Runner) fetchAndRun(w *simWorker, gi int) *taskAttempt {
 	var files []int32
 	if r.cfg.Strategy.Fetches() {
 		files = r.takeFiles()
-		ids := r.inputsOf(gi)
+		ids := r.led.Inputs(gi)
 		for k, f := range r.wl.Tasks[gi].Files {
 			// Claim at dispatch, exactly as the real master marks the
 			// replica before streaming: a concurrent slot fetching a
 			// shared file (one-to-all's pivot, all-to-all pairs) must not
 			// fetch it twice.
-			if w.has.Add(ids[k]) {
+			if w.Held.Add(ids[k]) {
 				missing += float64(f.Size)
 				files = append(files, ids[k])
 			}
@@ -635,7 +615,7 @@ func (r *Runner) fetchedBundled(att *taskAttempt, _ int) {
 // have landed and keep their copies.
 func (r *Runner) fetchLost(att *taskAttempt, i int) {
 	for _, f := range att.files[i:] {
-		att.w.has.Remove(f)
+		att.w.Held.Remove(f)
 	}
 	r.putFiles(att.files)
 	r.fetchFailed(att.w, att)

@@ -616,7 +616,7 @@ func TestInternFiles(t *testing.T) {
 			t.Errorf("common is %q, %d sizes for %d names", got, len(r.sizes), len(tc.names))
 		}
 		for gi, task := range tc.tasks {
-			ids := r.inputsOf(gi)
+			ids := r.led.Inputs(gi)
 			if len(ids) != len(task.Files) {
 				t.Fatalf("task %d has %d ids for %d files", gi, len(ids), len(task.Files))
 			}

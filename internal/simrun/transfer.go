@@ -347,7 +347,7 @@ func (r *Runner) landed(s *stageIn) {
 		}
 		r.commonStaged(w)
 	case stepChain:
-		w.has.Add(file)
+		w.Held.Add(file)
 		r.noteStaged(file, w)
 		r.streamChain(w, at+1)
 	case stepFetch:
@@ -473,7 +473,7 @@ func (r *Runner) commonStaged(w *simWorker) {
 	fs := r.stageFiles(w)
 	if r.cfg.Strategy.Locality == strategy.Local {
 		for _, f := range fs {
-			w.has.Add(f)
+			w.Held.Add(f)
 		}
 		r.barrier(w)
 		return
@@ -544,7 +544,7 @@ func (r *Runner) barrier(w *simWorker) {
 func (r *Runner) streamChain(w *simWorker, i int) {
 	for ; i < len(w.chain) && !w.Dead; i++ {
 		f := w.chain[i]
-		if w.has.Has(f) {
+		if w.Held.Has(f) {
 			continue
 		}
 		s := r.newStage(w, r.sizes[f], stepChain)
@@ -562,7 +562,7 @@ func (r *Runner) filesOf(idx []int) []int32 {
 	var seen catalog.IDSet
 	out := make([]int32, 0, len(idx))
 	for _, gi := range idx {
-		for _, f := range r.inputsOf(gi) {
+		for _, f := range r.led.Inputs(gi) {
 			if seen.Add(f) {
 				out = append(out, f)
 			}

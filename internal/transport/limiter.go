@@ -33,9 +33,6 @@ func NewLimiter(bytesPerSec float64, burst float64) *Limiter {
 	return &Limiter{bps: bytesPerSec, burst: burstDur, cursor: time.Now().Add(-burstDur)}
 }
 
-// BytesPerSec returns the configured rate.
-func (l *Limiter) BytesPerSec() float64 { return l.bps }
-
 // Wait blocks until n bytes of budget are available, then consumes them.
 func (l *Limiter) Wait(n int) {
 	if n <= 0 {
