@@ -214,9 +214,6 @@ func NewState() *State {
 	}
 }
 
-// Catalog exposes the state's file catalog.
-func (s *State) Catalog() *Catalog { return s.cat }
-
 // Replicas exposes the state's replica map.
 func (s *State) Replicas() *Replicas { return s.reps }
 

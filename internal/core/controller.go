@@ -27,8 +27,9 @@ type ControllerConfig struct {
 	// InProcessMaster, when set, makes the controller create and serve the
 	// master itself (library mode). Requires Master fields below.
 	InProcessMaster bool
-	// Master holds the master's own configuration in library mode; the
-	// Strategy/Template/Transport/Addr fields above take precedence.
+	// Master holds the master's own configuration in library mode. Only its
+	// Transport and Addr are taken from the fields above; the strategy and
+	// template reach the master as they reach any other, by START_MASTER.
 	Master MasterConfig
 	// Workers is the number of workers the master should wait for before
 	// starting execution.
@@ -98,8 +99,6 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 func (c *Controller) Start(ctx context.Context) error {
 	if c.cfg.InProcessMaster {
 		mc := c.cfg.Master
-		mc.Strategy = c.cfg.Strategy
-		mc.Template = c.cfg.Template
 		mc.Transport = c.cfg.Transport
 		mc.Addr = c.cfg.MasterAddr
 		m, err := NewMaster(mc)
@@ -282,9 +281,6 @@ func (c *Controller) Errors() []WorkerError {
 	defer c.mu.Unlock()
 	return append([]WorkerError(nil), c.errs...)
 }
-
-// Done is closed when the master reports run completion.
-func (c *Controller) Done() <-chan struct{} { return c.doneCh }
 
 // Wait blocks until the run completes and returns the report. With an
 // in-process master the full report comes from it directly; otherwise it is

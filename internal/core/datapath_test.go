@@ -205,11 +205,8 @@ func TestDelayedStagingDoesNotLetDispatchOvertake(t *testing.T) {
 func TestWorkerLostBeforeReadyDoesNotBlockStart(t *testing.T) {
 	src := sourceWithFiles(6, 32)
 	// The common file is not in the source: staging fails.
-	m, tr, cancel := startMaster(t, MasterConfig{
-		Strategy:        strategy.Config{Kind: strategy.RealTime, CommonFiles: []string{"missing.bin"}},
-		Source:          src,
-		ExpectedWorkers: 1,
-	})
+	m, tr, cancel := startMaster(t, MasterConfig{Source: src},
+		strategy.Config{Kind: strategy.RealTime, CommonFiles: []string{"missing.bin"}}, 1)
 	defer cancel()
 	w, err := NewWorker(WorkerConfig{
 		Name: "w0", Cores: 1, Store: NewMemStore(), Program: echoProgram(),
@@ -447,9 +444,7 @@ func TestStreamFileSizeMismatchUnclaimsReplica(t *testing.T) {
 			if !fromBytes {
 				src = readerOnly{src}
 			}
-			m, tr, cancel := startMaster(t, MasterConfig{
-				Strategy: strategy.RealTimeRemote, Source: src, ExpectedWorkers: 1, ChunkSize: 1000,
-			})
+			m, tr, cancel := startMaster(t, MasterConfig{Source: src, ChunkSize: 1000}, strategy.RealTimeRemote, 1)
 			conn, err := tr.Dial("m")
 			if err != nil {
 				t.Fatal(err)

@@ -919,8 +919,6 @@ func TestExecProgramOverTCPTransport(t *testing.T) {
 	}
 	// TCP needs the real bound address: start the master manually first.
 	mc := MasterConfig{
-		Strategy:  strategy.Config{Kind: strategy.RealTime, Multicore: true},
-		Template:  []string{"cat", "$inp1"},
 		Source:    src,
 		Transport: tr,
 		Addr:      "127.0.0.1:0",
@@ -997,8 +995,7 @@ func TestStandaloneMasterReportsStagingAndOutputs(t *testing.T) {
 	defer cancel()
 	tr := transport.NewMem(nil)
 	m, err := NewMaster(MasterConfig{
-		Strategy: strategy.PrePartitionedRemote, Source: sourceWithFiles(4, 100),
-		Transport: tr, Addr: "master", OutputSink: NewMemStore(),
+		Source: sourceWithFiles(4, 100), Transport: tr, Addr: "master", OutputSink: NewMemStore(),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -23,14 +23,10 @@ import (
 // DefaultChunkSize is the file-transfer chunk size.
 const DefaultChunkSize = transfer.DefaultChunk
 
-// MasterConfig configures the execution-plane master.
+// MasterConfig configures the execution-plane master. The controller sends
+// the strategy, template and expected workers (Fig. 4's START_MASTER and
+// FORK_REMOTE_WORKERS).
 type MasterConfig struct {
-	// Strategy is the data-management strategy. The controller may override
-	// it at start or run time (PARTITION_TYPE).
-	Strategy strategy.Config
-	// Template is the execution syntax sent to workers that have no
-	// in-process Program.
-	Template []string
 	// Source supplies input files. The master must run close to the source
 	// (paper, Section II-B); in this implementation it IS the source
 	// endpoint.
@@ -38,9 +34,6 @@ type MasterConfig struct {
 	// Transport and Addr is where the master listens.
 	Transport transport.Transport
 	Addr      string
-	// ExpectedWorkers, when > 0, starts execution once that many workers
-	// registered (the controller's FORK_REMOTE_WORKERS can set it too).
-	ExpectedWorkers int
 	// ChunkSize overrides DefaultChunkSize; at most protocol.MaxChunk.
 	ChunkSize int
 	// Recover enables the paper's future-work extension: failed tasks and
@@ -80,12 +73,11 @@ type masterWorker struct {
 	// ACK and the common files on the connection; until then the worker is
 	// not counted towards the expected workers, dealt to or dispatched to.
 	// Held is the files claimed for it, by source-catalogue index.
-	sched.Worker
+	sched.Worker[struct{}]
 	link
-	name        string
-	cores       int
-	outstanding map[int]bool // dispatched, not yet reported
-	settled     bool         // a status of this wake freed a slot: in Master.refills
+	name    string
+	cores   int
+	settled bool // a status of this wake freed a slot: in Master.refills
 }
 
 // outItem is one unit of a writer's work: it sends msg, streams files, then
@@ -120,9 +112,10 @@ type Master struct {
 	// bytesMoved is the payload the writers streamed: each adds what it sent.
 	bytesMoved atomic.Int64
 
-	// Owned by the loop, as is cfg.Template.
+	// Owned by the loop; strat, template and expected are the controller's.
 	strat      strategy.Config
-	configured bool            // strategy and template known: workers are admitted
+	template   []string
+	configured bool            // START_MASTER came: workers are admitted
 	parked     []*masterWorker // registrations that came before START_MASTER
 	expected   int
 	workers    map[string]*masterWorker
@@ -130,7 +123,7 @@ type Master struct {
 	groups     []partition.Group
 	// led is the run's lifecycle and file plan, by source-catalogue index; it
 	// starts once the groups are known.
-	led *sched.Ledger
+	led *sched.Ledger[struct{}]
 	// refills lists the workers this wake's statuses freed slots on; pass is
 	// the outbox batch a dispatch pass builds.
 	refills    []*masterWorker
@@ -160,20 +153,13 @@ func NewMaster(cfg MasterConfig) (*Master, error) {
 	if cfg.ChunkSize > protocol.MaxChunk {
 		return nil, fmt.Errorf("core: chunk size %d exceeds the protocol's %d", cfg.ChunkSize, protocol.MaxChunk)
 	}
-	if err := cfg.Strategy.Validate(); err != nil {
-		return nil, err
-	}
 	m := &Master{
 		cfg:     cfg,
 		serving: make(chan struct{}),
 		stopped: make(chan struct{}),
 		done:    make(chan struct{}),
-		strat:   cfg.Strategy,
-		// Library mode: everything a worker needs is preset.
-		configured: len(cfg.Template) > 0 || cfg.ExpectedWorkers > 0,
-		expected:   cfg.ExpectedWorkers,
-		workers:    make(map[string]*masterWorker),
-		led:        sched.NewLedger(cfg.Recover, cfg.MaxRetries),
+		workers: make(map[string]*masterWorker),
+		led:     sched.NewLedger[struct{}](cfg.Recover, cfg.MaxRetries),
 	}
 	m.inbox.init()
 	return m, nil
@@ -475,7 +461,7 @@ func (m *Master) control(l *link, req *protocol.Message) {
 		}
 		m.controller, m.strat, m.configured = l, req.Strategy, true
 		if len(req.Template) > 0 {
-			m.cfg.Template = req.Template
+			m.template = req.Template
 		}
 		m.ack(l, req.Seq, "")
 		for _, w := range m.parked {
@@ -560,7 +546,6 @@ func (m *Master) admit(w *masterWorker) {
 		return
 	}
 	m.reserveOutbox(w)
-	w.outstanding = make(map[int]bool)
 	m.workers[w.name] = w
 	staged, err := m.commonFiles(w)
 	if err != nil {
@@ -568,7 +553,7 @@ func (m *Master) admit(w *masterWorker) {
 		return
 	}
 	w.out.put(outItem{msg: &protocol.Message{
-		Type: protocol.TAck, Cores: slots, Template: m.cfg.Template,
+		Type: protocol.TAck, Cores: slots, Template: m.template,
 		ReturnOutputs: m.cfg.OutputSink != nil, Batch: m.cfg.Batch,
 	}, files: staged, ready: true})
 	m.logf("worker %s registered (%d cores, %d slots)", w.name, w.cores, slots)
@@ -679,7 +664,7 @@ func (m *Master) runStrategy() {
 	workers := m.liveWorkers()
 	m.logf("execution starts: %d groups, %d workers, strategy %s", len(m.groups), len(workers), m.strat)
 	m.results = slices.Grow(m.results, len(m.groups))
-	deal := make([]*sched.Worker, len(workers))
+	deal := make([]*sched.Worker[struct{}], len(workers))
 	for i, w := range workers {
 		deal[i] = &w.Worker
 	}
@@ -722,8 +707,8 @@ func (m *Master) runStrategy() {
 // no-partitioning streams the whole dataset, all; pre-partitioning announces
 // the worker's share, then streams its unique files. Common files are not
 // grouped, so none of the share was claimed before: one list is both.
-// DISTRIBUTE carries a copy of the share, as the ledger may fail the backlog
-// in place while the writer sends it.
+// DISTRIBUTE carries the backlog itself: once dealt, the ledger only reads
+// its array.
 func (m *Master) stagingItem(w *masterWorker, all []int32) outItem {
 	if m.strat.Kind == strategy.NoPartition {
 		return outItem{files: m.claim(nil, w, all), transfer: true}
@@ -733,7 +718,7 @@ func (m *Master) stagingItem(w *masterWorker, all []int32) outItem {
 		files = m.claim(files, w, m.led.Inputs(gi))
 	}
 	return outItem{
-		msg:   &protocol.Message{Type: protocol.TDistribute, Files: files, Groups: slices.Clone(w.Backlog)},
+		msg:   &protocol.Message{Type: protocol.TDistribute, Files: files, Groups: w.Backlog},
 		files: files, transfer: true,
 	}
 }
@@ -775,7 +760,6 @@ func (m *Master) dispatch(w *masterWorker) {
 		if !ok {
 			break
 		}
-		w.outstanding[gi] = true
 		pass = append(pass, outItem{group: &m.groups[gi]})
 		if fetches {
 			m.claimGroup(w, &pass[len(pass)-1], gi)
@@ -812,12 +796,12 @@ func (m *Master) recordResult(w *masterWorker, res protocol.TaskResult) bool {
 		m.notifyController(res.Error, w.name)
 		return false
 	}
-	if !w.outstanding[res.GroupIndex] {
+	settled, released := m.led.Settle(&w.Worker, res.GroupIndex)
+	if !settled {
 		// Stale or duplicate status (e.g. after a death or reassignment).
 		return false
 	}
-	delete(w.outstanding, res.GroupIndex)
-	if m.led.Settle(&w.Worker) {
+	if released {
 		m.release(w)
 	}
 	if res.OK {
@@ -844,18 +828,12 @@ func (m *Master) workerDied(w *masterWorker, cause error) {
 	// A disconnect after the run finished is a graceful departure (the
 	// worker read NO_MORE_DATA and exited), not a failure.
 	if m.led.Finished() {
-		m.led.Die(&w.Worker, nil)
+		m.led.Kill(&w.Worker)
 		return
 	}
 	// Its in-flight groups are lost in group order, then its backlog.
-	lost := make([]int, 0, len(w.outstanding))
-	for gi := range w.outstanding {
-		lost = append(lost, gi)
-	}
-	sort.Ints(lost)
-	affected := len(lost) + len(w.Backlog)
-	clear(w.outstanding)
-	m.abandon(w.name, errWorkerLost, m.led.Die(&w.Worker, lost)...)
+	affected := len(w.InFlight()) + len(w.Backlog)
+	m.abandon(w.name, errWorkerLost, m.led.Die(&w.Worker)...)
 	m.workerErrs = append(m.workerErrs, fmt.Sprintf("%s: %v", w.name, cause))
 	m.logf("worker %s died: %v (%d groups affected)", w.name, cause, affected)
 	m.notifyController(fmt.Sprintf("%v", cause), w.name)
@@ -1094,7 +1072,7 @@ func (m *Master) Report() Report {
 	select {
 	case <-m.serving:
 	default:
-		return Report{Strategy: m.cfg.Strategy.String()} // nothing has run
+		return Report{Strategy: m.strat.String()} // nothing has run
 	}
 	reply := make(chan Report, 1)
 	if m.inbox.put(event{kind: evReport, report: reply}) {

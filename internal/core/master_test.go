@@ -17,9 +17,12 @@ import (
 	"frieda/internal/transport"
 )
 
-// startMaster spins up a master over the in-memory transport and returns a
-// dialer.
-func startMaster(t *testing.T, cfg MasterConfig) (*Master, *transport.Mem, context.CancelFunc) {
+// startMaster spins up a master over the in-memory transport, configures it
+// as a controller's Start does — START_MASTER with strat, then
+// FORK_REMOTE_WORKERS of workers when > 0 — and returns a dialer. The
+// controller's connection stays open until the test ends, its messages read
+// and dropped.
+func startMaster(t *testing.T, cfg MasterConfig, strat strategy.Config, workers int) (*Master, *transport.Mem, context.CancelFunc) {
 	t.Helper()
 	tr := transport.NewMem(nil)
 	cfg.Transport = tr
@@ -39,16 +42,30 @@ func startMaster(t *testing.T, cfg MasterConfig) (*Master, *transport.Mem, conte
 	go m.Serve(ctx)
 	// Wait for the listener.
 	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if c, err := tr.Dial("m"); err == nil {
-			c.Close()
-			break
-		}
-		if time.Now().After(deadline) {
+	var conn transport.Conn
+	for conn == nil {
+		if conn, err = tr.Dial("m"); err != nil && time.Now().After(deadline) {
 			t.Fatal("master never listened")
 		}
 		time.Sleep(time.Millisecond)
 	}
+	t.Cleanup(func() { conn.Close() })
+	config := []*protocol.Message{{Type: protocol.TStartMaster, Strategy: strat, Seq: 1}}
+	if workers > 0 {
+		config = append(config, &protocol.Message{Type: protocol.TForkWorkers, Workers: workers, Seq: 2})
+	}
+	for _, msg := range config {
+		if e := request(t, conn, msg); e != "" {
+			t.Fatalf("%s: %s", msg.Type, e)
+		}
+	}
+	go func() {
+		for {
+			if _, err := conn.Recv(); err != nil {
+				return
+			}
+		}
+	}()
 	return m, tr, cancel
 }
 
@@ -190,7 +207,7 @@ func TestStrategyInfoRoundTripGrid(t *testing.T) {
 }
 
 func TestMasterRejectsUnknownFirstMessage(t *testing.T) {
-	m, tr, cancel := startMaster(t, MasterConfig{Strategy: strategy.RealTimeRemote, ExpectedWorkers: 1})
+	m, tr, cancel := startMaster(t, MasterConfig{}, strategy.RealTimeRemote, 1)
 	defer cancel()
 	_ = m
 	conn, err := tr.Dial("m")
@@ -203,25 +220,45 @@ func TestMasterRejectsUnknownFirstMessage(t *testing.T) {
 	}
 }
 
+// START_MASTER with a strategy the strategy layer refuses is refused with an
+// error ACK, and the master keeps the strategy it had.
 func TestMasterRejectsBadStrategyFromController(t *testing.T) {
-	m, tr, cancel := startMaster(t, MasterConfig{Strategy: strategy.RealTimeRemote, ExpectedWorkers: 1})
+	m, tr, cancel := startMaster(t, MasterConfig{}, strategy.RealTimeRemote, 1)
 	defer cancel()
-	_ = m
-	conn, err := tr.Dial("m")
-	if err != nil {
-		t.Fatal(err)
-	}
-	conn.Send(&protocol.Message{
-		Type:     protocol.TStartMaster,
-		Strategy: strategy.Config{Kind: strategy.RealTime, Locality: strategy.Local},
-		Seq:      1,
-	})
-	ack, err := conn.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ack.Error == "" {
-		t.Fatal("real-time + local strategy accepted")
+	refuseStrategies(t, m, tr, strategy.Config{Kind: strategy.RealTime, Locality: strategy.Local})
+}
+
+// A master from NewMaster refuses enums outside their constants, for which
+// runStrategy has no case and a run would never finish. NewMaster takes no
+// strategy, so START_MASTER is where they arrive.
+func TestNewMasterRejectsOutOfRangeStrategy(t *testing.T) {
+	m, tr, cancel := startMaster(t, MasterConfig{}, strategy.RealTimeRemote, 1)
+	defer cancel()
+	refuseStrategies(t, m, tr, strategy.Config{Kind: 7}, strategy.Config{Locality: 7}, strategy.Config{Placement: -1})
+}
+
+// refuseStrategies sends each strategy in a START_MASTER of its own and
+// checks it is refused with an error ACK and leaves m running
+// RealTimeRemote.
+func refuseStrategies(t *testing.T, m *Master, tr *transport.Mem, strats ...strategy.Config) {
+	t.Helper()
+	for _, s := range strats {
+		conn, err := tr.Dial("m")
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.Send(&protocol.Message{Type: protocol.TStartMaster, Strategy: s, Seq: 1})
+		ack, err := conn.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ack.Error == "" {
+			t.Errorf("START_MASTER accepted %s", s)
+		}
+		conn.Close()
+		if got := masterStrategy(m); got != strategy.RealTimeRemote.String() {
+			t.Errorf("refusing %s left the master running %s", s, got)
+		}
 	}
 }
 
@@ -230,7 +267,7 @@ func TestMasterRejectsBadStrategyFromController(t *testing.T) {
 // cores is admitted and runs the job, and the master's queues are sized by
 // the groups there are, not by its window of millions.
 func TestMasterRefusesWindowThatDoesNotFit(t *testing.T) {
-	m, tr, cancel := startMaster(t, MasterConfig{Strategy: strategy.RealTimeRemote, ExpectedWorkers: 1})
+	m, tr, cancel := startMaster(t, MasterConfig{}, strategy.RealTimeRemote, 1)
 	defer cancel()
 	register := func(name string, cores int) (transport.Conn, string) {
 		conn, err := tr.Dial("m")
@@ -288,14 +325,88 @@ func TestMasterRefusesWindowThatDoesNotFit(t *testing.T) {
 	}
 }
 
-// An enum outside its constants is refused up front: runStrategy has no
-// case for it, so a master built with one would never finish.
-func TestNewMasterRejectsOutOfRangeStrategy(t *testing.T) {
-	for _, s := range []strategy.Config{{Kind: 7}, {Locality: 7}, {Placement: -1}} {
-		_, err := NewMaster(MasterConfig{Source: catalog.NewMemSource(), Transport: transport.NewMem(nil), Addr: "m", Strategy: s, ExpectedWorkers: 1})
-		if err == nil {
-			t.Errorf("NewMaster accepted %s", s)
+// A live worker's stale statuses are dropped: an OK repeated, and one for a
+// group it was never sent. Each group is reported and counted once, and the
+// worker's window of one is not released twice: nothing more is sent to it
+// while a group it was sent is unreported.
+func TestStaleStatusFromLiveWorker(t *testing.T) {
+	strat := strategy.RealTimeRemote
+	strat.Prefetch = 1
+	m, tr, cancel := startMaster(t, MasterConfig{}, strat, 1) // four groups
+	defer cancel()
+	conn, err := tr.Dial("m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// The reader passes on a copy: a received message is the transport's
+	// until the next Recv.
+	msgs := make(chan protocol.Message, 64)
+	go func() {
+		defer close(msgs)
+		for {
+			msg, err := conn.Recv()
+			if err != nil {
+				return
+			}
+			msgs <- *msg
 		}
+	}()
+	send := func(msg *protocol.Message) {
+		t.Helper()
+		if err := conn.Send(msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// execute returns the group of the next EXECUTE, then waits a while to
+	// see that nothing else follows it.
+	execute := func() int {
+		t.Helper()
+		gi := -1
+		for gi < 0 {
+			select {
+			case msg, ok := <-msgs:
+				switch {
+				case !ok:
+					t.Fatal("the master closed the connection")
+				case msg.Type == protocol.TExecute:
+					gi = msg.GroupIndex
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("no EXECUTE")
+			}
+		}
+		select {
+		case msg := <-msgs:
+			t.Fatalf("the master sent %s after group %d's EXECUTE, before its status", msg.Type, gi)
+		case <-time.After(50 * time.Millisecond):
+		}
+		return gi
+	}
+	ok := func(gi int) {
+		send(&protocol.Message{Type: protocol.TTaskStatus, Result: protocol.TaskResult{GroupIndex: gi, Worker: "w0", OK: true}})
+	}
+	send(&protocol.Message{Type: protocol.TRegister, Worker: "w0", Cores: 1})
+	send(&protocol.Message{Type: protocol.TRequestData})
+	first := execute()
+	ok(first)
+	ok(first)
+	ok(3) // not sent yet
+	for range 3 {
+		ok(execute())
+	}
+	select {
+	case <-m.Done():
+	case <-time.After(10 * time.Second):
+		t.Fatal("the run never finished")
+	}
+	r := m.Report()
+	reported := make([]int, 4)
+	for _, res := range r.Results {
+		reported[res.GroupIndex]++
+	}
+	if r.Succeeded != 4 || !slices.Equal(reported, []int{1, 1, 1, 1}) {
+		t.Fatalf("%d succeeded, reports per group %v; want each of the 4 once", r.Succeeded, reported)
 	}
 }
 
@@ -338,7 +449,7 @@ func TestServeOverTCPReturnsNilAfterShutdown(t *testing.T) {
 }
 
 func TestMasterControlProtocol(t *testing.T) {
-	m, tr, cancel := startMaster(t, MasterConfig{Strategy: strategy.RealTimeRemote})
+	m, tr, cancel := startMaster(t, MasterConfig{}, strategy.RealTimeRemote, 0)
 	defer cancel()
 	conn, err := tr.Dial("m")
 	if err != nil {
@@ -389,7 +500,7 @@ func TestMasterFatalOnBadGrouping(t *testing.T) {
 	}
 	strat := strategy.RealTimeRemote
 	strat.Grouping = "pairwise-adjacent"
-	m, tr, cancel := startMaster(t, MasterConfig{Strategy: strat, Source: src, ExpectedWorkers: 1})
+	m, tr, cancel := startMaster(t, MasterConfig{Source: src}, strat, 1)
 	defer cancel()
 	w, err := NewWorker(WorkerConfig{
 		Name: "w0", Cores: 1, Store: NewMemStore(),
@@ -412,7 +523,7 @@ func TestMasterFatalOnBadGrouping(t *testing.T) {
 }
 
 func TestMasterReportBeforeDone(t *testing.T) {
-	m, _, cancel := startMaster(t, MasterConfig{Strategy: strategy.RealTimeRemote, ExpectedWorkers: 2})
+	m, _, cancel := startMaster(t, MasterConfig{}, strategy.RealTimeRemote, 2)
 	defer cancel()
 	r := m.Report()
 	if r.Groups != 0 || r.MakespanSec != 0 {
@@ -421,7 +532,7 @@ func TestMasterReportBeforeDone(t *testing.T) {
 }
 
 func TestMasterAddr(t *testing.T) {
-	m, _, cancel := startMaster(t, MasterConfig{Strategy: strategy.RealTimeRemote, ExpectedWorkers: 1})
+	m, _, cancel := startMaster(t, MasterConfig{}, strategy.RealTimeRemote, 1)
 	defer cancel()
 	if m.Addr() != "m" {
 		t.Fatalf("Addr = %q", m.Addr())
@@ -653,7 +764,7 @@ func TestClaimGroupPastSixtyFourFiles(t *testing.T) {
 	for i := 69; i >= 0; i-- {
 		ids = append(ids, int32(i))
 	}
-	m := &Master{catalogue: cat, led: sched.NewLedger(false, 0)}
+	m := &Master{catalogue: cat, led: sched.NewLedger[struct{}](false, 0)}
 	m.led.Plan(ids, []int32{0, 70})
 	w := &masterWorker{}
 	w.Held.Add(3)

@@ -8,7 +8,6 @@ package elastic
 import (
 	"fmt"
 
-	"frieda/internal/obs"
 	"frieda/internal/sim"
 )
 
@@ -135,7 +134,6 @@ type Autoscaler struct {
 	timer    *sim.Timer
 	lastAct  sim.Time
 	acted    bool
-	tracer   *obs.Tracer
 
 	// Decisions records the trace of non-Hold actions for reports.
 	Decisions []struct {
@@ -156,11 +154,6 @@ func NewAutoscaler(eng *sim.Engine, policy Policy, actions Actions, pollEverySec
 	a.timer = sim.NewTimer(eng, a.tick)
 	return a, nil
 }
-
-// SetTracer attaches an observability tracer (nil detaches): every executed
-// scaling action emits an instant event on the "autoscale" track carrying
-// the load signal that triggered it.
-func (a *Autoscaler) SetTracer(t *obs.Tracer) { a.tracer = t }
 
 // Start begins polling.
 func (a *Autoscaler) Start() { a.timer.Reset(a.interval) }
@@ -196,10 +189,4 @@ func (a *Autoscaler) tick() {
 		At       sim.Time
 		Decision Decision
 	}{now, d})
-	if a.tracer.Enabled() {
-		a.tracer.Instant("autoscale", "elastic", d.String(), obs.Args{
-			"queued": sig.QueuedTasks, "busy_slots": sig.BusySlots,
-			"total_slots": sig.TotalSlots, "workers": sig.Workers,
-		})
-	}
 }

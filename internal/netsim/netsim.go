@@ -172,7 +172,6 @@ type Flow struct {
 	lastUpdate sim.Time
 	done       sim.EventRef
 	owner      FlowOwner // nil: the flow ends silently
-	started    sim.Time
 
 	// Allocator scratch: component-BFS generation and the solver's staged
 	// rate/freeze state for the in-progress solve. pcap is the folded
@@ -257,9 +256,6 @@ func (f *Flow) Remaining() float64 {
 
 // Rate returns the flow's current max-min fair rate in bits per second.
 func (f *Flow) Rate() float64 { return f.rate }
-
-// Started returns the virtual time the flow began.
-func (f *Flow) Started() sim.Time { return f.started }
 
 // Finished reports whether the flow has completed.
 func (f *Flow) Finished() bool { return f.finished }
@@ -595,7 +591,7 @@ func (n *Network) StartFlow(bytes float64, path []*Link, owner FlowOwner) *Flow 
 	}
 	n.nextID++
 	f := n.flowArena.New()
-	f.id, f.bytes, f.remaining, f.owner, f.started = n.nextID, bytes, bytes, owner, n.eng.Now()
+	f.id, f.bytes, f.remaining, f.owner = n.nextID, bytes, bytes, owner
 	f.npath = uint8(copy(f.links[:], path))
 	if len(path) > MaxRoute {
 		f.spill = &flowSpill{path: slices.Clone(path), pos: make([]int32, len(path)-MaxRoute)}
@@ -745,16 +741,6 @@ func (n *Network) joined(f *Flow) bool {
 
 // ActiveFlows returns the number of in-flight flows.
 func (n *Network) ActiveFlows() int { return len(n.flows) }
-
-// Settle brings every flow's Remaining up to the current instant without
-// changing allocations. Useful before inspecting progress; Flow.Remaining
-// settles itself, so this is only needed for bulk inspection.
-func (n *Network) Settle() {
-	now := n.eng.Now()
-	for _, f := range n.flows {
-		f.settleTo(now)
-	}
-}
 
 // component collects the connected component of links and flows reachable
 // from the seed links (BFS alternating links → their flows → those flows'

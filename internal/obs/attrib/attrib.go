@@ -251,14 +251,6 @@ func (r *Recorder) AfterSplit(from NodeID, cat Category, inflateSec float64, lab
 	return n
 }
 
-// Time returns a node's timestamp (0 for nil recorder or None).
-func (r *Recorder) Time(n NodeID) sim.Time {
-	if r == nil || n < 0 {
-		return 0
-	}
-	return r.nodes[n].t
-}
-
 // ObserveTaskSec records one successful task's latency for the percentile
 // report.
 func (r *Recorder) ObserveTaskSec(sec float64) {

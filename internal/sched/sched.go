@@ -1,17 +1,19 @@
 // Package sched is the run lifecycle both executors share: the queue, each
 // group's spent attempts, the terminal count, the run's file plan (each
-// group's input file ids), and the rules over them — the start and its
-// pre-partition deal, the staging barrier, the pick within a worker's window
-// (compute-to-data placement's from the plan and what the worker holds), a
-// settle, a lost attempt, a drain and its release, a death and the stall. A
-// Ledger has no clock, no I/O, no lock and no allocation per worker or task:
-// the real master (internal/core) calls it on its event loop, the simulator
-// (internal/simrun) on the engine goroutine. Each executor keeps its attempt
-// records, results and I/O, and writes each worker's Held as files are
-// claimed, land, are lost or are repaired.
+// group's input file ids), each worker's groups in flight, and the rules
+// over them — the start and its pre-partition deal, the staging barrier, the
+// pick within a worker's window (compute-to-data placement's from the plan
+// and what the worker holds), a settle and its stale-status rule, a lost
+// attempt, a drain and its release, a death and the stall. A Ledger has no
+// clock, no I/O, no lock and no allocation per task: the real master
+// (internal/core) calls it on its event loop, the simulator
+// (internal/simrun) on the engine goroutine. Each executor keeps its
+// results and I/O, its handle on each group in flight (Worker), and writes
+// each worker's Held as files are claimed, land, are lost or are repaired.
 package sched
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -29,10 +31,13 @@ const DefaultMaxRetries = 2
 // passed Validate.
 const MaxSlots = math.MaxInt32 / strategy.MaxPrefetch
 
-// Worker is the ledger's view of a worker, embedded in each executor's own.
-// The ledger writes its flags, and counts them; an executor may only clear
-// Ready, while the worker re-stages (Arrive sets it again), and write Held.
-type Worker struct {
+// Worker is the ledger's view of a worker, embedded in each executor's own,
+// and the one record of its groups in flight, each with the executor's
+// handle H: nothing for the master, the attempt for the simulator. The
+// ledger writes its flags and its in-flight list; an executor may only clear
+// Ready, while the worker re-stages (Arrive sets it again), and write Held
+// and the handles. Its list is allocated at its first hand-out.
+type Worker[H any] struct {
 	// Backlog holds groups dealt to the worker and not yet dispatched.
 	Backlog []int
 	// Held is the files the worker holds or was sent, by the plan's ids. The
@@ -42,27 +47,51 @@ type Worker struct {
 	// Ready: may be dispatched to (Arrive). Draining: finishes what it holds
 	// and takes nothing new (Drain). Dead: gone (Kill, Die) or released.
 	Ready, Draining, Dead bool
+	// flight is the groups handed out and not settled, in group order; nil
+	// until the first hand-out, and again once Kill hands it back.
+	flight []Flight[H]
 	// arrived: counted in Arrived; out: counted out of Live. window is the
 	// most groups it may have in flight (strategy's Window of its slots,
-	// fixed at Start); inFlight counts those handed out and not settled,
-	// stages its open staging items.
-	arrived, out                    bool
-	slots, window, inFlight, stages int32
+	// fixed at Start), stages its open staging items.
+	arrived, out          bool
+	slots, window, stages int32
+}
+
+// Flight is a group in flight on a worker and the executor's handle on it.
+type Flight[H any] struct {
+	Group  int
+	Handle H
 }
 
 // Live reports whether the worker may still take work: neither dead nor
 // draining. A worker that is not ready yet is live; it is still staging.
-func (w *Worker) Live() bool { return !w.Dead && !w.Draining }
+func (w *Worker[H]) Live() bool { return !w.Dead && !w.Draining }
 
-// InFlight counts the worker's groups handed out and not yet settled.
-func (w *Worker) InFlight() int { return int(w.inFlight) }
+// InFlight is the worker's groups in flight, in group order, for reading.
+func (w *Worker[H]) InFlight() []Flight[H] { return w.flight }
 
 // Window is the most groups the worker may have in flight, clones apart.
-func (w *Worker) Window() int { return int(w.window) }
+func (w *Worker[H]) Window() int { return int(w.window) }
+
+// Handle points at the executor's handle on group gi (the zero H until it
+// writes one) until w's list next changes; nil if gi is not in flight on w.
+func (w *Worker[H]) Handle(gi int) *H {
+	if i, ok := w.find(gi); ok {
+		return &w.flight[i].Handle
+	}
+	return nil
+}
+
+// find returns where group gi is, or would go, in w's list, and whether it
+// is there.
+func (w *Worker[H]) find(gi int) (int, bool) {
+	return slices.BinarySearchFunc(w.flight, gi, func(f Flight[H], gi int) int { return cmp.Compare(f.Group, gi) })
+}
 
 // Ledger is one run's lifecycle: Join every worker as it registers, give it
-// the file plan (Plan), and Start the ledger once the groups are known.
-type Ledger struct {
+// the file plan (Plan), and Start the ledger once the groups are known. H is
+// the executor's handle on a group in flight (Worker).
+type Ledger[H any] struct {
 	recover    bool
 	maxRetries int
 	strat      strategy.Config // in force since Start
@@ -71,7 +100,7 @@ type Ledger struct {
 	attempts []int32 // spent attempts per group; nil until Start
 	terminal int
 	requeues int
-	workers  []*Worker
+	workers  []*Worker[H]
 	// The counts Live and Arrived report, and the open staging items.
 	live, arrived, stages int
 	// windows sums the live workers' windows, for the tail rule (open).
@@ -83,11 +112,11 @@ type Ledger struct {
 
 // NewLedger returns an unstarted ledger. Under recover a lost attempt is
 // requeued, up to maxRetries times per group (DefaultMaxRetries if ≤ 0).
-func NewLedger(recover bool, maxRetries int) *Ledger {
+func NewLedger[H any](recover bool, maxRetries int) *Ledger[H] {
 	if maxRetries <= 0 {
 		maxRetries = DefaultMaxRetries
 	}
-	return &Ledger{recover: recover, maxRetries: maxRetries}
+	return &Ledger[H]{recover: recover, maxRetries: maxRetries}
 }
 
 // CheckSlots refuses slots outside [1, MaxSlots]: a worker's window would
@@ -101,7 +130,7 @@ func CheckSlots(slots int) error {
 
 // Join adds a registering worker that runs slots groups at once, unless
 // CheckSlots refuses them.
-func (l *Ledger) Join(w *Worker, slots int) error {
+func (l *Ledger[H]) Join(w *Worker[H], slots int) error {
 	if err := CheckSlots(slots); err != nil {
 		return err
 	}
@@ -115,10 +144,10 @@ func (l *Ledger) Join(w *Worker, slots int) error {
 // Plan gives the ledger the run's file plan: group gi's input file ids are
 // inputs[at[gi]:at[gi+1]], in the order of its files. The ledger keeps both
 // slices and only reads them.
-func (l *Ledger) Plan(inputs, at []int32) { l.inputs, l.inputAt = inputs, at }
+func (l *Ledger[H]) Plan(inputs, at []int32) { l.inputs, l.inputAt = inputs, at }
 
 // Inputs returns group gi's input file ids, from the plan, for reading only.
-func (l *Ledger) Inputs(gi int) []int32 { return l.inputs[l.inputAt[gi]:l.inputAt[gi+1]] }
+func (l *Ledger[H]) Inputs(gi int) []int32 { return l.inputs[l.inputAt[gi]:l.inputAt[gi+1]] }
 
 // Start begins the run under s on groups 0..n-1 and fixes every window
 // from s, a real-time Prefetch of 0 resolved by s.ForJob from the groups'
@@ -127,7 +156,7 @@ func (l *Ledger) Inputs(gi int) []int32 { return l.inputs[l.inputAt[gi]:l.inputA
 // any other kind, or a deal with nobody live, queues them in index order.
 // groups() is called only for the deal or to resolve the window. s must
 // have passed its Validate.
-func (l *Ledger) Start(s strategy.Config, n int, groups func() []partition.Group, workers []*Worker) {
+func (l *Ledger[H]) Start(s strategy.Config, n int, groups func() []partition.Group, workers []*Worker[H]) {
 	s = s.ForJob(n, func() int64 {
 		var bytes int64
 		for _, g := range groups() {
@@ -178,7 +207,7 @@ func (l *Ledger) Start(s strategy.Config, n int, groups func() []partition.Group
 
 // Stage opens one staging item to w: data that must land before anything
 // runs. While any is open nothing is handed out.
-func (l *Ledger) Stage(w *Worker) {
+func (l *Ledger[H]) Stage(w *Worker[H]) {
 	w.stages++
 	l.stages++
 }
@@ -186,7 +215,7 @@ func (l *Ledger) Stage(w *Worker) {
 // Staged closes one of w's staging items — done, or lost with w — and
 // reports whether that ended the staging phase. A worker holding no open
 // item changes nothing.
-func (l *Ledger) Staged(w *Worker) bool {
+func (l *Ledger[H]) Staged(w *Worker[H]) bool {
 	if w.stages == 0 {
 		return false
 	}
@@ -196,12 +225,12 @@ func (l *Ledger) Staged(w *Worker) bool {
 }
 
 // Arrive marks w ready: it may be dispatched to.
-func (l *Ledger) Arrive(w *Worker) {
+func (l *Ledger[H]) Arrive(w *Worker[H]) {
 	w.Ready = true
 	l.arrive(w)
 }
 
-func (l *Ledger) arrive(w *Worker) {
+func (l *Ledger[H]) arrive(w *Worker[H]) {
 	if !w.arrived {
 		w.arrived = true
 		l.arrived++
@@ -209,7 +238,7 @@ func (l *Ledger) arrive(w *Worker) {
 }
 
 // leave counts w out of the live workers, once.
-func (l *Ledger) leave(w *Worker) {
+func (l *Ledger[H]) leave(w *Worker[H]) {
 	if !w.out {
 		w.out = true
 		l.live--
@@ -218,30 +247,30 @@ func (l *Ledger) leave(w *Worker) {
 }
 
 // Finished reports whether the ledger started and every group is terminal.
-func (l *Ledger) Finished() bool { return l.attempts != nil && l.terminal >= len(l.attempts) }
+func (l *Ledger[H]) Finished() bool { return l.attempts != nil && l.terminal >= len(l.attempts) }
 
 // Terminal counts groups that reached a terminal state.
-func (l *Ledger) Terminal() int { return l.terminal }
+func (l *Ledger[H]) Terminal() int { return l.terminal }
 
 // Requeues counts lost attempts that went back on the queue.
-func (l *Ledger) Requeues() int { return l.requeues }
+func (l *Ledger[H]) Requeues() int { return l.requeues }
 
 // Live counts joined workers that are neither dead nor draining.
-func (l *Ledger) Live() int { return l.live }
+func (l *Ledger[H]) Live() int { return l.live }
 
 // Arrived counts joined workers that became ready or died: the ones heard
 // from.
-func (l *Ledger) Arrived() int { return l.arrived }
+func (l *Ledger[H]) Arrived() int { return l.arrived }
 
 // Attempts counts gi's spent attempts.
-func (l *Ledger) Attempts(gi int) int { return int(l.attempts[gi]) }
+func (l *Ledger[H]) Attempts(gi int) int { return int(l.attempts[gi]) }
 
 // Queue is the queue in dispatch order, for reading only.
-func (l *Ledger) Queue() []int { return l.queue }
+func (l *Ledger[H]) Queue() []int { return l.queue }
 
 // Pending counts groups awaiting dispatch: the queue plus the backlogs of
 // workers that are not dead.
-func (l *Ledger) Pending() int {
+func (l *Ledger[H]) Pending() int {
 	n := len(l.queue)
 	for _, w := range l.workers {
 		if !w.Dead {
@@ -259,17 +288,18 @@ func (l *Ledger) Pending() int {
 // groups then go out one per free slot, as at a window of one, rather than
 // wait on one worker while another idles. A lone worker, with nobody to
 // take them sooner, pipelines to the end.
-func (l *Ledger) open(w *Worker) bool {
-	return l.stages == 0 && w.Ready && w.Live() && w.inFlight < w.window &&
-		(w.inFlight < w.slots || len(l.queue) > l.windows-int(w.window))
+func (l *Ledger[H]) open(w *Worker[H]) bool {
+	n := int32(len(w.flight))
+	return l.stages == 0 && w.Ready && w.Live() && n < w.window &&
+		(n < w.slots || len(l.queue) > l.windows-int(w.window))
 }
 
 // Next is the pick: w's backlog head, else the queue head — or, under
 // compute-to-data placement, the first queued group whose inputs (Plan) are
-// all in w.Held, else the head. The group counts as in flight on w until
-// Settle. False when w may not take one now (open, with its tail rule) or
-// there is none.
-func (l *Ledger) Next(w *Worker) (int, bool) {
+// all in w.Held, else the head. The group is in flight on w, with the zero
+// handle, until Settle. False when w may not take one now (open, with its
+// tail rule) or there is none.
+func (l *Ledger[H]) Next(w *Worker[H]) (int, bool) {
 	if !l.open(w) {
 		return 0, false
 	}
@@ -282,14 +312,25 @@ func (l *Ledger) Next(w *Worker) (int, bool) {
 	default:
 		return 0, false
 	}
-	w.inFlight++
+	l.hand(w, gi)
 	return gi, true
+}
+
+// hand puts group gi in flight on w, in group order; w's first hand-out
+// allocates its list, a window's worth (no more than the groups), which only
+// clones past the window grow. Handing gi twice to w is the executor's bug.
+func (l *Ledger[H]) hand(w *Worker[H], gi int) {
+	i, _ := w.find(gi)
+	if w.flight == nil {
+		w.flight = make([]Flight[H], 0, min(int(w.window), len(l.attempts)))
+	}
+	w.flight = slices.Insert(w.flight, i, Flight[H]{Group: gi})
 }
 
 // Head is what a FIFO Next would take for w, without taking it: false
 // exactly when Next would be. Under compute-to-data placement Next may take
 // a later group of the queue instead.
-func (l *Ledger) Head(w *Worker) (int, bool) {
+func (l *Ledger[H]) Head(w *Worker[H]) (int, bool) {
 	switch {
 	case !l.open(w):
 	case len(w.Backlog) > 0:
@@ -300,25 +341,27 @@ func (l *Ledger) Head(w *Worker) (int, bool) {
 	return 0, false
 }
 
-// Clone books on w a speculative copy of a group already in flight
-// elsewhere: it counts against w's window, which it may pass.
-func (l *Ledger) Clone(w *Worker) { w.inFlight++ }
+// Clone puts on w a speculative copy of group gi, in flight elsewhere: it
+// counts against w's window, which it may pass.
+func (l *Ledger[H]) Clone(w *Worker[H], gi int) { l.hand(w, gi) }
 
-// Settle books the end of one of w's attempts, whatever its outcome, and
-// reports whether it released w: a draining worker is released — marked
-// dead, for the executor to shut down — once it holds nothing. A dead
-// worker's attempts were settled by Die.
-func (l *Ledger) Settle(w *Worker) bool {
-	if w.Dead {
-		return false
+// Settle books the end of w's attempt at group gi, whatever its outcome, and
+// reports whether it released w: a draining worker that holds nothing is
+// marked dead, for the executor to shut down. A group not in flight on w —
+// a stale or repeated status, or a dead worker's — is refused: settled is
+// false and nothing changes.
+func (l *Ledger[H]) Settle(w *Worker[H], gi int) (settled, released bool) {
+	i, ok := w.find(gi)
+	if !ok {
+		return false, false
 	}
-	w.inFlight--
-	return l.release(w)
+	w.flight = slices.Delete(w.flight, i, i+1)
+	return true, l.release(w)
 }
 
 // release marks a draining worker that holds nothing dead.
-func (l *Ledger) release(w *Worker) bool {
-	if !w.Draining || w.inFlight > 0 {
+func (l *Ledger[H]) release(w *Worker[H]) bool {
+	if !w.Draining || len(w.flight) > 0 {
 		return false
 	}
 	w.Dead = true
@@ -327,7 +370,7 @@ func (l *Ledger) release(w *Worker) bool {
 }
 
 // Succeed books gi's attempt as done: the group is terminal.
-func (l *Ledger) Succeed(gi int) {
+func (l *Ledger[H]) Succeed(gi int) {
 	l.attempts[gi]++
 	l.terminal++
 }
@@ -335,7 +378,7 @@ func (l *Ledger) Succeed(gi int) {
 // Fail is the lost-task rule: one of gi's attempts failed or died with its
 // worker. Under recover with budget left the group is requeued and Fail
 // returns true; otherwise the group is terminal, for the caller to record.
-func (l *Ledger) Fail(gi int) bool {
+func (l *Ledger[H]) Fail(gi int) bool {
 	l.attempts[gi]++
 	if l.recover && int(l.attempts[gi]) <= l.maxRetries {
 		l.requeues++
@@ -348,7 +391,7 @@ func (l *Ledger) Fail(gi int) bool {
 
 // Drain starts w's scale-in: its backlog returns to the queue. It reports
 // whether w, holding nothing, is released at once (Settle).
-func (l *Ledger) Drain(w *Worker) bool {
+func (l *Ledger[H]) Drain(w *Worker[H]) bool {
 	w.Draining = true
 	l.leave(w)
 	l.queue = append(l.queue, w.Backlog...)
@@ -356,42 +399,43 @@ func (l *Ledger) Drain(w *Worker) bool {
 	return l.release(w)
 }
 
-// Kill marks w dead without settling its work: the machine is gone, and
-// Die, the master's reaction, follows when the master learns of it.
-func (l *Ledger) Kill(w *Worker) {
+// Kill marks w dead without settling its work — the machine is gone — and
+// hands back its groups in flight, in group order. Die, the master's
+// reaction, follows when the master learns of it.
+func (l *Ledger[H]) Kill(w *Worker[H]) []Flight[H] {
+	lost := w.flight
+	w.flight = nil
 	w.Dead = true
-	w.inFlight = 0
 	l.leave(w)
 	l.arrive(w)
-}
-
-// Die marks w dead and fails its in-flight groups, then its backlog,
-// returning what became terminal, in that order, in inflight's array. Its
-// open staging items stay open: the executor closes them (Staged).
-func (l *Ledger) Die(w *Worker, inflight []int) []int {
-	l.Kill(w)
-	lost := append(l.failAll(inflight), l.failAll(w.Backlog)...)
-	w.Backlog = nil
 	return lost
 }
 
-// failAll fails every group of gs and returns, in gs's array, those that
-// became terminal.
-func (l *Ledger) failAll(gs []int) []int {
-	out := gs[:0]
-	for _, gi := range gs {
-		if !l.Fail(gi) {
-			out = append(out, gi)
+// Die marks w dead and fails its in-flight groups, in group order, then its
+// backlog, returning what became terminal, in that order; after Kill (the
+// simulator settles its own attempts, which a clone may outlive) only the
+// backlog. Its open staging items stay open: the executor closes them.
+func (l *Ledger[H]) Die(w *Worker[H]) []int {
+	var lost []int
+	for _, f := range l.Kill(w) {
+		if !l.Fail(f.Group) {
+			lost = append(lost, f.Group)
 		}
 	}
-	return out
+	for _, gi := range w.Backlog {
+		if !l.Fail(gi) {
+			lost = append(lost, gi)
+		}
+	}
+	w.Backlog = nil
+	return lost
 }
 
 // Abandon is the stall rule: while groups are queued and no joined worker
 // is live, nobody can take them, so they all become terminal and are
 // returned for the caller to record as failed. It does not wait for
 // in-flight attempts; one that fails later is abandoned by a later call.
-func (l *Ledger) Abandon() []int {
+func (l *Ledger[H]) Abandon() []int {
 	if len(l.queue) == 0 || l.live > 0 {
 		return nil
 	}
@@ -403,11 +447,11 @@ func (l *Ledger) Abandon() []int {
 
 // Forget takes one group off the terminal count: an amnesiac master
 // restarted without its record that the group finished.
-func (l *Ledger) Forget() { l.terminal-- }
+func (l *Ledger[H]) Forget() { l.terminal-- }
 
 // Rebuild is a restarted master's reconciliation: the backlogs were its
 // memory and are gone, and pending becomes the queue.
-func (l *Ledger) Rebuild(pending []int) {
+func (l *Ledger[H]) Rebuild(pending []int) {
 	for _, w := range l.workers {
 		w.Backlog = nil
 	}
@@ -417,7 +461,7 @@ func (l *Ledger) Rebuild(pending []int) {
 // pick returns the index in the non-empty queue of the group w takes: under
 // compute-to-data placement the first whose inputs are all in w.Held, else
 // the head.
-func (l *Ledger) pick(w *Worker) int {
+func (l *Ledger[H]) pick(w *Worker[H]) int {
 	if l.strat.Placement != strategy.ComputeToData {
 		return 0
 	}

@@ -32,9 +32,9 @@ func TestPick(t *testing.T) {
 		{"c2d nothing held falls back to the head", strategy.ComputeToData, nil, 0},
 	}
 	for _, tc := range cases {
-		l := &Ledger{queue: []int{1, 2, 3}, strat: strategy.Config{Kind: strategy.RealTime, Placement: tc.placement}}
+		l := &Ledger[int]{queue: []int{1, 2, 3}, strat: strategy.Config{Kind: strategy.RealTime, Placement: tc.placement}}
 		l.Plan(plan, at)
-		w := &Worker{}
+		w := &Worker[int]{}
 		for _, id := range tc.held {
 			w.Held.Add(id)
 		}
@@ -79,10 +79,10 @@ func TestPopAt(t *testing.T) {
 // pop that follows, must not allocate.
 func TestPickDoesNotAllocate(t *testing.T) {
 	// Group gi reads file gi; only the group near the tail is held.
-	l := &Ledger{strat: strategy.Config{Kind: strategy.RealTime, Placement: strategy.ComputeToData}}
+	l := &Ledger[int]{strat: strategy.Config{Kind: strategy.RealTime, Placement: strategy.ComputeToData}}
 	l.Plan([]int32{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, []int32{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
 	queue := []int{3, 1, 4, 1, 5, 9, 2, 6}
-	w := &Worker{}
+	w := &Worker[int]{}
 	w.Held.Add(2)
 	var sink int
 	allocs := testing.AllocsPerRun(1000, func() {
@@ -107,8 +107,8 @@ func TestPickDoesNotAllocate(t *testing.T) {
 func TestNextDoesNotAllocate(t *testing.T) {
 	// Every pick is settled and requeued at once, under an unbounded budget,
 	// so the queue keeps its length and its array. Group gi reads file gi.
-	l := NewLedger(true, 1<<30)
-	w := &Worker{}
+	l := NewLedger[int](true, 1<<30)
+	w := &Worker[int]{}
 	l.Join(w, 1)
 	l.Plan([]int32{0, 1, 2, 3, 4, 5, 6, 7}, []int32{0, 1, 2, 3, 4, 5, 6, 7, 8})
 	l.Start(strategy.Config{Kind: strategy.RealTime, Placement: strategy.ComputeToData, Prefetch: 1}, 8, nil, nil)
@@ -121,7 +121,7 @@ func TestNextDoesNotAllocate(t *testing.T) {
 			t.Fatalf("Next = %d, %v; want the resident 5", gi, ok)
 		}
 		sink += gi
-		l.Settle(w)
+		l.Settle(w, gi)
 		l.Fail(gi)
 	})
 	if allocs != 0 {
@@ -133,14 +133,14 @@ func TestNextDoesNotAllocate(t *testing.T) {
 }
 
 // The run's lifecycle: a pre-partition deal in the caller's order, the
-// staging barrier holding every pick back, the window, a clone past it,
-// and a drained worker released by the settle that empties it.
+// staging barrier holding every pick back, the window, a clone past it in
+// group order, and a drained worker released by the settle that empties it.
 func TestLifecycle(t *testing.T) {
-	l := NewLedger(false, 0)
-	a, b := &Worker{}, &Worker{}
+	l := NewLedger[int](false, 0)
+	a, b := &Worker[int]{}, &Worker[int]{}
 	l.Join(a, 2)
 	l.Join(b, 1)
-	l.Start(strategy.Config{Kind: strategy.PrePartition}, 6, func() []partition.Group { return make([]partition.Group, 6) }, []*Worker{b, a})
+	l.Start(strategy.Config{Kind: strategy.PrePartition}, 6, func() []partition.Group { return make([]partition.Group, 6) }, []*Worker[int]{b, a})
 	if !slices.Equal(b.Backlog, []int{0, 2, 4}) || !slices.Equal(a.Backlog, []int{1, 3, 5}) {
 		t.Fatalf("deal in the given order: a %v, b %v", a.Backlog, b.Backlog)
 	}
@@ -168,9 +168,10 @@ func TestLifecycle(t *testing.T) {
 	if _, ok := l.Next(a); ok {
 		t.Fatal("a pick past the window")
 	}
-	l.Clone(a)
-	if a.InFlight() != 3 {
-		t.Fatalf("in flight %d after a clone, want 3", a.InFlight())
+	gb, _ := l.Next(b)
+	l.Clone(a, gb)
+	if got := groups(a); !slices.Equal(got, []int{0, 1, 3}) {
+		t.Fatalf("in flight %v after a clone of %d, want [0 1 3]", got, gb)
 	}
 	if l.Drain(a) || a.Dead {
 		t.Fatal("released with work in flight")
@@ -178,14 +179,109 @@ func TestLifecycle(t *testing.T) {
 	if l.Live() != 1 || !slices.Equal(l.Queue(), []int{5}) {
 		t.Fatalf("live %d, queue %v after the drain", l.Live(), l.Queue())
 	}
-	if l.Settle(a) || l.Settle(a) {
-		t.Fatal("released before its last settle")
+	for _, gi := range []int{3, 0} {
+		if settled, released := l.Settle(a, gi); !settled || released {
+			t.Fatalf("Settle(a, %d) = %v, %v; want settled, not released", gi, settled, released)
+		}
 	}
-	if !l.Settle(a) || !a.Dead {
+	if settled, released := l.Settle(a, 1); !settled || !released || !a.Dead {
 		t.Fatal("not released by the settle that emptied it")
+	}
+	if settled, _ := l.Settle(b, gb); !settled {
+		t.Fatal("b's group not settled")
 	}
 	if l.Drain(b) != true || l.Live() != 0 || l.Arrived() != 2 {
 		t.Fatalf("an idle worker's drain: live %d, arrived %d", l.Live(), l.Arrived())
+	}
+}
+
+// groups lists w's groups in flight, in the ledger's order.
+func groups(w *Worker[int]) []int {
+	var gs []int
+	for _, f := range w.InFlight() {
+		gs = append(gs, f.Group)
+	}
+	return gs
+}
+
+// Settle refuses a group that is not in flight on the worker — one still
+// queued, one in flight on another worker, one settled already, and any of
+// a dead worker's — and changes nothing: the list, the handles, the counts,
+// and a draining worker's release all stay as they were.
+func TestSettleRefusesGroupNotInFlight(t *testing.T) {
+	l := NewLedger[int](false, 0)
+	a, b := &Worker[int]{}, &Worker[int]{}
+	l.Join(a, 2)
+	l.Join(b, 2)
+	l.Start(strategy.Config{Kind: strategy.RealTime, Prefetch: 1}, 6, nil, nil)
+	l.Arrive(a)
+	l.Arrive(b)
+	l.Next(a) // 0
+	l.Next(a) // 1
+	l.Next(b) // 2
+	*a.Handle(1) = 10
+	refused := func(w *Worker[int], gi int) {
+		t.Helper()
+		before, dead, live := slices.Clone(w.InFlight()), w.Dead, l.Live()
+		if settled, released := l.Settle(w, gi); settled || released {
+			t.Fatalf("Settle of %d = %v, %v; want refused", gi, settled, released)
+		}
+		if !slices.Equal(w.InFlight(), before) || w.Dead != dead || l.Live() != live {
+			t.Fatalf("a refused Settle of %d changed the worker: %v -> %v", gi, before, w.InFlight())
+		}
+	}
+	refused(a, 3) // queued
+	refused(a, 2) // b's
+	if settled, _ := l.Settle(a, 0); !settled {
+		t.Fatal("a's group 0 not settled")
+	}
+	refused(a, 0) // a repeated status
+	l.Drain(a)
+	refused(a, 0) // does not release a with group 1 in flight
+	if h := a.Handle(1); h == nil || *h != 10 || a.Dead {
+		t.Fatalf("group 1's handle %v; dead %v", h, a.Dead)
+	}
+	if settled, released := l.Settle(a, 1); !settled || !released {
+		t.Fatal("a's last settle did not release it")
+	}
+	l.Kill(b)
+	refused(b, 2) // handed back by Kill
+}
+
+// Kill hands back what was in flight in group order, handles attached, and
+// leaves Die the backlog; Die on a live worker fails its in-flight groups in
+// group order, then its backlog.
+func TestKillAndDieHandBackInGroupOrder(t *testing.T) {
+	l := NewLedger[int](false, 0)
+	a, b := &Worker[int]{}, &Worker[int]{}
+	l.Join(a, 3)
+	l.Join(b, 3)
+	l.Start(strategy.Config{Kind: strategy.PrePartition}, 8, func() []partition.Group { return make([]partition.Group, 8) }, nil)
+	l.Arrive(a)
+	l.Arrive(b)
+	// a's backlog is 0, 2, 4, 6; b's 1, 3, 5, 7. a takes three, b one, and a
+	// clone of b's 1 lands between a's.
+	for range 3 {
+		l.Next(a)
+	}
+	l.Next(b)
+	l.Clone(a, 1)
+	for _, f := range a.InFlight() {
+		*a.Handle(f.Group) = 100 + f.Group
+	}
+	lost := l.Kill(a)
+	if got := []Flight[int]{{0, 100}, {1, 101}, {2, 102}, {4, 104}}; !slices.Equal(lost, got) {
+		t.Fatalf("Kill handed back %v, want %v", lost, got)
+	}
+	if len(a.InFlight()) != 0 {
+		t.Fatalf("a killed worker holds %v", groups(a))
+	}
+	if got := l.Die(a); !slices.Equal(got, []int{6}) {
+		t.Fatalf("Die after Kill lost %v, want the backlog [6]", got)
+	}
+	l.Next(b)
+	if got := l.Die(b); !slices.Equal(got, []int{1, 3, 5, 7}) {
+		t.Fatalf("Die lost %v, want in flight [1 3], then the backlog [5 7]", got)
 	}
 }
 
@@ -193,11 +289,11 @@ func TestLifecycle(t *testing.T) {
 // holds more groups than the other live workers' windows take.
 func TestTailRule(t *testing.T) {
 	strat := strategy.Config{Kind: strategy.RealTime, Prefetch: 3}
-	run := func(workers, n int) (*Ledger, []*Worker) {
-		l := NewLedger(false, 0)
-		ws := make([]*Worker, workers)
+	run := func(workers, n int) (*Ledger[int], []*Worker[int]) {
+		l := NewLedger[int](false, 0)
+		ws := make([]*Worker[int], workers)
 		for i := range ws {
-			ws[i] = &Worker{}
+			ws[i] = &Worker[int]{}
 			if err := l.Join(ws[i], 1); err != nil {
 				t.Fatal(err)
 			}
@@ -216,32 +312,32 @@ func TestTailRule(t *testing.T) {
 	// Four groups on four one-slot workers: one each, as at a window of one.
 	_, ws := run(4, 4)
 	for i, w := range ws {
-		if w.InFlight() != 1 {
-			t.Fatalf("worker %d holds %d of 4 groups, want 1", i, w.InFlight())
+		if len(w.InFlight()) != 1 {
+			t.Fatalf("worker %d holds %v of 4 groups, want one", i, groups(w))
 		}
 	}
 	// Eight on two: the first fills its window of three, as five would be
 	// left for the other's three; the second stops at two, leaving three.
 	l, ws := run(2, 8)
-	if ws[0].InFlight() != 3 || ws[1].InFlight() != 2 || len(l.Queue()) != 3 {
-		t.Fatalf("in flight %d and %d, queue %v", ws[0].InFlight(), ws[1].InFlight(), l.Queue())
+	if !slices.Equal(groups(ws[0]), []int{0, 1, 2}) || !slices.Equal(groups(ws[1]), []int{3, 4}) || len(l.Queue()) != 3 {
+		t.Fatalf("in flight %v and %v, queue %v", groups(ws[0]), groups(ws[1]), l.Queue())
 	}
 	// A settle past the slots is not refilled while the queue holds no more
 	// than the other's window; the one that frees a slot is.
-	l.Settle(ws[0])
+	l.Settle(ws[0], 0)
 	if _, ok := l.Next(ws[0]); ok {
 		t.Fatal("a pick past the slots with the queue down to the other's window")
 	}
-	l.Settle(ws[0])
-	l.Settle(ws[0])
+	l.Settle(ws[0], 1)
+	l.Settle(ws[0], 2)
 	if gi, ok := l.Next(ws[0]); !ok || gi != 5 {
 		t.Fatalf("Next = %d, %v on a free slot; want the queue head 5", gi, ok)
 	}
 	// A lone worker has nobody to leave groups to: it fills its window to
 	// the last group.
 	l, ws = run(1, 2)
-	if ws[0].InFlight() != 2 || len(l.Queue()) != 0 {
-		t.Fatalf("a lone worker holds %d of 2 groups", ws[0].InFlight())
+	if len(ws[0].InFlight()) != 2 || len(l.Queue()) != 0 {
+		t.Fatalf("a lone worker holds %v of 2 groups", groups(ws[0]))
 	}
 }
 
@@ -256,8 +352,8 @@ func TestStartSizesWindowFromGroups(t *testing.T) {
 		{1 << 10, 2 * strategy.DefaultPrefetch},
 		{strategy.PipelineBytes, 2},
 	} {
-		l := NewLedger(false, 0)
-		w, joiner := &Worker{}, &Worker{}
+		l := NewLedger[int](false, 0)
+		w, joiner := &Worker[int]{}, &Worker[int]{}
 		l.Join(w, 2)
 		groups := make([]partition.Group, 4)
 		for i := range groups {
@@ -273,16 +369,16 @@ func TestStartSizesWindowFromGroups(t *testing.T) {
 
 // Join refuses a worker whose window would not fit, whatever the strategy.
 func TestJoinBoundsSlots(t *testing.T) {
-	l := NewLedger(false, 0)
+	l := NewLedger[int](false, 0)
 	for _, slots := range []int{0, -1, MaxSlots + 1, 1 << 40} {
-		if err := l.Join(&Worker{}, slots); err == nil {
+		if err := l.Join(&Worker[int]{}, slots); err == nil {
 			t.Errorf("joined with %d slots", slots)
 		}
 	}
 	if l.Live() != 0 {
 		t.Fatalf("%d live after refusals", l.Live())
 	}
-	w := &Worker{}
+	w := &Worker[int]{}
 	if err := l.Join(w, MaxSlots); err != nil {
 		t.Fatal(err)
 	}
@@ -328,6 +424,16 @@ func ledgerSeed(nw, n, retries, slots int, recoverOn, c2d, prePartition, realTim
 	return append([]byte{h, byte(n - 1), byte(retries | (slots-1)<<2)}, ops...)
 }
 
+// subsequence reports whether sub is xs with some elements left out.
+func subsequence(sub, xs []int) bool {
+	for _, x := range xs {
+		if len(sub) > 0 && sub[0] == x {
+			sub = sub[1:]
+		}
+	}
+	return len(sub) == 0
+}
+
 // FuzzLedger drives one ledger the way an executor does — seeded
 // interleavings of start (and its deal), join, arrive, next, ok, fail,
 // drain, die, stage, staged, clone and kill over 1–8 workers, with Recover
@@ -337,16 +443,22 @@ func ledgerSeed(nw, n, retries, slots int, recoverOn, c2d, prePartition, realTim
 // — under compute-to-data placement — the first queued group whose inputs
 // are all in Held, else the queue head. After every operation it holds the
 // ledger to: every started group is in exactly one of the queue, one
-// backlog, in flight or terminal, and terminal once; no worker passes its window except by a
-// clone; past its slots a worker is handed a group only while the queue
-// holds more than the other live workers' windows (the tail rule); nothing
-// is handed out while a staging item is open, or to a worker that is not
-// ready, draining, dead or released; a released worker was
+// backlog, in flight or terminal, and terminal once; each worker's
+// in-flight list is the executor's record — its groups and its clones, in
+// group order, with the handles attached — and a dead worker's is empty;
+// Settle of a group not in flight on the worker is refused and changes
+// nothing; Kill hands back the in-flight groups in group order, and Die
+// fails them, then the backlog, in that order; no worker passes its window
+// except by a clone; past its slots a worker is handed a group only while
+// the queue holds more than the other live workers' windows (the tail
+// rule); nothing is handed out while a staging item is open, or to a worker
+// that is not ready, draining, dead or released; a released worker was
 // draining and holds nothing; the live and arrived counts and the live
-// workers' windows equal a recount;
-// no group spends more than MaxRetries+1 attempts; nothing stays queued
-// with no live worker; and once every worker is dead, terminal equals the
-// total.
+// workers' windows equal a recount; no group spends more than MaxRetries+1
+// attempts; nothing stays queued with no live worker; and once every worker
+// is dead, terminal equals the total. A clone is of another live worker's
+// group that nobody clones yet; as in the simulator's race, a failure of
+// either side leaves the group to the other.
 func FuzzLedger(f *testing.F) {
 	// The simulator's drain-then-last-worker-dies: two of three workers
 	// drain, then the last undrained one dies holding work.
@@ -424,6 +536,28 @@ func FuzzLedger(f *testing.F) {
 	f.Add(ledgerSeed(1, 12, 0, 1, false, true, false, true,
 		ledgerOp(opStart, 0), ledgerOp(opArrive, 0), ledgerOp(opNext, 0), ledgerOp(opNext, 0),
 		ledgerOp(opOK, 0), ledgerOp(opNext, 0)))
+	// A requeued group picked after a later one goes in flight ahead of it:
+	// Kill hands back 0 before 2.
+	f.Add(ledgerSeed(1, 3, 0, 1, true, false, false, true,
+		ledgerOp(opStart, 0), ledgerOp(opArrive, 0), ledgerOp(opNext, 0), ledgerOp(opNext, 0),
+		ledgerOp(opFail, 0), ledgerOp(opNext, 0), ledgerOp(opOK, 0), ledgerOp(opNext, 0),
+		ledgerOp(opKill, 0), ledgerOp(opDie, 0)))
+	// A race: the primary fails and the clone takes the group over.
+	f.Add(ledgerSeed(2, 6, 0, 1, false, false, false, true,
+		ledgerOp(opStart, 0), ledgerOp(opArrive, 0), ledgerOp(opArrive, 1),
+		ledgerOp(opNext, 0), ledgerOp(opNext, 1), ledgerOp(opClone, 1), ledgerOp(opFail, 0),
+		ledgerOp(opOK, 1), ledgerOp(opOK, 1), ledgerOp(opNext, 0)))
+	// A race: the primary's worker dies, and the clone's finishes the group.
+	f.Add(ledgerSeed(2, 6, 0, 1, true, false, false, true,
+		ledgerOp(opStart, 0), ledgerOp(opArrive, 0), ledgerOp(opArrive, 1),
+		ledgerOp(opNext, 0), ledgerOp(opNext, 1), ledgerOp(opClone, 1), ledgerOp(opDie, 0),
+		ledgerOp(opOK, 1), ledgerOp(opOK, 1), ledgerOp(opDie, 1)))
+	// Statuses repeated on a live worker, sent with nothing in flight, and
+	// from a killed one.
+	f.Add(ledgerSeed(1, 2, 0, 1, false, false, false, true,
+		ledgerOp(opStart, 0), ledgerOp(opArrive, 0), ledgerOp(opNext, 0), ledgerOp(opOK, 0),
+		ledgerOp(opOK, 0), ledgerOp(opFail, 0), ledgerOp(opNext, 0), ledgerOp(opKill, 0),
+		ledgerOp(opOK, 0), ledgerOp(opFail, 0)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
@@ -452,7 +586,7 @@ func FuzzLedger(f *testing.F) {
 			}
 			at[gi+1] = int32(len(plan))
 		}
-		held := func(w *Worker, gi int) bool {
+		held := func(w *Worker[int], gi int) bool {
 			for _, id := range plan[at[gi]:at[gi+1]] {
 				if !w.Held.Has(id) {
 					return false
@@ -465,28 +599,28 @@ func FuzzLedger(f *testing.F) {
 		if budget == 0 {
 			budget = DefaultMaxRetries
 		}
-		l := NewLedger(recoverOn, retries)
+		l := NewLedger[int](recoverOn, retries)
 		l.Plan(plan, at)
-		var workers []*Worker
-		// Per worker, the executor's record: its attempts in flight (clones
-		// apart), its open staging items, whether it was ever heard from, and
-		// whether it died or was released.
-		var inflight [][]int
-		var clones, stages []int
+		var workers []*Worker[int]
+		// Per worker, the executor's record: the groups it runs (own, in pick
+		// order, kept past a Kill until Die), the speculative copies it runs
+		// of groups owned elsewhere (clones), its open staging items, whether
+		// it was ever heard from, and whether it died or was released.
+		var own, clones [][]int
+		var stages []int
 		var heard, gone []bool
 		join := func() {
 			if len(workers) < 8 {
-				w := &Worker{}
-				workers, inflight = append(workers, w), append(inflight, nil)
-				clones, stages = append(clones, 0), append(stages, 0)
-				heard, gone = append(heard, false), append(gone, false)
+				w := &Worker[int]{}
+				workers, own, clones = append(workers, w), append(own, nil), append(clones, nil)
+				stages, heard, gone = append(stages, 0), append(heard, false), append(gone, false)
 				if err := l.Join(w, slots); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
 		// windows sums the live workers' windows, but skip's.
-		windows := func(skip *Worker) int {
+		windows := func(skip *Worker[int]) int {
 			sum := 0
 			for _, w := range workers {
 				if w.Live() && w != skip {
@@ -494,6 +628,27 @@ func FuzzLedger(f *testing.F) {
 				}
 			}
 			return sum
+		}
+		// handle is the executor's handle on group gi on worker wi.
+		handle := func(wi, gi int) int { return gi<<3 | wi }
+		// record is what the ledger must list in flight on worker wi: its own
+		// groups and its clones, in group order, with their handles.
+		record := func(wi int) []Flight[int] {
+			var fs []Flight[int]
+			for _, gi := range append(slices.Clone(own[wi]), clones[wi]...) {
+				fs = append(fs, Flight[int]{gi, handle(wi, gi)})
+			}
+			slices.SortFunc(fs, func(a, b Flight[int]) int { return a.Group - b.Group })
+			return fs
+		}
+		// cloneOf finds the worker running a clone of gi.
+		cloneOf := func(gi int) (int, bool) {
+			for wi := range workers {
+				if slices.Contains(clones[wi], gi) {
+					return wi, true
+				}
+			}
+			return 0, false
 		}
 		for range 1 + int(h&7) {
 			join()
@@ -520,29 +675,108 @@ func FuzzLedger(f *testing.F) {
 			if !rel {
 				return
 			}
-			if !w.Draining || !w.Dead || len(inflight[wi])+clones[wi] > 0 {
-				t.Fatalf("worker %d released: draining %v, dead %v, %d in flight, %d clones", wi, w.Draining, w.Dead, len(inflight[wi]), clones[wi])
+			if !w.Draining || !w.Dead || len(own[wi])+len(clones[wi]) > 0 {
+				t.Fatalf("worker %d released: draining %v, dead %v, own %v, clones %v", wi, w.Draining, w.Dead, own[wi], clones[wi])
 			}
 			heard[wi], gone[wi] = true, true
 		}
-		// take pops w's oldest in-flight attempt, if any, and settles it.
-		take := func(wi int) (int, bool) {
-			if len(inflight[wi]) == 0 {
-				return 0, false
+		// stale settles group gi, not in flight on worker wi — a repeated,
+		// stale or dead worker's status — and checks that nothing changed.
+		stale := func(wi, gi int) {
+			w := workers[wi]
+			if w.Handle(gi) != nil {
+				return
 			}
-			gi := inflight[wi][0]
-			inflight[wi] = inflight[wi][1:]
-			released(wi, l.Settle(workers[wi]))
-			return gi, true
+			flight, dead, draining := slices.Clone(w.InFlight()), w.Dead, w.Draining
+			live, arrived, terminal, queued := l.Live(), l.Arrived(), l.Terminal(), len(l.Queue())
+			if settled, rel := l.Settle(w, gi); settled || rel {
+				t.Fatalf("Settle(%d, %d) = %v, %v for a group not in flight there", wi, gi, settled, rel)
+			}
+			if !slices.Equal(w.InFlight(), flight) || w.Dead != dead || w.Draining != draining ||
+				l.Live() != live || l.Arrived() != arrived || l.Terminal() != terminal || len(l.Queue()) != queued {
+				t.Fatalf("a refused Settle(%d, %d) changed the ledger", wi, gi)
+			}
 		}
 		fail := func(gi int) {
 			if !l.Fail(gi) {
 				settle(gi)
 			}
 		}
+		// lost is the failure of an own attempt at gi: with a clone of it
+		// running, the clone takes the group over (the simulator's race);
+		// otherwise the group fails.
+		lost := func(gi int) {
+			if cw, ok := cloneOf(gi); ok {
+				clones[cw] = slices.DeleteFunc(clones[cw], func(c int) bool { return c == gi })
+				own[cw] = append(own[cw], gi)
+				return
+			}
+			fail(gi)
+		}
+		// take settles w's oldest own attempt, if any, and repeats the
+		// status, which must be refused.
+		take := func(wi int) (int, bool) {
+			if len(own[wi]) == 0 {
+				return 0, false
+			}
+			gi := own[wi][0]
+			own[wi] = own[wi][1:]
+			settled, rel := l.Settle(workers[wi], gi)
+			if !settled {
+				t.Fatalf("worker %d's group %d not settled", wi, gi)
+			}
+			released(wi, rel)
+			stale(wi, gi)
+			return gi, true
+		}
+		// kill is the physical half of a death: the ledger hands back the
+		// worker's groups in group order, with their handles.
+		kill := func(wi int) {
+			w := workers[wi]
+			want := record(wi)
+			if got := l.Kill(w); !slices.Equal(got, want) {
+				t.Fatalf("Kill(%d) handed back %v, want %v", wi, got, want)
+			}
+			heard[wi] = true
+		}
+		// die is the master's reaction. Where no race is involved, Die fails
+		// the groups in flight in group order, then the backlog; otherwise the
+		// worker is killed first, its attempts settle one by one as the
+		// simulator's do, and Die fails the backlog alone.
 		die := func(wi int) {
-			settle(l.Die(workers[wi], inflight[wi])...)
-			inflight[wi], clones[wi], heard[wi], gone[wi] = nil, 0, true, true
+			w := workers[wi]
+			raced := len(clones[wi]) > 0
+			for _, gi := range own[wi] {
+				if _, ok := cloneOf(gi); ok {
+					raced = true
+				}
+			}
+			var want []int
+			if !w.Dead && !raced {
+				for _, f := range record(wi) {
+					want = append(want, f.Group)
+				}
+				own[wi] = nil
+			} else {
+				if !w.Dead {
+					kill(wi)
+				}
+				clones[wi] = nil // a clone's failure leaves its group to the owner
+				gs := own[wi]
+				own[wi] = nil
+				for _, gi := range gs {
+					lost(gi)
+				}
+			}
+			want = append(want, w.Backlog...)
+			got := l.Die(w)
+			// What became terminal, in the order given: all of it without
+			// Recover.
+			if !subsequence(got, want) || (!recoverOn && !slices.Equal(got, want)) {
+				t.Fatalf("Die(%d) lost %v, want in that order of %v", wi, got, want)
+			}
+			settle(got...)
+			heard[wi], gone[wi] = true, true
 		}
 		check := func() {
 			settle(l.Abandon()...)
@@ -568,7 +802,7 @@ func FuzzLedger(f *testing.F) {
 					for _, gi := range w.Backlog {
 						where[gi]++
 					}
-					for _, gi := range inflight[wi] {
+					for _, gi := range own[wi] {
 						where[gi]++
 					}
 				}
@@ -590,8 +824,14 @@ func FuzzLedger(f *testing.F) {
 				if (gone[wi] || w.Draining) && len(w.Backlog) > 0 {
 					t.Fatalf("worker %d (dead %v, draining %v) holds backlog %v", wi, w.Dead, w.Draining, w.Backlog)
 				}
-				if !w.Dead && (len(inflight[wi]) > int(w.window) || w.InFlight() != len(inflight[wi])+clones[wi]) {
-					t.Fatalf("worker %d: %d in flight and %d clones, the ledger counts %d, window %d", wi, len(inflight[wi]), clones[wi], w.InFlight(), w.window)
+				// The ledger's record is the executor's, but for what a Kill
+				// handed back.
+				want := record(wi)
+				if w.Dead {
+					want = nil
+				}
+				if got := w.InFlight(); !slices.Equal(got, want) {
+					t.Fatalf("worker %d (dead %v): the ledger has %v in flight, the executor %v", wi, w.Dead, got, want)
 				}
 			}
 			if live != l.Live() || arrived != l.Arrived() || l.windows != windows(nil) {
@@ -602,7 +842,7 @@ func FuzzLedger(f *testing.F) {
 				t.Fatalf("no worker is live and %v stays queued", l.Queue())
 			}
 		}
-		for _, b := range data[3:] {
+		for i, b := range data[3:] {
 			wi := int(b>>4) % len(workers)
 			w := workers[wi]
 			switch int(b&15) % opKinds {
@@ -627,7 +867,7 @@ func FuzzLedger(f *testing.F) {
 						}
 					}
 				}
-				past, queued := w.InFlight() >= int(w.slots), len(l.Queue())
+				past, queued := len(w.InFlight()) >= int(w.slots), len(l.Queue())
 				gi, ok := l.Next(w)
 				if ok != headOK || (ok && gi != want) {
 					t.Fatalf("Next = %d, %v; want %d, %v (compute-to-data %v)", gi, ok, want, headOK, c2d)
@@ -642,26 +882,38 @@ func FuzzLedger(f *testing.F) {
 					if others := windows(w); past && queued <= others {
 						t.Fatalf("picked group %d for worker %d past its %d slots with %d queued, the others' windows %d", gi, wi, w.slots, queued, others)
 					}
-					inflight[wi] = append(inflight[wi], gi)
+					if len(w.InFlight()) > int(w.window) {
+						t.Fatalf("picked group %d for worker %d past its window of %d", gi, wi, w.window)
+					}
+					*w.Handle(gi) = handle(wi, gi)
+					own[wi] = append(own[wi], gi)
 				}
 			case opOK:
+				stale(wi, i%n)
 				if w.Dead {
 					break // a dead worker's attempts end through Die
 				}
-				if clones[wi] > 0 {
-					// A clone that lost its race: settled, with no outcome.
-					clones[wi]--
-					released(wi, l.Settle(w))
+				if len(clones[wi]) > 0 {
+					// A clone's end, its race lost or its own failure: settled,
+					// with no outcome.
+					gi := clones[wi][0]
+					clones[wi] = clones[wi][1:]
+					settled, rel := l.Settle(w, gi)
+					if !settled {
+						t.Fatalf("worker %d's clone of %d not settled", wi, gi)
+					}
+					released(wi, rel)
 				} else if gi, ok := take(wi); ok {
 					l.Succeed(gi)
 					settle(gi)
 				}
 			case opFail:
+				stale(wi, i%n)
 				if w.Dead {
 					break
 				}
 				if gi, ok := take(wi); ok {
-					fail(gi)
+					lost(gi)
 				}
 			case opDrain:
 				if w.Live() {
@@ -684,14 +936,25 @@ func FuzzLedger(f *testing.F) {
 					t.Fatalf("Staged(%d) = %v with %d items open", wi, ended, open)
 				}
 			case opClone:
-				if !w.Dead {
-					l.Clone(w)
-					clones[wi]++
+				// A copy of another live worker's group that nobody clones
+				// yet, onto w.
+				if w.Dead {
+					break
+				}
+			pick:
+				for oi, o := range workers {
+					for _, gi := range own[oi] {
+						if _, cloned := cloneOf(gi); o != w && !o.Dead && !cloned {
+							l.Clone(w, gi)
+							*w.Handle(gi) = handle(wi, gi)
+							clones[wi] = append(clones[wi], gi)
+							break pick
+						}
+					}
 				}
 			case opKill:
 				if !w.Dead {
-					l.Kill(w)
-					heard[wi] = true
+					kill(wi)
 				}
 			}
 			check()

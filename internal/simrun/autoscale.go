@@ -16,10 +16,7 @@ func (r *Runner) DrainWorker() error {
 	}
 	var victim *simWorker
 	for _, w := range r.workers {
-		if !w.Live() {
-			continue
-		}
-		if victim == nil || len(w.inflight) < len(victim.inflight) {
+		if w.Live() && (victim == nil || len(w.InFlight()) < len(victim.InFlight())) {
 			victim = w
 		}
 	}

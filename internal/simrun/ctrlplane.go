@@ -67,7 +67,7 @@ func (c *ctrlHook) finish() {
 // the decision's modeled cost — a template hit's or a full derivation's — on
 // the decision server, and schedule the dispatch for when the server gets to
 // it. Returns false when the ledger hands w nothing now. The slot is
-// reserved (the ledger's in-flight count) at decision time so same-instant
+// reserved (in the ledger's in-flight list) at decision time so same-instant
 // kicks cannot over-admit; speculation clones and repair flows are
 // master-initiated mitigation, not task dispatches, and bypass the decision
 // server.

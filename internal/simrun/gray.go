@@ -185,10 +185,7 @@ func (r *Runner) SetWorkerSpeed(vm *cloud.VM, factor float64) {
 		tr.Instant(w.name, "fault", "speed-change", obs.Args{"factor": factor})
 	}
 	now := r.eng.Now()
-	for _, att := range sortedInflight(w) {
-		if !att.compute.Pending() {
-			continue
-		}
+	for att := range w.computing {
 		att.workLeft -= float64(now-att.rateSince) * old
 		if att.workLeft < 0 {
 			att.workLeft = 0
@@ -196,6 +193,15 @@ func (r *Runner) SetWorkerSpeed(vm *cloud.VM, factor float64) {
 		att.rateSince = now
 		att.compute.Cancel()
 		att.compute = r.eng.ScheduleHandler(sim.Duration(att.workLeft/factor), att)
+	}
+}
+
+// computing yields w's attempts whose compute runs (no race loser's), in task order.
+func (w *simWorker) computing(yield func(*taskAttempt) bool) {
+	for _, f := range w.InFlight() {
+		if a := f.Handle; a != nil && a.compute.Pending() && !yield(a) {
+			return
+		}
 	}
 }
 
@@ -219,10 +225,7 @@ func (g *grayHook) tick(w *simWorker) {
 	d := g.det.d
 	now := g.r.eng.Now()
 	rate, seen := 0.0, false
-	for _, a := range w.inflight {
-		if !a.compute.Pending() || a.cancelled {
-			continue
-		}
+	for a := range w.computing {
 		elapsed := float64(now - a.started)
 		if elapsed <= 0 {
 			continue
@@ -236,7 +239,7 @@ func (g *grayHook) tick(w *simWorker) {
 		}
 	}
 	if !seen {
-		if w.InFlight() == 0 && d.SlowSuspected(w.name) {
+		if len(w.InFlight()) == 0 && d.SlowSuspected(w.name) {
 			// An idle worker yields no progress evidence; report neutral so
 			// the stale suspicion clears and admission resumes.
 			d.ReportProgress(w.name, 1)
@@ -269,8 +272,8 @@ func (g *grayHook) maybeSpeculate(sw *simWorker) {
 	}
 	now := r.eng.Now()
 	var att *taskAttempt
-	for _, a := range sw.inflight {
-		if !a.compute.Pending() || a.cancelled || a.clone || a.race != nil {
+	for a := range sw.computing {
+		if a.clone || a.race != nil {
 			continue
 		}
 		if float64(now-a.started) < speculateAfterSec {
@@ -303,10 +306,10 @@ func (g *grayHook) maybeSpeculate(sw *simWorker) {
 		launch := ab.After(att.anStart, attrib.DetectionLatency, "spec-launch", sw.name)
 		g.an.cause = ab.After(launch, attrib.SpeculationOverhead, "spec-dispatch", cw.name)
 	}
-	r.led.Clone(&cw.Worker) // speculation may oversubscribe the pipeline, by budget
+	r.led.Clone(&cw.Worker, att.task) // speculation may oversubscribe the pipeline, by budget
 	catt := r.fetchAndRun(cw, att.task)
 	catt.clone = true
-	if cw.inflight[att.task] != catt {
+	if h := cw.Handle(att.task); h == nil || *h != catt {
 		// The clone's fetch failed at once (its input is lost) and the
 		// clone has settled: there is nothing left to race.
 		return
@@ -321,13 +324,10 @@ func (g *grayHook) maybeSpeculate(sw *simWorker) {
 func (g *grayHook) speculationTarget(sw *simWorker) *simWorker {
 	var best *simWorker
 	for _, o := range g.r.workers {
-		if o == sw || !o.Ready || !o.Live() {
+		if o == sw || !o.Ready || !o.Live() || g.det.d.SlowSuspected(o.name) || g.det.d.Suspected(o.name) {
 			continue
 		}
-		if g.det.d.SlowSuspected(o.name) || g.det.d.Suspected(o.name) {
-			continue
-		}
-		if best == nil || o.InFlight() < best.InFlight() {
+		if best == nil || len(o.InFlight()) < len(best.InFlight()) {
 			best = o
 		}
 	}
@@ -385,10 +385,7 @@ func (g *grayHook) cancel(w *simWorker, att *taskAttempt) {
 		w.cores.Release()
 	}
 	r.res.SpeculativeWastedSec += wasted
-	if !w.Dead {
-		delete(w.inflight, att.task)
-		r.led.Settle(&w.Worker)
-	}
+	r.led.Settle(&w.Worker, att.task) // refused on a dead worker: Kill has it
 	r.res.Completions = append(r.res.Completions, Completion{
 		Task: att.task, Worker: w.name, Start: att.started, End: now,
 		Attempt: r.led.Attempts(att.task) + 1, Speculative: true, Cancelled: true,

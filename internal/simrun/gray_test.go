@@ -222,15 +222,17 @@ func TestSpeculationOnLostInput(t *testing.T) {
 	var sw *simWorker
 	for sw == nil && eng.Step() {
 		for _, w := range r.workers {
-			if att := w.inflight[0]; att != nil && att.compute.Pending() && float64(eng.Now()-att.started) >= speculateAfterSec {
-				sw = w
+			if h := w.Handle(0); h != nil {
+				if att := *h; att.compute.Pending() && float64(eng.Now()-att.started) >= speculateAfterSec {
+					sw = w
+				}
 			}
 		}
 	}
 	if sw == nil {
 		t.Fatal("the task never computed past the speculation threshold")
 	}
-	primary := sw.inflight[0]
+	primary := *sw.Handle(0)
 	cluster.FailDisk(sw.vm) // the only copy of the task's input
 	if !durabilityOf(r).lost[r.led.Inputs(0)[0]] {
 		t.Fatal("disk death did not lose the task's input")

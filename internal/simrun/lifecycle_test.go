@@ -107,8 +107,8 @@ func TestDrainReleasesWorker(t *testing.T) {
 				victim = w
 			}
 		}
-		if victim.Dead || victim.InFlight() != 1 {
-			t.Fatalf("released at the drain with %d in flight", victim.InFlight())
+		if victim.Dead || len(victim.InFlight()) != 1 {
+			t.Fatalf("released at the drain with %d in flight", len(victim.InFlight()))
 		}
 		if r.LiveWorkers() != 2 {
 			t.Fatalf("%d live workers after the drain, want 2", r.LiveWorkers())
@@ -116,8 +116,8 @@ func TestDrainReleasesWorker(t *testing.T) {
 	})
 	// Every one-slot worker started a one-second task at 3 s.
 	eng.Schedule(sim.Duration(4.5), func() {
-		if !victim.Dead || victim.InFlight() != 0 {
-			t.Fatalf("not released once its task settled: dead %v, %d in flight", victim.Dead, victim.InFlight())
+		if !victim.Dead || len(victim.InFlight()) != 0 {
+			t.Fatalf("not released once its task settled: dead %v, %d in flight", victim.Dead, len(victim.InFlight()))
 		}
 	})
 	res, err := r.Run()

@@ -344,22 +344,19 @@ func (m *masterHook) amnesiaForgetLedger() {
 // re-execution the journal would have prevented.
 func (m *masterHook) reconcile() {
 	r := m.r
-	inflight := make(map[int]bool)
-	for _, w := range r.workers {
-		if !w.Dead {
-			for gi := range w.inflight {
-				inflight[gi] = true
-			}
-		}
-	}
-	queue := r.led.Queue()
-	oldQueue := make(map[int]bool, len(queue))
+	// was marks each task queued (1), or in flight on a worker (2).
+	queue, was := r.led.Queue(), make([]uint8, len(r.wl.Tasks))
 	for _, gi := range queue {
-		oldQueue[gi] = true
+		was[gi] = 1
+	}
+	for _, w := range r.workers {
+		for _, f := range w.InFlight() {
+			was[f.Group] = 2
+		}
 	}
 	pending := make([]int, 0, len(queue))
 	for gi := range r.wl.Tasks {
-		if inflight[gi] {
+		if was[gi] == 2 {
 			continue
 		}
 		if m.doneTruth[gi] {
@@ -371,7 +368,7 @@ func (m *masterHook) reconcile() {
 			continue
 		}
 		pending = append(pending, gi)
-		if !oldQueue[gi] {
+		if was[gi] == 0 {
 			r.res.OrphansReconciled++
 		}
 	}

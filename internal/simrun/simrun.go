@@ -20,7 +20,6 @@ package simrun
 
 import (
 	"fmt"
-	"maps"
 	"math/rand"
 	"slices"
 
@@ -61,7 +60,7 @@ type Runner struct {
 
 	// led is the scheduling ledger: the shared queue, each task's spent
 	// attempts, the terminal count and the rules over them.
-	led      *sched.Ledger
+	led      *sched.Ledger[*taskAttempt]
 	started  bool
 	finished bool
 	startAt  sim.Time
@@ -150,14 +149,14 @@ type Runner struct {
 // simWorker is the simulated execution-plane worker.
 type simWorker struct {
 	// Worker is the ledger's view; Ready means the common data is staged,
-	// its in-flight count covers the transfer→compute pipeline, and Held is
-	// the file ids on its disk or claimed for it.
-	sched.Worker
-	vm       *cloud.VM
-	name     string
-	disk     *storage.Volume
-	cores    sim.Resource
-	inflight map[int]*taskAttempt // admitted attempts; nil until the first dispatch
+	// its in-flight list covers the transfer→compute pipeline, each task
+	// with its attempt (none while the decision server holds its dispatch,
+	// ctrlplane.go), and Held is the file ids on its disk or claimed for it.
+	sched.Worker[*taskAttempt]
+	vm    *cloud.VM
+	name  string
+	disk  *storage.Volume
+	cores sim.Resource
 	// speed is the compute-rate factor (1 = provisioned); straggler
 	// injection lowers it via SetWorkerSpeed without touching liveness.
 	speed  float64
@@ -229,7 +228,7 @@ func NewRunner(cluster *cloud.Cluster, master *cloud.VM, cfg Config, wl Workload
 		cfg:       cfg,
 		wl:        wl,
 		master:    master,
-		led:       sched.NewLedger(cfg.Recover, cfg.MaxRetries),
+		led:       sched.NewLedger[*taskAttempt](cfg.Recover, cfg.MaxRetries),
 		replicas:  catalog.NewReplicas(),
 		corrupt:   func(*cloud.VM, *simWorker) bool { return false },
 		readFails: func(*simWorker, *taskAttempt) bool { return false },
@@ -559,10 +558,7 @@ func (r *Runner) dispatchNext(w *simWorker) bool {
 func (r *Runner) fetchAndRun(w *simWorker, gi int) *taskAttempt {
 	att := r.attemptArena.New()
 	att.r, att.w, att.task = r, w, gi
-	if w.inflight == nil {
-		w.inflight = make(map[int]*taskAttempt)
-	}
-	w.inflight[gi] = att
+	*w.Handle(gi) = att
 	for _, h := range r.hooks {
 		h.dispatch(w, att)
 	}
@@ -625,8 +621,7 @@ func (r *Runner) fetchLost(att *taskAttempt, i int) {
 // stays (the detector isolates it if it is truly partitioned), but asks for
 // more work only after the master's connection timeout.
 func (r *Runner) fetchFailed(w *simWorker, att *taskAttempt) {
-	delete(w.inflight, att.task)
-	r.led.Settle(&w.Worker)
+	r.led.Settle(&w.Worker, att.task)
 	r.taskDone(w, att, false)
 	att.step = attemptKick
 	r.after(r.eng.Now()+connectTimeoutSec, w, delayConnectTimeout, att)
@@ -750,8 +745,7 @@ func (r *Runner) finish(w *simWorker, att *taskAttempt) {
 	r.computeEnded()
 	att.compute = sim.EventRef{}
 	r.onCompute(w, att, runOK)
-	delete(w.inflight, att.task)
-	r.led.Settle(&w.Worker)
+	r.led.Settle(&w.Worker, att.task)
 	w.cores.Release()
 	r.taskDone(w, att, true)
 	r.endAttempt(att)
@@ -761,8 +755,7 @@ func (r *Runner) finish(w *simWorker, att *taskAttempt) {
 // freeSlot releases a failed attempt's core and pipeline slot.
 func (r *Runner) freeSlot(w *simWorker, att *taskAttempt) {
 	w.cores.Release()
-	delete(w.inflight, att.task)
-	r.led.Settle(&w.Worker)
+	r.led.Settle(&w.Worker, att.task)
 }
 
 // taskDone records a terminal (or requeued) outcome. A completion report
@@ -825,12 +818,13 @@ func (r *Runner) workerDied(w *simWorker) {
 	if w.Dead {
 		return
 	}
-	r.led.Kill(&w.Worker)
+	// A task still on the decision server has no attempt: the server settles it.
+	attempts := slices.DeleteFunc(r.led.Kill(&w.Worker), func(f sched.Flight[*taskAttempt]) bool { return f.Handle == nil })
 	for _, h := range r.hooks {
 		h.workerDeath(w)
 	}
-	attempts := sortedInflight(w)
-	for _, att := range attempts {
+	for _, f := range attempts {
+		att := f.Handle
 		r.abandonStage(att.stage)
 		att.stage = nil
 		if att.compute.Pending() {
@@ -849,27 +843,21 @@ func (r *Runner) workerDied(w *simWorker) {
 // workerGone is the master half of a worker death: forget its replicas,
 // requeue (Recover) or abandon its pipeline and backlog. attempts are the
 // in-flight attempts workerDied tore down. It runs with the master up.
-func (r *Runner) workerGone(w *simWorker, attempts []*taskAttempt) {
+func (r *Runner) workerGone(w *simWorker, attempts []sched.Flight[*taskAttempt]) {
 	r.gen++
 	dropped := r.replicas.DropNodeID(w.node)
 	for _, h := range r.hooks {
 		h.workerGone(w, dropped)
 	}
-	for _, att := range attempts {
-		delete(w.inflight, att.task)
-		r.taskDone(w, att, false)
+	for _, f := range attempts {
+		r.taskDone(w, f.Handle, false)
 	}
 	// Then its unstarted backlog goes through the ledger's death rule.
-	for _, gi := range r.led.Die(&w.Worker, nil) {
+	for _, gi := range r.led.Die(&w.Worker) {
 		r.settle(Completion{Task: gi, Worker: w.name, End: r.eng.Now(), Attempt: r.led.Attempts(gi)})
 	}
 	r.kickAll()
 	r.checkDone()
-}
-
-// sortedInflight snapshots a worker's in-flight attempts in task order.
-func sortedInflight(w *simWorker) []*taskAttempt {
-	return slices.SortedFunc(maps.Values(w.inflight), func(a, b *taskAttempt) int { return a.task - b.task })
 }
 
 // checkDone settles what the ledger's stall rule abandons, then finishes the
