@@ -141,3 +141,31 @@ func TestLoadMissingFile(t *testing.T) {
 		t.Fatal("missing file accepted")
 	}
 }
+
+// FuzzJobRead reads any bytes as a job file: Read returns a job or an
+// error, never both and never a panic, and a job it returns validates
+// again unchanged.
+func FuzzJobRead(f *testing.F) {
+	f.Add([]byte(goodJob))
+	f.Add([]byte(strings.Replace(goodJob, `"multicore": true`, `"multicore": true, "prefetch": 0`, 1)))
+	f.Add([]byte(strings.Replace(goodJob, `"multicore": true`, `"prefetch": 2048`, 1)))
+	f.Add([]byte(strings.Replace(goodJob, `"real-time"`, `"pre-partition", "assigner": "blocked"`, 1)))
+	f.Add([]byte(`{"name":"x","input":"/d","template":["t"],"workers":1,"strategy":{"mode":7}}`))
+	f.Add([]byte(`{"workers":-1}`))
+	f.Add([]byte(`{} {}`))
+	f.Add([]byte(`null`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		j, err := Read(bytes.NewReader(data))
+		if (j == nil) == (err == nil) {
+			t.Fatalf("Read = %+v, %v: want a job or an error", j, err)
+		}
+		if j == nil {
+			return
+		}
+		again := *j
+		again.Strategy = j.Strategy.Clone()
+		if err := again.Validate(); err != nil || !reflect.DeepEqual(&again, j) {
+			t.Fatalf("a job read back validates to %+v, %v; want %+v", again, err, j)
+		}
+	})
+}

@@ -72,13 +72,15 @@ var (
 	// executes (Fig. 5a).
 	PrePartitionedRemote = strategy.PrePartitionedRemote
 	// RealTimeRemote distributes lazily on worker request (Fig. 5c). Its
-	// Prefetch of 0 leaves the window to the job: when the mean group holds
-	// less than strategy.PipelineBytes (256 KiB) of input, the master keeps
-	// strategy.DefaultPrefetch (3) groups in flight per worker slot, so a
-	// worker runs its next group while the master hears of the last, and a
-	// job's last groups still go out one per free slot; larger groups go
-	// one per slot. Set Prefetch to 1 for the paper's strict
-	// request-one-get-one.
+	// Prefetch of 0 lets the master size the window as the job runs: from
+	// one group in flight per worker slot, doubled while the job's
+	// completions per second rise, up to strategy.PipelineBytes (1 MiB) of
+	// input and strategy.MaxAutoPrefetch (64) groups per slot, fewer on a
+	// short job (strategy.AutoCeiling). So a worker runs its next groups
+	// while the master hears of the last, and a job's last groups still go
+	// out one per free slot. A job whose groups hold more than half of
+	// PipelineBytes each keeps one per slot. Set Prefetch to 1 for the
+	// paper's strict request-one-get-one.
 	RealTimeRemote = strategy.RealTimeRemote
 	// CommonData replicates the full dataset to every node.
 	CommonData = strategy.CommonData

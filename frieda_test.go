@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -61,6 +63,54 @@ func TestRunRealTime(t *testing.T) {
 		if res.Output != "64" {
 			t.Fatalf("task output = %q", res.Output)
 		}
+	}
+}
+
+// The window rule on the public path: real-time with a Prefetch of 0, one
+// file of 1 KiB per task, on a lone worker and on a pair whose second
+// worker sleeps 100 µs a task. The windows grow from one group per slot as
+// statuses come back, and every group runs once and succeeds.
+func TestRunGrowsWindow(t *testing.T) {
+	const tasks = 2000
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+			var mu sync.Mutex
+			speed := map[Store]int{} // each worker's store, in order of its first task
+			ran := make([]atomic.Int32, tasks)
+			prog := FuncProgram(func(ctx context.Context, task Task) (string, error) {
+				mu.Lock()
+				i, ok := speed[task.Store]
+				if !ok {
+					i = len(speed)
+					speed[task.Store] = i
+				}
+				mu.Unlock()
+				ran[task.GroupIndex].Add(1)
+				if i == 1 {
+					time.Sleep(100 * time.Microsecond)
+				}
+				return "", nil
+			})
+			strat := RealTimeRemote
+			strat.Grouping = "single"
+			report, err := Run(ctx, RunConfig{
+				Strategy: strat, Dataset: MemDataset(memFiles(tasks, 1<<10)), Program: prog,
+				Workers: workers, CoresPerWorker: 1,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if report.Succeeded != tasks || report.Failed != 0 {
+				t.Fatalf("%d of %d succeeded, %d failed", report.Succeeded, tasks, report.Failed)
+			}
+			for gi := range ran {
+				if n := ran[gi].Load(); n != 1 {
+					t.Fatalf("group %d ran %d times", gi, n)
+				}
+			}
+		})
 	}
 }
 
@@ -238,8 +288,8 @@ func TestUnboundedPrefetchRefused(t *testing.T) {
 }
 
 // The simulator's half of core's TestTailRunsAsAtWindowOne: four tasks on
-// four one-slot workers run one each at the default window (DefaultPrefetch
-// for 1,000-byte inputs), as at a window of one.
+// four one-slot workers run one each with the window left to the rule (a
+// Prefetch of 0, which 1,000-byte inputs let grow), as at a window of one.
 func TestSimulateTailRunsAsAtWindowOne(t *testing.T) {
 	one := cloud.C1XLarge
 	one.Cores = 1

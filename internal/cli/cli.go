@@ -26,7 +26,7 @@ func StrategyFlags(fs *flag.FlagSet) func() (strategy.Config, error) {
 	fs.StringVar(&cfg.Assigner, "assigner", cfg.Assigner, "pre-partition assignment: round-robin | blocked | size-balanced")
 	fs.BoolVar(&cfg.Multicore, "multicore", cfg.Multicore, "clone the program once per worker core")
 	fs.IntVar(&cfg.Prefetch, "prefetch", cfg.Prefetch,
-		fmt.Sprintf("real-time groups in flight per slot: 1 is the paper's request-one-get-one, 0 picks %d for groups under %d KiB and 1 for larger", strategy.DefaultPrefetch, strategy.PipelineBytes>>10))
+		fmt.Sprintf("real-time groups in flight per slot: 1 is the paper's request-one-get-one, 0 grows the windows from 1 while the job's task rate rises, up to %d (fewer for short jobs and big groups), and keeps 1 for groups over %d KiB", strategy.MaxAutoPrefetch, strategy.PipelineBytes>>11))
 	common := fs.String("common", "", "comma-separated files staged to every node (e.g. a database)")
 	return func() (strategy.Config, error) {
 		c := cfg

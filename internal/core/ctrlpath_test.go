@@ -462,7 +462,8 @@ func (l countedListener) Addr() string { return l.Listener.Addr().String() }
 
 // smallTaskWrites runs the shape of the benchmark's rt_small_tcp — 1 KiB
 // files one to a task, two single-slot workers, TCP loopback — at prefetch
-// (0: left to the job, DefaultPrefetch for groups this small) and returns the writes at the socket per task
+// (0: the window rule, which grows the windows of groups this small) and
+// returns the writes at the socket per task
 // beyond a constant: the controller's channel, and each worker's
 // registration, first request and NO_MORE_DATA.
 func smallTaskWrites(t *testing.T, prefetch int) float64 {
@@ -492,14 +493,19 @@ func TestSmallTaskCostsTwoWrites(t *testing.T) {
 	}
 }
 
-// At the default window, DefaultPrefetch for 1 KiB groups, both sides
-// commit in groups: the worker's writer sends every status posted while its
-// last write was in the kernel in one write, the master's reader hands all
-// of them to one wake of the loop, and the wake refills the worker in one
-// write. That is about one write each way per window of three tasks.
+// At the default window, grown by the window rule for 1 KiB groups, both
+// sides commit in groups: the worker's writer sends every status posted
+// while its last write was in the kernel in one write, the master's reader
+// hands all of them to one wake of the loop, and the wake refills the
+// worker in one write. That is about one write each way per window, plus
+// the rounds a job of 1,024 tasks spends growing it (to 16 per slot, its
+// strategy.JobShare), more where a noisy round makes the rule step back:
+// on two vCPUs, fifty runs under -race in CI's control-path list read 0.18
+// to 0.44 per task (median 0.20), and thirty without -race beside two
+// -race runs at most 0.24.
 func TestSmallTaskWritesAtDefaultWindow(t *testing.T) {
-	if per := smallTaskWrites(t, 0); per > 0.8 {
-		t.Fatalf("%.3f writes per task, budget is 0.8", per)
+	if per := smallTaskWrites(t, 0); per > 0.7 {
+		t.Fatalf("%.3f writes per task, budget is 0.7", per)
 	}
 }
 

@@ -126,8 +126,11 @@ type Master struct {
 	led *sched.Ledger[struct{}]
 	// refills lists the workers this wake's statuses freed slots on; pass is
 	// the outbox batch a dispatch pass builds.
-	refills    []*masterWorker
-	pass       []outItem
+	refills []*masterWorker
+	pass    []outItem
+	// now is the wake's time, in seconds since the run started, read once
+	// per wake while the windows grow (sched.Ledger.Growing).
+	now        float64
 	results    []protocol.TaskResult
 	workerErrs []string
 	controller *link
@@ -355,6 +358,9 @@ func (m *Master) loop() {
 	var evs []event
 	for open := true; open; {
 		evs, open = m.inbox.take(true)
+		if m.led.Growing() {
+			m.now = time.Since(m.startedAt).Seconds()
+		}
 		for i := range evs {
 			if evs[i].wait {
 				evs[i].l.taken <- struct{}{}
@@ -560,11 +566,11 @@ func (m *Master) admit(w *masterWorker) {
 }
 
 // reserveOutbox sizes w's outbox for a dispatch pass and an item besides.
-// A pass is at most w's window and at most the job's groups; before the
-// start there are none, and runStrategy sizes it.
+// A pass is at most the Ceiling of w's window and at most the job's groups;
+// before the start there are none, and runStrategy sizes it.
 func (m *Master) reserveOutbox(w *masterWorker) {
 	if len(m.groups) > 0 {
-		w.out.reserve(min(w.Window(), len(m.groups)) + 1)
+		w.out.reserve(min(m.led.Ceiling(&w.Worker), len(m.groups)) + 1)
 	}
 }
 
@@ -671,12 +677,14 @@ func (m *Master) runStrategy() {
 	m.led.Start(m.strat, len(m.groups), func() []partition.Group { return m.groups }, deal)
 	// The loop's handoffs take, without growing, a wake in which every
 	// group in flight reports and every worker posts one event more, a
-	// dispatch pass and a wake's refills. Sizes follow the groups, never a
-	// bare window: a window is cores off the wire times the prefetch.
+	// dispatch pass and a wake's refills, however far the windows grow.
+	// Sizes follow the groups, never a bare window: a window is cores off
+	// the wire times the prefetch.
 	window, windows := 0, 0
 	for _, w := range workers {
 		m.reserveOutbox(w)
-		window, windows = max(window, w.Window()), windows+w.Window()
+		ceiling := m.led.Ceiling(&w.Worker)
+		window, windows = max(window, ceiling), windows+ceiling
 	}
 	m.inbox.reserve(min(windows, len(m.groups)) + len(workers))
 	m.pass = slices.Grow(m.pass, min(window, len(m.groups)))
@@ -796,7 +804,7 @@ func (m *Master) recordResult(w *masterWorker, res protocol.TaskResult) bool {
 		m.notifyController(res.Error, w.name)
 		return false
 	}
-	settled, released := m.led.Settle(&w.Worker, res.GroupIndex)
+	settled, released := m.led.Settle(&w.Worker, res.GroupIndex, m.now)
 	if !settled {
 		// Stale or duplicate status (e.g. after a death or reassignment).
 		return false

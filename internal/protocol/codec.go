@@ -157,11 +157,12 @@ const (
 	// copy grows to the cost of the call, and a bulk transfer's allocation
 	// per byte must stay at one.
 	copyThreshold = 16 << 10
-	// maxPending is how many bytes may wait in the send buffer: once a held
-	// Send has brought it that far, the buffer is written although the hold
-	// is not released, so a sender of many small chunks cannot grow it
-	// without limit. Four payloads of copyThreshold.
-	maxPending = 64 << 10
+	// maxPending is how many bytes may wait in the send buffer, and its
+	// most capacity: a held Send that would take it further, or brings it
+	// that far, writes it although the hold is not released, so a sender of
+	// many small chunks cannot grow it without limit. Two payloads of
+	// copyThreshold; each connection of a job allocates it once at most.
+	maxPending = 32 << 10
 )
 
 // Errors of the framing layer; match with errors.Is.
@@ -243,6 +244,11 @@ func (c *Codec) Send(m *Message) error {
 	}
 	var long []byte // goes out after the send buffer, not copied into it
 	if m.Type == TFileData {
+		if len(m.Data) <= copyThreshold {
+			if err := c.reserve(1 + dataHeaderLen + len(m.FileName) + len(m.Worker) + len(m.Data)); err != nil {
+				return err
+			}
+		}
 		if err := c.appendDataHeader(m); err != nil {
 			return err
 		}
@@ -265,6 +271,11 @@ func (c *Codec) Send(m *Message) error {
 			// more and leave the send buffer that large.
 			long = b
 		} else {
+			// b may lie in the buffer's spare room, which reserve's write
+			// or growth leaves in place for the copy.
+			if err := c.reserve(len(b)); err != nil {
+				return err
+			}
 			c.pend.Write(b)
 		}
 	}
@@ -295,6 +306,24 @@ func (c *Codec) Flush() error {
 		return c.werr
 	}
 	return c.writeLocked(nil)
+}
+
+// reserve makes room in the send buffer for a frame of n bytes, n at most
+// maxPending. While the buffer fits in maxPending it grows as bytes.Buffer
+// grows it, and past a quarter of maxPending in one step to maxPending;
+// beyond that, what it holds is written first. So a buffer never outgrows
+// maxPending, and one that fills up to it, as a deep window's refill does,
+// costs one allocation of maxPending and not a doubling chain to twice
+// that.
+func (c *Codec) reserve(n int) error {
+	switch l := c.pend.Len(); {
+	case l+n <= c.pend.Cap():
+	case l+n > maxPending:
+		return c.writeLocked(nil)
+	case l+n > maxPending/4:
+		c.pend.Grow(maxPending - l)
+	}
+	return nil
 }
 
 // writeLocked writes the send buffer, and long after it when set, and empties

@@ -3,9 +3,10 @@
 // group's input file ids), each worker's groups in flight, and the rules
 // over them — the start and its pre-partition deal, the staging barrier, the
 // pick within a worker's window (compute-to-data placement's from the plan
-// and what the worker holds), a settle and its stale-status rule, a lost
-// attempt, a drain and its release, a death and the stall. A Ledger has no
-// clock, no I/O, no lock and no allocation per task: the real master
+// and what the worker holds), the window's growth, a settle and its
+// stale-status rule, a lost attempt, a drain and its release, a death and
+// the stall. A Ledger has no clock — each settle brings its time — no I/O,
+// no lock and no allocation per task: the real master
 // (internal/core) calls it on its event loop, the simulator
 // (internal/simrun) on the engine goroutine. Each executor keeps its
 // results and I/O, its handle on each group in flight (Worker), and writes
@@ -51,8 +52,9 @@ type Worker[H any] struct {
 	// until the first hand-out, and again once Kill hands it back.
 	flight []Flight[H]
 	// arrived: counted in Arrived; out: counted out of Live. window is the
-	// most groups it may have in flight (strategy's Window of its slots,
-	// fixed at Start), stages its open staging items.
+	// most groups it may have in flight (strategy's Window of its slots, set
+	// at Start, or its slots times the ledger's per while the windows grow),
+	// stages its open staging items.
 	arrived, out          bool
 	slots, window, stages int32
 }
@@ -70,7 +72,8 @@ func (w *Worker[H]) Live() bool { return !w.Dead && !w.Draining }
 // InFlight is the worker's groups in flight, in group order, for reading.
 func (w *Worker[H]) InFlight() []Flight[H] { return w.flight }
 
-// Window is the most groups the worker may have in flight, clones apart.
+// Window is the most groups the worker may have in flight now, clones
+// apart.
 func (w *Worker[H]) Window() int { return int(w.window) }
 
 // Handle points at the executor's handle on group gi (the zero H until it
@@ -105,6 +108,13 @@ type Ledger[H any] struct {
 	live, arrived, stages int
 	// windows sums the live workers' windows, for the tail rule (open).
 	windows int
+	// ceiling is the most groups per slot a window holds (strategy's
+	// ForJob); per is every window's groups per slot while they grow
+	// (strategy's Adaptive), 0 otherwise; growing: per is still measured
+	// (grow), over rounds.
+	per, ceiling int32
+	growing      bool
+	rounds       rounds
 	// inputs holds every group's file ids, group gi's at
 	// inputs[inputAt[gi]:inputAt[gi+1]] (Plan).
 	inputs, inputAt []int32
@@ -134,12 +144,32 @@ func (l *Ledger[H]) Join(w *Worker[H], slots int) error {
 	if err := CheckSlots(slots); err != nil {
 		return err
 	}
-	w.slots, w.window = int32(slots), int32(l.strat.Window(slots))
+	w.slots = int32(slots)
+	l.size(w)
 	l.workers = append(l.workers, w)
 	l.live++
 	l.windows += int(w.window)
 	return nil
 }
+
+// size sets w's window from the strategy in force: per groups per slot
+// while the windows grow.
+func (l *Ledger[H]) size(w *Worker[H]) {
+	w.window = int32(l.strat.Window(int(w.slots)))
+	if l.per > 0 {
+		w.window = w.slots * l.per
+	}
+}
+
+// Growing reports whether the windows still grow (strategy.Config.Adaptive,
+// after Start's ForJob, until grow stops): only then does Settle read its
+// time.
+func (l *Ledger[H]) Growing() bool { return l.growing }
+
+// Ceiling is the most groups w's window may grow to, clones apart: its
+// window unless the windows grow. Executors size what a window fills from
+// it. Before Start it is w's slots.
+func (l *Ledger[H]) Ceiling(w *Worker[H]) int { return int(w.slots * max(1, l.ceiling)) }
 
 // Plan gives the ledger the run's file plan: group gi's input file ids are
 // inputs[at[gi]:at[gi+1]], in the order of its files. The ledger keeps both
@@ -149,26 +179,30 @@ func (l *Ledger[H]) Plan(inputs, at []int32) { l.inputs, l.inputAt = inputs, at 
 // Inputs returns group gi's input file ids, from the plan, for reading only.
 func (l *Ledger[H]) Inputs(gi int) []int32 { return l.inputs[l.inputAt[gi]:l.inputAt[gi+1]] }
 
-// Start begins the run under s on groups 0..n-1 and fixes every window
-// from s, a real-time Prefetch of 0 resolved by s.ForJob from the groups'
-// input. Pre-partitioning deals the groups with s's assigner over the live
+// Start begins the run under s on groups 0..n-1 and sets every window from
+// s, a real-time Prefetch of 0 pinned to 1 by s.ForJob for bulk groups.
+// Pre-partitioning deals the groups with s's assigner over the live
 // workers of workers, in that order (nil: join order), as their backlogs;
 // any other kind, or a deal with nobody live, queues them in index order.
-// groups() is called only for the deal or to resolve the window. s must
+// groups() is called only for the deal or by ForJob. s must
 // have passed its Validate.
 func (l *Ledger[H]) Start(s strategy.Config, n int, groups func() []partition.Group, workers []*Worker[H]) {
-	s = s.ForJob(n, func() int64 {
+	s, ceiling := s.ForJob(n, func() int64 {
 		var bytes int64
 		for _, g := range groups() {
 			bytes += g.Size()
 		}
 		return bytes
 	})
-	l.strat = s
+	l.strat, l.ceiling = s, int32(ceiling)
 	l.attempts = make([]int32, n)
 	l.windows = 0
+	l.per, l.growing, l.rounds = 0, s.Adaptive(), rounds{since: -1}
+	if l.growing {
+		l.per = 1
+	}
 	for _, w := range l.workers {
-		w.window = int32(s.Window(int(w.slots)))
+		l.size(w)
 		if !w.out {
 			l.windows += int(w.window)
 		}
@@ -317,12 +351,13 @@ func (l *Ledger[H]) Next(w *Worker[H]) (int, bool) {
 }
 
 // hand puts group gi in flight on w, in group order; w's first hand-out
-// allocates its list, a window's worth (no more than the groups), which only
-// clones past the window grow. Handing gi twice to w is the executor's bug.
+// allocates its list, the window's Ceiling (no more than the groups), which
+// only clones past the window grow. Handing gi twice to w is the executor's
+// bug.
 func (l *Ledger[H]) hand(w *Worker[H], gi int) {
 	i, _ := w.find(gi)
 	if w.flight == nil {
-		w.flight = make([]Flight[H], 0, min(int(w.window), len(l.attempts)))
+		w.flight = make([]Flight[H], 0, min(l.Ceiling(w), len(l.attempts)))
 	}
 	w.flight = slices.Insert(w.flight, i, Flight[H]{Group: gi})
 }
@@ -345,18 +380,115 @@ func (l *Ledger[H]) Head(w *Worker[H]) (int, bool) {
 // counts against w's window, which it may pass.
 func (l *Ledger[H]) Clone(w *Worker[H], gi int) { l.hand(w, gi) }
 
-// Settle books the end of w's attempt at group gi, whatever its outcome, and
-// reports whether it released w: a draining worker that holds nothing is
-// marked dead, for the executor to shut down. A group not in flight on w —
-// a stale or repeated status, or a dead worker's — is refused: settled is
-// false and nothing changes.
-func (l *Ledger[H]) Settle(w *Worker[H], gi int) (settled, released bool) {
+// Settle books the end of w's attempt at group gi, at time now (seconds,
+// on any clock that does not go back; read only while Growing), whatever
+// its outcome, and reports whether it released w: a draining worker that
+// holds nothing is marked dead, for the executor to shut down. A group not
+// in flight on w — a stale or repeated status, or a dead worker's — is
+// refused: settled is false and nothing changes.
+func (l *Ledger[H]) Settle(w *Worker[H], gi int, now float64) (settled, released bool) {
 	i, ok := w.find(gi)
 	if !ok {
 		return false, false
 	}
 	w.flight = slices.Delete(w.flight, i, i+1)
+	if l.growing {
+		l.grow(now)
+	}
 	return true, l.release(w)
+}
+
+// rounds is what grow measures: the round under way, from the time since
+// (-1 before the run's first settle) to last, the time of its latest
+// settles, and how many settled after since; the rounds run at per, their
+// best rate and their rates' sum; the mean rate at the last per that paid;
+// whether per is on test or held, and for how many rounds the next step
+// back holds.
+type rounds struct {
+	since, last     float64
+	settles, tries  int
+	best, sum, paid float64
+	testing         bool
+	hold            int
+}
+
+// The window rule's constants. A round is at least the live windows' worth
+// of settles, and minSettles. A doubled per pays when one of its first
+// maxTries rounds reads payRise above the mean of the last per that paid;
+// the first step back holds for firstHold rounds.
+const (
+	minSettles = 8
+	maxTries   = 3
+	payRise    = 0.05
+	firstHold  = 4
+)
+
+// grow is the window rule, applied at each settle while the windows grow.
+// It measures the run's completions, not a worker's: the workers share the
+// master, so one worker's deeper window reads as another's loss. Settles
+// at one time (one wake of the master) fall in one round, so a round ends
+// at the first settle past its last time.
+//
+// per starts at 1, held for the run's first round. At the end of a hold,
+// its rounds' mean rate is what per paid, and per doubles on test. A round
+// on test that reads payRise above what the last per paid pays: per
+// doubles again, or, at the ceiling, stays there for good. After maxTries
+// rounds that do not, per steps back and is held, for twice as many rounds
+// as the hold before, and then doubles on test again: a job's first
+// milliseconds run slower at any window, so a doubling that did not pay
+// then may pay later. A round is counted in settles, not time: the same
+// count costs a slow job as much of its groups as a fast one. Noise — a
+// collection, another process taking the processor — only slows a round,
+// so the best of a test's rounds is what it reads, and the mean of a
+// hold's is the bar. A test's round reads one settle short, its count's
+// own error: settles that come in a period of their own can put one more
+// or one fewer in a round than its span's share.
+func (l *Ledger[H]) grow(now float64) {
+	r := &l.rounds
+	switch {
+	case r.since < 0:
+		r.since, r.last, r.hold = now, now, 1
+		return
+	case now == r.since:
+		return
+	case now == r.last || r.settles < max(l.windows, minSettles):
+		r.settles++
+		r.last = now
+		return
+	}
+	span := r.last - r.since
+	r.best = max(r.best, float64(r.settles-1)/span)
+	r.sum += float64(r.settles) / span
+	r.tries++
+	r.since, r.last, r.settles = r.last, now, 1
+	per := l.per
+	switch {
+	case !r.testing && r.tries < r.hold:
+		return
+	case !r.testing, r.best >= r.paid*(1+payRise):
+		// A hold ends, or per paid.
+		r.paid = r.sum / float64(r.tries)
+		per = min(2*per, l.ceiling)
+		l.growing = per > l.per
+		if !r.testing {
+			r.hold = max(firstHold, 2*r.hold)
+		}
+		r.testing = true
+	case r.tries < maxTries:
+		return
+	default:
+		per /= 2
+		r.testing = false
+	}
+	r.best, r.sum, r.tries = 0, 0, 0
+	l.per = per
+	l.windows = 0
+	for _, w := range l.workers {
+		l.size(w)
+		if !w.out {
+			l.windows += int(w.window)
+		}
+	}
 }
 
 // release marks a draining worker that holds nothing dead.

@@ -121,7 +121,7 @@ func TestNextDoesNotAllocate(t *testing.T) {
 			t.Fatalf("Next = %d, %v; want the resident 5", gi, ok)
 		}
 		sink += gi
-		l.Settle(w, gi)
+		l.Settle(w, gi, 0)
 		l.Fail(gi)
 	})
 	if allocs != 0 {
@@ -180,14 +180,14 @@ func TestLifecycle(t *testing.T) {
 		t.Fatalf("live %d, queue %v after the drain", l.Live(), l.Queue())
 	}
 	for _, gi := range []int{3, 0} {
-		if settled, released := l.Settle(a, gi); !settled || released {
+		if settled, released := l.Settle(a, gi, 0); !settled || released {
 			t.Fatalf("Settle(a, %d) = %v, %v; want settled, not released", gi, settled, released)
 		}
 	}
-	if settled, released := l.Settle(a, 1); !settled || !released || !a.Dead {
+	if settled, released := l.Settle(a, 1, 0); !settled || !released || !a.Dead {
 		t.Fatal("not released by the settle that emptied it")
 	}
-	if settled, _ := l.Settle(b, gb); !settled {
+	if settled, _ := l.Settle(b, gb, 0); !settled {
 		t.Fatal("b's group not settled")
 	}
 	if l.Drain(b) != true || l.Live() != 0 || l.Arrived() != 2 {
@@ -223,7 +223,7 @@ func TestSettleRefusesGroupNotInFlight(t *testing.T) {
 	refused := func(w *Worker[int], gi int) {
 		t.Helper()
 		before, dead, live := slices.Clone(w.InFlight()), w.Dead, l.Live()
-		if settled, released := l.Settle(w, gi); settled || released {
+		if settled, released := l.Settle(w, gi, 0); settled || released {
 			t.Fatalf("Settle of %d = %v, %v; want refused", gi, settled, released)
 		}
 		if !slices.Equal(w.InFlight(), before) || w.Dead != dead || l.Live() != live {
@@ -232,7 +232,7 @@ func TestSettleRefusesGroupNotInFlight(t *testing.T) {
 	}
 	refused(a, 3) // queued
 	refused(a, 2) // b's
-	if settled, _ := l.Settle(a, 0); !settled {
+	if settled, _ := l.Settle(a, 0, 0); !settled {
 		t.Fatal("a's group 0 not settled")
 	}
 	refused(a, 0) // a repeated status
@@ -241,7 +241,7 @@ func TestSettleRefusesGroupNotInFlight(t *testing.T) {
 	if h := a.Handle(1); h == nil || *h != 10 || a.Dead {
 		t.Fatalf("group 1's handle %v; dead %v", h, a.Dead)
 	}
-	if settled, released := l.Settle(a, 1); !settled || !released {
+	if settled, released := l.Settle(a, 1, 0); !settled || !released {
 		t.Fatal("a's last settle did not release it")
 	}
 	l.Kill(b)
@@ -324,12 +324,12 @@ func TestTailRule(t *testing.T) {
 	}
 	// A settle past the slots is not refilled while the queue holds no more
 	// than the other's window; the one that frees a slot is.
-	l.Settle(ws[0], 0)
+	l.Settle(ws[0], 0, 0)
 	if _, ok := l.Next(ws[0]); ok {
 		t.Fatal("a pick past the slots with the queue down to the other's window")
 	}
-	l.Settle(ws[0], 1)
-	l.Settle(ws[0], 2)
+	l.Settle(ws[0], 1, 0)
+	l.Settle(ws[0], 2, 0)
 	if gi, ok := l.Next(ws[0]); !ok || gi != 5 {
 		t.Fatalf("Next = %d, %v on a free slot; want the queue head 5", gi, ok)
 	}
@@ -341,28 +341,30 @@ func TestTailRule(t *testing.T) {
 	}
 }
 
-// A real-time Prefetch of 0 is left to the job: Start reads the groups and
-// fixes every window, a joiner's too, at DefaultPrefetch per slot for small
-// groups and at one for bulk ones.
+// A real-time Prefetch of 0 starts every window, a joiner's too, at one
+// group per slot; it may grow to MaxAutoPrefetch per slot for a long job of
+// small groups, and stays at one for bulk ones (strategy.Config.ForJob).
 func TestStartSizesWindowFromGroups(t *testing.T) {
 	for _, tc := range []struct {
-		size int64
-		want int
+		size    int64
+		ceiling int
 	}{
-		{1 << 10, 2 * strategy.DefaultPrefetch},
+		{1 << 10, 2 * strategy.MaxAutoPrefetch},
 		{strategy.PipelineBytes, 2},
 	} {
 		l := NewLedger[int](false, 0)
 		w, joiner := &Worker[int]{}, &Worker[int]{}
 		l.Join(w, 2)
-		groups := make([]partition.Group, 4)
+		groups := make([]partition.Group, strategy.JobShare*strategy.MaxAutoPrefetch)
 		for i := range groups {
 			groups[i].Files = []catalog.FileMeta{{Name: fmt.Sprint(i), Size: tc.size}}
 		}
 		l.Start(strategy.RealTimeRemote, len(groups), func() []partition.Group { return groups }, nil)
 		l.Join(joiner, 2)
-		if w.Window() != tc.want || joiner.Window() != tc.want {
-			t.Errorf("groups of %d bytes: windows %d and %d, want %d", tc.size, w.Window(), joiner.Window(), tc.want)
+		for _, w := range []*Worker[int]{w, joiner} {
+			if w.Window() != 2 || l.Ceiling(w) != tc.ceiling || l.growing != (tc.ceiling > 2) {
+				t.Errorf("groups of %d bytes: window %d, ceiling %d, growing %v; want 2, %d", tc.size, w.Window(), l.Ceiling(w), l.growing, tc.ceiling)
+			}
 		}
 	}
 }
@@ -424,6 +426,14 @@ func ledgerSeed(nw, n, retries, slots int, recoverOn, c2d, prePartition, realTim
 	return append([]byte{h, byte(n - 1), byte(retries | (slots-1)<<2)}, ops...)
 }
 
+// grownSeed is a real-time input whose windows grow (a Prefetch of 0): the
+// header's last bit.
+func grownSeed(nw, n, retries, slots int, recoverOn bool, ops ...byte) []byte {
+	in := ledgerSeed(nw, n, retries, slots, recoverOn, false, false, true, ops...)
+	in[0] |= 128
+	return in
+}
+
 // subsequence reports whether sub is xs with some elements left out.
 func subsequence(sub, xs []int) bool {
 	for _, x := range xs {
@@ -451,7 +461,10 @@ func subsequence(sub, xs []int) bool {
 // fails them, then the backlog, in that order; no worker passes its window
 // except by a clone; past its slots a worker is handed a group only while
 // the queue holds more than the other live workers' windows (the tail
-// rule); nothing is handed out while a staging item is open, or to a worker
+// rule); each live worker's window lies between its slots and its Ceiling,
+// and, where the windows grow, at the same groups per slot for every
+// worker, moved by the settles only, whose times the input gives and never
+// go back; nothing is handed out while a staging item is open, or to a worker
 // that is not ready, draining, dead or released; a released worker was
 // draining and holds nothing; the live and arrived counts and the live
 // workers' windows equal a recount; no group spends more than MaxRetries+1
@@ -559,6 +572,45 @@ func FuzzLedger(f *testing.F) {
 		ledgerOp(opOK, 0), ledgerOp(opFail, 0), ledgerOp(opNext, 0), ledgerOp(opKill, 0),
 		ledgerOp(opOK, 0), ledgerOp(opFail, 0)))
 
+	// The windows grow. A lone worker's statuses land a millisecond apart
+	// for the first round, then twice as fast, so the doubling pays; then
+	// almost four times as slow, so the next does not and the window steps
+	// back; every attempt but the last fails under Recover, so there are
+	// settles enough.
+	grow := []byte{ledgerOp(opStart, 0), ledgerOp(opArrive, 0)}
+	for i := range 120 {
+		step := 4 // the worker nibble: a step of step/4 ms
+		switch {
+		case i >= 18:
+			step = 15
+		case i >= 9:
+			step = 2
+		}
+		status := ledgerOp(opFail, step)
+		if i%4 == 3 {
+			status = ledgerOp(opOK, step)
+		}
+		grow = append(grow, ledgerOp(opNext, 0), ledgerOp(opNext, 0), status)
+	}
+	f.Add(grownSeed(1, 32, 3, 1, true, grow...))
+	// Two two-slot workers while the windows grow: a joiner takes the
+	// current groups per slot, a clone passes the window, one worker drains
+	// and the other dies.
+	pair := []byte{ledgerOp(opStart, 0), ledgerOp(opArrive, 0), ledgerOp(opArrive, 1)}
+	for i := range 64 {
+		wi := i % 2
+		pair = append(pair, ledgerOp(opNext, wi), ledgerOp(opNext, wi), ledgerOp(opFail, wi), ledgerOp(opNext, wi), ledgerOp(opOK, wi))
+		switch i {
+		case 40:
+			pair = append(pair, ledgerOp(opJoin, 0), ledgerOp(opArrive, 2), ledgerOp(opNext, 2))
+		case 48:
+			pair = append(pair, ledgerOp(opClone, 2))
+		case 56:
+			pair = append(pair, ledgerOp(opDrain, 1))
+		}
+	}
+	f.Add(grownSeed(2, 32, 3, 2, true, append(pair, ledgerOp(opDie, 0), ledgerOp(opOK, 2), ledgerOp(opNext, 2))...))
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
 			return
@@ -571,6 +623,9 @@ func FuzzLedger(f *testing.F) {
 			strat.Kind = strategy.PrePartition
 		case h&64 != 0:
 			strat = strategy.Config{Kind: strategy.RealTime, Prefetch: 2}
+			if h&128 != 0 {
+				strat.Prefetch = 0
+			}
 		}
 		if c2d {
 			strat.Placement = strategy.ComputeToData
@@ -653,6 +708,16 @@ func FuzzLedger(f *testing.F) {
 		for range 1 + int(h&7) {
 			join()
 		}
+		// now is the time the settles bring; windowsOf lists each worker's
+		// window, which only a settle (or a start or join) may move.
+		now := 0.0
+		windowsOf := func() []int {
+			var ws []int
+			for _, w := range workers {
+				ws = append(ws, w.Window())
+			}
+			return ws
+		}
 		terminal := make([]int, n)
 		settle := func(gis ...int) {
 			for _, gi := range gis {
@@ -689,7 +754,7 @@ func FuzzLedger(f *testing.F) {
 			}
 			flight, dead, draining := slices.Clone(w.InFlight()), w.Dead, w.Draining
 			live, arrived, terminal, queued := l.Live(), l.Arrived(), l.Terminal(), len(l.Queue())
-			if settled, rel := l.Settle(w, gi); settled || rel {
+			if settled, rel := l.Settle(w, gi, now); settled || rel {
 				t.Fatalf("Settle(%d, %d) = %v, %v for a group not in flight there", wi, gi, settled, rel)
 			}
 			if !slices.Equal(w.InFlight(), flight) || w.Dead != dead || w.Draining != draining ||
@@ -721,7 +786,7 @@ func FuzzLedger(f *testing.F) {
 			}
 			gi := own[wi][0]
 			own[wi] = own[wi][1:]
-			settled, rel := l.Settle(workers[wi], gi)
+			settled, rel := l.Settle(workers[wi], gi, now)
 			if !settled {
 				t.Fatalf("worker %d's group %d not settled", wi, gi)
 			}
@@ -834,6 +899,17 @@ func FuzzLedger(f *testing.F) {
 					t.Fatalf("worker %d (dead %v): the ledger has %v in flight, the executor %v", wi, w.Dead, got, want)
 				}
 			}
+			for wi, w := range workers {
+				if !w.Live() {
+					continue
+				}
+				if win := w.Window(); win < int(w.slots) || win > l.Ceiling(w) {
+					t.Fatalf("worker %d: window %d outside [%d, %d]", wi, win, w.slots, l.Ceiling(w))
+				}
+				if l.per > 0 && w.Window() != int(w.slots*l.per) {
+					t.Fatalf("worker %d: window %d, not %d per slot on %d slots", wi, w.Window(), l.per, w.slots)
+				}
+			}
 			if live != l.Live() || arrived != l.Arrived() || l.windows != windows(nil) {
 				t.Fatalf("ledger counts %d live, %d arrived and windows of %d, a recount %d, %d and %d",
 					l.Live(), l.Arrived(), l.windows, live, arrived, windows(nil))
@@ -845,7 +921,15 @@ func FuzzLedger(f *testing.F) {
 		for i, b := range data[3:] {
 			wi := int(b>>4) % len(workers)
 			w := workers[wi]
-			switch int(b&15) % opKinds {
+			kind := int(b&15) % opKinds
+			if kind == opOK || kind == opFail {
+				// A status lands 0 to 3.75 ms after the last, a quarter of a
+				// millisecond per unit of the worker nibble (0: in the same
+				// wake).
+				now += float64(b>>4) * 0.25e-3
+			}
+			before := windowsOf()
+			switch kind {
 			case opStart:
 				if !started {
 					start()
@@ -898,7 +982,7 @@ func FuzzLedger(f *testing.F) {
 					// with no outcome.
 					gi := clones[wi][0]
 					clones[wi] = clones[wi][1:]
-					settled, rel := l.Settle(w, gi)
+					settled, rel := l.Settle(w, gi, now)
 					if !settled {
 						t.Fatalf("worker %d's clone of %d not settled", wi, gi)
 					}
@@ -955,6 +1039,11 @@ func FuzzLedger(f *testing.F) {
 			case opKill:
 				if !w.Dead {
 					kill(wi)
+				}
+			}
+			if kind != opOK && kind != opFail && kind != opStart {
+				if after := windowsOf(); !slices.Equal(after[:len(before)], before) {
+					t.Fatalf("op %d moved the windows from %v to %v", kind, before, after)
 				}
 			}
 			check()

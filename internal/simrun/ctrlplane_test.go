@@ -258,7 +258,7 @@ func BenchmarkCtrlPlaneDecide(b *testing.B) {
 			if !ok {
 				b.Fatal("empty queue")
 			}
-			r.led.Settle(&w.Worker, gi)
+			r.led.Settle(&w.Worker, gi, 0)
 			r.led.Fail(gi)
 		}
 	})
@@ -277,7 +277,7 @@ func BenchmarkCtrlPlaneDecide(b *testing.B) {
 				b.Fatal("unexpected miss")
 			}
 			gi, _ := r.led.Next(&w.Worker)
-			r.led.Settle(&w.Worker, gi)
+			r.led.Settle(&w.Worker, gi, 0)
 			r.led.Fail(gi)
 		}
 	})

@@ -385,7 +385,7 @@ func (g *grayHook) cancel(w *simWorker, att *taskAttempt) {
 		w.cores.Release()
 	}
 	r.res.SpeculativeWastedSec += wasted
-	r.led.Settle(&w.Worker, att.task) // refused on a dead worker: Kill has it
+	r.led.Settle(&w.Worker, att.task, float64(now)) // refused on a dead worker: Kill has it
 	r.res.Completions = append(r.res.Completions, Completion{
 		Task: att.task, Worker: w.name, Start: att.started, End: now,
 		Attempt: r.led.Attempts(att.task) + 1, Speculative: true, Cancelled: true,

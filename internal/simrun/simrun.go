@@ -621,7 +621,7 @@ func (r *Runner) fetchLost(att *taskAttempt, i int) {
 // stays (the detector isolates it if it is truly partitioned), but asks for
 // more work only after the master's connection timeout.
 func (r *Runner) fetchFailed(w *simWorker, att *taskAttempt) {
-	r.led.Settle(&w.Worker, att.task)
+	r.led.Settle(&w.Worker, att.task, float64(r.eng.Now()))
 	r.taskDone(w, att, false)
 	att.step = attemptKick
 	r.after(r.eng.Now()+connectTimeoutSec, w, delayConnectTimeout, att)
@@ -745,7 +745,7 @@ func (r *Runner) finish(w *simWorker, att *taskAttempt) {
 	r.computeEnded()
 	att.compute = sim.EventRef{}
 	r.onCompute(w, att, runOK)
-	r.led.Settle(&w.Worker, att.task)
+	r.led.Settle(&w.Worker, att.task, float64(r.eng.Now()))
 	w.cores.Release()
 	r.taskDone(w, att, true)
 	r.endAttempt(att)
@@ -755,7 +755,7 @@ func (r *Runner) finish(w *simWorker, att *taskAttempt) {
 // freeSlot releases a failed attempt's core and pipeline slot.
 func (r *Runner) freeSlot(w *simWorker, att *taskAttempt) {
 	w.cores.Release()
-	r.led.Settle(&w.Worker, att.task)
+	r.led.Settle(&w.Worker, att.task, float64(r.eng.Now()))
 }
 
 // taskDone records a terminal (or requeued) outcome. A completion report

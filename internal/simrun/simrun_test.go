@@ -501,7 +501,7 @@ func alsTasks(n int) []TaskSpec {
 // attempts, stage-ins, flows and events come from arena chunks and go back
 // to them when their use ends, there is no closure, files are ids (no map
 // per worker or holder set), and the rest is the run's setup. At
-// DefaultPrefetch's window it measures 0.3750 to 0.3854 (144 to 148, from
+// a window of three it measures 0.3750 to 0.3854 (144 to 148, from
 // run to run): more records are live at once, so the arenas take more
 // chunks. Each bound is its highest measure plus 2%, so one extra
 // allocation per task (+0.33 per event), or in every few events, fails it.
@@ -514,7 +514,7 @@ func TestRunAllocations(t *testing.T) {
 		perEvent float64 // measured at this window
 	}{
 		{1, 0.2240},
-		{strategy.DefaultPrefetch, 0.3854},
+		{3, 0.3854},
 	} {
 		t.Run(fmt.Sprintf("prefetch=%d", tc.prefetch), func(t *testing.T) {
 			runAllocations(t, tc.prefetch, tc.perEvent*1.02)

@@ -8,6 +8,7 @@ package strategy
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"strconv"
 	"strings"
@@ -143,28 +144,41 @@ type Config struct {
 	// Prefetch is the number of groups the master keeps in flight per
 	// worker slot under RealTime: 1 is the paper's strict
 	// request-one-get-one, larger values pipeline transfer behind compute,
-	// and 0 leaves it to the job (ForJob): DefaultPrefetch for small
-	// groups, 1 for bulk ones. At most MaxPrefetch.
+	// and 0 lets the master size the windows as the job runs: from one
+	// group per slot, doubled while the job's completions per second rise,
+	// up to AutoCeiling (sched.Ledger, ForJob). A job of bulk groups keeps
+	// one per slot. At most MaxPrefetch.
 	Prefetch int `json:"prefetch,omitempty"`
 	// CommonFiles names files that must reside on every node regardless of
 	// partitioning (the BLAST database). They are staged before execution.
 	CommonFiles []string `json:"common,omitempty"`
 }
 
-// DefaultPrefetch is the real-time window per slot that a Prefetch of 0
-// takes on a job of small groups. With three groups per slot a worker runs
-// its next group while the master hears of the last, and one refill answers
-// the statuses that reached the master together; the tail rule
-// (sched.Ledger.Next) still dispatches a job's last groups as at one.
-// EXPERIMENTS.md's real-runtime window sweep chose it.
-const DefaultPrefetch = 3
+// PipelineBytes is the most input a grown window holds per slot: a
+// Prefetch of 0 grows to at most PipelineBytes' worth of the job's mean
+// group per slot (AutoCeiling). A job whose mean group holds more than half
+// of it keeps one group per slot, without measuring. Moving a group that
+// large costs far more than the round trip a deeper window hides: on TCP
+// loopback a window of three lost 3% at 1 MiB groups and 10% at 4 MiB,
+// 64 KiB groups gained nothing past 4 and 256 KiB groups lost past 8
+// (EXPERIMENTS.md's real-runtime group-size sweep). The ceiling it sets,
+// 16 groups of 64 KiB and 4 of 256 KiB, bounds what the window rule may
+// try where its measure is flat.
+const PipelineBytes = 1 << 20
 
-// PipelineBytes is the mean input per group from which a Prefetch of 0
-// keeps one group per slot. Moving a group that large costs far more than
-// the round trip a deeper window hides: on TCP loopback a window of three
-// broke even at 256 KiB groups and lost 10% at 1 MiB, where it won 22% at
-// 64 KiB (EXPERIMENTS.md's real-runtime group-size sweep).
-const PipelineBytes = 256 << 10
+// MaxAutoPrefetch, a power of two, is the most groups per slot a Prefetch
+// of 0 grows a worker's window to. The task rate of 1 KiB groups on TCP
+// loopback still rose from 32 to 64; the master's handoffs are sized from
+// it once per job, which costs rt_small_tcp about 6 bytes a task.
+const MaxAutoPrefetch = 64
+
+// JobShare bounds a grown window by the job: at most one JobShare'th of
+// its groups per slot, and never fewer than 4. The master sizes its
+// handoffs and send buffers from the ceiling once per job, so a short job
+// would pay a deep window's memory for the few rounds it could use it, and
+// the tail rule leaves a deep window little to do near the end of a short
+// job anyway. It leaves rt_small_tcp's 8,192 groups at 64.
+const JobShare = 64
 
 // MaxPrefetch bounds Prefetch. A window is slots × Prefetch groups, kept in
 // 32 bits; a thousand groups queued behind each slot is already far past
@@ -173,7 +187,7 @@ const MaxPrefetch = 1 << 10
 
 // Validate checks that each enum is one of its constants and that the
 // strategy is consistent, and resolves defaulted fields; a Prefetch of 0
-// stays 0 until ForJob.
+// stays 0.
 func (c *Config) Validate() error {
 	if !inRange(kindNames, c.Kind) || !inRange(localityNames, c.Locality) || !inRange(placementNames, c.Placement) {
 		return fmt.Errorf("strategy: %s has a value outside its constants", *c)
@@ -244,7 +258,7 @@ func (c Config) Slots(cores int) int {
 
 // Window is the most groups the master keeps in flight on a worker of
 // slots slots: Prefetch per slot under RealTime, else one per slot. A
-// Prefetch of 0 counts as one until ForJob resolves it.
+// Prefetch of 0 starts at one per slot (Adaptive).
 func (c Config) Window(slots int) int {
 	if c.Kind == RealTime && c.Prefetch > 1 {
 		return slots * c.Prefetch
@@ -252,19 +266,40 @@ func (c Config) Window(slots int) int {
 	return slots
 }
 
-// ForJob resolves a real-time Prefetch of 0 for a job of n groups whose
-// inputs total bytes(): DefaultPrefetch while the mean group holds less
-// than PipelineBytes, else 1. Any other c comes back as it is, and bytes is
-// called only to resolve.
-func (c Config) ForJob(n int, bytes func() int64) Config {
-	if c.Kind != RealTime || c.Prefetch != 0 {
-		return c
+// Adaptive reports whether a worker's window grows as it runs, from
+// Window's one group per slot up to AutoCeiling: under RealTime with a
+// Prefetch of 0 that ForJob left.
+func (c Config) Adaptive() bool { return c.Kind == RealTime && c.Prefetch == 0 }
+
+// ForJob resolves c for a job of n groups whose inputs total bytes(), and
+// returns the most groups per slot its windows may hold. A real-time
+// Prefetch of 0 may grow to AutoCeiling; where that is 1, or there are no
+// groups, it is pinned to 1. Any other c comes back as it is, with its
+// Window per slot, and bytes is called only to resolve.
+func (c Config) ForJob(n int, bytes func() int64) (Config, int) {
+	if !c.Adaptive() {
+		return c, c.Window(1)
 	}
-	c.Prefetch = 1
-	if n > 0 && bytes() < int64(n)*PipelineBytes {
-		c.Prefetch = DefaultPrefetch
+	ceiling := 1
+	if n > 0 {
+		ceiling = AutoCeiling(n, bytes())
 	}
-	return c
+	if ceiling == 1 {
+		c.Prefetch = 1
+	}
+	return c, ceiling
+}
+
+// AutoCeiling is the most groups per slot a Prefetch of 0 grows to on n
+// groups whose inputs total bytes: PipelineBytes over the mean group, and a
+// JobShare'th of the groups but at least 4, down to a power of two (the
+// window doubles), at least 1 and at most MaxAutoPrefetch.
+func AutoCeiling(n int, bytes int64) int {
+	fit := min(MaxAutoPrefetch, max(4, int64(n)/JobShare))
+	if bytes > 0 {
+		fit = max(1, min(fit, PipelineBytes*int64(n)/bytes))
+	}
+	return 1 << (bits.Len64(uint64(fit)) - 1)
 }
 
 // Fetches reports whether a dispatched group streams the inputs its worker
@@ -298,10 +333,10 @@ var (
 	// PrePartitionedRemote is Fig. 5(a): pre-defined partitions read from
 	// the remote source, transfer then execute.
 	PrePartitionedRemote = Config{Kind: PrePartition, Locality: Remote, Placement: DataToCompute, Multicore: true}
-	// RealTimeRemote is Fig. 5(c): lazy per-request distribution, with the
-	// window left to the job: DefaultPrefetch groups per slot for small
-	// groups, one for bulk ones (ForJob). Set Prefetch to 1 for the paper's
-	// strict request-one-get-one.
+	// RealTimeRemote is Fig. 5(c): lazy per-request distribution, with each
+	// worker's window grown while it pays (Adaptive), and one group per slot
+	// for bulk groups (ForJob). Set Prefetch to 1 for the paper's strict
+	// request-one-get-one.
 	RealTimeRemote = Config{Kind: RealTime, Locality: Remote, Placement: DataToCompute, Multicore: true}
 	// CommonData is the no-partitioning mode: full dataset everywhere.
 	CommonData = Config{Kind: NoPartition, Locality: Remote, Placement: DataToCompute, Multicore: true}

@@ -2,7 +2,9 @@ package strategy
 
 import (
 	"encoding"
+	"encoding/json"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -23,34 +25,43 @@ func TestValidateDefaults(t *testing.T) {
 	}
 }
 
-// A Prefetch of 0 takes its window from the job's mean group: pipelined
-// below PipelineBytes, one group per slot from it on. A pinned Prefetch,
-// and any kind but real-time, is left alone without sizing the job.
+// A Prefetch of 0 may grow to PipelineBytes' worth of the mean group per
+// slot and a JobShare'th of the groups (at least 4), at most
+// MaxAutoPrefetch, and is pinned to one group per slot where that is one. A pinned Prefetch, and any kind but real-time, is left alone
+// without sizing the job.
 func TestForJob(t *testing.T) {
 	bytes := func(n int64) func() int64 { return func() int64 { return n } }
 	for _, tc := range []struct {
-		n     int
-		total int64
-		want  int
+		n        int
+		total    int64
+		prefetch int
+		ceiling  int
 	}{
-		{8192, 8192 << 10, DefaultPrefetch},
-		{4, 4*PipelineBytes - 1, DefaultPrefetch},
-		{4, 4 * PipelineBytes, 1},
-		{32, 32 << 23, 1},
-		{0, 0, 1},
+		{8192, 8192 << 10, 0, MaxAutoPrefetch},
+		{4096, 4096 << 14, 0, MaxAutoPrefetch},
+		{256, 256 << 18, 0, 4},
+		{3, 1 << 20, 0, 2},
+		{4, 4 * PipelineBytes / 2, 0, 2},
+		{4, 4*PipelineBytes/2 + 1, 1, 1},
+		{32, 32 << 23, 1, 1},
+		{512, 512 << 10, 0, 8},
+		{100, 100 << 10, 0, 4},
+		{8, 0, 0, 4},
+		{0, 0, 1, 1},
 	} {
-		if got := RealTimeRemote.ForJob(tc.n, bytes(tc.total)); got.Prefetch != tc.want {
-			t.Errorf("%d groups of %d bytes: prefetch %d, want %d", tc.n, tc.total, got.Prefetch, tc.want)
+		got, ceiling := RealTimeRemote.ForJob(tc.n, bytes(tc.total))
+		if got.Prefetch != tc.prefetch || ceiling != tc.ceiling || got.Adaptive() != (tc.prefetch == 0) {
+			t.Errorf("%d groups of %d bytes: prefetch %d, ceiling %d; want %d, %d", tc.n, tc.total, got.Prefetch, ceiling, tc.prefetch, tc.ceiling)
 		}
 	}
 	unsized := func() int64 { t.Fatal("sized a job it had nothing to resolve for"); return 0 }
 	pinned := RealTimeRemote
 	pinned.Prefetch = 2
-	if got := pinned.ForJob(8, unsized); got.Prefetch != 2 {
-		t.Errorf("a pinned prefetch of 2 became %d", got.Prefetch)
+	if got, ceiling := pinned.ForJob(8, unsized); got.Prefetch != 2 || ceiling != 2 {
+		t.Errorf("a pinned prefetch of 2 became %d, ceiling %d", got.Prefetch, ceiling)
 	}
-	if got := PrePartitionedRemote.ForJob(8, unsized); got.Prefetch != 0 {
-		t.Errorf("pre-partition's prefetch became %d", got.Prefetch)
+	if got, ceiling := PrePartitionedRemote.ForJob(8, unsized); got.Prefetch != 0 || ceiling != 1 {
+		t.Errorf("pre-partition's prefetch became %d, ceiling %d", got.Prefetch, ceiling)
 	}
 }
 
@@ -231,4 +242,61 @@ func TestValidateRejectsOutOfRange(t *testing.T) {
 			t.Errorf("%s accepted", c)
 		}
 	}
+}
+
+// FuzzStrategyJSON decodes any bytes as a job file's strategy. What passes
+// Validate spells itself back to the same strategy through json.Marshal,
+// each enum through its MarshalText, and String never panics, on a
+// refused strategy either.
+func FuzzStrategyJSON(f *testing.F) {
+	for _, seed := range []string{
+		`{"mode":"real-time"}`,
+		`{"mode":"real-time","prefetch":0}`,
+		`{"mode":"real-time","prefetch":1024,"grouping":"pairwise-adjacent","multicore":true}`,
+		`{"mode":"real-time","prefetch":1025}`,
+		`{"mode":"pre-partition","locality":"local","placement":"compute-to-data","assigner":"size-balanced"}`,
+		`{"mode":"no-partition","common":["db.fa","db.idx"]}`,
+		`{"mode":"no-partition","placement":"compute-to-data"}`,
+		`{"mode":"real-time","locality":"local"}`,
+		`{"mode":3}`,
+		`{"mode":"real-time","prefetch":-1,"common":[]}`,
+		`{"grouping":"bogus"}`,
+		`[]`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var c Config
+		if json.Unmarshal(data, &c) != nil {
+			return
+		}
+		_ = c.String()
+		if c.Validate() != nil {
+			_ = c.String()
+			return
+		}
+		out, err := json.Marshal(c)
+		if err != nil {
+			t.Fatalf("%s validated and does not marshal: %v", c, err)
+		}
+		var back Config
+		if err := json.Unmarshal(out, &back); err != nil {
+			t.Fatalf("%s marshals to %s, which does not decode: %v", c, out, err)
+		}
+		if err := back.Validate(); err != nil {
+			t.Fatalf("%s marshals to %s, which does not validate: %v", c, out, err)
+		}
+		if len(c.CommonFiles) == 0 {
+			c.CommonFiles = nil // an empty list is left out
+		}
+		if !reflect.DeepEqual(back, c) {
+			t.Fatalf("%+v came back as %+v through %s", c, back, out)
+		}
+		for _, e := range []encoding.TextMarshaler{c.Kind, c.Locality, c.Placement} {
+			if _, err := e.MarshalText(); err != nil {
+				t.Fatalf("%s validated with an enum that does not spell: %v", c, err)
+			}
+		}
+		_ = c.String()
+	})
 }
