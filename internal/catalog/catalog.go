@@ -10,7 +10,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 )
@@ -54,14 +54,15 @@ func SeedChecksum(name string, seed int64) uint64 {
 // Catalog is an ordered set of file metadata. Order matters: the paper's
 // pairwise-adjacent grouping is defined on the sorted input list.
 type Catalog struct {
-	files  []FileMeta
+	files []FileMeta
+	// byName indexes files once an Add put them out of name order. While
+	// they are in it, as every source lists them, it is nil and lookups
+	// search the files by halves: a sorted catalog is its slice alone.
 	byName map[string]int
 }
 
 // New returns an empty catalog.
-func New() *Catalog {
-	return &Catalog{byName: make(map[string]int)}
-}
+func New() *Catalog { return &Catalog{} }
 
 // Add appends a file. Duplicate names are rejected. Failures are typed:
 // errors.Is against ErrEmptyName, ErrNegativeSize or ErrDuplicate.
@@ -72,10 +73,21 @@ func (c *Catalog) Add(m FileMeta) error {
 	if m.Size < 0 {
 		return newError(ErrNegativeSize, m.Name)
 	}
-	if _, dup := c.byName[m.Name]; dup {
+	n := len(c.files)
+	if c.byName == nil && (n == 0 || c.files[n-1].Name < m.Name) {
+		c.files = append(c.files, m) // still in name order: no index
+		return nil
+	}
+	if _, dup := c.Index(m.Name); dup {
 		return newError(ErrDuplicate, m.Name)
 	}
-	c.byName[m.Name] = len(c.files)
+	if c.byName == nil {
+		c.byName = make(map[string]int, n+1)
+		for i, f := range c.files {
+			c.byName[f.Name] = i
+		}
+	}
+	c.byName[m.Name] = n
 	c.files = append(c.files, m)
 	return nil
 }
@@ -96,7 +108,7 @@ func (c *Catalog) Files() []FileMeta { return c.files }
 
 // Get returns the metadata for name.
 func (c *Catalog) Get(name string) (FileMeta, bool) {
-	i, ok := c.byName[name]
+	i, ok := c.Index(name)
 	if !ok {
 		return FileMeta{}, false
 	}
@@ -105,9 +117,15 @@ func (c *Catalog) Get(name string) (FileMeta, bool) {
 
 // Index returns name's position in Files.
 func (c *Catalog) Index(name string) (int, bool) {
-	i, ok := c.byName[name]
-	return i, ok
+	if c.byName != nil {
+		i, ok := c.byName[name]
+		return i, ok
+	}
+	return slices.BinarySearchFunc(c.files, name, func(f FileMeta, name string) int { return strings.Compare(f.Name, name) })
 }
+
+// nameOrder orders two files by name.
+func nameOrder(a, b FileMeta) int { return strings.Compare(a.Name, b.Name) }
 
 // Names returns the file names in insertion order.
 func (c *Catalog) Names() []string {
@@ -127,13 +145,33 @@ func (c *Catalog) TotalSize() int64 {
 	return n
 }
 
-// Sort orders the catalog by name, the canonical order for adjacency-based
-// groupings.
-func (c *Catalog) Sort() {
-	sort.Slice(c.files, func(i, j int) bool { return c.files[i].Name < c.files[j].Name })
-	for i, f := range c.files {
-		c.byName[f.Name] = i
+// Without returns the catalog less the named files, in c's order, its slice
+// built at its final size; names c does not hold are ignored. When c holds none of
+// them it returns c itself, which its caller must then not modify either.
+func (c *Catalog) Without(names []string) *Catalog {
+	var drop []int
+	for _, n := range names {
+		if i, ok := c.Index(n); ok && !slices.Contains(drop, i) {
+			drop = append(drop, i)
+		}
 	}
+	if len(drop) == 0 {
+		return c
+	}
+	out := &Catalog{files: make([]FileMeta, 0, len(c.files)-len(drop))}
+	for i, f := range c.files {
+		if !slices.Contains(drop, i) {
+			out.MustAdd(f) // c's own files: named, sized and distinct
+		}
+	}
+	return out
+}
+
+// Sort orders the catalog by name, the canonical order for adjacency-based
+// groupings. In name order it needs no index.
+func (c *Catalog) Sort() {
+	slices.SortFunc(c.files, nameOrder)
+	c.byName = nil
 }
 
 // Source supplies file contents to the master. Implementations must be safe
@@ -195,7 +233,9 @@ func (s *DirSource) Catalog() (*Catalog, error) {
 type MemSource struct {
 	mu    sync.RWMutex
 	files map[string][]byte
-	order []string
+	// listing is the files' metadata in name order, built by the first
+	// Catalog after a Put (nil).
+	listing []FileMeta
 }
 
 // NewMemSource returns an empty in-memory source.
@@ -209,10 +249,8 @@ func NewMemSource() *MemSource {
 func (s *MemSource) Put(name string, data []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, exists := s.files[name]; !exists {
-		s.order = append(s.order, name)
-	}
 	s.files[name] = data
+	s.listing = nil
 }
 
 // Open returns a reader over the stored bytes.
@@ -235,15 +273,24 @@ func (s *MemSource) Bytes(name string) ([]byte, bool) {
 	return data, ok
 }
 
-// Catalog lists stored files sorted by name.
+// Catalog lists stored files sorted by name, built at its final size in
+// one pass over a listing the source keeps until the next Put. In name
+// order, the catalog needs no index (Catalog.byName).
 func (s *MemSource) Catalog() (*Catalog, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	c := New()
-	names := append([]string(nil), s.order...)
-	sort.Strings(names)
-	for _, n := range names {
-		c.MustAdd(FileMeta{Name: n, Size: int64(len(s.files[n]))})
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.listing == nil {
+		s.listing = make([]FileMeta, 0, len(s.files))
+		for name, data := range s.files {
+			s.listing = append(s.listing, FileMeta{Name: name, Size: int64(len(data))})
+		}
+		slices.SortFunc(s.listing, nameOrder)
+	}
+	c := &Catalog{files: make([]FileMeta, 0, len(s.listing))}
+	for _, f := range s.listing {
+		if err := c.Add(f); err != nil {
+			return nil, err
+		}
 	}
 	return c, nil
 }

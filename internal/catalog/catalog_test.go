@@ -1,12 +1,18 @@
 package catalog
 
 import (
+	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestCatalogAddGet(t *testing.T) {
@@ -110,6 +116,165 @@ func TestMemSource(t *testing.T) {
 	}
 	if b, ok := s.Bytes("p.fasta"); !ok || string(b) != "AA" {
 		t.Fatalf("Bytes = %q, %v", b, ok)
+	}
+}
+
+// TestMemSourceCatalogCost pins what listing the source costs the master at
+// the start of every job: over 8,192 files, the catalog's struct and its
+// slice at its final size, and nothing else. The files are in name order, so
+// the catalog needs no index, and nothing grows by doubling. The first
+// Catalog after a Put also sorts the source's listing; the calls measured
+// come after it.
+func TestMemSourceCatalogCost(t *testing.T) {
+	const files = 8192
+	s := NewMemSource()
+	for i := files - 1; i >= 0; i-- { // out of order: Catalog sorts
+		s.Put(fmt.Sprintf("f%05d.dat", i), make([]byte, i%7))
+	}
+	c, err := s.Catalog()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Len() != files || !slices.IsSortedFunc(c.Files(), nameOrder) || c.Files()[6].Size != 6 {
+		t.Fatalf("catalog of %d files, sorted %v", c.Len(), slices.IsSortedFunc(c.Files(), nameOrder))
+	}
+	if i, ok := c.Index("f04097.dat"); !ok || i != 4097 {
+		t.Fatalf("Index(f04097.dat) = %d, %v", i, ok)
+	}
+	const mallocLimit = 2 // measured: 2
+	a := testing.AllocsPerRun(20, func() { s.Catalog() })
+	if a > mallocLimit {
+		t.Fatalf("Catalog over %d files makes %.0f allocations, budget is %d", files, a, mallocLimit)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c, _ = s.Catalog()
+	runtime.ReadMemStats(&after)
+	final := float64(unsafe.Sizeof(*c)) + float64(cap(c.Files()))*float64(unsafe.Sizeof(FileMeta{}))
+	got := float64(after.TotalAlloc - before.TotalAlloc)
+	t.Logf("Catalog over %d files: %.0f allocations, %.0f B (%.3f× its final %.0f B)", files, a, got, got/final, final)
+	if got > 1.2*final {
+		t.Fatalf("Catalog over %d files allocates %.0f B, %.2f× its final %.0f B", files, got, got/final, final)
+	}
+}
+
+// TestCatalogRefusesDuplicatesInEitherOrder: a name already listed is
+// refused whether it comes in name order or out of it, before and after the
+// catalog needs an index, and also by a catalog a source built.
+func TestCatalogRefusesDuplicatesInEitherOrder(t *testing.T) {
+	c := New()
+	for _, n := range []string{"b", "d", "f"} {
+		c.MustAdd(FileMeta{Name: n})
+	}
+	for _, n := range []string{"f", "b", "d"} { // the last, then earlier ones
+		if err := c.Add(FileMeta{Name: n}); !errors.Is(err, ErrDuplicate) {
+			t.Fatalf("sorted catalog: Add(%s) = %v, want ErrDuplicate", n, err)
+		}
+	}
+	c.MustAdd(FileMeta{Name: "a", Size: 1}) // out of order: indexed from here
+	for _, n := range []string{"a", "b", "f"} {
+		if err := c.Add(FileMeta{Name: n}); !errors.Is(err, ErrDuplicate) {
+			t.Fatalf("indexed catalog: Add(%s) = %v, want ErrDuplicate", n, err)
+		}
+	}
+	if got := c.Names(); !slices.Equal(got, []string{"b", "d", "f", "a"}) {
+		t.Fatalf("names %v, want insertion order", got)
+	}
+	if i, ok := c.Index("a"); !ok || i != 3 {
+		t.Fatalf("Index(a) = %d, %v", i, ok)
+	}
+	c.Sort()
+	if i, ok := c.Index("a"); !ok || i != 0 {
+		t.Fatalf("after Sort, Index(a) = %d, %v", i, ok)
+	}
+	if err := c.Add(FileMeta{Name: "d"}); !errors.Is(err, ErrDuplicate) {
+		t.Fatalf("sorted again: Add(d) = %v, want ErrDuplicate", err)
+	}
+
+	s := NewMemSource()
+	s.Put("x", []byte("1"))
+	s.Put("y", []byte("2"))
+	s.Put("x", []byte("33")) // a replacement, not a second file
+	sc, err := s.Catalog()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sc.Len() != 2 || sc.Files()[0].Size != 2 {
+		t.Fatalf("source catalog %+v", sc.Files())
+	}
+	if err := sc.Add(FileMeta{Name: "x"}); !errors.Is(err, ErrDuplicate) {
+		t.Fatalf("source catalog: Add(x) = %v, want ErrDuplicate", err)
+	}
+}
+
+// Catalog builds the source's listing on the first call after a Put: calls
+// from several goroutines, beside Puts and Opens, each get a whole sorted
+// catalog of the files put so far.
+func TestMemSourceCatalogConcurrent(t *testing.T) {
+	s := NewMemSource()
+	for i := 0; i < 64; i++ {
+		s.Put(fmt.Sprintf("f%03d", i), []byte("x"))
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				if g == 0 {
+					s.Put(fmt.Sprintf("f%03d", 64+i), []byte("y"))
+				}
+				c, err := s.Catalog()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if c.Len() < 64 || !slices.IsSortedFunc(c.Files(), nameOrder) {
+					t.Errorf("catalog of %d files, sorted %v", c.Len(), slices.IsSortedFunc(c.Files(), nameOrder))
+					return
+				}
+				if rc, err := s.Open(c.Files()[c.Len()-1].Name); err != nil {
+					t.Error(err)
+				} else {
+					rc.Close()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// Without drops the named files, keeps the order and the lookups, and hands
+// back the catalog itself when it holds none of them.
+func TestCatalogWithout(t *testing.T) {
+	for _, sorted := range []bool{true, false} {
+		c := New()
+		names := []string{"a", "b", "c", "d"}
+		if !sorted {
+			names = []string{"d", "b", "a", "c"}
+		}
+		for i, n := range names {
+			c.MustAdd(FileMeta{Name: n, Size: int64(i)})
+		}
+		if c.Without([]string{"zz"}) != c || c.Without(nil) != c {
+			t.Fatal("Without of no held name copied the catalog")
+		}
+		w := c.Without([]string{"b", "zz", "b", names[0]})
+		want := slices.DeleteFunc(slices.Clone(names), func(n string) bool { return n == "b" || n == names[0] })
+		if got := w.Names(); !slices.Equal(got, want) || c.Len() != 4 {
+			t.Fatalf("sorted %v: Without gives %v, want %v", sorted, got, want)
+		}
+		if cap(w.Files()) != len(want) {
+			t.Fatalf("sorted %v: Without built %d slots for %d files", sorted, cap(w.Files()), len(want))
+		}
+		for i, n := range want {
+			if j, ok := w.Index(n); !ok || j != i {
+				t.Fatalf("sorted %v: Index(%s) = %d, %v, want %d", sorted, n, j, ok, i)
+			}
+		}
+		if _, ok := w.Index("b"); ok {
+			t.Fatalf("sorted %v: a dropped file is still found", sorted)
+		}
 	}
 }
 

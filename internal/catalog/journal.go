@@ -230,7 +230,7 @@ func (s *State) Apply(rec Record) error {
 	case OpRegister:
 		return s.cat.Add(FileMeta{Name: rec.File, Size: int64(rec.A), Checksum: rec.B})
 	case OpSeedChecksum:
-		i, ok := s.cat.byName[rec.File]
+		i, ok := s.cat.Index(rec.File)
 		if !ok {
 			return newError(ErrNotFound, rec.File)
 		}

@@ -25,7 +25,10 @@ type ControllerConfig struct {
 	// InProcessMaster is false).
 	MasterAddr string
 	// InProcessMaster, when set, makes the controller create and serve the
-	// master itself (library mode). Requires Master fields below.
+	// master itself (library mode). Requires Master fields below. Wait then
+	// takes the results from the master's own report, so the master's
+	// MASTER_DONE carries only the run's figures (bytes, makespan, staging
+	// time, output bytes); a standalone master sends the whole list.
 	InProcessMaster bool
 	// Master holds the master's own configuration in library mode. Only its
 	// Transport and Addr are taken from the fields above; the strategy and
@@ -59,8 +62,8 @@ type Controller struct {
 	mu   sync.Mutex
 	seq  uint64
 	errs []WorkerError
-	// done is the run's summary from MASTER_DONE, its Results only without
-	// an in-process master (which reports for itself, Wait).
+	// done is the run's summary from MASTER_DONE. An in-process master
+	// sends it without Results: Wait reads them from the master itself.
 	done     Report
 	doneCh   chan struct{}
 	doneOnce sync.Once
@@ -105,6 +108,7 @@ func (c *Controller) Start(ctx context.Context) error {
 		if err != nil {
 			return err
 		}
+		m.inProcess = true
 		c.master = m
 		c.masterWG.Add(1)
 		go func() {
@@ -214,11 +218,9 @@ func (c *Controller) recvLoop() {
 		case protocol.TMasterDone:
 			c.mu.Lock()
 			c.done = Report{
+				Results:    slices.Clone(m.Results),
 				BytesMoved: m.BytesMoved, MakespanSec: m.MakespanSec,
 				TransferPhaseSec: m.TransferPhaseSec, OutputBytes: m.OutputBytes,
-			}
-			if c.master == nil {
-				c.done.Results = slices.Clone(m.Results)
 			}
 			c.mu.Unlock()
 			c.doneOnce.Do(func() { close(c.doneCh) })

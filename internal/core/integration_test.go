@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"frieda/internal/catalog"
+	"frieda/internal/protocol"
 	"frieda/internal/strategy"
 	"frieda/internal/transport"
 	"frieda/internal/transport/transporttest"
@@ -1036,6 +1037,57 @@ func TestStandaloneMasterReportsStagingAndOutputs(t *testing.T) {
 	if r.TransferPhaseSec != want.TransferPhaseSec || r.OutputBytes != want.OutputBytes {
 		t.Fatalf("controller reads staging %vs and %d output bytes, the master %vs and %d",
 			r.TransferPhaseSec, r.OutputBytes, want.TransferPhaseSec, want.OutputBytes)
+	}
+	// A standalone master sends the whole result list in MASTER_DONE.
+	if !slices.Equal(r.Results, want.Results) {
+		t.Fatalf("controller reads results %+v, the master %+v", r.Results, want.Results)
+	}
+}
+
+// An in-process master's controller reads the results from the master, so
+// its MASTER_DONE carries the run's figures and no results: a job of 4,096
+// groups sends one of the same size as a job of 64. The files are empty, so
+// that the figures encode to the same length in both.
+func TestInProcessMasterDoneCarriesNoResults(t *testing.T) {
+	var sizes []int
+	for _, groups := range []int{64, 4096} {
+		log := &wireLog{Transport: transport.NewMem(nil)}
+		r := (&testHarness{
+			source:   sourceWithFiles(groups, 0),
+			strategy: strategy.RealTimeRemote,
+			program:  echoProgram(),
+			workers:  2,
+			tr:       log,
+		}).run(t)
+		seen := make([]bool, groups)
+		for _, res := range r.Results {
+			if !res.OK || seen[res.GroupIndex] {
+				t.Fatalf("%d groups: result %+v failed or reported twice", groups, res)
+			}
+			seen[res.GroupIndex] = true
+		}
+		if r.Groups != groups || len(r.Results) != groups || r.Succeeded != groups {
+			t.Fatalf("%d groups: report has %d groups, %d results, %d succeeded", groups, r.Groups, len(r.Results), r.Succeeded)
+		}
+		var done []*protocol.Message
+		for _, c := range log.conns {
+			for i := range c.sent {
+				if c.sent[i].Type == protocol.TMasterDone {
+					done = append(done, &c.sent[i])
+				}
+			}
+		}
+		if len(done) != 1 {
+			t.Fatalf("%d groups: %d MASTER_DONE sent", groups, len(done))
+		}
+		var frame bytes.Buffer
+		if err := protocol.NewCodec(&frame).Send(done[0]); err != nil {
+			t.Fatal(err)
+		}
+		sizes = append(sizes, frame.Len())
+	}
+	if sizes[0] != sizes[1] {
+		t.Fatalf("MASTER_DONE is %d bytes after 64 groups and %d after 4,096", sizes[0], sizes[1])
 	}
 }
 

@@ -134,6 +134,9 @@ type Master struct {
 	results    []protocol.TaskResult
 	workerErrs []string
 	controller *link
+	// inProcess is set by the Controller that runs the master: it reads the
+	// results from Report, so MASTER_DONE carries only the run's figures.
+	inProcess  bool
 	listener   transport.Listener
 	startedAt  time.Time
 	finishedAt time.Time
@@ -641,28 +644,40 @@ func (m *Master) runStrategy() {
 		m.fatal(err)
 		return
 	}
-	// Common files are staged separately; exclude them from partitioning.
-	inputs := catalog.New()
-	for _, f := range cat.Files() {
-		if !slices.Contains(m.strat.CommonFiles, f.Name) {
-			inputs.MustAdd(f)
-		}
-	}
 	gen, err := m.strat.Generator()
 	if err != nil {
 		m.fatal(err)
 		return
 	}
-	if m.groups, err = gen.Generate(inputs); err != nil {
+	// Common files are staged separately; exclude them from partitioning.
+	if m.groups, err = gen.Generate(cat.Without(m.strat.CommonFiles)); err != nil {
 		m.fatal(err)
 		return
 	}
-	// Every generator groups the catalogue's own files, so each has an index.
+	// Every generator groups the catalogue's own files, so each has an
+	// index, and walks them in order at each position of its groups: a file
+	// is looked for after the last one found, then at or after the one last
+	// found at its position, and searched for only where all three miss.
+	files, next := cat.Files(), 0
+	var last []int // by position in a group
 	ids, at := make([]int32, 0, len(m.groups)), make([]int32, len(m.groups)+1)
 	for gi, g := range m.groups {
-		for _, f := range g.Files {
-			i, _ := cat.Index(f.Name)
+		for k, f := range g.Files {
+			if k == len(last) {
+				last = append(last, 0)
+			}
+			i := -1
+			for _, c := range [...]int{next, last[k], last[k] + 1} {
+				if c < len(files) && files[c].Name == f.Name {
+					i = c
+					break
+				}
+			}
+			if i < 0 {
+				i, _ = cat.Index(f.Name)
+			}
 			ids = append(ids, int32(i))
+			next, last[k] = i+1, i
 		}
 		at[gi+1] = int32(len(ids))
 	}
@@ -875,14 +890,17 @@ func (m *Master) checkDone() {
 		w.out.put(outItem{msg: &protocol.Message{Type: protocol.TNoMoreData}})
 	}
 	if m.controller != nil {
-		m.controller.out.put(outItem{msg: &protocol.Message{
+		done := &protocol.Message{
 			Type:             protocol.TMasterDone,
-			Results:          append([]protocol.TaskResult(nil), m.results...),
 			BytesMoved:       m.bytesMoved.Load(),
 			MakespanSec:      m.finishedAt.Sub(m.startedAt).Seconds(),
 			TransferPhaseSec: m.stagingSec,
 			OutputBytes:      m.outputBytes,
-		}})
+		}
+		if !m.inProcess {
+			done.Results = append([]protocol.TaskResult(nil), m.results...)
+		}
+		m.controller.out.put(outItem{msg: done})
 	}
 	m.logf("all %d groups terminal", len(m.groups))
 	close(m.done)

@@ -192,9 +192,11 @@ type Message struct {
 
 	// Result carries task completion (TTaskStatus).
 	Result TaskResult
-	// Results carries the full outcome list (TMasterDone) or a coalesced
-	// completion batch (TTaskStatus under the batched control plane; a
-	// non-empty Results takes precedence over Result).
+	// Results carries the full outcome list (TMasterDone to a controller
+	// that does not run the master; one that does reads the list from the
+	// master and is sent none) or a coalesced completion batch (TTaskStatus
+	// under the batched control plane; a non-empty Results takes precedence
+	// over Result).
 	Results []TaskResult
 	// Executes carries a dispatch batch (TExecuteBatch).
 	Executes []ExecuteSpec
