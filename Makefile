@@ -133,14 +133,13 @@ bench-masterfail:
 
 # Regenerate BENCH_ctrlplane.json: the execution-template control plane
 # sweep (templates off/on x task granularity, micro-task-chunked ALS and
-# BLAST) plus the decision-path and master-dispatch microbenchmarks. The
+# BLAST) plus the decision-path microbenchmark. The
 # ctrl_speedup column must stay >= 10 at fine granularity. Compare against
 # the committed file before merging scheduler or control-plane changes,
 # and update it with the new numbers.
 bench-ctrlplane:
 	$(GO) run ./cmd/friedabench -exp ctrlplane -parallel 1 -bench-out BENCH_ctrlplane.json
 	$(GO) test -bench='BenchmarkCtrlPlaneDecide' -benchmem -run '^$$' ./internal/simrun/
-	$(GO) test -bench='BenchmarkMasterDispatchBatch' -benchtime 10x -run '^$$' ./internal/core/
 
 # CPU-profile the largest scale cell; inspect with `go tool pprof cpu.prof`.
 profile-scale:

@@ -193,74 +193,67 @@ func TestWireOrderAndControlFramesPerTask(t *testing.T) {
 	const files, size, chunk, workers, cores = 25, 2500, 1024, 2, 4
 	const tasks = files * (files - 1) / 2
 	for name, mk := range testTransports {
-		for _, batch := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s/batch=%v", name, batch), func(t *testing.T) {
-				log := &wireLog{Transport: mk()}
-				r := (&testHarness{
-					tr: log, source: sourceWithFiles(files, size), chunk: chunk, batch: batch,
-					strategy: strategy.Config{Kind: strategy.RealTime, Grouping: "all-to-all", Multicore: true, Prefetch: 2},
-					workers:  workers, cores: cores, program: echoProgram(),
-				}).run(t)
-				if r.Succeeded != tasks {
-					t.Fatalf("%d of %d tasks succeeded (worker errors %v)", r.Succeeded, tasks, r.WorkerErrors)
+		t.Run(name, func(t *testing.T) {
+			log := &wireLog{Transport: mk()}
+			r := (&testHarness{
+				tr: log, source: sourceWithFiles(files, size), chunk: chunk,
+				strategy: strategy.Config{Kind: strategy.RealTime, Grouping: "all-to-all", Multicore: true, Prefetch: 2},
+				workers:  workers, cores: cores, program: echoProgram(),
+			}).run(t)
+			if r.Succeeded != tasks {
+				t.Fatalf("%d of %d tasks succeeded (worker errors %v)", r.Succeeded, tasks, r.WorkerErrors)
+			}
+			control, executed, seen := 0, 0, 0
+			for _, c := range log.conns {
+				if c.worker == "" {
+					continue // the controller's channel
 				}
-				control, executed, seen := 0, 0, 0
-				for _, c := range log.conns {
-					if c.worker == "" {
-						continue // the controller's channel
+				seen++
+				complete := make(map[string]bool)
+				requests := 0
+				for i, m := range c.sent {
+					if m.Type != protocol.TFileData {
+						control++
 					}
-					seen++
-					complete := make(map[string]bool)
-					requests := 0
-					for i, m := range c.sent {
-						if m.Type != protocol.TFileData {
-							control++
+					switch m.Type {
+					case protocol.TFileData:
+						if m.Last {
+							complete[m.FileName] = true
 						}
-						switch m.Type {
-						case protocol.TFileData:
-							if m.Last {
-								complete[m.FileName] = true
-							}
-						case protocol.TExecute:
-							m.Executes = []protocol.ExecuteSpec{{GroupIndex: m.GroupIndex, Files: m.Files}}
-							fallthrough
-						case protocol.TExecuteBatch:
-							for _, e := range m.Executes {
-								executed++
-								for _, f := range e.Files {
-									if !complete[f.Name] {
-										t.Errorf("%s: EXECUTE of group %d (frame %d) is ahead of the last chunk of %s", c.worker, e.GroupIndex, i, f.Name)
-									}
-								}
-							}
-						case protocol.TRequestData:
-							requests++
-						case protocol.TNoMoreData:
-							if i != len(c.sent)-1 {
-								t.Errorf("%s: %d frames follow NO_MORE_DATA", c.worker, len(c.sent)-1-i)
+					case protocol.TExecute:
+						executed++
+						for _, f := range m.Files {
+							if !complete[f.Name] {
+								t.Errorf("%s: EXECUTE of group %d (frame %d) is ahead of the last chunk of %s", c.worker, m.GroupIndex, i, f.Name)
 							}
 						}
-					}
-					if c.master {
-						if last := c.sent[len(c.sent)-1].Type; last != protocol.TNoMoreData {
-							t.Errorf("%s: the master's last frame is %s, want NO_MORE_DATA", c.worker, last)
+					case protocol.TRequestData:
+						requests++
+					case protocol.TNoMoreData:
+						if i != len(c.sent)-1 {
+							t.Errorf("%s: %d frames follow NO_MORE_DATA", c.worker, len(c.sent)-1-i)
 						}
-					} else if requests != cores {
-						t.Errorf("%s sent %d REQUEST_DATA, want one per granted slot (%d)", c.worker, requests, cores)
 					}
 				}
-				if seen != 2*workers {
-					t.Fatalf("%d worker connection ends logged, want %d", seen, 2*workers)
+				if c.master {
+					if last := c.sent[len(c.sent)-1].Type; last != protocol.TNoMoreData {
+						t.Errorf("%s: the master's last frame is %s, want NO_MORE_DATA", c.worker, last)
+					}
+				} else if requests != cores {
+					t.Errorf("%s sent %d REQUEST_DATA, want one per granted slot (%d)", c.worker, requests, cores)
 				}
-				if executed != tasks {
-					t.Errorf("%d groups ordered executed, want %d", executed, tasks)
-				}
-				// Per connection: REGISTER, the ACK, NO_MORE_DATA and the requests.
-				if budget := 2*tasks + workers*(3+cores); control > budget {
-					t.Errorf("%d control frames for %d tasks, budget is two per task plus %d", control, tasks, budget-2*tasks)
-				}
-			})
-		}
+			}
+			if seen != 2*workers {
+				t.Fatalf("%d worker connection ends logged, want %d", seen, 2*workers)
+			}
+			if executed != tasks {
+				t.Errorf("%d groups ordered executed, want %d", executed, tasks)
+			}
+			// Per connection: REGISTER, the ACK, NO_MORE_DATA and the requests.
+			if budget := 2*tasks + workers*(3+cores); control > budget {
+				t.Errorf("%d control frames for %d tasks, budget is two per task plus %d", control, tasks, budget-2*tasks)
+			}
+		})
 	}
 }
 
@@ -277,11 +270,11 @@ func (s refusingStore) Reserve(name string, size int64) error {
 	return s.MemStore.Reserve(name, size)
 }
 
-// The worker's direction keeps its writer's order, with Batch off and on,
-// over both transports: each OK task's TASK_STATUS follows the Last chunk of
-// both outputs the task registered, and every output reaches the sink. A
-// status about a chunk the store refused is not a task's and travels the
-// same way: it reaches the master, and the task that needed the file fails.
+// The worker's direction keeps its writer's order, over both transports:
+// each OK task's TASK_STATUS follows the Last chunk of both outputs the task
+// registered, and every output reaches the sink. A status about a chunk the
+// store refused is not a task's and travels the same way: it reaches the
+// master, and the task that needed the file fails.
 func TestStatusFollowsItsOutputs(t *testing.T) {
 	const files, workers, cores, refused = 60, 2, 3, "f007.dat"
 	prog := FuncProgram(func(ctx context.Context, task Task) (string, error) {
@@ -294,60 +287,54 @@ func TestStatusFollowsItsOutputs(t *testing.T) {
 		return in, nil
 	})
 	for name, mk := range testTransports {
-		for _, batch := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s/batch=%v", name, batch), func(t *testing.T) {
-				log, sink := &wireLog{Transport: mk()}, NewMemStore()
-				single := strategy.RealTimeRemote
-				single.Grouping = "single"
-				r := (&testHarness{
-					tr: log, source: sourceWithFiles(files, 700), batch: batch, sink: sink, strategy: single,
-					workers: workers, cores: cores, program: prog,
-					store: func() Store { return refusingStore{NewMemStore(), refused} },
-				}).run(t)
-				if r.Succeeded != files-1 || r.Failed != 1 {
-					t.Fatalf("%d succeeded and %d failed, want %d and 1 (worker errors %v)", r.Succeeded, r.Failed, files-1, r.WorkerErrors)
+		t.Run(name, func(t *testing.T) {
+			log, sink := &wireLog{Transport: mk()}, NewMemStore()
+			single := strategy.RealTimeRemote
+			single.Grouping = "single"
+			r := (&testHarness{
+				tr: log, source: sourceWithFiles(files, 700), sink: sink, strategy: single,
+				workers: workers, cores: cores, program: prog,
+				store: func() Store { return refusingStore{NewMemStore(), refused} },
+			}).run(t)
+			if r.Succeeded != files-1 || r.Failed != 1 {
+				t.Fatalf("%d succeeded and %d failed, want %d and 1 (worker errors %v)", r.Succeeded, r.Failed, files-1, r.WorkerErrors)
+			}
+			if !slices.ContainsFunc(r.WorkerErrors, func(e string) bool { return strings.Contains(e, "store "+refused) }) {
+				t.Errorf("no worker error names the refused %s: %v", refused, r.WorkerErrors)
+			}
+			booked := 0
+			for _, c := range log.conns {
+				if c.master || c.worker == "" {
+					continue // the master's ends and the controller's channel
 				}
-				if !slices.ContainsFunc(r.WorkerErrors, func(e string) bool { return strings.Contains(e, "store "+refused) }) {
-					t.Errorf("no worker error names the refused %s: %v", refused, r.WorkerErrors)
-				}
-				booked := 0
-				for _, c := range log.conns {
-					if c.master || c.worker == "" {
-						continue // the master's ends and the controller's channel
-					}
-					complete := make(map[string]bool)
-					for i, m := range c.sent {
-						switch m.Type {
-						case protocol.TFileData:
-							if m.Last {
-								complete[m.FileName] = true
+				complete := make(map[string]bool)
+				for i, m := range c.sent {
+					switch m.Type {
+					case protocol.TFileData:
+						if m.Last {
+							complete[m.FileName] = true
+						}
+					case protocol.TTaskStatus:
+						res := m.Result
+						if !res.OK {
+							continue
+						}
+						booked++
+						for _, out := range []string{res.Output + ".a", res.Output + ".b"} {
+							if !complete[out] {
+								t.Errorf("%s: the status of group %d (frame %d) is ahead of the last chunk of %s", c.worker, res.GroupIndex, i, out)
 							}
-						case protocol.TTaskStatus:
-							if len(m.Results) == 0 {
-								m.Results = []protocol.TaskResult{m.Result}
-							}
-							for _, res := range m.Results {
-								if !res.OK {
-									continue
-								}
-								booked++
-								for _, out := range []string{res.Output + ".a", res.Output + ".b"} {
-									if !complete[out] {
-										t.Errorf("%s: the status of group %d (frame %d) is ahead of the last chunk of %s", c.worker, res.GroupIndex, i, out)
-									}
-									if !sink.Has(out) {
-										t.Errorf("%s never reached the sink", out)
-									}
-								}
+							if !sink.Has(out) {
+								t.Errorf("%s never reached the sink", out)
 							}
 						}
 					}
 				}
-				if booked != files-1 {
-					t.Errorf("%d OK statuses on the wire, want %d", booked, files-1)
-				}
-			})
-		}
+			}
+			if booked != files-1 {
+				t.Errorf("%d OK statuses on the wire, want %d", booked, files-1)
+			}
+		})
 	}
 }
 

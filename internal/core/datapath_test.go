@@ -255,12 +255,10 @@ type ownershipScenario struct {
 	strat   strategy.Config
 	outputs bool // every task returns its first input, reversed, to a sink
 	kill    bool // w0 is cancelled mid-run; Recover finishes its work
-	batch   bool // the batched control plane: EXECUTE_BATCH, coalesced statuses
 }
 
 var ownershipScenarios = []ownershipScenario{
 	{name: "real-time", strat: strategy.Config{Kind: strategy.RealTime, Multicore: true, Prefetch: 2}},
-	{name: "real-time-batch", strat: strategy.Config{Kind: strategy.RealTime, Multicore: true, Prefetch: 2}, batch: true},
 	{name: "real-time-common", strat: strategy.Config{Kind: strategy.RealTime, CommonFiles: []string{"f001.dat", "f005.dat"}}},
 	{name: "pre-partition", strat: strategy.Config{Kind: strategy.PrePartition, Locality: strategy.Remote, Multicore: true}},
 	{name: "no-partition", strat: strategy.Config{Kind: strategy.NoPartition, Multicore: true}},
@@ -342,7 +340,7 @@ func runOwnership(t *testing.T, tr *transporttest.Ownership, sc ownershipScenari
 		return "ok", nil
 	})
 
-	mc := MasterConfig{Source: src, ChunkSize: chunk, Recover: sc.kill, MaxRetries: 3, Batch: sc.batch}
+	mc := MasterConfig{Source: src, ChunkSize: chunk, Recover: sc.kill, MaxRetries: 3}
 	var sink *MemStore
 	if sc.outputs {
 		sink = NewMemStore()

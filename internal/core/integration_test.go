@@ -31,7 +31,6 @@ type testHarness struct {
 	workers  int
 	cores    int
 	recover  bool
-	batch    bool
 	chunk    int // MasterConfig.ChunkSize
 	limiter  *transport.Limiter
 	tr       transport.Transport
@@ -65,7 +64,6 @@ func (h *testHarness) run(t *testing.T) Report {
 		Master: MasterConfig{
 			Source:     h.source,
 			Recover:    h.recover,
-			Batch:      h.batch,
 			ChunkSize:  h.chunk,
 			OutputSink: h.sink,
 		},
@@ -1088,6 +1086,39 @@ func TestInProcessMasterDoneCarriesNoResults(t *testing.T) {
 	}
 	if sizes[0] != sizes[1] {
 		t.Fatalf("MASTER_DONE is %d bytes after 64 groups and %d after 4,096", sizes[0], sizes[1])
+	}
+}
+
+// A finished master hands out its result list without copying it: reading
+// the report of a run of 4,096 groups allocates what reading one of 64 does
+// (a copy would be about 72 bytes a group).
+func TestFinishedReportDoesNotCopyResults(t *testing.T) {
+	var perCall []uint64
+	for _, groups := range []int{64, 4096} {
+		var ctl *Controller
+		r := (&testHarness{
+			source:   sourceWithFiles(groups, 0),
+			strategy: strategy.RealTimeRemote,
+			program:  echoProgram(),
+			workers:  2,
+			running:  func(c *Controller) { ctl = c },
+		}).run(t)
+		if r.Succeeded != groups {
+			t.Fatalf("%d groups: %d succeeded (worker errors %v)", groups, r.Succeeded, r.WorkerErrors)
+		}
+		const calls = 100
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range calls {
+			if r, err := ctl.Wait(context.Background()); err != nil || len(r.Results) != groups {
+				t.Fatalf("%d groups: Wait read %d results, %v", groups, len(r.Results), err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		perCall = append(perCall, (after.TotalAlloc-before.TotalAlloc)/calls)
+	}
+	if perCall[1] > perCall[0]+256 {
+		t.Fatalf("reading a finished report allocates %d bytes after 64 groups and %d after 4,096", perCall[0], perCall[1])
 	}
 }
 

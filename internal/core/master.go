@@ -42,11 +42,11 @@ type MasterConfig struct {
 	Recover bool
 	// MaxRetries bounds per-group retries under Recover (default 2).
 	MaxRetries int
-	// Batch coalesces control-plane messages per worker round-trip: each
-	// dispatch pass sends one EXECUTE_BATCH carrying every refill instead
-	// of one EXECUTE per group, and workers coalesce completion reports
-	// into one TASK_STATUS carrying Results. Off, the per-task protocol of
-	// the paper-era master is kept message-for-message.
+	// Batch is ignored: every group is dispatched by an EXECUTE of its own
+	// and reported by a TASK_STATUS of its own. It remains only because
+	// bench/rt.go:283 sets it and a change to the runtime may not edit
+	// bench/; the benchmark change (ROADMAP item 1) removes that setting and
+	// this field. Nothing else may set it.
 	Batch bool
 	// OutputSink, when set, collects result files the programs register
 	// via Task.AddOutput — the paper's "results transferred to the master"
@@ -63,7 +63,7 @@ type link struct {
 	out    queue[outItem]
 	taken  chan struct{}    // the loop has taken the reader's last event
 	worker *masterWorker    // nil on the controller's connection
-	exec   protocol.Message // the writer's EXECUTE(_BATCH), sent reused
+	exec   protocol.Message // the writer's EXECUTE, sent reused
 }
 
 // masterWorker is the master's bookkeeping for one worker connection. The
@@ -85,13 +85,10 @@ type masterWorker struct {
 type outItem struct {
 	msg   *protocol.Message
 	files []protocol.FileInfo
-	// group runs by an EXECUTE of its own or, under Batch, in the one
-	// EXECUTE_BATCH the last group of its dispatch pass sends. send marks its
-	// files to stream first, bit i for Files[i] (over 64 files, they are in
-	// files).
+	// group runs by an EXECUTE of its own. send marks its files to stream
+	// first, bit i for Files[i] (over 64 files, they are in files).
 	group *partition.Group
 	send  uint64
-	last  bool
 	// Once performed, ready makes the worker ready, and transfer, flushed,
 	// closes a staging item.
 	ready, transfer bool
@@ -291,12 +288,6 @@ func (m *Master) post(l *link, msg *protocol.Message) {
 		ev.kind = evRequest
 	case msg.Type == protocol.TTaskStatus:
 		ev.kind, ev.res = evStatus, msg.Result
-		for i, res := range msg.Results {
-			ev.res = res
-			if i < len(msg.Results)-1 {
-				m.inbox.put(ev)
-			}
-		}
 	case msg.Type == protocol.TFileData && m.cfg.OutputSink != nil:
 		if err := storeChunk(m.cfg.OutputSink, l.conn, msg); err != nil {
 			m.logf("storing output %s from %s: %v", msg.FileName, l.worker.name, err)
@@ -563,7 +554,7 @@ func (m *Master) admit(w *masterWorker) {
 	}
 	w.out.put(outItem{msg: &protocol.Message{
 		Type: protocol.TAck, Cores: slots, Template: m.template,
-		ReturnOutputs: m.cfg.OutputSink != nil, Batch: m.cfg.Batch,
+		ReturnOutputs: m.cfg.OutputSink != nil,
 	}, files: staged, ready: true})
 	m.logf("worker %s registered (%d cores, %d slots)", w.name, w.cores, slots)
 }
@@ -789,7 +780,6 @@ func (m *Master) dispatch(w *masterWorker) {
 		}
 	}
 	if len(pass) > 0 {
-		pass[len(pass)-1].last = true
 		w.out.put(pass...)
 	}
 	clear(pass)
@@ -898,7 +888,7 @@ func (m *Master) checkDone() {
 			OutputBytes:      m.outputBytes,
 		}
 		if !m.inProcess {
-			done.Results = append([]protocol.TaskResult(nil), m.results...)
+			done.Results = m.results // final: nothing appends after the finish
 		}
 		m.controller.out.put(outItem{msg: done})
 	}
@@ -979,7 +969,13 @@ func (m *Master) perform(l *link, it *outItem) error {
 				}
 			}
 		}
-		if err := m.execute(l, g, it.last); err != nil {
+		// The EXECUTE: the link's message, its Files array reused.
+		x := &l.exec
+		x.Type, x.GroupIndex, x.Files = protocol.TExecute, g.Index, x.Files[:0]
+		for _, f := range g.Files {
+			x.Files = append(x.Files, protocol.FileInfo{Name: f.Name, Size: f.Size})
+		}
+		if err := l.conn.Send(x); err != nil {
 			return err
 		}
 	}
@@ -999,32 +995,6 @@ func (m *Master) perform(l *link, it *outItem) error {
 	return nil
 }
 
-// execute tells the worker to run g: one EXECUTE per group, or — batched
-// control plane — one EXECUTE_BATCH carrying the whole dispatch pass, sent
-// with its last group.
-func (m *Master) execute(l *link, g *partition.Group, last bool) error {
-	x := &l.exec
-	if !m.cfg.Batch {
-		x.Type, x.GroupIndex, x.Files = protocol.TExecute, g.Index, appendInfos(x.Files[:0], g.Files)
-		return l.conn.Send(x)
-	}
-	// A spec taken back from the previous batch keeps its Files array.
-	if n := len(x.Executes); n < cap(x.Executes) {
-		x.Executes = x.Executes[:n+1]
-	} else {
-		x.Executes = append(x.Executes, protocol.ExecuteSpec{})
-	}
-	spec := &x.Executes[len(x.Executes)-1]
-	spec.GroupIndex, spec.Files = g.Index, appendInfos(spec.Files[:0], g.Files)
-	if !last {
-		return nil
-	}
-	x.Type = protocol.TExecuteBatch
-	err := l.conn.Send(x)
-	x.Executes = x.Executes[:0]
-	return err
-}
-
 // stream sends one source file on the connection. size is its catalogue
 // size; a source that does not deliver exactly that many bytes fails the
 // transfer, and with it the connection.
@@ -1032,14 +1002,6 @@ func (m *Master) stream(l *link, name string, size int64) error {
 	sent, err := sendFile(l.conn, transfer.File{Name: name, Size: size}, m.cfg.Source, m.cfg.ChunkSize)
 	m.bytesMoved.Add(sent)
 	return err
-}
-
-// appendInfos appends the wire description of files to dst.
-func appendInfos(dst []protocol.FileInfo, files []catalog.FileMeta) []protocol.FileInfo {
-	for _, f := range files {
-		dst = append(dst, protocol.FileInfo{Name: f.Name, Size: f.Size})
-	}
-	return dst
 }
 
 // fileOpener is where sendFile takes a file from: the master's
@@ -1077,7 +1039,8 @@ type Report struct {
 	Groups int
 	// Succeeded and Failed partition the terminal outcomes.
 	Succeeded, Failed int
-	// Results holds every terminal task result.
+	// Results holds every terminal task result. It is read-only: once the
+	// run has finished, it is the master's own list.
 	Results []protocol.TaskResult
 	// WorkerErrors lists worker failures observed by the master.
 	WorkerErrors []string
@@ -1108,11 +1071,14 @@ func (m *Master) Report() Report {
 	return m.report()
 }
 
+// report summarises the state. Once the run has finished the result list is
+// final — the loop appends to it only while a group is not terminal — so it
+// is handed out as it is, clipped so that an append by the caller cannot
+// write into its spare room; before that, a copy.
 func (m *Master) report() Report {
 	r := Report{
 		Strategy:         m.strat.String(),
 		Groups:           len(m.groups),
-		Results:          append([]protocol.TaskResult(nil), m.results...),
 		WorkerErrors:     append([]string(nil), m.workerErrs...),
 		TransferPhaseSec: m.stagingSec,
 		BytesMoved:       m.bytesMoved.Load(),
@@ -1125,7 +1091,10 @@ func (m *Master) report() Report {
 			r.Failed++
 		}
 	}
-	if !m.finishedAt.IsZero() {
+	if m.finishedAt.IsZero() {
+		r.Results = append([]protocol.TaskResult(nil), m.results...)
+	} else {
+		r.Results = slices.Clip(m.results)
 		r.MakespanSec = m.finishedAt.Sub(m.startedAt).Seconds()
 	}
 	return r

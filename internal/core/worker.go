@@ -144,7 +144,7 @@ func (w *Worker) Run(ctx context.Context) error {
 	w.out.init()
 	w.out.reserve(w.slots + 1)
 	sent := make(chan struct{}, 1) // the first requests left; closed by the writer's return
-	go w.writer(ack.Batch, sent)
+	go w.writer(sent)
 	w.tasks = make(chan Task, 256)
 	execCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -191,9 +191,9 @@ func (w *Worker) messageLoop(ctx context.Context) error {
 			return fmt.Errorf("core: worker %s recv: %w", w.cfg.Name, err)
 		}
 		switch m.Type {
-		case protocol.TFileMetadata, protocol.TDistribute:
-			// Informational: sizes of incoming files / the assigned
-			// partition. Payloads and execute orders follow.
+		case protocol.TDistribute:
+			// Informational: the assigned partition. Payloads and execute
+			// orders follow.
 		case protocol.TFileData:
 			if err := storeChunk(w.cfg.Store, w.conn, m); err != nil {
 				w.received[m.FileName] = false
@@ -208,10 +208,6 @@ func (w *Worker) messageLoop(ctx context.Context) error {
 			}
 		case protocol.TExecute:
 			w.tasks <- w.task(m.GroupIndex, m.Files)
-		case protocol.TExecuteBatch:
-			for _, spec := range m.Executes {
-				w.tasks <- w.task(spec.GroupIndex, spec.Files)
-			}
 		case protocol.TNoMoreData, protocol.TShutdown:
 			return nil
 		default:
@@ -272,7 +268,7 @@ func (w *Worker) executor(ctx context.Context) {
 // share the next one. A failed send closes the connection, which ends the
 // message loop; the writer still releases every slot waiting on it, until
 // the outbox closes. It closes sent when it returns.
-func (w *Worker) writer(batch bool, sent chan<- struct{}) {
+func (w *Worker) writer(sent chan<- struct{}) {
 	defer close(sent)
 	var status protocol.Message // every frame it sends but the outputs', reused
 	var err error               // the first failed send: nothing is sent after it
@@ -281,7 +277,7 @@ func (w *Worker) writer(batch bool, sent chan<- struct{}) {
 		items, open = w.out.take(true)
 		if len(items) > 0 && err == nil {
 			w.conn.Hold()
-			err = w.send(items, batch, &status)
+			err = w.send(items, &status)
 			if ferr := w.conn.Flush(); err == nil {
 				err = ferr
 			}
@@ -299,11 +295,9 @@ func (w *Worker) writer(batch bool, sent chan<- struct{}) {
 }
 
 // send puts one take on the held connection in order: the first requests,
-// and each status behind its task's outputs. Under Batch the take's statuses
-// leave last, as one TASK_STATUS carrying Results. A file that cannot be
-// returned fails its task.
-func (w *Worker) send(items []report, batch bool, status *protocol.Message) error {
-	results := status.Results[:0]
+// and each status behind its task's outputs. A file that cannot be returned
+// fails its task.
+func (w *Worker) send(items []report, status *protocol.Message) error {
 	for i := range items {
 		it := &items[i]
 		if it.requests > 0 {
@@ -321,20 +315,12 @@ func (w *Worker) send(items []report, batch bool, status *protocol.Message) erro
 				break
 			}
 		}
-		if batch {
-			results = append(results, it.res)
-			continue
-		}
 		*status = protocol.Message{Type: protocol.TTaskStatus, Result: it.res}
 		if err := w.conn.Send(status); err != nil {
 			return err
 		}
 	}
-	if len(results) == 0 {
-		return nil
-	}
-	*status = protocol.Message{Type: protocol.TTaskStatus, Worker: w.cfg.Name, Results: results}
-	return w.conn.Send(status)
+	return nil
 }
 
 // runOne executes the program, unless an input is missing, and builds the

@@ -34,13 +34,12 @@ import (
 // byte slices a uvarint length and the bytes, other slices a uvarint count
 // and the elements:
 //
-//	FileInfo     Name, Size
-//	ExecuteSpec  GroupIndex, Files
-//	TaskResult   a mask byte (result* bits), then GroupIndex, Worker, Error,
-//	             DurationSec, Output when set; OK is its bit
-//	Strategy     a mask byte (strat* bits), then Kind, Locality, Placement,
-//	             Grouping, Assigner, Prefetch, CommonFiles when set;
-//	             Multicore is its bit
+//	FileInfo    Name, Size
+//	TaskResult  a mask byte (result* bits), then GroupIndex, Worker, Error,
+//	            DurationSec, Output when set; OK is its bit
+//	Strategy    a mask byte (strat* bits), then Kind, Locality, Placement,
+//	            Grouping, Assigner, Prefetch, CommonFiles when set;
+//	            Multicore is its bit
 //
 // The enums travel as integers: a value outside the constants arrives as it
 // left, and the master's strategy.Config.Validate refuses it.
@@ -76,17 +75,14 @@ const (
 	fieldWorker = 1 << iota
 	fieldCores
 	fieldReturnOutputs
-	fieldBatch
 	fieldStrategy
 	fieldTemplate
-	fieldMasterAddr
 	fieldWorkers
 	fieldFiles
 	fieldGroupIndex
 	fieldGroups
 	fieldResult
 	fieldResults
-	fieldExecutes
 	fieldBytesMoved
 	fieldMakespanSec
 	fieldTransferPhaseSec
@@ -205,10 +201,9 @@ type Codec struct {
 	data []byte  // payload buffer, reused by every Data received
 	// Backing arrays of msg's slices, reused by every control frame.
 	template, common []string
-	files, execFiles []FileInfo
+	files            []FileInfo
 	groups           []int
 	results          []TaskResult
-	executes         []ExecuteSpec
 	// ring holds recently decoded strings; next is where the next new one
 	// goes.
 	ring [ringSize]string
@@ -565,7 +560,6 @@ func appendBody(b []byte, m *Message) []byte {
 		b = binary.AppendVarint(b, int64(m.Cores))
 	}
 	has(fieldReturnOutputs, m.ReturnOutputs)
-	has(fieldBatch, m.Batch)
 	// The strategy goes into b's spare room and stays only if any of it is
 	// set: its own mask byte, the first it appends, says so.
 	if s := appendStrategy(b, &m.Strategy); has(fieldStrategy, s[len(b)] != 0) {
@@ -574,14 +568,15 @@ func appendBody(b []byte, m *Message) []byte {
 	if has(fieldTemplate, len(m.Template) > 0) {
 		b = appendStrings(b, m.Template)
 	}
-	if has(fieldMasterAddr, m.MasterAddr != "") {
-		b = appendString(b, m.MasterAddr)
-	}
 	if has(fieldWorkers, m.Workers != 0) {
 		b = binary.AppendVarint(b, int64(m.Workers))
 	}
 	if has(fieldFiles, len(m.Files) > 0) {
-		b = appendFiles(b, m.Files)
+		b = binary.AppendUvarint(b, uint64(len(m.Files)))
+		for _, f := range m.Files {
+			b = appendString(b, f.Name)
+			b = binary.AppendVarint(b, f.Size)
+		}
 	}
 	if has(fieldGroupIndex, m.GroupIndex != 0) {
 		b = binary.AppendVarint(b, int64(m.GroupIndex))
@@ -599,13 +594,6 @@ func appendBody(b []byte, m *Message) []byte {
 		b = binary.AppendUvarint(b, uint64(len(m.Results)))
 		for i := range m.Results {
 			b = appendResult(b, &m.Results[i])
-		}
-	}
-	if has(fieldExecutes, len(m.Executes) > 0) {
-		b = binary.AppendUvarint(b, uint64(len(m.Executes)))
-		for _, e := range m.Executes {
-			b = binary.AppendVarint(b, int64(e.GroupIndex))
-			b = appendFiles(b, e.Files)
 		}
 	}
 	if has(fieldBytesMoved, m.BytesMoved != 0) {
@@ -645,15 +633,6 @@ func appendStrings(b []byte, ss []string) []byte {
 
 func appendFloat(b []byte, f float64) []byte {
 	return binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
-}
-
-func appendFiles(b []byte, fs []FileInfo) []byte {
-	b = binary.AppendUvarint(b, uint64(len(fs)))
-	for _, f := range fs {
-		b = appendString(b, f.Name)
-		b = binary.AppendVarint(b, f.Size)
-	}
-	return b
 }
 
 // appendResult appends r's mask byte and its fields that are not zero.
@@ -826,16 +805,6 @@ func (d *decoder) strs(buf *[]string) []string {
 	return nonEmpty(ss)
 }
 
-// files appends a FileInfo list to buf's backing array and returns the list.
-func (d *decoder) files(buf *[]FileInfo) []FileInfo {
-	n := d.count(2)
-	start := len(*buf)
-	for i := 0; i < n; i++ {
-		*buf = append(*buf, FileInfo{Name: d.str(), Size: d.varint()})
-	}
-	return nonEmpty((*buf)[start:len(*buf):len(*buf)])
-}
-
 // nonEmpty is s, or nil when s is empty, as the sender's zero slice was.
 func nonEmpty[S ~[]E, E any](s S) S {
 	if len(s) == 0 {
@@ -864,22 +833,23 @@ func (d *decoder) message(m *Message) {
 		m.Cores = d.integer()
 	}
 	m.ReturnOutputs = mask&fieldReturnOutputs != 0
-	m.Batch = mask&fieldBatch != 0
 	if mask&fieldStrategy != 0 {
 		d.strategy(&m.Strategy)
 	}
 	if mask&fieldTemplate != 0 {
 		m.Template = d.strs(&c.template)
 	}
-	if mask&fieldMasterAddr != 0 {
-		m.MasterAddr = d.str()
-	}
 	if mask&fieldWorkers != 0 {
 		m.Workers = d.integer()
 	}
 	if mask&fieldFiles != 0 {
-		c.files = c.files[:0]
-		m.Files = d.files(&c.files)
+		n := d.count(2)
+		fs := c.files[:0]
+		for i := 0; i < n; i++ {
+			fs = append(fs, FileInfo{Name: d.str(), Size: d.varint()})
+		}
+		c.files = fs
+		m.Files = nonEmpty(fs)
 	}
 	if mask&fieldGroupIndex != 0 {
 		m.GroupIndex = d.integer()
@@ -905,16 +875,6 @@ func (d *decoder) message(m *Message) {
 		}
 		c.results = rs
 		m.Results = nonEmpty(rs)
-	}
-	if mask&fieldExecutes != 0 {
-		n := d.count(2)
-		es := c.executes[:0]
-		c.execFiles = c.execFiles[:0]
-		for i := 0; i < n; i++ {
-			es = append(es, ExecuteSpec{GroupIndex: d.integer(), Files: d.files(&c.execFiles)})
-		}
-		c.executes = es
-		m.Executes = nonEmpty(es)
 	}
 	if mask&fieldBytesMoved != 0 {
 		m.BytesMoved = d.varint()

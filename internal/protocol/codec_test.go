@@ -19,7 +19,7 @@ import (
 // allTypes lists every valid message type.
 func allTypes() []Type {
 	var ts []Type
-	for t := TStartMaster; t <= TExecuteBatch; t++ {
+	for t := TStartMaster; t <= TMasterDone; t++ {
 		ts = append(ts, t)
 	}
 	return ts
@@ -106,8 +106,8 @@ func sample(t Type, rng *rand.Rand) *Message {
 		return TaskResult{GroupIndex: num(), Worker: str(), OK: some(), Error: str(), DurationSec: float(), Output: str()}
 	}
 	m := &Message{
-		Type: t, Worker: str(), Cores: num(), ReturnOutputs: some(), Batch: some(),
-		Template: strs(), MasterAddr: str(), Workers: num(),
+		Type: t, Worker: str(), Cores: num(), ReturnOutputs: some(),
+		Template: strs(), Workers: num(),
 		Files: files(), GroupIndex: num(), Result: result(), Error: str(),
 	}
 	if some() {
@@ -123,9 +123,6 @@ func sample(t Type, rng *rand.Rand) *Message {
 	for i := rng.Intn(4); i > 0; i-- {
 		m.Results = append(m.Results, result())
 	}
-	for i := rng.Intn(3); i > 0; i-- {
-		m.Executes = append(m.Executes, ExecuteSpec{GroupIndex: num(), Files: files()})
-	}
 	if some() {
 		m.BytesMoved, m.MakespanSec = wide(), float()
 	}
@@ -139,8 +136,7 @@ func sample(t Type, rng *rand.Rand) *Message {
 }
 
 // typical holds, per type, a message with every field that type uses in the
-// runtime populated; TTaskStatus appears twice, with one Result and with a
-// coalesced Results batch.
+// runtime populated.
 func typical() []*Message {
 	strat := strategy.Config{
 		Kind: strategy.PrePartition, Locality: strategy.Local, Placement: strategy.ComputeToData,
@@ -157,23 +153,18 @@ func typical() []*Message {
 		{Type: TStartMaster, Strategy: strat, Template: template, Seq: 1},
 		{Type: TPartitionType, Strategy: strat, Seq: 2},
 		{Type: TForkWorkers, Workers: 16, Seq: 3},
-		{Type: TInitWorker, Worker: "w3", Template: template, MasterAddr: "10.0.0.1:7312"},
 		{Type: TWorkerError, Worker: "w3", Error: "disk full"},
-		{Type: TAddWorker, Worker: "w4", Cores: 8, Seq: 4},
 		{Type: TRemoveWorker, Worker: "w4", Seq: 5},
 		{Type: TShutdown, Seq: 6},
-		{Type: TAck, Cores: 4, Template: template, ReturnOutputs: true, Batch: true, Error: "rejected", Seq: 7},
+		{Type: TAck, Cores: 4, Template: template, ReturnOutputs: true, Error: "rejected", Seq: 7},
 		{Type: TRegister, Worker: "w0", Cores: 4},
-		{Type: TFileMetadata, Files: files},
 		{Type: TFileData, FileName: "q-0001.fa", Worker: "w0", Offset: 512, FileSize: 1 << 10, Data: []byte("MKVLAAGIV"), Last: true, Seq: 9},
 		{Type: TDistribute, Worker: "w0", Files: files, Groups: []int{0, 4, 8}},
 		{Type: TRequestData, Worker: "w0"},
 		{Type: TExecute, GroupIndex: 7, Files: files},
 		{Type: TTaskStatus, Result: TaskResult{GroupIndex: 7, Worker: "w0", Error: "core: blastp: exit status 1", DurationSec: 0.5, Output: "no hits"}},
-		{Type: TTaskStatus, Worker: "w0", Results: results},
 		{Type: TNoMoreData},
 		{Type: TMasterDone, Results: results, BytesMoved: 3<<20 + 1<<10, MakespanSec: 12.5, TransferPhaseSec: 0.25, OutputBytes: 48},
-		{Type: TExecuteBatch, Executes: []ExecuteSpec{{GroupIndex: 7, Files: files}, {GroupIndex: 8, Files: files[:1]}}},
 	}
 }
 
@@ -257,7 +248,7 @@ func TestFileDataTravelsAsFrame(t *testing.T) {
 		{Type: TAck, Offset: 1},
 		{Type: TTaskStatus, Data: []byte{}},
 		{Type: TNoMoreData, Last: true},
-		{Type: TFileMetadata, FileSize: 5},
+		{Type: TDistribute, FileSize: 5},
 	} {
 		buf.Reset()
 		if err := c.Send(m); err == nil || buf.Len() != 0 {
@@ -924,7 +915,9 @@ func TestHostileFrames(t *testing.T) {
 		{"control body never arrives", append(binary.BigEndian.AppendUint32([]byte{frameControl}, MaxControl), 1, 2, 3), ErrTruncated},
 		{"empty control body", binary.BigEndian.AppendUint32([]byte{frameControl}, 0), ErrBadFrame},
 		{"TInvalid", controlFrame(byte(TInvalid), 0), ErrBadFrame},
-		{"type out of range", controlFrame(byte(TExecuteBatch+1), 0), ErrBadFrame},
+		{"EXECUTE_BATCH", controlFrame(byte(TExecuteBatch), fieldGroupIndex, 14), ErrBadFrame},
+		{"type past the last", controlFrame(byte(TExecuteBatch+1), 0), ErrBadFrame},
+		{"highest type byte", controlFrame(0xff, 0), ErrBadFrame},
 		{"unknown mask bit", controlFrame(byte(TAck), fieldsAll+1), ErrBadFrame},
 		{"trailing bytes", controlFrame(byte(TAck), fieldSeq, 7, 0), ErrBadFrame},
 		{"count over-claims the body", controlFrame(byte(TExecute), fieldFiles, 0xff, 0xff, 0x03, 1, 'a', 0), ErrBadFrame},
@@ -955,8 +948,14 @@ func TestHostileFrames(t *testing.T) {
 		}
 	}
 
-	// The sender is held to the same bounds.
-	c := NewCodec(&bytes.Buffer{})
+	// The sender is held to the same bounds, and to the same types.
+	var sent bytes.Buffer
+	c := NewCodec(&sent)
+	for _, typ := range []Type{TExecuteBatch, TExecuteBatch + 1, -1} {
+		if err := c.Send(&Message{Type: typ, GroupIndex: 7}); err == nil || sent.Len() != 0 {
+			t.Errorf("Send of %s: err %v, %d bytes written", typ, err, sent.Len())
+		}
+	}
 	if err := c.Send(&Message{Type: TFileData, Data: make([]byte, MaxChunk+1)}); !errors.Is(err, ErrChunkTooLarge) {
 		t.Errorf("oversize Send: %v", err)
 	}
@@ -996,6 +995,15 @@ func FuzzCodecRecv(f *testing.F) {
 	f.Add(controlFrame(byte(TExecute), fieldFiles, 0xff, 0xff, 0x03, 1, 'a', 0))
 	f.Add(controlFrame(byte(TAck), fieldsAll+1))
 	f.Add(controlFrame(byte(TAck), fieldSeq, 7, 0))
+	// Control frames of a type they may not carry: TInvalid, FILE_DATA,
+	// EXECUTE_BATCH (alone and behind a valid frame) and the type bytes past
+	// it.
+	f.Add(controlFrame(byte(TInvalid), 0))
+	f.Add(controlFrame(byte(TFileData), fieldWorker, 1, 'w'))
+	f.Add(controlFrame(byte(TExecuteBatch), fieldGroupIndex, 14))
+	f.Add(append(twoMessageStream(f), controlFrame(byte(TExecuteBatch), 0)...))
+	f.Add(controlFrame(byte(TExecuteBatch+1), 0))
+	f.Add(controlFrame(0xff, fieldsAll))
 	// A MASTER_DONE with only the staging time, 0.25 s, and 48 returned
 	// bytes.
 	f.Add(controlFrame(byte(TMasterDone), fieldTransferPhaseSec|fieldOutputBytes, 0, 0, 0, 0, 0, 0, 0xd0, 0x3f, 0x60))

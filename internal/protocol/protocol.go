@@ -1,11 +1,12 @@
 // Package protocol defines FRIEDA's wire messages and their encoding.
 //
 // The message vocabulary follows Figures 2–4 of the paper: the controller
-// starts the master (START_MASTER) and configures it (PARTITION_TYPE,
-// SET_PARTITION_INFO), forks workers (FORK_REMOTE_WORKERS), workers register
-// with the master and request data (REQUEST_DATA), and the master answers
-// with metadata and payloads (FILE_METADATA, FILE_DATA, DISTRIBUTE_FILES)
-// followed by execution commands. Every control message travels in one
+// starts the master (START_MASTER), configures it (PARTITION_TYPE) and tells
+// it how many workers to expect (FORK_REMOTE_WORKERS), workers register with
+// the master (REGISTER) and request data (REQUEST_DATA), and the master
+// answers with payloads (FILE_DATA), a pre-partitioned share
+// (DISTRIBUTE_FILES) and one EXECUTE per task, which the worker answers with
+// one TASK_STATUS. Every control message travels in one
 // hand-written binary layout, a presence mask and the fields it names; file
 // payloads (FILE_DATA) travel as binary frames whose bytes are never
 // re-encoded. codec.go has the wire format.
@@ -35,13 +36,8 @@ const (
 	TPartitionType
 	// TForkWorkers tells the master how many workers to expect.
 	TForkWorkers
-	// TInitWorker initialises a worker with the execution syntax and the
-	// master's address.
-	TInitWorker
 	// TWorkerError reports a worker failure to the controller.
 	TWorkerError
-	// TAddWorker announces an elastic worker addition to the master.
-	TAddWorker
 	// TRemoveWorker asks the master to drain and drop a worker.
 	TRemoveWorker
 	// TShutdown asks the receiver to exit cleanly.
@@ -53,8 +49,6 @@ const (
 
 	// TRegister announces a worker to the master (name, cores).
 	TRegister
-	// TFileMetadata describes files about to be transferred.
-	TFileMetadata
 	// TFileData carries one chunk of file payload.
 	TFileData
 	// TDistribute carries a pre-partition assignment: the list of group
@@ -70,9 +64,12 @@ const (
 	TNoMoreData
 	// TMasterDone tells the controller all groups completed.
 	TMasterDone
-	// TExecuteBatch carries one round-trip's worth of execute orders
-	// (batched control plane): every group in Executes is resident and
-	// ready to run. One message replaces len(Executes) TExecute sends.
+
+	// TExecuteBatch is not a message type: it lies past the last one, so
+	// the codec refuses it in both directions (Recv with ErrBadFrame). It
+	// remains only because bench/rtwrap.go:226 names it and a change to the
+	// runtime may not edit bench/; the benchmark change (ROADMAP item 1)
+	// removes that use and this constant. Nothing else may use it.
 	TExecuteBatch
 )
 
@@ -82,14 +79,11 @@ var typeNames = [...]string{
 	TStartMaster:   "START_MASTER",
 	TPartitionType: "PARTITION_TYPE",
 	TForkWorkers:   "FORK_REMOTE_WORKERS",
-	TInitWorker:    "INIT_WORKER",
 	TWorkerError:   "WORKER_ERROR",
-	TAddWorker:     "ADD_WORKER",
 	TRemoveWorker:  "REMOVE_WORKER",
 	TShutdown:      "SHUTDOWN",
 	TAck:           "ACK",
 	TRegister:      "REGISTER",
-	TFileMetadata:  "FILE_METADATA",
 	TFileData:      "FILE_DATA",
 	TDistribute:    "DISTRIBUTE_FILES",
 	TRequestData:   "REQUEST_DATA",
@@ -97,7 +91,6 @@ var typeNames = [...]string{
 	TTaskStatus:    "TASK_STATUS",
 	TNoMoreData:    "NO_MORE_DATA",
 	TMasterDone:    "MASTER_DONE",
-	TExecuteBatch:  "EXECUTE_BATCH",
 }
 
 // valid reports whether t is one of the message types.
@@ -117,7 +110,9 @@ type FileInfo struct {
 	Size int64
 }
 
-// ExecuteSpec is one execute order inside a TExecuteBatch.
+// ExecuteSpec is never sent: no message carries one. It remains only because
+// bench/rtwrap.go:227 reads it (as Message.Executes); the benchmark change
+// (ROADMAP item 1) removes that read and this type.
 type ExecuteSpec struct {
 	GroupIndex int
 	Files      []FileInfo
@@ -153,24 +148,18 @@ type Message struct {
 	// ReturnOutputs (in a registration TAck) asks the worker to stream
 	// registered result files back to the master after each task.
 	ReturnOutputs bool
-	// Batch (in a registration TAck) announces the batched control plane:
-	// the master dispatches with TExecuteBatch and the worker coalesces
-	// completion reports into one TTaskStatus carrying Results.
-	Batch bool
 
 	// Strategy configures the master (TStartMaster, TPartitionType): the
 	// strategy.Config itself, no wire copy. The wire carries its enums as
 	// integers, so the master validates what arrives.
 	Strategy strategy.Config
 	// Template is the program execution syntax, e.g.
-	// ["app", "arg1", "$inp1", "$inp2"] (TInitWorker).
+	// ["app", "arg1", "$inp1", "$inp2"] (TStartMaster, registration TAck).
 	Template []string
-	// MasterAddr tells a worker where to connect (TInitWorker).
-	MasterAddr string
 	// Workers is the expected worker count (TForkWorkers).
 	Workers int
 
-	// Files lists file metadata (TFileMetadata, TDistribute).
+	// Files lists file metadata (TExecute, TDistribute).
 	Files []FileInfo
 	// GroupIndex identifies the task group in play.
 	GroupIndex int
@@ -194,11 +183,11 @@ type Message struct {
 	Result TaskResult
 	// Results carries the full outcome list (TMasterDone to a controller
 	// that does not run the master; one that does reads the list from the
-	// master and is sent none) or a coalesced completion batch (TTaskStatus
-	// under the batched control plane; a non-empty Results takes precedence
-	// over Result).
+	// master and is sent none).
 	Results []TaskResult
-	// Executes carries a dispatch batch (TExecuteBatch).
+	// Executes is never set, and the codec has no field for it. It remains
+	// only because bench/rtwrap.go:227 reads it; the benchmark change
+	// (ROADMAP item 1) removes that read and this field.
 	Executes []ExecuteSpec
 	// BytesMoved, MakespanSec, TransferPhaseSec (the staging phase's wall
 	// time) and OutputBytes (the result bytes workers returned) summarise
@@ -223,12 +212,5 @@ func (m *Message) WireSize() int {
 	for _, f := range m.Files {
 		n += len(f.Name) + 16
 	}
-	n += 16 * len(m.Groups)
-	for _, e := range m.Executes {
-		n += 16
-		for _, f := range e.Files {
-			n += len(f.Name) + 16
-		}
-	}
-	return n
+	return n + 16*len(m.Groups)
 }

@@ -251,7 +251,7 @@ func TestRoundTripProperty(t *testing.T) {
 	var buf bytes.Buffer
 	c := NewCodec(&buf)
 	prop := func(seed int64, typ uint8) bool {
-		in := sample(Type(1+int(typ)%int(TExecuteBatch)), rand.New(rand.NewSource(seed)))
+		in := sample(Type(1+int(typ)%int(TMasterDone)), rand.New(rand.NewSource(seed)))
 		if err := c.Send(in); err != nil {
 			t.Logf("send %s: %v", in.Type, err)
 			return false

@@ -159,10 +159,9 @@ func (t *Mem) pipe() memPipe {
 type memSlot struct {
 	msg              protocol.Message
 	template, common []string
-	files, execFiles []protocol.FileInfo
+	files            []protocol.FileInfo
 	groups           []int
 	results          []protocol.TaskResult
-	executes         []protocol.ExecuteSpec
 }
 
 // fill copies m into the slot, reusing its backing arrays. Empty slices
@@ -179,14 +178,6 @@ func (s *memSlot) fill(m *protocol.Message) {
 	s.msg.Groups = nonEmpty(s.groups)
 	s.results = append(s.results[:0], m.Results...)
 	s.msg.Results = nonEmpty(s.results)
-	s.executes, s.execFiles = s.executes[:0], s.execFiles[:0]
-	for _, e := range m.Executes {
-		start := len(s.execFiles)
-		s.execFiles = append(s.execFiles, e.Files...)
-		e.Files = nonEmpty(s.execFiles[start:len(s.execFiles):len(s.execFiles)])
-		s.executes = append(s.executes, e)
-	}
-	s.msg.Executes = nonEmpty(s.executes)
 }
 
 // nonEmpty is s, or nil when s is empty.

@@ -621,18 +621,18 @@ func TestMemCopiesEnvelopesAndHandsOverData(t *testing.T) {
 	server := <-accepted
 	payload := []byte("payload")
 	m := &protocol.Message{
-		Type: protocol.TExecuteBatch, Executes: []protocol.ExecuteSpec{{GroupIndex: 2, Files: []protocol.FileInfo{{Name: "b", Size: 2}}}},
+		Type: protocol.TExecute, GroupIndex: 2, Files: []protocol.FileInfo{{Name: "b", Size: 2}},
 		Results: []protocol.TaskResult{{GroupIndex: 1, OK: true}}, Data: payload,
 	}
 	if err := client.Send(m); err != nil {
 		t.Fatal(err)
 	}
-	m.Executes[0].Files[0].Name, m.Executes[0].GroupIndex, m.Results[0].GroupIndex, m.Type = "X", -1, -1, protocol.TInvalid
+	m.Files[0].Name, m.GroupIndex, m.Results[0].GroupIndex, m.Type = "X", -1, -1, protocol.TInvalid
 	got, err := server.Recv()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got == m || got.Type != protocol.TExecuteBatch || got.Executes[0].GroupIndex != 2 || got.Executes[0].Files[0].Name != "b" || got.Results[0].GroupIndex != 1 {
+	if got == m || got.Type != protocol.TExecute || got.GroupIndex != 2 || got.Files[0].Name != "b" || got.Results[0].GroupIndex != 1 {
 		t.Fatalf("received %+v after the sender overwrote its message", got)
 	}
 	if &got.Data[0] != &payload[0] {
@@ -642,9 +642,9 @@ func TestMemCopiesEnvelopesAndHandsOverData(t *testing.T) {
 		t.Fatal("SendCopies on a connection that hands Data over")
 	}
 
-	status := &protocol.Message{Type: protocol.TTaskStatus, Results: []protocol.TaskResult{{GroupIndex: 1, OK: true}}}
+	done := &protocol.Message{Type: protocol.TMasterDone, Results: []protocol.TaskResult{{GroupIndex: 1, OK: true}}}
 	if n := testing.AllocsPerRun(100, func() {
-		client.Send(status)
+		client.Send(done)
 		server.Recv()
 	}); n != 0 {
 		t.Fatalf("%v allocations per send and receive", n)

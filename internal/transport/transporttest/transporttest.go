@@ -19,12 +19,12 @@ import (
 //   - A received message is a private deep copy of the envelope that is
 //     poisoned as soon as the next Recv on the connection starts: its Type
 //     becomes TInvalid, its scalars and strings are zeroed, and every element
-//     of every slice it references (Files, Groups, Template, Results, Executes
-//     and their Files, Strategy.CommonFiles) is overwritten. So is its Data
-//     on a connection that copies (SendCopies); on one that does not, Data is
-//     the sender's, handed over, and the receiver may keep it. A receiver
-//     that still reads the message then sees garbage, and the race detector
-//     sees a race when another goroutine reads it.
+//     of every slice it references (Files, Groups, Template, Results,
+//     Strategy.CommonFiles) is overwritten. So is its Data on a connection
+//     that copies (SendCopies); on one that does not, Data is the sender's,
+//     handed over, and the receiver may keep it. A receiver that still
+//     reads the message then sees garbage, and the race detector sees a race
+//     when another goroutine reads it.
 //   - Every sent TFileData travels with the CRC of its Data at Send (in Seq,
 //     which the runtime leaves unused on data messages) and is checked on
 //     delivery.
@@ -178,10 +178,6 @@ func Snapshot(m *protocol.Message) *protocol.Message {
 	out.Files = slices.Clone(m.Files)
 	out.Groups = slices.Clone(m.Groups)
 	out.Results = slices.Clone(m.Results)
-	out.Executes = slices.Clone(m.Executes)
-	for i := range out.Executes {
-		out.Executes[i].Files = slices.Clone(out.Executes[i].Files)
-	}
 	return &out
 }
 
@@ -204,22 +200,14 @@ func poison(m *protocol.Message, data bool) {
 	for i := range m.Strategy.CommonFiles {
 		m.Strategy.CommonFiles[i] = poisoned
 	}
-	poisonFiles(m.Files)
+	for i := range m.Files {
+		m.Files[i] = protocol.FileInfo{Name: poisoned, Size: -1}
+	}
 	for i := range m.Groups {
 		m.Groups[i] = -1
 	}
 	for i := range m.Results {
 		m.Results[i] = protocol.TaskResult{GroupIndex: -1, Worker: poisoned, Error: poisoned}
 	}
-	for i := range m.Executes {
-		poisonFiles(m.Executes[i].Files)
-		m.Executes[i] = protocol.ExecuteSpec{GroupIndex: -1}
-	}
 	*m = protocol.Message{Type: protocol.TInvalid}
-}
-
-func poisonFiles(fs []protocol.FileInfo) {
-	for i := range fs {
-		fs[i] = protocol.FileInfo{Name: poisoned, Size: -1}
-	}
 }

@@ -59,8 +59,8 @@ func TestOwnershipCatchesAKeptMessage(t *testing.T) {
 				Type: protocol.TStartMaster, Template: []string{"app", "$inp1"},
 				Strategy: strategy.Config{Kind: strategy.RealTime, CommonFiles: []string{"db"}},
 				Files:    []protocol.FileInfo{{Name: "a", Size: 1}},
+				Groups:   []int{4},
 				Results:  []protocol.TaskResult{{GroupIndex: 3, Worker: "w0", OK: true}},
-				Executes: []protocol.ExecuteSpec{{GroupIndex: 4, Files: []protocol.FileInfo{{Name: "b", Size: 2}}}},
 			}
 			payload := []byte("payload")
 			data := &protocol.Message{Type: protocol.TFileData, FileName: "a", FileSize: 7, Data: payload, Last: true}
@@ -73,7 +73,7 @@ func TestOwnershipCatchesAKeptMessage(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			template, files, results, spec := kept.Template, kept.Files, kept.Results, kept.Executes[0]
+			template, common, files, groups, results := kept.Template, kept.Strategy.CommonFiles, kept.Files, kept.Groups, kept.Results
 			copied := kept.Files[0].Name // a string outlives the message
 			keptData, err := server.Recv()
 			if err != nil {
@@ -86,8 +86,8 @@ func TestOwnershipCatchesAKeptMessage(t *testing.T) {
 			if kept.Type != protocol.TInvalid || kept.Strategy.Kind != 0 || len(kept.Files) != 0 {
 				t.Errorf("kept message still reads %s, %s, %v", kept.Type, kept.Strategy.Kind, kept.Files)
 			}
-			if template[0] == "app" || files[0].Name == "a" || results[0].GroupIndex == 3 || spec.Files[0].Name == "b" {
-				t.Errorf("kept slices not poisoned: %v %v %v %v", template, files, results, spec.Files)
+			if template[0] == "app" || common[0] == "db" || files[0].Name == "a" || groups[0] == 4 || results[0].GroupIndex == 3 {
+				t.Errorf("kept slices not poisoned: %v %v %v %v %v", template, common, files, groups, results)
 			}
 			if copied != "a" {
 				t.Errorf("a string copied at the Recv reads %q", copied)
@@ -163,10 +163,9 @@ func TestOwnershipAllowsAReusedEnvelope(t *testing.T) {
 			tr, client, server := connPair(t, tc.tr(), tc.addr)
 			msgs := []*protocol.Message{
 				{Type: protocol.TExecute, GroupIndex: 1, Files: []protocol.FileInfo{{Name: "a", Size: 1}}},
-				{Type: protocol.TTaskStatus, Results: []protocol.TaskResult{{GroupIndex: 1, OK: true, Worker: "w0"}}},
-				{Type: protocol.TExecuteBatch, Executes: []protocol.ExecuteSpec{
-					{GroupIndex: 2, Files: []protocol.FileInfo{{Name: "b", Size: 2}}},
-					{GroupIndex: 3, Files: []protocol.FileInfo{{Name: "c", Size: 3}, {Name: "d", Size: 4}}},
+				{Type: protocol.TMasterDone, Results: []protocol.TaskResult{{GroupIndex: 1, OK: true, Worker: "w0"}, {GroupIndex: 2, Error: "e"}}},
+				{Type: protocol.TDistribute, Groups: []int{2, 3}, Files: []protocol.FileInfo{
+					{Name: "b", Size: 2}, {Name: "c", Size: 3}, {Name: "d", Size: 4},
 				}},
 				{Type: protocol.TStartMaster, Template: []string{"app", "$inp1"}, Groups: []int{5, 6},
 					Strategy: strategy.Config{Kind: strategy.RealTime, CommonFiles: []string{"db"}}},
@@ -184,10 +183,6 @@ func TestOwnershipAllowsAReusedEnvelope(t *testing.T) {
 				}
 				for i := range m.Results {
 					m.Results[i] = protocol.TaskResult{GroupIndex: -1}
-				}
-				for i := range m.Executes {
-					m.Executes[i].Files[0].Name = "X"
-					m.Executes[i].GroupIndex = -1
 				}
 				for i := range m.Template {
 					m.Template[i] = "X"
