@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race smoke-daemons check-goldens check-parent bench bench-e2e bench-smoke bench-netsim bench-exprun bench-scale bench-obs bench-masterfail bench-ctrlplane profile-scale vet fmt reproduce ablations examples clean
+.PHONY: all build test race stress smoke-daemons check-goldens check-parent bench bench-e2e bench-smoke bench-netsim bench-exprun bench-scale bench-obs bench-masterfail bench-ctrlplane profile-scale vet fmt reproduce ablations examples clean
 
 all: build test
 
@@ -14,6 +14,14 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Repeat the race-detector tests of PKGS (default: the simulator's netsim and
+# simrun) 200 times at GOMAXPROCS 1 and 2, beside a CPU hog the script
+# starts and stops itself, and report the failures per test
+# (scripts/stress.sh); e.g. `make stress PKGS="./internal/core ."`.
+PKGS ?= ./internal/netsim ./internal/simrun
+stress:
+	GO=$(GO) sh scripts/stress.sh $(PKGS)
 
 # README's distributed recipe as separate processes over TCP loopback
 # (datagen, master, two workers, controller), then the frieda launcher from a
@@ -52,6 +60,8 @@ check-goldens:
 # durability, masterfail and stragglers metrics CSVs, and fig6a's Gantt
 # summary, each with its stdout. BASE is checked out in a temporary git
 # worktree, removed again on exit; e.g. `make check-parent BASE=HEAD~`.
+# Every output is compared, each one that differs is named, and the target
+# fails if any did.
 BASE ?= HEAD
 check-parent:
 	@set -e; tmp=$$(mktemp -d); \
@@ -67,7 +77,11 @@ check-parent:
 		$$bin -exp fig6a -gantt > fig6a_gantt.txt; \
 		cd - >/dev/null; \
 	done; \
-	for f in $$(ls "$$tmp/base.out"); do echo "$$f"; cmp "$$tmp/base.out/$$f" "$$tmp/head.out/$$f"; done
+	differ=""; \
+	for f in $$(ls "$$tmp/base.out"); do \
+		echo "$$f"; cmp "$$tmp/base.out/$$f" "$$tmp/head.out/$$f" || differ="$$differ $$f"; \
+	done; \
+	if [ -n "$$differ" ]; then echo "check-parent: differs from $(BASE):$$differ"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -107,7 +121,7 @@ bench-exprun:
 	$(GO) test -bench='BenchmarkExpAblations' -benchmem -run '^$$' ./internal/experiments/
 
 # Regenerate BENCH_scale.json: the datacenter sweep (fat-tree testbed,
-# cold-link aggregation, batched scheduling) from 256 to 65,536 workers.
+# cold-link aggregation) from 256 to 65,536 workers.
 # -parallel 1 keeps the wall-clock columns clean of scheduling noise.
 # Compare per-event cost against the committed file before merging netsim,
 # simrun or engine changes, and update the file with the new numbers.

@@ -166,10 +166,8 @@ type Options struct {
 	InstantBoot bool
 	// Topology, when non-nil, arranges hosts in a rack/spine fat-tree
 	// instead of the flat host(+fabric) model: provisioned VMs fill racks in
-	// order and transfers route host→ToR→spine→ToR→host. Building a tree
-	// also switches the network to batched same-instant reallocation, which
-	// the flat model leaves off to stay byte-identical with history.
-	// Topology and FabricBps are mutually exclusive.
+	// order and transfers route host→ToR→spine→ToR→host. Topology and
+	// FabricBps are mutually exclusive.
 	Topology *netsim.TreeSpec
 }
 
@@ -207,7 +205,6 @@ func New(eng *sim.Engine, opts Options) *Cluster {
 			panic(err) // spec errors are construction bugs, like NewLink dups
 		}
 		c.tree = tree
-		c.net.SetBatched(true)
 	} else if opts.FabricBps > 0 {
 		c.fabric = c.net.NewFabric("fabric", opts.FabricBps)
 	}

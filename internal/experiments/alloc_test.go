@@ -14,10 +14,13 @@ import (
 // the cell reuses as each record's use ends, there is no closure, and the
 // workload is built from one file array and one name string. One Fig. 6
 // real-time cell of each application, workload build included as every
-// sweep cell builds its own, measures 0.0888 mallocs per fired event for
-// ALS (167 per run over 1,880 events) and 0.0080 for BLAST (181 over
-// 22,513). Each bound is that plus 2%, so a closure or a slice per task
-// (+0.33 per event in either cell) fails it.
+// sweep cell builds its own, measures at most 0.0446 mallocs per fired event
+// for ALS (165 to 166 per run over 3,725 events) and 0.0040 for BLAST (176
+// to 178 over 44,985); the events include each instant's rebalance and
+// admission pass, and three of the mallocs are that schedule's, once per
+// cell (the engine's same-instant queue, the dirty-link set, the admission
+// list). Each bound is that plus 2%, so a closure or a slice per task
+// (+0.17 per event in either cell) fails it.
 func TestPaperSweepAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
@@ -29,8 +32,8 @@ func TestPaperSweepAllocations(t *testing.T) {
 		app   string
 		limit float64
 	}{
-		{"ALS", 0.0888 * 1.02},
-		{"BLAST", 0.0080 * 1.02},
+		{"ALS", 0.0446 * 1.02},
+		{"BLAST", 0.0040 * 1.02},
 	} {
 		mk, err := workloadBuilder(c.app, 1)
 		if err != nil {
@@ -55,10 +58,13 @@ func TestPaperSweepAllocations(t *testing.T) {
 // TestPaperSweepAllocations counts, the arena chunks its records come from
 // are few, because a cell takes back its flows, stage-ins and task attempts
 // as their use ends. One Fig. 6 real-time cell of each application, workload
-// build included, measures 154.1 bytes per fired event for ALS (289,699 per
-// run over 1,880 events; 361.4 when nothing was taken back) and 86.2 for
-// BLAST (1.94 MB over 22,513; 289.3). Each bound is that plus 2%, so chunks
-// that grow with the task count again fail it.
+// build included, measures 77.7 to 78.3 bytes per fired event for ALS
+// (289,603 to 291,571 per run over 3,725 events) and at most 43.1 for
+// BLAST (1.94 MB over 44,985); the events include each instant's rebalance
+// and admission pass. Before records were taken back they read 361.4 and
+// 289.3 per event of a schedule with half as many events. Each bound is
+// 78.2 or 43.1 plus 2%, so chunks that grow with the task count again fail
+// it.
 func TestPaperSweepBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
@@ -70,8 +76,8 @@ func TestPaperSweepBytes(t *testing.T) {
 		app   string
 		limit float64
 	}{
-		{"ALS", 154.1 * 1.02},
-		{"BLAST", 86.2 * 1.02},
+		{"ALS", 78.2 * 1.02},
+		{"BLAST", 43.1 * 1.02},
 	} {
 		mk, err := workloadBuilder(c.app, 1)
 		if err != nil {
@@ -115,9 +121,7 @@ func TestScaleCellSetupIsFlat(t *testing.T) {
 	setup := func(workers int) float64 {
 		return testing.AllocsPerRun(1, func() {
 			tb := NewTreeTestbed(workers, 1)
-			cfg := realTime()
-			cfg.BatchSched = true
-			r, err := prepare("setup", tb, cfg, wl)
+			r, err := prepare("setup", tb, realTime(), wl)
 			if err != nil {
 				t.Fatal(err)
 			}

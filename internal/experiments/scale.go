@@ -9,8 +9,8 @@ import (
 
 // DefaultScaleWorkers is the cluster-size sweep the README quotes: the
 // paper's evaluation stops at 4 VMs; these sizes exercise the datacenter
-// regime the fat-tree topology, cold-link aggregation and batched
-// scheduling exist for. The per-event cost staying flat across this sweep
+// regime the fat-tree topology, cold-link aggregation and same-instant
+// batching exist for. The per-event cost staying flat across this sweep
 // is the scalability claim BENCH_scale.json records.
 var DefaultScaleWorkers = []int{256, 1024, 4096, 16384, 65536}
 
@@ -32,9 +32,7 @@ func ScaleSweep(workerCounts []int, scale float64) ([]SweepRow, error) {
 				wl := BLASTWorkload(scale, 1)
 				start := time.Now()
 				tb := NewTreeTestbed(workers, 1)
-				cfg := realTime()
-				cfg.BatchSched = true
-				r, err := prepare(fmt.Sprintf("%s scale w=%d", wl.Name, workers), tb, cfg, wl)
+				r, err := prepare(fmt.Sprintf("%s scale w=%d", wl.Name, workers), tb, realTime(), wl)
 				if err != nil {
 					return SweepRow{}, err
 				}

@@ -174,9 +174,7 @@ func DefaultTreeSpec() netsim.TreeSpec {
 
 // NewTreeTestbed provisions one data-source node plus nWorkers c1.xlarge
 // VMs arranged in a rack/spine fat-tree (the master fills rack 0 first,
-// staying close to the data). Building the tree switches the network to
-// batched reallocation; pair it with simrun's BatchSched for full
-// 65k-worker throughput.
+// staying close to the data).
 func NewTreeTestbed(nWorkers int, seed int64) *Testbed {
 	spec := DefaultTreeSpec()
 	return paperTestbed(cloud.Options{Seed: seed, Topology: &spec}, nWorkers)

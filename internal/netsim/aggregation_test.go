@@ -8,14 +8,11 @@ import (
 )
 
 // buildTreeNet constructs a fresh oversubscribed fat-tree populated with
-// nHosts hosts, for the allocator-mode equivalence tests.
-func buildTreeNet(t *testing.T, nHosts int, configure func(*Network)) (*sim.Engine, *Network, *Topology, []*Host) {
+// nHosts hosts.
+func buildTreeNet(t *testing.T, nHosts int) (*sim.Engine, *Network, *Topology, []*Host) {
 	t.Helper()
 	eng := sim.NewEngine()
 	net := New(eng)
-	if configure != nil {
-		configure(net)
-	}
 	tr, err := NewTree(net, TreeSpec{HostsPerRack: 4, Spines: 2, Oversubscription: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -28,79 +25,78 @@ func buildTreeNet(t *testing.T, nHosts int, configure func(*Network)) (*sim.Engi
 	return eng, net, tr, hosts
 }
 
-// compareChurn runs the shared random-churn scenario on a baseline network
-// (eager — a solve per flow event) and on a variant, and demands
-// bit-identical completion times, checkpoint rates, and totals.
-func compareChurn(t *testing.T, variant string, configure func(*Network)) {
+// stepRebalanced runs the engine to the end one event at a time. After every
+// event it checks the flow lists (checkMembership); after every event that
+// leaves no rebalance pending it checks the rates against the reference
+// solver (oracle.go) and then calls settled, if non-nil. No rebalance
+// pending is the state every event at a later instant sees: between a flow
+// start, finish or cancel and its instant's rebalance the rates are due, not
+// final, so an event at a later instant that runs while one is still pending
+// fails too. where prefixes the failure messages; a run that checks no
+// event fails.
+func stepRebalanced(t testing.TB, eng *sim.Engine, net *Network, links []*Link, where string, settled func()) {
 	t.Helper()
-	const nHosts, nFlows = 16, 120
-	baseEng, baseNet, baseTr, baseHosts := buildTreeNet(t, nHosts, nil)
-	base := runTreeChurn(t, baseNet, baseEng, netLinks(baseTr, baseHosts), func(_, s, d int) []*Link {
-		return baseTr.Path(baseHosts[s], baseHosts[d])
-	}, 23, nHosts, nFlows)
-
-	varEng, varNet, varTr, varHosts := buildTreeNet(t, nHosts, configure)
-	got := runTreeChurn(t, varNet, varEng, netLinks(varTr, varHosts), func(_, s, d int) []*Link {
-		return varTr.Path(varHosts[s], varHosts[d])
-	}, 23, nHosts, nFlows)
-
-	for i := range base.completions {
-		if base.completions[i] != got.completions[i] {
-			t.Fatalf("%s: flow %d completes at %v, baseline %v",
-				variant, i, got.completions[i], base.completions[i])
+	checked := 0
+	pendingAt, pending := sim.Time(0), false
+	for step := 1; eng.Step(); step++ {
+		checkMembership(t, net, links)
+		if pending && eng.Now() > pendingAt {
+			t.Fatalf("%s step %d (t=%v): runs with the rebalance of t=%v still pending", where, step, eng.Now(), pendingAt)
+		}
+		if pending = net.rebalanceOn; pending {
+			pendingAt = eng.Now()
+			continue
+		}
+		checked++
+		if f, got, want, ok := net.checkRatesAgainstReference(); !ok {
+			t.Fatalf("%s step %d (t=%v): flow %d rate %v, reference %v", where, step, eng.Now(), f.id, got, want)
+		}
+		if settled != nil {
+			settled()
 		}
 	}
-	for s := range base.snapshots {
-		for i := range base.snapshots[s] {
-			if base.snapshots[s][i] != got.snapshots[s][i] {
-				t.Fatalf("%s: snapshot %d flow %d rate %v, baseline %v",
-					variant, s, i, got.snapshots[s][i], base.snapshots[s][i])
-			}
-		}
-	}
-	if base.completions == nil || baseNet.BytesMoved != varNet.BytesMoved ||
-		baseNet.FlowsCompleted != varNet.FlowsCompleted {
-		t.Fatalf("%s: totals diverged: %v/%d vs baseline %v/%d", variant,
-			varNet.BytesMoved, varNet.FlowsCompleted, baseNet.BytesMoved, baseNet.FlowsCompleted)
+	if checked == 0 {
+		t.Fatalf("%s: no event left the rates settled", where)
 	}
 }
 
 // The solver folds cold links (fewer than two flows) into per-flow composite
 // capacities and keeps only hot links in its bottleneck heap; the committed
 // rates must nevertheless be exactly the reference whole-network solver's
-// (oracle.go) after every delivered event. The three fabrics put the fold at
-// its extremes: a tree storm where links cross between hot and cold as flows
-// come and go, a flat fabric where every link in use is shared (nothing
-// folds, the heap does all the work), and disjoint host pairs where every
-// link is cold (the heap stays empty).
+// (oracle.go) after every event that leaves no rebalance pending
+// (stepRebalanced). The three fabrics put the fold at its extremes: a tree
+// storm where links cross between hot and cold as flows come and go, a flat
+// fabric where every link in use is shared (nothing folds, the heap does all
+// the work), and disjoint host pairs where every link is cold (the heap
+// stays empty).
 func TestSolverMatchesOracle(t *testing.T) {
 	// stepAndCheck drains the engine, comparing against the oracle after
-	// every event. wantCold is the share of flow-carrying links that must be
-	// cold at the first check with flows in flight: 0 (none), 1 (all) or -1
-	// (don't care).
+	// every event that leaves the rates settled. wantCold is the share of
+	// flow-carrying links that must be cold at the first such check with
+	// flows in flight: 0 (none), 1 (all) or -1 (don't care).
 	stepAndCheck := func(t *testing.T, eng *sim.Engine, net *Network, links []*Link, wantCold float64) {
 		t.Helper()
 		checkedMix := wantCold < 0
-		for steps := 1; eng.Step(); steps++ {
-			checkMembership(t, net, links)
-			if f, got, want, ok := net.checkRatesAgainstReference(); !ok {
-				t.Fatalf("step %d (t=%v) flow %d: rate %v, reference %v", steps, eng.Now(), f.id, got, want)
+		stepRebalanced(t, eng, net, links, t.Name(), func() {
+			if checkedMix || net.ActiveFlows() == 0 {
+				return
 			}
-			if !checkedMix && net.ActiveFlows() > 0 {
-				checkedMix = true
-				var cold, used float64
-				for _, l := range links {
-					if len(l.flows) > 0 {
-						used++
-						if len(l.flows) < 2 {
-							cold++
-						}
+			checkedMix = true
+			var cold, used float64
+			for _, l := range links {
+				if len(l.flows) > 0 {
+					used++
+					if len(l.flows) < 2 {
+						cold++
 					}
 				}
-				if cold/used != wantCold {
-					t.Fatalf("fabric does not exercise the intended case: %v of %v used links are cold", cold, used)
-				}
 			}
+			if cold/used != wantCold {
+				t.Fatalf("fabric does not exercise the intended case: %v of %v used links are cold", cold, used)
+			}
+		})
+		if !checkedMix {
+			t.Fatal("no settled event had flows in flight")
 		}
 		if net.ActiveFlows() != 0 {
 			t.Fatalf("%d flows never drained", net.ActiveFlows())
@@ -109,7 +105,7 @@ func TestSolverMatchesOracle(t *testing.T) {
 
 	t.Run("tree", func(t *testing.T) {
 		const nHosts, nFlows = 16, 120
-		eng, net, tr, hosts := buildTreeNet(t, nHosts, nil)
+		eng, net, tr, hosts := buildTreeNet(t, nHosts)
 		rng := rand.New(rand.NewSource(23))
 		for i := 0; i < nFlows; i++ {
 			src := rng.Intn(nHosts)
@@ -167,8 +163,8 @@ func TestSolverMatchesOracle(t *testing.T) {
 // swap-remove on slices that have reached their working size; and join is a
 // method, not a closure over the flow, the network and the path. A regression
 // on any of those shows up here before it shows up as mallocs_per_op on a
-// sim_* workload. The flat case is sim_paper's (two-link path, eager), the
-// tree case sim_scale's (five-link inter-rack path, batched).
+// sim_* workload. The flat case is sim_paper's (two-link path), the tree
+// case sim_scale's (five-link inter-rack path).
 func TestSolveSteadyStateAllocs(t *testing.T) {
 	measure := func(eng *sim.Engine, net *Network, path []*Link) float64 {
 		one := func() {
@@ -190,7 +186,7 @@ func TestSolveSteadyStateAllocs(t *testing.T) {
 		}
 	})
 	t.Run("tree", func(t *testing.T) {
-		eng, net, tr, hosts := buildTreeNet(t, 8, func(n *Network) { n.SetBatched(true) })
+		eng, net, tr, hosts := buildTreeNet(t, 8)
 		path := tr.Path(hosts[0], hosts[7])
 		if len(path) != MaxRoute {
 			t.Fatalf("inter-rack path has %d links, want %d", len(path), MaxRoute)
@@ -201,19 +197,12 @@ func TestSolveSteadyStateAllocs(t *testing.T) {
 	})
 }
 
-// Deferring reallocation to one rebalance per virtual instant must not move
-// any completion: rates committed at the end of a tick apply from the same
-// virtual time as rates committed eagerly within it.
-func TestBatchedMatchesEager(t *testing.T) {
-	compareChurn(t, "batched", func(n *Network) { n.SetBatched(true) })
-}
-
 // Rates must satisfy the reference whole-network solver across churn,
 // including cancellations — the fold/unfold transitions as links go
 // from shared to private to empty and back.
 func TestFoldedOracleUnderCancellation(t *testing.T) {
 	const nHosts, nFlows = 12, 80
-	eng, net, tr, hosts := buildTreeNet(t, nHosts, nil)
+	eng, net, tr, hosts := buildTreeNet(t, nHosts)
 	rng := rand.New(rand.NewSource(5))
 	flows := make([]*Flow, nFlows)
 	for i := 0; i < nFlows; i++ {
@@ -252,36 +241,37 @@ func TestFoldedOracleUnderCancellation(t *testing.T) {
 	}
 }
 
-// Batched mode must keep the eager semantics of fault operations: a link
-// failure kills the crossing flows immediately and survivors re-rate over
-// the freed capacity within the same instant.
+// Flow starts, finishes and cancels re-rate at their instant's rebalance,
+// but fault operations re-rate at once: a link failure kills the crossing
+// flows immediately and survivors re-rate over the freed capacity within
+// the same event. Two 800 Mb flows share the source's 100 Mbps uplink; at
+// t=1 each has sent 50 Mb, one loses its downlink there, and the survivor's
+// remaining 750 Mb take 7.5 s at the full 100 Mbps.
 func TestBatchedFaultsStayEager(t *testing.T) {
 	eng := sim.NewEngine()
 	net := New(eng)
-	net.SetBatched(true)
 	src := net.NewHost("src", Mbps(100), Mbps(100))
 	a := net.NewHost("a", Mbps(100), Mbps(100))
 	b := net.NewHost("b", Mbps(100), Mbps(100))
-	var interrupted bool
+	interruptedAt, delivered := sim.Time(-1), -1.0
+	var done sim.Time
 	eng.Schedule(0, func() {
-		net.StartFlow(100e6, Path(src, a, nil), &ends{intr: func(float64, sim.Time) { interrupted = true }})
-		net.StartFlow(100e6, Path(src, b, nil), nil)
+		net.StartFlow(100e6, Path(src, a, nil), &ends{intr: func(d float64, at sim.Time) { delivered, interruptedAt = d, at }})
+		net.StartFlow(100e6, Path(src, b, nil), onDone(func(at sim.Time) { done = at }))
 	})
 	eng.Schedule(1, func() {
 		net.FailLink(a.Down())
-		// The kill and the survivor's re-rate are synchronous even in
-		// batched mode: fault callers observe rates immediately.
-		flows := make([]*Flow, 0, 1)
-		for _, f := range net.flows {
-			flows = append(flows, f)
-		}
-		if len(flows) != 1 || flows[0].Rate() != Mbps(100) {
-			t.Fatalf("survivor not re-rated eagerly: %d flows", len(flows))
+		// Fault callers observe rates immediately.
+		if len(net.flows) != 1 || net.flows[0].Rate() != Mbps(100) {
+			t.Fatalf("survivor not re-rated at once: %d flows", len(net.flows))
 		}
 	})
 	eng.Run()
-	if !interrupted {
-		t.Fatal("interrupt callback never fired")
+	if interruptedAt != 1 || delivered != 6.25e6 {
+		t.Fatalf("interrupted at %v with %v bytes delivered, want t=1 and 6.25e6", interruptedAt, delivered)
+	}
+	if done != 8.5 {
+		t.Fatalf("survivor done at %v, want 8.5", done)
 	}
 	if net.FlowsInterrupted != 1 || net.FlowsCompleted != 1 {
 		t.Fatalf("interrupted=%d completed=%d", net.FlowsInterrupted, net.FlowsCompleted)
@@ -289,41 +279,32 @@ func TestBatchedFaultsStayEager(t *testing.T) {
 }
 
 // TestBatchedDegradeStaysEager: DegradeLink and RestoreLink mid-flow are
-// fault events, not scheduling events — even under SetBatched they must
-// re-rate in-flight flows synchronously and produce completion times
-// identical to eager mode.
+// fault events, not scheduling events — they re-rate in-flight flows within
+// the same event, so the completion time is the analytic one. 800 Mb: 2 s
+// at 100 Mbps, degraded to 25 Mbps at t=2, restored at t=10: 200 + 200 +
+// 400 Mb legs, finishing at t=14.
 func TestBatchedDegradeStaysEager(t *testing.T) {
-	run := func(batched bool) (rateAfter float64, done sim.Time) {
-		eng := sim.NewEngine()
-		net := New(eng)
-		net.SetBatched(batched)
-		src := net.NewHost("src", Mbps(100), Mbps(100))
-		dst := net.NewHost("dst", Mbps(100), Mbps(100))
-		var f *Flow
-		eng.Schedule(0, func() {
-			// 800 Mb: 2 s at 100 Mbps, degraded to 25 Mbps at t=2, restored
-			// at t=10: 200 + 200 + 400 Mb legs, finishing at t=14.
-			f = net.StartFlow(100e6, Path(src, dst, nil), onDone(func(at sim.Time) { done = at }))
-		})
-		eng.Schedule(2, func() {
-			net.DegradeLink(dst.Down(), 0.25)
-			// Fault callers observe the degraded rate immediately.
-			rateAfter = f.Rate()
-		})
-		eng.Schedule(10, func() { net.RestoreLink(dst.Down()) })
-		eng.Run()
-		return
+	eng := sim.NewEngine()
+	net := New(eng)
+	src := net.NewHost("src", Mbps(100), Mbps(100))
+	dst := net.NewHost("dst", Mbps(100), Mbps(100))
+	var f *Flow
+	var done sim.Time
+	rateAfter := -1.0
+	eng.Schedule(0, func() {
+		f = net.StartFlow(100e6, Path(src, dst, nil), onDone(func(at sim.Time) { done = at }))
+	})
+	eng.Schedule(2, func() {
+		net.DegradeLink(dst.Down(), 0.25)
+		// Fault callers observe the degraded rate immediately.
+		rateAfter = f.Rate()
+	})
+	eng.Schedule(10, func() { net.RestoreLink(dst.Down()) })
+	eng.Run()
+	if rateAfter != Mbps(25) {
+		t.Fatalf("mid-flow degrade not applied at once: rate = %v", rateAfter)
 	}
-	eagerRate, eagerDone := run(false)
-	batchRate, batchDone := run(true)
-	if batchRate != Mbps(25) {
-		t.Fatalf("batched mid-flow degrade not applied eagerly: rate = %v", batchRate)
-	}
-	if batchRate != eagerRate || batchDone != eagerDone {
-		t.Fatalf("batched (rate %v, done %v) diverges from eager (rate %v, done %v)",
-			batchRate, batchDone, eagerRate, eagerDone)
-	}
-	if eagerDone != 14 {
-		t.Fatalf("done at %v, want 14", eagerDone)
+	if done != 14 {
+		t.Fatalf("done at %v, want 14", done)
 	}
 }

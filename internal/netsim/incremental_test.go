@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -41,24 +42,16 @@ func buildRandomChurn(seed int64) (*sim.Engine, *Network, []*Link) {
 	return eng, net, links
 }
 
-// Property: across ≥1000 random topologies, after every delivered event the
-// incremental component-scoped allocator's live rate vector is EXACTLY the
-// reference whole-network solver's — same floats, not approximately equal.
-// The solvers share arithmetic and tie-breaks by construction; this pins
-// that contract.
+// Property: across ≥1000 random topologies, after every event that leaves
+// no rebalance pending (stepRebalanced) the incremental component-scoped
+// allocator's live rate vector is EXACTLY the reference whole-network
+// solver's — same floats, not approximately equal. The solvers share
+// arithmetic and tie-breaks by construction; this pins that contract.
 func TestIncrementalMatchesReferenceProperty(t *testing.T) {
 	const topologies = 1000
 	for seed := int64(0); seed < topologies; seed++ {
 		eng, net, links := buildRandomChurn(seed)
-		steps := 0
-		for eng.Step() {
-			steps++
-			checkMembership(t, net, links)
-			if f, got, want, ok := net.checkRatesAgainstReference(); !ok {
-				t.Fatalf("seed %d, step %d: flow %d rate %v, reference %v",
-					seed, steps, f.id, got, want)
-			}
-		}
+		stepRebalanced(t, eng, net, links, fmt.Sprintf("seed %d", seed), nil)
 		if net.ActiveFlows() != 0 {
 			t.Fatalf("seed %d: %d flows never finished", seed, net.ActiveFlows())
 		}

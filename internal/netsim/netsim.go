@@ -14,7 +14,10 @@
 // Allocation is incremental and component-scoped: a flow start, finish,
 // cancel, or capacity change settles and re-solves only the connected
 // component of links and flows reachable from the affected links, leaving
-// every other component's rates and completion events untouched. One solve
+// every other component's rates and completion events untouched. Flow
+// starts, finishes and cancels are batched: each marks its links dirty, and
+// one rebalance event per virtual instant re-solves the union of their
+// components (markDirty); fault and capacity changes re-solve at once. One solve
 // runs progressive filling over an indexed min-heap of link fair shares in
 // O((F+L)·log L) for a component of F flows and L links, and completions
 // are rescheduled only for flows whose rate actually changed. The retained
@@ -63,7 +66,7 @@ type Link struct {
 	flows []*Flow
 
 	// Allocator scratch, valid only inside one reallocation. mark is the
-	// component-BFS generation; dirty is the batched-mode dirty-set
+	// component-BFS generation; dirty is the rebalance dirty-set
 	// generation; the rest is progressive-filling state.
 	mark     uint64
 	dirty    uint64
@@ -322,16 +325,14 @@ type Network struct {
 	capScratch []*Flow
 	sumScratch []*Flow
 
-	// Batched reallocation state: flow starts, completions and cancels mark
-	// their links dirty and one rebalance pass per virtual instant settles,
-	// solves and applies rates for the union of dirty components. dirtyGen
-	// guards Link.dirty marks; rebalanceFn is pre-bound so the hot path
-	// allocates no closure.
-	batched     bool
+	// Reallocation state: flow starts, completions and cancels mark their
+	// links dirty and one rebalance pass per virtual instant settles, solves
+	// and applies rates for the union of dirty components. dirtyGen guards
+	// Link.dirty marks.
 	dirtyGen    uint64
 	dirtySeeds  []*Link
+	nlinks      int // links built so far: the dirty set's bound
 	rebalanceOn bool
-	rebalanceFn func()
 
 	// tracer, when non-nil, receives a counter event per link whose utilised
 	// rate the solver changed, plus link fault lifecycle instants.
@@ -372,27 +373,29 @@ func New(eng *Engine) *Network {
 // method. Nothing else may call it.
 func (n *Network) SetColdAggregation(bool) {}
 
-// SetBatched toggles deferred reallocation: flow starts, completions and
-// cancels mark their links dirty and schedule (at most) one rebalance event
-// at the current virtual instant, which settles, solves and re-rates the
-// union of dirty components in a single pass. The engine fires same-instant
-// events FIFO, so the rebalance runs after every already-queued event of the
-// tick — a 65k-flow staging storm costs one solve instead of 65k. Fault and
-// capacity operations stay eager (their callers observe rates immediately).
-// Flip it at setup time: disabling it with a rebalance pending would strand
-// joined-but-unrated flows.
-func (n *Network) SetBatched(on bool) {
-	n.batched = on
-	if on && n.rebalanceFn == nil {
-		n.rebalanceFn = n.rebalance // bound once; markDirty never allocates
-	}
-}
+// SetBatched does nothing: batched reallocation (markDirty) is how flow
+// starts, completions and cancels re-rate the network, not a mode. It
+// remains only because bench/probes.go:515 calls it and a PR that edits
+// netsim may not edit bench/; the benchmark PR (ROADMAP item 1) removes that
+// call and this method. Nothing else may call it.
+func (n *Network) SetBatched(bool) {}
 
 // markDirty adds the path's links to the dirty set and ensures a rebalance
-// event is queued at the current instant. Dedup is by dirty-generation, so a
-// storm of same-tick changes over shared links appends each link once.
+// event is queued at the current instant. Flow starts, completions and
+// cancels re-rate this way: the engine fires same-instant events FIFO, so the
+// rebalance runs after every already-queued event of the instant, and a
+// 65k-flow staging storm costs one solve instead of 65k. Until it runs, a
+// started flow sits at rate 0 and a finished or cancelled one is off its
+// links, while the flows it shared them with keep their old rates; every
+// event at a later instant sees the max-min rates. Fault and capacity
+// operations (FailLink, RestoreLink, DegradeLink, SetCapacity) re-rate at
+// once instead. Dedup is by dirty-generation, so a storm of same-instant
+// changes over shared links appends each link once.
 func (n *Network) markDirty(path []*Link) {
 	g := n.dirtyGen
+	if n.dirtySeeds == nil {
+		n.dirtySeeds = make([]*Link, 0, n.nlinks) // every link fits
+	}
 	for _, l := range path {
 		if l.dirty != g {
 			l.dirty = g
@@ -401,17 +404,22 @@ func (n *Network) markDirty(path []*Link) {
 	}
 	if !n.rebalanceOn {
 		n.rebalanceOn = true
-		n.eng.Schedule(0, n.rebalanceFn)
+		n.eng.ScheduleHandler(0, (*rebalancer)(n))
 	}
 }
 
-// rebalance is the batched-mode solve: one settle/solve/apply over the
-// connected components of every link dirtied since the last pass. Owners
-// hear of completions from the flows' own events, not from here, so no new
-// dirt appears mid-pass; an owner that starts or finishes another flow this
-// tick schedules a fresh rebalance, and a busy instant converges in a small
+// rebalancer is the network as the handler of its rebalance event, so
+// queuing the event is a pointer conversion and allocates nothing.
+type rebalancer Network
+
+// Fire is the deferred solve: one settle/solve/apply over the connected
+// components of every link dirtied since the last pass. Owners hear of
+// completions from the flows' own events, not from here, so no new dirt
+// appears mid-pass; an owner that starts or finishes another flow this tick
+// schedules a fresh rebalance, and a busy instant converges in a small
 // constant number of passes.
-func (n *Network) rebalance() {
+func (r *rebalancer) Fire() {
+	n := (*Network)(r)
 	n.rebalanceOn = false
 	if len(n.dirtySeeds) == 0 {
 		return
@@ -442,6 +450,7 @@ func (n *Network) initLink(l *Link, name string, bitsPerSec float64) {
 		panic(fmt.Sprintf("netsim: non-positive capacity for link %q", name))
 	}
 	*l = Link{name: name, capacity: bitsPerSec, base: bitsPerSec, net: n, flows: l.flows}
+	n.nlinks++
 }
 
 // initLinks gives a slab of links one shared backing array for the first
@@ -668,16 +677,7 @@ func (f *Flow) join() {
 	}
 	f.lastUpdate = n.eng.Now()
 	n.attachFlow(f)
-	if n.batched {
-		// Rate assignment is deferred to this instant's rebalance pass;
-		// until then the flow sits at rate 0 with zero elapsed time.
-		n.markDirty(path)
-		return
-	}
-	n.component(path...)
-	n.settleComponent()
-	n.solveComponent()
-	n.applyRates()
+	n.markDirty(path) // at rate 0, with no elapsed time, until the rebalance
 }
 
 // Cancel aborts an in-flight flow (e.g. the receiving worker failed), and
@@ -704,17 +704,9 @@ func (n *Network) Cancel(f *Flow) {
 	if f.pending {
 		return // still in its latency delay; it will never join the links
 	}
-	if n.batched {
-		f.settleTo(n.eng.Now()) // Delivered() stays exact for an ownerless flow's holder
-		n.detachFlow(f)
-		n.markDirty(f.path())
-	} else {
-		n.component(f.path()...)
-		n.settleComponent()
-		n.removeFlow(f)
-		n.solveComponent()
-		n.applyRates()
-	}
+	f.settleTo(n.eng.Now()) // Delivered() stays exact for an ownerless flow's holder
+	n.detachFlow(f)
+	n.markDirty(f.path())
 	n.recycle(f)
 }
 
@@ -810,8 +802,7 @@ func appendDoubling[T any](s []T, v T) []T {
 }
 
 // detachFlow detaches a flow from its links and the active set and cancels
-// its completion event. It is the batched-mode removal: O(path), no touch of
-// the component scratch.
+// its completion event: O(path), no touch of the component scratch.
 func (n *Network) detachFlow(f *Flow) {
 	last := len(n.flows) - 1
 	moved := n.flows[last]
@@ -827,7 +818,7 @@ func (n *Network) detachFlow(f *Flow) {
 }
 
 // removeFlow detaches a flow and additionally drops it from the current
-// component scratch, for the eager paths that solve inside the same bracket.
+// component scratch, for FailLink, which solves inside the same bracket.
 func (n *Network) removeFlow(f *Flow) {
 	n.detachFlow(f)
 	flows := n.compFlows
@@ -1038,30 +1029,10 @@ func (n *Network) traceLinkRates() {
 func (f *Flow) complete() {
 	n := f.net()
 	f.done = sim.EventRef{} // the completion event just fired
-	if n.batched {
-		// The flow's rate has been constant since the last rebalance (any
-		// change would have rescheduled this event), so settling just this
-		// flow is exact — no component settle needed.
-		f.settleTo(n.eng.Now())
-		if f.remaining > completionEpsilon && f.rate > 0 &&
-			f.remaining*8/f.rate > minRescheduleEta {
-			f.done = n.eng.ScheduleHandler(sim.Duration(f.remaining*8/f.rate), f)
-			return
-		}
-		f.finished = true
-		f.remaining = 0
-		n.BytesMoved += f.bytes
-		n.FlowsCompleted++
-		n.detachFlow(f)
-		n.markDirty(f.path())
-		if f.owner != nil {
-			f.owner.FlowDone(f)
-		}
-		n.recycle(f)
-		return
-	}
-	n.component(f.path()...)
-	n.settleComponent()
+	// The flow's rate has been constant since the last rebalance (any change
+	// would have rescheduled this event), so settling just this flow is
+	// exact — no component settle needed.
+	f.settleTo(n.eng.Now())
 	if f.remaining > completionEpsilon && f.rate > 0 &&
 		f.remaining*8/f.rate > minRescheduleEta {
 		// A genuine early fire (rates changed underneath the event);
@@ -1073,9 +1044,8 @@ func (f *Flow) complete() {
 	f.remaining = 0
 	n.BytesMoved += f.bytes
 	n.FlowsCompleted++
-	n.removeFlow(f)
-	n.solveComponent()
-	n.applyRates()
+	n.detachFlow(f)
+	n.markDirty(f.path())
 	if f.owner != nil {
 		f.owner.FlowDone(f)
 	}

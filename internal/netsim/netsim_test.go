@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"frieda/internal/obs"
 	"frieda/internal/sim"
 )
 
@@ -441,5 +442,69 @@ func TestFlowBottleneckFailedLink(t *testing.T) {
 	eng.Run()
 	if !interrupted {
 		t.Fatal("interrupt callback never ran")
+	}
+}
+
+// Four equal flows share the source's uplink and finish at one instant T.
+// An event queued at T after their completion events must see them all
+// gone — no active flow, nothing on the uplink — because the finishes
+// re-rate the network once, at the instant's rebalance, not one finish at a
+// time (which would re-rate the survivors and push their completions behind
+// the event). For the same reason the tracer records each link's utilised
+// rate at most once per instant: the rate the instant settles at, not the
+// steps on the way.
+func TestSimultaneousFinishesSettleOnce(t *testing.T) {
+	eng := sim.NewEngine()
+	net := New(eng)
+	tr := obs.NewTracer(eng, "net")
+	net.SetTracer(tr)
+	src := net.NewHost("src", Mbps(100), Mbps(100))
+	var done []sim.Time
+	probed := false
+	eng.Schedule(0, func() {
+		for i := 0; i < 4; i++ {
+			dst := net.NewHost(hostName("d", i), Mbps(100), Mbps(100))
+			net.StartFlow(12.5e6, Path(src, dst, nil), onDone(func(at sim.Time) { done = append(done, at) }))
+		}
+		// Queued behind the instant's rebalance, which schedules the four
+		// completions at T = 4 s; the probe is then queued behind them.
+		eng.Schedule(0, func() {
+			eng.Schedule(4, func() {
+				probed = true
+				if n := net.ActiveFlows(); n != 0 {
+					t.Errorf("t=%v: %d flows still active after their finish", eng.Now(), n)
+				}
+				if bps := src.Up().UtilisedBps(); bps != 0 {
+					t.Errorf("t=%v: uplink still carries %v bps", eng.Now(), bps)
+				}
+			})
+		})
+	})
+	eng.Run()
+	if !probed || len(done) != 4 {
+		t.Fatalf("probe ran %v, %d flows done", probed, len(done))
+	}
+	for _, at := range done {
+		if at != 4 {
+			t.Fatalf("flows done at %v, want all at 4", done)
+		}
+	}
+	type key struct {
+		track string
+		at    sim.Time
+	}
+	seen := map[key]float64{}
+	for _, e := range tr.Events() {
+		if e.Phase != obs.PhaseCounter || e.Name != "utilised_bps" {
+			continue
+		}
+		k := key{e.Track, e.Ts}
+		if v, dup := seen[k]; dup {
+			t.Errorf("link %s: utilised_bps %v then %v at t=%v", e.Track, v, e.Value, e.Ts)
+		}
+		seen[k] = e.Value
+	}
+	if len(seen) == 0 {
+		t.Fatal("the tracer recorded no utilised_bps counter")
 	}
 }

@@ -8,8 +8,8 @@ import (
 	"frieda/internal/sim"
 )
 
-// runTreeStorm replays the datacenter staging storm on a fat-tree with the
-// allocator modes cloud.Options.Topology enables: one master in rack 0 pushes
+// runTreeStorm replays the datacenter staging storm on a fat-tree like the
+// one cloud.Options.Topology builds: one master in rack 0 pushes
 // an input volume to every one of nWorkers workers spread across the tree.
 // Starts are staggered in epochs so arrivals and completions interleave —
 // the same regime the 65k-worker BLAST sweep puts the allocator in, where
@@ -19,7 +19,6 @@ func runTreeStorm(b *testing.B, nWorkers int, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	eng := sim.NewEngine()
 	net := New(eng)
-	net.SetBatched(true)
 	tr, err := NewTree(net, TreeSpec{HostsPerRack: 32, Spines: 8, Oversubscription: 4})
 	if err != nil {
 		b.Fatal(err)

@@ -256,56 +256,48 @@ func ulpClose(a, b float64) bool {
 // and tree configs share one allocator.
 func TestTreeDegenerateMatchesFlat(t *testing.T) {
 	const nHosts, nFlows = 16, 120
-	// The subtest names are pinned by the suite's floor list; since the
-	// solver always folds, the two differ only in batching.
-	for _, mode := range []string{"dense-eager", "folded-batched"} {
-		mode := mode
-		t.Run(mode, func(t *testing.T) {
-			flatEng := sim.NewEngine()
-			flatNet := New(flatEng)
-			flatHosts := make([]*Host, nHosts)
-			for i := range flatHosts {
-				flatHosts[i] = flatNet.NewHost(hostName("h", i), Mbps(100), Mbps(100))
-			}
-			flat := runTreeChurn(t, flatNet, flatEng, netLinks(nil, flatHosts), func(_, s, d int) []*Link {
-				return Path(flatHosts[s], flatHosts[d], nil)
-			}, 7, nHosts, nFlows)
+	flatEng := sim.NewEngine()
+	flatNet := New(flatEng)
+	flatHosts := make([]*Host, nHosts)
+	for i := range flatHosts {
+		flatHosts[i] = flatNet.NewHost(hostName("h", i), Mbps(100), Mbps(100))
+	}
+	flat := runTreeChurn(t, flatNet, flatEng, netLinks(nil, flatHosts), func(_, s, d int) []*Link {
+		return Path(flatHosts[s], flatHosts[d], nil)
+	}, 7, nHosts, nFlows)
 
-			treeEng := sim.NewEngine()
-			treeNet := New(treeEng)
-			treeNet.SetBatched(mode == "folded-batched")
-			tr, err := NewTree(treeNet, TreeSpec{HostsPerRack: 4, Spines: 3, Oversubscription: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			treeHosts := make([]*Host, nHosts)
-			for i := range treeHosts {
-				treeHosts[i] = treeNet.NewHost(hostName("h", i), Mbps(100), Mbps(100))
-				tr.Attach(treeHosts[i])
-			}
-			tree := runTreeChurn(t, treeNet, treeEng, netLinks(tr, treeHosts), func(_, s, d int) []*Link {
-				return tr.Path(treeHosts[s], treeHosts[d])
-			}, 7, nHosts, nFlows)
+	treeEng := sim.NewEngine()
+	treeNet := New(treeEng)
+	tr, err := NewTree(treeNet, TreeSpec{HostsPerRack: 4, Spines: 3, Oversubscription: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	treeHosts := make([]*Host, nHosts)
+	for i := range treeHosts {
+		treeHosts[i] = treeNet.NewHost(hostName("h", i), Mbps(100), Mbps(100))
+		tr.Attach(treeHosts[i])
+	}
+	tree := runTreeChurn(t, treeNet, treeEng, netLinks(tr, treeHosts), func(_, s, d int) []*Link {
+		return tr.Path(treeHosts[s], treeHosts[d])
+	}, 7, nHosts, nFlows)
 
-			for i := range flat.completions {
-				if !ulpClose(float64(flat.completions[i]), float64(tree.completions[i])) {
-					t.Fatalf("flow %d: flat completes at %v, tree at %v",
-						i, flat.completions[i], tree.completions[i])
-				}
+	for i := range flat.completions {
+		if !ulpClose(float64(flat.completions[i]), float64(tree.completions[i])) {
+			t.Fatalf("flow %d: flat completes at %v, tree at %v",
+				i, flat.completions[i], tree.completions[i])
+		}
+	}
+	for s := range flat.snapshots {
+		for i := range flat.snapshots[s] {
+			if !ulpClose(flat.snapshots[s][i], tree.snapshots[s][i]) {
+				t.Fatalf("snapshot %d flow %d: flat rate %v, tree rate %v",
+					s, i, flat.snapshots[s][i], tree.snapshots[s][i])
 			}
-			for s := range flat.snapshots {
-				for i := range flat.snapshots[s] {
-					if !ulpClose(flat.snapshots[s][i], tree.snapshots[s][i]) {
-						t.Fatalf("snapshot %d flow %d: flat rate %v, tree rate %v",
-							s, i, flat.snapshots[s][i], tree.snapshots[s][i])
-					}
-				}
-			}
-			if !ulpClose(flatNet.BytesMoved, treeNet.BytesMoved) || flatNet.FlowsCompleted != treeNet.FlowsCompleted {
-				t.Fatalf("totals diverged: flat %v/%d, tree %v/%d",
-					flatNet.BytesMoved, flatNet.FlowsCompleted, treeNet.BytesMoved, treeNet.FlowsCompleted)
-			}
-		})
+		}
+	}
+	if !ulpClose(flatNet.BytesMoved, treeNet.BytesMoved) || flatNet.FlowsCompleted != treeNet.FlowsCompleted {
+		t.Fatalf("totals diverged: flat %v/%d, tree %v/%d",
+			flatNet.BytesMoved, flatNet.FlowsCompleted, treeNet.BytesMoved, treeNet.FlowsCompleted)
 	}
 }
 

@@ -62,13 +62,14 @@ func (f Func) Fire() { f() }
 // Event is the engine's internal record of a scheduled handler. Its storage
 // belongs to one engine, which reuses it for that engine's later events, so
 // user code holds EventRef handles rather than *Event. Its fire time and
-// scheduling order live in the engine's heap beside it.
+// scheduling order live beside it, in the engine's heap or its current
+// instant's queue.
 type Event struct {
 	h     Handler
 	owner *Engine
 	next  *Event // the owner's free list, while the event is free
 	gen   uint64 // incremented on release; stale EventRefs stop matching
-	index int32  // heap index; -1 once removed
+	index int32  // heap index, or -2-i at position i of the instant's queue; -1 once removed
 }
 
 // EventRef is a handle to a scheduled event, returned by Schedule and At.
@@ -97,7 +98,12 @@ func (r EventRef) Cancel() {
 		return
 	}
 	eng := ev.owner
-	eng.queue.remove(int(ev.index))
+	if ev.index >= 0 {
+		eng.queue.remove(int(ev.index))
+	} else {
+		eng.instant[-2-ev.index].ev = nil // popNext skips the hole
+		eng.ninstant--
+	}
 	eng.release(ev)
 }
 
@@ -204,6 +210,19 @@ type Engine struct {
 	fired   uint64
 	running bool
 
+	// instant queues, FIFO, the events a firing handler schedules for the
+	// current time (a zero delay: a settle or pass that must follow the
+	// instant's other work), so they skip the heap's sift up and down.
+	// popNext fires the lesser (when, seq) of its head and the heap's top,
+	// so the order is the one the heap alone would give, wherever an event
+	// waits. Events scheduled between firings go to the heap, which Reserve
+	// sizes for batches such as a cluster's boots. instant[head:] are still
+	// to fire, ninstant of them live (a cancelled one leaves a hole).
+	instant  []slot
+	head     int
+	ninstant int
+	firing   bool
+
 	// events is where the engine's events come from, and free lists the
 	// nfree fired and cancelled ones a later Schedule reuses first.
 	events Arena[Event]
@@ -225,7 +244,7 @@ func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending reports how many live events are queued. Cancelled events leave
 // the queue immediately, so they never count.
-func (e *Engine) Pending() int { return len(e.queue) }
+func (e *Engine) Pending() int { return len(e.queue) + e.ninstant }
 
 // Schedule queues fn to run after delay. A negative delay panics: virtual
 // time never runs backwards. It returns the event handle so the caller may
@@ -273,7 +292,16 @@ func (e *Engine) AtHandler(t Time, h Handler) EventRef {
 		ev.owner = e
 	}
 	ev.h = h
-	e.queue.push(slot{when: t, seq: e.seq, ev: ev})
+	if t == e.now && e.firing {
+		if len(e.instant) == cap(e.instant) {
+			e.instant = slices.Grow(e.instant, max(len(e.instant), 16))
+		}
+		ev.index = int32(-2 - len(e.instant))
+		e.instant = append(e.instant, slot{when: t, seq: e.seq, ev: ev})
+		e.ninstant++
+	} else {
+		e.queue.push(slot{when: t, seq: e.seq, ev: ev})
+	}
 	return EventRef{ev: ev, gen: ev.gen}
 }
 
@@ -301,10 +329,25 @@ func (e *Engine) Reserve(n int) {
 // single dequeue path shared by RunUntil and Step, so both count fired
 // events identically.
 func (e *Engine) popNext(deadline Time) (h Handler, at Time, ok bool) {
-	if len(e.queue) == 0 || e.queue[0].when > deadline {
+	for e.head < len(e.instant) && e.instant[e.head].ev == nil {
+		e.head++
+	}
+	if e.head == len(e.instant) {
+		e.instant, e.head = e.instant[:0], 0
+	}
+	var next slot
+	switch {
+	case e.head < len(e.instant) && e.now <= deadline &&
+		(len(e.queue) == 0 || e.instant[e.head].before(&e.queue[0])):
+		next = e.instant[e.head]
+		e.head++
+		e.ninstant--
+		next.ev.index = -1
+	case len(e.queue) > 0 && e.queue[0].when <= deadline:
+		next = e.queue.pop()
+	default:
 		return nil, 0, false
 	}
-	next := e.queue.pop()
 	h, at = next.ev.h, next.when
 	e.release(next.ev)
 	return h, at, true
@@ -330,11 +373,9 @@ func (e *Engine) RunUntil(deadline Time) Time {
 		if !ok {
 			break
 		}
-		e.now = at
-		e.fired++
-		h.Fire()
+		e.fire(h, at)
 	}
-	if deadline != Infinity && e.now < deadline && len(e.queue) == 0 {
+	if deadline != Infinity && e.now < deadline && e.Pending() == 0 {
 		e.now = deadline
 	}
 	return e.now
@@ -346,8 +387,15 @@ func (e *Engine) Step() bool {
 	if !ok {
 		return false
 	}
+	e.fire(h, at)
+	return true
+}
+
+// fire delivers h at time at, the one delivery path of RunUntil and Step.
+func (e *Engine) fire(h Handler, at Time) {
 	e.now = at
 	e.fired++
+	e.firing = true
 	h.Fire()
-	return true
+	e.firing = false
 }

@@ -203,6 +203,79 @@ func TestEngineCancelSubsetProperty(t *testing.T) {
 	}
 }
 
+// Property: zero-delay events, which wait in the current instant's queue
+// rather than the heap, fire in (time, scheduling order) with the rest.
+// Handlers schedule events at small integer delays, zero among them, so
+// instants collide, and cancel random pending ones, so the instant's queue
+// gets holes. The firing order must be sorted by (time, scheduling order),
+// every event fires unless cancelled, and Pending counts the rest, whether
+// Run or Step drains the engine.
+func TestSameInstantQueueKeepsOrderProperty(t *testing.T) {
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		eng := NewEngine()
+		type rec struct {
+			when      Time
+			seq       int
+			cancelled bool
+			ref       EventRef
+		}
+		var recs []*rec
+		var order []*rec
+		var schedule func(delay Duration)
+		schedule = func(delay Duration) {
+			r := &rec{when: eng.Now() + delay, seq: len(recs)}
+			recs = append(recs, r)
+			r.ref = eng.Schedule(delay, func() {
+				order = append(order, r)
+				for i := rng.Intn(3); i > 0 && len(recs) < 400; i-- {
+					schedule(Duration(rng.Intn(3)))
+				}
+				if rng.Intn(4) == 0 {
+					if v := recs[rng.Intn(len(recs))]; v.ref.Pending() {
+						v.ref.Cancel()
+						v.cancelled = true
+					}
+				}
+			})
+		}
+		for i := 0; i < 8; i++ {
+			schedule(Duration(rng.Intn(3)))
+		}
+		live := 0
+		for _, r := range recs {
+			if r.ref.Pending() {
+				live++
+			}
+		}
+		if eng.Pending() != live {
+			return false
+		}
+		if seed%2 == 0 {
+			eng.Run()
+		} else {
+			for eng.Step() {
+			}
+		}
+		for i := 1; i < len(order); i++ {
+			a, b := order[i-1], order[i]
+			if a.when > b.when || a.when == b.when && a.seq > b.seq {
+				return false
+			}
+		}
+		fired := 0
+		for _, r := range recs {
+			if !r.cancelled {
+				fired++
+			}
+		}
+		return fired == len(order) && eng.Pending() == 0
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestTimerResetStop(t *testing.T) {
 	eng := NewEngine()
 	fires := 0

@@ -101,15 +101,11 @@ type Config struct {
 	// Metrics samples the run's gauges, counters and histograms on a
 	// virtual-time ticker (metrics.go).
 	Metrics *obs.Metrics
-	// BatchSched coalesces same-instant scheduling: events that would each
-	// run their own admit pass (task completions, staging finishes, Recover
-	// requeues, worker deaths) instead enqueue the affected workers once and
-	// a single drain event per virtual instant admits across all of them,
-	// with the admission limit resolved once per runner rather than per
-	// call. Off (the default), every event admits eagerly — the published
-	// behaviour, kept byte-identical. Batched runs remain deterministic
-	// (the drain visits workers in kick order, itself event-order
-	// deterministic) but may dispatch in a different order than eager runs.
+	// BatchSched does nothing: same-instant admission is always batched
+	// (Runner.kick), not a mode. It remains only because bench/probes.go:415
+	// sets it and a PR that edits simrun may not edit bench/; the benchmark
+	// PR (ROADMAP item 1) removes that line and this field. Nothing else may
+	// set it.
 	BatchSched bool
 	// Gray handles gray failures: slow-suspicion, admission pause,
 	// speculative re-execution, hedged transfers. Requires Detection

@@ -5,7 +5,7 @@ package simrun
 // a single decision server, and a generation-stamped template cache
 // (internal/ctrlplane) lets repeated decisions replay in O(1) instead of
 // re-running the full scan. The plug-in takes over Runner.decide, so every
-// admission — eager or batched — is priced.
+// admission is priced.
 
 import (
 	"fmt"

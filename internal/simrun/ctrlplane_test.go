@@ -67,8 +67,8 @@ func TestCtrlPlaneTemplatesCollapseDecisionCost(t *testing.T) {
 // property test: every template hit is re-derived through the
 // unmodified slow path (head scan + source selection) and panics on any
 // divergence, so completing these runs proves templates replay exactly what
-// the full decision would have computed — across strategy kinds, batched
-// scheduling, prefetch, and transfer-heavy workloads.
+// the full decision would have computed — across strategy kinds, prefetch,
+// and transfer-heavy workloads.
 func TestCtrlPlaneCheckedReplayAcrossConfigs(t *testing.T) {
 	cases := []struct {
 		name string
@@ -81,8 +81,7 @@ func TestCtrlPlaneCheckedReplayAcrossConfigs(t *testing.T) {
 			return Workload{Name: "net", Tasks: uniformTasks(16, 0.5, 2_500_000)}
 		}},
 		{"realtime-prefetch-batched", Config{
-			Strategy:   strategy.Config{Kind: strategy.RealTime, Locality: strategy.Remote, Prefetch: 2},
-			BatchSched: true,
+			Strategy: strategy.Config{Kind: strategy.RealTime, Locality: strategy.Remote, Prefetch: 2},
 		}, func() Workload {
 			return Workload{Name: "net", Tasks: uniformTasks(24, 0.25, 1_000_000)}
 		}},

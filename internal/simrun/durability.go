@@ -631,7 +631,7 @@ func (d *durabilityHook) diskDiedMaster(w *simWorker, files []int32) {
 	}
 	if lostCommon && !w.Dead {
 		w.Ready = false
-		r.stageCommon(w, commonAdmit)
+		r.stageCommon(w, commonKick)
 	}
 	d.scan()
 }

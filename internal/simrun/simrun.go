@@ -121,13 +121,12 @@ type Runner struct {
 	flowSince      sim.Time
 	computeSince   sim.Time
 
-	// Batched-scheduling state (cfg.BatchSched): workers awaiting this
-	// instant's admit pass, whether it must cover every live worker, and the
-	// pre-bound drain callback.
+	// Admission state (kick, kickAll): workers awaiting this instant's admit
+	// pass, whether it must cover every live worker, and whether the pass is
+	// queued.
 	pendAdmit []*simWorker
 	admitAll  bool
 	drainOn   bool
-	drainFn   func()
 
 	// fileScratch recycles the per-dispatch missing-file slices, so the
 	// steady-state pull loop allocates none; a slice abandoned mid-transfer
@@ -161,7 +160,7 @@ type simWorker struct {
 	// injection lowers it via SetWorkerSpeed without touching liveness.
 	speed  float64
 	node   int32 // its id in the replica map
-	queued bool  // already in this instant's batched admit pass
+	queued bool  // already in this instant's admit pass
 	// afterCommon is what follows its common dataset (stageCommon); chain
 	// lists the files a staged strategy streams to it next (startStaged).
 	afterCommon afterCommon
@@ -236,7 +235,6 @@ func NewRunner(cluster *cloud.Cluster, master *cloud.VM, cfg Config, wl Workload
 	r.internFiles()
 	r.replicas.ReserveNodes(len(cluster.VMs())) // the workers usually exist already
 	r.decide, r.source, r.fetch, r.fetched = r.dispatchNext, r.sourceFor, r.fetchBundled, r.fetchedBundled
-	r.drainFn = r.drainAdmits // bound once; kicks never allocate
 	if nf := cfg.NetFaults; nf != nil {
 		r.rng, r.resume = rand.New(rand.NewSource(backoffJitterSeed)), nf.Resume
 	}
@@ -441,6 +439,7 @@ func (r *Runner) Start(done func(Result)) error {
 	r.done = done
 	r.started = true
 	r.startAt = r.eng.Now()
+	r.pendAdmit = make([]*simWorker, 0, len(r.workers)) // each waits once per pass
 	for _, h := range r.hooks {
 		h.start()
 	}
@@ -467,44 +466,40 @@ func (r *Runner) Start(done func(Result)) error {
 	return nil
 }
 
-// kick requests an admit pass for the worker. Eager mode runs it on the
-// spot; batched mode (cfg.BatchSched) enqueues the worker, deduplicated, for
-// this instant's single drain pass.
+// kick requests an admit pass for the worker: it enqueues the worker,
+// deduplicated, for this instant's single drain pass.
 func (r *Runner) kick(w *simWorker) {
-	if !r.cfg.BatchSched {
-		r.admit(w)
-		return
-	}
 	if !w.queued {
 		w.queued = true
 		r.pendAdmit = append(r.pendAdmit, w)
 	}
 	if !r.drainOn {
 		r.drainOn = true
-		r.eng.Schedule(0, r.drainFn)
+		r.eng.ScheduleHandler(0, (*admitDrain)(r))
 	}
 }
 
 // kickAll requests an admit pass over every live worker — Recover requeues
-// and worker deaths put work or capacity back for everyone. Batched mode
-// collapses any number of same-instant broadcasts into one full pass.
+// and worker deaths put work or capacity back for everyone. Any number of
+// same-instant broadcasts collapse into one full pass.
 func (r *Runner) kickAll() {
 	r.admitAll = true
-	if !r.cfg.BatchSched {
-		r.drainAdmits()
-		return
-	}
 	if !r.drainOn {
 		r.drainOn = true
-		r.eng.Schedule(0, r.drainFn)
+		r.eng.ScheduleHandler(0, (*admitDrain)(r))
 	}
 }
 
-// drainAdmits is the batched scheduling pass: one admit sweep over the
-// workers kicked this instant (or all live workers after a broadcast), run
-// after every already-queued event of the instant has settled (same-instant
-// events are FIFO). Kicks from inside the pass extend the pend slice.
-func (r *Runner) drainAdmits() {
+// admitDrain is the runner as the handler of its admission pass, so a kick
+// queues the pass by a pointer conversion and allocates nothing.
+type admitDrain Runner
+
+// Fire is the scheduling pass: one admit sweep over the workers kicked this
+// instant (or all live workers after a broadcast), run after every
+// already-queued event of the instant has settled (same-instant events are
+// FIFO). Kicks from inside the pass extend the pend slice.
+func (d *admitDrain) Fire() {
+	r := (*Runner)(d)
 	r.drainOn = false
 	if r.admitAll {
 		r.admitAll = false

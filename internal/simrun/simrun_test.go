@@ -496,15 +496,19 @@ func alsTasks(n int) []TaskSpec {
 // A run with no plug-ins allocates per fired event what its flows, computes
 // and bookkeeping need, and nothing for the hooks: a hook call that
 // allocates (a closure or an interface boxing per call) shows up here. The
-// fault-free real-time ALS cell measures 0.2240 allocations per event (86
-// per run over 384 events) at a window of one group per slot: its task
-// attempts, stage-ins, flows and events come from arena chunks and go back
-// to them when their use ends, there is no closure, files are ids (no map
-// per worker or holder set), and the rest is the run's setup. At
-// a window of three it measures 0.3750 to 0.3854 (144 to 148, from
-// run to run): more records are live at once, so the arenas take more
-// chunks. Each bound is its highest measure plus 2%, so one extra
-// allocation per task (+0.33 per event), or in every few events, fails it.
+// fault-free real-time ALS cell measures 0.1151 allocations per event (86
+// per run over 747 events, each instant's rebalance and admission pass
+// included) at a window of one group per slot: its task attempts,
+// stage-ins, flows and events come from arena chunks and go back to them
+// when their use ends, there is no closure, files are ids (no map per
+// worker or holder set), and the rest is the run's setup. Three of the 86
+// are the one schedule's, each made once per run: the engine's
+// same-instant queue, the network's dirty-link set (sized to its links)
+// and the admission pass's worker list (sized to the workers). At a window
+// of three it measures 0.1903 (133 over 699): more records are live at
+// once, so the arenas take more chunks. Each bound is its highest measure
+// plus 2%, so one extra allocation per task (+0.17 per event), or in every
+// few events, fails it.
 func TestRunAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
@@ -513,8 +517,8 @@ func TestRunAllocations(t *testing.T) {
 		prefetch int
 		perEvent float64 // measured at this window
 	}{
-		{1, 0.2240},
-		{3, 0.3854},
+		{1, 0.1151},
+		{3, 0.1903},
 	} {
 		t.Run(fmt.Sprintf("prefetch=%d", tc.prefetch), func(t *testing.T) {
 			runAllocations(t, tc.prefetch, tc.perEvent*1.02)

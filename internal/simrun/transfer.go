@@ -424,9 +424,8 @@ func (r *Runner) bestHolder(files []int32, skip *simWorker, skipVM *cloud.VM) *s
 type afterCommon uint8
 
 const (
-	commonKick  afterCommon = iota // ask for work: real-time starts, elastic joins
+	commonKick  afterCommon = iota // ask for work: real-time starts, elastic joins, re-stages after a disk death
 	commonChain                    // stream its files, then the barrier (startStaged)
-	commonAdmit                    // admit at once: a re-stage after a disk death
 )
 
 // stageCommon transfers the common dataset (if any) and marks the worker
@@ -462,12 +461,8 @@ func (r *Runner) stageEveryCommon(next afterCommon) {
 // commonStaged continues a worker once its common dataset is in place, lost,
 // or moot because the worker died, as stageCommon was told.
 func (r *Runner) commonStaged(w *simWorker) {
-	switch w.afterCommon {
-	case commonKick:
+	if w.afterCommon == commonKick {
 		r.kick(w)
-		return
-	case commonAdmit:
-		r.admit(w)
 		return
 	}
 	fs := r.stageFiles(w)
