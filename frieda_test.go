@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -138,28 +139,44 @@ func TestRunPrePartitionWithGrouping(t *testing.T) {
 	}
 }
 
+// README's first example: an unmodified binary over a dataset, once from
+// memory and once from an input directory (DirDataset).
 func TestRunExternalTemplate(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	report, err := Run(ctx, RunConfig{
-		Strategy: RealTimeRemote,
-		Dataset:  MemDataset(map[string][]byte{"a.txt": []byte("alpha"), "b.txt": []byte("beta")}),
-		Template: []string{"cat", "$inp1"},
-		Workers:  2,
-		WorkDir:  t.TempDir(),
-	})
-	if err != nil {
-		t.Fatal(err)
+	files := map[string][]byte{"a.txt": []byte("alpha"), "b.txt": []byte("beta")}
+	dir := t.TempDir()
+	for name, data := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if report.Succeeded != 2 {
-		t.Fatalf("report = %+v (%v)", report, report.WorkerErrors)
-	}
-	got := map[string]bool{}
-	for _, res := range report.Results {
-		got[res.Output] = true
-	}
-	if !got["alpha"] || !got["beta"] {
-		t.Fatalf("outputs = %v", got)
+	for _, tc := range []struct {
+		name    string
+		dataset Dataset
+	}{{"mem", MemDataset(files)}, {"dir", DirDataset(dir)}} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+			report, err := Run(ctx, RunConfig{
+				Strategy: RealTimeRemote,
+				Dataset:  tc.dataset,
+				Template: []string{"cat", "$inp1"},
+				Workers:  2,
+				WorkDir:  t.TempDir(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if report.Succeeded != 2 {
+				t.Fatalf("report = %+v (%v)", report, report.WorkerErrors)
+			}
+			got := map[string]bool{}
+			for _, res := range report.Results {
+				got[res.Output] = true
+			}
+			if !got["alpha"] || !got["beta"] {
+				t.Fatalf("outputs = %v", got)
+			}
+		})
 	}
 }
 

@@ -136,15 +136,6 @@ func (c *Catalog) Names() []string {
 	return out
 }
 
-// TotalSize sums all file sizes.
-func (c *Catalog) TotalSize() int64 {
-	var n int64
-	for _, f := range c.files {
-		n += f.Size
-	}
-	return n
-}
-
 // Without returns the catalog less the named files, in c's order, its slice
 // built at its final size; names c does not hold are ignored. When c holds none of
 // them it returns c itself, which its caller must then not modify either.

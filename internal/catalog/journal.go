@@ -100,9 +100,6 @@ func (j *Journal) Append(rec Record) {
 // Len returns the number of records appended since the last Reset.
 func (j *Journal) Len() int { return j.n }
 
-// Size returns the encoded length in bytes.
-func (j *Journal) Size() int { return len(j.buf) }
-
 // Bytes returns the encoded log. The slice is shared; callers must not
 // mutate it.
 func (j *Journal) Bytes() []byte { return j.buf }
@@ -217,12 +214,6 @@ func NewState() *State {
 // Replicas exposes the state's replica map.
 func (s *State) Replicas() *Replicas { return s.reps }
 
-// TaskDone reports whether task id is in the ledger, and its outcome.
-func (s *State) TaskDone(id uint64) (done, ok bool) {
-	v, present := s.tasks[id]
-	return present, v
-}
-
 // Apply mutates the state per one record. Unknown ops are rejected with
 // ErrCorrupt; a duplicate OpRegister surfaces the catalog's typed error.
 func (s *State) Apply(rec Record) error {
@@ -264,9 +255,6 @@ type Snapshot struct {
 // Entries returns the number of records in the snapshot (it prices
 // recovery replay alongside Journal.Len).
 func (s *Snapshot) Entries() int { return s.entries }
-
-// Size returns the encoded length in bytes.
-func (s *Snapshot) Size() int { return len(s.buf) }
 
 // Snapshot encodes the state as a canonical record stream: registers in
 // catalog order, then losses, replica adds, evacuations and ledger entries,

@@ -60,7 +60,7 @@ func TestJournalTruncationTorture(t *testing.T) {
 	boundaries := map[int]bool{0: true}
 	for _, r := range sampleRecords() {
 		j.Append(r)
-		boundaries[j.Size()] = true
+		boundaries[len(j.Bytes())] = true
 	}
 	full := j.Bytes()
 	for cut := 0; cut <= len(full); cut++ {
@@ -146,8 +146,8 @@ func TestReplayMatchesDirectApply(t *testing.T) {
 	if got, want := replayed.CanonicalDump(), live.CanonicalDump(); got != want {
 		t.Fatalf("post-compaction replay diverges:\n--- replayed ---\n%s--- live ---\n%s", got, want)
 	}
-	if snap.Entries() == 0 || snap.Size() == 0 {
-		t.Fatalf("snapshot empty: entries=%d size=%d", snap.Entries(), snap.Size())
+	if snap.Entries() == 0 || len(snap.buf) == 0 {
+		t.Fatalf("snapshot empty: entries=%d size=%d", snap.Entries(), len(snap.buf))
 	}
 }
 
@@ -212,7 +212,7 @@ func FuzzReplay(f *testing.F) {
 		all.Append(r)
 	}
 	f.Add(all.Bytes())
-	f.Add(all.Bytes()[:all.Size()-1]) // a truncated tail
+	f.Add(all.Bytes()[:len(all.Bytes())-1]) // a truncated tail
 	var lost Journal
 	for _, r := range lossThenAdd() {
 		lost.Append(r)
@@ -242,13 +242,13 @@ func TestStateLedger(t *testing.T) {
 	st := NewState()
 	st.Apply(Record{Op: OpTaskDone, A: 3, B: 1})
 	st.Apply(Record{Op: OpTaskDone, A: 5, B: 0})
-	if done, ok := st.TaskDone(3); !done || !ok {
+	if ok, done := st.tasks[3]; !done || !ok {
 		t.Fatalf("task 3: done=%v ok=%v", done, ok)
 	}
-	if done, ok := st.TaskDone(5); !done || ok {
+	if ok, done := st.tasks[5]; !done || ok {
 		t.Fatalf("task 5: done=%v ok=%v", done, ok)
 	}
-	if done, _ := st.TaskDone(4); done {
+	if _, done := st.tasks[4]; done {
 		t.Fatal("task 4 should not be in ledger")
 	}
 }

@@ -1,8 +1,7 @@
 // Package cloud models the virtual-cluster substrate of FRIEDA's
 // evaluation: an ORCA/Flukes-style provisioner that boots virtual machines
 // of a given instance type onto a simulated network, with per-VM local
-// disks, attachable block volumes, boot latency, and seeded failure
-// injection.
+// disks, boot latency, and seeded failure injection.
 //
 // The paper ran on ExoGENI at Duke with 4 QEMU-backed c1.xlarge instances
 // (4 cores, 4 GB) and 100 Mbps provisioned links; Default4VMCluster
@@ -71,8 +70,6 @@ const (
 	StateRunning
 	// StateFailed means the VM crashed; its local disk contents are gone.
 	StateFailed
-	// StateTerminated means the VM was shut down deliberately.
-	StateTerminated
 )
 
 // String names the state.
@@ -84,8 +81,6 @@ func (s VMState) String() string {
 		return "running"
 	case StateFailed:
 		return "failed"
-	case StateTerminated:
-		return "terminated"
 	default:
 		return fmt.Sprintf("VMState(%d)", int(s))
 	}
@@ -100,11 +95,7 @@ type VM struct {
 
 	host      *netsim.Host
 	localDisk *storage.Volume
-	blockVols []*storage.Volume
-
-	bootedAt sim.Time
-	diedAt   sim.Time
-	site     int
+	site      int
 
 	failTimer *sim.Timer
 	cluster   *Cluster
@@ -131,23 +122,11 @@ func (vm *VM) Host() *netsim.Host { return vm.host }
 // LocalDisk returns the ephemeral local volume.
 func (vm *VM) LocalDisk() *storage.Volume { return vm.localDisk }
 
-// BlockVolumes returns attached block-store volumes.
-func (vm *VM) BlockVolumes() []*storage.Volume { return vm.blockVols }
-
-// BootedAt returns when the VM entered StateRunning (zero if never).
-func (vm *VM) BootedAt() sim.Time { return vm.bootedAt }
-
-// DiedAt returns when the VM failed or terminated (zero if alive).
-func (vm *VM) DiedAt() sim.Time { return vm.diedAt }
-
 // Running reports whether the VM is currently usable.
 func (vm *VM) Running() bool { return vm.state == StateRunning }
 
-// Site returns the VM's site id (0 unless SetSite was called) — used for
-// federated topologies where only cross-site traffic crosses the fabric.
-func (vm *VM) Site() int { return vm.site }
-
-// SetSite assigns the VM to a site.
+// SetSite assigns the VM to a site (0 unless set) — used for federated
+// topologies where only cross-site traffic crosses the fabric.
 func (c *Cluster) SetSite(vm *VM, site int) { vm.site = site }
 
 // Options configures a cluster.
@@ -183,7 +162,6 @@ type Cluster struct {
 	vms    []*VM
 	nextID int
 
-	onReady    []func(*VM)
 	onFail     []func(*VM)
 	onDiskFail []func(*VM, *storage.Volume)
 }
@@ -220,31 +198,13 @@ func (c *Cluster) Network() *netsim.Network { return c.net }
 // Fabric returns the shared fabric, or nil when links are dedicated.
 func (c *Cluster) Fabric() *netsim.Fabric { return c.fabric }
 
-// Tree returns the fat-tree topology, or nil for the flat model.
-func (c *Cluster) Tree() *netsim.Topology { return c.tree }
-
 // VMs returns all VMs ever provisioned, in provisioning order.
 func (c *Cluster) VMs() []*VM { return c.vms }
-
-// RunningVMs returns the currently running VMs.
-func (c *Cluster) RunningVMs() []*VM {
-	var out []*VM
-	for _, vm := range c.vms {
-		if vm.Running() {
-			out = append(out, vm)
-		}
-	}
-	return out
-}
-
-// OnReady registers a callback invoked when any VM finishes booting.
-func (c *Cluster) OnReady(fn func(*VM)) { c.onReady = append(c.onReady, fn) }
 
 // OnReadyOnce runs fn when the specific VM comes up — immediately if it is
 // already running. Used to attach a replacement worker as soon as its boot
 // completes. The callback waits on the VM, not the cluster: the VM's boot
-// event runs it, or drops it if the VM was terminated while booting, and no
-// other boot ever sees it.
+// event runs it, and no other boot ever sees it.
 func (c *Cluster) OnReadyOnce(vm *VM, fn func()) {
 	if vm.Running() {
 		fn()
@@ -257,7 +217,7 @@ func (c *Cluster) OnReadyOnce(vm *VM, fn func()) {
 func (c *Cluster) OnFailure(fn func(*VM)) { c.onFail = append(c.onFail, fn) }
 
 // Provision requests n VMs of the given type. VMs boot asynchronously
-// (unless Options.InstantBoot) and OnReady callbacks fire as each comes up.
+// (unless Options.InstantBoot) and OnReadyOnce callbacks fire as each comes up.
 // The returned VMs are in StateProvisioning until then.
 //
 // The batch is built one slab per kind — VMs, hosts, NIC links, local disks
@@ -342,21 +302,14 @@ func (b *bootEvent) Fire() {
 }
 
 // bootComplete transitions a VM to running, arms its failure clock, and runs
-// the cluster's OnReady callbacks, then the VM's own OnReadyOnce callbacks.
+// the VM's OnReadyOnce callbacks.
 func (c *Cluster) bootComplete(vm *VM) {
 	once := vm.readyOnce
 	vm.readyOnce = nil
-	if vm.state != StateProvisioning {
-		return // terminated while booting
-	}
 	vm.state = StateRunning
-	vm.bootedAt = c.eng.Now()
 	if c.opts.FailureMTBFSec > 0 {
 		vm.failTimer = sim.NewTimer(c.eng, func() { c.Fail(vm) })
 		vm.failTimer.Reset(sim.Exp(c.rng, c.opts.FailureMTBFSec))
-	}
-	for _, fn := range c.onReady {
-		fn(vm)
 	}
 	for _, fn := range once {
 		fn()
@@ -372,25 +325,11 @@ func (c *Cluster) Fail(vm *VM) {
 		return
 	}
 	vm.state = StateFailed
-	vm.diedAt = c.eng.Now()
 	if vm.failTimer != nil {
 		vm.failTimer.Stop()
 	}
 	for _, fn := range c.onFail {
 		fn(vm)
-	}
-}
-
-// Terminate shuts a VM down deliberately (elastic scale-in). No failure
-// callbacks fire.
-func (c *Cluster) Terminate(vm *VM) {
-	if vm.state == StateFailed || vm.state == StateTerminated {
-		return
-	}
-	vm.state = StateTerminated
-	vm.diedAt = c.eng.Now()
-	if vm.failTimer != nil {
-		vm.failTimer.Stop()
 	}
 }
 
@@ -454,16 +393,6 @@ func (c *Cluster) InjectLinkFaults(vms []*VM, opts netsim.FaultOptions) *netsim.
 		groups = append(groups, []*netsim.Link{vm.host.Up(), vm.host.Down()})
 	}
 	return netsim.NewLinkFaultInjector(c.net, groups, opts)
-}
-
-// AttachBlock provisions and attaches a block-store volume to a VM.
-func (c *Cluster) AttachBlock(vm *VM, spec storage.Spec) (*storage.Volume, error) {
-	v, err := storage.NewVolume(fmt.Sprintf("%s/block%d", vm.name, len(vm.blockVols)), spec)
-	if err != nil {
-		return nil, err
-	}
-	vm.blockVols = append(vm.blockVols, v)
-	return v, nil
 }
 
 // AppendTransferPath appends the network path for a transfer between two

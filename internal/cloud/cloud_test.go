@@ -49,38 +49,46 @@ func TestProvisionBootsAsync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ready := 0
-	c.OnReady(func(*VM) { ready++ })
+	booted := bootTimes(c, vms)
 	for _, vm := range vms {
 		if vm.State() != StateProvisioning {
 			t.Fatalf("state before boot = %v", vm.State())
 		}
 	}
 	eng.Run()
-	// OnReady registered after Provision still catches boots because boots
-	// are events; all must now be running.
-	if ready != 3 {
-		t.Fatalf("ready callbacks = %d, want 3", ready)
-	}
-	for _, vm := range vms {
+	// Callbacks registered after Provision still catch the boots because
+	// boots are events; all must now be running.
+	for i, vm := range vms {
 		if !vm.Running() {
 			t.Fatalf("%s not running", vm.Name())
 		}
-		b := float64(vm.BootedAt())
+		b := float64(booted[i])
 		if b < C1XLarge.BootMinSec || b > C1XLarge.BootMaxSec {
 			t.Fatalf("%s booted at %v outside [%v,%v]", vm.Name(), b, C1XLarge.BootMinSec, C1XLarge.BootMaxSec)
 		}
 	}
 }
 
+// bootTimes records, in the returned slice, the virtual time at which each
+// VM comes up (-1 until it does).
+func bootTimes(c *Cluster, vms []*VM) []sim.Time {
+	at := make([]sim.Time, len(vms))
+	for i, vm := range vms {
+		at[i] = -1
+		c.OnReadyOnce(vm, func() { at[i] = c.Engine().Now() })
+	}
+	return at
+}
+
 func TestInstantBoot(t *testing.T) {
 	eng := sim.NewEngine()
 	c := New(eng, Options{Seed: 1, InstantBoot: true})
 	vms, _ := c.Provision(2, C1XLarge)
+	booted := bootTimes(c, vms)
 	eng.RunUntil(0)
-	for _, vm := range vms {
-		if !vm.Running() || vm.BootedAt() != 0 {
-			t.Fatalf("%s: state=%v bootedAt=%v", vm.Name(), vm.State(), vm.BootedAt())
+	for i, vm := range vms {
+		if !vm.Running() || booted[i] != 0 {
+			t.Fatalf("%s: state=%v booted at %v", vm.Name(), vm.State(), booted[i])
 		}
 	}
 }
@@ -90,11 +98,8 @@ func TestDeterministicBootTimes(t *testing.T) {
 		eng := sim.NewEngine()
 		c := New(eng, Options{Seed: seed})
 		vms, _ := c.Provision(5, C1XLarge)
+		out := bootTimes(c, vms)
 		eng.Run()
-		out := make([]sim.Time, len(vms))
-		for i, vm := range vms {
-			out[i] = vm.BootedAt()
-		}
 		return out
 	}
 	a, b := boot(42), boot(42)
@@ -125,6 +130,9 @@ func TestFailureInjection(t *testing.T) {
 		if vm.State() != StateFailed {
 			t.Fatalf("failed VM in state %v", vm.State())
 		}
+		if eng.Now() <= 0 {
+			t.Fatalf("%s failed at %v, before its boot had run", vm.Name(), eng.Now())
+		}
 	})
 	eng.RunUntil(10000)
 	if failures != 4 {
@@ -133,9 +141,6 @@ func TestFailureInjection(t *testing.T) {
 	for _, vm := range vms {
 		if vm.Running() {
 			t.Fatalf("%s still running", vm.Name())
-		}
-		if vm.DiedAt() <= 0 {
-			t.Fatalf("%s has no death time", vm.Name())
 		}
 	}
 }
@@ -150,51 +155,17 @@ func TestScriptedFail(t *testing.T) {
 	if failedAt != 50 {
 		t.Fatalf("failure at %v, want 50", failedAt)
 	}
-	if got := len(c.RunningVMs()); got != 3 {
-		t.Fatalf("running VMs = %d, want 3", got)
+	running := 0
+	for _, vm := range vms {
+		if vm.Running() {
+			running++
+		}
+	}
+	if running != 3 {
+		t.Fatalf("running VMs = %d, want 3", running)
 	}
 	// Failing again is a no-op.
 	c.Fail(vms[2])
-}
-
-func TestTerminateSuppressesFailureCallbacks(t *testing.T) {
-	eng := sim.NewEngine()
-	c, vms := Default4VMCluster(eng, 1)
-	c.OnFailure(func(*VM) { t.Fatal("terminate fired failure callback") })
-	c.Terminate(vms[0])
-	if vms[0].State() != StateTerminated {
-		t.Fatalf("state = %v", vms[0].State())
-	}
-	eng.Run()
-}
-
-func TestTerminateDuringBoot(t *testing.T) {
-	eng := sim.NewEngine()
-	c := New(eng, Options{Seed: 3})
-	vms, _ := c.Provision(1, C1XLarge)
-	c.Terminate(vms[0])
-	eng.Run()
-	if vms[0].State() != StateTerminated {
-		t.Fatalf("state = %v, want terminated (boot must not resurrect)", vms[0].State())
-	}
-}
-
-func TestAttachBlock(t *testing.T) {
-	eng := sim.NewEngine()
-	c, vms := Default4VMCluster(eng, 1)
-	v, err := c.AttachBlock(vms[0], storage.DefaultBlock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.Spec().Class != storage.ClassBlock {
-		t.Fatalf("attached class = %v", v.Spec().Class)
-	}
-	if len(vms[0].BlockVolumes()) != 1 {
-		t.Fatal("volume not recorded")
-	}
-	if _, err := c.AttachBlock(vms[0], storage.Spec{}); err == nil {
-		t.Fatal("invalid spec accepted")
-	}
 }
 
 // finishTime owns a test transfer's flow and records when it finished.
@@ -236,7 +207,6 @@ func TestVMStateString(t *testing.T) {
 		StateProvisioning: "provisioning",
 		StateRunning:      "running",
 		StateFailed:       "failed",
-		StateTerminated:   "terminated",
 		VMState(9):        "VMState(9)",
 	} {
 		if s.String() != want {
@@ -252,14 +222,15 @@ func TestFailureAfterBootProperty(t *testing.T) {
 		eng := sim.NewEngine()
 		c := New(eng, Options{Seed: seed, FailureMTBFSec: 50})
 		vms, _ := c.Provision(3, C1XLarge)
-		failures := 0
-		c.OnFailure(func(*VM) { failures++ })
+		booted := bootTimes(c, vms)
+		died := make(map[*VM]sim.Time)
+		c.OnFailure(func(vm *VM) { died[vm] = eng.Now() })
 		eng.RunUntil(1e6)
-		if failures != 3 {
+		if len(died) != 3 {
 			return false
 		}
-		for _, vm := range vms {
-			if vm.DiedAt() <= vm.BootedAt() {
+		for i, vm := range vms {
+			if died[vm] <= booted[i] {
 				return false
 			}
 		}
@@ -308,8 +279,8 @@ func TestOnReadyOnceForgets(t *testing.T) {
 	fired := make([]int, len(vms))
 	for i, vm := range vms {
 		c.OnReadyOnce(vm, func() {
-			if !vm.Running() || eng.Now() != vm.BootedAt() {
-				t.Errorf("%s: one-shot ran at %v, state %v, booted at %v", vm.Name(), eng.Now(), vm.State(), vm.BootedAt())
+			if !vm.Running() {
+				t.Errorf("%s: one-shot ran at %v, state %v", vm.Name(), eng.Now(), vm.State())
 			}
 			fired[i]++
 		})
@@ -319,9 +290,6 @@ func TestOnReadyOnceForgets(t *testing.T) {
 		if n != 1 {
 			t.Fatalf("%s: one-shot fired %d times, want 1", vms[i].Name(), n)
 		}
-	}
-	if len(c.onReady) != 0 {
-		t.Fatalf("cluster keeps %d ready callbacks after every boot", len(c.onReady))
 	}
 	for _, vm := range vms {
 		if vm.readyOnce != nil {
@@ -339,7 +307,7 @@ func TestSiteAwarePaths(t *testing.T) {
 	c.SetSite(a, 1)
 	c.SetSite(b, 1)
 	c.SetSite(far, 2)
-	if a.Site() != 1 || far.Site() != 2 {
+	if a.site != 1 || far.site != 2 {
 		t.Fatal("Site not recorded")
 	}
 	// Same non-zero site: two links (no fabric).
@@ -379,7 +347,6 @@ func TestIntraSiteBypassSpeeds(t *testing.T) {
 func TestFailDisk(t *testing.T) {
 	eng := sim.NewEngine()
 	c, vms := Default4VMCluster(eng, 1)
-	vms[1].LocalDisk().Allocate(1e9)
 	var gotVM *VM
 	var gotVol *storage.Volume
 	c.OnDiskFailure(func(vm *VM, v *storage.Volume) { gotVM, gotVol = vm, v })
@@ -387,7 +354,7 @@ func TestFailDisk(t *testing.T) {
 	if gotVM != vms[1] || gotVol != vms[1].LocalDisk() {
 		t.Fatal("disk-failure callback missed or wrong target")
 	}
-	if vms[1].LocalDisk().Used() != 0 || vms[1].LocalDisk().Wipes != 1 {
+	if vms[1].LocalDisk().Wipes != 1 {
 		t.Fatal("FailDisk did not wipe the volume")
 	}
 	if !vms[1].Running() {

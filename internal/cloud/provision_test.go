@@ -49,11 +49,12 @@ func TestProvisionAllocations(t *testing.T) {
 func TestProvisionedNamesAreDistinct(t *testing.T) {
 	spec := netsim.TreeSpec{HostsPerRack: 4, Spines: 3}
 	for _, tc := range []struct {
-		name string
-		opts Options
+		name  string
+		opts  Options
+		links int // NICs, plus 32 racks' ToR pairs and 3 spines, or the fabric
 	}{
-		{"tree", Options{Seed: 1, InstantBoot: true, Topology: &spec}},
-		{"flat-fabric", Options{Seed: 1, InstantBoot: true, FabricBps: netsim.Gbps(1)}},
+		{"tree", Options{Seed: 1, InstantBoot: true, Topology: &spec}, 2*125 + 2*32 + 3},
+		{"flat-fabric", Options{Seed: 1, InstantBoot: true, FabricBps: netsim.Mbps(1000)}, 2*125 + 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := New(sim.NewEngine(), tc.opts)
@@ -65,7 +66,9 @@ func TestProvisionedNamesAreDistinct(t *testing.T) {
 				}
 				vms = append(vms, got...)
 			}
-			var links []*netsim.Link
+			// Every link of the cluster lies on some route between two of
+			// its VMs, so the routes between all pairs reach all of them.
+			links := make(map[*netsim.Link]bool)
 			for i, vm := range vms {
 				want := fmt.Sprintf("vm-%d", i)
 				h := vm.Host()
@@ -74,21 +77,19 @@ func TestProvisionedNamesAreDistinct(t *testing.T) {
 					t.Fatalf("VM %d: id %d, names %q %q %q %q %q", i, vm.ID(), vm.Name(), h.Name(),
 						h.Up().Name(), h.Down().Name(), vm.LocalDisk().Name())
 				}
-				links = append(links, h.Up(), h.Down())
-			}
-			if tr := c.Tree(); tr != nil {
-				for r := 0; r < tr.Racks(); r++ {
-					links = append(links, tr.TorUp(r), tr.TorDown(r))
-				}
-				for i := 0; i < spec.Spines; i++ {
-					links = append(links, tr.Spine(i))
+				for _, dst := range vms {
+					if dst != vm {
+						for _, l := range c.AppendTransferPath(nil, vm, dst) {
+							links[l] = true
+						}
+					}
 				}
 			}
-			if f := c.Fabric(); f != nil {
-				links = append(links, f.Link())
+			if len(links) != tc.links {
+				t.Fatalf("routes cross %d links, want %d", len(links), tc.links)
 			}
 			seen := make(map[string]bool, len(links))
-			for _, l := range links {
+			for l := range links {
 				if seen[l.Name()] {
 					t.Fatalf("two links are named %q", l.Name())
 				}

@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -115,7 +115,7 @@ type Master struct {
 	configured bool            // START_MASTER came: workers are admitted
 	parked     []*masterWorker // registrations that came before START_MASTER
 	expected   int
-	workers    map[string]*masterWorker
+	workers    []*masterWorker // admitted, in name order (find)
 	catalogue  *catalog.Catalog
 	groups     []partition.Group
 	// led is the run's lifecycle and file plan, by source-catalogue index; it
@@ -161,7 +161,6 @@ func NewMaster(cfg MasterConfig) (*Master, error) {
 		serving: make(chan struct{}),
 		stopped: make(chan struct{}),
 		done:    make(chan struct{}),
-		workers: make(map[string]*masterWorker),
 		led:     sched.NewLedger[struct{}](cfg.Recover, cfg.MaxRetries),
 	}
 	m.inbox.init()
@@ -418,7 +417,7 @@ func (m *Master) handle(ev *event) {
 		}
 	case evGone, evFailed:
 		switch {
-		case w != nil && m.workers[w.name] == w:
+		case w != nil && m.admitted(w):
 			m.workerDied(w, ev.err)
 			return
 		case w != nil: // parked or refused
@@ -513,15 +512,27 @@ func (m *Master) notifyController(errStr, worker string) {
 // removeWorker drains a worker (elastic scale-in): no new groups are
 // dispatched, outstanding work finishes, then the worker is shut down.
 func (m *Master) removeWorker(name string) error {
-	w, ok := m.workers[name]
-	if !ok || w.Dead || !w.Ready {
+	i, ok := m.find(name)
+	if !ok || m.workers[i].Dead || !m.workers[i].Ready {
 		return fmt.Errorf("core: no live worker %q", name)
 	}
-	if m.led.Drain(&w.Worker) {
+	if w := m.workers[i]; m.led.Drain(&w.Worker) {
 		m.release(w)
 	}
 	m.dispatchAll()
 	return nil
+}
+
+// find returns the index of the admitted worker named name in m.workers, or
+// the index at which one of that name would be admitted.
+func (m *Master) find(name string) (int, bool) {
+	return slices.BinarySearchFunc(m.workers, name, func(w *masterWorker, name string) int { return strings.Compare(w.name, name) })
+}
+
+// admitted reports whether w is the worker admitted under its name.
+func (m *Master) admitted(w *masterWorker) bool {
+	i, ok := m.find(w.name)
+	return ok && m.workers[i] == w
 }
 
 // release shuts down a drained worker the ledger has let go.
@@ -533,7 +544,8 @@ func (m *Master) release(w *masterWorker) {
 // admit joins a registered worker and queues its ACK and then the common
 // files (e.g. the BLAST database), ahead of anything queued later.
 func (m *Master) admit(w *masterWorker) {
-	if _, dup := m.workers[w.name]; dup || w.name == "" {
+	i, dup := m.find(w.name)
+	if dup || w.name == "" {
 		w.out.put(outItem{msg: &protocol.Message{Type: protocol.TAck, Error: "duplicate or empty worker name"}})
 		w.out.close()
 		return
@@ -546,7 +558,7 @@ func (m *Master) admit(w *masterWorker) {
 		return
 	}
 	m.reserveOutbox(w)
-	m.workers[w.name] = w
+	m.workers = slices.Insert(m.workers, i, w)
 	staged, err := m.commonFiles(w)
 	if err != nil {
 		m.workerDied(w, err)
@@ -673,13 +685,15 @@ func (m *Master) runStrategy() {
 		at[gi+1] = int32(len(ids))
 	}
 	m.led.Plan(ids, at)
-	workers := m.liveWorkers()
-	m.logf("execution starts: %d groups, %d workers, strategy %s", len(m.groups), len(workers), m.strat)
-	m.results = slices.Grow(m.results, len(m.groups))
-	deal := make([]*sched.Worker[struct{}], len(workers))
-	for i, w := range workers {
-		deal[i] = &w.Worker
+	// The deal goes over the workers that can be given work, in name order.
+	deal := make([]*sched.Worker[struct{}], 0, len(m.workers))
+	for _, w := range m.workers {
+		if w.Ready && w.Live() {
+			deal = append(deal, &w.Worker)
+		}
 	}
+	m.logf("execution starts: %d groups, %d workers, strategy %s", len(m.groups), len(deal), m.strat)
+	m.results = slices.Grow(m.results, len(m.groups))
 	m.led.Start(m.strat, len(m.groups), func() []partition.Group { return m.groups }, deal)
 	// The loop's handoffs take, without growing, a wake in which every
 	// group in flight reports and every worker posts one event more, a
@@ -687,14 +701,17 @@ func (m *Master) runStrategy() {
 	// Sizes follow the groups, never a bare window: a window is cores off
 	// the wire times the prefetch.
 	window, windows := 0, 0
-	for _, w := range workers {
+	for _, w := range m.workers {
+		if !w.Ready || !w.Live() {
+			continue
+		}
 		m.reserveOutbox(w)
 		ceiling := m.led.Ceiling(&w.Worker)
 		window, windows = max(window, ceiling), windows+ceiling
 	}
-	m.inbox.reserve(min(windows, len(m.groups)) + len(workers))
+	m.inbox.reserve(min(windows, len(m.groups)) + len(deal))
 	m.pass = slices.Grow(m.pass, min(window, len(m.groups)))
-	m.refills = slices.Grow(m.refills, len(workers))
+	m.refills = slices.Grow(m.refills, len(deal))
 	staging := false
 	if m.strat.Kind != strategy.RealTime && m.strat.Locality == strategy.Remote {
 		var all []int32
@@ -704,8 +721,8 @@ func (m *Master) runStrategy() {
 				all[i] = int32(i)
 			}
 		}
-		for _, w := range workers {
-			if w.out.put(m.stagingItem(w, all)) {
+		for _, w := range m.workers {
+			if w.Ready && w.Live() && w.out.put(m.stagingItem(w, all)) {
 				m.led.Stage(&w.Worker)
 				staging = true
 			}
@@ -743,23 +760,13 @@ func (m *Master) stagingOver() {
 	m.logf("%s transfer phase done in %.3fs", m.strat.Kind, m.stagingSec)
 }
 
-// liveWorkers lists the workers that can be given work, sorted by name
-// (deterministic assignment regardless of registration order).
-func (m *Master) liveWorkers() []*masterWorker {
-	out := make([]*masterWorker, 0, len(m.workers))
+// dispatchAll dispatches to every worker that can be given work, in name
+// order, then checks for completion.
+func (m *Master) dispatchAll() {
 	for _, w := range m.workers {
 		if w.Ready && w.Live() {
-			out = append(out, w)
+			m.dispatch(w)
 		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
-	return out
-}
-
-// dispatchAll dispatches to every live worker, then checks for completion.
-func (m *Master) dispatchAll() {
-	for _, w := range m.liveWorkers() {
-		m.dispatch(w)
 	}
 	m.checkDone()
 }
@@ -876,8 +883,10 @@ func (m *Master) checkDone() {
 		return
 	}
 	m.finishedAt = time.Now()
-	for _, w := range m.liveWorkers() {
-		w.out.put(outItem{msg: &protocol.Message{Type: protocol.TNoMoreData}})
+	for _, w := range m.workers {
+		if w.Ready && w.Live() {
+			w.out.put(outItem{msg: &protocol.Message{Type: protocol.TNoMoreData}})
+		}
 	}
 	if m.controller != nil {
 		done := &protocol.Message{

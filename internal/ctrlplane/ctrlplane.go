@@ -81,9 +81,6 @@ func NewCache() *Cache {
 	return &Cache{entries: make(map[Key]entry)}
 }
 
-// Generation returns the current worker-set generation.
-func (c *Cache) Generation() uint64 { return c.gen }
-
 // Invalidate bumps the generation, staling every installed template.
 // Reasons are for the caller's bookkeeping; the cache treats all
 // invalidation events identically (conservative over-invalidation is the

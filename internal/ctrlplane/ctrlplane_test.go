@@ -44,10 +44,10 @@ func TestInvalidateStalesEveryEntry(t *testing.T) {
 			t.Fatalf("pre-invalidate lookup of %+v missed", k)
 		}
 	}
-	gen := c.Generation()
+	gen := c.gen
 	c.Invalidate()
-	if c.Generation() != gen+1 {
-		t.Fatalf("generation %d after Invalidate of %d", c.Generation(), gen)
+	if c.gen != gen+1 {
+		t.Fatalf("generation %d after Invalidate of %d", c.gen, gen)
 	}
 	for _, k := range keys {
 		if _, ok := c.Lookup(k); ok {

@@ -69,7 +69,7 @@ type watch struct {
 // heartbeat within Timeout or it accrues a missed deadline; after one miss
 // the node is suspected, after K consecutive misses it is declared failed.
 // The controller-master channel of the paper carries exactly this liveness
-// information; K = 1 (NewDetector) reproduces the prototype's binary
+// information; K = 1 reproduces the prototype's binary
 // behaviour, where the first silence is fatal.
 type Detector struct {
 	eng     *sim.Engine
@@ -94,14 +94,9 @@ type Detector struct {
 	onSlowClear   func(node string)
 }
 
-// NewDetector builds a binary (K = 1) detector declaring failure after one
-// timeout without a heartbeat. onFail runs at declaration time.
-func NewDetector(eng *sim.Engine, timeout sim.Duration, onFail func(node string)) *Detector {
-	return NewDetectorK(eng, timeout, 1, onFail)
-}
-
 // NewDetectorK builds a detector that suspects a node after one missed
-// timeout and declares failure after k consecutive missed timeouts.
+// timeout and declares failure after k consecutive missed timeouts (k = 1:
+// declared at the first). onFail runs at declaration time.
 func NewDetectorK(eng *sim.Engine, timeout sim.Duration, k int, onFail func(node string)) *Detector {
 	if timeout <= 0 {
 		panic("fault: non-positive detector timeout")

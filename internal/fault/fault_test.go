@@ -10,7 +10,7 @@ import (
 func TestDetectorDeclaresOnSilence(t *testing.T) {
 	eng := sim.NewEngine()
 	var failed []string
-	d := NewDetector(eng, 10, func(n string) { failed = append(failed, n) })
+	d := NewDetectorK(eng, 10, 1, func(n string) { failed = append(failed, n) })
 	d.Watch("w0")
 	d.Watch("w1")
 	// w0 heartbeats at 5 and 12; w1 stays silent.
@@ -33,7 +33,7 @@ func TestDetectorDeclaresOnSilence(t *testing.T) {
 func TestDetectorStopPreventsDeclaration(t *testing.T) {
 	eng := sim.NewEngine()
 	declared := 0
-	d := NewDetector(eng, 5, func(string) { declared++ })
+	d := NewDetectorK(eng, 5, 1, func(string) { declared++ })
 	d.Watch("w0")
 	eng.Schedule(2, func() { d.Stop("w0") })
 	eng.RunUntil(100)
@@ -45,7 +45,7 @@ func TestDetectorStopPreventsDeclaration(t *testing.T) {
 func TestDetectorIgnoresUnknownAndDeclared(t *testing.T) {
 	eng := sim.NewEngine()
 	declared := 0
-	d := NewDetector(eng, 5, func(string) { declared++ })
+	d := NewDetectorK(eng, 5, 1, func(string) { declared++ })
 	d.Heartbeat("ghost") // unknown: no-op
 	d.Watch("w0")
 	eng.RunUntil(10)
@@ -67,7 +67,7 @@ func TestDetectorIgnoresUnknownAndDeclared(t *testing.T) {
 func TestDetectorRewatchAfterDeclareClearsState(t *testing.T) {
 	eng := sim.NewEngine()
 	var failed []string
-	d := NewDetector(eng, 5, func(n string) { failed = append(failed, n) })
+	d := NewDetectorK(eng, 5, 1, func(n string) { failed = append(failed, n) })
 	d.Watch("w0")
 	eng.RunUntil(10)
 	if len(failed) != 1 || !d.Failed("w0") {
@@ -175,5 +175,5 @@ func TestDetectorPanicsOnBadTimeout(t *testing.T) {
 			t.Fatal("no panic for zero timeout")
 		}
 	}()
-	NewDetector(sim.NewEngine(), 0, nil)
+	NewDetectorK(sim.NewEngine(), 0, 1, nil)
 }

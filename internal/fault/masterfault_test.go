@@ -94,7 +94,7 @@ func TestDetectorResumeDeterministic(t *testing.T) {
 	run := func() []string {
 		eng := sim.NewEngine()
 		var failed []string
-		d := NewDetector(eng, sim.Duration(5), func(n string) { failed = append(failed, n) })
+		d := NewDetectorK(eng, sim.Duration(5), 1, func(n string) { failed = append(failed, n) })
 		for _, n := range []string{"w3", "w1", "w7", "w2", "w5", "w4", "w6"} {
 			d.Watch(n)
 		}

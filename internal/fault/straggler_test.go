@@ -90,7 +90,7 @@ func TestStragglerOptionsValidate(t *testing.T) {
 func adaptiveDetector(t *testing.T) (*sim.Engine, *Detector) {
 	t.Helper()
 	eng := sim.NewEngine()
-	d := NewDetector(eng, 1000, func(string) {})
+	d := NewDetectorK(eng, 1000, 1, func(string) {})
 	for _, n := range []string{"w0", "w1", "w2"} {
 		d.Watch(n)
 	}
@@ -193,7 +193,7 @@ func TestAdaptivePhiAloneSuspects(t *testing.T) {
 
 func TestAdaptiveDropOnDeclare(t *testing.T) {
 	eng := sim.NewEngine()
-	d := NewDetector(eng, 10, func(string) {})
+	d := NewDetectorK(eng, 10, 1, func(string) {})
 	for _, n := range []string{"w0", "w1", "w2"} {
 		d.Watch(n)
 	}
@@ -225,7 +225,7 @@ func TestAdaptiveDropOnDeclare(t *testing.T) {
 
 func TestAdaptiveOffByDefault(t *testing.T) {
 	eng := sim.NewEngine()
-	d := NewDetector(eng, 10, func(string) {})
+	d := NewDetectorK(eng, 10, 1, func(string) {})
 	d.Watch("w0")
 	d.ReportProgress("w0", 0.0001)
 	d.ReportProgress("w0", 0.0001)

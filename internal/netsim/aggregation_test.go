@@ -241,13 +241,14 @@ func TestFoldedOracleUnderCancellation(t *testing.T) {
 	}
 }
 
-// Flow starts, finishes and cancels re-rate at their instant's rebalance,
-// but fault operations re-rate at once: a link failure kills the crossing
-// flows immediately and survivors re-rate over the freed capacity within
-// the same event. Two 800 Mb flows share the source's 100 Mbps uplink; at
-// t=1 each has sent 50 Mb, one loses its downlink there, and the survivor's
-// remaining 750 Mb take 7.5 s at the full 100 Mbps.
-func TestBatchedFaultsStayEager(t *testing.T) {
+// A link failure re-rates the survivors like a flow finish does: at the
+// instant's rebalance (markDirty). The victims are off their links, and
+// their owners have heard, when FailLink returns; until the rebalance the
+// survivors keep their old rates, and an event queued at the same instant
+// after the failure sees them re-rated. Two 800 Mb flows share the source's
+// 100 Mbps uplink; at t=1 each has sent 50 Mb, one loses its downlink there,
+// and the survivor's remaining 750 Mb take 7.5 s at the full 100 Mbps.
+func TestFailLinkReratesAtItsInstant(t *testing.T) {
 	eng := sim.NewEngine()
 	net := New(eng)
 	src := net.NewHost("src", Mbps(100), Mbps(100))
@@ -255,18 +256,25 @@ func TestBatchedFaultsStayEager(t *testing.T) {
 	b := net.NewHost("b", Mbps(100), Mbps(100))
 	interruptedAt, delivered := sim.Time(-1), -1.0
 	var done sim.Time
+	var survivor *Flow
+	rateBefore, rateAfter := -1.0, -1.0
 	eng.Schedule(0, func() {
 		net.StartFlow(100e6, Path(src, a, nil), &ends{intr: func(d float64, at sim.Time) { delivered, interruptedAt = d, at }})
-		net.StartFlow(100e6, Path(src, b, nil), onDone(func(at sim.Time) { done = at }))
+		survivor = net.StartFlow(100e6, Path(src, b, nil), onDone(func(at sim.Time) { done = at }))
 	})
 	eng.Schedule(1, func() {
 		net.FailLink(a.Down())
-		// Fault callers observe rates immediately.
-		if len(net.flows) != 1 || net.flows[0].Rate() != Mbps(100) {
-			t.Fatalf("survivor not re-rated at once: %d flows", len(net.flows))
+		if interruptedAt != 1 || net.ActiveFlows() != 1 {
+			t.Fatalf("FailLink returned with the victim's owner told at %v and %d flows active", interruptedAt, net.ActiveFlows())
 		}
+		rateBefore = survivor.Rate()
+		eng.Schedule(0, func() { rateAfter = survivor.Rate() })
 	})
 	eng.Run()
+	if rateBefore != Mbps(50) || rateAfter != Mbps(100) {
+		t.Fatalf("survivor at %v inside the failing event and %v after it, want %v then %v",
+			rateBefore, rateAfter, Mbps(50), Mbps(100))
+	}
 	if interruptedAt != 1 || delivered != 6.25e6 {
 		t.Fatalf("interrupted at %v with %v bytes delivered, want t=1 and 6.25e6", interruptedAt, delivered)
 	}
@@ -278,12 +286,12 @@ func TestBatchedFaultsStayEager(t *testing.T) {
 	}
 }
 
-// TestBatchedDegradeStaysEager: DegradeLink and RestoreLink mid-flow are
-// fault events, not scheduling events — they re-rate in-flight flows within
-// the same event, so the completion time is the analytic one. 800 Mb: 2 s
-// at 100 Mbps, degraded to 25 Mbps at t=2, restored at t=10: 200 + 200 +
-// 400 Mb legs, finishing at t=14.
-func TestBatchedDegradeStaysEager(t *testing.T) {
+// DegradeLink and RestoreLink mid-flow re-rate the flows crossing the link
+// at the instant's rebalance, so an event queued at the same instant after
+// the degrade sees the degraded rate, and the completion time is the
+// analytic one. 800 Mb: 2 s at 100 Mbps, degraded to 25 Mbps at t=2,
+// restored at t=10: 200 + 200 + 400 Mb legs, finishing at t=14.
+func TestDegradeReratesAtItsInstant(t *testing.T) {
 	eng := sim.NewEngine()
 	net := New(eng)
 	src := net.NewHost("src", Mbps(100), Mbps(100))
@@ -296,13 +304,12 @@ func TestBatchedDegradeStaysEager(t *testing.T) {
 	})
 	eng.Schedule(2, func() {
 		net.DegradeLink(dst.Down(), 0.25)
-		// Fault callers observe the degraded rate immediately.
-		rateAfter = f.Rate()
+		eng.Schedule(0, func() { rateAfter = f.Rate() })
 	})
 	eng.Schedule(10, func() { net.RestoreLink(dst.Down()) })
 	eng.Run()
 	if rateAfter != Mbps(25) {
-		t.Fatalf("mid-flow degrade not applied at once: rate = %v", rateAfter)
+		t.Fatalf("rate after the degrade's instant = %v, want %v", rateAfter, Mbps(25))
 	}
 	if done != 14 {
 		t.Fatalf("done at %v, want 14", done)

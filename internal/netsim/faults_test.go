@@ -24,7 +24,7 @@ func TestFailLinkInterruptsFlowWithDeliveredBytes(t *testing.T) {
 	if completed {
 		t.Fatal("interrupted flow ran its completion callback")
 	}
-	if !f.Interrupted() {
+	if !f.interrupted {
 		t.Fatal("flow not marked interrupted")
 	}
 	// 0.4 s at 100 Mbps = 5 MB delivered.
@@ -84,7 +84,7 @@ func TestFailedLinkRejectsNewFlows(t *testing.T) {
 	if delivered != 0 {
 		t.Fatalf("join-time rejection delivered %v, want 0", delivered)
 	}
-	if !f.Interrupted() {
+	if !f.interrupted {
 		t.Fatal("flow not marked interrupted")
 	}
 }

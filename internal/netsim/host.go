@@ -10,9 +10,6 @@ import (
 // Mbps converts megabits/second to the bits/second unit links use.
 func Mbps(v float64) float64 { return v * 1e6 }
 
-// Gbps converts gigabits/second to bits/second.
-func Gbps(v float64) float64 { return v * 1e9 }
-
 // Host is an endpoint with a full-duplex NIC, modelled as independent uplink
 // and downlink capacity (how cloud providers provision VM bandwidth).
 type Host struct {

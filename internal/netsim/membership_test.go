@@ -63,8 +63,10 @@ func netLinks(tr *Topology, hosts []*Host, extra ...*Link) []*Link {
 // still in its latency delay), FailLink (joined and at join time) and
 // completions whose callback starts the next flow, over paths of one to nine
 // links so that both the inline slots and the spill are swap-removed and
-// fixed up. Membership must hold after every event, and the rates must be
-// the oracle's after every event that leaves no rebalance pending.
+// fixed up; and every other operation that re-rates the network
+// (RestoreLink, DegradeLink, SetCapacity). Membership must hold after every
+// event, and the rates must be the oracle's after every event that leaves no
+// rebalance pending.
 func TestMembershipUnderChurn(t *testing.T) {
 	var completed, interrupted, cancelled, chained, long uint64
 	for seed := int64(0); seed < 150; seed++ {
@@ -123,6 +125,13 @@ func TestMembershipUnderChurn(t *testing.T) {
 			at := sim.Duration(rng.Float64() * 4)
 			eng.Schedule(at, func() { net.FailLink(l) })
 			eng.Schedule(at+sim.Duration(rng.Float64()), func() { net.RestoreLink(l) })
+		}
+		for i := 0; i < 4; i++ {
+			l := links[rng.Intn(len(links))]
+			at := sim.Duration(rng.Float64() * 4)
+			factor, bps := rng.Float64()*0.9+0.1, Mbps(float64(rng.Intn(900)+100))
+			eng.Schedule(at, func() { net.DegradeLink(l, factor) })
+			eng.Schedule(at+sim.Duration(rng.Float64()), func() { net.SetCapacity(l, bps) })
 		}
 		stepRebalanced(t, eng, net, links, fmt.Sprintf("seed %d", seed), nil)
 		if net.ActiveFlows() != 0 {

@@ -12,12 +12,11 @@
 // the cost of packet-level simulation.
 //
 // Allocation is incremental and component-scoped: a flow start, finish,
-// cancel, or capacity change settles and re-solves only the connected
-// component of links and flows reachable from the affected links, leaving
-// every other component's rates and completion events untouched. Flow
-// starts, finishes and cancels are batched: each marks its links dirty, and
-// one rebalance event per virtual instant re-solves the union of their
-// components (markDirty); fault and capacity changes re-solve at once. One solve
+// cancel, link fault or capacity change settles and re-solves only the
+// connected component of links and flows reachable from the affected links,
+// leaving every other component's rates and completion events untouched.
+// Each such change marks its links dirty, and one rebalance event per
+// virtual instant re-solves the union of their components (markDirty). One solve
 // runs progressive filling over an indexed min-heap of link fair shares in
 // O((F+L)·log L) for a component of F flows and L links, and completions
 // are rescheduled only for flows whose rate actually changed. The retained
@@ -87,13 +86,6 @@ func (l *Link) Name() string { return l.name }
 // provisioned rate, unless the link is currently degraded).
 func (l *Link) Capacity() float64 { return l.capacity }
 
-// BaseCapacity returns the provisioned capacity in bits per second — what
-// the link delivers when healthy, regardless of any degrade episode in
-// effect. Gray-failure mitigation compares observed goodput against this,
-// not Capacity: a hedged transfer exists precisely because the effective
-// capacity has silently dropped below the provisioned one.
-func (l *Link) BaseCapacity() float64 { return l.base }
-
 // Failed reports whether the link is currently down (see Network.FailLink).
 func (l *Link) Failed() bool { return l.failed }
 
@@ -101,9 +93,6 @@ func (l *Link) Failed() bool { return l.failed }
 // provisioned rate (see Network.DegradeLink) — the regime where transfers
 // crawl and, in the durability model, may corrupt bytes in flight.
 func (l *Link) Degraded() bool { return l.capacity < l.base }
-
-// Latency returns the link's one-way propagation delay.
-func (l *Link) Latency() sim.Duration { return l.latency }
 
 // SetLatency sets the link's propagation delay (federated/wide-area sites).
 // It applies to flows started afterwards.
@@ -263,10 +252,6 @@ func (f *Flow) Rate() float64 { return f.rate }
 // Finished reports whether the flow has completed.
 func (f *Flow) Finished() bool { return f.finished }
 
-// Interrupted reports whether the flow was killed by a link failure before
-// completing.
-func (f *Flow) Interrupted() bool { return f.interrupted }
-
 // Delivered returns the bytes that reached the receiver so far (all of them
 // once the flow finishes) — the resume offset for an interrupted transfer.
 func (f *Flow) Delivered() float64 { return f.bytes - f.Remaining() }
@@ -380,23 +365,24 @@ func (n *Network) SetColdAggregation(bool) {}
 // call and this method. Nothing else may call it.
 func (n *Network) SetBatched(bool) {}
 
-// markDirty adds the path's links to the dirty set and ensures a rebalance
-// event is queued at the current instant. Flow starts, completions and
-// cancels re-rate this way: the engine fires same-instant events FIFO, so the
-// rebalance runs after every already-queued event of the instant, and a
-// 65k-flow staging storm costs one solve instead of 65k. Until it runs, a
-// started flow sits at rate 0 and a finished or cancelled one is off its
-// links, while the flows it shared them with keep their old rates; every
-// event at a later instant sees the max-min rates. Fault and capacity
-// operations (FailLink, RestoreLink, DegradeLink, SetCapacity) re-rate at
-// once instead. Dedup is by dirty-generation, so a storm of same-instant
-// changes over shared links appends each link once.
-func (n *Network) markDirty(path []*Link) {
+// markDirty adds the links to the dirty set and ensures a rebalance event is
+// queued at the current instant. It is the one way the network re-rates:
+// flow starts, completions and cancels mark their path, and FailLink,
+// RestoreLink, DegradeLink and SetCapacity the links they change or free.
+// The engine fires same-instant events FIFO, so the rebalance runs after
+// every already-queued event of the instant, and a 65k-flow staging storm
+// costs one solve instead of 65k. Until it runs, a started flow sits at rate
+// 0, a finished, cancelled or killed one is off its links, and the flows it
+// shared them with, like those of a re-rated link, keep their old rates;
+// every event at a later instant sees the max-min rates. Dedup is by
+// dirty-generation, so a storm of same-instant changes over shared links
+// appends each link once.
+func (n *Network) markDirty(links ...*Link) {
 	g := n.dirtyGen
 	if n.dirtySeeds == nil {
 		n.dirtySeeds = make([]*Link, 0, n.nlinks) // every link fits
 	}
-	for _, l := range path {
+	for _, l := range links {
 		if l.dirty != g {
 			l.dirty = g
 			n.dirtySeeds = appendDoubling(n.dirtySeeds, l)
@@ -493,48 +479,44 @@ func (n *Network) sumRatesByID(flows []*Flow) float64 {
 }
 
 // SetCapacity changes a link's provisioned capacity at the current virtual
-// time and reallocates the link's connected component (models
-// provisioned-bandwidth changes or congestion from co-tenants). The new
-// value becomes the base that RestoreLink returns to.
+// time (models provisioned-bandwidth changes or congestion from co-tenants);
+// the link's component re-rates at the instant's rebalance (markDirty). The
+// new value becomes the base that RestoreLink returns to.
 func (n *Network) SetCapacity(l *Link, bitsPerSec float64) {
 	if bitsPerSec <= 0 {
 		panic("netsim: non-positive capacity")
 	}
-	n.component(l)
-	n.settleComponent()
 	l.capacity = bitsPerSec
 	l.base = bitsPerSec
-	n.solveComponent()
-	n.applyRates()
+	n.markDirty(l)
 }
 
 // FailLink takes a link down at the current virtual time. Every flow
 // traversing it is killed: the flow's byte accounting settles to now, its
 // owner (if any) hears FlowInterrupted with the delivered byte count, and
-// never FlowDone. Flows sharing other links of the
-// component re-rate over the freed capacity. New flows whose path crosses
-// a failed link are interrupted at join time with zero bytes delivered.
-// FailLink of a failed link is a no-op.
+// never FlowDone. Flows sharing other links with a victim re-rate over the
+// freed capacity at the instant's rebalance (markDirty). New flows whose
+// path crosses a failed link are interrupted at join time with zero bytes
+// delivered. FailLink of a failed link is a no-op.
 func (n *Network) FailLink(l *Link) {
 	if l.failed {
 		return
 	}
-	n.component(l)
-	n.settleComponent()
 	l.failed = true
 	if n.tracer.Enabled() {
 		n.tracer.Instant(l.name, "linkfault", "fail", obs.Args{"flows_killed": len(l.flows)})
 	}
 	victims := slices.Clone(l.flows)
 	slices.SortFunc(victims, byFlowID)
+	now := n.eng.Now()
 	for _, f := range victims {
-		n.removeFlow(f)
+		f.settleTo(now)
+		n.detachFlow(f)
+		n.markDirty(f.path()...)
 		f.interrupted = true
 		f.rate = 0
 		n.FlowsInterrupted++
 	}
-	n.solveComponent()
-	n.applyRates()
 	for _, f := range victims {
 		if f.owner != nil && !f.cancelled { // an earlier victim's owner may have cancelled it
 			f.owner.FlowInterrupted(f, f.bytes-f.remaining)
@@ -544,37 +526,31 @@ func (n *Network) FailLink(l *Link) {
 }
 
 // RestoreLink brings a failed or degraded link back to its provisioned
-// capacity and reallocates its component. Interrupted flows do not come
-// back — recovery (retry/resume) is the sender's job.
+// capacity; its component re-rates at the instant's rebalance. Interrupted
+// flows do not come back — recovery (retry/resume) is the sender's job.
 func (n *Network) RestoreLink(l *Link) {
 	if !l.failed && l.capacity == l.base {
 		return
 	}
-	n.component(l)
-	n.settleComponent()
 	l.failed = false
 	l.capacity = l.base
 	n.tracer.Instant(l.name, "linkfault", "restore", nil)
-	n.solveComponent()
-	n.applyRates()
+	n.markDirty(l)
 }
 
 // DegradeLink re-rates a link to the given fraction of its provisioned
 // capacity (partial fault: packet loss, a flapping carrier, co-tenant
-// congestion) and re-rates the flows crossing it. factor must be in (0, 1].
-// RestoreLink undoes the degradation.
+// congestion); the flows crossing it re-rate at the instant's rebalance.
+// factor must be in (0, 1]. RestoreLink undoes the degradation.
 func (n *Network) DegradeLink(l *Link, factor float64) {
 	if factor <= 0 || factor > 1 {
 		panic(fmt.Sprintf("netsim: degrade factor %v outside (0,1]", factor))
 	}
-	n.component(l)
-	n.settleComponent()
 	l.capacity = l.base * factor
 	if n.tracer.Enabled() {
 		n.tracer.Instant(l.name, "linkfault", "degrade", obs.Args{"factor": factor})
 	}
-	n.solveComponent()
-	n.applyRates()
+	n.markDirty(l)
 }
 
 // StartFlow begins a transfer of the given byte count across path, and
@@ -677,7 +653,7 @@ func (f *Flow) join() {
 	}
 	f.lastUpdate = n.eng.Now()
 	n.attachFlow(f)
-	n.markDirty(path) // at rate 0, with no elapsed time, until the rebalance
+	n.markDirty(path...) // at rate 0, with no elapsed time, until the rebalance
 }
 
 // Cancel aborts an in-flight flow (e.g. the receiving worker failed), and
@@ -706,7 +682,7 @@ func (n *Network) Cancel(f *Flow) {
 	}
 	f.settleTo(n.eng.Now()) // Delivered() stays exact for an ownerless flow's holder
 	n.detachFlow(f)
-	n.markDirty(f.path())
+	n.markDirty(f.path()...)
 	n.recycle(f)
 }
 
@@ -815,20 +791,6 @@ func (n *Network) detachFlow(f *Flow) {
 	}
 	f.done.Cancel()
 	f.done = sim.EventRef{}
-}
-
-// removeFlow detaches a flow and additionally drops it from the current
-// component scratch, for FailLink, which solves inside the same bracket.
-func (n *Network) removeFlow(f *Flow) {
-	n.detachFlow(f)
-	flows := n.compFlows
-	for i, cf := range flows {
-		if cf == f {
-			flows[i] = flows[len(flows)-1]
-			n.compFlows = flows[:len(flows)-1]
-			break
-		}
-	}
 }
 
 // linkHeap is an indexed min-heap of links keyed by (fair share, name), so
@@ -1045,7 +1007,7 @@ func (f *Flow) complete() {
 	n.BytesMoved += f.bytes
 	n.FlowsCompleted++
 	n.detachFlow(f)
-	n.markDirty(f.path())
+	n.markDirty(f.path()...)
 	if f.owner != nil {
 		f.owner.FlowDone(f)
 	}

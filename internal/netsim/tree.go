@@ -186,9 +186,6 @@ func (t *Topology) openRacks(hosts int, upBps func(slot int) float64) {
 	}
 }
 
-// Racks returns how many racks have at least one host.
-func (t *Topology) Racks() int { return len(t.racks) }
-
 // RackOf returns the host's rack index, or -1 if the host was never
 // attached.
 func (t *Topology) RackOf(h *Host) int {
@@ -197,15 +194,6 @@ func (t *Topology) RackOf(h *Host) int {
 	}
 	return h.rack
 }
-
-// TorUp returns rack r's uplink into the spine layer.
-func (t *Topology) TorUp(r int) *Link { return t.racks[r].up }
-
-// TorDown returns rack r's downlink from the spine layer.
-func (t *Topology) TorDown(r int) *Link { return t.racks[r].down }
-
-// Spine returns spine switch i's link.
-func (t *Topology) Spine(i int) *Link { return t.spines[i] }
 
 // spineFor picks the spine carrying traffic from rack sr to rack dr. The
 // hash is a pure function of the rack pair, so routing is deterministic and

@@ -44,8 +44,8 @@ func TestTreeRoutingAndRacks(t *testing.T) {
 			t.Fatalf("host %d in rack %d, want %d", i, r, i/2)
 		}
 	}
-	if tr.Racks() != 3 {
-		t.Fatalf("Racks() = %d, want 3", tr.Racks())
+	if len(tr.racks) != 3 {
+		t.Fatalf("%d racks, want 3", len(tr.racks))
 	}
 	if r := tr.RackOf(hosts[5]); r != 2 {
 		t.Fatalf("RackOf = %d, want 2", r)
@@ -55,7 +55,7 @@ func TestTreeRoutingAndRacks(t *testing.T) {
 	}
 
 	// 2 hosts × 100 Mbps / 4 oversubscription = 50 Mbps ToR links.
-	if got := tr.TorUp(0).Capacity(); got != Mbps(50) {
+	if got := tr.racks[0].up.Capacity(); got != Mbps(50) {
 		t.Fatalf("ToR capacity = %v, want %v", got, Mbps(50))
 	}
 
@@ -67,8 +67,8 @@ func TestTreeRoutingAndRacks(t *testing.T) {
 	if len(inter) != 5 {
 		t.Fatalf("inter-rack path has %d links, want 5", len(inter))
 	}
-	if inter[0] != hosts[0].Up() || inter[1] != tr.TorUp(0) ||
-		inter[3] != tr.TorDown(2) || inter[4] != hosts[4].Down() {
+	if inter[0] != hosts[0].Up() || inter[1] != tr.racks[0].up ||
+		inter[3] != tr.racks[2].down || inter[4] != hosts[4].Down() {
 		t.Fatalf("inter-rack path misrouted: %v", inter)
 	}
 	// Deterministic spine selection: the same rack pair always picks the
@@ -139,10 +139,9 @@ func TestBatchBuildMatchesOneByOne(t *testing.T) {
 	}
 	sameLink := func(what string, a, b *Link) {
 		t.Helper()
-		if a.Name() != b.Name() || a.Capacity() != b.Capacity() || a.BaseCapacity() != b.BaseCapacity() ||
-			a.Latency() != b.Latency() {
+		if a.Name() != b.Name() || a.capacity != b.capacity || a.base != b.base || a.latency != b.latency {
 			t.Fatalf("%s: one-by-one %q %v/%v latency %v, batched %q %v/%v latency %v", what,
-				a.Name(), a.Capacity(), a.BaseCapacity(), a.Latency(), b.Name(), b.Capacity(), b.BaseCapacity(), b.Latency())
+				a.name, a.capacity, a.base, a.latency, b.name, b.capacity, b.base, b.latency)
 		}
 	}
 	for k := range singles {
@@ -153,12 +152,12 @@ func TestBatchBuildMatchesOneByOne(t *testing.T) {
 		sameLink("up", a.Up(), b.Up())
 		sameLink("down", a.Down(), b.Down())
 	}
-	if one.Racks() != batch.Racks() || one.Racks() != 6 {
-		t.Fatalf("racks: one-by-one %d, batched %d, want 6", one.Racks(), batch.Racks())
+	if len(one.racks) != len(batch.racks) || len(one.racks) != 6 {
+		t.Fatalf("racks: one-by-one %d, batched %d, want 6", len(one.racks), len(batch.racks))
 	}
-	for r := 0; r < one.Racks(); r++ {
-		sameLink("tor up", one.TorUp(r), batch.TorUp(r))
-		sameLink("tor down", one.TorDown(r), batch.TorDown(r))
+	for r := range one.racks {
+		sameLink("tor up", one.racks[r].up, batch.racks[r].up)
+		sameLink("tor down", one.racks[r].down, batch.racks[r].down)
 	}
 	mustPanic(t, "double batch attach", func() { batch.AttachHosts([]Host{*batched[0]}) })
 }

@@ -210,12 +210,8 @@ func (r *Recorder) Edge(from, to NodeID, cat Category, detail string) {
 	r.edgeSplit(from, to, cat, 0, detail)
 }
 
-// EdgeSplit is Edge with inflateSec seconds of the span re-binned to
-// StragglerInflation — the compute-edge form on a slowed worker.
-func (r *Recorder) EdgeSplit(from, to NodeID, cat Category, inflateSec float64, detail string) {
-	r.edgeSplit(from, to, cat, inflateSec, detail)
-}
-
+// edgeSplit is Edge with inflateSec seconds of the span re-binned to
+// StragglerInflation — the compute-edge form on a slowed worker (AfterSplit).
 func (r *Recorder) edgeSplit(from, to NodeID, cat Category, inflateSec float64, detail string) {
 	if r == nil || from < 0 || to < 0 || from == to {
 		return

@@ -23,7 +23,7 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 		t.Fatalf("nil At returned %v, want None", n)
 	}
 	r.Edge(n, n, Compute, "")
-	r.EdgeSplit(0, 1, Compute, 1, "")
+	r.edgeSplit(0, 1, Compute, 1, "")
 	r.ObserveTaskSec(1)
 	r.ObserveTransferSec(1)
 	if r.Nodes() != 0 || r.Edges() != 0 {
@@ -105,7 +105,7 @@ func TestBindingParentIsLatestCause(t *testing.T) {
 	}
 }
 
-// TestInflationSplit checks EdgeSplit charges the slowdown slice to
+// TestInflationSplit checks AfterSplit (and edgeSplit below it) charges the slowdown slice to
 // StragglerInflation and the remainder to the base category.
 func TestInflationSplit(t *testing.T) {
 	eng := sim.NewEngine()
@@ -123,7 +123,7 @@ func TestInflationSplit(t *testing.T) {
 	r2 := NewRecorder(eng)
 	s2 := r2.NodeAt(0, "start")
 	d2 := r2.NodeAt(10, "done")
-	r2.EdgeSplit(s2, d2, Compute, 99, "")
+	r2.edgeSplit(s2, d2, Compute, 99, "")
 	rep2 := r2.Solve(s2, d2)
 	if rep2.Blame[Compute] != 0 || rep2.Blame[StragglerInflation] != 10 {
 		t.Fatalf("clamp failed: compute %v inflation %v", rep2.Blame[Compute], rep2.Blame[StragglerInflation])

@@ -107,9 +107,6 @@ func (c Counter) Add(v float64) {
 	}
 }
 
-// Inc increases the counter by one.
-func (c Counter) Inc() { c.Add(1) }
-
 // Gauge registers a gauge column sampled by calling fn at each tick. fn must
 // be read-only and deterministic. Re-registering a name replaces its fn.
 func (m *Metrics) Gauge(name string, fn func() float64) {

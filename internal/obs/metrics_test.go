@@ -18,7 +18,7 @@ func TestNilMetricsIsNoOp(t *testing.T) {
 		t.Fatal("nil metrics accessors not zero")
 	}
 	c := m.Counter("tasks")
-	c.Inc()
+	c.Add(1)
 	c.Add(5)
 	m.Gauge("queue", func() float64 { return 1 })
 	h := m.Histogram("sec", []float64{1, 10})
@@ -32,10 +32,10 @@ func TestCounterAccumulates(t *testing.T) {
 	eng := sim.NewEngine()
 	m := NewMetrics(eng, "run", 10)
 	c := m.Counter("tasks")
-	c.Inc()
+	c.Add(1)
 	c.Add(2)
 	m.Sample()
-	c.Inc()
+	c.Add(1)
 	m.Sample()
 
 	var buf bytes.Buffer
@@ -78,7 +78,7 @@ func TestSamplingTickerStartsAndStops(t *testing.T) {
 func TestColumnsRegisteredMidRunExportEmptyCells(t *testing.T) {
 	eng := sim.NewEngine()
 	m := NewMetrics(eng, "r", 10)
-	m.Counter("a").Inc()
+	m.Counter("a").Add(1)
 	m.Sample()
 	m.Counter("late").Add(7)
 	m.Sample()
@@ -99,7 +99,7 @@ func TestColumnsRegisteredMidRunExportEmptyCells(t *testing.T) {
 func TestMetricsCSVUnionAcrossRuns(t *testing.T) {
 	eng := sim.NewEngine()
 	m1 := NewMetrics(eng, "one", 10)
-	m1.Counter("a").Inc()
+	m1.Counter("a").Add(1)
 	m1.Sample()
 	m2 := NewMetrics(eng, "two", 10)
 	m2.Counter("b").Add(2)

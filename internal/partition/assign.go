@@ -24,15 +24,6 @@ func (a Assignment) PerWorker() [][]int {
 	return out
 }
 
-// Counts returns how many groups each worker received.
-func (a Assignment) Counts() []int {
-	out := make([]int, a.Workers)
-	for _, w := range a.Owner {
-		out[w]++
-	}
-	return out
-}
-
 // Validate checks the assignment is complete and in range.
 func (a Assignment) Validate(groups int) error {
 	if a.Workers <= 0 {

@@ -13,7 +13,6 @@ package partition
 import (
 	"fmt"
 	"iter"
-	"slices"
 
 	"frieda/internal/catalog"
 )
@@ -24,7 +23,8 @@ import (
 type Group struct {
 	// Index is the group's position in generation order.
 	Index int
-	// Files are the group's input files.
+	// Files are the group's input files. They are read-only: Single's and
+	// PairwiseAdjacent's are windows of the catalogue's own files.
 	Files []catalog.FileMeta
 }
 
@@ -82,10 +82,13 @@ type Single struct{}
 func (Single) Name() string { return "single" }
 
 // Generate implements Generator. The groups' Files are one-element windows
-// of one copy of the catalogue's files, each capped at its element, so that
-// an append to one group's Files never writes into its neighbour's.
+// of the catalogue's own files, each capped at its element, so that an
+// append to one group's Files never writes into its neighbour's or the
+// catalogue's. Sharing the catalogue's array is safe because nothing sorts
+// or rewrites a catalogue once its source has listed it, and Files is
+// read-only.
 func (Single) Generate(c *catalog.Catalog) ([]Group, error) {
-	files := slices.Clone(c.Files())
+	files := c.Files()
 	out := make([]Group, len(files))
 	for i := range files {
 		out[i] = Group{Index: i, Files: files[i : i+1 : i+1]}
@@ -125,14 +128,12 @@ type PairwiseAdjacent struct{}
 func (PairwiseAdjacent) Name() string { return "pairwise-adjacent" }
 
 // Generate implements Generator. The groups' Files are two-element windows
-// of one copy of the catalogue's files, each capped at its pair, as Single's
-// are.
+// of the catalogue's own files, each capped at its pair, as Single's are.
 func (PairwiseAdjacent) Generate(c *catalog.Catalog) ([]Group, error) {
 	files := c.Files()
 	if len(files) == 0 || len(files)%2 != 0 {
 		return nil, fmt.Errorf("partition: pairwise-adjacent needs an even file count, have %d", len(files))
 	}
-	files = slices.Clone(files)
 	out := make([]Group, len(files)/2)
 	for i := range out {
 		out[i] = Group{Index: i, Files: files[2*i : 2*i+2 : 2*i+2]}

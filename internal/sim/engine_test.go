@@ -282,7 +282,7 @@ func TestTimerResetStop(t *testing.T) {
 	tm := NewTimer(eng, func() { fires++ })
 	tm.Reset(5)
 	tm.Reset(10) // supersedes the first arm
-	if !tm.Armed() {
+	if !tm.ev.Pending() {
 		t.Fatal("timer not armed after Reset")
 	}
 	eng.Run()
@@ -298,7 +298,7 @@ func TestTimerResetStop(t *testing.T) {
 	if fires != 1 {
 		t.Fatalf("stopped timer fired; fires = %d", fires)
 	}
-	if tm.Armed() {
+	if tm.ev.Pending() {
 		t.Fatal("stopped timer reports armed")
 	}
 }
@@ -318,7 +318,7 @@ func TestTimerDropsRefOnFire(t *testing.T) {
 	if held != (EventRef{}) {
 		t.Fatalf("timer still refers to its fired event: %+v", held)
 	}
-	if tm.Armed() {
+	if tm.ev.Pending() {
 		t.Fatal("fired timer reports armed")
 	}
 }

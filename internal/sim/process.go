@@ -35,11 +35,6 @@ func (t *Timer) Stop() {
 	t.ev = EventRef{}
 }
 
-// Armed reports whether the timer has a pending fire.
-func (t *Timer) Armed() bool {
-	return t.ev.Pending()
-}
-
 // Resource is a counting resource with FIFO admission (e.g. CPU cores of a
 // virtual machine). Acquire either admits immediately or queues the request.
 type Resource struct {

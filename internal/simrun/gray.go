@@ -205,14 +205,6 @@ func (w *simWorker) computing(yield func(*taskAttempt) bool) {
 	}
 }
 
-// WorkerSpeed returns vm's current compute-rate factor (0 for unknown VMs).
-func (r *Runner) WorkerSpeed(vm *cloud.VM) float64 {
-	if w := r.worker(vm); w != nil {
-		return w.speed
-	}
-	return 0
-}
-
 // tick piggybacks a task-progress watermark on the worker's heartbeat: the
 // minimum observed normalized compute rate across its running tasks (work
 // completed per wall second; 1.0 = provisioned speed). The minimum, not the

@@ -44,8 +44,8 @@ func TestSetWorkerSpeedStretchesRemainingWork(t *testing.T) {
 	if res.Succeeded != 1 || math.Abs(res.MakespanSec-175) > 1e-6 {
 		t.Fatalf("makespan = %v (succeeded %d), want 175", res.MakespanSec, res.Succeeded)
 	}
-	if got := r.WorkerSpeed(vms[1]); got != 1 {
-		t.Fatalf("WorkerSpeed = %v", got)
+	if got := r.worker(vms[1]).speed; got != 1 {
+		t.Fatalf("worker speed = %v", got)
 	}
 }
 

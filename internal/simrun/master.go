@@ -396,18 +396,3 @@ func (r *Runner) JournalCheck() error {
 	}
 	return nil
 }
-
-// JournalStats reports the journal's current record count, snapshot entry
-// count and encoded sizes (journal mode only; zeros otherwise).
-func (r *Runner) JournalStats() (records, snapEntries, bytes int) {
-	m := r.mf()
-	if m == nil || !m.cfg.Journal {
-		return 0, 0, 0
-	}
-	records, bytes = m.wal.Len(), m.wal.Size()
-	if m.snap != nil {
-		snapEntries = m.snap.Entries()
-		bytes += m.snap.Size()
-	}
-	return records, snapEntries, bytes
-}

@@ -578,11 +578,11 @@ func TestWorkerLookupIgnoresForeignVM(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.AddWorker(vms[1])
-	if got := r.WorkerSpeed(vms[1]); got != 1 {
-		t.Fatalf("WorkerSpeed(worker) = %v, want 1", got)
+	if r.worker(vms[1]) == nil {
+		t.Fatal("the worker's own VM finds no worker")
 	}
-	if got := r.WorkerSpeed(foreign[1]); got != 0 {
-		t.Fatalf("WorkerSpeed(VM of another cluster with the same id) = %v, want 0", got)
+	if r.worker(foreign[1]) != nil {
+		t.Fatal("a VM of another cluster with the same id finds a worker")
 	}
 }
 

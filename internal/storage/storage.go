@@ -1,8 +1,7 @@
 // Package storage models the storage options a cloud provider exposes to a
-// virtual machine, with the performance / capacity / cost trade-offs that
-// drive FRIEDA's storage-selection decisions (Section III-A of the paper):
-// fast-but-small local disk, attachable block store volumes, and networked
-// (iSCSI-like) storage shared across nodes.
+// virtual machine, with the performance and capacity trade-offs of
+// Section III-A of the paper: fast-but-small local disk, block store
+// volumes, and networked (iSCSI-like) storage shared across nodes.
 //
 // The models are deliberately simple — fixed per-operation latency plus
 // bandwidth-proportional transfer time — because that is the granularity at
@@ -13,7 +12,6 @@ package storage
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"frieda/internal/sim"
 )
@@ -53,7 +51,7 @@ func (c Class) String() string {
 	}
 }
 
-// Spec describes a tier's performance, capacity and cost characteristics.
+// Spec describes a tier's performance and capacity characteristics.
 type Spec struct {
 	Class Class
 	// ReadBps and WriteBps are sustained media bandwidths in bytes/second.
@@ -63,13 +61,6 @@ type Spec struct {
 	LatencySec float64
 	// CapacityBytes is the volume size.
 	CapacityBytes float64
-	// CostPerGBMonth is the provider's storage price, used by the
-	// cost-aware selector.
-	CostPerGBMonth float64
-	// Shared marks storage reachable from every node (networked tiers).
-	Shared bool
-	// Durable marks storage that survives VM termination.
-	Durable bool
 	// ReadOnly marks tiers that cannot be written at runtime (image-baked
 	// data: changing it means rebuilding the image). Writes to a read-only
 	// volume fail with ErrReadOnly instead of being priced at a sentinel
@@ -115,11 +106,6 @@ func (s Spec) WriteTime(n float64) sim.Duration {
 	return sim.Duration(s.LatencySec + n/s.WriteBps)
 }
 
-// MonthlyCost returns the cost of storing n bytes for a month.
-func (s Spec) MonthlyCost(n float64) float64 {
-	return n / 1e9 * s.CostPerGBMonth
-}
-
 // Default specs approximate 2012-era cloud offerings; absolute values do not
 // matter for the reproduction, only their ordering (local > block >
 // networked bandwidth; networked > block > local capacity).
@@ -127,36 +113,34 @@ var (
 	// DefaultLocal: ~10 GB ephemeral disk at a few hundred MB/s.
 	DefaultLocal = Spec{
 		Class: ClassLocal, ReadBps: 300e6, WriteBps: 200e6,
-		LatencySec: 0.0005, CapacityBytes: 10e9, CostPerGBMonth: 0, Durable: false,
+		LatencySec: 0.0005, CapacityBytes: 10e9,
 	}
 	// DefaultBlock: 100 GB EBS-like volume.
 	DefaultBlock = Spec{
 		Class: ClassBlock, ReadBps: 120e6, WriteBps: 90e6,
-		LatencySec: 0.002, CapacityBytes: 100e9, CostPerGBMonth: 0.10, Durable: true,
+		LatencySec: 0.002, CapacityBytes: 100e9,
 	}
 	// DefaultNetworked: 1 TB shared iSCSI target; media bandwidth here, the
 	// network path is modelled by netsim on top.
 	DefaultNetworked = Spec{
 		Class: ClassNetworked, ReadBps: 200e6, WriteBps: 150e6,
-		LatencySec: 0.005, CapacityBytes: 1e12, CostPerGBMonth: 0.05,
-		Shared: true, Durable: true,
+		LatencySec: 0.005, CapacityBytes: 1e12,
 	}
 	// DefaultImageBaked: data shipped inside the VM image. Read-only —
 	// writes fail with ErrReadOnly rather than being priced at a sentinel
 	// write bandwidth.
 	DefaultImageBaked = Spec{
 		Class: ClassImageBaked, ReadBps: 300e6, WriteBps: 0, ReadOnly: true,
-		LatencySec: 0.0005, CapacityBytes: 8e9, CostPerGBMonth: 0.02, Durable: true,
+		LatencySec: 0.0005, CapacityBytes: 8e9,
 	}
 )
 
-// Volume is a provisioned instance of a tier with usage accounting and
+// Volume is a provisioned instance of a tier with operation counters and
 // runtime fault state (slow-disk degrade, read-error rate, wipe count) that
 // the DiskFaultInjector manipulates.
 type Volume struct {
 	spec Spec
 	name string
-	used float64
 
 	// degrade scales media bandwidth; 1 = healthy, lower = slow disk.
 	degrade float64
@@ -172,9 +156,6 @@ type Volume struct {
 	// Wipes counts volume deaths (all contents lost).
 	Wipes uint64
 }
-
-// ErrNoSpace is returned when an allocation exceeds remaining capacity.
-var ErrNoSpace = errors.New("storage: volume out of space")
 
 // ErrReadOnly is returned when writing to a read-only tier.
 var ErrReadOnly = errors.New("storage: volume is read-only")
@@ -216,34 +197,6 @@ func (v *Volume) Name() string { return v.name }
 // Spec returns the tier spec.
 func (v *Volume) Spec() Spec { return v.spec }
 
-// Used returns allocated bytes.
-func (v *Volume) Used() float64 { return v.used }
-
-// Free returns unallocated bytes.
-func (v *Volume) Free() float64 { return v.spec.CapacityBytes - v.used }
-
-// Allocate reserves n bytes, failing with ErrNoSpace when the volume is
-// full. The paper's motivation for remote tiers is exactly this failure on
-// small local disks.
-func (v *Volume) Allocate(n float64) error {
-	if n < 0 {
-		return fmt.Errorf("storage: negative allocation %v", n)
-	}
-	if v.used+n > v.spec.CapacityBytes {
-		return fmt.Errorf("%w: need %.0f, free %.0f on %s", ErrNoSpace, n, v.Free(), v.name)
-	}
-	v.used += n
-	return nil
-}
-
-// Release returns n bytes to the volume.
-func (v *Volume) Release(n float64) {
-	v.used -= n
-	if v.used < 0 {
-		v.used = 0
-	}
-}
-
 // Read models reading n bytes and returns the duration, scaled by the
 // current degrade factor.
 func (v *Volume) Read(n float64) sim.Duration {
@@ -270,12 +223,9 @@ func (v *Volume) degradeFactor() float64 {
 	return v.degrade
 }
 
-// Wipe models a volume death: every stored byte is gone. Usage resets so
-// the fresh (replacement) media can be refilled; cumulative counters stay.
-func (v *Volume) Wipe() {
-	v.used = 0
-	v.Wipes++
-}
+// Wipe models a volume death: every stored byte is gone. The volume stands
+// for its fresh (replacement) media from then on; cumulative counters stay.
+func (v *Volume) Wipe() { v.Wipes++ }
 
 // Degrade scales the volume's media bandwidth to factor (0 < factor < 1) —
 // a slow disk, not a dead one. Out-of-range factors are ignored.
@@ -305,75 +255,3 @@ func (v *Volume) SetReadErrors(rate float64) {
 
 // ReadErrorRate returns the current read-error probability.
 func (v *Volume) ReadErrorRate() float64 { return v.readErrRate }
-
-// SelectionPolicy ranks candidate tiers for a dataset.
-type SelectionPolicy int
-
-const (
-	// SelectFastest prefers the highest read bandwidth that fits.
-	SelectFastest SelectionPolicy = iota
-	// SelectCheapest prefers the lowest monthly cost that fits.
-	SelectCheapest
-	// SelectDurable prefers durable tiers, then speed.
-	SelectDurable
-	// SelectShared requires node-shareable tiers, then speed.
-	SelectShared
-)
-
-// String names the policy.
-func (p SelectionPolicy) String() string {
-	switch p {
-	case SelectFastest:
-		return "fastest"
-	case SelectCheapest:
-		return "cheapest"
-	case SelectDurable:
-		return "durable"
-	case SelectShared:
-		return "shared"
-	default:
-		return fmt.Sprintf("SelectionPolicy(%d)", int(p))
-	}
-}
-
-// ErrNoCandidate is returned when no tier satisfies the policy and size.
-var ErrNoCandidate = errors.New("storage: no tier satisfies the request")
-
-// Select picks the best spec for a dataset of the given size under the
-// policy. This is one of the "intelligence" hooks the paper places in the
-// controller.
-func Select(policy SelectionPolicy, sizeBytes float64, candidates []Spec) (Spec, error) {
-	fits := make([]Spec, 0, len(candidates))
-	for _, c := range candidates {
-		if c.CapacityBytes >= sizeBytes {
-			if policy == SelectShared && !c.Shared {
-				continue
-			}
-			if policy == SelectDurable && !c.Durable {
-				continue
-			}
-			fits = append(fits, c)
-		}
-	}
-	if len(fits) == 0 {
-		return Spec{}, fmt.Errorf("%w: size %.0f policy %s", ErrNoCandidate, sizeBytes, policy)
-	}
-	switch policy {
-	case SelectCheapest:
-		sort.Slice(fits, func(i, j int) bool {
-			ci, cj := fits[i].MonthlyCost(sizeBytes), fits[j].MonthlyCost(sizeBytes)
-			if ci != cj {
-				return ci < cj
-			}
-			return fits[i].ReadBps > fits[j].ReadBps
-		})
-	default: // fastest / durable / shared all tie-break on read bandwidth
-		sort.Slice(fits, func(i, j int) bool {
-			if fits[i].ReadBps != fits[j].ReadBps {
-				return fits[i].ReadBps > fits[j].ReadBps
-			}
-			return fits[i].MonthlyCost(sizeBytes) < fits[j].MonthlyCost(sizeBytes)
-		})
-	}
-	return fits[0], nil
-}
