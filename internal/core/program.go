@@ -233,7 +233,8 @@ type Store interface {
 	// file. A zero offset truncates/creates. The store copies data: the
 	// caller may reuse it as soon as Append returns.
 	Append(name string, offset int64, data []byte) error
-	// Open reads a stored file.
+	// Open reads a stored file. The caller closes the reader once and uses
+	// it no more after Close: a store may hand it to the next Open.
 	Open(name string) (io.ReadCloser, error)
 	// Path returns a filesystem path for name when the store is
 	// disk-backed; ok=false means the store is memory-only (usable with
@@ -247,12 +248,16 @@ type Store interface {
 
 // storeChunk lands one received TFileData chunk, read from c, in s. A file's
 // first chunk announces its total size, which reaches the store before the
-// first byte. A chunk that is the whole file, received where Data is handed
-// over (c does not copy), goes into a MemStore as it is; everything else is
-// copied.
+// first byte. A chunk that is the whole file goes into a MemStore in one
+// step: as it is where Data is handed over (c does not copy), else copied
+// into the store's slab. Every other chunk is reserved for and appended.
 func storeChunk(s Store, c transport.Conn, m *protocol.Message) error {
-	if mem, ok := s.(*MemStore); ok && m.Offset == 0 && m.Last && int64(len(m.Data)) == m.FileSize && !c.SendCopies() {
-		mem.keep(m.FileName, m.Data)
+	if mem, ok := s.(*MemStore); ok && m.Offset == 0 && m.Last && int64(len(m.Data)) == m.FileSize {
+		if c.SendCopies() {
+			mem.land(m.FileName, m.Data)
+		} else {
+			mem.keep(m.FileName, m.Data)
+		}
 		return nil
 	}
 	if m.Offset == 0 {
@@ -265,14 +270,26 @@ func storeChunk(s Store, c transport.Conn, m *protocol.Message) error {
 
 // MemStore is an in-memory Store for library-mode workers and tests. Stored
 // bytes are never modified in place: readers and Bytes share them, and so
-// does the sender of a whole file handed over by the in-memory transport.
+// does the sender of a whole file handed over by the in-memory transport. A
+// rewrite stores fresh bytes, so a small file that landed whole in a slab
+// keeps its old bytes alive, after a rewrite, as long as any file of its
+// slab is.
 type MemStore struct {
 	mu    sync.RWMutex
 	files map[string][]byte
+	// slab is the unused tail of the slab that small whole files land in.
+	slab []byte
 }
 
 // NewMemStore returns an empty memory store.
 func NewMemStore() *MemStore { return &MemStore{files: make(map[string][]byte)} }
+
+// slabSize is the size of the slabs MemStore lands small files in: a small
+// size class, where a 32 KiB slab would be a large object, allocated from the
+// heap's lock and zeroed whole. (Alone, a 28 KiB slab cost less than half as
+// much per byte as a 32 KiB one on a 2-vCPU Xeon.) A file above slabFile
+// gets an allocation of its own.
+const slabSize, slabFile = 28 << 10, 4 << 10
 
 // maxReserve bounds what MemStore allocates on a sender's word alone; a
 // larger file grows as its bytes arrive.
@@ -362,6 +379,26 @@ func (s *MemStore) keep(name string, data []byte) {
 	s.mu.Unlock()
 }
 
+// land stores a copy of data, a whole file, under name in one step. A small
+// file is carved from the slab, its capacity clipped, so no later Append
+// writes into its neighbour.
+func (s *MemStore) land(name string, data []byte) {
+	n := len(data)
+	s.mu.Lock()
+	var b []byte
+	if n > slabFile {
+		b = make([]byte, n)
+	} else {
+		if n > len(s.slab) {
+			s.slab = make([]byte, slabSize)
+		}
+		b, s.slab = s.slab[:n:n], s.slab[n:]
+	}
+	copy(b, data)
+	s.files[name] = b
+	s.mu.Unlock()
+}
+
 // Append implements Store. Into a reservation it copies without allocating;
 // past one, or without one, the file grows.
 func (s *MemStore) Append(name string, offset int64, data []byte) error {
@@ -379,12 +416,29 @@ func (s *MemStore) Append(name string, offset int64, data []byte) error {
 }
 
 // memFile reads a stored file. It keeps bytes.Reader's Len, so a Put fed from
-// a stored file (or a limited prefix of one) is sized exactly.
-type memFile struct{ *bytes.Reader }
+// a stored file (or a limited prefix of one) is sized exactly, and its
+// WriteTo, so io.Copy from one needs no buffer.
+type memFile struct {
+	bytes.Reader
+	closed bool
+}
 
-func (memFile) Close() error { return nil }
+// memFiles holds the closed readers the next Opens reuse.
+var memFiles = sync.Pool{New: func() any { return new(memFile) }}
 
-// Open implements Store.
+// Close implements io.Closer: the reader lets go of the file's bytes and goes
+// back to memFiles. A second Close does nothing.
+func (f *memFile) Close() error {
+	if !f.closed {
+		f.closed = true
+		f.Reset(nil)
+		memFiles.Put(f)
+	}
+	return nil
+}
+
+// Open implements Store. It allocates nothing while closed readers are there
+// to reuse.
 func (s *MemStore) Open(name string) (io.ReadCloser, error) {
 	s.mu.RLock()
 	data, ok := s.files[name]
@@ -392,7 +446,10 @@ func (s *MemStore) Open(name string) (io.ReadCloser, error) {
 	if !ok {
 		return nil, fmt.Errorf("core: %q not in store", name)
 	}
-	return memFile{bytes.NewReader(data)}, nil
+	f := memFiles.Get().(*memFile)
+	f.Reset(data)
+	f.closed = false
+	return f, nil
 }
 
 // Path implements Store; memory stores have no paths.

@@ -45,12 +45,16 @@ type Worker struct {
 	conn transport.Conn
 
 	executed atomic.Int64
-	// received is what arrived of each file sent on this connection: true
-	// once its last chunk is stored, false while it is partial or after a
-	// chunk failed to store. Only the message loop touches it.
-	received map[string]bool
-	program  Program
-	tasks    chan Task
+	// partial holds each file sent on this connection whose first chunk is
+	// stored but not yet its last, or one of whose chunks failed to store.
+	// The store is the record of every other file. Only the message loop
+	// touches it.
+	partial map[string]struct{}
+	// inputs is the unused tail of the slab the message loop carves each
+	// task's input list from.
+	inputs  []string
+	program Program
+	tasks   chan Task
 	// out is the writer's outbox: after the registration handshake the
 	// writer sends what the executors and the message loop post, and nothing
 	// else sends on the connection.
@@ -84,7 +88,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.Transport == nil || cfg.MasterAddr == "" {
 		return nil, fmt.Errorf("core: worker %q has no master endpoint", cfg.Name)
 	}
-	return &Worker{cfg: cfg, received: make(map[string]bool)}, nil
+	return &Worker{cfg: cfg, partial: make(map[string]struct{})}, nil
 }
 
 // Executed reports how many tasks this worker completed (either outcome).
@@ -196,15 +200,18 @@ func (w *Worker) messageLoop(ctx context.Context) error {
 			// orders follow.
 		case protocol.TFileData:
 			if err := storeChunk(w.cfg.Store, w.conn, m); err != nil {
-				w.received[m.FileName] = false
+				w.partial[m.FileName] = struct{}{}
 				w.out.put(report{res: protocol.TaskResult{
 					GroupIndex: -1, Worker: w.cfg.Name, OK: false,
 					Error: fmt.Sprintf("store %s: %v", m.FileName, err),
 				}})
 				continue
 			}
-			if m.Offset == 0 || m.Last {
-				w.received[m.FileName] = m.Last
+			switch {
+			case m.Last:
+				delete(w.partial, m.FileName)
+			case m.Offset == 0:
+				w.partial[m.FileName] = struct{}{}
 			}
 		case protocol.TExecute:
 			w.tasks <- w.task(m.GroupIndex, m.Files)
@@ -216,17 +223,25 @@ func (w *Worker) messageLoop(ctx context.Context) error {
 	}
 }
 
+// inputSlab is how many input names the message loop's slab holds.
+const inputSlab = 256
+
 // task is the task an EXECUTE orders. The master sends every byte of an
 // input ahead of the order that needs it (one ordered writer per
-// connection), so an input is checked, not waited for: it is present if its
-// last chunk was stored since the worker connected, or if the store held it
-// before any chunk of it arrived (data placed on the worker beforehand).
+// connection), so an input is checked, not waited for: it is present if the
+// store holds it and it is not partial (data placed on the worker beforehand
+// counts). The input list is carved from the worker's slab, its capacity
+// clipped.
 func (w *Worker) task(gi int, files []protocol.FileInfo) Task {
-	t := Task{GroupIndex: gi, Inputs: make([]string, len(files)), Store: w.cfg.Store}
+	n := len(files)
+	if n > len(w.inputs) {
+		w.inputs = make([]string, max(n, inputSlab))
+	}
+	t := Task{GroupIndex: gi, Inputs: w.inputs[:n:n], Store: w.cfg.Store}
+	w.inputs = w.inputs[n:]
 	for i, f := range files {
 		t.Inputs[i] = f.Name
-		complete, arrived := w.received[f.Name]
-		if t.missing == "" && !complete && (arrived || !w.cfg.Store.Has(f.Name)) {
+		if _, partial := w.partial[f.Name]; t.missing == "" && (partial || !w.cfg.Store.Has(f.Name)) {
 			t.missing = f.Name
 		}
 	}

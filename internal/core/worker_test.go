@@ -185,45 +185,85 @@ func TestWorkerNoProgramNoTemplate(t *testing.T) {
 	}
 }
 
-// A chunk that fails to store leaves its file partial, and a task that needs
-// the file fails at once, naming it, instead of running on the short input.
+// A task runs only on inputs that are whole: a chunk that failed to store, or
+// a file whose last chunk has not landed, fails the task at once, naming the
+// input, instead of letting it run on a short file. A file the store holds,
+// placed beforehand or re-sent whole after a failure, runs.
 func TestWorkerFailsTaskOnPartialInput(t *testing.T) {
-	status := make(chan protocol.TaskResult, 1)
-	tr, addr := fakeMaster(t, func(conn transport.Conn) {
-		conn.Send(&protocol.Message{Type: protocol.TAck, Cores: 1})
-		conn.Send(&protocol.Message{Type: protocol.TFileData, FileName: "f", FileSize: 10, Data: []byte("hello")})
-		// A chunk with a gap: the store refuses it.
-		conn.Send(&protocol.Message{Type: protocol.TFileData, FileName: "f", Offset: 100, Data: []byte("x")})
-		conn.Send(&protocol.Message{Type: protocol.TExecute, GroupIndex: 0, Files: []protocol.FileInfo{{Name: "f", Size: 10}}})
-		for {
-			m, err := conn.Recv()
+	chunk := func(offset, size int64, data string, last bool) *protocol.Message {
+		return &protocol.Message{Type: protocol.TFileData, FileName: "f", Offset: offset, FileSize: size, Data: []byte(data), Last: last}
+	}
+	for name, tc := range map[string]struct {
+		placed string // what the store holds of f before the worker starts
+		chunks []*protocol.Message
+		runs   bool
+	}{
+		"failed chunk": {placed: "hello", chunks: []*protocol.Message{
+			chunk(100, 0, "x", true), // a gap: the store refuses it
+		}},
+		"first chunk only": {chunks: []*protocol.Message{
+			chunk(0, 10, "hello", false),
+		}},
+		"failed then re-sent whole": {runs: true, chunks: []*protocol.Message{
+			chunk(0, 10, "hello", false),
+			chunk(100, 10, "x", true),
+			chunk(0, 5, "hello", true),
+		}},
+		"placed beforehand": {placed: "hello", runs: true},
+		"never sent":        {},
+	} {
+		t.Run(name, func(t *testing.T) {
+			status := make(chan protocol.TaskResult, 1)
+			tr, addr := fakeMaster(t, func(conn transport.Conn) {
+				conn.Send(&protocol.Message{Type: protocol.TAck, Cores: 1})
+				for _, m := range tc.chunks {
+					conn.Send(m)
+				}
+				conn.Send(&protocol.Message{Type: protocol.TExecute, GroupIndex: 0, Files: []protocol.FileInfo{{Name: "f", Size: 5}}})
+				for {
+					m, err := conn.Recv()
+					if err != nil {
+						return
+					}
+					if m.Type == protocol.TTaskStatus && m.Result.GroupIndex == 0 {
+						status <- m.Result
+						conn.Send(&protocol.Message{Type: protocol.TNoMoreData})
+						return
+					}
+				}
+			})
+			store := NewMemStore()
+			if tc.placed != "" {
+				store.Put("f", strings.NewReader(tc.placed))
+			}
+			var ran atomic.Bool
+			w, err := NewWorker(WorkerConfig{
+				Name: "w0", Cores: 1, Store: store, Transport: tr, MasterAddr: addr,
+				Program: FuncProgram(func(_ context.Context, task Task) (string, error) {
+					ran.Store(true)
+					return readAll(task.Store, "f"), nil
+				}),
+			})
 			if err != nil {
-				return
+				t.Fatal(err)
 			}
-			if m.Type == protocol.TTaskStatus && m.Result.GroupIndex == 0 {
-				status <- m.Result
-				conn.Send(&protocol.Message{Type: protocol.TNoMoreData})
-				return
+			if err := w.Run(context.Background()); err != nil {
+				t.Fatal(err)
 			}
-		}
-	})
-	var ran atomic.Bool
-	w := newTestWorker(t, tr, addr, FuncProgram(func(context.Context, Task) (string, error) {
-		ran.Store(true)
-		return "ok", nil
-	}))
-	if err := w.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case res := <-status:
-		if res.OK || !strings.Contains(res.Error, `"f"`) {
-			t.Fatalf("status = %+v, want a failure naming f", res)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("no task status arrived")
-	}
-	if ran.Load() {
-		t.Fatal("the program ran on a partial input")
+			var res protocol.TaskResult
+			select {
+			case res = <-status:
+			case <-time.After(5 * time.Second):
+				t.Fatal("no task status arrived")
+			}
+			switch {
+			case tc.runs && (!res.OK || res.Output != "hello"):
+				t.Fatalf("status = %+v, want a run on the whole file", res)
+			case !tc.runs && (res.OK || !strings.Contains(res.Error, `"f"`)):
+				t.Fatalf("status = %+v, want a failure naming f", res)
+			case !tc.runs && ran.Load():
+				t.Fatal("the program ran on a partial input")
+			}
+		})
 	}
 }

@@ -6,8 +6,7 @@
 // The paper ships three pairwise groupings (one-to-all, pairwise-adjacent,
 // all-to-all) plus the default one-file-per-task, and calls out that "the
 // design allows other schemes to be easily added": Generator is the plug-in
-// point, and this package adds sliding-window and fixed-chunk generators as
-// extensions.
+// point, and this package adds a sliding-window generator as an extension.
 package partition
 
 import (
@@ -183,33 +182,8 @@ func (SlidingWindow) Generate(c *catalog.Catalog) ([]Group, error) {
 	return out, nil
 }
 
-// Chunk groups k consecutive files per task — an extension for programs
-// that batch inputs.
-type Chunk struct {
-	// K is the files-per-task count (>= 1). A short final group is emitted
-	// for leftovers.
-	K int
-}
-
-// Name implements Generator.
-func (g Chunk) Name() string { return fmt.Sprintf("chunk-%d", g.K) }
-
-// Generate implements Generator.
-func (g Chunk) Generate(c *catalog.Catalog) ([]Group, error) {
-	if g.K < 1 {
-		return nil, fmt.Errorf("partition: chunk size %d < 1", g.K)
-	}
-	files := c.Files()
-	var out []Group
-	for i := 0; i < len(files); i += g.K {
-		end := min(i+g.K, len(files))
-		out = append(out, Group{Index: len(out), Files: append([]catalog.FileMeta(nil), files[i:end]...)})
-	}
-	return out, nil
-}
-
 // ByName returns the named generator. It recognises the paper's schemes and
-// this package's extensions.
+// this package's sliding-window extension.
 func ByName(name string) (Generator, error) {
 	switch name {
 	case "single", "":

@@ -173,22 +173,6 @@ func TestSlidingWindow(t *testing.T) {
 	}
 }
 
-func TestChunk(t *testing.T) {
-	groups, err := Chunk{K: 3}.Generate(makeCatalog(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(groups) != 3 {
-		t.Fatalf("groups = %d, want 3", len(groups))
-	}
-	if len(groups[2].Files) != 1 {
-		t.Fatalf("trailing group has %d files, want 1", len(groups[2].Files))
-	}
-	if _, err := (Chunk{K: 0}).Generate(makeCatalog(3)); err == nil {
-		t.Fatal("chunk size 0 accepted")
-	}
-}
-
 func TestGroupSizeAndNames(t *testing.T) {
 	c := catalog.New()
 	c.MustAdd(catalog.FileMeta{Name: "a", Size: 7})
@@ -221,7 +205,7 @@ func TestByName(t *testing.T) {
 // Property: every generator covers each input file at least once (for
 // schemes defined on the full list) and assigns consecutive group indices.
 func TestGeneratorIndicesProperty(t *testing.T) {
-	gens := []Generator{Single{}, OneToAll{}, PairwiseAdjacent{}, AllToAll{}, SlidingWindow{}, Chunk{K: 4}}
+	gens := []Generator{Single{}, OneToAll{}, PairwiseAdjacent{}, AllToAll{}, SlidingWindow{}}
 	prop := func(nRaw uint8) bool {
 		n := int(nRaw%40)*2 + 2 // even, >= 2
 		c := makeCatalog(n)

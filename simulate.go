@@ -22,8 +22,6 @@ type (
 	SimWorkload = simrun.Workload
 	// SimResult is a simulated run's outcome.
 	SimResult = simrun.Result
-	// SimCompletion is one terminal task record.
-	SimCompletion = simrun.Completion
 	// FileMeta names and sizes one input file.
 	FileMeta = catalog.FileMeta
 )
