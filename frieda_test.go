@@ -180,6 +180,34 @@ func TestRunExternalTemplate(t *testing.T) {
 	}
 }
 
+// A name that starts with two dots but is not a parent reference, such as
+// "..notes.txt", is a file of the input directory like any other: the
+// master reads it from the source and the workers store it in their work
+// directories.
+func TestRunDirDatasetWithDotDotName(t *testing.T) {
+	dir := t.TempDir()
+	for name, data := range map[string]string{"..notes.txt": "notes", "a.txt": "alpha"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	report, err := Run(ctx, RunConfig{
+		Strategy: RealTimeRemote,
+		Dataset:  DirDataset(dir),
+		Template: []string{"cat", "$inp1"},
+		Workers:  2,
+		WorkDir:  t.TempDir(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.Succeeded != 2 {
+		t.Fatalf("report = %+v (%v)", report, report.WorkerErrors)
+	}
+}
+
 func TestRunValidation(t *testing.T) {
 	ctx := context.Background()
 	if _, err := Run(ctx, RunConfig{}); err == nil {

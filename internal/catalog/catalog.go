@@ -185,11 +185,10 @@ func NewDirSource(root string) *DirSource { return &DirSource{root: root} }
 
 // Open opens the named file under the root. Path escapes are rejected.
 func (s *DirSource) Open(name string) (io.ReadCloser, error) {
-	clean := filepath.Clean(name)
-	if strings.HasPrefix(clean, "..") || filepath.IsAbs(clean) {
+	if !filepath.IsLocal(name) {
 		return nil, newError(ErrPathEscape, name)
 	}
-	return os.Open(filepath.Join(s.root, clean))
+	return os.Open(filepath.Join(s.root, name))
 }
 
 // Catalog walks the root and lists regular files sorted by relative path.

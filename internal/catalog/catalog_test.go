@@ -311,9 +311,39 @@ func TestDirSource(t *testing.T) {
 
 func TestDirSourceRejectsEscapes(t *testing.T) {
 	s := NewDirSource(t.TempDir())
-	for _, bad := range []string{"../etc/passwd", "/etc/passwd", "a/../../x"} {
-		if _, err := s.Open(bad); err == nil {
-			t.Fatalf("escape %q accepted", bad)
+	for _, bad := range []string{"../etc/passwd", "/etc/passwd", "a/../../x", ""} {
+		if _, err := s.Open(bad); !errors.Is(err, ErrPathEscape) {
+			t.Fatalf("Open(%q) = %v, want ErrPathEscape", bad, err)
+		}
+	}
+}
+
+// Names that start with dots but stay inside the root are files like any
+// other: listed, and opened.
+func TestDirSourceDotDotNames(t *testing.T) {
+	root := t.TempDir()
+	for _, name := range []string{"..notes.txt", "...", "a.txt"} {
+		if err := os.WriteFile(filepath.Join(root, name), []byte(name), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := NewDirSource(root)
+	c, err := s.Catalog()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Len() != 3 {
+		t.Fatalf("Len = %d, want 3", c.Len())
+	}
+	for _, name := range []string{"..notes.txt", "..."} {
+		rc, err := s.Open(name)
+		if err != nil {
+			t.Fatalf("Open(%q): %v", name, err)
+		}
+		data, _ := io.ReadAll(rc)
+		rc.Close()
+		if string(data) != name {
+			t.Fatalf("Open(%q) read %q", name, data)
 		}
 	}
 }

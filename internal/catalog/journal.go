@@ -16,7 +16,7 @@ import (
 // Format: each record is [op:1 byte][file len:uvarint][file bytes]
 // [node len:uvarint][node bytes][A:uvarint][B:uvarint]. No framing beyond
 // the lengths — a crash mid-append leaves a recognisably truncated tail,
-// which Decode reports as a typed ErrTruncated instead of guessing.
+// which Replay reports as a typed ErrTruncated instead of guessing.
 
 // Op identifies a journal record type.
 type Op uint8
@@ -168,22 +168,6 @@ func truncErr(off int) error {
 
 func corruptErr(off int, what string) error {
 	return &Error{Kind: ErrCorrupt, Detail: fmt.Sprintf("%s at byte %d", what, off)}
-}
-
-// Decode parses an encoded log into records. A partial tail yields the
-// records decoded so far plus a typed ErrTruncated; an impossible field
-// yields ErrCorrupt. It never panics on any input.
-func Decode(b []byte) ([]Record, error) {
-	var recs []Record
-	for off := 0; off < len(b); {
-		rec, next, err := decodeOne(b, off)
-		if err != nil {
-			return recs, err
-		}
-		recs = append(recs, rec)
-		off = next
-	}
-	return recs, nil
 }
 
 // State is the journaled control-plane state: the file catalog with

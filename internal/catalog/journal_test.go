@@ -29,6 +29,21 @@ func sampleRecords() []Record {
 	}
 }
 
+// decodeAll parses an encoded log into records: those decoded before the
+// first error, and that error.
+func decodeAll(b []byte) ([]Record, error) {
+	var recs []Record
+	for off := 0; off < len(b); {
+		rec, next, err := decodeOne(b, off)
+		if err != nil {
+			return recs, err
+		}
+		recs = append(recs, rec)
+		off = next
+	}
+	return recs, nil
+}
+
 func TestJournalRoundTrip(t *testing.T) {
 	var j Journal
 	want := sampleRecords()
@@ -38,9 +53,9 @@ func TestJournalRoundTrip(t *testing.T) {
 	if j.Len() != len(want) {
 		t.Fatalf("Len = %d, want %d", j.Len(), len(want))
 	}
-	got, err := Decode(j.Bytes())
+	got, err := decodeAll(j.Bytes())
 	if err != nil {
-		t.Fatalf("Decode: %v", err)
+		t.Fatalf("decodeAll: %v", err)
 	}
 	if len(got) != len(want) {
 		t.Fatalf("decoded %d records, want %d", len(got), len(want))
@@ -53,7 +68,7 @@ func TestJournalRoundTrip(t *testing.T) {
 }
 
 // TestJournalTruncationTorture truncates the encoded journal at every byte
-// offset. Decode and Replay must never panic; any cut that does not land
+// offset. Decoding and Replay must never panic; any cut that does not land
 // exactly on a record boundary must surface a typed ErrTruncated.
 func TestJournalTruncationTorture(t *testing.T) {
 	var j Journal
@@ -64,7 +79,7 @@ func TestJournalTruncationTorture(t *testing.T) {
 	}
 	full := j.Bytes()
 	for cut := 0; cut <= len(full); cut++ {
-		recs, err := Decode(full[:cut])
+		recs, err := decodeAll(full[:cut])
 		if boundaries[cut] {
 			if err != nil {
 				t.Fatalf("cut %d on boundary: unexpected error %v", cut, err)
@@ -92,7 +107,7 @@ func TestJournalCorruptOp(t *testing.T) {
 	j.Append(Record{Op: OpRegister, File: "a", A: 1})
 	bad := append([]byte(nil), j.Bytes()...)
 	bad[0] = 0xee
-	if _, err := Decode(bad); !errors.Is(err, ErrCorrupt) {
+	if _, err := decodeAll(bad); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt", err)
 	}
 	bad[0] = 0
@@ -284,7 +299,7 @@ func TestTypedCatalogErrors(t *testing.T) {
 		t.Fatalf("dir escape: %v", err)
 	}
 	// Journal errors are typed too.
-	if _, err := Decode([]byte{byte(OpRegister)}); !errors.Is(err, ErrTruncated) {
+	if _, err := decodeAll([]byte{byte(OpRegister)}); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("trunc: %v", err)
 	} else if !errors.As(err, &ce) || !errors.Is(ce, ErrTruncated) {
 		t.Fatalf("trunc: %v is not a typed *Error of its kind", err)

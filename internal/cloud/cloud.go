@@ -113,9 +113,6 @@ func (vm *VM) Name() string { return vm.name }
 // Type returns the instance type.
 func (vm *VM) Type() InstanceType { return vm.typ }
 
-// State returns the lifecycle state.
-func (vm *VM) State() VMState { return vm.state }
-
 // Host returns the VM's network endpoint.
 func (vm *VM) Host() *netsim.Host { return vm.host }
 

@@ -51,8 +51,8 @@ func TestProvisionBootsAsync(t *testing.T) {
 	}
 	booted := bootTimes(c, vms)
 	for _, vm := range vms {
-		if vm.State() != StateProvisioning {
-			t.Fatalf("state before boot = %v", vm.State())
+		if vm.state != StateProvisioning {
+			t.Fatalf("state before boot = %v", vm.state)
 		}
 	}
 	eng.Run()
@@ -88,7 +88,7 @@ func TestInstantBoot(t *testing.T) {
 	eng.RunUntil(0)
 	for i, vm := range vms {
 		if !vm.Running() || booted[i] != 0 {
-			t.Fatalf("%s: state=%v booted at %v", vm.Name(), vm.State(), booted[i])
+			t.Fatalf("%s: state=%v booted at %v", vm.Name(), vm.state, booted[i])
 		}
 	}
 }
@@ -127,8 +127,8 @@ func TestFailureInjection(t *testing.T) {
 	failures := 0
 	c.OnFailure(func(vm *VM) {
 		failures++
-		if vm.State() != StateFailed {
-			t.Fatalf("failed VM in state %v", vm.State())
+		if vm.state != StateFailed {
+			t.Fatalf("failed VM in state %v", vm.state)
 		}
 		if eng.Now() <= 0 {
 			t.Fatalf("%s failed at %v, before its boot had run", vm.Name(), eng.Now())
@@ -280,7 +280,7 @@ func TestOnReadyOnceForgets(t *testing.T) {
 	for i, vm := range vms {
 		c.OnReadyOnce(vm, func() {
 			if !vm.Running() {
-				t.Errorf("%s: one-shot ran at %v, state %v", vm.Name(), eng.Now(), vm.State())
+				t.Errorf("%s: one-shot ran at %v, state %v", vm.Name(), eng.Now(), vm.state)
 			}
 			fired[i]++
 		})

@@ -73,9 +73,9 @@ func TestProvisionedNamesAreDistinct(t *testing.T) {
 				want := fmt.Sprintf("vm-%d", i)
 				h := vm.Host()
 				if vm.ID() != i || vm.Name() != want || h.Name() != want || h.Up().Name() != want+"/up" ||
-					h.Down().Name() != want+"/down" || vm.LocalDisk().Name() != want+"/local" {
-					t.Fatalf("VM %d: id %d, names %q %q %q %q %q", i, vm.ID(), vm.Name(), h.Name(),
-						h.Up().Name(), h.Down().Name(), vm.LocalDisk().Name())
+					h.Down().Name() != want+"/down" {
+					t.Fatalf("VM %d: id %d, names %q %q %q %q", i, vm.ID(), vm.Name(), h.Name(),
+						h.Up().Name(), h.Down().Name())
 				}
 				for _, dst := range vms {
 					if dst != vm {

@@ -928,17 +928,13 @@ func TestExecProgramOverTCPTransport(t *testing.T) {
 	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- m.Serve(ctx) }()
-	waitAddr := func() string {
-		for i := 0; i < 200; i++ {
-			if a := m.Addr(); a != "127.0.0.1:0" && a != "" {
-				return a
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-		t.Fatal("master never bound")
-		return ""
+	var addr string
+	select {
+	case <-m.serving:
+		addr = m.listener.Addr() // set before serving closes
+	case err := <-serveErr:
+		t.Fatalf("master never bound: %v", err)
 	}
-	addr := waitAddr()
 	ctl2, err := NewController(ControllerConfig{
 		Strategy:   strategy.Config{Kind: strategy.RealTime, Multicore: true},
 		Template:   []string{"cat", "$inp1"},

@@ -174,16 +174,6 @@ func (m *Master) logf(format string, args ...any) {
 	}
 }
 
-// Addr returns the bound listen address once Serve has started.
-func (m *Master) Addr() string {
-	select {
-	case <-m.serving:
-		return m.listener.Addr() // set before serving closed, never after
-	default:
-		return m.cfg.Addr
-	}
-}
-
 // Done is closed when every group reached a terminal state.
 func (m *Master) Done() <-chan struct{} { return m.done }
 

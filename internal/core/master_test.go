@@ -531,14 +531,6 @@ func TestMasterReportBeforeDone(t *testing.T) {
 	}
 }
 
-func TestMasterAddr(t *testing.T) {
-	m, _, cancel := startMaster(t, MasterConfig{}, strategy.RealTimeRemote, 1)
-	defer cancel()
-	if m.Addr() != "m" {
-		t.Fatalf("Addr = %q", m.Addr())
-	}
-}
-
 func TestOneToAllPivotTransferredOnce(t *testing.T) {
 	// one-to-all pairs f0 with every other file; f0 must cross the wire to
 	// each worker at most once (replica dedup).

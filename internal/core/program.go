@@ -509,11 +509,10 @@ func NewDirStore(root string) (*DirStore, error) {
 
 // localPath maps a store name to a path under the root, rejecting escapes.
 func (s *DirStore) localPath(name string) (string, error) {
-	clean := filepath.Clean(name)
-	if strings.HasPrefix(clean, "..") || filepath.IsAbs(clean) {
+	if !filepath.IsLocal(name) {
 		return "", fmt.Errorf("core: store name %q escapes root", name)
 	}
-	return filepath.Join(s.root, clean), nil
+	return filepath.Join(s.root, name), nil
 }
 
 // create makes (or empties) the file for name, with its directories.

@@ -214,13 +214,24 @@ func TestDirStoreAppendAndPath(t *testing.T) {
 
 func TestDirStoreRejectsEscapes(t *testing.T) {
 	s, _ := NewDirStore(t.TempDir())
-	for _, bad := range []string{"../x", "/etc/passwd", "a/../../b"} {
+	for _, bad := range []string{"../x", "/etc/passwd", "a/../../b", ""} {
 		if _, err := s.Put(bad, strings.NewReader("x")); err == nil {
 			t.Errorf("Put(%q) accepted", bad)
 		}
 		if err := s.Append(bad, 0, []byte("x")); err == nil {
 			t.Errorf("Append(%q) accepted", bad)
 		}
+	}
+}
+
+// A name that starts with two dots but stays inside the root is stored.
+func TestDirStoreDotDotName(t *testing.T) {
+	s, _ := NewDirStore(t.TempDir())
+	if _, err := s.Put("..notes.txt", strings.NewReader("x")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Append("...", 0, []byte("y")); err != nil {
+		t.Fatal(err)
 	}
 }
 

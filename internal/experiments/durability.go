@@ -69,7 +69,6 @@ func runDurability(wl simrun.Workload, rf int, spec chaosSpec) (simrun.Result, e
 			ScanPeriodSec:        30,
 			MaxConcurrentRepairs: 2,
 			EvacuateSource:       true,
-			Verify:               true,
 			CorruptionRate:       0.25,
 			Seed:                 17,
 		},

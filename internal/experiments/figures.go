@@ -86,15 +86,6 @@ type Bar struct {
 	BytesMoved float64
 }
 
-// workloadFor builds the named application's workload.
-func workloadFor(app string, scale float64) (simrun.Workload, error) {
-	mk, err := workloadBuilder(app, scale)
-	if err != nil {
-		return simrun.Workload{}, err
-	}
-	return mk(), nil
-}
-
 // workloadBuilder returns a constructor for the named application's
 // workload. Each call builds a fresh copy from the fixed seed, so parallel
 // sweep cells share no mutable state while still simulating identical

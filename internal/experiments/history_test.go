@@ -37,10 +37,11 @@ func TestAdvisorLearnsFromRuns(t *testing.T) {
 	}
 	scale := 0.1
 	for _, app := range []string{"ALS", "BLAST"} {
-		wl, err := workloadFor(app, scale)
+		mk, err := workloadBuilder(app, scale)
 		if err != nil {
 			t.Fatal(err)
 		}
+		wl := mk()
 		record(app, preRemote(AssignerFor(app)), wl)
 		record(app, realTime(), wl)
 	}

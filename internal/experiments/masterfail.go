@@ -45,7 +45,7 @@ func runMasterFail(wl simrun.Workload, spec masterFailSpec, linkMTBFSec float64,
 		Detection:  &simrun.DetectionConfig{K: 3},
 		Durability: &simrun.DurabilityConfig{
 			RF: 2, ScanPeriodSec: 5, MaxConcurrentRepairs: 4,
-			EvacuateSource: true, Verify: true, Seed: 17,
+			EvacuateSource: true, Seed: 17,
 		},
 	}
 	switch mode {

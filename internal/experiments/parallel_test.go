@@ -109,7 +109,7 @@ func TestSweepReportsFailedCellCoordinates(t *testing.T) {
 			return RunStrategy(realTime(), BLASTWorkload(parallelTestScale, 1), 4, 1)
 		}),
 		cell("probe/unknown-app", func() (simrun.Result, error) {
-			_, err := workloadFor("nope", 1)
+			_, err := workloadBuilder("nope", 1)
 			return simrun.Result{}, err
 		}),
 	}

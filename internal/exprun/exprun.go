@@ -87,9 +87,6 @@ func New(workers int) *Pool {
 	return &Pool{workers: workers}
 }
 
-// Workers reports the pool width.
-func (p *Pool) Workers() int { return p.workers }
-
 // Run executes every cell and returns their results in cell order. With
 // workers == 1 (or a single cell) it runs inline on the caller's goroutine —
 // exactly the sequential path. Otherwise min(workers, len(cells))

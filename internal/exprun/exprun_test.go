@@ -146,14 +146,14 @@ func TestRunEmptyAndSingle(t *testing.T) {
 }
 
 func TestNewDefaultsToGOMAXPROCS(t *testing.T) {
-	if w := New(0).Workers(); w != runtime.GOMAXPROCS(0) {
-		t.Fatalf("New(0).Workers() = %d, want GOMAXPROCS %d", w, runtime.GOMAXPROCS(0))
+	if w := New(0).workers; w != runtime.GOMAXPROCS(0) {
+		t.Fatalf("New(0).workers = %d, want GOMAXPROCS %d", w, runtime.GOMAXPROCS(0))
 	}
-	if w := New(-3).Workers(); w != runtime.GOMAXPROCS(0) {
-		t.Fatalf("New(-3).Workers() = %d, want GOMAXPROCS", w)
+	if w := New(-3).workers; w != runtime.GOMAXPROCS(0) {
+		t.Fatalf("New(-3).workers = %d, want GOMAXPROCS", w)
 	}
-	if w := New(5).Workers(); w != 5 {
-		t.Fatalf("New(5).Workers() = %d, want 5", w)
+	if w := New(5).workers; w != 5 {
+		t.Fatalf("New(5).workers = %d, want 5", w)
 	}
 }
 

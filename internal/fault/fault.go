@@ -203,29 +203,11 @@ func (d *Detector) Stop(node string) {
 	d.dropAdaptive(node)
 }
 
-// Failed reports whether node was declared failed.
-func (d *Detector) Failed(node string) bool { return d.declared[node] }
-
 // Suspected reports whether node is currently suspected (missed at least
 // one deadline but not yet declared).
 func (d *Detector) Suspected(node string) bool {
 	w, ok := d.nodes[node]
 	return ok && w.missed > 0
-}
-
-// State returns the node's current liveness state (Alive for unknown
-// nodes — an unwatched node has given no cause for suspicion).
-func (d *Detector) State(node string) NodeState {
-	if d.declared[node] {
-		return Declared
-	}
-	if d.Suspected(node) {
-		return Suspect
-	}
-	if d.SlowSuspected(node) {
-		return SlowSuspect
-	}
-	return Alive
 }
 
 // Transitions returns a copy of every recorded suspect/declare/recover

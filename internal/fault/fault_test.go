@@ -7,6 +7,19 @@ import (
 	"frieda/internal/sim"
 )
 
+// stateOf returns node's liveness state (Alive for an unwatched node).
+func stateOf(d *Detector, node string) NodeState {
+	switch {
+	case d.declared[node]:
+		return Declared
+	case d.Suspected(node):
+		return Suspect
+	case d.SlowSuspected(node):
+		return SlowSuspect
+	}
+	return Alive
+}
+
 func TestDetectorDeclaresOnSilence(t *testing.T) {
 	eng := sim.NewEngine()
 	var failed []string
@@ -20,7 +33,7 @@ func TestDetectorDeclaresOnSilence(t *testing.T) {
 	if len(failed) != 1 || failed[0] != "w1" {
 		t.Fatalf("failed = %v, want [w1]", failed)
 	}
-	if !d.Failed("w1") || d.Failed("w0") {
+	if !d.declared["w1"] || d.declared["w0"] {
 		t.Fatal("Failed() state wrong")
 	}
 	// w0 eventually fails after its last heartbeat + timeout = 22.
@@ -70,12 +83,12 @@ func TestDetectorRewatchAfterDeclareClearsState(t *testing.T) {
 	d := NewDetectorK(eng, 5, 1, func(n string) { failed = append(failed, n) })
 	d.Watch("w0")
 	eng.RunUntil(10)
-	if len(failed) != 1 || !d.Failed("w0") {
+	if len(failed) != 1 || !d.declared["w0"] {
 		t.Fatalf("setup: failed = %v", failed)
 	}
 	// A replacement worker boots with the same name.
 	d.Watch("w0")
-	if d.Failed("w0") {
+	if d.declared["w0"] {
 		t.Fatal("re-watched node still declared")
 	}
 	// Its heartbeats must count again: beat every 3 s through t=28, then
@@ -108,7 +121,7 @@ func TestDetectorSuspectConfirmLadder(t *testing.T) {
 	if trs := d.Transitions(); len(trs) != 1 || trs[0].State != Suspect || len(failed) != 0 {
 		t.Fatalf("after one miss: transitions %v failed %v", trs, failed)
 	}
-	if !d.Suspected("w0") || d.State("w0") != Suspect {
+	if !d.Suspected("w0") || stateOf(d, "w0") != Suspect {
 		t.Fatal("state not Suspect after one miss")
 	}
 	// A heartbeat while suspect clears the suspicion.
@@ -116,16 +129,16 @@ func TestDetectorSuspectConfirmLadder(t *testing.T) {
 	if trs := d.Transitions(); d.Suspected("w0") || len(trs) != 2 || trs[1].State != Alive {
 		t.Fatalf("heartbeat did not clear suspicion (transitions %v)", trs)
 	}
-	if d.State("w0") != Alive {
+	if stateOf(d, "w0") != Alive {
 		t.Fatal("state not Alive after recovery")
 	}
 	// Full silence after the t=10 heartbeat: misses at 20, 30, 40 ->
 	// declared on the third.
 	eng.RunUntil(100)
-	if len(failed) != 1 || !d.Failed("w0") {
+	if len(failed) != 1 || !d.declared["w0"] {
 		t.Fatalf("failed = %v", failed)
 	}
-	if d.State("w0") != Declared {
+	if stateOf(d, "w0") != Declared {
 		t.Fatal("state not Declared")
 	}
 	// Transition log: suspect, recover, suspect, declared.

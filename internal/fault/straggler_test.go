@@ -126,7 +126,7 @@ func TestAdaptiveSlowSuspectViaWatermarks(t *testing.T) {
 	if !d.SlowSuspected("w0") || len(suspected) != 1 || suspected[0] != "w0" {
 		t.Fatalf("w0 not slow-suspected: %v", suspected)
 	}
-	if got := d.State("w0"); got != SlowSuspect {
+	if got := stateOf(d, "w0"); got != SlowSuspect {
 		t.Fatalf("State(w0) = %v", got)
 	}
 	if got := d.SlowSuspects(); len(got) != 1 || got[0] != "w0" {
@@ -211,7 +211,7 @@ func TestAdaptiveDropOnDeclare(t *testing.T) {
 	eng.Schedule(5, func() { d.Heartbeat("w1") })
 	eng.Schedule(5, func() { d.Heartbeat("w2") })
 	eng.RunUntil(50)
-	if !d.Failed("w0") {
+	if !d.declared["w0"] {
 		t.Fatal("setup: w0 not declared")
 	}
 	if d.SlowSuspected("w0") || len(d.SlowSuspects()) != 0 {

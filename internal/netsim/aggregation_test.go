@@ -78,7 +78,7 @@ func TestSolverMatchesOracle(t *testing.T) {
 		t.Helper()
 		checkedMix := wantCold < 0
 		stepRebalanced(t, eng, net, links, t.Name(), func() {
-			if checkedMix || net.ActiveFlows() == 0 {
+			if checkedMix || len(net.flows) == 0 {
 				return
 			}
 			checkedMix = true
@@ -98,8 +98,8 @@ func TestSolverMatchesOracle(t *testing.T) {
 		if !checkedMix {
 			t.Fatal("no settled event had flows in flight")
 		}
-		if net.ActiveFlows() != 0 {
-			t.Fatalf("%d flows never drained", net.ActiveFlows())
+		if len(net.flows) != 0 {
+			t.Fatalf("%d flows never drained", len(net.flows))
 		}
 	}
 
@@ -181,7 +181,7 @@ func TestSolveSteadyStateAllocs(t *testing.T) {
 		for i := range hosts {
 			hosts[i] = net.NewHost(hostName("h", i), Mbps(100), Mbps(100))
 		}
-		if got := measure(eng, net, Path(hosts[0], hosts[1], nil)); got > 2 {
+		if got := measure(eng, net, AppendPath(nil, hosts[0], hosts[1], nil)); got > 2 {
 			t.Fatalf("one start+complete allocates %v times, want <= 2", got)
 		}
 	})
@@ -236,8 +236,8 @@ func TestFoldedOracleUnderCancellation(t *testing.T) {
 		})
 	}
 	eng.Run()
-	if net.ActiveFlows() != 0 {
-		t.Fatalf("%d flows never drained", net.ActiveFlows())
+	if len(net.flows) != 0 {
+		t.Fatalf("%d flows never drained", len(net.flows))
 	}
 }
 
@@ -259,13 +259,13 @@ func TestFailLinkReratesAtItsInstant(t *testing.T) {
 	var survivor *Flow
 	rateBefore, rateAfter := -1.0, -1.0
 	eng.Schedule(0, func() {
-		net.StartFlow(100e6, Path(src, a, nil), &ends{intr: func(d float64, at sim.Time) { delivered, interruptedAt = d, at }})
-		survivor = net.StartFlow(100e6, Path(src, b, nil), onDone(func(at sim.Time) { done = at }))
+		net.StartFlow(100e6, AppendPath(nil, src, a, nil), &ends{intr: func(d float64, at sim.Time) { delivered, interruptedAt = d, at }})
+		survivor = net.StartFlow(100e6, AppendPath(nil, src, b, nil), onDone(func(at sim.Time) { done = at }))
 	})
 	eng.Schedule(1, func() {
 		net.FailLink(a.Down())
-		if interruptedAt != 1 || net.ActiveFlows() != 1 {
-			t.Fatalf("FailLink returned with the victim's owner told at %v and %d flows active", interruptedAt, net.ActiveFlows())
+		if interruptedAt != 1 || len(net.flows) != 1 {
+			t.Fatalf("FailLink returned with the victim's owner told at %v and %d flows active", interruptedAt, len(net.flows))
 		}
 		rateBefore = survivor.Rate()
 		eng.Schedule(0, func() { rateAfter = survivor.Rate() })
@@ -300,7 +300,7 @@ func TestDegradeReratesAtItsInstant(t *testing.T) {
 	var done sim.Time
 	rateAfter := -1.0
 	eng.Schedule(0, func() {
-		f = net.StartFlow(100e6, Path(src, dst, nil), onDone(func(at sim.Time) { done = at }))
+		f = net.StartFlow(100e6, AppendPath(nil, src, dst, nil), onDone(func(at sim.Time) { done = at }))
 	})
 	eng.Schedule(2, func() {
 		net.DegradeLink(dst.Down(), 0.25)

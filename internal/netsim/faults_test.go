@@ -15,7 +15,7 @@ func TestFailLinkInterruptsFlowWithDeliveredBytes(t *testing.T) {
 	// 12.5 MB over 100 Mbps = 1 s unfaulted.
 	var delivered float64
 	var at sim.Time
-	f := net.StartFlow(12.5e6, Path(src, dst, nil), &ends{
+	f := net.StartFlow(12.5e6, AppendPath(nil, src, dst, nil), &ends{
 		done: func(sim.Time) { completed = true },
 		intr: func(d float64, ts sim.Time) { delivered, at = d, ts },
 	})
@@ -73,7 +73,7 @@ func TestFailedLinkRejectsNewFlows(t *testing.T) {
 	net.FailLink(dst.Down())
 	completed := false
 	var delivered = -1.0
-	f := net.StartFlow(1e6, Path(src, dst, nil), &ends{
+	f := net.StartFlow(1e6, AppendPath(nil, src, dst, nil), &ends{
 		done: func(sim.Time) { completed = true },
 		intr: func(d float64, _ sim.Time) { delivered = d },
 	})
@@ -134,7 +134,7 @@ func TestCancelInterruptedFlowIsNoop(t *testing.T) {
 	dst := net.NewHost("dst", Mbps(100), Mbps(100))
 	interrupts := 0
 	var f *Flow
-	f = net.StartFlow(12.5e6, Path(src, dst, nil), &ends{intr: func(float64, sim.Time) {
+	f = net.StartFlow(12.5e6, AppendPath(nil, src, dst, nil), &ends{intr: func(float64, sim.Time) {
 		interrupts++
 		net.Cancel(f) // must not double-remove or re-solve with the dead flow
 	}})
@@ -143,8 +143,8 @@ func TestCancelInterruptedFlowIsNoop(t *testing.T) {
 	if interrupts != 1 {
 		t.Fatalf("interrupt callback ran %d times, want 1", interrupts)
 	}
-	if net.ActiveFlows() != 0 {
-		t.Fatalf("%d flows left on the network", net.ActiveFlows())
+	if len(net.flows) != 0 {
+		t.Fatalf("%d flows left on the network", len(net.flows))
 	}
 }
 

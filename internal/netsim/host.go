@@ -87,15 +87,12 @@ func (n *Network) NewFabric(name string, bitsPerSec float64) *Fabric {
 // Link exposes the underlying fabric link.
 func (f *Fabric) Link() *Link { return f.link }
 
-// Path returns the link path from src to dst, optionally through a fabric,
-// in a fresh slice (AppendPath). Transfers between a host and itself have
-// no network path; callers should model those with the storage layer. Path
-// panics on src == dst to surface such modelling mistakes early.
-func Path(src, dst *Host, fabric *Fabric) []*Link { return AppendPath(nil, src, dst, fabric) }
-
-// AppendPath appends Path's links to links and returns the extended slice:
-// with a buffer of MaxRoute links on the caller's stack, routing a flow or
-// scanning a route for a failed link allocates nothing.
+// AppendPath appends the link path from src to dst, optionally through a
+// fabric, to links and returns the extended slice: with a buffer of
+// MaxRoute links on the caller's stack, routing a flow or scanning a route
+// for a failed link allocates nothing. Transfers between a host and itself
+// have no network path; callers model those with the storage layer, and
+// AppendPath panics on src == dst to surface such modelling mistakes early.
 func AppendPath(links []*Link, src, dst *Host, fabric *Fabric) []*Link {
 	if src == dst {
 		panic(fmt.Sprintf("netsim: path from host %q to itself", src.name))

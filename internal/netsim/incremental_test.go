@@ -52,8 +52,8 @@ func TestIncrementalMatchesReferenceProperty(t *testing.T) {
 	for seed := int64(0); seed < topologies; seed++ {
 		eng, net, links := buildRandomChurn(seed)
 		stepRebalanced(t, eng, net, links, fmt.Sprintf("seed %d", seed), nil)
-		if net.ActiveFlows() != 0 {
-			t.Fatalf("seed %d: %d flows never finished", seed, net.ActiveFlows())
+		if len(net.flows) != 0 {
+			t.Fatalf("seed %d: %d flows never finished", seed, len(net.flows))
 		}
 	}
 }
@@ -145,7 +145,7 @@ func TestRemainingSettlesItself(t *testing.T) {
 	if got := f.Remaining(); got != 0 {
 		t.Fatalf("Remaining() = %v after completion, want 0", got)
 	}
-	if !f.Finished() {
+	if !f.finished {
 		t.Fatal("flow not finished")
 	}
 }
@@ -165,8 +165,8 @@ func TestReallocationKeepsHeapBounded(t *testing.T) {
 	for eng.Step() {
 		// Live events: at most one completion per active flow plus the
 		// not-yet-delivered start events. Dead events would exceed this.
-		if max := net.ActiveFlows() + flows; eng.Pending() > max {
-			t.Fatalf("heap holds %d events with %d active flows", eng.Pending(), net.ActiveFlows())
+		if max := len(net.flows) + flows; eng.Pending() > max {
+			t.Fatalf("heap holds %d events with %d active flows", eng.Pending(), len(net.flows))
 		}
 	}
 	if net.FlowsCompleted != flows {

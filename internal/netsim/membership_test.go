@@ -134,12 +134,12 @@ func TestMembershipUnderChurn(t *testing.T) {
 			eng.Schedule(at+sim.Duration(rng.Float64()), func() { net.SetCapacity(l, bps) })
 		}
 		stepRebalanced(t, eng, net, links, fmt.Sprintf("seed %d", seed), nil)
-		if net.ActiveFlows() != 0 {
-			t.Fatalf("seed %d: %d flows never left", seed, net.ActiveFlows())
+		if len(net.flows) != 0 {
+			t.Fatalf("seed %d: %d flows never left", seed, len(net.flows))
 		}
 		for _, l := range links {
-			if l.ActiveFlows() != 0 {
-				t.Fatalf("seed %d: link %s still lists %d flows", seed, l.Name(), l.ActiveFlows())
+			if len(l.flows) != 0 {
+				t.Fatalf("seed %d: link %s still lists %d flows", seed, l.Name(), len(l.flows))
 			}
 		}
 		completed += net.FlowsCompleted
@@ -163,7 +163,7 @@ func TestStartFlowRejectsRepeatedLink(t *testing.T) {
 			net.StartFlow(1e6, path, nil)
 		})
 	}
-	if net.ActiveFlows() != 0 || a.ActiveFlows() != 0 || b.ActiveFlows() != 0 {
+	if len(net.flows) != 0 || len(a.flows) != 0 || len(b.flows) != 0 {
 		t.Fatal("a rejected path left a flow behind")
 	}
 }

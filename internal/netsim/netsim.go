@@ -249,9 +249,6 @@ func (f *Flow) Remaining() float64 {
 // Rate returns the flow's current max-min fair rate in bits per second.
 func (f *Flow) Rate() float64 { return f.rate }
 
-// Finished reports whether the flow has completed.
-func (f *Flow) Finished() bool { return f.finished }
-
 // Delivered returns the bytes that reached the receiver so far (all of them
 // once the flow finishes) — the resume offset for an interrupted transfer.
 func (f *Flow) Delivered() float64 { return f.bytes - f.Remaining() }
@@ -706,9 +703,6 @@ func (n *Network) recycle(f *Flow) {
 func (n *Network) joined(f *Flow) bool {
 	return int(f.netPos) < len(n.flows) && n.flows[f.netPos] == f
 }
-
-// ActiveFlows returns the number of in-flight flows.
-func (n *Network) ActiveFlows() int { return len(n.flows) }
 
 // component collects the connected component of links and flows reachable
 // from the seed links (BFS alternating links → their flows → those flows'

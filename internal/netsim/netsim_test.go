@@ -205,7 +205,7 @@ func TestCancelFlow(t *testing.T) {
 	if !almost(float64(tSurvivor), 1.5) {
 		t.Fatalf("survivor finished at %v, want 1.5", tSurvivor)
 	}
-	if doomed.Finished() {
+	if doomed.finished {
 		t.Fatal("cancelled flow marked finished")
 	}
 }
@@ -259,7 +259,7 @@ func TestPathSelfPanics(t *testing.T) {
 			t.Fatal("no panic for self-path")
 		}
 	}()
-	Path(h, h, nil)
+	AppendPath(nil, h, h, nil)
 }
 
 // Property: total goodput through a single shared uplink never exceeds its
@@ -382,8 +382,8 @@ func TestCancelDuringLatency(t *testing.T) {
 	f := net.Transfer(s, d, nil, 12.5e6, func(sim.Time) { t.Fatal("cancelled flow completed") })
 	eng.Schedule(0.5, func() { net.Cancel(f) })
 	eng.Run()
-	if net.ActiveFlows() != 0 {
-		t.Fatalf("flows leaked: %d", net.ActiveFlows())
+	if len(net.flows) != 0 {
+		t.Fatalf("flows leaked: %d", len(net.flows))
 	}
 }
 
@@ -432,7 +432,7 @@ func TestFlowBottleneckFailedLink(t *testing.T) {
 	dst := net.NewHost("dst", Mbps(10), Mbps(10))
 	interrupted := false
 	var fl *Flow
-	fl = net.StartFlow(1e9, Path(src, dst, nil), &ends{intr: func(float64, sim.Time) {
+	fl = net.StartFlow(1e9, AppendPath(nil, src, dst, nil), &ends{intr: func(float64, sim.Time) {
 		if bn := fl.Bottleneck(); bn != src.Up() {
 			t.Errorf("bottleneck after failure = %v, want failed src up", bn.Name())
 		}
@@ -464,14 +464,14 @@ func TestSimultaneousFinishesSettleOnce(t *testing.T) {
 	eng.Schedule(0, func() {
 		for i := 0; i < 4; i++ {
 			dst := net.NewHost(hostName("d", i), Mbps(100), Mbps(100))
-			net.StartFlow(12.5e6, Path(src, dst, nil), onDone(func(at sim.Time) { done = append(done, at) }))
+			net.StartFlow(12.5e6, AppendPath(nil, src, dst, nil), onDone(func(at sim.Time) { done = append(done, at) }))
 		}
 		// Queued behind the instant's rebalance, which schedules the four
 		// completions at T = 4 s; the probe is then queued behind them.
 		eng.Schedule(0, func() {
 			eng.Schedule(4, func() {
 				probed = true
-				if n := net.ActiveFlows(); n != 0 {
+				if n := len(net.flows); n != 0 {
 					t.Errorf("t=%v: %d flows still active after their finish", eng.Now(), n)
 				}
 				if bps := src.Up().UtilisedBps(); bps != 0 {

@@ -16,7 +16,7 @@ func TestFlowTakenBackAfterItsEnd(t *testing.T) {
 	dst := net.NewHost("dst", Mbps(100), Mbps(100))
 	var first *Flow
 	var id uint64
-	first = net.StartFlow(1e6, Path(src, dst, nil), &ends{done: func(sim.Time) {
+	first = net.StartFlow(1e6, AppendPath(nil, src, dst, nil), &ends{done: func(sim.Time) {
 		if first.free {
 			t.Error("flow taken back before its owner's FlowDone returned")
 		}
@@ -26,14 +26,14 @@ func TestFlowTakenBackAfterItsEnd(t *testing.T) {
 	if !first.free {
 		t.Fatal("finished flow not taken back")
 	}
-	second := net.StartFlow(1e6, Path(src, dst, nil), &ends{})
+	second := net.StartFlow(1e6, AppendPath(nil, src, dst, nil), &ends{})
 	if second != first || second.ID() == id || second.free {
 		t.Fatalf("next flow is %p id %d (free %v), want the taken-back record %p under a new id", second, second.ID(), second.free, first)
 	}
 	eng.Run()
-	silent := net.StartFlow(1e6, Path(src, dst, nil), nil)
+	silent := net.StartFlow(1e6, AppendPath(nil, src, dst, nil), nil)
 	eng.Run()
-	if silent.free || !silent.Finished() {
+	if silent.free || !silent.finished {
 		t.Fatal("ownerless flow taken back")
 	}
 }
@@ -47,17 +47,17 @@ func TestFlowReleaseInvariants(t *testing.T) {
 	src := net.NewHost("src", Mbps(100), Mbps(100))
 	dst := net.NewHost("dst", Mbps(100), Mbps(100))
 
-	joined := net.StartFlow(1e6, Path(src, dst, nil), &ends{})
+	joined := net.StartFlow(1e6, AppendPath(nil, src, dst, nil), &ends{})
 	mustPanic(t, "taking back a joined flow", func() { net.recycle(joined) })
 	net.Cancel(joined)
 
 	src.Up().SetLatency(0.5)
-	delayed := net.StartFlow(1e6, Path(src, dst, nil), &ends{})
+	delayed := net.StartFlow(1e6, AppendPath(nil, src, dst, nil), &ends{})
 	mustPanic(t, "taking back a flow in its latency delay", func() { net.recycle(delayed) })
 	eng.Run()
 	src.Up().SetLatency(0)
 
-	ended := net.StartFlow(1e6, Path(src, dst, nil), &ends{})
+	ended := net.StartFlow(1e6, AppendPath(nil, src, dst, nil), &ends{})
 	eng.Run()
 	mustPanic(t, "an event of a flow taken back", ended.Fire)
 	mustPanic(t, "Cancel of a flow taken back", func() { net.Cancel(ended) })
@@ -75,20 +75,20 @@ func TestCancelBeforeReportIsFinal(t *testing.T) {
 	owner := &ends{done: func(sim.Time) { heard++ }, intr: func(float64, sim.Time) { heard++ }}
 
 	net.FailLink(src.Up())
-	born := net.StartFlow(1e6, Path(src, dst, nil), owner)
+	born := net.StartFlow(1e6, AppendPath(nil, src, dst, nil), owner)
 	net.Cancel(born) // interrupted at birth; the report is one event away
-	empty := net.StartFlow(0, Path(src, dst, nil), owner)
+	empty := net.StartFlow(0, AppendPath(nil, src, dst, nil), owner)
 	net.Cancel(empty) // finished at birth; the report is one event away
 	eng.Run()
 	net.RestoreLink(src.Up())
 
 	// Two flows die in one FailLink; the first one's owner cancels the second.
 	var second *Flow
-	first := net.StartFlow(1e6, Path(src, dst, nil), &ends{intr: func(float64, sim.Time) {
+	first := net.StartFlow(1e6, AppendPath(nil, src, dst, nil), &ends{intr: func(float64, sim.Time) {
 		heard++
 		net.Cancel(second)
 	}})
-	second = net.StartFlow(1e6, Path(src, dst, nil), owner)
+	second = net.StartFlow(1e6, AppendPath(nil, src, dst, nil), owner)
 	eng.Schedule(0.01, func() { net.FailLink(dst.Down()) })
 	eng.Run()
 	if heard != 1 {

@@ -262,7 +262,7 @@ func TestTreeDegenerateMatchesFlat(t *testing.T) {
 		flatHosts[i] = flatNet.NewHost(hostName("h", i), Mbps(100), Mbps(100))
 	}
 	flat := runTreeChurn(t, flatNet, flatEng, netLinks(nil, flatHosts), func(_, s, d int) []*Link {
-		return Path(flatHosts[s], flatHosts[d], nil)
+		return AppendPath(nil, flatHosts[s], flatHosts[d], nil)
 	}, 7, nHosts, nFlows)
 
 	treeEng := sim.NewEngine()
@@ -337,7 +337,7 @@ func TestTreeOversubscribedMatchesOracle(t *testing.T) {
 		})
 	}
 	eng.Run()
-	if net.ActiveFlows() != 0 {
-		t.Fatalf("%d flows never drained", net.ActiveFlows())
+	if len(net.flows) != 0 {
+		t.Fatalf("%d flows never drained", len(net.flows))
 	}
 }

@@ -168,22 +168,6 @@ func NewRecorder(eng *sim.Engine) *Recorder {
 // Enabled reports whether the recorder records (false for nil).
 func (r *Recorder) Enabled() bool { return r != nil }
 
-// Nodes and Edges report graph sizes (0 for nil).
-func (r *Recorder) Nodes() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.nodes)
-}
-
-// Edges reports the recorded edge count (0 for nil).
-func (r *Recorder) Edges() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.edges)
-}
-
 // At records a node labelled label at the current virtual time.
 func (r *Recorder) At(label string) NodeID {
 	if r == nil {

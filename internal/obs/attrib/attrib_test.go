@@ -26,9 +26,6 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 	r.edgeSplit(0, 1, Compute, 1, "")
 	r.ObserveTaskSec(1)
 	r.ObserveTransferSec(1)
-	if r.Nodes() != 0 || r.Edges() != 0 {
-		t.Fatal("nil recorder has size")
-	}
 	if rep := r.Solve(0, 1); rep != nil {
 		t.Fatalf("nil Solve returned %v", rep)
 	}
@@ -157,11 +154,11 @@ func TestBackwardEdgeDropped(t *testing.T) {
 	a := r.NodeAt(10, "late")
 	b := r.NodeAt(5, "early")
 	r.Edge(a, b, Compute, "") // backward: dropped
-	if r.Edges() != 0 {
+	if len(r.edges) != 0 {
 		t.Fatalf("backward edge recorded")
 	}
 	r.Edge(b, a, Compute, "")
-	if r.Edges() != 1 {
+	if len(r.edges) != 1 {
 		t.Fatalf("forward edge dropped")
 	}
 }

@@ -10,7 +10,7 @@ import (
 	"frieda/internal/sim"
 )
 
-// Metrics is a registry of counters, gauges, and histograms sampled on a
+// Metrics is a registry of gauges and histograms sampled on a
 // virtual-time ticker into a time series. Like the Tracer, a nil *Metrics
 // disables everything at the cost of one branch, and sampling is read-only:
 // the ticker schedules engine events but never changes simulation behaviour
@@ -35,12 +35,10 @@ type Metrics struct {
 	tickFn func()
 }
 
-// metricCol is one time-series column: a cumulative counter (gauge == nil)
-// or a gauge sampled by calling gauge().
+// metricCol is one time-series column: a gauge sampled by calling gauge().
 type metricCol struct {
-	name    string
-	counter float64
-	gauge   func() float64
+	name  string
+	gauge func() float64
 }
 
 // sampleRow is one sampled instant. vals is indexed by column registration
@@ -72,40 +70,6 @@ func NewMetrics(eng *sim.Engine, name string, periodSec float64) *Metrics {
 
 // Enabled reports whether the registry records (false for nil).
 func (m *Metrics) Enabled() bool { return m != nil }
-
-// Name returns the registry's run label ("" for nil).
-func (m *Metrics) Name() string {
-	if m == nil {
-		return ""
-	}
-	return m.name
-}
-
-// Counter registers (or returns the existing) cumulative counter column.
-// The zero Counter — including every Counter from a nil registry — ignores
-// Add/Inc, so callers hold Counters unconditionally and pay one branch.
-func (m *Metrics) Counter(name string) Counter {
-	if m == nil {
-		return Counter{}
-	}
-	if c, ok := m.byName[name]; ok {
-		return Counter{c}
-	}
-	c := &metricCol{name: name}
-	m.cols = append(m.cols, c)
-	m.byName[name] = c
-	return Counter{c}
-}
-
-// Counter is a handle to a cumulative counter column.
-type Counter struct{ c *metricCol }
-
-// Add increases the counter by v.
-func (c Counter) Add(v float64) {
-	if c.c != nil {
-		c.c.counter += v
-	}
-}
 
 // Gauge registers a gauge column sampled by calling fn at each tick. fn must
 // be read-only and deterministic. Re-registering a name replaces its fn.
@@ -225,11 +189,7 @@ func (m *Metrics) Sample() {
 	}
 	vals := make([]float64, len(m.cols))
 	for i, c := range m.cols {
-		if c.gauge != nil {
-			vals[i] = c.gauge()
-		} else {
-			vals[i] = c.counter
-		}
+		vals[i] = c.gauge()
 	}
 	m.rows = append(m.rows, sampleRow{ts: m.eng.Now(), vals: vals})
 }
@@ -275,14 +235,6 @@ func (m *Metrics) StopSampling() {
 		return
 	}
 	m.Sample()
-}
-
-// Rows reports how many samples were taken.
-func (m *Metrics) Rows() int {
-	if m == nil {
-		return 0
-	}
-	return len(m.rows)
 }
 
 // formatMetric renders a value with the shortest round-trippable

@@ -14,44 +14,12 @@ func TestNilMetricsIsNoOp(t *testing.T) {
 	if m.Enabled() {
 		t.Fatal("nil metrics reports enabled")
 	}
-	if m.Name() != "" || m.Rows() != 0 {
-		t.Fatal("nil metrics accessors not zero")
-	}
-	c := m.Counter("tasks")
-	c.Add(1)
-	c.Add(5)
 	m.Gauge("queue", func() float64 { return 1 })
 	h := m.Histogram("sec", []float64{1, 10})
 	h.Observe(3)
 	m.Sample()
 	m.StartSampling()
 	m.StopSampling()
-}
-
-func TestCounterAccumulates(t *testing.T) {
-	eng := sim.NewEngine()
-	m := NewMetrics(eng, "run", 10)
-	c := m.Counter("tasks")
-	c.Add(1)
-	c.Add(2)
-	m.Sample()
-	c.Add(1)
-	m.Sample()
-
-	var buf bytes.Buffer
-	if err := WriteMetricsCSV(&buf, m); err != nil {
-		t.Fatalf("WriteMetricsCSV: %v", err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	want := []string{"run,t_sec,tasks", "run,0,3", "run,0,4"}
-	if len(lines) != len(want) {
-		t.Fatalf("got %d lines, want %d:\n%s", len(lines), len(want), buf.String())
-	}
-	for i := range want {
-		if lines[i] != want[i] {
-			t.Fatalf("line %d = %q, want %q", i, lines[i], want[i])
-		}
-	}
 }
 
 func TestSamplingTickerStartsAndStops(t *testing.T) {
@@ -63,14 +31,14 @@ func TestSamplingTickerStartsAndStops(t *testing.T) {
 	end := eng.Run()
 	// Samples at 0, 5, 10 from the ticker plus the final one at 12; the
 	// ticker must be disarmed after Stop or Run would never drain.
-	if m.Rows() != 4 {
-		t.Fatalf("got %d samples, want 4", m.Rows())
+	if len(m.rows) != 4 {
+		t.Fatalf("got %d samples, want 4", len(m.rows))
 	}
 	if end != 12 {
 		t.Fatalf("engine drained at %v, want 12 (ticker still armed?)", end)
 	}
 	m.StopSampling() // stopping again is a no-op
-	if m.Rows() != 4 {
+	if len(m.rows) != 4 {
 		t.Fatal("double Stop took an extra sample")
 	}
 }
@@ -78,9 +46,9 @@ func TestSamplingTickerStartsAndStops(t *testing.T) {
 func TestColumnsRegisteredMidRunExportEmptyCells(t *testing.T) {
 	eng := sim.NewEngine()
 	m := NewMetrics(eng, "r", 10)
-	m.Counter("a").Add(1)
+	m.Gauge("a", func() float64 { return 1 })
 	m.Sample()
-	m.Counter("late").Add(7)
+	m.Gauge("late", func() float64 { return 7 })
 	m.Sample()
 
 	var buf bytes.Buffer
@@ -99,10 +67,10 @@ func TestColumnsRegisteredMidRunExportEmptyCells(t *testing.T) {
 func TestMetricsCSVUnionAcrossRuns(t *testing.T) {
 	eng := sim.NewEngine()
 	m1 := NewMetrics(eng, "one", 10)
-	m1.Counter("a").Add(1)
+	m1.Gauge("a", func() float64 { return 1 })
 	m1.Sample()
 	m2 := NewMetrics(eng, "two", 10)
-	m2.Counter("b").Add(2)
+	m2.Gauge("b", func() float64 { return 2 })
 	m2.Sample()
 
 	var buf bytes.Buffer
@@ -193,8 +161,8 @@ func TestStopSamplingOnTickBoundarySkipsDuplicate(t *testing.T) {
 	// boundary.
 	eng.Schedule(1, func() { eng.Schedule(4, m.StopSampling) })
 	eng.Run()
-	if m.Rows() != 2 {
-		t.Fatalf("got %d rows, want 2 (duplicate final sample?)", m.Rows())
+	if len(m.rows) != 2 {
+		t.Fatalf("got %d rows, want 2 (duplicate final sample?)", len(m.rows))
 	}
 	for i := 1; i < len(m.rows); i++ {
 		if m.rows[i].ts <= m.rows[i-1].ts {

@@ -12,7 +12,7 @@
 // JSON loadable in Perfetto (chrome.go) or aggregate them into phase
 // summaries (internal/trace).
 //
-// Everything is nil-safe: a nil *Tracer (and nil *Span, zero Counter, nil
+// Everything is nil-safe: a nil *Tracer (and nil *Span, nil *Metrics, nil
 // *Histogram) turns every recording call into a single branch, so disabled
 // tracing changes zero behaviour and costs next to nothing. Recording never
 // schedules events, consumes randomness, or mutates simulation state, so a

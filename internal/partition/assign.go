@@ -24,22 +24,6 @@ func (a Assignment) PerWorker() [][]int {
 	return out
 }
 
-// Validate checks the assignment is complete and in range.
-func (a Assignment) Validate(groups int) error {
-	if a.Workers <= 0 {
-		return fmt.Errorf("partition: assignment with %d workers", a.Workers)
-	}
-	if len(a.Owner) != groups {
-		return fmt.Errorf("partition: assignment covers %d of %d groups", len(a.Owner), groups)
-	}
-	for g, w := range a.Owner {
-		if w < 0 || w >= a.Workers {
-			return fmt.Errorf("partition: group %d assigned to out-of-range worker %d", g, w)
-		}
-	}
-	return nil
-}
-
 // Assigner distributes groups across workers for pre-partitioning.
 type Assigner interface {
 	// Name identifies the algorithm.

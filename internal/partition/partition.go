@@ -36,15 +36,6 @@ func (g Group) Size() int64 {
 	return n
 }
 
-// Names returns the file names in group order.
-func (g Group) Names() []string {
-	out := make([]string, len(g.Files))
-	for i, f := range g.Files {
-		out[i] = f.Name
-	}
-	return out
-}
-
 // Files yields the distinct files of groups[gi] for each gi of idx, in
 // first-use order: what a pre-partitioned share stages.
 func Files(groups []Group, idx []int) iter.Seq[catalog.FileMeta] {

@@ -72,10 +72,6 @@ func (w *Worker[H]) Live() bool { return !w.Dead && !w.Draining }
 // InFlight is the worker's groups in flight, in group order, for reading.
 func (w *Worker[H]) InFlight() []Flight[H] { return w.flight }
 
-// Window is the most groups the worker may have in flight now, clones
-// apart.
-func (w *Worker[H]) Window() int { return int(w.window) }
-
 // Handle points at the executor's handle on group gi (the zero H until it
 // writes one) until w's list next changes; nil if gi is not in flight on w.
 func (w *Worker[H]) Handle(gi int) *H {

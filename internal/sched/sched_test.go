@@ -362,8 +362,8 @@ func TestStartSizesWindowFromGroups(t *testing.T) {
 		l.Start(strategy.RealTimeRemote, len(groups), func() []partition.Group { return groups }, nil)
 		l.Join(joiner, 2)
 		for _, w := range []*Worker[int]{w, joiner} {
-			if w.Window() != 2 || l.Ceiling(w) != tc.ceiling || l.growing != (tc.ceiling > 2) {
-				t.Errorf("groups of %d bytes: window %d, ceiling %d, growing %v; want 2, %d", tc.size, w.Window(), l.Ceiling(w), l.growing, tc.ceiling)
+			if int(w.window) != 2 || l.Ceiling(w) != tc.ceiling || l.growing != (tc.ceiling > 2) {
+				t.Errorf("groups of %d bytes: window %d, ceiling %d, growing %v; want 2, %d", tc.size, int(w.window), l.Ceiling(w), l.growing, tc.ceiling)
 			}
 		}
 	}
@@ -714,7 +714,7 @@ func FuzzLedger(f *testing.F) {
 		windowsOf := func() []int {
 			var ws []int
 			for _, w := range workers {
-				ws = append(ws, w.Window())
+				ws = append(ws, int(w.window))
 			}
 			return ws
 		}
@@ -903,11 +903,11 @@ func FuzzLedger(f *testing.F) {
 				if !w.Live() {
 					continue
 				}
-				if win := w.Window(); win < int(w.slots) || win > l.Ceiling(w) {
+				if win := int(w.window); win < int(w.slots) || win > l.Ceiling(w) {
 					t.Fatalf("worker %d: window %d outside [%d, %d]", wi, win, w.slots, l.Ceiling(w))
 				}
-				if l.per > 0 && w.Window() != int(w.slots*l.per) {
-					t.Fatalf("worker %d: window %d, not %d per slot on %d slots", wi, w.Window(), l.per, w.slots)
+				if l.per > 0 && int(w.window) != int(w.slots*l.per) {
+					t.Fatalf("worker %d: window %d, not %d per slot on %d slots", wi, int(w.window), l.per, w.slots)
 				}
 			}
 			if live != l.Live() || arrived != l.Arrived() || l.windows != windows(nil) {

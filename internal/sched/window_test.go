@@ -75,10 +75,10 @@ func (p pipe) run(t *testing.T, n, prefetch int, size int64) piped {
 				if !ok {
 					break
 				}
-				if w.Window() > 1 {
+				if int(w.window) > 1 {
 					past++
 				}
-				res.deepest = max(res.deepest, w.Window())
+				res.deepest = max(res.deepest, int(w.window))
 				free[wi] = max(now+p.rtt/2, free[wi]) + p.cost[wi]
 				heap.Push(&h, landing{free[wi] + p.rtt/2, wi, gi})
 			}

@@ -96,7 +96,7 @@ func attribScenarios() []attribScenario {
 			cfg.NetFaults = &NetFaultConfig{Resume: true}
 			cfg.Durability = &DurabilityConfig{
 				RF: 2, ScanPeriodSec: 1, MaxConcurrentRepairs: 3,
-				EvacuateSource: true, Verify: true, CorruptionRate: 0.3, Seed: 17,
+				EvacuateSource: true, CorruptionRate: 0.3, Seed: 17,
 			}
 			o.attach(eng, cluster, &cfg)
 			wl := Workload{Name: "w", Tasks: uniformTasks(16, 2.0, 5_000_000)}

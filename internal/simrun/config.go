@@ -150,12 +150,15 @@ type DurabilityConfig struct {
 	// is the durable store and replication is what stands between a worker
 	// death and data loss. The common dataset is never evacuated.
 	EvacuateSource bool
-	// Verify enables checksum verification on transfer arrival; a mismatch
-	// triggers a refetch from the next-best replica. Corruption injection
-	// requires Verify (silent corruption is out of the model).
+	// Verify does nothing: every arrival is verified against its checksum,
+	// so CorruptionRate alone turns corruption on. It remains only because
+	// bench/probes.go:421 sets it and a change to simrun may not edit
+	// bench/; the benchmark change (ROADMAP item 1) removes that setting and
+	// this field. Nothing else may set it.
 	Verify bool
 	// CorruptionRate is the probability a transfer arriving over a
-	// currently-degraded link delivers a corrupt payload.
+	// currently-degraded link delivers a corrupt payload, which verification
+	// on arrival catches and refetches from the next-best replica.
 	CorruptionRate float64
 	// Seed drives the corruption and disk-read-error draws. Draws happen
 	// only when a fault condition is present, so fault-free runs consume no
@@ -289,9 +292,6 @@ func (cfg *Config) normalize(n int) error {
 	if d := cfg.Durability; d != nil {
 		if d.CorruptionRate < 0 || d.CorruptionRate > 1 {
 			return fmt.Errorf("simrun: corruption rate %v outside [0,1]", d.CorruptionRate)
-		}
-		if d.CorruptionRate > 0 && !d.Verify {
-			return fmt.Errorf("simrun: corruption injection requires Verify (silent corruption is out of the model)")
 		}
 	}
 	if cfg.Gray != nil && cfg.Detection == nil {

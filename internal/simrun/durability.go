@@ -175,11 +175,11 @@ func (d *durabilityHook) fetched(att *taskAttempt, i int) {
 }
 
 // corrupt draws whether a payload arriving at w from `from` is corrupt: only
-// with verification on and only across a path with a link running below
-// its provisioned rate at arrival time.
+// across a path with a link running below its provisioned rate at arrival
+// time.
 func (d *durabilityHook) corrupt(from *cloud.VM, w *simWorker) bool {
 	var route [netsim.MaxRoute]*netsim.Link
-	return d.cfg.Verify && d.cfg.CorruptionRate > 0 &&
+	return d.cfg.CorruptionRate > 0 &&
 		slices.ContainsFunc(d.r.cluster.AppendTransferPath(route[:0], from, w.vm), (*netsim.Link).Degraded) &&
 		d.rng.Float64() < d.cfg.CorruptionRate
 }

@@ -33,10 +33,8 @@ func TestDurabilityConfigValidation(t *testing.T) {
 	_, cluster, vms := newTestCluster(t, 1)
 	wl := Workload{Name: "x", Tasks: uniformTasks(1, 1, 1)}
 	bad := []Config{
-		{Strategy: strategy.RealTimeRemote, Durability: &DurabilityConfig{RF: 2, CorruptionRate: -0.1, Verify: true}},
-		{Strategy: strategy.RealTimeRemote, Durability: &DurabilityConfig{RF: 2, CorruptionRate: 1.5, Verify: true}},
-		// Injecting corruption without verification would be silent loss.
-		{Strategy: strategy.RealTimeRemote, Durability: &DurabilityConfig{RF: 2, CorruptionRate: 0.1}},
+		{Strategy: strategy.RealTimeRemote, Durability: &DurabilityConfig{RF: 2, CorruptionRate: -0.1}},
+		{Strategy: strategy.RealTimeRemote, Durability: &DurabilityConfig{RF: 2, CorruptionRate: 1.5}},
 		// Read-only tiers cannot host worker scratch space.
 		{Strategy: strategy.RealTimeRemote, Storage: &storage.DefaultImageBaked},
 	}
@@ -46,7 +44,7 @@ func TestDurabilityConfigValidation(t *testing.T) {
 		}
 	}
 	// Defaults are filled on a private copy, not the caller's struct.
-	dc := &DurabilityConfig{RF: 2, Verify: true}
+	dc := &DurabilityConfig{RF: 2}
 	cfg := Config{Strategy: strategy.RealTimeRemote, Durability: dc}
 	if _, err := NewRunner(cluster, vms[0], cfg, wl); err != nil {
 		t.Fatal(err)
@@ -64,7 +62,7 @@ func TestDurabilityFaultFreeMatchesBaseline(t *testing.T) {
 		_, cluster, vms := newTestCluster(t, 1)
 		cfg := rtRemote()
 		if durable {
-			cfg.Durability = &DurabilityConfig{RF: 1, Verify: true, Seed: 7}
+			cfg.Durability = &DurabilityConfig{RF: 1, Seed: 7}
 		}
 		wl := Workload{Name: "w", Tasks: uniformTasks(12, 2.0, 12_500_000)}
 		return runOn(t, cluster, vms[0], vms[1:], cfg, wl)
@@ -86,7 +84,7 @@ func TestRepairRestoresReplicationFactor(t *testing.T) {
 	cfg := rtRemote()
 	cfg.Durability = &DurabilityConfig{
 		RF: 2, ScanPeriodSec: 1, MaxConcurrentRepairs: 4,
-		EvacuateSource: true, Verify: true, Seed: 7,
+		EvacuateSource: true, Seed: 7,
 	}
 	wl := Workload{Name: "w", Tasks: uniformTasks(8, 10.0, 1_000_000)}
 	r, err := NewRunner(cluster, vms[0], cfg, wl)
@@ -126,7 +124,7 @@ func TestRF1LosesFilesWhereRF2Survives(t *testing.T) {
 		cfg.MaxRetries = 3
 		cfg.Durability = &DurabilityConfig{
 			RF: rf, ScanPeriodSec: 0.5, MaxConcurrentRepairs: 4,
-			EvacuateSource: true, Verify: true, Seed: 7,
+			EvacuateSource: true, Seed: 7,
 		}
 		wl := Workload{Name: "w", Tasks: uniformTasks(16, 4.0, 100_000)}
 		r, err := NewRunner(cluster, vms[0], cfg, wl)
@@ -161,7 +159,7 @@ func TestCorruptionRefetchesFromCleanPath(t *testing.T) {
 	// arrival and the refetch — after the link heals — succeeds.
 	eng, cluster, vms := newTestCluster(t, 1)
 	cfg := rtRemote()
-	cfg.Durability = &DurabilityConfig{RF: 1, Verify: true, CorruptionRate: 1, Seed: 7}
+	cfg.Durability = &DurabilityConfig{RF: 1, CorruptionRate: 1, Seed: 7}
 	wl := Workload{Name: "one", Tasks: uniformTasks(1, 1.0, 12_500_000)}
 	net := cluster.Network()
 	// 1 s transfer at full rate, 2 s at half: degrade over the arrival, heal
@@ -186,7 +184,7 @@ func TestCorruptionExhaustsRefetchBudget(t *testing.T) {
 	// retries the task fails rather than looping forever.
 	_, cluster, vms := newTestCluster(t, 1)
 	cfg := rtRemote()
-	cfg.Durability = &DurabilityConfig{RF: 1, Verify: true, CorruptionRate: 1, Seed: 7}
+	cfg.Durability = &DurabilityConfig{RF: 1, CorruptionRate: 1, Seed: 7}
 	wl := Workload{Name: "one", Tasks: uniformTasks(1, 1.0, 1_000_000)}
 	cluster.Network().DegradeLink(vms[1].Host().Down(), 0.5)
 	res := runOn(t, cluster, vms[0], vms[1:2], cfg, wl)
@@ -205,7 +203,7 @@ func TestDiskReadErrorFailsAttempt(t *testing.T) {
 	_, cluster, vms := newTestCluster(t, 1)
 	cfg := rtRemote()
 	cfg.ModelDiskIO = true // read errors surface on the modelled read path
-	cfg.Durability = &DurabilityConfig{RF: 1, Verify: true, Seed: 7}
+	cfg.Durability = &DurabilityConfig{RF: 1, Seed: 7}
 	wl := Workload{Name: "w", Tasks: uniformTasks(2, 1.0, 1_000_000)}
 	r, err := NewRunner(cluster, vms[0], cfg, wl)
 	if err != nil {
@@ -230,7 +228,7 @@ func TestDiskDeathRestagesCommonData(t *testing.T) {
 	cfg := rtRemote()
 	cfg.Recover = true
 	cfg.MaxRetries = 3
-	cfg.Durability = &DurabilityConfig{RF: 1, ScanPeriodSec: 1, Verify: true, Seed: 7}
+	cfg.Durability = &DurabilityConfig{RF: 1, ScanPeriodSec: 1, Seed: 7}
 	wl := Workload{Name: "w", Tasks: uniformTasks(12, 2.0, 100_000), CommonBytes: 12_500_000}
 	r, err := NewRunner(cluster, vms[0], cfg, wl)
 	if err != nil {
@@ -264,7 +262,7 @@ func TestDurabilityChaosRunsAreDeterministic(t *testing.T) {
 		cfg.NetFaults = &NetFaultConfig{Resume: true}
 		cfg.Durability = &DurabilityConfig{
 			RF: 2, ScanPeriodSec: 1, MaxConcurrentRepairs: 3,
-			EvacuateSource: true, Verify: true, CorruptionRate: 0.3, Seed: 17,
+			EvacuateSource: true, CorruptionRate: 0.3, Seed: 17,
 		}
 		wl := Workload{Name: "w", Tasks: uniformTasks(16, 2.0, 5_000_000)}
 		linkInj := cluster.InjectLinkFaults(vms[1:], netsim.FaultOptions{
@@ -307,7 +305,7 @@ func TestRepairThrottledByBudget(t *testing.T) {
 	cfg := rtRemote()
 	cfg.Durability = &DurabilityConfig{
 		RF: 3, ScanPeriodSec: 0.5, MaxConcurrentRepairs: 1,
-		EvacuateSource: true, Verify: true, Seed: 7,
+		EvacuateSource: true, Seed: 7,
 	}
 	wl := Workload{Name: "w", Tasks: uniformTasks(9, 5.0, 2_000_000)}
 	r, err := NewRunner(cluster, vms[0], cfg, wl)
@@ -356,7 +354,7 @@ func fullBudgetRepair(tb testing.TB, n int) *durabilityHook {
 	eng := sim.NewEngine()
 	cluster, vms := cloud.Default4VMCluster(eng, 1)
 	cfg := rtRemote()
-	cfg.Durability = &DurabilityConfig{RF: 2, MaxConcurrentRepairs: 4, Verify: true, Seed: 7}
+	cfg.Durability = &DurabilityConfig{RF: 2, MaxConcurrentRepairs: 4, Seed: 7}
 	wl := Workload{Name: "w", Tasks: uniformTasks(n, 1, 1<<20)}
 	r, err := NewRunner(cluster, vms[0], cfg, wl)
 	if err != nil {

@@ -184,7 +184,7 @@ func TestAmnesiaLosesEvacuatedFilesJournalKeepsThem(t *testing.T) {
 		cfg.MaxRetries = 3
 		cfg.Durability = &DurabilityConfig{
 			RF: 2, ScanPeriodSec: 0.5, MaxConcurrentRepairs: 4,
-			EvacuateSource: true, Verify: true, Seed: 7,
+			EvacuateSource: true, Seed: 7,
 		}
 		cfg.Master = &MasterConfig{Journal: journal}
 		// Two waves on 3 workers x 4 cores: wave 1's files are evacuated and
@@ -226,7 +226,7 @@ func TestJournaledMasterChaosHoldsInvariants(t *testing.T) {
 		// journaled, and this test is about invariants that must never bend.
 		cfg.Durability = &DurabilityConfig{
 			RF: 2, ScanPeriodSec: 0.5, MaxConcurrentRepairs: 3,
-			Verify: true, Seed: 17,
+			Seed: 17,
 		}
 		cfg.Master = &MasterConfig{
 			Journal: true,

@@ -66,7 +66,7 @@ func TestDiskFaultInjectorDegradeAndErrors(t *testing.T) {
 	}
 	degrades, restores := 0, 0
 	for eng.Step() && eng.Now() <= 1000 {
-		if vols[0].Degraded() {
+		if vols[0].degrade < 1 {
 			degrades++
 		} else {
 			restores++
@@ -99,10 +99,10 @@ func TestDiskFaultInjectorDeterminism(t *testing.T) {
 		slow := make([]bool, len(vols))
 		for eng.Step() && eng.Now() <= 5000 {
 			for i, v := range vols {
-				if v.Degraded() && !slow[i] {
+				if v.degrade < 1 && !slow[i] {
 					g++
 				}
-				slow[i] = v.Degraded()
+				slow[i] = v.degrade < 1
 			}
 		}
 		inj.Stop()

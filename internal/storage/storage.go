@@ -191,12 +191,6 @@ func MustVolume(name string, spec Spec) *Volume {
 	return v
 }
 
-// Name returns the volume name.
-func (v *Volume) Name() string { return v.name }
-
-// Spec returns the tier spec.
-func (v *Volume) Spec() Spec { return v.spec }
-
 // Read models reading n bytes and returns the duration, scaled by the
 // current degrade factor.
 func (v *Volume) Read(n float64) sim.Duration {
@@ -237,9 +231,6 @@ func (v *Volume) Degrade(factor float64) {
 
 // Restore returns the volume to full bandwidth.
 func (v *Volume) Restore() { v.degrade = 1 }
-
-// Degraded reports whether the volume is running below full bandwidth.
-func (v *Volume) Degraded() bool { return v.degrade < 1 }
 
 // SetReadErrors sets the probability that a read returns bad data. Callers
 // draw against ReadErrorRate with their own seeded RNG.

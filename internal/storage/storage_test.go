@@ -125,7 +125,7 @@ func TestVolumeFaultState(t *testing.T) {
 
 	// Degrade halves bandwidth: reads take twice as long.
 	v.Degrade(0.5)
-	if !v.Degraded() {
+	if v.degrade >= 1 {
 		t.Fatal("not degraded after Degrade")
 	}
 	if got := v.Read(100); math.Abs(float64(got)-2*float64(base)) > 1e-12 {
@@ -135,13 +135,13 @@ func TestVolumeFaultState(t *testing.T) {
 		t.Fatalf("degraded write = %v, %v, want 2s", dur, err)
 	}
 	v.Restore()
-	if v.Degraded() || v.Read(100) != base {
+	if v.degrade < 1 || v.Read(100) != base {
 		t.Fatal("Restore did not restore bandwidth")
 	}
 	// Out-of-range factors are ignored.
 	v.Degrade(0)
 	v.Degrade(1.5)
-	if v.Degraded() {
+	if v.degrade < 1 {
 		t.Fatal("out-of-range degrade factor applied")
 	}
 

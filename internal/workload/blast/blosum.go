@@ -105,16 +105,3 @@ func Encode(seq []byte) []int8 {
 	}
 	return out
 }
-
-// Decode maps alphabet indices back to ASCII.
-func Decode(enc []int8) []byte {
-	out := make([]byte, len(enc))
-	for i, v := range enc {
-		if v < 0 || int(v) >= AlphabetSize {
-			out[i] = 'X'
-			continue
-		}
-		out[i] = Alphabet[v]
-	}
-	return out
-}

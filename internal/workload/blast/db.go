@@ -70,21 +70,11 @@ func kmerKey(word []int8, k int) (uint32, bool) {
 	return key, true
 }
 
-// K returns the word size.
-func (db *DB) K() int { return db.k }
-
 // NumSequences returns the database record count.
 func (db *DB) NumSequences() int { return len(db.seqs) }
 
-// Residues returns the total residue count.
-func (db *DB) Residues() int { return db.residues }
-
 // Sequence returns record i.
 func (db *DB) Sequence(i int) Sequence { return db.seqs[i] }
-
-// Save serialises the database as FASTA (the index is rebuilt on load,
-// keeping the on-disk format tool-agnostic).
-func (db *DB) Save(w io.Writer) error { return WriteFASTA(w, db.seqs) }
 
 // LoadDB parses FASTA from r and indexes it.
 func LoadDB(r io.Reader, k int) (*DB, error) {

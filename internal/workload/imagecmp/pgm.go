@@ -33,9 +33,6 @@ func (im *Image) At(x, y int) uint8 { return im.Pix[y*im.Width+x] }
 // Set writes the pixel at (x, y).
 func (im *Image) Set(x, y int, v uint8) { im.Pix[y*im.Width+x] = v }
 
-// Bytes returns the raster size in bytes.
-func (im *Image) Bytes() int { return len(im.Pix) }
-
 // WritePGM encodes the image as binary PGM (P5, maxval 255).
 func WritePGM(w io.Writer, im *Image) error {
 	if im.Width <= 0 || im.Height <= 0 || len(im.Pix) != im.Width*im.Height {
