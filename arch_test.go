@@ -14,6 +14,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strings"
 	"sync"
@@ -34,12 +35,10 @@ var callerExempt = map[string]string{
 
 	"internal/netsim.Network.checkRatesAgainstReference": "the reference solver the allocator's tests compare every incremental rate against",
 
-	// The runtime and the workloads are outside the simulator's sweep of
-	// uncalled API; ROADMAP item 15 keeps their review open.
-	"internal/core.Controller.UpdateStrategy":    "the paper's run-time reconfiguration channel (Section II-D), which no command drives yet",
-	"internal/core.Controller.Errors":            "the controller's record of worker failures, which no command prints yet",
-	"internal/workload/blast.DB.NumSequences":    "the database's record count, which no command prints yet",
-	"internal/workload/imagecmp.SimilarWindowed": "the windowed-SSIM form of the pipeline's decision rule, beside Similar",
+	// The runtime's two survivors of the sweep of uncalled API; ROADMAP
+	// item 15 keeps their review open.
+	"internal/core.Controller.UpdateStrategy": "the paper's run-time reconfiguration channel (Section II-D), which no command drives yet",
+	"internal/core.Controller.Errors":         "the controller's record of worker failures, which no command prints yet",
 }
 
 // calledByStdlib lists the interfaces whose methods the standard library
@@ -182,6 +181,10 @@ var benchStubs = []struct{ key, pin string }{
 	{"internal/netsim.Network.SetBatched", "bench/probes.go:515"},
 	{"internal/simrun.Config.BatchSched", "bench/probes.go:415"},
 	{"internal/simrun.DurabilityConfig.Verify", "bench/probes.go:421"},
+	{"internal/catalog.Replicas.Add", "bench/probes.go:606"},
+	{"internal/catalog.Replicas.Has", "bench/probes.go:619"},
+	{"internal/catalog.Replicas.UnderReplicated", "bench/probes.go:624"},
+	{"internal/catalog.Replicas.DropNode", "bench/probes.go:626"},
 }
 
 // Each bench stub exists, and its pin names it: when bench/ stops naming a
@@ -197,6 +200,42 @@ func TestBenchStubsArePinned(t *testing.T) {
 		}
 		if !tr.namedAt(s.pin, obj) {
 			t.Errorf("%s does not name bench stub %s", s.pin, s.key)
+		}
+	}
+}
+
+// designLines is DESIGN.md's length when its ratchet landed: the document
+// may shrink, never grow, so what a change adds to it, it first takes out
+// elsewhere.
+const designLines = 2021
+
+// DESIGN.md is no longer than designLines, and every internal/<pkg> its
+// prose names exists (fenced blocks quote tool output, the standard
+// library's internal packages among it, and are skipped).
+func TestDesignDocRatchet(t *testing.T) {
+	t.Parallel()
+	data, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	if len(lines) > designLines {
+		t.Errorf("DESIGN.md has %d lines, past its ratchet of %d: say it in fewer", len(lines), designLines)
+	}
+	pkgRef := regexp.MustCompile(`\binternal/([a-z0-9_]+)`)
+	fenced := false
+	for i, line := range lines {
+		if strings.HasPrefix(line, "```") {
+			fenced = !fenced
+			continue
+		}
+		if fenced {
+			continue
+		}
+		for _, m := range pkgRef.FindAllStringSubmatch(line, -1) {
+			if st, err := os.Stat(filepath.Join("internal", m[1])); err != nil || !st.IsDir() {
+				t.Errorf("DESIGN.md:%d names %s, which does not exist", i+1, m[0])
+			}
 		}
 	}
 }

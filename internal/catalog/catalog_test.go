@@ -349,134 +349,127 @@ func TestDirSourceDotDotNames(t *testing.T) {
 }
 
 func TestReplicas(t *testing.T) {
-	r := NewReplicas()
-	r.Add("f1", "w0")
-	r.Add("f1", "w1")
-	r.Add("f2", "w1")
-	if !r.Has("f1", "w0") || r.Has("f2", "w0") {
-		t.Fatal("Has wrong")
+	r := newNamed([]string{"f1", "f2"}, []string{"w0", "w1"})
+	const f1, f2, w0, w1 = 0, 1, 0, 1
+	r.AddID(f1, w0)
+	r.AddID(f1, w1)
+	r.AddID(f2, w1)
+	if !r.HasID(f1, w0) || r.HasID(f2, w0) {
+		t.Fatal("HasID wrong")
 	}
 	if got, want := DumpReplicas(r), "replicas:\n  f1 -> [w0 w1]\n  f2 -> [w1]\n"; got != want {
 		t.Fatalf("DumpReplicas = %q, want %q", got, want)
 	}
-	r.Remove("f1", "w0")
-	if r.Has("f1", "w0") {
-		t.Fatal("Remove did not remove")
+	r.RemoveID(f1, w0)
+	if r.HasID(f1, w0) {
+		t.Fatal("RemoveID did not remove")
 	}
-	lost := r.DropNode("w1")
-	if len(lost) != 2 || lost[0] != "f1" || lost[1] != "f2" {
-		t.Fatalf("DropNode lost = %v", lost)
+	if lost := namesOf(r, r.DropNodeID(w1)); !slices.Equal(lost, []string{"f1", "f2"}) {
+		t.Fatalf("DropNodeID lost = %v", lost)
 	}
 	if got, want := DumpReplicas(r), "replicas:\n  f1 -> []\n  f2 -> []\n"; got != want {
-		t.Fatalf("after DropNode: DumpReplicas = %q, want %q", got, want)
+		t.Fatalf("after DropNodeID: DumpReplicas = %q, want %q", got, want)
 	}
-	// Removing from empty map is a no-op.
-	r.Remove("nope", "w9")
 }
 
 func TestReplicasRemoveEdgeCases(t *testing.T) {
-	r := NewReplicas()
-	r.Add("f1", "w0")
+	r := newNamed([]string{"f1", "f2"}, []string{"w0", "w1", "w2"})
+	const f1, f2, w0, w1, w2 = 0, 1, 0, 1, 2
+	r.AddID(f1, w0)
 
-	// Unknown file and unknown node: both no-ops, state intact.
-	r.Remove("ghost", "w0")
-	r.Remove("f1", "ghost")
-	if !r.Has("f1", "w0") {
-		t.Fatal("no-op Remove disturbed existing replica")
+	// A file nobody holds and a node that holds nothing: both no-ops, state
+	// intact, and the file stays unknown.
+	r.RemoveID(f2, w0)
+	r.RemoveID(f1, w1)
+	if !r.HasID(f1, w0) || DumpReplicas(r) != "replicas:\n  f1 -> [w0]\n" {
+		t.Fatalf("no-op RemoveID disturbed the map: %q", DumpReplicas(r))
 	}
 
-	// Removing the last replica must fully forget the file, not leave an
-	// empty holder set behind.
-	r.Remove("f1", "w0")
-	if got, want := DumpReplicas(r), "replicas:\n  f1 -> []\n"; r.Has("f1", "w0") || got != want {
+	// Removing the last replica leaves the file known with no holders.
+	r.RemoveID(f1, w0)
+	if got, want := DumpReplicas(r), "replicas:\n  f1 -> []\n"; r.HasID(f1, w0) || got != want {
 		t.Fatalf("last replica not removed: DumpReplicas = %q", got)
 	}
 	// The file can be re-added afterwards.
-	r.Add("f1", "w2")
+	r.AddID(f1, w2)
 	if got, want := DumpReplicas(r), "replicas:\n  f1 -> [w2]\n"; got != want {
 		t.Fatalf("re-add after last-replica removal: DumpReplicas = %q, want %q", got, want)
 	}
 }
 
 func TestReplicasDropNodeEdgeCases(t *testing.T) {
-	r := NewReplicas()
+	r := newNamed([]string{"only", "shared"}, []string{"w0", "w1", "idle"})
+	const only, shared, w0, w1, idle = 0, 1, 0, 1, 2
 
-	// Dropping an unknown node loses nothing.
-	if lost := r.DropNode("ghost"); len(lost) != 0 {
-		t.Fatalf("DropNode(ghost) lost %v", lost)
+	// Dropping a node that holds nothing loses nothing.
+	if lost := r.DropNodeID(idle); len(lost) != 0 {
+		t.Fatalf("DropNodeID(idle) lost %v", lost)
 	}
 
 	// A failed node holding the only copy: the file is lost entirely and
 	// reported, while replicated files keep their surviving holders.
-	r.Add("only", "w0")
-	r.Add("shared", "w0")
-	r.Add("shared", "w1")
-	lost := r.DropNode("w0")
-	if len(lost) != 2 || lost[0] != "only" || lost[1] != "shared" {
-		t.Fatalf("DropNode lost = %v", lost)
+	r.AddID(only, w0)
+	r.AddID(shared, w0)
+	r.AddID(shared, w1)
+	if lost := namesOf(r, r.DropNodeID(w0)); !slices.Equal(lost, []string{"only", "shared"}) {
+		t.Fatalf("DropNodeID lost = %v", lost)
 	}
 	if got, want := DumpReplicas(r), "replicas:\n  only -> []\n  shared -> [w1]\n"; got != want {
-		t.Fatalf("after DropNode: DumpReplicas = %q, want %q", got, want)
+		t.Fatalf("after DropNodeID: DumpReplicas = %q, want %q", got, want)
 	}
 
 	// Dropping the same node twice is a no-op the second time.
-	if lost := r.DropNode("w0"); len(lost) != 0 {
-		t.Fatalf("second DropNode lost %v", lost)
+	if lost := r.DropNodeID(w0); len(lost) != 0 {
+		t.Fatalf("second DropNodeID lost %v", lost)
 	}
 }
 
 func TestReplicasUnderReplicated(t *testing.T) {
-	r := NewReplicas()
-	f1 := r.RegisterFiles([]string{"f1", "f2"})
-	f2 := f1 + 1
-	r.Add("f1", "w0")
-	r.Add("f1", "w1")
-	r.Add("f2", "w0")
-	r.Add("f3", "w1")
+	r := newNamed([]string{"f1", "f2", "f3"}, []string{"w0", "w1"})
+	const f1, f2, f3, w0, w1 = 0, 1, 2, 0, 1
+	r.AddID(f1, w0)
+	r.AddID(f1, w1)
+	r.AddID(f2, w0)
+	r.AddID(f3, w1)
 
-	if ur := r.UnderReplicated(1); len(ur) != 0 {
-		t.Fatalf("UnderReplicated(1) = %v, want none", ur)
+	if ur := under(r, 1); len(ur) != 0 {
+		t.Fatalf("under(1) = %v, want none", ur)
 	}
-	ur := r.UnderReplicated(2)
-	if len(ur) != 2 || ur[0] != "f2" || ur[1] != "f3" {
-		t.Fatalf("UnderReplicated(2) = %v, want [f2 f3]", ur)
+	if ur := under(r, 2); !slices.Equal(ur, []string{"f2", "f3"}) || r.UnderCount(2) != 2 {
+		t.Fatalf("under(2) = %v, want [f2 f3]", ur)
 	}
 	// rf < 1 means no target: nothing is under it.
-	if ur := r.UnderReplicated(0); ur != nil {
-		t.Fatalf("UnderReplicated(0) = %v, want nil", ur)
+	if ur := under(r, 0); ur != nil || r.UnderCount(0) != 0 {
+		t.Fatalf("under(0) = %v, want nil", ur)
 	}
 
-	// Drop-node race: w0 dies while holding the sole copy of f2. The file's
-	// loc entry is deleted, but it must still be reported as under target —
+	// Drop-node race: w0 dies while holding the sole copy of f2. The file
+	// has no holder left, but it must still be reported as under target —
 	// a zero-replica file is the most under-replicated of all.
-	lost := r.DropNode("w0")
-	if len(lost) != 2 || lost[0] != "f1" || lost[1] != "f2" {
-		t.Fatalf("DropNode lost = %v", lost)
+	if lost := namesOf(r, r.DropNodeID(w0)); !slices.Equal(lost, []string{"f1", "f2"}) {
+		t.Fatalf("DropNodeID lost = %v", lost)
 	}
-	ur = r.UnderReplicated(1)
-	if len(ur) != 1 || ur[0] != "f2" {
-		t.Fatalf("after drop, UnderReplicated(1) = %v, want [f2]", ur)
+	if ur := under(r, 1); !slices.Equal(ur, []string{"f2"}) {
+		t.Fatalf("after drop, under(1) = %v, want [f2]", ur)
 	}
-	ur = r.UnderReplicated(2)
-	if len(ur) != 3 || ur[0] != "f1" || ur[1] != "f2" || ur[2] != "f3" {
-		t.Fatalf("after drop, UnderReplicated(2) = %v, want [f1 f2 f3]", ur)
+	if ur := under(r, 2); !slices.Equal(ur, []string{"f1", "f2", "f3"}) {
+		t.Fatalf("after drop, under(2) = %v, want [f1 f2 f3]", ur)
 	}
 	if r.CountID(f2) != 0 || r.CountID(f1) != 1 {
 		t.Fatalf("CountID(f2)=%d CountID(f1)=%d", r.CountID(f2), r.CountID(f1))
 	}
 
 	// Repairing the zero-replica file takes it back off the list.
-	r.Add("f2", "w1")
-	if ur := r.UnderReplicated(1); len(ur) != 0 {
-		t.Fatalf("after repair, UnderReplicated(1) = %v, want none", ur)
+	r.AddID(f2, w1)
+	if ur := under(r, 1); len(ur) != 0 {
+		t.Fatalf("after repair, under(1) = %v, want none", ur)
 	}
 
-	// Forget removes a permanently-lost file from future scans entirely.
-	r.DropNode("w1")
-	r.Forget("f2")
-	ur = r.UnderReplicated(1)
-	if len(ur) != 2 || ur[0] != "f1" || ur[1] != "f3" {
-		t.Fatalf("after Forget, UnderReplicated(1) = %v, want [f1 f3]", ur)
+	// ForgetID removes a permanently-lost file from future scans entirely.
+	r.DropNodeID(w1)
+	r.ForgetID(f2)
+	if ur := under(r, 1); !slices.Equal(ur, []string{"f1", "f3"}) {
+		t.Fatalf("after ForgetID, under(1) = %v, want [f1 f3]", ur)
 	}
 }
 

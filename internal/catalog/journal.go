@@ -178,6 +178,9 @@ type State struct {
 	reps *Replicas
 	evac map[string]struct{}
 	lost map[string]struct{}
+	// files and nodes are reps' ids for the names the records used: the
+	// journal speaks names, the replica map ids.
+	files, nodes map[string]int32
 	// tasks maps task id -> terminal outcome (true = succeeded). Presence
 	// is what matters for reconciliation: a task in the ledger must never
 	// be dispatched again.
@@ -189,6 +192,8 @@ func NewState() *State {
 	return &State{
 		cat:   New(),
 		reps:  NewReplicas(),
+		files: make(map[string]int32),
+		nodes: make(map[string]int32),
 		evac:  make(map[string]struct{}),
 		lost:  make(map[string]struct{}),
 		tasks: make(map[uint64]bool),
@@ -198,8 +203,9 @@ func NewState() *State {
 // Replicas exposes the state's replica map.
 func (s *State) Replicas() *Replicas { return s.reps }
 
-// Apply mutates the state per one record. Unknown ops are rejected with
-// ErrCorrupt; a duplicate OpRegister surfaces the catalog's typed error.
+// Apply mutates the state per one record; a replica record's names become
+// replica-map ids here. Unknown ops are rejected with ErrCorrupt; a
+// duplicate OpRegister surfaces the catalog's typed error.
 func (s *State) Apply(rec Record) error {
 	switch rec.Op {
 	case OpRegister:
@@ -211,15 +217,23 @@ func (s *State) Apply(rec Record) error {
 		}
 		s.cat.files[i].Checksum = rec.B
 	case OpReplicaAdd:
-		s.reps.Add(rec.File, rec.Node)
+		s.reps.AddID(s.file(rec.File), s.node(rec.Node))
 	case OpReplicaRemove:
-		s.reps.Remove(rec.File, rec.Node)
+		f, fileSeen := s.files[rec.File]
+		n, nodeSeen := s.nodes[rec.Node]
+		if fileSeen && nodeSeen {
+			s.reps.RemoveID(f, n)
+		}
 	case OpDropNode:
-		s.reps.DropNode(rec.Node)
+		if n, ok := s.nodes[rec.Node]; ok {
+			s.reps.DropNodeID(n)
+		}
 	case OpEvacuate:
 		s.evac[rec.File] = struct{}{}
 	case OpLoss:
-		s.reps.Forget(rec.File)
+		if f, ok := s.files[rec.File]; ok {
+			s.reps.ForgetID(f)
+		}
 		s.lost[rec.File] = struct{}{}
 	case OpTaskDone:
 		s.tasks[rec.A] = rec.B != 0
@@ -227,6 +241,27 @@ func (s *State) Apply(rec Record) error {
 		return corruptErr(-1, fmt.Sprintf("unknown op %d", uint8(rec.Op)))
 	}
 	return nil
+}
+
+// file and node return the replica-map id of a name, registering the name
+// on first sight. A name only a removal, a drop or a loss mentions is no
+// replica, so those records look names up and do nothing for one unseen.
+func (s *State) file(name string) int32 {
+	id, ok := s.files[name]
+	if !ok {
+		id = s.reps.RegisterFiles([]string{name})
+		s.files[name] = id
+	}
+	return id
+}
+
+func (s *State) node(name string) int32 {
+	id, ok := s.nodes[name]
+	if !ok {
+		id = s.reps.RegisterNode(name)
+		s.nodes[name] = id
+	}
+	return id
 }
 
 // Snapshot is a compacted encoding of a State: a record stream in canonical
@@ -258,7 +293,7 @@ func (s *State) Snapshot() *Snapshot {
 		name := s.reps.files[f].name
 		if s.reps.files[f].holders.Len() == 0 {
 			// Zero-replica but still known: a bare add+remove round-trips
-			// the "known, no holders" condition UnderReplicated depends on.
+			// the "known, no holders" condition the repair scan depends on.
 			j.Append(Record{Op: OpReplicaAdd, File: name, Node: ""})
 			j.Append(Record{Op: OpReplicaRemove, File: name, Node: ""})
 			continue

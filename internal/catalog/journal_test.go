@@ -3,6 +3,7 @@ package catalog
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"runtime"
 	"strings"
@@ -173,15 +174,15 @@ func TestSnapshotKeepsZeroReplicaFiles(t *testing.T) {
 	st := NewState()
 	st.Apply(Record{Op: OpReplicaAdd, File: "ghost", Node: "vm-1"})
 	st.Apply(Record{Op: OpReplicaRemove, File: "ghost", Node: "vm-1"})
-	if got := st.Replicas().UnderReplicated(1); len(got) != 1 || got[0] != "ghost" {
-		t.Fatalf("precondition: UnderReplicated = %v", got)
+	if got := under(st.Replicas(), 1); len(got) != 1 || got[0] != "ghost" {
+		t.Fatalf("precondition: under = %v", got)
 	}
 	rt, err := Replay(st.Snapshot(), nil)
 	if err != nil {
 		t.Fatalf("Replay: %v", err)
 	}
-	if got := rt.Replicas().UnderReplicated(1); len(got) != 1 || got[0] != "ghost" {
-		t.Fatalf("after round-trip: UnderReplicated = %v", got)
+	if got := under(rt.Replicas(), 1); len(got) != 1 || got[0] != "ghost" {
+		t.Fatalf("after round-trip: under = %v", got)
 	}
 	if got, want := rt.CanonicalDump(), st.CanonicalDump(); got != want {
 		t.Fatalf("dump diverges:\n%s\nvs\n%s", got, want)
@@ -216,8 +217,69 @@ func TestSnapshotKeepsHoldersAfterLoss(t *testing.T) {
 	}
 }
 
+// edgeRecords are the corners of replay's name edge: files registered and
+// first held out of name order, a replica of a file never registered, a
+// node named (by a drop and a removal) before any of its files, a loss of a
+// file nobody held, and a nameless holder.
+func edgeRecords() [][]Record {
+	return [][]Record{
+		{
+			{Op: OpRegister, File: "c.dat", A: 3},
+			{Op: OpRegister, File: "a.dat", A: 1},
+			{Op: OpRegister, File: "b.dat", A: 2},
+			{Op: OpReplicaAdd, File: "c.dat", Node: "vm-2"},
+			{Op: OpReplicaAdd, File: "a.dat", Node: "vm-2"},
+			{Op: OpReplicaAdd, File: "b.dat", Node: "vm-1"},
+			{Op: OpReplicaRemove, File: "c.dat", Node: "vm-2"},
+		},
+		{
+			{Op: OpRegister, File: "m.dat", A: 1},
+			{Op: OpReplicaAdd, File: "z.dat", Node: "vm-1"},
+			{Op: OpReplicaAdd, File: "m.dat", Node: "vm-1"},
+			{Op: OpLoss, File: "y.dat"},
+		},
+		{
+			{Op: OpDropNode, Node: "vm-3"},
+			{Op: OpReplicaRemove, File: "a.dat", Node: "vm-3"},
+			{Op: OpReplicaAdd, File: "b.dat", Node: "vm-3"},
+			{Op: OpReplicaAdd, File: "a.dat", Node: "vm-3"},
+			{Op: OpReplicaAdd, File: "0.dat", Node: ""},
+			{Op: OpDropNode, Node: "vm-3"},
+		},
+	}
+}
+
+// The journal's bytes, a snapshot's bytes and the canonical dump of the
+// state replayed from sampleRecords and edgeRecords are pinned in
+// testdata/replay.golden: how replay finds a replica-map id for a name
+// must not show in any of them. The file was written by the replay whose
+// replica map still looked names up itself.
+func TestReplayOutputsArePinned(t *testing.T) {
+	var j Journal
+	recs := sampleRecords()
+	for _, e := range edgeRecords() {
+		recs = append(recs, e...)
+	}
+	for _, r := range recs {
+		j.Append(r)
+	}
+	st, err := Replay(nil, j.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := fmt.Sprintf("journal %x\nsnapshot %x\n%s", j.Bytes(), st.Snapshot().buf, st.CanonicalDump())
+	want, err := os.ReadFile("testdata/replay.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Fatalf("replay outputs moved:\n%s\nwant\n%s", got, want)
+	}
+}
+
 // FuzzReplay feeds Replay arbitrary bytes. It must return a typed error,
-// or a state whose snapshot replays to the same canonical dump.
+// or a state whose snapshot replays to the same canonical dump and whose
+// repair scan walks in name order.
 func FuzzReplay(f *testing.F) {
 	var all Journal
 	for _, r := range sampleRecords() { // one record of every op
@@ -234,6 +296,13 @@ func FuzzReplay(f *testing.F) {
 	}
 	f.Add(lost.Bytes())
 	f.Add([]byte{byte(opMax), 0, 0, 0, 0}) // an unknown op
+	for _, recs := range edgeRecords() {
+		var edge Journal
+		for _, r := range recs {
+			edge.Append(r)
+		}
+		f.Add(edge.Bytes())
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		st, err := Replay(nil, b)
 		if err != nil {
@@ -249,6 +318,12 @@ func FuzzReplay(f *testing.F) {
 		}
 		if got, want := rt.CanonicalDump(), st.CanonicalDump(); got != want {
 			t.Fatalf("snapshot replays to\n%s\nnot\n%s", got, want)
+		}
+		walk := walked(st.Replicas(), 1)
+		for i := 1; i < len(walk); i++ {
+			if walk[i-1] >= walk[i] {
+				t.Fatalf("repair scan walks %q, not in name order", walk)
+			}
 		}
 	})
 }

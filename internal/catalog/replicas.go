@@ -11,35 +11,27 @@ import (
 // journal records and replays. (The real master keeps only what it sent
 // each worker, in a per-worker IDSet.)
 //
-// Files and nodes are dense int32 ids. A caller that keeps its own ids
-// registers each name once (RegisterFiles, RegisterNode) and from then on
-// uses the id methods (AddID, HasID, ...): the simulator does. The string
-// methods (Add, Has, Remove, DropNode, Forget, UnderReplicated) are the
-// edge for journal replay (State.Apply) and the benchmark's probe: they
-// intern or look up the names and forward to the same implementation.
-// Names come back out in name order wherever order is observable:
-// UnderReplicated, DropNode and DumpReplicas, and the id methods that walk
-// (WalkUnderID, DropNodeID) keep name order too.
+// Files and nodes are dense int32 ids, given out by RegisterFiles and
+// RegisterNode, and every other method takes ids: the simulator keeps its
+// own, and journal replay turns names into ids itself (State.Apply). The
+// map keeps each id's name only to give names back out, in name order
+// wherever order is observable: FileName, WalkUnderID, DropNodeID and
+// DumpReplicas.
 //
 // It also maintains the under-replication index the repair scan walks:
 // once a target replication factor is established (by the first
-// UnderReplicated, UnderCount or WalkUnderID call), under is exactly
-// {f known : holders(f) < target} in name order, and every mutator fixes
-// the membership of the file it touches before releasing the write lock. A
-// Replicas that is never asked has target 0 and its mutators do no index
-// work.
+// UnderCount or WalkUnderID call), under is exactly {f known : holders(f) <
+// target} in name order, and every mutator fixes the membership of the
+// file it touches before releasing the write lock. A Replicas that is
+// never asked has target 0 and its mutators do no index work.
 type Replicas struct {
 	mu sync.RWMutex
-	// files is indexed by file id, nodes holds each node id's name. Each
-	// name index is built on the first string lookup that needs it and kept
-	// up from then on, so a caller that registers names and then speaks
-	// only ids never pays for one. unordered is set once a file name did
-	// not sort after every earlier one; until then id order is name order.
+	// files is indexed by file id, nodes holds each node id's name.
+	// unordered is set once a file name did not sort after every earlier
+	// one; until then id order is name order.
 	files     []fileState
-	fileIndex map[string]int32
 	unordered bool
 	nodes     []string
-	nodeIndex map[string]int32
 	// target is the replication factor under is maintained for; 0 means
 	// none established yet. One target at a time: asking for another
 	// rebuilds the index (correct, but O(files) per switch).
@@ -52,8 +44,8 @@ type Replicas struct {
 // membership stays O(1) at 65,536 holders — and whether it is known. known
 // remembers every file added or noted, even after its last holder
 // vanished, until it is forgotten: without it a zero-replica file would be
-// invisible to UnderReplicated — exactly the file that most needs repair. A
-// file with a holder is known.
+// invisible to the under-replication index — exactly the file that most
+// needs repair. A file with a holder is known.
 type fileState struct {
 	name    string
 	holders IDSet
@@ -72,7 +64,10 @@ func (r *Replicas) RegisterFiles(names []string) int32 {
 	first := int32(len(r.files))
 	r.files = slices.Grow(r.files, len(names))
 	for _, n := range names {
-		r.addFile(n)
+		if k := len(r.files); k > 0 && n <= r.files[k-1].name {
+			r.unordered = true
+		}
+		r.files = append(r.files, fileState{name: n})
 	}
 	return first
 }
@@ -81,7 +76,8 @@ func (r *Replicas) RegisterFiles(names []string) int32 {
 func (r *Replicas) RegisterNode(name string) int32 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.addNode(name)
+	r.nodes = append(r.nodes, name)
+	return int32(len(r.nodes) - 1)
 }
 
 // ReserveNodes makes room for n more node registrations.
@@ -96,68 +92,6 @@ func (r *Replicas) FileName(id int32) string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return r.files[id].name
-}
-
-// addFile and addNode register a name, not registered yet, as the next id.
-// Caller holds the write lock.
-func (r *Replicas) addFile(name string) int32 {
-	id := int32(len(r.files))
-	if id > 0 && name <= r.files[id-1].name {
-		r.unordered = true
-	}
-	r.files = append(r.files, fileState{name: name})
-	if r.fileIndex != nil {
-		r.fileIndex[name] = id
-	}
-	return id
-}
-
-func (r *Replicas) addNode(name string) int32 {
-	id := int32(len(r.nodes))
-	r.nodes = append(r.nodes, name)
-	if r.nodeIndex != nil {
-		r.nodeIndex[name] = id
-	}
-	return id
-}
-
-// fileID and nodeID look a name up, building its index on first use.
-// Caller holds the write lock.
-func (r *Replicas) fileID(name string) (int32, bool) {
-	if r.fileIndex == nil {
-		r.fileIndex = make(map[string]int32, len(r.files))
-		for i := range r.files {
-			r.fileIndex[r.files[i].name] = int32(i)
-		}
-	}
-	id, ok := r.fileIndex[name]
-	return id, ok
-}
-
-func (r *Replicas) nodeID(name string) (int32, bool) {
-	if r.nodeIndex == nil {
-		r.nodeIndex = make(map[string]int32, len(r.nodes))
-		for i, n := range r.nodes {
-			r.nodeIndex[n] = int32(i)
-		}
-	}
-	id, ok := r.nodeIndex[name]
-	return id, ok
-}
-
-// file and node intern a name. Caller holds the write lock.
-func (r *Replicas) file(name string) int32 {
-	if id, ok := r.fileID(name); ok {
-		return id
-	}
-	return r.addFile(name)
-}
-
-func (r *Replicas) node(name string) int32 {
-	if id, ok := r.nodeID(name); ok {
-		return id
-	}
-	return r.addNode(name)
 }
 
 // Reset forgets every replica and every known file and drops the index
@@ -246,23 +180,19 @@ func (r *Replicas) index(rf int) []int32 {
 	return r.under
 }
 
-// The id methods. Ids come from RegisterFiles and RegisterNode (or from the
-// string edge's interning); an unregistered file id panics.
+// The mutators and queries. Ids come from RegisterFiles and RegisterNode;
+// an unregistered file id panics.
 
 // AddID records that node holds file and reports whether that is new.
 func (r *Replicas) AddID(file, node int32) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.add(file, node)
-}
-
-func (r *Replicas) add(f, n int32) bool {
-	was := r.member(f)
-	if !r.files[f].holders.Add(n) {
+	was := r.member(file)
+	if !r.files[file].holders.Add(node) {
 		return false
 	}
-	r.files[f].known = true
-	r.fix(f, was)
+	r.files[file].known = true
+	r.fix(file, was)
 	return true
 }
 
@@ -273,6 +203,7 @@ func (r *Replicas) RemoveID(file, node int32) {
 	r.remove(file, node)
 }
 
+// remove is RemoveID under the write lock.
 func (r *Replicas) remove(f, n int32) {
 	was := r.member(f)
 	if r.files[f].holders.Remove(n) {
@@ -285,14 +216,10 @@ func (r *Replicas) remove(f, n int32) {
 func (r *Replicas) DropNodeID(node int32) []int32 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.dropNode(node)
-}
-
-func (r *Replicas) dropNode(n int32) []int32 {
 	var lost []int32
 	for f := range r.files {
-		if r.files[f].holders.Has(n) {
-			r.remove(int32(f), n)
+		if r.files[f].holders.Has(node) {
+			r.remove(int32(f), node)
 			lost = append(lost, int32(f))
 		}
 	}
@@ -320,44 +247,36 @@ func (r *Replicas) CountID(file int32) int {
 func (r *Replicas) ForgetID(file int32) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.forget(file)
-}
-
-func (r *Replicas) forget(f int32) {
-	was := r.member(f)
-	r.files[f].holders.Clear()
-	r.files[f].known = false
-	r.fix(f, was)
+	was := r.member(file)
+	r.files[file].holders.Clear()
+	r.files[file].known = false
+	r.fix(file, was)
 }
 
 // NoteID marks file as known without recording a holder, so it shows up in
-// UnderReplicated scans. An amnesiac master uses it to re-derive "someone
-// must hold this" facts (evacuated files) it can no longer attribute to a
-// node.
+// repair scans. An amnesiac master uses it to re-derive "someone must hold
+// this" facts (evacuated files) it can no longer attribute to a node.
 func (r *Replicas) NoteID(file int32) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.note(file)
-}
-
-func (r *Replicas) note(f int32) {
-	if !r.files[f].known {
-		r.files[f].known = true
-		r.fix(f, false)
+	if !r.files[file].known {
+		r.files[file].known = true
+		r.fix(file, false)
 	}
 }
 
-// UnderCount returns len(UnderReplicated(rf)) without building the list.
+// UnderCount returns how many known files have fewer than rf live replicas,
+// files with none included; rf < 1 is no target, so none is under it.
 func (r *Replicas) UnderCount(rf int) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return len(r.index(rf))
 }
 
-// WalkUnderID calls fn for each file UnderReplicated(rf) would return, in
-// name order and in place, until fn returns false. The lock is not held
-// across fn, which may mutate the map — Forget the file it was handed or
-// any other, Add, Remove: each step resumes at the first indexed file that
+// WalkUnderID calls fn for each file UnderCount(rf) counts, in name order
+// and in place, until fn returns false. The lock is not held across fn,
+// which may mutate the map — forget the file it was handed or any other,
+// add, remove: each step resumes at the first indexed file that
 // sorts after the one just visited, so none is skipped or repeated whatever
 // fn removed or inserted.
 func (r *Replicas) WalkUnderID(rf int, fn func(file int32) bool) {
@@ -392,61 +311,6 @@ func (r *Replicas) nextUnder(rf, i int, prev int32) (int32, int, bool) {
 	return under[i], i, true
 }
 
-// The string edge. Each method takes the write lock, since a lookup may
-// build the name index, and forwards to the id implementation. A name the
-// map has never seen is no file or node: queries about it answer empty and
-// removals of it do nothing.
-
-// Add records that node holds file and reports whether that is new.
-func (r *Replicas) Add(file, node string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.add(r.file(file), r.node(node))
-}
-
-// Remove forgets one replica (e.g. the node failed).
-func (r *Replicas) Remove(file, node string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if f, n, ok := r.lookup(file, node); ok {
-		r.remove(f, n)
-	}
-}
-
-// lookup resolves a file and a node name. Caller holds the write lock.
-func (r *Replicas) lookup(file, node string) (int32, int32, bool) {
-	f, ok := r.fileID(file)
-	if !ok {
-		return 0, 0, false
-	}
-	n, ok := r.nodeID(node)
-	return f, n, ok
-}
-
-// DropNode forgets every replica on the node and returns the files that
-// lost a copy, sorted.
-func (r *Replicas) DropNode(node string) []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n, ok := r.nodeID(node)
-	if !ok {
-		return nil
-	}
-	return r.fileNames(r.dropNode(n))
-}
-
-// fileNames maps file ids to names; nil for none.
-func (r *Replicas) fileNames(ids []int32) []string {
-	if len(ids) == 0 {
-		return nil
-	}
-	out := make([]string, len(ids))
-	for i, f := range ids {
-		out[i] = r.files[f].name
-	}
-	return out
-}
-
 // holdersLocked returns the holders of f in name order. Caller holds the
 // lock.
 func (r *Replicas) holdersLocked(f int32) []string {
@@ -457,34 +321,6 @@ func (r *Replicas) holdersLocked(f int32) []string {
 	}
 	slices.Sort(out)
 	return out
-}
-
-// Has reports whether node holds file.
-func (r *Replicas) Has(file, node string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f, n, ok := r.lookup(file, node)
-	return ok && r.files[f].holders.Has(n)
-}
-
-// Forget removes file from the replica map entirely, as ForgetID does.
-func (r *Replicas) Forget(file string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if f, ok := r.fileID(file); ok {
-		r.forget(f)
-	}
-}
-
-// UnderReplicated returns, sorted, every known file with fewer than rf live
-// replicas — including files whose replica count has dropped to zero. rf < 1
-// returns nil: no target means nothing is under target. The result is a
-// copy of the index; the repair scan walks it (WalkUnderID) and gauges
-// UnderCount instead.
-func (r *Replicas) UnderReplicated(rf int) []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.fileNames(r.index(rf))
 }
 
 // knownLocked returns the known files in name order. Caller holds the
@@ -510,3 +346,19 @@ func (r *Replicas) dump(b *strings.Builder) {
 		b.WriteString("  " + r.files[f].name + " -> [" + strings.Join(r.holdersLocked(f), " ") + "]\n")
 	}
 }
+
+// Add, Has, UnderReplicated and DropNode are inert: the benchmark's probe
+// names them (bench/probes.go:606, :619, :624, :626), so they stay until it
+// speaks ids. Each does nothing and returns its zero value.
+
+// Add does nothing (bench/probes.go:606).
+func (r *Replicas) Add(file, node string) bool { return false }
+
+// Has reports nothing (bench/probes.go:619).
+func (r *Replicas) Has(file, node string) bool { return false }
+
+// UnderReplicated returns nil (bench/probes.go:624).
+func (r *Replicas) UnderReplicated(rf int) []string { return nil }
+
+// DropNode does nothing (bench/probes.go:626).
+func (r *Replicas) DropNode(node string) []string { return nil }

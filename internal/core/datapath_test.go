@@ -8,6 +8,7 @@ import (
 	"io"
 	"math/rand"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -17,6 +18,7 @@ import (
 
 	"frieda/internal/catalog"
 	"frieda/internal/protocol"
+	"frieda/internal/sched"
 	"frieda/internal/strategy"
 	"frieda/internal/transfer"
 	"frieda/internal/transport"
@@ -408,11 +410,23 @@ func runOwnership(t *testing.T, tr *transporttest.Ownership, sc ownershipScenari
 
 // --- Sizes: the catalogue size is announced and enforced ---
 
-// lyingSource reports one file's catalogue size off by delta.
+// lyingSource reports one file's catalogue size off by delta. It counts
+// the times a file is taken from it, by Open or Bytes, in sends.
 type lyingSource struct {
 	*catalog.MemSource
 	file  string
 	delta int64
+	sends *atomic.Int32
+}
+
+func (s lyingSource) Open(name string) (io.ReadCloser, error) {
+	s.sends.Add(1)
+	return s.MemSource.Open(name)
+}
+
+func (s lyingSource) Bytes(name string) ([]byte, bool) {
+	s.sends.Add(1)
+	return s.MemSource.Bytes(name)
 }
 
 func (s lyingSource) Catalog() (*catalog.Catalog, error) {
@@ -431,49 +445,140 @@ func (s lyingSource) Catalog() (*catalog.Catalog, error) {
 }
 
 // A source that ends short of, or runs past, its catalogue size fails the
-// transfer with a typed error, whether the source hands out bytes or a
-// reader. The failed send is the worker's death, whose claims go with it:
-// the worker never takes the file for complete (no Last chunk of it reaches
-// the connection), and the report records the mismatch and the lost group.
+// file's transfer with a typed error, whether the source hands out bytes or
+// a reader, and nothing more: its one group fails naming the file and the
+// mismatch, and no worker is lost. The file is unclaimed, so each retry
+// under Recover sends it again.
 func TestStreamFileSizeMismatchUnclaimsReplica(t *testing.T) {
 	for _, delta := range []int64{-1, +1, +5000} {
 		for _, fromBytes := range []bool{false, true} {
 			mem := catalog.NewMemSource()
 			mem.Put("f", make([]byte, 3000))
-			var src catalog.Source = lyingSource{MemSource: mem, file: "f", delta: delta}
+			sends := new(atomic.Int32)
+			var src catalog.Source = lyingSource{MemSource: mem, file: "f", delta: delta, sends: sends}
 			if !fromBytes {
 				src = readerOnly{src}
 			}
-			m, tr, cancel := startMaster(t, MasterConfig{Source: src, ChunkSize: 1000}, strategy.RealTimeRemote, 1)
-			conn, err := tr.Dial("m")
-			if err != nil {
-				t.Fatal(err)
-			}
-			conn.Send(&protocol.Message{Type: protocol.TRegister, Worker: "w0", Cores: 1})
-			if ack, err := conn.Recv(); err != nil || ack.Type != protocol.TAck || ack.Error != "" {
-				t.Fatalf("registration ack: %+v, %v", ack, err)
-			}
-			conn.Send(&protocol.Message{Type: protocol.TRequestData})
-			for {
-				msg, err := conn.Recv()
-				if err != nil {
-					break // the master closed the connection
+			for _, recover := range []bool{false, true} {
+				sends.Store(0)
+				r := (&testHarness{
+					source: src, chunk: 1000, strategy: strategy.RealTimeRemote,
+					program: echoProgram(), workers: 1, recover: recover,
+				}).run(t)
+				if r.Groups != 1 || r.Failed != 1 || len(r.WorkerErrors) != 0 ||
+					!strings.Contains(r.Results[0].Error, `"f"`) || !strings.Contains(r.Results[0].Error, transfer.ErrSizeMismatch.Error()) {
+					t.Fatalf("delta %+d, bytes=%v, recover=%v: report = %+v, want the group failed naming f and the mismatch, and no worker lost",
+						delta, fromBytes, recover, r)
 				}
-				if msg.Type == protocol.TFileData && msg.Last {
-					t.Fatalf("delta %+d, bytes=%v: the worker was sent a complete %s", delta, fromBytes, msg.FileName)
+				if want := map[bool]int32{false: 1, true: 1 + sched.DefaultMaxRetries}[recover]; sends.Load() != want {
+					t.Fatalf("delta %+d, bytes=%v, recover=%v: f sent %d times, want %d: once per attempt",
+						delta, fromBytes, recover, sends.Load(), want)
 				}
 			}
-			conn.Close()
-			select {
-			case <-m.Done():
-			case <-time.After(10 * time.Second):
-				t.Fatalf("delta %+d, bytes=%v: the run did not end", delta, fromBytes)
+		}
+	}
+}
+
+// failingSource fails one file of its source: its Open fails or, when short
+// is set, its reader ends halfway. When fails is set, only that many Opens
+// of the file fail. It hides MemSource's Bytes, so the master reads every
+// file through Open.
+type failingSource struct {
+	catalog.Source
+	file  string
+	short bool
+	fails *atomic.Int32
+}
+
+func (s failingSource) Open(name string) (io.ReadCloser, error) {
+	if name != s.file || s.fails != nil && s.fails.Add(-1) < 0 {
+		return s.Source.Open(name)
+	}
+	if !s.short {
+		return nil, errors.New("disk on fire")
+	}
+	rc, err := s.Source.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	return struct {
+		io.Reader
+		io.Closer
+	}{io.LimitReader(rc, 50), rc}, nil
+}
+
+// sourceFailureKinds are the strategies the source-failure tests run: one
+// streams each group's inputs ahead of its EXECUTE, one stages them first.
+var sourceFailureKinds = map[string]strategy.Config{
+	"real-time":     {Kind: strategy.RealTime, Grouping: "all-to-all", Multicore: true},
+	"pre-partition": {Kind: strategy.PrePartition, Locality: strategy.Remote, Grouping: "all-to-all", Multicore: true},
+}
+
+// A source that fails one file fails the groups that need it and no more:
+// the master's writer goes on past the file and orders none of them, so a
+// worker whose store holds an older file under that name (a DirStore kept
+// from an earlier run) does not run them on it. Each fails naming the file
+// and the source's error. No worker is lost and the run finishes, on both
+// transports, under real-time and pre-partition, whether the file does not
+// open or delivers short.
+func TestSourceFailureFailsOnlyItsGroups(t *testing.T) {
+	const files, size, bad = 6, 100, "f002.dat"
+	for trName, mk := range testTransports {
+		for kind, strat := range sourceFailureKinds {
+			for _, short := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/%s/short=%v", trName, kind, short), func(t *testing.T) {
+					cause := "disk on fire"
+					if short {
+						cause = transfer.ErrSizeMismatch.Error()
+					}
+					r := (&testHarness{
+						tr: mk(), strategy: strat, program: echoProgram(), workers: 2,
+						source: failingSource{Source: sourceWithFiles(files, size), file: bad, short: short},
+						store: func() Store {
+							s, err := NewDirStore(t.TempDir())
+							if err != nil {
+								t.Fatal(err)
+							}
+							return s
+						},
+						preload: map[string]string{bad: strings.Repeat("o", size)},
+					}).run(t)
+					// All pairs of six files: the bad one is in five of the 15.
+					if r.Groups != 15 || r.Succeeded != 10 || r.Failed != 5 || len(r.WorkerErrors) != 0 {
+						t.Fatalf("report = %+v, want 10 of 15 groups and no worker lost", r)
+					}
+					for _, res := range r.Results {
+						if res.OK && res.Output != fmt.Sprint(2*size) {
+							t.Errorf("group %d read %s bytes of its inputs", res.GroupIndex, res.Output)
+						}
+						if !res.OK && (!strings.Contains(res.Error, strconv.Quote(bad)) || !strings.Contains(res.Error, cause)) {
+							t.Errorf("group %d failed without naming %s and %q: %s", res.GroupIndex, bad, cause, res.Error)
+						}
+					}
+				})
 			}
-			r := m.Report()
-			if r.Failed != 1 || len(r.WorkerErrors) != 1 || !strings.Contains(r.WorkerErrors[0], transfer.ErrSizeMismatch.Error()) {
-				t.Fatalf("delta %+d, bytes=%v: report = %+v, want the group lost to %v", delta, fromBytes, r, transfer.ErrSizeMismatch)
-			}
-			cancel()
+		}
+	}
+}
+
+// A file lost at the source is unclaimed from its worker: under Recover, a
+// group that failed for it is retried, the file is sent again, and a source
+// that failed only its first Open ends with every group run.
+func TestSourceFailureIsRetriedUnderRecover(t *testing.T) {
+	const files, size, bad = 6, 100, "f002.dat"
+	for trName, mk := range testTransports {
+		for kind, strat := range sourceFailureKinds {
+			t.Run(trName+"/"+kind, func(t *testing.T) {
+				fails := new(atomic.Int32)
+				fails.Store(1)
+				r := (&testHarness{
+					tr: mk(), strategy: strat, program: echoProgram(), workers: 2, recover: true,
+					source: failingSource{Source: sourceWithFiles(files, size), file: bad, fails: fails},
+				}).run(t)
+				if r.Groups != 15 || r.Succeeded != 15 || len(r.WorkerErrors) != 0 || fails.Load() >= 0 {
+					t.Fatalf("report = %+v (%d failing Opens left), want all 15 groups run after one failed Open", r, fails.Load())
+				}
+			})
 		}
 	}
 }
@@ -1147,4 +1252,19 @@ func TestDataPathAllocationGuard(t *testing.T) {
 			t.Fatalf("%.2f allocations per task, budget is %.2f", mallocs, mallocLimit)
 		}
 	})
+}
+
+// A common file is an input of every task its worker runs: one lost at the
+// source ends the worker, and the report names the file and the cause.
+func TestLostCommonFileEndsItsWorker(t *testing.T) {
+	const common = "f000.dat"
+	r := (&testHarness{
+		strategy: strategy.Config{Kind: strategy.RealTime, Grouping: "single", CommonFiles: []string{common}},
+		program:  echoProgram(), workers: 1,
+		source: failingSource{Source: sourceWithFiles(4, 100), file: common},
+	}).run(t)
+	if r.Groups != 3 || r.Failed != 3 || len(r.WorkerErrors) != 1 ||
+		!strings.Contains(r.WorkerErrors[0], common) || !strings.Contains(r.WorkerErrors[0], "disk on fire") {
+		t.Fatalf("report = %+v, want every group lost with its worker, the error naming %s", r, common)
+	}
 }

@@ -25,7 +25,7 @@ import (
 // every job to the lifecycle rule: no goroutine the controller, the master or
 // a worker started is left when Shutdown returns.
 type testHarness struct {
-	source   *catalog.MemSource
+	source   catalog.Source
 	strategy strategy.Config
 	program  Program
 	workers  int

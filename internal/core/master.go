@@ -64,6 +64,10 @@ type link struct {
 	taken  chan struct{}    // the loop has taken the reader's last event
 	worker *masterWorker    // nil on the controller's connection
 	exec   protocol.Message // the writer's EXECUTE, sent reused
+	// lost is the writer's: the files whose source failed on their way
+	// over this connection and that have not been sent whole since, by
+	// source-catalogue index, with the source's error.
+	lost map[int32]error
 }
 
 // masterWorker is the master's bookkeeping for one worker connection. The
@@ -312,6 +316,7 @@ const (
 	evControl                   // a controller request: msg
 	evRequest                   // REQUEST_DATA
 	evStatus                    // one task result, res
+	evLost                      // the writer lost file n at the source, with err
 	evOutput                    // n bytes of returned output are in the sink
 	evGone                      // the connection's Recv failed with err
 	evFailed                    // the writer failed with err, sending an item with msg
@@ -396,6 +401,12 @@ func (m *Master) handle(ev *event) {
 		}
 	case evOutput:
 		m.outputBytes += ev.n
+	case evLost:
+		// The worker does not have the file, whatever its store holds
+		// under the name: unclaimed, it is sent again to the next group
+		// that needs it.
+		m.logf("worker %s: %v", w.name, ev.err)
+		w.Held.Remove(int32(ev.n))
 	case evReady:
 		m.led.Arrive(&w.Worker)
 		m.maybeStart()
@@ -956,25 +967,21 @@ func (m *Master) perform(l *link, it *outItem) error {
 		}
 	}
 	for _, f := range it.files {
-		if err := m.stream(l, f.Name, f.Size); err != nil {
+		// A common file (the ACK's item) is an input of every task the
+		// worker runs: losing it ends the worker, as a failed send does.
+		if err := m.stream(l, f.Name, f.Size); err != nil && (it.ready || !m.lose(l, f.Name, err)) {
 			return err
 		}
 	}
 	if g := it.group; g != nil {
 		for i, f := range g.Files {
 			if it.send&(1<<i) != 0 {
-				if err := m.stream(l, f.Name, f.Size); err != nil {
+				if err := m.stream(l, f.Name, f.Size); err != nil && !m.lose(l, f.Name, err) {
 					return err
 				}
 			}
 		}
-		// The EXECUTE: the link's message, its Files array reused.
-		x := &l.exec
-		x.Type, x.GroupIndex, x.Files = protocol.TExecute, g.Index, x.Files[:0]
-		for _, f := range g.Files {
-			x.Files = append(x.Files, protocol.FileInfo{Name: f.Name, Size: f.Size})
-		}
-		if err := l.conn.Send(x); err != nil {
+		if err := m.execute(l, g); err != nil {
 			return err
 		}
 	}
@@ -994,13 +1001,68 @@ func (m *Master) perform(l *link, it *outItem) error {
 	return nil
 }
 
+// execute orders g run: the EXECUTE is the link's message, its Files array
+// reused. A group with an input lost on the connection is not ordered, as
+// the worker may hold an older file under that name: the writer posts its
+// failure, naming the input and the source's error, as the worker's
+// status would be.
+func (m *Master) execute(l *link, g *partition.Group) error {
+	if len(l.lost) > 0 {
+		for _, f := range g.Files {
+			if err, lost := l.lost[m.fileID(f.Name)]; lost {
+				m.inbox.put(event{kind: evStatus, l: l, res: protocol.TaskResult{
+					GroupIndex: g.Index, Worker: l.worker.name,
+					Error: fmt.Sprintf("core: input %q was not sent: %v", f.Name, err),
+				}})
+				return nil
+			}
+		}
+	}
+	x := &l.exec
+	x.Type, x.GroupIndex, x.Files = protocol.TExecute, g.Index, x.Files[:0]
+	for _, f := range g.Files {
+		x.Files = append(x.Files, protocol.FileInfo{Name: f.Name, Size: f.Size})
+	}
+	return l.conn.Send(x)
+}
+
 // stream sends one source file on the connection. size is its catalogue
 // size; a source that does not deliver exactly that many bytes fails the
-// transfer, and with it the connection.
+// transfer. A file sent whole is no longer lost on the connection.
 func (m *Master) stream(l *link, name string, size int64) error {
 	sent, err := sendFile(l.conn, transfer.File{Name: name, Size: size}, m.cfg.Source, m.cfg.ChunkSize)
 	m.bytesMoved.Add(sent)
+	if err == nil && len(l.lost) > 0 {
+		delete(l.lost, m.fileID(name))
+	}
 	return err
+}
+
+// fileID is a streamed file's source-catalogue index. The catalogue is
+// listed before anything is claimed and never changes after, so a writer
+// may read it.
+func (m *Master) fileID(name string) int32 {
+	i, _ := m.catalogue.Index(name)
+	return int32(i)
+}
+
+// lose reports whether err is a failure of the source (transfer.ErrSource:
+// the file did not open or read, or did not deliver its catalogue size)
+// and, if so, records the file as lost on the connection and tells the
+// loop, which unclaims it. The transfer stopped before its Last chunk, so
+// the connection is good for what follows. Any other error is the
+// connection's.
+func (m *Master) lose(l *link, name string, err error) bool {
+	if !errors.Is(err, transfer.ErrSource) {
+		return false
+	}
+	if l.lost == nil {
+		l.lost = make(map[int32]error)
+	}
+	id := m.fileID(name)
+	l.lost[id] = err
+	m.inbox.put(event{kind: evLost, l: l, n: int64(id), err: err})
+	return true
 }
 
 // fileOpener is where sendFile takes a file from: the master's
@@ -1022,7 +1084,7 @@ func sendFile(conn transport.Conn, f transfer.File, src fileOpener, chunk int) (
 	}
 	rc, err := src.Open(f.Name)
 	if err != nil {
-		return 0, fmt.Errorf("open %s: %w", f.Name, err)
+		return 0, fmt.Errorf("%w: open %s: %w", transfer.ErrSource, f.Name, err)
 	}
 	defer rc.Close()
 	return transfer.Send(conn, f, rc, chunk)

@@ -108,9 +108,10 @@ func TestRepairRestoresReplicationFactor(t *testing.T) {
 			t.Errorf("file %s at %d replicas, want >= 2", f, n)
 		}
 	}
-	if under := r.replicas.UnderReplicated(2); len(under) != 0 {
-		t.Fatalf("still under-replicated at finish: %v", under)
-	}
+	r.replicas.WalkUnderID(2, func(f int32) bool {
+		t.Errorf("still under-replicated at finish: %s", r.replicas.FileName(f))
+		return true
+	})
 }
 
 func TestRF1LosesFilesWhereRF2Survives(t *testing.T) {
@@ -246,7 +247,7 @@ func TestDiskDeathRestagesCommonData(t *testing.T) {
 		t.Fatal("disk death did not wipe the volume")
 	}
 	// The re-stage must have restored the worker's replica of the dataset.
-	if !r.replicas.Has(commonFile, r.worker(vms[1]).name) {
+	if !r.replicas.HasID(r.common, r.worker(vms[1]).node) {
 		t.Fatal("common dataset not re-staged after disk death")
 	}
 }

@@ -19,10 +19,15 @@ import (
 // the paper's prototype.
 const DefaultChunk = 256 << 10
 
+// ErrSource marks a transfer that failed on its source's side: the file did
+// not open or read, or did not match its announced size. The transfer
+// stops before its Last chunk, so the receiver never takes the file for
+// complete, and the connection is still good for the next file.
+var ErrSource = errors.New("transfer: source failed")
+
 // ErrSizeMismatch reports a source that ended short of, or ran past, the size
-// the file was announced with. The transfer stops before its Last chunk, so
-// the receiver never takes the file for complete.
-var ErrSizeMismatch = errors.New("transfer: source does not match the announced size")
+// the file was announced with. It is an ErrSource.
+var ErrSizeMismatch = fmt.Errorf("%w to match the announced size", ErrSource)
 
 // File names one file to send.
 type File struct {
@@ -51,7 +56,8 @@ var scratches sync.Pool
 // at most chunk bytes. Every chunk announces f.Size; Last rides the final
 // payload chunk, and an empty file is one empty Last chunk. It returns the
 // payload bytes sent. A source shorter or longer than f.Size fails with
-// ErrSizeMismatch before Last is sent.
+// ErrSizeMismatch, and one that fails to read with ErrSource, before Last
+// is sent; any other error is the connection's.
 //
 // No buffer is larger than the file. One pooled message serves every chunk.
 // Over a connection that copies (transport.Conn.SendCopies) one pooled
@@ -118,7 +124,7 @@ func send(conn transport.Conn, f File, data []byte, r io.Reader, chunk int) (int
 			case err == nil && last:
 				return sent, fmt.Errorf("%w: %s runs past its %d bytes", ErrSizeMismatch, f.Name, f.Size)
 			case err != nil && !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF):
-				return sent, fmt.Errorf("reading %s: %w", f.Name, err)
+				return sent, fmt.Errorf("%w: reading %s: %w", ErrSource, f.Name, err)
 			case got < n:
 				return sent, fmt.Errorf("%w: %s ended at %d of %d bytes", ErrSizeMismatch, f.Name, sent+int64(got), f.Size)
 			}

@@ -253,8 +253,8 @@ func TestSendSizeMismatch(t *testing.T) {
 		for _, tc := range cases {
 			f := File{Name: tc.name, Size: int64(tc.announced)}
 			_, err := Send(client, f, bytes.NewReader(make([]byte, tc.have)), chunk)
-			if !errors.Is(err, ErrSizeMismatch) {
-				t.Fatalf("%s: Send = %v, want ErrSizeMismatch", tc.name, err)
+			if !errors.Is(err, ErrSizeMismatch) || !errors.Is(err, ErrSource) {
+				t.Fatalf("%s: Send = %v, want ErrSizeMismatch, an ErrSource", tc.name, err)
 			}
 			if _, err := SendBytes(client, f, make([]byte, tc.have), chunk); !errors.Is(err, ErrSizeMismatch) {
 				t.Fatalf("%s: SendBytes = %v, want ErrSizeMismatch", tc.name, err)
@@ -299,7 +299,17 @@ func TestSendReadErrorIsNotASizeMismatch(t *testing.T) {
 	defer client.Close()
 	boom := errors.New("disk on fire")
 	_, err := Send(client, File{Name: "f", Size: 100}, &failingReader{n: 40, err: boom}, 10)
-	if !errors.Is(err, boom) || errors.Is(err, ErrSizeMismatch) {
+	if !errors.Is(err, boom) || !errors.Is(err, ErrSource) || errors.Is(err, ErrSizeMismatch) {
+		t.Fatalf("err = %v", err)
+	}
+}
+
+// A failed send is the connection's, not the source's: no ErrSource.
+func TestSendConnErrorIsNotASourceError(t *testing.T) {
+	client, _ := pipePair(t)
+	client.Close()
+	_, err := Send(client, File{Name: "f", Size: 100}, bytes.NewReader(make([]byte, 100)), 10)
+	if err == nil || errors.Is(err, ErrSource) {
 		t.Fatalf("err = %v", err)
 	}
 }

@@ -142,8 +142,8 @@ func TestBuildDBIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if db.NumSequences() != 2 || db.residues != 10 {
-		t.Fatalf("db stats: %d seqs %d residues", db.NumSequences(), db.residues)
+	if len(db.seqs) != 2 || db.residues != 10 {
+		t.Fatalf("db stats: %d seqs %d residues", len(db.seqs), db.residues)
 	}
 	key, ok := kmerKey(Encode([]byte("MKV")), 3)
 	if !ok {
@@ -283,8 +283,8 @@ func TestLoadDBRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.NumSequences() != 2 || loaded.residues != orig.residues {
-		t.Fatalf("loaded db differs: %d seqs", loaded.NumSequences())
+	if len(loaded.seqs) != 2 || loaded.residues != orig.residues {
+		t.Fatalf("loaded db differs: %d seqs", len(loaded.seqs))
 	}
 	if _, err := LoadDB(strings.NewReader(""), 3); err == nil {
 		t.Fatal("empty db accepted")

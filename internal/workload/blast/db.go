@@ -70,9 +70,6 @@ func kmerKey(word []int8, k int) (uint32, bool) {
 	return key, true
 }
 
-// NumSequences returns the database record count.
-func (db *DB) NumSequences() int { return len(db.seqs) }
-
 // Sequence returns record i.
 func (db *DB) Sequence(i int) Sequence { return db.seqs[i] }
 

@@ -230,100 +230,3 @@ func BenchmarkCompare1MP(b *testing.B) {
 		}
 	}
 }
-
-func TestWindowedSSIMIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	im := randomImage(rng, 64, 48)
-	mssim, err := CompareWindowed(im, im, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mssim < 0.999 {
-		t.Fatalf("MSSIM(identical) = %v", mssim)
-	}
-	ok, err := SimilarWindowed(im, im, 0.9)
-	if err != nil || !ok {
-		t.Fatalf("SimilarWindowed = %v, %v", ok, err)
-	}
-}
-
-func TestWindowedSSIMDetectsLocalDistortion(t *testing.T) {
-	// A structured image with one corrupted 16x16 region (4 of 64 tiles):
-	// the MSSIM must land near the tile-weighted expectation — perfect
-	// tiles pull it up, the corrupted ones pull it down measurably.
-	base, _ := NewImage(64, 64)
-	for y := 0; y < 64; y++ {
-		for x := 0; x < 64; x++ {
-			base.Set(x, y, uint8(16+(x%16)*12))
-		}
-	}
-	corrupted, _ := NewImage(64, 64)
-	copy(corrupted.Pix, base.Pix)
-	rng := rand.New(rand.NewSource(4))
-	for y := 0; y < 16; y++ {
-		for x := 0; x < 16; x++ {
-			corrupted.Set(x, y, uint8(rng.Intn(256)))
-		}
-	}
-	mssim, err := CompareWindowed(base, corrupted, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mssim > 0.97 {
-		t.Fatalf("MSSIM = %.4f did not notice a corrupted 16x16 region", mssim)
-	}
-	// 60 of 64 tiles are identical; the average cannot fall far either.
-	if mssim < 0.85 {
-		t.Fatalf("MSSIM = %.4f over-penalises 4 corrupted tiles of 64", mssim)
-	}
-	// An equal-everywhere distortion degrades windowed and global forms
-	// alike: brightness shift.
-	shifted, _ := NewImage(64, 64)
-	for i, v := range base.Pix {
-		shifted.Pix[i] = uint8(math.Min(255, float64(v)+25))
-	}
-	global, err := Compare(base, shifted)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mShift, err := CompareWindowed(base, shifted, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(mShift-global.SSIM) > 0.15 {
-		t.Fatalf("uniform distortion: MSSIM %.4f vs global %.4f diverge", mShift, global.SSIM)
-	}
-}
-
-func TestWindowedSSIMErrors(t *testing.T) {
-	a, _ := NewImage(16, 16)
-	b, _ := NewImage(17, 16)
-	if _, err := CompareWindowed(a, b, 0); err == nil {
-		t.Fatal("dimension mismatch accepted")
-	}
-	if _, err := CompareWindowed(a, a, 1); err == nil {
-		t.Fatal("window 1 accepted")
-	}
-	tiny, _ := NewImage(4, 4)
-	if _, err := CompareWindowed(tiny, tiny, 8); err == nil {
-		t.Fatal("image smaller than window accepted")
-	}
-}
-
-// Property: MSSIM stays in [-1, 1] and is symmetric.
-func TestWindowedSSIMRangeProperty(t *testing.T) {
-	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		a := randomImage(rng, 24, 24)
-		b := randomImage(rng, 24, 24)
-		m1, err1 := CompareWindowed(a, b, 8)
-		m2, err2 := CompareWindowed(b, a, 8)
-		if err1 != nil || err2 != nil {
-			return false
-		}
-		return math.Abs(m1-m2) < 1e-9 && m1 >= -1.0001 && m1 <= 1.0001
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 80}); err != nil {
-		t.Fatal(err)
-	}
-}
