@@ -288,8 +288,7 @@ func (s *State) Snapshot() *Snapshot {
 	for _, f := range sortedKeys(s.lost) {
 		j.Append(Record{Op: OpLoss, File: f})
 	}
-	s.reps.mu.RLock()
-	for _, f := range s.reps.knownLocked() {
+	for _, f := range s.reps.known() {
 		name := s.reps.files[f].name
 		if s.reps.files[f].holders.Len() == 0 {
 			// Zero-replica but still known: a bare add+remove round-trips
@@ -298,11 +297,10 @@ func (s *State) Snapshot() *Snapshot {
 			j.Append(Record{Op: OpReplicaRemove, File: name, Node: ""})
 			continue
 		}
-		for _, n := range s.reps.holdersLocked(f) {
+		for _, n := range s.reps.holders(f) {
 			j.Append(Record{Op: OpReplicaAdd, File: name, Node: n})
 		}
 	}
-	s.reps.mu.RUnlock()
 	for _, f := range sortedKeys(s.evac) {
 		j.Append(Record{Op: OpEvacuate, File: f})
 	}

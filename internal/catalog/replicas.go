@@ -3,7 +3,6 @@ package catalog
 import (
 	"slices"
 	"strings"
-	"sync"
 )
 
 // Replicas tracks which nodes hold a copy of each file — the simulated
@@ -22,10 +21,12 @@ import (
 // once a target replication factor is established (by the first
 // UnderCount or WalkUnderID call), under is exactly {f known : holders(f) <
 // target} in name order, and every mutator fixes the membership of the
-// file it touches before releasing the write lock. A Replicas that is
-// never asked has target 0 and its mutators do no index work.
+// file it touches before it returns. A Replicas that is never asked has
+// target 0 and its mutators do no index work.
+//
+// The runner or State that made a map is its only user; it is not safe for
+// concurrent use.
 type Replicas struct {
-	mu sync.RWMutex
 	// files is indexed by file id, nodes holds each node id's name.
 	// unordered is set once a file name did not sort after every earlier
 	// one; until then id order is name order.
@@ -59,8 +60,6 @@ func NewReplicas() *Replicas { return &Replicas{} }
 // file id in order, and returns the first. Names given in ascending order
 // keep id order equal to name order, which lets the index compare ids.
 func (r *Replicas) RegisterFiles(names []string) int32 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	first := int32(len(r.files))
 	r.files = slices.Grow(r.files, len(names))
 	for _, n := range names {
@@ -74,31 +73,23 @@ func (r *Replicas) RegisterFiles(names []string) int32 {
 
 // RegisterNode gives name, not registered yet, the next node id.
 func (r *Replicas) RegisterNode(name string) int32 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.nodes = append(r.nodes, name)
 	return int32(len(r.nodes) - 1)
 }
 
 // ReserveNodes makes room for n more node registrations.
 func (r *Replicas) ReserveNodes(n int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.nodes = slices.Grow(r.nodes, n)
 }
 
 // FileName returns the name of file id.
 func (r *Replicas) FileName(id int32) string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	return r.files[id].name
 }
 
 // Reset forgets every replica and every known file and drops the index
 // target, keeping the ids: the map an amnesiac master restarts with.
 func (r *Replicas) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	for i := range r.files {
 		r.files[i] = fileState{name: r.files[i].name}
 	}
@@ -145,7 +136,7 @@ func (r *Replicas) member(f int32) bool {
 }
 
 // fix moves f into or out of the index after a mutation; was is its
-// membership before. Caller holds the write lock.
+// membership before.
 func (r *Replicas) fix(f int32, was bool) {
 	now := r.member(f)
 	if now == was {
@@ -161,7 +152,7 @@ func (r *Replicas) fix(f int32, was bool) {
 
 // index returns the under-target list for rf, building it by one full scan
 // when rf is not the established target; rf < 1 is no target, so nothing is
-// under it. Caller holds the write lock and must not let the slice outlive
+// under it. The slice is the index itself, so the next mutation may change
 // it.
 func (r *Replicas) index(rf int) []int32 {
 	if rf < 1 {
@@ -185,8 +176,6 @@ func (r *Replicas) index(rf int) []int32 {
 
 // AddID records that node holds file and reports whether that is new.
 func (r *Replicas) AddID(file, node int32) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	was := r.member(file)
 	if !r.files[file].holders.Add(node) {
 		return false
@@ -198,28 +187,19 @@ func (r *Replicas) AddID(file, node int32) bool {
 
 // RemoveID forgets one replica (e.g. the node failed).
 func (r *Replicas) RemoveID(file, node int32) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.remove(file, node)
-}
-
-// remove is RemoveID under the write lock.
-func (r *Replicas) remove(f, n int32) {
-	was := r.member(f)
-	if r.files[f].holders.Remove(n) {
-		r.fix(f, was)
+	was := r.member(file)
+	if r.files[file].holders.Remove(node) {
+		r.fix(file, was)
 	}
 }
 
 // DropNodeID forgets every replica on the node and returns the files that
 // lost a copy, in name order.
 func (r *Replicas) DropNodeID(node int32) []int32 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	var lost []int32
 	for f := range r.files {
 		if r.files[f].holders.Has(node) {
-			r.remove(int32(f), node)
+			r.RemoveID(int32(f), node)
 			lost = append(lost, int32(f))
 		}
 	}
@@ -229,15 +209,11 @@ func (r *Replicas) DropNodeID(node int32) []int32 {
 
 // HasID reports whether node holds file.
 func (r *Replicas) HasID(file, node int32) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	return r.files[file].holders.Has(node)
 }
 
 // CountID returns the number of live replicas of file.
 func (r *Replicas) CountID(file int32) int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	return r.files[file].holders.Len()
 }
 
@@ -245,8 +221,6 @@ func (r *Replicas) CountID(file int32) int {
 // set — used when a file is declared permanently lost and should stop
 // showing up in repair scans.
 func (r *Replicas) ForgetID(file int32) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	was := r.member(file)
 	r.files[file].holders.Clear()
 	r.files[file].known = false
@@ -257,8 +231,6 @@ func (r *Replicas) ForgetID(file int32) {
 // repair scans. An amnesiac master uses it to re-derive "someone must hold
 // this" facts (evacuated files) it can no longer attribute to a node.
 func (r *Replicas) NoteID(file int32) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if !r.files[file].known {
 		r.files[file].known = true
 		r.fix(file, false)
@@ -268,52 +240,33 @@ func (r *Replicas) NoteID(file int32) {
 // UnderCount returns how many known files have fewer than rf live replicas,
 // files with none included; rf < 1 is no target, so none is under it.
 func (r *Replicas) UnderCount(rf int) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return len(r.index(rf))
 }
 
 // WalkUnderID calls fn for each file UnderCount(rf) counts, in name order
-// and in place, until fn returns false. The lock is not held across fn,
-// which may mutate the map — forget the file it was handed or any other,
-// add, remove: each step resumes at the first indexed file that
-// sorts after the one just visited, so none is skipped or repeated whatever
-// fn removed or inserted.
+// and in place, until fn returns false. fn may mutate the map — forget the
+// file it was handed or any other, add, remove: each step resumes at the
+// first indexed file that sorts after the one just visited, so none is
+// skipped or repeated whatever fn removed or inserted.
 func (r *Replicas) WalkUnderID(rf int, fn func(file int32) bool) {
-	for f, i, ok := r.nextUnder(rf, -1, 0); ok; f, i, ok = r.nextUnder(rf, i, f) {
+	under := r.index(rf)
+	for i := 0; i < len(under); {
+		f := under[i]
 		if !fn(f) {
 			return
 		}
-	}
-}
-
-// nextUnder is one walk step: the first indexed file after prev, and its
-// position. i is where prev sat on the previous step (-1 to start the
-// walk); it is only a hint, re-checked against the index as it is now.
-func (r *Replicas) nextUnder(rf, i int, prev int32) (int32, int, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	under := r.index(rf)
-	switch {
-	case i < 0:
-		i = 0
-	case i < len(under) && under[i] == prev:
-		i++ // nothing before the cursor moved
-	default:
-		var found bool
-		if i, found = r.underPos(prev); found {
-			i++
+		if under = r.index(rf); i < len(under) && under[i] == f {
+			i++ // nothing before the cursor moved
+		} else if j, found := r.underPos(f); found {
+			i = j + 1
+		} else {
+			i = j
 		}
 	}
-	if i >= len(under) {
-		return 0, i, false
-	}
-	return under[i], i, true
 }
 
-// holdersLocked returns the holders of f in name order. Caller holds the
-// lock.
-func (r *Replicas) holdersLocked(f int32) []string {
+// holders returns the holders of f in name order.
+func (r *Replicas) holders(f int32) []string {
 	ids := r.files[f].holders.Append(nil)
 	out := make([]string, len(ids))
 	for i, n := range ids {
@@ -323,9 +276,8 @@ func (r *Replicas) holdersLocked(f int32) []string {
 	return out
 }
 
-// knownLocked returns the known files in name order. Caller holds the
-// lock.
-func (r *Replicas) knownLocked() []int32 {
+// known returns the known files in name order.
+func (r *Replicas) known() []int32 {
 	var out []int32
 	for f := range r.files {
 		if r.files[f].known {
@@ -339,11 +291,9 @@ func (r *Replicas) knownLocked() []int32 {
 // dump writes the canonical replica-map section: every known file in name
 // order with its holders.
 func (r *Replicas) dump(b *strings.Builder) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	b.WriteString("replicas:\n")
-	for _, f := range r.knownLocked() {
-		b.WriteString("  " + r.files[f].name + " -> [" + strings.Join(r.holdersLocked(f), " ") + "]\n")
+	for _, f := range r.known() {
+		b.WriteString("  " + r.files[f].name + " -> [" + strings.Join(r.holders(f), " ") + "]\n")
 	}
 }
 
