@@ -567,9 +567,35 @@ func (m *Master) admit(w *masterWorker) {
 	}
 	w.out.put(outItem{msg: &protocol.Message{
 		Type: protocol.TAck, Cores: slots, Template: m.template,
-		ReturnOutputs: m.cfg.OutputSink != nil,
+		ReturnOutputs: m.cfg.OutputSink != nil, ExpectFiles: m.expectFiles(),
 	}, files: staged, ready: true})
 	m.logf("worker %s registered (%d cores, %d slots)", w.name, w.cores, slots)
+}
+
+// expectFiles is how many input files a worker admitted now can expect: every
+// file without partitioning, none where the data is local, else its share of
+// the files that are not common, rounded up. It is 0 until the controller has
+// said how many workers to expect, and when the source cannot be listed: the
+// start, which takes the same listing, reports that.
+func (m *Master) expectFiles() int {
+	if m.expected <= 0 || m.strat.Locality == strategy.Local {
+		return 0
+	}
+	cat, err := m.sourceCatalog()
+	if err != nil {
+		return 0
+	}
+	n := cat.Len()
+	if m.strat.Kind == strategy.NoPartition {
+		return n
+	}
+	common := m.strat.CommonFiles
+	for i, name := range common {
+		if _, ok := cat.Index(name); ok && !slices.Contains(common[:i], name) {
+			n--
+		}
+	}
+	return (n + m.expected - 1) / m.expected
 }
 
 // reserveOutbox sizes w's outbox for a dispatch pass and an item besides.
@@ -581,8 +607,8 @@ func (m *Master) reserveOutbox(w *masterWorker) {
 	}
 }
 
-// sourceCatalog lists the source once, when first needed: by common-file
-// staging, which can come before the run starts, or by the start.
+// sourceCatalog lists the source once, when first needed: by admission or
+// common-file staging, which can come before the run starts, or by the start.
 func (m *Master) sourceCatalog() (*catalog.Catalog, error) {
 	if m.catalogue == nil {
 		cat, err := m.cfg.Source.Catalog()

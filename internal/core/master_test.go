@@ -607,7 +607,8 @@ func serveMaster(t *testing.T, tr transport.Transport, src catalog.Source) *Mast
 
 // A worker that registers with a daemon master before the controller's
 // START_MASTER waits for it: its ACK carries the controller's template, and
-// the worker runs the job with it.
+// the worker runs the job with it. The ACK comes before FORK_REMOTE_WORKERS,
+// so it tells the worker to expect no number of files.
 func TestWorkerRegisteredBeforeStartGetsControllerTemplate(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -661,8 +662,8 @@ func TestWorkerRegisteredBeforeStartGetsControllerTemplate(t *testing.T) {
 	defer log.mu.Unlock()
 	for _, c := range log.conns {
 		if c.master && c.worker == "w0" {
-			if ack := c.sent[0]; ack.Type != protocol.TAck || !slices.Equal(ack.Template, template) {
-				t.Fatalf("the master's first frame to w0 = %s with template %q, want an ACK with %q", ack.Type, ack.Template, template)
+			if ack := c.sent[0]; ack.Type != protocol.TAck || !slices.Equal(ack.Template, template) || ack.ExpectFiles != 0 {
+				t.Fatalf("the master's first frame to w0 = %s with template %q expecting %d files, want an ACK with %q expecting 0", ack.Type, ack.Template, ack.ExpectFiles, template)
 			}
 		}
 	}

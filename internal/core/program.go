@@ -292,8 +292,9 @@ func NewMemStore() *MemStore { return &MemStore{files: make(map[string][]byte)} 
 const slabSize, slabFile = 28 << 10, 4 << 10
 
 // maxReserve bounds what MemStore allocates on a sender's word alone; a
-// larger file grows as its bytes arrive.
-const maxReserve = 1 << 30
+// larger file grows as its bytes arrive. maxExpect bounds, in the same way,
+// the files its index is sized for.
+const maxReserve, maxExpect = 1 << 30, 1 << 20
 
 // Put implements Store. The buffer is sized from r when r tells its length
 // (bytes.Reader, strings.Reader, bytes.Buffer, a stored file, or an
@@ -368,6 +369,17 @@ func (s *MemStore) Reserve(name string, size int64) error {
 	s.files[name] = make([]byte, 0, min(size, maxReserve))
 	s.mu.Unlock()
 	return nil
+}
+
+// expect sizes an empty store's index for n files, the inputs its worker was
+// told at registration to expect, so that landing them never regrows it. A
+// store that holds files already keeps its index.
+func (s *MemStore) expect(n int) {
+	s.mu.Lock()
+	if n > 0 && len(s.files) == 0 {
+		s.files = make(map[string][]byte, min(n, maxExpect))
+	}
+	s.mu.Unlock()
 }
 
 // keep stores data under name as it is, a whole file whose sender has handed

@@ -133,6 +133,9 @@ func (w *Worker) Run(ctx context.Context) error {
 		w.slots = 1
 	}
 	w.returnOutputs = ack.ReturnOutputs
+	if mem, ok := w.cfg.Store.(*MemStore); ok {
+		mem.expect(ack.ExpectFiles)
+	}
 	w.program = w.cfg.Program
 	if w.program == nil {
 		if len(ack.Template) == 0 {

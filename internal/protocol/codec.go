@@ -10,6 +10,7 @@ import (
 	"math"
 	"net"
 	"slices"
+	"strings"
 	"sync"
 
 	"frieda/internal/strategy"
@@ -75,6 +76,7 @@ const (
 	fieldWorker = 1 << iota
 	fieldCores
 	fieldReturnOutputs
+	fieldExpectFiles
 	fieldStrategy
 	fieldTemplate
 	fieldWorkers
@@ -141,6 +143,15 @@ const (
 // steady state; the lookup is a linear scan, so the ring stays small.
 const ringSize = 8
 
+// Bounds on the slabs a codec carves decoded strings from. A new string of
+// at most maxCarve bytes is copied into the current slab and is a substring
+// of it; a connection's first slab is firstSlab bytes and each next one
+// twice the last, up to maxSlab, so a connection that decodes few strings
+// pays about one small allocation for them. A longer string gets an
+// allocation of its own, so a string kept alive pins at most one slab. No
+// slab is shorter than maxCarve, so a string carved always fits a new one.
+const firstSlab, maxSlab, maxCarve = 256, 4 << 10, 256
+
 // Bounds on the send buffer. They are constants, not options: what they trade
 // is a memory copy against a system call, which is a property of the machine
 // and not of a workload.
@@ -181,7 +192,8 @@ var (
 //
 // Recv decodes every frame into one Message the codec owns and reuses: the
 // returned message, and every slice it references, is valid only until the
-// next Recv. Its strings are ordinary strings and stay valid. Send has copied
+// next Recv. Its strings are ordinary strings and stay valid; strings decoded
+// on one codec share the byte slabs they are carved from. Send has copied
 // the message out (or written it) by the time it returns.
 type Codec struct {
 	// Send side, under mu.
@@ -208,6 +220,10 @@ type Codec struct {
 	// goes.
 	ring [ringSize]string
 	next int
+	// slab holds the bytes of the strings carved so far, and room for more.
+	// A Builder never rewrites the bytes it has handed out, so each string
+	// stays valid after the slab is replaced.
+	slab strings.Builder
 
 	c io.Closer
 }
@@ -514,7 +530,8 @@ func (c *Codec) recvData() (*Message, error) {
 }
 
 // intern returns b as a string: one from the ring when it holds b, else a
-// new one, which replaces the ring's oldest.
+// new one, which replaces the ring's oldest. A new string is carved from the
+// slab when it is short, else allocated.
 func (c *Codec) intern(b []byte) string {
 	if len(b) == 0 {
 		return ""
@@ -524,7 +541,19 @@ func (c *Codec) intern(b []byte) string {
 			return s
 		}
 	}
-	s := string(b)
+	var s string
+	if len(b) > maxCarve {
+		s = string(b)
+	} else {
+		if c.slab.Cap()-c.slab.Len() < len(b) {
+			size := min(max(2*c.slab.Cap(), firstSlab), maxSlab)
+			c.slab.Reset() // the strings already carved keep the old slab
+			c.slab.Grow(size)
+		}
+		at := c.slab.Len()
+		c.slab.Write(b)
+		s = c.slab.String()[at:]
+	}
 	c.ring[c.next] = s
 	c.next = (c.next + 1) % ringSize
 	return s
@@ -560,6 +589,9 @@ func appendBody(b []byte, m *Message) []byte {
 		b = binary.AppendVarint(b, int64(m.Cores))
 	}
 	has(fieldReturnOutputs, m.ReturnOutputs)
+	if has(fieldExpectFiles, m.ExpectFiles != 0) {
+		b = binary.AppendVarint(b, int64(m.ExpectFiles))
+	}
 	// The strategy goes into b's spare room and stays only if any of it is
 	// set: its own mask byte, the first it appends, says so.
 	if s := appendStrategy(b, &m.Strategy); has(fieldStrategy, s[len(b)] != 0) {
@@ -833,6 +865,9 @@ func (d *decoder) message(m *Message) {
 		m.Cores = d.integer()
 	}
 	m.ReturnOutputs = mask&fieldReturnOutputs != 0
+	if mask&fieldExpectFiles != 0 {
+		m.ExpectFiles = d.integer()
+	}
 	if mask&fieldStrategy != 0 {
 		d.strategy(&m.Strategy)
 	}

@@ -106,7 +106,7 @@ func sample(t Type, rng *rand.Rand) *Message {
 		return TaskResult{GroupIndex: num(), Worker: str(), OK: some(), Error: str(), DurationSec: float(), Output: str()}
 	}
 	m := &Message{
-		Type: t, Worker: str(), Cores: num(), ReturnOutputs: some(),
+		Type: t, Worker: str(), Cores: num(), ReturnOutputs: some(), ExpectFiles: num(),
 		Template: strs(), Workers: num(),
 		Files: files(), GroupIndex: num(), Result: result(), Error: str(),
 	}
@@ -156,7 +156,7 @@ func typical() []*Message {
 		{Type: TWorkerError, Worker: "w3", Error: "disk full"},
 		{Type: TRemoveWorker, Worker: "w4", Seq: 5},
 		{Type: TShutdown, Seq: 6},
-		{Type: TAck, Cores: 4, Template: template, ReturnOutputs: true, Error: "rejected", Seq: 7},
+		{Type: TAck, Cores: 4, Template: template, ReturnOutputs: true, ExpectFiles: 4096, Error: "rejected", Seq: 7},
 		{Type: TRegister, Worker: "w0", Cores: 4},
 		{Type: TFileData, FileName: "q-0001.fa", Worker: "w0", Offset: 512, FileSize: 1 << 10, Data: []byte("MKVLAAGIV"), Last: true, Seq: 9},
 		{Type: TDistribute, Worker: "w0", Files: files, Groups: []int{0, 4, 8}},
@@ -421,6 +421,88 @@ func TestRecvDoesNotAllocate(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("%.1f allocations per FILE_DATA, EXECUTE, TASK_STATUS received, want 0", allocs)
+	}
+}
+
+// distinctNames sends n TFileData frames, each a whole 1 KiB file of a name
+// no other frame has (each at least nameLen bytes long), and returns the
+// stream and the names in order.
+func distinctNames(t testing.TB, n, nameLen int) ([]byte, []string) {
+	var buf bytes.Buffer
+	c := NewCodec(&buf)
+	payload := make([]byte, 1<<10)
+	names := make([]string, n)
+	for i := range names {
+		names[i] = fmt.Sprintf("%0*d.dat", nameLen, i)
+		m := &Message{Type: TFileData, FileName: names[i], Worker: "w0", Data: payload, FileSize: 1 << 10, Last: true}
+		if err := c.Send(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf.Bytes(), names
+}
+
+// Decoded names are carved from slabs that are replaced as they fill: every
+// name kept across many slabs still reads as it was sent.
+func TestCarvedNamesStayValid(t *testing.T) {
+	stream, names := distinctNames(t, 10000, 6)
+	c := NewCodec(struct {
+		io.Reader
+		io.Writer
+	}{bytes.NewReader(stream), io.Discard})
+	got := make([]string, 0, len(names))
+	for range names {
+		m, err := c.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, m.FileName)
+	}
+	for i, want := range names {
+		if got[i] != want {
+			t.Fatalf("name %d reads %q, sent %q", i, got[i], want)
+		}
+	}
+}
+
+// recvEach receives stream's frames one per run of testing.AllocsPerRun and
+// returns the allocations per frame. The codec is warmed first by a frame of
+// a name the stream does not repeat.
+func recvEach(t *testing.T, stream []byte, frames int) float64 {
+	warm, _ := distinctNames(t, 1, 1)
+	r := bytes.NewReader(warm)
+	c := NewCodec(struct {
+		io.Reader
+		io.Writer
+	}{r, io.Discard})
+	if _, err := c.Recv(); err != nil {
+		t.Fatal(err)
+	}
+	r.Reset(stream)
+	return testing.AllocsPerRun(frames-1, func() {
+		if _, err := c.Recv(); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// Receiving a TFileData of a name the codec has not seen costs a share of a
+// slab, not an allocation of its own.
+func TestNewNameIsCarved(t *testing.T) {
+	const frames = 4000
+	stream, _ := distinctNames(t, frames, 12)
+	if allocs := recvEach(t, stream, frames); allocs > 0.02 {
+		t.Fatalf("%.3f allocations per FILE_DATA of a new name, want at most 0.02", allocs)
+	}
+}
+
+// A name longer than maxCarve gets an allocation of its own, so that keeping
+// it alive keeps no slab alive.
+func TestLongNameIsAllocated(t *testing.T) {
+	const frames = 200
+	stream, _ := distinctNames(t, frames, maxCarve+1)
+	if allocs := recvEach(t, stream, frames); allocs != 1 {
+		t.Fatalf("%.3f allocations per FILE_DATA of a new name over %d bytes, want 1", allocs, maxCarve)
 	}
 }
 
@@ -1007,6 +1089,12 @@ func FuzzCodecRecv(f *testing.F) {
 	// A MASTER_DONE with only the staging time, 0.25 s, and 48 returned
 	// bytes.
 	f.Add(controlFrame(byte(TMasterDone), fieldTransferPhaseSec|fieldOutputBytes, 0, 0, 0, 0, 0, 0, 0xd0, 0x3f, 0x60))
+	// A registration ACK of one slot that tells the worker to expect 4,096
+	// files.
+	f.Add(controlFrame(byte(TAck), fieldCores|fieldExpectFiles, 2, 0x80, 0x40))
+	// Data frames of distinct names past the first slab's end.
+	names, _ := distinctNames(f, firstSlab/8+1, 4)
+	f.Add(names)
 	f.Fuzz(func(t *testing.T, in []byte) {
 		c := NewCodec(struct {
 			io.Reader

@@ -148,6 +148,10 @@ type Message struct {
 	// ReturnOutputs (in a registration TAck) asks the worker to stream
 	// registered result files back to the master after each task.
 	ReturnOutputs bool
+	// ExpectFiles (in a registration TAck) is how many input files the
+	// worker can expect to receive, 0 when the master cannot tell: its store
+	// may size its index for them once.
+	ExpectFiles int
 
 	// Strategy configures the master (TStartMaster, TPartitionType): the
 	// strategy.Config itself, no wire copy. The wire carries its enums as
