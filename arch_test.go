@@ -115,6 +115,7 @@ var rules = []rule{
 	{"OneFaultClock", oneFaultClock},
 	{"NoNameKeyedFileSets", noNameKeyedFileSets},
 	{"StrategyWords", strategyWords},
+	{"OneGroupList", oneGroupList},
 	{"SimrunReadsNoPluginConfig", simrunReadsNoPluginConfig},
 	{"BenchStubs", benchStubUses},
 	{"Layers", layers},
@@ -545,6 +546,28 @@ func strategyWords(tr *tree) (bad []string) {
 				}
 				return true
 			})
+		}
+	}
+	return bad
+}
+
+// oneGroupList: the real master and the simulator take a job's groups from
+// one derivation, strategy.Config.Groups, so outside internal/partition and
+// internal/strategy nothing resolves a grouping or runs a generator itself;
+// bench/ times the generator alone, through strategy.Config.Generator.
+func oneGroupList(tr *tree) (bad []string) {
+	part := tr.pkg("internal/partition")
+	if part == nil {
+		return nil
+	}
+	resolvers := tr.objects("internal/partition.ByName", "internal/strategy.Config.Generator")
+	generates := func(obj types.Object) bool {
+		fn, ok := obj.(*types.Func)
+		return (ok && fn.Name() == "Generate" && fn.Pkg() == part.types) || slices.Contains(resolvers, obj)
+	}
+	for _, p := range tr.pkgs {
+		if p != part && p.rel != "internal/strategy" && !inDir(p.rel, "bench") {
+			bad = append(bad, tr.uses(p, generates)...)
 		}
 	}
 	return bad

@@ -11,6 +11,8 @@ package main
 import (
 	"fmt"
 	"log"
+	"maps"
+	"slices"
 
 	"frieda"
 	"frieda/internal/cloud"
@@ -21,13 +23,19 @@ import (
 )
 
 func main() {
-	wl := frieda.UniformSimWorkload("analysis", 200, 4.0, 2_000_000)
+	files := make([]frieda.FileMeta, 200)
+	for i := range files {
+		files[i] = frieda.FileMeta{Name: fmt.Sprintf("analysis-%05d", i), Size: 2_000_000}
+	}
+	job := frieda.SimConfig{
+		Strategy:   frieda.RealTimeRemote,
+		Dataset:    frieda.SizedDataset(files...),
+		ComputeSec: 4.0,
+		Workers:    2,
+	}
 
 	// Baseline: two workers for the whole run.
-	base, err := frieda.Simulate(frieda.SimConfig{
-		Strategy: frieda.RealTimeRemote,
-		Workers:  2,
-	}, wl)
+	base, err := frieda.Simulate(job)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -35,18 +43,15 @@ func main() {
 
 	// Elastic: two more VMs join a third of the way in. Real-time
 	// partitioning gives them work immediately — no reconfiguration.
-	grown, err := frieda.Simulate(frieda.SimConfig{
-		Strategy:       frieda.RealTimeRemote,
-		Workers:        2,
-		AddWorkerAtSec: []float64{base.MakespanSec / 3, base.MakespanSec / 3},
-	}, wl)
+	job.AddWorkerAtSec = []float64{base.MakespanSec / 3, base.MakespanSec / 3}
+	grown, err := frieda.Simulate(job)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("2 workers + 2 added later:  %7.1fs makespan (%.0f%% faster)\n",
 		grown.MakespanSec, 100*(1-grown.MakespanSec/base.MakespanSec))
-	for worker, n := range grown.PerWorker {
-		fmt.Printf("  %-8s executed %d tasks\n", worker, n)
+	for _, worker := range slices.Sorted(maps.Keys(grown.PerWorker)) {
+		fmt.Printf("  %-8s executed %d tasks\n", worker, grown.PerWorker[worker])
 	}
 
 	// Fully transparent elasticity: the watermark autoscaler watches queue

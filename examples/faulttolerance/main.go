@@ -23,33 +23,34 @@ import (
 )
 
 func main() {
-	wl := frieda.UniformSimWorkload("job", 240, 3.0, 500_000)
+	inputs := make([]frieda.FileMeta, 240)
+	for i := range inputs {
+		inputs[i] = frieda.FileMeta{Name: fmt.Sprintf("job-%05d", i), Size: 500_000}
+	}
+	job := frieda.SimConfig{
+		Strategy:   frieda.RealTimeRemote,
+		Dataset:    frieda.SizedDataset(inputs...),
+		ComputeSec: 3.0,
+		Workers:    3,
+		FailAtSec:  map[int]float64{1: 20},
+	}
 
 	// A worker crashes 20 s in. Published behaviour: isolate.
-	isolated, err := frieda.Simulate(frieda.SimConfig{
-		Strategy:  frieda.RealTimeRemote,
-		Workers:   3,
-		FailAtSec: map[int]float64{1: 20},
-	}, wl)
+	isolated, err := frieda.Simulate(job)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("isolation (paper):   %3d/%3d tasks completed, %.1fs\n",
-		isolated.Succeeded, len(wl.Tasks), isolated.MakespanSec)
+		isolated.Succeeded, len(inputs), isolated.MakespanSec)
 
 	// Future-work recovery: same crash, lost work requeued.
-	recovered, err := frieda.Simulate(frieda.SimConfig{
-		Strategy:   frieda.RealTimeRemote,
-		Workers:    3,
-		FailAtSec:  map[int]float64{1: 20},
-		Recover:    true,
-		MaxRetries: 3,
-	}, wl)
+	job.Recover, job.MaxRetries = true, 3
+	recovered, err := frieda.Simulate(job)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("recovery (extension): %3d/%3d tasks completed, %.1fs\n\n",
-		recovered.Succeeded, len(wl.Tasks), recovered.MakespanSec)
+		recovered.Succeeded, len(inputs), recovered.MakespanSec)
 
 	// Real runtime: a program that fails on first contact with each input
 	// recovers through task-level retry.

@@ -28,6 +28,7 @@ package frieda
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"path/filepath"
 
@@ -112,7 +113,7 @@ var (
 // NewDirStore returns a disk-backed store rooted at dir.
 func NewDirStore(dir string) (Store, error) { return core.NewDirStore(dir) }
 
-// Dataset is a named input collection served by the master.
+// Dataset is an input collection: Run serves its bytes, Simulate its sizes.
 type Dataset struct {
 	source catalog.Source
 }
@@ -133,13 +134,23 @@ func MemDataset(files map[string][]byte) Dataset {
 	return Dataset{source: src}
 }
 
+// SizedDataset lists files by name and size alone, in name order: Simulate
+// charges their sizes, Run refuses it with ErrSizesOnly. Simulate refuses an
+// empty name, a negative size or a name given twice with catalog's error.
+func SizedDataset(files ...FileMeta) Dataset {
+	return Dataset{source: catalog.NewSizedSource(files)}
+}
+
+// ErrSizesOnly is Run's refusal of a SizedDataset: it has no bytes to send.
+var ErrSizesOnly = errors.New("frieda: a sizes-only dataset has no bytes to run")
+
 // RunConfig describes one deployment.
 type RunConfig struct {
 	// Strategy selects the data-management behaviour. The zero value is
 	// no-partition (the full dataset on every worker), remote,
 	// data-to-compute, one file per task.
 	Strategy Strategy
-	// Dataset is the input collection. Required.
+	// Dataset is the input collection. Required, and not a SizedDataset.
 	Dataset Dataset
 	// Program runs tasks in-process. Exactly one of Program/Template is
 	// required.
@@ -176,6 +187,9 @@ type RunConfig struct {
 func Run(ctx context.Context, cfg RunConfig) (Report, error) {
 	if cfg.Dataset.source == nil {
 		return Report{}, fmt.Errorf("frieda: RunConfig needs a Dataset")
+	}
+	if _, ok := cfg.Dataset.source.(*catalog.SizedSource); ok {
+		return Report{}, ErrSizesOnly
 	}
 	if (cfg.Program == nil) == (len(cfg.Template) == 0) {
 		return Report{}, fmt.Errorf("frieda: exactly one of Program or Template is required")

@@ -3,6 +3,7 @@ package frieda
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -15,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"frieda/internal/catalog"
 	"frieda/internal/cloud"
 )
 
@@ -43,6 +45,16 @@ func memFiles(n, size int) map[string][]byte {
 		files[fmt.Sprintf("f%03d.dat", i)] = []byte(strings.Repeat("z", size))
 	}
 	return files
+}
+
+// uniform is a sizes-only dataset of n files of size bytes, named
+// prefix-00000 on: n groups of one file each under the single grouping.
+func uniform(prefix string, n int, size int64) Dataset {
+	files := make([]FileMeta, n)
+	for i := range files {
+		files[i] = FileMeta{Name: fmt.Sprintf("%s-%05d", prefix, i), Size: size}
+	}
+	return SizedDataset(files...)
 }
 
 func TestRunRealTime(t *testing.T) {
@@ -230,8 +242,7 @@ func TestRunValidation(t *testing.T) {
 }
 
 func TestSimulateUniform(t *testing.T) {
-	res, err := Simulate(SimConfig{Strategy: RealTimeRemote},
-		UniformSimWorkload("u", 32, 1.0, 1000))
+	res, err := Simulate(SimConfig{Strategy: RealTimeRemote, Dataset: uniform("u", 32, 1000), ComputeSec: 1.0, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,9 +257,12 @@ func TestSimulateUniform(t *testing.T) {
 
 func TestSimulateScriptedFailure(t *testing.T) {
 	res, err := Simulate(SimConfig{
-		Strategy:  RealTimeRemote,
-		FailAtSec: map[int]float64{0: 1.5},
-	}, UniformSimWorkload("f", 64, 1.0, 0))
+		Strategy:   RealTimeRemote,
+		Dataset:    uniform("f", 64, 0),
+		ComputeSec: 1.0,
+		Workers:    4,
+		FailAtSec:  map[int]float64{0: 1.5},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,10 +274,13 @@ func TestSimulateScriptedFailure(t *testing.T) {
 	}
 	// With recovery everything completes.
 	res2, err := Simulate(SimConfig{
-		Strategy:  RealTimeRemote,
-		FailAtSec: map[int]float64{0: 1.5},
-		Recover:   true, MaxRetries: 3,
-	}, UniformSimWorkload("f", 64, 1.0, 0))
+		Strategy:   RealTimeRemote,
+		Dataset:    uniform("f", 64, 0),
+		ComputeSec: 1.0,
+		Workers:    4,
+		FailAtSec:  map[int]float64{0: 1.5},
+		Recover:    true, MaxRetries: 3,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,15 +290,14 @@ func TestSimulateScriptedFailure(t *testing.T) {
 }
 
 func TestSimulateElasticAdd(t *testing.T) {
-	base, err := Simulate(SimConfig{Strategy: RealTimeRemote, Workers: 1},
-		UniformSimWorkload("e", 40, 1.0, 0))
+	base, err := Simulate(SimConfig{Strategy: RealTimeRemote, Dataset: uniform("e", 40, 0), ComputeSec: 1.0, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	grown, err := Simulate(SimConfig{
-		Strategy: RealTimeRemote, Workers: 1,
+		Strategy: RealTimeRemote, Dataset: uniform("e", 40, 0), ComputeSec: 1.0, Workers: 1,
 		AddWorkerAtSec: []float64{2.0},
-	}, UniformSimWorkload("e", 40, 1.0, 0))
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,31 +306,78 @@ func TestSimulateElasticAdd(t *testing.T) {
 	}
 }
 
+// The shared refusal table: Simulate refuses a job it cannot run before it
+// schedules anything, and the two executors refuse one invalid strategy
+// with the one error its Validate gives.
 func TestSimulateValidation(t *testing.T) {
 	nan := math.NaN()
 	huge := cloud.C1XLarge
 	huge.Cores = 1 << 30
+	valid := SimConfig{Strategy: RealTimeRemote, Dataset: uniform("x", 4, 0), ComputeSec: 1, Workers: 4}
+	if _, err := Simulate(valid); err != nil {
+		t.Fatalf("the valid job: %v", err)
+	}
 	for _, tc := range []struct {
-		name string
-		cfg  SimConfig
+		name  string
+		edit  func(*SimConfig)
+		is    error  // the refusal's kind, where it has one
+		names string // what the refusal names, where it names something
+		both  bool   // an invalid strategy, which Run refuses too
 	}{
-		{"negative workers", SimConfig{Workers: -1}},
-		{"failure index out of range", SimConfig{FailAtSec: map[int]float64{99: 1}}},
-		{"negative failure index", SimConfig{FailAtSec: map[int]float64{-1: 1}}},
-		{"negative failure time", SimConfig{FailAtSec: map[int]float64{0: -1}}},
-		{"NaN failure time", SimConfig{FailAtSec: map[int]float64{0: nan}}},
-		{"negative add time", SimConfig{AddWorkerAtSec: []float64{1, -0.5}}},
-		{"NaN add time", SimConfig{AddWorkerAtSec: []float64{nan}}},
-		{"negative MTBF", SimConfig{FailureMTBFSec: -10}},
-		{"a VM of 2^30 cores", SimConfig{Instance: huge}},
+		{name: "negative workers", edit: func(c *SimConfig) { c.Workers = -1 }},
+		{name: "zero workers", edit: func(c *SimConfig) { c.Workers = 0 }},
+		{name: "failure index out of range", edit: func(c *SimConfig) { c.FailAtSec = map[int]float64{99: 1} }},
+		{name: "negative failure index", edit: func(c *SimConfig) { c.FailAtSec = map[int]float64{-1: 1} }},
+		{name: "negative failure time", edit: func(c *SimConfig) { c.FailAtSec = map[int]float64{0: -1} }},
+		{name: "NaN failure time", edit: func(c *SimConfig) { c.FailAtSec = map[int]float64{0: nan} }},
+		{name: "negative add time", edit: func(c *SimConfig) { c.AddWorkerAtSec = []float64{1, -0.5} }},
+		{name: "NaN add time", edit: func(c *SimConfig) { c.AddWorkerAtSec = []float64{nan} }},
+		{name: "negative MTBF", edit: func(c *SimConfig) { c.FailureMTBFSec = -10 }},
+		{name: "a VM of 2^30 cores", edit: func(c *SimConfig) { c.Instance = huge }},
+		{name: "no dataset", edit: func(c *SimConfig) { c.Dataset = Dataset{} }},
+		{name: "negative ComputeSec", edit: func(c *SimConfig) { c.ComputeSec = -1 }},
+		{name: "NaN ComputeSec", edit: func(c *SimConfig) { c.ComputeSec = nan }},
+		{name: "infinite ComputeSec", edit: func(c *SimConfig) { c.ComputeSec = math.Inf(1) }},
+		{name: "file listed twice", edit: func(c *SimConfig) {
+			c.Dataset = SizedDataset(FileMeta{Name: "b"}, FileMeta{Name: "a"}, FileMeta{Name: "b"})
+		}, is: catalog.ErrDuplicate},
+		{name: "remote common file the dataset lacks", edit: func(c *SimConfig) { c.Strategy.CommonFiles = []string{"db.bin"} }, names: `"db.bin"`},
+		{name: "unknown grouping", edit: func(c *SimConfig) { c.Strategy.Grouping = "no-such-grouping" }, both: true},
+		{name: "prefetch past MaxPrefetch", edit: func(c *SimConfig) { c.Strategy.Prefetch = 1 << 32 }, both: true},
+		{name: "kind out of range", edit: func(c *SimConfig) { c.Strategy.Kind = 7 }, both: true},
+		{name: "local real-time", edit: func(c *SimConfig) { c.Strategy.Locality = Local }, both: true},
+		{name: "no-partition compute-to-data", edit: func(c *SimConfig) { c.Strategy = CommonData; c.Strategy.Placement = ComputeToData }, both: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			tc.cfg.Strategy = RealTimeRemote
-			if _, err := Simulate(tc.cfg, UniformSimWorkload("x", 4, 1, 0)); err == nil {
+			cfg := valid
+			tc.edit(&cfg)
+			_, err := Simulate(cfg)
+			switch {
+			case err == nil:
 				t.Fatal("accepted")
+			case tc.is != nil && !errors.Is(err, tc.is):
+				t.Fatalf("refused with %v, not a %v", err, tc.is)
+			case !strings.Contains(err.Error(), tc.names):
+				t.Fatalf("refused with %v, which does not name %s", err, tc.names)
+			}
+			if !tc.both {
+				return
+			}
+			verr := cfg.Strategy.Validate()
+			if verr == nil || err.Error() != verr.Error() {
+				t.Fatalf("Simulate refused with %v, Validate with %v", err, verr)
+			}
+			_, rerr := Run(context.Background(), RunConfig{Strategy: cfg.Strategy, Dataset: MemDataset(memFiles(4, 8)), Program: countingProgram(), Workers: 2})
+			if rerr == nil || rerr.Error() != verr.Error() {
+				t.Fatalf("Run refused with %v, Validate with %v", rerr, verr)
 			}
 		})
 	}
+	t.Run("Run given a sizes-only dataset", func(t *testing.T) {
+		if _, err := Run(context.Background(), RunConfig{Dataset: valid.Dataset, Program: countingProgram(), Workers: 1}); !errors.Is(err, ErrSizesOnly) {
+			t.Fatalf("Run refused with %v, not ErrSizesOnly", err)
+		}
+	})
 }
 
 // A Prefetch past strategy.MaxPrefetch is refused up front by both entry
@@ -327,7 +390,7 @@ func TestUnboundedPrefetchRefused(t *testing.T) {
 	if _, err := Run(ctx, RunConfig{Strategy: strat, Dataset: MemDataset(memFiles(4, 8)), Program: countingProgram(), Workers: 2}); err == nil || ctx.Err() != nil {
 		t.Fatalf("Run with prefetch %d: %v (context %v)", strat.Prefetch, err, ctx.Err())
 	}
-	if _, err := Simulate(SimConfig{Strategy: strat}, UniformSimWorkload("p", 8, 1, 0)); err == nil {
+	if _, err := Simulate(SimConfig{Strategy: strat, Dataset: uniform("p", 8, 0), ComputeSec: 1, Workers: 4}); err == nil {
 		t.Fatalf("Simulate accepted prefetch %d", strat.Prefetch)
 	}
 }
@@ -341,7 +404,7 @@ func TestSimulateTailRunsAsAtWindowOne(t *testing.T) {
 	run := func(prefetch int) SimResult {
 		strat := RealTimeRemote
 		strat.Prefetch = prefetch
-		res, err := Simulate(SimConfig{Strategy: strat, Workers: 4, Instance: one}, UniformSimWorkload("t", 4, 1, 1000))
+		res, err := Simulate(SimConfig{Strategy: strat, Dataset: uniform("t", 4, 1000), ComputeSec: 1, Workers: 4, Instance: one})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -358,16 +421,18 @@ func TestSimulateTailRunsAsAtWindowOne(t *testing.T) {
 // so equal configs give equal results.
 func TestSimulateSimultaneousFailuresDeterministic(t *testing.T) {
 	cfg := SimConfig{
-		Strategy:  RealTimeRemote,
-		Workers:   3,
-		FailAtSec: map[int]float64{0: 5, 1: 5, 2: 5},
+		Strategy:   RealTimeRemote,
+		Dataset:    uniform("s", 48, 1000),
+		ComputeSec: 10,
+		Workers:    3,
+		FailAtSec:  map[int]float64{0: 5, 1: 5, 2: 5},
 	}
-	first, err := Simulate(cfg, UniformSimWorkload("s", 48, 10, 1000))
+	first, err := Simulate(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 1; i < 20; i++ {
-		res, err := Simulate(cfg, UniformSimWorkload("s", 48, 10, 1000))
+		res, err := Simulate(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -284,3 +284,32 @@ func (s *MemSource) Catalog() (*Catalog, error) {
 	}
 	return c, nil
 }
+
+// SizedSource lists files it holds no bytes of: enough for a simulated
+// job, which charges sizes alone. Open finds no file.
+type SizedSource struct {
+	cat *Catalog
+	err error
+}
+
+// NewSizedSource lists files in name order. An empty name, a negative size
+// or a name given twice is Add's typed error, which Catalog returns.
+func NewSizedSource(files []FileMeta) *SizedSource {
+	s := &SizedSource{cat: &Catalog{files: make([]FileMeta, 0, len(files))}}
+	for _, f := range slices.SortedFunc(slices.Values(files), nameOrder) {
+		if s.err = s.cat.Add(f); s.err != nil {
+			s.cat = nil
+			break
+		}
+	}
+	return s
+}
+
+// Catalog returns the listing, the same each call, or the error that
+// refused it.
+func (s *SizedSource) Catalog() (*Catalog, error) { return s.cat, s.err }
+
+// Open reports ErrNotFound: the source has sizes, not bytes.
+func (s *SizedSource) Open(name string) (io.ReadCloser, error) {
+	return nil, newError(ErrNotFound, name)
+}

@@ -517,3 +517,24 @@ func TestCatalogInvariantProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// A sized source lists its files in name order, refuses what Add refuses
+// with Add's typed error, and opens nothing.
+func TestSizedSource(t *testing.T) {
+	cat, err := NewSizedSource([]FileMeta{{Name: "b", Size: 2}, {Name: "a", Size: 1}}).Catalog()
+	if err != nil || !slices.Equal(cat.Names(), []string{"a", "b"}) {
+		t.Fatalf("catalogue %v (%v), want a, b", cat, err)
+	}
+	if _, err := NewSizedSource([]FileMeta{{Name: "a"}}).Open("a"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Open: %v", err)
+	}
+	for kind, files := range map[error][]FileMeta{
+		ErrEmptyName:    {{Size: 1}},
+		ErrNegativeSize: {{Name: "a", Size: -1}},
+		ErrDuplicate:    {{Name: "b"}, {Name: "a"}, {Name: "b"}},
+	} {
+		if cat, err := NewSizedSource(files).Catalog(); cat != nil || !errors.Is(err, kind) {
+			t.Errorf("%v: catalogue %v, error %v, want a %v", files, cat, err, kind)
+		}
+	}
+}

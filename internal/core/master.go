@@ -674,13 +674,7 @@ func (m *Master) runStrategy() {
 		m.fatal(err)
 		return
 	}
-	gen, err := m.strat.Generator()
-	if err != nil {
-		m.fatal(err)
-		return
-	}
-	// Common files are staged separately; exclude them from partitioning.
-	if m.groups, err = gen.Generate(cat.Without(m.strat.CommonFiles)); err != nil {
+	if m.groups, err = m.strat.Groups(cat); err != nil {
 		m.fatal(err)
 		return
 	}

@@ -13,6 +13,7 @@ import (
 	"strconv"
 	"strings"
 
+	"frieda/internal/catalog"
 	"frieda/internal/partition"
 )
 
@@ -307,9 +308,21 @@ func AutoCeiling(n int, bytes int64) int {
 // finds nothing missing; a requeued group or a late joiner's does.
 func (c Config) Fetches() bool { return c.Locality == Remote }
 
-// Generator resolves the grouping scheme.
+// Generator resolves the grouping scheme, which Groups runs over a job.
 func (c Config) Generator() (partition.Generator, error) {
 	return partition.ByName(c.Grouping)
+}
+
+// Groups is the job's group list: the grouping scheme run over cat less the
+// common files, which are staged to every node apart from any group. It is
+// the one derivation both executors use, the real master and the
+// simulator, so one strategy over one catalogue gives them the same groups.
+func (c Config) Groups(cat *catalog.Catalog) ([]partition.Group, error) {
+	gen, err := c.Generator()
+	if err != nil {
+		return nil, err
+	}
+	return gen.Generate(cat.Without(c.CommonFiles))
 }
 
 // AssignerByName resolves an assignment algorithm by name.

@@ -3,10 +3,14 @@ package strategy
 import (
 	"encoding"
 	"encoding/json"
+	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
+
+	"frieda/internal/catalog"
 )
 
 func TestValidateDefaults(t *testing.T) {
@@ -178,6 +182,29 @@ func TestGeneratorResolution(t *testing.T) {
 	}
 	if g.Name() != "all-to-all" {
 		t.Fatalf("generator = %q", g.Name())
+	}
+}
+
+// Groups runs the grouping over the catalogue less the common files, and
+// a common file the catalogue lacks leaves it whole.
+func TestGroupsLeaveOutCommonFiles(t *testing.T) {
+	cat := catalog.New()
+	for _, name := range []string{"a", "b", "c", "db"} {
+		cat.MustAdd(catalog.FileMeta{Name: name, Size: 1})
+	}
+	groups, err := Config{Grouping: "all-to-all", CommonFiles: []string{"db", "absent"}}.Groups(cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, g := range groups {
+		got = append(got, fmt.Sprintf("%d %s %s", g.Index, g.Files[0].Name, g.Files[1].Name))
+	}
+	if want := []string{"0 a b", "1 a c", "2 b c"}; !slices.Equal(got, want) {
+		t.Fatalf("groups %q, want %q", got, want)
+	}
+	if _, err := (Config{Grouping: "no-such-grouping"}).Groups(cat); err == nil {
+		t.Fatal("an unknown grouping made groups")
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 
 	"frieda/internal/catalog"
 	"frieda/internal/cloud"
-	"frieda/internal/partition"
 	"frieda/internal/sched"
 	"frieda/internal/sim"
 	"frieda/internal/simrun"
@@ -16,21 +15,21 @@ import (
 
 // Simulation types, re-exported for the public API.
 type (
-	// SimTask is one simulated task (inputs + single-core compute cost).
-	SimTask = simrun.TaskSpec
-	// SimWorkload is a simulated task collection.
-	SimWorkload = simrun.Workload
 	// SimResult is a simulated run's outcome.
 	SimResult = simrun.Result
 	// FileMeta names and sizes one input file.
 	FileMeta = catalog.FileMeta
 )
 
-// SimConfig describes a virtual-time experiment.
+// SimConfig describes a virtual-time experiment: Run's job, costed by group.
 type SimConfig struct {
-	// Strategy is the data-management strategy under test.
+	// Strategy is the data-management strategy under test, read as Run reads it.
 	Strategy Strategy
-	// Workers is the compute-VM count (default 4, the paper's slice).
+	// Dataset is the input collection. Required; a SizedDataset will do.
+	Dataset Dataset
+	// ComputeSec is each group's compute time on one core.
+	ComputeSec float64
+	// Workers is the compute-VM count (required, >= 1).
 	Workers int
 	// Instance is the VM flavour (default cloud.C1XLarge: 4 cores, 4 GB,
 	// 100 Mbps).
@@ -53,24 +52,40 @@ type SimConfig struct {
 	AddWorkerAtSec []float64
 }
 
-// Simulate runs the workload on a simulated cluster and returns the
-// result. The data source (and master) occupy a dedicated node whose
-// uplink models the paper's provisioned 100 Mbps.
-func Simulate(cfg SimConfig, wl SimWorkload) (SimResult, error) {
-	if cfg.Workers == 0 {
-		cfg.Workers = 4
-	}
-	if cfg.Workers < 1 {
-		return SimResult{}, fmt.Errorf("frieda: %d workers", cfg.Workers)
+// Simulate runs the job on a simulated cluster: the groups the real master
+// would run (the strategy's grouping over the catalogue less the common
+// files, which every node stages), from a data source and master on a node
+// whose uplink models the paper's provisioned 100 Mbps.
+func Simulate(cfg SimConfig) (SimResult, error) {
+	if err := cfg.validate(); err != nil {
+		return SimResult{}, err
 	}
 	if cfg.Instance.Cores == 0 {
 		cfg.Instance = cloud.C1XLarge
 	}
-	if err := cfg.validateTimes(); err != nil {
-		return SimResult{}, err
-	}
 	if err := sched.CheckSlots(cfg.Strategy.Slots(cfg.Instance.Cores)); err != nil {
 		return SimResult{}, fmt.Errorf("frieda: instance %s: %w", cfg.Instance.Name, err)
+	}
+	cat, err := cfg.Dataset.source.Catalog()
+	if err != nil {
+		return SimResult{}, err
+	}
+	groups, err := cfg.Strategy.Groups(cat)
+	if err != nil {
+		return SimResult{}, err
+	}
+	wl := simrun.Workload{Name: cfg.Strategy.String(), Tasks: make([]simrun.TaskSpec, len(groups))}
+	for i, g := range groups {
+		wl.Tasks[i] = simrun.TaskSpec{Index: g.Index, Files: g.Files, ComputeSec: cfg.ComputeSec}
+	}
+	// Each common file counts once. Under Remote one the dataset lacks is an
+	// error, as to the real master's staging; a Local one is in place already.
+	for _, name := range slices.Compact(slices.Sorted(slices.Values(cfg.Strategy.CommonFiles))) {
+		f, ok := cat.Get(name)
+		if !ok && cfg.Strategy.Locality == Remote {
+			return SimResult{}, fmt.Errorf("frieda: common file %q is not in the dataset", name)
+		}
+		wl.CommonBytes += float64(f.Size)
 	}
 	eng := sim.NewEngine()
 	cluster := cloud.New(eng, cloud.Options{
@@ -78,8 +93,7 @@ func Simulate(cfg SimConfig, wl SimWorkload) (SimResult, error) {
 		InstantBoot:    true,
 		FailureMTBFSec: cfg.FailureMTBFSec,
 	})
-	extra := len(cfg.AddWorkerAtSec)
-	vms, err := cluster.Provision(cfg.Workers+1+extra, cfg.Instance)
+	vms, err := cluster.Provision(cfg.Workers+1+len(cfg.AddWorkerAtSec), cfg.Instance)
 	if err != nil {
 		return SimResult{}, err
 	}
@@ -110,63 +124,27 @@ func Simulate(cfg SimConfig, wl SimWorkload) (SimResult, error) {
 	return runner.Run()
 }
 
-// validateTimes rejects scripted times the simulator cannot schedule and a
-// negative failure rate, before anything is scheduled.
-func (cfg SimConfig) validateTimes() error {
-	if cfg.FailureMTBFSec < 0 || math.IsNaN(cfg.FailureMTBFSec) {
+// validate refuses, before anything is scheduled, a job the simulator
+// cannot run, and a strategy Validate refuses with Validate's error, as Run
+// does.
+func (cfg SimConfig) validate() error {
+	notTime := func(x float64) bool { return !(x >= 0) } // negative or NaN
+	switch {
+	case cfg.Dataset.source == nil:
+		return fmt.Errorf("frieda: SimConfig needs a Dataset")
+	case cfg.Workers < 1:
+		return fmt.Errorf("frieda: %d workers", cfg.Workers)
+	case notTime(cfg.ComputeSec) || math.IsInf(cfg.ComputeSec, 1):
+		return fmt.Errorf("frieda: ComputeSec %v is not a duration", cfg.ComputeSec)
+	case notTime(cfg.FailureMTBFSec):
 		return fmt.Errorf("frieda: FailureMTBFSec %v is not a rate (0 disables failures)", cfg.FailureMTBFSec)
+	case slices.ContainsFunc(cfg.AddWorkerAtSec, notTime):
+		return fmt.Errorf("frieda: AddWorkerAtSec %v holds a time that is negative or NaN", cfg.AddWorkerAtSec)
 	}
 	for wi, at := range cfg.FailAtSec {
-		if wi < 0 || wi >= cfg.Workers {
-			return fmt.Errorf("frieda: FailAtSec index %d out of range", wi)
-		}
-		if at < 0 || math.IsNaN(at) {
-			return fmt.Errorf("frieda: FailAtSec[%d] = %v is not a time", wi, at)
+		if wi < 0 || wi >= cfg.Workers || notTime(at) {
+			return fmt.Errorf("frieda: FailAtSec[%d] = %v is not a worker's failure time", wi, at)
 		}
 	}
-	for i, at := range cfg.AddWorkerAtSec {
-		if at < 0 || math.IsNaN(at) {
-			return fmt.Errorf("frieda: AddWorkerAtSec[%d] = %v is not a time", i, at)
-		}
-	}
-	return nil
-}
-
-// GroupedSimWorkload builds tasks by running the named partition grouping
-// ("single", "one-to-all", "pairwise-adjacent", "all-to-all",
-// "sliding-window") over a synthetic file list — the same generator the
-// real master uses, so simulated runs mirror real ones group for group.
-func GroupedSimWorkload(name, grouping string, files int, fileBytes int64, computeSec float64) (SimWorkload, error) {
-	gen, err := partition.ByName(grouping)
-	if err != nil {
-		return SimWorkload{}, err
-	}
-	cat := catalog.New()
-	for i := 0; i < files; i++ {
-		cat.MustAdd(catalog.FileMeta{Name: fmt.Sprintf("%s-%05d", name, i), Size: fileBytes})
-	}
-	groups, err := gen.Generate(cat)
-	if err != nil {
-		return SimWorkload{}, err
-	}
-	tasks := make([]SimTask, len(groups))
-	for i, g := range groups {
-		tasks[i] = SimTask{Index: g.Index, Files: g.Files, ComputeSec: computeSec}
-	}
-	return SimWorkload{Name: name, Tasks: tasks}, nil
-}
-
-// UniformSimWorkload builds n tasks of identical compute cost, each with
-// one input file of the given size — a convenient synthetic workload for
-// strategy exploration.
-func UniformSimWorkload(name string, n int, computeSec float64, fileBytes int64) SimWorkload {
-	tasks := make([]SimTask, n)
-	for i := range tasks {
-		tasks[i] = SimTask{
-			Index:      i,
-			Files:      []FileMeta{{Name: fmt.Sprintf("%s-%05d", name, i), Size: fileBytes}},
-			ComputeSec: computeSec,
-		}
-	}
-	return SimWorkload{Name: name, Tasks: tasks}
+	return cfg.Strategy.Validate()
 }
