@@ -57,7 +57,7 @@ func main() {
 	// Fully transparent elasticity: the watermark autoscaler watches queue
 	// depth and utilisation and sizes the fleet itself.
 	fmt.Println()
-	auto, decisions, err := autoscaledRun()
+	auto, decisions, err := autoscaledRun(files)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -71,9 +71,10 @@ func main() {
 	fmt.Println("  frieda-controller -master host:7001 -remove vm-2")
 }
 
-// autoscaledRun executes the same task mix starting from one worker with
-// the autoscaler deciding the fleet size.
-func autoscaledRun() (simrun.Result, int, error) {
+// autoscaledRun executes the same task mix, one 2 MB input and 4 s of
+// compute per task, starting from one worker with the autoscaler deciding
+// the fleet size.
+func autoscaledRun(files []frieda.FileMeta) (simrun.Result, int, error) {
 	eng := sim.NewEngine()
 	cluster := cloud.New(eng, cloud.Options{Seed: 1, InstantBoot: true})
 	vms, err := cluster.Provision(2, cloud.C1XLarge) // source + first worker
@@ -81,9 +82,9 @@ func autoscaledRun() (simrun.Result, int, error) {
 		return simrun.Result{}, 0, err
 	}
 	eng.RunUntil(eng.Now())
-	tasks := make([]simrun.TaskSpec, 200)
+	tasks := make([]simrun.TaskSpec, len(files))
 	for i := range tasks {
-		tasks[i] = simrun.TaskSpec{Index: i, ComputeSec: 4.0}
+		tasks[i] = simrun.TaskSpec{Index: i, Files: files[i : i+1], ComputeSec: 4.0}
 	}
 	runner, err := simrun.NewRunner(cluster, vms[0], simrun.Config{
 		Strategy: strategy.Config{Kind: strategy.RealTime, Multicore: true},

@@ -22,7 +22,9 @@ type ControllerConfig struct {
 	// Transport connects controller, master and spawned workers.
 	Transport transport.Transport
 	// MasterAddr is where the master listens (or is listening, when
-	// InProcessMaster is false).
+	// InProcessMaster is false). An in-process master binds it before the
+	// controller dials, and the controller and the workers it spawns dial
+	// the address bound: with TCP, "127.0.0.1:0" takes a free port.
 	MasterAddr string
 	// InProcessMaster, when set, makes the controller create and serve the
 	// master itself (library mode). Requires Master fields below. Wait then
@@ -101,33 +103,19 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 // and announces the expected worker count (FORK_REMOTE_WORKERS).
 func (c *Controller) Start(ctx context.Context) error {
 	if c.cfg.InProcessMaster {
-		mc := c.cfg.Master
-		mc.Transport = c.cfg.Transport
-		mc.Addr = c.cfg.MasterAddr
-		m, err := NewMaster(mc)
-		if err != nil {
+		if err := c.serveMaster(ctx); err != nil {
 			return err
 		}
-		m.inProcess = true
-		c.master = m
-		c.masterWG.Add(1)
-		go func() {
-			defer c.masterWG.Done()
-			if err := m.Serve(ctx); err != nil {
-				c.mu.Lock()
-				c.runErr = err
-				c.mu.Unlock()
-			}
-		}()
 	}
 
-	// The master may still be binding its listener; retry the dial briefly.
+	// A remote master may start after its controller: retry the dial
+	// briefly. An in-process one listens already, so it is dialled once.
 	var conn transport.Conn
 	var err error
 	deadline := time.Now().Add(c.cfg.AckTimeout)
 	for {
 		conn, err = c.cfg.Transport.Dial(c.cfg.MasterAddr)
-		if err == nil || time.Now().After(deadline) {
+		if err == nil || c.cfg.InProcessMaster || time.Now().After(deadline) {
 			break
 		}
 		select {
@@ -156,6 +144,36 @@ func (c *Controller) Start(ctx context.Context) error {
 	if _, err := c.roundTrip(&protocol.Message{Type: protocol.TForkWorkers, Workers: c.cfg.Workers}); err != nil {
 		return err
 	}
+	return nil
+}
+
+// serveMaster makes the in-process master, binds its listener and serves it.
+// The controller and the workers it spawns dial the address bound, so over
+// TCP on port 0 they find the port the master was given. A master that
+// cannot listen fails the start with its own error.
+func (c *Controller) serveMaster(ctx context.Context) error {
+	mc := c.cfg.Master
+	mc.Transport = c.cfg.Transport
+	mc.Addr = c.cfg.MasterAddr
+	m, err := NewMaster(mc)
+	if err != nil {
+		return err
+	}
+	m.inProcess = true
+	if err := m.listen(); err != nil {
+		return err
+	}
+	c.master = m
+	c.cfg.MasterAddr = m.Addr()
+	c.masterWG.Add(1)
+	go func() {
+		defer c.masterWG.Done()
+		if err := m.serve(ctx); err != nil {
+			c.mu.Lock()
+			c.runErr = err
+			c.mu.Unlock()
+		}
+	}()
 	return nil
 }
 

@@ -41,10 +41,10 @@ func TestNoTaskRunsOnPartialInput(t *testing.T) {
 		}
 		return "ok", nil
 	})
-	for name, mk := range testTransports {
+	for name, tt := range testTransports {
 		t.Run(name, func(t *testing.T) {
 			r := (&testHarness{
-				tr: mk(), source: src, chunk: chunk,
+				tr: tt.mk(), addr: tt.addr, source: src, chunk: chunk,
 				strategy: strategy.Config{Kind: strategy.RealTime, Grouping: "all-to-all", Multicore: true, Prefetch: 2},
 				workers:  2, cores: 4, program: prog,
 			}).run(t)
@@ -89,12 +89,12 @@ func TestShutdownLeavesNoGoroutine(t *testing.T) {
 			}
 		}},
 	}
-	for trName, mk := range testTransports {
+	for trName, tt := range testTransports {
 		for _, sc := range scenarios {
 			t.Run(trName+"/"+sc.name, func(t *testing.T) {
 				const files = 120
 				r := (&testHarness{
-					tr: mk(), strategy: sc.strat, source: sourceWithFiles(files, 2000), chunk: 512, recover: sc.recover,
+					tr: tt.mk(), addr: tt.addr, strategy: sc.strat, source: sourceWithFiles(files, 2000), chunk: 512, recover: sc.recover,
 					workers: 3, cores: 2, program: slow, onSpawn: sc.onSpawn, running: sc.running,
 				}).run(t)
 				if r.Groups != files || r.Succeeded != files {
@@ -192,11 +192,11 @@ func (c *loggedConn) Recv() (*protocol.Message, error) {
 func TestWireOrderAndControlFramesPerTask(t *testing.T) {
 	const files, size, chunk, workers, cores = 25, 2500, 1024, 2, 4
 	const tasks = files * (files - 1) / 2
-	for name, mk := range testTransports {
+	for name, tt := range testTransports {
 		t.Run(name, func(t *testing.T) {
-			log := &wireLog{Transport: mk()}
+			log := &wireLog{Transport: tt.mk()}
 			r := (&testHarness{
-				tr: log, source: sourceWithFiles(files, size), chunk: chunk,
+				tr: log, addr: tt.addr, source: sourceWithFiles(files, size), chunk: chunk,
 				strategy: strategy.Config{Kind: strategy.RealTime, Grouping: "all-to-all", Multicore: true, Prefetch: 2},
 				workers:  workers, cores: cores, program: echoProgram(),
 			}).run(t)
@@ -286,13 +286,13 @@ func TestStatusFollowsItsOutputs(t *testing.T) {
 		}
 		return in, nil
 	})
-	for name, mk := range testTransports {
+	for name, tt := range testTransports {
 		t.Run(name, func(t *testing.T) {
-			log, sink := &wireLog{Transport: mk()}, NewMemStore()
+			log, sink := &wireLog{Transport: tt.mk()}, NewMemStore()
 			single := strategy.RealTimeRemote
 			single.Grouping = "single"
 			r := (&testHarness{
-				tr: log, source: sourceWithFiles(files, 700), sink: sink, strategy: single,
+				tr: log, addr: tt.addr, source: sourceWithFiles(files, 700), sink: sink, strategy: single,
 				workers: workers, cores: cores, program: prog,
 				store: func() Store { return refusingStore{NewMemStore(), refused} },
 			}).run(t)
@@ -344,7 +344,7 @@ func TestStatusFollowsItsOutputs(t *testing.T) {
 // either transport. Holding statuses while tasks are queued would keep it
 // back for a whole task.
 func TestStatusLeavesWhileTheNextTaskRuns(t *testing.T) {
-	for name, mk := range testTransports {
+	for name, tt := range testTransports {
 		t.Run(name, func(t *testing.T) {
 			var worker atomic.Pointer[Worker]
 			var ran atomic.Int32
@@ -370,7 +370,7 @@ func TestStatusLeavesWhileTheNextTaskRuns(t *testing.T) {
 			two := strategy.RealTimeRemote
 			two.Grouping, two.Prefetch = "single", 2
 			r := (&testHarness{
-				tr: mk(), strategy: two, source: sourceWithFiles(2, 10),
+				tr: tt.mk(), addr: tt.addr, strategy: two, source: sourceWithFiles(2, 10),
 				workers: 1, cores: 1, program: prog,
 				onSpawn: func(_ int, w *Worker, _ context.CancelFunc) { worker.Store(w) },
 				running: func(ctl *Controller) {
@@ -500,12 +500,12 @@ func TestSmallTaskWritesAtDefaultWindow(t *testing.T) {
 // window of one: four groups on four one-slot workers are one group each,
 // on either transport (sched.Ledger's tail rule).
 func TestTailRunsAsAtWindowOne(t *testing.T) {
-	for name, mk := range testTransports {
+	for name, tt := range testTransports {
 		t.Run(name, func(t *testing.T) {
 			single := strategy.RealTimeRemote
 			single.Grouping = "single"
 			r := (&testHarness{
-				tr: mk(), strategy: single, source: sourceWithFiles(4, 10),
+				tr: tt.mk(), addr: tt.addr, strategy: single, source: sourceWithFiles(4, 10),
 				workers: 4, cores: 1, program: echoProgram(),
 			}).run(t)
 			ran := map[string]int{}

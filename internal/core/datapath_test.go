@@ -27,40 +27,19 @@ import (
 	"frieda/internal/transport/transporttest"
 )
 
-// loopbackTCP lets a test use TCP where the in-memory transport is usual: the
-// master listens on a free loopback port and dialers get the bound address.
-type loopbackTCP struct {
-	inner transport.Transport
-	bound chan struct{}
-	addr  string
+// testTransport makes a fresh transport per job, and names the address its
+// master binds.
+type testTransport struct {
+	mk   func() transport.Transport
+	addr string
 }
 
-func newLoopbackTCP() *loopbackTCP {
-	return &loopbackTCP{inner: transport.NewTCP(), bound: make(chan struct{})}
-}
-
-func (l *loopbackTCP) Listen(string) (transport.Listener, error) {
-	defer close(l.bound)
-	ln, err := l.inner.Listen("127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	l.addr = ln.Addr()
-	return ln, nil
-}
-
-func (l *loopbackTCP) Dial(string) (transport.Conn, error) {
-	<-l.bound
-	if l.addr == "" {
-		return nil, errors.New("master never bound a port")
-	}
-	return l.inner.Dial(l.addr)
-}
-
-// testTransports makes a fresh transport per job: in-memory, and TCP loopback.
-var testTransports = map[string]func() transport.Transport{
-	"mem": func() transport.Transport { return transport.NewMem(nil) },
-	"tcp": func() transport.Transport { return newLoopbackTCP() },
+// testTransports are the in-memory transport, and TCP on a free loopback
+// port: the controller and the workers it spawns dial the port the master
+// was given.
+var testTransports = map[string]testTransport{
+	"mem": {func() transport.Transport { return transport.NewMem(nil) }, "master"},
+	"tcp": {func() transport.Transport { return transport.NewTCP() }, "127.0.0.1:0"},
 }
 
 // --- Registration: a worker is dispatchable only after ACK and staging ---
@@ -281,18 +260,18 @@ var ownershipScenarios = []ownershipScenario{
 // reuse of the data path is safe.
 func TestDataPathOwnership(t *testing.T) {
 	const chunk = 4096
-	for trName, mk := range testTransports {
+	for trName, tt := range testTransports {
 		for _, sc := range ownershipScenarios {
 			for _, fromBytes := range []bool{false, true} {
 				t.Run(fmt.Sprintf("%s/%s/bytes=%v", trName, sc.name, fromBytes), func(t *testing.T) {
-					runOwnership(t, transporttest.NewOwnership(mk()), sc, chunk, fromBytes)
+					runOwnership(t, transporttest.NewOwnership(tt.mk()), tt.addr, sc, chunk, fromBytes)
 				})
 			}
 		}
 	}
 }
 
-func runOwnership(t *testing.T, tr *transporttest.Ownership, sc ownershipScenario, chunk int, fromBytes bool) {
+func runOwnership(t *testing.T, tr *transporttest.Ownership, addr string, sc ownershipScenario, chunk int, fromBytes bool) {
 	const files = 28
 	mem, sums := crcSource(files, chunk, 7)
 	var src catalog.Source = mem
@@ -355,7 +334,7 @@ func runOwnership(t *testing.T, tr *transporttest.Ownership, sc ownershipScenari
 	// The workers run prog; the template only travels, in START_MASTER and
 	// in every registration ACK.
 	ctl, err := NewController(ControllerConfig{
-		Strategy: sc.strat, Template: []string{"check", "$inp1"}, Transport: tr, MasterAddr: "master", InProcessMaster: true,
+		Strategy: sc.strat, Template: []string{"check", "$inp1"}, Transport: tr, MasterAddr: addr, InProcessMaster: true,
 		Master: mc, Workers: 3,
 	})
 	if err != nil {
@@ -525,7 +504,7 @@ var sourceFailureKinds = map[string]strategy.Config{
 // open or delivers short.
 func TestSourceFailureFailsOnlyItsGroups(t *testing.T) {
 	const files, size, bad = 6, 100, "f002.dat"
-	for trName, mk := range testTransports {
+	for trName, tt := range testTransports {
 		for kind, strat := range sourceFailureKinds {
 			for _, short := range []bool{false, true} {
 				t.Run(fmt.Sprintf("%s/%s/short=%v", trName, kind, short), func(t *testing.T) {
@@ -534,7 +513,7 @@ func TestSourceFailureFailsOnlyItsGroups(t *testing.T) {
 						cause = transfer.ErrSizeMismatch.Error()
 					}
 					r := (&testHarness{
-						tr: mk(), strategy: strat, program: echoProgram(), workers: 2,
+						tr: tt.mk(), addr: tt.addr, strategy: strat, program: echoProgram(), workers: 2,
 						source: failingSource{Source: sourceWithFiles(files, size), file: bad, short: short},
 						store: func() Store {
 							s, err := NewDirStore(t.TempDir())
@@ -568,13 +547,13 @@ func TestSourceFailureFailsOnlyItsGroups(t *testing.T) {
 // that failed only its first Open ends with every group run.
 func TestSourceFailureIsRetriedUnderRecover(t *testing.T) {
 	const files, size, bad = 6, 100, "f002.dat"
-	for trName, mk := range testTransports {
+	for trName, tt := range testTransports {
 		for kind, strat := range sourceFailureKinds {
 			t.Run(trName+"/"+kind, func(t *testing.T) {
 				fails := new(atomic.Int32)
 				fails.Store(1)
 				r := (&testHarness{
-					tr: mk(), strategy: strat, program: echoProgram(), workers: 2, recover: true,
+					tr: tt.mk(), addr: tt.addr, strategy: strat, program: echoProgram(), workers: 2, recover: true,
 					source: failingSource{Source: sourceWithFiles(files, size), file: bad, fails: fails},
 				}).run(t)
 				if r.Groups != 15 || r.Succeeded != 15 || len(r.WorkerErrors) != 0 || fails.Load() >= 0 {
@@ -741,11 +720,12 @@ type shortHint struct {
 
 func (h shortHint) Len() int { return h.n }
 
-// sendAndStore sends each message from one end of a fresh connection of tr,
-// and lands each in s as the other end receives it.
-func sendAndStore(t *testing.T, tr transport.Transport, s Store, msgs ...*protocol.Message) {
+// sendAndStore sends each message from one end of a fresh connection of a
+// fresh transport of tt, and lands each in s as the other end receives it.
+func sendAndStore(t *testing.T, tt testTransport, s Store, msgs ...*protocol.Message) {
 	t.Helper()
-	l, err := tr.Listen("master")
+	tr := tt.mk()
+	l, err := tr.Listen(tt.addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -788,7 +768,7 @@ func TestMemStoreKeepsAHandedOverFile(t *testing.T) {
 	backing := []byte("0123456789abcdef")
 	payload := backing[:10] // spare capacity a careless Append would write into
 	s := NewMemStore()
-	sendAndStore(t, transport.NewMem(nil), s,
+	sendAndStore(t, testTransports["mem"], s,
 		&protocol.Message{Type: protocol.TFileData, FileName: "f", FileSize: 10, Data: payload, Last: true})
 	kept, _ := s.Bytes("f")
 	if &kept[0] != &payload[0] || len(kept) != 10 || cap(kept) != 10 {
@@ -820,7 +800,7 @@ func TestMemStoreKeepsAHandedOverFile(t *testing.T) {
 // with its capacity clipped: writing past one never reaches its neighbour.
 func TestMemStoreLandedNeighbours(t *testing.T) {
 	s := NewMemStore()
-	sendAndStore(t, newLoopbackTCP(), s,
+	sendAndStore(t, testTransports["tcp"], s,
 		&protocol.Message{Type: protocol.TFileData, FileName: "a", FileSize: 4, Data: []byte("aaaa"), Last: true},
 		&protocol.Message{Type: protocol.TFileData, FileName: "b", FileSize: 4, Data: []byte("bbbb"), Last: true})
 	a, _ := s.Bytes("a")
@@ -891,13 +871,13 @@ func TestRegisteredStoreExpectsItsShare(t *testing.T) {
 	for i := range names {
 		names[i] = fmt.Sprintf("f%03d.dat", i)
 	}
-	for name, mk := range testTransports {
+	for name, tt := range testTransports {
 		t.Run(name, func(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 			defer cancel()
-			log := &wireLog{Transport: mk()}
+			log := &wireLog{Transport: tt.mk()}
 			ctl, err := NewController(ControllerConfig{
-				Strategy: strategy.RealTimeRemote, Transport: log, MasterAddr: "master", InProcessMaster: true,
+				Strategy: strategy.RealTimeRemote, Transport: log, MasterAddr: tt.addr, InProcessMaster: true,
 				Master: MasterConfig{Source: sourceWithFiles(files, 10)}, Workers: 2,
 			})
 			if err != nil {
@@ -978,14 +958,14 @@ func TestMemStoreRewriteOfLandedFile(t *testing.T) {
 	whole := func(data string) *protocol.Message {
 		return &protocol.Message{Type: protocol.TFileData, FileName: "f", FileSize: int64(len(data)), Data: []byte(data), Last: true}
 	}
-	sendAndStore(t, newLoopbackTCP(), s, whole("01234567"))
+	sendAndStore(t, testTransports["tcp"], s, whole("01234567"))
 	old, _ := s.Bytes("f")
 	rc, err := s.Open("f")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rc.Close()
-	sendAndStore(t, newLoopbackTCP(), s, whole("abcdefgh"))
+	sendAndStore(t, testTransports["tcp"], s, whole("abcdefgh"))
 	got, err := io.ReadAll(rc)
 	if err != nil || string(got) != "01234567" || string(old) != "01234567" {
 		t.Fatalf("the old file reads %q (%v), its bytes %q", got, err, old)
@@ -1077,30 +1057,30 @@ func TestStoreChunkCopiesWhatItMayNotKeep(t *testing.T) {
 		return &protocol.Message{Type: protocol.TFileData, FileName: "f", FileSize: int64(len(data)), Data: data, Last: true}
 	}
 	for name, tc := range map[string]struct {
-		tr    transport.Transport
+		tt    testTransport
 		store func(*testing.T) Store
 		msgs  func(data []byte) []*protocol.Message
 	}{
-		"mem/two-chunks": {transport.NewMem(nil), memStore, func(data []byte) []*protocol.Message {
+		"mem/two-chunks": {testTransports["mem"], memStore, func(data []byte) []*protocol.Message {
 			return []*protocol.Message{
 				{Type: protocol.TFileData, FileName: "f", FileSize: 8, Data: data[:4]},
 				{Type: protocol.TFileData, FileName: "f", FileSize: 8, Offset: 4, Data: data[4:], Last: true},
 			}
 		}},
-		"mem/unannounced": {transport.NewMem(nil), memStore, func(data []byte) []*protocol.Message {
+		"mem/unannounced": {testTransports["mem"], memStore, func(data []byte) []*protocol.Message {
 			m := whole(data)
 			m.FileSize = 0
 			return []*protocol.Message{m}
 		}},
-		"tcp/whole": {newLoopbackTCP(), memStore, func(data []byte) []*protocol.Message { return []*protocol.Message{whole(data)} }},
-		"mem/dir-store": {transport.NewMem(nil), func(t *testing.T) Store { return mustDirStore(t) }, func(data []byte) []*protocol.Message {
+		"tcp/whole": {testTransports["tcp"], memStore, func(data []byte) []*protocol.Message { return []*protocol.Message{whole(data)} }},
+		"mem/dir-store": {testTransports["mem"], func(t *testing.T) Store { return mustDirStore(t) }, func(data []byte) []*protocol.Message {
 			return []*protocol.Message{whole(data)}
 		}},
 	} {
 		t.Run(name, func(t *testing.T) {
 			payload := []byte("01234567")
 			s := tc.store(t)
-			sendAndStore(t, tc.tr, s, tc.msgs(payload)...)
+			sendAndStore(t, tc.tt, s, tc.msgs(payload)...)
 			if mem, ok := s.(*MemStore); ok {
 				if kept, _ := mem.Bytes("f"); &kept[0] == &payload[0] {
 					t.Fatal("stored the sender's array")
@@ -1167,7 +1147,7 @@ func TestDirStoreReservedAppendKeepsOneHandle(t *testing.T) {
 // checks every input's CRC and, when outSize > 0, returns the first outSize
 // bytes of its first input. Each call of job runs one job on a fresh
 // transport, through Shutdown, and returns its workers.
-func crcJob(tb testing.TB, newTransport func() transport.Transport, strat strategy.Config, files, size, outSize int) (job func() []*Worker, tasks int) {
+func crcJob(tb testing.TB, tt testTransport, strat strategy.Config, files, size, outSize int) (job func() []*Worker, tasks int) {
 	tb.Helper()
 	src := catalog.NewMemSource()
 	block := make([]byte, size)
@@ -1212,7 +1192,7 @@ func crcJob(tb testing.TB, newTransport func() transport.Transport, strat strate
 			mc.OutputSink = NewMemStore()
 		}
 		ctl, err := NewController(ControllerConfig{
-			Strategy: strat, Transport: newTransport(), MasterAddr: "master", InProcessMaster: true, Master: mc, Workers: 2,
+			Strategy: strat, Transport: tt.mk(), MasterAddr: tt.addr, InProcessMaster: true, Master: mc, Workers: 2,
 		})
 		if err != nil {
 			tb.Fatal(err)
@@ -1243,9 +1223,9 @@ func crcJob(tb testing.TB, newTransport func() transport.Transport, strat strate
 // first job (pools, buffers, the runtime's own) is not counted, then a
 // second on a fresh transport, and returns the bytes and allocations per
 // task of the second.
-func allocJob(t *testing.T, newTransport func() transport.Transport, strat strategy.Config, files, size, outSize int) (bytes, mallocs float64) {
+func allocJob(t *testing.T, tt testTransport, strat strategy.Config, files, size, outSize int) (bytes, mallocs float64) {
 	t.Helper()
-	job, tasks := crcJob(t, newTransport, strat, files, size, outSize)
+	job, tasks := crcJob(t, tt, strat, files, size, outSize)
 	job()
 	runtime.GC()
 	var before, after runtime.MemStats
@@ -1283,9 +1263,9 @@ func BenchmarkSmallTaskTCP(b *testing.B) {
 func TestSmallFileJobLeavesNoPartialFiles(t *testing.T) {
 	single := strategy.RealTimeRemote
 	single.Grouping = "single"
-	for name, mk := range testTransports {
+	for name, tt := range testTransports {
 		t.Run(name, func(t *testing.T) {
-			job, _ := crcJob(t, mk, single, 64, 1<<10, 0)
+			job, _ := crcJob(t, tt, single, 64, 1<<10, 0)
 			for _, w := range job() {
 				if len(w.partial) != 0 {
 					t.Errorf("%s keeps %d partial files after the job", w.cfg.Name, len(w.partial))

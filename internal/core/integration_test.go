@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"fmt"
 	"io"
@@ -34,6 +35,8 @@ type testHarness struct {
 	chunk    int // MasterConfig.ChunkSize
 	limiter  *transport.Limiter
 	tr       transport.Transport
+	// addr is the address the master binds ("master" when empty).
+	addr string
 	// preload populates each worker's store before the run (local data).
 	preload map[string]string
 	// store, when set, makes each worker's store in place of a MemStore.
@@ -59,7 +62,7 @@ func (h *testHarness) run(t *testing.T) Report {
 	ctl, err := NewController(ControllerConfig{
 		Strategy:        h.strategy,
 		Transport:       tr,
-		MasterAddr:      "master",
+		MasterAddr:      cmp.Or(h.addr, "master"),
 		InProcessMaster: true,
 		Master: MasterConfig{
 			Source:     h.source,
@@ -112,11 +115,18 @@ func (h *testHarness) run(t *testing.T) Report {
 	if err := ctl.Shutdown(); err != nil {
 		t.Logf("shutdown: %v", err)
 	}
-	// A goroutine that has released the WaitGroup Shutdown waits on is still
-	// counted until it has finished exiting, a few instructions later: the
-	// count gets a few yields to come down, and no time. A count that is up
-	// with none of the runtime's goroutines in the dump is the Go runtime
-	// running a finalizer.
+	noGoroutineLeft(t, goroutines, "when Shutdown returned")
+	return report
+}
+
+// noGoroutineLeft fails t if more goroutines run than the goroutines
+// counted before a job. A goroutine that has released the WaitGroup Shutdown
+// waits on is still counted until it has finished exiting, a few
+// instructions later: the count gets a few yields to come down, and no time.
+// A count that is up with none of the runtime's goroutines in the dump is the
+// Go runtime running a finalizer.
+func noGoroutineLeft(t *testing.T, goroutines int, when string) {
+	t.Helper()
 	for i := 0; runtime.NumGoroutine() > goroutines; i++ {
 		stacks := make([]byte, 1<<20)
 		stacks = stacks[:runtime.Stack(stacks, true)]
@@ -124,11 +134,10 @@ func (h *testHarness) run(t *testing.T) Report {
 			break
 		}
 		if i == 100 {
-			t.Fatalf("%d goroutines before the job, %d when Shutdown returned:\n%s", goroutines, runtime.NumGoroutine(), stacks)
+			t.Fatalf("%d goroutines before the job, %d %s:\n%s", goroutines, runtime.NumGoroutine(), when, stacks)
 		}
 		runtime.Gosched()
 	}
-	return report
 }
 
 // echoProgram reads all inputs and returns their concatenated sizes.
@@ -916,7 +925,8 @@ func TestExecProgramOverTCPTransport(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		src.Put(fmt.Sprintf("part%d.txt", i), []byte(fmt.Sprintf("content-%d", i)))
 	}
-	// TCP needs the real bound address: start the master manually first.
+	// A standalone master, as the daemons run one: the controller is told
+	// the address it bound.
 	mc := MasterConfig{
 		Source:    src,
 		Transport: tr,
@@ -931,7 +941,7 @@ func TestExecProgramOverTCPTransport(t *testing.T) {
 	var addr string
 	select {
 	case <-m.serving:
-		addr = m.listener.Addr() // set before serving closes
+		addr = m.Addr()
 	case err := <-serveErr:
 		t.Fatalf("master never bound: %v", err)
 	}

@@ -185,11 +185,26 @@ func (m *Master) Done() <-chan struct{} { return m.done }
 // closes, or ctx is cancelled. Call it on its own goroutine; use Done to
 // learn completion.
 func (m *Master) Serve(ctx context.Context) error {
-	l, err := m.cfg.Transport.Listen(m.cfg.Addr)
-	if err != nil {
+	if err := m.listen(); err != nil {
 		return err
 	}
+	return m.serve(ctx)
+}
+
+// listen binds the master's listener.
+func (m *Master) listen() error {
+	l, err := m.cfg.Transport.Listen(m.cfg.Addr)
 	m.listener = l
+	return err
+}
+
+// Addr is the address the master's listener bound: with TCP on port 0, the
+// port it was given. Valid once the master listens.
+func (m *Master) Addr() string { return m.listener.Addr() }
+
+// serve runs the loop and accepts connections on the bound listener.
+func (m *Master) serve(ctx context.Context) error {
+	l := m.listener
 	go m.loop()
 	close(m.serving)
 	// The listener closes on ctx cancel or SHUTDOWN, not when the run is

@@ -75,17 +75,18 @@ func startMaster(t *testing.T, cfg MasterConfig, strat strategy.Config, workers 
 // "db".
 func dialTCPMaster(t *testing.T) (*Master, transport.Conn, transport.Transport) {
 	t.Helper()
-	tr := newLoopbackTCP()
+	tr := transport.NewTCP()
 	src := catalog.NewMemSource()
 	src.Put("db", []byte("d"))
-	m, err := NewMaster(MasterConfig{Source: src, Transport: tr, Addr: "m"})
+	m, err := NewMaster(MasterConfig{Source: src, Transport: tr, Addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
 	go m.Serve(ctx)
-	conn, err := tr.Dial("m")
+	<-m.serving
+	conn, err := tr.Dial(m.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +140,7 @@ func TestStrategyInfoRoundTrip(t *testing.T) {
 		if len(cfg.CommonFiles) == 0 {
 			continue
 		}
-		w, err := tr.Dial("m")
+		w, err := tr.Dial(m.Addr())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -413,8 +414,8 @@ func TestStaleStatusFromLiveWorker(t *testing.T) {
 // The controller's SHUTDOWN closes the master's listener; over TCP, Serve
 // must report that as a clean exit, as it does over the in-memory transport.
 func TestServeOverTCPReturnsNilAfterShutdown(t *testing.T) {
-	tr := newLoopbackTCP()
-	m, err := NewMaster(MasterConfig{Source: catalog.NewMemSource(), Transport: tr, Addr: "m"})
+	tr := transport.NewTCP()
+	m, err := NewMaster(MasterConfig{Source: catalog.NewMemSource(), Transport: tr, Addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +423,8 @@ func TestServeOverTCPReturnsNilAfterShutdown(t *testing.T) {
 	defer cancel() // only for a failed test: a cancelled ctx would excuse any Serve error
 	served := make(chan error, 1)
 	go func() { served <- m.Serve(ctx) }()
-	conn, err := tr.Dial("m")
+	<-m.serving
+	conn, err := tr.Dial(m.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -713,7 +715,7 @@ func TestReportPolledDuringRun(t *testing.T) {
 	var wg sync.WaitGroup
 	reads := 0
 	r := (&testHarness{
-		tr: newLoopbackTCP(), strategy: strategy.RealTimeRemote, source: sourceWithFiles(files, 100),
+		tr: transport.NewTCP(), addr: "127.0.0.1:0", strategy: strategy.RealTimeRemote, source: sourceWithFiles(files, 100),
 		workers: 2, cores: 2, program: echoProgram(),
 		running: func(ctl *Controller) {
 			wg.Add(1)

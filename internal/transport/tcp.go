@@ -23,7 +23,7 @@ func (t *TCP) Listen(addr string) (Listener, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &tcpListener{l: l}, nil
+	return &tcpListener{l: l, addr: l.Addr().String()}, nil
 }
 
 // Dial implements Transport.
@@ -36,7 +36,8 @@ func (t *TCP) Dial(addr string) (Conn, error) {
 }
 
 type tcpListener struct {
-	l net.Listener
+	l    net.Listener
+	addr string // the bound address, formatted once
 }
 
 // Accept implements Listener. Once the listener is closed it returns
@@ -56,7 +57,7 @@ func (l *tcpListener) Accept() (Conn, error) {
 func (l *tcpListener) Close() error { return l.l.Close() }
 
 // Addr implements Listener.
-func (l *tcpListener) Addr() string { return l.l.Addr().String() }
+func (l *tcpListener) Addr() string { return l.addr }
 
 type tcpConn struct {
 	c     net.Conn
