@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race stress smoke-daemons check-goldens check-parent bench bench-e2e bench-smoke bench-netsim bench-exprun bench-scale bench-obs bench-masterfail bench-ctrlplane profile-scale vet fmt reproduce ablations examples clean
+.PHONY: all build test race stress smoke-daemons check-goldens check-parent bench bench-e2e bench-smoke bench-scale profile-scale vet fmt reproduce ablations examples clean
 
 all: build test
 
@@ -89,7 +89,10 @@ vet:
 fmt:
 	gofmt -l -w .
 
-# One testing.B benchmark per paper table/figure series plus ablations.
+# Every layer's testing.B benchmarks, as profiling entry points. The
+# recorded per-layer numbers are the benchmark's rows (bench/README.md,
+# "Per-layer metrics"), printed by `--trace 1` runs: e.g. netsim.flat_flow_us,
+# sim.schedule_fire_ns, catalog.journal_append_ns, obs.attrib_ns_per_edge.
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
@@ -106,20 +109,6 @@ bench-e2e:
 bench-smoke:
 	cd bench && $(GO) vet . && $(GO) test -race .
 
-# The allocator perf trajectory: compare against BENCH_netsim.json before
-# merging allocator or engine changes, and update the file with the new
-# numbers.
-bench-netsim:
-	$(GO) test -bench='BenchmarkNetsimChurn' -benchmem ./internal/netsim/
-
-# The experiment-orchestrator + event-pool trajectory: engine allocation
-# benchmarks plus the parallel ablation sweep. Compare against
-# BENCH_exprun.json before merging engine or orchestrator changes, and
-# update the file with the new numbers.
-bench-exprun:
-	$(GO) test -bench='BenchmarkEngineScheduleRun|BenchmarkEngineEventPool' -benchmem -run '^$$' ./internal/sim/
-	$(GO) test -bench='BenchmarkExpAblations' -benchmem -run '^$$' ./internal/experiments/
-
 # Regenerate BENCH_scale.json: the datacenter sweep (fat-tree testbed,
 # cold-link aggregation) from 256 to 65,536 workers.
 # -parallel 1 keeps the wall-clock columns clean of scheduling noise.
@@ -128,32 +117,6 @@ bench-exprun:
 bench-scale:
 	$(GO) run ./cmd/friedabench -exp scale -parallel 1 -bench-out BENCH_scale.json
 	$(GO) test -bench='BenchmarkNetsimTree' -benchmem -benchtime 1x -run '^$$' ./internal/netsim/
-
-# Regenerate BENCH_obs.json: attribution-recorder edge emission (the
-# per-completion hot path, budget <=2 allocs/edge) and the critical-path
-# solve over a 100k-node chain. Compare against the committed file before
-# merging recorder or solver changes, and update it with the new numbers.
-bench-obs:
-	BENCH_OBS_OUT=$(CURDIR)/BENCH_obs.json $(GO) test -run 'TestWriteBenchObs' -count=1 ./internal/obs/attrib/
-
-# Regenerate BENCH_masterfail.json: catalog journal append (the
-# per-mutation hot path on every control-plane state change, budget <=2
-# allocs/record) and recovery replay of a 10k-record journal (the restart
-# cost the master recovery model prices). Compare against the committed
-# file before merging catalog or journal changes, and update it with the
-# new numbers.
-bench-masterfail:
-	BENCH_MASTERFAIL_OUT=$(CURDIR)/BENCH_masterfail.json $(GO) test -run 'TestWriteBenchMasterfail' -count=1 ./internal/catalog/
-
-# Regenerate BENCH_ctrlplane.json: the execution-template control plane
-# sweep (templates off/on x task granularity, micro-task-chunked ALS and
-# BLAST) plus the decision-path microbenchmark. The
-# ctrl_speedup column must stay >= 10 at fine granularity. Compare against
-# the committed file before merging scheduler or control-plane changes,
-# and update it with the new numbers.
-bench-ctrlplane:
-	$(GO) run ./cmd/friedabench -exp ctrlplane -parallel 1 -bench-out BENCH_ctrlplane.json
-	$(GO) test -bench='BenchmarkCtrlPlaneDecide' -benchmem -run '^$$' ./internal/simrun/
 
 # CPU-profile the largest scale cell; inspect with `go tool pprof cpu.prof`.
 profile-scale:

@@ -208,7 +208,7 @@ func TestBenchStubsArePinned(t *testing.T) {
 // designLines is DESIGN.md's length, lowered whenever the document
 // shrinks: it may shrink, never grow, so what a change adds to it, it first
 // takes out elsewhere.
-const designLines = 2004
+const designLines = 2003
 
 // DESIGN.md is no longer than designLines, and every internal/<pkg> its
 // prose names exists (fenced blocks quote tool output, the standard

@@ -224,7 +224,7 @@ func run() int {
 	attribDiff := fs.String("attribdiff", "", "with -attrib: diff two runs' blame tables by sequence number, e.g. 1,2")
 	parallel := fs.Int("parallel", runtime.NumCPU(), "sweep cells run on this many goroutines (1 = sequential; output is byte-identical at any width)")
 	workers := fs.String("workers", "", "override the -exp scale worker counts (comma-separated, e.g. 4096,16384,65536)")
-	benchOut := fs.String("bench-out", "", "write the -exp scale/ctrlplane rows as a benchmark JSON record to this file")
+	benchOut := fs.String("bench-out", "", "write the -exp scale rows as a benchmark JSON record to this file")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
 	fs.Parse(os.Args[1:])
@@ -270,6 +270,9 @@ func run() int {
 
 	if *attribDiff != "" && !*attribOn {
 		log.Fatal("friedabench: -attribdiff requires -attrib")
+	}
+	if *benchOut != "" && *exp != "scale" {
+		log.Fatal("friedabench: -bench-out requires -exp scale")
 	}
 	if (*traceOut != "" || *metricsOut != "" || *attribOn) && *parallel != 1 {
 		// The collector numbers runs in Instrument-arrival order, which is
@@ -394,8 +397,8 @@ var experimentTable = []experiment{
 	{name: "netfail", aliases: []string{"ablation-netfail"}, seq: "ablations",
 		desc: "link faults: isolate vs retry vs resume, plus partition duration",
 		run: func(o runOpts) error {
-			if _, err := sweepApps(o, "Ablation: link faults — %s (mean outage 25s; isolate=prototype, retry=requeue, resume=+offset+replicas)",
-				"mtbf_sec", experiments.AblationNetFail); err != nil {
+			if err := appSweeps("Ablation: link faults — %s (mean outage 25s; isolate=prototype, retry=requeue, resume=+offset+replicas)",
+				"mtbf_sec", experiments.AblationNetFail)(o); err != nil {
 				return err
 			}
 			return sweep("Ablation: partition duration — BLAST (per-worker link MTBF 8000s)", "mttr_sec", experiments.AblationPartition)(o)
@@ -414,14 +417,8 @@ var experimentTable = []experiment{
 			"mtbf_sec", experiments.AblationDurability)},
 	{name: "ctrlplane", aliases: []string{"ablation-ctrlplane"},
 		desc: "execution-template control plane: decision cost off/on vs task granularity",
-		run: func(o runOpts) error {
-			byApp, err := sweepApps(o, "Ablation: execution-template control plane — %s (chunk = micro-tasks per task; off=priced slow path, on=template replay+check)",
-				"chunk", experiments.AblationCtrlPlane)
-			if err != nil || o.benchOut == "" {
-				return err
-			}
-			return writeCtrlPlaneBench(o.benchOut, byApp)
-		}},
+		run: appSweeps("Ablation: execution-template control plane — %s (chunk = micro-tasks per task; off=priced slow path, on=template replay+check)",
+			"chunk", experiments.AblationCtrlPlane)},
 	{name: "scale", desc: "BLAST real-time on fat-tree testbeds beyond the paper's 4 VMs",
 		run: func(o runOpts) error {
 			rows, err := experiments.ScaleSweep(o.scaleWorkers, o.scale)
@@ -478,84 +475,25 @@ func sweep(title, param string, f func(float64) ([]experiments.SweepRow, error))
 	}
 }
 
-// appSweeps runs and prints one sweep per application (sweepApps).
+// appSweeps runs and prints f for ALS then BLAST, stopping at the first
+// error; title formats the application name in.
 func appSweeps(title, param string, f func(string, float64) ([]experiments.SweepRow, error)) func(runOpts) error {
 	return func(o runOpts) error {
-		_, err := sweepApps(o, title, param, f)
-		return err
-	}
-}
-
-// sweepApps runs and prints f for ALS then BLAST, stopping at the first
-// error; title formats the application name in.
-func sweepApps(o runOpts, title, param string, f func(string, float64) ([]experiments.SweepRow, error)) (map[string][]experiments.SweepRow, error) {
-	byApp := map[string][]experiments.SweepRow{}
-	for _, app := range []string{"ALS", "BLAST"} {
-		rows, err := f(app, o.scale)
-		printSweep(fmt.Sprintf(title, app), param, rows)
-		if err != nil {
-			return nil, err
+		for _, app := range []string{"ALS", "BLAST"} {
+			rows, err := f(app, o.scale)
+			printSweep(fmt.Sprintf(title, app), param, rows)
+			if err != nil {
+				return err
+			}
 		}
-		byApp[app] = rows
+		return nil
 	}
-	return byApp, nil
 }
 
 // printSweep prints a rendered sweep and the blank line that follows it.
 func printSweep(title, param string, rows []experiments.SweepRow) {
 	fmt.Print(experiments.RenderSweep(title, param, rows))
 	fmt.Println()
-}
-
-// writeCtrlPlaneBench records the ctrlplane sweep as a benchmark JSON file
-// (BENCH_ctrlplane.json): one entry per (app, granularity) with the
-// control-plane decision throughput of both modes and the template speedup.
-func writeCtrlPlaneBench(path string, byApp map[string][]experiments.SweepRow) error {
-	type benchRow struct {
-		App                string  `json:"app"`
-		Chunk              int     `json:"chunk"`
-		OffCtrlSec         float64 `json:"off_ctrl_sec"`
-		OnCtrlSec          float64 `json:"on_ctrl_sec"`
-		OffCtrlTasksPerSec float64 `json:"off_ctrl_tasks_per_sec"`
-		OnCtrlTasksPerSec  float64 `json:"on_ctrl_tasks_per_sec"`
-		TemplateHits       float64 `json:"template_hits"`
-		TemplateMisses     float64 `json:"template_misses"`
-		CtrlSpeedup        float64 `json:"ctrl_speedup"`
-	}
-	out := struct {
-		Description string     `json:"description"`
-		Go          string     `json:"go"`
-		CPU         string     `json:"cpu"`
-		Rows        []benchRow `json:"rows"`
-	}{
-		Description: "execution-template control plane: scheduling decisions per second of control-plane time, slow path vs template replay (templates always re-derive every hit), on micro-task-chunked ALS/BLAST; ctrl_speedup >= 10 is the acceptance bar",
-		Go:          runtime.Version() + " " + runtime.GOOS + "/" + runtime.GOARCH,
-		CPU:         cpuModel(),
-	}
-	for _, app := range []string{"ALS", "BLAST"} {
-		for _, r := range byApp[app] {
-			out.Rows = append(out.Rows, benchRow{
-				App:                app,
-				Chunk:              int(r.Param),
-				OffCtrlSec:         r.Series["tmpl_off_ctrl_s"],
-				OnCtrlSec:          r.Series["tmpl_on_ctrl_s"],
-				OffCtrlTasksPerSec: r.Series["tmpl_off_ctrl_tasks_per_s"],
-				OnCtrlTasksPerSec:  r.Series["tmpl_on_ctrl_tasks_per_s"],
-				TemplateHits:       r.Series["tmpl_on_hits"],
-				TemplateMisses:     r.Series["tmpl_on_misses"],
-				CtrlSpeedup:        r.Series["ctrl_speedup"],
-			})
-		}
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s: %d rows\n", path, len(out.Rows))
-	return nil
 }
 
 // writeScaleBench records the scale sweep as a benchmark JSON file

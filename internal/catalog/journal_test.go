@@ -1,12 +1,9 @@
 package catalog
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
-	"runtime"
-	"strings"
 	"testing"
 )
 
@@ -383,14 +380,25 @@ func TestTypedCatalogErrors(t *testing.T) {
 
 // BenchmarkJournalAppend measures the master's journaling hot path: one
 // typed record per control-plane mutation into the growable log. Budget is
-// ≤2 allocs/record; amortised buffer growth keeps it at ~0.
+// ≤2 allocs/record; amortised buffer growth keeps it at ~0. The journal is
+// reset every 1<<16 records, as the master's compaction truncates it and as
+// bench's catalog.journal_append_ns probe does, and grown to that size before
+// the timer starts: without the reset, ns/op times slice growth and depends
+// on b.N, and a one-second run holds a gigabyte of log.
 func BenchmarkJournalAppend(b *testing.B) {
 	var j Journal
 	rec := Record{Op: OpReplicaAdd, File: "blast/db.part-000017", Node: "vm-12345"}
+	for j.Len() < 1<<16 {
+		j.Append(rec)
+	}
+	j.Reset()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		j.Append(rec)
+		if j.Len() >= 1<<16 {
+			j.Reset()
+		}
 	}
 }
 
@@ -429,67 +437,4 @@ func TestJournalAppendAllocBudget(t *testing.T) {
 	if a := testing.AllocsPerRun(10_000, func() { j.Append(rec) }); a > 2 {
 		t.Fatalf("journal append costs %.0f allocs/record, budget is 2", a)
 	}
-}
-
-// TestWriteBenchMasterfail regenerates BENCH_masterfail.json when
-// BENCH_MASTERFAIL_OUT names the output path (wired to
-// `make bench-masterfail`); otherwise it is a no-op.
-func TestWriteBenchMasterfail(t *testing.T) {
-	out := os.Getenv("BENCH_MASTERFAIL_OUT")
-	if out == "" {
-		t.Skip("set BENCH_MASTERFAIL_OUT to regenerate BENCH_masterfail.json")
-	}
-	type row struct {
-		Name        string  `json:"name"`
-		NsPerOp     float64 `json:"ns_per_op"`
-		AllocsPerOp int64   `json:"allocs_per_op"`
-		BytesPerOp  int64   `json:"bytes_per_op"`
-	}
-	record := struct {
-		Description string `json:"description"`
-		Go          string `json:"go"`
-		CPU         string `json:"cpu"`
-		Rows        []row  `json:"rows"`
-	}{
-		Description: "catalog journal append (per-mutation hot path, target <=2 allocs/record) and recovery replay of a 10k-record journal",
-		Go:          runtime.Version() + " " + runtime.GOOS + "/" + runtime.GOARCH,
-		CPU:         benchCPUModel(),
-	}
-	for _, bm := range []struct {
-		name string
-		fn   func(*testing.B)
-	}{
-		{"BenchmarkJournalAppend", BenchmarkJournalAppend},
-		{"BenchmarkJournalReplay", BenchmarkJournalReplay},
-	} {
-		res := testing.Benchmark(bm.fn)
-		record.Rows = append(record.Rows, row{
-			Name:        bm.name,
-			NsPerOp:     float64(res.T.Nanoseconds()) / float64(res.N),
-			AllocsPerOp: res.AllocsPerOp(),
-			BytesPerOp:  res.AllocedBytesPerOp(),
-		})
-	}
-	data, err := json.MarshalIndent(record, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s", out)
-}
-
-// benchCPUModel best-effort reads the processor model for bench records.
-func benchCPUModel() string {
-	data, err := os.ReadFile("/proc/cpuinfo")
-	if err != nil {
-		return runtime.GOARCH
-	}
-	for _, line := range strings.Split(string(data), "\n") {
-		if name, ok := strings.CutPrefix(line, "model name"); ok {
-			return strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(name), ":"))
-		}
-	}
-	return runtime.GOARCH
 }

@@ -140,9 +140,9 @@ func TestSweepReportsFailedCellCoordinates(t *testing.T) {
 }
 
 // BenchmarkExpAblations times a representative ablation grid (the
-// bandwidth sweep: 12 independent cells) at the configured parallelism;
-// `make bench-exprun` records it at width 1 and NumCPU in
-// BENCH_exprun.json.
+// bandwidth sweep: 12 independent cells) at the configured parallelism. It
+// profiles the pool; the benchmark's exprun.cell_overhead_ns and
+// exprun.parallel_speedup rows measure it.
 func BenchmarkExpAblations(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := AblationBandwidth(0.05); err != nil {

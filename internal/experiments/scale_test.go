@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"encoding/json"
+	"os"
 	"reflect"
 	"testing"
 
@@ -30,6 +32,47 @@ func TestScaleSweepSmall(t *testing.T) {
 	if rows[1].Series["bytes_moved_gb"] <= rows[0].Series["bytes_moved_gb"] {
 		t.Fatalf("bytes did not grow with workers: %v vs %v",
 			rows[0].Series["bytes_moved_gb"], rows[1].Series["bytes_moved_gb"])
+	}
+}
+
+// TestScaleReferenceIsCurrent reruns the scale sweep at the worker counts of
+// BENCH_scale.json and asserts that its simulated columns equal the file's
+// exactly. The benchmark's sim_scale workload checks its 65,536-worker cell
+// against that row with exact float equality, while the goldens compare two
+// decimals; a simulator change that regenerates the goldens must regenerate
+// this file too (`make bench-scale`).
+func TestScaleReferenceIsCurrent(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the 65,536-worker cell is too slow under the race detector")
+	}
+	data, err := os.ReadFile("../../BENCH_scale.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var record struct {
+		Rows []map[string]float64 `json:"rows"`
+	}
+	if err := json.Unmarshal(data, &record); err != nil {
+		t.Fatalf("BENCH_scale.json: %v", err)
+	}
+	if len(record.Rows) == 0 {
+		t.Fatal("BENCH_scale.json has no rows")
+	}
+	var workers []int
+	for _, ref := range record.Rows {
+		workers = append(workers, int(ref["workers"]))
+	}
+	rows, err := ScaleSweep(workers, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, ref := range record.Rows {
+		for _, col := range []string{"makespan_sec", "sim_events", "bytes_moved_gb"} {
+			if got := rows[i].Series[col]; got != ref[col] {
+				t.Errorf("workers=%d: %s = %v, BENCH_scale.json has %v; regenerate it with `make bench-scale`",
+					workers[i], col, got, ref[col])
+			}
+		}
 	}
 }
 

@@ -1,10 +1,6 @@
 package attrib
 
 import (
-	"encoding/json"
-	"os"
-	"runtime"
-	"strings"
 	"testing"
 
 	"frieda/internal/sim"
@@ -53,67 +49,4 @@ func TestAttribRecorderAllocBudget(t *testing.T) {
 	if a := res.AllocsPerOp(); a > 2 {
 		t.Fatalf("edge emission costs %d allocs/op, budget is 2", a)
 	}
-}
-
-// TestWriteBenchObs regenerates BENCH_obs.json when BENCH_OBS_OUT names the
-// output path (wired to `make bench-obs`); otherwise it is a no-op, so plain
-// `go test` runs never touch the committed record.
-func TestWriteBenchObs(t *testing.T) {
-	out := os.Getenv("BENCH_OBS_OUT")
-	if out == "" {
-		t.Skip("set BENCH_OBS_OUT to regenerate BENCH_obs.json")
-	}
-	type row struct {
-		Name        string  `json:"name"`
-		NsPerOp     float64 `json:"ns_per_op"`
-		AllocsPerOp int64   `json:"allocs_per_op"`
-		BytesPerOp  int64   `json:"bytes_per_op"`
-	}
-	record := struct {
-		Description string `json:"description"`
-		Go          string `json:"go"`
-		CPU         string `json:"cpu"`
-		Rows        []row  `json:"rows"`
-	}{
-		Description: "attrib recorder edge emission (per-completion hot path, target <=2 allocs/edge) and critical-path solve over a 100k-node chain",
-		Go:          runtime.Version() + " " + runtime.GOOS + "/" + runtime.GOARCH,
-		CPU:         cpuModel(),
-	}
-	for _, bm := range []struct {
-		name string
-		fn   func(*testing.B)
-	}{
-		{"BenchmarkAttribRecorder", BenchmarkAttribRecorder},
-		{"BenchmarkAttribSolve", BenchmarkAttribSolve},
-	} {
-		res := testing.Benchmark(bm.fn)
-		record.Rows = append(record.Rows, row{
-			Name:        bm.name,
-			NsPerOp:     float64(res.T.Nanoseconds()) / float64(res.N),
-			AllocsPerOp: res.AllocsPerOp(),
-			BytesPerOp:  res.AllocedBytesPerOp(),
-		})
-	}
-	data, err := json.MarshalIndent(record, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s", out)
-}
-
-// cpuModel best-effort reads the processor model for bench records.
-func cpuModel() string {
-	data, err := os.ReadFile("/proc/cpuinfo")
-	if err != nil {
-		return runtime.GOARCH
-	}
-	for _, line := range strings.Split(string(data), "\n") {
-		if name, ok := strings.CutPrefix(line, "model name"); ok {
-			return strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(name), ":"))
-		}
-	}
-	return runtime.GOARCH
 }

@@ -7,6 +7,7 @@ import (
 	"frieda/internal/cloud"
 	"frieda/internal/ctrlplane"
 	"frieda/internal/obs/attrib"
+	"frieda/internal/partition"
 	"frieda/internal/sim"
 	"frieda/internal/strategy"
 )
@@ -248,7 +249,8 @@ func BenchmarkCtrlPlaneDecide(b *testing.B) {
 		b.Fatal(err)
 	}
 	w := r.AddWorker(vms[1])
-	r.led.Start(cfg.Strategy, len(wl.Tasks), nil, nil)
+	// A real-time Prefetch of 0 sizes its window from the groups' bytes.
+	r.led.Start(cfg.Strategy, len(wl.Tasks), func() []partition.Group { return tasksAsGroups(wl.Tasks) }, nil)
 	r.led.Arrive(&w.Worker)
 
 	b.Run("slow-scan", func(b *testing.B) {
