@@ -109,6 +109,7 @@ var rules = []rule{
 	{"NoGob", noGob},
 	{"MasterHoldsNoLock", masterHoldsNoLock},
 	{"WorkerHasOneSender", workerHasOneSender},
+	{"GoroutinesHaveRoles", goroutinesHaveRoles},
 	{"LifecycleFields", lifecycleFields},
 	{"LifecycleStrategyReads", lifecycleStrategyReads},
 	{"SimHoldsNoSync", simHoldsNoSync},
@@ -208,7 +209,7 @@ func TestBenchStubsArePinned(t *testing.T) {
 // designLines is DESIGN.md's length, lowered whenever the document
 // shrinks: it may shrink, never grow, so what a change adds to it, it first
 // takes out elsewhere.
-const designLines = 2003
+const designLines = 2002
 
 // DESIGN.md is no longer than designLines, and every internal/<pkg> its
 // prose names exists (fenced blocks quote tool output, the standard
@@ -320,6 +321,58 @@ func workerHasOneSender(tr *tree) (bad []string) {
 		})
 	}
 	return bad
+}
+
+// goroutinesHaveRoles: every goroutine core starts names its role in a
+// pprof label before it makes any other call, so any profile of a run splits
+// by role: each go statement in internal/core starts a function literal, or
+// a function of core, whose first statement is pprof.SetGoroutineLabels.
+func goroutinesHaveRoles(tr *tree) (bad []string) {
+	p := tr.pkg("internal/core")
+	if p == nil {
+		return nil
+	}
+	decls := make(map[types.Object]*ast.FuncDecl)
+	for _, f := range p.files {
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok {
+				decls[p.info.Defs[fd.Name]] = fd
+			}
+		}
+	}
+	for _, f := range p.files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			g, ok := n.(*ast.GoStmt)
+			if !ok {
+				return true
+			}
+			var body *ast.BlockStmt
+			if lit, ok := ast.Unparen(g.Call.Fun).(*ast.FuncLit); ok {
+				body = lit.Body
+			} else if fd := decls[p.callee(g.Call)]; fd != nil {
+				body = fd.Body
+			}
+			if !p.labelsFirst(body) {
+				bad = append(bad, tr.at(g.Pos(), "starts a goroutine that does not set its role first"))
+			}
+			return true
+		})
+	}
+	return bad
+}
+
+// labelsFirst reports whether body's first statement is a call of
+// pprof.SetGoroutineLabels.
+func (p *pkg) labelsFirst(body *ast.BlockStmt) bool {
+	if body == nil || len(body.List) == 0 {
+		return false
+	}
+	s, ok := body.List[0].(*ast.ExprStmt)
+	if !ok {
+		return false
+	}
+	call, ok := s.X.(*ast.CallExpr)
+	return ok && isFunc(p.callee(call), "runtime/pprof", "SetGoroutineLabels")
 }
 
 // lifecycleFields: internal/sched owns the run's lifecycle (queue,

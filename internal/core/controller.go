@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime/pprof"
 	"slices"
 	"sync"
 	"time"
@@ -130,6 +131,7 @@ func (c *Controller) Start(ctx context.Context) error {
 	c.conn = conn
 	c.recvDone = make(chan struct{})
 	go func() {
+		pprof.SetGoroutineLabels(roleControllerRecv)
 		defer close(c.recvDone)
 		c.recvLoop()
 	}()
@@ -167,6 +169,7 @@ func (c *Controller) serveMaster(ctx context.Context) error {
 	c.cfg.MasterAddr = m.Addr()
 	c.masterWG.Add(1)
 	go func() {
+		pprof.SetGoroutineLabels(roleMasterAccept)
 		defer c.masterWG.Done()
 		if err := m.serve(ctx); err != nil {
 			c.mu.Lock()
@@ -264,6 +267,7 @@ func (c *Controller) SpawnWorker(ctx context.Context, cfg WorkerConfig) (*Worker
 	c.mu.Unlock()
 	c.spawned.Add(1)
 	go func() {
+		pprof.SetGoroutineLabels(roleWorkerReader)
 		defer c.spawned.Done()
 		if err := w.Run(ctx); err != nil && ctx.Err() == nil {
 			c.mu.Lock()

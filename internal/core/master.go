@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime/pprof"
 	"slices"
 	"strings"
 	"sync"
@@ -204,6 +205,7 @@ func (m *Master) Addr() string { return m.listener.Addr() }
 
 // serve runs the loop and accepts connections on the bound listener.
 func (m *Master) serve(ctx context.Context) error {
+	pprof.SetGoroutineLabels(roleMasterAccept)
 	l := m.listener
 	go m.loop()
 	close(m.serving)
@@ -231,6 +233,7 @@ func (m *Master) serve(ctx context.Context) error {
 		}
 		m.wg.Add(1)
 		go func() {
+			pprof.SetGoroutineLabels(roleMasterReader)
 			defer m.wg.Done()
 			m.read(conn)
 		}()
@@ -357,6 +360,7 @@ type event struct {
 // every queued event and handles them in order, then refills the slots its
 // statuses freed (group commit).
 func (m *Master) loop() {
+	pprof.SetGoroutineLabels(roleMasterLoop)
 	defer close(m.stopped)
 	var evs []event
 	for open := true; open; {
@@ -961,6 +965,7 @@ func (m *Master) fatal(err error) {
 // before is sent, or on a failed send, which it posts to the loop. Either
 // way it closes the connection.
 func (m *Master) writer(l *link) {
+	pprof.SetGoroutineLabels(roleMasterWriter)
 	defer m.wg.Done()
 	defer l.conn.Close()
 	var items []outItem // the batch in hand

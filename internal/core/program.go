@@ -250,7 +250,8 @@ type Store interface {
 // first chunk announces its total size, which reaches the store before the
 // first byte. A chunk that is the whole file goes into a MemStore in one
 // step: as it is where Data is handed over (c does not copy), else copied
-// into the store's slab. Every other chunk is reserved for and appended.
+// into bytes the store carves for it. Every other chunk is reserved for and
+// appended.
 func storeChunk(s Store, c transport.Conn, m *protocol.Message) error {
 	if mem, ok := s.(*MemStore); ok && m.Offset == 0 && m.Last && int64(len(m.Data)) == m.FileSize {
 		if c.SendCopies() {
@@ -271,25 +272,33 @@ func storeChunk(s Store, c transport.Conn, m *protocol.Message) error {
 // MemStore is an in-memory Store for library-mode workers and tests. Stored
 // bytes are never modified in place: readers and Bytes share them, and so
 // does the sender of a whole file handed over by the in-memory transport. A
-// rewrite stores fresh bytes, so a small file that landed whole in a slab
-// keeps its old bytes alive, after a rewrite, as long as any file of its
-// slab is.
+// rewrite stores fresh bytes, so a file carved from a slab keeps its old
+// bytes alive, after a rewrite, as long as any file of its slab is.
 type MemStore struct {
 	mu    sync.RWMutex
 	files map[string][]byte
-	// slab is the unused tail of the slab that small whole files land in.
-	slab []byte
+	// slabs are the unused tails of the slabs whole files are carved from:
+	// the first takes files of at most smallFile bytes, the second larger
+	// ones of at most largeFile.
+	slabs [2][]byte
 }
 
 // NewMemStore returns an empty memory store.
 func NewMemStore() *MemStore { return &MemStore{files: make(map[string][]byte)} }
 
-// slabSize is the size of the slabs MemStore lands small files in: a small
-// size class, where a 32 KiB slab would be a large object, allocated from the
-// heap's lock and zeroed whole. (Alone, a 28 KiB slab cost less than half as
-// much per byte as a 32 KiB one on a 2-vCPU Xeon.) A file above slabFile
-// gets an allocation of its own.
-const slabSize, slabFile = 28 << 10, 4 << 10
+// The slabs MemStore carves whole files from, and the largest file each
+// takes. A file of at most 4 KiB comes from a 28 KiB slab, a small size
+// class, where a 32 KiB slab would be a large object, allocated from the
+// heap's lock and zeroed whole (alone, a 28 KiB slab cost less than half as
+// much per byte as a 32 KiB one on a 2-vCPU Xeon). A file of up to 32 KiB
+// comes from a 256 KiB slab: the size classes of 8, 16, 24 and 32 KiB hold
+// one object per span, so a file of its own there refills the allocator's
+// per-P cache from the shared heap every time. A larger file gets an
+// allocation of its own.
+const (
+	smallSlab, smallFile = 28 << 10, 4 << 10
+	largeSlab, largeFile = 256 << 10, 32 << 10
+)
 
 // maxReserve bounds what MemStore allocates on a sender's word alone; a
 // larger file grows as its bytes arrive. maxExpect bounds, in the same way,
@@ -298,16 +307,20 @@ const maxReserve, maxExpect = 1 << 30, 1 << 20
 
 // Put implements Store. The buffer is sized from r when r tells its length
 // (bytes.Reader, strings.Reader, bytes.Buffer, a stored file, or an
-// io.LimitedReader over one of them): then it is allocated at exactly that
-// size, and grows only if r yields more.
+// io.LimitedReader over one of them): then it is carved (see carve) at
+// exactly that size, and grows only if r yields more. r is read outside the
+// store's lock.
 func (s *MemStore) Put(name string, r io.Reader) (int64, error) {
 	// io.ReadAll with a first size: the hint, or the 512 bytes ReadAll
 	// starts with when there is none.
-	size := sizeHint(r)
-	if size == 0 {
-		size = 512
+	var data []byte
+	if size := sizeHint(r); size > 0 && size <= largeFile {
+		s.mu.Lock()
+		data = s.carve(int(size))[:0]
+		s.mu.Unlock()
+	} else {
+		data = make([]byte, 0, max(size, 512))
 	}
-	data := make([]byte, 0, size)
 	for {
 		n, err := r.Read(data[len(data):cap(data)])
 		data = data[:len(data)+n]
@@ -391,24 +404,35 @@ func (s *MemStore) keep(name string, data []byte) {
 	s.mu.Unlock()
 }
 
-// land stores a copy of data, a whole file, under name in one step. A small
-// file is carved from the slab, its capacity clipped, so no later Append
-// writes into its neighbour.
+// land stores a copy of data, a whole file, under name in one step, in bytes
+// carved for it.
 func (s *MemStore) land(name string, data []byte) {
-	n := len(data)
 	s.mu.Lock()
-	var b []byte
-	if n > slabFile {
-		b = make([]byte, n)
-	} else {
-		if n > len(s.slab) {
-			s.slab = make([]byte, slabSize)
-		}
-		b, s.slab = s.slab[:n:n], s.slab[n:]
-	}
+	b := s.carve(len(data))
 	copy(b, data)
 	s.files[name] = b
 	s.mu.Unlock()
+}
+
+// carve returns n fresh bytes for a whole file whose size is known before its
+// first byte, with s.mu held. A file of at most 32 KiB is cut from the
+// smallest slab that takes it, a new slab when the tail is too short, and its
+// capacity is clipped, so no later Append writes into its neighbour. A larger
+// file gets an allocation of its own.
+func (s *MemStore) carve(n int) []byte {
+	i, size := 0, smallSlab
+	switch {
+	case n > largeFile:
+		return make([]byte, n)
+	case n > smallFile:
+		i, size = 1, largeSlab
+	}
+	slab := s.slabs[i]
+	if n > len(slab) {
+		slab = make([]byte, size)
+	}
+	s.slabs[i] = slab[n:]
+	return slab[:n:n]
 }
 
 // Append implements Store. Into a reservation it copies without allocating;

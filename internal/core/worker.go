@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime/pprof"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -98,6 +99,7 @@ func (w *Worker) Executed() int { return int(w.executed.Load()) }
 // SHUTDOWN, the connection drops, or ctx is cancelled. It returns nil on a
 // clean shutdown.
 func (w *Worker) Run(ctx context.Context) error {
+	pprof.SetGoroutineLabels(roleWorkerReader)
 	conn, err := w.cfg.Transport.Dial(w.cfg.MasterAddr)
 	if err != nil && w.cfg.DialRetry > 0 {
 		deadline := time.Now().Add(w.cfg.DialRetry)
@@ -159,6 +161,7 @@ func (w *Worker) Run(ctx context.Context) error {
 	for i := 0; i < w.slots; i++ {
 		wg.Add(1)
 		go func() {
+			pprof.SetGoroutineLabels(roleWorkerExec)
 			defer wg.Done()
 			w.executor(execCtx)
 		}()
@@ -287,6 +290,7 @@ func (w *Worker) executor(ctx context.Context) {
 // message loop; the writer still releases every slot waiting on it, until
 // the outbox closes. It closes sent when it returns.
 func (w *Worker) writer(sent chan<- struct{}) {
+	pprof.SetGoroutineLabels(roleWorkerWriter)
 	defer close(sent)
 	var status protocol.Message // every frame it sends but the outputs', reused
 	var err error               // the first failed send: nothing is sent after it

@@ -328,36 +328,43 @@ func (r *Recorder) Solve(start, end NodeID) *Report {
 		Nodes:       len(r.nodes),
 		Edges:       len(r.edges),
 	}
-	// Backward walk, collecting segments end→start; reversed afterwards.
+	// Two backward walks: the first counts the path's segments, so the
+	// second fills a slice sized once, from its end.
+	n := 0
 	for cur := end; cur != start; {
-		n := r.nodes[cur]
-		// Binding parent: maximal cause timestamp. The incoming list is in
-		// reverse insertion order, and strict > means the earliest-inserted
-		// of equal-time causes wins — a fixed, deterministic rule.
-		best := int32(-1)
-		var bestT sim.Time
-		for ei := n.firstEdge; ei >= 0; ei = r.edges[ei].next {
-			ft := r.nodes[r.edges[ei].from].t
-			if best < 0 || ft > bestT {
-				best, bestT = ei, ft
+		best, _ := r.binding(cur)
+		if best < 0 {
+			if float64(r.nodes[cur].t-r.nodes[start].t) != 0 {
+				n++ // the orphan's lead time
 			}
+			break
 		}
+		n++
+		cur = r.edges[best].from
+	}
+	if n > 0 {
+		rep.Segments = make([]Segment, n)
+	}
+	for cur := end; cur != start; {
+		n--
+		nd := r.nodes[cur]
+		best, bestT := r.binding(cur)
 		if best < 0 {
 			// Orphan: no recorded cause. Charge its lead time from run start
 			// honestly as Unattributed and stop.
-			span := float64(n.t - r.nodes[start].t)
+			span := float64(nd.t - r.nodes[start].t)
 			if span != 0 {
-				rep.Segments = append(rep.Segments, Segment{
-					From: r.nodes[start].label, To: n.label,
-					Start: float64(r.nodes[start].t), End: float64(n.t),
+				rep.Segments[n] = Segment{
+					From: r.nodes[start].label, To: nd.label,
+					Start: float64(r.nodes[start].t), End: float64(nd.t),
 					Cat: Unattributed, Sec: span,
-				})
+				}
 				rep.Blame[Unattributed] += span
 			}
 			break
 		}
 		e := r.edges[best]
-		span := float64(n.t - bestT)
+		span := float64(nd.t - bestT)
 		inflate := e.inflate
 		if inflate < 0 {
 			inflate = 0
@@ -365,23 +372,35 @@ func (r *Recorder) Solve(start, end NodeID) *Report {
 		if inflate > span {
 			inflate = span
 		}
-		rep.Segments = append(rep.Segments, Segment{
-			From: r.nodes[e.from].label, To: n.label,
-			Start: float64(bestT), End: float64(n.t),
+		rep.Segments[n] = Segment{
+			From: r.nodes[e.from].label, To: nd.label,
+			Start: float64(bestT), End: float64(nd.t),
 			Cat: e.cat, Sec: span - inflate, InflateSec: inflate,
 			Detail: e.detail,
-		})
+		}
 		rep.Blame[e.cat] += span - inflate
 		rep.Blame[StragglerInflation] += inflate
 		cur = e.from
-	}
-	for i, j := 0, len(rep.Segments)-1; i < j; i, j = i+1, j-1 {
-		rep.Segments[i], rep.Segments[j] = rep.Segments[j], rep.Segments[i]
 	}
 	rep.TaskLatency = latencyStats(r.taskSec)
 	rep.TransferLatency = latencyStats(r.xferSec)
 	r.report = rep
 	return rep
+}
+
+// binding is the edge node cur waited for, -1 for an orphan, and the time
+// its cause fired: the incoming edge whose cause fires last. The incoming
+// list is in reverse insertion order, and strict > means the
+// earliest-inserted of equal-time causes wins — a fixed, deterministic rule.
+func (r *Recorder) binding(cur NodeID) (best int32, bestT sim.Time) {
+	best = -1
+	for ei := r.nodes[cur].firstEdge; ei >= 0; ei = r.edges[ei].next {
+		ft := r.nodes[r.edges[ei].from].t
+		if best < 0 || ft > bestT {
+			best, bestT = ei, ft
+		}
+	}
+	return best, bestT
 }
 
 // Report returns the last Solve result (nil before Solve or for a nil
